@@ -26,9 +26,9 @@ doccheck:
 	$(GO) run ./cmd/doccheck
 
 # The expanded tier-1 gate: build + vet + dvmlint + doccheck + race
-# tests + bounded fuzzing. Same battery as scripts/check.sh. Set
-# BENCHDIFF=1 to also guard against downtime regressions vs the
-# newest BENCH_*.json baseline.
+# tests + the nested perf/ module's self-check + bounded fuzzing. Same
+# battery as scripts/check.sh. Set BENCHDIFF=1 to also guard against
+# downtime regressions vs the newest BENCH_*.json baseline.
 check:
 	./scripts/check.sh
 

@@ -1,11 +1,16 @@
 package dvm_test
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
+	"dvm/internal/algebra"
+	"dvm/internal/bag"
 	"dvm/internal/core"
+	"dvm/internal/schema"
 	"dvm/internal/storage"
+	"dvm/internal/txn"
 	"dvm/internal/workload"
 )
 
@@ -90,4 +95,76 @@ func setupRetailDay(t *testing.T) (*core.Manager, *workload.Retail) {
 		t.Fatal(err)
 	}
 	return mgr, w
+}
+
+// TestPartialRefreshAllocatesByDifferentialNotView is the count-based
+// shape of the same claim: the exclusive section of partial_refresh_C
+// does work proportional to |∇MV|+|△MV|, not to |MV|. The same 50-tuple
+// differential is applied to a view and to one ten times larger, and
+// the bytes PartialRefresh allocates must agree within 1.2x — a
+// whole-view copy under the lock (bag.Monus / bag.UnionAll / Clone of
+// MV, as the compiled apply program once did) costs the larger view ten
+// times more and fails this at once. Every row has multiplicity 2 and
+// the differential only moves multiplicities, so MV's map never gains a
+// key and cannot grow mid-measurement.
+func TestPartialRefreshAllocatesByDifferentialNotView(t *testing.T) {
+	const diff = 50
+	sch := schema.NewSchema(schema.Col("id", schema.TInt), schema.Col("v", schema.TInt))
+	partialBytes := func(rows int) uint64 {
+		db := storage.NewDatabase()
+		tb, err := db.Create("r", sch, storage.External)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < rows; i++ {
+			if err := tb.Insert(schema.Row(i, i%7), 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		def, err := algebra.NewSelect(algebra.Cmp{Op: algebra.GE, L: algebra.A("id"), R: algebra.C(0)},
+			algebra.NewBase("r", sch))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mgr := core.NewManager(db)
+		if _, err := mgr.DefineView("v", def, core.Combined); err != nil {
+			t.Fatal(err)
+		}
+		best := ^uint64(0)
+		for round := 0; round < 3; round++ {
+			del, ins := bag.New(), bag.New()
+			for i := 0; i < diff/2; i++ {
+				del.Add(schema.Row(2*i, 2*i%7), 1)
+				ins.Add(schema.Row(2*i+1, (2*i+1)%7), 1)
+			}
+			if round%2 == 1 {
+				del, ins = ins, del // put the multiplicities back
+			}
+			if err := mgr.Execute(txn.Txn{"r": {Delete: del, Insert: ins}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := mgr.Propagate("v"); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if err := mgr.PartialRefresh("v"); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			if err := mgr.CheckConsistent("v"); err != nil {
+				t.Fatal(err)
+			}
+			if d := after.TotalAlloc - before.TotalAlloc; d < best {
+				best = d
+			}
+		}
+		return best
+	}
+
+	small, large := partialBytes(2000), partialBytes(20000)
+	t.Logf("PartialRefresh of a %d-tuple differential: %d B on a 2000-row view, %d B on a 20000-row view", diff, small, large)
+	if float64(large) > 1.2*float64(small) {
+		t.Fatalf("PartialRefresh allocated %d B on the 10x larger view vs %d B: more than 1.2x — an O(|MV|) copy is back under the lock", large, small)
+	}
 }

@@ -6,7 +6,8 @@
 //
 // A Bag maps canonical tuple keys to (tuple, multiplicity) entries. All
 // operations are pure: they return fresh bags and never mutate operands,
-// except the explicitly-mutating Add/Remove used by the storage layer.
+// except the explicitly-mutating Add/AddBag/ApplyDelta/Remove/Clear used
+// by the storage and maintenance layers.
 package bag
 
 import (
@@ -117,6 +118,19 @@ func (b *Bag) AddBag(o *Bag) *Bag {
 	return b
 }
 
+// ApplyDelta sets b := (b ∸ del) ⊎ add in place, in O(|del|+|add|) —
+// the shape of every Figure 3 table update (MV from ∇MV/△MV, a log or
+// differential table from a change batch). It walks the operands' maps
+// by key, so no tuple key is re-encoded, and journals each change like
+// Add, so indexes cached over b keep syncing. del and add are only
+// read; neither may be b itself.
+func (b *Bag) ApplyDelta(del, add *Bag) *Bag {
+	for k, e := range del.m {
+		b.addKeyed(k, e.tuple, -e.count)
+	}
+	return b.AddBag(add)
+}
+
 // Remove removes up to n copies of t.
 func (b *Bag) Remove(t schema.Tuple, n int) *Bag { return b.Add(t, -n) }
 
@@ -169,9 +183,10 @@ func (b *Bag) journalSince(v uint64) ([]jentry, bool) {
 }
 
 // Version returns a counter that changes on every mutation of the bag
-// (Add/AddBag/Remove/Clear). Together with the bag's identity it lets
-// derived structures — notably Index — validate cached state cheaply:
-// same *Bag pointer plus same Version means the contents are unchanged.
+// (Add/AddBag/ApplyDelta/Remove/Clear). Together with the bag's identity
+// it lets derived structures — notably Index — validate cached state
+// cheaply: same *Bag pointer plus same Version means the contents are
+// unchanged.
 func (b *Bag) Version() uint64 { return b.ver }
 
 // Count returns the multiplicity of t.

@@ -71,6 +71,15 @@ func FuzzBagOps(f *testing.F) {
 		if !Monus(UnionAll(b, other), other).Equal(b) {
 			t.Fatal("Monus(UnionAll(b, o), o) != b")
 		}
+		// The in-place (b ∸ d) ⊎ a equals the pure form, keeps a cached
+		// index syncable, and keeps the journal accounting — with d = other
+		// (overlapping b, not a sub-bag of it) and a = a slice of both.
+		if msg := checkApplyDelta(b, other, Min(UnionAll(b, other), DupElim(other))); msg != "" {
+			t.Fatal(msg)
+		}
+		if msg := checkApplyDelta(b, Max(b, other), other); msg != "" {
+			t.Fatal(msg)
+		}
 		// min is a lower bound of both; max an upper bound of b.
 		lo := Min(b, other)
 		if !lo.SubBagOf(b) || !lo.SubBagOf(other) {

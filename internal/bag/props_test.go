@@ -182,3 +182,78 @@ func TestPropLenDistinct(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// checkApplyDelta asserts the in-place primitive's contract on one
+// (b, del, add) triple: b.ApplyDelta(del, add) leaves b equal to the
+// pure (b ∸ del) ⊎ add and the operands untouched, an Index built
+// before the call and Synced after equals one built fresh, and the
+// journal accounting ver == jbase + len(jour) holds. It returns a
+// description of the first violation, or "".
+func checkApplyDelta(b, del, add *Bag) string {
+	want := UnionAll(Monus(b, del), add)
+	del0, add0 := del.Clone(), add.Clone()
+	got := b.Clone()
+	ix := NewIndex(got, []int{0})
+	got.ApplyDelta(del, add)
+	switch {
+	case !got.Equal(want):
+		return "ApplyDelta(b, d, a) != UnionAll(Monus(b, d), a)"
+	case got.Len() != want.Len() || got.Distinct() != want.Distinct():
+		return "ApplyDelta left Len/Distinct out of step with the contents"
+	case !del.Equal(del0) || !add.Equal(add0):
+		return "ApplyDelta mutated an operand"
+	case len(got.jour) > 0 && got.ver != got.jbase+uint64(len(got.jour)):
+		return "journal invariant ver == jbase + len(jour) broken"
+	}
+	if _, ok := ix.Sync(got); !ok {
+		// The journal window (256 entries at least) covers every delta
+		// these tests generate.
+		return "Index.Sync could not catch up through the journal"
+	}
+	if !reflect.DeepEqual(indexContents(ix), indexContents(NewIndex(got, []int{0}))) {
+		return "Index synced across ApplyDelta differs from a fresh NewIndex"
+	}
+	return ""
+}
+
+// indexContents flattens an index to index key -> tuple key -> count,
+// the order-free form two equivalent indexes share.
+func indexContents(ix *Index) map[string]map[string]int {
+	out := map[string]map[string]int{}
+	for k, bucket := range ix.m {
+		out[k] = map[string]int{}
+		for _, e := range bucket {
+			out[k][e.Key] += e.Count
+		}
+	}
+	return out
+}
+
+func TestPropApplyDeltaMatchesMonusUnion(t *testing.T) {
+	// del and add are arbitrary: they overlap each other and b, and del
+	// need not be a sub-bag of b (weak minimality allows both).
+	prop := func(x, d, a genBag) bool {
+		if msg := checkApplyDelta(x.B, d.B, a.B); msg != "" {
+			t.Log(msg)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(prop, qcfg); err != nil {
+		t.Error(err)
+	}
+	// A second delta over the same journaled bag: the index follows a
+	// sequence of applies, not just the first.
+	seq := func(x, d1, a1, d2, a2 genBag) bool {
+		b := x.B.Clone()
+		ix := NewIndex(b, []int{0})
+		b.ApplyDelta(d1.B, a1.B).ApplyDelta(d2.B, a2.B)
+		want := UnionAll(Monus(UnionAll(Monus(x.B, d1.B), a1.B), d2.B), a2.B)
+		_, ok := ix.Sync(b)
+		return ok && b.Equal(want) &&
+			reflect.DeepEqual(indexContents(ix), indexContents(NewIndex(b, []int{0})))
+	}
+	if err := quick.Check(seq, qcfg); err != nil {
+		t.Error(err)
+	}
+}

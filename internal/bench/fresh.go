@@ -12,15 +12,21 @@ import (
 // needs" extension: with a large pending log, an analyst who needs a
 // fresh answer can (a) read the stale view (fast, wrong), (b) force a
 // full refresh and then read (fresh, downtime for everyone), or
-// (c) QueryFresh — compose the current value on the fly, optionally
-// restricted to the slice the query touches (fresh, no downtime, cost
-// proportional to the question).
+// (c) QueryFresh — fold the pending log into the differential tables
+// (propagate_C's body, no MV lock) and return the asked-for slice of MV
+// with the same slice of the differential applied (fresh, no downtime,
+// one pass over MV plus work proportional to the differential).
+//
+// A fresh read keeps its fold, so a second one — or the refresh after
+// it — over the same backlog is nearly free. Each path is therefore
+// timed over its own backlog of the same size, rebuilt (untimed) after
+// a refresh.
 func E14FreshQueries() (*Report, error) {
 	const pending = 2000
 	rep := &Report{
 		ID:     "E14",
 		Title:  fmt.Sprintf("Fresh reads over a stale view (%d pending updates, Combined scenario)", pending),
-		Notes:  "QueryFresh answers as-of-now without refreshing; slice predicates push into the incremental plan",
+		Notes:  "QueryFresh answers as-of-now without refreshing: fold the log, then a filtered MV read with the filtered differential applied; each path is timed over its own backlog",
 		Header: []string{"access path", "latency µs", "fresh?", "view downtime?"},
 	}
 
@@ -28,7 +34,15 @@ func E14FreshQueries() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := m.Execute(w.SalesBatch(pending)); err != nil {
+	// backlog brings the view up to date and leaves `pending` unpropagated
+	// updates behind it.
+	backlog := func() error {
+		if err := m.Refresh("v0"); err != nil {
+			return err
+		}
+		return m.Execute(w.SalesBatch(pending))
+	}
+	if err := backlog(); err != nil {
 		return nil, err
 	}
 
@@ -47,6 +61,9 @@ func E14FreshQueries() (*Report, error) {
 	freshAll := time.Since(start)
 
 	// (c2) fresh read of one customer's slice.
+	if err := backlog(); err != nil {
+		return nil, err
+	}
 	start = time.Now()
 	if _, err := m.QueryFresh("v0", algebra.Eq(algebra.A("custId"), algebra.C(1))); err != nil {
 		return nil, err
@@ -54,6 +71,9 @@ func E14FreshQueries() (*Report, error) {
 	freshSlice := time.Since(start)
 
 	// (b) full refresh + read (downtime for every other reader).
+	if err := backlog(); err != nil {
+		return nil, err
+	}
 	start = time.Now()
 	if err := m.Refresh("v0"); err != nil {
 		return nil, err

@@ -35,18 +35,17 @@ type compiledAssign struct {
 // nil when the scenario has no such path.
 type compiledDelta struct {
 	// safe is the makesafe program Execute installs per transaction:
-	// the compiled twin of View.safeAssigns (IM's MV update, DT's
-	// differential fold, BL/C's algebraic log merge for the
-	// slow-append mode).
+	// the compiled twin of View.safeAssigns (DT's differential fold,
+	// BL/C's algebraic log merge for the slow-append mode).
 	safe *compiledAssign
+	// pair is the view's incremental (del, add) pair as the program's
+	// two roots, installed into MV by applyToMVLocked: (∇(T,Q), △(T,Q))
+	// for makesafe_IM, (▼(L,Q), ▲(L,Q)) for refresh_BL. It has no
+	// install targets.
+	pair *compiledAssign
 	// fold is propagate_C's fold of ▼(L,Q)/▲(L,Q) into ∇MV/△MV
 	// (non-sharded Combined views).
 	fold *compiledAssign
-	// refresh is refresh_BL's MV update from the log queries.
-	refresh *compiledAssign
-	// apply is refresh_DT / partial_refresh_C's MV update from the
-	// differential tables (non-sharded views).
-	apply *compiledAssign
 	// def recomputes Q from scratch (RefreshRecompute).
 	def *compiledAssign
 	// shard is the per-shard [DEL, ADD] pair of a sharded Combined
@@ -98,21 +97,11 @@ func (m *Manager) compilePrograms(v *View) error {
 		cd.safe = ca
 	}
 
+	var err error
 	switch v.Scenario {
-	case BaseLogs:
-		upd, err := applyDelta(m.baseExpr(v.mvName), v.blDel, v.blAdd)
-		if err != nil {
-			return err
-		}
-		if cd.refresh, err = m.compileExprs([]string{v.mvName}, upd); err != nil {
-			return err
-		}
-	case DiffTables:
-		upd, err := applyDelta(m.baseExpr(v.mvName), m.baseExpr(v.dtDel), m.baseExpr(v.dtAdd))
-		if err != nil {
-			return err
-		}
-		if cd.apply, err = m.compileExprs([]string{v.mvName}, upd); err != nil {
+	case Immediate, BaseLogs:
+		del, add := v.IncrementalQueries()
+		if cd.pair, err = m.compileExprs(nil, del, add); err != nil {
 			return err
 		}
 	case Combined:
@@ -122,13 +111,6 @@ func (m *Manager) compilePrograms(v *View) error {
 				return err
 			}
 			if cd.fold, err = m.compileAssigns(fold); err != nil {
-				return err
-			}
-			upd, err := applyDelta(m.baseExpr(v.mvName), m.baseExpr(v.dtDel), m.baseExpr(v.dtAdd))
-			if err != nil {
-				return err
-			}
-			if cd.apply, err = m.compileExprs([]string{v.mvName}, upd); err != nil {
 				return err
 			}
 		} else {
@@ -145,11 +127,9 @@ func (m *Manager) compilePrograms(v *View) error {
 		}
 	}
 
-	def, err := m.compileExprs([]string{v.mvName}, v.Def)
-	if err != nil {
+	if cd.def, err = m.compileExprs([]string{v.mvName}, v.Def); err != nil {
 		return err
 	}
-	cd.def = def
 
 	v.cd = cd
 	if v.met != nil {
@@ -228,13 +208,25 @@ func (m *Manager) runCompiledAssigns(v *View, ca *compiledAssign, parent *trace.
 	return nil
 }
 
-// applyCompiledSafe is Execute's compiled makesafe step for one view:
-// the compiled twin of appending View.safeAssigns to the transaction's
-// assignment bundle. Cross-view staging is unnecessary — no view's
-// right-hand sides read another view's targets (auxiliary tables are
-// internal, and views may only reference external tables) — so the
-// per-view evaluate-then-install preserves the simultaneous (T1+T2)
-// semantics.
-func (m *Manager) applyCompiledSafe(v *View, parent *trace.Span) error {
-	return m.runCompiledAssigns(v, v.cd.safe, parent)
+// evalDeltaPair evaluates the view's incremental (del, add) pair —
+// (∇(T,Q), △(T,Q)) for an Immediate view, (▼(L,Q), ▲(L,Q)) for a
+// BaseLogs one — against the live database, through the compiled
+// program when the view has one and the interpreter otherwise (one
+// Evaluator, so the two queries share their common subexpressions).
+// The caller owns the returned bags.
+func (m *Manager) evalDeltaPair(v *View, parent *trace.Span) (del, add *bag.Bag, err error) {
+	if v.cd != nil && v.cd.pair != nil {
+		outs, err := m.evalCompiled(v, v.cd.pair, parent)
+		if err != nil {
+			return nil, nil, err
+		}
+		return outs[0], outs[1], nil
+	}
+	dq, aq := v.IncrementalQueries()
+	ev := algebra.NewEvaluator(m.db)
+	if del, err = ev.Eval(dq); err != nil {
+		return nil, nil, err
+	}
+	add, err = ev.Eval(aq)
+	return del, add, err
 }

@@ -96,7 +96,8 @@ type View struct {
 	shDel, shAdd algebra.Expr
 	sh           *viewShards
 
-	// Precompiled makesafe assignments (Figure 3), reused every Execute.
+	// Precompiled makesafe assignments (Figure 3), reused every Execute
+	// (none for Immediate views, whose pair applies to MV in place).
 	safeAssigns []txn.Assignment
 
 	// cd holds the view's compiled delta programs (nil under
@@ -640,13 +641,9 @@ func (m *Manager) compile(v *View) error {
 
 	switch v.Scenario {
 	case Immediate:
-		// makesafe_IM: MV := (MV ∸ ∇(T,Q)) ⊎ △(T,Q).
-		mvE := m.baseExpr(v.mvName)
-		upd, err := applyDelta(mvE, v.imDel, v.imAdd)
-		if err != nil {
-			return err
-		}
-		v.safeAssigns = []txn.Assignment{{Table: v.mvName, Expr: upd}}
+		// makesafe_IM, MV := (MV ∸ ∇(T,Q)) ⊎ △(T,Q), has no assignment
+		// form: Execute evaluates the (imDel, imAdd) pair against the
+		// pre-update state and applies it to MV in place.
 
 	case BaseLogs, Combined:
 		if v.sh != nil {
@@ -762,22 +759,4 @@ func (m *Manager) baseExpr(name string) algebra.Expr {
 		panic(fmt.Sprintf("core: baseExpr(%s): %v", name, err))
 	}
 	return algebra.NewBase(name, tb.Schema())
-}
-
-// applyDelta builds (target ∸ del) ⊎ add.
-func applyDelta(target, del, add algebra.Expr) (algebra.Expr, error) {
-	mo, err := algebra.NewMonus(target, del)
-	if err != nil {
-		return nil, err
-	}
-	return algebra.NewUnionAll(mo, add)
-}
-
-// emptyAssign builds Table := ∅.
-func (m *Manager) emptyAssign(name string) txn.Assignment {
-	tb, err := m.db.Table(name)
-	if err != nil {
-		panic(fmt.Sprintf("core: emptyAssign(%s): %v", name, err))
-	}
-	return txn.Assignment{Table: name, Expr: algebra.Empty(tb.Schema())}
 }

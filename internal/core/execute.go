@@ -79,6 +79,7 @@ func (m *Manager) Execute(t txn.Txn) error {
 	// keeping the base update O(|change|) instead of O(|table|).
 	assigns := make([]txn.Assignment, 0, 4*len(m.order))
 	var compiledViews []*View
+	var imViews []*View
 	var lockMVs []string
 	affected := make([]*View, 0, len(m.order))
 	for _, vn := range m.order {
@@ -120,15 +121,19 @@ func (m *Manager) Execute(t txn.Txn) error {
 			}
 			continue
 		}
-		if v.cd != nil && v.cd.safe != nil {
+		switch {
+		case v.Scenario == Immediate:
+			// makesafe_IM has no assignment form: the (∇(T,Q), △(T,Q))
+			// pair is evaluated and applied to MV in place under the MV
+			// write lock, below.
+			imViews = append(imViews, v)
+			lockMVs = append(lockMVs, v.mvName)
+		case v.cd != nil && v.cd.safe != nil:
 			// Compiled makesafe: the program evaluates and installs
 			// inside the apply closure, alongside the assignment bundle.
 			compiledViews = append(compiledViews, v)
-		} else {
+		default:
 			assigns = append(assigns, v.safeAssigns...)
-		}
-		if v.Scenario == Immediate {
-			lockMVs = append(lockMVs, v.mvName)
 		}
 		msp.End()
 	}
@@ -151,9 +156,13 @@ func (m *Manager) Execute(t txn.Txn) error {
 		}
 		// Compiled makesafe programs run here, before the base-table
 		// updates below, so their right-hand sides read the pre-update
-		// state exactly like the assignment bundle.
+		// state exactly like the assignment bundle. Cross-view staging is
+		// unnecessary — no view's right-hand sides read another view's
+		// targets (auxiliary tables are internal, and views may only
+		// reference external tables) — so per-view evaluate-then-install
+		// preserves the simultaneous (T1+T2) semantics.
 		for _, cv := range compiledViews {
-			if err := m.applyCompiledSafe(cv, asp); err != nil {
+			if err := m.runCompiledAssigns(cv, cv.cd.safe, asp); err != nil {
 				return err
 			}
 		}
@@ -183,7 +192,20 @@ func (m *Manager) Execute(t txn.Txn) error {
 		// The locked install is the Immediate views' downtime: readers of
 		// those MVs block for exactly this long, every transaction.
 		lockStart := time.Now()
-		err = m.locks.WithWriteSpan(lockMVs, xsp, apply)
+		err = m.locks.WithWriteSpan(lockMVs, xsp, func(hold *trace.Span) error {
+			// makesafe_IM: MV := (MV ∸ ∇(T,Q)) ⊎ △(T,Q), in place. The pair
+			// reads the pre-update state: apply changes the base tables.
+			for _, iv := range imViews {
+				del, add, err := m.evalDeltaPair(iv, hold)
+				if err != nil {
+					return err
+				}
+				if err := m.applyToMVLocked(iv, del, add); err != nil {
+					return err
+				}
+			}
+			return apply(hold)
+		})
 		held := int64(time.Since(lockStart))
 		for _, v := range affected {
 			if v.Scenario == Immediate && v.met != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -125,4 +126,129 @@ func TestQueryFreshSharedLogs(t *testing.T) {
 	if m.SharedLogVolume("sales") != 1 {
 		t.Fatal("QueryFresh consumed the shared-log window")
 	}
+}
+
+// TestQueryFreshDifferential drives one random retail stream through
+// every legal combination of scenario × delta engine × sharding × log
+// layout × predicate and checks the fresh-read contract at each stop:
+// QueryFresh(v, p) is σ_p of a from-scratch recompute, the stale MV a
+// plain Query sees is byte-identical before and after, the Figure 1
+// invariant still holds, the size gauges describe the folded state, and
+// a second fresh read with no write in between does no join work.
+func TestQueryFreshDifferential(t *testing.T) {
+	slice := algebra.Eq(algebra.A("custId"), algebra.C(2))
+	for _, sc := range []Scenario{Immediate, BaseLogs, DiffTables, Combined} {
+		for _, interp := range []bool{false, true} {
+			for _, shards := range []int{1, 4} {
+				for _, shared := range []bool{false, true} {
+					if shared && shards > 1 && sc == Combined {
+						continue // setupShards rejects shared logs
+					}
+					for _, pred := range []algebra.Predicate{nil, slice} {
+						name := fmt.Sprintf("%v/interp=%v/shards=%d/shared=%v/slice=%v", sc, interp, shards, shared, pred != nil)
+						t.Run(name, func(t *testing.T) {
+							opts := []ManagerOption{WithShards(shards)}
+							if interp {
+								opts = append(opts, WithInterpretedDeltas())
+							}
+							if shared {
+								opts = append(opts, WithSharedLogs())
+							}
+							checkFreshReads(t, sc, pred, opts...)
+						})
+					}
+				}
+			}
+		}
+	}
+}
+
+func checkFreshReads(t *testing.T, sc Scenario, pred algebra.Predicate, opts ...ManagerOption) {
+	db, def := retailDB(t)
+	m := NewManager(db, opts...)
+	v, err := m.DefineView("hv", def, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	for round := 0; round < 4; round++ {
+		for i := 0; i < 4; i++ {
+			must(m.Execute(randomRetailTxn(rng)))
+		}
+		// Leave part of the backlog in the differential tables and part in
+		// the log, and make MV itself move between rounds.
+		if sc == Combined && round%2 == 1 {
+			must(m.Propagate("hv"))
+			must(m.Execute(randomRetailTxn(rng)))
+		}
+		if round == 2 {
+			must(m.Refresh("hv"))
+			must(m.Execute(randomRetailTxn(rng)))
+		}
+
+		stale, err := m.Query("hv")
+		must(err)
+		got, err := m.QueryFresh("hv", pred)
+		must(err)
+		want, err := algebra.Eval(def, db)
+		must(err)
+		if pred != nil {
+			fn, err := pred.Bind(def.Schema())
+			must(err)
+			want = bag.Select(want, fn)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("round %d: fresh = %v, recompute = %v", round, got, want)
+		}
+		after, err := m.Query("hv")
+		must(err)
+		if stale.String() != after.String() {
+			t.Fatalf("round %d: QueryFresh changed MV:\nbefore %v\nafter  %v", round, stale, after)
+		}
+		must(m.CheckInvariant("hv"))
+		must(m.CheckShardInvariant("hv"))
+		if sc == Combined {
+			// The fold moved the whole log into ∇MV/△MV, and the gauges
+			// \stats and the benchmark read say so.
+			if l := v.met.logSizeTuples.Load(); l != 0 {
+				t.Fatalf("round %d: log_size_tuples = %d after a fresh read, want 0", round, l)
+			}
+			if d, want := v.met.diffSizeTuples.Load(), int64(m.diffVolume(v)); d != want {
+				t.Fatalf("round %d: diff_size_tuples = %d, tables hold %d", round, d, want)
+			}
+		}
+
+		// Again, with no write in between: same answer, and nothing is
+		// re-materialized or re-joined. (A BaseLogs view has no
+		// differential tables to keep a fold in, so it alone re-evaluates
+		// ▼(L,Q)/▲(L,Q) per read — the scenario's price, not a leak.)
+		var window *bag.Bag
+		if m.shared != nil && len(v.logDel) > 0 {
+			window, err = db.Bag(v.logDel["sales"])
+			must(err)
+		}
+		probes := v.met.indexProbeTuples.Load()
+		again, err := m.QueryFresh("hv", pred)
+		must(err)
+		if !again.Equal(want) {
+			t.Fatalf("round %d: second fresh read = %v, want %v", round, again, want)
+		}
+		if d := v.met.indexProbeTuples.Load() - probes; d != 0 && sc != BaseLogs {
+			t.Fatalf("round %d: second fresh read probed %d index tuples, want 0", round, d)
+		}
+		if window != nil {
+			if now, _ := db.Bag(v.logDel["sales"]); now != window {
+				t.Fatalf("round %d: second fresh read re-materialized the shared-log window", round)
+			}
+		}
+	}
+	must(m.Refresh("hv"))
+	must(m.CheckConsistent("hv"))
+	must(m.CheckInvariant("hv"))
 }

@@ -77,9 +77,9 @@ func newShardMetrics(r *obs.Registry, label string) *shardMetrics {
 }
 
 // logVolume returns the tuple volume of the view's private log tables.
-// In shared-log mode these hold the materialized window during a
-// propagate/refresh and are empty otherwise (the pending shared window
-// is counted separately by updateSizeGauges, never both at once).
+// In shared-log mode these hold the last materialized window — a merged
+// copy of (part of) the pending shared window, which is what
+// updateSizeGauges reports there instead, so nothing is counted twice.
 func (m *Manager) logVolume(v *View) int {
 	if v.sh != nil {
 		n := 0
@@ -141,7 +141,7 @@ func (m *Manager) updateSizeGauges(v *View) {
 	if len(v.logDel) > 0 {
 		n := m.logVolume(v)
 		if m.shared != nil {
-			n += m.pendingShared(v)
+			n = m.pendingShared(v)
 		}
 		v.met.logSizeTuples.Set(int64(n))
 	}

@@ -62,22 +62,17 @@ func (m *Manager) Refresh(name string) error {
 			asp, dsp := m.startDowntimeSpan(v, hold)
 			asp.SetAttrs(trace.Int("diff_tuples", int64(m.diffVolume(v))))
 			defer func() { asp.EndExplicit(dsp.End()) }()
-			return m.applyDiffTablesLocked(v, asp)
+			return m.applyDiffTablesLocked(v)
 		})
 	case Combined:
 		return m.locks.WithWriteSpan([]string{v.mvName}, rsp, func(hold *trace.Span) error {
 			asp, dsp := m.startDowntimeSpan(v, hold)
 			defer func() { asp.EndExplicit(dsp.End()) }()
-			if err := m.materializeIfShared(v); err != nil {
+			if err := m.propagateBody(v, asp, hold); err != nil {
 				return err
 			}
-			asp.SetAttrs(trace.Int("log_tuples", int64(m.logVolume(v))))
-			if err := m.foldLog(v, hold); err != nil {
-				return err
-			}
-			m.consumeWindowIfShared(v)
 			asp.SetAttrs(trace.Int("diff_tuples", int64(m.diffVolume(v))))
-			return m.applyDiffTablesLocked(v, asp)
+			return m.applyDiffTablesLocked(v)
 		})
 	}
 	return fmt.Errorf("core: refresh: unknown scenario %v", v.Scenario)
@@ -98,35 +93,43 @@ func (m *Manager) startDowntimeSpan(v *View, hold *trace.Span) (*trace.Span, obs
 	return asp, obs.StartSpan(v.met.downtimeNs)
 }
 
-// refreshFromLogLocked implements refresh_BL: one simultaneous transaction
-// updating MV from the post-update incremental queries and emptying the
-// log. The Locked suffix is a contract dvmlint enforces: the caller
-// must hold the MV write lock.
+// applyToMVLocked installs MV := (MV ∸ del) ⊎ add in place, in
+// O(|del|+|add|): the one way a maintenance transaction changes a view
+// table (makesafe_IM, refresh_BL, refresh_DT, partial_refresh_C,
+// sharded or not), so the exclusive lock is held for work proportional
+// to the differential, never to the view. del and add are only read.
+// The Locked suffix is a contract dvmlint enforces: the caller must
+// hold the MV write lock.
+func (m *Manager) applyToMVLocked(v *View, del, add *bag.Bag) error {
+	mv, err := m.db.Table(v.mvName)
+	if err != nil {
+		return err
+	}
+	mv.Data().ApplyDelta(del, add)
+	return nil
+}
+
+// refreshFromLogLocked implements refresh_BL: evaluate the post-update
+// incremental queries (▼(L,Q), ▲(L,Q)), apply them to MV in place, and
+// empty the log. The Locked suffix is a contract dvmlint enforces: the
+// caller must hold the MV write lock.
 func (m *Manager) refreshFromLogLocked(v *View, parent *trace.Span) error {
 	if v.met != nil {
 		v.met.refreshTuples.Add(int64(m.logVolume(v)))
 	}
-	if v.cd != nil && v.cd.refresh != nil {
-		if err := m.runCompiledAssigns(v, v.cd.refresh, parent); err != nil {
-			return err
-		}
-		return m.clearLogs(v)
-	}
-	upd, err := applyDelta(m.baseExpr(v.mvName), v.blDel, v.blAdd)
+	del, add, err := m.evalDeltaPair(v, parent)
 	if err != nil {
 		return err
 	}
-	assigns := []txn.Assignment{{Table: v.mvName, Expr: upd}}
-	for _, b := range v.bases {
-		assigns = append(assigns, m.emptyAssign(v.logDel[b]), m.emptyAssign(v.logIns[b]))
+	if err := m.applyToMVLocked(v, del, add); err != nil {
+		return err
 	}
-	return txn.ApplyAssignments(m.db, assigns)
+	return m.clearLogs(v)
 }
 
-// clearLogs empties the view's (non-sharded) log tables in place — the
-// L := ∅ half of refresh_BL / propagate_C on the compiled path, run
-// after the compiled update has installed. Equivalent to the
-// emptyAssign form: clearing carries no right-hand side to stage.
+// clearLogs empties the view's (non-sharded) log tables — the L := ∅
+// half of refresh_BL and propagate_C, run after the update has
+// installed: clearing carries no right-hand side to stage.
 func (m *Manager) clearLogs(v *View) error {
 	for _, b := range v.bases {
 		dl, err := m.db.Table(v.logDel[b])
@@ -144,40 +147,30 @@ func (m *Manager) clearLogs(v *View) error {
 }
 
 // applyDiffTablesLocked implements refresh_DT / partial_refresh_C:
-// MV := (MV ∸ ∇MV) ⊎ △MV; ∇MV := ∅; △MV := ∅. The Locked suffix is a
-// contract dvmlint enforces: the caller must hold the MV write lock.
-func (m *Manager) applyDiffTablesLocked(v *View, parent *trace.Span) error {
+// MV := (MV ∸ ∇MV) ⊎ △MV; ∇MV := ∅; △MV := ∅ — in place, so the work
+// under the lock is O(|∇MV|+|△MV|). The Locked suffix is a contract
+// dvmlint enforces: the caller must hold the MV write lock.
+func (m *Manager) applyDiffTablesLocked(v *View) error {
 	if v.sh != nil {
 		return m.applyDiffShardsLocked(v)
 	}
 	if v.met != nil {
 		v.met.refreshTuples.Add(int64(m.diffVolume(v)))
 	}
-	if v.cd != nil && v.cd.apply != nil {
-		if err := m.runCompiledAssigns(v, v.cd.apply, parent); err != nil {
-			return err
-		}
-		dd, err := m.db.Table(v.dtDel)
-		if err != nil {
-			return err
-		}
-		da, err := m.db.Table(v.dtAdd)
-		if err != nil {
-			return err
-		}
-		dd.Clear()
-		da.Clear()
-		return nil
-	}
-	upd, err := applyDelta(m.baseExpr(v.mvName), m.baseExpr(v.dtDel), m.baseExpr(v.dtAdd))
+	dd, err := m.db.Table(v.dtDel)
 	if err != nil {
 		return err
 	}
-	return txn.ApplyAssignments(m.db, []txn.Assignment{
-		{Table: v.mvName, Expr: upd},
-		m.emptyAssign(v.dtDel),
-		m.emptyAssign(v.dtAdd),
-	})
+	da, err := m.db.Table(v.dtAdd)
+	if err != nil {
+		return err
+	}
+	if err := m.applyToMVLocked(v, dd.Data(), da.Data()); err != nil {
+		return err
+	}
+	dd.Clear()
+	da.Clear()
+	return nil
 }
 
 // Propagate implements propagate_C: fold the log's post-update
@@ -207,11 +200,20 @@ func (m *Manager) Propagate(name string) error {
 		psp.End()
 		m.updateSizeGauges(v)
 	}()
+	return m.propagateBody(v, psp, psp)
+}
+
+// propagateBody is propagate_C without its instrumentation, shared by
+// Propagate, refresh_C and QueryFresh: load the shared-log window (if
+// any), fold the log into the differential tables, and consume the
+// window. It never touches MV and needs no MV lock. sp receives the
+// log_tuples attribute; parent anchors the fold's child spans.
+func (m *Manager) propagateBody(v *View, sp, parent *trace.Span) error {
 	if err := m.materializeIfShared(v); err != nil {
 		return err
 	}
-	psp.SetAttrs(trace.Int("log_tuples", int64(m.logVolume(v))))
-	if err := m.foldLog(v, psp); err != nil {
+	sp.SetAttrs(trace.Int("log_tuples", int64(m.logVolume(v))))
+	if err := m.foldLog(v, parent); err != nil {
 		return err
 	}
 	m.consumeWindowIfShared(v)
@@ -245,27 +247,33 @@ func (m *Manager) consumeWindowIfShared(v *View) {
 // the lock was never required.) parent anchors the per-shard spans of
 // the sharded path.
 func (m *Manager) foldLog(v *View, parent *trace.Span) error {
+	vol := m.logVolume(v)
+	if vol == 0 {
+		// Every ▼(L,Q)/▲(L,Q) term carries a log factor, so an empty log
+		// folds to the identity: a refresh right after a propagate, or a
+		// second fresh read, pays nothing here.
+		return nil
+	}
 	if v.sh != nil {
 		return m.foldLogSharded(v, parent)
 	}
 	if v.met != nil {
-		v.met.propagateTuples.Add(int64(m.logVolume(v)))
+		v.met.propagateTuples.Add(int64(vol))
 	}
 	if v.cd != nil && v.cd.fold != nil {
 		if err := m.runCompiledAssigns(v, v.cd.fold, parent); err != nil {
 			return err
 		}
-		return m.clearLogs(v)
+	} else {
+		fold, err := m.foldAssigns(v, v.blDel, v.blAdd)
+		if err != nil {
+			return err
+		}
+		if err := txn.ApplyAssignments(m.db, fold); err != nil {
+			return err
+		}
 	}
-	fold, err := m.foldAssigns(v, v.blDel, v.blAdd)
-	if err != nil {
-		return err
-	}
-	assigns := fold
-	for _, b := range v.bases {
-		assigns = append(assigns, m.emptyAssign(v.logDel[b]), m.emptyAssign(v.logIns[b]))
-	}
-	return txn.ApplyAssignments(m.db, assigns)
+	return m.clearLogs(v)
 }
 
 // PartialRefresh implements partial_refresh_C: apply the precomputed
@@ -295,7 +303,7 @@ func (m *Manager) PartialRefresh(name string) error {
 		asp, dsp := m.startDowntimeSpan(v, hold)
 		asp.SetAttrs(trace.Int("diff_tuples", int64(m.diffVolume(v))))
 		defer func() { asp.EndExplicit(dsp.End()) }()
-		return m.applyDiffTablesLocked(v, asp)
+		return m.applyDiffTablesLocked(v)
 	})
 }
 

@@ -939,20 +939,15 @@ func (m *Manager) applyDiffShardsLocked(v *View) error {
 	if v.met != nil {
 		v.met.refreshTuples.Add(int64(m.diffVolume(v)))
 	}
-	mv, err := m.db.Table(v.mvName)
-	if err != nil {
-		return err
-	}
 	for i := 0; i < sh.n; i++ {
 		dd, da := sh.dtDel[i], sh.dtAdd[i]
 		if dd.Len() == 0 && da.Len() == 0 {
 			continue
 		}
 		err := m.locks.WithWrite([]string{dd.Name(), da.Name()}, func() error {
-			dd.Data().Each(func(t schema.Tuple, c int) {
-				mv.Data().Remove(t, c)
-			})
-			mv.Data().AddBag(da.Data())
+			if err := m.applyToMVLocked(v, dd.Data(), da.Data()); err != nil {
+				return err
+			}
 			dd.Clear()
 			da.Clear()
 			return nil
@@ -1036,15 +1031,6 @@ func shardUnionExpr(ts []*storage.Table) algebra.Expr {
 		out = u
 	}
 	return out
-}
-
-// diffExprs returns expressions for the view's differential tables:
-// direct Base references in serial mode, ⊎-of-shards in sharded mode.
-func (m *Manager) diffExprs(v *View) (del, add algebra.Expr) {
-	if v.sh != nil {
-		return shardUnionExpr(v.sh.dtDel), shardUnionExpr(v.sh.dtAdd)
-	}
-	return m.baseExpr(v.dtDel), m.baseExpr(v.dtAdd)
 }
 
 // CheckShardInvariant verifies the sharded representation invariants

@@ -14,6 +14,11 @@ type sharedState struct {
 	logs    map[string]*sharedlog.Log
 	cursors map[string]map[string]int64 // view -> table -> next-unseen LSN
 	refs    map[string]int              // table -> #views logging it
+	// loaded remembers, per (view, table), the [cursor, head) window the
+	// view's private log tables currently hold, so materializeWindow is
+	// free when asked for the same window again (a fresh read or an
+	// invariant check between two writes).
+	loaded map[string]map[string][2]int64
 }
 
 // ManagerOption configures a Manager at construction.
@@ -31,6 +36,7 @@ func WithSharedLogs() ManagerOption {
 			logs:    make(map[string]*sharedlog.Log),
 			cursors: make(map[string]map[string]int64),
 			refs:    make(map[string]int),
+			loaded:  make(map[string]map[string][2]int64),
 		}
 	}
 }
@@ -86,6 +92,7 @@ func (m *Manager) registerSharedView(v *View) error {
 		cur[b] = l.Head()
 	}
 	m.shared.cursors[v.Name] = cur
+	m.shared.loaded[v.Name] = map[string][2]int64{}
 	return nil
 }
 
@@ -99,6 +106,7 @@ func (m *Manager) unregisterSharedView(v *View) {
 		return
 	}
 	delete(m.shared.cursors, v.Name)
+	delete(m.shared.loaded, v.Name)
 	for _, b := range v.bases {
 		m.shared.refs[b]--
 		if m.shared.refs[b] <= 0 {
@@ -142,9 +150,14 @@ func (m *Manager) materializeWindow(v *View) error {
 	if !ok {
 		return fmt.Errorf("core: view %q has no shared-log cursors", v.Name)
 	}
+	loaded := m.shared.loaded[v.Name]
 	for _, b := range v.bases {
 		l := m.shared.logs[b]
-		del, ins, err := l.Merge(cur[b], l.Head())
+		w := [2]int64{cur[b], l.Head()}
+		if have, ok := loaded[b]; ok && have == w {
+			continue
+		}
+		del, ins, err := l.Merge(w[0], w[1])
 		if err != nil {
 			return err
 		}
@@ -158,6 +171,7 @@ func (m *Manager) materializeWindow(v *View) error {
 		}
 		dt.Replace(del)
 		it.Replace(ins)
+		loaded[b] = w
 	}
 	return nil
 }
@@ -166,6 +180,8 @@ func (m *Manager) materializeWindow(v *View) error {
 // a successful propagate/refresh consumed the window) and truncates.
 func (m *Manager) advanceCursors(v *View) {
 	cur := m.shared.cursors[v.Name]
+	// The consumer emptied the private log tables; they hold no window.
+	clear(m.shared.loaded[v.Name])
 	for _, b := range v.bases {
 		cur[b] = m.shared.logs[b].Head()
 		m.truncateShared(b)

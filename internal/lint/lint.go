@@ -91,12 +91,18 @@ func DefaultConfig() Config {
 			// View (de)initialization (ensureMirror seeds a shard
 			// group's base mirrors at DefineView time).
 			"DefineView", "ensureMirror",
+			// The one in-place MV update, MV := (MV ∸ del) ⊎ add via
+			// Bag.ApplyDelta, shared by makesafe_IM, refresh_BL,
+			// refresh_DT and partial_refresh_C (sharded or not).
+			"applyToMVLocked",
 			// Compiled delta programs: the same Figure 3 transactions
-			// run as fused closures, with the results installed by
-			// Table.Replace (makesafe via applyCompiledSafe inside
-			// Execute's apply closure, refresh/propagate via
-			// runCompiledAssigns; clearLogs resets consumed logs).
-			"runCompiledAssigns", "applyCompiledSafe", "clearLogs",
+			// run as fused closures. Auxiliary-table results (makesafe_DT
+			// and the slow-append log merge inside Execute's apply
+			// closure, propagate_C's fold) are installed by Table.Replace
+			// in runCompiledAssigns; clearLogs resets consumed logs. MV
+			// itself is never replaced by a refresh, only by
+			// DefineView and RefreshRecompute.
+			"runCompiledAssigns", "clearLogs",
 		},
 		DocPkgs: []string{
 			"dvm/internal/core",

@@ -70,7 +70,7 @@ var fixtureCases = []struct {
 			c.CorePkg = fixturePrefix + "statebug"
 			c.Blessed = []string{
 				"RefreshThenRead", "ReadThenRefresh", "HelperThenRead",
-				"DataAfterAdd", "SymbolicThenRead", "DifferentTables",
+				"DataAfterAdd", "DataAfterDelta", "SymbolicThenRead", "DifferentTables",
 			}
 			return c
 		},

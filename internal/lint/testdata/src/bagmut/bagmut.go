@@ -16,6 +16,11 @@ func Drain(b *bag.Bag) {
 	b.Clear() // want: mutation of parameter
 }
 
+// Patch applies a differential to a bag parameter without a marker.
+func Patch(b, d, a *bag.Bag) {
+	b.ApplyDelta(d, a) // want: mutation of parameter
+}
+
 // ApplyDelta carries the Apply marker: in-place mutation is declared.
 func ApplyDelta(b, d *bag.Bag) {
 	b.AddBag(d)

@@ -7,6 +7,7 @@
 package goctx
 
 import (
+	"dvm/internal/bag"
 	"dvm/internal/storage"
 	"dvm/internal/txn"
 )
@@ -39,6 +40,18 @@ func SpawnTouchesHeldTable(lm *txn.LockManager, db *storage.Database) error {
 		go func() { // want: touches mv_a while spawner holds its lock
 			b, _ := db.Bag("mv_a")
 			_ = b
+		}()
+		return nil
+	})
+}
+
+// SpawnAppliesHeldTable spawns an in-place apply to the table whose
+// lock the spawner holds: the write runs outside that lock.
+func SpawnAppliesHeldTable(lm *txn.LockManager, db *storage.Database, d, a *bag.Bag) error {
+	return lm.WithWrite([]string{"mv_a"}, func() error {
+		tb, _ := db.Table("mv_a")
+		go func() { // want: applies to mv_a while spawner holds its lock
+			tb.Data().ApplyDelta(d, a)
 		}()
 		return nil
 	})

@@ -41,6 +41,11 @@ func RogueData(t *storage.Table, tu schema.Tuple) {
 	t.Data().Add(tu, 1) // want: Bag.Add on table contents outside blessed
 }
 
+// RogueDelta applies a differential to live table contents in place.
+func RogueDelta(t *storage.Table, d, a *bag.Bag) {
+	t.Data().ApplyDelta(d, a) // want: Bag.ApplyDelta on table contents outside blessed
+}
+
 // RogueAssigns applies algebraic assignments outside the blessed
 // entry points.
 func RogueAssigns(db *storage.Database, as []txn.Assignment) {

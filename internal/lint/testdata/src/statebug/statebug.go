@@ -6,6 +6,7 @@
 package statebug
 
 import (
+	"dvm/internal/bag"
 	"dvm/internal/storage"
 	"dvm/internal/txn"
 )
@@ -45,6 +46,14 @@ func HelperThenRead(db *storage.Database) {
 func DataAfterAdd(db *storage.Database) {
 	tb, _ := db.Table("mv_c")
 	tb.Data().Add(nil, 1)
+	_ = tb.Data() // want: read after apply
+}
+
+// DataAfterDelta applies a differential to table contents in place
+// and then reads the live bag of the same table.
+func DataAfterDelta(db *storage.Database, d, a *bag.Bag) {
+	tb, _ := db.Table("mv_e")
+	tb.Data().ApplyDelta(d, a)
 	_ = tb.Data() // want: read after apply
 }
 

@@ -3,8 +3,9 @@
 #
 # Runs the full static + dynamic battery: build, vet, the repo's own
 # dvmlint analyzers, the docs link-and-anchor checker, the
-# unit/property suite under the race detector, and a bounded run of
-# each fuzz target. Everything here must pass before a change lands.
+# unit/property suite under the race detector, the nested perf/
+# module's vet + self-check, and a bounded run of each fuzz target.
+# Everything here must pass before a change lands.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -34,6 +35,14 @@ echo "   runtime-bridge gauges: $(echo "$bridge_fams" | grep -c ' gauge$')"
 
 echo "== go test -race"
 go test -race ./...
+
+echo "== perf self-check"
+# perf/ is a nested module (dvm/perf), so the root `go vet ./...` and
+# `go test ./...` above skip it. Its tests are the benchmark's
+# determinism + stationarity self-check and the BENCHMARK.json<->spec.go
+# 1:1 (~2 s): an engine change that breaks either shows up here, not
+# first in the benchmark pipeline.
+(cd perf && go vet ./... && go test ./...)
 
 # Optional: downtime-regression guard against the newest BENCH_*.json
 # baseline. Off by default because a full dvmbench run takes minutes;
