@@ -18,10 +18,11 @@ import (
 //   - fuses σ(L × R) into a hash join and Π(σ(E)) into a single pass;
 //   - replaces the per-call memo map with slot-indexed DAG-node result
 //     caching (plain slice loads, no interface-keyed map);
-//   - caches hash-join indexes across evaluations in a State, validated
-//     by bag identity + Version, so a join against a table that did not
-//     change since the last propagate probes the old index with only
-//     the delta-sized side instead of rebuilding from the full table.
+//   - joins against a base table through that table's own hash index
+//     (bag.IndexOn): one index per table and column set, shared by every
+//     term, program and view, and caught up from the bag's mutation
+//     journal, so a propagate probes it with only the delta-sized side
+//     and never rebuilds it from the full table.
 //
 // The interpreter remains the semantic oracle: Program results must be
 // Eval results, bag-for-bag (asserted by compile_test.go and
@@ -33,10 +34,10 @@ type Stats struct {
 	// joins — the work actually done where a nested-loop rescan would
 	// have paid |L|·|R|.
 	IndexProbeTuples int64
-	// IndexBuildTuples counts tuples inserted into join indexes, full
-	// rebuilds and incremental journal catch-up alike. When cached
-	// indexes carry across evaluations this stays delta-sized; a full
-	// rebuild costs the indexed side's distinct count.
+	// IndexBuildTuples counts tuples put into join indexes: a table's
+	// index catching up with its journal (delta-sized after the first
+	// use, which costs the table's distinct count) and throw-away
+	// indexes over transient operands alike.
 	IndexBuildTuples int64
 }
 
@@ -46,7 +47,6 @@ type Stats struct {
 type Program struct {
 	nodes []cnode
 	roots []int
-	nJoin int
 }
 
 // cnode computes one DAG node's value in a given evaluation state.
@@ -54,30 +54,21 @@ type Program struct {
 type cnode func(st *State) (*bag.Bag, error)
 
 // State is the reusable per-evaluator scratch of a Program: the DAG-node
-// result slots for the evaluation in flight plus join-index caches that
-// persist across evaluations. A State must not be shared by concurrent
-// Eval calls; use one State per worker (or NewState per call).
+// result slots for the evaluation in flight. A State must not be shared
+// by concurrent Eval calls; use one State per worker (or nil per call).
 type State struct {
-	src    Source
-	slots  []*bag.Bag
-	joins  []joinCache
-	probed int64
-	built  int64
-}
-
-// joinCache holds the (possibly stale) hash indexes built for one join
-// node: at most one per side. Validity is re-checked against the live
-// input bags on every evaluation via bag identity + Version.
-type joinCache struct {
-	l, r *bag.Index
+	src   Source
+	slots []*bag.Bag
+	// oneShot marks the throwaway state of Eval(nil, …): the evaluation
+	// must leave the source's bags exactly as it found them.
+	oneShot bool
+	probed  int64
+	built   int64
 }
 
 // NewState allocates an evaluation state for the program.
 func (p *Program) NewState() *State {
-	return &State{
-		slots: make([]*bag.Bag, len(p.nodes)),
-		joins: make([]joinCache, p.nJoin),
-	}
+	return &State{slots: make([]*bag.Bag, len(p.nodes))}
 }
 
 // Roots returns the number of compiled root expressions.
@@ -85,13 +76,20 @@ func (p *Program) Roots() int { return len(p.roots) }
 
 // Eval evaluates every root against src, in registration order,
 // returning bags the caller owns (they never alias storage, literals, or
-// internal caches). st may be nil for a throwaway state; passing the
-// same State across evaluations of successive database states is what
-// enables join-index reuse. The caller must not mutate the state's
-// source tables during the call.
+// internal caches). The caller must not mutate the source's tables
+// during the call.
+//
+// Passing a State says the caller evaluates this program again and
+// again and is the one who may mutate the source: joins against a base
+// table then use (creating it on first use) the table's own index, which
+// writes the bag's index set though never its contents. With a nil st
+// the evaluation is one-shot and only reads — every join indexes its
+// smaller side and throws the index away — so it is safe under read
+// locks and leaves no index or journal behind on a live table.
 func (p *Program) Eval(st *State, src Source) ([]*bag.Bag, Stats, error) {
 	if st == nil {
 		st = p.NewState()
+		st.oneShot = true
 	}
 	st.src = src
 	for i := range st.slots {
@@ -142,8 +140,8 @@ func Compile(roots ...Expr) (*Program, error) {
 		refs:  make(map[Expr]int),
 	}
 	// Distribute joins over the ∸/⊎ base-table adjustments first (see
-	// rewrite.go) so the emitted hash joins key their indexes off live
-	// base bags rather than per-evaluation materializations.
+	// rewrite.go) so the emitted hash joins probe the live base bags' own
+	// indexes rather than index per-evaluation materializations.
 	memo := make(map[Expr]Expr)
 	rewritten := make([]Expr, len(roots))
 	for i, r := range roots {
@@ -209,6 +207,12 @@ func (c *compiler) compile(e Expr) (int, error) {
 	if slot, ok := c.slots[e]; ok {
 		return slot, nil
 	}
+	if rho, ok := e.(*Project); ok && rho.rename {
+		// ρ(E) is E's bag: no node of its own.
+		slot, err := c.compile(rho.Child)
+		c.slots[e] = slot
+		return slot, err
+	}
 	// Reserve the slot before compiling children so shared nodes resolve
 	// to it even through cycles of sharing (the DAG itself is acyclic).
 	slot := len(c.p.nodes)
@@ -225,7 +229,6 @@ func (c *compiler) compile(e Expr) (int, error) {
 
 // emit builds the closure for one node, applying the fusion rules.
 func (c *compiler) emit(e Expr) (cnode, error) {
-	p := c.p
 	switch n := e.(type) {
 	case *Literal:
 		// Snapshot: decouple the program from later mutations of the
@@ -241,18 +244,8 @@ func (c *compiler) emit(e Expr) (cnode, error) {
 		if prod, ok := n.Child.(*Product); ok && c.refs[prod] == 1 {
 			return c.emitJoin(n, prod)
 		}
-		child, err := c.compile(n.Child)
-		if err != nil {
-			return nil, err
-		}
 		bound := n.bound
-		return func(st *State) (*bag.Bag, error) {
-			cb, err := p.get(st, child)
-			if err != nil {
-				return nil, err
-			}
-			return bag.Select(cb, bound), nil
-		}, nil
+		return c.unary(n.Child, func(b *bag.Bag) *bag.Bag { return bag.Select(b, bound) })
 
 	case *Project:
 		pos := n.positions
@@ -260,207 +253,134 @@ func (c *compiler) emit(e Expr) (cnode, error) {
 		// parent (a shared select keeps its own cached slot).
 		if sel, ok := n.Child.(*Select); ok && c.refs[sel] == 1 {
 			if _, isProd := sel.Child.(*Product); !isProd {
-				child, err := c.compile(sel.Child)
-				if err != nil {
-					return nil, err
-				}
 				bound := sel.bound
-				return func(st *State) (*bag.Bag, error) {
-					cb, err := p.get(st, child)
-					if err != nil {
-						return nil, err
-					}
+				return c.unary(sel.Child, func(b *bag.Bag) *bag.Bag {
 					out := bag.New()
-					cb.Each(func(t schema.Tuple, cnt int) {
+					b.Each(func(t schema.Tuple, cnt int) {
 						if bound(t) {
 							out.Add(t.Project(pos), cnt)
 						}
 					})
-					return out, nil
-				}, nil
+					return out
+				})
 			}
 		}
-		child, err := c.compile(n.Child)
-		if err != nil {
-			return nil, err
-		}
-		return func(st *State) (*bag.Bag, error) {
-			cb, err := p.get(st, child)
-			if err != nil {
-				return nil, err
-			}
-			return bag.Project(cb, func(t schema.Tuple) schema.Tuple { return t.Project(pos) }), nil
-		}, nil
+		return c.unary(n.Child, func(b *bag.Bag) *bag.Bag {
+			return bag.Project(b, func(t schema.Tuple) schema.Tuple { return t.Project(pos) })
+		})
 
 	case *DupElim:
-		child, err := c.compile(n.Child)
-		if err != nil {
-			return nil, err
-		}
-		return func(st *State) (*bag.Bag, error) {
-			cb, err := p.get(st, child)
-			if err != nil {
-				return nil, err
-			}
-			return bag.DupElim(cb), nil
-		}, nil
+		return c.unary(n.Child, bag.DupElim)
 
 	case *UnionAll:
-		ls, rs, err := c.compileLR(n.L, n.R)
-		if err != nil {
-			return nil, err
-		}
-		return func(st *State) (*bag.Bag, error) {
-			l, r, err := p.getLR(st, ls, rs)
-			if err != nil {
-				return nil, err
-			}
+		return c.binary(n.L, n.R, func(_ *State, l, r *bag.Bag) *bag.Bag {
 			// Empty-side shortcuts return the other slot's bag
 			// uncloned; slots are never mutated and roots are cloned,
 			// so the alias is safe.
 			if l.Empty() {
-				return r, nil
+				return r
 			}
 			if r.Empty() {
-				return l, nil
+				return l
 			}
-			return bag.UnionAll(l, r), nil
-		}, nil
+			return bag.UnionAll(l, r)
+		})
 
 	case *Monus:
-		ls, rs, err := c.compileLR(n.L, n.R)
-		if err != nil {
-			return nil, err
-		}
-		return func(st *State) (*bag.Bag, error) {
-			l, r, err := p.getLR(st, ls, rs)
-			if err != nil {
-				return nil, err
-			}
+		return c.binary(n.L, n.R, func(_ *State, l, r *bag.Bag) *bag.Bag {
 			if l.Empty() || r.Empty() {
-				return l, nil
+				return l
 			}
-			return bag.Monus(l, r), nil
-		}, nil
+			return bag.Monus(l, r)
+		})
 
 	case *Product:
-		ls, rs, err := c.compileLR(n.L, n.R)
-		if err != nil {
-			return nil, err
-		}
-		return func(st *State) (*bag.Bag, error) {
-			l, r, err := p.getLR(st, ls, rs)
-			if err != nil {
-				return nil, err
-			}
+		return c.binary(n.L, n.R, func(_ *State, l, r *bag.Bag) *bag.Bag {
 			if l.Empty() || r.Empty() {
-				return bag.New(), nil
+				return bag.New()
 			}
-			return bag.Product(l, r), nil
-		}, nil
+			return bag.Product(l, r)
+		})
 	}
 	return nil, fmt.Errorf("algebra: compile: unknown node %T", e)
 }
 
-// emitJoin lowers σ_p(L × R) into a hash join with per-State cached
-// indexes. The equi-join columns are resolved once here; the full
-// predicate is still re-applied to every joined tuple, so residual
-// conjuncts need no special handling. Index choice: a still-valid
-// cached index is always preferred (its build cost is already sunk);
-// otherwise the larger side is indexed — across propagates the large
-// side is the stable base table and the small side the per-transaction
-// delta, so the next evaluation probes the cached index with only the
-// delta.
+// emitJoin lowers σ_p(L × R) into a hash join. The equi-join columns are
+// resolved once here; the full predicate is still re-applied to every
+// joined tuple, so residual conjuncts need no special handling. A side
+// that is a base table (under any renaming) is probed through the
+// table's own index — the larger table's when both sides are: across
+// propagates that is the stable base and the other side the delta.
+// One-shot evaluations and joins of two derived operands index the
+// smaller side for the duration of the join.
 func (c *compiler) emitJoin(s *Select, prod *Product) (cnode, error) {
+	bound := s.bound
+	lpos, rpos := joinColumns(s.Pred, prod.L.Schema(), prod.R.Schema())
+	lBase, rBase := isBase(prod.L), isBase(prod.R)
+	return c.binary(prod.L, prod.R, func(st *State, l, r *bag.Bag) *bag.Bag {
+		var out *bag.Bag
+		var probed, built int
+		switch {
+		case l.Empty() || r.Empty():
+			return bag.New()
+		case len(lpos) == 0:
+			// No cross-side equality to key an index on: filtered
+			// nested-loop product, exactly as the interpreter.
+			return bag.ProductSelect(l, r, bound)
+		case st.oneShot || !(lBase || rBase):
+			out, probed, built = bag.HashJoin(l, lpos, r, rpos, bound)
+		case lBase && (!rBase || l.Distinct() >= r.Distinct()):
+			var ix *bag.Index
+			ix, built = l.IndexOn(lpos)
+			out, probed = bag.JoinIndexed(r, rpos, ix, true, bound)
+		default:
+			var ix *bag.Index
+			ix, built = r.IndexOn(rpos)
+			out, probed = bag.JoinIndexed(l, lpos, ix, false, bound)
+		}
+		st.probed += int64(probed)
+		st.built += int64(built)
+		return out
+	})
+}
+
+// unary compiles child and returns the node that applies op to its value.
+func (c *compiler) unary(child Expr, op func(*bag.Bag) *bag.Bag) (cnode, error) {
 	p := c.p
-	ls, rs, err := c.compileLR(prod.L, prod.R)
+	slot, err := c.compile(child)
 	if err != nil {
 		return nil, err
 	}
-	bound := s.bound
-	lpos, rpos := joinColumns(s.Pred, prod.L.Schema(), prod.R.Schema())
-	if len(lpos) == 0 {
-		// No cross-side equality to key an index on: filtered
-		// nested-loop product, exactly as the interpreter.
-		return func(st *State) (*bag.Bag, error) {
-			l, r, err := p.getLR(st, ls, rs)
-			if err != nil {
-				return nil, err
-			}
-			if l.Empty() || r.Empty() {
-				return bag.New(), nil
-			}
-			return bag.ProductSelect(l, r, bound), nil
-		}, nil
-	}
-	jid := p.nJoin
-	p.nJoin++
 	return func(st *State) (*bag.Bag, error) {
-		l, r, err := p.getLR(st, ls, rs)
+		b, err := p.get(st, slot)
 		if err != nil {
 			return nil, err
 		}
-		if l.Empty() || r.Empty() {
-			return bag.New(), nil
-		}
-		jc := &st.joins[jid]
-		// A cached index syncs in O(|changes since last eval|) via the
-		// source bag's mutation journal — free when unchanged — so a
-		// synced side is always preferred over building afresh.
-		lSync, rSync := false, false
-		if jc.l != nil {
-			n, ok := jc.l.Sync(l)
-			lSync = ok
-			st.built += int64(n)
-		}
-		if jc.r != nil {
-			n, ok := jc.r.Sync(r)
-			rSync = ok
-			st.built += int64(n)
-		}
-		var out *bag.Bag
-		var probed int
-		switch {
-		case lSync && (!rSync || r.Distinct() <= l.Distinct()):
-			out, probed = bag.JoinIndexed(r, rpos, jc.l, true, bound)
-		case rSync:
-			out, probed = bag.JoinIndexed(l, lpos, jc.r, false, bound)
-		case l.Distinct() >= r.Distinct():
-			jc.l = bag.NewIndex(l, lpos)
-			st.built += int64(l.Distinct())
-			out, probed = bag.JoinIndexed(r, rpos, jc.l, true, bound)
-		default:
-			jc.r = bag.NewIndex(r, rpos)
-			st.built += int64(r.Distinct())
-			out, probed = bag.JoinIndexed(l, lpos, jc.r, false, bound)
-		}
-		st.probed += int64(probed)
-		return out, nil
+		return op(b), nil
 	}, nil
 }
 
-// compileLR compiles both children of a binary node.
-func (c *compiler) compileLR(l, r Expr) (int, int, error) {
+// binary is unary for two operands; op also sees the state, where joins
+// keep their work counters.
+func (c *compiler) binary(l, r Expr, op func(st *State, l, r *bag.Bag) *bag.Bag) (cnode, error) {
+	p := c.p
 	ls, err := c.compile(l)
 	if err != nil {
-		return 0, 0, err
+		return nil, err
 	}
 	rs, err := c.compile(r)
 	if err != nil {
-		return 0, 0, err
+		return nil, err
 	}
-	return ls, rs, nil
-}
-
-// getLR fetches both operand slots of a binary node.
-func (p *Program) getLR(st *State, ls, rs int) (*bag.Bag, *bag.Bag, error) {
-	l, err := p.get(st, ls)
-	if err != nil {
-		return nil, nil, err
-	}
-	r, err := p.get(st, rs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return l, r, nil
+	return func(st *State) (*bag.Bag, error) {
+		l, err := p.get(st, ls)
+		if err != nil {
+			return nil, err
+		}
+		r, err := p.get(st, rs)
+		if err != nil {
+			return nil, err
+		}
+		return op(st, l, r), nil
+	}, nil
 }

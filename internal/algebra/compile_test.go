@@ -317,3 +317,84 @@ func TestCompiledIndexSyncsIncrementally(t *testing.T) {
 		t.Fatalf("post-mutation eval built %d index tuples, want the 3 journaled changes (a full rebuild would be ~500)", stats.IndexBuildTuples)
 	}
 }
+
+// TestTableIndexSharedAndOneShotReadOnly checks who ends up owning a
+// join index. Evaluating with a State asks the base table's bag for its
+// own index: the DEL-like and ADD-like terms of one program and a second
+// program joining on the same column all probe one index, built once.
+// Evaluating without a State only reads: the same join leaves no index
+// (and no journal) behind on the table.
+func TestTableIndexSharedAndOneShotReadOnly(t *testing.T) {
+	lsch := schema.NewSchema(schema.Col("k", schema.TInt), schema.Col("v", schema.TInt))
+	big, logA, logB := bag.New(), bag.New(), bag.New()
+	for i := 0; i < 400; i++ {
+		big.Add(schema.Row(i%50, i), 1)
+	}
+	logA.Add(schema.Row(3, 1), 1)
+	logB.Add(schema.Row(4, 2), 1).Add(schema.Row(5, 2), 1)
+	st := MapSource{"Big": big, "LogA": logA, "LogB": logB}
+	// The SQL shape: every FROM table under a renaming.
+	join := func(log string) Expr {
+		e, err := JoinOn(Qualified(NewBase("Big", lsch), "b"), Qualified(NewBase(log, lsch), "l"), Eq(A("b.k"), A("l.k")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	ja, jb := join("LogA"), join("LogB")
+	check := func(got *bag.Bag, e Expr) {
+		t.Helper()
+		want, err := Eval(e, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("compiled %s = %s, interpreter says %s", e, got, want)
+		}
+	}
+
+	pair, err := Compile(ja, jb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs, stats, err := pair.Eval(nil, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(outs[0], ja)
+	check(outs[1], jb)
+	if stats.IndexBuildTuples != 3 {
+		t.Fatalf("one-shot eval built %d index tuples, want the 1+2 rows of the smaller sides", stats.IndexBuildTuples)
+	}
+	for name, b := range st {
+		if n := len(b.Indexes()); n != 0 {
+			t.Fatalf("one-shot eval left %d indexes on %s", n, name)
+		}
+	}
+
+	ps := pair.NewState()
+	if outs, stats, err = pair.Eval(ps, st); err != nil {
+		t.Fatal(err)
+	}
+	check(outs[0], ja)
+	check(outs[1], jb)
+	if stats.IndexBuildTuples != 400 || len(big.Indexes()) != 1 {
+		t.Fatalf("two terms joining Big built %d tuples into %d indexes, want 400 into 1", stats.IndexBuildTuples, len(big.Indexes()))
+	}
+	other, err := Compile(jb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big.Add(schema.Row(4, 999), 2) // one change: the only catching up the other program pays
+	if outs, stats, err = other.Eval(other.NewState(), st); err != nil {
+		t.Fatal(err)
+	}
+	check(outs[0], jb)
+	if stats.IndexBuildTuples != 1 || len(big.Indexes()) != 1 {
+		t.Fatalf("a second program built %d tuples (%d indexes on Big), want 1 (1): it shares the table's index",
+			stats.IndexBuildTuples, len(big.Indexes()))
+	}
+	if len(logA.Indexes())+len(logB.Indexes()) != 0 {
+		t.Fatal("the smaller base side was indexed too")
+	}
+}

@@ -107,8 +107,8 @@ func (ctx *evalCtx) evalNode(e Expr) (*bag.Bag, error) {
 
 	case *Project:
 		c, err := ctx.eval(n.Child)
-		if err != nil {
-			return nil, err
+		if err != nil || n.rename {
+			return c, err
 		}
 		pos := n.positions
 		return bag.Project(c, func(t schema.Tuple) schema.Tuple { return t.Project(pos) }), nil

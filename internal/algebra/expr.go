@@ -104,6 +104,11 @@ type Project struct {
 	Child     Expr
 	positions []int
 	sch       *schema.Schema
+	// rename marks a pure renaming ρ: every child column, in order. Its
+	// value IS the child's value (tuples carry no names), so both
+	// evaluators hand the child's bag through, and the rewrites treat
+	// ρ(R) as the table R.
+	rename bool
 }
 
 // NewProject builds Π_cols(child). outNames may be nil to keep the
@@ -134,7 +139,51 @@ func NewProject(cols []string, outNames []string, child Expr) (*Project, error) 
 		Child:     child,
 		positions: positions,
 		sch:       schema.NewSchema(outCols...),
+		rename:    isIdentity(positions, in.Len()),
 	}, nil
+}
+
+// isIdentity reports whether positions is 0..n-1.
+func isIdentity(positions []int, n int) bool {
+	if len(positions) != n {
+		return false
+	}
+	for i, p := range positions {
+		if p != i {
+			return false
+		}
+	}
+	return true
+}
+
+// under returns e below any pure renamings.
+func under(e Expr) Expr {
+	for {
+		p, ok := e.(*Project)
+		if !ok || !p.rename {
+			return e
+		}
+		e = p.Child
+	}
+}
+
+// isBase reports whether e is a base table, possibly renamed.
+func isBase(e Expr) bool {
+	_, ok := under(e).(*Base)
+	return ok
+}
+
+// newRename builds the pure renaming of child to sch's column names
+// (sch must be union-compatible with child's schema). It never looks a
+// name up, so duplicate names in child's schema do no harm.
+func newRename(child Expr, sch *schema.Schema) *Project {
+	in := child.Schema()
+	n := in.Len()
+	cols, outs, positions := make([]string, n), make([]string, n), make([]int, n)
+	for i := range positions {
+		cols[i], outs[i], positions[i] = in.Column(i).Name, sch.Column(i).Name, i
+	}
+	return &Project{Cols: cols, OutNames: outs, Child: child, positions: positions, sch: sch, rename: true}
 }
 
 // Schema implements Expr.
@@ -278,24 +327,7 @@ func Qualified(e Expr, alias string) Expr { return qualify(e, alias) }
 // qualify wraps e in a renaming projection prefixing columns with
 // "alias.", so products of e with itself (or a sibling) have unambiguous
 // names.
-func qualify(e Expr, alias string) Expr {
-	in := e.Schema()
-	q := in.Qualify(alias)
-	cols := make([]string, in.Len())
-	outs := make([]string, in.Len())
-	for i := 0; i < in.Len(); i++ {
-		cols[i] = in.Column(i).Name
-		outs[i] = q.Column(i).Name
-	}
-	// A projection of all columns with new names; positions are identity,
-	// so this cannot fail — but duplicate names in `in` break Lookup, so
-	// build the node directly.
-	positions := make([]int, in.Len())
-	for i := range positions {
-		positions[i] = i
-	}
-	return &Project{Cols: cols, OutNames: outs, Child: e, positions: positions, sch: q}
-}
+func qualify(e Expr, alias string) Expr { return newRename(e, e.Schema().Qualify(alias)) }
 
 // JoinOn builds σ_p(l × r), the SPJ join form.
 func JoinOn(l, r Expr, p Predicate) (Expr, error) {

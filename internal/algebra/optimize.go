@@ -10,6 +10,13 @@ import "dvm/internal/schema"
 //	σ_p(E ∸ F)  →  σ_p(E) ∸ σ_p(F)
 //	σ_p(ε(E))   →  ε(σ_p(E))
 //	σ_p(σ_q(E)) →  σ_{q∧p}(E)
+//	ρ(E ⊎ F)    →  ρ(E) ⊎ ρ(F)      (ρ a pure renaming; likewise ∸)
+//
+// The last one gives renamings a normal form: ρ sits on the leaves of a
+// ∸/⊎ spine, and a selection pushed down stops above ρ(R) for a base
+// table R instead of slipping between the two. The join rewrites of
+// rewrite.go and the compiler then see ρ(R) wherever a SQL FROM clause
+// aliased R, and treat it as R.
 //
 // Their payoff: the differential algorithms emit σ above unions of
 // products, and pushing the selection down exposes σ(E × F) shapes the
@@ -57,6 +64,9 @@ func (o *optimizer) rewriteNode(e Expr) Expr {
 		return o.pushSelect(n.Pred, child)
 	case *Project:
 		c := o.rewrite(n.Child)
+		if n.rename {
+			return sinkRename(n, c)
+		}
 		p, err := NewProject(n.Cols, n.OutNames, c)
 		if err != nil {
 			return e
@@ -82,6 +92,19 @@ func (o *optimizer) rewriteNode(e Expr) Expr {
 	return e
 }
 
+// sinkRename places the renaming ρ above child, or on child's leaves
+// when child is a ∸/⊎ spine (exact: ρ changes no tuple).
+func sinkRename(rho *Project, child Expr) Expr {
+	if l, r, rebuild, ok := spine(child); ok {
+		out, _ := rebuild(sinkRename(rho, l), sinkRename(rho, r)) // both sides now have ρ's schema
+		return out
+	}
+	if child == rho.Child {
+		return rho
+	}
+	return newRename(child, rho.sch)
+}
+
 // pushSelect places σ_p above child, pushing it through union, monus,
 // duplicate elimination, and nested selections where the predicate still
 // binds. It returns a valid expression in all cases. Children reached
@@ -96,29 +119,21 @@ func (o *optimizer) pushSelect(p Predicate, child Expr) Expr {
 		}
 		return s
 	}
-	switch n := child.(type) {
-	case *UnionAll:
+	if l, r, rebuild, ok := spine(child); ok {
 		// Binary set operations take the LEFT schema's names; pushing
 		// into the right side is only sound when its names coincide
 		// positionally (name-based binding would silently pick different
 		// columns otherwise).
-		if !sameColumnNames(n.L.Schema(), n.R.Schema()) {
+		if !sameColumnNames(l.Schema(), r.Schema()) {
 			return keep()
 		}
-		u, err := NewUnionAll(o.pushSelect(p, n.L), o.pushSelect(p, n.R))
+		out, err := rebuild(o.pushSelect(p, l), o.pushSelect(p, r))
 		if err != nil {
 			return keep()
 		}
-		return u
-	case *Monus:
-		if !sameColumnNames(n.L.Schema(), n.R.Schema()) {
-			return keep()
-		}
-		m, err := NewMonus(o.pushSelect(p, n.L), o.pushSelect(p, n.R))
-		if err != nil {
-			return keep()
-		}
-		return m
+		return out
+	}
+	switch n := child.(type) {
 	case *DupElim:
 		// σ_p(ε(E)) ≡ ε(σ_p(E)): filtering then deduplicating equals
 		// deduplicating then filtering.
@@ -133,6 +148,9 @@ func (o *optimizer) pushSelect(p Predicate, child Expr) Expr {
 		}
 		return o.pushSelect(merged, n.Child)
 	case *Project:
+		if isBase(n) {
+			return keep() // σ(ρ(R)): the form joinTerm peels into a join on R's live bag
+		}
 		// σ_p(Π_{cols→outs}(E)) ≡ Π(σ_{p'}(E)) with p' renamed through
 		// the projection. Only safe when every referenced attribute maps
 		// back unambiguously.

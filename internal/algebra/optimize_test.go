@@ -234,3 +234,74 @@ func TestOptimizeSplitsConjunctsAcrossProduct(t *testing.T) {
 		t.Fatalf("fixture wrong: %v", want)
 	}
 }
+
+// TestOptimizeRenameNormalForm checks the one normal form a pure
+// renaming ρ gets: it sinks through ∸/⊎ to the leaves, and a selection
+// pushed down stops above ρ(R) for a base table R — the shape the join
+// rewrites recognize as "the table R" — while still passing through a ρ
+// over anything else.
+func TestOptimizeRenameNormalForm(t *testing.T) {
+	sch := schema.NewSchema(schema.Col("a", schema.TInt), schema.Col("b", schema.TInt))
+	r, d, i := NewBase("R", sch), NewBase("D", sch), NewBase("I", sch)
+	m, err := NewMonus(r, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	past, err := NewUnionAll(m, i)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := NewSelect(Eq(A("x.a"), C(1)), Qualified(past, "x")) // σ(ρ((R ∸ D) ⊎ I))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Optimize(sel)
+	want := "((σ[x.a = 1](Π[a,b](R)) ∸ σ[x.a = 1](Π[a,b](D))) ⊎ σ[x.a = 1](Π[a,b](I)))"
+	if got := opt.String(); got != want {
+		t.Fatalf("Optimize(%s)\n  = %s\n want %s", sel, got, want)
+	}
+	if !opt.Schema().Equal(sel.Schema()) {
+		t.Fatalf("schema changed: %s -> %s", sel.Schema(), opt.Schema())
+	}
+	for _, leaf := range spineLeaves(opt, nil) {
+		if !baseLeaf(leaf) || !distributable(opt) {
+			t.Fatalf("leaf %s is not seen as a base table by the join rewrites", leaf)
+		}
+		if base, preds := peelSelects(leaf); !isBase(base) || len(preds) != 1 {
+			t.Fatalf("peelSelects(%s) = %s, %v", leaf, base, preds)
+		}
+	}
+	// The renaming costs nothing to evaluate: same bag, both evaluators.
+	st := MapSource{
+		"R": bag.New().Add(schema.Row(1, 1), 2).Add(schema.Row(2, 1), 1),
+		"D": bag.New().Add(schema.Row(1, 1), 1),
+		"I": bag.New().Add(schema.Row(1, 7), 1),
+	}
+	before, err := Eval(sel, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := Eval(opt, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := Compile(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs, _, err := prog.Eval(nil, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !before.Equal(after) || !before.Equal(outs[0]) || before.Len() != 2 {
+		t.Fatalf("σ(ρ(PAST)) = %s, optimized %s, compiled %s", before, after, outs[0])
+	}
+	// A ρ over a derived operand still lets the selection through.
+	overSel, err := NewSelect(Eq(A("x.a"), C(1)), Qualified(NewDupElim(r), "x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := Optimize(overSel).String(), "Π[a,b](ε(σ[a = 1](R)))"; got != want {
+		t.Fatalf("Optimize(%s) = %s, want %s", overSel, got, want)
+	}
+}

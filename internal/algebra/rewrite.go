@@ -22,10 +22,11 @@ package algebra
 // (and symmetrically on the right). distributeJoins rewrites fusable
 // σ(×) nodes this way whenever a side is a small ∸/⊎ composition
 // containing a base table, so the compiled program joins the delta
-// against the live base bag directly: the join's hash index keys off a
-// stable *Bag that mutates in place, stays valid across propagates via
-// the mutation journal (bag.Index.Sync), and the ∸/⊎ arithmetic runs
-// over delta-sized join outputs instead of table-sized inputs.
+// against the live base bag directly: the join probes that bag's own
+// hash index (bag.IndexOn), which follows the table's in-place mutations
+// through its journal and is shared by every term and every view that
+// joins on those columns, and the ∸/⊎ arithmetic runs over delta-sized
+// join outputs instead of table-sized inputs.
 
 // maxDistLeaves bounds the ∸/⊎ spine size a side may have to be
 // distributed: a join over k×l terms emits k·l hash joins, so the
@@ -95,6 +96,9 @@ func rewriteNode(e Expr, memo map[Expr]Expr) (Expr, error) {
 		if child == n.Child {
 			return e, nil
 		}
+		if n.rename {
+			return newRename(child, n.sch), nil
+		}
 		return NewProject(n.Cols, n.OutNames, child)
 
 	case *DupElim:
@@ -107,33 +111,20 @@ func rewriteNode(e Expr, memo map[Expr]Expr) (Expr, error) {
 		}
 		return NewDupElim(child), nil
 
-	case *UnionAll:
-		l, err := distributeJoins(n.L, memo)
+	case *UnionAll, *Monus:
+		nl, nr, rebuild, _ := spine(e)
+		l, err := distributeJoins(nl, memo)
 		if err != nil {
 			return nil, err
 		}
-		r, err := distributeJoins(n.R, memo)
+		r, err := distributeJoins(nr, memo)
 		if err != nil {
 			return nil, err
 		}
-		if l == n.L && r == n.R {
+		if l == nl && r == nr {
 			return e, nil
 		}
-		return NewUnionAll(l, r)
-
-	case *Monus:
-		l, err := distributeJoins(n.L, memo)
-		if err != nil {
-			return nil, err
-		}
-		r, err := distributeJoins(n.R, memo)
-		if err != nil {
-			return nil, err
-		}
-		if l == n.L && r == n.R {
-			return e, nil
-		}
-		return NewMonus(l, r)
+		return rebuild(l, r)
 
 	case *Product:
 		l, err := distributeJoins(n.L, memo)
@@ -152,69 +143,55 @@ func rewriteNode(e Expr, memo map[Expr]Expr) (Expr, error) {
 	return e, nil
 }
 
+// spine takes a ∸/⊎ node apart: its operands, and the constructor of
+// the same operator over new ones. ok is false for any other node.
+func spine(e Expr) (l, r Expr, rebuild func(l, r Expr) (Expr, error), ok bool) {
+	switch n := e.(type) {
+	case *Monus:
+		return n.L, n.R, func(l, r Expr) (Expr, error) { return NewMonus(l, r) }, true
+	case *UnionAll:
+		return n.L, n.R, func(l, r Expr) (Expr, error) { return NewUnionAll(l, r) }, true
+	}
+	return nil, nil, nil, false
+}
+
 // distJoin emits the distributed form of σ_p(l × r), recursing through
-// the ∸/⊎ spines of distributable sides and terminating in per-term
-// σ_p(× ) joins (which emitJoin then lowers to hash joins).
+// the ∸/⊎ spines of distributable sides (the right one first) and
+// terminating in per-term σ_p(× ) joins (which emitJoin then lowers to
+// hash joins).
 func distJoin(pred Predicate, l, r Expr) (Expr, error) {
-	if distributable(r) {
-		switch n := r.(type) {
-		case *Monus:
-			a, err := distJoin(pred, l, n.L)
-			if err != nil {
-				return nil, err
-			}
-			b, err := distJoin(pred, l, n.R)
-			if err != nil {
-				return nil, err
-			}
-			return NewMonus(a, b)
-		case *UnionAll:
-			a, err := distJoin(pred, l, n.L)
-			if err != nil {
-				return nil, err
-			}
-			b, err := distJoin(pred, l, n.R)
-			if err != nil {
-				return nil, err
-			}
-			return NewUnionAll(a, b)
-		}
+	var x, y Expr
+	var rebuild func(l, r Expr) (Expr, error)
+	var term func(side Expr) (Expr, error) // the join with one operand of the spine
+	switch {
+	case distributable(r):
+		x, y, rebuild, _ = spine(r)
+		term = func(side Expr) (Expr, error) { return distJoin(pred, l, side) }
+	case distributable(l):
+		x, y, rebuild, _ = spine(l)
+		term = func(side Expr) (Expr, error) { return distJoin(pred, side, r) }
+	default:
+		return joinTerm(pred, l, r)
 	}
-	if distributable(l) {
-		switch n := l.(type) {
-		case *Monus:
-			a, err := distJoin(pred, n.L, r)
-			if err != nil {
-				return nil, err
-			}
-			b, err := distJoin(pred, n.R, r)
-			if err != nil {
-				return nil, err
-			}
-			return NewMonus(a, b)
-		case *UnionAll:
-			a, err := distJoin(pred, n.L, r)
-			if err != nil {
-				return nil, err
-			}
-			b, err := distJoin(pred, n.R, r)
-			if err != nil {
-				return nil, err
-			}
-			return NewUnionAll(a, b)
-		}
+	a, err := term(x)
+	if err != nil {
+		return nil, err
 	}
-	return joinTerm(pred, l, r)
+	b, err := term(y)
+	if err != nil {
+		return nil, err
+	}
+	return rebuild(a, b)
 }
 
 // joinTerm emits one terminal σ_p(l × r) join, folding σ-chains that
 // bottom at a base table into the join's residual predicate. Exact:
 // σ_q(R)'s per-tuple count is R(t)·[q(t)], and q rebinds by column
 // name over the product schema, so filtering after the concat scales
-// every count by the identical factor. The point is that the join's
-// hash index then keys off the live base bag — which persists and
-// journal-syncs across evaluations — instead of a σ materialization
-// that dies with each one.
+// every count by the identical factor. The point is that the join then
+// probes the live base bag's own index — which persists and
+// journal-syncs across evaluations — instead of indexing a σ
+// materialization that dies with each one.
 func joinTerm(pred Predicate, l, r Expr) (Expr, error) {
 	l2, lp := peelSelects(l)
 	r2, rp := peelSelects(r)
@@ -228,9 +205,11 @@ func joinTerm(pred Predicate, l, r Expr) (Expr, error) {
 	return NewSelect(AndOf(preds...), NewProduct(l2, r2))
 }
 
-// peelSelects strips a chain of Selects bottoming at a Base, returning
-// the base and the stripped predicates; any other shape is returned
-// unchanged (select work over derived inputs stays where it was).
+// peelSelects strips a chain of Selects bottoming at a (possibly
+// renamed) Base, returning the base — renaming included, the stripped
+// predicates bind against its names — and the predicates; any other
+// shape is returned unchanged (select work over derived inputs stays
+// where it was).
 func peelSelects(e Expr) (Expr, []Predicate) {
 	cur := e
 	var preds []Predicate
@@ -242,7 +221,7 @@ func peelSelects(e Expr) (Expr, []Predicate) {
 		preds = append(preds, s.Pred)
 		cur = s.Child
 	}
-	if _, ok := cur.(*Base); !ok {
+	if !isBase(cur) {
 		return e, nil
 	}
 	return cur, preds
@@ -282,28 +261,18 @@ func pushable(e Expr) bool {
 // become σ(×) nodes — further distributed via distJoin when a side is
 // a base-table adjustment — and other leaves keep a σ on top.
 func pushSelect(pred Predicate, e Expr, memo map[Expr]Expr) (Expr, error) {
-	switch n := e.(type) {
-	case *Monus:
-		a, err := pushSelect(pred, n.L, memo)
+	if l, r, rebuild, ok := spine(e); ok {
+		a, err := pushSelect(pred, l, memo)
 		if err != nil {
 			return nil, err
 		}
-		b, err := pushSelect(pred, n.R, memo)
+		b, err := pushSelect(pred, r, memo)
 		if err != nil {
 			return nil, err
 		}
-		return NewMonus(a, b)
-	case *UnionAll:
-		a, err := pushSelect(pred, n.L, memo)
-		if err != nil {
-			return nil, err
-		}
-		b, err := pushSelect(pred, n.R, memo)
-		if err != nil {
-			return nil, err
-		}
-		return NewUnionAll(a, b)
-	case *Product:
+		return rebuild(a, b)
+	}
+	if n, ok := e.(*Product); ok {
 		l, err := distributeJoins(n.L, memo)
 		if err != nil {
 			return nil, err
@@ -346,10 +315,10 @@ func distributable(e Expr) bool {
 	return false
 }
 
-// baseLeaf reports whether e is a base table, possibly under a chain of
-// selects (the shape the select push-down in Optimize produces). Such
-// leaves join directly against the live table bag once joinTerm peels
-// the selects into the join predicate.
+// baseLeaf reports whether e is a base table, possibly renamed, possibly
+// under a chain of selects (the shape the select push-down in Optimize
+// produces). Such leaves join directly against the live table bag once
+// joinTerm peels the selects into the join predicate.
 func baseLeaf(e Expr) bool {
 	for {
 		s, ok := e.(*Select)
@@ -358,17 +327,13 @@ func baseLeaf(e Expr) bool {
 		}
 		e = s.Child
 	}
-	_, ok := e.(*Base)
-	return ok
+	return isBase(e)
 }
 
 // spineLeaves collects the maximal non-∸/⊎ subtrees of e in order.
 func spineLeaves(e Expr, out []Expr) []Expr {
-	switch n := e.(type) {
-	case *Monus:
-		return spineLeaves(n.R, spineLeaves(n.L, out))
-	case *UnionAll:
-		return spineLeaves(n.R, spineLeaves(n.L, out))
+	if l, r, _, ok := spine(e); ok {
+		return spineLeaves(r, spineLeaves(l, out))
 	}
 	return append(out, e)
 }

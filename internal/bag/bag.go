@@ -28,18 +28,34 @@ type Bag struct {
 	m    map[string]entry
 	size int    // total multiplicity
 	ver  uint64 // bumped on every mutation; lets caches detect staleness
-	// Mutation journal (enabled by EnableJournal): the effective tuple
-	// deltas applied since version jbase, in order, so derived
-	// structures can catch up incrementally instead of rebuilding.
-	// When jour is non-empty, ver == jbase + len(jour) holds.
-	jour  []jentry
-	jbase uint64
-	jcap  int // 0 = journaling disabled
+	// dx holds what is derived from the contents — the mutation journal
+	// and the bag's own indexes. It stays nil until an index is first
+	// asked for, so a transient bag pays one word for it.
+	dx *derived
 }
 
-// jentry records one mutation's effective change: the tuple and the
-// signed multiplicity delta actually applied (after clamping at zero).
+// derived is the journal-and-index state of a bag that has been indexed.
+type derived struct {
+	// Mutation journal: the effective tuple deltas applied since version
+	// jbase, in order, so indexes catch up in O(|changes|) instead of
+	// rebuilding in O(|bag|). When jour is non-empty, ver == jbase +
+	// len(jour) holds. jcap is the window: a quarter of the bag's rows
+	// when its largest index was built (past that, applying the backlog
+	// is no longer clearly cheaper than a rebuild), 256 at least.
+	jour  []jentry
+	jbase uint64
+	jcap  int
+	// owned lists the bag's own indexes (IndexOn), at most one per column
+	// set. Each is at a version inside the journal window, always: the
+	// bag syncs them itself before the window moves on.
+	owned []*Index
+}
+
+// jentry records one mutation's effective change: the tuple, its
+// canonical key, and the signed multiplicity delta actually applied
+// (after clamping at zero).
 type jentry struct {
+	k string
 	t schema.Tuple
 	d int
 }
@@ -104,8 +120,8 @@ func (b *Bag) addKeyed(k string, t schema.Tuple, n int) *Bag {
 		e.count += n
 		b.m[k] = e
 	}
-	if b.jcap != 0 {
-		b.journal(t, d)
+	if b.dx != nil {
+		b.journal(k, t, d)
 	}
 	return b
 }
@@ -139,34 +155,38 @@ func (b *Bag) Clear() {
 	b.m = make(map[string]entry)
 	b.size = 0
 	b.ver++
-	// A clear is not representable as journal entries; drop the window
-	// so readers behind it rebuild (cheap — the bag is now empty).
-	b.jour = b.jour[:0]
-}
-
-// EnableJournal makes the bag record each subsequent mutation's
-// effective tuple delta, up to cap entries, so derived structures
-// (Index.Sync) can catch up in O(|changes|) instead of rebuilding in
-// O(|bag|). When more than cap mutations accumulate the window resets
-// and stale readers fall back to a rebuild. Idempotent; a larger cap
-// wins. Called automatically by NewIndex.
-func (b *Bag) EnableJournal(cap int) {
-	if cap > b.jcap {
-		b.jcap = cap
+	if x := b.dx; x != nil {
+		// A clear is not representable as journal entries: drop the
+		// window, so free-standing indexes behind it rebuild (cheap — the
+		// bag is now empty), and empty the bag's own indexes in place.
+		x.jour = x.jour[:0]
+		for _, ix := range x.owned {
+			clear(ix.m)
+			clear(ix.at)
+			ix.ver = b.ver
+		}
 	}
 }
 
 // journal appends one effective mutation. Every version bump while
 // journaling is enabled must append exactly one entry (even a no-op
-// clamp, d == 0), preserving ver == jbase + len(jour).
-func (b *Bag) journal(t schema.Tuple, d int) {
-	if len(b.jour) >= b.jcap {
-		b.jour = b.jour[:0]
+// clamp, d == 0), preserving ver == jbase + len(jour). A full window
+// starts over: the bag first syncs its own indexes (IndexOn), which
+// therefore never fall out of it; a free-standing index (NewIndex) left
+// behind falls back to a rebuild.
+func (b *Bag) journal(k string, t schema.Tuple, d int) {
+	x := b.dx
+	if len(x.jour) >= x.jcap {
+		for _, ix := range x.owned {
+			ix.applyAll(x.jour[ix.ver-x.jbase:])
+			ix.ver = b.ver - 1
+		}
+		x.jour = x.jour[:0]
 	}
-	if len(b.jour) == 0 {
-		b.jbase = b.ver - 1
+	if len(x.jour) == 0 {
+		x.jbase = b.ver - 1
 	}
-	b.jour = append(b.jour, jentry{t: t, d: d})
+	x.jour = append(x.jour, jentry{k: k, t: t, d: d})
 }
 
 // journalSince returns the effective deltas applied after version v,
@@ -176,10 +196,11 @@ func (b *Bag) journalSince(v uint64) ([]jentry, bool) {
 	if v == b.ver {
 		return nil, true
 	}
-	if len(b.jour) == 0 || v < b.jbase || v > b.ver {
+	x := b.dx
+	if x == nil || len(x.jour) == 0 || v < x.jbase || v > b.ver {
 		return nil, false
 	}
-	return b.jour[v-b.jbase:], true
+	return x.jour[v-x.jbase:], true
 }
 
 // Version returns a counter that changes on every mutation of the bag

@@ -7,15 +7,18 @@ import (
 )
 
 // FuzzBagOps interprets the input as a program of Add/Remove/Clear
-// operations executed against both a Bag and a plain map[string]int
-// reference model, then checks the bag's accounting (Len, Distinct,
-// Count) against the model and the algebraic laws of Section 2.1 that
-// the DEL/ADD differentials depend on.
+// operations (plus ApplyDelta, bursts longer than the journal window,
+// and look-ups of the bag's own index in between) executed against
+// both a Bag and a plain map[string]int reference model, then checks
+// the bag's accounting (Len, Distinct, Count) against the model, the
+// bag's own index against a freshly built one, and the algebraic laws
+// of Section 2.1 that the DEL/ADD differentials depend on.
 func FuzzBagOps(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 0, 2, 1, 3})
 	f.Add([]byte{1, 0, 0, 1, 0, 1, 9, 3, 3, 3})
 	f.Add([]byte{0, 5, 1, 0, 5, 2, 2, 0, 5, 3, 255, 0, 0, 0})
+	f.Add([]byte{0, 1, 2, 5, 0, 0, 6, 1, 0, 3, 1, 1, 6, 7, 2, 5, 0, 0, 7, 0, 0, 0, 2, 1})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b := New()
@@ -34,6 +37,24 @@ func FuzzBagOps(f *testing.F) {
 			case 3, 4:
 				b.Remove(tu, n)
 				model[key] -= n
+			case 5:
+				// The index is asked for mid-sequence, so later ops reach it
+				// through the journal, not through a first build.
+				if msg := checkIndexOn(b); msg != "" {
+					t.Fatal(msg)
+				}
+			case 6:
+				if n == 0 {
+					// A burst that overflows the journal window: the bag
+					// itself must carry its index across.
+					for j := 0; j < 2*window(b)+1; j++ {
+						b.Add(tu, 1)
+						b.Remove(tu, 1)
+					}
+					break
+				}
+				b.ApplyDelta(Of(tu), New().Add(tu, n))
+				model[key] = max(model[key]-1, 0) + n
 			case 7:
 				b.Clear()
 				model = map[string]int{}
@@ -59,6 +80,9 @@ func FuzzBagOps(f *testing.F) {
 				t.Fatalf("Count(%s) = %d, model says %d", tu, n, model[tu.Key()])
 			}
 		})
+		if msg := checkIndexOn(b); msg != "" {
+			t.Fatal(msg)
+		}
 
 		// Algebraic laws over (b, other), with other built from the tail
 		// of the input read in reverse so the two bags differ.

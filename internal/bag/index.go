@@ -1,6 +1,10 @@
 package bag
 
-import "dvm/internal/schema"
+import (
+	"slices"
+
+	"dvm/internal/schema"
+)
 
 // IndexEntry is one row stored under an index key: the full tuple, its
 // canonical key (kept so join outputs can compose their keys from the
@@ -12,55 +16,98 @@ type IndexEntry struct {
 }
 
 // Index is a hash index over one bag, keyed on a subset of its columns
-// (the join columns). It is a snapshot: built from the bag's contents at
-// construction time and validated against the bag's Version before
-// reuse, so callers may cache an Index across evaluations and rebuild
-// only when the underlying bag actually changed.
+// (the join columns). It describes the bag as of one Version and
+// catches up with later mutations through the bag's journal, one map
+// operation per change. There are two kinds. The bag's own index
+// (Bag.IndexOn) is shared by everything that joins on those columns
+// and is never rebuilt: the bag keeps it inside the journal window.
+// A free-standing one (NewIndex) belongs to its caller, who Syncs it
+// and rebuilds it when Sync reports the window has moved past it.
 type Index struct {
 	src *Bag
 	ver uint64
 	pos []int
 	m   map[string][]IndexEntry
-	buf []byte // reusable probe-key buffer
+	// at addresses every entry by its full-tuple key: the entry's slot
+	// in its bucket. A change to a hot key's bucket is then a lookup and
+	// a swap, whatever the bucket's size.
+	at    map[string]int
+	buf   []byte // reusable probe-key buffer
+	steps int    // bucket entries apply has touched; tests bound it by the change count
 }
 
-// NewIndex builds a hash index over b keyed on the given column
-// positions, and enables b's mutation journal so the index can later
-// be brought up to date incrementally (Sync). The positions slice is
-// retained; callers must not mutate it.
+// NewIndex builds a free-standing hash index over b keyed on the given
+// column positions, and switches on b's mutation journal so the index
+// can later be brought up to date incrementally (Sync). The positions
+// slice is retained; callers must not mutate it.
 func NewIndex(b *Bag, positions []int) *Index {
+	if b.dx == nil {
+		b.dx = &derived{}
+	}
+	b.dx.jcap = max(b.dx.jcap, b.Distinct()/4, 256)
+	return newIndex(b, positions, true)
+}
+
+// newIndex reads b and changes nothing about it. Without the entry
+// addresses the index can be probed but not synced.
+func newIndex(b *Bag, positions []int, addressable bool) *Index {
 	ix := &Index{
 		src: b,
 		ver: b.ver,
 		pos: positions,
 		m:   make(map[string][]IndexEntry, len(b.m)),
 	}
-	b.EnableJournal(journalCap(b))
+	if addressable {
+		ix.at = make(map[string]int, len(b.m))
+	}
 	var key []byte
 	for k, e := range b.m {
 		key = e.tuple.AppendKeyAt(key[:0], positions)
-		ix.m[string(key)] = append(ix.m[string(key)], IndexEntry{Tuple: e.tuple, Key: k, Count: e.count})
+		bucket := ix.m[string(key)]
+		if addressable {
+			ix.at[k] = len(bucket)
+		}
+		ix.m[string(key)] = append(bucket, IndexEntry{Tuple: e.tuple, Key: k, Count: e.count})
 	}
 	return ix
 }
 
-// journalCap sizes a bag's mutation window relative to the rebuild
-// cost it amortizes: once applying the backlog approaches a quarter of
-// a full rebuild, rebuilding is no longer clearly worse.
-func journalCap(b *Bag) int {
-	if c := b.Distinct() / 4; c > 256 {
-		return c
+// IndexOn returns the bag's own index on the given column positions,
+// up to date, and the number of entries it took to get there: the
+// bag's distinct count when the index is created (first call for these
+// positions), the journal entries since the previous call afterwards —
+// zero when nothing changed. The index stays with the bag for good and
+// every caller shares it, so it must not be kept across mutations
+// without calling IndexOn again. IndexOn leaves the contents alone but
+// writes the bag's index set: only whoever may mutate the bag may call
+// it, never a reader sharing the bag under a read lock.
+func (b *Bag) IndexOn(positions []int) (ix *Index, applied int) {
+	if b.dx != nil {
+		for _, own := range b.dx.owned {
+			if slices.Equal(own.pos, positions) {
+				applied, _ = own.Sync(b) // cannot fail: the bag keeps its own indexes inside the window
+				return own, applied
+			}
+		}
 	}
-	return 256
+	ix = NewIndex(b, positions)
+	b.dx.owned = append(b.dx.owned, ix)
+	return ix, len(b.m)
 }
 
-// Valid reports whether the index still describes b: it was built over
-// this exact bag (pointer identity) and the bag has not been mutated
-// since (Version match). Holding the *Bag inside the index keeps the
-// pointer from being recycled while the index is cached.
-func (ix *Index) Valid(b *Bag) bool { return ix.src == b && ix.ver == b.ver }
+// Indexes returns the column positions of each index the bag owns.
+func (b *Bag) Indexes() [][]int {
+	if b.dx == nil {
+		return nil
+	}
+	out := make([][]int, len(b.dx.owned))
+	for i, ix := range b.dx.owned {
+		out[i] = ix.pos
+	}
+	return out
+}
 
-// Sync brings a cached index up to date with b: free when b is
+// Sync brings a free-standing index up to date with b: free when b is
 // unchanged, O(|changes|) via b's mutation journal when the window
 // covers the gap. It returns false when the index describes another
 // bag or the journal cannot answer — the caller should rebuild. The
@@ -69,55 +116,56 @@ func (ix *Index) Sync(b *Bag) (applied int, ok bool) {
 	if ix.src != b {
 		return 0, false
 	}
-	if ix.ver == b.ver {
-		return 0, true
-	}
 	ents, ok := b.journalSince(ix.ver)
 	if !ok {
 		return 0, false
 	}
-	for _, e := range ents {
-		ix.apply(e.t, e.d)
-	}
+	ix.applyAll(ents)
 	ix.ver = b.ver
 	return len(ents), true
 }
 
-// apply folds one effective mutation into the index.
-func (ix *Index) apply(t schema.Tuple, d int) {
-	if d == 0 {
-		return
-	}
-	ix.buf = t.AppendKeyAt(ix.buf[:0], ix.pos)
-	key := string(ix.buf)
-	bucket := ix.m[key]
-	full := t.Key()
-	for i := range bucket {
-		if bucket[i].Key != full {
-			continue
+// applyAll folds a run of journal entries into the index.
+func (ix *Index) applyAll(ents []jentry) {
+	for _, e := range ents {
+		if e.d != 0 {
+			ix.apply(e.k, e.t, e.d)
 		}
-		bucket[i].Count += d
-		if bucket[i].Count <= 0 {
-			bucket[i] = bucket[len(bucket)-1]
-			bucket = bucket[:len(bucket)-1]
-			if len(bucket) == 0 {
-				delete(ix.m, key)
-			} else {
-				ix.m[key] = bucket
-			}
-		}
-		return
-	}
-	if d > 0 {
-		ix.m[key] = append(bucket, IndexEntry{Tuple: t, Key: full, Count: d})
 	}
 }
 
-// Positions returns the column positions the index is keyed on.
-func (ix *Index) Positions() []int { return ix.pos }
-
-// Len returns the number of distinct index keys.
-func (ix *Index) Len() int { return len(ix.m) }
+// apply folds one effective mutation of the tuple t (canonical key k)
+// into the index, in O(1): the entry is found through at, and a removed
+// entry's slot is refilled from the bucket's end.
+func (ix *Index) apply(k string, t schema.Tuple, d int) {
+	ix.buf = t.AppendKeyAt(ix.buf[:0], ix.pos)
+	bucket := ix.m[string(ix.buf)]
+	ix.steps++
+	i, ok := ix.at[k]
+	switch {
+	case !ok:
+		if d > 0 {
+			ix.at[k] = len(bucket)
+			ix.m[string(ix.buf)] = append(bucket, IndexEntry{Tuple: t, Key: k, Count: d})
+		}
+	case bucket[i].Count+d > 0:
+		bucket[i].Count += d
+	default:
+		last := len(bucket) - 1
+		if i != last {
+			ix.steps++
+			bucket[i] = bucket[last]
+			ix.at[bucket[i].Key] = i
+		}
+		bucket[last] = IndexEntry{} // or the backing array keeps the tuple and its key alive
+		delete(ix.at, k)
+		if last == 0 {
+			delete(ix.m, string(ix.buf))
+		} else {
+			ix.m[string(ix.buf)] = bucket[:last]
+		}
+	}
+}
 
 // JoinIndexed computes σ_pred(probe × indexed) (or indexed × probe when
 // buildLeft is true) by probing ix with each distinct tuple of probe,
@@ -152,4 +200,19 @@ func JoinIndexed(probe *Bag, probePos []int, ix *Index, buildLeft bool, pred fun
 	}
 	ix.buf = buf
 	return out, probed
+}
+
+// HashJoin computes σ_pred(l × r) for an equi-join on lpos = rpos with a
+// throw-away index on the smaller side. It only reads its operands — no
+// journal is switched on, no index registered — so it suits a one-off
+// evaluation, a caller holding only read locks, and operands that will
+// not outlive the call. built is the number of tuples indexed, probed
+// as in JoinIndexed.
+func HashJoin(l *Bag, lpos []int, r *Bag, rpos []int, pred func(schema.Tuple) bool) (out *Bag, probed, built int) {
+	if len(l.m) <= len(r.m) {
+		out, probed = JoinIndexed(r, rpos, newIndex(l, lpos, false), true, pred)
+		return out, probed, len(l.m)
+	}
+	out, probed = JoinIndexed(l, lpos, newIndex(r, rpos, false), false, pred)
+	return out, probed, len(r.m)
 }

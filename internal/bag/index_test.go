@@ -46,26 +46,29 @@ func TestJoinIndexedMatchesProductSelect(t *testing.T) {
 func TestIndexValidity(t *testing.T) {
 	b := New().Add(row("a", 1), 1)
 	ix := NewIndex(b, []int{0})
-	if !ix.Valid(b) {
-		t.Fatal("fresh index must be valid for its source bag")
+	if n, ok := ix.Sync(b); !ok || n != 0 {
+		t.Fatalf("fresh index must be in step with its source bag, got applied=%d ok=%v", n, ok)
 	}
 	other := New().Add(row("a", 1), 1)
-	if ix.Valid(other) {
-		t.Fatal("index must not validate against a different bag, even with equal contents")
+	if _, ok := ix.Sync(other); ok {
+		t.Fatal("index must not sync against a different bag, even with equal contents")
 	}
 	b.Add(row("b", 2), 1)
-	if ix.Valid(b) {
-		t.Fatal("index must be invalidated by Add")
-	}
-	ix = NewIndex(b, []int{0})
 	b.Remove(row("b", 2), 1)
-	if ix.Valid(b) {
-		t.Fatal("index must be invalidated by Remove")
+	if n, ok := ix.Sync(b); !ok || n != 2 {
+		t.Fatalf("index must follow Add and Remove through the journal, got applied=%d ok=%v", n, ok)
 	}
-	ix = NewIndex(b, []int{0})
 	b.Clear()
-	if ix.Valid(b) {
-		t.Fatal("index must be invalidated by Clear")
+	if _, ok := ix.Sync(b); ok {
+		t.Fatal("a free-standing index must be invalidated by Clear")
+	}
+	// ... and by falling out of the journal window, unlike the bag's own.
+	ix = NewIndex(b, []int{0})
+	for i := 0; i <= window(b); i++ {
+		b.Add(row("c", i), 1)
+	}
+	if _, ok := ix.Sync(b); ok {
+		t.Fatal("a free-standing index must be invalidated once the window has moved past it")
 	}
 }
 
@@ -96,5 +99,84 @@ func TestJoinIndexedEmptySides(t *testing.T) {
 	out, probed = JoinIndexed(b, []int{0}, ixe, true, func(schema.Tuple) bool { return true })
 	if !out.Empty() || probed != 0 {
 		t.Fatalf("empty indexed side: got %v probed=%d", out, probed)
+	}
+}
+
+// TestIndexSyncIndependentOfBucketSize pins the cost of catching an
+// index up to a change count, not a bucket size: the same 1000 changes
+// to one key's bucket touch the same number of bucket entries whether
+// that bucket holds 20 or 20000 of them (a linear scan for the changed
+// entry would touch ~10000 per change in the large one). Counted in
+// bucket entries touched, so the test does not depend on a clock.
+func TestIndexSyncIndependentOfBucketSize(t *testing.T) {
+	const changes = 1000
+	stepsFor := func(bucket int) int {
+		b := New()
+		for i := 0; i < bucket; i++ {
+			b.Add(row(7, i), 1) // one hot key
+		}
+		b.Add(row(8, 0), 1)
+		ix, built := b.IndexOn([]int{0})
+		if built != bucket+1 {
+			t.Fatalf("first IndexOn built %d entries, want %d", built, bucket+1)
+		}
+		// The small bag's journal window is shorter than the change run,
+		// so part of the catching up is the bag's own, before the window
+		// moves on; steps counts that part too.
+		for i := 0; i < changes/2; i++ {
+			b.Remove(row(7, i%20), 1) // swap-remove from inside the hot bucket
+			b.Add(row(7, i%20), 1)    // and back in, at its end
+		}
+		if again, _ := b.IndexOn([]int{0}); again != ix {
+			t.Fatalf("IndexOn after %d changes returned another index", changes)
+		}
+		if msg := checkIndexOn(b); msg != "" {
+			t.Fatal(msg)
+		}
+		return ix.steps
+	}
+	small, large := stepsFor(20), stepsFor(20000)
+	if small != large {
+		t.Fatalf("1000 changes touched %d bucket entries in a 20-entry bucket but %d in a 20000-entry one", small, large)
+	}
+	if large > 2*changes {
+		t.Fatalf("1000 changes touched %d bucket entries, want at most 2 per change", large)
+	}
+}
+
+// TestIndexRemoveReleasesEntry checks the swap-remove zeroes the slot it
+// vacates: the bucket's backing array must not keep a removed tuple (or
+// its key) reachable.
+func TestIndexRemoveReleasesEntry(t *testing.T) {
+	b := New().Add(row(1, "a"), 1).Add(row(1, "b"), 1).Add(row(1, "c"), 1)
+	ix, _ := b.IndexOn([]int{0})
+	b.Remove(row(1, "a"), 1)
+	b.IndexOn([]int{0})
+	for _, bucket := range ix.m {
+		if len(bucket) != 2 {
+			t.Fatalf("bucket holds %d entries after one removal, want 2", len(bucket))
+		}
+		if vacated := bucket[:3][2]; vacated.Tuple != nil || vacated.Key != "" {
+			t.Fatalf("vacated slot still holds %v", vacated)
+		}
+	}
+}
+
+// TestHashJoinOnlyReads checks the throw-away join indexes the smaller
+// side, agrees with the nested-loop join, and leaves both operands as
+// it found them: no journal, no index.
+func TestHashJoinOnlyReads(t *testing.T) {
+	left := New().Add(row("a", 1), 2).Add(row("b", 2), 3).Add(row("c", 1), 1)
+	right := New().Add(row(1, "x"), 4).Add(row(2, "y"), 1)
+	pred := eqJoin(1, 0, 2)
+	got, probed, built := HashJoin(left, []int{1}, right, []int{0}, pred)
+	if want := ProductSelect(left, right, pred); !got.Equal(want) {
+		t.Fatalf("HashJoin = %v, want %v", got, want)
+	}
+	if built != right.Distinct() || probed != 3 {
+		t.Fatalf("built %d probed %d, want the smaller side (%d) built and 3 pairs probed", built, probed, right.Distinct())
+	}
+	if left.dx != nil || right.dx != nil {
+		t.Fatal("HashJoin switched on a journal or registered an index")
 	}
 }

@@ -202,7 +202,7 @@ func checkApplyDelta(b, del, add *Bag) string {
 		return "ApplyDelta left Len/Distinct out of step with the contents"
 	case !del.Equal(del0) || !add.Equal(add0):
 		return "ApplyDelta mutated an operand"
-	case len(got.jour) > 0 && got.ver != got.jbase+uint64(len(got.jour)):
+	case len(got.dx.jour) > 0 && got.ver != got.dx.jbase+uint64(len(got.dx.jour)):
 		return "journal invariant ver == jbase + len(jour) broken"
 	}
 	if _, ok := ix.Sync(got); !ok {
@@ -214,6 +214,49 @@ func checkApplyDelta(b, del, add *Bag) string {
 		return "Index synced across ApplyDelta differs from a fresh NewIndex"
 	}
 	return ""
+}
+
+// checkIndexOn asserts the contract of the bag's own index on column 0:
+// whatever happened to b since the last call — single changes,
+// ApplyDelta, Clear, a burst longer than the journal window — IndexOn
+// returns the same index (never a rebuilt one), equal bucket for bucket
+// to an index built fresh over b's current contents, with every entry
+// addressed at its true slot; and asking again applies nothing. It
+// returns a description of the first violation, or "".
+func checkIndexOn(b *Bag) string {
+	pos := []int{0}
+	ix, _ := b.IndexOn(pos)
+	if len(b.dx.owned) != 1 {
+		return "IndexOn registered a second index on the same columns"
+	}
+	if !reflect.DeepEqual(indexContents(ix), indexContents(NewIndex(b.Clone(), pos))) {
+		return "IndexOn differs from a fresh NewIndex over the same contents"
+	}
+	n := 0
+	for _, bucket := range ix.m {
+		for i, e := range bucket {
+			if at, ok := ix.at[e.Key]; !ok || at != i {
+				return "IndexOn entry not addressed at its bucket slot"
+			}
+			n++
+		}
+	}
+	if n != len(ix.at) || n != b.Distinct() {
+		return "IndexOn addresses entries the buckets do not hold"
+	}
+	if again, applied := b.IndexOn([]int{0}); again != ix || applied != 0 {
+		return "a second IndexOn did not return the same, already synced index"
+	}
+	return ""
+}
+
+// window is b's journal window: the smallest one while nothing has
+// indexed b yet.
+func window(b *Bag) int {
+	if b.dx == nil {
+		return 256
+	}
+	return b.dx.jcap
 }
 
 // indexContents flattens an index to index key -> tuple key -> count,
@@ -254,6 +297,36 @@ func TestPropApplyDeltaMatchesMonusUnion(t *testing.T) {
 			reflect.DeepEqual(indexContents(ix), indexContents(NewIndex(b, []int{0})))
 	}
 	if err := quick.Check(seq, qcfg); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestPropIndexOnFollowsEveryMutation(t *testing.T) {
+	prop := func(x, d1, a1, d2, a2 genBag) bool {
+		b := x.B.Clone()
+		steps := []func(){
+			func() {},
+			func() { b.ApplyDelta(d1.B, a1.B) },
+			func() { b.AddBag(a2.B) },
+			func() { // more single changes than the journal window holds
+				for i := 0; i < 2*window(b)+3; i++ {
+					b.Add(schema.Row(i%7, i), 1+i%2)
+					b.Remove(schema.Row((i+3)%7, i/2), 1)
+				}
+			},
+			func() { b.Clear() },
+			func() { b.ApplyDelta(d2.B, a1.B) },
+		}
+		for i, step := range steps {
+			step()
+			if msg := checkIndexOn(b); msg != "" {
+				t.Logf("after step %d: %s", i, msg)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
 }

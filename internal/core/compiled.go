@@ -14,8 +14,8 @@ import (
 // fixed at DefineView time, so instead of re-interpreting the algebra
 // DAG per transaction, the manager lowers each one ONCE through
 // algebra.Compile into fused closures with pre-resolved columns,
-// slot-cached DAG nodes, and version-validated join indexes that
-// persist across evaluations (see internal/algebra/compile.go). The
+// slot-cached DAG nodes, and hash joins that probe the base tables' own
+// journal-synced indexes (see internal/algebra/compile.go). The
 // tree-walking interpreter stays available — WithInterpretedDeltas
 // switches every path back to it — and serves as the differential-
 // testing oracle the compiled engine is checked against.
@@ -23,8 +23,10 @@ import (
 // compiledAssign is one compiled simultaneous-assignment bundle: the
 // program's roots are the assignment right-hand sides, tables the
 // install targets in root order, and state the reusable evaluation
-// scratch (slot cache + join indexes). A state is reused only under the
-// manager's single-writer discipline, never concurrently.
+// scratch (the slot cache). Evaluating with a state is what lets a join
+// use — and on first use create — a base table's own index, so it
+// happens only under the manager's single-writer discipline, never on
+// a read path and never concurrently.
 type compiledAssign struct {
 	prog   *algebra.Program
 	state  *algebra.State
@@ -49,10 +51,10 @@ type compiledDelta struct {
 	// def recomputes Q from scratch (RefreshRecompute).
 	def *compiledAssign
 	// shard is the per-shard [DEL, ADD] pair of a sharded Combined
-	// view, with one persistent state per shard (each shard is
-	// evaluated by at most one worker at a time, and pinning states to
-	// shards keeps a shard's join indexes valid across propagates) plus
-	// one for the merged-fallback plan.
+	// view, with one state per shard (each shard is evaluated by at
+	// most one worker at a time; the join indexes live on the shard's
+	// mirror bags, which only that worker touches while it holds the
+	// shard's locks) plus one for the merged-fallback plan.
 	shard    *algebra.Program
 	shardSt  []*algebra.State
 	mergedSt *algebra.State
@@ -171,7 +173,7 @@ func (m *Manager) evalCompiled(v *View, ca *compiledAssign, parent *trace.Span) 
 	if err != nil {
 		return nil, err
 	}
-	m.observeCompiled(v, parent, dur, stats.IndexProbeTuples)
+	m.observeCompiled(v, parent, dur, stats)
 	return outs, nil
 }
 
@@ -179,13 +181,15 @@ func (m *Manager) evalCompiled(v *View, ca *compiledAssign, parent *trace.Span) 
 // Shard workers do not call this; their coordinator does, post-hoc,
 // with the worker-measured duration (obs writes stay single-threaded
 // per family and workers never touch the tracer).
-func (m *Manager) observeCompiled(v *View, parent *trace.Span, dur time.Duration, probed int64) {
+func (m *Manager) observeCompiled(v *View, parent *trace.Span, dur time.Duration, stats algebra.Stats) {
+	v.Stats.IndexProbeTuples += stats.IndexProbeTuples
+	v.Stats.IndexBuildTuples += stats.IndexBuildTuples
 	if v.met != nil {
 		v.met.compiledEvalNs.Observe(int64(dur))
-		v.met.indexProbeTuples.Add(probed)
+		v.met.indexProbeTuples.Add(stats.IndexProbeTuples)
 	}
 	sp := parent.StartChild(trace.SpanEvalCompiled,
-		trace.Str("view", v.Name), trace.Int("index_probe_tuples", probed))
+		trace.Str("view", v.Name), trace.Int("index_probe_tuples", stats.IndexProbeTuples))
 	sp.EndExplicit(dur)
 }
 

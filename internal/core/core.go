@@ -160,6 +160,10 @@ type ViewStats struct {
 	Recomputes    int
 	LogTuples     int // tuples appended to logs by makesafe
 	DiffTuples    int // tuples folded into differential tables
+	// Work the view's compiled programs did in hash joins (algebra.Stats,
+	// summed): candidate pairs probed, and tuples put into indexes.
+	IndexProbeTuples int64
+	IndexBuildTuples int64
 }
 
 // Manager owns a database plus the registered views and performs all

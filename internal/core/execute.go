@@ -167,20 +167,13 @@ func (m *Manager) Execute(t txn.Txn) error {
 			}
 		}
 		// Base-table updates, in place: R := (R ∸ ∇R) ⊎ △R with the
-		// effective (weakly minimal) deltas.
+		// effective (weakly minimal) deltas. Normalize left no nil bag.
 		for name, u := range nt {
 			tb, err := m.db.Table(name)
 			if err != nil {
 				return err
 			}
-			if u.Delete != nil {
-				u.Delete.Each(func(t schema.Tuple, n int) {
-					tb.Data().Remove(t, n)
-				})
-			}
-			if u.Insert != nil {
-				tb.Data().AddBag(u.Insert)
-			}
+			tb.Data().ApplyDelta(u.Delete, u.Insert)
 		}
 		// Co-partitioned base mirrors (sharded views) receive the same
 		// effective deltas, routed per shard, so each mirror group stays
@@ -280,14 +273,7 @@ func (m *Manager) appendToLogs(v *View, nt txn.Txn) error {
 		if err != nil {
 			return err
 		}
-		del := u.Delete
-		if del == nil {
-			del = bag.New()
-		}
-		ins := u.Insert
-		if ins == nil {
-			ins = bag.New()
-		}
+		del, ins := u.Delete, u.Insert // never nil: nt is normalized
 		if fn, ok := v.logFilterFn[b]; ok {
 			// Relevant-update detection (WithLogFilter): only σ_p of the
 			// change reaches this view's log.
@@ -295,11 +281,8 @@ func (m *Manager) appendToLogs(v *View, nt txn.Txn) error {
 			ins = bag.Select(ins, fn)
 		}
 		x := bag.Monus(del, insLog.Data()) // ∇R ∸ ▲R, against pre-state ▲R
-		del.Each(func(t schema.Tuple, n int) {
-			insLog.Data().Remove(t, n) // ▲R ∸= ∇R (clamped at zero)
-		})
-		insLog.Data().AddBag(ins) // ⊎ △R
-		delLog.Data().AddBag(x)   // ▼R ⊎= x
+		insLog.Data().ApplyDelta(del, ins) // ▲R := (▲R ∸ ∇R) ⊎ △R
+		delLog.Data().AddBag(x)            // ▼R ⊎= x
 	}
 	return nil
 }
@@ -309,10 +292,8 @@ func (m *Manager) appendToLogs(v *View, nt txn.Txn) error {
 // every Figure 3 assignment is the identity).
 func (m *Manager) viewAffected(v *View, t txn.Txn) bool {
 	for _, b := range v.bases {
-		if u, ok := t[b]; ok {
-			if (u.Delete != nil && !u.Delete.Empty()) || (u.Insert != nil && !u.Insert.Empty()) {
-				return true
-			}
+		if u, ok := t[b]; ok && !(u.Delete.Empty() && u.Insert.Empty()) {
+			return true // t is normalized: no nil bag
 		}
 	}
 	return false

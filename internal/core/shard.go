@@ -279,7 +279,7 @@ func planShards(def algebra.Expr) (keyCols map[string]int, viewKey int, ok bool)
 		}
 		return keyCols, -1, true
 	}
-	return planJoinShards(def)
+	return planSPJShards(def)
 }
 
 func hasProduct(e algebra.Expr) bool {
@@ -325,10 +325,10 @@ func pointwiseSafe(e algebra.Expr, top bool) bool {
 	return false
 }
 
-// planJoinShards handles the SPJ case: peel an optional top Π, require
+// planSPJShards handles the SPJ case: peel an optional top Π, require
 // a σ/×/base tree below it, union-find the equality predicates, and
 // look for one class covering every base.
-func planJoinShards(def algebra.Expr) (map[string]int, int, bool) {
+func planSPJShards(def algebra.Expr) (map[string]int, int, bool) {
 	body := def
 	var proj *algebra.Project
 	if p, isP := body.(*algebra.Project); isP {
@@ -480,13 +480,7 @@ func (m *Manager) appendToLogsSharded(v *View, nt txn.Txn) error {
 		if !ok {
 			continue
 		}
-		del, ins := u.Delete, u.Insert
-		if del == nil {
-			del = bag.New()
-		}
-		if ins == nil {
-			ins = bag.New()
-		}
+		del, ins := u.Delete, u.Insert // never nil: nt is normalized
 		if fn, okf := v.logFilterFn[b]; okf {
 			del = bag.Select(del, fn)
 			ins = bag.Select(ins, fn)
@@ -502,10 +496,7 @@ func (m *Manager) appendToLogsSharded(v *View, nt txn.Txn) error {
 			di, ii := delParts[i], insParts[i]
 			err := m.locks.WithWrite([]string{delLog.Name(), insLog.Name()}, func() error {
 				x := bag.Monus(di, insLog.Data()) // ∇R_i ∸ ▲R_i, pre-state
-				di.Each(func(t schema.Tuple, n int) {
-					insLog.Data().Remove(t, n)
-				})
-				insLog.Data().AddBag(ii)
+				insLog.Data().ApplyDelta(di, ii)
 				delLog.Data().AddBag(x)
 				return nil
 			})
@@ -547,24 +538,13 @@ func (m *Manager) updateMirrors(nt txn.Txn) {
 			continue
 		}
 		n := len(g.tables)
-		for i := 0; i < n; i++ {
-			tb := g.tables[i]
-			idx := i
+		dels, inss := bag.Partition(u.Delete, g.keyCol, n), bag.Partition(u.Insert, g.keyCol, n)
+		for i, tb := range g.tables {
+			if dels[i].Empty() && inss[i].Empty() {
+				continue
+			}
 			_ = m.locks.WithWrite([]string{tb.Name()}, func() error {
-				if u.Delete != nil {
-					u.Delete.Each(func(t schema.Tuple, c int) {
-						if bag.ShardOf(t, g.keyCol, n) == idx {
-							tb.Data().Remove(t, c)
-						}
-					})
-				}
-				if u.Insert != nil {
-					u.Insert.Each(func(t schema.Tuple, c int) {
-						if bag.ShardOf(t, g.keyCol, n) == idx {
-							tb.Data().Add(t, c)
-						}
-					})
-				}
+				tb.Data().ApplyDelta(dels[i], inss[i])
 				return nil
 			})
 		}
@@ -575,7 +555,7 @@ func (m *Manager) updateMirrors(nt txn.Txn) {
 
 // shardDelta is one shard's staged evaluation result. compiled marks a
 // compiled-program evaluation; evalDur is the eval-only wall time
-// (excluding lock wait) and probed its index-probe count, both observed
+// (excluding lock wait) and stats its join work counters, both observed
 // post-hoc by the coordinator.
 type shardDelta struct {
 	shard    int
@@ -585,7 +565,7 @@ type shardDelta struct {
 	err      error
 	compiled bool
 	evalDur  time.Duration
-	probed   int64
+	stats    algebra.Stats
 }
 
 // dirtyShards lists the shard indices with a non-empty log slice. An
@@ -720,7 +700,7 @@ func (m *Manager) foldLogSharded(v *View, parent *trace.Span) error {
 			outs, stats, err = cd.shard.Eval(cd.mergedSt, m.mergedSource(v))
 			if err == nil {
 				dur := time.Since(start)
-				m.observeCompiled(v, sp, dur, stats.IndexProbeTuples)
+				m.observeCompiled(v, sp, dur, stats)
 				results = append(results, shardDelta{shard: -1, del: outs[0], add: outs[1], dur: dur})
 			}
 		} else {
@@ -782,7 +762,7 @@ func (m *Manager) foldLogSharded(v *View, parent *trace.Span) error {
 				// Post-hoc, coordinator-side emission of the worker's
 				// compiled-eval metrics and span (workers never touch
 				// the tracer or obs families).
-				m.observeCompiled(v, spans[j], results[j].evalDur, results[j].probed)
+				m.observeCompiled(v, spans[j], results[j].evalDur, results[j].stats)
 			}
 			spans[j].EndExplicit(results[j].dur)
 			if results[j].err != nil {
@@ -834,17 +814,12 @@ func (m *Manager) foldLogSharded(v *View, parent *trace.Span) error {
 		folded := di.Len() + ai.Len()
 		err := m.locks.WithWrite([]string{dd.Name(), da.Name()}, func() error {
 			x := bag.Monus(di, da.Data()) // D_i ∸ △MV_i, pre-state
-			di.Each(func(t schema.Tuple, c int) {
-				da.Data().Remove(t, c)
-			})
-			da.Data().AddBag(ai)
+			da.Data().ApplyDelta(di, ai)
 			dd.Data().AddBag(x)
 			if v.StrongMinimal {
-				cancel := bag.Min(dd.Data(), da.Data())
-				cancel.Each(func(t schema.Tuple, c int) {
-					dd.Data().Remove(t, c)
-					da.Data().Remove(t, c)
-				})
+				cancel, none := bag.Min(dd.Data(), da.Data()), bag.New()
+				dd.Data().ApplyDelta(cancel, none)
+				da.Data().ApplyDelta(cancel, none)
 			}
 			return nil
 		})
@@ -886,22 +861,20 @@ func (m *Manager) evalShard(v *View, shard int, src shardSource, lockNames []str
 	start := time.Now()
 	var d, a *bag.Bag
 	var evalDur time.Duration
-	var probed int64
+	var stats algebra.Stats
 	compiled := false
 	err := m.locks.WithRead(lockNames, func() error {
 		if cd := v.cd; cd != nil && cd.shard != nil {
-			// Compiled path: the shard's pinned state keeps its join
-			// indexes valid across propagates (each shard is evaluated
-			// by at most one worker at a time).
+			// Compiled path: the joins probe the indexes this shard's
+			// mirror bags own (each shard is evaluated by at most one
+			// worker at a time, under the shard's locks).
 			evalStart := time.Now()
-			outs, stats, err := cd.shard.Eval(cd.shardSt[shard], src)
+			outs, st, err := cd.shard.Eval(cd.shardSt[shard], src)
 			evalDur = time.Since(evalStart)
 			if err != nil {
 				return err
 			}
-			d, a = outs[0], outs[1]
-			probed = stats.IndexProbeTuples
-			compiled = true
+			d, a, stats, compiled = outs[0], outs[1], st, true
 			return nil
 		}
 		ev := algebra.NewEvaluator(src)
@@ -913,7 +886,7 @@ func (m *Manager) evalShard(v *View, shard int, src shardSource, lockNames []str
 		return evErr
 	})
 	return shardDelta{shard: shard, del: d, add: a, dur: time.Since(start), err: err,
-		compiled: compiled, evalDur: evalDur, probed: probed}
+		compiled: compiled, evalDur: evalDur, stats: stats}
 }
 
 // clearLogShard empties both log slices of (base, shard) under the

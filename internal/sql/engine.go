@@ -360,15 +360,31 @@ func (e *Engine) evalUnderViewLocks(expr algebra.Expr) (*bag.Bag, error) {
 		}
 	}
 	if len(mvs) == 0 {
-		return algebra.Eval(expr, e.db)
+		return e.evalOnce(expr)
 	}
 	var rows *bag.Bag
 	err := e.mgr.Locks().WithReadSpan(mvs, e.mgr.CurrentSpan(), func(*trace.Span) error {
 		var err error
-		rows, err = algebra.Eval(expr, e.db)
+		rows, err = e.evalOnce(expr)
 		return err
 	})
 	return rows, err
+}
+
+// evalOnce evaluates a statement's query through the compiled engine,
+// one-shot (algebra.Program.Eval with no State): it only reads the
+// tables — no index is registered on, no journal switched on for, a
+// live table — so it is safe under the read locks a SELECT holds.
+func (e *Engine) evalOnce(expr algebra.Expr) (*bag.Bag, error) {
+	prog, err := algebra.Compile(expr)
+	if err != nil {
+		return nil, err
+	}
+	outs, _, err := prog.Eval(nil, e.db)
+	if err != nil {
+		return nil, err
+	}
+	return outs[0], nil
 }
 
 // queryResolver resolves external tables and views (a view reads its MV
@@ -445,7 +461,7 @@ func (e *Engine) execDelete(s *DeleteStmt) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		matching, err = algebra.Eval(sel, e.db)
+		matching, err = e.evalOnce(sel)
 		if err != nil {
 			return nil, err
 		}

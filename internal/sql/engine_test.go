@@ -279,3 +279,47 @@ func TestEngineInsertNullValidation(t *testing.T) {
 	}
 	_ = schema.TNull
 }
+
+// TestReadsOnlyReadTables checks SELECT (joins, a view's MV, aggregates)
+// and DELETE's matching set evaluate one-shot: they may run under read
+// locks, so they must not register an index on, or switch on the
+// journal of, any table — only maintenance does.
+func TestReadsOnlyReadTables(t *testing.T) {
+	e := newRetailEngine(t, "DEFERRED COMBINED")
+	indexed := func() int {
+		n := 0
+		for _, name := range e.DB().Names() {
+			b, _ := e.DB().Bag(name)
+			n += len(b.Indexes())
+		}
+		return n
+	}
+	for _, q := range []string{
+		"SELECT c.name, s.itemNo FROM customer c, sales s WHERE c.custId = s.custId AND s.quantity != 0",
+		"SELECT h.itemNo FROM hv h, sales s WHERE h.custId = s.custId",
+		"SELECT custId, COUNT(*) FROM hv GROUP BY custId",
+		"SELECT * FROM sales EXCEPT SELECT * FROM sales WHERE quantity = 0",
+		"DELETE FROM sales WHERE custId = 2",
+	} {
+		if _, err := e.Exec(q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if n := indexed(); n != 0 {
+			t.Fatalf("%s left %d table indexes behind", q, n)
+		}
+	}
+	r, err := e.Exec("SELECT itemNo FROM hv WHERE custId = 1")
+	if err != nil || r.Rows.Len() != 1 {
+		t.Fatalf("point select on hv = %v, %v", r, err)
+	}
+	// Maintenance is the single writer: it may.
+	if _, err := e.Exec("INSERT INTO sales VALUES (3, 99, 7, 2.00)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Exec("REFRESH hv"); err != nil {
+		t.Fatal(err)
+	}
+	if indexed() == 0 {
+		t.Fatal("REFRESH joined the log against customer without the table's index")
+	}
+}

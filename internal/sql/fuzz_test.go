@@ -56,8 +56,9 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
-// FuzzEngineExec runs fuzzed statements against a live engine: no input
-// may panic or corrupt the maintenance invariants.
+// FuzzEngineExec runs fuzzed scripts against a live engine with a
+// SQL-defined COMBINED view: no input may panic or corrupt the
+// maintenance invariants.
 func FuzzEngineExec(f *testing.F) {
 	seeds := []string{
 		"INSERT INTO sales VALUES (1, 2, 3, 4.0)",
@@ -68,6 +69,8 @@ func FuzzEngineExec(f *testing.F) {
 		"DROP VIEW hv",
 		"INSERT INTO sales VALUES ('wrong', 'types', 1, 2)",
 		"SELECT SUM(quantity) FROM sales s GROUP BY itemNo",
+		"INSERT INTO sales VALUES (1, 2, 3, 4.0), (2, 2, 0, 1.5); PROPAGATE hv; DELETE FROM sales WHERE itemNo = 1; " +
+			"DELETE FROM customer WHERE custId = 1; PROPAGATE hv; SELECT itemNo FROM hv WHERE custId = 1; REFRESH hv",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -86,7 +89,7 @@ func FuzzEngineExec(f *testing.F) {
 		if _, err := e.ExecScript(setup); err != nil {
 			t.Fatal(err)
 		}
-		_, _ = e.Exec(input) // errors fine; panics are not
+		_, _ = e.ExecScript(input) // a script, so writes and maintenance can interleave; errors fine, panics are not
 		// Whatever happened, the view invariant must survive (unless the
 		// statement legitimately dropped the view).
 		if _, err := e.Manager().View("hv"); err == nil {

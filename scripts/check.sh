@@ -58,5 +58,9 @@ echo "== fuzz (bounded)"
 go test ./internal/algebra -run '^$' -fuzz '^FuzzExprParseEval$' -fuzztime=10s
 go test ./internal/algebra -run '^$' -fuzz '^FuzzCompiledEval$' -fuzztime=10s
 go test ./internal/bag -run '^$' -fuzz '^FuzzBagOps$' -fuzztime=10s
+go test ./internal/sql -run '^$' -fuzz '^FuzzParse$' -fuzztime=10s
+# The one fuzzer that maintains a SQL-defined COMBINED view (PROPAGATE /
+# REFRESH + CHECK INVARIANT) — the path whose plan comes from sql.compile.
+go test ./internal/sql -run '^$' -fuzz '^FuzzEngineExec$' -fuzztime=10s
 
 echo "check.sh: all gates passed"
