@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint lint-json doccheck check fuzz benchdiff bench-shards profile
+.PHONY: build test lint lint-json doccheck check fuzz benchdiff bench-shards profile pair
 
 build:
 	$(GO) build ./...
@@ -49,6 +49,14 @@ bench-shards:
 # SHARDS=8 make profile changes the shard count.
 profile:
 	./scripts/profile.sh
+
+# The paired-run protocol behind a performance claim: N (default 10)
+# alternating runs of the perf benchmark at PARENT and in the working
+# tree per workload, medians with quartiles, pairs won, PASS by the 9/10
+# + IQR rule. About a minute per pair; not part of `make check`.
+#   make pair PARENT=HEAD~1 [N=10] [WORKLOADS="multiview_writes sql_day"] [PAIRFLAGS="-trace 1"]
+pair:
+	./scripts/pair.sh $(PAIRFLAGS) $(PARENT) $(or $(N),10) $(WORKLOADS)
 
 fuzz:
 	$(GO) test ./internal/algebra -run '^$$' -fuzz '^FuzzExprParseEval$$' -fuzztime=30s

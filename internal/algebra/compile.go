@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"errors"
 	"fmt"
 
 	"dvm/internal/bag"
@@ -15,14 +16,29 @@ import (
 //
 //   - resolves column positions, bound predicates, and equi-join
 //     columns once, at compile time, instead of per evaluation;
-//   - fuses σ(L × R) into a hash join and Π(σ(E)) into a single pass;
+//   - fuses σ_p(L × R) into one call of the join kernel (bag.Join), with
+//     p split here, once, by the side its conjuncts read: the probe
+//     side's run on the probe tuple before the index lookup, the indexed
+//     side's on the bucket entry, the rest on a scratch row, and only a
+//     pair that passes all three is materialized. The next candidate
+//     overwrites the scratch row, so a bound predicate must never retain
+//     its argument (closure-purity holds compiled closures to that);
+//   - fuses Π(σ_p(L × R)), where the Π is the join's only parent, into
+//     the same call — the kernel emits the projected tuples: no wide
+//     tuple, no composed key, no intermediate join bag — and Π(σ(E))
+//     over any other E into a single pass;
 //   - replaces the per-call memo map with slot-indexed DAG-node result
 //     caching (plain slice loads, no interface-keyed map);
+//   - hands a root over uncloned when the evaluation built its bag and
+//     nothing else refers to it (fresh); roots that can alias storage, a
+//     literal or another slot are cloned;
 //   - joins against a base table through that table's own hash index
 //     (bag.IndexOn): one index per table and column set, shared by every
 //     term, program and view, and caught up from the bag's mutation
 //     journal, so a propagate probes it with only the delta-sized side
-//     and never rebuilds it from the full table.
+//     and never rebuilds it from the full table;
+//   - evaluates one-shot (Eval with a nil State) by reading alone — how
+//     core materializes a view at DefineView and recomputes it.
 //
 // The interpreter remains the semantic oracle: Program results must be
 // Eval results, bag-for-bag (asserted by compile_test.go and
@@ -30,9 +46,10 @@ import (
 
 // Stats reports work counters from one Program evaluation.
 type Stats struct {
-	// IndexProbeTuples counts candidate pairs examined by indexed hash
-	// joins — the work actually done where a nested-loop rescan would
-	// have paid |L|·|R|.
+	// IndexProbeTuples counts candidate pairs examined by joins: the
+	// index-bucket entries of the probe tuples that passed their own
+	// side's conjuncts — the work actually done where a nested-loop
+	// rescan would have paid |L|·|R|.
 	IndexProbeTuples int64
 	// IndexBuildTuples counts tuples put into join indexes: a table's
 	// index catching up with its journal (delta-sized after the first
@@ -47,6 +64,8 @@ type Stats struct {
 type Program struct {
 	nodes []cnode
 	roots []int
+	// owned marks the roots Eval hands over instead of cloning (fresh).
+	owned []bool
 }
 
 // cnode computes one DAG node's value in a given evaluation state.
@@ -104,7 +123,11 @@ func (p *Program) Eval(st *State, src Source) ([]*bag.Bag, Stats, error) {
 			st.src = nil
 			return nil, Stats{}, err
 		}
-		out[i] = b.Clone()
+		if p.owned[i] {
+			out[i], st.slots[slot] = b, nil
+		} else {
+			out[i] = b.Clone()
+		}
 	}
 	stats := Stats{IndexProbeTuples: st.probed, IndexBuildTuples: st.built}
 	st.src = nil
@@ -160,6 +183,7 @@ func Compile(roots ...Expr) (*Program, error) {
 			return nil, err
 		}
 		c.p.roots = append(c.p.roots, slot)
+		c.p.owned = append(c.p.owned, c.fresh(r))
 	}
 	return c.p, nil
 }
@@ -199,6 +223,28 @@ func (c *compiler) countRefs(e Expr) {
 		c.countRefs(n.L)
 		c.countRefs(n.R)
 	}
+}
+
+// fresh reports whether root e's bag is the caller's alone: e is referred
+// to once, down through any renamings (ρ(E) is E's bag), and bottoms at a
+// node that builds a new bag every time. Tables and literals are storage,
+// ⊎ and ∸ return an operand when the other is empty, and a shared node's
+// bag sits in a slot other nodes read.
+func (c *compiler) fresh(e Expr) bool {
+	for c.refs[e] == 1 {
+		switch n := e.(type) {
+		case *Select, *DupElim, *Product:
+			return true
+		case *Project:
+			if !n.rename {
+				return true
+			}
+			e = n.Child
+		default:
+			return false
+		}
+	}
+	return false
 }
 
 // compile returns the slot computing e, emitting its closure (and its
@@ -242,7 +288,7 @@ func (c *compiler) emit(e Expr) (cnode, error) {
 
 	case *Select:
 		if prod, ok := n.Child.(*Product); ok && c.refs[prod] == 1 {
-			return c.emitJoin(n, prod)
+			return c.emitJoin(n, prod, nil)
 		}
 		bound := n.bound
 		return c.unary(n.Child, func(b *bag.Bag) *bag.Bag { return bag.Select(b, bound) })
@@ -250,9 +296,11 @@ func (c *compiler) emit(e Expr) (cnode, error) {
 	case *Project:
 		pos := n.positions
 		// Fuse Π(σ(E)) into one pass when the select has no other
-		// parent (a shared select keeps its own cached slot).
+		// parent (a shared select keeps its own cached slot): a join
+		// that emits projected tuples when E is a product, a filtering
+		// projection otherwise.
 		if sel, ok := n.Child.(*Select); ok && c.refs[sel] == 1 {
-			if _, isProd := sel.Child.(*Product); !isProd {
+			if prod, isProd := sel.Child.(*Product); !isProd {
 				bound := sel.bound
 				return c.unary(sel.Child, func(b *bag.Bag) *bag.Bag {
 					out := bag.New()
@@ -263,6 +311,8 @@ func (c *compiler) emit(e Expr) (cnode, error) {
 					})
 					return out
 				})
+			} else if c.refs[prod] == 1 {
+				return c.emitJoin(sel, prod, pos)
 			}
 		}
 		return c.unary(n.Child, func(b *bag.Bag) *bag.Bag {
@@ -305,43 +355,60 @@ func (c *compiler) emit(e Expr) (cnode, error) {
 	return nil, fmt.Errorf("algebra: compile: unknown node %T", e)
 }
 
-// emitJoin lowers σ_p(L × R) into a hash join. The equi-join columns are
-// resolved once here; the full predicate is still re-applied to every
-// joined tuple, so residual conjuncts need no special handling. A side
-// that is a base table (under any renaming) is probed through the
-// table's own index — the larger table's when both sides are: across
-// propagates that is the stable base and the other side the delta.
-// One-shot evaluations and joins of two derived operands index the
-// smaller side for the duration of the join.
-func (c *compiler) emitJoin(s *Select, prod *Product) (cnode, error) {
-	bound := s.bound
-	lpos, rpos := joinColumns(s.Pred, prod.L.Schema(), prod.R.Schema())
+// emitJoin lowers σ_p(L × R), under Π_project when project is not nil,
+// into one bag.Join. The predicate is taken apart here, once: its
+// cross-side equalities become the join columns (and stay among the
+// cross conjuncts — an index key only narrows the candidates), and its
+// conjuncts are bound to the schema of the one side they read, so the
+// kernel rejects a probe tuple before the lookup and a bucket entry
+// before any row exists. A side that is a base table (under any
+// renaming) is probed through the table's own index — the larger
+// table's when both sides are: across propagates that is the stable
+// base and the other side the delta. One-shot evaluations, joins of two
+// derived operands and joins with no column to key on index the smaller
+// side for the duration of the join.
+func (c *compiler) emitJoin(s *Select, prod *Product, project []int) (cnode, error) {
+	lpos, rpos := joinColumns(s.Pred, prod)
 	lBase, rBase := isBase(prod.L), isBase(prod.R)
+	left, right, cross := splitConjuncts(s.Pred, prod)
+	join := &bag.Join{Project: project}
+	var errs [3]error
+	join.Left, errs[0] = bindAll(left, prod.L.Schema())
+	join.Right, errs[1] = bindAll(right, prod.R.Schema())
+	join.Cross, errs[2] = bindAll(cross, prod.sch)
+	if err := errors.Join(errs[:]...); err != nil {
+		return nil, err
+	}
 	return c.binary(prod.L, prod.R, func(st *State, l, r *bag.Bag) *bag.Bag {
 		var out *bag.Bag
 		var probed, built int
 		switch {
 		case l.Empty() || r.Empty():
 			return bag.New()
-		case len(lpos) == 0:
-			// No cross-side equality to key an index on: filtered
-			// nested-loop product, exactly as the interpreter.
-			return bag.ProductSelect(l, r, bound)
-		case st.oneShot || !(lBase || rBase):
-			out, probed, built = bag.HashJoin(l, lpos, r, rpos, bound)
+		case st.oneShot || len(lpos) == 0 || !(lBase || rBase):
+			out, probed, built = join.Hash(l, lpos, r, rpos)
 		case lBase && (!rBase || l.Distinct() >= r.Distinct()):
 			var ix *bag.Index
 			ix, built = l.IndexOn(lpos)
-			out, probed = bag.JoinIndexed(r, rpos, ix, true, bound)
+			out, probed = join.Indexed(r, rpos, ix, true)
 		default:
 			var ix *bag.Index
 			ix, built = r.IndexOn(rpos)
-			out, probed = bag.JoinIndexed(l, lpos, ix, false, bound)
+			out, probed = join.Indexed(l, lpos, ix, false)
 		}
 		st.probed += int64(probed)
 		st.built += int64(built)
 		return out
 	})
+}
+
+// bindAll binds the conjunction of conjuncts against sch; none at all is
+// nil, the kernel's TRUE.
+func bindAll(conjuncts []Predicate, sch *schema.Schema) (func(schema.Tuple) bool, error) {
+	if len(conjuncts) == 0 {
+		return nil, nil
+	}
+	return AndOf(conjuncts...).Bind(sch)
 }
 
 // unary compiles child and returns the node that applies op to its value.

@@ -398,3 +398,158 @@ func TestTableIndexSharedAndOneShotReadOnly(t *testing.T) {
 		t.Fatal("the smaller base side was indexed too")
 	}
 }
+
+// TestEvalHandsOverOnlyWhatItOwns is the proof behind the root
+// hand-over: Eval returns a root's bag uncloned only when nothing else
+// can reach it. Every program here has a root that could be handed over
+// next to one that must not be — the same node twice, under a renaming,
+// as another root's child, a bare table, a literal, a ⊎ with an empty
+// side — and after every evaluation each returned bag is mutated: the
+// other roots, the tables and the next evaluation (same State) must not
+// notice, and every root must still be what the interpreter says.
+func TestEvalHandsOverOnlyWhatItOwns(t *testing.T) {
+	uni := NewRandomUniverse(3)
+	r := rand.New(rand.NewSource(18))
+	must := func(e Expr, err error) Expr {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	for i := 0; i < 150; i++ {
+		e := uni.RandomQuery(r, 3)
+		sel := must(NewSelect(uni.randomPredicate(r), e)) // always a fresh bag
+		base := NewBase(uni.Tables[0], uni.Sch)
+		programs := [][]Expr{
+			{sel},
+			{sel, sel},
+			{Qualified(sel, "q"), sel},
+			{Qualified(Qualified(sel, "q"), "p")},
+			{sel, NewDupElim(sel)},
+			{e, base, Qualified(base, "q"), must(NewUnionAll(sel, Empty(uni.Sch)))},
+			{NewProduct(e, base), must(NewMonus(sel, Empty(uni.Sch))), e},
+		}
+		for _, roots := range programs {
+			prog, err := Compile(roots...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := uni.RandomState(r)
+			snap := MapSource{}
+			for name, b := range st {
+				snap[name] = b.Clone()
+			}
+			ps := prog.NewState()
+			for pass := 0; pass < 2; pass++ {
+				outs, _, err := prog.Eval(ps, st)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k, out := range outs {
+					want, err := Eval(roots[k], st)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !out.Equal(want) {
+						t.Fatalf("pass %d: root %d of %v = %s, interpreter says %s", pass, k, roots, out, want)
+					}
+					out.Add(schema.Row(99, 99), 5)
+					out.ApplyDelta(want, bag.New())
+				}
+				for name, b := range st {
+					if !b.Equal(snap[name]) {
+						t.Fatalf("mutating the roots of %v changed table %s", roots, name)
+					}
+				}
+			}
+		}
+	}
+
+	sel := must(NewSelect(True, NewBase("R0", uni.Sch)))
+	union := must(NewUnionAll(sel, Empty(uni.Sch)))
+	for _, c := range []struct {
+		roots []Expr
+		owned []bool
+	}{
+		{[]Expr{sel}, []bool{true}},
+		{[]Expr{Qualified(sel, "q")}, []bool{true}},
+		{[]Expr{NewDupElim(sel), NewProduct(sel, sel)}, []bool{true, true}},
+		{[]Expr{sel, sel}, []bool{false, false}},
+		{[]Expr{sel, Qualified(sel, "q")}, []bool{false, false}},
+		{[]Expr{sel, NewDupElim(sel)}, []bool{false, true}},
+		{[]Expr{NewBase("R0", uni.Sch), Empty(uni.Sch), union}, []bool{false, false, false}},
+	} {
+		prog, err := Compile(c.roots...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, want := range c.owned {
+			if prog.owned[k] != want {
+				t.Errorf("root %d of %v: handed over = %v, want %v", k, c.roots, prog.owned[k], want)
+			}
+		}
+	}
+}
+
+// TestJoinSplitsPredicateByProductSchema pins where a join predicate's
+// names are resolved: in the product's schema. With only the left side
+// qualified, "a" is the right side's column in the product although the
+// left schema on its own would resolve it to "l.a" — so "a = l.b" is a
+// cross-side equality (and the hash key), "a = a" reads the right side
+// alone, and neither may be evaluated on the left tuple. Raw, optimized,
+// compiled (fused under the Π and not) and interpreted must all equal
+// the nested loop over positions.
+func TestJoinSplitsPredicateByProductSchema(t *testing.T) {
+	uni := NewRandomUniverse(2)
+	r := rand.New(rand.NewSource(19))
+	l, rt := Qualified(NewBase("R0", uni.Sch), "l"), NewBase("R1", uni.Sch)
+	prod := NewProduct(l, rt) // (l.a, l.b, a, b)
+	for _, c := range []struct {
+		pred  Predicate
+		want  func(schema.Tuple) bool
+		sides [3]int // conjuncts that go left, right, stay
+	}{
+		{Eq(A("a"), A("l.b")), func(t schema.Tuple) bool { return t[2].Equal(t[1]) }, [3]int{0, 0, 1}},
+		{Eq(A("a"), A("a")), func(schema.Tuple) bool { return true }, [3]int{0, 1, 0}},
+		{AndOf(Eq(A("l.a"), A("b")), Lt(A("a"), C(2)), Gt(A("l.b"), C(0)), OrOf(Eq(A("a"), C(1)), Eq(A("l.a"), C(1))), Eq(C(1), C(1))),
+			func(t schema.Tuple) bool {
+				return t[0].Equal(t[3]) && t[2].Compare(schema.Int(2)) < 0 && t[1].Compare(schema.Int(0)) > 0 &&
+					(t[2].Equal(schema.Int(1)) || t[0].Equal(schema.Int(1)))
+			}, [3]int{1, 1, 3}},
+	} {
+		left, right, rest := splitConjuncts(c.pred, prod)
+		if got := [3]int{len(left), len(right), len(rest)}; got != c.sides {
+			t.Errorf("splitConjuncts(%s) = %d left, %d right, %d rest; want %v", c.pred, got[0], got[1], got[2], c.sides)
+		}
+		sel, err := NewSelect(c.pred, prod)
+		if err != nil {
+			t.Fatal(err)
+		}
+		proj, err := NewProject([]string{"b", "l.a", "a"}, nil, sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 20; i++ {
+			st := uni.RandomState(r)
+			joined := bag.ProductSelect(st["R0"], st["R1"], c.want)
+			projected := bag.Project(joined, func(t schema.Tuple) schema.Tuple { return t.Project([]int{3, 0, 2}) })
+			for _, e := range []struct {
+				e    Expr
+				want *bag.Bag
+			}{{sel, joined}, {Optimize(sel), joined}, {proj, projected}, {Optimize(proj), projected}} {
+				if got, err := Eval(e.e, st); err != nil || !got.Equal(e.want) {
+					t.Fatalf("interpreted %s = %s (%v), want %s", e.e, got, err, e.want)
+				}
+				prog, err := Compile(e.e)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, ps := range []*State{nil, prog.NewState()} {
+					if got, _, err := prog.Eval(ps, st); err != nil || !got[0].Equal(e.want) {
+						t.Fatalf("compiled %s = %s (%v), want %s", e.e, got[0], err, e.want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -179,7 +179,7 @@ func (ctx *evalCtx) evalJoin(s *Select, p *Product) (*bag.Bag, error) {
 	if l.Empty() || r.Empty() {
 		return bag.New(), nil
 	}
-	lpos, rpos := joinColumns(s.Pred, p.L.Schema(), p.R.Schema())
+	lpos, rpos := joinColumns(s.Pred, p)
 	if len(lpos) == 0 {
 		return bag.ProductSelect(l, r, s.bound), nil
 	}
@@ -221,25 +221,24 @@ func (ctx *evalCtx) evalJoin(s *Select, p *Product) (*bag.Bag, error) {
 	return out, nil
 }
 
-// joinColumns resolves the equi-join pairs of pred into positions in the
-// left and right schemas. Pairs that do not span both sides are ignored
-// (they are enforced by the residual predicate check).
-func joinColumns(pred Predicate, ls, rs *schema.Schema) (lpos, rpos []int) {
+// joinColumns resolves the equi-join pairs of pred, a predicate over
+// prod, into positions in prod's left and right schemas. Names resolve
+// in the product's schema, where pred is bound — one side's schema alone
+// can resolve a name the product gives to the other side. Pairs that do
+// not span both sides are ignored (they are enforced by the residual
+// predicate check).
+func joinColumns(pred Predicate, prod *Product) (lpos, rpos []int) {
+	nl := prod.L.Schema().Len()
 	pairs, _ := equiPairs(pred)
 	for _, pr := range pairs {
-		a, b := pr[0], pr[1]
-		if la, err := ls.Lookup(a); err == nil {
-			if rb, err := rs.Lookup(b); err == nil {
-				lpos = append(lpos, la)
-				rpos = append(rpos, rb)
-				continue
-			}
+		a, aerr := prod.sch.Lookup(pr[0])
+		b, berr := prod.sch.Lookup(pr[1])
+		if a > b {
+			a, b = b, a
 		}
-		if lb, err := ls.Lookup(b); err == nil {
-			if ra, err := rs.Lookup(a); err == nil {
-				lpos = append(lpos, lb)
-				rpos = append(rpos, ra)
-			}
+		if aerr == nil && berr == nil && a < nl && b >= nl {
+			lpos = append(lpos, a)
+			rpos = append(rpos, b-nl)
 		}
 	}
 	return lpos, rpos

@@ -67,15 +67,18 @@ func (d *exprDecoder) pred() Predicate {
 	}
 }
 
+// must unwraps a constructor result: the decoder only builds
+// well-formed expressions, so an error is a bug in the decoder.
+func must(e Expr, err error) Expr {
+	if err != nil {
+		panic(err)
+	}
+	return e
+}
+
 func (d *exprDecoder) expr(depth int) Expr {
 	if depth <= 0 || d.pos >= len(d.data) {
 		return d.leaf()
-	}
-	must := func(e Expr, err error) Expr {
-		if err != nil {
-			panic(err)
-		}
-		return e
 	}
 	switch d.next() % 12 {
 	case 0, 1:
@@ -104,8 +107,63 @@ func (d *exprDecoder) expr(depth int) Expr {
 	case 10:
 		return must(ExceptOf(d.expr(depth-1), d.expr(depth-1)))
 	default:
-		return must(NewSelect(d.pred(), d.expr(depth-1)))
+		return d.join(depth)
 	}
+}
+
+// join decodes Π(σ_p(L × R)) — the shape the compiler fuses into one
+// join kernel call — with a conjunction p of up to four conjuncts that
+// read one side, both sides or neither (constants), plain, under OR and
+// under NOT. Qualifying only one side leaves the other's columns plain
+// "a"/"b": names that each side's schema resolves on its own but that
+// mean one particular side in the product.
+func (d *exprDecoder) join(depth int) Expr {
+	l, r := d.expr(depth-1), d.expr(depth-1)
+	switch d.next() % 3 {
+	case 0:
+		l, r = Qualified(l, "l"), Qualified(r, "r")
+	case 1:
+		l = Qualified(l, "l")
+	default:
+		r = Qualified(r, "r")
+	}
+	prod := NewProduct(l, r)
+	var names []string
+	for _, n := range []string{"l.a", "l.b", "r.a", "r.b", "a", "b"} {
+		if _, err := prod.Schema().Lookup(n); err == nil {
+			names = append(names, n)
+		}
+	}
+	name := func() string { return names[int(d.next())%len(names)] }
+	ops := []CmpOp{EQ, NE, LT, LE, GT, GE}
+	cmp := func() Predicate {
+		c := Cmp{Op: ops[int(d.next())%len(ops)], L: A(name()), R: C(int(d.next() % 4))}
+		switch d.next() % 4 {
+		case 0, 1:
+			c.R = A(name())
+			if c.Op != EQ && d.next()%2 == 0 {
+				c.Op = EQ // equalities key the hash join
+			}
+		case 2:
+			c.L = C(int(d.next() % 4))
+		}
+		return c
+	}
+	conjuncts := make([]Predicate, 1+int(d.next()%4))
+	for i := range conjuncts {
+		switch d.next() % 6 {
+		case 0:
+			conjuncts[i] = OrOf(cmp(), cmp())
+		case 1:
+			conjuncts[i] = NotOf(cmp())
+		case 2:
+			conjuncts[i] = BoolLit{Value: d.next()%4 != 0}
+		default:
+			conjuncts[i] = cmp()
+		}
+	}
+	sel := must(NewSelect(AndOf(conjuncts...), prod))
+	return must(NewProject([]string{name(), name()}, []string{"a", "b"}, sel))
 }
 
 // state derives a database instance from the remaining bytes, so the
@@ -222,6 +280,14 @@ func FuzzCompiledEval(f *testing.F) {
 	f.Add([]byte{7, 1, 1, 1, 8, 10, 5, 0, 3, 3, 9, 2, 6, 6})
 	f.Add([]byte{255, 254, 253, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0})
 	f.Add([]byte{3, 0, 1, 2, 5, 3, 3, 1, 2, 2, 2, 0, 0, 0, 1, 1, 0, 2, 2, 1, 3, 1, 0, 0, 2, 1, 1, 5, 3, 2, 2, 6, 1, 1, 2, 0, 7})
+	// Π(σ(R2 × R0)), the fused join kernel's shape. Both sides qualified:
+	// a cross equality, a left-only, a right-only and an OR conjunct.
+	f.Add([]byte{11, 0, 2, 0, 3, 0, 3, 5, 0, 0, 0, 0, 2, 5, 2, 1, 2, 3, 5, 1, 3, 1, 3, 0, 3, 0, 1, 2, 2, 1, 3, 3, 0, 3, 3, 2, 1, 1, 2, 2, 0, 1, 3, 2, 2, 1, 0, 3, 1, 1, 2, 3, 0})
+	// Only the left side qualified, so "a = b" reads the right side
+	// alone; NOT and constant conjuncts.
+	f.Add([]byte{11, 0, 2, 0, 3, 1, 3, 3, 0, 2, 0, 1, 3, 1, 2, 4, 1, 3, 2, 1, 1, 2, 1, 5, 3, 2, 0, 0, 3, 2, 1, 2, 3, 2, 2, 1, 1, 0, 3, 1, 2, 2, 0, 1})
+	// Only the right side qualified, the join under a ∸, a FALSE conjunct.
+	f.Add([]byte{6, 11, 0, 2, 0, 3, 2, 2, 4, 0, 0, 1, 0, 2, 3, 3, 1, 1, 2, 0, 1, 0, 3, 0, 2, 4, 2, 2, 1, 1, 3, 0, 1, 2, 3, 2, 1, 1, 2, 0, 3, 1})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := &exprDecoder{data: data, uni: NewRandomUniverse(3)}

@@ -170,8 +170,8 @@ func (o *optimizer) pushSelect(p Predicate, child Expr) Expr {
 		// Split a conjunction: conjuncts over one side alone commute
 		// with ×; the rest (including equi-join pairs) stays above the
 		// product so the evaluator's hash-join path still sees it.
-		left, right, rest, ok := splitConjuncts(p, n.L.Schema(), n.R.Schema())
-		if !ok || (left == nil && right == nil) {
+		left, right, rest := splitConjuncts(p, n)
+		if left == nil && right == nil {
 			return keep()
 		}
 		l, r := n.L, n.R
@@ -288,28 +288,31 @@ func renameThroughProject(p Predicate, proj *Project) (Predicate, bool) {
 	return pred(p)
 }
 
-// splitConjuncts partitions a conjunction's top-level conjuncts by which
-// product side they bind against: left-only, right-only, and residual
-// (cross-side or unclassifiable). ok is false when p is not analyzable
-// as a conjunction of side-local and residual parts (e.g. a top-level
-// OR — which is simply treated as residual, so ok is false only on
-// surprises).
-func splitConjuncts(p Predicate, ls, rs *schema.Schema) (left, right, rest []Predicate, ok bool) {
+// splitConjuncts partitions the top-level conjuncts of p — a predicate
+// bound against prod's schema — by the side their attributes resolve to
+// there: left-only, right-only, and the rest (cross-side, constant, or an
+// OR over both). The test is a bind against the product schema with one
+// side's columns listed twice: every name resolving to that side is then
+// ambiguous, so the conjunct still binds exactly when it reads only the
+// other side — and then binds against that side's own schema to the same
+// columns. (Asking each side's schema alone is not enough: "a" finds
+// "x.a" in L on its own, yet is R's exact "a" in the product.)
+func splitConjuncts(p Predicate, prod *Product) (left, right, rest []Predicate) {
+	onlyL := prod.sch.Concat(prod.R.Schema())
+	onlyR := prod.L.Schema().Concat(prod.sch)
 	for _, c := range flattenAnd(p) {
-		_, lerr := c.Bind(ls)
-		_, rerr := c.Bind(rs)
+		_, lerr := c.Bind(onlyL)
+		_, rerr := c.Bind(onlyR)
 		switch {
 		case lerr == nil && rerr != nil:
 			left = append(left, c)
 		case rerr == nil && lerr != nil:
 			right = append(right, c)
 		default:
-			// Binds on both (constants-only predicates) or neither
-			// (cross-side): keep above the product.
 			rest = append(rest, c)
 		}
 	}
-	return left, right, rest, true
+	return left, right, rest
 }
 
 // flattenAnd returns the top-level conjuncts of p.

@@ -185,13 +185,15 @@ func distJoin(pred Predicate, l, r Expr) (Expr, error) {
 }
 
 // joinTerm emits one terminal σ_p(l × r) join, folding σ-chains that
-// bottom at a base table into the join's residual predicate. Exact:
-// σ_q(R)'s per-tuple count is R(t)·[q(t)], and q rebinds by column
-// name over the product schema, so filtering after the concat scales
-// every count by the identical factor. The point is that the join then
-// probes the live base bag's own index — which persists and
-// journal-syncs across evaluations — instead of indexing a σ
-// materialization that dies with each one.
+// bottom at a base table into the join's predicate. Exact: σ_q(R)'s
+// per-tuple count is R(t)·[q(t)], and q rebinds by column name over the
+// product schema, so selecting after the product scales every count by
+// the identical factor. That is the algebra; it is not the execution.
+// The point of the fold is that the join then reads the live base bag's
+// own index — which persists and journal-syncs across evaluations —
+// instead of indexing a σ materialization that dies with each one, and
+// emitJoin splits the folded predicate back by side: q still runs on
+// R's tuple alone, before any pair is formed.
 func joinTerm(pred Predicate, l, r Expr) (Expr, error) {
 	l2, lp := peelSelects(l)
 	r2, rp := peelSelects(r)

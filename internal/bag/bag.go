@@ -159,6 +159,7 @@ func (b *Bag) Clear() {
 		// A clear is not representable as journal entries: drop the
 		// window, so free-standing indexes behind it rebuild (cheap — the
 		// bag is now empty), and empty the bag's own indexes in place.
+		clear(x.jour)
 		x.jour = x.jour[:0]
 		for _, ix := range x.owned {
 			clear(ix.m)
@@ -181,6 +182,9 @@ func (b *Bag) journal(k string, t schema.Tuple, d int) {
 			ix.applyAll(x.jour[ix.ver-x.jbase:])
 			ix.ver = b.ver - 1
 		}
+		// Zeroed, not just truncated: the backing array is reused and
+		// would keep rows deleted long ago reachable until overwritten.
+		clear(x.jour)
 		x.jour = x.jour[:0]
 	}
 	if len(x.jour) == 0 {

@@ -167,52 +167,108 @@ func (ix *Index) apply(k string, t schema.Tuple, d int) {
 	}
 }
 
-// JoinIndexed computes σ_pred(probe × indexed) (or indexed × probe when
-// buildLeft is true) by probing ix with each distinct tuple of probe,
-// keyed on probePos. pred is re-applied to every joined tuple, so the
-// index key only needs to cover an equality subset of the predicate.
-// It returns the join result plus the number of candidate pairs probed —
-// the work actually done, as opposed to the |a|·|b| a rescan would pay.
-func JoinIndexed(probe *Bag, probePos []int, ix *Index, buildLeft bool, pred func(schema.Tuple) bool) (*Bag, int) {
-	out := New()
-	probed := 0
-	buf := ix.buf
+// Join is one σ_p(L × R), optionally under a Π, in compiled form: p's
+// conjuncts split by the side they read, and the output's shape. Left
+// and Right are given one operand's tuple, Cross the concatenated row;
+// nil stands for TRUE. A predicate must not retain its argument: Cross
+// sees a scratch row that the next candidate overwrites. Project lists
+// the positions of the concatenated row the output keeps (the Π above
+// the join); nil keeps the whole row.
+type Join struct {
+	Left, Right, Cross func(schema.Tuple) bool
+	Project            []int
+}
+
+// Indexed joins probe with the bag ix describes — L when buildLeft is
+// true, R otherwise — looking each distinct probe tuple up in ix under
+// its probePos columns. It filters before it allocates: the probe side's
+// conjuncts run before the lookup, the indexed side's on the bucket
+// entry, Cross on a scratch row, and only a survivor is materialized,
+// once, in its final shape. Unprojected, it takes the scratch row over
+// and its key is composed from the halves' keys; projected, its key is
+// encoded into a reused buffer and a tuple is made only if the output
+// does not hold that key yet. probed counts the bucket entries examined
+// — the work done, where a rescan would pay |L|·|R|.
+func (j *Join) Indexed(probe *Bag, probePos []int, ix *Index, buildLeft bool) (out *Bag, probed int) {
+	probePred, buildPred, cross, project := j.Left, j.Right, j.Cross, j.Project
+	if buildLeft {
+		probePred, buildPred = buildPred, probePred
+	}
+	out = New()
+	// Scratch row and key buffer belong to this call, never to the index:
+	// shard workers and readers run joins side by side.
+	var row schema.Tuple
+	var kb [128]byte
+	buf := kb[:0]
 	for kp, ep := range probe.m {
+		if probePred != nil && !probePred(ep.tuple) {
+			continue
+		}
 		buf = ep.tuple.AppendKeyAt(buf[:0], probePos)
 		for _, eb := range ix.m[string(buf)] {
 			probed++
+			if buildPred != nil && !buildPred(eb.Tuple) {
+				continue
+			}
+			if row == nil {
+				row = make(schema.Tuple, len(ep.tuple)+len(eb.Tuple))
+			}
+			lt, rt := ep.tuple, eb.Tuple
+			if buildLeft {
+				lt, rt = rt, lt
+			}
+			copy(row, lt)
+			copy(row[len(lt):], rt)
+			if cross != nil && !cross(row) {
+				continue
+			}
+			n := ep.count * eb.Count
+			if project != nil {
+				buf = row.AppendKeyAt(buf[:0], project)
+				e, ok := out.m[string(buf)]
+				if !ok {
+					e.tuple = row.Project(project)
+				}
+				e.count += n
+				out.m[string(buf)] = e
+				out.size += n
+				continue
+			}
 			// A concat tuple's canonical key is the concatenation of its
 			// halves' keys (per-value self-delimiting encoding), so the
 			// output key is composed, never re-encoded.
-			var joined schema.Tuple
-			var key string
 			if buildLeft {
-				joined = eb.Tuple.Concat(ep.tuple)
-				key = eb.Key + kp
+				out.addKeyed(eb.Key+kp, row, n)
 			} else {
-				joined = ep.tuple.Concat(eb.Tuple)
-				key = kp + eb.Key
+				out.addKeyed(kp+eb.Key, row, n)
 			}
-			if pred(joined) {
-				out.addKeyed(key, joined, ep.count*eb.Count)
-			}
+			row = nil // the output owns it now
 		}
 	}
-	ix.buf = buf
 	return out, probed
 }
 
-// HashJoin computes σ_pred(l × r) for an equi-join on lpos = rpos with a
-// throw-away index on the smaller side. It only reads its operands — no
-// journal is switched on, no index registered — so it suits a one-off
-// evaluation, a caller holding only read locks, and operands that will
-// not outlive the call. built is the number of tuples indexed, probed
-// as in JoinIndexed.
-func HashJoin(l *Bag, lpos []int, r *Bag, rpos []int, pred func(schema.Tuple) bool) (out *Bag, probed, built int) {
+// Hash joins l and r, equal on lpos = rpos, with a throw-away index on
+// the smaller side — every tuple of it is a candidate when there is no
+// column to key on. It only reads its operands (no journal switched on,
+// no index registered), so it suits a one-off evaluation and a caller
+// holding only read locks. built is the number of tuples indexed.
+func (j *Join) Hash(l *Bag, lpos []int, r *Bag, rpos []int) (out *Bag, probed, built int) {
 	if len(l.m) <= len(r.m) {
-		out, probed = JoinIndexed(r, rpos, newIndex(l, lpos, false), true, pred)
+		out, probed = j.Indexed(r, rpos, newIndex(l, lpos, false), true)
 		return out, probed, len(l.m)
 	}
-	out, probed = JoinIndexed(l, lpos, newIndex(r, rpos, false), false, pred)
+	out, probed = j.Indexed(l, lpos, newIndex(r, rpos, false), false)
 	return out, probed, len(r.m)
+}
+
+// JoinIndexed is Join.Indexed for a predicate that has not been split:
+// pred sees every candidate's concatenated row.
+func JoinIndexed(probe *Bag, probePos []int, ix *Index, buildLeft bool, pred func(schema.Tuple) bool) (*Bag, int) {
+	return (&Join{Cross: pred}).Indexed(probe, probePos, ix, buildLeft)
+}
+
+// HashJoin is Join.Hash for a predicate that has not been split.
+func HashJoin(l *Bag, lpos []int, r *Bag, rpos []int, pred func(schema.Tuple) bool) (out *Bag, probed, built int) {
+	return (&Join{Cross: pred}).Hash(l, lpos, r, rpos)
 }

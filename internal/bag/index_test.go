@@ -136,7 +136,9 @@ func TestIndexSyncIndependentOfBucketSize(t *testing.T) {
 		return ix.steps
 	}
 	small, large := stepsFor(20), stepsFor(20000)
-	if small != large {
+	// The first removal saves its swap step when map order happened to
+	// build that entry into the bucket's last slot: 1 in 20 vs 1 in 20000.
+	if d := small - large; d < -1 || d > 1 {
 		t.Fatalf("1000 changes touched %d bucket entries in a 20-entry bucket but %d in a 20000-entry one", small, large)
 	}
 	if large > 2*changes {

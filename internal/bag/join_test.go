@@ -1,0 +1,234 @@
+package bag
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"dvm/internal/schema"
+)
+
+// conjunct is one conjunct of a join predicate over L(k, x) × R(k, y):
+// side 0 reads only L's column col, side 1 only R's, side 2 reads the
+// whole concatenated row (and ignores col).
+type conjunct struct {
+	side, col int
+	val       func(schema.Value) bool
+	row       func(schema.Tuple) bool
+}
+
+// onRow is the conjunct over the concatenated row, whatever its side.
+func (c conjunct) onRow(lw int) func(schema.Tuple) bool {
+	switch c.side {
+	case 0:
+		return func(t schema.Tuple) bool { return c.val(t[c.col]) }
+	case 1:
+		return func(t schema.Tuple) bool { return c.val(t[lw+c.col]) }
+	}
+	return c.row
+}
+
+func allOf(fs []func(schema.Tuple) bool) func(schema.Tuple) bool {
+	if len(fs) == 0 {
+		return nil
+	}
+	return func(t schema.Tuple) bool {
+		for _, f := range fs {
+			if !f(t) {
+				return false
+			}
+		}
+		return true
+	}
+}
+
+// joinOperand draws a bag of (k, v) rows over a tiny domain: repeated
+// rows, multiplicities above one, NULLs in both columns, and keys that
+// are INT in one row and the equal FLOAT in another (they share a key
+// encoding, so they must meet in the index).
+func joinOperand(r *rand.Rand, n int) *Bag {
+	val := func() any {
+		switch v := r.Intn(4); r.Intn(6) {
+		case 0:
+			return nil
+		case 1:
+			return float64(v)
+		default:
+			return v
+		}
+	}
+	b := New()
+	for i := 0; i < n; i++ {
+		b.Add(row(val(), val()), 1+r.Intn(3))
+	}
+	return b
+}
+
+// TestJoinKernelMatchesOracle holds the kernel to the nested-loop join:
+// for random operands, every way of handing a conjunction's one-sided
+// conjuncts to Left/Right or leaving them in Cross, with and without a
+// projection (one that merges distinct join rows included), the indexed
+// join in both orientations and the throw-away hash join all equal
+// Project(ProductSelect(l, r, pred)), and none examines more bucket
+// entries than JoinIndexed does with the predicate unsplit.
+func TestJoinKernelMatchesOracle(t *testing.T) {
+	const lw = 2
+	conjuncts := []conjunct{
+		{side: 0, col: 1, val: func(v schema.Value) bool { return !v.IsNull() }},
+		{side: 0, col: 1, val: func(v schema.Value) bool { return v.Compare(schema.Int(3)) < 0 }},
+		{side: 1, col: 1, val: func(v schema.Value) bool { return v.Compare(schema.Int(1)) != 0 }},
+		{side: 1, col: 0, val: func(v schema.Value) bool { return v.Compare(schema.Int(0)) >= 0 }},
+		{side: 2, row: func(t schema.Tuple) bool { return t[0].Equal(t[lw]) }},
+		{side: 2, row: func(t schema.Tuple) bool { return t[1].Compare(t[lw+1]) <= 0 || t[1].IsNull() }},
+	}
+	var full []func(schema.Tuple) bool
+	oneSided := 0
+	for _, c := range conjuncts {
+		full = append(full, c.onRow(lw))
+		if c.side < 2 {
+			oneSided++
+		}
+	}
+	pred := allOf(full)
+	projections := [][]int{nil, {0, 1, 3}, {1}, {3, 3, 0}}
+
+	r := rand.New(rand.NewSource(18))
+	for trial := 0; trial < 60; trial++ {
+		l, rt := joinOperand(r, r.Intn(14)), joinOperand(r, r.Intn(14))
+		if trial%10 == 0 {
+			l = New() // an empty side, each way round
+		} else if trial%10 == 1 {
+			rt = New()
+		}
+		joined := ProductSelect(l, rt, pred)
+		ixL, ixR := NewIndex(l, []int{0}), NewIndex(rt, []int{0})
+		_, unsplitL := JoinIndexed(rt, []int{0}, ixL, true, pred)
+		_, unsplitR := JoinIndexed(l, []int{0}, ixR, false, pred)
+
+		for _, proj := range projections {
+			want := joined
+			if proj != nil {
+				want = Project(joined, func(tu schema.Tuple) schema.Tuple { return tu.Project(proj) })
+			}
+			// Bit i of split set: the i-th one-sided conjunct goes to its
+			// side's filter; clear: it stays in Cross.
+			for split := 0; split < 1<<oneSided; split++ {
+				var left, right, cross []func(schema.Tuple) bool
+				bit := 0
+				for _, c := range conjuncts {
+					pushed := c.side < 2 && split&(1<<bit) != 0
+					if c.side < 2 {
+						bit++
+					}
+					switch {
+					case pushed && c.side == 0:
+						c := c
+						left = append(left, func(tu schema.Tuple) bool { return c.val(tu[c.col]) })
+					case pushed:
+						c := c
+						right = append(right, func(tu schema.Tuple) bool { return c.val(tu[c.col]) })
+					default:
+						cross = append(cross, c.onRow(lw))
+					}
+				}
+				j := &Join{Left: allOf(left), Right: allOf(right), Cross: allOf(cross), Project: proj}
+				name := fmt.Sprintf("trial %d proj %v split %b", trial, proj, split)
+
+				got, probed := j.Indexed(rt, []int{0}, ixL, true)
+				if !got.Equal(want) {
+					t.Fatalf("%s, build left: got %v want %v", name, got, want)
+				}
+				if probed > unsplitL {
+					t.Fatalf("%s, build left: probed %d > unsplit %d", name, probed, unsplitL)
+				}
+				got, probed = j.Indexed(l, []int{0}, ixR, false)
+				if !got.Equal(want) {
+					t.Fatalf("%s, build right: got %v want %v", name, got, want)
+				}
+				if probed > unsplitR {
+					t.Fatalf("%s, build right: probed %d > unsplit %d", name, probed, unsplitR)
+				}
+				got, probed, built := j.Hash(l, []int{0}, rt, []int{0})
+				if !got.Equal(want) {
+					t.Fatalf("%s, hash: got %v want %v", name, got, want)
+				}
+				if probed > max(unsplitL, unsplitR) || built != min(l.Distinct(), rt.Distinct()) {
+					t.Fatalf("%s, hash: probed %d built %d", name, probed, built)
+				}
+				own, _ := l.IndexOn([]int{0})
+				if got, _ = j.Indexed(rt, []int{0}, own, true); !got.Equal(want) {
+					t.Fatalf("%s, IndexOn: got %v want %v", name, got, want)
+				}
+				// No column to key on: every pair is a candidate.
+				if got, _, _ = j.Hash(l, nil, rt, nil); !got.Equal(want) {
+					t.Fatalf("%s, keyless hash: got %v want %v", name, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestJoinKernelFiltersBeforeAllocating pins the point of the kernel:
+// what a join allocates follows its survivors, not its candidates. A
+// join whose candidates are all rejected — by the probe side's filter,
+// the indexed side's, or the cross predicate — allocates the same small
+// constant for 10 candidate pairs as for 1000, and k survivors cost a
+// bounded number of allocations each.
+func TestJoinKernelFiltersBeforeAllocating(t *testing.T) {
+	operands := func(n int) (*Bag, *Index) {
+		probe, build := New(), New()
+		for i := 0; i < n; i++ {
+			probe.Add(row(i, "p"), 1)
+			build.Add(row(i, "b"), 1)
+		}
+		return probe, newIndex(build, []int{0}, false)
+	}
+	never := func(schema.Tuple) bool { return false }
+	rejects := map[string]*Join{
+		"probe side":       {Left: never},
+		"build side":       {Right: never},
+		"cross":            {Cross: never},
+		"cross, projected": {Cross: never, Project: []int{1, 3}},
+	}
+	for name, j := range rejects {
+		allocs := func(n int) float64 {
+			probe, ix := operands(n)
+			return testing.AllocsPerRun(20, func() {
+				if out, probed := j.Indexed(probe, []int{0}, ix, false); !out.Empty() || (probed != n && j.Left == nil) {
+					t.Fatalf("%s: out %v probed %d", name, out, probed)
+				}
+			})
+		}
+		small, large := allocs(10), allocs(1000)
+		if small != large || large > 4 {
+			t.Errorf("rejecting in the %s filter: %v allocations for 10 candidates, %v for 1000; want one small constant", name, small, large)
+		}
+	}
+
+	// k of 1000 candidates survive: O(k), with and without a projection.
+	for _, proj := range [][]int{nil, {1, 0, 3}} {
+		probe, ix := operands(1000)
+		for _, k := range []int{10, 100} {
+			k := k
+			j := &Join{Cross: func(tu schema.Tuple) bool { return tu[0].Compare(schema.Int(int64(k))) < 0 }, Project: proj}
+			got := testing.AllocsPerRun(5, func() {
+				if out, _ := j.Indexed(probe, []int{0}, ix, false); out.Len() != k {
+					t.Fatalf("%d survivors, want %d", out.Len(), k)
+				}
+			})
+			// A survivor is a tuple and a key; the rest is the output map
+			// growing.
+			if got > float64(3*k+8) {
+				t.Errorf("proj %v: %d survivors of 1000 candidates cost %v allocations", proj, k, got)
+			}
+		}
+	}
+
+	// Every candidate survives (the bypass case): still one tuple and one
+	// key per output row, no extra copy.
+	probe, ix := operands(1000)
+	got := testing.AllocsPerRun(5, func() { (&Join{}).Indexed(probe, []int{0}, ix, true) })
+	if perRow := got / 1000; perRow > 2.2 {
+		t.Errorf("all-survive join allocates %.2f per output row, want 2 plus map growth", perRow)
+	}
+}

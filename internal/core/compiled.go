@@ -17,7 +17,7 @@ import (
 // slot-cached DAG nodes, and hash joins that probe the base tables' own
 // journal-synced indexes (see internal/algebra/compile.go). The
 // tree-walking interpreter stays available — WithInterpretedDeltas
-// switches every path back to it — and serves as the differential-
+// switches every delta path back to it — and serves as the differential-
 // testing oracle the compiled engine is checked against.
 
 // compiledAssign is one compiled simultaneous-assignment bundle: the
@@ -48,8 +48,6 @@ type compiledDelta struct {
 	// fold is propagate_C's fold of ▼(L,Q)/▲(L,Q) into ∇MV/△MV
 	// (non-sharded Combined views).
 	fold *compiledAssign
-	// def recomputes Q from scratch (RefreshRecompute).
-	def *compiledAssign
 	// shard is the per-shard [DEL, ADD] pair of a sharded Combined
 	// view, with one state per shard (each shard is evaluated by at
 	// most one worker at a time; the join indexes live on the shard's
@@ -60,11 +58,13 @@ type compiledDelta struct {
 	mergedSt *algebra.State
 }
 
-// WithInterpretedDeltas makes the manager evaluate every maintenance
+// WithInterpretedDeltas makes the manager evaluate every delta
 // expression with the tree-walking interpreter instead of compiled
 // delta programs. The two engines are differentially tested to agree;
 // the flag exists for that cross-check, for ablation benchmarks (E16),
-// and as an escape hatch.
+// and as an escape hatch. The view's definition itself (View.def) is
+// not a delta: materializing and recomputing a view run compiled,
+// one-shot, either way.
 func WithInterpretedDeltas() ManagerOption {
 	return func(m *Manager) { m.interpretDeltas = true }
 }
@@ -127,10 +127,6 @@ func (m *Manager) compilePrograms(v *View) error {
 			}
 			cd.mergedSt = prog.NewState()
 		}
-	}
-
-	if cd.def, err = m.compileExprs([]string{v.mvName}, v.Def); err != nil {
-		return err
 	}
 
 	v.cd = cd

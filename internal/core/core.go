@@ -100,6 +100,9 @@ type View struct {
 	// (none for Immediate views, whose pair applies to MV in place).
 	safeAssigns []txn.Assignment
 
+	// def is Def compiled. The definition itself is only ever evaluated
+	// one-shot (DefineView, RefreshRecompute), whatever the delta engine.
+	def *algebra.Program
 	// cd holds the view's compiled delta programs (nil under
 	// WithInterpretedDeltas; see compiled.go).
 	cd *compiledDelta
@@ -370,6 +373,10 @@ func (m *Manager) DefineView(name string, def algebra.Expr, sc Scenario, opts ..
 	if err := m.validateLogFilters(v); err != nil {
 		return nil, err
 	}
+	var err error
+	if v.def, err = algebra.Compile(def); err != nil {
+		return nil, err
+	}
 
 	if _, err := m.db.Create(v.mvName, def.Schema(), storage.Internal); err != nil {
 		return nil, err
@@ -380,13 +387,14 @@ func (m *Manager) DefineView(name string, def algebra.Expr, sc Scenario, opts ..
 		return nil, err
 	}
 
-	// Materialize the initial contents.
-	init, err := algebra.Eval(def, m.db)
+	// Materialize the initial contents, one-shot: defining a view only
+	// reads the base tables — no index, no journal is left on them.
+	init, _, err := v.def.Eval(nil, m.db)
 	if err != nil {
 		return cleanup(err)
 	}
 	mv, _ := m.db.Table(v.mvName)
-	mv.Replace(init)
+	mv.Replace(init[0])
 
 	// Shared scratch tables holding the current transaction's ∇R/△R.
 	for _, b := range bases {

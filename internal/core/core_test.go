@@ -1,6 +1,9 @@
 package core
 
 import (
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -389,6 +392,85 @@ func TestRefreshRecompute(t *testing.T) {
 	v, _ := m.View("hv")
 	if v.Stats.Recomputes != 1 {
 		t.Fatal("recompute not counted")
+	}
+}
+
+// journaled reports whether b keeps a mutation journal or an index —
+// the derived state behind its unexported dx field, which only indexing
+// the bag switches on.
+func journaled(b *bag.Bag) bool {
+	return !reflect.ValueOf(b).Elem().FieldByName("dx").IsNil()
+}
+
+// TestViewDefinitionEvaluatesOneShot: a view's definition runs through
+// its compiled program, one-shot, whatever the delta engine — at
+// DefineView and again at RefreshRecompute. It only reads the base
+// tables: no index and no journal is left on them, and MV is what the
+// interpreter computes.
+func TestViewDefinitionEvaluatesOneShot(t *testing.T) {
+	for _, sc := range []Scenario{Immediate, BaseLogs, DiffTables, Combined} {
+		for name, opts := range map[string][]ManagerOption{"compiled": nil, "interpreted": {WithInterpretedDeltas()}} {
+			db, def := retailDB(t)
+			m := NewManager(db, opts...)
+			check := func(when string) {
+				t.Helper()
+				for _, base := range []string{"sales", "customer"} {
+					if b, _ := db.Bag(base); len(b.Indexes()) != 0 || journaled(b) {
+						t.Fatalf("%v/%s: %s left %s indexed or journaling", sc, name, when, base)
+					}
+				}
+				want, err := algebra.Eval(def, db)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if mv, _ := db.Bag("__mv_hv"); !mv.Equal(want) {
+					t.Fatalf("%v/%s: MV after %s = %v, interpreter says %v", sc, name, when, mv, want)
+				}
+			}
+			if _, err := m.DefineView("hv", def, sc); err != nil {
+				t.Fatal(err)
+			}
+			check("DefineView")
+			if sc != BaseLogs && sc != Combined {
+				continue // their makesafe joins the base tables: it may index them
+			}
+			if err := m.Execute(txn.Insert("sales", bag.Of(saleRow(0, 1, 1), saleRow(2, 3, 4)))); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.RefreshRecompute("hv"); err != nil {
+				t.Fatal(err)
+			}
+			check("RefreshRecompute")
+		}
+	}
+}
+
+// TestInterpreterStaysOutOfTheEngine pins ROADMAP item 1(d)'s end state
+// in the source: outside tests, internal/core calls algebra.Eval only to
+// check — the invariant checkers and CheckConsistent (invariant.go) and
+// WithLogFilter's equivalence check at definition time.
+func TestInterpreterStaysOutOfTheEngine(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") || file == "invariant.go" {
+			continue
+		}
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fn := ""
+		for i, line := range strings.Split(string(src), "\n") {
+			if strings.HasPrefix(line, "func ") {
+				fn = line
+			}
+			if strings.Contains(line, "algebra.Eval(") && !strings.Contains(fn, "validateLogFilters") {
+				t.Errorf("%s:%d calls algebra.Eval in %q", file, i+1, fn)
+			}
+		}
 	}
 }
 

@@ -77,7 +77,7 @@ func (m *Manager) Execute(t txn.Txn) error {
 	// the pre-update state, so evaluating them first and mutating the
 	// base tables last realizes the simultaneous (T1+T2) semantics while
 	// keeping the base update O(|change|) instead of O(|table|).
-	assigns := make([]txn.Assignment, 0, 4*len(m.order))
+	var assigns []txn.Assignment // grown on demand: the in-place log append adds none
 	var compiledViews []*View
 	var imViews []*View
 	var lockMVs []string

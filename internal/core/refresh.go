@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"dvm/internal/algebra"
 	"dvm/internal/bag"
 	"dvm/internal/obs"
 	"dvm/internal/obs/trace"
@@ -330,22 +329,14 @@ func (m *Manager) RefreshRecompute(name string) error {
 	return m.locks.WithWriteSpan([]string{v.mvName}, rcsp, func(hold *trace.Span) error {
 		asp, dsp := m.startDowntimeSpan(v, hold)
 		defer func() { asp.EndExplicit(dsp.End()) }()
-		var fresh *bag.Bag
-		if v.cd != nil && v.cd.def != nil {
-			outs, err := m.evalCompiled(v, v.cd.def, asp)
-			if err != nil {
-				return err
-			}
-			fresh = outs[0]
-		} else {
-			var err error
-			fresh, err = algebra.Eval(v.Def, m.db)
-			if err != nil {
-				return err
-			}
+		evalStart := time.Now()
+		outs, stats, err := v.def.Eval(nil, m.db)
+		if err != nil {
+			return err
 		}
+		m.observeCompiled(v, asp, time.Since(evalStart), stats)
 		mv, _ := m.db.Table(v.mvName)
-		mv.Replace(fresh)
+		mv.Replace(outs[0])
 		// A recompute reflects the current state, so any pending shared
 		// window is consumed too.
 		if m.shared != nil && (v.Scenario == BaseLogs || v.Scenario == Combined) {

@@ -84,7 +84,10 @@ func (s *Span) StartChild(name string, attrs ...Attr) *Span {
 	if s == nil {
 		return nil
 	}
-	c := &Span{Name: name, Start: time.Now(), Attrs: attrs, parent: s, tr: s.tr}
+	// attrs is copied, not kept: a caller's variadic slice then stays on
+	// its stack, so building a span's attributes costs nothing when s is
+	// nil (no tracer attached).
+	c := &Span{Name: name, Start: time.Now(), Attrs: append([]Attr(nil), attrs...), parent: s, tr: s.tr}
 	s.Children = append(s.Children, c)
 	return c
 }
@@ -313,7 +316,7 @@ func (t *Tracer) StartTraceAt(name string, start time.Time, attrs ...Attr) *Span
 		}
 	}
 	tr := &Trace{ID: t.seq.Add(1), tracer: t}
-	sp := &Span{Name: name, Start: start, Attrs: attrs, tr: tr}
+	sp := &Span{Name: name, Start: start, Attrs: append([]Attr(nil), attrs...), tr: tr}
 	tr.Root = sp
 	return sp
 }
