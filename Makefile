@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint lint-json doccheck check fuzz benchdiff bench-shards profile pair
+.PHONY: build test lint lint-json doccheck check fuzz benchdiff bench-shards profile pair allocprof
 
 build:
 	$(GO) build ./...
@@ -57,6 +57,14 @@ profile:
 #   make pair PARENT=HEAD~1 [N=10] [WORKLOADS="multiview_writes sql_day"] [PAIRFLAGS="-trace 1"]
 pair:
 	./scripts/pair.sh $(PAIRFLAGS) $(PARENT) $(or $(N),10) $(WORKLOADS)
+
+# Where one perf workload's measured cycles allocate, and what is live
+# at the end: runs a patched throw-away copy of perf/ (perf/ itself is
+# untouched) and leaves the two allocs profiles in profiles/. About half
+# a minute; not part of `make check`.
+#   make allocprof WORKLOAD=multiview_writes [SEED=1]
+allocprof:
+	./scripts/allocprof.sh $(WORKLOAD) $(SEED)
 
 fuzz:
 	$(GO) test ./internal/algebra -run '^$$' -fuzz '^FuzzExprParseEval$$' -fuzztime=30s

@@ -11,6 +11,7 @@
 package bag
 
 import (
+	"math"
 	"sort"
 	"strings"
 
@@ -26,16 +27,31 @@ type entry struct {
 // call New. Bags are not safe for concurrent mutation.
 type Bag struct {
 	m    map[string]entry
-	size int    // total multiplicity
-	ver  uint64 // bumped on every mutation; lets caches detect staleness
-	// dx holds what is derived from the contents — the mutation journal
-	// and the bag's own indexes. It stays nil until an index is first
-	// asked for, so a transient bag pays one word for it.
+	size int // total multiplicity
+	// peak is the most distinct tuples m has held since it was allocated
+	// (a map's buckets only grow, so this is its capacity), last the
+	// distinct count at the previous Clear; Clear's retention rule reads
+	// them. Both saturate — together they fit one word, and a Bag its
+	// 32-byte size class. Bags built by the pure operators write m
+	// directly and leave peak behind; Clear takes max(peak, len(m)).
+	peak, last uint32
+	// dx holds what is derived from the contents — the version counter,
+	// the mutation journal and the bag's own indexes. It stays nil until
+	// an index is first asked for, so a transient bag pays one word for
+	// it.
 	dx *derived
 }
 
+// sat32 is n as a saturating uint32.
+func sat32(n int) uint32 { return uint32(min(uint64(n), math.MaxUint32)) }
+
 // derived is the journal-and-index state of a bag that has been indexed.
 type derived struct {
+	// ver is bumped on every mutation of the bag (Add/AddBag/ApplyDelta/
+	// Remove/Clear) since it was first indexed. An Index records the
+	// version it describes: same bag plus same version means unchanged
+	// contents.
+	ver uint64
 	// Mutation journal: the effective tuple deltas applied since version
 	// jbase, in order, so indexes catch up in O(|changes|) instead of
 	// rebuilding in O(|bag|). When jour is non-empty, ver == jbase +
@@ -100,7 +116,6 @@ func (b *Bag) addKeyed(k string, t schema.Tuple, n int) *Bag {
 	if n == 0 {
 		return b
 	}
-	b.ver++
 	e, ok := b.m[k]
 	d := 0 // effective delta after clamping
 	switch {
@@ -109,6 +124,7 @@ func (b *Bag) addKeyed(k string, t schema.Tuple, n int) *Bag {
 			b.m[k] = entry{tuple: t, count: n}
 			b.size += n
 			d = n
+			b.peak = max(b.peak, sat32(len(b.m)))
 		}
 	case e.count+n <= 0:
 		b.size -= e.count
@@ -150,37 +166,73 @@ func (b *Bag) ApplyDelta(del, add *Bag) *Bag {
 // Remove removes up to n copies of t.
 func (b *Bag) Remove(t schema.Tuple, n int) *Bag { return b.Add(t, -n) }
 
-// Clear empties the bag in place.
+// clearFloor is the capacity below which Clear does not bother to
+// reallocate: one bucket group's worth, a few hundred bytes at most.
+const clearFloor = 8
+
+// Clear empties the bag in place: whoever holds the bag sees it emptied,
+// and the bag's own indexes (IndexOn) stay registered, empty. A bag that
+// is filled and cleared in rounds — a log, a differential table — keeps
+// its map's buckets, so the next round refills into storage the bag
+// already owns. Retention is bounded by a rule, not a setting: the
+// buckets are kept only while the map's capacity is within 4x of BOTH
+// the fill being cleared and the one cleared before it; otherwise the
+// map is reallocated, pre-sized to the smaller of the two. So a one-off
+// bulk load is released at its own Clear (and a bag never cleared
+// before starts over with a fresh map), no bag pins more than 4x its
+// smaller recent fill, and Clear costs O(the content it removes), never
+// O(the most the bag ever held). (A Clear that finds the bag empty is no
+// fill: it is judged by the last one alone and leaves the record as it
+// is, so a log that sits out a round keeps what it had.)
 func (b *Bag) Clear() {
-	b.m = make(map[string]entry)
+	n := len(b.m)
+	keep := int(b.last) // the fill both rounds justify
+	if n > 0 {
+		keep = min(n, keep)
+		b.last = sat32(n)
+	}
+	shrink := max(int(b.peak), n) > max(4*keep, clearFloor)
+	if shrink {
+		b.m = make(map[string]entry, keep)
+		b.peak = sat32(keep)
+	} else {
+		clear(b.m)
+	}
 	b.size = 0
-	b.ver++
 	if x := b.dx; x != nil {
 		// A clear is not representable as journal entries: drop the
 		// window, so free-standing indexes behind it rebuild (cheap — the
-		// bag is now empty), and empty the bag's own indexes in place.
+		// bag is now empty), and empty the bag's own indexes in place,
+		// by the same rule as the bag's map.
+		x.ver++
 		clear(x.jour)
 		x.jour = x.jour[:0]
 		for _, ix := range x.owned {
-			clear(ix.m)
-			clear(ix.at)
-			ix.ver = b.ver
+			if shrink {
+				ix.m = make(map[string][]IndexEntry)
+				ix.at = make(map[string]int, keep)
+			} else {
+				clear(ix.m)
+				clear(ix.at)
+			}
+			ix.ver = x.ver
 		}
 	}
 }
 
-// journal appends one effective mutation. Every version bump while
-// journaling is enabled must append exactly one entry (even a no-op
-// clamp, d == 0), preserving ver == jbase + len(jour). A full window
+// journal bumps the version and appends one effective mutation: every
+// bump appends exactly one entry (even a no-op clamp, d == 0),
+// preserving ver == jbase + len(jour). A full window
 // starts over: the bag first syncs its own indexes (IndexOn), which
 // therefore never fall out of it; a free-standing index (NewIndex) left
 // behind falls back to a rebuild.
 func (b *Bag) journal(k string, t schema.Tuple, d int) {
 	x := b.dx
+	x.ver++
 	if len(x.jour) >= x.jcap {
 		for _, ix := range x.owned {
 			ix.applyAll(x.jour[ix.ver-x.jbase:])
-			ix.ver = b.ver - 1
+			ix.ver = x.ver - 1
 		}
 		// Zeroed, not just truncated: the backing array is reused and
 		// would keep rows deleted long ago reachable until overwritten.
@@ -188,7 +240,7 @@ func (b *Bag) journal(k string, t schema.Tuple, d int) {
 		x.jour = x.jour[:0]
 	}
 	if len(x.jour) == 0 {
-		x.jbase = b.ver - 1
+		x.jbase = x.ver - 1
 	}
 	x.jour = append(x.jour, jentry{k: k, t: t, d: d})
 }
@@ -197,22 +249,18 @@ func (b *Bag) journal(k string, t schema.Tuple, d int) {
 // or ok=false when the journal cannot answer (v predates the current
 // window, or a Clear/overflow dropped it).
 func (b *Bag) journalSince(v uint64) ([]jentry, bool) {
-	if v == b.ver {
+	x := b.dx
+	if x == nil {
+		return nil, false
+	}
+	if v == x.ver {
 		return nil, true
 	}
-	x := b.dx
-	if x == nil || len(x.jour) == 0 || v < x.jbase || v > b.ver {
+	if len(x.jour) == 0 || v < x.jbase || v > x.ver {
 		return nil, false
 	}
 	return x.jour[v-x.jbase:], true
 }
-
-// Version returns a counter that changes on every mutation of the bag
-// (Add/AddBag/ApplyDelta/Remove/Clear). Together with the bag's identity
-// it lets derived structures — notably Index — validate cached state
-// cheaply: same *Bag pointer plus same Version means the contents are
-// unchanged.
-func (b *Bag) Version() uint64 { return b.ver }
 
 // Count returns the multiplicity of t.
 func (b *Bag) Count(t schema.Tuple) int { return b.m[t.Key()].count }

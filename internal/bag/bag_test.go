@@ -1,6 +1,7 @@
 package bag
 
 import (
+	"reflect"
 	"testing"
 
 	"dvm/internal/schema"
@@ -209,5 +210,88 @@ func TestEachVisitsAll(t *testing.T) {
 	b.Each(func(_ schema.Tuple, n int) { total += n; distinct++ })
 	if total != 7 || distinct != 2 {
 		t.Fatalf("Each visited total=%d distinct=%d", total, distinct)
+	}
+}
+
+// TestClearRetentionRule walks a bag through the fills the rule in
+// Clear's doc comment distinguishes and checks, by the identity of the
+// map, whether the buckets were kept or given back; after every Clear
+// the bag's own index is still registered, empty, and in step.
+func TestClearRetentionRule(t *testing.T) {
+	b := New()
+	b.IndexOn([]int{0})
+	fill := func(from, n int) {
+		for i := from; i < from+n; i++ {
+			b.Add(row(i%50, i), 1)
+		}
+	}
+	steps := []struct {
+		name string
+		fill func()
+		kept bool
+	}{
+		{"first fill: no evidence the buckets will be reused", func() { fill(0, 600) }, false},
+		{"second fill of the same size", func() { fill(0, 600) }, true},
+		{"third, a little larger", func() { fill(0, 900) }, true},
+		{"a one-off bulk load is released at its own Clear", func() { fill(0, 20000) }, false},
+		{"back to the ordinary size, into the pre-sized map", func() { fill(0, 600) }, true},
+		{"grown by a bulk load that was deleted again before the Clear", func() {
+			fill(0, 20000)
+			for i := 600; i < 20000; i++ {
+				b.Remove(row(i%50, i), 1)
+			}
+		}, false},
+		{"ordinary again", func() { fill(0, 600) }, true},
+		{"much smaller than the fills before it", func() { fill(0, 20) }, false},
+		{"a handful of tuples is never worth a new map", func() { fill(0, 5) }, true},
+		{"empty", func() {}, true},
+	}
+	lastFill := 0
+	for _, st := range steps {
+		st.fill()
+		if msg := checkIndexOn(b); msg != "" {
+			t.Fatalf("%s: before Clear: %s", st.name, msg)
+		}
+		before := reflect.ValueOf(b.m).Pointer()
+		n := b.Distinct()
+		b.Clear()
+		if !b.Empty() || b.Distinct() != 0 {
+			t.Fatalf("%s: Clear left %d tuples", st.name, b.Len())
+		}
+		if kept := reflect.ValueOf(b.m).Pointer() == before; kept != st.kept {
+			t.Fatalf("%s (%d tuples): buckets kept = %v, want %v", st.name, n, kept, st.kept)
+		}
+		if n > 0 {
+			lastFill = n
+		}
+		if int(b.peak) > max(4*lastFill, clearFloor) {
+			t.Fatalf("%s: last held %d tuples but keeps capacity for %d", st.name, lastFill, b.peak)
+		}
+		if got := b.Indexes(); len(got) != 1 {
+			t.Fatalf("%s: Clear dropped the bag's index: %v", st.name, got)
+		}
+		ix, applied := b.IndexOn([]int{0})
+		if len(ix.m) != 0 || len(ix.at) != 0 || applied != 0 {
+			t.Fatalf("%s: the bag's index holds %d buckets after Clear (%d entries applied)", st.name, len(ix.m), applied)
+		}
+	}
+	// Kept buckets mean a round that allocates nothing: the tuples and
+	// keys of src are shared, and the map is already large enough.
+	src, c := New(), New()
+	for i := 0; i < 600; i++ {
+		src.Add(row(i), 1)
+	}
+	round := func() { c.AddBag(src); c.Clear() }
+	round()
+	round()
+	if n := testing.AllocsPerRun(10, round); n != 0 {
+		t.Fatalf("a steady fill/Clear round allocates %v times, want 0", n)
+	}
+}
+
+// A Bag is four words: every operator of every evaluation allocates one.
+func TestBagSize(t *testing.T) {
+	if got := reflect.TypeOf(Bag{}).Size(); got != 32 {
+		t.Fatalf("sizeof(Bag) = %d, want 32", got)
 	}
 }

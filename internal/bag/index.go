@@ -53,12 +53,12 @@ func NewIndex(b *Bag, positions []int) *Index {
 func newIndex(b *Bag, positions []int, addressable bool) *Index {
 	ix := &Index{
 		src: b,
-		ver: b.ver,
 		pos: positions,
 		m:   make(map[string][]IndexEntry, len(b.m)),
 	}
-	if addressable {
+	if addressable { // and so syncable: NewIndex has made b.dx
 		ix.at = make(map[string]int, len(b.m))
+		ix.ver = b.dx.ver
 	}
 	var key []byte
 	for k, e := range b.m {
@@ -121,7 +121,7 @@ func (ix *Index) Sync(b *Bag) (applied int, ok bool) {
 		return 0, false
 	}
 	ix.applyAll(ents)
-	ix.ver = b.ver
+	ix.ver = b.dx.ver
 	return len(ents), true
 }
 

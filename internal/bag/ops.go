@@ -43,6 +43,24 @@ func Min(a, b *Bag) *Bag {
 	return out
 }
 
+// MinWithin returns Min(a, b) restricted to the tuples of the within
+// bags, in O(Σ|within|) whatever the sizes of a and b: what two bags
+// kept disjoint can have in common after a change that touched only
+// those tuples.
+func MinWithin(a, b *Bag, within ...*Bag) *Bag {
+	out := New()
+	for _, w := range within {
+		for k := range w.m {
+			e := a.m[k]
+			if n := min(e.count, b.m[k].count); n > 0 && out.m[k].count == 0 {
+				out.m[k] = entry{tuple: e.tuple, count: n}
+				out.size += n
+			}
+		}
+	}
+	return out
+}
+
 // Max returns the maximal union: per-tuple max(n_a, n_b).
 // Defined in the paper as a ⊎ (b ∸ a); computed directly here.
 func Max(a, b *Bag) *Bag {

@@ -183,6 +183,19 @@ func TestPropLenDistinct(t *testing.T) {
 	}
 }
 
+// MinWithin is Min seen through the tuples of its within bags — each
+// counted once, however many of them hold it.
+func TestPropMinWithinIsMinRestricted(t *testing.T) {
+	prop := func(x, y, w1, w2 genBag) bool {
+		touched := UnionAll(w1.B, w2.B)
+		want := Select(Min(x.B, y.B), touched.Contains)
+		return MinWithin(x.B, y.B, w1.B, w2.B).Equal(want) && MinWithin(x.B, y.B).Empty()
+	}
+	if err := quick.Check(prop, qcfg); err != nil {
+		t.Error(err)
+	}
+}
+
 // checkApplyDelta asserts the in-place primitive's contract on one
 // (b, del, add) triple: b.ApplyDelta(del, add) leaves b equal to the
 // pure (b ∸ del) ⊎ add and the operands untouched, an Index built
@@ -202,7 +215,7 @@ func checkApplyDelta(b, del, add *Bag) string {
 		return "ApplyDelta left Len/Distinct out of step with the contents"
 	case !del.Equal(del0) || !add.Equal(add0):
 		return "ApplyDelta mutated an operand"
-	case len(got.dx.jour) > 0 && got.ver != got.dx.jbase+uint64(len(got.dx.jour)):
+	case len(got.dx.jour) > 0 && got.dx.ver != got.dx.jbase+uint64(len(got.dx.jour)):
 		return "journal invariant ver == jbase + len(jour) broken"
 	}
 	if _, ok := ix.Sync(got); !ok {

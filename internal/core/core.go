@@ -82,23 +82,23 @@ type View struct {
 	dtDel string
 	dtAdd string
 
-	// Precompiled incremental queries. Transaction-relative queries read
-	// the shared per-base scratch tables (∇R/△R of the current txn);
-	// log-relative queries read this view's log tables.
-	imDel, imAdd algebra.Expr // ∇(T,Q), △(T,Q): pre-update state
-	blDel, blAdd algebra.Expr // ▼(L,Q), ▲(L,Q): post-update state
+	// The view's ONE incremental pair (see IncrementalQueries), built
+	// and optimized at definition time: the pre-update (∇(T,Q), △(T,Q))
+	// over the shared per-base scratch tables (∇R/△R of the current
+	// transaction) for Immediate/DiffTables, the post-update
+	// (▼(L,Q), ▲(L,Q)) over this view's log tables for BaseLogs/Combined.
+	// What differs between scenarios is when it is evaluated and where it
+	// is installed: MV (applyToMVLocked) or ∇MV/△MV (mergeDelta).
+	del, add algebra.Expr
 
 	// Sharded Combined views additionally carry the per-shard DEL/ADD
 	// pair (evaluated against one shard's slice through a shardSource;
 	// see shard.go) and the physical shard layout. In sharded mode the
 	// logDel/logIns/dtDel/dtAdd names above are LOGICAL shard-group
-	// names, and blDel/blAdd read the ⊎-of-shards union expressions.
+	// names, and del/add read the ⊎-of-shards union expressions (for
+	// EXPLAIN only: propagate evaluates shDel/shAdd).
 	shDel, shAdd algebra.Expr
 	sh           *viewShards
-
-	// Precompiled makesafe assignments (Figure 3), reused every Execute
-	// (none for Immediate views, whose pair applies to MV in place).
-	safeAssigns []txn.Assignment
 
 	// def is Def compiled. The definition itself is only ever evaluated
 	// one-shot (DefineView, RefreshRecompute), whatever the delta engine.
@@ -116,19 +116,12 @@ type View struct {
 // MVTable returns the name of the view's materialized table.
 func (v *View) MVTable() string { return v.mvName }
 
-// IncrementalQueries exposes the view's precompiled incremental queries
-// for inspection (EXPLAIN): for Immediate/DiffTables views the
-// pre-update pair (∇(T,Q), △(T,Q)) over the transaction scratch tables;
-// for BaseLogs/Combined views the post-update pair (▼(L,Q), ▲(L,Q))
-// over the view's log tables. Nil for kinds the scenario does not use.
-func (v *View) IncrementalQueries() (del, add algebra.Expr) {
-	switch v.Scenario {
-	case Immediate, DiffTables:
-		return v.imDel, v.imAdd
-	default:
-		return v.blDel, v.blAdd
-	}
-}
+// IncrementalQueries exposes the view's incremental pair (EXPLAIN, and
+// the interpreter under WithInterpretedDeltas): for Immediate/DiffTables
+// views the pre-update pair (∇(T,Q), △(T,Q)) over the transaction
+// scratch tables; for BaseLogs/Combined views the post-update pair
+// (▼(L,Q), ▲(L,Q)) over the view's log tables.
+func (v *View) IncrementalQueries() (del, add algebra.Expr) { return v.del, v.add }
 
 // InvariantString renders the scenario's Figure 1 invariant with the
 // view's own table names.
@@ -186,12 +179,6 @@ type Manager struct {
 	// interpreter instead of compiled programs (see compiled.go).
 	interpretDeltas bool
 
-	// slowLogAppend disables the O(|∇R|+|△R|) in-place log fast path,
-	// forcing the algebraic makesafe_BL assignments instead. The two are
-	// equivalent (property-tested); the flag exists for that cross-check
-	// and for ablation benchmarks.
-	slowLogAppend bool
-
 	// shared, when non-nil, replaces per-view log upkeep with shared
 	// per-table logs (see WithSharedLogs).
 	shared *sharedState
@@ -241,12 +228,6 @@ func NewManager(db *storage.Database, opts ...ManagerOption) *Manager {
 	}
 	return m
 }
-
-// SetSlowLogAppend forces Execute to maintain logs through the
-// algebraic Figure 3 assignments (O(|log|) per transaction) instead of
-// the equivalent in-place appends (O(|change|)). For tests and
-// ablations.
-func (m *Manager) SetSlowLogAppend(on bool) { m.slowLogAppend = on }
 
 // DB exposes the underlying database (for queries and tests).
 func (m *Manager) DB() *storage.Database { return m.db }
@@ -615,160 +596,31 @@ func (m *Manager) logChangeSet(v *View) delta.ChangeSet {
 	return cs
 }
 
-// compile precompiles the view's incremental queries and makesafe
-// assignments for its scenario.
+// compile builds the view's incremental pair for its scenario (and, for
+// a sharded view, the per-shard pair). The Figure 3 transactions that
+// install it need no precompiled form: each is evalDeltaPair followed
+// by applyToMVLocked or mergeDelta.
 func (m *Manager) compile(v *View) error {
+	var d, a algebra.Expr
+	var err error
 	switch v.Scenario {
 	case Immediate, DiffTables:
-		d, a, err := delta.PreUpdate(m.txnChangeSet(v), v.Def)
-		if err != nil {
-			return err
-		}
-		if v.StrongMinimal {
-			if d, a, err = delta.StrengthenMinimality(d, a); err != nil {
-				return err
-			}
-		}
-		v.imDel, v.imAdd = algebra.OptimizePair(d, a)
+		d, a, err = delta.PreUpdate(m.txnChangeSet(v), v.Def)
+	default:
+		d, a, err = delta.PostUpdate(m.logChangeSet(v), v.Def)
 	}
-	switch v.Scenario {
-	case BaseLogs, Combined:
-		d, a, err := delta.PostUpdate(m.logChangeSet(v), v.Def)
-		if err != nil {
+	if err != nil {
+		return err
+	}
+	if v.StrongMinimal {
+		if d, a, err = delta.StrengthenMinimality(d, a); err != nil {
 			return err
-		}
-		if v.StrongMinimal {
-			if d, a, err = delta.StrengthenMinimality(d, a); err != nil {
-				return err
-			}
-		}
-		v.blDel, v.blAdd = algebra.OptimizePair(d, a)
-		if v.sh != nil {
-			// The per-shard DEL/ADD pair workers evaluate (see shard.go).
-			if err := m.compileShardQueries(v); err != nil {
-				return err
-			}
 		}
 	}
-
-	switch v.Scenario {
-	case Immediate:
-		// makesafe_IM, MV := (MV ∸ ∇(T,Q)) ⊎ △(T,Q), has no assignment
-		// form: Execute evaluates the (imDel, imAdd) pair against the
-		// pre-update state and applies it to MV in place.
-
-	case BaseLogs, Combined:
-		if v.sh != nil {
-			// Sharded views always append through the shard-local fast
-			// path (appendToLogsSharded): the algebraic reference form
-			// would need one assignment per shard against tables the
-			// planner cannot name statically.
-			break
-		}
-		// makesafe_BL (= makesafe_C): extend the log, weakly minimally:
-		//   ▼R := ▼R ⊎ (∇R ∸ ▲R)
-		//   ▲R := (▲R ∸ ∇R) ⊎ △R
-		// Execute normally runs these via the O(|∇R|+|△R|) in-place fast
-		// path (appendToLogs); the algebraic assignments built here are
-		// the reference form, used by tests to cross-check the fast path
-		// and by callers that disable it.
-		for _, b := range v.bases {
-			tb, _ := m.db.Table(b)
-			sch := tb.Schema()
-			delLog := algebra.NewBase(v.logDel[b], sch)
-			insLog := algebra.NewBase(v.logIns[b], sch)
-			var txDel, txIns algebra.Expr = algebra.NewBase(m.scratchDel[b], sch), algebra.NewBase(m.scratchIns[b], sch)
-			if pred, ok := v.logFilter[b]; ok {
-				// Relevant-update detection: only σ_p of the change
-				// reaches the log (WithLogFilter).
-				sd, err := algebra.NewSelect(pred, txDel)
-				if err != nil {
-					return err
-				}
-				si, err := algebra.NewSelect(pred, txIns)
-				if err != nil {
-					return err
-				}
-				txDel, txIns = sd, si
-			}
-
-			newOld, err := algebra.NewMonus(txDel, insLog) // ∇R ∸ ▲R
-			if err != nil {
-				return err
-			}
-			delRHS, err := algebra.NewUnionAll(delLog, newOld)
-			if err != nil {
-				return err
-			}
-			insKeep, err := algebra.NewMonus(insLog, txDel) // ▲R ∸ ∇R
-			if err != nil {
-				return err
-			}
-			insRHS, err := algebra.NewUnionAll(insKeep, txIns)
-			if err != nil {
-				return err
-			}
-			v.safeAssigns = append(v.safeAssigns,
-				txn.Assignment{Table: v.logDel[b], Expr: delRHS},
-				txn.Assignment{Table: v.logIns[b], Expr: insRHS},
-			)
-		}
-
-	case DiffTables:
-		// makesafe_DT: fold ∇(T,Q)/△(T,Q) into the differential tables:
-		//   ∇MV := ∇MV ⊎ (∇(T,Q) ∸ △MV)
-		//   △MV := (△MV ∸ ∇(T,Q)) ⊎ △(T,Q)
-		assigns, err := m.foldAssigns(v, v.imDel, v.imAdd)
-		if err != nil {
-			return err
-		}
-		v.safeAssigns = assigns
+	v.del, v.add = algebra.OptimizePair(d, a)
+	if v.sh != nil {
+		// The per-shard DEL/ADD pair workers evaluate (see shard.go).
+		return m.compileShardQueries(v)
 	}
 	return nil
-}
-
-// foldAssigns builds the composition-lemma fold of (del, add) into the
-// view's differential tables (used by makesafe_DT and propagate_C). When
-// the view uses strong minimality, the folded tables are additionally
-// kept disjoint — the "strongly minimal analog of Lemma 3" the paper
-// sketches in Section 5.3: tuples present in both ∇MV and △MV cancel,
-// which preserves (MV ∸ ∇MV) ⊎ △MV because ∇MV ⊑ MV.
-func (m *Manager) foldAssigns(v *View, del, add algebra.Expr) ([]txn.Assignment, error) {
-	dtDel := m.baseExpr(v.dtDel)
-	dtAdd := m.baseExpr(v.dtAdd)
-	newDel, err := algebra.NewMonus(del, dtAdd) // del ∸ △MV
-	if err != nil {
-		return nil, err
-	}
-	delRHS, err := algebra.NewUnionAll(dtDel, newDel)
-	if err != nil {
-		return nil, err
-	}
-	addKeep, err := algebra.NewMonus(dtAdd, del) // △MV ∸ del
-	if err != nil {
-		return nil, err
-	}
-	addRHS, err := algebra.NewUnionAll(addKeep, add)
-	if err != nil {
-		return nil, err
-	}
-	var delOut, addOut algebra.Expr = delRHS, addRHS
-	if v.StrongMinimal {
-		if delOut, addOut, err = delta.StrengthenMinimality(delOut, addOut); err != nil {
-			return nil, err
-		}
-	}
-	return []txn.Assignment{
-		{Table: v.dtDel, Expr: delOut},
-		{Table: v.dtAdd, Expr: addOut},
-	}, nil
-}
-
-// baseExpr builds a Base reference for an existing table.
-func (m *Manager) baseExpr(name string) algebra.Expr {
-	tb, err := m.db.Table(name)
-	if err != nil {
-		panic(fmt.Sprintf("core: baseExpr(%s): %v", name, err))
-	}
-	return algebra.NewBase(name, tb.Schema())
 }

@@ -16,10 +16,11 @@ import (
 // bookkeeping, and the whole bundle is applied with simultaneous (T1+T2)
 // semantics so that no auxiliary update sees another's effect.
 //
-// Immediate views have their MV table updated inside the transaction (and
-// write-locked while it installs); BaseLogs/Combined views only append to
-// their logs; DiffTables views fold the pre-update incremental queries
-// into their differential tables.
+// BaseLogs/Combined views only extend their logs with the transaction's
+// own ∇R/△R. Immediate and DiffTables views evaluate their pre-update
+// pair (∇(T,Q), △(T,Q)) before the base tables change and install it —
+// into MV (write-locked while the transaction installs) or into
+// ∇MV/△MV.
 func (m *Manager) Execute(t txn.Txn) error {
 	if name, bad := t.TouchesInternal(m.db); bad {
 		return fmt.Errorf("core: user transaction writes internal table %q", name)
@@ -57,29 +58,14 @@ func (m *Manager) Execute(t txn.Txn) error {
 	xsp := m.startEntrySpan(trace.SpanExecute, trace.Int("tables", int64(len(nt))))
 	defer xsp.End()
 
-	// Publish the transaction's ∇R/△R into the shared scratch tables so
-	// precompiled incremental queries can read them.
-	for base, dn := range m.scratchDel {
-		sd, _ := m.db.Table(dn)
-		si, _ := m.db.Table(m.scratchIns[base])
-		if u, ok := nt[base]; ok {
-			sd.Replace(u.Delete.Clone())
-			si.Replace(u.Insert.Clone())
-		} else {
-			sd.Clear()
-			si.Clear()
-		}
-	}
-
-	// Assemble the auxiliary assignments (every view's makesafe
-	// bookkeeping). The user's own base-table updates are applied in
-	// place AFTER these evaluate: every auxiliary right-hand side reads
-	// the pre-update state, so evaluating them first and mutating the
-	// base tables last realizes the simultaneous (T1+T2) semantics while
-	// keeping the base update O(|change|) instead of O(|table|).
-	var assigns []txn.Assignment // grown on demand: the in-place log append adds none
-	var compiledViews []*View
-	var imViews []*View
+	// Every view's makesafe bookkeeping. A log is extended here, from the
+	// transaction's own deltas; a pre-update pair is evaluated in the
+	// apply step below, BEFORE the user's base-table updates are applied
+	// in place: every auxiliary right-hand side reads the pre-update
+	// state, so evaluating them first and mutating the base tables last
+	// realizes the simultaneous (T1+T2) semantics while keeping the base
+	// update O(|change|) instead of O(|table|).
+	var imViews, dtViews []*View // the views with a pre-update pair
 	var lockMVs []string
 	affected := make([]*View, 0, len(m.order))
 	for _, vn := range m.order {
@@ -90,52 +76,26 @@ func (m *Manager) Execute(t txn.Txn) error {
 		affected = append(affected, v)
 		msp := xsp.StartChild(trace.SpanMakesafe,
 			trace.Str("view", v.Name), trace.Str("scenario", v.Scenario.String()))
-		if (v.Scenario == BaseLogs || v.Scenario == Combined) && m.shared != nil {
-			// Shared-log mode: the batch is appended once per TABLE
-			// below, not once per view.
-			msp.End()
-			continue
-		}
-		if v.sh != nil {
-			// Sharded Combined view: route ∇R/△R by shard key and merge
-			// shard-locally under per-shard locks (makesafe_C with a
-			// partitioned log; see shard.go). The in-place merge is the
-			// only form — slowLogAppend has no algebraic twin here.
-			err := m.appendToLogsSharded(v, nt)
-			msp.End()
-			if err != nil {
-				return err
-			}
-			continue
-		}
-		if (v.Scenario == BaseLogs || v.Scenario == Combined) && !m.slowLogAppend {
-			// Fast path: the weakly minimal log merge
-			//   ▼R := ▼R ⊎ (∇R ∸ ▲R);  ▲R := (▲R ∸ ∇R) ⊎ △R
-			// reads only the transaction's own deltas and touches only
-			// the delta's tuples, so it can run in place in
-			// O(|∇R|+|△R|) rather than rebuilding the log tables.
-			err := m.appendToLogs(v, nt)
-			msp.End()
-			if err != nil {
-				return err
-			}
-			continue
-		}
 		switch {
 		case v.Scenario == Immediate:
-			// makesafe_IM has no assignment form: the (∇(T,Q), △(T,Q))
-			// pair is evaluated and applied to MV in place under the MV
-			// write lock, below.
 			imViews = append(imViews, v)
 			lockMVs = append(lockMVs, v.mvName)
-		case v.cd != nil && v.cd.safe != nil:
-			// Compiled makesafe: the program evaluates and installs
-			// inside the apply closure, alongside the assignment bundle.
-			compiledViews = append(compiledViews, v)
+		case v.Scenario == DiffTables:
+			dtViews = append(dtViews, v)
+		case m.shared != nil:
+			// Shared-log mode: the batch is appended once per TABLE
+			// below, not once per view.
+		case v.sh != nil:
+			// Sharded Combined view: route ∇R/△R by shard key and merge
+			// shard-locally under per-shard locks (see shard.go).
+			err = m.appendToLogsSharded(v, nt)
 		default:
-			assigns = append(assigns, v.safeAssigns...)
+			err = m.appendToLogs(v, nt)
 		}
 		msp.End()
+		if err != nil {
+			return err
+		}
 	}
 
 	if m.shared != nil {
@@ -144,25 +104,48 @@ func (m *Manager) Execute(t txn.Txn) error {
 		m.appendShared(nt)
 	}
 
-	// Immediate views hold their MV write locks while the transaction
-	// installs — that blocking is exactly the per-transaction overhead
-	// immediate maintenance imposes.
-	apply := func(parent *trace.Span) error {
-		asp := parent.StartChild(trace.SpanApply,
-			trace.Int("assigns", int64(len(assigns)+len(compiledViews))))
-		defer asp.End()
-		if err := txn.ApplyAssignments(m.db, assigns); err != nil {
-			return err
+	if len(imViews)+len(dtViews) > 0 {
+		// Publish the transaction's ∇R/△R into the shared scratch tables
+		// the pre-update pairs read. Normalize made the bags Execute's
+		// own, so they are handed over, not copied — and emptied when the
+		// transaction ends, so a scratch table never pins a change (and is
+		// empty for every base a later transaction leaves alone).
+		scratch := func(publish bool) {
+			for base, u := range nt {
+				dn, ok := m.scratchDel[base]
+				if !ok {
+					continue // no view reads this table
+				}
+				sd, _ := m.db.Table(dn)
+				si, _ := m.db.Table(m.scratchIns[base])
+				if publish {
+					sd.Replace(u.Delete)
+					si.Replace(u.Insert)
+				} else {
+					sd.Clear()
+					si.Clear()
+				}
+			}
 		}
-		// Compiled makesafe programs run here, before the base-table
-		// updates below, so their right-hand sides read the pre-update
-		// state exactly like the assignment bundle. Cross-view staging is
-		// unnecessary — no view's right-hand sides read another view's
-		// targets (auxiliary tables are internal, and views may only
-		// reference external tables) — so per-view evaluate-then-install
-		// preserves the simultaneous (T1+T2) semantics.
-		for _, cv := range compiledViews {
-			if err := m.runCompiledAssigns(cv, cv.cd.safe, asp); err != nil {
+		scratch(true)
+		defer scratch(false)
+	}
+
+	apply := func(parent *trace.Span) error {
+		asp := parent.StartChild(trace.SpanApply, trace.Int("assigns", int64(len(dtViews))))
+		defer asp.End()
+		// makesafe_DT: ∇(T,Q)/△(T,Q) merged into ∇MV/△MV. It runs here,
+		// before the base-table updates below, so the pair reads the
+		// pre-update state. Per-view evaluate-then-install preserves the
+		// simultaneous semantics without cross-view staging: no view's
+		// pair reads another view's targets (auxiliary tables are
+		// internal, and views may only reference external tables).
+		for _, dv := range dtViews {
+			del, add, err := m.evalDeltaPair(dv, asp)
+			if err != nil {
+				return err
+			}
+			if err := m.mergeDiff(dv, del, add); err != nil {
 				return err
 			}
 		}
@@ -182,12 +165,12 @@ func (m *Manager) Execute(t txn.Txn) error {
 		return nil
 	}
 	if len(lockMVs) > 0 {
-		// The locked install is the Immediate views' downtime: readers of
-		// those MVs block for exactly this long, every transaction.
+		// Immediate views hold their MV write locks while the transaction
+		// installs: readers of those MVs block for exactly this long, every
+		// transaction — the overhead immediate maintenance imposes.
 		lockStart := time.Now()
 		err = m.locks.WithWriteSpan(lockMVs, xsp, func(hold *trace.Span) error {
-			// makesafe_IM: MV := (MV ∸ ∇(T,Q)) ⊎ △(T,Q), in place. The pair
-			// reads the pre-update state: apply changes the base tables.
+			// makesafe_IM: the same pre-update pair, applied to MV itself.
 			for _, iv := range imViews {
 				del, add, err := m.evalDeltaPair(iv, hold)
 				if err != nil {
@@ -254,11 +237,9 @@ func (m *Manager) Execute(t txn.Txn) error {
 	return nil
 }
 
-// appendToLogs performs the Figure 3 log extension in place. It is
-// observationally identical to the algebraic assignments of
-// View.safeAssigns (see TestFastLogAppendMatchesAlgebraic): for each
-// table, the bag x = ∇R ∸ ▲R is computed against the PRE-state ▲R
-// before ▲R is mutated, matching simultaneous-assignment semantics.
+// appendToLogs is makesafe_BL (= makesafe_C) for a view with its own,
+// unsharded log tables: each touched base's (▼R, ▲R) is extended with
+// the transaction's (∇R, △R) by mergeDelta, in O(|∇R|+|△R|).
 func (m *Manager) appendToLogs(v *View, nt txn.Txn) error {
 	for _, b := range v.bases {
 		u, ok := nt[b]
@@ -273,18 +254,20 @@ func (m *Manager) appendToLogs(v *View, nt txn.Txn) error {
 		if err != nil {
 			return err
 		}
-		del, ins := u.Delete, u.Insert // never nil: nt is normalized
-		if fn, ok := v.logFilterFn[b]; ok {
-			// Relevant-update detection (WithLogFilter): only σ_p of the
-			// change reaches this view's log.
-			del = bag.Select(del, fn)
-			ins = bag.Select(ins, fn)
-		}
-		x := bag.Monus(del, insLog.Data()) // ∇R ∸ ▲R, against pre-state ▲R
-		insLog.Data().ApplyDelta(del, ins) // ▲R := (▲R ∸ ∇R) ⊎ △R
-		delLog.Data().AddBag(x)            // ▼R ⊎= x
+		del, ins := v.relevant(b, u)
+		mergeDelta(delLog, insLog, del, ins, false)
 	}
 	return nil
+}
+
+// relevant returns the part of one base table's change that reaches the
+// view's log: all of it, or σ_p of it under WithLogFilter
+// (relevant-update detection). u is normalized: no nil bag.
+func (v *View) relevant(b string, u txn.Update) (del, ins *bag.Bag) {
+	if fn, ok := v.logFilterFn[b]; ok {
+		return bag.Select(u.Delete, fn), bag.Select(u.Insert, fn)
+	}
+	return u.Delete, u.Insert
 }
 
 // viewAffected reports whether the transaction touches any base table of

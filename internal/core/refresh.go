@@ -7,7 +7,7 @@ import (
 	"dvm/internal/bag"
 	"dvm/internal/obs"
 	"dvm/internal/obs/trace"
-	"dvm/internal/txn"
+	"dvm/internal/storage"
 )
 
 // Refresh brings the view table up to date ({INV_*} refresh_* {Q ≡ MV},
@@ -57,22 +57,9 @@ func (m *Manager) Refresh(name string) error {
 			return nil
 		})
 	case DiffTables:
-		return m.locks.WithWriteSpan([]string{v.mvName}, rsp, func(hold *trace.Span) error {
-			asp, dsp := m.startDowntimeSpan(v, hold)
-			asp.SetAttrs(trace.Int("diff_tuples", int64(m.diffVolume(v))))
-			defer func() { asp.EndExplicit(dsp.End()) }()
-			return m.applyDiffTablesLocked(v)
-		})
+		return m.refreshFromDiff(v, rsp, nil)
 	case Combined:
-		return m.locks.WithWriteSpan([]string{v.mvName}, rsp, func(hold *trace.Span) error {
-			asp, dsp := m.startDowntimeSpan(v, hold)
-			defer func() { asp.EndExplicit(dsp.End()) }()
-			if err := m.propagateBody(v, asp, hold); err != nil {
-				return err
-			}
-			asp.SetAttrs(trace.Int("diff_tuples", int64(m.diffVolume(v))))
-			return m.applyDiffTablesLocked(v)
-		})
+		return m.refreshFromDiff(v, rsp, m.propagateBody)
 	}
 	return fmt.Errorf("core: refresh: unknown scenario %v", v.Scenario)
 }
@@ -108,10 +95,57 @@ func (m *Manager) applyToMVLocked(v *View, del, add *bag.Bag) error {
 	return nil
 }
 
+// mergeDelta installs a (del, add) pair into an auxiliary table pair by
+// the composition lemma (Lemma 3), in place and in O(|del|+|add|):
+//
+//	Del := Del ⊎ (del ∸ Add);  Add := (Add ∸ del) ⊎ add
+//
+// with del ∸ Add taken against the pre-state, as the simultaneous
+// assignment demands. Next to applyToMVLocked it is the only other way
+// a maintenance transaction installs a pair: every log extension
+// (makesafe_BL/makesafe_C on (▼R, ▲R), per view or per shard) and every
+// differential fold (makesafe_DT and propagate_C on (∇MV, △MV), per
+// shard or not) is this function, so each costs the size of its delta,
+// never of the table it updates. strong additionally keeps the pair
+// disjoint — the strongly minimal analog of Lemma 3 the paper sketches
+// in Section 5.3: a tuple in both ∇MV and △MV cancels, which preserves
+// (MV ∸ ∇MV) ⊎ △MV because ∇MV ⊑ MV. The tables were disjoint before,
+// so only del's and add's tuples can collide, and the cancellation
+// looks at no others. del and add are only read. The caller holds
+// whatever locks guard the two tables.
+func mergeDelta(delT, addT *storage.Table, del, add *bag.Bag, strong bool) {
+	x := bag.Monus(del, addT.Data()) // del ∸ Add, against the pre-state
+	addT.Data().ApplyDelta(del, add)
+	delT.Data().AddBag(x)
+	if !strong {
+		return
+	}
+	if cancel := bag.MinWithin(delT.Data(), addT.Data(), del, add); !cancel.Empty() {
+		none := bag.New()
+		delT.Data().ApplyDelta(cancel, none)
+		addT.Data().ApplyDelta(cancel, none)
+	}
+}
+
+// mergeDiff is mergeDelta into an unsharded view's differential tables:
+// makesafe_DT's and propagate_C's install step.
+func (m *Manager) mergeDiff(v *View, del, add *bag.Bag) error {
+	dd, err := m.db.Table(v.dtDel)
+	if err != nil {
+		return err
+	}
+	da, err := m.db.Table(v.dtAdd)
+	if err != nil {
+		return err
+	}
+	mergeDelta(dd, da, del, add, v.StrongMinimal)
+	return nil
+}
+
 // refreshFromLogLocked implements refresh_BL: evaluate the post-update
-// incremental queries (▼(L,Q), ▲(L,Q)), apply them to MV in place, and
-// empty the log. The Locked suffix is a contract dvmlint enforces: the
-// caller must hold the MV write lock.
+// pair (▼(L,Q), ▲(L,Q)), apply it to MV in place, and empty the log.
+// The Locked suffix is a contract dvmlint enforces: the caller must
+// hold the MV write lock.
 func (m *Manager) refreshFromLogLocked(v *View, parent *trace.Span) error {
 	if v.met != nil {
 		v.met.refreshTuples.Add(int64(m.logVolume(v)))
@@ -145,16 +179,42 @@ func (m *Manager) clearLogs(v *View) error {
 	return nil
 }
 
-// applyDiffTablesLocked implements refresh_DT / partial_refresh_C:
-// MV := (MV ∸ ∇MV) ⊎ △MV; ∇MV := ∅; △MV := ∅ — in place, so the work
-// under the lock is O(|∇MV|+|△MV|). The Locked suffix is a contract
-// dvmlint enforces: the caller must hold the MV write lock.
-func (m *Manager) applyDiffTablesLocked(v *View) error {
-	if v.sh != nil {
-		return m.applyDiffShardsLocked(v)
+// refreshFromDiff is refresh_DT / partial_refresh_C, and with first =
+// propagateBody refresh_C (Policy 1: the downtime covers the final
+// propagate): MV := (MV ∸ ∇MV) ⊎ △MV under the MV write lock, then
+// ∇MV := ∅; △MV := ∅ once the lock is released. The differential
+// tables are the single writer's own state — no reader of MV sees
+// them — so emptying them is not downtime, and readers wait only for
+// the O(|∇MV|+|△MV|) in-place apply.
+func (m *Manager) refreshFromDiff(v *View, parent *trace.Span, first func(v *View, sp, parent *trace.Span) error) error {
+	err := m.locks.WithWriteSpan([]string{v.mvName}, parent, func(hold *trace.Span) error {
+		asp, dsp := m.startDowntimeSpan(v, hold)
+		defer func() { asp.EndExplicit(dsp.End()) }()
+		if first != nil {
+			if err := first(v, asp, hold); err != nil {
+				return err
+			}
+		}
+		asp.SetAttrs(trace.Int("diff_tuples", int64(m.diffVolume(v))))
+		return m.applyDiffTablesLocked(v)
+	})
+	if err != nil {
+		return err
 	}
+	return m.clearDiffTables(v)
+}
+
+// applyDiffTablesLocked installs MV := (MV ∸ ∇MV) ⊎ △MV, in place, so
+// the work under the lock is O(|∇MV|+|△MV|); the caller empties the
+// differential tables afterwards (clearDiffTables). The Locked suffix
+// is a contract dvmlint enforces: the caller must hold the MV write
+// lock.
+func (m *Manager) applyDiffTablesLocked(v *View) error {
 	if v.met != nil {
 		v.met.refreshTuples.Add(int64(m.diffVolume(v)))
+	}
+	if v.sh != nil {
+		return m.applyDiffShardsLocked(v)
 	}
 	dd, err := m.db.Table(v.dtDel)
 	if err != nil {
@@ -164,11 +224,33 @@ func (m *Manager) applyDiffTablesLocked(v *View) error {
 	if err != nil {
 		return err
 	}
-	if err := m.applyToMVLocked(v, dd.Data(), da.Data()); err != nil {
-		return err
+	return m.applyToMVLocked(v, dd.Data(), da.Data())
+}
+
+// clearDiffTables is ∇MV := ∅; △MV := ∅, sharded or not: the second
+// half of refresh_DT / partial_refresh_C, and of a recompute.
+func (m *Manager) clearDiffTables(v *View) error {
+	if v.sh != nil {
+		for i := 0; i < v.sh.n; i++ {
+			dd, da := v.sh.dtDel[i], v.sh.dtAdd[i]
+			if dd.Len() == 0 && da.Len() == 0 {
+				continue
+			}
+			_ = m.locks.WithWrite([]string{dd.Name(), da.Name()}, func() error {
+				dd.Clear()
+				da.Clear()
+				return nil
+			})
+		}
+		return nil
 	}
-	dd.Clear()
-	da.Clear()
+	for _, name := range []string{v.dtDel, v.dtAdd} {
+		tb, err := m.db.Table(name)
+		if err != nil {
+			return err
+		}
+		tb.Clear()
+	}
 	return nil
 }
 
@@ -237,8 +319,9 @@ func (m *Manager) consumeWindowIfShared(v *View) {
 	m.advanceCursors(v)
 }
 
-// foldLog folds the log's post-update incremental queries into the
-// differential tables and empties the log (the body of propagate_C).
+// foldLog evaluates the log's post-update pair (▼(L,Q), ▲(L,Q)), merges
+// it into the differential tables and empties the log (the body of
+// propagate_C; the same pair refresh_BL applies to MV).
 // It touches only logs and differential tables — never MV — so it
 // needs no MV lock, only the manager's single-writer discipline.
 // (It was once named propagateLocked; dvmlint's lock-discipline check
@@ -259,18 +342,12 @@ func (m *Manager) foldLog(v *View, parent *trace.Span) error {
 	if v.met != nil {
 		v.met.propagateTuples.Add(int64(vol))
 	}
-	if v.cd != nil && v.cd.fold != nil {
-		if err := m.runCompiledAssigns(v, v.cd.fold, parent); err != nil {
-			return err
-		}
-	} else {
-		fold, err := m.foldAssigns(v, v.blDel, v.blAdd)
-		if err != nil {
-			return err
-		}
-		if err := txn.ApplyAssignments(m.db, fold); err != nil {
-			return err
-		}
+	del, add, err := m.evalDeltaPair(v, parent)
+	if err != nil {
+		return err
+	}
+	if err := m.mergeDiff(v, del, add); err != nil {
+		return err
 	}
 	return m.clearLogs(v)
 }
@@ -298,12 +375,7 @@ func (m *Manager) PartialRefresh(name string) error {
 		prsp.End()
 		m.updateSizeGauges(v)
 	}()
-	return m.locks.WithWriteSpan([]string{v.mvName}, prsp, func(hold *trace.Span) error {
-		asp, dsp := m.startDowntimeSpan(v, hold)
-		asp.SetAttrs(trace.Int("diff_tuples", int64(m.diffVolume(v))))
-		defer func() { asp.EndExplicit(dsp.End()) }()
-		return m.applyDiffTablesLocked(v)
-	})
+	return m.refreshFromDiff(v, prsp, nil)
 }
 
 // RefreshRecompute is the non-incremental baseline: recompute Q from
@@ -343,24 +415,14 @@ func (m *Manager) RefreshRecompute(name string) error {
 			m.advanceCursors(v)
 		}
 		if v.sh != nil {
-			m.clearShardStateLocked(v)
-			return nil
-		}
-		for _, b := range v.bases {
-			if n, ok := v.logDel[b]; ok {
-				tb, _ := m.db.Table(n)
-				tb.Clear()
-			}
-			if n, ok := v.logIns[b]; ok {
-				tb, _ := m.db.Table(n)
-				tb.Clear()
+			m.clearLogShards(v)
+		} else if len(v.logDel) > 0 {
+			if err := m.clearLogs(v); err != nil {
+				return err
 			}
 		}
 		if v.dtDel != "" {
-			tb, _ := m.db.Table(v.dtDel)
-			tb.Clear()
-			tb, _ = m.db.Table(v.dtAdd)
-			tb.Clear()
+			return m.clearDiffTables(v)
 		}
 		return nil
 	})

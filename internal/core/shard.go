@@ -480,11 +480,7 @@ func (m *Manager) appendToLogsSharded(v *View, nt txn.Txn) error {
 		if !ok {
 			continue
 		}
-		del, ins := u.Delete, u.Insert // never nil: nt is normalized
-		if fn, okf := v.logFilterFn[b]; okf {
-			del = bag.Select(del, fn)
-			ins = bag.Select(ins, fn)
-		}
+		del, ins := v.relevant(b, u)
 		kc := sh.shardKey(b)
 		delParts := bag.Partition(del, kc, sh.n)
 		insParts := bag.Partition(ins, kc, sh.n)
@@ -495,9 +491,7 @@ func (m *Manager) appendToLogsSharded(v *View, nt txn.Txn) error {
 			delLog, insLog := sh.logDel[b][i], sh.logIns[b][i]
 			di, ii := delParts[i], insParts[i]
 			err := m.locks.WithWrite([]string{delLog.Name(), insLog.Name()}, func() error {
-				x := bag.Monus(di, insLog.Data()) // ∇R_i ∸ ▲R_i, pre-state
-				insLog.Data().ApplyDelta(di, ii)
-				delLog.Data().AddBag(x)
+				mergeDelta(delLog, insLog, di, ii, false)
 				return nil
 			})
 			if err != nil {
@@ -774,11 +768,7 @@ func (m *Manager) foldLogSharded(v *View, parent *trace.Span) error {
 	// Install phase. First consume the evaluated log slices...
 	for _, r := range results {
 		if r.shard < 0 {
-			for _, b := range v.bases {
-				for i := 0; i < sh.n; i++ {
-					m.clearLogShard(v, b, i)
-				}
-			}
+			m.clearLogShards(v)
 			continue
 		}
 		for _, b := range v.bases {
@@ -813,14 +803,7 @@ func (m *Manager) foldLogSharded(v *View, parent *trace.Span) error {
 		di, ai := destDel[i], destAdd[i]
 		folded := di.Len() + ai.Len()
 		err := m.locks.WithWrite([]string{dd.Name(), da.Name()}, func() error {
-			x := bag.Monus(di, da.Data()) // D_i ∸ △MV_i, pre-state
-			da.Data().ApplyDelta(di, ai)
-			dd.Data().AddBag(x)
-			if v.StrongMinimal {
-				cancel, none := bag.Min(dd.Data(), da.Data()), bag.New()
-				dd.Data().ApplyDelta(cancel, none)
-				da.Data().ApplyDelta(cancel, none)
-			}
+			mergeDelta(dd, da, di, ai, v.StrongMinimal)
 			return nil
 		})
 		if err != nil {
@@ -901,29 +884,21 @@ func (m *Manager) clearLogShard(v *View, b string, i int) {
 	})
 }
 
-// applyDiffShardsLocked is partial_refresh_C over sharded differential
-// tables: each diff shard is applied to MV in turn and cleared. Diff
-// shards are value-disjoint (routed by view-value hash), so the
-// sequential per-shard apply equals the merged apply exactly. The
-// Locked suffix is a contract dvmlint enforces: the caller must hold
-// the MV write lock.
+// applyDiffShardsLocked is partial_refresh_C's apply over sharded
+// differential tables: each diff shard is applied to MV in turn (the
+// caller clears them afterwards, see clearDiffTables). Diff shards are
+// value-disjoint (routed by view-value hash), so the sequential
+// per-shard apply equals the merged apply exactly. The Locked suffix is
+// a contract dvmlint enforces: the caller must hold the MV write lock.
 func (m *Manager) applyDiffShardsLocked(v *View) error {
 	sh := v.sh
-	if v.met != nil {
-		v.met.refreshTuples.Add(int64(m.diffVolume(v)))
-	}
 	for i := 0; i < sh.n; i++ {
 		dd, da := sh.dtDel[i], sh.dtAdd[i]
 		if dd.Len() == 0 && da.Len() == 0 {
 			continue
 		}
-		err := m.locks.WithWrite([]string{dd.Name(), da.Name()}, func() error {
-			if err := m.applyToMVLocked(v, dd.Data(), da.Data()); err != nil {
-				return err
-			}
-			dd.Clear()
-			da.Clear()
-			return nil
+		err := m.locks.WithRead([]string{dd.Name(), da.Name()}, func() error {
+			return m.applyToMVLocked(v, dd.Data(), da.Data())
 		})
 		if err != nil {
 			return err
@@ -932,23 +907,13 @@ func (m *Manager) applyDiffShardsLocked(v *View) error {
 	return nil
 }
 
-// clearShardStateLocked wipes all shard log and diff slices (the
-// recompute path discards auxiliary state). The Locked suffix is a
-// contract dvmlint enforces: the caller must hold the MV write lock.
-func (m *Manager) clearShardStateLocked(v *View) {
-	sh := v.sh
+// clearLogShards wipes every log slice of a sharded view (the
+// recompute path discards auxiliary state).
+func (m *Manager) clearLogShards(v *View) {
 	for _, b := range v.bases {
-		for i := 0; i < sh.n; i++ {
+		for i := 0; i < v.sh.n; i++ {
 			m.clearLogShard(v, b, i)
 		}
-	}
-	for i := 0; i < sh.n; i++ {
-		dd, da := sh.dtDel[i], sh.dtAdd[i]
-		_ = m.locks.WithWrite([]string{dd.Name(), da.Name()}, func() error {
-			dd.Clear()
-			da.Clear()
-			return nil
-		})
 	}
 }
 

@@ -44,7 +44,8 @@ func TestTheorem5RandomStreams(t *testing.T) {
 				if trial%2 == 1 {
 					opts = append(opts, WithStrongMinimality())
 				}
-				if _, err := m.DefineView("v", def, sc, opts...); err != nil {
+				v, err := m.DefineView("v", def, sc, opts...)
+				if err != nil {
 					t.Fatalf("trial %d: define: %v\ndef=%s", trial, err, def)
 				}
 
@@ -63,13 +64,18 @@ func TestTheorem5RandomStreams(t *testing.T) {
 						if len(tx) == 0 {
 							tx = txn.Insert(u.Tables[0], bag.Of(schema.Row(r.Intn(4), r.Intn(4))))
 						}
+						// Every auxiliary update is the composition lemma.
+						merged := expectMakesafe(t, m, v, tx)
 						if err := m.Execute(tx); err != nil {
 							t.Fatalf("trial %d step %d: execute: %v\ndef=%s", trial, step, err, def)
 						}
+						merged()
 					case op < 7 && sc == Combined: // propagate
+						merged := expectFold(t, m, v, db, "propagate_C")
 						if err := m.Propagate("v"); err != nil {
 							t.Fatalf("trial %d step %d: propagate: %v", trial, step, err)
 						}
+						merged()
 					case op < 8 && (sc == Combined || sc == DiffTables): // partial refresh
 						if err := m.PartialRefresh("v"); err != nil {
 							t.Fatalf("trial %d step %d: partial: %v", trial, step, err)

@@ -78,8 +78,10 @@ func DefaultConfig() Config {
 		Blessed: []string{
 			// makesafe_* (Execute bundles every view's bookkeeping).
 			"Execute", "appendToLogs", "appendShared",
-			// refresh_* family.
-			"refreshFromLogLocked", "applyDiffTablesLocked", "RefreshRecompute",
+			// refresh_* family (clearDiffTables is refresh_DT's and
+			// partial_refresh_C's ∇MV := ∅; △MV := ∅, run once the MV lock
+			// is released).
+			"refreshFromLogLocked", "applyDiffTablesLocked", "clearDiffTables", "RefreshRecompute",
 			// propagate_* family (incl. shared-log window upkeep).
 			"foldLog", "materializeWindow",
 			// Sharded counterparts of the same transactions
@@ -87,7 +89,7 @@ func DefaultConfig() Config {
 			// log append + mirror upkeep, propagate_C's staged fold,
 			// refresh_C's per-diff-shard apply and recompute reset.
 			"appendToLogsSharded", "updateMirrors", "foldLogSharded",
-			"clearLogShard", "applyDiffShardsLocked", "clearShardStateLocked",
+			"clearLogShard", "applyDiffShardsLocked",
 			// View (de)initialization (ensureMirror seeds a shard
 			// group's base mirrors at DefineView time).
 			"DefineView", "ensureMirror",
@@ -95,14 +97,13 @@ func DefaultConfig() Config {
 			// Bag.ApplyDelta, shared by makesafe_IM, refresh_BL,
 			// refresh_DT and partial_refresh_C (sharded or not).
 			"applyToMVLocked",
-			// Compiled delta programs: the same Figure 3 transactions
-			// run as fused closures. Auxiliary-table results (makesafe_DT
-			// and the slow-append log merge inside Execute's apply
-			// closure, propagate_C's fold) are installed by Table.Replace
-			// in runCompiledAssigns; clearLogs resets consumed logs. MV
-			// itself is never replaced by a refresh, only by
-			// DefineView and RefreshRecompute.
-			"runCompiledAssigns", "clearLogs",
+			// Its counterpart for auxiliary tables: the composition-lemma
+			// merge of a (del, add) pair into (▼R, ▲R) or (∇MV, △MV), in
+			// place — every log extension and differential fold, sharded
+			// or not; clearLogs resets consumed logs. Nothing maintained
+			// is ever rebuilt: only DefineView and RefreshRecompute
+			// install a whole table.
+			"mergeDelta", "clearLogs",
 		},
 		DocPkgs: []string{
 			"dvm/internal/core",

@@ -52,9 +52,8 @@ func (t Type) String() string {
 // bags canonical).
 type Value struct {
 	typ Type
-	i   int64   // TInt, TBool (0/1)
-	f   float64 // TFloat
-	s   string  // TString
+	i   int64  // TInt, TBool (0/1); TFloat keeps its IEEE 754 bits here
+	s   string // TString
 }
 
 // Null returns the NULL value.
@@ -64,7 +63,10 @@ func Null() Value { return Value{} }
 func Int(v int64) Value { return Value{typ: TInt, i: v} }
 
 // Float returns a floating-point value.
-func Float(v float64) Value { return Value{typ: TFloat, f: v} }
+func Float(v float64) Value { return Value{typ: TFloat, i: int64(math.Float64bits(v))} }
+
+// float returns a TFloat's payload.
+func (v Value) float() float64 { return math.Float64frombits(uint64(v.i)) }
 
 // String_ returns a string value. (Named with a trailing underscore to
 // avoid colliding with the fmt.Stringer method on Value.)
@@ -103,7 +105,7 @@ func (v Value) AsFloat() float64 {
 	case TInt:
 		return float64(v.i)
 	case TFloat:
-		return v.f
+		return v.float()
 	}
 	panic(fmt.Sprintf("schema: AsFloat on %s value", v.typ))
 }
@@ -147,12 +149,12 @@ func (v Value) Compare(o Value) int {
 		if o.typ == TInt {
 			return cmpInt(v.i, o.i)
 		}
-		return cmpFloat(float64(v.i), o.f)
+		return cmpFloat(float64(v.i), o.float())
 	case TFloat:
 		if o.typ == TInt {
-			return cmpFloat(v.f, float64(o.i))
+			return cmpFloat(v.float(), float64(o.i))
 		}
-		return cmpFloat(v.f, o.f)
+		return cmpFloat(v.float(), o.float())
 	case TString:
 		return strings.Compare(v.s, o.s)
 	}
@@ -209,7 +211,7 @@ func (v Value) String() string {
 	case TInt:
 		return strconv.FormatInt(v.i, 10)
 	case TFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	case TString:
 		return strconv.Quote(v.s)
 	case TBool:
@@ -237,7 +239,7 @@ func (v Value) appendKey(dst []byte) []byte {
 		dst = append(dst, 'i')
 		return strconv.AppendInt(dst, v.i, 10)
 	case TFloat:
-		f := v.f
+		f := v.float()
 		if f == 0 {
 			f = 0 // canonicalize -0.0 so it keys like +0.0 (Compare treats them equal)
 		}

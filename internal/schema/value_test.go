@@ -211,3 +211,22 @@ func TestNegativeZeroKeysLikeZero(t *testing.T) {
 		t.Fatal("-0.0 should compare equal to +0.0")
 	}
 }
+
+// TestValueSize pins the layout: a type tag, one 8-byte word shared by
+// INT, BOOL and the FLOAT's bits, and the string header — 32 bytes, so
+// a 4-column tuple sits in the 128-byte size class. Every float must
+// survive the round trip through the integer word bit for bit.
+func TestValueSize(t *testing.T) {
+	if got := reflect.TypeOf(Value{}).Size(); got != 32 {
+		t.Fatalf("sizeof(Value) = %d, want 32", got)
+	}
+	for _, f := range []float64{0, math.Copysign(0, -1), 1.5, -2.25, math.MaxFloat64,
+		math.SmallestNonzeroFloat64, math.Inf(1), math.Inf(-1), math.NaN()} {
+		if got := Float(f).AsFloat(); math.Float64bits(got) != math.Float64bits(f) {
+			t.Errorf("Float(%v).AsFloat() = %v", f, got)
+		}
+	}
+	if got := Float(2.5).String(); got != "2.5" {
+		t.Errorf("Float(2.5).String() = %q", got)
+	}
+}

@@ -51,7 +51,9 @@ func (t *Table) Schema() *schema.Schema { return t.sch }
 func (t *Table) Kind() Kind { return t.kind }
 
 // Data returns the live bag. Callers must treat it as read-only unless
-// they own the surrounding transaction.
+// they own the surrounding transaction. The bag is the table's contents
+// until the next Replace — Clear empties this very bag — so hold it
+// only inside the transaction that read it; copy what must outlive it.
 //
 //dvmlint:ignore shared-state-escape documented ownership contract: the lock protocol lives at the call sites (core wraps every access in a LockManager acquisition), and the analyzer cannot see callers' locks
 func (t *Table) Data() *bag.Bag { return t.data }
@@ -82,8 +84,13 @@ func (t *Table) Delete(tu schema.Tuple, n int) int {
 // Replace swaps the table's contents for b.
 func (t *Table) Replace(b *bag.Bag) { t.data = b }
 
-// Clear empties the table.
-func (t *Table) Clear() { t.data = bag.New() }
+// Clear empties the table in place (bag.Bag.Clear): whoever holds Data()
+// sees the table emptied, the bag's own indexes survive, empty, and a
+// table that is filled and cleared in rounds refills into the buckets
+// it already owns — kept only while the last two fills justify them
+// (the retention rule is Bag.Clear's), so a table that once held a bulk
+// load neither pins that capacity nor pays for it on every Clear.
+func (t *Table) Clear() { t.data.Clear() }
 
 // Database is a mutable database state: a mapping from table names to
 // bags (Section 2.1). It implements algebra.Source.

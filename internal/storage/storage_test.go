@@ -73,9 +73,33 @@ func TestReplaceClearData(t *testing.T) {
 	if tb.Len() != 2 || tb.Data() != b {
 		t.Fatal("Replace wrong")
 	}
+	// Clear empties in place: the table keeps its bag (whoever holds
+	// Data() sees it emptied) and the bag keeps its index, empty.
+	pos := []int{0}
+	b.IndexOn(pos)
 	tb.Clear()
-	if tb.Len() != 0 {
+	if tb.Len() != 0 || tb.Data() != b || !b.Empty() {
 		t.Fatal("Clear wrong")
+	}
+	if got := b.Indexes(); len(got) != 1 || len(got[0]) != 1 || got[0][0] != 0 {
+		t.Fatalf("Clear dropped the bag's index: %v", got)
+	}
+	probe := bag.Of(schema.Row(1, "p"), schema.Row(2, "p"), schema.Row(3, "p"))
+	ix, _ := b.IndexOn(pos)
+	if out, _ := bag.JoinIndexed(probe, pos, ix, false, nil); !out.Empty() {
+		t.Fatalf("the index of a cleared table still answers %v", out)
+	}
+	// After a refill the same index answers like a rebuilt one.
+	for _, r := range []schema.Tuple{schema.Row(2, "again"), schema.Row(3, "new"), schema.Row(3, "new")} {
+		if err := tb.Insert(r, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	again, _ := b.IndexOn(pos)
+	got, _ := bag.JoinIndexed(probe, pos, again, false, nil)
+	want, _ := bag.JoinIndexed(probe, pos, bag.NewIndex(b.Clone(), pos), false, nil)
+	if again != ix || got.Len() != 3 || !got.Equal(want) {
+		t.Fatalf("after a refill the table's index answers %v, a fresh one %v", got, want)
 	}
 }
 
