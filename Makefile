@@ -72,3 +72,4 @@ fuzz:
 	$(GO) test ./internal/bag -run '^$$' -fuzz '^FuzzBagOps$$' -fuzztime=30s
 	$(GO) test ./internal/sql -run '^$$' -fuzz '^FuzzParse$$' -fuzztime=30s
 	$(GO) test ./internal/sql -run '^$$' -fuzz '^FuzzEngineExec$$' -fuzztime=30s
+	$(GO) test ./internal/sql -run '^$$' -fuzz '^FuzzSnapshotLoad$$' -fuzztime=30s

@@ -85,9 +85,11 @@ func main() {
 }
 
 func show(mgr *core.Manager, label string) {
-	b, err := mgr.Query("bigOrders")
-	check(err)
-	fmt.Printf("%s: %s\n", label, b)
+	// Read lends the live view under its read lock; printing needs no copy.
+	check(mgr.Read("bigOrders", func(mv *bag.Bag) error {
+		fmt.Printf("%s: %s\n", label, mv)
+		return nil
+	}))
 }
 
 func check(err error) {

@@ -30,8 +30,9 @@ import (
 //   - replaces the per-call memo map with slot-indexed DAG-node result
 //     caching (plain slice loads, no interface-keyed map);
 //   - hands a root over uncloned when the evaluation built its bag and
-//     nothing else refers to it (fresh); roots that can alias storage, a
-//     literal or another slot are cloned;
+//     nothing else refers to it (fresh, Owned); roots that can alias
+//     storage, a literal or another slot are cloned by Eval and lent,
+//     read-only, by EvalBorrowed;
 //   - joins against a base table through that table's own hash index
 //     (bag.IndexOn): one index per table and column set, shared by every
 //     term, program and view, and caught up from the bag's mutation
@@ -95,8 +96,9 @@ func (p *Program) Roots() int { return len(p.roots) }
 
 // Eval evaluates every root against src, in registration order,
 // returning bags the caller owns (they never alias storage, literals, or
-// internal caches). The caller must not mutate the source's tables
-// during the call.
+// internal caches): EvalBorrowed, plus a Clone of every root that
+// evaluation only borrowed. The caller must not mutate the source's
+// tables during the call.
 //
 // Passing a State says the caller evaluates this program again and
 // again and is the one who may mutate the source: joins against a base
@@ -106,6 +108,31 @@ func (p *Program) Roots() int { return len(p.roots) }
 // smaller side and throws the index away — so it is safe under read
 // locks and leaves no index or journal behind on a live table.
 func (p *Program) Eval(st *State, src Source) ([]*bag.Bag, Stats, error) {
+	out, stats, err := p.EvalBorrowed(st, src)
+	for i, b := range out {
+		if !p.owned[i] {
+			out[i] = b.Clone()
+		}
+	}
+	return out, stats, err
+}
+
+// Owned reports whether root i's result belongs to the caller outright —
+// the evaluation built the bag and nothing else refers to it — rather
+// than being borrowed (see EvalBorrowed). It is a property of the
+// compiled expression, not of one evaluation.
+func (p *Program) Owned(i int) bool { return p.owned[i] }
+
+// EvalBorrowed is Eval without the final copy, for a consumer that only
+// reads the answer. A root that is not Owned comes back as the bag
+// evaluation found it: a live table of src (SELECT * FROM t is the table
+// itself), a compiled literal, or a value another root shares. Such a
+// bag is read-only, and it is the caller's only for as long as the
+// caller keeps the source's tables from changing — until the locks the
+// evaluation ran under are released, or the next write of a
+// single-session owner; whatever must outlive that is cloned first.
+// Owned roots are the caller's to keep and mutate, as with Eval.
+func (p *Program) EvalBorrowed(st *State, src Source) ([]*bag.Bag, Stats, error) {
 	if st == nil {
 		st = p.NewState()
 		st.oneShot = true
@@ -123,10 +150,9 @@ func (p *Program) Eval(st *State, src Source) ([]*bag.Bag, Stats, error) {
 			st.src = nil
 			return nil, Stats{}, err
 		}
+		out[i] = b
 		if p.owned[i] {
-			out[i], st.slots[slot] = b, nil
-		} else {
-			out[i] = b.Clone()
+			st.slots[slot] = nil
 		}
 	}
 	stats := Stats{IndexProbeTuples: st.probed, IndexBuildTuples: st.built}

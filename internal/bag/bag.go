@@ -79,6 +79,14 @@ type jentry struct {
 // New returns an empty bag.
 func New() *Bag { return &Bag{m: make(map[string]entry)} }
 
+// NewSized returns an empty bag with room for n distinct tuples, for a
+// caller that knows how many are coming (a snapshot's table header): the
+// fill then never regrows the map, which from empty costs about as much
+// again as the map it ends with.
+func NewSized(n int) *Bag {
+	return &Bag{m: make(map[string]entry, n), peak: sat32(n)}
+}
+
 // Of builds a bag containing each given tuple once.
 func Of(tuples ...schema.Tuple) *Bag {
 	b := New()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"dvm/internal/bag"
 	"dvm/internal/core"
 	"dvm/internal/storage"
 	"dvm/internal/workload"
@@ -118,16 +119,16 @@ func E16CompiledPrograms() (*Report, error) {
 		}
 		// Same stream, same final state: the comparison is honest only
 		// if both days ended on the identical materialization.
-		mvI, err := interp.Query("hv")
+		err = interp.Read("hv", func(mvI *bag.Bag) error {
+			return comp.Read("hv", func(mvC *bag.Bag) error {
+				if !mvI.Equal(mvC) {
+					return fmt.Errorf("bench: scale %d: compiled and interpreted MVs diverged", scale)
+				}
+				return nil
+			})
+		})
 		if err != nil {
 			return nil, err
-		}
-		mvC, err := comp.Query("hv")
-		if err != nil {
-			return nil, err
-		}
-		if !mvI.Equal(mvC) {
-			return nil, fmt.Errorf("bench: scale %d: compiled and interpreted MVs diverged", scale)
 		}
 		snapI := interp.Obs().Snapshot()
 		snapC := comp.Obs().Snapshot()

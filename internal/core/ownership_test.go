@@ -7,6 +7,7 @@ import (
 
 	"dvm/internal/algebra"
 	"dvm/internal/bag"
+	"dvm/internal/txn"
 )
 
 // TestCallerOwnedBagsSurviveMaintenance: tables are now emptied in place
@@ -94,5 +95,61 @@ func TestCallerOwnedBagsSurviveMaintenance(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestReadLendsTheLiveView: Read is the read that copies nothing — its
+// function sees MV itself, under the read lock, for a few hundred bytes
+// of span and lock bookkeeping however large the view — and Query is
+// Read plus Clone: equal contents, a different bag. An error from the
+// function, or an unknown view, comes back as it is.
+func TestReadLendsTheLiveView(t *testing.T) {
+	db, def := retailDB(t)
+	m := NewManager(db)
+	v, err := m.DefineView("hv", def, Combined)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Execute(txn.Insert("sales", highSales(0, 5000))); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Refresh("hv"); err != nil {
+		t.Fatal(err)
+	}
+	live, err := db.Bag(v.MVTable())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seen *bag.Bag
+	n := 0
+	bytes := allocBytes(func() {
+		err = m.Read("hv", func(mv *bag.Bag) error {
+			seen = mv // kept to compare identities only
+			n = mv.Len()
+			return nil
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seen != live || n != live.Len() || n < 5000 {
+		t.Fatalf("Read lent a bag of %d tuples; MV is another bag or holds %d", n, live.Len())
+	}
+	if bytes > 4096 {
+		t.Fatalf("Read of a %d-tuple view allocated %d bytes: it copies", n, bytes)
+	}
+	q, err := m.Query("hv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q == live || !q.Equal(live) {
+		t.Fatal("Query must return a copy of MV")
+	}
+	boom := fmt.Errorf("boom")
+	if err := m.Read("hv", func(*bag.Bag) error { return boom }); err != boom {
+		t.Fatalf("Read returned %v, want the function's error", err)
+	}
+	if err := m.Read("nope", func(*bag.Bag) error { return nil }); err == nil {
+		t.Fatal("Read of an unknown view succeeded")
 	}
 }

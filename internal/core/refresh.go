@@ -428,27 +428,41 @@ func (m *Manager) RefreshRecompute(name string) error {
 	})
 }
 
-// Query reads the view's materialized table under a shared lock,
-// returning a copy. Reads block while a refresh holds the exclusive
-// lock — the downtime a user experiences.
-func (m *Manager) Query(name string) (*bag.Bag, error) {
+// Read runs f over the view's materialized table under a shared lock
+// and a core.query trace: the read primitive, which copies nothing. The
+// bag is MV itself, lent to f: f must not mutate it, must not keep it —
+// or anything that aliases its map — past its own return (tuples are
+// immutable and may be kept), and must not call back into the Manager,
+// whose refresh is waiting for this very lock. Reads block while a
+// refresh holds the exclusive lock — the downtime a user experiences —
+// and a refresh waits while f runs, so f should be brief; a caller that
+// needs to own the answer uses Query.
+func (m *Manager) Read(name string, f func(mv *bag.Bag) error) error {
 	v, err := m.View(name)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	// Readers run concurrently with the writer, so Query starts its own
+	// Readers run concurrently with the writer, so Read starts its own
 	// root trace directly rather than parenting under the writer-owned
 	// statement span (startEntrySpan reads m.cur, which is
 	// single-writer state).
 	qsp := m.tracer.StartTrace(trace.SpanQuery, trace.Str("view", v.Name))
 	defer qsp.End()
-	var out *bag.Bag
-	err = m.locks.WithReadSpan([]string{v.mvName}, qsp, func(*trace.Span) error {
+	return m.locks.WithReadSpan([]string{v.mvName}, qsp, func(*trace.Span) error {
 		b, err := m.db.Bag(v.mvName)
 		if err != nil {
 			return err
 		}
-		out = b.Clone()
+		return f(b)
+	})
+}
+
+// Query reads the view's materialized table, returning a copy the
+// caller owns: Read plus Clone.
+func (m *Manager) Query(name string) (*bag.Bag, error) {
+	var out *bag.Bag
+	err := m.Read(name, func(mv *bag.Bag) error {
+		out = mv.Clone()
 		return nil
 	})
 	return out, err

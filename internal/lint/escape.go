@@ -14,8 +14,10 @@ import (
 // Two escape shapes are flagged:
 //
 //   - a reference obtained INSIDE a locked region (the closure argument
-//     of a txn.LockManager acquisition, or the body of a core *Locked
-//     function) must not outlive it: assigning it to a variable
+//     of a txn.LockManager acquisition, the body of a core *Locked
+//     function, or the function literal a borrowed read — core's
+//     Manager.Read — runs over the live MV, whose bag parameter is such
+//     a reference from the start) must not outlive it: assigning it to a variable
 //     declared outside the region, storing it into a field or an outer
 //     container, sending it on a channel, returning it, or capturing it
 //     in a spawned goroutine all let lock-free code read state the lock
@@ -53,18 +55,27 @@ func runSharedStateEscape(p *Pass) {
 func (p *Pass) checkEscapeRegions(fd *ast.FuncDecl) {
 	info := p.Pkg.Info
 	if fn, ok := info.Defs[fd.Name].(*types.Func); ok && isLockedContractFn(fn, p.Cfg.CorePkg) {
-		p.checkRegion(fd.Body, fd.Name.Name+" (Locked contract: caller holds the lock)")
+		p.checkRegion(fd.Body, fd.Name.Name+" (Locked contract: caller holds the lock)", nil)
 	}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok || len(call.Args) == 0 {
 			return true
 		}
-		if !isLockAcquire(CalleeOf(info, call), p.Cfg.TxnPkg) {
+		lit, ok := ast.Unparen(call.Args[len(call.Args)-1]).(*ast.FuncLit)
+		if !ok {
 			return true
 		}
-		if lit, ok := ast.Unparen(call.Args[len(call.Args)-1]).(*ast.FuncLit); ok {
-			p.checkRegion(lit.Body, "the locked region")
+		switch f := CalleeOf(info, call); {
+		case isLockAcquire(f, p.Cfg.TxnPkg):
+			p.checkRegion(lit.Body, "the locked region", nil)
+		case f != nil && f.Name() == "Read" && isMethodOn(f, p.Cfg.CorePkg, "Manager"):
+			// The callback's bag IS the live MV, lent for the call.
+			lent := map[types.Object]string{}
+			for _, obj := range p.bagParams(lit.Type) {
+				lent[obj] = "the view's MV, lent by " + f.Name()
+			}
+			p.checkRegion(lit.Body, "the borrowed read", lent)
 		}
 		return true
 	})
@@ -83,12 +94,17 @@ func isInternalRefCall(info *types.Info, call *ast.CallExpr, storagePkg string) 
 }
 
 // checkRegion runs the def-use escape analysis over one locked region.
-func (p *Pass) checkRegion(body ast.Node, regionDesc string) {
+// lent holds the objects that alias live table state on entry (a
+// borrowed read's parameter), by description; nil for none.
+func (p *Pass) checkRegion(body ast.Node, regionDesc string, lent map[types.Object]string) {
 	info := p.Pkg.Info
 
 	// Pass A: taint fixpoint. tainted maps a local object to the source
 	// text of the internal reference it aliases.
 	tainted := map[types.Object]string{}
+	for obj, src := range lent {
+		tainted[obj] = src
+	}
 	var taintOf func(e ast.Expr) (string, bool)
 	taintOf = func(e ast.Expr) (string, bool) {
 		switch e := ast.Unparen(e).(type) {

@@ -202,7 +202,7 @@ func (p *Pass) mutableEngineState(t types.Type) (string, bool) {
 
 // freshLocalBag reports whether obj is a local of the compiling
 // function initialized exactly once from a snapshot constructor
-// (Clone, New, FromTuples) — a private copy the closure may own.
+// (Clone, New, NewSized, FromTuples) — a private copy the closure may own.
 func (p *Pass) freshLocalBag(di *declInfo, obj types.Object) bool {
 	info := di.pkg.Info
 	defs := 0
@@ -229,7 +229,7 @@ func (p *Pass) freshLocalBag(di *declInfo, obj types.Object) bool {
 				continue
 			}
 			name := calleeName(info, call)
-			if name == "Clone" || name == "New" || name == "FromTuples" {
+			if name == "Clone" || name == "New" || name == "NewSized" || name == "FromTuples" {
 				fresh = true
 			}
 		}

@@ -49,3 +49,27 @@ func CloneAndGrow(b *bag.Bag, t schema.Tuple) *bag.Bag {
 	c.Add(t, 1)
 	return c
 }
+
+// read stands for a borrowed read (core.Manager.Read): f runs over a
+// live bag it must treat as read-only.
+func read(b *bag.Bag, f func(*bag.Bag) error) error { return f(b) }
+
+// CountThenDrain hands a borrowed read a literal that mutates what it
+// was lent; a literal has no name to carry a marker.
+func CountThenDrain(b *bag.Bag) (n int) {
+	_ = read(b, func(mv *bag.Bag) error {
+		n = mv.Len()
+		mv.Clear() // want: mutation of parameter (function literal)
+		return nil
+	})
+	return n
+}
+
+// CountOnly's literal only reads: clean.
+func CountOnly(b *bag.Bag) (n int) {
+	_ = read(b, func(mv *bag.Bag) error {
+		n = mv.Len()
+		return nil
+	})
+	return n
+}

@@ -125,3 +125,45 @@ func (s *store) Snapshot() *bag.Bag {
 func (s *store) Count() int {
 	return s.data.Len()
 }
+
+// Manager models core.Manager: Read lends the live MV to f for the
+// duration of the call.
+type Manager struct {
+	lm *txn.LockManager
+	db *storage.Database
+}
+
+// Read is the borrowed read: f runs over the live bag under the lock.
+func (m *Manager) Read(name string, f func(mv *bag.Bag) error) error {
+	return m.lm.WithRead([]string{name}, func() error {
+		b, err := m.db.Bag(name)
+		if err != nil {
+			return err
+		}
+		return f(b)
+	})
+}
+
+// KeepBorrowed parks the lent bag in a variable that outlives the
+// read: the Query mistake, without the Clone.
+func KeepBorrowed(m *Manager) *bag.Bag {
+	var out *bag.Bag
+	_ = m.Read("mv_a", func(mv *bag.Bag) error {
+		out = mv // want: lent bag escapes the borrowed read
+		return nil
+	})
+	return out
+}
+
+// QueryPattern is Read + Clone: the caller owns the copy, clean; so is
+// keeping a scalar derived from the lent bag.
+func QueryPattern(m *Manager) (*bag.Bag, int) {
+	var out *bag.Bag
+	var n int
+	_ = m.Read("mv_a", func(mv *bag.Bag) error {
+		out = mv.Clone()
+		n = mv.Len()
+		return nil
+	})
+	return out, n
+}

@@ -210,3 +210,21 @@ func TestTupleKeySelfDelimiting(t *testing.T) {
 		}
 	}
 }
+
+// TestTupleKeyIsOneAllocation: Key builds its encoding in a stack
+// scratch, so a key that fits 128 bytes costs the string and nothing
+// else; a longer one spills to the heap and is encoded all the same.
+func TestTupleKeyIsOneAllocation(t *testing.T) {
+	short := Row(12345, 678, 9, 1.25, "High", nil, true)
+	if n := len(short.Key()); n > 128 {
+		t.Fatalf("fixture key is %d bytes, want <= 128", n)
+	}
+	var sink string
+	if allocs := testing.AllocsPerRun(100, func() { sink = short.Key() }); allocs != 1 {
+		t.Fatalf("Key of a %d-byte key: %v allocations, want 1", len(sink), allocs)
+	}
+	long := Row(1, strings.Repeat("x", 1024), 2)
+	if got, want := long.Key(), "i1|s1024:"+strings.Repeat("x", 1024)+"|i2|"; got != want {
+		t.Fatalf("Key of a 1 KiB string column = %q, want %q", got, want)
+	}
+}

@@ -78,14 +78,13 @@ func (t Tuple) Compare(o Tuple) int {
 }
 
 // Key returns a canonical string encoding of the tuple, used as the bag
-// map key. Equal tuples produce equal keys and vice versa.
+// map key. Equal tuples produce equal keys and vice versa. The encoding
+// is built in a stack scratch, so a key of up to 128 bytes costs one
+// allocation — the string — where appending from nil pays a doubling
+// series of them; a longer key spills to the heap as it would have.
 func (t Tuple) Key() string {
-	var dst []byte
-	for _, v := range t {
-		dst = v.appendKey(dst)
-		dst = append(dst, '|')
-	}
-	return string(dst)
+	var kb [128]byte
+	return string(t.AppendKey(kb[:0]))
 }
 
 // AppendKey appends the tuple's canonical key encoding (the same bytes

@@ -49,8 +49,11 @@ func containsAggregates(st *SelectStmt) bool {
 }
 
 // execAggregate evaluates an aggregating SELECT: the FROM/WHERE part is
-// compiled to the algebra, evaluated, and the rows are grouped by the
-// GROUP BY columns (every non-aggregate item must be one of them).
+// compiled to the algebra and evaluated borrowed (readUnderViewLocks),
+// and the rows are folded where they are into one accumulator per
+// group of the GROUP BY columns (every non-aggregate item must be one of
+// them) — over a view, no copy of MV, no pre-aggregate relation: what is
+// allocated grows with the groups, not with the rows.
 func (e *Engine) execAggregate(s *SimpleSelect, st *SelectStmt) (*Result, error) {
 	if len(st.Ops) > 0 {
 		return nil, fmt.Errorf("sql: aggregates cannot be combined with UNION/EXCEPT/MONUS")
@@ -65,10 +68,6 @@ func (e *Engine) execAggregate(s *SimpleSelect, st *SelectStmt) (*Result, error)
 	// Source rows: FROM + WHERE, all columns.
 	src := &SimpleSelect{Star: true, From: s.From, Where: s.Where}
 	expr, err := CompileSelect(&SelectStmt{Head: src}, e.queryResolver())
-	if err != nil {
-		return nil, err
-	}
-	rows, err := e.evalUnderViewLocks(expr)
 	if err != nil {
 		return nil, err
 	}
@@ -90,6 +89,9 @@ func (e *Engine) execAggregate(s *SimpleSelect, st *SelectStmt) (*Result, error)
 	}
 	var keys []keySpec
 	var aggs []aggSpec
+	// ordered: some accumulator rounds, so the order rows are added in
+	// shows in the answer. COUNT, MIN, MAX and an integer SUM are exact.
+	ordered := false
 	kind := make([]int, len(s.Items)) // index into keys (>=0) or ^index into aggs
 	outCols := make([]schema.Column, len(s.Items))
 	for i, item := range s.Items {
@@ -134,11 +136,13 @@ func (e *Engine) execAggregate(s *SimpleSelect, st *SelectStmt) (*Result, error)
 					spec.typ = schema.TInt
 				case "AVG":
 					spec.typ = schema.TFloat
+					ordered = true
 				case "SUM":
 					if typ == schema.TInt {
 						spec.typ = schema.TInt
 					} else if typ == schema.TFloat {
 						spec.typ = schema.TFloat
+						ordered = true
 					} else {
 						return nil, fmt.Errorf("sql: SUM over non-numeric type %s", typ)
 					}
@@ -171,67 +175,19 @@ func (e *Engine) execAggregate(s *SimpleSelect, st *SelectStmt) (*Result, error)
 	}
 
 	// Accumulate per group.
-	type acc struct {
-		rep    schema.Tuple // representative source tuple (group keys)
-		count  int64        // COUNT(*) incl. duplicates
-		counts []int64      // per-agg non-null counts
-		sums   []float64
-		isum   []int64
-		mins   []schema.Value
-		maxs   []schema.Value
+	type aggState struct {
+		n        int64 // non-null count
+		sum      float64
+		isum     int64
+		min, max schema.Value
 	}
-	groups := map[string]*acc{}
-	order := []string{}
-	// Ordered iteration makes float SUM/AVG accumulation deterministic:
-	// under Each, the addition order (and so the rounding) of a group's
-	// float sums would vary run to run with map iteration order.
-	rows.EachOrdered(func(t schema.Tuple, n int) {
-		k := t.Project(groupPos).Key()
-		a, ok := groups[k]
-		if !ok {
-			a = &acc{
-				rep:    t,
-				counts: make([]int64, len(aggs)),
-				sums:   make([]float64, len(aggs)),
-				isum:   make([]int64, len(aggs)),
-				mins:   make([]schema.Value, len(aggs)),
-				maxs:   make([]schema.Value, len(aggs)),
-			}
-			groups[k] = a
-			order = append(order, k)
-		}
-		a.count += int64(n)
-		for i, sp := range aggs {
-			if sp.eval == nil {
-				continue // COUNT(*): handled by a.count
-			}
-			v := sp.eval(t)
-			if v.IsNull() {
-				continue
-			}
-			a.counts[i] += int64(n)
-			if v.Numeric() {
-				a.sums[i] += v.AsFloat() * float64(n)
-				if v.Type() == schema.TInt {
-					a.isum[i] += v.AsInt() * int64(n)
-				}
-			}
-			if a.mins[i].IsNull() && a.counts[i] == int64(n) {
-				a.mins[i], a.maxs[i] = v, v
-				continue
-			}
-			if v.Compare(a.mins[i]) < 0 {
-				a.mins[i] = v
-			}
-			if v.Compare(a.maxs[i]) > 0 {
-				a.maxs[i] = v
-			}
-		}
-	})
-
+	type acc struct {
+		rep   schema.Tuple // representative source tuple (group keys)
+		count int64        // COUNT(*) incl. duplicates
+		st    []aggState   // per agg
+	}
 	out := bag.New()
-	outSchema := schema.NewSchema(outCols...)
-	emit := func(a *acc) error {
+	emit := func(a *acc) {
 		tu := make(schema.Tuple, len(s.Items))
 		for i := range s.Items {
 			if kind[i] >= 0 {
@@ -239,57 +195,99 @@ func (e *Engine) execAggregate(s *SimpleSelect, st *SelectStmt) (*Result, error)
 				continue
 			}
 			j := ^kind[i]
-			sp := aggs[j]
+			sp, st := aggs[j], a.st[j]
 			switch sp.fn {
 			case "COUNT":
 				if sp.eval == nil {
 					tu[i] = schema.Int(a.count)
 				} else {
-					tu[i] = schema.Int(a.counts[j])
+					tu[i] = schema.Int(st.n)
 				}
 			case "SUM":
-				if a.counts[j] == 0 {
+				if st.n == 0 {
 					tu[i] = schema.Null()
 				} else if sp.typ == schema.TInt {
-					tu[i] = schema.Int(a.isum[j])
+					tu[i] = schema.Int(st.isum)
 				} else {
-					tu[i] = schema.Float(a.sums[j])
+					tu[i] = schema.Float(st.sum)
 				}
 			case "AVG":
-				if a.counts[j] == 0 {
+				if st.n == 0 {
 					tu[i] = schema.Null()
 				} else {
-					tu[i] = schema.Float(a.sums[j] / float64(a.counts[j]))
+					tu[i] = schema.Float(st.sum / float64(st.n))
 				}
 			case "MIN":
-				tu[i] = a.mins[j]
+				tu[i] = st.min
 			case "MAX":
-				tu[i] = a.maxs[j]
+				tu[i] = st.max
 			}
 		}
 		out.Add(tu, 1)
+	}
+	err = e.readUnderViewLocks(expr, func(rows *bag.Bag, _ bool) error {
+		groups := map[string]*acc{}
+		var order []*acc
+		var key []byte // the group key of the row at hand, re-encoded in place
+		// Ordered iteration makes float SUM/AVG accumulation deterministic:
+		// under Each, the addition order (and so the rounding) of a group's
+		// float sums would vary run to run with map iteration order. It
+		// costs a sort of the rows' keys, so exact accumulators go without.
+		each := rows.Each
+		if ordered {
+			each = rows.EachOrdered
+		}
+		each(func(t schema.Tuple, n int) {
+			key = t.AppendKeyAt(key[:0], groupPos)
+			a, ok := groups[string(key)]
+			if !ok {
+				a = &acc{rep: t, st: make([]aggState, len(aggs))}
+				groups[string(key)] = a
+				order = append(order, a)
+			}
+			a.count += int64(n)
+			for i, sp := range aggs {
+				if sp.eval == nil {
+					continue // COUNT(*): handled by a.count
+				}
+				v := sp.eval(t)
+				if v.IsNull() {
+					continue
+				}
+				st := &a.st[i]
+				st.n += int64(n)
+				if v.Numeric() {
+					st.sum += v.AsFloat() * float64(n)
+					if v.Type() == schema.TInt {
+						st.isum += v.AsInt() * int64(n)
+					}
+				}
+				if st.n == int64(n) { // the group's first non-null value
+					st.min, st.max = v, v
+					continue
+				}
+				if v.Compare(st.min) < 0 {
+					st.min = v
+				}
+				if v.Compare(st.max) > 0 {
+					st.max = v
+				}
+			}
+		})
+		for _, a := range order {
+			emit(a)
+		}
+		// No groups and no GROUP BY: SQL returns one row of empty
+		// aggregates (no item is a group key, so rep is never read).
+		if len(order) == 0 && len(s.GroupBy) == 0 {
+			emit(&acc{st: make([]aggState, len(aggs))})
+		}
 		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	for _, k := range order {
-		if err := emit(groups[k]); err != nil {
-			return nil, err
-		}
-	}
-	// No groups and no GROUP BY: SQL returns one row of empty aggregates.
-	if len(groups) == 0 && len(s.GroupBy) == 0 {
-		empty := &acc{
-			rep:    make(schema.Tuple, inSchema.Len()),
-			counts: make([]int64, len(aggs)),
-			sums:   make([]float64, len(aggs)),
-			isum:   make([]int64, len(aggs)),
-			mins:   make([]schema.Value, len(aggs)),
-			maxs:   make([]schema.Value, len(aggs)),
-		}
-		if err := emit(empty); err != nil {
-			return nil, err
-		}
-	}
-	return &Result{Rows: out, Schema: outSchema}, nil
+	return &Result{Rows: out, Schema: schema.NewSchema(outCols...)}, nil
 }
 
 func aggName(x *AggExpr) string {

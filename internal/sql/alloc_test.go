@@ -1,0 +1,142 @@
+package sql
+
+import (
+	"io"
+	"runtime"
+	"testing"
+
+	"dvm/internal/bag"
+	"dvm/internal/schema"
+	"dvm/internal/storage"
+	"dvm/internal/txn"
+)
+
+// The copies stay gone, without a stopwatch: the tests below measure
+// bytes (runtime.MemStats.TotalAlloc), which repeat where times do not.
+
+// allocBytes returns the bytes f allocates.
+func allocBytes(f func()) uint64 {
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	f()
+	runtime.ReadMemStats(&m1)
+	return m1.TotalAlloc - m0.TotalAlloc
+}
+
+// salesEngine returns an engine whose sales table holds rows rows spread
+// over groups customers, maintained into the Combined view v (every row
+// reaches it). The rows go in as one transaction, not as SQL text.
+func salesEngine(t *testing.T, groups, rows int) *Engine {
+	t.Helper()
+	e := NewEngine()
+	mustExec(t, e, `
+		CREATE TABLE sales (custId INT, itemNo INT, quantity INT, salesPrice FLOAT);
+		CREATE MATERIALIZED VIEW v REFRESH DEFERRED COMBINED AS
+			SELECT s.custId, s.itemNo, s.quantity FROM sales s WHERE s.quantity != 0`)
+	b := bag.New()
+	for i := 0; i < rows; i++ {
+		b.Add(schema.Row(i%groups, i, 1+i%7, 0.25*float64(i)), 1)
+	}
+	if err := e.Manager().Execute(txn.Insert("sales", b)); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, e, "REFRESH v")
+	return e
+}
+
+func mustExec(t *testing.T, e *Engine, script string) {
+	t.Helper()
+	if _, err := e.ExecScript(script); err != nil {
+		t.Fatalf("%s: %v", script, err)
+	}
+}
+
+// TestAggregateAllocatesByGroupsNotRows: a GROUP BY over a view folds
+// the live MV — the same 50 groups over ten times the rows allocate
+// about the same (an accumulator, a key and an output row per group);
+// a copy of MV, a projected tuple or a key string per row would be 10x.
+func TestAggregateAllocatesByGroupsNotRows(t *testing.T) {
+	st, err := Parse("SELECT custId, COUNT(*) AS n, SUM(quantity) AS q, MIN(itemNo), MAX(itemNo) FROM v GROUP BY custId")
+	if err != nil {
+		t.Fatal(err)
+	}
+	aggBytes := func(rows int) uint64 {
+		e := salesEngine(t, 50, rows)
+		var res *Result
+		bytes := allocBytes(func() {
+			if res, err = e.ExecStmt(st); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if res.Rows.Len() != 50 {
+			t.Fatalf("%d groups, want 50", res.Rows.Len())
+		}
+		return bytes
+	}
+	small, large := aggBytes(2000), aggBytes(20000)
+	t.Logf("GROUP BY into 50 groups: %d B over 2000 rows, %d B over 20000", small, large)
+	if large*2 > small*3 {
+		t.Fatalf("GROUP BY into 50 groups allocates %d B over 2000 rows and %d B over 20000 (want < 1.5x): it grows with the rows", small, large)
+	}
+}
+
+// TestSaveToStreamsTheLiveTables: SaveTo allocates less than one Clone
+// of the tables it writes (the sorted key list Save iterates by is all
+// that is table-sized), and nothing for the tables it leaves out — an
+// engine with as many tuples again in MV and a log snapshots for the
+// bytes of one that has neither.
+func TestSaveToStreamsTheLiveTables(t *testing.T) {
+	const rows = 20000
+	saveBytes := func(e *Engine) uint64 {
+		return allocBytes(func() {
+			if err := e.SaveTo(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// MV holds the first batch; a second one sits in the log, unpropagated.
+	full := salesEngine(t, 50, rows)
+	extra := bag.New()
+	for i := 0; i < rows; i++ {
+		extra.Add(schema.Row(i%50, rows+i, 1, 0.5), 1)
+	}
+	if err := full.Manager().Execute(txn.Insert("sales", extra)); err != nil {
+		t.Fatal(err)
+	}
+	internal := 0
+	for _, name := range full.DB().Names() {
+		if tb, _ := full.DB().Table(name); tb.Kind() == storage.Internal {
+			internal += tb.Data().Distinct()
+		}
+	}
+	if internal < 2*rows {
+		t.Fatalf("internal tables hold %d tuples, want MV and a log of %d each", internal, rows)
+	}
+	// The same base table, and nothing else.
+	bare := NewEngine()
+	mustExec(t, bare, "CREATE TABLE sales (custId INT, itemNo INT, quantity INT, salesPrice FLOAT)")
+	if err := bare.Manager().Execute(txn.Insert("sales", mustRows(t, full, "sales"))); err != nil {
+		t.Fatal(err)
+	}
+
+	clone := allocBytes(func() { mustRows(t, bare, "sales") })
+	lean, fat := saveBytes(bare), saveBytes(full)
+	t.Logf("SaveTo of %d rows: %d B; with %d more tuples in MV and a log: %d B; one Clone of the table: %d B", 2*rows, lean, internal, fat, clone)
+	if lean >= clone {
+		t.Fatalf("SaveTo allocates %d B, a Clone of the table it writes %d B: it still copies", lean, clone)
+	}
+	// The view's DDL is in the header; a KiB covers it.
+	if fat > lean+lean/10+1024 {
+		t.Fatalf("SaveTo allocates %d B with MV and a log filled, %d B without: it reads tables it does not write", fat, lean)
+	}
+}
+
+// mustRows returns a copy of a table's contents.
+func mustRows(t *testing.T, e *Engine, table string) *bag.Bag {
+	t.Helper()
+	tb, err := e.DB().Table(table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tb.Data().Clone()
+}

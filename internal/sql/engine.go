@@ -346,45 +346,60 @@ func (e *Engine) baseResolver() Resolver {
 	}
 }
 
-// evalUnderViewLocks evaluates a compiled query; when it reads any
-// view's MV table, the evaluation runs under those tables' shared
-// locks, so reads block behind refreshes (and the blocked time lands in
-// lock_read_wait_ns — the user-observed view downtime).
-func (e *Engine) evalUnderViewLocks(expr algebra.Expr) (*bag.Bag, error) {
+// readUnderViewLocks is the SQL layer's one read path: it evaluates a
+// statement's query through the compiled engine and runs f over the
+// answer. When the query reads any view's MV table, evaluation and f run
+// under those tables' shared locks, so reads block behind refreshes (and
+// the blocked time lands in lock_read_wait_ns — the user-observed view
+// downtime).
+//
+// The evaluation is borrowed (algebra.Program.EvalBorrowed): unless
+// owned, rows is a live table — SELECT * FROM v is MV itself — lent to f
+// read-only and only until f returns; what must outlive f is cloned or
+// folded into something smaller inside it. It is also one-shot (a nil
+// State): it only reads the tables — no index is registered on, no
+// journal switched on for, a live table — so it is safe under the read
+// locks.
+func (e *Engine) readUnderViewLocks(expr algebra.Expr, f func(rows *bag.Bag, owned bool) error) error {
+	prog, err := algebra.Compile(expr)
+	if err != nil {
+		return err
+	}
+	read := func(*trace.Span) error {
+		outs, _, err := prog.EvalBorrowed(nil, e.db)
+		if err != nil {
+			return err
+		}
+		return f(outs[0], prog.Owned(0))
+	}
 	var mvs []string
+	views := e.mgr.Views()
 	for _, n := range algebra.BaseNames(expr) {
-		for _, v := range e.mgr.Views() {
+		for _, v := range views {
 			if v.MVTable() == n {
 				mvs = append(mvs, n)
 			}
 		}
 	}
 	if len(mvs) == 0 {
-		return e.evalOnce(expr)
+		return read(nil)
 	}
-	var rows *bag.Bag
-	err := e.mgr.Locks().WithReadSpan(mvs, e.mgr.CurrentSpan(), func(*trace.Span) error {
-		var err error
-		rows, err = e.evalOnce(expr)
-		return err
-	})
-	return rows, err
+	return e.mgr.Locks().WithReadSpan(mvs, e.mgr.CurrentSpan(), read)
 }
 
-// evalOnce evaluates a statement's query through the compiled engine,
-// one-shot (algebra.Program.Eval with no State): it only reads the
-// tables — no index is registered on, no journal switched on for, a
-// live table — so it is safe under the read locks a SELECT holds.
-func (e *Engine) evalOnce(expr algebra.Expr) (*bag.Bag, error) {
-	prog, err := algebra.Compile(expr)
-	if err != nil {
-		return nil, err
-	}
-	outs, _, err := prog.Eval(nil, e.db)
-	if err != nil {
-		return nil, err
-	}
-	return outs[0], nil
+// evalUnderViewLocks is readUnderViewLocks for a caller that keeps the
+// rows (a plain SELECT's Result, DELETE's delete bag): a borrowed answer
+// is cloned before the locks are released.
+func (e *Engine) evalUnderViewLocks(expr algebra.Expr) (*bag.Bag, error) {
+	var rows *bag.Bag
+	err := e.readUnderViewLocks(expr, func(b *bag.Bag, owned bool) error {
+		if !owned {
+			b = b.Clone()
+		}
+		rows = b
+		return nil
+	})
+	return rows, err
 }
 
 // queryResolver resolves external tables and views (a view reads its MV
@@ -461,7 +476,7 @@ func (e *Engine) execDelete(s *DeleteStmt) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		matching, err = e.evalOnce(sel)
+		matching, err = e.evalUnderViewLocks(sel)
 		if err != nil {
 			return nil, err
 		}

@@ -17,6 +17,11 @@ import (
 // view DDL, re-materializing each view from the restored state — so a
 // loaded engine starts with every view consistent and empty logs.
 //
+// SaveTo reads the live tables: it streams them to the writer without
+// copying the database first, so no statement may run on the engine
+// while it does — which an Engine, being one session and not safe for
+// concurrent use, already demands of its caller.
+//
 // Format: magic "DVME" | u32 viewCount | per view: u32 len + SQL bytes |
 // a storage snapshot of the external tables.
 
@@ -53,19 +58,7 @@ func (e *Engine) SaveTo(w io.Writer) error {
 	}
 
 	// External tables only: internal state is re-derived on load.
-	ext := e.db.Snapshot()
-	for _, name := range ext.Names() {
-		tb, err := ext.Table(name)
-		if err != nil {
-			return err
-		}
-		if tb.Kind() != storage.External {
-			if err := ext.Drop(name); err != nil {
-				return err
-			}
-		}
-	}
-	return ext.Save(w)
+	return e.db.SaveExternal(w)
 }
 
 // countingReader tallies bytes consumed so LoadEngine can report the
@@ -81,14 +74,11 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// LoadEngine restores an engine snapshot written by SaveTo. The bytes
-// consumed are recorded as snapshot_load_bytes in the new engine's
-// registry, and — when an option enables tracing — the whole load is
-// recorded as a storage.snapshot.load trace.
-func LoadEngine(r io.Reader, opts ...EngineOption) (*Engine, error) {
-	loadStart := time.Now()
-	cr := &countingReader{r: r}
-	br := bufio.NewReader(cr)
+// readEngineHeader decodes the DVME prefix of an engine snapshot — magic,
+// view count, one DDL string per view — leaving br at the storage
+// snapshot. The counts are untrusted and bounded before they size
+// anything.
+func readEngineHeader(br *bufio.Reader) ([]string, error) {
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return nil, fmt.Errorf("sql: load: %w", err)
@@ -104,8 +94,8 @@ func LoadEngine(r io.Reader, opts ...EngineOption) (*Engine, error) {
 	if count > 1<<20 {
 		return nil, fmt.Errorf("sql: load: implausible view count %d", count)
 	}
-	ddl := make([]string, count)
-	for i := range ddl {
+	var ddl []string // grown as statements arrive, not sized by the header
+	for i := uint32(0); i < count; i++ {
 		if _, err := io.ReadFull(br, buf[:]); err != nil {
 			return nil, err
 		}
@@ -117,7 +107,22 @@ func LoadEngine(r io.Reader, opts ...EngineOption) (*Engine, error) {
 		if _, err := io.ReadFull(br, b); err != nil {
 			return nil, err
 		}
-		ddl[i] = string(b)
+		ddl = append(ddl, string(b))
+	}
+	return ddl, nil
+}
+
+// LoadEngine restores an engine snapshot written by SaveTo. The bytes
+// consumed are recorded as snapshot_load_bytes in the new engine's
+// registry, and — when an option enables tracing — the whole load is
+// recorded as a storage.snapshot.load trace.
+func LoadEngine(r io.Reader, opts ...EngineOption) (*Engine, error) {
+	loadStart := time.Now()
+	cr := &countingReader{r: r}
+	br := bufio.NewReader(cr)
+	ddl, err := readEngineHeader(br)
+	if err != nil {
+		return nil, err
 	}
 	db, err := storage.Load(br)
 	if err != nil {

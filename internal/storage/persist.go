@@ -64,18 +64,38 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 // tables) to w. The snapshot restores with Load. When a registry is
 // attached via SetMetrics, the bytes written are recorded as
 // snapshot_save_bytes.
-func (db *Database) Save(w io.Writer) error {
+func (db *Database) Save(w io.Writer) error { return db.save(w, false) }
+
+// SaveExternal is Save restricted to the external tables — what the sql
+// engine persists, since it re-derives every internal table on load. The
+// bytes are those Save would write for a database holding only these
+// tables (a shard group losing a member loses its spec), streamed from
+// the live tables: nothing is copied, so the caller keeps them from
+// changing until it returns.
+func (db *Database) SaveExternal(w io.Writer) error { return db.save(w, true) }
+
+func (db *Database) save(w io.Writer, externalOnly bool) error {
+	names := db.Names()
+	if externalOnly {
+		kept := names[:0]
+		for _, name := range names {
+			if db.tables[name].kind == External {
+				kept = append(kept, name)
+			}
+		}
+		names = kept
+	}
 	cw := &countingWriter{w: w}
 	sp := db.tracer.StartTrace(trace.SpanSnapshotSave)
 	defer func() {
-		sp.SetAttrs(trace.Int("bytes", cw.n), trace.Int("tables", int64(len(db.tables))))
+		sp.SetAttrs(trace.Int("bytes", cw.n), trace.Int("tables", int64(len(names))))
 		sp.End()
 	}()
 	if db.metrics != nil {
 		defer func() { db.metrics.Counter("snapshot_save_bytes", "").Add(cw.n) }()
 	}
 	bw := bufio.NewWriter(cw)
-	specs := db.completeShardSpecs()
+	specs := db.completeShardSpecs(names)
 	magic := snapshotMagic
 	if len(specs) > 0 {
 		magic = snapshotMagicV2
@@ -101,7 +121,6 @@ func (db *Database) Save(w io.Writer) error {
 			}
 		}
 	}
-	names := db.Names()
 	if err := writeU32(bw, uint32(len(names))); err != nil {
 		return err
 	}
@@ -151,15 +170,36 @@ func (db *Database) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Load restores a database snapshot written by Save.
+// Limits on what a snapshot header may claim. The bytes are untrusted:
+// every count that sizes an allocation or a loop is checked against one
+// of these (or, for strings, in readStr) before it is used, so a forged
+// header costs a bounded allocation and an error, whatever it says.
+const (
+	maxTables  = 1 << 20
+	maxColumns = 1 << 16
+	// maxPresize caps the bag pre-sized from a table's distinctTuples
+	// header at a few MiB of map; a larger table grows from there.
+	maxPresize = 1 << 15
+)
+
+// Load restores a database snapshot written by Save. Malformed or
+// hostile input is an error, never a panic, and allocates no more than a
+// small multiple of the bytes actually read.
 func Load(r io.Reader) (*Database, error) {
-	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
+	db, err := load(bufio.NewReader(r))
+	if err != nil {
 		return nil, fmt.Errorf("storage: load: %w", err)
 	}
+	return db, nil
+}
+
+func load(br *bufio.Reader) (*Database, error) {
+	var magic [4]byte
+	if _, err := io.ReadFull(br, magic[:]); err != nil {
+		return nil, err
+	}
 	if magic != snapshotMagic && magic != snapshotMagicV2 {
-		return nil, fmt.Errorf("storage: load: bad magic %q", magic[:])
+		return nil, fmt.Errorf("bad magic %q", magic[:])
 	}
 	db := NewDatabase()
 	if magic == snapshotMagicV2 {
@@ -168,7 +208,7 @@ func Load(r io.Reader) (*Database, error) {
 			return nil, err
 		}
 		if specCount > 1<<20 {
-			return nil, fmt.Errorf("storage: load: implausible shard-spec count %d", specCount)
+			return nil, fmt.Errorf("implausible shard-spec count %d", specCount)
 		}
 		for i := uint32(0); i < specCount; i++ {
 			logical, err := readStr(br)
@@ -184,7 +224,7 @@ func Load(r io.Reader) (*Database, error) {
 				return nil, err
 			}
 			if n == 0 || n > 1<<16 {
-				return nil, fmt.Errorf("storage: load: implausible shard count %d for %q", n, logical)
+				return nil, fmt.Errorf("implausible shard count %d for %q", n, logical)
 			}
 			if db.shardSpecs == nil {
 				db.shardSpecs = make(map[string]ShardSpec)
@@ -196,6 +236,9 @@ func Load(r io.Reader) (*Database, error) {
 	if err != nil {
 		return nil, err
 	}
+	if tableCount > maxTables {
+		return nil, fmt.Errorf("implausible table count %d", tableCount)
+	}
 	for i := uint32(0); i < tableCount; i++ {
 		name, err := readStr(br)
 		if err != nil {
@@ -206,11 +249,14 @@ func Load(r io.Reader) (*Database, error) {
 			return nil, err
 		}
 		if kindByte > byte(Internal) {
-			return nil, fmt.Errorf("storage: load: bad table kind %d for %q", kindByte, name)
+			return nil, fmt.Errorf("bad table kind %d for %q", kindByte, name)
 		}
 		colCount, err := readU32(br)
 		if err != nil {
 			return nil, err
+		}
+		if colCount > maxColumns {
+			return nil, fmt.Errorf("implausible column count %d for %q", colCount, name)
 		}
 		cols := make([]schema.Column, colCount)
 		for j := range cols {
@@ -223,7 +269,7 @@ func Load(r io.Reader) (*Database, error) {
 				return nil, err
 			}
 			if schema.Type(ct) > schema.TBool {
-				return nil, fmt.Errorf("storage: load: bad column type %d", ct)
+				return nil, fmt.Errorf("bad column type %d", ct)
 			}
 			cols[j] = schema.Col(cn, schema.Type(ct))
 		}
@@ -236,14 +282,14 @@ func Load(r io.Reader) (*Database, error) {
 		if err != nil {
 			return nil, err
 		}
-		data := bag.New()
+		data := bag.NewSized(int(min(distinct, maxPresize)))
 		for j := uint32(0); j < distinct; j++ {
 			mult, err := readU32(br)
 			if err != nil {
 				return nil, err
 			}
 			if mult == 0 {
-				return nil, fmt.Errorf("storage: load: zero multiplicity in %q", name)
+				return nil, fmt.Errorf("zero multiplicity in %q", name)
 			}
 			tu := make(schema.Tuple, colCount)
 			for k := range tu {
@@ -254,9 +300,12 @@ func Load(r io.Reader) (*Database, error) {
 				tu[k] = v
 			}
 			if err := sch.Validate(tu); err != nil {
-				return nil, fmt.Errorf("storage: load: %w", err)
+				return nil, err
 			}
 			data.Add(tu, int(mult))
+			if data.Distinct() != int(j)+1 {
+				return nil, fmt.Errorf("duplicate tuple %s in %q", tu, name)
+			}
 		}
 		tb.Replace(data)
 	}
@@ -264,41 +313,58 @@ func Load(r io.Reader) (*Database, error) {
 	for _, s := range db.shardSpecs {
 		for i := 0; i < s.N; i++ {
 			if !db.Has(ShardName(s.Logical, i)) {
-				return nil, fmt.Errorf("storage: load: shard group %q missing member %s", s.Logical, ShardName(s.Logical, i))
+				return nil, fmt.Errorf("shard group %q missing member %s", s.Logical, ShardName(s.Logical, i))
 			}
 		}
 	}
 	return db, nil
 }
 
-func writeU32(w *bufio.Writer, v uint32) error {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], v)
-	_, err := w.Write(buf[:])
-	return err
-}
+// The integer writers encode into the bufio.Writer's own spare capacity
+// (AvailableBuffer), and the readers decode out of the bufio.Reader's
+// buffer (Peek, then Discard): a local array handed to Write or
+// io.ReadFull escapes, which is one heap allocation per integer.
 
-func readU32(r *bufio.Reader) (uint32, error) {
-	var buf [4]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(buf[:]), nil
+func writeU32(w *bufio.Writer, v uint32) error {
+	_, err := w.Write(binary.LittleEndian.AppendUint32(w.AvailableBuffer(), v))
+	return err
 }
 
 func writeU64(w *bufio.Writer, v uint64) error {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	_, err := w.Write(buf[:])
+	_, err := w.Write(binary.LittleEndian.AppendUint64(w.AvailableBuffer(), v))
 	return err
 }
 
-func readU64(r *bufio.Reader) (uint64, error) {
-	var buf [8]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
+// peek returns the next n bytes (n no larger than r's buffer) without
+// consuming them; the caller decodes them, then calls r.Discard(n). A
+// stream that ends inside them is io.ErrUnexpectedEOF, as io.ReadFull
+// reports it.
+func peek(r *bufio.Reader, n int) ([]byte, error) {
+	b, err := r.Peek(n)
+	if err == io.EOF && len(b) > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	return b, err
+}
+
+func readU32(r *bufio.Reader) (uint32, error) {
+	b, err := peek(r, 4)
+	if err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint64(buf[:]), nil
+	v := binary.LittleEndian.Uint32(b)
+	_, err = r.Discard(4)
+	return v, err
+}
+
+func readU64(r *bufio.Reader) (uint64, error) {
+	b, err := peek(r, 8)
+	if err != nil {
+		return 0, err
+	}
+	v := binary.LittleEndian.Uint64(b)
+	_, err = r.Discard(8)
+	return v, err
 }
 
 func writeStr(w *bufio.Writer, s string) error {
@@ -315,7 +381,17 @@ func readStr(r *bufio.Reader) (string, error) {
 		return "", err
 	}
 	if n > 1<<24 {
-		return "", fmt.Errorf("storage: load: string length %d too large", n)
+		return "", fmt.Errorf("string length %d too large", n)
+	}
+	if int(n) <= r.Size() {
+		// The usual case: the string is copied once, out of the buffer.
+		b, err := peek(r, int(n))
+		if err != nil {
+			return "", err
+		}
+		s := string(b)
+		_, err = r.Discard(int(n))
+		return s, err
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(r, buf); err != nil {
@@ -388,5 +464,5 @@ func readValue(r *bufio.Reader) (schema.Value, error) {
 		}
 		return schema.Bool(b != 0), nil
 	}
-	return schema.Value{}, fmt.Errorf("storage: load: unknown value tag %d", tag)
+	return schema.Value{}, fmt.Errorf("unknown value tag %d", tag)
 }

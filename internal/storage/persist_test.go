@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -149,5 +150,100 @@ func TestSaveLoadPreservesValueEdgeCases(t *testing.T) {
 	lt, _ := got.Table("t")
 	if !lt.Data().Equal(tb.Data()) {
 		t.Fatalf("float round trip failed:\n%v\nvs\n%v", lt.Data(), tb.Data())
+	}
+}
+
+// u32 appends v little-endian, the snapshot's integer encoding.
+func u32(b []byte, v uint32) []byte {
+	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+}
+
+// TestLoadBoundsHostileHeaders: a count in a snapshot header sizes an
+// allocation or a loop, and the bytes are untrusted — a forged count is
+// an error after a bounded allocation, not a 100 GB make. The forged
+// streams are a few dozen bytes long; none may cost more than 4 MiB.
+func TestLoadBoundsHostileHeaders(t *testing.T) {
+	table := func(colCount uint32) []byte { // one table "t" up to its column list
+		b := u32([]byte("DVM1"), 1)
+		b = append(u32(b, 1), 't')
+		b = append(b, byte(External))
+		return u32(b, colCount)
+	}
+	oneIntCol := append(u32(table(1), 1), 'a', byte(schema.TInt))
+	cases := map[string][]byte{
+		"table count":    u32([]byte("DVM1"), 0xFFFFFFFF),
+		"column count":   table(0xFFFFFFFF),
+		"distinct count": u32(oneIntCol, 0xFFFFFFFF),
+		"string length":  u32(u32([]byte("DVM1"), 1), 0xFFFFFFFF),
+		"spec count":     u32([]byte("DVM2"), 0xFFFFFFFF),
+	}
+	for name, data := range cases {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		_, err := Load(bytes.NewReader(data))
+		runtime.ReadMemStats(&m1)
+		if err == nil {
+			t.Errorf("forged %s accepted", name)
+		}
+		got := m1.TotalAlloc - m0.TotalAlloc
+		t.Logf("forged %s: %d bytes allocated, %v", name, got, err)
+		if got > 4<<20 {
+			t.Errorf("forged %s (%d bytes of input): Load allocated %d bytes before failing", name, len(data), got)
+		}
+	}
+}
+
+// TestLoadRejectsDuplicateTuples: the distinctTuples header promises
+// distinct tuples; a stream that repeats one would load as a bag whose
+// re-Save differs from the bytes read.
+func TestLoadRejectsDuplicateTuples(t *testing.T) {
+	b := u32([]byte("DVM1"), 1)
+	b = append(u32(b, 1), 't')
+	b = append(b, byte(External))
+	b = append(u32(u32(b, 1), 1), 'a', byte(schema.TInt))
+	b = u32(b, 2) // two "distinct" tuples, both [7]
+	for i := 0; i < 2; i++ {
+		b = append(u32(b, 1), tagInt, 7, 0, 0, 0, 0, 0, 0, 0)
+	}
+	if _, err := Load(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), "duplicate tuple") {
+		t.Fatalf("a repeated tuple loaded: %v", err)
+	}
+}
+
+// TestSaveLoadLongStrings: strings are read out of the bufio buffer when
+// they fit it and through a second path when they do not; both sides of
+// the buffer size, and the size itself, round-trip.
+func TestSaveLoadLongStrings(t *testing.T) {
+	db := NewDatabase()
+	tb, err := db.Create("docs", schema.NewSchema(schema.Col("id", schema.TInt), schema.Col("body", schema.TString)), External)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range []int{0, 1, 4095, 4096, 4097, 10000, 1 << 17} {
+		if err := tb.Insert(schema.Row(i, strings.Repeat(string(rune('a'+i)), n)), 1+i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := db.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gt, err := got.Table("docs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !gt.Data().Equal(tb.Data()) {
+		t.Fatal("long strings did not survive the round trip")
+	}
+	var again bytes.Buffer
+	if err := got.Save(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
+		t.Fatal("re-saving the loaded database changed the bytes")
 	}
 }

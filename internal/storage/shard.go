@@ -87,17 +87,22 @@ func (db *Database) ShardSpecs() []ShardSpec {
 	return out
 }
 
-// completeShardSpecs returns the specs whose member tables ALL still
-// exist, sorted by logical name. Save persists only these: a snapshot
-// that filters tables (e.g. the sql engine's external-only snapshot)
-// silently sheds the specs of groups it dropped, instead of producing
-// a DVM2 stream Load would reject as missing members.
-func (db *Database) completeShardSpecs() []ShardSpec {
+// completeShardSpecs returns the specs whose member tables are ALL among
+// names (sorted, as Names returns them), sorted by logical name. Save
+// persists only these: a snapshot that filters tables (the sql engine's
+// external-only SaveExternal) silently sheds the specs of groups it
+// dropped, instead of producing a DVM2 stream Load would reject as
+// missing members.
+func (db *Database) completeShardSpecs(names []string) []ShardSpec {
+	has := func(name string) bool {
+		i := sort.SearchStrings(names, name)
+		return i < len(names) && names[i] == name
+	}
 	var out []ShardSpec
 	for _, s := range db.ShardSpecs() {
 		whole := true
 		for i := 0; i < s.N; i++ {
-			if !db.Has(ShardName(s.Logical, i)) {
+			if !has(ShardName(s.Logical, i)) {
 				whole = false
 				break
 			}
