@@ -60,13 +60,15 @@ pair:
 
 # Where one perf workload's measured cycles allocate, and what is live
 # at the end: runs a patched throw-away copy of perf/ (perf/ itself is
-# untouched) and leaves the two allocs profiles in profiles/. About half
-# a minute; not part of `make check`.
-#   make allocprof WORKLOAD=multiview_writes [SEED=1]
+# untouched) and leaves the two allocs profiles in profiles/. With LIST,
+# both views again line by line for the functions the regexp matches.
+# About half a minute; not part of `make check`.
+#   make allocprof WORKLOAD=multiview_writes [SEED=1] [LIST='bag\.newIndex']
 allocprof:
-	./scripts/allocprof.sh $(WORKLOAD) $(SEED)
+	./scripts/allocprof.sh $(WORKLOAD) $(or $(SEED),1) $(LIST)
 
 fuzz:
+	$(GO) test ./internal/schema -run '^$$' -fuzz '^FuzzValue$$' -fuzztime=30s
 	$(GO) test ./internal/algebra -run '^$$' -fuzz '^FuzzExprParseEval$$' -fuzztime=30s
 	$(GO) test ./internal/algebra -run '^$$' -fuzz '^FuzzCompiledEval$$' -fuzztime=30s
 	$(GO) test ./internal/bag -run '^$$' -fuzz '^FuzzBagOps$$' -fuzztime=30s

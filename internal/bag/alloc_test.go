@@ -1,0 +1,93 @@
+package bag
+
+import (
+	"runtime"
+	"testing"
+
+	"dvm/internal/schema"
+)
+
+// An index's bucket map is sized by its keys, without a stopwatch: the
+// tests below count bytes and allocations (runtime.MemStats), which
+// repeat where times do not, and compare against maps the test makes
+// itself, so they hold whatever the runtime's map costs.
+
+// allocated returns the bytes and the objects f allocates.
+func allocated(f func()) (bytes, objects uint64) {
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	f()
+	runtime.ReadMemStats(&m1)
+	return m1.TotalAlloc - m0.TotalAlloc, m1.Mallocs - m0.Mallocs
+}
+
+// keyedRows returns rows distinct tuples (k, i) over keys join keys.
+func keyedRows(rows, keys int) *Bag {
+	b := NewSized(rows)
+	for i := 0; i < rows; i++ {
+		b.Add(schema.Row(i%keys, i), 1)
+	}
+	return b
+}
+
+var keptMap any // keeps a measured make from being optimized away
+
+// TestOwnedIndexIsKeySized: a table of 100 000 rows under 1 000 join
+// keys. The throw-away index over the same bag is the yardstick: the
+// same buckets, a bucket map pre-sized for a key per row, no entry
+// addresses. The bag's own index must cost that, less the row-sized map,
+// plus its address map — its bucket map holds 1 000 keys and is sized
+// for them — so it allocates less than the throw-away one although it
+// carries the addresses. (With both bucket maps sized by rows it is the
+// costlier by the whole address map.) What is left is per row: the
+// addresses and the bucket entries.
+func TestOwnedIndexIsKeySized(t *testing.T) {
+	const rows, keys = 100_000, 1_000
+	b := keyedRows(rows, keys)
+	throwAway, _ := allocated(func() { keptMap = newIndex(b, []int{0}, false) })
+	var ix *Index
+	owned, _ := allocated(func() { ix, _ = b.IndexOn([]int{0}) })
+	rowSized, _ := allocated(func() { keptMap = make(map[string][]IndexEntry, rows) })
+	addresses, _ := allocated(func() { keptMap = make(map[string]int, rows) })
+	t.Logf("%d rows, %d keys: owned index %d B (%d B/row), throw-away %d B; a row-sized bucket map is %d B, the address map %d B",
+		rows, keys, owned, owned/rows, throwAway, rowSized, addresses)
+	if len(ix.m) != keys || len(ix.at) != rows {
+		t.Fatalf("index holds %d keys and %d addresses, want %d and %d", len(ix.m), len(ix.at), keys, rows)
+	}
+	// owned = throw-away − the row-sized map + the address map + a
+	// 1 000-key map; a tenth of the row-sized one is room enough for that.
+	if limit := throwAway - rowSized + addresses + rowSized/10; owned > limit {
+		t.Errorf("the owned index allocated %d B, want at most %d B: its bucket map is sized by rows, not keys", owned, limit)
+	}
+}
+
+// TestThrowAwayIndexDoesNotRegrow: Join.Hash builds its index on the
+// smaller side, typically unique in the join key — 5 000 customers. Its
+// bucket map is pre-sized for that and is allocated once: the build
+// costs a key string and a one-entry bucket per row, plus exactly what
+// one make of that size costs.
+func TestThrowAwayIndexDoesNotRegrow(t *testing.T) {
+	const rows = 5_000
+	b := keyedRows(rows, rows)
+	_, presized := allocated(func() { keptMap = make(map[string][]IndexEntry, rows) })
+	_, grown := allocated(func() {
+		m := make(map[string][]IndexEntry)
+		for k := range b.m {
+			m[k] = nil
+		}
+		keptMap = m
+	})
+	_, got := allocated(func() { keptMap = newIndex(b, []int{0}, false) })
+	t.Logf("throw-away index over %d key-unique rows: %d objects; a pre-sized map is %d, a grown one %d", rows, got, presized, grown)
+	if grown <= presized+8 {
+		t.Fatalf("growing a map to %d keys took %d objects, pre-sizing it %d: the test cannot tell them apart", rows, grown, presized)
+	}
+	if limit := 2*rows + presized + 8; got > limit { // + the Index, the key buffer, slack
+		t.Errorf("the build allocated %d objects, want at most %d: the bucket map regrew", got, limit)
+	}
+	// No column to key on is one bucket, whatever the side's size.
+	_, product := allocated(func() { keptMap = newIndex(b, nil, false) })
+	if product > 64 {
+		t.Errorf("a one-bucket index over %d rows allocated %d objects", rows, product)
+	}
+}

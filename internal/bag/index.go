@@ -27,7 +27,13 @@ type Index struct {
 	src *Bag
 	ver uint64
 	pos []int
-	m   map[string][]IndexEntry
+	// m holds one bucket per distinct join key, and is sized by that: an
+	// index that stays (owned or free-standing) starts empty and grows to
+	// its key count — a table's rows outnumber its join keys by whatever
+	// the join's fan-out is, and a map sized for the rows keeps that many
+	// empty slots for good. Only Join.Hash's throw-away index, built on
+	// the smaller and typically key-unique side, is pre-sized (newIndex).
+	m map[string][]IndexEntry
 	// at addresses every entry by its full-tuple key: the entry's slot
 	// in its bucket. A change to a hot key's bucket is then a lookup and
 	// a swap, whatever the bucket's size.
@@ -49,12 +55,19 @@ func NewIndex(b *Bag, positions []int) *Index {
 }
 
 // newIndex reads b and changes nothing about it. Without the entry
-// addresses the index can be probed but not synced.
+// addresses the index can be probed but not synced — it is Join.Hash's,
+// gone when the join returns, so its bucket map is pre-sized for the
+// case Hash picks its build side for (one row per key) and never
+// regrows; an addressable index is kept, and grows to its key count.
 func newIndex(b *Bag, positions []int, addressable bool) *Index {
+	keys := 0
+	if !addressable && len(positions) > 0 { // no column to key on: one bucket
+		keys = len(b.m)
+	}
 	ix := &Index{
 		src: b,
 		pos: positions,
-		m:   make(map[string][]IndexEntry, len(b.m)),
+		m:   make(map[string][]IndexEntry, keys),
 	}
 	if addressable { // and so syncable: NewIndex has made b.dx
 		ix.at = make(map[string]int, len(b.m))

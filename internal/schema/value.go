@@ -12,7 +12,38 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unsafe"
 )
+
+// Layout note. This file is the only one in the module that imports
+// unsafe (TestUnsafeStaysInValueGo holds it so): a Value is two words,
+// and the first is a pointer that is either a type tag or a string's
+// bytes. Why that is sound:
+//
+//   - p holds one of three things: nil (NULL); the address of an element
+//     of the package-level tags array (INT, FLOAT, BOOL, and the empty
+//     string); or unsafe.StringData(s) of a non-empty string s. Nothing
+//     else is ever stored in it, and no uintptr is ever converted back
+//     to a pointer — Type only subtracts two addresses.
+//   - p is an unsafe.Pointer, so the garbage collector traces it like
+//     any other pointer: a Value keeps its string's backing store alive
+//     exactly as the string header it replaces did, and a pointer into
+//     tags or into a string literal's read-only data is outside the
+//     heap and ignored. Strings are immutable, so the bytes under p
+//     never change, and tags is never written.
+//   - A string's data pointer cannot fall inside tags: tags is its own
+//     variable, and the empty string — the one string whose data pointer
+//     the language leaves unspecified — is given tags[TString] instead.
+//   - unsafe.String(p, i) rebuilds the very header StringData took
+//     apart, so it never spans two allocations; `go test -race` turns on
+//     checkptr, which checks that at run time, and go vet's unsafeptr
+//     pass checks the conversions.
+//
+// What the layout costs its users: == and reflect.DeepEqual on a Value
+// would compare p, that is, string identity and not string contents.
+// The first does not compile (Value is declared not comparable), the
+// second is kept out of the tree by TestNoDeepEqualOnValues: use
+// Compare / Equal.
 
 // Type enumerates the scalar types a column may have.
 type Type uint8
@@ -50,27 +81,47 @@ func (t Type) String() string {
 // NULL sorting first (the quantifier-free predicate language of the paper
 // does not require three-valued logic, and deterministic total order keeps
 // bags canonical).
+//
+// A Value is 16 bytes — half of a {tag, word, string header} struct —
+// so a 4-column tuple sits in the 64-byte size class.
 type Value struct {
-	typ Type
-	i   int64  // TInt, TBool (0/1); TFloat keeps its IEEE 754 bits here
-	s   string // TString
+	_ [0]func()      // not comparable: == would compare p, a string's identity (takes no space)
+	p unsafe.Pointer // nil, &tags[t], or a non-empty string's bytes (see the layout note above)
+	i int64          // TInt, TBool (0/1); TFloat's IEEE 754 bits; TString's length
 }
+
+// tags lends its element addresses as type tags: &tags[t] in Value.p
+// says "a scalar of type t, payload in i" — for t = TString, the empty
+// string. tags[TNull] is not used; NULL is the nil pointer, so the zero
+// Value is NULL.
+var tags [TBool + 1]byte
+
+func tag(t Type) unsafe.Pointer { return unsafe.Pointer(&tags[t]) }
 
 // Null returns the NULL value.
 func Null() Value { return Value{} }
 
 // Int returns an integer value.
-func Int(v int64) Value { return Value{typ: TInt, i: v} }
+func Int(v int64) Value { return Value{p: tag(TInt), i: v} }
 
 // Float returns a floating-point value.
-func Float(v float64) Value { return Value{typ: TFloat, i: int64(math.Float64bits(v))} }
+func Float(v float64) Value { return Value{p: tag(TFloat), i: int64(math.Float64bits(v))} }
 
 // float returns a TFloat's payload.
 func (v Value) float() float64 { return math.Float64frombits(uint64(v.i)) }
 
 // String_ returns a string value. (Named with a trailing underscore to
 // avoid colliding with the fmt.Stringer method on Value.)
-func String_(v string) Value { return Value{typ: TString, s: v} }
+func String_(v string) Value {
+	if v == "" {
+		return Value{p: tag(TString)}
+	}
+	return Value{p: unsafe.Pointer(unsafe.StringData(v)), i: int64(len(v))}
+}
+
+// str returns a TString's payload: the header String_ took apart (for
+// the empty string, zero bytes at its tag).
+func (v Value) str() string { return unsafe.String((*byte)(v.p), int(v.i)) }
 
 // Str is a short alias for String_.
 func Str(v string) Value { return String_(v) }
@@ -81,19 +132,28 @@ func Bool(v bool) Value {
 	if v {
 		i = 1
 	}
-	return Value{typ: TBool, i: i}
+	return Value{p: tag(TBool), i: i}
 }
 
 // Type reports the value's type. NULL values report TNull.
-func (v Value) Type() Type { return v.typ }
+func (v Value) Type() Type {
+	if v.p == nil {
+		return TNull
+	}
+	// One unsigned compare: an address below tags wraps around.
+	if off := uintptr(v.p) - uintptr(unsafe.Pointer(&tags)); off < uintptr(len(tags)) {
+		return Type(off)
+	}
+	return TString
+}
 
 // IsNull reports whether the value is NULL.
-func (v Value) IsNull() bool { return v.typ == TNull }
+func (v Value) IsNull() bool { return v.p == nil }
 
 // AsInt returns the integer payload. It panics unless Type is TInt.
 func (v Value) AsInt() int64 {
-	if v.typ != TInt {
-		panic(fmt.Sprintf("schema: AsInt on %s value", v.typ))
+	if v.p != tag(TInt) {
+		panic(fmt.Sprintf("schema: AsInt on %s value", v.Type()))
 	}
 	return v.i
 }
@@ -101,62 +161,62 @@ func (v Value) AsInt() int64 {
 // AsFloat returns the numeric payload widened to float64. It panics
 // unless the value is numeric.
 func (v Value) AsFloat() float64 {
-	switch v.typ {
-	case TInt:
+	switch v.p {
+	case tag(TInt):
 		return float64(v.i)
-	case TFloat:
+	case tag(TFloat):
 		return v.float()
 	}
-	panic(fmt.Sprintf("schema: AsFloat on %s value", v.typ))
+	panic(fmt.Sprintf("schema: AsFloat on %s value", v.Type()))
 }
 
 // AsString returns the string payload. It panics unless Type is TString.
 func (v Value) AsString() string {
-	if v.typ != TString {
-		panic(fmt.Sprintf("schema: AsString on %s value", v.typ))
+	if v.Type() != TString {
+		panic(fmt.Sprintf("schema: AsString on %s value", v.Type()))
 	}
-	return v.s
+	return v.str()
 }
 
 // AsBool returns the boolean payload. It panics unless Type is TBool.
 func (v Value) AsBool() bool {
-	if v.typ != TBool {
-		panic(fmt.Sprintf("schema: AsBool on %s value", v.typ))
+	if v.p != tag(TBool) {
+		panic(fmt.Sprintf("schema: AsBool on %s value", v.Type()))
 	}
 	return v.i != 0
 }
 
 // Numeric reports whether the value is TInt or TFloat.
-func (v Value) Numeric() bool { return v.typ == TInt || v.typ == TFloat }
+func (v Value) Numeric() bool { return v.p == tag(TInt) || v.p == tag(TFloat) }
 
 // Compare totally orders values: NULL < BOOL < numbers < strings, with
 // numbers compared cross-type (INT vs FLOAT) by numeric value. It returns
 // -1, 0, or +1.
 func (v Value) Compare(o Value) int {
-	vr, or := rank(v.typ), rank(o.typ)
-	if vr != or {
+	vt, ot := v.Type(), o.Type()
+	if vr, or := rank(vt), rank(ot); vr != or {
 		if vr < or {
 			return -1
 		}
 		return 1
 	}
-	switch v.typ {
+	switch vt {
 	case TNull:
 		return 0
 	case TBool:
 		return cmpInt(v.i, o.i)
 	case TInt:
-		if o.typ == TInt {
+		if ot == TInt {
 			return cmpInt(v.i, o.i)
 		}
-		return cmpFloat(float64(v.i), o.float())
+		return cmpIntFloat(v.i, o.float())
 	case TFloat:
-		if o.typ == TInt {
-			return cmpFloat(v.float(), float64(o.i))
+		if ot == TInt {
+			return -cmpIntFloat(o.i, v.float())
 		}
 		return cmpFloat(v.float(), o.float())
 	case TString:
-		return strings.Compare(v.s, o.s)
+		return strings.Compare(v.str(), o.str())
 	}
 	panic("schema: unreachable compare")
 }
@@ -200,12 +260,32 @@ func cmpFloat(a, b float64) int {
 	return 0
 }
 
+// cmpIntFloat compares an INT with a FLOAT exactly. float64(i) rounds once
+// |i| passes 2^53: INT 2^53+1 would equal FLOAT 2^53 and, through it,
+// INT 2^53 — not an order, and not what the keys say.
+func cmpIntFloat(i int64, f float64) int {
+	switch {
+	case math.IsNaN(f), f < math.MinInt64: // NaN sorts below every number
+		return 1
+	case f >= math.MaxInt64: // the constant converts to 2^63, above every int64
+		return -1
+	}
+	whole := math.Floor(f) // in [-2^63, 2^63): int64(whole) is exact
+	if c := cmpInt(i, int64(whole)); c != 0 {
+		return c
+	}
+	if f > whole {
+		return -1
+	}
+	return 0
+}
+
 // Equal reports whether two values are equal under Compare semantics.
 func (v Value) Equal(o Value) bool { return v.Compare(o) == 0 }
 
 // String renders the value as a SQL literal.
 func (v Value) String() string {
-	switch v.typ {
+	switch v.Type() {
 	case TNull:
 		return "NULL"
 	case TInt:
@@ -213,7 +293,7 @@ func (v Value) String() string {
 	case TFloat:
 		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	case TString:
-		return strconv.Quote(v.s)
+		return strconv.Quote(v.str())
 	case TBool:
 		if v.i != 0 {
 			return "TRUE"
@@ -227,7 +307,7 @@ func (v Value) String() string {
 // dst. Two values encode identically iff Compare reports them equal
 // (INT 1 and FLOAT 1.0 share an encoding on purpose).
 func (v Value) appendKey(dst []byte) []byte {
-	switch v.typ {
+	switch v.Type() {
 	case TNull:
 		return append(dst, 'n')
 	case TBool:
@@ -254,9 +334,9 @@ func (v Value) appendKey(dst []byte) []byte {
 		return strconv.AppendFloat(dst, f, 'g', -1, 64)
 	case TString:
 		dst = append(dst, 's')
-		dst = strconv.AppendInt(dst, int64(len(v.s)), 10)
+		dst = strconv.AppendInt(dst, v.i, 10)
 		dst = append(dst, ':')
-		return append(dst, v.s...)
+		return append(dst, v.str()...)
 	}
 	panic("schema: unreachable appendKey")
 }

@@ -180,7 +180,36 @@ const (
 	// maxPresize caps the bag pre-sized from a table's distinctTuples
 	// header at a few MiB of map; a larger table grows from there.
 	maxPresize = 1 << 15
+	// Load shares one copy of a repeated short string (strTable): strings
+	// up to maxInternLen bytes, at most maxInterned of them at a time.
+	maxInternLen = 32
+	maxInterned  = 256
 )
+
+// strTable interns the short string values of one Load, so a
+// low-cardinality column ("High" / "Low") costs one allocation per
+// distinct value, not one per row. It is bounded by starting over when
+// it holds maxInterned strings: a column of distinct short strings that
+// fills it costs the repeated values beside it one more allocation each
+// per round, and cannot crowd them out. A nil strTable interns nothing.
+type strTable map[string]string
+
+// str returns string(b), shared with an equal string it returned before
+// when b is short enough to be worth looking up.
+func (in strTable) str(b []byte) string {
+	if in == nil || len(b) > maxInternLen {
+		return string(b)
+	}
+	if s, ok := in[string(b)]; ok {
+		return s
+	}
+	if len(in) >= maxInterned {
+		clear(in)
+	}
+	s := string(b)
+	in[s] = s
+	return s
+}
 
 // Load restores a database snapshot written by Save. Malformed or
 // hostile input is an error, never a panic, and allocates no more than a
@@ -202,6 +231,7 @@ func load(br *bufio.Reader) (*Database, error) {
 		return nil, fmt.Errorf("bad magic %q", magic[:])
 	}
 	db := NewDatabase()
+	strs := make(strTable)
 	if magic == snapshotMagicV2 {
 		specCount, err := readU32(br)
 		if err != nil {
@@ -211,7 +241,7 @@ func load(br *bufio.Reader) (*Database, error) {
 			return nil, fmt.Errorf("implausible shard-spec count %d", specCount)
 		}
 		for i := uint32(0); i < specCount; i++ {
-			logical, err := readStr(br)
+			logical, err := readStr(br, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -240,7 +270,7 @@ func load(br *bufio.Reader) (*Database, error) {
 		return nil, fmt.Errorf("implausible table count %d", tableCount)
 	}
 	for i := uint32(0); i < tableCount; i++ {
-		name, err := readStr(br)
+		name, err := readStr(br, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -260,7 +290,7 @@ func load(br *bufio.Reader) (*Database, error) {
 		}
 		cols := make([]schema.Column, colCount)
 		for j := range cols {
-			cn, err := readStr(br)
+			cn, err := readStr(br, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -293,7 +323,7 @@ func load(br *bufio.Reader) (*Database, error) {
 			}
 			tu := make(schema.Tuple, colCount)
 			for k := range tu {
-				v, err := readValue(br)
+				v, err := readValue(br, strs)
 				if err != nil {
 					return nil, err
 				}
@@ -375,7 +405,9 @@ func writeStr(w *bufio.Writer, s string) error {
 	return err
 }
 
-func readStr(r *bufio.Reader) (string, error) {
+// readStr reads a length-prefixed string; one that fits r's buffer is
+// copied once, out of the buffer, or shared through in.
+func readStr(r *bufio.Reader, in strTable) (string, error) {
 	n, err := readU32(r)
 	if err != nil {
 		return "", err
@@ -384,12 +416,11 @@ func readStr(r *bufio.Reader) (string, error) {
 		return "", fmt.Errorf("string length %d too large", n)
 	}
 	if int(n) <= r.Size() {
-		// The usual case: the string is copied once, out of the buffer.
 		b, err := peek(r, int(n))
 		if err != nil {
 			return "", err
 		}
-		s := string(b)
+		s := in.str(b)
 		_, err = r.Discard(int(n))
 		return s, err
 	}
@@ -431,7 +462,7 @@ func writeValue(w *bufio.Writer, v schema.Value) error {
 	return fmt.Errorf("storage: save: unknown value type %v", v.Type())
 }
 
-func readValue(r *bufio.Reader) (schema.Value, error) {
+func readValue(r *bufio.Reader, in strTable) (schema.Value, error) {
 	tag, err := r.ReadByte()
 	if err != nil {
 		return schema.Value{}, err
@@ -452,7 +483,7 @@ func readValue(r *bufio.Reader) (schema.Value, error) {
 		}
 		return schema.Float(math.Float64frombits(u)), nil
 	case tagString:
-		s, err := readStr(r)
+		s, err := readStr(r, in)
 		if err != nil {
 			return schema.Value{}, err
 		}

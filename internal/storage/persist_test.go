@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -212,8 +213,18 @@ func TestLoadRejectsDuplicateTuples(t *testing.T) {
 
 // TestSaveLoadLongStrings: strings are read out of the bufio buffer when
 // they fit it and through a second path when they do not; both sides of
-// the buffer size, and the size itself, round-trip.
+// the buffer size, and the size itself, round-trip. Neither path puts a
+// string longer than maxInternLen into the intern table.
 func TestSaveLoadLongStrings(t *testing.T) {
+	in := make(strTable)
+	long := []byte(strings.Repeat("x", maxInternLen+1))
+	if got := in.str(long); got != string(long) || len(in) != 0 {
+		t.Fatalf("a %d-byte string went through the intern table (%d entries)", len(long), len(in))
+	}
+	if got := in.str(long[:maxInternLen]); got != string(long[:maxInternLen]) || len(in) != 1 {
+		t.Fatalf("a %d-byte string was not interned (%d entries)", maxInternLen, len(in))
+	}
+
 	db := NewDatabase()
 	tb, err := db.Create("docs", schema.NewSchema(schema.Col("id", schema.TInt), schema.Col("body", schema.TString)), External)
 	if err != nil {
@@ -245,5 +256,70 @@ func TestSaveLoadLongStrings(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
 		t.Fatal("re-saving the loaded database changed the bytes")
+	}
+}
+
+// TestLoadInternsShortStrings: a low-cardinality column of short strings
+// is loaded as one string per distinct value, a column of long ones as
+// one per row, and so is a column of more distinct short strings than
+// the table holds. Counted in allocations, not timed.
+func TestLoadInternsShortStrings(t *testing.T) {
+	const rows = 4000
+	loadMallocs := func(note func(i int) string) uint64 {
+		db := NewDatabase()
+		tb, err := db.Create("customer", schema.NewSchema(schema.Col("id", schema.TInt), schema.Col("note", schema.TString)), External)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < rows; i++ {
+			tb.Data().Add(schema.Row(i, note(i)), 1)
+		}
+		var buf bytes.Buffer
+		if err := db.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		got, err := Load(bytes.NewReader(buf.Bytes()))
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gt, err := got.Table("customer")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !gt.Data().Equal(tb.Data()) {
+			t.Fatal("the loaded table differs")
+		}
+		return m1.Mallocs - m0.Mallocs
+	}
+	scores := []string{"High", "Low", ""}
+	short := loadMallocs(func(i int) string { return scores[i%len(scores)] })
+	long := loadMallocs(func(i int) string { return strings.Repeat(scores[i%2][:1], maxInternLen+1) })
+	distinct := loadMallocs(func(i int) string { return "cust-" + strconv.Itoa(i) })
+	mixed := loadMallocs(func(i int) string {
+		if i%2 == 0 {
+			return "cust-" + strconv.Itoa(i)
+		}
+		return scores[i%len(scores)]
+	})
+	t.Logf("Load of %d rows: %d mallocs with 3 short notes, %d with 2 long ones, %d with distinct short ones, %d with distinct and repeated ones mixed",
+		rows, short, long, distinct, mixed)
+	// A row is its tuple and its bag key; the note is the third allocation.
+	if long < short+rows*9/10 {
+		t.Errorf("long notes cost %d mallocs, short ones %d: want one more per row (%d rows)", long, short, rows)
+	}
+	if short > rows*5/2 {
+		t.Errorf("short repeated notes: %d mallocs for %d rows, want about 2 per row", short, rows)
+	}
+	// Distinct values fill the table and start it over; that costs no
+	// more than the string itself per row.
+	if distinct > long+rows/10 {
+		t.Errorf("distinct short notes cost %d mallocs, more than one string per row (%d)", distinct, long)
+	}
+	// ... and does not keep the repeated values beside them out of it.
+	if mixed > short+rows/2+rows/10 {
+		t.Errorf("every second note distinct: %d mallocs, want about %d (the distinct ones only)", mixed, short+rows/2)
 	}
 }

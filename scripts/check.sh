@@ -55,6 +55,9 @@ if [ "${BENCHDIFF:-0}" = "1" ]; then
 fi
 
 echo "== fuzz (bounded)"
+# The packed schema.Value against its plain three-field reference:
+# accessors, Compare, key encoding, on arbitrary bit patterns and bytes.
+go test ./internal/schema -run '^$' -fuzz '^FuzzValue$' -fuzztime=10s
 go test ./internal/algebra -run '^$' -fuzz '^FuzzExprParseEval$' -fuzztime=10s
 go test ./internal/algebra -run '^$' -fuzz '^FuzzCompiledEval$' -fuzztime=10s
 go test ./internal/bag -run '^$' -fuzz '^FuzzBagOps$' -fuzztime=10s
