@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint lint-json doccheck check fuzz benchdiff bench-shards profile pair allocprof
+.PHONY: build test lint lint-json doccheck check fuzz benchdiff profile pair allocprof
 
 build:
 	$(GO) build ./...
@@ -37,16 +37,8 @@ check:
 benchdiff:
 	./scripts/benchdiff.sh
 
-# The sharded-propagate scaling comparison: the multi-shard retail day
-# at 1/2/4 shards, plus the E15 downtime and E16 compiled-programs
-# guards against the newest BENCH_*.json baseline (single-shard serial
-# config included; guarded phases are view_downtime_ns + txn_exec_ns).
-bench-shards:
-	./scripts/benchshards.sh
-
-# Capture labeled CPU + heap profiles of the sharded retail day into
+# Capture labeled CPU + heap profiles of the Policy-2 retail day into
 # profiles/ (untracked) and print the dvm_phase attribution summary.
-# SHARDS=8 make profile changes the shard count.
 profile:
 	./scripts/profile.sh
 

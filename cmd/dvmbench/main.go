@@ -1,12 +1,12 @@
 // Command dvmbench regenerates every experiment in DESIGN.md's
-// per-experiment index (E1–E16) and prints the result tables that
+// per-experiment index (E1–E14) and prints the result tables that
 // EXPERIMENTS.md records.
 //
 // Usage:
 //
 //	dvmbench                    # run all experiments
-//	dvmbench -exp e4            # run one experiment (e16 is the compiled-
-//	                            # vs-interpreted delta-program day)
+//	dvmbench -exp e4            # run one experiment ("day" is the
+//	                            # Policy-2 retail day make profile captures)
 //	dvmbench -list              # list experiment ids
 //	dvmbench -json              # emit the reports (tables + obs phase timings) as JSON
 //	dvmbench -trace out.json    # also run a traced Policy-1 retail day and
@@ -14,11 +14,9 @@
 //	dvmbench -diff BENCH_X.json # fail (exit 1) if any guarded phase
 //	                            # (view_downtime_ns max, txn_exec_ns p99)
 //	                            # regressed >2x against the baseline
-//	dvmbench -shards 4          # run the multi-shard retail day at 4 shards
-//	                            # (compare against -shards 1; e15 is the sweep)
-//	dvmbench -shards 4 -cpuprofile cpu.pprof -memprofile heap.pprof
+//	dvmbench -exp day -cpuprofile cpu.pprof -memprofile heap.pprof
 //	                            # capture labeled profiles of the run; the CPU
-//	                            # profile gets a dvm_view/dvm_shard/dvm_phase
+//	                            # profile gets a dvm_view/dvm_phase
 //	                            # attribution summary on stderr
 package main
 
@@ -51,12 +49,11 @@ func main() {
 // defers (StopCPUProfile, heap write, attribution summary) flush even
 // on failure paths.
 func run() int {
-	exp := flag.String("exp", "", "run a single experiment (e1..e16); empty runs all")
+	exp := flag.String("exp", "", "run a single experiment (e1..e14, day); empty runs all")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	asJSON := flag.Bool("json", false, "emit reports as JSON (for BENCH_*.json baselines)")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event file of a traced Policy-1 retail day")
 	diff := flag.String("diff", "", "compare downtime phases against this BENCH_*.json baseline; exit 1 on >2x regression")
-	shards := flag.Int("shards", 0, "run the multi-shard retail day at this shard count (1 = plain serial manager)")
 	cpuprofile := flag.String("cpuprofile", "", "write a labeled CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile taken after the run to this file")
 	flag.Parse()
@@ -87,25 +84,6 @@ func run() int {
 				fmt.Fprintln(os.Stderr, err)
 			}
 		}()
-	}
-
-	if *shards > 0 {
-		rep, err := bench.ShardDayReport(*shards)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		if *asJSON {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode([]*bench.Report{rep}); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
-			}
-		} else {
-			fmt.Println(rep)
-		}
-		return 0
 	}
 
 	if *traceOut != "" {

@@ -10,9 +10,8 @@
 //
 //	\stats [prefix]      print the engine's metrics (docs/observability.md),
 //	                     optionally only families starting with prefix —
-//	                     e.g. \stats shard for the per-shard families
-//	                     (shard_fold_tuples, shard_log_tuples) of a
-//	                     WithShards engine
+//	                     e.g. \stats propagate for propagate_ns and
+//	                     propagate_tuples
 //	\stats rate [prefix] print what changed since the previous
 //	                     \stats rate (or shell start): counter/histogram
 //	                     rates per second, gauge deltas

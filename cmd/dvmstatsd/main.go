@@ -12,7 +12,7 @@
 //	GET /trace             JSON list of captured trace summaries
 //	GET /trace?id=42       one full span tree (add &format=text to render)
 //	GET /debug/pprof/      net/http/pprof profiles; CPU samples carry the
-//	                       dvm_view/dvm_shard/dvm_phase labels
+//	                       dvm_view/dvm_phase labels
 //	GET /healthz           200 ok (liveness probe)
 //
 // The runtime/metrics bridge (go_* families) polls every -bridge

@@ -3,52 +3,97 @@ package dvm_test
 import (
 	"testing"
 
+	"dvm/internal/algebra"
+	"dvm/internal/bag"
 	"dvm/internal/core"
 	"dvm/internal/storage"
 	"dvm/internal/workload"
 )
 
-// compiledPair builds two managers over independently set-up copies of
-// the same retail state: one evaluating maintenance with compiled delta
-// programs (the default) and one forced onto the tree-walking
-// interpreter. Both receive identical transaction streams from
-// same-seed generators, so any divergence is a compiler bug.
-func compiledPair(t *testing.T, scenario core.Scenario, seed int64, extra ...core.ManagerOption) (compiled, interp *core.Manager, wc, wi *workload.Retail) {
+// compiledDay builds one manager over a freshly set-up retail state with
+// the Example 1.1 view defined under scenario. Its maintenance runs the
+// view's compiled pair program; the tests below check it against the
+// reference — the tree-walking interpreter, algebra.Eval, over the view
+// definition — so any divergence is a compiler or pipeline bug.
+func compiledDay(t *testing.T, scenario core.Scenario, seed int64) (*core.Manager, *workload.Retail) {
 	t.Helper()
-	cfg := workload.RetailConfig{
+	w := workload.NewRetail(workload.RetailConfig{
 		Customers:    120,
 		HighFraction: 0.25,
 		InitialSales: 600,
 		Items:        60,
 		ZipfS:        1.2,
 		Seed:         seed,
+	})
+	db := storage.NewDatabase()
+	if err := w.Setup(db); err != nil {
+		t.Fatal(err)
 	}
-	build := func(opts ...core.ManagerOption) (*core.Manager, *workload.Retail) {
-		db := storage.NewDatabase()
-		w := workload.NewRetail(cfg)
-		if err := w.Setup(db); err != nil {
-			t.Fatal(err)
-		}
-		m := core.NewManager(db, opts...)
-		def, err := w.ViewDef()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.DefineView("hv", def, scenario); err != nil {
-			t.Fatal(err)
-		}
-		return m, w
+	m := core.NewManager(db)
+	def, err := w.ViewDef()
+	if err != nil {
+		t.Fatal(err)
 	}
-	compiled, wc = build(extra...)
-	interp, wi = build(append([]core.ManagerOption{core.WithInterpretedDeltas()}, extra...)...)
-	return compiled, interp, wc, wi
+	if _, err := m.DefineView("hv", def, scenario); err != nil {
+		t.Fatal(err)
+	}
+	return m, w
 }
 
-// TestCompiledMatchesInterpretedScenarios drives the same retail stream
-// through a compiled and an interpreted manager under every maintenance
-// scenario and requires identical stale answers, fresh answers, and
-// post-refresh MVs, plus a clean INV_C-style invariant where one is
-// defined.
+// reference evaluates the view definition from scratch with the
+// interpreter: Q's current value.
+func reference(t *testing.T, m *core.Manager) *bag.Bag {
+	t.Helper()
+	v, err := m.View("hv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := algebra.Eval(v.Def, m.DB())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+// checkMV requires MV ≡ Eval(Def): the postcondition of every refresh.
+func checkMV(t *testing.T, m *core.Manager, when string) {
+	t.Helper()
+	want := reference(t, m)
+	got, err := m.Query("hv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) {
+		t.Fatalf("%s: MV = %v, the interpreter computes %v", when, got, want)
+	}
+}
+
+// checkFresh requires QueryFresh ≡ Eval(Def) and leaves the invariant
+// intact.
+func checkFresh(t *testing.T, m *core.Manager, when string) {
+	t.Helper()
+	want := reference(t, m)
+	got, err := m.QueryFresh("hv", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) {
+		t.Fatalf("%s: fresh answer = %v, the interpreter computes %v", when, got, want)
+	}
+	checkInvariant(t, m, when)
+}
+
+func checkInvariant(t *testing.T, m *core.Manager, when string) {
+	t.Helper()
+	if err := m.CheckInvariant("hv"); err != nil {
+		t.Fatalf("%s: %v", when, err)
+	}
+}
+
+// TestCompiledMatchesInterpretedScenarios drives a retail stream through
+// the compiled pipeline under every maintenance scenario and checks it
+// against the interpreter: the Figure 1 invariant after every step, the
+// fresh answer at the end, and MV ≡ Eval(Def) after the refresh.
 func TestCompiledMatchesInterpretedScenarios(t *testing.T) {
 	scenarios := []struct {
 		name string
@@ -61,95 +106,42 @@ func TestCompiledMatchesInterpretedScenarios(t *testing.T) {
 	}
 	for si, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			compiled, interp, wc, wi := compiledPair(t, sc.s, int64(40+si))
+			m, w := compiledDay(t, sc.s, int64(40+si))
 			for tick := 1; tick <= 20; tick++ {
-				if err := compiled.Execute(wc.Basket(2, 6, 0.2)); err != nil {
-					t.Fatal(err)
-				}
-				if err := interp.Execute(wi.Basket(2, 6, 0.2)); err != nil {
+				if err := m.Execute(w.Basket(2, 6, 0.2)); err != nil {
 					t.Fatal(err)
 				}
 				if tick%7 == 0 {
-					fc, err := wc.ScoreFlip()
+					flip, err := w.ScoreFlip()
 					if err != nil {
 						t.Fatal(err)
 					}
-					fi, err := wi.ScoreFlip()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := compiled.Execute(fc); err != nil {
-						t.Fatal(err)
-					}
-					if err := interp.Execute(fi); err != nil {
+					if err := m.Execute(flip); err != nil {
 						t.Fatal(err)
 					}
 				}
 				if sc.s == core.Combined && tick%5 == 0 {
-					if err := compiled.Propagate("hv"); err != nil {
-						t.Fatal(err)
-					}
-					if err := interp.Propagate("hv"); err != nil {
+					if err := m.Propagate("hv"); err != nil {
 						t.Fatal(err)
 					}
 				}
-				qc, err := compiled.Query("hv")
-				if err != nil {
-					t.Fatal(err)
-				}
-				qi, err := interp.Query("hv")
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !qc.Equal(qi) {
-					t.Fatalf("tick %d: stale answers differ: compiled %v, interpreted %v", tick, qc, qi)
-				}
+				checkInvariant(t, m, "tick")
 			}
-			fc, err := compiled.QueryFresh("hv", nil)
-			if err != nil {
+			checkFresh(t, m, "end of day")
+			if err := m.Refresh("hv"); err != nil {
 				t.Fatal(err)
 			}
-			fi, err := interp.QueryFresh("hv", nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !fc.Equal(fi) {
-				t.Fatal("fresh answers differ")
-			}
-			if sc.s != core.Immediate {
-				if err := compiled.Refresh("hv"); err != nil {
-					t.Fatal(err)
-				}
-				if err := interp.Refresh("hv"); err != nil {
-					t.Fatal(err)
-				}
-			}
-			qc, err := compiled.Query("hv")
-			if err != nil {
-				t.Fatal(err)
-			}
-			qi, err := interp.Query("hv")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !qc.Equal(qi) {
-				t.Fatalf("refreshed MVs differ: compiled %v, interpreted %v", qc, qi)
-			}
-			if err := compiled.CheckInvariant("hv"); err != nil {
-				t.Fatal(err)
-			}
-			if err := interp.CheckInvariant("hv"); err != nil {
-				t.Fatal(err)
-			}
+			checkMV(t, m, "after refresh")
+			checkInvariant(t, m, "after refresh")
 		})
 	}
 }
 
 // TestCompiledPoliciesMatchInterpreted runs the mixed retail day under
 // each deferred-maintenance policy (1: propagate + refresh_C, 2:
-// propagate + partial_refresh_C, 3: on-demand) against compiled and
-// interpreted Combined managers and requires identical stale and fresh
-// answers throughout, ending with clean invariants.
+// propagate + partial_refresh_C, 3: on-demand) against a Combined view,
+// checking the invariant after every tick, the fresh answer against the
+// interpreter every ten, and MV ≡ Eval(Def) after every refresh.
 func TestCompiledPoliciesMatchInterpreted(t *testing.T) {
 	policies := []struct {
 		name string
@@ -161,237 +153,78 @@ func TestCompiledPoliciesMatchInterpreted(t *testing.T) {
 	}
 	for pi, pol := range policies {
 		t.Run(pol.name, func(t *testing.T) {
-			compiled, interp, wc, wi := compiledPair(t, core.Combined, int64(70+pi))
-			rc, err := compiled.NewRunner("hv", pol.p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ri, err := interp.NewRunner("hv", pol.p)
+			m, w := compiledDay(t, core.Combined, int64(70+pi))
+			r, err := m.NewRunner("hv", pol.p)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for tick := 1; tick <= 40; tick++ {
-				if err := compiled.Execute(wc.Basket(2, 6, 0.2)); err != nil {
-					t.Fatal(err)
-				}
-				if err := interp.Execute(wi.Basket(2, 6, 0.2)); err != nil {
+				if err := m.Execute(w.Basket(2, 6, 0.2)); err != nil {
 					t.Fatal(err)
 				}
 				if tick%13 == 0 {
-					fc, err := wc.ScoreFlip()
+					flip, err := w.ScoreFlip()
 					if err != nil {
 						t.Fatal(err)
 					}
-					fi, err := wi.ScoreFlip()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := compiled.Execute(fc); err != nil {
-						t.Fatal(err)
-					}
-					if err := interp.Execute(fi); err != nil {
+					if err := m.Execute(flip); err != nil {
 						t.Fatal(err)
 					}
 				}
-				if err := rc.Tick(); err != nil {
+				if err := r.Tick(); err != nil {
 					t.Fatal(err)
 				}
-				if err := ri.Tick(); err != nil {
-					t.Fatal(err)
+				checkInvariant(t, m, "tick")
+				if !pol.p.OnDemand && tick%pol.p.RefreshEvery == 0 {
+					// The tick's propagate emptied the log, so refresh_C and
+					// partial_refresh_C alike leave MV ≡ Q.
+					checkMV(t, m, "after the policy's refresh")
 				}
 				if tick%10 == 0 {
-					fc, err := compiled.QueryFresh("hv", nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					fi, err := interp.QueryFresh("hv", nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !fc.Equal(fi) {
-						t.Fatalf("tick %d: fresh answers differ", tick)
-					}
-				}
-				qc, err := compiled.Query("hv")
-				if err != nil {
-					t.Fatal(err)
-				}
-				qi, err := interp.Query("hv")
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !qc.Equal(qi) {
-					t.Fatalf("tick %d: stale answers differ", tick)
+					checkFresh(t, m, "tick")
 				}
 			}
 			if pol.p.OnDemand {
-				if err := rc.RefreshNow(); err != nil {
+				if err := r.RefreshNow(); err != nil {
 					t.Fatal(err)
 				}
-				if err := ri.RefreshNow(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := compiled.CheckInvariant("hv"); err != nil {
+			} else if err := m.Refresh("hv"); err != nil {
 				t.Fatal(err)
 			}
-			if err := interp.CheckInvariant("hv"); err != nil {
-				t.Fatal(err)
-			}
+			checkMV(t, m, "after the closing refresh")
+			checkInvariant(t, m, "after the closing refresh")
 		})
-	}
-}
-
-// TestCompiledShardedMatchesInterpretedSerial pits the most-optimized
-// configuration (compiled programs over 4 hash shards) against the
-// least (serial interpreter): every logical log and differential table
-// must Σ-match, and the MVs must agree after propagate + refresh.
-func TestCompiledShardedMatchesInterpretedSerial(t *testing.T) {
-	cfg := workload.RetailConfig{
-		Customers:    120,
-		HighFraction: 0.25,
-		InitialSales: 600,
-		Items:        60,
-		ZipfS:        1.2,
-		Seed:         83,
-	}
-	build := func(opts ...core.ManagerOption) (*core.Manager, *workload.Retail) {
-		db := storage.NewDatabase()
-		w := workload.NewRetail(cfg)
-		if err := w.Setup(db); err != nil {
-			t.Fatal(err)
-		}
-		m := core.NewManager(db, opts...)
-		def, err := w.ViewDef()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.DefineView("hv", def, core.Combined); err != nil {
-			t.Fatal(err)
-		}
-		return m, w
-	}
-	sharded, wc := build(core.WithShards(4))
-	serial, wi := build(core.WithInterpretedDeltas())
-
-	for tick := 1; tick <= 24; tick++ {
-		if err := sharded.Execute(wc.Basket(2, 6, 0.2)); err != nil {
-			t.Fatal(err)
-		}
-		if err := serial.Execute(wi.Basket(2, 6, 0.2)); err != nil {
-			t.Fatal(err)
-		}
-		if tick%9 == 0 {
-			fc, err := wc.ScoreFlip()
-			if err != nil {
-				t.Fatal(err)
-			}
-			fi, err := wi.ScoreFlip()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sharded.Execute(fc); err != nil {
-				t.Fatal(err)
-			}
-			if err := serial.Execute(fi); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := sharded.Propagate("hv"); err != nil {
-		t.Fatal(err)
-	}
-	if err := serial.Propagate("hv"); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"__dmv_del_hv", "__dmv_add_hv"} {
-		got := mergedBag(t, sharded.DB(), name)
-		want := mergedBag(t, serial.DB(), name)
-		if !got.Equal(want) {
-			t.Fatalf("after propagate: Σ shard %s = %v, interpreted serial has %v", name, got, want)
-		}
-	}
-	if err := sharded.CheckShardInvariant("hv"); err != nil {
-		t.Fatal(err)
-	}
-	if err := sharded.Refresh("hv"); err != nil {
-		t.Fatal(err)
-	}
-	if err := serial.Refresh("hv"); err != nil {
-		t.Fatal(err)
-	}
-	qc, err := sharded.Query("hv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	qi, err := serial.Query("hv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !qc.Equal(qi) {
-		t.Fatalf("refreshed MVs differ: compiled sharded %v, interpreted serial %v", qc, qi)
 	}
 }
 
 // TestCompiledRecomputeAndPartial covers the remaining compiled entry
 // points one by one: RefreshRecompute (full recompute via the compiled
-// definition program) and PartialRefresh must each land both managers
-// on identical MVs.
+// definition program) must land MV on the interpreter's answer, and
+// PartialRefresh right after a Propagate must too.
 func TestCompiledRecomputeAndPartial(t *testing.T) {
-	compiled, interp, wc, wi := compiledPair(t, core.Combined, 59)
+	m, w := compiledDay(t, core.Combined, 59)
 	step := func() {
 		t.Helper()
-		if err := compiled.Execute(wc.Basket(2, 6, 0.2)); err != nil {
+		if err := m.Execute(w.Basket(2, 6, 0.2)); err != nil {
 			t.Fatal(err)
-		}
-		if err := interp.Execute(wi.Basket(2, 6, 0.2)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	same := func(when string) {
-		t.Helper()
-		qc, err := compiled.Query("hv")
-		if err != nil {
-			t.Fatal(err)
-		}
-		qi, err := interp.Query("hv")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !qc.Equal(qi) {
-			t.Fatalf("%s: MVs differ", when)
 		}
 	}
 	for i := 0; i < 8; i++ {
 		step()
 	}
-	if err := compiled.RefreshRecompute("hv"); err != nil {
+	if err := m.RefreshRecompute("hv"); err != nil {
 		t.Fatal(err)
 	}
-	if err := interp.RefreshRecompute("hv"); err != nil {
-		t.Fatal(err)
-	}
-	same("after recompute")
+	checkMV(t, m, "after recompute")
 	for i := 0; i < 8; i++ {
 		step()
 	}
-	if err := compiled.Propagate("hv"); err != nil {
+	if err := m.Propagate("hv"); err != nil {
 		t.Fatal(err)
 	}
-	if err := interp.Propagate("hv"); err != nil {
+	if err := m.PartialRefresh("hv"); err != nil {
 		t.Fatal(err)
 	}
-	if err := compiled.PartialRefresh("hv"); err != nil {
-		t.Fatal(err)
-	}
-	if err := interp.PartialRefresh("hv"); err != nil {
-		t.Fatal(err)
-	}
-	same("after partial refresh")
-	if err := compiled.CheckInvariant("hv"); err != nil {
-		t.Fatal(err)
-	}
-	if err := interp.CheckInvariant("hv"); err != nil {
-		t.Fatal(err)
-	}
+	checkMV(t, m, "after partial refresh")
+	checkInvariant(t, m, "after partial refresh")
 }

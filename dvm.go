@@ -27,8 +27,12 @@
 //
 // The four maintenance scenarios correspond to the paper's Figure 1
 // invariants: Immediate (Q ≡ MV), BaseLogs (PAST(L,Q) ≡ MV), DiffTables
-// (Q ≡ (MV ∸ ∇MV) ⊎ △MV), and Combined (both). See README.md for the
-// full tour and DESIGN.md for the paper-to-code map.
+// (Q ≡ (MV ∸ ∇MV) ⊎ △MV), and Combined (both). Every scenario runs the
+// one Figure 3 pipeline: a view's incremental pair is compiled once at
+// definition and installed in place by makesafe, propagate and refresh;
+// Eval (the interpreter) is the reference the tests check it against.
+// See README.md for the full tour and DESIGN.md for the paper-to-code
+// map.
 package dvm
 
 import (
@@ -217,24 +221,12 @@ type EngineOption = sql.EngineOption
 // docs/observability.md, Tracing).
 var WithTraceSpec = sql.WithTraceSpec
 
-// WithShards partitions every Combined view the engine defines into n
-// hash shards: makesafe appends shard-locally and propagate evaluates
-// the Figure 2 DEL/ADD queries per shard (docs/architecture.md
-// "Sharding").
-var WithShards = sql.WithShards
-
 // WithRuntimeBridge starts the engine's runtime/metrics bridge: Go
 // runtime health (goroutines, heap, GC pauses, scheduler latency)
 // polled into the obs registry on a ticker, exposed alongside the
 // maintenance families on dvmstatsd's /metrics. Stop with
 // Engine.Close.
 var WithRuntimeBridge = sql.WithRuntimeBridge
-
-// WithInterpretedDeltas disables the delta-program compiler: every
-// maintenance expression is evaluated by the tree-walking interpreter.
-// Useful for differential testing and for measuring the compiler's win
-// (docs/architecture.md "Compiled delta programs").
-var WithInterpretedDeltas = sql.WithInterpretedDeltas
 
 // NewEngine creates a SQL engine over a fresh database.
 func NewEngine(opts ...EngineOption) *Engine { return sql.NewEngine(opts...) }

@@ -214,14 +214,6 @@ func (b BoolLit) String() string {
 	return "FALSE"
 }
 
-// EquiPairs extracts the attribute-equality conjuncts attr=attr of p,
-// together with the residual conjuncts that are not such pairs. It is
-// what the evaluator uses to plan hash joins, exported so the sharding
-// planner can co-partition join inputs on the same equalities.
-func EquiPairs(p Predicate) (pairs [][2]string, rest []Predicate) {
-	return equiPairs(p)
-}
-
 // equiPairs extracts attribute-equality conjuncts attr=attr from p.
 // Used by the evaluator to plan hash joins; returns nil when p is not a
 // pure conjunction containing such pairs.

@@ -209,7 +209,7 @@ func (j *Join) Indexed(probe *Bag, probePos []int, ix *Index, buildLeft bool) (o
 	}
 	out = New()
 	// Scratch row and key buffer belong to this call, never to the index:
-	// shard workers and readers run joins side by side.
+	// the writer and readers run joins side by side.
 	var row schema.Tuple
 	var kb [128]byte
 	buf := kb[:0]

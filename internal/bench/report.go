@@ -150,7 +150,6 @@ func All() []Experiment {
 		{ID: "e12", Run: E12SelfMaintainability},
 		{ID: "e13", Run: E13RelevantUpdates},
 		{ID: "e14", Run: E14FreshQueries},
-		{ID: "e15", Run: E15ShardScaling},
-		{ID: "e16", Run: E16CompiledPrograms},
+		{ID: "day", Run: RetailDay},
 	}
 }

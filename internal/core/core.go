@@ -91,21 +91,13 @@ type View struct {
 	// is installed: MV (applyToMVLocked) or ∇MV/△MV (mergeDelta).
 	del, add algebra.Expr
 
-	// Sharded Combined views additionally carry the per-shard DEL/ADD
-	// pair (evaluated against one shard's slice through a shardSource;
-	// see shard.go) and the physical shard layout. In sharded mode the
-	// logDel/logIns/dtDel/dtAdd names above are LOGICAL shard-group
-	// names, and del/add read the ⊎-of-shards union expressions (for
-	// EXPLAIN only: propagate evaluates shDel/shAdd).
-	shDel, shAdd algebra.Expr
-	sh           *viewShards
-
 	// def is Def compiled. The definition itself is only ever evaluated
-	// one-shot (DefineView, RefreshRecompute), whatever the delta engine.
+	// one-shot (DefineView, RefreshRecompute).
 	def *algebra.Program
-	// cd holds the view's compiled delta programs (nil under
-	// WithInterpretedDeltas; see compiled.go).
-	cd *compiledDelta
+	// pair is (del, add) compiled into one two-root program, and pairSt
+	// its reusable evaluation state (see compiled.go).
+	pair   *algebra.Program
+	pairSt *algebra.State
 
 	// met caches this view's obs instruments (see metrics.go).
 	met *viewMetrics
@@ -116,11 +108,10 @@ type View struct {
 // MVTable returns the name of the view's materialized table.
 func (v *View) MVTable() string { return v.mvName }
 
-// IncrementalQueries exposes the view's incremental pair (EXPLAIN, and
-// the interpreter under WithInterpretedDeltas): for Immediate/DiffTables
-// views the pre-update pair (∇(T,Q), △(T,Q)) over the transaction
-// scratch tables; for BaseLogs/Combined views the post-update pair
-// (▼(L,Q), ▲(L,Q)) over the view's log tables.
+// IncrementalQueries exposes the view's incremental pair (EXPLAIN): for
+// Immediate/DiffTables views the pre-update pair (∇(T,Q), △(T,Q)) over
+// the transaction scratch tables; for BaseLogs/Combined views the
+// post-update pair (▼(L,Q), ▲(L,Q)) over the view's log tables.
 func (v *View) IncrementalQueries() (del, add algebra.Expr) { return v.del, v.add }
 
 // InvariantString renders the scenario's Figure 1 invariant with the
@@ -174,21 +165,9 @@ type Manager struct {
 	scratchDel map[string]string // base table -> scratch ∇R table
 	scratchIns map[string]string // base table -> scratch △R table
 
-	// interpretDeltas disables the delta-program compiler: every
-	// maintenance expression is evaluated by the tree-walking
-	// interpreter instead of compiled programs (see compiled.go).
-	interpretDeltas bool
-
 	// shared, when non-nil, replaces per-view log upkeep with shared
 	// per-table logs (see WithSharedLogs).
 	shared *sharedState
-
-	// shards > 1 partitions every Combined view's logs, diff tables,
-	// and base mirrors into that many hash shards (see shard.go);
-	// mirrors holds the co-partitioned base copies, refcounted across
-	// views.
-	shards  int
-	mirrors map[string]*mirrorGroup
 
 	// obs is the manager's metrics registry; every maintenance entry
 	// point records into it (see metrics.go and docs/observability.md).
@@ -363,7 +342,6 @@ func (m *Manager) DefineView(name string, def algebra.Expr, sc Scenario, opts ..
 		return nil, err
 	}
 	cleanup := func(err error) (*View, error) {
-		m.dropShards(v) // no-op unless a sharded layout was set up
 		_ = m.db.Drop(v.mvName)
 		return nil, err
 	}
@@ -394,22 +372,8 @@ func (m *Manager) DefineView(name string, def algebra.Expr, sc Scenario, opts ..
 		m.scratchIns[b] = in
 	}
 
-	// A Combined view under WithShards gets a sharded physical layout
-	// (shard groups for logs and diffs, co-partitioned base mirrors)
-	// instead of the plain auxiliary tables. Other scenarios are
-	// unaffected: sharding targets the propagate/partial-refresh
-	// pipeline, which only the Combined scenario has.
-	sharded := m.Shards() > 1 && sc == Combined
-	if sharded {
-		if err := m.setupShards(v); err != nil {
-			return cleanup(err)
-		}
-	}
 	switch sc {
 	case BaseLogs, Combined:
-		if sharded {
-			break
-		}
 		for _, b := range bases {
 			tb, _ := m.db.Table(b)
 			dn := fmt.Sprintf("__log_del_%s__%s", b, name)
@@ -431,9 +395,6 @@ func (m *Manager) DefineView(name string, def algebra.Expr, sc Scenario, opts ..
 	}
 	switch sc {
 	case DiffTables, Combined:
-		if sharded {
-			break
-		}
 		v.dtDel = "__dmv_del_" + name
 		v.dtAdd = "__dmv_add_" + name
 		if _, err := m.db.Create(v.dtDel, def.Schema(), storage.Internal); err != nil {
@@ -450,9 +411,6 @@ func (m *Manager) DefineView(name string, def algebra.Expr, sc Scenario, opts ..
 	if err := m.compile(v); err != nil {
 		return cleanup(err)
 	}
-	if err := m.compilePrograms(v); err != nil {
-		return cleanup(err)
-	}
 
 	m.views[name] = v
 	m.order = append(m.order, name)
@@ -467,21 +425,17 @@ func (m *Manager) DropView(name string) error {
 		return err
 	}
 	_ = m.db.Drop(v.mvName)
-	if v.sh != nil {
-		m.dropShards(v)
-	} else {
-		for _, b := range v.bases {
-			if n, ok := v.logDel[b]; ok {
-				_ = m.db.Drop(n)
-			}
-			if n, ok := v.logIns[b]; ok {
-				_ = m.db.Drop(n)
-			}
+	for _, b := range v.bases {
+		if n, ok := v.logDel[b]; ok {
+			_ = m.db.Drop(n)
 		}
-		if v.dtDel != "" {
-			_ = m.db.Drop(v.dtDel)
-			_ = m.db.Drop(v.dtAdd)
+		if n, ok := v.logIns[b]; ok {
+			_ = m.db.Drop(n)
 		}
+	}
+	if v.dtDel != "" {
+		_ = m.db.Drop(v.dtDel)
+		_ = m.db.Drop(v.dtAdd)
 	}
 	m.unregisterSharedView(v)
 	delete(m.views, name)
@@ -573,33 +527,27 @@ func (m *Manager) txnChangeSet(v *View) delta.ChangeSet {
 }
 
 // logChangeSet builds the log-relative change set over the view's own
-// log tables. For a sharded view each log is the ⊎ of its shard
-// slices, so everything compiled from this set (blDel/blAdd, PastExpr)
-// keeps working against the live database unchanged.
+// log tables.
 func (m *Manager) logChangeSet(v *View) delta.ChangeSet {
 	cs := delta.ChangeSet{}
 	for _, b := range v.bases {
 		tb, _ := m.db.Table(b)
-		var dE, iE algebra.Expr
-		if v.sh != nil {
-			dE = shardUnionExpr(v.sh.logDel[b])
-			iE = shardUnionExpr(v.sh.logIns[b])
-		} else {
-			dE = algebra.NewBase(v.logDel[b], tb.Schema())
-			iE = algebra.NewBase(v.logIns[b], tb.Schema())
-		}
 		cs[b] = struct {
 			Deleted  algebra.Expr
 			Inserted algebra.Expr
-		}{Deleted: dE, Inserted: iE}
+		}{
+			Deleted:  algebra.NewBase(v.logDel[b], tb.Schema()),
+			Inserted: algebra.NewBase(v.logIns[b], tb.Schema()),
+		}
 	}
 	return cs
 }
 
-// compile builds the view's incremental pair for its scenario (and, for
-// a sharded view, the per-shard pair). The Figure 3 transactions that
-// install it need no precompiled form: each is evalDeltaPair followed
-// by applyToMVLocked or mergeDelta.
+// compile builds the view's incremental pair for its scenario and
+// compiles it into the view's one pair program. Every Figure 3
+// transaction that installs the pair is evalDeltaPair followed by
+// applyToMVLocked or mergeDelta; the time spent compiling is recorded
+// in delta_compile_ns.
 func (m *Manager) compile(v *View) error {
 	var d, a algebra.Expr
 	var err error
@@ -618,9 +566,11 @@ func (m *Manager) compile(v *View) error {
 		}
 	}
 	v.del, v.add = algebra.OptimizePair(d, a)
-	if v.sh != nil {
-		// The per-shard DEL/ADD pair workers evaluate (see shard.go).
-		return m.compileShardQueries(v)
+	start := time.Now()
+	if v.pair, err = algebra.Compile(v.del, v.add); err != nil {
+		return err
 	}
+	v.pairSt = v.pair.NewState()
+	v.met.deltaCompileNs.Observe(int64(time.Since(start)))
 	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -78,6 +79,37 @@ func retailDB(t testing.TB) (*storage.Database, algebra.Expr) {
 
 func saleRow(cust, item, qty int) schema.Tuple {
 	return schema.Row(cust, item, qty, 9.99)
+}
+
+// randomRetailTxn builds a small random transaction against the
+// retailDB schema, deterministic in rng.
+func randomRetailTxn(rng *rand.Rand) txn.Txn {
+	t := txn.Txn{}
+	cust := rng.Intn(10)
+	items := 1 + rng.Intn(4)
+	ins := bag.New()
+	for i := 0; i < items; i++ {
+		qty := rng.Intn(4) // includes zero-quantity rows
+		ins.Add(saleRow(cust, rng.Intn(7), qty), 1)
+	}
+	t["sales"] = txn.Update{Insert: ins}
+	if rng.Intn(4) == 0 {
+		// Delete a (possibly absent) earlier sale; Normalize clamps.
+		t["sales"] = txn.Update{
+			Insert: ins,
+			Delete: bag.Of(saleRow(cust, rng.Intn(7), rng.Intn(4))),
+		}
+	}
+	if rng.Intn(6) == 0 {
+		// Score flip for one customer: delete+insert both score rows so
+		// exactly one of the pair is effective.
+		c := rng.Intn(10)
+		t["customer"] = txn.Update{
+			Delete: bag.Of(schema.Row(c, "cust", "addr", "High"), schema.Row(c, "cust", "addr", "Low")),
+			Insert: bag.Of(schema.Row(c, "cust", "addr", []string{"High", "Low"}[rng.Intn(2)])),
+		}
+	}
+	return t
 }
 
 func TestDefineViewBasics(t *testing.T) {
@@ -403,59 +435,58 @@ func journaled(b *bag.Bag) bool {
 }
 
 // TestViewDefinitionEvaluatesOneShot: a view's definition runs through
-// its compiled program, one-shot, whatever the delta engine — at
-// DefineView and again at RefreshRecompute. It only reads the base
-// tables: no index and no journal is left on them, and MV is what the
-// interpreter computes.
+// its compiled program, one-shot — at DefineView and again at
+// RefreshRecompute. It only reads the base tables: no index and no
+// journal is left on them, and MV is what the interpreter computes.
 func TestViewDefinitionEvaluatesOneShot(t *testing.T) {
 	for _, sc := range []Scenario{Immediate, BaseLogs, DiffTables, Combined} {
-		for name, opts := range map[string][]ManagerOption{"compiled": nil, "interpreted": {WithInterpretedDeltas()}} {
-			db, def := retailDB(t)
-			m := NewManager(db, opts...)
-			check := func(when string) {
-				t.Helper()
-				for _, base := range []string{"sales", "customer"} {
-					if b, _ := db.Bag(base); len(b.Indexes()) != 0 || journaled(b) {
-						t.Fatalf("%v/%s: %s left %s indexed or journaling", sc, name, when, base)
-					}
-				}
-				want, err := algebra.Eval(def, db)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if mv, _ := db.Bag("__mv_hv"); !mv.Equal(want) {
-					t.Fatalf("%v/%s: MV after %s = %v, interpreter says %v", sc, name, when, mv, want)
+		db, def := retailDB(t)
+		m := NewManager(db)
+		check := func(when string) {
+			t.Helper()
+			for _, base := range []string{"sales", "customer"} {
+				if b, _ := db.Bag(base); len(b.Indexes()) != 0 || journaled(b) {
+					t.Fatalf("%v: %s left %s indexed or journaling", sc, when, base)
 				}
 			}
-			if _, err := m.DefineView("hv", def, sc); err != nil {
+			want, err := algebra.Eval(def, db)
+			if err != nil {
 				t.Fatal(err)
 			}
-			check("DefineView")
-			if sc != BaseLogs && sc != Combined {
-				continue // their makesafe joins the base tables: it may index them
+			if mv, _ := db.Bag("__mv_hv"); !mv.Equal(want) {
+				t.Fatalf("%v: MV after %s = %v, interpreter says %v", sc, when, mv, want)
 			}
-			if err := m.Execute(txn.Insert("sales", bag.Of(saleRow(0, 1, 1), saleRow(2, 3, 4)))); err != nil {
-				t.Fatal(err)
-			}
-			if err := m.RefreshRecompute("hv"); err != nil {
-				t.Fatal(err)
-			}
-			check("RefreshRecompute")
 		}
+		if _, err := m.DefineView("hv", def, sc); err != nil {
+			t.Fatal(err)
+		}
+		check("DefineView")
+		if sc != BaseLogs && sc != Combined {
+			continue // their makesafe joins the base tables: it may index them
+		}
+		if err := m.Execute(txn.Insert("sales", bag.Of(saleRow(0, 1, 1), saleRow(2, 3, 4)))); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.RefreshRecompute("hv"); err != nil {
+			t.Fatal(err)
+		}
+		check("RefreshRecompute")
 	}
 }
 
 // TestInterpreterStaysOutOfTheEngine pins ROADMAP item 1(d)'s end state
 // in the source: outside tests, internal/core calls algebra.Eval only to
 // check — the invariant checkers and CheckConsistent (invariant.go) and
-// WithLogFilter's equivalence check at definition time.
+// WithLogFilter's equivalence check at definition time — and never
+// builds an interpreter (algebra.NewEvaluator) at all: every maintenance
+// evaluation is a view's compiled pair program.
 func TestInterpreterStaysOutOfTheEngine(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, file := range files {
-		if strings.HasSuffix(file, "_test.go") || file == "invariant.go" {
+		if strings.HasSuffix(file, "_test.go") {
 			continue
 		}
 		src, err := os.ReadFile(file)
@@ -467,8 +498,11 @@ func TestInterpreterStaysOutOfTheEngine(t *testing.T) {
 			if strings.HasPrefix(line, "func ") {
 				fn = line
 			}
-			if strings.Contains(line, "algebra.Eval(") && !strings.Contains(fn, "validateLogFilters") {
+			if strings.Contains(line, "algebra.Eval(") && file != "invariant.go" && !strings.Contains(fn, "validateLogFilters") {
 				t.Errorf("%s:%d calls algebra.Eval in %q", file, i+1, fn)
+			}
+			if strings.Contains(line, "algebra.NewEvaluator(") {
+				t.Errorf("%s:%d builds an interpreter in %q", file, i+1, fn)
 			}
 		}
 	}

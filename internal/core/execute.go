@@ -52,7 +52,7 @@ func (m *Manager) Execute(t txn.Txn) error {
 	// spans several views, so the pprof label carries no dvm_view; the
 	// cost is distributed across the affected views' phase accounting
 	// below, mirroring the makesafe_ns share.
-	restoreLabels := obs.SetPhaseLabels("", "", obs.PhaseMakesafe)
+	restoreLabels := obs.SetPhaseLabels("", obs.PhaseMakesafe)
 	defer restoreLabels()
 	alloc0 := obs.HeapAllocBytes()
 	xsp := m.startEntrySpan(trace.SpanExecute, trace.Int("tables", int64(len(nt))))
@@ -85,10 +85,6 @@ func (m *Manager) Execute(t txn.Txn) error {
 		case m.shared != nil:
 			// Shared-log mode: the batch is appended once per TABLE
 			// below, not once per view.
-		case v.sh != nil:
-			// Sharded Combined view: route ∇R/△R by shard key and merge
-			// shard-locally under per-shard locks (see shard.go).
-			err = m.appendToLogsSharded(v, nt)
 		default:
 			err = m.appendToLogs(v, nt)
 		}
@@ -158,10 +154,6 @@ func (m *Manager) Execute(t txn.Txn) error {
 			}
 			tb.Data().ApplyDelta(u.Delete, u.Insert)
 		}
-		// Co-partitioned base mirrors (sharded views) receive the same
-		// effective deltas, routed per shard, so each mirror group stays
-		// exactly its base's hash slice.
-		m.updateMirrors(nt)
 		return nil
 	}
 	if len(lockMVs) > 0 {
@@ -237,9 +229,9 @@ func (m *Manager) Execute(t txn.Txn) error {
 	return nil
 }
 
-// appendToLogs is makesafe_BL (= makesafe_C) for a view with its own,
-// unsharded log tables: each touched base's (▼R, ▲R) is extended with
-// the transaction's (∇R, △R) by mergeDelta, in O(|∇R|+|△R|).
+// appendToLogs is makesafe_BL (= makesafe_C) for a view with its own
+// log tables: each touched base's (▼R, ▲R) is extended with the
+// transaction's (∇R, △R) by mergeDelta, in O(|∇R|+|△R|).
 func (m *Manager) appendToLogs(v *View, nt txn.Txn) error {
 	for _, b := range v.bases {
 		u, ok := nt[b]

@@ -115,12 +115,8 @@ func (m *Manager) diffApplied(v *View, mv *bag.Bag) (*bag.Bag, error) {
 	return bag.UnionAll(bag.Monus(mv, dd), da), nil
 }
 
-// diffBags returns the view's current ∇MV/△MV contents, merging shard
-// slices when the view is sharded.
+// diffBags returns the view's current ∇MV/△MV contents.
 func (m *Manager) diffBags(v *View) (*bag.Bag, *bag.Bag, error) {
-	if v.sh != nil {
-		return mergeTables(v.sh.dtDel), mergeTables(v.sh.dtAdd), nil
-	}
 	dd, err := m.db.Bag(v.dtDel)
 	if err != nil {
 		return nil, nil, err
@@ -141,15 +137,9 @@ func (m *Manager) checkMinimality(v *View, mv *bag.Bag) error {
 		if !ok {
 			continue
 		}
-		var ins *bag.Bag
-		if v.sh != nil {
-			ins = mergeTables(v.sh.logIns[b])
-		} else {
-			var err error
-			ins, err = m.db.Bag(insName)
-			if err != nil {
-				return err
-			}
+		ins, err := m.db.Bag(insName)
+		if err != nil {
+			return err
 		}
 		base, err := m.db.Bag(b)
 		if err != nil {

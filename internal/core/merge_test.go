@@ -168,7 +168,7 @@ func expectMerged(t testing.TB, m *Manager, what, delName, addName string, del, 
 	}
 }
 
-// expectMakesafe returns the check that an unsharded view's auxiliary
+// expectMakesafe returns the check that a view's auxiliary
 // tables are, after Execute(tx), the composition-lemma merge of the
 // transaction into their current contents: (∇R, △R) into each log for
 // BaseLogs/Combined, the interpreter's (∇(T,Q), △(T,Q)) into ∇MV/△MV

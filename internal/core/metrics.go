@@ -59,37 +59,11 @@ func newViewMetrics(r *obs.Registry, view string) *viewMetrics {
 	}
 }
 
-// shardMetrics caches one shard's obs instruments, labelled
-// "view/sNN". Created eagerly at DefineView so the shard families are
-// present (at zero) from the moment a sharded view exists.
-type shardMetrics struct {
-	propagateShardNs *obs.Histogram // one worker's DEL/ADD evaluation wall time
-	foldTuples       *obs.Counter   // delta tuples folded into this diff shard
-	logSizeTuples    *obs.Gauge     // current log volume routed to this shard
-}
-
-func newShardMetrics(r *obs.Registry, label string) *shardMetrics {
-	return &shardMetrics{
-		propagateShardNs: r.Histogram("propagate_shard_ns", label),
-		foldTuples:       r.Counter("shard_fold_tuples", label),
-		logSizeTuples:    r.Gauge("shard_log_tuples", label),
-	}
-}
-
 // logVolume returns the tuple volume of the view's private log tables.
 // In shared-log mode these hold the last materialized window — a merged
 // copy of (part of) the pending shared window, which is what
 // updateSizeGauges reports there instead, so nothing is counted twice.
 func (m *Manager) logVolume(v *View) int {
-	if v.sh != nil {
-		n := 0
-		for _, b := range v.bases {
-			for i := 0; i < v.sh.n; i++ {
-				n += v.sh.logDel[b][i].Len() + v.sh.logIns[b][i].Len()
-			}
-		}
-		return n
-	}
 	n := 0
 	for _, b := range v.bases {
 		if t, err := m.db.Bag(v.logDel[b]); err == nil {
@@ -102,25 +76,9 @@ func (m *Manager) logVolume(v *View) int {
 	return n
 }
 
-// shardLogVolume returns the log volume routed to one shard.
-func shardLogVolume(v *View, i int) int {
-	n := 0
-	for _, b := range v.bases {
-		n += v.sh.logDel[b][i].Len() + v.sh.logIns[b][i].Len()
-	}
-	return n
-}
-
 // diffVolume returns the tuple volume of the view's differential tables
 // (∇MV ⊎ △MV).
 func (m *Manager) diffVolume(v *View) int {
-	if v.sh != nil {
-		n := 0
-		for i := 0; i < v.sh.n; i++ {
-			n += v.sh.dtDel[i].Len() + v.sh.dtAdd[i].Len()
-		}
-		return n
-	}
 	n := 0
 	if t, err := m.db.Bag(v.dtDel); err == nil {
 		n += t.Len()
@@ -147,10 +105,5 @@ func (m *Manager) updateSizeGauges(v *View) {
 	}
 	if v.dtDel != "" {
 		v.met.diffSizeTuples.Set(int64(m.diffVolume(v)))
-	}
-	if v.sh != nil {
-		for i, sm := range v.sh.met {
-			sm.logSizeTuples.Set(int64(shardLogVolume(v, i)))
-		}
 	}
 }

@@ -16,85 +16,84 @@ import (
 // Query, QueryFresh (whole and sliced) and by a compiled program whose
 // root is a bare table are rendered, the view is then driven through
 // Execute → Propagate → PartialRefresh → Refresh, and every bag must
-// still render the same.
+// still render the same. (The case names keep their shards=1 component:
+// the one layout there is.)
 func TestCallerOwnedBagsSurviveMaintenance(t *testing.T) {
 	slice := algebra.Eq(algebra.A("custId"), algebra.C(2))
 	for _, sc := range []Scenario{Immediate, BaseLogs, DiffTables, Combined} {
-		for _, shards := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%v/shards=%d", sc, shards), func(t *testing.T) {
-				db, def := retailDB(t)
-				m := NewManager(db, WithShards(shards))
-				v, err := m.DefineView("hv", def, sc)
+		t.Run(fmt.Sprintf("%v/shards=1", sc), func(t *testing.T) {
+			db, def := retailDB(t)
+			m := NewManager(db)
+			v, err := m.DefineView("hv", def, sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			must := func(err error) {
+				t.Helper()
 				if err != nil {
 					t.Fatal(err)
 				}
-				must := func(err error) {
-					t.Helper()
-					if err != nil {
-						t.Fatal(err)
-					}
-				}
-				rng := rand.New(rand.NewSource(11))
-				// A backlog in every auxiliary table the scenario has.
-				for i := 0; i < 4; i++ {
-					must(m.Execute(randomRetailTxn(rng)))
-				}
-				if sc == Combined {
-					must(m.Propagate("hv"))
-					must(m.Execute(randomRetailTxn(rng)))
-				}
-
-				held := map[string]*bag.Bag{}
-				hold := func(name string, b *bag.Bag, err error) {
-					t.Helper()
-					must(err)
-					held[name] = b
-				}
-				q, err := m.Query("hv")
-				hold("Query", q, err)
-				q, err = m.QueryFresh("hv", nil)
-				hold("QueryFresh(nil)", q, err)
-				q, err = m.QueryFresh("hv", slice)
-				hold("QueryFresh(pred)", q, err)
-				// Every auxiliary table, read the way a caller can: through
-				// a compiled program whose root is the bare table.
-				aux := []string{v.dtDel, v.dtAdd}
-				for _, b := range v.bases {
-					aux = append(aux, v.logDel[b], v.logIns[b])
-				}
-				for _, name := range aux {
-					tb, err := db.Table(name)
-					if err != nil {
-						continue // the scenario has no such table, or it is a shard group
-					}
-					prog, err := algebra.Compile(algebra.NewBase(name, tb.Schema()))
-					must(err)
-					outs, _, err := prog.Eval(nil, db)
-					hold("Program.Eval("+name+")", outs[0], err)
-				}
-				before := map[string]string{}
-				for name, b := range held {
-					before[name] = b.String()
-				}
-
+			}
+			rng := rand.New(rand.NewSource(11))
+			// A backlog in every auxiliary table the scenario has.
+			for i := 0; i < 4; i++ {
 				must(m.Execute(randomRetailTxn(rng)))
-				if sc == Combined {
-					must(m.Propagate("hv"))
-				}
-				if sc == Combined || sc == DiffTables {
-					must(m.PartialRefresh("hv"))
-				}
+			}
+			if sc == Combined {
+				must(m.Propagate("hv"))
 				must(m.Execute(randomRetailTxn(rng)))
-				must(m.Refresh("hv"))
-				must(m.CheckConsistent("hv"))
+			}
 
-				for name, b := range held {
-					if got := b.String(); got != before[name] {
-						t.Errorf("%s changed under its caller:\nbefore %s\nafter  %s", name, before[name], got)
-					}
+			held := map[string]*bag.Bag{}
+			hold := func(name string, b *bag.Bag, err error) {
+				t.Helper()
+				must(err)
+				held[name] = b
+			}
+			q, err := m.Query("hv")
+			hold("Query", q, err)
+			q, err = m.QueryFresh("hv", nil)
+			hold("QueryFresh(nil)", q, err)
+			q, err = m.QueryFresh("hv", slice)
+			hold("QueryFresh(pred)", q, err)
+			// Every auxiliary table, read the way a caller can: through
+			// a compiled program whose root is the bare table.
+			aux := []string{v.dtDel, v.dtAdd}
+			for _, b := range v.bases {
+				aux = append(aux, v.logDel[b], v.logIns[b])
+			}
+			for _, name := range aux {
+				tb, err := db.Table(name)
+				if err != nil {
+					continue // the scenario has no such table
 				}
-			})
-		}
+				prog, err := algebra.Compile(algebra.NewBase(name, tb.Schema()))
+				must(err)
+				outs, _, err := prog.Eval(nil, db)
+				hold("Program.Eval("+name+")", outs[0], err)
+			}
+			before := map[string]string{}
+			for name, b := range held {
+				before[name] = b.String()
+			}
+
+			must(m.Execute(randomRetailTxn(rng)))
+			if sc == Combined {
+				must(m.Propagate("hv"))
+			}
+			if sc == Combined || sc == DiffTables {
+				must(m.PartialRefresh("hv"))
+			}
+			must(m.Execute(randomRetailTxn(rng)))
+			must(m.Refresh("hv"))
+			must(m.CheckConsistent("hv"))
+
+			for name, b := range held {
+				if got := b.String(); got != before[name] {
+					t.Errorf("%s changed under its caller:\nbefore %s\nafter  %s", name, before[name], got)
+				}
+			}
+		})
 	}
 }
 

@@ -29,7 +29,7 @@ func (m *Manager) Refresh(name string) error {
 	rsp := m.startEntrySpan(trace.SpanRefresh,
 		trace.Str("view", v.Name), trace.Str("scenario", v.Scenario.String()))
 	sp := obs.StartSpan(v.met.refreshNs)
-	rg := obs.StartRegion(v.met.phaseAcct(obs.PhaseRefresh), v.Name, "", obs.PhaseRefresh)
+	rg := obs.StartRegion(v.met.phaseAcct(obs.PhaseRefresh), v.Name, obs.PhaseRefresh)
 	defer func() {
 		rg.End()
 		v.Stats.Refreshes++
@@ -81,8 +81,8 @@ func (m *Manager) startDowntimeSpan(v *View, hold *trace.Span) (*trace.Span, obs
 
 // applyToMVLocked installs MV := (MV ∸ del) ⊎ add in place, in
 // O(|del|+|add|): the one way a maintenance transaction changes a view
-// table (makesafe_IM, refresh_BL, refresh_DT, partial_refresh_C,
-// sharded or not), so the exclusive lock is held for work proportional
+// table (makesafe_IM, refresh_BL, refresh_DT, partial_refresh_C), so
+// the exclusive lock is held for work proportional
 // to the differential, never to the view. del and add are only read.
 // The Locked suffix is a contract dvmlint enforces: the caller must
 // hold the MV write lock.
@@ -103,9 +103,9 @@ func (m *Manager) applyToMVLocked(v *View, del, add *bag.Bag) error {
 // with del ∸ Add taken against the pre-state, as the simultaneous
 // assignment demands. Next to applyToMVLocked it is the only other way
 // a maintenance transaction installs a pair: every log extension
-// (makesafe_BL/makesafe_C on (▼R, ▲R), per view or per shard) and every
-// differential fold (makesafe_DT and propagate_C on (∇MV, △MV), per
-// shard or not) is this function, so each costs the size of its delta,
+// (makesafe_BL/makesafe_C on (▼R, ▲R)) and every differential fold
+// (makesafe_DT and propagate_C on (∇MV, △MV)) is this function, so
+// each costs the size of its delta,
 // never of the table it updates. strong additionally keeps the pair
 // disjoint — the strongly minimal analog of Lemma 3 the paper sketches
 // in Section 5.3: a tuple in both ∇MV and △MV cancels, which preserves
@@ -127,7 +127,7 @@ func mergeDelta(delT, addT *storage.Table, del, add *bag.Bag, strong bool) {
 	}
 }
 
-// mergeDiff is mergeDelta into an unsharded view's differential tables:
+// mergeDiff is mergeDelta into the view's differential tables:
 // makesafe_DT's and propagate_C's install step.
 func (m *Manager) mergeDiff(v *View, del, add *bag.Bag) error {
 	dd, err := m.db.Table(v.dtDel)
@@ -160,7 +160,7 @@ func (m *Manager) refreshFromLogLocked(v *View, parent *trace.Span) error {
 	return m.clearLogs(v)
 }
 
-// clearLogs empties the view's (non-sharded) log tables — the L := ∅
+// clearLogs empties the view's log tables — the L := ∅
 // half of refresh_BL and propagate_C, run after the update has
 // installed: clearing carries no right-hand side to stage.
 func (m *Manager) clearLogs(v *View) error {
@@ -213,9 +213,6 @@ func (m *Manager) applyDiffTablesLocked(v *View) error {
 	if v.met != nil {
 		v.met.refreshTuples.Add(int64(m.diffVolume(v)))
 	}
-	if v.sh != nil {
-		return m.applyDiffShardsLocked(v)
-	}
 	dd, err := m.db.Table(v.dtDel)
 	if err != nil {
 		return err
@@ -227,23 +224,9 @@ func (m *Manager) applyDiffTablesLocked(v *View) error {
 	return m.applyToMVLocked(v, dd.Data(), da.Data())
 }
 
-// clearDiffTables is ∇MV := ∅; △MV := ∅, sharded or not: the second
-// half of refresh_DT / partial_refresh_C, and of a recompute.
+// clearDiffTables is ∇MV := ∅; △MV := ∅: the second half of
+// refresh_DT / partial_refresh_C, and of a recompute.
 func (m *Manager) clearDiffTables(v *View) error {
-	if v.sh != nil {
-		for i := 0; i < v.sh.n; i++ {
-			dd, da := v.sh.dtDel[i], v.sh.dtAdd[i]
-			if dd.Len() == 0 && da.Len() == 0 {
-				continue
-			}
-			_ = m.locks.WithWrite([]string{dd.Name(), da.Name()}, func() error {
-				dd.Clear()
-				da.Clear()
-				return nil
-			})
-		}
-		return nil
-	}
 	for _, name := range []string{v.dtDel, v.dtAdd} {
 		tb, err := m.db.Table(name)
 		if err != nil {
@@ -272,7 +255,7 @@ func (m *Manager) Propagate(name string) error {
 	start := time.Now()
 	psp := m.startEntrySpan(trace.SpanPropagate, trace.Str("view", v.Name))
 	sp := obs.StartSpan(v.met.propagateNs)
-	rg := obs.StartRegion(v.met.phaseAcct(obs.PhasePropagate), v.Name, "", obs.PhasePropagate)
+	rg := obs.StartRegion(v.met.phaseAcct(obs.PhasePropagate), v.Name, obs.PhasePropagate)
 	defer func() {
 		rg.End()
 		v.Stats.Propagates++
@@ -326,8 +309,8 @@ func (m *Manager) consumeWindowIfShared(v *View) {
 // needs no MV lock, only the manager's single-writer discipline.
 // (It was once named propagateLocked; dvmlint's lock-discipline check
 // flagged the unlocked call from Propagate, and the fix was renaming:
-// the lock was never required.) parent anchors the per-shard spans of
-// the sharded path.
+// the lock was never required.) parent anchors the compiled evaluation's
+// span.
 func (m *Manager) foldLog(v *View, parent *trace.Span) error {
 	vol := m.logVolume(v)
 	if vol == 0 {
@@ -335,9 +318,6 @@ func (m *Manager) foldLog(v *View, parent *trace.Span) error {
 		// folds to the identity: a refresh right after a propagate, or a
 		// second fresh read, pays nothing here.
 		return nil
-	}
-	if v.sh != nil {
-		return m.foldLogSharded(v, parent)
 	}
 	if v.met != nil {
 		v.met.propagateTuples.Add(int64(vol))
@@ -366,7 +346,7 @@ func (m *Manager) PartialRefresh(name string) error {
 	start := time.Now()
 	prsp := m.startEntrySpan(trace.SpanPartialRefresh, trace.Str("view", v.Name))
 	sp := obs.StartSpan(v.met.partialNs)
-	rg := obs.StartRegion(v.met.phaseAcct(obs.PhasePartialRefresh), v.Name, "", obs.PhasePartialRefresh)
+	rg := obs.StartRegion(v.met.phaseAcct(obs.PhasePartialRefresh), v.Name, obs.PhasePartialRefresh)
 	defer func() {
 		rg.End()
 		v.Stats.PartialCount++
@@ -389,7 +369,7 @@ func (m *Manager) RefreshRecompute(name string) error {
 	start := time.Now()
 	rcsp := m.startEntrySpan(trace.SpanRecompute, trace.Str("view", v.Name))
 	sp := obs.StartSpan(v.met.recomputeNs)
-	rg := obs.StartRegion(v.met.phaseAcct(obs.PhaseRecompute), v.Name, "", obs.PhaseRecompute)
+	rg := obs.StartRegion(v.met.phaseAcct(obs.PhaseRecompute), v.Name, obs.PhaseRecompute)
 	defer func() {
 		rg.End()
 		v.Stats.Recomputes++
@@ -414,9 +394,7 @@ func (m *Manager) RefreshRecompute(name string) error {
 		if m.shared != nil && (v.Scenario == BaseLogs || v.Scenario == Combined) {
 			m.advanceCursors(v)
 		}
-		if v.sh != nil {
-			m.clearLogShards(v)
-		} else if len(v.logDel) > 0 {
+		if len(v.logDel) > 0 {
 			if err := m.clearLogs(v); err != nil {
 				return err
 			}

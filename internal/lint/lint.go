@@ -84,23 +84,16 @@ func DefaultConfig() Config {
 			"refreshFromLogLocked", "applyDiffTablesLocked", "clearDiffTables", "RefreshRecompute",
 			// propagate_* family (incl. shared-log window upkeep).
 			"foldLog", "materializeWindow",
-			// Sharded counterparts of the same transactions
-			// (docs/architecture.md "Sharding"): makesafe_C's per-shard
-			// log append + mirror upkeep, propagate_C's staged fold,
-			// refresh_C's per-diff-shard apply and recompute reset.
-			"appendToLogsSharded", "updateMirrors", "foldLogSharded",
-			"clearLogShard", "applyDiffShardsLocked",
-			// View (de)initialization (ensureMirror seeds a shard
-			// group's base mirrors at DefineView time).
-			"DefineView", "ensureMirror",
+			// View initialization.
+			"DefineView",
 			// The one in-place MV update, MV := (MV ∸ del) ⊎ add via
 			// Bag.ApplyDelta, shared by makesafe_IM, refresh_BL,
-			// refresh_DT and partial_refresh_C (sharded or not).
+			// refresh_DT and partial_refresh_C.
 			"applyToMVLocked",
 			// Its counterpart for auxiliary tables: the composition-lemma
 			// merge of a (del, add) pair into (▼R, ▲R) or (∇MV, △MV), in
-			// place — every log extension and differential fold, sharded
-			// or not; clearLogs resets consumed logs. Nothing maintained
+			// place — every log extension and differential fold;
+			// clearLogs resets consumed logs. Nothing maintained
 			// is ever rebuilt: only DefineView and RefreshRecompute
 			// install a whole table.
 			"mergeDelta", "clearLogs",

@@ -7,7 +7,7 @@ import (
 // analyzerPprofLabel keeps continuous profiling attributable: every
 // maintenance entry point in the core package — recognized by its
 // startEntrySpan call, the marker all Figure 3 transactions share —
-// must also install the dvm_view/dvm_shard/dvm_phase goroutine labels
+// must also install the dvm_view/dvm_phase goroutine labels
 // via obs.StartRegion (or the lower-level obs.SetPhaseLabels) before
 // doing work. An entry point that starts a span but no labeled region
 // produces CPU samples that cannot be attributed to a view or phase,

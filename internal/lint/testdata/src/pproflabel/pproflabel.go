@@ -37,7 +37,7 @@ func (m *Manager) PropagateUnlabeled() {
 func (m *Manager) RefreshLabeled() {
 	sp := m.startEntrySpan("core.refresh")
 	defer sp.End()
-	rg := obs.StartRegion(m.acct, "hv", "", obs.PhaseRefresh)
+	rg := obs.StartRegion(m.acct, "hv", obs.PhaseRefresh)
 	defer rg.End()
 }
 
@@ -45,12 +45,12 @@ func (m *Manager) RefreshLabeled() {
 func (m *Manager) ExecuteRawLabels() {
 	sp := m.startEntrySpan("core.execute")
 	defer sp.End()
-	restore := obs.SetPhaseLabels("", "", obs.PhaseMakesafe)
+	restore := obs.SetPhaseLabels("", obs.PhaseMakesafe)
 	defer restore()
 }
 
 // helperNoSpan never opens an entry span, so no labels are required.
 func (m *Manager) helperNoSpan() {
-	rg := obs.StartRegion(nil, "hv", "s00", obs.PhasePropagate)
+	rg := obs.StartRegion(nil, "hv", obs.PhasePropagate)
 	rg.End()
 }

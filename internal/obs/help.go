@@ -28,9 +28,6 @@ var familyHelp = map[string]string{
 	"delta_compile_ns":    "One-time cost of compiling the view's maintenance expressions into delta programs (ns).",
 	"compiled_eval_ns":    "Wall time of one compiled delta-program evaluation (ns).",
 	"index_probe_tuples":  "Candidate pairs examined by indexed hash joins in compiled evaluations.",
-	"propagate_shard_ns":  "One shard's DEL/ADD evaluation inside a sharded propagate_C - the worker's wall time (ns).",
-	"shard_fold_tuples":   "Delta tuples folded into the destination diff shard by a sharded propagate's install phase.",
-	"shard_log_tuples":    "Current unconsumed log volume routed to the shard - the per-shard staleness backlog.",
 	"phase_cpu_ns":        "On-goroutine wall time attributed to the (view, phase) maintenance region (ns).",
 	"phase_alloc_bytes":   "Heap bytes allocated during the (view, phase) maintenance region.",
 	"go_goroutines":       "Current number of live goroutines (runtime/metrics).",

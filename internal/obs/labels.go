@@ -9,15 +9,13 @@ import (
 
 // Profiler label keys. Every maintenance execution region installs
 // these as runtime/pprof goroutine labels, so CPU (and labeled heap)
-// profiles slice by view, shard, and Figure-2/3 phase — `go tool pprof
+// profiles slice by view and Figure-2/3 phase — `go tool pprof
 // -tags` on a dvmbench capture answers "which view/phase is burning
 // the cycles" directly. docs/observability.md ("Profiling &
 // attribution") documents the vocabulary.
 const (
 	// LabelView carries the view name a region maintains.
 	LabelView = "dvm_view"
-	// LabelShard carries the zero-padded shard ("s03") a worker owns.
-	LabelShard = "dvm_shard"
 	// LabelPhase carries the Figure-2/3 phase name (one of Phases).
 	LabelPhase = "dvm_phase"
 )
@@ -45,19 +43,15 @@ func Phases() []string {
 	return []string{PhaseMakesafe, PhasePropagate, PhaseRefresh, PhasePartialRefresh, PhaseRecompute}
 }
 
-// SetPhaseLabels installs the dvm_view/dvm_shard/dvm_phase pprof
-// labels on the calling goroutine (empty values are omitted) and
-// returns a func that restores the unlabeled state. Maintenance entry
-// points own their goroutine and never nest regions, so restoring to
-// the background label set is exact; goroutines spawned while the
-// labels are installed (shard workers) inherit them.
-func SetPhaseLabels(view, shard, phase string) func() {
-	kv := make([]string, 0, 6)
+// SetPhaseLabels installs the dvm_view/dvm_phase pprof labels on the
+// calling goroutine (empty values are omitted) and returns a func that
+// restores the unlabeled state. Maintenance entry points own their
+// goroutine and never nest regions, so restoring to the background
+// label set is exact.
+func SetPhaseLabels(view, phase string) func() {
+	kv := make([]string, 0, 4)
 	if view != "" {
 		kv = append(kv, LabelView, view)
-	}
-	if shard != "" {
-		kv = append(kv, LabelShard, shard)
 	}
 	if phase != "" {
 		kv = append(kv, LabelPhase, phase)
@@ -131,14 +125,13 @@ type Region struct {
 	restore func()
 }
 
-// StartRegion installs the (view, shard, phase) pprof labels and opens
-// accounting into acct (nil acct labels without accounting — shard
-// workers use that form, since their allocation would double-count
-// against the coordinator's region). The idiomatic use is
+// StartRegion installs the (view, phase) pprof labels and opens
+// accounting into acct (a nil acct labels without accounting). The
+// idiomatic use is
 //
-//	defer obs.StartRegion(acct, view, "", obs.PhasePropagate).End()
-func StartRegion(acct *PhaseAcct, view, shard, phase string) Region {
-	rg := Region{acct: acct, restore: SetPhaseLabels(view, shard, phase)}
+//	defer obs.StartRegion(acct, view, obs.PhasePropagate).End()
+func StartRegion(acct *PhaseAcct, view, phase string) Region {
+	rg := Region{acct: acct, restore: SetPhaseLabels(view, phase)}
 	if acct != nil {
 		rg.start = time.Now()
 		rg.alloc0 = HeapAllocBytes()

@@ -8,7 +8,7 @@ import (
 func TestRegionAccounting(t *testing.T) {
 	r := NewRegistry()
 	acct := NewPhaseAcct(r, "hv", PhasePropagate)
-	rg := StartRegion(acct, "hv", "", PhasePropagate)
+	rg := StartRegion(acct, "hv", PhasePropagate)
 	// Burn a little time and allocation inside the region.
 	time.Sleep(time.Millisecond)
 	sink := make([]byte, 1<<16)
@@ -35,7 +35,7 @@ func TestRegionAccounting(t *testing.T) {
 func TestPhaseAcctNilAndNegative(t *testing.T) {
 	var nilAcct *PhaseAcct
 	nilAcct.Add(100, 100) // must not panic
-	StartRegion(nil, "hv", "s01", PhasePropagate).End()
+	StartRegion(nil, "hv", PhasePropagate).End()
 
 	r := NewRegistry()
 	acct := NewPhaseAcct(r, "hv", PhaseMakesafe)

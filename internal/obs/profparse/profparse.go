@@ -2,7 +2,7 @@
 // protobuf profiles (the gzipped profile.proto format runtime/pprof
 // writes). It decodes just enough — samples, their values, and their
 // string labels — to answer attribution questions about the
-// dvm_view/dvm_shard/dvm_phase labels: the labeled-profile smoke test
+// dvm_view/dvm_phase labels: the labeled-profile smoke test
 // and dvmbench's -cpuprofile summary both read profiles through it,
 // with no dependency on google.golang.org/protobuf.
 package profparse

@@ -12,7 +12,7 @@ import (
 // Prometheus text exposition (format version 0.0.4) of a Snapshot.
 // Family names gain the PromPrefix; the repo's single "label" string
 // is split into proper Prometheus labels by family shape (view, table,
-// kind, view+shard, view+phase). Histograms render their log2 buckets
+// kind, view+phase). Histograms render their log2 buckets
 // as cumulative `_bucket{le=...}` series ending in +Inf, plus `_sum`
 // and `_count`. `# HELP` text comes from the doc-contract-backed help
 // map (help.go); ValidateExposition is the strict parser the golden
@@ -26,10 +26,10 @@ const PromPrefix = "dvm_"
 type labelPair struct{ name, value string }
 
 // promLabels splits the registry's single label string into the
-// family's Prometheus labels: "view/sNN" labels become view+shard,
-// phase-accounting labels become view+phase, lock families label the
-// table, sql_stmt_ns labels the statement kind, and everything else
-// with a non-empty label is view-scoped.
+// family's Prometheus labels: phase-accounting labels become
+// view+phase, lock families label the table, sql_stmt_ns labels the
+// statement kind, and everything else with a non-empty label is
+// view-scoped.
 func promLabels(family, label string) []labelPair {
 	if label == "" {
 		return nil
@@ -39,10 +39,6 @@ func promLabels(family, label string) []labelPair {
 		return []labelPair{{"table", label}}
 	case "sql_stmt_ns":
 		return []labelPair{{"kind", label}}
-	case "propagate_shard_ns", "shard_fold_tuples", "shard_log_tuples":
-		if i := strings.LastIndexByte(label, '/'); i >= 0 {
-			return []labelPair{{"view", label[:i]}, {"shard", label[i+1:]}}
-		}
 	case "phase_cpu_ns", "phase_alloc_bytes":
 		if i := strings.LastIndexByte(label, '/'); i >= 0 {
 			return []labelPair{{"view", label[:i]}, {"phase", label[i+1:]}}

@@ -14,7 +14,7 @@ func promSnapshot() Snapshot {
 	r.Counter("log_append_tuples", "hv").Add(42)
 	r.Counter("phase_cpu_ns", "hv/propagate").Add(1000)
 	r.Counter("snapshot_save_bytes", "").Add(7)
-	r.Gauge("shard_log_tuples", "hv/s03").Set(5)
+	r.Gauge("diff_size_tuples", "hv").Set(5)
 	r.Histogram("lock_write_hold_ns", "mv_hv").Observe(100)
 	r.Histogram("sql_stmt_ns", "select").Observe(2500)
 	h := r.Histogram("view_downtime_ns", "hv")
@@ -36,7 +36,7 @@ func TestWritePromRendersAndValidates(t *testing.T) {
 		`dvm_log_append_tuples{view="hv"} 42`,
 		`dvm_phase_cpu_ns{view="hv",phase="propagate"} 1000`,
 		"dvm_snapshot_save_bytes 7",
-		`dvm_shard_log_tuples{view="hv",shard="s03"} 5`,
+		`dvm_diff_size_tuples{view="hv"} 5`,
 		`dvm_lock_write_hold_ns_bucket{table="mv_hv",le="128"} 1`,
 		`dvm_sql_stmt_ns_count{kind="select"} 1`,
 		`dvm_view_downtime_ns_bucket{view="hv",le="+Inf"} 3`,

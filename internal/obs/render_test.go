@@ -14,14 +14,12 @@ func populate(r *Registry) {
 	r.Gauge("log_size_tuples", "hv").Set(42)
 	r.Histogram("view_downtime_ns", "av").Observe(900)
 	r.Counter("snapshot_save_bytes", "").Add(10)
-	// Shard-labelled families ("view/sNN"), registered out of shard
-	// order: the zero-padded label must make lexicographic order equal
-	// shard-index order, double digits included.
-	r.Histogram("propagate_shard_ns", "hv/s10").Observe(100)
-	r.Histogram("propagate_shard_ns", "hv/s02").Observe(200)
-	r.Histogram("propagate_shard_ns", "hv/s00").Observe(300)
-	r.Counter("shard_fold_tuples", "hv/s01").Add(5)
-	r.Counter("shard_fold_tuples", "hv/s00").Add(4)
+	// Two-part "view/phase" labels, registered out of order.
+	r.Counter("phase_cpu_ns", "hv/refresh").Add(100)
+	r.Counter("phase_cpu_ns", "hv/makesafe").Add(200)
+	r.Counter("phase_cpu_ns", "av/propagate").Add(300)
+	r.Histogram("compiled_eval_ns", "hv").Observe(5)
+	r.Histogram("compiled_eval_ns", "av").Observe(4)
 }
 
 func TestRenderStableOrdering(t *testing.T) {
@@ -34,17 +32,16 @@ func TestRenderStableOrdering(t *testing.T) {
 		t.Fatalf("got %d lines, want header+rule+11 rows:\n%s", len(lines), out)
 	}
 	// Rows must be sorted by (family, label) — the registry's map order
-	// and the registration order must not leak through. For the
-	// shard-labelled families that also means shard-index order.
+	// and the registration order must not leak through.
 	wantOrder := []string{
+		"compiled_eval_ns{av}",
+		"compiled_eval_ns{hv}",
 		"log_append_tuples{alpha}",
 		"log_append_tuples{zeta}",
 		"log_size_tuples{hv}",
-		"propagate_shard_ns{hv/s00}",
-		"propagate_shard_ns{hv/s02}",
-		"propagate_shard_ns{hv/s10}",
-		"shard_fold_tuples{hv/s00}",
-		"shard_fold_tuples{hv/s01}",
+		"phase_cpu_ns{av/propagate}",
+		"phase_cpu_ns{hv/makesafe}",
+		"phase_cpu_ns{hv/refresh}",
 		"snapshot_save_bytes",
 		"view_downtime_ns{av}",
 		"view_downtime_ns{hv}",

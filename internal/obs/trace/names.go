@@ -26,15 +26,9 @@ const (
 	// SpanPropagate covers core.Manager.Propagate (fold log into
 	// diff tables; no MV lock).
 	SpanPropagate = "core.propagate"
-	// SpanPropagateShard covers one shard's DEL/ADD evaluation inside a
-	// sharded propagate (child of core.propagate or core.refresh; its
-	// explicit duration is the worker's wall time and is the value
-	// recorded into propagate_shard_ns).
-	SpanPropagateShard = "core.propagate.shard"
 	// SpanEvalCompiled covers one compiled delta-program evaluation
 	// (child of the maintenance span that ran it; emitted post-hoc with
-	// an explicit duration, which for shard workers the coordinator
-	// records on their behalf).
+	// an explicit duration).
 	SpanEvalCompiled = "core.eval.compiled"
 	// SpanPartialRefresh covers core.Manager.PartialRefresh.
 	SpanPartialRefresh = "core.partial_refresh"
@@ -62,7 +56,6 @@ func Names() []string {
 		SpanMakesafe,
 		SpanPartialRefresh,
 		SpanPropagate,
-		SpanPropagateShard,
 		SpanQuery,
 		SpanRecompute,
 		SpanRefresh,

@@ -155,14 +155,10 @@ func saveToByCopy(e *Engine, w *bytes.Buffer) error {
 }
 
 // TestSaveToBytesUnchanged: streaming the live tables writes what
-// copying them first wrote — on an engine with a sharded view (whose
-// shard groups are all internal, so their specs must be shed), a stale
-// view with non-empty logs, and an empty table.
+// copying them first wrote — on an engine with a stale view with
+// non-empty logs and differentials, and an empty table.
 func TestSaveToBytesUnchanged(t *testing.T) {
-	e := NewEngine(WithShards(4))
-	if err := e.Err(); err != nil {
-		t.Fatal(err)
-	}
+	e := NewEngine()
 	mustExec(t, e, `
 		CREATE TABLE customer (custId INT, name STRING, address STRING, score STRING);
 		CREATE TABLE sales (custId INT, itemNo INT, quantity INT, salesPrice FLOAT);
@@ -177,9 +173,6 @@ func TestSaveToBytesUnchanged(t *testing.T) {
 		INSERT INTO sales VALUES (3, 13, 1, 0.75), (1, 10, 2, 9.99);
 		DELETE FROM sales WHERE itemNo = 12;
 		PROPAGATE hv`)
-	if len(e.DB().ShardSpecs()) == 0 {
-		t.Fatal("fixture: no sharded table")
-	}
 	pending := 0
 	for _, name := range e.DB().Names() {
 		if tb, _ := e.DB().Table(name); tb.Kind() == storage.Internal && !strings.HasPrefix(name, "__mv_") {
@@ -201,7 +194,7 @@ func TestSaveToBytesUnchanged(t *testing.T) {
 		t.Fatalf("SaveTo wrote %d bytes, the copying implementation %d, and they differ", got.Len(), want.Len())
 	}
 	if !bytes.Contains(got.Bytes(), []byte("DVM1")) {
-		t.Fatal("an external-only snapshot must shed the shard specs and stay DVM1")
+		t.Fatal("an engine snapshot must carry a DVM1 table block")
 	}
 	restored, err := LoadEngine(&got)
 	if err != nil {

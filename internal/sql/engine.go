@@ -41,31 +41,6 @@ func WithTraceSpec(spec string) EngineOption {
 	return func(e *Engine) { e.optErr = trace.Configure(e.mgr.Tracer(), spec) }
 }
 
-// WithShards partitions every Combined view the engine defines into n
-// hash shards (logs, differential tables, and base mirrors; see
-// core.WithShards and docs/architecture.md "Sharding"). LoadEngine
-// applies options before replaying view DDL, so a snapshot restored
-// with WithShards(n) comes back sharded.
-func WithShards(n int) EngineOption {
-	return func(e *Engine) {
-		if err := e.mgr.SetShards(n); err != nil && e.optErr == nil {
-			e.optErr = err
-		}
-	}
-}
-
-// WithInterpretedDeltas makes the engine's manager evaluate every
-// maintenance expression with the tree-walking interpreter instead of
-// compiled delta programs (see core.WithInterpretedDeltas). Intended
-// for differential testing and for benchmarking the compiler's win.
-func WithInterpretedDeltas() EngineOption {
-	return func(e *Engine) {
-		if err := e.mgr.SetInterpretedDeltas(true); err != nil && e.optErr == nil {
-			e.optErr = err
-		}
-	}
-}
-
 // WithRuntimeBridge starts the engine manager's runtime/metrics
 // bridge: Go runtime health (goroutines, heap, GC, scheduler latency)
 // polled into the obs registry every interval, alongside the

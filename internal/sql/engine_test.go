@@ -184,8 +184,17 @@ func TestEngineDropViewThenTable(t *testing.T) {
 	if _, err := e.Exec("DROP VIEW hv"); err != nil {
 		t.Fatal(err)
 	}
-	if e.DB().Has("__mv_hv") || e.DB().Has("__log_ins_sales__hv") {
-		t.Fatal("aux tables survived drop")
+	for _, name := range e.DB().Names() {
+		if strings.HasPrefix(name, "__mv_") || strings.HasPrefix(name, "__log_") || strings.HasPrefix(name, "__dmv_") {
+			t.Fatalf("aux table %s survived drop", name)
+		}
+	}
+	// The name is free again: a redefinition gets fresh auxiliary tables.
+	if _, err := e.ExecScript(`
+		CREATE MATERIALIZED VIEW hv REFRESH DEFERRED AS SELECT s.custId FROM sales s;
+		CHECK INVARIANT hv;
+		DROP VIEW hv`); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := e.Exec("DROP TABLE sales"); err != nil {
 		t.Fatalf("drop after view removal should work: %v", err)

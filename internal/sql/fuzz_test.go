@@ -110,32 +110,25 @@ func FuzzEngineExec(f *testing.F) {
 }
 
 // FuzzSnapshotLoad feeds hostile snapshot bytes to the two loaders:
-// storage.Load (DVM1, DVM2) and LoadEngine (DVME). Whatever the bytes
-// say, decoding them returns a database or an error — never a panic,
-// never more than 64 MiB allocated (every count in a header is untrusted
-// and bounded before it sizes anything) — and what loads is a fixpoint
-// of the round trip: saved, loaded again and saved again, the bytes do
-// not change. Seeds are Save/SaveTo outputs and truncations of them.
+// storage.Load (DVM1) and LoadEngine (DVME). Whatever the bytes say,
+// decoding them returns a database or an error — never a panic, never
+// more than 64 MiB allocated (every count in a header is untrusted and
+// bounded before it sizes anything) — and what loads is a fixpoint of
+// the round trip: saved, loaded again and saved again, the bytes do not
+// change. Seeds are Save/SaveTo outputs and truncations of them, plus a
+// DVM2 stream (the retired sharded format), which must not load.
 func FuzzSnapshotLoad(f *testing.F) {
-	// DVM1: plain tables, one of them empty, every value type. DVM2: the
-	// same plus a shard group.
-	plain, sharded := storage.NewDatabase(), storage.NewDatabase()
-	for _, db := range []*storage.Database{plain, sharded} {
-		tb, err := db.Create("t", schema.NewSchema(schema.Col("i", schema.TInt), schema.Col("f", schema.TFloat),
-			schema.Col("s", schema.TString), schema.Col("b", schema.TBool)), storage.External)
-		if err != nil {
-			f.Fatal(err)
-		}
-		tb.Data().Add(schema.Row(1, 2.5, "it's", true), 2).Add(schema.Row(nil, 7, "", false), 1)
-		if _, err := db.Create("empty", schema.NewSchema(schema.Col("a", schema.TInt)), storage.Internal); err != nil {
-			f.Fatal(err)
-		}
-	}
-	members, err := sharded.CreateSharded("__log", schema.NewSchema(schema.Col("k", schema.TInt)), storage.Internal, 2, 0)
+	// DVM1: plain tables, one of them empty, every value type.
+	plain := storage.NewDatabase()
+	tb, err := plain.Create("t", schema.NewSchema(schema.Col("i", schema.TInt), schema.Col("f", schema.TFloat),
+		schema.Col("s", schema.TString), schema.Col("b", schema.TBool)), storage.External)
 	if err != nil {
 		f.Fatal(err)
 	}
-	members[1].Data().Add(schema.Row(3), 1)
+	tb.Data().Add(schema.Row(1, 2.5, "it's", true), 2).Add(schema.Row(nil, 7, "", false), 1)
+	if _, err := plain.Create("empty", schema.NewSchema(schema.Col("a", schema.TInt)), storage.Internal); err != nil {
+		f.Fatal(err)
+	}
 	// DVME: tables, a stale Combined view and a strongly minimal one.
 	e := NewEngine()
 	if _, err := e.ExecScript(`
@@ -150,12 +143,19 @@ func FuzzSnapshotLoad(f *testing.F) {
 		INSERT INTO sales VALUES (1, 11, 1, 0.5)`); err != nil {
 		f.Fatal(err)
 	}
-	for _, save := range []func(io.Writer) error{plain.Save, sharded.Save, e.SaveTo} {
-		var buf bytes.Buffer
-		if err := save(&buf); err != nil {
-			f.Fatal(err)
-		}
-		raw := buf.Bytes()
+	var dvm1, dvme bytes.Buffer
+	if err := plain.Save(&dvm1); err != nil {
+		f.Fatal(err)
+	}
+	if err := e.SaveTo(&dvme); err != nil {
+		f.Fatal(err)
+	}
+	// DVM2 as the retired writer framed it: one shard-group spec
+	// (logical "__log", 2 shards, key column 0 stored as 1) before
+	// plain's DVM1 table block.
+	dvm2 := []byte("DVM2\x01\x00\x00\x00\x05\x00\x00\x00__log\x02\x00\x00\x00\x01\x00\x00\x00")
+	dvm2 = append(dvm2, dvm1.Bytes()[4:]...)
+	for _, raw := range [][]byte{dvm1.Bytes(), dvm2, dvme.Bytes()} {
 		f.Add(raw)
 		for _, n := range []int{len(raw) - 1, len(raw) / 2, 9, 4} {
 			f.Add(raw[:n])
@@ -203,6 +203,9 @@ func FuzzSnapshotLoad(f *testing.F) {
 			return buf.Bytes(), true
 		}
 		once, ok := load(data)
+		if ok && bytes.HasPrefix(data, []byte("DVM2")) {
+			t.Fatal("a DVM2 snapshot loaded; only DVM1 is supported")
+		}
 		if !ok {
 			return
 		}

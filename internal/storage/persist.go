@@ -23,16 +23,8 @@ import (
 //
 // Strings are u32 length + bytes. All integers little-endian.
 //
-// Version 2 ("DVM2") prefixes the table block with the shard-group
-// registry, so a restored database knows which member tables form a
-// sharded logical table and by what key they were partitioned:
-//
-//	magic "DVM2" | u32 specCount
-//	per spec: str logical | u32 n | u32 keyCol+1 (0 encodes full-tuple)
-//	| u32 tableCount | tables as in DVM1
-//
-// Save emits DVM1 when no shard groups exist (byte-identical to the
-// old format) and DVM2 otherwise; Load accepts both.
+// DVM1 is the only format. "DVM2" — DVM1 prefixed with the registry of
+// the since-deleted sharded maintenance mode — is refused by name.
 
 var (
 	snapshotMagic   = [4]byte{'D', 'V', 'M', '1'}
@@ -69,9 +61,8 @@ func (db *Database) Save(w io.Writer) error { return db.save(w, false) }
 // SaveExternal is Save restricted to the external tables — what the sql
 // engine persists, since it re-derives every internal table on load. The
 // bytes are those Save would write for a database holding only these
-// tables (a shard group losing a member loses its spec), streamed from
-// the live tables: nothing is copied, so the caller keeps them from
-// changing until it returns.
+// tables, streamed from the live tables: nothing is copied, so the
+// caller keeps them from changing until it returns.
 func (db *Database) SaveExternal(w io.Writer) error { return db.save(w, true) }
 
 func (db *Database) save(w io.Writer, externalOnly bool) error {
@@ -95,31 +86,8 @@ func (db *Database) save(w io.Writer, externalOnly bool) error {
 		defer func() { db.metrics.Counter("snapshot_save_bytes", "").Add(cw.n) }()
 	}
 	bw := bufio.NewWriter(cw)
-	specs := db.completeShardSpecs(names)
-	magic := snapshotMagic
-	if len(specs) > 0 {
-		magic = snapshotMagicV2
-	}
-	if _, err := bw.Write(magic[:]); err != nil {
+	if _, err := bw.Write(snapshotMagic[:]); err != nil {
 		return err
-	}
-	if len(specs) > 0 {
-		if err := writeU32(bw, uint32(len(specs))); err != nil {
-			return err
-		}
-		for _, s := range specs {
-			if err := writeStr(bw, s.Logical); err != nil {
-				return err
-			}
-			if err := writeU32(bw, uint32(s.N)); err != nil {
-				return err
-			}
-			// keyCol is stored shifted by one so -1 (full-tuple hash)
-			// encodes as 0 without a signed field.
-			if err := writeU32(bw, uint32(s.KeyCol+1)); err != nil {
-				return err
-			}
-		}
 	}
 	if err := writeU32(bw, uint32(len(names))); err != nil {
 		return err
@@ -227,41 +195,14 @@ func load(br *bufio.Reader) (*Database, error) {
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return nil, err
 	}
-	if magic != snapshotMagic && magic != snapshotMagicV2 {
+	if magic == snapshotMagicV2 {
+		return nil, fmt.Errorf("DVM2 (sharded) snapshots are no longer supported; only DVM1 loads")
+	}
+	if magic != snapshotMagic {
 		return nil, fmt.Errorf("bad magic %q", magic[:])
 	}
 	db := NewDatabase()
 	strs := make(strTable)
-	if magic == snapshotMagicV2 {
-		specCount, err := readU32(br)
-		if err != nil {
-			return nil, err
-		}
-		if specCount > 1<<20 {
-			return nil, fmt.Errorf("implausible shard-spec count %d", specCount)
-		}
-		for i := uint32(0); i < specCount; i++ {
-			logical, err := readStr(br, nil)
-			if err != nil {
-				return nil, err
-			}
-			n, err := readU32(br)
-			if err != nil {
-				return nil, err
-			}
-			kc, err := readU32(br)
-			if err != nil {
-				return nil, err
-			}
-			if n == 0 || n > 1<<16 {
-				return nil, fmt.Errorf("implausible shard count %d for %q", n, logical)
-			}
-			if db.shardSpecs == nil {
-				db.shardSpecs = make(map[string]ShardSpec)
-			}
-			db.shardSpecs[logical] = ShardSpec{Logical: logical, N: int(n), KeyCol: int(kc) - 1}
-		}
-	}
 	tableCount, err := readU32(br)
 	if err != nil {
 		return nil, err
@@ -338,14 +279,6 @@ func load(br *bufio.Reader) (*Database, error) {
 			}
 		}
 		tb.Replace(data)
-	}
-	// Shard specs must name member tables that actually arrived.
-	for _, s := range db.shardSpecs {
-		for i := 0; i < s.N; i++ {
-			if !db.Has(ShardName(s.Logical, i)) {
-				return nil, fmt.Errorf("shard group %q missing member %s", s.Logical, ShardName(s.Logical, i))
-			}
-		}
 	}
 	return db, nil
 }

@@ -176,7 +176,7 @@ func TestLoadBoundsHostileHeaders(t *testing.T) {
 		"column count":   table(0xFFFFFFFF),
 		"distinct count": u32(oneIntCol, 0xFFFFFFFF),
 		"string length":  u32(u32([]byte("DVM1"), 1), 0xFFFFFFFF),
-		"spec count":     u32([]byte("DVM2"), 0xFFFFFFFF),
+		"DVM2 magic":     u32([]byte("DVM2"), 0xFFFFFFFF),
 	}
 	for name, data := range cases {
 		var m0, m1 runtime.MemStats
@@ -185,6 +185,9 @@ func TestLoadBoundsHostileHeaders(t *testing.T) {
 		runtime.ReadMemStats(&m1)
 		if err == nil {
 			t.Errorf("forged %s accepted", name)
+		}
+		if name == "DVM2 magic" && (err == nil || !strings.Contains(err.Error(), "DVM2")) {
+			t.Errorf("a DVM2 stream (the retired sharded format) failed without naming it: %v", err)
 		}
 		got := m1.TotalAlloc - m0.TotalAlloc
 		t.Logf("forged %s: %d bytes allocated, %v", name, got, err)

@@ -98,9 +98,6 @@ type Database struct {
 	tables  map[string]*Table
 	metrics *obs.Registry
 	tracer  *trace.Tracer
-	// shardSpecs registers sharded logical tables (see shard.go); the
-	// member tables live in tables like any other.
-	shardSpecs map[string]ShardSpec
 }
 
 // NewDatabase returns an empty database.
@@ -180,12 +177,6 @@ func (db *Database) Snapshot() *Database {
 	c.tracer = db.tracer
 	for name, t := range db.tables {
 		c.tables[name] = &Table{name: t.name, sch: t.sch, kind: t.kind, data: t.data.Clone()}
-	}
-	for name, s := range db.shardSpecs {
-		if c.shardSpecs == nil {
-			c.shardSpecs = make(map[string]ShardSpec)
-		}
-		c.shardSpecs[name] = s
 	}
 	return c
 }

@@ -258,9 +258,6 @@ func (r *Retail) saleFor(cust int64) schema.Tuple {
 // sense: a single Zipf-picked customer buys minItems..maxItems items,
 // and with probability returnProb also returns one earlier purchase of
 // THEIR OWN (corrections stay customer-local, like a real register).
-// This single-customer locality is what makes sharded maintenance
-// cheap: a basket's log entries land in exactly one shard when the
-// shard key is the customer id.
 //
 // Basket tracks its own per-customer live set; do not interleave it
 // with MixedBatch deletions in one run (the two trackers would

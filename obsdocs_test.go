@@ -47,11 +47,9 @@ func documentedFamilies(t *testing.T) map[string]bool {
 // both directions. Adding a metric without documenting it, or
 // documenting one that no longer exists, fails here.
 func TestObservabilityDocsMatchRegistry(t *testing.T) {
-	// Two shards so the workload also exercises the sharded maintenance
-	// path and its per-shard metric families; the runtime bridge (long
-	// interval — its synchronous first poll is all we need) adds the
-	// go_* families.
-	eng := dvm.NewEngine(dvm.WithShards(2), dvm.WithRuntimeBridge(time.Hour))
+	// The runtime bridge (long interval — its synchronous first poll is
+	// all we need) adds the go_* families.
+	eng := dvm.NewEngine(dvm.WithRuntimeBridge(time.Hour))
 	defer func() {
 		if err := eng.Close(); err != nil {
 			t.Error(err)

@@ -11,9 +11,9 @@ import (
 )
 
 // TestLabeledCPUProfile is the end-to-end check of the pprof-label
-// plumbing: a CPU profile captured while a sharded engine runs the
-// retail day (the same workload `dvmbench -shards 4 -cpuprofile`
-// profiles) must contain samples labeled dvm_phase=propagate, and
+// plumbing: a CPU profile captured while the Policy-2 retail day runs
+// (the same workload `dvmbench -exp day -cpuprofile` profiles) must
+// contain samples labeled dvm_phase=propagate, and
 // every dvm-labeled sample must carry a known phase and the view name.
 // CPU profiles are statistical, so when the run is too quick to be
 // sampled at all the test skips rather than flakes; with samples
@@ -26,11 +26,11 @@ func TestLabeledCPUProfile(t *testing.T) {
 	if err := pprof.StartCPUProfile(&buf); err != nil {
 		t.Fatal(err)
 	}
-	// Three sharded retail days ≈ several hundred milliseconds of
+	// Three retail days ≈ several hundred milliseconds of
 	// maintenance-heavy CPU — enough for the ~100Hz sampler to land
 	// multiple samples inside the propagate regions.
 	for i := 0; i < 3; i++ {
-		if _, err := bench.ShardDayReport(4); err != nil {
+		if _, err := bench.RetailDay(); err != nil {
 			pprof.StopCPUProfile()
 			t.Fatal(err)
 		}

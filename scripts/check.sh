@@ -50,8 +50,6 @@ echo "== perf self-check"
 if [ "${BENCHDIFF:-0}" = "1" ]; then
     echo "== benchdiff"
     ./scripts/benchdiff.sh
-    echo "== bench-shards"
-    ./scripts/benchshards.sh
 fi
 
 echo "== fuzz (bounded)"
@@ -65,9 +63,9 @@ go test ./internal/sql -run '^$' -fuzz '^FuzzParse$' -fuzztime=10s
 # The one fuzzer that maintains a SQL-defined COMBINED view (PROPAGATE /
 # REFRESH + CHECK INVARIANT) — the path whose plan comes from sql.compile.
 go test ./internal/sql -run '^$' -fuzz '^FuzzEngineExec$' -fuzztime=10s
-# Hostile snapshot bytes (DVM1/DVM2 through storage.Load, DVME through
-# LoadEngine): an error or a save/load fixpoint, never a panic, never
-# more than 64 MiB allocated by decoding.
+# Hostile snapshot bytes (DVM1 through storage.Load, DVME through
+# LoadEngine; a retired DVM2 stream must error): an error or a save/load
+# fixpoint, never a panic, never more than 64 MiB allocated by decoding.
 go test ./internal/sql -run '^$' -fuzz '^FuzzSnapshotLoad$' -fuzztime=10s
 
 echo "check.sh: all gates passed"

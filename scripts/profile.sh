@@ -1,22 +1,21 @@
 #!/usr/bin/env bash
-# profile.sh — capture labeled CPU + heap profiles of the sharded
+# profile.sh — capture labeled CPU + heap profiles of the Policy-2
 # retail day (also `make profile`).
 #
-# Runs `dvmbench -shards N` under -cpuprofile/-memprofile and leaves
+# Runs `dvmbench -exp day` under -cpuprofile/-memprofile and leaves
 # the profiles in profiles/ (untracked). The bench prints a
-# dvm_view/dvm_shard/dvm_phase attribution summary; drill down with
+# dvm_view/dvm_phase attribution summary; drill down with
 #   go tool pprof -tags profiles/cpu.pprof
 # or by phase:
 #   go tool pprof -focus-tags dvm_phase=propagate profiles/cpu.pprof
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-SHARDS="${SHARDS:-4}"
 OUT="${OUT:-profiles}"
 mkdir -p "$OUT"
 
-echo "== dvmbench -shards $SHARDS (profiling to $OUT/)"
-go run ./cmd/dvmbench -shards "$SHARDS" \
+echo "== dvmbench -exp day (profiling to $OUT/)"
+go run ./cmd/dvmbench -exp day \
     -cpuprofile "$OUT/cpu.pprof" \
     -memprofile "$OUT/heap.pprof"
 

@@ -63,9 +63,7 @@ func collectSpanNames(tr *trace.Tracer, into map[string]bool) {
 // identical sets. A span emitted under an unregistered name, a
 // registered name nothing emits, or an undocumented one fails here.
 func TestTraceDocsMatchRuntime(t *testing.T) {
-	// Two shards so PROPAGATE takes the sharded path and emits the
-	// per-shard worker spans (core.propagate.shard).
-	eng := dvm.NewEngine(dvm.WithTraceSpec("all"), dvm.WithShards(2))
+	eng := dvm.NewEngine(dvm.WithTraceSpec("all"))
 	if err := eng.Err(); err != nil {
 		t.Fatal(err)
 	}
