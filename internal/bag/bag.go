@@ -6,14 +6,21 @@
 //
 // A Bag maps canonical tuple keys to (tuple, multiplicity) entries. All
 // operations are pure: they return fresh bags and never mutate operands,
-// except the explicitly-mutating Add/AddBag/ApplyDelta/Remove/Clear used
-// by the storage and maintenance layers.
+// except the explicitly-mutating Add/AddBag/ApplyDelta/Remove/Clear/Adopt
+// used by the storage and maintenance layers.
+//
+// Clone is copy-on-write: the copy is a handle on the source's map, and
+// whichever of the two bags is mutated first copies the map then — or,
+// for a view table that readers Clone under a read lock, its single
+// writer copies it ahead of the exclusive lock (Unshared, then Adopt
+// under the lock), so readers never wait for a copy.
 package bag
 
 import (
 	"math"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"dvm/internal/schema"
 )
@@ -29,12 +36,17 @@ type Bag struct {
 	m    map[string]entry
 	size int // total multiplicity
 	// peak is the most distinct tuples m has held since it was allocated
-	// (a map's buckets only grow, so this is its capacity), last the
-	// distinct count at the previous Clear; Clear's retention rule reads
-	// them. Both saturate — together they fit one word, and a Bag its
-	// 32-byte size class. Bags built by the pure operators write m
-	// directly and leave peak behind; Clear takes max(peak, len(m)).
-	peak, last uint32
+	// (a map's buckets only grow, so this is its capacity); last's low 31
+	// bits are the distinct count at the previous Clear, and Clear's
+	// retention rule reads both. last's top bit is the shared mark: m may
+	// be another bag's map too (Clone), so the first mutation copies it.
+	// Clone sets the mark on its source under a read lock, concurrently
+	// with other readers, so last is atomic. Both counts saturate —
+	// together they fit one word, and a Bag its 32-byte size class. Bags
+	// built by the pure operators write m directly and leave peak behind;
+	// Clear takes max(peak, len(m)).
+	peak uint32
+	last atomic.Uint32
 	// dx holds what is derived from the contents — the version counter,
 	// the mutation journal and the bag's own indexes. It stays nil until
 	// an index is first asked for, so a transient bag pays one word for
@@ -42,8 +54,53 @@ type Bag struct {
 	dx *derived
 }
 
+const (
+	shared   = 1 << 31    // last's mark: m may be another bag's map too
+	fillMask = shared - 1 // last's previous-Clear fill
+)
+
 // sat32 is n as a saturating uint32.
 func sat32(n int) uint32 { return uint32(min(uint64(n), math.MaxUint32)) }
+
+// sat31 is n as a saturating 31-bit count: last's fill.
+func sat31(n int) uint32 { return uint32(min(uint64(n), fillMask)) }
+
+// copies counts the map copies copy-on-write has made (Copies).
+var copies atomic.Uint64
+
+// Copies returns how many times, process-wide, a bag's map has been
+// copied because a Clone shared it: by the first mutation of a shared
+// bag, or ahead of it by Unshared. Clone itself never copies. Tests
+// read the count to prove where, and how often, the copies are paid.
+func Copies() uint64 { return copies.Load() }
+
+// isShared reports whether b's map may also be another bag's.
+func (b *Bag) isShared() bool { return b.last.Load()&shared != 0 }
+
+// copyMap returns a private copy of b's map, sized for its contents and
+// no more: a map's capacity rounds up to a power of two, so headroom for
+// the write to come can double the copy, while the write itself grows
+// the copy one small table at a time.
+func (b *Bag) copyMap() map[string]entry {
+	m := make(map[string]entry, len(b.m))
+	for k, e := range b.m {
+		m[k] = e
+	}
+	return m
+}
+
+// private returns an eager copy of b: a bag whose map is its own from
+// the start, for a caller that writes it at once, where a Clone would
+// only defer the copy to the first write.
+func (b *Bag) private() *Bag { return &Bag{m: b.copyMap(), size: b.size} }
+
+// own makes m, a copy of b's map that no other bag holds, b's map, and
+// clears the shared mark. It runs only where b may be mutated: never
+// concurrently with a Clone of b.
+func (b *Bag) own(m map[string]entry) {
+	b.m, b.peak = m, sat32(len(m))
+	b.last.Store(b.last.Load() &^ shared)
+}
 
 // derived is the journal-and-index state of a bag that has been indexed.
 type derived struct {
@@ -124,6 +181,10 @@ func (b *Bag) addKeyed(k string, t schema.Tuple, n int) *Bag {
 	if n == 0 {
 		return b
 	}
+	if b.isShared() {
+		copies.Add(1)
+		b.own(b.copyMap())
+	}
 	e, ok := b.m[k]
 	d := 0 // effective delta after clamping
 	switch {
@@ -191,21 +252,25 @@ const clearFloor = 8
 // smaller recent fill, and Clear costs O(the content it removes), never
 // O(the most the bag ever held). (A Clear that finds the bag empty is no
 // fill: it is judged by the last one alone and leaves the record as it
-// is, so a log that sits out a round keeps what it had.)
+// is, so a log that sits out a round keeps what it had.) A map the bag
+// shares with a Clone is never cleared — the clones keep their contents
+// — so a shared bag starts over with a fresh map, sized by the same rule.
 func (b *Bag) Clear() {
 	n := len(b.m)
-	keep := int(b.last) // the fill both rounds justify
+	fill := b.last.Load() & fillMask
+	keep := int(fill) // the fill both rounds justify
 	if n > 0 {
 		keep = min(n, keep)
-		b.last = sat32(n)
+		fill = sat31(n)
 	}
 	shrink := max(int(b.peak), n) > max(4*keep, clearFloor)
-	if shrink {
+	if shrink || b.isShared() {
 		b.m = make(map[string]entry, keep)
 		b.peak = sat32(keep)
 	} else {
 		clear(b.m)
 	}
+	b.last.Store(fill)
 	b.size = 0
 	if x := b.dx; x != nil {
 		// A clear is not representable as journal entries: drop the
@@ -285,13 +350,48 @@ func (b *Bag) Distinct() int { return len(b.m) }
 // Empty reports whether the bag has no tuples.
 func (b *Bag) Empty() bool { return b.size == 0 }
 
-// Clone returns a deep-enough copy (tuples are immutable and shared).
+// Clone returns a copy of b that costs one small allocation, however
+// large b is: a copy-on-write handle. The two bags share b's map, both
+// marked shared, until one of them is mutated; that one copies the map
+// first, and Clear on a shared bag starts a fresh map instead of
+// emptying the shared one. So either bag may be mutated or cleared
+// without the other noticing, as with a deep copy (tuples are immutable
+// and always shared). Clone only reads b — it sets b's mark atomically —
+// so readers may Clone a table concurrently under a read lock. The
+// clone has no indexes (IndexOn) of its own yet.
 func (b *Bag) Clone() *Bag {
-	c := &Bag{m: make(map[string]entry, len(b.m)), size: b.size}
-	for k, e := range b.m {
-		c.m[k] = e
+	for {
+		l := b.last.Load()
+		if l&shared != 0 || b.last.CompareAndSwap(l, l|shared) {
+			break
+		}
 	}
+	c := &Bag{m: b.m, size: b.size}
+	c.last.Store(shared)
 	return c
+}
+
+// Unshared is the half of a write to a shared bag that its single writer
+// pays outside the lock its readers take: when b shares its map with a
+// Clone, it returns a private copy of b; otherwise nil. It only reads b,
+// so readers may go on Cloning b meanwhile. Under the exclusive lock the
+// writer then installs the copy with Adopt in O(1), and the copy a
+// mutation of b would owe is never paid while readers wait.
+func (b *Bag) Unshared() *Bag {
+	if !b.isShared() {
+		return nil
+	}
+	copies.Add(1)
+	return b.private()
+}
+
+// Adopt makes p's map b's own, in O(1), and clears b's shared mark. p
+// must be what b.Unshared returned, with b unchanged since, and is spent:
+// it must not be used again. b keeps its indexes and its journal — its
+// contents are the same.
+func (b *Bag) Adopt(p *Bag) {
+	b.own(p.m)
+	p.m = nil
 }
 
 // Each calls f once per distinct tuple with its multiplicity. Iteration
@@ -299,6 +399,40 @@ func (b *Bag) Clone() *Bag {
 func (b *Bag) Each(f func(t schema.Tuple, n int)) {
 	for _, e := range b.m {
 		f(e.tuple, e.count)
+	}
+}
+
+// EachApplied calls f with every tuple of σ_keep((b ∸ del) ⊎ add) and its
+// multiplicity, without building that bag: b's entries, each count
+// reduced by one lookup in del, then add's entries. A tuple of both
+// b ∸ del and add is passed twice; its multiplicity is the sum. A nil
+// keep keeps every tuple, and a nil del or add is empty. Nothing is
+// copied or marked; f must not mutate the three bags.
+func (b *Bag) EachApplied(del, add *Bag, keep func(schema.Tuple) bool, f func(t schema.Tuple, n int)) {
+	b.eachApplied(del, add, keep, func(_ string, e entry) { f(e.tuple, e.count) })
+}
+
+// eachApplied is EachApplied handing f each tuple's key as well.
+func (b *Bag) eachApplied(del, add *Bag, keep func(schema.Tuple) bool, f func(k string, e entry)) {
+	var dm map[string]entry
+	if del != nil {
+		dm = del.m
+	}
+	for k, e := range b.m {
+		if keep != nil && !keep(e.tuple) {
+			continue
+		}
+		if e.count -= dm[k].count; e.count > 0 {
+			f(k, e)
+		}
+	}
+	if add == nil {
+		return
+	}
+	for k, e := range add.m {
+		if keep == nil || keep(e.tuple) {
+			f(k, e)
+		}
 	}
 }
 

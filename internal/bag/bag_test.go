@@ -3,6 +3,7 @@ package bag
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"dvm/internal/schema"
 )
@@ -289,9 +290,68 @@ func TestClearRetentionRule(t *testing.T) {
 	}
 }
 
-// A Bag is four words: every operator of every evaluation allocates one.
+// A Bag is four words: every operator of every evaluation allocates one,
+// and the shared mark rides in last's top bit so that it stays four.
 func TestBagSize(t *testing.T) {
-	if got := reflect.TypeOf(Bag{}).Size(); got != 32 {
+	if got := unsafe.Sizeof(Bag{}); got != 32 {
 		t.Fatalf("sizeof(Bag) = %d, want 32", got)
+	}
+}
+
+// TestCloneCopiesOnceAtTheFirstWrite walks the copy-on-write life of a
+// clone: Clone and reads copy nothing; the first write to either side
+// copies once; the writer's ahead-of-time copy (Unshared, Adopt) takes
+// the place of that copy rather than adding to it; Clear on a shared bag
+// leaves the other side's contents alone; and a bag nothing shares
+// copies nothing at all.
+func TestCloneCopiesOnceAtTheFirstWrite(t *testing.T) {
+	src := Of(row(1), row(1), row(2))
+	copies := func(f func()) uint64 {
+		t.Helper()
+		c0 := Copies()
+		f()
+		return Copies() - c0
+	}
+	var c *Bag
+	if n := copies(func() { c = src.Clone(); c.Count(row(1)); c.Len() }); n != 0 {
+		t.Fatalf("Clone and reads copied %d times, want 0", n)
+	}
+	if n := copies(func() { c.Add(row(3), 1); c.Add(row(4), 1); c.Remove(row(1), 1) }); n != 1 {
+		t.Fatalf("three writes to a clone copied %d times, want 1", n)
+	}
+	if n := copies(func() { src.Add(row(5), 1) }); n != 1 {
+		t.Fatalf("the source's first write after a Clone copied %d times, want 1", n)
+	}
+	if !src.Equal(Of(row(1), row(1), row(2), row(5))) || !c.Equal(Of(row(1), row(2), row(3), row(4))) {
+		t.Fatalf("after writes to both sides: src %v, clone %v", src, c)
+	}
+
+	// The writer of a bag readers Clone copies ahead, then adopts.
+	snap := src.Clone()
+	if n := copies(func() {
+		p := src.Unshared()
+		if p == nil {
+			t.Fatal("Unshared found nothing to copy on a cloned bag")
+		}
+		src.Adopt(p)
+		src.Add(row(6), 1)
+		src.Remove(row(1), 2)
+	}); n != 1 {
+		t.Fatalf("Unshared, Adopt and two writes copied %d times, want 1", n)
+	}
+	if src.Unshared() != nil {
+		t.Fatal("Unshared copied a bag that no longer shares its map")
+	}
+	if !snap.Equal(Of(row(1), row(1), row(2), row(5))) {
+		t.Fatalf("the snapshot changed under the source's writes: %v", snap)
+	}
+
+	// Clear on either side of a shared map empties that side only.
+	c = snap.Clone()
+	if n := copies(func() { c.Clear() }); n != 0 || !c.Empty() || snap.Len() != 4 {
+		t.Fatalf("Clear on a clone: %d copies, clone %v, source %v", n, c, snap)
+	}
+	if n := copies(func() { snap.Clear(); snap.Add(row(7), 1) }); n != 0 || snap.Len() != 1 {
+		t.Fatalf("Clear then a write on a shared source: %d copies, %v", n, snap)
 	}
 }

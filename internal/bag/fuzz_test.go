@@ -1,6 +1,8 @@
 package bag
 
 import (
+	"fmt"
+	"maps"
 	"testing"
 
 	"dvm/internal/schema"
@@ -8,78 +10,25 @@ import (
 
 // FuzzBagOps interprets the input as a program of Add/Remove/Clear
 // operations (plus ApplyDelta, bursts longer than the journal window,
-// and look-ups of the bag's own index in between) executed against
-// both a Bag and a plain map[string]int reference model, then checks
-// the bag's accounting (Len, Distinct, Count) against the model, the
-// bag's own index against a freshly built one, and the algebraic laws
-// of Section 2.1 that the DEL/ADD differentials depend on.
+// look-ups of the bag's own index, and Clones) executed against two Bag
+// handles and a plain map[string]int reference model for each (see
+// runHandles), checking both handles against their models after every
+// step; then it checks the first handle's own index against a freshly
+// built one, and the algebraic laws of Section 2.1 that the DEL/ADD
+// differentials depend on.
 func FuzzBagOps(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 0, 2, 1, 3})
 	f.Add([]byte{1, 0, 0, 1, 0, 1, 9, 3, 3, 3})
 	f.Add([]byte{0, 5, 1, 0, 5, 2, 2, 0, 5, 3, 255, 0, 0, 0})
 	f.Add([]byte{0, 1, 2, 5, 0, 0, 6, 1, 0, 3, 1, 1, 6, 7, 2, 5, 0, 0, 7, 0, 0, 0, 2, 1})
+	// Clone, then mutate, clear and index either side.
+	f.Add([]byte{0, 1, 2, 0, 7, 3, 8, 0, 0, 0, 2, 1, 9, 0, 0, 7, 0, 0, 5, 0, 0, 9, 0, 0, 3, 1, 1})
+	f.Add([]byte{0, 3, 3, 5, 0, 0, 8, 0, 0, 6, 3, 2, 9, 0, 0, 6, 3, 0, 7, 0, 0, 9, 0, 0, 8, 0, 0, 7, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		b := New()
-		model := map[string]int{}
-		size := 0
-
-		// Each op consumes up to 3 bytes: opcode, tuple id, count.
-		for i := 0; i+2 < len(data); i += 3 {
-			tu := schema.Row(int(data[i+1]%5), int(data[i+1]/5%5))
-			n := int(data[i+2] % 4)
-			key := tu.Key()
-			switch data[i] % 8 {
-			case 0, 1, 2:
-				b.Add(tu, n)
-				model[key] += n
-			case 3, 4:
-				b.Remove(tu, n)
-				model[key] -= n
-			case 5:
-				// The index is asked for mid-sequence, so later ops reach it
-				// through the journal, not through a first build.
-				if msg := checkIndexOn(b); msg != "" {
-					t.Fatal(msg)
-				}
-			case 6:
-				if n == 0 {
-					// A burst that overflows the journal window: the bag
-					// itself must carry its index across.
-					for j := 0; j < 2*window(b)+1; j++ {
-						b.Add(tu, 1)
-						b.Remove(tu, 1)
-					}
-					break
-				}
-				b.ApplyDelta(Of(tu), New().Add(tu, n))
-				model[key] = max(model[key]-1, 0) + n
-			case 7:
-				b.Clear()
-				model = map[string]int{}
-			}
-			// The model mirrors the bag's floor-at-zero semantics.
-			if model[key] <= 0 {
-				delete(model, key)
-			}
-			size = 0
-			for _, c := range model {
-				size += c
-			}
-		}
-
-		if b.Len() != size {
-			t.Fatalf("Len = %d, model says %d", b.Len(), size)
-		}
-		if b.Distinct() != len(model) {
-			t.Fatalf("Distinct = %d, model says %d", b.Distinct(), len(model))
-		}
-		b.Each(func(tu schema.Tuple, n int) {
-			if model[tu.Key()] != n {
-				t.Fatalf("Count(%s) = %d, model says %d", tu, n, model[tu.Key()])
-			}
-		})
+		hs := runHandles(t, data)
+		b := hs[0]
 		if msg := checkIndexOn(b); msg != "" {
 			t.Fatal(msg)
 		}
@@ -135,4 +84,95 @@ func FuzzBagOps(f *testing.F) {
 			t.Fatal("EachOrdered visited different contents than Each")
 		}
 	})
+}
+
+// runHandles runs data as a program over two bag handles, each with a
+// map[string]int reference model, and returns the handles. Each op
+// consumes 3 bytes — opcode, tuple id, count — and acts on the current
+// handle: 0-2 Add, 3-4 Remove, 5 IndexOn (checked against a fresh
+// build), 6 ApplyDelta or a burst longer than the journal window, 7
+// Clear, 8 Clone into the other handle, 9 switch handles. After every
+// step both handles must match their models — a Clone is a snapshot, so
+// a write or Clear on either side never shows on the other — and after
+// a Clear the handle's capacity obeys the retention bound.
+func runHandles(t *testing.T, data []byte) [2]*Bag {
+	t.Helper()
+	hs := [2]*Bag{New(), New()}
+	models := [2]map[string]int{{}, {}}
+	cur := 0
+	for i := 0; i+2 < len(data); i += 3 {
+		b, model := hs[cur], models[cur]
+		tu := schema.Row(int(data[i+1]%5), int(data[i+1]/5%5))
+		n := int(data[i+2] % 4)
+		key := tu.Key()
+		switch data[i] % 10 {
+		case 0, 1, 2:
+			b.Add(tu, n)
+			model[key] += n
+		case 3, 4:
+			b.Remove(tu, n)
+			model[key] -= n
+		case 5:
+			// The index is asked for mid-sequence, so later ops reach it
+			// through the journal, not through a first build.
+			if msg := checkIndexOn(b); msg != "" {
+				t.Fatal(msg)
+			}
+		case 6:
+			if n == 0 {
+				// A burst that overflows the journal window: the bag
+				// itself must carry its index across.
+				for j := 0; j < 2*window(b)+1; j++ {
+					b.Add(tu, 1)
+					b.Remove(tu, 1)
+				}
+				break
+			}
+			b.ApplyDelta(Of(tu), New().Add(tu, n))
+			model[key] = max(model[key]-1, 0) + n
+		case 7:
+			b.Clear()
+			clear(model)
+			if fill := int(b.last.Load() & fillMask); int(b.peak) > max(4*fill, clearFloor) {
+				t.Fatalf("step %d: Clear keeps capacity for %d tuples after a fill of %d", i/3, b.peak, fill)
+			}
+		case 8:
+			hs[1-cur] = b.Clone()
+			models[1-cur] = maps.Clone(model)
+		case 9:
+			cur = 1 - cur
+		}
+		// The model mirrors the bag's floor-at-zero semantics.
+		if model[key] <= 0 {
+			delete(model, key)
+		}
+		for h := range hs {
+			if msg := checkModel(hs[h], models[h]); msg != "" {
+				t.Fatalf("step %d, handle %d: %s", i/3, h, msg)
+			}
+		}
+	}
+	return hs
+}
+
+// checkModel compares a bag's accounting and contents with a
+// map[string]int model, returning the first difference or "".
+func checkModel(b *Bag, model map[string]int) string {
+	size := 0
+	for _, c := range model {
+		size += c
+	}
+	switch {
+	case b.Len() != size:
+		return fmt.Sprintf("Len = %d, model says %d", b.Len(), size)
+	case b.Distinct() != len(model):
+		return fmt.Sprintf("Distinct = %d, model says %d", b.Distinct(), len(model))
+	}
+	msg := ""
+	b.Each(func(tu schema.Tuple, n int) {
+		if model[tu.Key()] != n && msg == "" {
+			msg = fmt.Sprintf("Count(%s) = %d, model says %d", tu, n, model[tu.Key()])
+		}
+	})
+	return msg
 }

@@ -4,8 +4,26 @@ import "dvm/internal/schema"
 
 // UnionAll returns a ⊎ b: multiplicities add.
 func UnionAll(a, b *Bag) *Bag {
-	out := a.Clone()
+	out := a.private()
 	out.AddBag(b)
+	return out
+}
+
+// Applied returns σ_keep((b ∸ del) ⊎ add) as a new bag: what EachApplied
+// enumerates, collected under the operands' own keys (none is encoded
+// again). Unfiltered it is pre-sized for b and add, so it never regrows,
+// and b is only read — it is not marked shared, as a Clone would mark
+// it. A nil keep keeps every tuple, and a nil del or add is empty.
+func Applied(b, del, add *Bag, keep func(schema.Tuple) bool) *Bag {
+	n := 0
+	if keep == nil {
+		n = len(b.m)
+		if add != nil {
+			n += len(add.m)
+		}
+	}
+	out := NewSized(n)
+	b.eachApplied(del, add, keep, func(k string, e entry) { out.addKeyed(k, e.tuple, e.count) })
 	return out
 }
 
@@ -64,7 +82,7 @@ func MinWithin(a, b *Bag, within ...*Bag) *Bag {
 // Max returns the maximal union: per-tuple max(n_a, n_b).
 // Defined in the paper as a ⊎ (b ∸ a); computed directly here.
 func Max(a, b *Bag) *Bag {
-	out := a.Clone()
+	out := a.private() // out.m is written directly, past the copy-on-write check
 	for k, e := range b.m {
 		if have := out.m[k].count; e.count > have {
 			out.size += e.count - have

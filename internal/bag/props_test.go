@@ -161,6 +161,51 @@ func TestPropCloneAndEqualConsistent(t *testing.T) {
 	}
 }
 
+// A Clone is a snapshot of its source and the source of it: random
+// programs of writes, Clears, index look-ups and Clones over two handles
+// keep each handle equal to its own model at every step (runHandles).
+// Clone and switch ops are drawn often, so most programs share a map
+// between the handles and then write to either side of it.
+func TestPropCloneIsASnapshot(t *testing.T) {
+	prop := func(ops []uint8) bool {
+		data := make([]byte, 0, 3*len(ops))
+		for i, op := range ops {
+			if i%4 == 1 {
+				op = 8 + op%2 // Clone, or switch handles
+			}
+			data = append(data, op, byte(i*7), byte(i))
+		}
+		runHandles(t, data)
+		return true
+	}
+	if err := quick.Check(prop, qcfg); err != nil {
+		t.Error(err)
+	}
+}
+
+// EachApplied enumerates (b ∸ del) ⊎ add, and Applied collects it,
+// without building or marking anything on b: the fresh-read primitives.
+func TestPropAppliedIsMonusUnion(t *testing.T) {
+	keep := func(tu schema.Tuple) bool { return tu[0].AsInt()%2 == 0 }
+	prop := func(x, d, a genBag) bool {
+		for _, k := range []func(schema.Tuple) bool{nil, keep} {
+			want := UnionAll(Monus(x.B, d.B), a.B)
+			if k != nil {
+				want = Select(want, k)
+			}
+			seen := New()
+			x.B.EachApplied(d.B, a.B, k, func(tu schema.Tuple, n int) { seen.Add(tu, n) })
+			if !seen.Equal(want) || !Applied(x.B, d.B, a.B, k).Equal(want) || x.B.isShared() {
+				return false
+			}
+		}
+		return Applied(x.B, nil, nil, nil).Equal(x.B)
+	}
+	if err := quick.Check(prop, qcfg); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestPropProductDistributesOverUnion(t *testing.T) {
 	// (a ⊎ b) × c ≡ (a × c) ⊎ (b × c)
 	prop := func(x, y, z genBag) bool {
@@ -235,14 +280,17 @@ func checkApplyDelta(b, del, add *Bag) string {
 // returns the same index (never a rebuilt one), equal bucket for bucket
 // to an index built fresh over b's current contents, with every entry
 // addressed at its true slot; and asking again applies nothing. It
-// returns a description of the first violation, or "".
+// returns a description of the first violation, or "". It inspects b
+// without marking it: the fresh index is built over b itself and not
+// registered, never over a Clone, which would mark b shared and change
+// what its next Clear does.
 func checkIndexOn(b *Bag) string {
 	pos := []int{0}
 	ix, _ := b.IndexOn(pos)
 	if len(b.dx.owned) != 1 {
 		return "IndexOn registered a second index on the same columns"
 	}
-	if !reflect.DeepEqual(indexContents(ix), indexContents(NewIndex(b.Clone(), pos))) {
+	if !reflect.DeepEqual(indexContents(ix), indexContents(newIndex(b, pos, true))) {
 		return "IndexOn differs from a fresh NewIndex over the same contents"
 	}
 	n := 0

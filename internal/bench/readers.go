@@ -12,8 +12,8 @@ import (
 // Phase 1 measures each refresh variant's true exclusive-lock hold over
 // the same pending-update volume. Phase 2 deterministically replays that
 // hold under the view's write lock and measures the latency of a borrowed
-// read (Manager.Read, which copies nothing — a Query adds one view copy
-// to both columns) that provably arrives at the start of the hold (channel handshake
+// read (Manager.Read, which copies nothing — a Query adds a copy-on-write
+// Clone, O(1)) that provably arrives at the start of the hold (channel handshake
 // inside the critical section) — the stall a worst-case analyst
 // experiences. The deterministic replay keeps the experiment meaningful
 // on single-CPU machines, where racing reader goroutines mostly measure

@@ -474,8 +474,9 @@ func TestViewDefinitionEvaluatesOneShot(t *testing.T) {
 	}
 }
 
-// TestInterpreterStaysOutOfTheEngine pins ROADMAP item 1(d)'s end state
-// in the source: outside tests, internal/core calls algebra.Eval only to
+// TestInterpreterStaysOutOfTheEngine pins, in the source, the end state
+// of deleting the interpreted maintenance mode (ROADMAP item 4, "one
+// Figure 3 pipeline"): outside tests, internal/core calls algebra.Eval only to
 // check — the invariant checkers and CheckConsistent (invariant.go) and
 // WithLogFilter's equivalence check at definition time — and never
 // builds an interpreter (algebra.NewEvaluator) at all: every maintenance

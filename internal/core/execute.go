@@ -66,7 +66,6 @@ func (m *Manager) Execute(t txn.Txn) error {
 	// realizes the simultaneous (T1+T2) semantics while keeping the base
 	// update O(|change|) instead of O(|table|).
 	var imViews, dtViews []*View // the views with a pre-update pair
-	var lockMVs []string
 	affected := make([]*View, 0, len(m.order))
 	for _, vn := range m.order {
 		v := m.views[vn]
@@ -79,7 +78,6 @@ func (m *Manager) Execute(t txn.Txn) error {
 		switch {
 		case v.Scenario == Immediate:
 			imViews = append(imViews, v)
-			lockMVs = append(lockMVs, v.mvName)
 		case v.Scenario == DiffTables:
 			dtViews = append(dtViews, v)
 		case m.shared != nil:
@@ -156,12 +154,17 @@ func (m *Manager) Execute(t txn.Txn) error {
 		}
 		return nil
 	}
-	if len(lockMVs) > 0 {
+	if len(imViews) > 0 {
 		// Immediate views hold their MV write locks while the transaction
 		// installs: readers of those MVs block for exactly this long, every
 		// transaction — the overhead immediate maintenance imposes.
+		var w mvWrite
+		if w, err = m.unshareMVs(func(v *View) int { return v.txnVolume(nt) }, imViews...); err != nil {
+			return err
+		}
 		lockStart := time.Now()
-		err = m.locks.WithWriteSpan(lockMVs, xsp, func(hold *trace.Span) error {
+		err = m.locks.WithWriteSpan(w.tables, xsp, func(hold *trace.Span) error {
+			w.adoptLocked()
 			// makesafe_IM: the same pre-update pair, applied to MV itself.
 			for _, iv := range imViews {
 				del, add, err := m.evalDeltaPair(iv, hold)
@@ -210,14 +213,10 @@ func (m *Manager) Execute(t txn.Txn) error {
 		}
 		switch v.Scenario {
 		case BaseLogs, Combined:
-			for _, b := range v.bases {
-				if u, ok := nt[b]; ok {
-					n := u.Delete.Len() + u.Insert.Len()
-					v.Stats.LogTuples += n
-					if v.met != nil {
-						v.met.logAppendTuples.Add(int64(n))
-					}
-				}
+			n := v.txnVolume(nt)
+			v.Stats.LogTuples += n
+			if v.met != nil {
+				v.met.logAppendTuples.Add(int64(n))
 			}
 		case DiffTables:
 			dt, _ := m.db.Bag(v.dtDel)
@@ -260,6 +259,18 @@ func (v *View) relevant(b string, u txn.Update) (del, ins *bag.Bag) {
 		return bag.Select(u.Delete, fn), bag.Select(u.Insert, fn)
 	}
 	return u.Delete, u.Insert
+}
+
+// txnVolume is the tuple volume of the normalized transaction t on the
+// view's base tables.
+func (v *View) txnVolume(t txn.Txn) int {
+	n := 0
+	for _, b := range v.bases {
+		if u, ok := t[b]; ok {
+			n += u.Delete.Len() + u.Insert.Len()
+		}
+	}
+	return n
 }
 
 // viewAffected reports whether the transaction touches any base table of

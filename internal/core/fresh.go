@@ -5,6 +5,7 @@ import (
 
 	"dvm/internal/algebra"
 	"dvm/internal/bag"
+	"dvm/internal/schema"
 )
 
 // QueryFresh answers a (optionally σ_pred-restricted) query over the
@@ -29,19 +30,47 @@ import (
 // fresh reads and the next refresh do not pay for that fold again.
 // Like every operation that touches auxiliary state, QueryFresh follows
 // the manager's single-writer discipline.
+//
+// QueryFresh is ReadFresh collected into a bag the caller owns
+// (bag.Applied): a whole-view answer is sized for MV and △MV up front,
+// so it never regrows, and MV is only read — not marked shared, so the
+// next refresh owes no copy for it.
 func (m *Manager) QueryFresh(name string, pred algebra.Predicate) (*bag.Bag, error) {
+	var out *bag.Bag
+	err := m.readFresh(name, pred, func(mv, del, add *bag.Bag, keep func(schema.Tuple) bool) {
+		out = bag.Applied(mv, del, add, keep)
+	})
+	return out, err
+}
+
+// ReadFresh enumerates QueryFresh's answer to f without building it:
+// MV's tuples in σ_pred, each count reduced by one lookup in ∇MV (for a
+// BaseLogs view, in the evaluated ▼(L,Q)), then △MV's (▲(L,Q)'s). A
+// tuple may come twice, once from each half; its multiplicity is the
+// sum. Nothing is copied. f runs under MV's shared lock, as Read's
+// function does: it may keep the tuples (they are immutable) but must be
+// brief and must not call back into the Manager. The side effect on a
+// Combined view, and the single-writer discipline, are QueryFresh's.
+func (m *Manager) ReadFresh(name string, pred algebra.Predicate, f func(t schema.Tuple, n int)) error {
+	return m.readFresh(name, pred, func(mv, del, add *bag.Bag, keep func(schema.Tuple) bool) {
+		mv.EachApplied(del, add, keep, f)
+	})
+}
+
+// readFresh brings the view's pending differential (del, add) up to now
+// — a Combined view's log folded, a BaseLogs view's pair evaluated; nil
+// for an Immediate view — and runs read over MV, the pair and σ_pred's
+// bound predicate (nil for the whole view) under MV's shared lock.
+func (m *Manager) readFresh(name string, pred algebra.Predicate, read func(mv, del, add *bag.Bag, keep func(schema.Tuple) bool)) error {
 	v, err := m.View(name)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	// slice is σ_pred; the identity (no copy) for a whole-view read.
-	slice := func(b *bag.Bag) *bag.Bag { return b }
+	var keep func(schema.Tuple) bool
 	if pred != nil {
-		fn, err := pred.Bind(v.Def.Schema())
-		if err != nil {
-			return nil, fmt.Errorf("core: fresh query on %q: %w", name, err)
+		if keep, err = pred.Bind(v.Def.Schema()); err != nil {
+			return fmt.Errorf("core: fresh query on %q: %w", name, err)
 		}
-		slice = func(b *bag.Bag) *bag.Bag { return bag.Select(b, fn) }
 	}
 
 	// The pending differential (del, add) that MV is behind by.
@@ -53,7 +82,7 @@ func (m *Manager) QueryFresh(name string, pred algebra.Predicate) (*bag.Bag, err
 		}
 	case Combined:
 		if err = m.propagateBody(v, nil, nil); err != nil {
-			return nil, err
+			return err
 		}
 		m.updateSizeGauges(v)
 		fallthrough
@@ -61,24 +90,15 @@ func (m *Manager) QueryFresh(name string, pred algebra.Predicate) (*bag.Bag, err
 		del, add, err = m.diffBags(v)
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
 
-	var out *bag.Bag
-	err = m.locks.WithRead([]string{v.mvName}, func() error {
+	return m.locks.WithRead([]string{v.mvName}, func() error {
 		mv, err := m.db.Bag(v.mvName)
 		if err != nil {
 			return err
 		}
-		if pred == nil {
-			out = mv.Clone() // the caller owns the answer; MV stays as it is
-		} else {
-			out = slice(mv)
-		}
-		if del != nil {
-			out.ApplyDelta(slice(del), slice(add))
-		}
+		read(mv, del, add, keep)
 		return nil
 	})
-	return out, err
 }

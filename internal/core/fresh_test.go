@@ -131,7 +131,8 @@ func TestQueryFreshSharedLogs(t *testing.T) {
 // TestQueryFreshDifferential drives one random retail stream through
 // every combination of scenario × log layout × predicate and checks the
 // fresh-read contract at each stop: QueryFresh(v, p) is σ_p of a
-// from-scratch recompute, the stale MV a plain Query sees is
+// from-scratch recompute and ReadFresh enumerates the same bag, the
+// stale MV a plain Query sees is
 // byte-identical before and after, the Figure 1 invariant still holds,
 // the size gauges describe the folded state, and a second fresh read
 // with no write in between does no join work.
@@ -216,6 +217,11 @@ func checkFreshReads(t *testing.T, sc Scenario, pred algebra.Predicate, everySte
 		}
 		if !got.Equal(want) {
 			t.Fatalf("round %d: fresh = %v, recompute = %v", round, got, want)
+		}
+		seen := bag.New()
+		must(m.ReadFresh("hv", pred, func(tu schema.Tuple, n int) { seen.Add(tu, n) }))
+		if !seen.Equal(want) {
+			t.Fatalf("round %d: ReadFresh enumerates %v, recompute = %v", round, seen, want)
 		}
 		after, err := m.Query("hv")
 		must(err)

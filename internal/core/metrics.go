@@ -89,6 +89,15 @@ func (m *Manager) diffVolume(v *View) int {
 	return n
 }
 
+// logDebt returns the tuple volume of the view's pending log: its
+// private log tables, or in shared-log mode its unconsumed window.
+func (m *Manager) logDebt(v *View) int {
+	if m.shared != nil {
+		return m.pendingShared(v)
+	}
+	return m.logVolume(v)
+}
+
 // updateSizeGauges refreshes the view's log/differential size gauges
 // from the live tables. Called after every operation that grows or
 // empties them, so \stats always reflects current staleness debt.
@@ -97,11 +106,7 @@ func (m *Manager) updateSizeGauges(v *View) {
 		return
 	}
 	if len(v.logDel) > 0 {
-		n := m.logVolume(v)
-		if m.shared != nil {
-			n = m.pendingShared(v)
-		}
-		v.met.logSizeTuples.Set(int64(n))
+		v.met.logSizeTuples.Set(int64(m.logDebt(v)))
 	}
 	if v.dtDel != "" {
 		v.met.diffSizeTuples.Set(int64(m.diffVolume(v)))

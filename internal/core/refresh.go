@@ -43,7 +43,12 @@ func (m *Manager) Refresh(name string) error {
 	case Immediate:
 		return nil
 	case BaseLogs:
-		return m.locks.WithWriteSpan([]string{v.mvName}, rsp, func(hold *trace.Span) error {
+		w, err := m.unshareMVs(m.logDebt, v)
+		if err != nil {
+			return err
+		}
+		return m.locks.WithWriteSpan(w.tables, rsp, func(hold *trace.Span) error {
+			w.adoptLocked()
 			asp, dsp := m.startDowntimeSpan(v, hold)
 			defer func() { asp.EndExplicit(dsp.End()) }()
 			if err := m.materializeIfShared(v); err != nil {
@@ -93,6 +98,54 @@ func (m *Manager) applyToMVLocked(v *View, del, add *bag.Bag) error {
 	}
 	mv.Data().ApplyDelta(del, add)
 	return nil
+}
+
+// mvWrite is one write's MV lock set, with private copies of the MVs it
+// changes that a Query left shared: unshareMVs takes them before the
+// write locks, adoptLocked installs them under the locks.
+type mvWrite struct {
+	tables   []string
+	mvs, own []*bag.Bag
+}
+
+// unshareMVs is the first step of every in-place write to view tables:
+// makesafe_IM, refresh_BL, refresh_DT, partial_refresh_C and refresh_C.
+// (RefreshRecompute installs a new bag and owes no copy.) A Query's
+// answer is a copy-on-write Clone of MV, so an MV that a reader has
+// taken since its last write owes one copy of its map before it
+// changes. pending(v) is the volume of what the write may install into
+// v's MV, zero if it leaves MV alone. When it is not zero and MV is
+// shared, the copy is taken here, before the exclusive locks are
+// requested: readers only read the map, and the writer is MV's only
+// mutator. Under the locks adoptLocked only swaps it in, in O(1) per
+// view, so the hold stays O(|∇MV|+|△MV|). However many readers took a
+// Query, the copy is paid once, by the writer. The write locks
+// w.tables, the views' MVs.
+func (m *Manager) unshareMVs(pending func(*View) int, views ...*View) (mvWrite, error) {
+	w := mvWrite{tables: make([]string, len(views))}
+	for i, v := range views {
+		w.tables[i] = v.mvName
+		if pending(v) == 0 {
+			continue
+		}
+		mv, err := m.db.Bag(v.mvName)
+		if err != nil {
+			return w, err
+		}
+		if p := mv.Unshared(); p != nil {
+			w.mvs, w.own = append(w.mvs, mv), append(w.own, p)
+		}
+	}
+	return w, nil
+}
+
+// adoptLocked installs the private copies unshareMVs took. The Locked
+// suffix is a contract dvmlint enforces: the caller must hold the MV
+// write locks.
+func (w mvWrite) adoptLocked() {
+	for i, mv := range w.mvs {
+		mv.Adopt(w.own[i])
+	}
 }
 
 // mergeDelta installs a (del, add) pair into an auxiliary table pair by
@@ -187,7 +240,16 @@ func (m *Manager) clearLogs(v *View) error {
 // them — so emptying them is not downtime, and readers wait only for
 // the O(|∇MV|+|△MV|) in-place apply.
 func (m *Manager) refreshFromDiff(v *View, parent *trace.Span, first func(v *View, sp, parent *trace.Span) error) error {
-	err := m.locks.WithWriteSpan([]string{v.mvName}, parent, func(hold *trace.Span) error {
+	pending := m.diffVolume
+	if first != nil { // refresh_C folds the log in under the lock first
+		pending = func(v *View) int { return m.diffVolume(v) + m.logDebt(v) }
+	}
+	w, err := m.unshareMVs(pending, v)
+	if err != nil {
+		return err
+	}
+	err = m.locks.WithWriteSpan(w.tables, parent, func(hold *trace.Span) error {
+		w.adoptLocked()
 		asp, dsp := m.startDowntimeSpan(v, hold)
 		defer func() { asp.EndExplicit(dsp.End()) }()
 		if first != nil {
@@ -414,7 +476,7 @@ func (m *Manager) RefreshRecompute(name string) error {
 // whose refresh is waiting for this very lock. Reads block while a
 // refresh holds the exclusive lock — the downtime a user experiences —
 // and a refresh waits while f runs, so f should be brief; a caller that
-// needs to own the answer uses Query.
+// needs to own the answer uses Query, whose copy costs a pointer.
 func (m *Manager) Read(name string, f func(mv *bag.Bag) error) error {
 	v, err := m.View(name)
 	if err != nil {
@@ -436,7 +498,12 @@ func (m *Manager) Read(name string, f func(mv *bag.Bag) error) error {
 }
 
 // Query reads the view's materialized table, returning a copy the
-// caller owns: Read plus Clone.
+// caller owns: Read plus Clone, which is copy-on-write. The answer is a
+// handle on MV's map as of the read, in O(1) under the read lock; it
+// stays that value whatever refreshes follow, and the caller may mutate
+// it freely (its first mutation copies the map). What the handle defers
+// is paid once per refresh, not per Query: the writer copies MV's map
+// before its next in-place write, outside the lock (unshareMVs).
 func (m *Manager) Query(name string) (*bag.Bag, error) {
 	var out *bag.Bag
 	err := m.Read(name, func(mv *bag.Bag) error {

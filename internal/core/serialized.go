@@ -5,6 +5,7 @@ import (
 
 	"dvm/internal/algebra"
 	"dvm/internal/bag"
+	"dvm/internal/schema"
 	"dvm/internal/txn"
 )
 
@@ -83,6 +84,12 @@ func (s *Serialized) Query(name string) (*bag.Bag, error) {
 	return s.m.Query(name)
 }
 
+// Read runs f over the view's live MV under its shared lock, copying
+// nothing (see Manager.Read). Like Query it bypasses the mutex.
+func (s *Serialized) Read(name string, f func(mv *bag.Bag) error) error {
+	return s.m.Read(name, f)
+}
+
 // QueryFresh answers at the view's CURRENT value (see Manager.QueryFresh).
 // Unlike Query it reads auxiliary tables a concurrent writer could be
 // mid-update on, so it serializes with the writers.
@@ -90,6 +97,15 @@ func (s *Serialized) QueryFresh(name string, pred algebra.Predicate) (*bag.Bag, 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.m.QueryFresh(name, pred)
+}
+
+// ReadFresh enumerates the view's CURRENT value to f without building it
+// (see Manager.ReadFresh); like QueryFresh it serializes with the
+// writers.
+func (s *Serialized) ReadFresh(name string, pred algebra.Predicate, f func(t schema.Tuple, n int)) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.m.ReadFresh(name, pred, f)
 }
 
 // Manager exposes the wrapped manager for setup (DefineView etc.) BEFORE

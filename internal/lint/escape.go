@@ -16,13 +16,16 @@ import (
 //   - a reference obtained INSIDE a locked region (the closure argument
 //     of a txn.LockManager acquisition, the body of a core *Locked
 //     function, or the function literal a borrowed read — core's
-//     Manager.Read — runs over the live MV, whose bag parameter is such
-//     a reference from the start) must not outlive it: assigning it to a variable
+//     Manager.Read or Serialized.Read — runs over the live MV, whose
+//     bag parameter is such a reference from the start) must not
+//     outlive it: assigning it to a variable
 //     declared outside the region, storing it into a field or an outer
 //     container, sending it on a channel, returning it, or capturing it
 //     in a spawned goroutine all let lock-free code read state the lock
 //     was guarding (Clone it under the lock instead — the Query
-//     pattern);
+//     pattern: a clone is a copy-on-write handle that shares the map
+//     until either side is written, so it keeps the value it read at a
+//     pointer's cost);
 //   - an exported core/storage function must not return a direct
 //     reference to an internal bag, map, or slice field: the caller
 //     holds an alias into lock-guarded state with no lock protocol
@@ -69,7 +72,7 @@ func (p *Pass) checkEscapeRegions(fd *ast.FuncDecl) {
 		switch f := CalleeOf(info, call); {
 		case isLockAcquire(f, p.Cfg.TxnPkg):
 			p.checkRegion(lit.Body, "the locked region", nil)
-		case f != nil && f.Name() == "Read" && isMethodOn(f, p.Cfg.CorePkg, "Manager"):
+		case f != nil && f.Name() == "Read" && (isMethodOn(f, p.Cfg.CorePkg, "Manager") || isMethodOn(f, p.Cfg.CorePkg, "Serialized")):
 			// The callback's bag IS the live MV, lent for the call.
 			lent := map[types.Object]string{}
 			for _, obj := range p.bagParams(lit.Type) {

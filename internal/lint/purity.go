@@ -30,8 +30,10 @@ import (
 //   - no capture of mutable engine state: a variable of map type, a
 //     bag.Bag, or a storage Table. A *bag.Bag local that the compiling
 //     function created fresh — Clone(), bag.New(), bag.FromTuples() —
-//     is allowed (the closure privately owns the snapshot; this is the
-//     Literal-node `lit := n.Bag.Clone()` idiom), as are journal-synced
+//     is allowed (the closure privately owns it; this is the
+//     Literal-node `lit := n.Bag.Clone()` idiom, and the clone is a
+//     copy-on-write handle: it shares the source's map until either
+//     side is written, and the first write copies), as are journal-synced
 //     bag.Index handles, whose mutation discipline is enforced on the
 //     bag side.
 //
@@ -201,8 +203,9 @@ func (p *Pass) mutableEngineState(t types.Type) (string, bool) {
 }
 
 // freshLocalBag reports whether obj is a local of the compiling
-// function initialized exactly once from a snapshot constructor
-// (Clone, New, NewSized, FromTuples) — a private copy the closure may own.
+// function initialized exactly once from a constructor that hands back a
+// bag of its own (Clone — a copy-on-write handle — New, NewSized,
+// FromTuples): one the closure may own.
 func (p *Pass) freshLocalBag(di *declInfo, obj types.Object) bool {
 	info := di.pkg.Info
 	defs := 0

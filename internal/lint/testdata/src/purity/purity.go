@@ -11,7 +11,7 @@ type Bag struct{ counts map[string]int }
 // New builds an empty bag — a sanctioned snapshot constructor.
 func New() *Bag { return &Bag{counts: map[string]int{}} }
 
-// Clone copies the bag — the snapshot idiom the analyzer allows.
+// Clone stands in for bag.Clone's copy-on-write handle, which the analyzer allows.
 func (b *Bag) Clone() *Bag {
 	c := New()
 	for k, v := range b.counts {

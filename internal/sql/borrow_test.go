@@ -117,8 +117,8 @@ func TestSelectResultIsOwned(t *testing.T) {
 }
 
 // saveToByCopy is SaveTo as it was before it streamed the live tables:
-// the same header, then Save of a database that holds a deep copy of
-// the external tables and nothing else. Kept as the reference for the
+// the same header, then Save of a database that holds a copy (a Clone)
+// of the external tables and nothing else. Kept as the reference for the
 // bytes.
 func saveToByCopy(e *Engine, w *bytes.Buffer) error {
 	bw := bufio.NewWriter(w)

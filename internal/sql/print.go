@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"dvm/internal/schema"
@@ -186,6 +187,14 @@ func litSQL(l Lit) string {
 			return "TRUE"
 		}
 		return "FALSE"
+	case schema.TFloat:
+		// Decimal and always with a point: the lexer reads no exponent
+		// ("1e+06"), and a number without a point is an INT.
+		s := strconv.FormatFloat(v.AsFloat(), 'f', -1, 64)
+		if !strings.ContainsRune(s, '.') {
+			s += ".0"
+		}
+		return s
 	default:
 		return v.String()
 	}

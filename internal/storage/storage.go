@@ -169,8 +169,11 @@ func (db *Database) Names() []string {
 	return names
 }
 
-// Snapshot returns a deep copy of the database state: an s_p frozen for
-// later comparison. Tuples are shared (immutable); bags are copied.
+// Snapshot returns a copy of the database state: an s_p frozen for
+// later comparison. Tuples are shared (immutable), and each bag is a
+// copy-on-write Clone: a pointer per table now, and the table — live or
+// in the snapshot — copies its map at its first write, so neither side
+// ever sees the other's changes.
 func (db *Database) Snapshot() *Database {
 	c := NewDatabase()
 	c.metrics = db.metrics

@@ -87,7 +87,8 @@ func planPair(t *testing.T, cfg workload.RetailConfig) (api *core.Manager, eng *
 	return api, eng, w
 }
 
-// TestSQLViewPlansLikeAPIView pins ROADMAP item 1(b): a view defined in
+// TestSQLViewPlansLikeAPIView pins the premise of ROADMAP item 6 ("SQL
+// statements plan like views"): a view defined in
 // SQL is maintained by the same joins, against the same live tables and
 // the same table-owned indexes, as the view built through the algebra
 // API. Over one scripted day — sales churn every tick, a customer's

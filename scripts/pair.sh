@@ -1,6 +1,6 @@
 #!/bin/sh
 # pair.sh — the paired-run protocol for a performance claim, as one
-# command (ROADMAP item 2(b); the rule is choosing-metrics §8).
+# command (ROADMAP item 2(d); the rule is choosing-metrics §8).
 #
 #   scripts/pair.sh [-trace 1] [-metrics a,b,...] [-seed N] <parent-ref> <n> [workload...]
 #
