@@ -453,7 +453,11 @@ func TestEvalHandsOverOnlyWhatItOwns(t *testing.T) {
 					if !out.Equal(want) {
 						t.Fatalf("pass %d: root %d of %v = %s, interpreter says %s", pass, k, roots, out, want)
 					}
-					out.Add(schema.Row(99, 99), 5)
+					foreign := make(schema.Tuple, roots[k].Schema().Len()) // in the root's arity
+					for c := range foreign {
+						foreign[c] = schema.Int(99)
+					}
+					out.Add(foreign, 5)
 					out.ApplyDelta(want, bag.New())
 				}
 				for name, b := range st {

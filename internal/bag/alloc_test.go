@@ -32,6 +32,45 @@ func keyedRows(rows, keys int) *Bag {
 
 var keptMap any // keeps a measured make from being optimized away
 
+// TestBagSlotIsAPointerAndACount: a 100 000-row fill of a pre-sized bag
+// costs no more than the same fill of a map whose values are a tuple
+// pointer and a count — the 32-byte slot — plus the Bag itself. Both
+// fills encode the same keys, so what is compared is the map. (A tuple
+// slice header in the entry makes the bag's map half as large again.)
+func TestBagSlotIsAPointerAndACount(t *testing.T) {
+	const rows = 100_000
+	tuples := make([]schema.Tuple, rows)
+	for i := range tuples {
+		tuples[i] = schema.Row(i, i%7)
+	}
+	ref, _ := allocated(func() {
+		m := make(map[string]struct {
+			p *schema.Value
+			n int
+		}, rows)
+		for _, tu := range tuples {
+			m[tu.Key()] = struct {
+				p *schema.Value
+				n int
+			}{tu.Ptr(), 1}
+		}
+		keptMap = m
+	})
+	got, _ := allocated(func() {
+		b := NewSized(rows)
+		for _, tu := range tuples {
+			b.Add(tu, 1)
+		}
+		keptMap = b
+	})
+	t.Logf("%d-row fill: bag %d B, reference map %d B", rows, got, ref)
+	// 1% covers the Bag and the runtime's own allocations meanwhile (a few
+	// KiB); a 16-byte-larger slot would cost megabytes.
+	if limit := ref + ref/100; got > limit {
+		t.Errorf("a %d-row bag fill allocated %d B, want at most %d B: its map slot is larger than a pointer and a count", rows, got, limit)
+	}
+}
+
 // TestOwnedIndexIsKeySized: a table of 100 000 rows under 1 000 join
 // keys. The throw-away index over the same bag is the yardstick: the
 // same buckets, a bucket map pre-sized for a key per row, no entry
@@ -47,7 +86,7 @@ func TestOwnedIndexIsKeySized(t *testing.T) {
 	throwAway, _ := allocated(func() { keptMap = newIndex(b, []int{0}, false) })
 	var ix *Index
 	owned, _ := allocated(func() { ix, _ = b.IndexOn([]int{0}) })
-	rowSized, _ := allocated(func() { keptMap = make(map[string][]IndexEntry, rows) })
+	rowSized, _ := allocated(func() { keptMap = make(map[string][]indexEntry, rows) })
 	addresses, _ := allocated(func() { keptMap = make(map[string]int, rows) })
 	t.Logf("%d rows, %d keys: owned index %d B (%d B/row), throw-away %d B; a row-sized bucket map is %d B, the address map %d B",
 		rows, keys, owned, owned/rows, throwAway, rowSized, addresses)
@@ -69,9 +108,9 @@ func TestOwnedIndexIsKeySized(t *testing.T) {
 func TestThrowAwayIndexDoesNotRegrow(t *testing.T) {
 	const rows = 5_000
 	b := keyedRows(rows, rows)
-	_, presized := allocated(func() { keptMap = make(map[string][]IndexEntry, rows) })
+	_, presized := allocated(func() { keptMap = make(map[string][]indexEntry, rows) })
 	_, grown := allocated(func() {
-		m := make(map[string][]IndexEntry)
+		m := make(map[string][]indexEntry)
 		for k := range b.m {
 			m[k] = nil
 		}

@@ -17,7 +17,9 @@
 package bag
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -25,26 +27,36 @@ import (
 	"dvm/internal/schema"
 )
 
+// entry is one distinct tuple and its multiplicity. The tuple is stored
+// as a pointer to its first value (schema.Tuple.Ptr) under the bag's
+// arity — 16 bytes, so a map slot with its key is 32, where a tuple's
+// slice header would make it 48.
 type entry struct {
-	tuple schema.Tuple
+	p     *schema.Value
 	count int
 }
 
 // Bag is a finite multiset of tuples. The zero value is NOT ready to use;
 // call New. Bags are not safe for concurrent mutation.
+//
+// A non-empty bag holds tuples of one arity: the first insert into an
+// empty bag sets it, and inserting a tuple of another arity into a
+// non-empty bag panics — a programming error, since every table and
+// every operator's output has one schema. Removing a tuple of another
+// arity is a no-op, like removing any tuple the bag does not hold.
 type Bag struct {
-	m    map[string]entry
-	size int // total multiplicity
+	m     map[string]entry
+	size  int // total multiplicity
+	arity int // the length of every tuple in m
 	// peak is the most distinct tuples m has held since it was allocated
 	// (a map's buckets only grow, so this is its capacity); last's low 31
 	// bits are the distinct count at the previous Clear, and Clear's
 	// retention rule reads both. last's top bit is the shared mark: m may
 	// be another bag's map too (Clone), so the first mutation copies it.
 	// Clone sets the mark on its source under a read lock, concurrently
-	// with other readers, so last is atomic. Both counts saturate —
-	// together they fit one word, and a Bag its 32-byte size class. Bags
-	// built by the pure operators write m directly and leave peak behind;
-	// Clear takes max(peak, len(m)).
+	// with other readers, so last is atomic. Both counts saturate, and
+	// together they fit one word. Bags built by the pure operators write
+	// m directly and leave peak behind; Clear takes max(peak, len(m)).
 	peak uint32
 	last atomic.Uint32
 	// dx holds what is derived from the contents — the version counter,
@@ -77,6 +89,24 @@ func Copies() uint64 { return copies.Load() }
 // isShared reports whether b's map may also be another bag's.
 func (b *Bag) isShared() bool { return b.last.Load()&shared != 0 }
 
+// tupleAt returns the tuple at p, which an entry of b's map (or of an
+// index or journal over b) stores.
+func (b *Bag) tupleAt(p *schema.Value) schema.Tuple { return schema.TupleAt(p, b.arity) }
+
+// setArity makes n the arity of b, which must be empty. A change left in
+// the journal window stores a tuple of the old arity, which must not be
+// read under the new one, so then the window restarts, as at a Clear. (A
+// no-op entry stores no tuple.)
+func (b *Bag) setArity(n int) {
+	if len(b.m) != 0 {
+		panic(fmt.Sprintf("bag: adding a %d-column tuple to a bag of %d-column tuples", n, b.arity))
+	}
+	b.arity = n
+	if b.dx != nil && slices.ContainsFunc(b.dx.jour, func(e jentry) bool { return e.d != 0 }) {
+		b.dx.restart(false, 0)
+	}
+}
+
 // copyMap returns a private copy of b's map, sized for its contents and
 // no more: a map's capacity rounds up to a power of two, so headroom for
 // the write to come can double the copy, while the write itself grows
@@ -92,7 +122,7 @@ func (b *Bag) copyMap() map[string]entry {
 // private returns an eager copy of b: a bag whose map is its own from
 // the start, for a caller that writes it at once, where a Clone would
 // only defer the copy to the first write.
-func (b *Bag) private() *Bag { return &Bag{m: b.copyMap(), size: b.size} }
+func (b *Bag) private() *Bag { return &Bag{m: b.copyMap(), size: b.size, arity: b.arity} }
 
 // own makes m, a copy of b's map that no other bag holds, b's map, and
 // clears the shared mark. It runs only where b may be mutated: never
@@ -124,12 +154,13 @@ type derived struct {
 	owned []*Index
 }
 
-// jentry records one mutation's effective change: the tuple, its
-// canonical key, and the signed multiplicity delta actually applied
-// (after clamping at zero).
+// jentry records one mutation's effective change: the tuple's canonical
+// key, the tuple (as an entry stores it, under the bag's arity; nil for
+// a no-op), and the signed multiplicity delta actually applied (after
+// clamping at zero).
 type jentry struct {
 	k string
-	t schema.Tuple
+	p *schema.Value
 	d int
 }
 
@@ -185,12 +216,16 @@ func (b *Bag) addKeyed(k string, t schema.Tuple, n int) *Bag {
 		copies.Add(1)
 		b.own(b.copyMap())
 	}
-	e, ok := b.m[k]
-	d := 0 // effective delta after clamping
+	e, ok := b.m[k] // e.p is nil when !ok, and stays nil for a no-op
+	d := 0          // effective delta after clamping
 	switch {
 	case !ok:
 		if n > 0 {
-			b.m[k] = entry{tuple: t, count: n}
+			if len(t) != b.arity {
+				b.setArity(len(t))
+			}
+			e = entry{p: t.Ptr(), count: n}
+			b.m[k] = e
 			b.size += n
 			d = n
 			b.peak = max(b.peak, sat32(len(b.m)))
@@ -206,7 +241,7 @@ func (b *Bag) addKeyed(k string, t schema.Tuple, n int) *Bag {
 		b.m[k] = e
 	}
 	if b.dx != nil {
-		b.journal(k, t, d)
+		b.journal(k, e.p, d)
 	}
 	return b
 }
@@ -214,7 +249,7 @@ func (b *Bag) addKeyed(k string, t schema.Tuple, n int) *Bag {
 // AddBag folds all of o's contents into b in place.
 func (b *Bag) AddBag(o *Bag) *Bag {
 	for k, e := range o.m {
-		b.addKeyed(k, e.tuple, e.count)
+		b.addKeyed(k, o.tupleAt(e.p), e.count)
 	}
 	return b
 }
@@ -227,7 +262,7 @@ func (b *Bag) AddBag(o *Bag) *Bag {
 // read; neither may be b itself.
 func (b *Bag) ApplyDelta(del, add *Bag) *Bag {
 	for k, e := range del.m {
-		b.addKeyed(k, e.tuple, -e.count)
+		b.addKeyed(k, del.tupleAt(e.p), -e.count)
 	}
 	return b.AddBag(add)
 }
@@ -272,24 +307,29 @@ func (b *Bag) Clear() {
 	}
 	b.last.Store(fill)
 	b.size = 0
-	if x := b.dx; x != nil {
-		// A clear is not representable as journal entries: drop the
-		// window, so free-standing indexes behind it rebuild (cheap — the
-		// bag is now empty), and empty the bag's own indexes in place,
-		// by the same rule as the bag's map.
-		x.ver++
-		clear(x.jour)
-		x.jour = x.jour[:0]
-		for _, ix := range x.owned {
-			if shrink {
-				ix.m = make(map[string][]IndexEntry)
-				ix.at = make(map[string]int, keep)
-			} else {
-				clear(ix.m)
-				clear(ix.at)
-			}
-			ix.ver = x.ver
+	if b.dx != nil {
+		b.dx.restart(shrink, keep)
+	}
+}
+
+// restart drops the journal window of a bag that is now empty, so
+// free-standing indexes behind it rebuild (cheap — the bag is empty),
+// and empties the bag's own indexes in place, or, when shrink says so,
+// into fresh maps with room for keep entries: a clear is not
+// representable as journal entries.
+func (x *derived) restart(shrink bool, keep int) {
+	x.ver++
+	clear(x.jour)
+	x.jour = x.jour[:0]
+	for _, ix := range x.owned {
+		if shrink {
+			ix.m = make(map[string][]indexEntry)
+			ix.at = make(map[string]int, keep)
+		} else {
+			clear(ix.m)
+			clear(ix.at)
 		}
+		ix.ver = x.ver
 	}
 }
 
@@ -299,7 +339,7 @@ func (b *Bag) Clear() {
 // starts over: the bag first syncs its own indexes (IndexOn), which
 // therefore never fall out of it; a free-standing index (NewIndex) left
 // behind falls back to a rebuild.
-func (b *Bag) journal(k string, t schema.Tuple, d int) {
+func (b *Bag) journal(k string, p *schema.Value, d int) {
 	x := b.dx
 	x.ver++
 	if len(x.jour) >= x.jcap {
@@ -315,7 +355,7 @@ func (b *Bag) journal(k string, t schema.Tuple, d int) {
 	if len(x.jour) == 0 {
 		x.jbase = x.ver - 1
 	}
-	x.jour = append(x.jour, jentry{k: k, t: t, d: d})
+	x.jour = append(x.jour, jentry{k: k, p: p, d: d})
 }
 
 // journalSince returns the effective deltas applied after version v,
@@ -366,7 +406,7 @@ func (b *Bag) Clone() *Bag {
 			break
 		}
 	}
-	c := &Bag{m: b.m, size: b.size}
+	c := &Bag{m: b.m, size: b.size, arity: b.arity}
 	c.last.Store(shared)
 	return c
 }
@@ -398,7 +438,7 @@ func (b *Bag) Adopt(p *Bag) {
 // order is unspecified. f must not mutate the bag.
 func (b *Bag) Each(f func(t schema.Tuple, n int)) {
 	for _, e := range b.m {
-		f(e.tuple, e.count)
+		f(b.tupleAt(e.p), e.count)
 	}
 }
 
@@ -409,29 +449,30 @@ func (b *Bag) Each(f func(t schema.Tuple, n int)) {
 // keep keeps every tuple, and a nil del or add is empty. Nothing is
 // copied or marked; f must not mutate the three bags.
 func (b *Bag) EachApplied(del, add *Bag, keep func(schema.Tuple) bool, f func(t schema.Tuple, n int)) {
-	b.eachApplied(del, add, keep, func(_ string, e entry) { f(e.tuple, e.count) })
+	b.eachApplied(del, add, keep, func(_ string, t schema.Tuple, n int) { f(t, n) })
 }
 
 // eachApplied is EachApplied handing f each tuple's key as well.
-func (b *Bag) eachApplied(del, add *Bag, keep func(schema.Tuple) bool, f func(k string, e entry)) {
+func (b *Bag) eachApplied(del, add *Bag, keep func(schema.Tuple) bool, f func(k string, t schema.Tuple, n int)) {
 	var dm map[string]entry
 	if del != nil {
 		dm = del.m
 	}
 	for k, e := range b.m {
-		if keep != nil && !keep(e.tuple) {
+		t := b.tupleAt(e.p)
+		if keep != nil && !keep(t) {
 			continue
 		}
-		if e.count -= dm[k].count; e.count > 0 {
-			f(k, e)
+		if n := e.count - dm[k].count; n > 0 {
+			f(k, t, n)
 		}
 	}
 	if add == nil {
 		return
 	}
 	for k, e := range add.m {
-		if keep == nil || keep(e.tuple) {
-			f(k, e)
+		if t := add.tupleAt(e.p); keep == nil || keep(t) {
+			f(k, t, e.count)
 		}
 	}
 }
@@ -448,7 +489,7 @@ func (b *Bag) EachOrdered(f func(t schema.Tuple, n int)) {
 	sort.Strings(keys)
 	for _, k := range keys {
 		e := b.m[k]
-		f(e.tuple, e.count)
+		f(b.tupleAt(e.p), e.count)
 	}
 }
 
@@ -458,7 +499,7 @@ func (b *Bag) Tuples() []schema.Tuple {
 	out := make([]schema.Tuple, 0, b.size)
 	for _, e := range b.m {
 		for i := 0; i < e.count; i++ {
-			out = append(out, e.tuple)
+			out = append(out, b.tupleAt(e.p))
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })

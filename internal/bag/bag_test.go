@@ -1,7 +1,9 @@
 package bag
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -290,12 +292,128 @@ func TestClearRetentionRule(t *testing.T) {
 	}
 }
 
-// A Bag is four words: every operator of every evaluation allocates one,
-// and the shared mark rides in last's top bit so that it stays four.
+// A stored tuple is one pointer under its bag's arity, so a map slot
+// (16-byte key, 16-byte entry) is 32 bytes, as are an index bucket's
+// entry and a journal entry; a tuple's slice header made each 48. The
+// arity costs the Bag one word: every operator of every evaluation
+// allocates one, and the shared mark rides in last's top bit so that it
+// stays at five.
 func TestBagSize(t *testing.T) {
-	if got := unsafe.Sizeof(Bag{}); got != 32 {
-		t.Fatalf("sizeof(Bag) = %d, want 32", got)
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"entry", unsafe.Sizeof(entry{}), 16},
+		{"indexEntry", unsafe.Sizeof(indexEntry{}), 32},
+		{"jentry", unsafe.Sizeof(jentry{}), 32},
+	} {
+		if c.got != c.want {
+			t.Errorf("sizeof(%s) = %d, want %d", c.name, c.got, c.want)
+		}
 	}
+	if got := unsafe.Sizeof(Bag{}); got > 40 {
+		t.Errorf("sizeof(Bag) = %d, want at most 40", got)
+	}
+}
+
+// TestBagArity pins the arity contract: a non-empty bag holds tuples of
+// one arity, every pure operator's output carries the arity of the
+// operand its entries come from (including Max over an empty left side),
+// Clear lets a refill choose another arity, and a mismatched insert
+// panics with both arities — while a mismatched removal is a no-op.
+func TestBagArity(t *testing.T) {
+	a := Of(row(1, "x"), row(2, "y"), row(2, "y"))
+	b := Of(row(2, "y"), row(3, "z"))
+	keep := func(schema.Tuple) bool { return true }
+	for _, c := range []struct {
+		name string
+		out  *Bag
+		want int
+	}{
+		{"Monus", Monus(a, b), 2},
+		{"Min", Min(a, b), 2},
+		{"MinWithin", MinWithin(a, b, b), 2},
+		{"Max", Max(a, b), 2},
+		{"Max(empty, b)", Max(New(), b), 2},
+		{"Max(a, empty)", Max(a, New()), 2},
+		{"Except", Except(a, b), 2},
+		{"DupElim", DupElim(a), 2},
+		{"Select", Select(a, keep), 2},
+		{"UnionAll", UnionAll(New(), b), 2},
+		{"Applied", Applied(New(), nil, b, nil), 2},
+		{"Project", Project(a, func(tu schema.Tuple) schema.Tuple { return tu[:1] }), 1},
+		{"Product", Product(a, b), 4},
+		{"Join.Indexed", mustJoin(a, b, nil), 4},
+		{"Join.Indexed, projected", mustJoin(a, b, []int{3, 0, 1}), 3},
+		{"Clone", a.Clone(), 2},
+	} {
+		if c.out.arity != c.want {
+			t.Errorf("%s: arity %d, want %d", c.name, c.out.arity, c.want)
+			continue // its tuples cannot be read back, nor a tuple of its arity added
+		}
+		// The tuples read back under that arity are the operator's own.
+		c.out.Each(func(tu schema.Tuple, n int) {
+			if len(tu) != c.want || c.out.Count(tu) != n {
+				t.Errorf("%s: read back %v ×%d", c.name, tu, n)
+			}
+		})
+		// And the output takes a tuple of its arity, and no other.
+		c.out.Add(make(schema.Tuple, c.want), 1)
+		if msg := arityPanic(func() { c.out.Add(make(schema.Tuple, c.want+1), 1) }); msg == "" {
+			t.Errorf("%s: a %d-column insert did not panic", c.name, c.want+1)
+		}
+	}
+
+	// Clear, then a refill of another arity; emptying by removal too.
+	c := a.Clone()
+	ix, _ := c.IndexOn([]int{0})
+	c.Clear()
+	c.Add(row(7), 1)
+	if c.arity != 1 || !c.Equal(Of(row(7))) {
+		t.Fatalf("refill after Clear: arity %d, %v", c.arity, c)
+	}
+	if again, _ := c.IndexOn([]int{0}); again != ix || len(ix.m) != 1 {
+		t.Fatalf("the bag's own index did not follow the refill: %d buckets", len(ix.m))
+	}
+	c.Remove(row(7), 1)
+	c.Add(row(7, 8, 9), 2)
+	if c.arity != 3 || c.Count(row(7, 8, 9)) != 2 {
+		t.Fatalf("refill after removing everything: arity %d, %v", c.arity, c)
+	}
+	if msg := checkIndexOn(c); msg != "" {
+		t.Fatalf("the bag's own index across an arity change: %s", msg)
+	}
+
+	// A mismatched removal is a no-op; a mismatched insert names both arities.
+	c.Remove(row(7, 8), 1)
+	c.Add(row(1, 2, 3, 4), -1)
+	if c.Len() != 2 || c.Distinct() != 1 {
+		t.Fatalf("a mismatched removal changed the bag: %v", c)
+	}
+	msg := arityPanic(func() { c.Add(row(1, 2), 1) })
+	if !strings.Contains(msg, "2-column") || !strings.Contains(msg, "3-column") {
+		t.Fatalf("mismatched Add panicked with %q, want both arities", msg)
+	}
+	if msg := arityPanic(func() { Max(a, Of(row(1))) }); msg == "" {
+		t.Fatal("Max of a 2- and a 1-column bag did not panic")
+	}
+}
+
+// mustJoin is l ⋈ r on their first columns, projected or not.
+func mustJoin(l, r *Bag, project []int) *Bag {
+	out, _ := (&Join{Project: project}).Indexed(l, []int{0}, NewIndex(r, []int{0}), false)
+	return out
+}
+
+// arityPanic runs f and returns what it panicked with, "" if nothing.
+func arityPanic(f func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	f()
+	return ""
 }
 
 // TestCloneCopiesOnceAtTheFirstWrite walks the copy-on-write life of a

@@ -6,13 +6,14 @@ import (
 	"dvm/internal/schema"
 )
 
-// IndexEntry is one row stored under an index key: the full tuple, its
+// indexEntry is one row stored under an index key: the full tuple, as
+// its bag's entry stores it (under the arity of the index's src), its
 // canonical key (kept so join outputs can compose their keys from the
-// operands' instead of re-encoding), and its multiplicity.
-type IndexEntry struct {
-	Tuple schema.Tuple
-	Key   string
-	Count int
+// operands' instead of re-encoding), and its multiplicity. 32 bytes.
+type indexEntry struct {
+	p     *schema.Value
+	key   string
+	count int
 }
 
 // Index is a hash index over one bag, keyed on a subset of its columns
@@ -33,7 +34,7 @@ type Index struct {
 	// the join's fan-out is, and a map sized for the rows keeps that many
 	// empty slots for good. Only Join.Hash's throw-away index, built on
 	// the smaller and typically key-unique side, is pre-sized (newIndex).
-	m map[string][]IndexEntry
+	m map[string][]indexEntry
 	// at addresses every entry by its full-tuple key: the entry's slot
 	// in its bucket. A change to a hot key's bucket is then a lookup and
 	// a swap, whatever the bucket's size.
@@ -67,7 +68,7 @@ func newIndex(b *Bag, positions []int, addressable bool) *Index {
 	ix := &Index{
 		src: b,
 		pos: positions,
-		m:   make(map[string][]IndexEntry, keys),
+		m:   make(map[string][]indexEntry, keys),
 	}
 	if addressable { // and so syncable: NewIndex has made b.dx
 		ix.at = make(map[string]int, len(b.m))
@@ -75,12 +76,12 @@ func newIndex(b *Bag, positions []int, addressable bool) *Index {
 	}
 	var key []byte
 	for k, e := range b.m {
-		key = e.tuple.AppendKeyAt(key[:0], positions)
+		key = b.tupleAt(e.p).AppendKeyAt(key[:0], positions)
 		bucket := ix.m[string(key)]
 		if addressable {
 			ix.at[k] = len(bucket)
 		}
-		ix.m[string(key)] = append(bucket, IndexEntry{Tuple: e.tuple, Key: k, Count: e.count})
+		ix.m[string(key)] = append(bucket, indexEntry{p: e.p, key: k, count: e.count})
 	}
 	return ix
 }
@@ -142,36 +143,36 @@ func (ix *Index) Sync(b *Bag) (applied int, ok bool) {
 func (ix *Index) applyAll(ents []jentry) {
 	for _, e := range ents {
 		if e.d != 0 {
-			ix.apply(e.k, e.t, e.d)
+			ix.apply(e)
 		}
 	}
 }
 
-// apply folds one effective mutation of the tuple t (canonical key k)
-// into the index, in O(1): the entry is found through at, and a removed
-// entry's slot is refilled from the bucket's end.
-func (ix *Index) apply(k string, t schema.Tuple, d int) {
-	ix.buf = t.AppendKeyAt(ix.buf[:0], ix.pos)
+// apply folds one effective mutation into the index, in O(1): the entry
+// is found through at, and a removed entry's slot is refilled from the
+// bucket's end.
+func (ix *Index) apply(e jentry) {
+	ix.buf = ix.src.tupleAt(e.p).AppendKeyAt(ix.buf[:0], ix.pos)
 	bucket := ix.m[string(ix.buf)]
 	ix.steps++
-	i, ok := ix.at[k]
+	i, ok := ix.at[e.k]
 	switch {
 	case !ok:
-		if d > 0 {
-			ix.at[k] = len(bucket)
-			ix.m[string(ix.buf)] = append(bucket, IndexEntry{Tuple: t, Key: k, Count: d})
+		if e.d > 0 {
+			ix.at[e.k] = len(bucket)
+			ix.m[string(ix.buf)] = append(bucket, indexEntry{p: e.p, key: e.k, count: e.d})
 		}
-	case bucket[i].Count+d > 0:
-		bucket[i].Count += d
+	case bucket[i].count+e.d > 0:
+		bucket[i].count += e.d
 	default:
 		last := len(bucket) - 1
 		if i != last {
 			ix.steps++
 			bucket[i] = bucket[last]
-			ix.at[bucket[i].Key] = i
+			ix.at[bucket[i].key] = i
 		}
-		bucket[last] = IndexEntry{} // or the backing array keeps the tuple and its key alive
-		delete(ix.at, k)
+		bucket[last] = indexEntry{} // or the backing array keeps the tuple and its key alive
+		delete(ix.at, e.k)
 		if last == 0 {
 			delete(ix.m, string(ix.buf))
 		} else {
@@ -208,25 +209,30 @@ func (j *Join) Indexed(probe *Bag, probePos []int, ix *Index, buildLeft bool) (o
 		probePred, buildPred = buildPred, probePred
 	}
 	out = New()
+	if project != nil {
+		out.arity = len(project) // the projected path writes out.m directly
+	}
 	// Scratch row and key buffer belong to this call, never to the index:
 	// the writer and readers run joins side by side.
 	var row schema.Tuple
 	var kb [128]byte
 	buf := kb[:0]
 	for kp, ep := range probe.m {
-		if probePred != nil && !probePred(ep.tuple) {
+		pt := probe.tupleAt(ep.p)
+		if probePred != nil && !probePred(pt) {
 			continue
 		}
-		buf = ep.tuple.AppendKeyAt(buf[:0], probePos)
+		buf = pt.AppendKeyAt(buf[:0], probePos)
 		for _, eb := range ix.m[string(buf)] {
 			probed++
-			if buildPred != nil && !buildPred(eb.Tuple) {
+			bt := ix.src.tupleAt(eb.p)
+			if buildPred != nil && !buildPred(bt) {
 				continue
 			}
 			if row == nil {
-				row = make(schema.Tuple, len(ep.tuple)+len(eb.Tuple))
+				row = make(schema.Tuple, len(pt)+len(bt))
 			}
-			lt, rt := ep.tuple, eb.Tuple
+			lt, rt := pt, bt
 			if buildLeft {
 				lt, rt = rt, lt
 			}
@@ -235,12 +241,12 @@ func (j *Join) Indexed(probe *Bag, probePos []int, ix *Index, buildLeft bool) (o
 			if cross != nil && !cross(row) {
 				continue
 			}
-			n := ep.count * eb.Count
+			n := ep.count * eb.count
 			if project != nil {
 				buf = row.AppendKeyAt(buf[:0], project)
 				e, ok := out.m[string(buf)]
 				if !ok {
-					e.tuple = row.Project(project)
+					e.p = row.Project(project).Ptr()
 				}
 				e.count += n
 				out.m[string(buf)] = e
@@ -251,9 +257,9 @@ func (j *Join) Indexed(probe *Bag, probePos []int, ix *Index, buildLeft bool) (o
 			// halves' keys (per-value self-delimiting encoding), so the
 			// output key is composed, never re-encoded.
 			if buildLeft {
-				out.addKeyed(eb.Key+kp, row, n)
+				out.addKeyed(eb.key+kp, row, n)
 			} else {
-				out.addKeyed(kp+eb.Key, row, n)
+				out.addKeyed(kp+eb.key, row, n)
 			}
 			row = nil // the output owns it now
 		}

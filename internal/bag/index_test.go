@@ -158,7 +158,7 @@ func TestIndexRemoveReleasesEntry(t *testing.T) {
 		if len(bucket) != 2 {
 			t.Fatalf("bucket holds %d entries after one removal, want 2", len(bucket))
 		}
-		if vacated := bucket[:3][2]; vacated.Tuple != nil || vacated.Key != "" {
+		if vacated := bucket[:3][2]; vacated.p != nil || vacated.key != "" {
 			t.Fatalf("vacated slot still holds %v", vacated)
 		}
 	}

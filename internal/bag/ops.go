@@ -23,18 +23,29 @@ func Applied(b, del, add *Bag, keep func(schema.Tuple) bool) *Bag {
 		}
 	}
 	out := NewSized(n)
-	b.eachApplied(del, add, keep, func(k string, e entry) { out.addKeyed(k, e.tuple, e.count) })
+	b.eachApplied(del, add, keep, func(k string, t schema.Tuple, n int) { out.addKeyed(k, t, n) })
+	return out
+}
+
+// The operators below write their output's map directly, past addKeyed,
+// so each sets the output's arity itself: that of the operand its
+// entries come from.
+
+// newLike returns an empty bag for entries taken from a.
+func newLike(a *Bag) *Bag {
+	out := New()
+	out.arity = a.arity
 	return out
 }
 
 // Monus returns a ∸ b: per-tuple multiplicity max(0, n_a - n_b).
 // This is the paper's "∸" operator, distinct from SQL EXCEPT.
 func Monus(a, b *Bag) *Bag {
-	out := New()
+	out := newLike(a)
 	for k, e := range a.m {
 		n := e.count - b.m[k].count
 		if n > 0 {
-			out.m[k] = entry{tuple: e.tuple, count: n}
+			out.m[k] = entry{p: e.p, count: n}
 			out.size += n
 		}
 	}
@@ -47,14 +58,14 @@ func Min(a, b *Bag) *Bag {
 	if len(b.m) < len(a.m) {
 		a, b = b, a
 	}
-	out := New()
+	out := newLike(a)
 	for k, e := range a.m {
 		n := e.count
 		if bn := b.m[k].count; bn < n {
 			n = bn
 		}
 		if n > 0 {
-			out.m[k] = entry{tuple: e.tuple, count: n}
+			out.m[k] = entry{p: e.p, count: n}
 			out.size += n
 		}
 	}
@@ -66,12 +77,12 @@ func Min(a, b *Bag) *Bag {
 // kept disjoint can have in common after a change that touched only
 // those tuples.
 func MinWithin(a, b *Bag, within ...*Bag) *Bag {
-	out := New()
+	out := newLike(a)
 	for _, w := range within {
 		for k := range w.m {
 			e := a.m[k]
 			if n := min(e.count, b.m[k].count); n > 0 && out.m[k].count == 0 {
-				out.m[k] = entry{tuple: e.tuple, count: n}
+				out.m[k] = entry{p: e.p, count: n}
 				out.size += n
 			}
 		}
@@ -83,10 +94,13 @@ func MinWithin(a, b *Bag, within ...*Bag) *Bag {
 // Defined in the paper as a ⊎ (b ∸ a); computed directly here.
 func Max(a, b *Bag) *Bag {
 	out := a.private() // out.m is written directly, past the copy-on-write check
+	if len(b.m) > 0 && b.arity != out.arity {
+		out.setArity(b.arity) // panics unless a is empty: out would mix arities
+	}
 	for k, e := range b.m {
 		if have := out.m[k].count; e.count > have {
 			out.size += e.count - have
-			out.m[k] = entry{tuple: e.tuple, count: e.count}
+			out.m[k] = e
 		}
 	}
 	return out
@@ -97,7 +111,7 @@ func Max(a, b *Bag) *Bag {
 // (Section 2.1). It equals Π1(σ1=2(a × (ε(a) ∸ b))) but is computed
 // directly.
 func Except(a, b *Bag) *Bag {
-	out := New()
+	out := newLike(a)
 	for k, e := range a.m {
 		if b.m[k].count == 0 {
 			out.m[k] = e
@@ -109,9 +123,9 @@ func Except(a, b *Bag) *Bag {
 
 // DupElim returns ε(a): every tuple of a with multiplicity 1.
 func DupElim(a *Bag) *Bag {
-	out := New()
+	out := newLike(a)
 	for k, e := range a.m {
-		out.m[k] = entry{tuple: e.tuple, count: 1}
+		out.m[k] = entry{p: e.p, count: 1}
 	}
 	out.size = len(out.m)
 	return out
@@ -119,9 +133,9 @@ func DupElim(a *Bag) *Bag {
 
 // Select returns σ_p(a) for a predicate over tuples.
 func Select(a *Bag, pred func(schema.Tuple) bool) *Bag {
-	out := New()
+	out := newLike(a)
 	for k, e := range a.m {
-		if pred(e.tuple) {
+		if pred(a.tupleAt(e.p)) {
 			out.m[k] = e
 			out.size += e.count
 		}
@@ -135,7 +149,7 @@ func Select(a *Bag, pred func(schema.Tuple) bool) *Bag {
 func Project(a *Bag, f func(schema.Tuple) schema.Tuple) *Bag {
 	out := New()
 	for _, e := range a.m {
-		out.Add(f(e.tuple), e.count)
+		out.Add(f(a.tupleAt(e.p)), e.count)
 	}
 	return out
 }
@@ -146,7 +160,7 @@ func Product(a, b *Bag) *Bag {
 	for ka, ea := range a.m {
 		for kb, eb := range b.m {
 			// Concat keys compose: key(s ++ t) = key(s) + key(t).
-			out.addKeyed(ka+kb, ea.tuple.Concat(eb.tuple), ea.count*eb.count)
+			out.addKeyed(ka+kb, a.tupleAt(ea.p).Concat(b.tupleAt(eb.p)), ea.count*eb.count)
 		}
 	}
 	return out
@@ -158,7 +172,7 @@ func ProductSelect(a, b *Bag, pred func(schema.Tuple) bool) *Bag {
 	out := New()
 	for ka, ea := range a.m {
 		for kb, eb := range b.m {
-			t := ea.tuple.Concat(eb.tuple)
+			t := a.tupleAt(ea.p).Concat(b.tupleAt(eb.p))
 			if pred(t) {
 				out.addKeyed(ka+kb, t, ea.count*eb.count)
 			}

@@ -296,7 +296,7 @@ func checkIndexOn(b *Bag) string {
 	n := 0
 	for _, bucket := range ix.m {
 		for i, e := range bucket {
-			if at, ok := ix.at[e.Key]; !ok || at != i {
+			if at, ok := ix.at[e.key]; !ok || at != i {
 				return "IndexOn entry not addressed at its bucket slot"
 			}
 			n++
@@ -327,7 +327,7 @@ func indexContents(ix *Index) map[string]map[string]int {
 	for k, bucket := range ix.m {
 		out[k] = map[string]int{}
 		for _, e := range bucket {
-			out[k][e.Key] += e.Count
+			out[k][e.key] += e.count
 		}
 	}
 	return out
@@ -369,10 +369,10 @@ func TestPropIndexOnFollowsEveryMutation(t *testing.T) {
 			func() {},
 			func() { b.ApplyDelta(d1.B, a1.B) },
 			func() { b.AddBag(a2.B) },
-			func() { // more single changes than the journal window holds
+			func() { // more single changes than the journal window holds, in genBag's arity
 				for i := 0; i < 2*window(b)+3; i++ {
-					b.Add(schema.Row(i%7, i), 1+i%2)
-					b.Remove(schema.Row((i+3)%7, i/2), 1)
+					b.Add(schema.Row(i%7), 1+i%2)
+					b.Remove(schema.Row((i+3)%7), 1)
 				}
 			},
 			func() { b.Clear() },

@@ -301,6 +301,58 @@ func TestExecuteRejectsInternalWrites(t *testing.T) {
 	}
 }
 
+// TestExecuteWrongArity: a bag holds tuples of one arity and panics on a
+// mismatched insert, and no input reaches that panic. A wrong-arity
+// insert is the schema error, before any bookkeeping; a wrong-arity
+// delete matches no row, so Normalize leaves nothing of it. Either way
+// every table — base, log, differential, MV — is as it was, in every
+// scenario, and the next transaction maintains the view as usual.
+func TestExecuteWrongArity(t *testing.T) {
+	for _, sc := range []Scenario{Immediate, BaseLogs, DiffTables, Combined} {
+		db, def := retailDB(t)
+		m := NewManager(db)
+		if _, err := m.DefineView("hv", def, sc); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Execute(txn.Insert("sales", bag.Of(saleRow(0, 1, 1)))); err != nil {
+			t.Fatal(err)
+		}
+		before := map[string]*bag.Bag{}
+		for _, name := range db.Names() {
+			b, _ := db.Bag(name)
+			before[name] = bag.UnionAll(b, bag.New())
+		}
+		short := schema.Row(0, 1, 1)
+		err := m.Execute(txn.Insert("sales", bag.Of(short)))
+		if err == nil || !strings.Contains(err.Error(), "arity 3 != schema arity 4") {
+			t.Fatalf("%v: a 3-column insert into 4-column sales: err = %v, want the schema error", sc, err)
+		}
+		if err := m.Execute(txn.Txn{
+			"sales":    {Delete: bag.Of(short)},
+			"customer": {Delete: bag.Of(schema.Row(0, "cust", "addr", "High", "extra"))},
+		}); err != nil {
+			t.Fatalf("%v: a wrong-arity delete: %v", sc, err)
+		}
+		for name, want := range before {
+			if got, _ := db.Bag(name); !got.Equal(want) {
+				t.Fatalf("%v: wrong-arity transactions changed %s: %v, was %v", sc, name, got, want)
+			}
+		}
+		if err := m.Execute(txn.Delete("sales", bag.Of(saleRow(0, 1, 1)))); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.CheckInvariant("hv"); err != nil {
+			t.Fatalf("%v: %v", sc, err)
+		}
+		if err := m.Refresh("hv"); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.CheckConsistent("hv"); err != nil {
+			t.Fatalf("%v: %v", sc, err)
+		}
+	}
+}
+
 func TestUnaffectedViewSkipsBookkeeping(t *testing.T) {
 	db, def := retailDB(t)
 	sch := schema.NewSchema(schema.Col("x", schema.TInt))

@@ -39,6 +39,18 @@ import (
 //     checkptr, which checks that at run time, and go vet's unsafeptr
 //     pass checks the conversions.
 //
+// A stored tuple is one pointer too: a bag keeps Ptr of each tuple and
+// the arity its tuples share, and rebuilds the tuple with TupleAt(p, n)
+// (unsafe.Slice). That is sound for the same reasons:
+//
+//   - p always comes from Ptr of a tuple of at least n values that is
+//     immutable once stored (Tuple's doc), so the n values it names exist
+//     and never change.
+//   - p points into the tuple's backing array, and an interior pointer
+//     keeps the whole array alive, exactly as the slice header did.
+//   - unsafe.Slice(p, n) stays inside the one allocation p came from;
+//     checkptr (`go test -race`) checks that at run time.
+//
 // What the layout costs its users: == and reflect.DeepEqual on a Value
 // would compare p, that is, string identity and not string contents.
 // The first does not compile (Value is declared not comparable), the
@@ -122,6 +134,20 @@ func String_(v string) Value {
 // str returns a TString's payload: the header String_ took apart (for
 // the empty string, zero bytes at its tag).
 func (v Value) str() string { return unsafe.String((*byte)(v.p), int(v.i)) }
+
+// Ptr returns the address of the tuple's first value, nil for an empty
+// tuple: with the tuple's length, all TupleAt needs to rebuild it.
+func (t Tuple) Ptr() *Value {
+	if len(t) == 0 {
+		return nil
+	}
+	return &t[0]
+}
+
+// TupleAt returns the n-value tuple at p, where p is Ptr of an immutable
+// tuple of at least n values (see the layout note above). The result's
+// capacity is n, so an append to it copies.
+func TupleAt(p *Value, n int) Tuple { return unsafe.Slice(p, n) }
 
 // Str is a short alias for String_.
 func Str(v string) Value { return String_(v) }

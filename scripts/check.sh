@@ -58,7 +58,9 @@ echo "== fuzz (bounded)"
 go test ./internal/schema -run '^$' -fuzz '^FuzzValue$' -fuzztime=10s
 go test ./internal/algebra -run '^$' -fuzz '^FuzzExprParseEval$' -fuzztime=10s
 go test ./internal/algebra -run '^$' -fuzz '^FuzzCompiledEval$' -fuzztime=10s
-go test ./internal/bag -run '^$' -fuzz '^FuzzBagOps$' -fuzztime=10s
+# Under -race, checkptr validates every tuple a bag rebuilds from its
+# one-pointer entry (schema.TupleAt) on fuzzed programs.
+go test -race ./internal/bag -run '^$' -fuzz '^FuzzBagOps$' -fuzztime=10s
 go test ./internal/sql -run '^$' -fuzz '^FuzzParse$' -fuzztime=10s
 # The one fuzzer that maintains a SQL-defined COMBINED view (PROPAGATE /
 # REFRESH + CHECK INVARIANT) — the path whose plan comes from sql.compile.
