@@ -130,3 +130,36 @@ func TestThrowAwayIndexDoesNotRegrow(t *testing.T) {
 		t.Errorf("a one-bucket index over %d rows allocated %d objects", rows, product)
 	}
 }
+
+// TestFlatReadsAllocateNoMore pins the allocations of four readers on
+// flat bags — Monus, Select, Join.Indexed and a filtered Applied — at
+// the counts they had when each walked its operand's map itself. Every
+// reader now walks through each and looks up through get, which keep a
+// two-level bag's overlay over its base; the closures they take stay on
+// the caller's stack, so a flat read allocates only its output, as
+// before. (The counts are those of go1.24's maps for these sizes.)
+func TestFlatReadsAllocateNoMore(t *testing.T) {
+	a := keyedRows(200, 20)
+	b := keyedRows(300, 20) // shares a's 200 tuples
+	del, add := keyedRows(50, 5), New()
+	for i := 0; i < 40; i++ {
+		add.Add(schema.Row(i%5, 1000+i), 1)
+	}
+	odd := func(tu schema.Tuple) bool { return tu[1].AsInt()%2 == 1 }
+	ix := NewIndex(b, []int{0})
+	j := &Join{Left: odd, Project: []int{0, 1, 3}}
+	for _, c := range []struct {
+		name string
+		f    func()
+		want float64
+	}{
+		{"Monus", func() { keptMap = Monus(b, a) }, 12},
+		{"Select", func() { keptMap = Select(a, odd) }, 12},
+		{"Join.Indexed", func() { keptMap, _ = j.Indexed(a, []int{0}, ix, false) }, 3024},
+		{"Applied, filtered", func() { keptMap = Applied(a, del, add, odd) }, 14},
+	} {
+		if got := testing.AllocsPerRun(20, c.f); got != c.want {
+			t.Errorf("%s allocates %v times, want %v", c.name, got, c.want)
+		}
+	}
+}

@@ -6,14 +6,19 @@
 //
 // A Bag maps canonical tuple keys to (tuple, multiplicity) entries. All
 // operations are pure: they return fresh bags and never mutate operands,
-// except the explicitly-mutating Add/AddBag/ApplyDelta/Remove/Clear/Adopt
-// used by the storage and maintenance layers.
+// except the explicitly-mutating Add/AddBag/ApplyDelta/AddMonus/Remove/
+// Clear/Adopt used by the storage and maintenance layers.
 //
 // Clone is copy-on-write: the copy is a handle on the source's map, and
 // whichever of the two bags is mutated first copies the map then — or,
 // for a view table that readers Clone under a read lock, its single
-// writer copies it ahead of the exclusive lock (Unshared, then Adopt
-// under the lock), so readers never wait for a copy.
+// writer prepares the write ahead of the exclusive lock (Prepare, then
+// Adopt under the lock), so readers never wait for a copy. A bag the
+// writer prepared while readers share it is written as two levels: the
+// shared map, frozen as a base, under a private overlay of the keys
+// changed since. A write after a Clone then copies the overlay, not the
+// bag, until the overlay has cost what a copy of the base would
+// (Prepare's rule), when the two fold back into one flat map.
 package bag
 
 import (
@@ -45,9 +50,12 @@ type entry struct {
 // every operator's output has one schema. Removing a tuple of another
 // arity is a no-op, like removing any tuple the bag does not hold.
 type Bag struct {
+	// m is a flat bag's contents. Of a two-level bag (lv != nil) it is the
+	// overlay: the entries changed since lv.base froze, where an entry of
+	// count 0 is a tombstone, a deleted key.
 	m     map[string]entry
 	size  int // total multiplicity
-	arity int // the length of every tuple in m
+	arity int // the length of every tuple the bag holds
 	// peak is the most distinct tuples m has held since it was allocated
 	// (a map's buckets only grow, so this is its capacity); last's low 31
 	// bits are the distinct count at the previous Clear, and Clear's
@@ -64,6 +72,23 @@ type Bag struct {
 	// an index is first asked for, so a transient bag pays one word for
 	// it.
 	dx *derived
+	// lv is nil for a flat bag — every bag the pure operators build — and
+	// holds the frozen base of a two-level one (Prepare).
+	lv *levels
+}
+
+// levels is the frozen half of a two-level bag. base was a map readers
+// shared when the bag went two-level, and no bag writes it again, so
+// every bag holding it may go on reading it. Each bag has levels of its
+// own (Clone copies the struct), so distinct and rent are its writer's.
+type levels struct {
+	base     map[string]entry
+	distinct int // the bag's distinct tuples, both levels together
+	// rent is what the overlay has cost since base froze: the entries
+	// copied with it plus the entries written into it. Prepare folds the
+	// levels into one map once rent would reach len(base), the price of
+	// the copy the overlay stands in for.
+	rent int
 }
 
 const (
@@ -77,14 +102,16 @@ func sat32(n int) uint32 { return uint32(min(uint64(n), math.MaxUint32)) }
 // sat31 is n as a saturating 31-bit count: last's fill.
 func sat31(n int) uint32 { return uint32(min(uint64(n), fillMask)) }
 
-// copies counts the map copies copy-on-write has made (Copies).
-var copies atomic.Uint64
+// copied counts the entries copy-on-write has copied (CopiedEntries).
+var copied atomic.Uint64
 
-// Copies returns how many times, process-wide, a bag's map has been
-// copied because a Clone shared it: by the first mutation of a shared
-// bag, or ahead of it by Unshared. Clone itself never copies. Tests
-// read the count to prove where, and how often, the copies are paid.
-func Copies() uint64 { return copies.Load() }
+// CopiedEntries returns how many map entries, process-wide, copy-on-write
+// has copied because a Clone shared them: a flat bag's whole map or a
+// two-level bag's overlay at the first write after a Clone, or ahead of
+// it in Prepare, and every entry a Prepare folds into one map. Clone
+// itself copies none. Tests read the count to prove where copies are
+// paid, and that they grow with what changed rather than with the bag.
+func CopiedEntries() uint64 { return copied.Load() }
 
 // isShared reports whether b's map may also be another bag's.
 func (b *Bag) isShared() bool { return b.last.Load()&shared != 0 }
@@ -93,12 +120,49 @@ func (b *Bag) isShared() bool { return b.last.Load()&shared != 0 }
 // index or journal over b) stores.
 func (b *Bag) tupleAt(p *schema.Value) schema.Tuple { return schema.TupleAt(p, b.arity) }
 
+// get returns k's entry, or a zero one (count 0, no tuple) when b does
+// not hold k: a two-level bag's overlay answers before its base, and a
+// tombstone reads as absent. Every lookup of a bag's contents is get.
+func (b *Bag) get(k string) entry {
+	if b.lv == nil {
+		return b.m[k]
+	}
+	if e, ok := b.m[k]; ok {
+		return e
+	}
+	return b.lv.base[k]
+}
+
+// each calls f once per distinct tuple of b, with its key and entry, in
+// no particular order: a two-level bag's base entries the overlay does
+// not shadow, then the overlay's live ones. Every walk over a bag's
+// contents is each. f must not mutate b; each does not retain f, so a
+// caller's closure stays on its stack.
+func (b *Bag) each(f func(k string, e entry)) {
+	if b.lv == nil {
+		for k, e := range b.m {
+			f(k, e)
+		}
+		return
+	}
+	for k, e := range b.lv.base {
+		if _, ok := b.m[k]; !ok {
+			f(k, e)
+		}
+	}
+	for k, e := range b.m {
+		if e.count > 0 {
+			f(k, e)
+		}
+	}
+}
+
 // setArity makes n the arity of b, which must be empty. A change left in
 // the journal window stores a tuple of the old arity, which must not be
 // read under the new one, so then the window restarts, as at a Clear. (A
 // no-op entry stores no tuple.)
 func (b *Bag) setArity(n int) {
-	if len(b.m) != 0 {
+	if b.Distinct() != 0 {
 		panic(fmt.Sprintf("bag: adding a %d-column tuple to a bag of %d-column tuples", n, b.arity))
 	}
 	b.arity = n
@@ -107,24 +171,33 @@ func (b *Bag) setArity(n int) {
 	}
 }
 
-// copyMap returns a private copy of b's map, sized for its contents and
-// no more: a map's capacity rounds up to a power of two, so headroom for
-// the write to come can double the copy, while the write itself grows
-// the copy one small table at a time.
-func (b *Bag) copyMap() map[string]entry {
-	m := make(map[string]entry, len(b.m))
+// copyLevel returns a private copy of the map b writes — a flat bag's
+// contents, a two-level bag's overlay, tombstones included — with room
+// for extra entries beyond them, and counts the entries it copies. A map's
+// capacity rounds up to a power of two, so room beyond the write to come
+// can double the copy.
+func (b *Bag) copyLevel(extra int) map[string]entry {
+	copied.Add(uint64(len(b.m)))
+	m := make(map[string]entry, len(b.m)+extra)
 	for k, e := range b.m {
 		m[k] = e
 	}
 	return m
 }
 
-// private returns an eager copy of b: a bag whose map is its own from
-// the start, for a caller that writes it at once, where a Clone would
-// only defer the copy to the first write.
-func (b *Bag) private() *Bag { return &Bag{m: b.copyMap(), size: b.size, arity: b.arity} }
+// flat returns b's contents as one map of its own, sized for them.
+func (b *Bag) flat() map[string]entry {
+	m := make(map[string]entry, b.Distinct())
+	b.each(func(k string, e entry) { m[k] = e })
+	return m
+}
 
-// own makes m, a copy of b's map that no other bag holds, b's map, and
+// private returns an eager copy of b: a flat bag whose map is its own
+// from the start, for a caller that writes it at once, where a Clone
+// would only defer the copy to the first write.
+func (b *Bag) private() *Bag { return &Bag{m: b.flat(), size: b.size, arity: b.arity} }
+
+// own makes m, a map that no other bag holds, the map b writes, and
 // clears the shared mark. It runs only where b may be mutated: never
 // concurrently with a Clone of b.
 func (b *Bag) own(m map[string]entry) {
@@ -135,7 +208,7 @@ func (b *Bag) own(m map[string]entry) {
 // derived is the journal-and-index state of a bag that has been indexed.
 type derived struct {
 	// ver is bumped on every mutation of the bag (Add/AddBag/ApplyDelta/
-	// Remove/Clear) since it was first indexed. An Index records the
+	// AddMonus/Remove/Clear) since it was first indexed. An Index records the
 	// version it describes: same bag plus same version means unchanged
 	// contents.
 	ver uint64
@@ -207,19 +280,25 @@ func (b *Bag) Add(t schema.Tuple, n int) *Bag {
 
 // addKeyed is Add for callers that already hold t's canonical key —
 // iterating another bag's map, or composing a join output's key from
-// its operands' keys — so hot paths skip re-encoding the tuple.
+// its operands' keys — so hot paths skip re-encoding the tuple. It
+// writes only a level of b's own: a map a Clone shares is copied first,
+// a two-level bag's overlay alone, and a two-level write adds to the
+// rent. It never folds the levels — only Prepare does, outside the
+// writer's lock.
 func (b *Bag) addKeyed(k string, t schema.Tuple, n int) *Bag {
 	if n == 0 {
 		return b
 	}
 	if b.isShared() {
-		copies.Add(1)
-		b.own(b.copyMap())
+		if b.lv != nil {
+			b.lv.rent += len(b.m)
+		}
+		b.own(b.copyLevel(0))
 	}
-	e, ok := b.m[k] // e.p is nil when !ok, and stays nil for a no-op
-	d := 0          // effective delta after clamping
+	e := b.get(k) // e.p is nil when b lacks k, and stays nil for a no-op
+	d := 0        // effective delta after clamping
 	switch {
-	case !ok:
+	case e.count == 0:
 		if n > 0 {
 			if len(t) != b.arity {
 				b.setArity(len(t))
@@ -229,16 +308,23 @@ func (b *Bag) addKeyed(k string, t schema.Tuple, n int) *Bag {
 			b.size += n
 			d = n
 			b.peak = max(b.peak, sat32(len(b.m)))
+			b.lv.wrote(1)
 		}
 	case e.count+n <= 0:
 		b.size -= e.count
-		delete(b.m, k)
 		d = -e.count
+		if b.lv == nil {
+			delete(b.m, k)
+		} else {
+			b.m[k] = entry{} // a tombstone, over the base's entry if it has one
+		}
+		b.lv.wrote(-1)
 	default:
 		d = n
 		b.size += n
 		e.count += n
 		b.m[k] = e
+		b.lv.wrote(0)
 	}
 	if b.dx != nil {
 		b.journal(k, e.p, d)
@@ -246,11 +332,18 @@ func (b *Bag) addKeyed(k string, t schema.Tuple, n int) *Bag {
 	return b
 }
 
+// wrote records one overlay write that changed the distinct count by
+// dd; a flat bag (nil levels) keeps no such record.
+func (lv *levels) wrote(dd int) {
+	if lv != nil {
+		lv.rent++
+		lv.distinct += dd
+	}
+}
+
 // AddBag folds all of o's contents into b in place.
 func (b *Bag) AddBag(o *Bag) *Bag {
-	for k, e := range o.m {
-		b.addKeyed(k, o.tupleAt(e.p), e.count)
-	}
+	o.each(func(k string, e entry) { b.addKeyed(k, o.tupleAt(e.p), e.count) })
 	return b
 }
 
@@ -259,12 +352,27 @@ func (b *Bag) AddBag(o *Bag) *Bag {
 // differential table from a change batch). It walks the operands' maps
 // by key, so no tuple key is re-encoded, and journals each change like
 // Add, so indexes cached over b keep syncing. del and add are only
-// read; neither may be b itself.
+// read; neither may be b itself, and a nil one is empty.
 func (b *Bag) ApplyDelta(del, add *Bag) *Bag {
-	for k, e := range del.m {
-		b.addKeyed(k, del.tupleAt(e.p), -e.count)
+	if del != nil {
+		del.each(func(k string, e entry) { b.addKeyed(k, del.tupleAt(e.p), -e.count) })
 	}
-	return b.AddBag(add)
+	if add != nil {
+		b.AddBag(add)
+	}
+	return b
+}
+
+// AddMonus sets b := b ⊎ (a ∸ c) in place, in O(|a|), without building
+// a ∸ c: the Del half of the composition lemma's merge (Lemma 3), which
+// reads c before c changes. a and c are only read; neither may be b.
+func (b *Bag) AddMonus(a, c *Bag) *Bag {
+	a.each(func(k string, e entry) {
+		if n := e.count - c.get(k).count; n > 0 {
+			b.addKeyed(k, a.tupleAt(e.p), n)
+		}
+	})
+	return b
 }
 
 // Remove removes up to n copies of t.
@@ -289,9 +397,10 @@ const clearFloor = 8
 // fill: it is judged by the last one alone and leaves the record as it
 // is, so a log that sits out a round keeps what it had.) A map the bag
 // shares with a Clone is never cleared — the clones keep their contents
-// — so a shared bag starts over with a fresh map, sized by the same rule.
+// — so a shared bag starts over with a fresh map, sized by the same
+// rule, and so does a two-level bag, which Clear leaves flat.
 func (b *Bag) Clear() {
-	n := len(b.m)
+	n := b.Distinct()
 	fill := b.last.Load() & fillMask
 	keep := int(fill) // the fill both rounds justify
 	if n > 0 {
@@ -299,12 +408,13 @@ func (b *Bag) Clear() {
 		fill = sat31(n)
 	}
 	shrink := max(int(b.peak), n) > max(4*keep, clearFloor)
-	if shrink || b.isShared() {
+	if shrink || b.isShared() || b.lv != nil {
 		b.m = make(map[string]entry, keep)
 		b.peak = sat32(keep)
 	} else {
 		clear(b.m)
 	}
+	b.lv = nil
 	b.last.Store(fill)
 	b.size = 0
 	if b.dx != nil {
@@ -376,7 +486,7 @@ func (b *Bag) journalSince(v uint64) ([]jentry, bool) {
 }
 
 // Count returns the multiplicity of t.
-func (b *Bag) Count(t schema.Tuple) int { return b.m[t.Key()].count }
+func (b *Bag) Count(t schema.Tuple) int { return b.get(t.Key()).count }
 
 // Contains reports whether t occurs at least once.
 func (b *Bag) Contains(t schema.Tuple) bool { return b.Count(t) > 0 }
@@ -385,20 +495,26 @@ func (b *Bag) Contains(t schema.Tuple) bool { return b.Count(t) > 0 }
 func (b *Bag) Len() int { return b.size }
 
 // Distinct returns the number of distinct tuples.
-func (b *Bag) Distinct() int { return len(b.m) }
+func (b *Bag) Distinct() int {
+	if b.lv != nil {
+		return b.lv.distinct
+	}
+	return len(b.m)
+}
 
 // Empty reports whether the bag has no tuples.
 func (b *Bag) Empty() bool { return b.size == 0 }
 
-// Clone returns a copy of b that costs one small allocation, however
-// large b is: a copy-on-write handle. The two bags share b's map, both
-// marked shared, until one of them is mutated; that one copies the map
-// first, and Clear on a shared bag starts a fresh map instead of
-// emptying the shared one. So either bag may be mutated or cleared
-// without the other noticing, as with a deep copy (tuples are immutable
-// and always shared). Clone only reads b — it sets b's mark atomically —
-// so readers may Clone a table concurrently under a read lock. The
-// clone has no indexes (IndexOn) of its own yet.
+// Clone returns a copy of b that costs one or two small allocations,
+// however large b is: a copy-on-write handle. The two bags share b's
+// map — of a two-level bag, both levels — both marked shared, until one
+// of them is mutated; that one copies the map first (the overlay alone,
+// of a two-level bag), and Clear on a shared bag starts a fresh map
+// instead of emptying the shared one. So either bag may be mutated or
+// cleared without the other noticing, as with a deep copy (tuples are
+// immutable and always shared). Clone only reads b — it sets b's mark
+// atomically — so readers may Clone a table concurrently under a read
+// lock. The clone has no indexes (IndexOn) of its own yet.
 func (b *Bag) Clone() *Bag {
 	for {
 		l := b.last.Load()
@@ -407,39 +523,82 @@ func (b *Bag) Clone() *Bag {
 		}
 	}
 	c := &Bag{m: b.m, size: b.size, arity: b.arity}
+	if b.lv != nil {
+		lv := *b.lv
+		c.lv = &lv
+	}
 	c.last.Store(shared)
 	return c
 }
 
-// Unshared is the half of a write to a shared bag that its single writer
-// pays outside the lock its readers take: when b shares its map with a
-// Clone, it returns a private copy of b; otherwise nil. It only reads b,
-// so readers may go on Cloning b meanwhile. Under the exclusive lock the
-// writer then installs the copy with Adopt in O(1), and the copy a
-// mutation of b would owe is never paid while readers wait.
-func (b *Bag) Unshared() *Bag {
-	if !b.isShared() {
-		return nil
+// Prepare is the half of a write to a shared bag that its single writer
+// pays outside the lock its readers take. pending is how many entries
+// the write is expected to change. Prepare returns b's contents in the
+// form the write should find them — a bag that shares no writable map
+// with any other — or nil when b may be written as it is. It only reads
+// b, so readers may go on Cloning b meanwhile; under the exclusive lock
+// the writer installs the result with Adopt, in O(1), and the write
+// itself then copies nothing.
+//
+// The form is ski rental: rent an overlay until the rent paid would
+// reach the price of a copy.
+//   - A flat bag no Clone shares owes nothing.
+//   - A flat, shared bag is copied whole when the write changes at least
+//     as many entries as it holds; otherwise it goes two-level, in O(1):
+//     its map is frozen as the base, under an empty overlay.
+//   - A two-level bag is folded into one flat map, sized for its
+//     contents, once its rent, plus its overlay if that must be copied,
+//     plus pending reaches the base's size; otherwise a shared overlay
+//     is copied, and a private one owes nothing.
+//
+// Between two folds the overlay costs at most one copy of the base, so
+// no sequence of writes copies more than copying the bag at every write
+// would; with a Clone before every write of Δ entries, a fold comes
+// every √(2·|b|/Δ) writes or so. The rule compares against the base's
+// own size, with no constant to tune. A write larger than pending only
+// makes the next Prepare fold.
+func (b *Bag) Prepare(pending int) *Bag {
+	isShared := b.isShared()
+	if b.lv == nil {
+		switch {
+		case !isShared:
+			return nil
+		case pending >= len(b.m):
+			return &Bag{m: b.copyLevel(0), size: b.size, arity: b.arity}
+		}
+		return &Bag{m: make(map[string]entry, pending), size: b.size, arity: b.arity,
+			lv: &levels{base: b.m, distinct: len(b.m)}}
 	}
-	copies.Add(1)
-	return b.private()
+	owed := b.lv.rent + pending
+	if isShared {
+		owed += len(b.m)
+	}
+	switch {
+	case owed >= len(b.lv.base):
+		copied.Add(uint64(b.lv.distinct))
+		return b.private()
+	case isShared:
+		lv := *b.lv
+		lv.rent += len(b.m)
+		return &Bag{m: b.copyLevel(pending), size: b.size, arity: b.arity, lv: &lv}
+	}
+	return nil
 }
 
-// Adopt makes p's map b's own, in O(1), and clears b's shared mark. p
-// must be what b.Unshared returned, with b unchanged since, and is spent:
-// it must not be used again. b keeps its indexes and its journal — its
-// contents are the same.
+// Adopt makes p's levels b's own, in O(1), and clears b's shared mark.
+// p must be what b.Prepare returned, with b unchanged since, and is
+// spent: it must not be used again. b keeps its indexes and its journal
+// — its contents are the same.
 func (b *Bag) Adopt(p *Bag) {
+	b.lv = p.lv
 	b.own(p.m)
-	p.m = nil
+	p.m, p.lv = nil, nil
 }
 
 // Each calls f once per distinct tuple with its multiplicity. Iteration
 // order is unspecified. f must not mutate the bag.
 func (b *Bag) Each(f func(t schema.Tuple, n int)) {
-	for _, e := range b.m {
-		f(b.tupleAt(e.p), e.count)
-	}
+	b.each(func(_ string, e entry) { f(b.tupleAt(e.p), e.count) })
 }
 
 // EachApplied calls f with every tuple of σ_keep((b ∸ del) ⊎ add) and its
@@ -454,27 +613,27 @@ func (b *Bag) EachApplied(del, add *Bag, keep func(schema.Tuple) bool, f func(t 
 
 // eachApplied is EachApplied handing f each tuple's key as well.
 func (b *Bag) eachApplied(del, add *Bag, keep func(schema.Tuple) bool, f func(k string, t schema.Tuple, n int)) {
-	var dm map[string]entry
-	if del != nil {
-		dm = del.m
-	}
-	for k, e := range b.m {
+	b.each(func(k string, e entry) {
 		t := b.tupleAt(e.p)
 		if keep != nil && !keep(t) {
-			continue
+			return
 		}
-		if n := e.count - dm[k].count; n > 0 {
+		n := e.count
+		if del != nil {
+			n -= del.get(k).count
+		}
+		if n > 0 {
 			f(k, t, n)
 		}
-	}
+	})
 	if add == nil {
 		return
 	}
-	for k, e := range add.m {
+	add.each(func(k string, e entry) {
 		if t := add.tupleAt(e.p); keep == nil || keep(t) {
 			f(k, t, e.count)
 		}
-	}
+	})
 }
 
 // EachOrdered calls f once per distinct tuple in canonical (sorted key)
@@ -482,13 +641,11 @@ func (b *Bag) eachApplied(del, add *Bag, keep func(schema.Tuple) bool, f func(k 
 // rendered output, and floating-point accumulation, at the cost of an
 // O(d log d) sort over the d distinct tuples. f must not mutate the bag.
 func (b *Bag) EachOrdered(f func(t schema.Tuple, n int)) {
-	keys := make([]string, 0, len(b.m))
-	for k := range b.m {
-		keys = append(keys, k)
-	}
+	keys := make([]string, 0, b.Distinct())
+	b.each(func(k string, _ entry) { keys = append(keys, k) })
 	sort.Strings(keys)
 	for _, k := range keys {
-		e := b.m[k]
+		e := b.get(k)
 		f(b.tupleAt(e.p), e.count)
 	}
 }
@@ -497,11 +654,11 @@ func (b *Bag) EachOrdered(f func(t schema.Tuple, n int)) {
 // (sorted) order; intended for tests and display.
 func (b *Bag) Tuples() []schema.Tuple {
 	out := make([]schema.Tuple, 0, b.size)
-	for _, e := range b.m {
+	b.each(func(_ string, e entry) {
 		for i := 0; i < e.count; i++ {
 			out = append(out, b.tupleAt(e.p))
 		}
-	}
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
 	return out
 }
@@ -509,15 +666,12 @@ func (b *Bag) Tuples() []schema.Tuple {
 // Equal reports whether two bags contain the same tuples with the same
 // multiplicities.
 func (b *Bag) Equal(o *Bag) bool {
-	if b.size != o.size || len(b.m) != len(o.m) {
+	if b.size != o.size || b.Distinct() != o.Distinct() {
 		return false
 	}
-	for k, e := range b.m {
-		if o.m[k].count != e.count {
-			return false
-		}
-	}
-	return true
+	eq := true
+	b.each(func(k string, e entry) { eq = eq && o.get(k).count == e.count })
+	return eq
 }
 
 // SubBagOf reports b ⊑ o: every tuple's multiplicity in b is ≤ its
@@ -526,12 +680,9 @@ func (b *Bag) SubBagOf(o *Bag) bool {
 	if b.size > o.size {
 		return false
 	}
-	for k, e := range b.m {
-		if o.m[k].count < e.count {
-			return false
-		}
-	}
-	return true
+	sub := true
+	b.each(func(k string, e entry) { sub = sub && o.get(k).count >= e.count })
+	return sub
 }
 
 // String renders the bag as {t1, t1, t2, ...} in canonical order.

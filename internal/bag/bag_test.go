@@ -294,10 +294,12 @@ func TestClearRetentionRule(t *testing.T) {
 
 // A stored tuple is one pointer under its bag's arity, so a map slot
 // (16-byte key, 16-byte entry) is 32 bytes, as are an index bucket's
-// entry and a journal entry; a tuple's slice header made each 48. The
-// arity costs the Bag one word: every operator of every evaluation
-// allocates one, and the shared mark rides in last's top bit so that it
-// stays at five.
+// entry and a journal entry; a tuple's slice header made each 48. Every
+// operator of every evaluation allocates a Bag, and the shared mark
+// rides in last's top bit so that it stays at six words: the arity and
+// the two-level pointer took the fifth and sixth. Six words cost nothing
+// over five — Go allocates a 40-byte object in its 48-byte size class —
+// where a seventh would cost 16 bytes on every operator's output.
 func TestBagSize(t *testing.T) {
 	for _, c := range []struct {
 		name      string
@@ -311,8 +313,8 @@ func TestBagSize(t *testing.T) {
 			t.Errorf("sizeof(%s) = %d, want %d", c.name, c.got, c.want)
 		}
 	}
-	if got := unsafe.Sizeof(Bag{}); got > 40 {
-		t.Errorf("sizeof(Bag) = %d, want at most 40", got)
+	if got := unsafe.Sizeof(Bag{}); got > 48 {
+		t.Errorf("sizeof(Bag) = %d, want at most 48", got)
 	}
 }
 
@@ -417,59 +419,95 @@ func arityPanic(f func()) (msg string) {
 }
 
 // TestCloneCopiesOnceAtTheFirstWrite walks the copy-on-write life of a
-// clone: Clone and reads copy nothing; the first write to either side
-// copies once; the writer's ahead-of-time copy (Unshared, Adopt) takes
-// the place of that copy rather than adding to it; Clear on a shared bag
-// leaves the other side's contents alone; and a bag nothing shares
-// copies nothing at all.
+// clone, counted in entries copied: Clone and reads copy none; the
+// first write to either side of a shared flat map copies the map once;
+// the writer's ahead-of-time Prepare takes the place of that copy — a
+// whole copy for a write as large as the bag, none at all for a smaller
+// one, which goes two-level, then the overlay alone after the next
+// Clone, and a fold into one map once the rent reaches the base; Clear
+// on a shared bag leaves the other side's contents alone; and a bag
+// nothing shares copies nothing at all. Every clone keeps its contents.
 func TestCloneCopiesOnceAtTheFirstWrite(t *testing.T) {
-	src := Of(row(1), row(1), row(2))
-	copies := func(f func()) uint64 {
-		t.Helper()
-		c0 := Copies()
+	entries := func(f func()) uint64 {
+		c0 := CopiedEntries()
 		f()
-		return Copies() - c0
+		return CopiedEntries() - c0
+	}
+	type snap struct {
+		b    *Bag
+		want string
+	}
+	var snaps []snap
+	clone := func(b *Bag) *Bag {
+		c := b.Clone()
+		snaps = append(snaps, snap{c, c.String()})
+		return c
+	}
+	src := New()
+	for i := 0; i < 10; i++ {
+		src.Add(row(i), 1+i%2)
 	}
 	var c *Bag
-	if n := copies(func() { c = src.Clone(); c.Count(row(1)); c.Len() }); n != 0 {
-		t.Fatalf("Clone and reads copied %d times, want 0", n)
+	if n := entries(func() { c = clone(src); c.Count(row(1)); c.Len() }); n != 0 {
+		t.Fatalf("Clone and reads copied %d entries, want 0", n)
 	}
-	if n := copies(func() { c.Add(row(3), 1); c.Add(row(4), 1); c.Remove(row(1), 1) }); n != 1 {
-		t.Fatalf("three writes to a clone copied %d times, want 1", n)
+	if n := entries(func() { c.Add(row(10), 1); c.Add(row(11), 1); c.Remove(row(1), 1) }); n != 10 {
+		t.Fatalf("three writes to a clone copied %d entries, want the 10 it shares, once", n)
 	}
-	if n := copies(func() { src.Add(row(5), 1) }); n != 1 {
-		t.Fatalf("the source's first write after a Clone copied %d times, want 1", n)
-	}
-	if !src.Equal(Of(row(1), row(1), row(2), row(5))) || !c.Equal(Of(row(1), row(2), row(3), row(4))) {
-		t.Fatalf("after writes to both sides: src %v, clone %v", src, c)
+	snaps = snaps[1:] // c is written on purpose
+	if n := entries(func() { src.Add(row(12), 1) }); n != 10 {
+		t.Fatalf("the source's first write after a Clone copied %d entries, want 10", n)
 	}
 
-	// The writer of a bag readers Clone copies ahead, then adopts.
-	snap := src.Clone()
-	if n := copies(func() {
-		p := src.Unshared()
-		if p == nil {
-			t.Fatal("Unshared found nothing to copy on a cloned bag")
-		}
-		src.Adopt(p)
-		src.Add(row(6), 1)
-		src.Remove(row(1), 2)
-	}); n != 1 {
-		t.Fatalf("Unshared, Adopt and two writes copied %d times, want 1", n)
+	// The writer of a bag readers Clone prepares ahead, then adopts. A
+	// write as large as the bag (11 distinct) takes a flat copy.
+	clone(src)
+	if n := entries(func() { src.Adopt(src.Prepare(11)); src.Add(row(13), 1) }); n != 11 || src.lv != nil {
+		t.Fatalf("Prepare(11) of an 11-entry shared bag and a write copied %d entries (two-level %v), want 11, flat", n, src.lv != nil)
 	}
-	if src.Unshared() != nil {
-		t.Fatal("Unshared copied a bag that no longer shares its map")
+	// A smaller one goes two-level: the 12 entries freeze as the base, and
+	// neither Prepare nor the writes copy any.
+	clone(src)
+	if n := entries(func() {
+		src.Adopt(src.Prepare(2))
+		src.Add(row(14), 1)
+		src.Remove(row(0), 1) // a base entry: a tombstone
+	}); n != 0 || src.lv == nil || len(src.lv.base) != 12 || len(src.m) != 2 {
+		t.Fatalf("Prepare(2) of a 12-entry shared bag and two writes copied %d entries, want 0 and a 2-entry overlay over 12", n)
 	}
-	if !snap.Equal(Of(row(1), row(1), row(2), row(5))) {
-		t.Fatalf("the snapshot changed under the source's writes: %v", snap)
+	if src.Prepare(0) != nil {
+		t.Fatal("Prepare found something owing on a private overlay under its rent")
+	}
+	// A Clone of a two-level bag shares both levels: the next write copies
+	// the 2-entry overlay alone. Rent: 2 written + 2 copied + 1 written.
+	clone(src)
+	if n := entries(func() { src.Add(row(15), 1) }); n != 2 || src.lv.rent != 5 {
+		t.Fatalf("a write after a Clone of a two-level bag copied %d entries (rent %d), want its 2-entry overlay (rent 5)", n, src.lv.rent)
+	}
+	// 5 rent + 3 shared overlay entries + 4 pending reaches the 12-entry
+	// base: Prepare folds the levels into one map of the 13 live entries.
+	clone(src)
+	var p *Bag
+	if n := entries(func() { p = src.Prepare(4) }); n != 13 || p.lv != nil || len(p.m) != 13 || !p.Equal(src) {
+		t.Fatalf("Prepare(4) at the rent's limit copied %d entries into %v, want a fold of the 13 live ones", n, p)
+	}
+	src.Adopt(p)
+	if n := entries(func() { src.Add(row(16), 1); src.Remove(row(2), 1) }); n != 0 || src.Prepare(100) != nil {
+		t.Fatalf("writes to a folded bag copied %d entries, want 0, and nothing owing", n)
 	}
 
 	// Clear on either side of a shared map empties that side only.
-	c = snap.Clone()
-	if n := copies(func() { c.Clear() }); n != 0 || !c.Empty() || snap.Len() != 4 {
-		t.Fatalf("Clear on a clone: %d copies, clone %v, source %v", n, c, snap)
+	s := snaps[0].b
+	c = s.Clone()
+	if n := entries(func() { c.Clear() }); n != 0 || !c.Empty() || s.Len() != 16 {
+		t.Fatalf("Clear on a clone: %d entries copied, clone %v, source %v", n, c, s)
 	}
-	if n := copies(func() { snap.Clear(); snap.Add(row(7), 1) }); n != 0 || snap.Len() != 1 {
-		t.Fatalf("Clear then a write on a shared source: %d copies, %v", n, snap)
+	if n := entries(func() { s.Clear(); s.Add(row(7), 1) }); n != 0 || s.Len() != 1 {
+		t.Fatalf("Clear then a write on a shared source: %d entries copied, %v", n, s)
+	}
+	for i, sn := range snaps[1:] {
+		if got := sn.b.String(); got != sn.want {
+			t.Fatalf("clone %d changed under the source's writes: %s, was %s", i+1, got, sn.want)
+		}
 	}
 }

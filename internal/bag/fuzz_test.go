@@ -10,7 +10,9 @@ import (
 
 // FuzzBagOps interprets the input as a program of Add/Remove/Clear
 // operations (plus ApplyDelta, bursts longer than the journal window,
-// look-ups of the bag's own index, and Clones) executed against two Bag
+// look-ups of the bag's own index, Clones, and the writer's Prepare and
+// Adopt, so two-level bags, overlay copies, tombstones and folds are
+// fuzzed too) executed against two Bag
 // handles and a plain map[string]int reference model for each (see
 // runHandles), checking both handles against their models after every
 // step; then it checks the first handle's own index against a freshly
@@ -25,6 +27,12 @@ func FuzzBagOps(f *testing.F) {
 	// Clone, then mutate, clear and index either side.
 	f.Add([]byte{0, 1, 2, 0, 7, 3, 8, 0, 0, 0, 2, 1, 9, 0, 0, 7, 0, 0, 5, 0, 0, 9, 0, 0, 3, 1, 1})
 	f.Add([]byte{0, 3, 3, 5, 0, 0, 8, 0, 0, 6, 3, 2, 9, 0, 0, 6, 3, 0, 7, 0, 0, 9, 0, 0, 8, 0, 0, 7, 0, 0})
+	// Go two-level under a Clone and write: a tombstone written over
+	// again, a tombstone kept, an insert. Clone the two-level bag and
+	// write to the source, then to the clone through a copied overlay;
+	// fold the clone (the kept tombstone must go); Clear.
+	f.Add([]byte{0, 1, 2, 0, 2, 1, 0, 3, 3, 0, 4, 1, 8, 0, 0, 10, 0, 1, 3, 1, 3, 0, 1, 1, 3, 2, 3,
+		0, 6, 1, 5, 0, 0, 8, 0, 0, 0, 7, 1, 9, 0, 0, 1, 8, 2, 10, 0, 15, 3, 3, 1, 9, 0, 0, 7, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		hs := runHandles(t, data)
@@ -91,10 +99,12 @@ func FuzzBagOps(f *testing.F) {
 // consumes 3 bytes — opcode, tuple id, count — and acts on the current
 // handle: 0-2 Add, 3-4 Remove, 5 IndexOn (checked against a fresh
 // build), 6 ApplyDelta or a burst longer than the journal window, 7
-// Clear, 8 Clone into the other handle, 9 switch handles. After every
-// step both handles must match their models — a Clone is a snapshot, so
-// a write or Clear on either side never shows on the other — and after
-// a Clear the handle's capacity obeys the retention bound.
+// Clear, 8 Clone into the other handle, 9 switch handles, 10 Prepare
+// with the count byte as pending, then Adopt (what Prepare returns must
+// match the model before it is adopted). After every step both handles
+// must match their models — a Clone is a snapshot, so a write or Clear
+// on either side never shows on the other — and after a Clear the
+// handle's capacity obeys the retention bound.
 func runHandles(t *testing.T, data []byte) [2]*Bag {
 	t.Helper()
 	hs := [2]*Bag{New(), New()}
@@ -105,7 +115,7 @@ func runHandles(t *testing.T, data []byte) [2]*Bag {
 		tu := schema.Row(int(data[i+1]%5), int(data[i+1]/5%5))
 		n := int(data[i+2] % 4)
 		key := tu.Key()
-		switch data[i] % 10 {
+		switch data[i] % 11 {
 		case 0, 1, 2:
 			b.Add(tu, n)
 			model[key] += n
@@ -141,6 +151,13 @@ func runHandles(t *testing.T, data []byte) [2]*Bag {
 			models[1-cur] = maps.Clone(model)
 		case 9:
 			cur = 1 - cur
+		case 10:
+			if p := b.Prepare(int(data[i+2] % 16)); p != nil {
+				if msg := checkModel(p, model); msg != "" {
+					t.Fatalf("step %d: Prepare(%d): %s", i/3, data[i+2]%16, msg)
+				}
+				b.Adopt(p)
+			}
 		}
 		// The model mirrors the bag's floor-at-zero semantics.
 		if model[key] <= 0 {

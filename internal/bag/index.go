@@ -63,7 +63,7 @@ func NewIndex(b *Bag, positions []int) *Index {
 func newIndex(b *Bag, positions []int, addressable bool) *Index {
 	keys := 0
 	if !addressable && len(positions) > 0 { // no column to key on: one bucket
-		keys = len(b.m)
+		keys = b.Distinct()
 	}
 	ix := &Index{
 		src: b,
@@ -71,18 +71,18 @@ func newIndex(b *Bag, positions []int, addressable bool) *Index {
 		m:   make(map[string][]indexEntry, keys),
 	}
 	if addressable { // and so syncable: NewIndex has made b.dx
-		ix.at = make(map[string]int, len(b.m))
+		ix.at = make(map[string]int, b.Distinct())
 		ix.ver = b.dx.ver
 	}
 	var key []byte
-	for k, e := range b.m {
+	b.each(func(k string, e entry) {
 		key = b.tupleAt(e.p).AppendKeyAt(key[:0], positions)
 		bucket := ix.m[string(key)]
 		if addressable {
 			ix.at[k] = len(bucket)
 		}
 		ix.m[string(key)] = append(bucket, indexEntry{p: e.p, key: k, count: e.count})
-	}
+	})
 	return ix
 }
 
@@ -106,7 +106,7 @@ func (b *Bag) IndexOn(positions []int) (ix *Index, applied int) {
 	}
 	ix = NewIndex(b, positions)
 	b.dx.owned = append(b.dx.owned, ix)
-	return ix, len(b.m)
+	return ix, b.Distinct()
 }
 
 // Indexes returns the column positions of each index the bag owns.
@@ -217,10 +217,10 @@ func (j *Join) Indexed(probe *Bag, probePos []int, ix *Index, buildLeft bool) (o
 	var row schema.Tuple
 	var kb [128]byte
 	buf := kb[:0]
-	for kp, ep := range probe.m {
+	probe.each(func(kp string, ep entry) {
 		pt := probe.tupleAt(ep.p)
 		if probePred != nil && !probePred(pt) {
-			continue
+			return
 		}
 		buf = pt.AppendKeyAt(buf[:0], probePos)
 		for _, eb := range ix.m[string(buf)] {
@@ -263,7 +263,7 @@ func (j *Join) Indexed(probe *Bag, probePos []int, ix *Index, buildLeft bool) (o
 			}
 			row = nil // the output owns it now
 		}
-	}
+	})
 	return out, probed
 }
 
@@ -273,12 +273,12 @@ func (j *Join) Indexed(probe *Bag, probePos []int, ix *Index, buildLeft bool) (o
 // no index registered), so it suits a one-off evaluation and a caller
 // holding only read locks. built is the number of tuples indexed.
 func (j *Join) Hash(l *Bag, lpos []int, r *Bag, rpos []int) (out *Bag, probed, built int) {
-	if len(l.m) <= len(r.m) {
+	if l.Distinct() <= r.Distinct() {
 		out, probed = j.Indexed(r, rpos, newIndex(l, lpos, false), true)
-		return out, probed, len(l.m)
+		return out, probed, l.Distinct()
 	}
 	out, probed = j.Indexed(l, lpos, newIndex(r, rpos, false), false)
-	return out, probed, len(r.m)
+	return out, probed, r.Distinct()
 }
 
 // JoinIndexed is Join.Indexed for a predicate that has not been split:

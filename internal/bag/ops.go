@@ -10,19 +10,31 @@ func UnionAll(a, b *Bag) *Bag {
 }
 
 // Applied returns σ_keep((b ∸ del) ⊎ add) as a new bag: what EachApplied
-// enumerates, collected under the operands' own keys (none is encoded
-// again). Unfiltered it is pre-sized for b and add, so it never regrows,
-// and b is only read — it is not marked shared, as a Clone would mark
-// it. A nil keep keeps every tuple, and a nil del or add is empty.
+// enumerates. A nil keep keeps every tuple, and a nil del or add is
+// empty. Unfiltered, the answer is a Clone of b prepared for and given
+// the differential (Prepare, Adopt, ApplyDelta): it shares b's contents,
+// and costs what the differential and b's overlay cost, not what b does.
+// That marks b shared, but a bag written as Prepare directs owes the
+// mark no copy of itself at its next write — at most its overlay.
+// Filtered, it is collected under the operands' own keys (none is
+// encoded again), and b is only read.
 func Applied(b, del, add *Bag, keep func(schema.Tuple) bool) *Bag {
-	n := 0
 	if keep == nil {
-		n = len(b.m)
-		if add != nil {
-			n += len(add.m)
+		out := b.Clone()
+		pending := 0
+		if del != nil {
+			pending += del.size
 		}
+		if add != nil {
+			pending += add.size
+		}
+		if pending > 0 {
+			out.Adopt(out.Prepare(pending)) // a Clone is shared, so Prepare never returns nil for it
+			out.ApplyDelta(del, add)
+		}
+		return out
 	}
-	out := NewSized(n)
+	out := New()
 	b.eachApplied(del, add, keep, func(k string, t schema.Tuple, n int) { out.addKeyed(k, t, n) })
 	return out
 }
@@ -42,33 +54,28 @@ func newLike(a *Bag) *Bag {
 // This is the paper's "∸" operator, distinct from SQL EXCEPT.
 func Monus(a, b *Bag) *Bag {
 	out := newLike(a)
-	for k, e := range a.m {
-		n := e.count - b.m[k].count
-		if n > 0 {
+	a.each(func(k string, e entry) {
+		if n := e.count - b.get(k).count; n > 0 {
 			out.m[k] = entry{p: e.p, count: n}
 			out.size += n
 		}
-	}
+	})
 	return out
 }
 
 // Min returns the minimal intersection: per-tuple min(n_a, n_b).
 // Defined in the paper as a ∸ (a ∸ b); computed directly here.
 func Min(a, b *Bag) *Bag {
-	if len(b.m) < len(a.m) {
+	if b.Distinct() < a.Distinct() {
 		a, b = b, a
 	}
 	out := newLike(a)
-	for k, e := range a.m {
-		n := e.count
-		if bn := b.m[k].count; bn < n {
-			n = bn
-		}
-		if n > 0 {
+	a.each(func(k string, e entry) {
+		if n := min(e.count, b.get(k).count); n > 0 {
 			out.m[k] = entry{p: e.p, count: n}
 			out.size += n
 		}
-	}
+	})
 	return out
 }
 
@@ -79,13 +86,13 @@ func Min(a, b *Bag) *Bag {
 func MinWithin(a, b *Bag, within ...*Bag) *Bag {
 	out := newLike(a)
 	for _, w := range within {
-		for k := range w.m {
-			e := a.m[k]
-			if n := min(e.count, b.m[k].count); n > 0 && out.m[k].count == 0 {
+		w.each(func(k string, _ entry) {
+			e := a.get(k)
+			if n := min(e.count, b.get(k).count); n > 0 && out.m[k].count == 0 {
 				out.m[k] = entry{p: e.p, count: n}
 				out.size += n
 			}
-		}
+		})
 	}
 	return out
 }
@@ -94,15 +101,15 @@ func MinWithin(a, b *Bag, within ...*Bag) *Bag {
 // Defined in the paper as a ⊎ (b ∸ a); computed directly here.
 func Max(a, b *Bag) *Bag {
 	out := a.private() // out.m is written directly, past the copy-on-write check
-	if len(b.m) > 0 && b.arity != out.arity {
+	if b.Distinct() > 0 && b.arity != out.arity {
 		out.setArity(b.arity) // panics unless a is empty: out would mix arities
 	}
-	for k, e := range b.m {
+	b.each(func(k string, e entry) {
 		if have := out.m[k].count; e.count > have {
 			out.size += e.count - have
 			out.m[k] = e
 		}
-	}
+	})
 	return out
 }
 
@@ -112,21 +119,19 @@ func Max(a, b *Bag) *Bag {
 // directly.
 func Except(a, b *Bag) *Bag {
 	out := newLike(a)
-	for k, e := range a.m {
-		if b.m[k].count == 0 {
+	a.each(func(k string, e entry) {
+		if b.get(k).count == 0 {
 			out.m[k] = e
 			out.size += e.count
 		}
-	}
+	})
 	return out
 }
 
 // DupElim returns ε(a): every tuple of a with multiplicity 1.
 func DupElim(a *Bag) *Bag {
 	out := newLike(a)
-	for k, e := range a.m {
-		out.m[k] = entry{p: e.p, count: 1}
-	}
+	a.each(func(k string, e entry) { out.m[k] = entry{p: e.p, count: 1} })
 	out.size = len(out.m)
 	return out
 }
@@ -134,12 +139,12 @@ func DupElim(a *Bag) *Bag {
 // Select returns σ_p(a) for a predicate over tuples.
 func Select(a *Bag, pred func(schema.Tuple) bool) *Bag {
 	out := newLike(a)
-	for k, e := range a.m {
+	a.each(func(k string, e entry) {
 		if pred(a.tupleAt(e.p)) {
 			out.m[k] = e
 			out.size += e.count
 		}
-	}
+	})
 	return out
 }
 
@@ -148,21 +153,19 @@ func Select(a *Bag, pred func(schema.Tuple) bool) *Bag {
 // projection does NOT eliminate duplicates).
 func Project(a *Bag, f func(schema.Tuple) schema.Tuple) *Bag {
 	out := New()
-	for _, e := range a.m {
-		out.Add(f(a.tupleAt(e.p)), e.count)
-	}
+	a.each(func(_ string, e entry) { out.Add(f(a.tupleAt(e.p)), e.count) })
 	return out
 }
 
 // Product returns a × b: tuple concatenation, multiplicities multiply.
 func Product(a, b *Bag) *Bag {
 	out := New()
-	for ka, ea := range a.m {
-		for kb, eb := range b.m {
+	a.each(func(ka string, ea entry) {
+		b.each(func(kb string, eb entry) {
 			// Concat keys compose: key(s ++ t) = key(s) + key(t).
 			out.addKeyed(ka+kb, a.tupleAt(ea.p).Concat(b.tupleAt(eb.p)), ea.count*eb.count)
-		}
-	}
+		})
+	})
 	return out
 }
 
@@ -170,13 +173,13 @@ func Product(a, b *Bag) *Bag {
 // the join path used by the evaluator.
 func ProductSelect(a, b *Bag, pred func(schema.Tuple) bool) *Bag {
 	out := New()
-	for ka, ea := range a.m {
-		for kb, eb := range b.m {
+	a.each(func(ka string, ea entry) {
+		b.each(func(kb string, eb entry) {
 			t := a.tupleAt(ea.p).Concat(b.tupleAt(eb.p))
 			if pred(t) {
 				out.addKeyed(ka+kb, t, ea.count*eb.count)
 			}
-		}
-	}
+		})
+	})
 	return out
 }

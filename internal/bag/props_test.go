@@ -1,8 +1,11 @@
 package bag
 
 import (
+	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -56,6 +59,16 @@ func TestPropMonusLaws(t *testing.T) {
 	}
 	if err := quick.Check(curry, qcfg); err != nil {
 		t.Errorf("(a∸b)∸c ≡ a∸(b⊎c): %v", err)
+	}
+	// b.AddMonus(a, c) is b ⊎ (a ∸ c), in place, with a and c untouched.
+	inPlace := func(x, y, z genBag) bool {
+		want := UnionAll(z.B, Monus(x.B, y.B))
+		x0, y0 := x.B.String(), y.B.String()
+		got := z.B.Clone().AddMonus(x.B, y.B)
+		return got.Equal(want) && x.B.String() == x0 && y.B.String() == y0
+	}
+	if err := quick.Check(inPlace, qcfg); err != nil {
+		t.Errorf("b.AddMonus(a, c) ≡ b ⊎ (a∸c): %v", err)
 	}
 }
 
@@ -162,16 +175,17 @@ func TestPropCloneAndEqualConsistent(t *testing.T) {
 }
 
 // A Clone is a snapshot of its source and the source of it: random
-// programs of writes, Clears, index look-ups and Clones over two handles
-// keep each handle equal to its own model at every step (runHandles).
-// Clone and switch ops are drawn often, so most programs share a map
-// between the handles and then write to either side of it.
+// programs of writes, Clears, index look-ups, Clones and Prepares over
+// two handles keep each handle equal to its own model at every step
+// (runHandles). Clone, switch and Prepare ops are drawn often, so most
+// programs share a map between the handles, go two-level, and then
+// write to either side of it.
 func TestPropCloneIsASnapshot(t *testing.T) {
 	prop := func(ops []uint8) bool {
 		data := make([]byte, 0, 3*len(ops))
 		for i, op := range ops {
 			if i%4 == 1 {
-				op = 8 + op%2 // Clone, or switch handles
+				op = 8 + op%3 // Clone, switch handles, or Prepare
 			}
 			data = append(data, op, byte(i*7), byte(i))
 		}
@@ -183,20 +197,33 @@ func TestPropCloneIsASnapshot(t *testing.T) {
 	}
 }
 
-// EachApplied enumerates (b ∸ del) ⊎ add, and Applied collects it,
-// without building or marking anything on b: the fresh-read primitives.
+// EachApplied enumerates (b ∸ del) ⊎ add, building nothing and marking
+// nothing on b, and Applied collects it: the fresh-read primitives.
+// Filtered, Applied only reads b; unfiltered, its answer is a Clone of b
+// given the differential, which marks b, and which later writes to b
+// must not reach.
 func TestPropAppliedIsMonusUnion(t *testing.T) {
 	keep := func(tu schema.Tuple) bool { return tu[0].AsInt()%2 == 0 }
 	prop := func(x, d, a genBag) bool {
-		for _, k := range []func(schema.Tuple) bool{nil, keep} {
+		for _, k := range []func(schema.Tuple) bool{keep, nil} {
 			want := UnionAll(Monus(x.B, d.B), a.B)
 			if k != nil {
 				want = Select(want, k)
 			}
 			seen := New()
 			x.B.EachApplied(d.B, a.B, k, func(tu schema.Tuple, n int) { seen.Add(tu, n) })
-			if !seen.Equal(want) || !Applied(x.B, d.B, a.B, k).Equal(want) || x.B.isShared() {
+			if !seen.Equal(want) || x.B.isShared() {
 				return false
+			}
+			got := Applied(x.B, d.B, a.B, k)
+			if !got.Equal(want) || x.B.isShared() != (k == nil) {
+				return false
+			}
+			if k == nil {
+				x.B.ApplyDelta(a.B, d.B)
+				if !got.Equal(want) {
+					return false
+				}
 			}
 		}
 		return Applied(x.B, nil, nil, nil).Equal(x.B)
@@ -388,6 +415,158 @@ func TestPropIndexOnFollowsEveryMutation(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+}
+
+// genLevels is a quick.Generator for a two-level bag L and a flat bag F
+// of the same contents: a random base of 2-column tuples, frozen under
+// a Clone by Prepare, then random writes into the overlay — updates and
+// deletions of base entries (tombstones among them), inserts, some
+// through an overlay a Clone made the next write copy.
+type genLevels struct{ L, F *Bag }
+
+// Generate implements quick.Generator.
+func (genLevels) Generate(r *rand.Rand, _ int) reflect.Value {
+	tuple := func() schema.Tuple { return schema.Row(r.Intn(4), r.Intn(3)) }
+	base := New()
+	for n := 1 + r.Intn(10); n > 0; n-- { // not empty: Prepare(0) then goes two-level
+		base.Add(tuple(), 1+r.Intn(3))
+	}
+	l := base.Clone()
+	l.Adopt(l.Prepare(0))
+	f := New().AddBag(base)
+	for n := r.Intn(12); n > 0; n-- {
+		if r.Intn(5) == 0 {
+			l.Clone()
+		}
+		tu, c := tuple(), r.Intn(7)-3
+		l.Add(tu, c)
+		f.Add(tu, c)
+	}
+	return reflect.ValueOf(genLevels{L: l, F: f})
+}
+
+// contents reads a bag's entries straight off its levels — the overlay
+// over the base, a count of 0 deleting — past every reader under test.
+func contents(b *Bag) map[string]int {
+	out := map[string]int{}
+	if b.lv != nil {
+		for k, e := range b.lv.base {
+			out[k] = e.count
+		}
+	}
+	for k, e := range b.m {
+		if e.count == 0 {
+			delete(out, k)
+		} else {
+			out[k] = e.count
+		}
+	}
+	return out
+}
+
+// TestPropTwoLevelReadsLikeFlat runs every reader of the package on
+// two-level operands and on flat bags of the same contents, in every
+// position, and compares the answers: the pure operators (and
+// AddMonus, which reads two), Join.Indexed and Join.Hash, NewIndex and
+// IndexOn, Each, EachApplied, EachOrdered, Tuples, Equal, SubBagOf,
+// Count, Distinct and Len. A two-level bag is read only through get and
+// each; a reader that went past them would see a shadowed base entry or
+// a tombstone here.
+func TestPropTwoLevelReadsLikeFlat(t *testing.T) {
+	even := func(tu schema.Tuple) bool { return tu[0].AsInt()%2 == 0 }
+	join := func(j Join, a, b *Bag, buildLeft bool) *Bag {
+		out, _ := j.Indexed(a, []int{0}, NewIndex(b, []int{0}), buildLeft)
+		return out
+	}
+	binary := map[string]func(a, b *Bag) *Bag{
+		"UnionAll":  UnionAll,
+		"Monus":     Monus,
+		"AddMonus":  func(a, b *Bag) *Bag { return Of(schema.Row(0, 0)).AddMonus(a, b) },
+		"Min":       Min,
+		"MinWithin": func(a, b *Bag) *Bag { return MinWithin(a, b, a, b) },
+		"Max":       Max,
+		"Except":    Except,
+		"Product":   Product,
+		"ProductSelect": func(a, b *Bag) *Bag {
+			return ProductSelect(a, b, func(tu schema.Tuple) bool { return tu[1].Equal(tu[3]) })
+		},
+		"Applied":         func(a, b *Bag) *Bag { return Applied(a, b, b, nil) },
+		"Applied, sliced": func(a, b *Bag) *Bag { return Applied(a, b, a, even) },
+		"Join.Indexed":    func(a, b *Bag) *Bag { return join(Join{}, a, b, false) },
+		"Join.Indexed, L": func(a, b *Bag) *Bag { return join(Join{Left: even}, a, b, true) },
+		"Join.Indexed, Π": func(a, b *Bag) *Bag { return join(Join{Project: []int{3, 0}}, a, b, false) },
+		"Join.Hash":       func(a, b *Bag) *Bag { out, _, _ := (&Join{Right: even}).Hash(a, []int{1}, b, []int{0}); return out },
+		"DupElim":         func(a, _ *Bag) *Bag { return DupElim(a) },
+		"Select":          func(a, _ *Bag) *Bag { return Select(a, even) },
+		"Project":         func(a, _ *Bag) *Bag { return Project(a, func(tu schema.Tuple) schema.Tuple { return tu[1:] }) },
+		"Each": func(a, _ *Bag) *Bag {
+			out := New()
+			a.Each(func(tu schema.Tuple, n int) { out.Add(tu, n) })
+			return out
+		},
+		"EachApplied": func(a, b *Bag) *Bag {
+			out := New()
+			a.EachApplied(b, a, nil, func(tu schema.Tuple, n int) { out.Add(tu, n) })
+			return out
+		},
+	}
+	rendered := func(b *Bag) string {
+		var sb strings.Builder
+		b.EachOrdered(func(tu schema.Tuple, n int) { fmt.Fprintf(&sb, "%v×%d ", tu, n) })
+		return fmt.Sprint(b.Tuples(), sb.String())
+	}
+	prop := func(x, y genLevels) bool {
+		if x.L.lv == nil || y.L.lv == nil {
+			t.Log("the generator built a flat bag")
+			return false
+		}
+		fail := func(format string, args ...any) bool {
+			t.Logf(format, args...)
+			return false
+		}
+		for _, ab := range [][2]*Bag{{x.L, y.L}, {x.L, y.F}, {x.F, y.L}} {
+			a, b := ab[0], ab[1]
+			for name, op := range binary {
+				if got, want := contents(op(a, b)), contents(op(x.F, y.F)); !maps.Equal(got, want) {
+					return fail("%s: %v, flat operands give %v", name, got, want)
+				}
+			}
+			if a.Equal(b) != x.F.Equal(y.F) || a.SubBagOf(b) != x.F.SubBagOf(y.F) || b.SubBagOf(a) != y.F.SubBagOf(x.F) {
+				return fail("Equal or SubBagOf disagree with flat operands")
+			}
+		}
+		for _, lf := range [][2]*Bag{{x.L, x.F}, {y.L, y.F}} {
+			l, f := lf[0], lf[1]
+			if !l.Equal(f) || !f.Equal(l) || !l.SubBagOf(f) || !f.SubBagOf(l) {
+				return fail("a two-level bag and its flat twin are not Equal: %v, %v", contents(l), contents(f))
+			}
+			if l.Len() != f.Len() || l.Distinct() != f.Distinct() || rendered(l) != rendered(f) {
+				return fail("Len, Distinct, Tuples or EachOrdered: %d/%d %s, flat %d/%d %s",
+					l.Len(), l.Distinct(), rendered(l), f.Len(), f.Distinct(), rendered(f))
+			}
+			for i := 0; i < 4; i++ {
+				for j := 0; j < 3; j++ {
+					if tu := schema.Row(i, j); l.Count(tu) != f.Count(tu) {
+						return fail("Count(%v) = %d, flat %d", tu, l.Count(tu), f.Count(tu))
+					}
+				}
+			}
+			for _, pos := range [][]int{{0}, {1, 0}, nil} {
+				if !reflect.DeepEqual(indexContents(NewIndex(l, pos)), indexContents(NewIndex(f, pos))) {
+					return fail("NewIndex on %v differs from the flat twin's", pos)
+				}
+			}
+			lix, _ := l.IndexOn([]int{1})
+			fix, _ := f.IndexOn([]int{1})
+			if !reflect.DeepEqual(indexContents(lix), indexContents(fix)) {
+				return fail("IndexOn differs from the flat twin's")
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }

@@ -20,9 +20,10 @@ import (
 //	C:   propagate_C's body first (log folded into ∇MV/△MV), then as DT
 //	BL:  σ(Q) = (σ(MV) ∸ σ(▼(L,Q))) ⊎ σ(▲(L,Q)), evaluated, not installed
 //
-// so a read costs one pass over MV plus work proportional to the
-// differential. pred (which must bind against the view's output schema)
-// restricts the answer; pass nil for the whole view. MV is never
+// so a sliced read costs one pass over MV plus work proportional to the
+// differential, and a whole-view read the differential (below). pred
+// (which must bind against the view's output schema) restricts the
+// answer; pass nil for the whole view. MV is never
 // touched — stale readers keep their frozen analysis view (the [AL80]
 // use case) and no MV write lock is taken. The one side effect is on a
 // Combined view: its log moves into its differential tables, exactly as
@@ -32,9 +33,12 @@ import (
 // the manager's single-writer discipline.
 //
 // QueryFresh is ReadFresh collected into a bag the caller owns
-// (bag.Applied): a whole-view answer is sized for MV and △MV up front,
-// so it never regrows, and MV is only read — not marked shared, so the
-// next refresh owes no copy for it.
+// (bag.Applied). A whole-view answer is a Clone of MV with the pending
+// differential applied to it: it shares MV's contents and costs the
+// differential (and MV's overlay, if it has one), not the view. It marks
+// MV shared, as a Query does, and that costs the next refresh no copy of
+// MV: the writer prepares MV by bag.Prepare's rent rule. A sliced answer
+// is collected from MV, which it only reads.
 func (m *Manager) QueryFresh(name string, pred algebra.Predicate) (*bag.Bag, error) {
 	var out *bag.Bag
 	err := m.readFresh(name, pred, func(mv, del, add *bag.Bag, keep func(schema.Tuple) bool) {

@@ -100,9 +100,9 @@ func (m *Manager) applyToMVLocked(v *View, del, add *bag.Bag) error {
 	return nil
 }
 
-// mvWrite is one write's MV lock set, with private copies of the MVs it
-// changes that a Query left shared: unshareMVs takes them before the
-// write locks, adoptLocked installs them under the locks.
+// mvWrite is one write's MV lock set, with the MVs it changes that a
+// Query left shared, each prepared for the write: unshareMVs prepares
+// them before the write locks, adoptLocked installs them under the locks.
 type mvWrite struct {
 	tables   []string
 	mvs, own []*bag.Bag
@@ -110,38 +110,40 @@ type mvWrite struct {
 
 // unshareMVs is the first step of every in-place write to view tables:
 // makesafe_IM, refresh_BL, refresh_DT, partial_refresh_C and refresh_C.
-// (RefreshRecompute installs a new bag and owes no copy.) A Query's
+// (RefreshRecompute installs a new bag and owes nothing.) A Query's
 // answer is a copy-on-write Clone of MV, so an MV that a reader has
-// taken since its last write owes one copy of its map before it
-// changes. pending(v) is the volume of what the write may install into
-// v's MV, zero if it leaves MV alone. When it is not zero and MV is
-// shared, the copy is taken here, before the exclusive locks are
-// requested: readers only read the map, and the writer is MV's only
-// mutator. Under the locks adoptLocked only swaps it in, in O(1) per
-// view, so the hold stays O(|∇MV|+|△MV|). However many readers took a
-// Query, the copy is paid once, by the writer. The write locks
-// w.tables, the views' MVs.
+// taken since its last write must not be written where the reader's
+// answer would see it. pending(v) is the volume of what the write may
+// install into v's MV, zero if it leaves MV alone. When it is not zero,
+// bag.Prepare decides, here, before the exclusive locks are requested,
+// what MV owes: nothing, an O(1) switch to a frozen base under a private
+// overlay, a copy of the overlay, or a fold into one map — by its rent
+// rule, so the bytes follow the changes rather than MV. Readers only
+// read MV, and the writer is MV's only mutator. Under the locks
+// adoptLocked only swaps the result in, in O(1) per view, so the hold
+// stays O(|∇MV|+|△MV|). However many readers took a Query, the writer
+// pays once. The write locks w.tables, the views' MVs.
 func (m *Manager) unshareMVs(pending func(*View) int, views ...*View) (mvWrite, error) {
 	w := mvWrite{tables: make([]string, len(views))}
 	for i, v := range views {
 		w.tables[i] = v.mvName
-		if pending(v) == 0 {
+		n := pending(v)
+		if n == 0 {
 			continue
 		}
 		mv, err := m.db.Bag(v.mvName)
 		if err != nil {
 			return w, err
 		}
-		if p := mv.Unshared(); p != nil {
+		if p := mv.Prepare(n); p != nil {
 			w.mvs, w.own = append(w.mvs, mv), append(w.own, p)
 		}
 	}
 	return w, nil
 }
 
-// adoptLocked installs the private copies unshareMVs took. The Locked
-// suffix is a contract dvmlint enforces: the caller must hold the MV
-// write locks.
+// adoptLocked installs what unshareMVs prepared. The Locked suffix is a
+// contract dvmlint enforces: the caller must hold the MV write locks.
 func (w mvWrite) adoptLocked() {
 	for i, mv := range w.mvs {
 		mv.Adopt(w.own[i])
@@ -154,7 +156,8 @@ func (w mvWrite) adoptLocked() {
 //	Del := Del ⊎ (del ∸ Add);  Add := (Add ∸ del) ⊎ add
 //
 // with del ∸ Add taken against the pre-state, as the simultaneous
-// assignment demands. Next to applyToMVLocked it is the only other way
+// assignment demands: Del is updated first, and del ∸ Add is never
+// built (Bag.AddMonus). Next to applyToMVLocked it is the only other way
 // a maintenance transaction installs a pair: every log extension
 // (makesafe_BL/makesafe_C on (▼R, ▲R)) and every differential fold
 // (makesafe_DT and propagate_C on (∇MV, △MV)) is this function, so
@@ -167,9 +170,8 @@ func (w mvWrite) adoptLocked() {
 // looks at no others. del and add are only read. The caller holds
 // whatever locks guard the two tables.
 func mergeDelta(delT, addT *storage.Table, del, add *bag.Bag, strong bool) {
-	x := bag.Monus(del, addT.Data()) // del ∸ Add, against the pre-state
+	delT.Data().AddMonus(del, addT.Data()) // del ∸ Add, against Add's pre-state
 	addT.Data().ApplyDelta(del, add)
-	delT.Data().AddBag(x)
 	if !strong {
 		return
 	}
@@ -499,11 +501,12 @@ func (m *Manager) Read(name string, f func(mv *bag.Bag) error) error {
 
 // Query reads the view's materialized table, returning a copy the
 // caller owns: Read plus Clone, which is copy-on-write. The answer is a
-// handle on MV's map as of the read, in O(1) under the read lock; it
-// stays that value whatever refreshes follow, and the caller may mutate
-// it freely (its first mutation copies the map). What the handle defers
-// is paid once per refresh, not per Query: the writer copies MV's map
-// before its next in-place write, outside the lock (unshareMVs).
+// handle on MV's map (or maps) as of the read, in O(1) under the read
+// lock; it stays that value whatever refreshes follow, and the caller
+// may mutate it freely (its first mutation copies what it writes). What
+// the handle defers is paid once per refresh, not per Query, and in
+// proportion to what changed: the writer prepares MV before its next
+// in-place write, outside the lock (unshareMVs).
 func (m *Manager) Query(name string) (*bag.Bag, error) {
 	var out *bag.Bag
 	err := m.Read(name, func(mv *bag.Bag) error {

@@ -10,20 +10,29 @@ import (
 	"dvm/internal/algebra"
 	"dvm/internal/bag"
 	"dvm/internal/schema"
+	"dvm/internal/storage"
 	"dvm/internal/txn"
 )
 
-// TestQueryResultsAreSnapshots: reader goroutines hold Query results
-// while one writer runs every kind of MV write — makesafe_IM and
-// makesafe_C in Execute, Propagate, PartialRefresh, Refresh on all four
-// scenarios, RefreshRecompute. A result is a copy-on-write handle on MV,
-// so it must keep the value it had when read (or after the reader's own
-// change to it), whatever the writer does next; and a reader's Add or
-// Clear on its result must never reach MV, which CheckInvariant and a
-// final CheckConsistent would catch. Run under -race it also checks that
-// sharing MV's map with readers adds no data race.
+// TestQueryResultsAreSnapshots: reader goroutines hold Query and
+// whole-view QueryFresh results while one writer runs every kind of MV
+// write — makesafe_IM and makesafe_C in Execute, Propagate,
+// PartialRefresh, Refresh on all four scenarios, RefreshRecompute. A
+// result is a copy-on-write handle on MV, so it must keep the value it
+// had when read (or after the reader's own change to it), whatever the
+// writer does next; and a reader's Add or Clear on its result must never
+// reach MV, which CheckInvariant and a final CheckConsistent would
+// catch. The views hold some 200 rows against writes of a few, so the
+// writer prepares them by bag.Prepare's rule: each goes two-level, has
+// its overlay copied, and is folded into one map again, over and over,
+// while readers hold results sharing the base, the overlay or both, and
+// Clear or write their own. Run under -race it also checks that sharing
+// MV's maps with readers adds no data race.
 func TestQueryResultsAreSnapshots(t *testing.T) {
 	db, def := retailDB(t)
+	if err := txn.Insert("sales", highSales(0, 200)).Apply(db); err != nil {
+		t.Fatal(err)
+	}
 	s := NewSerialized(NewManager(db))
 	views := []string{"im", "bl", "dt", "c"}
 	for i, sc := range []Scenario{Immediate, BaseLogs, DiffTables, Combined} {
@@ -102,7 +111,13 @@ func TestQueryResultsAreSnapshots(t *testing.T) {
 			}
 			for i := 0; i < reads; i++ {
 				v := views[(r+i)%len(views)]
-				b, err := s.Query(v)
+				var b *bag.Bag
+				var err error
+				if i%5 == 2 {
+					b, err = s.QueryFresh(v, nil)
+				} else {
+					b, err = s.Query(v)
+				}
 				if err == nil && i%7 == 3 {
 					// A reader's write reaching MV's map would leave MV's
 					// size out of step with its contents.
@@ -171,117 +186,156 @@ func TestQueryResultsAreSnapshots(t *testing.T) {
 	}
 }
 
-// TestMVCopyIsPaidOutsideTheLock proves, without a clock, that the copy
-// a Query leaves owing is paid by the writer before it takes MV's
-// exclusive lock, and that the write under the lock copies nothing. The
-// proof is a reader holding MV's shared lock: while it does, the writer
-// cannot be inside its exclusive section, so every bag map copy counted
-// before the reader lets go was taken outside the lock, and any copy
-// counted after it was taken under the lock. Three Queries precede each
-// write, and one copy is owed for all three.
+// TestMVCopyIsPaidOutsideTheLock proves, without a clock, that what a
+// Query leaves owing is paid by the writer before it takes MV's
+// exclusive lock, and that the write under the lock copies no entry.
+// The proof is a reader holding MV's shared lock: while it does, the
+// writer cannot be inside its exclusive section, so every entry counted
+// as copied before the reader lets go was copied outside the lock, and
+// any counted after it under the lock. Each case runs six epochs of
+// three Queries and one write, so MV goes two-level, has its overlay
+// copied, and is folded back into one map (bag.Prepare's rule); a twin
+// manager run without a reader says how many entries each epoch's write
+// copies in all, and all of them must be counted while the reader holds
+// the lock.
 func TestMVCopyIsPaidOutsideTheLock(t *testing.T) {
-	insert := func(m *Manager) error { return m.Execute(txn.Insert("sales", bag.Of(saleRow(0, 50, 1)))) }
+	const epochs = 6
+	insert := func(m *Manager, e int) error { return m.Execute(txn.Insert("sales", bag.Of(saleRow(0, 50+e, 1)))) }
+	refresh := func(m *Manager, _ int) error { return m.Refresh("hv") }
+	partial := func(m *Manager, _ int) error { return m.PartialRefresh("hv") }
+	propagate := func(m *Manager, _ int) error { return m.Propagate("hv") }
 	for _, tc := range []struct {
 		name   string
 		sc     Scenario
-		prep   []func(*Manager) error
-		write  func(*Manager) error
-		copies uint64
+		prep   []func(*Manager, int) error
+		write  func(*Manager, int) error
+		copies bool // whether any epoch's write copies entries at all
 	}{
-		{"makesafe_IM", Immediate, nil, insert, 1},
-		{"refresh_BL", BaseLogs, []func(*Manager) error{insert}, func(m *Manager) error { return m.Refresh("hv") }, 1},
-		{"refresh_DT", DiffTables, []func(*Manager) error{insert}, func(m *Manager) error { return m.Refresh("hv") }, 1},
-		{"partial_refresh_DT", DiffTables, []func(*Manager) error{insert}, func(m *Manager) error { return m.PartialRefresh("hv") }, 1},
-		{"partial_refresh_C", Combined, []func(*Manager) error{insert, func(m *Manager) error { return m.Propagate("hv") }},
-			func(m *Manager) error { return m.PartialRefresh("hv") }, 1},
-		{"refresh_C", Combined, []func(*Manager) error{insert}, func(m *Manager) error { return m.Refresh("hv") }, 1},
+		{"makesafe_IM", Immediate, nil, insert, true},
+		{"refresh_BL", BaseLogs, []func(*Manager, int) error{insert}, refresh, true},
+		{"refresh_DT", DiffTables, []func(*Manager, int) error{insert}, refresh, true},
+		{"partial_refresh_DT", DiffTables, []func(*Manager, int) error{insert}, partial, true},
+		{"partial_refresh_C", Combined, []func(*Manager, int) error{insert, propagate}, partial, true},
+		{"refresh_C", Combined, []func(*Manager, int) error{insert}, refresh, true},
 		// Nothing pending: nothing to copy, before the lock or under it.
-		{"empty partial_refresh_C", Combined, nil, func(m *Manager) error { return m.PartialRefresh("hv") }, 0},
+		{"empty partial_refresh_C", Combined, nil, partial, false},
 		// A recompute installs a new bag: the shared one is dropped, not copied.
-		{"RefreshRecompute", Combined, []func(*Manager) error{insert}, func(m *Manager) error { return m.RefreshRecompute("hv") }, 0},
+		{"RefreshRecompute", Combined, []func(*Manager, int) error{insert}, func(m *Manager, _ int) error { return m.RefreshRecompute("hv") }, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			db, def := retailDB(t)
-			m := NewManager(db)
-			if _, err := m.DefineView("hv", def, tc.sc); err != nil {
-				t.Fatal(err)
-			}
-			for _, f := range tc.prep {
-				if err := f(m); err != nil {
+			setup := func() *Manager {
+				db, def := retailDB(t)
+				m := NewManager(db)
+				if _, err := m.DefineView("hv", def, tc.sc); err != nil {
 					t.Fatal(err)
 				}
+				return m
 			}
-			var snaps []*bag.Bag
-			for i := 0; i < 3; i++ {
-				b, err := m.Query("hv")
-				if err != nil {
+			// epoch runs epoch e's preparation and its three Queries.
+			epoch := func(m *Manager, e int) []*bag.Bag {
+				for _, f := range tc.prep {
+					if err := f(m, e); err != nil {
+						t.Fatal(err)
+					}
+				}
+				var snaps []*bag.Bag
+				for i := 0; i < 3; i++ {
+					b, err := m.Query("hv")
+					if err != nil {
+						t.Fatal(err)
+					}
+					snaps = append(snaps, b)
+				}
+				return snaps
+			}
+			twin, want, total := setup(), make([]uint64, epochs), uint64(0)
+			for e := range want {
+				epoch(twin, e)
+				c0 := bag.CopiedEntries()
+				if err := tc.write(twin, e); err != nil {
 					t.Fatal(err)
 				}
-				snaps = append(snaps, b)
+				want[e] = bag.CopiedEntries() - c0
+				total += want[e]
 			}
-			want := snaps[0].String()
-
-			holding, release := make(chan struct{}), make(chan struct{})
-			readErr := make(chan error, 1)
-			go func() {
-				readErr <- m.Read("hv", func(*bag.Bag) error {
-					close(holding)
-					<-release
-					return nil
-				})
-			}()
-			<-holding
-			c0 := bag.Copies()
-			written := make(chan error, 1)
-			go func() { written <- tc.write(m) }()
-			deadline := time.After(10 * time.Second)
-			for bag.Copies()-c0 < tc.copies {
-				select {
-				case err := <-written:
-					t.Fatalf("the write returned (%v) while a reader held MV's shared lock", err)
-				case <-deadline:
-					t.Fatalf("%d of %d copies taken while a reader held the lock: the rest wait for the exclusive lock", bag.Copies()-c0, tc.copies)
-				case <-time.After(time.Millisecond):
-				}
-			}
-			outside := bag.Copies() - c0
-			close(release)
-			if err := <-written; err != nil {
-				t.Fatal(err)
-			}
-			if err := <-readErr; err != nil {
-				t.Fatal(err)
-			}
-			if under := bag.Copies() - c0 - outside; outside != tc.copies || under != 0 {
-				t.Fatalf("copies: %d before the exclusive lock (want %d), %d under it (want 0)", outside, tc.copies, under)
+			if (total > 0) != tc.copies {
+				t.Fatalf("the epochs' writes copy %v entries in all", want)
 			}
 
-			for _, s := range snaps {
-				if s.String() != want {
-					t.Fatalf("a Query result changed under the write: %s, was %s", s, want)
+			m := setup()
+			for e := range want {
+				snaps := epoch(m, e)
+				before := snaps[0].String()
+				holding, release := make(chan struct{}), make(chan struct{})
+				readErr := make(chan error, 1)
+				go func() {
+					readErr <- m.Read("hv", func(*bag.Bag) error {
+						close(holding)
+						<-release
+						return nil
+					})
+				}()
+				<-holding
+				c0 := bag.CopiedEntries()
+				written := make(chan error, 1)
+				go func() { written <- tc.write(m, e) }()
+				deadline := time.After(10 * time.Second)
+				for bag.CopiedEntries()-c0 < want[e] {
+					select {
+					case err := <-written:
+						t.Fatalf("epoch %d: the write returned (%v) while a reader held MV's shared lock", e, err)
+					case <-deadline:
+						t.Fatalf("epoch %d: %d of %d entries copied while a reader held the lock: the rest wait for the exclusive lock", e, bag.CopiedEntries()-c0, want[e])
+					case <-time.After(time.Millisecond):
+					}
 				}
-			}
-			if err := m.CheckInvariant("hv"); err != nil {
-				t.Fatal(err)
+				outside := bag.CopiedEntries() - c0
+				close(release)
+				if err := <-written; err != nil {
+					t.Fatal(err)
+				}
+				if err := <-readErr; err != nil {
+					t.Fatal(err)
+				}
+				if under := bag.CopiedEntries() - c0 - outside; outside != want[e] || under != 0 {
+					t.Fatalf("epoch %d: %d entries copied before the exclusive lock (want %d), %d under it (want 0)", e, outside, want[e], under)
+				}
+				for _, s := range snaps {
+					if s.String() != before {
+						t.Fatalf("epoch %d: a Query result changed under the write: %s, was %s", e, s, before)
+					}
+				}
+				if err := m.CheckInvariant("hv"); err != nil {
+					t.Fatal(err)
+				}
 			}
 		})
 	}
 }
 
-// TestFreshReadsMarkNothing: a fresh read — ReadFresh, or QueryFresh
-// collecting it — reads MV without a Clone, so it leaves no copy owing:
-// the refresh that follows copies nothing.
-func TestFreshReadsMarkNothing(t *testing.T) {
+// TestFreshReadsCopyOnlyTheDifferential: a fresh read — ReadFresh, or
+// QueryFresh collecting it — copies no more entries than the pending
+// differential holds, and neither does the refresh that follows it.
+// ReadFresh and a sliced QueryFresh only read MV; a whole-view QueryFresh
+// is a Clone of MV given the differential, which marks MV, and the
+// refresh then owes what bag.Prepare's rule says, not a copy of MV.
+func TestFreshReadsCopyOnlyTheDifferential(t *testing.T) {
 	for _, sc := range []Scenario{Immediate, BaseLogs, DiffTables, Combined} {
 		db, def := retailDB(t)
 		m := NewManager(db)
 		if _, err := m.DefineView("hv", def, sc); err != nil {
 			t.Fatal(err)
 		}
+		if err := m.Execute(txn.Insert("sales", highSales(0, 40))); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Refresh("hv"); err != nil {
+			t.Fatal(err)
+		}
 		if err := m.Execute(txn.Insert("sales", bag.Of(saleRow(0, 50, 1), saleRow(2, 51, 2)))); err != nil {
 			t.Fatal(err)
 		}
-		c0 := bag.Copies()
+		c0 := bag.CopiedEntries()
 		for _, pred := range []algebra.Predicate{nil, algebra.Eq(algebra.A("custId"), algebra.C(0))} {
 			got, err := m.QueryFresh("hv", pred)
 			if err != nil {
@@ -295,14 +349,83 @@ func TestFreshReadsMarkNothing(t *testing.T) {
 				t.Fatalf("%v: ReadFresh enumerates %v, QueryFresh answers %v", sc, seen, got)
 			}
 		}
+		// A Combined view's log is folded by now: the differential is what
+		// the reads applied and what the refresh will.
+		v := m.views["hv"]
+		diff := uint64(m.diffVolume(v) + m.logVolume(v))
+		reads := bag.CopiedEntries() - c0
 		if err := m.Refresh("hv"); err != nil {
 			t.Fatal(err)
 		}
-		if n := bag.Copies() - c0; n != 0 {
-			t.Fatalf("%v: fresh reads and a refresh copied MV %d times, want 0", sc, n)
+		refresh := bag.CopiedEntries() - c0 - reads
+		if reads > diff || refresh > diff {
+			t.Fatalf("%v: fresh reads copied %d entries and the refresh %d, want at most the %d of the differential", sc, reads, refresh, diff)
 		}
 		if err := m.CheckConsistent("hv"); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestQueriedRefreshCopiesGrowWithTheChange counts, without a clock,
+// what a Query before every refresh costs a Combined view over 40
+// epochs in which a fixed Δ = 20 tuples change (10 deleted, 10
+// inserted). Were MV copied at each refresh, the entries copied per
+// epoch would grow as |MV|; written as a frozen base under an overlay
+// (bag.Prepare), they grow at most as √|MV| — a fold every √(2·|MV|/Δ)
+// epochs or so — so 10x the view may copy at most 4x the entries
+// (√10 ≈ 3.2), and at |MV|/Δ = 100 the 40 epochs copy at most a quarter
+// of what 40 copies of MV would.
+func TestQueriedRefreshCopiesGrowWithTheChange(t *testing.T) {
+	const epochs, delta = 40, 20
+	copiedOver := func(rows int) uint64 {
+		db := storage.NewDatabase()
+		sch := schema.NewSchema(schema.Col("r.k", schema.TInt), schema.Col("r.v", schema.TInt))
+		r, err := db.Create("r", sch, storage.External)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < rows; i++ {
+			if err := r.Insert(schema.Row(i, i%7), 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		def, err := algebra.NewSelect(algebra.Neq(algebra.A("r.v"), algebra.C(-1)), algebra.NewBase("r", sch))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := NewManager(db)
+		if _, err := m.DefineView("v", def, Combined); err != nil {
+			t.Fatal(err)
+		}
+		c0 := bag.CopiedEntries()
+		for e := 0; e < epochs; e++ {
+			del, ins := bag.New(), bag.New()
+			for i := 0; i < delta/2; i++ {
+				del.Add(schema.Row(e*delta/2+i, (e*delta/2+i)%7), 1)
+				ins.Add(schema.Row(rows+e*delta/2+i, 0), 1)
+			}
+			if err := m.Execute(txn.Txn{"r": {Delete: del, Insert: ins}}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Query("v"); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Refresh("v"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.CheckConsistent("v"); err != nil {
+			t.Fatal(err)
+		}
+		return bag.CopiedEntries() - c0
+	}
+	small, large := copiedOver(100*delta), copiedOver(1000*delta)
+	t.Logf("%d epochs of Δ = %d: %d entries copied at |MV| = %d, %d at |MV| = %d", epochs, delta, small, 100*delta, large, 1000*delta)
+	if large > 4*small {
+		t.Errorf("10x the view copied %.1fx the entries, want at most 4x", float64(large)/float64(small))
+	}
+	if limit := uint64(epochs * 100 * delta / 4); small > limit {
+		t.Errorf("at |MV|/Δ = 100 the epochs copied %d entries, want at most a quarter of %d MV copies' %d", small, epochs, 4*limit)
 	}
 }
