@@ -26,7 +26,13 @@ import (
 //   - fuses Π(σ_p(L × R)), where the Π is the join's only parent, into
 //     the same call — the kernel emits the projected tuples: no wide
 //     tuple, no composed key, no intermediate join bag — and Π(σ(E))
-//     over any other E into a single pass;
+//     over any other E into a single pass; the rewrites (rewrite.go) put
+//     a view's Π on every join term of its delta;
+//   - reads a join side that is a base table under selects off the live
+//     table, running the selects on its tuples, and a side R ∸ σ_r(X)
+//     through R's index, one lookup in X per bucket entry: neither is
+//     materialized. A join fetches its table operands first, and an
+//     empty operand ends it before the other is evaluated;
 //   - replaces the per-call memo map with slot-indexed DAG-node result
 //     caching (plain slice loads, no interface-keyed map);
 //   - hands a root over uncloned when the evaluation built its bag and
@@ -188,9 +194,10 @@ func Compile(roots ...Expr) (*Program, error) {
 		slots: make(map[Expr]int),
 		refs:  make(map[Expr]int),
 	}
-	// Distribute joins over the ∸/⊎ base-table adjustments first (see
-	// rewrite.go) so the emitted hash joins probe the live base bags' own
-	// indexes rather than index per-evaluation materializations.
+	// Distribute joins over the ∸/⊎ base-table adjustments the kernel
+	// cannot read, and Π over ⊎, first (see rewrite.go), so the emitted
+	// joins probe the live base bags' own indexes rather than index
+	// per-evaluation materializations, and emit projected tuples.
 	memo := make(map[Expr]Expr)
 	rewritten := make([]Expr, len(roots))
 	for i, r := range roots {
@@ -381,51 +388,150 @@ func (c *compiler) emit(e Expr) (cnode, error) {
 	return nil, fmt.Errorf("algebra: compile: unknown node %T", e)
 }
 
+// joinSide is one operand of σ_p(L × R) as the join kernel reads it:
+// the expression its slot computes — for a base table under selects,
+// the table itself, with the selects' predicates run on its tuples —
+// and, for a side R ∸ σ_keep(X) (readable), the subtrahend X. own
+// says the side is a table whose own index the join may probe: a base
+// read whole, or the R of R ∸ X. A table read under selects alone is a
+// delta in Figure 2's terms (the stable tables stand under ∸), so it is
+// filtered on the fly and indexed, if at all, for the one join.
+type joinSide struct {
+	expr  Expr
+	preds []Predicate // bind against expr's schema
+	sub   Expr
+	keep  []Predicate // bind against sub's schema
+	own   bool
+}
+
+// sideOf takes one operand of a join apart; readSub says whether this
+// side may be read through a subtrahend (only one side of a join is).
+func sideOf(e Expr, readSub bool) joinSide {
+	if readSub && readable(e) {
+		m := under(e).(*Monus)
+		b, q := peelSelects(m.L)
+		x, r := peelAll(m.R)
+		return joinSide{expr: b, preds: q, sub: x, keep: r, own: true}
+	}
+	if b, q := peelSelects(e); len(q) > 0 {
+		return joinSide{expr: b, preds: q}
+	}
+	return joinSide{expr: e, own: isBase(e)}
+}
+
 // emitJoin lowers σ_p(L × R), under Π_project when project is not nil,
 // into one bag.Join. The predicate is taken apart here, once: its
 // cross-side equalities become the join columns (and stay among the
 // cross conjuncts — an index key only narrows the candidates), and its
 // conjuncts are bound to the schema of the one side they read, so the
 // kernel rejects a probe tuple before the lookup and a bucket entry
-// before any row exists. A side that is a base table (under any
-// renaming) is probed through the table's own index — the larger
-// table's when both sides are: across propagates that is the stable
-// base and the other side the delta. One-shot evaluations, joins of two
-// derived operands and joins with no column to key on index the smaller
-// side for the duration of the join.
+// before any row exists; the selects peeled off a base-table side
+// (sideOf) join that side's conjuncts. A side R ∸ σ_r(X) — the right
+// one, when both are — is probed through R's own index, read as
+// R ∸ σ_r(X); otherwise a side that is a base table read whole (under
+// any renaming) is, the larger table's when both are: across
+// propagates that is the stable base and the other side the delta.
+// One-shot evaluations, joins with no column to key on and joins with
+// no such side index the smaller side for the duration of the join,
+// after materializing an R ∸ σ_r(X). The operands are evaluated tables
+// first, since fetching one costs nothing, and an empty one ends the
+// join before the other is evaluated.
 func (c *compiler) emitJoin(s *Select, prod *Product, project []int) (cnode, error) {
 	lpos, rpos := joinColumns(s.Pred, prod)
-	lBase, rBase := isBase(prod.L), isBase(prod.R)
+	rside := sideOf(prod.R, true)
+	sides := [2]joinSide{sideOf(prod.L, rside.sub == nil), rside}
 	left, right, cross := splitConjuncts(s.Pred, prod)
 	join := &bag.Join{Project: project}
-	var errs [3]error
-	join.Left, errs[0] = bindAll(left, prod.L.Schema())
-	join.Right, errs[1] = bindAll(right, prod.R.Schema())
+	var errs [7]error
+	join.Left, errs[0] = bindSide(left, prod.L.Schema(), sides[0].preds, sides[0].expr.Schema())
+	join.Right, errs[1] = bindSide(right, prod.R.Schema(), sides[1].preds, sides[1].expr.Schema())
 	join.Cross, errs[2] = bindAll(cross, prod.sch)
+	p := c.p
+	var slots [2]int
+	subAt, subSlot := -1, -1
+	for i, side := range sides {
+		slots[i], errs[3+i] = c.compile(side.expr)
+		if side.sub != nil {
+			subAt = i
+			join.Keep, errs[5] = bindAll(side.keep, side.sub.Schema())
+			subSlot, errs[6] = c.compile(side.sub)
+		}
+	}
 	if err := errors.Join(errs[:]...); err != nil {
 		return nil, err
 	}
-	return c.binary(prod.L, prod.R, func(st *State, l, r *bag.Bag) *bag.Bag {
+	order := [2]int{0, 1}
+	if !isBase(sides[0].expr) && isBase(sides[1].expr) {
+		order = [2]int{1, 0}
+	}
+	lOwn, rOwn := sides[0].own, sides[1].own
+	return func(st *State) (*bag.Bag, error) {
+		var ops [2]*bag.Bag
+		for _, i := range order {
+			b, err := p.get(st, slots[i])
+			if err != nil {
+				return nil, err
+			}
+			if b.Empty() {
+				return bag.New(), nil
+			}
+			ops[i] = b
+		}
+		var sub *bag.Bag
+		if subSlot >= 0 {
+			b, err := p.get(st, subSlot)
+			if err != nil {
+				return nil, err
+			}
+			if !b.Empty() {
+				sub = b
+			}
+		}
+		l, r := ops[0], ops[1]
 		var out *bag.Bag
 		var probed, built int
 		switch {
-		case l.Empty() || r.Empty():
-			return bag.New()
-		case st.oneShot || len(lpos) == 0 || !(lBase || rBase):
-			out, probed, built = join.Hash(l, lpos, r, rpos)
-		case lBase && (!rBase || l.Distinct() >= r.Distinct()):
+		case st.oneShot || len(lpos) == 0 || !(lOwn || rOwn):
+			if sub != nil {
+				if join.Keep != nil {
+					sub = bag.Select(sub, join.Keep)
+				}
+				ops[subAt] = bag.Monus(ops[subAt], sub)
+			}
+			out, probed, built = join.Hash(ops[0], lpos, ops[1], rpos)
+		case subAt == 0 || subAt < 0 && lOwn && (!rOwn || l.Distinct() >= r.Distinct()):
 			var ix *bag.Index
 			ix, built = l.IndexOn(lpos)
-			out, probed = join.Indexed(r, rpos, ix, true)
+			out, probed = join.Indexed(r, rpos, ix, sub, true)
 		default:
 			var ix *bag.Index
 			ix, built = r.IndexOn(rpos)
-			out, probed = join.Indexed(l, lpos, ix, false)
+			out, probed = join.Indexed(l, lpos, ix, sub, false)
 		}
 		st.probed += int64(probed)
 		st.built += int64(built)
-		return out
-	})
+		return out, nil
+	}, nil
+}
+
+// bindSide binds one side's conjuncts of a join predicate against the
+// side's schema and the selects peeled off it against the schema of
+// what they were peeled off; both hold of a tuple the kernel keeps.
+func bindSide(conjuncts []Predicate, sch *schema.Schema, peeled []Predicate, peeledSch *schema.Schema) (func(schema.Tuple) bool, error) {
+	f, err := bindAll(conjuncts, sch)
+	if err != nil {
+		return nil, err
+	}
+	g, err := bindAll(peeled, peeledSch)
+	switch {
+	case err != nil:
+		return nil, err
+	case f == nil:
+		return g, nil
+	case g == nil:
+		return f, nil
+	}
+	return func(t schema.Tuple) bool { return f(t) && g(t) }, nil
 }
 
 // bindAll binds the conjunction of conjuncts against sch; none at all is

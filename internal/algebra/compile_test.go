@@ -318,6 +318,54 @@ func TestCompiledIndexSyncsIncrementally(t *testing.T) {
 	}
 }
 
+// TestEmptyOperandEndsTheJoin: a join fetches its table operand first,
+// and when that is empty it returns without evaluating the other one —
+// here a σ over a product of tables, which would copy 400 rows. The
+// evaluation allocates the same handful for a 400-row table as for a
+// 4-row one, compiled either way round, and is still the interpreter's
+// answer (empty), as it is once the table fills.
+func TestEmptyOperandEndsTheJoin(t *testing.T) {
+	sch := schema.NewSchema(schema.Col("k", schema.TInt), schema.Col("v", schema.TInt))
+	derived, err := NewSelect(Lt(A("l.v"), A("r.v")), NewProduct(Qualified(NewBase("Big", sch), "l"), Qualified(NewBase("Big", sch), "r")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := Qualified(NewBase("Log", sch), "g")
+	for _, join := range []struct{ l, r Expr }{{log, derived}, {derived, log}} {
+		e, err := JoinOn(join.l, join.r, Eq(A("g.k"), A("l.k")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := Compile(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := func(rows int) float64 {
+			big := bag.New()
+			for i := 0; i < rows; i++ {
+				big.Add(schema.Row(i%3, i), 1)
+			}
+			st, ps := MapSource{"Big": big, "Log": bag.New()}, prog.NewState()
+			return testing.AllocsPerRun(10, func() {
+				if out, _, err := prog.Eval(ps, st); err != nil || !out[0].Empty() {
+					t.Fatalf("%s over an empty log = %v (%v)", e, out, err)
+				}
+			})
+		}
+		if small, large := allocs(4), allocs(400); small != large || large > 10 {
+			t.Errorf("%s: %v allocations with a 4-row table, %v with a 400-row one; want one small constant", e, small, large)
+		}
+		st := MapSource{"Big": bag.Of(schema.Row(1, 1), schema.Row(1, 2)), "Log": bag.Of(schema.Row(1, 0))}
+		got, _, err := prog.Eval(prog.NewState(), st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := Eval(e, st); !got[0].Equal(want) || want.Empty() {
+			t.Fatalf("%s = %v, interpreter says %v", e, got[0], want)
+		}
+	}
+}
+
 // TestTableIndexSharedAndOneShotReadOnly checks who ends up owning a
 // join index. Evaluating with a State asks the base table's bag for its
 // own index: the DEL-like and ADD-like terms of one program and a second

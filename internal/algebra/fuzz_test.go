@@ -288,6 +288,21 @@ func FuzzCompiledEval(f *testing.F) {
 	f.Add([]byte{11, 0, 2, 0, 3, 1, 3, 3, 0, 2, 0, 1, 3, 1, 2, 4, 1, 3, 2, 1, 1, 2, 1, 5, 3, 2, 0, 0, 3, 2, 1, 2, 3, 2, 2, 1, 1, 0, 3, 1, 2, 2, 0, 1})
 	// Only the right side qualified, the join under a ∸, a FALSE conjunct.
 	f.Add([]byte{6, 11, 0, 2, 0, 3, 2, 2, 4, 0, 0, 1, 0, 2, 3, 3, 1, 1, 2, 0, 1, 0, 3, 0, 2, 4, 2, 2, 1, 1, 3, 0, 1, 2, 3, 2, 1, 1, 2, 0, 3, 1})
+	// Π(σ(ρ(R2) × ρ(R0 ∸ σ_{a ≤ 1}(R1)))) ⊎ R2, the Figure 2 delta term:
+	// the kernel reads R0 ∸ σ(R1) through R0's own index, keyed on
+	// l.a = r.a; then the same with l.a < r.b, no column to key on, where
+	// the subtrahend is materialized; then the keyed one under a Π, which
+	// goes through the ⊎ onto the join. Each mutates all three tables
+	// before the second pass, the subtrahend R1 included.
+	f.Add([]byte{5, 11, 0, 2, 6, 0, 3, 2, 1, 1, 3, 0, 3, 0, 10, 0, 0, 3, 0, 0, 0, 0, 2, 2, 1, 0, 2,
+		4, 0, 1, 0, 1, 1, 1, 2, 0, 0, 3, 3, 0, 3, 1, 1, 0, 2, 0, 0, 0, 1, 1,
+		4, 0, 2, 0, 1, 3, 0, 2, 2, 1, 3, 0, 0, 2, 1, 1, 4, 0, 1, 0, 1, 2, 0, 1, 1, 1, 1, 0})
+	f.Add([]byte{5, 11, 0, 2, 6, 0, 3, 2, 1, 1, 3, 0, 3, 0, 10, 0, 0, 3, 2, 0, 0, 0, 3, 1, 2, 1, 0, 2,
+		4, 0, 1, 0, 1, 1, 1, 2, 0, 0, 3, 3, 0, 3, 1, 1, 0, 2, 0, 0, 0, 1, 1,
+		4, 0, 2, 0, 1, 3, 0, 2, 2, 1, 3, 0, 0, 2, 1, 1, 4, 0, 1, 0, 1, 2, 0, 1, 1, 1, 1, 0})
+	f.Add([]byte{3, 1, 5, 11, 0, 2, 6, 0, 3, 2, 1, 1, 3, 0, 3, 10, 0, 0, 3, 0, 0, 0, 0, 2, 2, 1, 0, 2,
+		4, 0, 1, 0, 1, 1, 1, 2, 0, 0, 3, 3, 0, 3, 1, 1, 0, 2, 0, 0, 0, 1, 1,
+		4, 0, 2, 0, 1, 3, 0, 2, 2, 1, 3, 0, 0, 2, 1, 1, 4, 0, 1, 0, 1, 2, 0, 1, 1, 1, 1, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := &exprDecoder{data: data, uni: NewRandomUniverse(3)}

@@ -1,32 +1,48 @@
 package algebra
 
+import "dvm/internal/schema"
+
 // Compile-time join distribution.
 //
 // The Figure 2 delta queries join small per-transaction deltas against
-// "adjusted" base tables of the form (R ∸ ▲R) ⊎ ▼R (the PAST
-// reconstruction) or R ∸ ∇R. Evaluated literally, every such term
-// materializes an O(|R|) bag per propagate — a clone of the base table
-// — and any hash index built over it dies with the evaluation, because
-// the next propagate materializes a fresh bag. That fixed O(|R|) cost
-// per propagate is exactly what deferred maintenance is supposed to
-// avoid.
+// "adjusted" base tables of the form R ∸ ▲R or (R ∸ ▲R) ⊎ ▼R (the PAST
+// reconstruction), all under one Π. Evaluated literally, every adjusted
+// table materializes an O(|R|) bag per propagate — a clone of the base
+// table — and any hash index built over it dies with the evaluation,
+// because the next propagate materializes a fresh bag. That fixed
+// O(|R|) cost per propagate is exactly what deferred maintenance is
+// supposed to avoid.
 //
-// Joins distribute over ∸ and ⊎ in bag semantics: for bags with
-// non-negative multiplicities, the per-tuple join count is the product
-// of the operand counts, and multiplication by a non-negative factor
-// distributes over both x+y and max(x−y, 0). Hence, exactly:
+// The join kernel reads the commonest adjustment in place: a side
+// R ∸ σ_r(X), R a base table under selects, is R's own hash index
+// (bag.IndexOn), which follows the table's in-place mutations through
+// its journal, with each bucket entry's count lowered by one lookup of
+// its key in X (bag.Join.Indexed). What the kernel cannot read is
+// rewritten away, exactly, by the bag identities
 //
-//	σ_p((A ∸ B) × C) ≡ σ_p(A × C) ∸ σ_p(B × C)
 //	σ_p((A ⊎ B) × C) ≡ σ_p(A × C) ⊎ σ_p(B × C)
+//	σ_p((A ∸ B) × C) ≡ σ_p(A × C) ∸ σ_p(B × C)
+//	Π(A ⊎ B)         ≡ Π(A) ⊎ Π(B)
 //
-// (and symmetrically on the right). distributeJoins rewrites fusable
-// σ(×) nodes this way whenever a side is a small ∸/⊎ composition
-// containing a base table, so the compiled program joins the delta
-// against the live base bag directly: the join probes that bag's own
-// hash index (bag.IndexOn), which follows the table's in-place mutations
-// through its journal and is shared by every term and every view that
-// joins on those columns, and the ∸/⊎ arithmetic runs over delta-sized
-// join outputs instead of table-sized inputs.
+// (the joins symmetrically on the right). For bags with non-negative
+// multiplicities the per-tuple join count is the product of the operand
+// counts, and multiplication by a non-negative factor distributes over
+// both x+y and max(x−y, 0); a projection adds the counts of the tuples it
+// merges, which commutes with + but not with max(x−y, 0) — so Π goes
+// through ⊎ and stops at ∸. distributeJoins distributes a join over a
+// small ∸/⊎ composition containing a base table only where the kernel
+// cannot read the side as it is:
+//
+//   - a ⊎ (the ▼R half of the PAST reconstruction);
+//   - a ∸ whose left operand is not a base table under selects
+//     ((A ⊎ B) ∸ X, (R ∸ X) ∸ Y, a derived A ∸ X);
+//   - the left side of a join whose both sides are R ∸ X: the kernel
+//     reads one side through a subtrahend, the indexed one.
+//
+// Every other term stays one join against the live base bag, and a
+// non-renaming Π is pushed through ⊎ onto each σ(×) term, where the
+// compiler fuses it into the join: the kernel emits the projected
+// tuples.
 
 // maxDistLeaves bounds the ∸/⊎ spine size a side may have to be
 // distributed: a join over k×l terms emits k·l hash joins, so the
@@ -64,11 +80,8 @@ func rewriteNode(e Expr, memo map[Expr]Expr) (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			if !distributable(l) && !distributable(r) {
-				if l == prod.L && r == prod.R {
-					return e, nil
-				}
-				return NewSelect(n.Pred, NewProduct(l, r))
+			if l == prod.L && r == prod.R && spreadSide(l, r) == nil {
+				return e, nil
 			}
 			return distJoin(n.Pred, l, r)
 		}
@@ -93,11 +106,17 @@ func rewriteNode(e Expr, memo map[Expr]Expr) (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
+		if n.rename {
+			if child == n.Child {
+				return e, nil
+			}
+			return newRename(child, n.sch), nil
+		}
+		if _, ok := child.(*UnionAll); ok {
+			return pushProject(n, child)
+		}
 		if child == n.Child {
 			return e, nil
-		}
-		if n.rename {
-			return newRename(child, n.sch), nil
 		}
 		return NewProject(n.Cols, n.OutNames, child)
 
@@ -143,6 +162,33 @@ func rewriteNode(e Expr, memo map[Expr]Expr) (Expr, error) {
 	return e, nil
 }
 
+// pushProject rewrites Π(e), p a non-renaming projection, by pushing it
+// through e's ⊎ nodes, so that each Π sits on its own term. Each side
+// is projected by p's column positions, not names: a ⊎ takes its left
+// operand's names, and the right one's may differ.
+func pushProject(p *Project, e Expr) (Expr, error) {
+	if u, ok := e.(*UnionAll); ok {
+		l, err := pushProject(p, u.L)
+		if err != nil {
+			return nil, err
+		}
+		r, err := pushProject(p, u.R)
+		if err != nil {
+			return nil, err
+		}
+		return NewUnionAll(l, r)
+	}
+	in := e.Schema()
+	cols := make([]string, len(p.positions))
+	outCols := make([]schema.Column, len(p.positions))
+	for i, pos := range p.positions {
+		cols[i] = in.Column(pos).Name
+		outCols[i] = schema.Column{Name: p.OutNames[i], Type: in.Column(pos).Type}
+	}
+	return &Project{Cols: cols, OutNames: p.OutNames, Child: e, positions: p.positions,
+		sch: schema.NewSchema(outCols...)}, nil
+}
+
 // spine takes a ∸/⊎ node apart: its operands, and the constructor of
 // the same operator over new ones. ok is false for any other node.
 func spine(e Expr) (l, r Expr, rebuild func(l, r Expr) (Expr, error), ok bool) {
@@ -155,23 +201,33 @@ func spine(e Expr) (l, r Expr, rebuild func(l, r Expr) (Expr, error), ok bool) {
 	return nil, nil, nil, false
 }
 
-// distJoin emits the distributed form of σ_p(l × r), recursing through
-// the ∸/⊎ spines of distributable sides (the right one first) and
-// terminating in per-term σ_p(× ) joins (which emitJoin then lowers to
-// hash joins).
-func distJoin(pred Predicate, l, r Expr) (Expr, error) {
-	var x, y Expr
-	var rebuild func(l, r Expr) (Expr, error)
-	var term func(side Expr) (Expr, error) // the join with one operand of the spine
+// spreadSide returns the operand of σ(l × r) that distJoin distributes
+// the join over next, or nil when the kernel reads both as they are:
+// the right one if it is distributable but not readable, else the left
+// one if it is distributable and either not readable or facing a right
+// side the kernel reads through its subtrahend already.
+func spreadSide(l, r Expr) Expr {
 	switch {
-	case distributable(r):
-		x, y, rebuild, _ = spine(r)
-		term = func(side Expr) (Expr, error) { return distJoin(pred, l, side) }
-	case distributable(l):
-		x, y, rebuild, _ = spine(l)
-		term = func(side Expr) (Expr, error) { return distJoin(pred, side, r) }
-	default:
-		return joinTerm(pred, l, r)
+	case distributable(r) && !readable(r):
+		return r
+	case distributable(l) && (!readable(l) || readable(r)):
+		return l
+	}
+	return nil
+}
+
+// distJoin emits the distributed form of σ_p(l × r), recursing through
+// the ∸/⊎ spines spreadSide picks and terminating in per-term σ_p(×)
+// joins (which emitJoin then lowers to kernel calls).
+func distJoin(pred Predicate, l, r Expr) (Expr, error) {
+	side := spreadSide(l, r)
+	if side == nil {
+		return NewSelect(pred, NewProduct(l, r))
+	}
+	x, y, rebuild, _ := spine(side)
+	term := func(s Expr) (Expr, error) { return distJoin(pred, l, s) }
+	if side == l {
+		term = func(s Expr) (Expr, error) { return distJoin(pred, s, r) }
 	}
 	a, err := term(x)
 	if err != nil {
@@ -184,49 +240,32 @@ func distJoin(pred Predicate, l, r Expr) (Expr, error) {
 	return rebuild(a, b)
 }
 
-// joinTerm emits one terminal σ_p(l × r) join, folding σ-chains that
-// bottom at a base table into the join's predicate. Exact: σ_q(R)'s
-// per-tuple count is R(t)·[q(t)], and q rebinds by column name over the
-// product schema, so selecting after the product scales every count by
-// the identical factor. That is the algebra; it is not the execution.
-// The point of the fold is that the join then reads the live base bag's
-// own index — which persists and journal-syncs across evaluations —
-// instead of indexing a σ materialization that dies with each one, and
-// emitJoin splits the folded predicate back by side: q still runs on
-// R's tuple alone, before any pair is formed.
-func joinTerm(pred Predicate, l, r Expr) (Expr, error) {
-	l2, lp := peelSelects(l)
-	r2, rp := peelSelects(r)
-	if len(lp) == 0 && len(rp) == 0 {
-		return NewSelect(pred, NewProduct(l, r))
-	}
-	preds := make([]Predicate, 0, 1+len(lp)+len(rp))
-	preds = append(preds, pred)
-	preds = append(preds, lp...)
-	preds = append(preds, rp...)
-	return NewSelect(AndOf(preds...), NewProduct(l2, r2))
-}
-
 // peelSelects strips a chain of Selects bottoming at a (possibly
 // renamed) Base, returning the base — renaming included, the stripped
 // predicates bind against its names — and the predicates; any other
 // shape is returned unchanged (select work over derived inputs stays
 // where it was).
 func peelSelects(e Expr) (Expr, []Predicate) {
-	cur := e
-	var preds []Predicate
-	for {
-		s, ok := cur.(*Select)
-		if !ok {
-			break
-		}
-		preds = append(preds, s.Pred)
-		cur = s.Child
-	}
+	cur, preds := peelAll(e)
 	if !isBase(cur) {
 		return e, nil
 	}
 	return cur, preds
+}
+
+// peelAll strips a chain of Selects off any expression, returning what
+// is below it and the stripped predicates, which all bind against its
+// schema (a σ keeps its child's).
+func peelAll(e Expr) (Expr, []Predicate) {
+	var preds []Predicate
+	for {
+		s, ok := e.(*Select)
+		if !ok {
+			return e, preds
+		}
+		preds = append(preds, s.Pred)
+		e = s.Child
+	}
 }
 
 // maxPushLeaves bounds the ∸/⊎ spine size the select push-down will
@@ -260,8 +299,9 @@ func pushable(e Expr) bool {
 // pushSelect rewrites σ_p(e) by distributing the predicate through e's
 // ∸/⊎ spine (exact in bag semantics: per-tuple counts scale by the
 // same non-negative [p(t)] factor on every branch). Product leaves
-// become σ(×) nodes — further distributed via distJoin when a side is
-// a base-table adjustment — and other leaves keep a σ on top.
+// become σ(×) nodes — further distributed via distJoin where a side is
+// a base-table adjustment the kernel cannot read — and other leaves
+// keep a σ on top.
 func pushSelect(pred Predicate, e Expr, memo map[Expr]Expr) (Expr, error) {
 	if l, r, rebuild, ok := spine(e); ok {
 		a, err := pushSelect(pred, l, memo)
@@ -283,10 +323,7 @@ func pushSelect(pred Predicate, e Expr, memo map[Expr]Expr) (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		if distributable(l) || distributable(r) {
-			return distJoin(pred, l, r)
-		}
-		return NewSelect(pred, NewProduct(l, r))
+		return distJoin(pred, l, r)
 	}
 	rw, err := distributeJoins(e, memo)
 	if err != nil {
@@ -317,19 +354,21 @@ func distributable(e Expr) bool {
 	return false
 }
 
+// readable reports whether the join kernel reads e as it is: R ∸ X (under
+// any renaming), R a base table under selects — R's own index, X by one
+// lookup per bucket entry.
+func readable(e Expr) bool {
+	m, ok := under(e).(*Monus)
+	return ok && baseLeaf(m.L)
+}
+
 // baseLeaf reports whether e is a base table, possibly renamed, possibly
 // under a chain of selects (the shape the select push-down in Optimize
-// produces). Such leaves join directly against the live table bag once
-// joinTerm peels the selects into the join predicate.
+// produces). The compiled join reads such a side off the live table bag,
+// running the selects' predicates on its tuples.
 func baseLeaf(e Expr) bool {
-	for {
-		s, ok := e.(*Select)
-		if !ok {
-			break
-		}
-		e = s.Child
-	}
-	return isBase(e)
+	b, _ := peelAll(e)
+	return isBase(b)
 }
 
 // spineLeaves collects the maximal non-∸/⊎ subtrees of e in order.

@@ -10,9 +10,10 @@ import (
 
 // FuzzBagOps interprets the input as a program of Add/Remove/Clear
 // operations (plus ApplyDelta, bursts longer than the journal window,
-// look-ups of the bag's own index, Clones, and the writer's Prepare and
+// look-ups of the bag's own index, Clones, the writer's Prepare and
 // Adopt, so two-level bags, overlay copies, tombstones and folds are
-// fuzzed too) executed against two Bag
+// fuzzed too, and joins that read a bag's own index through the other
+// handle as a subtrahend) executed against two Bag
 // handles and a plain map[string]int reference model for each (see
 // runHandles), checking both handles against their models after every
 // step; then it checks the first handle's own index against a freshly
@@ -33,6 +34,11 @@ func FuzzBagOps(f *testing.F) {
 	// fold the clone (the kept tombstone must go); Clear.
 	f.Add([]byte{0, 1, 2, 0, 2, 1, 0, 3, 3, 0, 4, 1, 8, 0, 0, 10, 0, 1, 3, 1, 3, 0, 1, 1, 3, 2, 3,
 		0, 6, 1, 5, 0, 0, 8, 0, 0, 0, 7, 1, 9, 0, 0, 1, 8, 2, 10, 0, 15, 3, 3, 1, 9, 0, 0, 7, 0, 0})
+	// Clone, change the clone, then join through the source's own index
+	// read as b ∸ σ(clone) — keep-all and filtered — as b ∸ ∅ and as b;
+	// once more after a write to b that the index catches up with.
+	f.Add([]byte{0, 1, 2, 0, 6, 1, 0, 12, 3, 8, 0, 0, 9, 0, 0, 3, 1, 1, 0, 7, 2, 9, 0, 0,
+		11, 2, 2, 11, 3, 3, 11, 4, 1, 11, 0, 0, 0, 8, 1, 11, 1, 3})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		hs := runHandles(t, data)
@@ -101,7 +107,10 @@ func FuzzBagOps(f *testing.F) {
 // build), 6 ApplyDelta or a burst longer than the journal window, 7
 // Clear, 8 Clone into the other handle, 9 switch handles, 10 Prepare
 // with the count byte as pending, then Adopt (what Prepare returns must
-// match the model before it is adopted). After every step both handles
+// match the model before it is adopted), 11 join a probe over every key
+// with the handle through its own index, read as b ∸ σ_keep(sub) — sub
+// none, empty or the other handle, keep all or even second columns —
+// against the same join over that bag materialized. After every step both handles
 // must match their models — a Clone is a snapshot, so a write or Clear
 // on either side never shows on the other — and after a Clear the
 // handle's capacity obeys the retention bound.
@@ -115,7 +124,7 @@ func runHandles(t *testing.T, data []byte) [2]*Bag {
 		tu := schema.Row(int(data[i+1]%5), int(data[i+1]/5%5))
 		n := int(data[i+2] % 4)
 		key := tu.Key()
-		switch data[i] % 11 {
+		switch data[i] % 12 {
 		case 0, 1, 2:
 			b.Add(tu, n)
 			model[key] += n
@@ -157,6 +166,25 @@ func runHandles(t *testing.T, data []byte) [2]*Bag {
 					t.Fatalf("step %d: Prepare(%d): %s", i/3, data[i+2]%16, msg)
 				}
 				b.Adopt(p)
+			}
+		case 11:
+			var sub *Bag
+			var keep func(schema.Tuple) bool
+			switch n {
+			case 1:
+				sub = New()
+			case 3:
+				keep = func(tu schema.Tuple) bool { return tu[1].AsInt()%2 == 0 }
+				fallthrough
+			case 2:
+				sub = hs[1-cur]
+			}
+			probe := New()
+			for k := 0; k < 5; k++ {
+				probe.Add(schema.Row(k, int(data[i+1]%5)), 1)
+			}
+			if msg := checkJoinSub(probe, b, sub, keep); msg != "" {
+				t.Fatalf("step %d: %s", i/3, msg)
 			}
 		}
 		// The model mirrors the bag's floor-at-zero semantics.

@@ -187,24 +187,30 @@ func (ix *Index) apply(e jentry) {
 // nil stands for TRUE. A predicate must not retain its argument: Cross
 // sees a scratch row that the next candidate overwrites. Project lists
 // the positions of the concatenated row the output keeps (the Π above
-// the join); nil keeps the whole row.
+// the join); nil keeps the whole row. Keep is r when the indexed side is
+// read as B ∸ σ_r(X) (Indexed's sub): it is given X's tuple, and nil
+// keeps all of X.
 type Join struct {
-	Left, Right, Cross func(schema.Tuple) bool
-	Project            []int
+	Left, Right, Cross, Keep func(schema.Tuple) bool
+	Project                  []int
 }
 
 // Indexed joins probe with the bag ix describes — L when buildLeft is
 // true, R otherwise — looking each distinct probe tuple up in ix under
-// its probePos columns. It filters before it allocates: the probe side's
-// conjuncts run before the lookup, the indexed side's on the bucket
-// entry, Cross on a scratch row, and only a survivor is materialized,
-// once, in its final shape. Unprojected, it takes the scratch row over
-// and its key is composed from the halves' keys; projected, its key is
-// encoded into a reused buffer and a tuple is made only if the output
-// does not hold that key yet. probed counts the bucket entries examined
-// — the work done, where a rescan would pay |L|·|R|.
-func (j *Join) Indexed(probe *Bag, probePos []int, ix *Index, buildLeft bool) (out *Bag, probed int) {
-	probePred, buildPred, cross, project := j.Left, j.Right, j.Cross, j.Project
+// its probePos columns. A non-nil sub makes the indexed side B ∸ σ_Keep(sub)
+// rather than B: a bucket entry's count drops by its key's count in sub
+// when Keep holds for sub's tuple — one lookup per entry that passed its
+// side's conjuncts, exact for any bags, and nothing materialized. It
+// filters before it allocates: the probe side's conjuncts run before the
+// lookup, the indexed side's on the bucket entry, Cross on a scratch
+// row, and only a survivor is materialized, once, in its final shape.
+// Unprojected, it takes the scratch row over and its key is composed
+// from the halves' keys; projected, its key is encoded into a reused
+// buffer and a tuple is made only if the output does not hold that key
+// yet. probed counts the bucket entries examined — the work done, where
+// a rescan would pay |L|·|R|.
+func (j *Join) Indexed(probe *Bag, probePos []int, ix *Index, sub *Bag, buildLeft bool) (out *Bag, probed int) {
+	probePred, buildPred, cross, keep, project := j.Left, j.Right, j.Cross, j.Keep, j.Project
 	if buildLeft {
 		probePred, buildPred = buildPred, probePred
 	}
@@ -229,6 +235,14 @@ func (j *Join) Indexed(probe *Bag, probePos []int, ix *Index, buildLeft bool) (o
 			if buildPred != nil && !buildPred(bt) {
 				continue
 			}
+			nb := eb.count
+			if sub != nil {
+				if es := sub.get(eb.key); es.count > 0 && (keep == nil || keep(sub.tupleAt(es.p))) {
+					if nb -= es.count; nb <= 0 {
+						continue
+					}
+				}
+			}
 			if row == nil {
 				row = make(schema.Tuple, len(pt)+len(bt))
 			}
@@ -241,7 +255,7 @@ func (j *Join) Indexed(probe *Bag, probePos []int, ix *Index, buildLeft bool) (o
 			if cross != nil && !cross(row) {
 				continue
 			}
-			n := ep.count * eb.count
+			n := ep.count * nb
 			if project != nil {
 				buf = row.AppendKeyAt(buf[:0], project)
 				e, ok := out.m[string(buf)]
@@ -274,17 +288,17 @@ func (j *Join) Indexed(probe *Bag, probePos []int, ix *Index, buildLeft bool) (o
 // holding only read locks. built is the number of tuples indexed.
 func (j *Join) Hash(l *Bag, lpos []int, r *Bag, rpos []int) (out *Bag, probed, built int) {
 	if l.Distinct() <= r.Distinct() {
-		out, probed = j.Indexed(r, rpos, newIndex(l, lpos, false), true)
+		out, probed = j.Indexed(r, rpos, newIndex(l, lpos, false), nil, true)
 		return out, probed, l.Distinct()
 	}
-	out, probed = j.Indexed(l, lpos, newIndex(r, rpos, false), false)
+	out, probed = j.Indexed(l, lpos, newIndex(r, rpos, false), nil, false)
 	return out, probed, r.Distinct()
 }
 
 // JoinIndexed is Join.Indexed for a predicate that has not been split:
 // pred sees every candidate's concatenated row.
 func JoinIndexed(probe *Bag, probePos []int, ix *Index, buildLeft bool, pred func(schema.Tuple) bool) (*Bag, int) {
-	return (&Join{Cross: pred}).Indexed(probe, probePos, ix, buildLeft)
+	return (&Join{Cross: pred}).Indexed(probe, probePos, ix, nil, buildLeft)
 }
 
 // HashJoin is Join.Hash for a predicate that has not been split.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"dvm/internal/schema"
 )
@@ -134,14 +135,14 @@ func TestJoinKernelMatchesOracle(t *testing.T) {
 				j := &Join{Left: allOf(left), Right: allOf(right), Cross: allOf(cross), Project: proj}
 				name := fmt.Sprintf("trial %d proj %v split %b", trial, proj, split)
 
-				got, probed := j.Indexed(rt, []int{0}, ixL, true)
+				got, probed := j.Indexed(rt, []int{0}, ixL, nil, true)
 				if !got.Equal(want) {
 					t.Fatalf("%s, build left: got %v want %v", name, got, want)
 				}
 				if probed > unsplitL {
 					t.Fatalf("%s, build left: probed %d > unsplit %d", name, probed, unsplitL)
 				}
-				got, probed = j.Indexed(l, []int{0}, ixR, false)
+				got, probed = j.Indexed(l, []int{0}, ixR, nil, false)
 				if !got.Equal(want) {
 					t.Fatalf("%s, build right: got %v want %v", name, got, want)
 				}
@@ -156,7 +157,7 @@ func TestJoinKernelMatchesOracle(t *testing.T) {
 					t.Fatalf("%s, hash: probed %d built %d", name, probed, built)
 				}
 				own, _ := l.IndexOn([]int{0})
-				if got, _ = j.Indexed(rt, []int{0}, own, true); !got.Equal(want) {
+				if got, _ = j.Indexed(rt, []int{0}, own, nil, true); !got.Equal(want) {
 					t.Fatalf("%s, IndexOn: got %v want %v", name, got, want)
 				}
 				// No column to key on: every pair is a candidate.
@@ -165,6 +166,85 @@ func TestJoinKernelMatchesOracle(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// checkJoinSub holds the kernel reading its indexed side b as
+// b ∸ σ_keep(sub) to the same kernel over that bag materialized —
+// Monus(b, Select(sub, keep)), or b itself when sub is nil — for the
+// join of probe with b on column 0, through b's own index, each way
+// round, with and without a projection and with a filter on each side.
+// It returns the first difference, or "".
+func checkJoinSub(probe, b, sub *Bag, keep func(schema.Tuple) bool) string {
+	src := b
+	if sub != nil {
+		sel := sub
+		if keep != nil {
+			sel = Select(sub, keep)
+		}
+		src = Monus(b, sel)
+	}
+	pos := []int{0}
+	own, _ := b.IndexOn(pos)
+	oracle := newIndex(src, pos, false)
+	for _, proj := range [][]int{nil, {0, 1, 3}, {3, 0}} {
+		for _, buildLeft := range []bool{false, true} {
+			j := &Join{
+				Left:    func(tu schema.Tuple) bool { return !tu[1].IsNull() },
+				Right:   func(tu schema.Tuple) bool { return tu[1].Compare(schema.Int(3)) < 0 },
+				Keep:    keep,
+				Project: proj,
+			}
+			got, _ := j.Indexed(probe, pos, own, sub, buildLeft)
+			want, _ := j.Indexed(probe, pos, oracle, nil, buildLeft)
+			if !got.Equal(want) {
+				return fmt.Sprintf("proj %v, build left %v: reading b ∸ σ(sub) gives %v, the materialized %v gives %v",
+					proj, buildLeft, got, src, want)
+			}
+		}
+	}
+	return ""
+}
+
+// TestPropJoinReadsThroughSubtrahend: the kernel reading its indexed
+// side as B ∸ σ_keep(X) — one lookup in X per bucket entry — is the
+// kernel over B ∸ σ_keep(X) materialized, for any bags: X nil, empty,
+// overlapping B below and beyond its counts, holding rows B lacks, and
+// (through joinOperand) NULLs and an INT and a FLOAT that share a key;
+// keep nil or not — one that tells such an INT from its FLOAT included,
+// so keep must read X's tuple, not B's.
+func TestPropJoinReadsThroughSubtrahend(t *testing.T) {
+	keeps := []func(schema.Tuple) bool{
+		nil,
+		func(tu schema.Tuple) bool { return !tu[1].IsNull() },
+		func(tu schema.Tuple) bool { return tu[0].Type() != schema.TFloat },
+	}
+	prop := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		probe, b := joinOperand(r, r.Intn(10)), joinOperand(r, r.Intn(14))
+		var sub *Bag
+		switch r.Intn(4) {
+		case 0: // nil: the side is B
+		case 1:
+			sub = New()
+		default:
+			sub = joinOperand(r, r.Intn(6))
+			b.Each(func(tu schema.Tuple, n int) {
+				if r.Intn(2) == 0 {
+					sub.Add(tu, 1+r.Intn(n+1))
+				}
+			})
+		}
+		for _, keep := range keeps {
+			if msg := checkJoinSub(probe, b, sub, keep); msg != "" {
+				t.Logf("seed %d: %s", seed, msg)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, qcfg); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -194,7 +274,7 @@ func TestJoinKernelFiltersBeforeAllocating(t *testing.T) {
 		allocs := func(n int) float64 {
 			probe, ix := operands(n)
 			return testing.AllocsPerRun(20, func() {
-				if out, probed := j.Indexed(probe, []int{0}, ix, false); !out.Empty() || (probed != n && j.Left == nil) {
+				if out, probed := j.Indexed(probe, []int{0}, ix, nil, false); !out.Empty() || (probed != n && j.Left == nil) {
 					t.Fatalf("%s: out %v probed %d", name, out, probed)
 				}
 			})
@@ -212,7 +292,7 @@ func TestJoinKernelFiltersBeforeAllocating(t *testing.T) {
 			k := k
 			j := &Join{Cross: func(tu schema.Tuple) bool { return tu[0].Compare(schema.Int(int64(k))) < 0 }, Project: proj}
 			got := testing.AllocsPerRun(5, func() {
-				if out, _ := j.Indexed(probe, []int{0}, ix, false); out.Len() != k {
+				if out, _ := j.Indexed(probe, []int{0}, ix, nil, false); out.Len() != k {
 					t.Fatalf("%d survivors, want %d", out.Len(), k)
 				}
 			})
@@ -227,7 +307,7 @@ func TestJoinKernelFiltersBeforeAllocating(t *testing.T) {
 	// Every candidate survives (the bypass case): still one tuple and one
 	// key per output row, no extra copy.
 	probe, ix := operands(1000)
-	got := testing.AllocsPerRun(5, func() { (&Join{}).Indexed(probe, []int{0}, ix, true) })
+	got := testing.AllocsPerRun(5, func() { (&Join{}).Indexed(probe, []int{0}, ix, nil, true) })
 	if perRow := got / 1000; perRow > 2.2 {
 		t.Errorf("all-survive join allocates %.2f per output row, want 2 plus map growth", perRow)
 	}

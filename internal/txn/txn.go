@@ -73,7 +73,10 @@ func (t Txn) Merge(o Txn) Txn {
 // state of db: effective deletes are capped at current multiplicities
 // (∇R := ∇R min R), which leaves (R ∸ ∇R) ⊎ △R unchanged but
 // establishes the precondition ∇R ⊑ R required by the differential
-// algorithms (Section 4.1).
+// algorithms (Section 4.1). A ∇R that is weakly minimal already — every
+// delete of an existing row — is then ∇R itself: one lookup per tuple
+// finds that out, and the result shares the caller's bag (a Clone,
+// copy-on-write) instead of being rebuilt.
 func (t Txn) Normalize(db *storage.Database) (Txn, error) {
 	out := Txn{}
 	for name, u := range t {
@@ -82,10 +85,13 @@ func (t Txn) Normalize(db *storage.Database) (Txn, error) {
 			return nil, fmt.Errorf("txn: normalize: %w", err)
 		}
 		u = u.normalized()
-		out[name] = Update{
-			Delete: bag.Min(u.Delete, tb.Data()),
-			Insert: u.Insert.Clone(),
+		del := u.Delete
+		if del.SubBagOf(tb.Data()) {
+			del = del.Clone()
+		} else {
+			del = bag.Min(del, tb.Data())
 		}
+		out[name] = Update{Delete: del, Insert: u.Insert.Clone()}
 	}
 	return out, nil
 }

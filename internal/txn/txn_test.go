@@ -140,6 +140,55 @@ func TestNormalizeWeakMinimality(t *testing.T) {
 	}
 }
 
+// TestNormalizeHandsOverAWeaklyMinimalDelete: a ∇R that is already a
+// sub-bag of R is handed over as a copy-on-write Clone after one lookup
+// per tuple, not rebuilt by min — Normalize allocates the same handful of
+// objects for a 2 000-tuple delete as for a 10-tuple one, and copies no
+// entry — and the caller may still change its bag without the
+// normalized transaction seeing it.
+func TestNormalizeHandsOverAWeaklyMinimalDelete(t *testing.T) {
+	db, _ := setup(t)
+	r, _ := db.Table("R")
+	for v := 100; v < 10100; v++ {
+		if err := r.Insert(schema.Row(v), 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deletes := func(n int) *bag.Bag {
+		b := bag.New()
+		for v := 100; v < 100+n; v++ {
+			b.Add(schema.Row(v), 1+v%2)
+		}
+		return b
+	}
+	allocs := func(n int) float64 {
+		tx := Txn{"R": {Delete: deletes(n), Insert: bag.Of(schema.Row(7))}}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := tx.Normalize(db); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	copied := bag.CopiedEntries()
+	small, large := allocs(10), allocs(2000)
+	if small != large || large > 8 || bag.CopiedEntries() != copied {
+		t.Fatalf("Normalize of a weakly minimal delete: %v allocations for 10 tuples, %v for 2000, %d entries copied; want one small constant and none",
+			small, large, bag.CopiedEntries()-copied)
+	}
+
+	del := deletes(50)
+	n, err := Txn{"R": {Delete: del}}.Normalize(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := deletes(50)
+	del.Add(schema.Row(1), 1)
+	del.Remove(schema.Row(100), 1)
+	if got := n["R"].Delete; !got.Equal(want) {
+		t.Fatalf("normalized delete %v changed with the caller's bag, want %v", got, want)
+	}
+}
+
 func TestTouchesInternal(t *testing.T) {
 	db, _ := setup(t)
 	user := Insert("R", bag.Of(schema.Row(9)))

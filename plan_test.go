@@ -167,8 +167,8 @@ func TestSQLViewPlansLikeAPIView(t *testing.T) {
 		// Catching up a table's index costs one entry per tuple changed
 		// since a join last asked for it — customer's every tick, sales'
 		// only when a customer changed (every other term's log side is
-		// empty) — and a join whose larger side is a log indexes that
-		// log, at most this tick's change again. A rebuilt sales index
+		// empty) — and a join of two logs indexes the smaller one for the
+		// join, at most this tick's change again. A rebuilt sales index
 		// would cost 2400 on top.
 		bound := 2 * changes
 		if flipped {
@@ -222,6 +222,54 @@ func TestSQLViewPlansLikeAPIView(t *testing.T) {
 			if got := b.Indexes(); len(got) != 1 || len(got[0]) != 1 || got[0][0] != 0 {
 				t.Fatalf("%s owns indexes on %v, want exactly one, on custId", name, got)
 			}
+		}
+	}
+}
+
+// TestCustomerFlipIndexesOnlyTheTables: after a customer's score flips
+// in a tick of sales churn, every term of the Example 1.1 pair runs —
+// the log × log ones too — and the Propagate leaves an index on the two
+// base tables alone, one each, on custId. A log is a delta: the join
+// reads it through a throw-away index, or probes a table's index with
+// it, but never makes it own one (which it would keep, and journal every
+// append for, for good). Both the API-defined and the SQL-defined view.
+func TestCustomerFlipIndexesOnlyTheTables(t *testing.T) {
+	api, eng, w := planPair(t, workload.RetailConfig{
+		Customers: 100, HighFraction: 0.5, InitialSales: 800, Items: 40, ZipfS: 1.2, Seed: 23,
+	})
+	const hot = 4 // one of the first half: High at set-up
+	custRow := func(score string) *bag.Bag {
+		return bag.Of(schema.Row(hot, fmt.Sprintf("cust-%d", hot), fmt.Sprintf("addr-%d", hot), score))
+	}
+	tick := []txn.Txn{{"customer": {Delete: custRow("High"), Insert: custRow("Low")}}}
+	for i := 0; i < 20; i++ {
+		tick = append(tick, w.Basket(2, 6, 0.5))
+	}
+	for _, m := range []*core.Manager{api, eng.Manager()} {
+		for _, tx := range tick {
+			if err := m.Execute(tx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.Propagate("hv"); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range m.DB().Names() {
+			b, _ := m.DB().Bag(name)
+			got := b.Indexes()
+			switch name {
+			case "sales", "customer":
+				if len(got) != 1 || len(got[0]) != 1 || got[0][0] != 0 {
+					t.Fatalf("%s owns indexes on %v, want exactly one, on custId", name, got)
+				}
+			default:
+				if len(got) != 0 {
+					t.Fatalf("%s owns indexes on %v, want none: only the base tables keep one", name, got)
+				}
+			}
+		}
+		if err := m.CheckInvariant("hv"); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
