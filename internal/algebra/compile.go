@@ -35,10 +35,15 @@ import (
 //     empty operand ends it before the other is evaluated;
 //   - replaces the per-call memo map with slot-indexed DAG-node result
 //     caching (plain slice loads, no interface-keyed map);
+//   - builds, with a State, every join and every ⊎ of two non-empty
+//     operands into a bag the State keeps for the node, which each
+//     evaluation clears and refills: the bag keeps its buckets by
+//     Clear's rule instead of growing a map from empty every time;
 //   - hands a root over uncloned when the evaluation built its bag and
-//     nothing else refers to it (fresh, Owned); roots that can alias
-//     storage, a literal or another slot are cloned by Eval and lent,
-//     read-only, by EvalBorrowed;
+//     nothing else refers to it (fresh, Owned), and a State then forgets
+//     it; roots that can alias storage, a literal or another slot are
+//     cloned by Eval. EvalBorrowed lends every root, read-only — with a
+//     State, Owned ones too, until the State's next evaluation;
 //   - joins against a base table through that table's own hash index
 //     (bag.IndexOn): one index per table and column set, shared by every
 //     term, program and view, and caught up from the bag's mutation
@@ -80,11 +85,22 @@ type Program struct {
 type cnode func(st *State) (*bag.Bag, error)
 
 // State is the reusable per-evaluator scratch of a Program: the DAG-node
-// result slots for the evaluation in flight. A State must not be shared
-// by concurrent Eval calls; use one State per worker (or nil per call).
+// result slots for the evaluation in flight, and the bags its nodes
+// build. A State must not be shared by concurrent Eval calls; use one
+// State per worker (or nil per call).
 type State struct {
 	src   Source
 	slots []*bag.Bag
+	// bags holds, per slot, the bag that slot's node builds its value
+	// into, for the nodes that build one the State keeps — joins and the
+	// ⊎ of two non-empty operands. Each evaluation Clears them and the
+	// nodes refill them, so a bag keeps its buckets by Clear's retention
+	// rule instead of growing a new map from empty every time; Eval hands
+	// an Owned root's bag over, and the State forgets it. A one-shot
+	// state keeps none: its nodes build new bags.
+	bags []*bag.Bag
+	// roots is the slice EvalBorrowed returns.
+	roots []*bag.Bag
 	// oneShot marks the throwaway state of Eval(nil, …): the evaluation
 	// must leave the source's bags exactly as it found them.
 	oneShot bool
@@ -94,7 +110,26 @@ type State struct {
 
 // NewState allocates an evaluation state for the program.
 func (p *Program) NewState() *State {
-	return &State{slots: make([]*bag.Bag, len(p.nodes))}
+	return &State{
+		slots: make([]*bag.Bag, len(p.nodes)),
+		bags:  make([]*bag.Bag, len(p.nodes)),
+		roots: make([]*bag.Bag, len(p.roots)),
+	}
+}
+
+// out returns the empty bag the node at slot builds its value into: the
+// State's own, which the evaluation has cleared, or in a one-shot
+// evaluation a new one.
+func (st *State) out(slot int) *bag.Bag {
+	if st.oneShot {
+		return bag.New()
+	}
+	b := st.bags[slot]
+	if b == nil {
+		b = bag.New()
+		st.bags[slot] = b
+	}
+	return b
 }
 
 // Roots returns the number of compiled root expressions.
@@ -103,8 +138,9 @@ func (p *Program) Roots() int { return len(p.roots) }
 // Eval evaluates every root against src, in registration order,
 // returning bags the caller owns (they never alias storage, literals, or
 // internal caches): EvalBorrowed, plus a Clone of every root that
-// evaluation only borrowed. The caller must not mutate the source's
-// tables during the call.
+// evaluation only borrowed. An Owned root is handed over as it is, and
+// a State forgets it: its next evaluation builds that root into a new
+// bag. The caller must not mutate the source's tables during the call.
 //
 // Passing a State says the caller evaluates this program again and
 // again and is the one who may mutate the source: joins against a base
@@ -115,12 +151,21 @@ func (p *Program) Roots() int { return len(p.roots) }
 // locks and leaves no index or journal behind on a live table.
 func (p *Program) Eval(st *State, src Source) ([]*bag.Bag, Stats, error) {
 	out, stats, err := p.EvalBorrowed(st, src)
+	if err != nil {
+		return nil, stats, err
+	}
+	if st != nil {
+		out = append([]*bag.Bag(nil), out...) // st.roots is lent too
+	}
 	for i, b := range out {
-		if !p.owned[i] {
+		switch {
+		case !p.owned[i]:
 			out[i] = b.Clone()
+		case st != nil:
+			st.bags[p.roots[i]] = nil
 		}
 	}
-	return out, stats, err
+	return out, stats, nil
 }
 
 // Owned reports whether root i's result belongs to the caller outright —
@@ -137,19 +182,26 @@ func (p *Program) Owned(i int) bool { return p.owned[i] }
 // caller keeps the source's tables from changing — until the locks the
 // evaluation ran under are released, or the next write of a
 // single-session owner; whatever must outlive that is cloned first.
-// Owned roots are the caller's to keep and mutate, as with Eval.
+//
+// With a State, every root is lent, the returned slice too, until the
+// next evaluation with that State: an Owned root is a bag the State
+// keeps and that evaluation clears and refills, so a caller evaluating
+// again and again builds into the same bags. With a nil State, Owned
+// roots are the caller's to keep and mutate, as with Eval.
 func (p *Program) EvalBorrowed(st *State, src Source) ([]*bag.Bag, Stats, error) {
 	if st == nil {
-		st = p.NewState()
-		st.oneShot = true
+		st = &State{slots: make([]*bag.Bag, len(p.nodes)), roots: make([]*bag.Bag, len(p.roots)), oneShot: true}
 	}
 	st.src = src
-	for i := range st.slots {
-		st.slots[i] = nil
+	clear(st.slots)
+	for _, b := range st.bags {
+		if b != nil {
+			b.Clear()
+		}
 	}
 	st.probed = 0
 	st.built = 0
-	out := make([]*bag.Bag, len(p.roots))
+	out := st.roots
 	for i, slot := range p.roots {
 		b, err := p.get(st, slot)
 		if err != nil {
@@ -157,9 +209,6 @@ func (p *Program) EvalBorrowed(st *State, src Source) ([]*bag.Bag, Stats, error)
 			return nil, Stats{}, err
 		}
 		out[i] = b
-		if p.owned[i] {
-			st.slots[slot] = nil
-		}
 	}
 	stats := Stats{IndexProbeTuples: st.probed, IndexBuildTuples: st.built}
 	st.src = nil
@@ -298,7 +347,7 @@ func (c *compiler) compile(e Expr) (int, error) {
 	c.p.nodes = append(c.p.nodes, nil)
 	c.slots[e] = slot
 
-	fn, err := c.emit(e)
+	fn, err := c.emit(e, slot)
 	if err != nil {
 		return 0, err
 	}
@@ -306,8 +355,9 @@ func (c *compiler) compile(e Expr) (int, error) {
 	return slot, nil
 }
 
-// emit builds the closure for one node, applying the fusion rules.
-func (c *compiler) emit(e Expr) (cnode, error) {
+// emit builds the closure for one node, at slot, applying the fusion
+// rules.
+func (c *compiler) emit(e Expr, slot int) (cnode, error) {
 	switch n := e.(type) {
 	case *Literal:
 		// Snapshot: decouple the program from later mutations of the
@@ -321,7 +371,7 @@ func (c *compiler) emit(e Expr) (cnode, error) {
 
 	case *Select:
 		if prod, ok := n.Child.(*Product); ok && c.refs[prod] == 1 {
-			return c.emitJoin(n, prod, nil)
+			return c.emitJoin(slot, n, prod, nil)
 		}
 		bound := n.bound
 		return c.unary(n.Child, func(b *bag.Bag) *bag.Bag { return bag.Select(b, bound) })
@@ -345,7 +395,7 @@ func (c *compiler) emit(e Expr) (cnode, error) {
 					return out
 				})
 			} else if c.refs[prod] == 1 {
-				return c.emitJoin(sel, prod, pos)
+				return c.emitJoin(slot, sel, prod, pos)
 			}
 		}
 		return c.unary(n.Child, func(b *bag.Bag) *bag.Bag {
@@ -356,17 +406,19 @@ func (c *compiler) emit(e Expr) (cnode, error) {
 		return c.unary(n.Child, bag.DupElim)
 
 	case *UnionAll:
-		return c.binary(n.L, n.R, func(_ *State, l, r *bag.Bag) *bag.Bag {
+		return c.binary(n.L, n.R, func(st *State, l, r *bag.Bag) *bag.Bag {
 			// Empty-side shortcuts return the other slot's bag
-			// uncloned; slots are never mutated and roots are cloned,
-			// so the alias is safe.
-			if l.Empty() {
+			// uncloned; slots are never mutated and roots are cloned
+			// or lent, so the alias is safe.
+			switch {
+			case l.Empty():
 				return r
-			}
-			if r.Empty() {
+			case r.Empty():
 				return l
+			case st.oneShot:
+				return bag.UnionAll(l, r)
 			}
-			return bag.UnionAll(l, r)
+			return st.out(slot).AddBag(l).AddBag(r)
 		})
 
 	case *Monus:
@@ -435,8 +487,9 @@ func sideOf(e Expr, readSub bool) joinSide {
 // no such side index the smaller side for the duration of the join,
 // after materializing an R ∸ σ_r(X). The operands are evaluated tables
 // first, since fetching one costs nothing, and an empty one ends the
-// join before the other is evaluated.
-func (c *compiler) emitJoin(s *Select, prod *Product, project []int) (cnode, error) {
+// join before the other is evaluated. The join's output, empty or not,
+// is the bag the State keeps for the node at slot (State.out).
+func (c *compiler) emitJoin(slot int, s *Select, prod *Product, project []int) (cnode, error) {
 	lpos, rpos := joinColumns(s.Pred, prod)
 	rside := sideOf(prod.R, true)
 	sides := [2]joinSide{sideOf(prod.L, rside.sub == nil), rside}
@@ -473,7 +526,7 @@ func (c *compiler) emitJoin(s *Select, prod *Product, project []int) (cnode, err
 				return nil, err
 			}
 			if b.Empty() {
-				return bag.New(), nil
+				return st.out(slot), nil
 			}
 			ops[i] = b
 		}
@@ -488,7 +541,8 @@ func (c *compiler) emitJoin(s *Select, prod *Product, project []int) (cnode, err
 			}
 		}
 		l, r := ops[0], ops[1]
-		var out *bag.Bag
+		out := st.out(slot)
+		var ix *bag.Index
 		var probed, built int
 		switch {
 		case st.oneShot || len(lpos) == 0 || !(lOwn || rOwn):
@@ -498,15 +552,13 @@ func (c *compiler) emitJoin(s *Select, prod *Product, project []int) (cnode, err
 				}
 				ops[subAt] = bag.Monus(ops[subAt], sub)
 			}
-			out, probed, built = join.Hash(ops[0], lpos, ops[1], rpos)
+			probed, built = join.Hash(out, ops[0], lpos, ops[1], rpos)
 		case subAt == 0 || subAt < 0 && lOwn && (!rOwn || l.Distinct() >= r.Distinct()):
-			var ix *bag.Index
 			ix, built = l.IndexOn(lpos)
-			out, probed = join.Indexed(r, rpos, ix, sub, true)
+			probed = join.Indexed(out, r, rpos, ix, sub, true)
 		default:
-			var ix *bag.Index
 			ix, built = r.IndexOn(rpos)
-			out, probed = join.Indexed(l, lpos, ix, sub, false)
+			probed = join.Indexed(out, l, lpos, ix, sub, false)
 		}
 		st.probed += int64(probed)
 		st.built += int64(built)

@@ -37,46 +37,138 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 	}
 }
 
+// randomDeltaView is a random view in the shape of a compiled delta
+// program over the universe: a ⊎ of projected joins keyed on
+// l.a = r.a, each side a base table (read through its own index), a
+// base less a select of another (read in place as R ∸ σ(X)) or a random
+// query. RandomQuery alone rarely yields a join the kernel runs.
+func randomDeltaView(u *RandomUniverse, r *rand.Rand) Expr {
+	base := func() Expr { return NewBase(u.Tables[r.Intn(len(u.Tables))], u.Sch) }
+	side := func(alias string) Expr {
+		switch r.Intn(3) {
+		case 0:
+			return Qualified(base(), alias)
+		case 1:
+			return Qualified(must(NewMonus(base(), must(NewSelect(u.randomPredicate(r), base())))), alias)
+		}
+		return Qualified(u.RandomQuery(r, 2), alias)
+	}
+	term := func() Expr {
+		sel := must(NewSelect(AndOf(Eq(A("l.a"), A("r.a")), Cmp{Op: NE, L: A("r.b"), R: C(r.Intn(4))}),
+			NewProduct(side("l"), side("r"))))
+		return must(NewProject([]string{"l.a", "r.b"}, []string{"a", "b"}, sel))
+	}
+	e := term()
+	for i := r.Intn(3); i > 0; i-- {
+		e = must(NewUnionAll(e, term()))
+	}
+	return e
+}
+
 // TestCompiledStateReuse evaluates one program against a sequence of
 // mutating states with a single reused State — the deployment shape in
 // core, where cached join indexes must be invalidated by table versions,
-// never trusted across mutations.
+// never trusted across mutations, and where the bags the State keeps for
+// its joins and unions must be emptied before each refill. Most steps
+// borrow the answer (EvalBorrowed); every third hands the roots over
+// (Eval), and a root handed over stays as it was through the evaluations
+// and changes that follow: the State never refills a bag it gave away.
 func TestCompiledStateReuse(t *testing.T) {
 	uni := NewRandomUniverse(3)
 	r := rand.New(rand.NewSource(88))
-	for i := 0; i < 60; i++ {
-		e := uni.RandomQuery(r, 4)
-		prog, err := Compile(e)
+	for i := 0; i < 200; i++ {
+		e := randomDeltaView(uni, r)
+		if i%4 == 0 {
+			e = uni.RandomQuery(r, 4)
+		}
+		prog, err := Compile(e, Optimize(e))
 		if err != nil {
 			t.Fatalf("compile %s: %v", e, err)
 		}
 		st := uni.RandomState(r)
 		ps := prog.NewState()
+		var handed, handedWant []*bag.Bag
 		for step := 0; step < 6; step++ {
 			want, err := Eval(e, st)
 			if err != nil {
 				t.Fatalf("interpret %s: %v", e, err)
 			}
-			got, _, err := prog.Eval(ps, st)
+			eval := prog.EvalBorrowed
+			if step%3 == 2 {
+				eval = prog.Eval
+			}
+			got, _, err := eval(ps, st)
 			if err != nil {
 				t.Fatalf("run compiled %s: %v", e, err)
 			}
-			if !got[0].Equal(want) {
-				t.Fatalf("step %d: compiled result differs for %s:\n  compiled:    %s\n  interpreted: %s",
-					step, e, got[0], want)
+			for k := range got {
+				if !got[k].Equal(want) {
+					t.Fatalf("step %d: compiled root %d differs for %s:\n  compiled:    %s\n  interpreted: %s",
+						step, k, e, got[k], want)
+				}
+				if step%3 == 2 {
+					handed, handedWant = append(handed, got[k]), append(handedWant, want)
+				}
+			}
+			for k, h := range handed {
+				if !h.Equal(handedWant[k]) {
+					t.Fatalf("step %d: a root of %s handed over as %s is now %s", step, e, handedWant[k], h)
+				}
 			}
 			// Mutate the live state in place: some tables change (their
-			// cached indexes must be rebuilt), others stay (theirs must
+			// cached indexes must be caught up), others stay (theirs must
 			// be reused, not recomputed into wrong answers).
 			for _, name := range uni.Tables {
 				if r.Intn(2) == 0 {
 					continue
 				}
 				del, ins := uni.RandomDelta(r)
-				st[name].AddBag(ins)
-				del.Each(func(tp schema.Tuple, n int) { st[name].Remove(tp, n) })
+				st[name].ApplyDelta(del, ins)
 			}
 		}
+	}
+}
+
+// TestEvalHandsOverAndForgets: a join root is built into a bag the
+// State keeps. EvalBorrowed lends that bag, and the next evaluation
+// refills it; Eval hands it over, and the next evaluation builds into
+// another bag, leaving the one handed over as it was.
+func TestEvalHandsOverAndForgets(t *testing.T) {
+	uni := NewRandomUniverse(2)
+	l, rt := Qualified(NewBase("R0", uni.Sch), "l"), Qualified(NewBase("R1", uni.Sch), "r")
+	e := must(NewProject([]string{"l.a", "r.b"}, []string{"a", "b"},
+		must(NewSelect(Eq(A("l.a"), A("r.a")), NewProduct(l, rt)))))
+	prog, err := Compile(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !prog.Owned(0) {
+		t.Fatalf("%s is not Owned", e)
+	}
+	st := MapSource{"R0": bag.Of(schema.Row(1, 1), schema.Row(2, 2)), "R1": bag.Of(schema.Row(1, 5), schema.Row(2, 6))}
+	ps := prog.NewState()
+	eval := func(f func(*State, Source) ([]*bag.Bag, Stats, error)) *bag.Bag {
+		out, _, err := f(ps, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out[0]
+	}
+	lent := eval(prog.EvalBorrowed)
+	if again := eval(prog.EvalBorrowed); again != lent {
+		t.Fatal("EvalBorrowed built the root into another bag, want the State's own refilled")
+	}
+	handed := eval(prog.Eval)
+	if handed != lent {
+		t.Fatal("Eval did not hand the State's bag over")
+	}
+	want := bag.UnionAll(handed, bag.New()) // a copy that shares no map
+	st["R1"].Add(schema.Row(2, 7), 1)
+	if next := eval(prog.EvalBorrowed); next == handed || next.Distinct() != 3 {
+		t.Fatalf("after Eval handed the root over, the next evaluation built %s into %p, the handed bag is %p", next, next, handed)
+	}
+	if !handed.Equal(want) {
+		t.Fatalf("the handed-over root changed from %s to %s", want, handed)
 	}
 }
 

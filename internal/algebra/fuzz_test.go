@@ -273,7 +273,10 @@ func sizeBound(e Expr, st MapSource) float64 {
 // optimized form, one-shot and across a State reuse with the tables
 // mutated in place in between: the tables' own join indexes, created on
 // the first pass and caught up through the journal on the second, must
-// not change answers.
+// not change answers, and neither must the bags the State keeps for its
+// nodes, lent by EvalBorrowed and cleared and refilled on the second
+// pass. The first pass ends with an Eval on the State, which hands the
+// root over: the second pass must leave it as it was.
 func FuzzCompiledEval(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 0, 1, 3, 7, 2})
@@ -315,6 +318,7 @@ func FuzzCompiledEval(f *testing.F) {
 				t.Fatalf("Compile(%s): %v", form, err)
 			}
 			ps := prog.NewState()
+			var handed, handedWant *bag.Bag
 			for pass := 0; pass < 2; pass++ {
 				if sizeBound(e, st) > 1e12 {
 					t.Skip("multiplicities could overflow")
@@ -323,15 +327,33 @@ func FuzzCompiledEval(f *testing.F) {
 				if err != nil {
 					t.Fatalf("Eval(%s): %v", e, err)
 				}
-				for _, state := range []*State{ps, nil} {
-					got, _, err := prog.Eval(state, st)
+				runs := []struct {
+					name string
+					eval func(*State, Source) ([]*bag.Bag, Stats, error)
+					st   *State
+				}{
+					{"borrowed, reused State", prog.EvalBorrowed, ps},
+					{"one-shot", prog.Eval, nil},
+					{"handed over, reused State", prog.Eval, ps},
+				}
+				if pass > 0 {
+					runs = runs[:2] // the hand-over is the first pass's last
+				}
+				for i, run := range runs {
+					got, _, err := run.eval(run.st, st)
 					if err != nil {
-						t.Fatalf("compiled Eval(%s) pass %d: %v", form, pass, err)
+						t.Fatalf("compiled Eval(%s) pass %d, %s: %v", form, pass, run.name, err)
 					}
 					if !got[0].Equal(want) {
-						t.Fatalf("compiled ≠ interpreted for %s (pass %d, one-shot %v):\n  compiled:    %s\n  interpreted: %s",
-							form, pass, state == nil, got[0], want)
+						t.Fatalf("compiled ≠ interpreted for %s (pass %d, %s):\n  compiled:    %s\n  interpreted: %s",
+							form, pass, run.name, got[0], want)
 					}
+					if i == 2 {
+						handed, handedWant = got[0], want
+					}
+				}
+				if pass > 0 && !handed.Equal(handedWant) {
+					t.Fatalf("the root of %s handed over on the first pass changed to %s, want %s", form, handed, handedWant)
 				}
 				d.mutate(st)
 			}

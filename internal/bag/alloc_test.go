@@ -155,7 +155,7 @@ func TestFlatReadsAllocateNoMore(t *testing.T) {
 	}{
 		{"Monus", func() { keptMap = Monus(b, a) }, 12},
 		{"Select", func() { keptMap = Select(a, odd) }, 12},
-		{"Join.Indexed", func() { keptMap, _ = j.Indexed(a, []int{0}, ix, nil, false) }, 3024},
+		{"Join.Indexed", func() { keptMap, _ = indexed(j, a, []int{0}, ix, nil, false) }, 3024},
 		{"Applied, filtered", func() { keptMap = Applied(a, del, add, odd) }, 14},
 	} {
 		if got := testing.AllocsPerRun(20, c.f); got != c.want {

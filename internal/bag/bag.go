@@ -7,7 +7,9 @@
 // A Bag maps canonical tuple keys to (tuple, multiplicity) entries. All
 // operations are pure: they return fresh bags and never mutate operands,
 // except the explicitly-mutating Add/AddBag/ApplyDelta/AddMonus/Remove/
-// Clear/Adopt used by the storage and maintenance layers.
+// Clear/Adopt used by the storage and maintenance layers, and the join
+// kernel (Join.Indexed, Join.Hash), which writes into the empty bag its
+// caller gives it.
 //
 // Clone is copy-on-write: the copy is a handle on the source's map, and
 // whichever of the two bags is mutated first copies the map then — or,

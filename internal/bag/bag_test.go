@@ -403,7 +403,7 @@ func TestBagArity(t *testing.T) {
 
 // mustJoin is l ⋈ r on their first columns, projected or not.
 func mustJoin(l, r *Bag, project []int) *Bag {
-	out, _ := (&Join{Project: project}).Indexed(l, []int{0}, NewIndex(r, []int{0}), nil, false)
+	out, _ := indexed(&Join{Project: project}, l, []int{0}, NewIndex(r, []int{0}), nil, false)
 	return out
 }
 

@@ -197,7 +197,12 @@ type Join struct {
 
 // Indexed joins probe with the bag ix describes — L when buildLeft is
 // true, R otherwise — looking each distinct probe tuple up in ix under
-// its probePos columns. A non-nil sub makes the indexed side B ∸ σ_Keep(sub)
+// its probePos columns, and writes the join into out. out must be empty,
+// flat and private, with no index of its own: what New returns and
+// Clear leaves of a bag no one has indexed. A caller that evaluates the
+// join again and again clears and passes the same out, which keeps its
+// buckets by Clear's rule instead of growing a new map from empty. A
+// non-nil sub makes the indexed side B ∸ σ_Keep(sub)
 // rather than B: a bucket entry's count drops by its key's count in sub
 // when Keep holds for sub's tuple — one lookup per entry that passed its
 // side's conjuncts, exact for any bags, and nothing materialized. It
@@ -209,12 +214,11 @@ type Join struct {
 // buffer and a tuple is made only if the output does not hold that key
 // yet. probed counts the bucket entries examined — the work done, where
 // a rescan would pay |L|·|R|.
-func (j *Join) Indexed(probe *Bag, probePos []int, ix *Index, sub *Bag, buildLeft bool) (out *Bag, probed int) {
+func (j *Join) Indexed(out, probe *Bag, probePos []int, ix *Index, sub *Bag, buildLeft bool) (probed int) {
 	probePred, buildPred, cross, keep, project := j.Left, j.Right, j.Cross, j.Keep, j.Project
 	if buildLeft {
 		probePred, buildPred = buildPred, probePred
 	}
-	out = New()
 	if project != nil {
 		out.arity = len(project) // the projected path writes out.m directly
 	}
@@ -278,30 +282,33 @@ func (j *Join) Indexed(probe *Bag, probePos []int, ix *Index, sub *Bag, buildLef
 			row = nil // the output owns it now
 		}
 	})
-	return out, probed
+	return probed
 }
 
-// Hash joins l and r, equal on lpos = rpos, with a throw-away index on
-// the smaller side — every tuple of it is a candidate when there is no
-// column to key on. It only reads its operands (no journal switched on,
-// no index registered), so it suits a one-off evaluation and a caller
-// holding only read locks. built is the number of tuples indexed.
-func (j *Join) Hash(l *Bag, lpos []int, r *Bag, rpos []int) (out *Bag, probed, built int) {
+// Hash joins l and r, equal on lpos = rpos, into out (as Indexed does),
+// with a throw-away index on the smaller side — every tuple of it is a
+// candidate when there is no column to key on. It only reads its
+// operands (no journal switched on, no index registered), so it suits a
+// one-off evaluation and a caller holding only read locks. built is the
+// number of tuples indexed.
+func (j *Join) Hash(out, l *Bag, lpos []int, r *Bag, rpos []int) (probed, built int) {
 	if l.Distinct() <= r.Distinct() {
-		out, probed = j.Indexed(r, rpos, newIndex(l, lpos, false), nil, true)
-		return out, probed, l.Distinct()
+		return j.Indexed(out, r, rpos, newIndex(l, lpos, false), nil, true), l.Distinct()
 	}
-	out, probed = j.Indexed(l, lpos, newIndex(r, rpos, false), nil, false)
-	return out, probed, r.Distinct()
+	return j.Indexed(out, l, lpos, newIndex(r, rpos, false), nil, false), r.Distinct()
 }
 
-// JoinIndexed is Join.Indexed for a predicate that has not been split:
-// pred sees every candidate's concatenated row.
+// JoinIndexed is Join.Indexed into a new bag, for a predicate that has
+// not been split: pred sees every candidate's concatenated row.
 func JoinIndexed(probe *Bag, probePos []int, ix *Index, buildLeft bool, pred func(schema.Tuple) bool) (*Bag, int) {
-	return (&Join{Cross: pred}).Indexed(probe, probePos, ix, nil, buildLeft)
+	out := New()
+	return out, (&Join{Cross: pred}).Indexed(out, probe, probePos, ix, nil, buildLeft)
 }
 
-// HashJoin is Join.Hash for a predicate that has not been split.
+// HashJoin is Join.Hash into a new bag, for a predicate that has not
+// been split.
 func HashJoin(l *Bag, lpos []int, r *Bag, rpos []int, pred func(schema.Tuple) bool) (out *Bag, probed, built int) {
-	return (&Join{Cross: pred}).Hash(l, lpos, r, rpos)
+	out = New()
+	probed, built = (&Join{Cross: pred}).Hash(out, l, lpos, r, rpos)
+	return out, probed, built
 }

@@ -9,6 +9,54 @@ import (
 	"dvm/internal/schema"
 )
 
+// indexed is Join.Indexed into a new bag.
+func indexed(j *Join, probe *Bag, probePos []int, ix *Index, sub *Bag, buildLeft bool) (*Bag, int) {
+	out := New()
+	return out, j.Indexed(out, probe, probePos, ix, sub, buildLeft)
+}
+
+// hash is Join.Hash into a new bag.
+func hash(j *Join, l *Bag, lpos []int, r *Bag, rpos []int) (out *Bag, probed, built int) {
+	out = New()
+	probed, built = j.Hash(out, l, lpos, r, rpos)
+	return out, probed, built
+}
+
+// TestIndexedRefillsItsOutput: a join evaluated again and again into one
+// bag, cleared in between, answers what a join into a new bag does, and
+// a refill of the same size keeps the buckets Clear kept: it allocates
+// the output's tuples and keys, where a new bag also grows its map from
+// empty — projected or not.
+func TestIndexedRefillsItsOutput(t *testing.T) {
+	probe, build := New(), New()
+	for i := 0; i < 500; i++ {
+		probe.Add(schema.Row(i%50, i), 1)
+		build.Add(schema.Row(i%50, -i), 1)
+	}
+	ix := NewIndex(build, []int{0})
+	even := func(tu schema.Tuple) bool { return tu[1].AsInt()%2 == 0 }
+	for _, j := range []*Join{{Left: even}, {Left: even, Project: []int{0, 1}}} {
+		out := New()
+		for round := 0; round < 3; round++ {
+			out.Clear()
+			j.Indexed(out, probe, []int{0}, ix, nil, false)
+		}
+		want, _ := indexed(j, probe, []int{0}, ix, nil, false)
+		if !out.Equal(want) {
+			t.Fatalf("project %v: a refilled join %v, a new one %v", j.Project, out, want)
+		}
+		refill, _ := allocated(func() {
+			out.Clear()
+			j.Indexed(out, probe, []int{0}, ix, nil, false)
+		})
+		fresh, _ := allocated(func() { keptMap, _ = indexed(j, probe, []int{0}, ix, nil, false) })
+		t.Logf("project %v: %d output rows, refilled with %d B, into a new bag with %d B", j.Project, out.Distinct(), refill, fresh)
+		if refill >= fresh*3/4 {
+			t.Errorf("project %v: a refill allocates %d B, a join into a new bag %d B: the refill does not keep its buckets", j.Project, refill, fresh)
+		}
+	}
+}
+
 // conjunct is one conjunct of a join predicate over L(k, x) × R(k, y):
 // side 0 reads only L's column col, side 1 only R's, side 2 reads the
 // whole concatenated row (and ignores col).
@@ -135,21 +183,21 @@ func TestJoinKernelMatchesOracle(t *testing.T) {
 				j := &Join{Left: allOf(left), Right: allOf(right), Cross: allOf(cross), Project: proj}
 				name := fmt.Sprintf("trial %d proj %v split %b", trial, proj, split)
 
-				got, probed := j.Indexed(rt, []int{0}, ixL, nil, true)
+				got, probed := indexed(j, rt, []int{0}, ixL, nil, true)
 				if !got.Equal(want) {
 					t.Fatalf("%s, build left: got %v want %v", name, got, want)
 				}
 				if probed > unsplitL {
 					t.Fatalf("%s, build left: probed %d > unsplit %d", name, probed, unsplitL)
 				}
-				got, probed = j.Indexed(l, []int{0}, ixR, nil, false)
+				got, probed = indexed(j, l, []int{0}, ixR, nil, false)
 				if !got.Equal(want) {
 					t.Fatalf("%s, build right: got %v want %v", name, got, want)
 				}
 				if probed > unsplitR {
 					t.Fatalf("%s, build right: probed %d > unsplit %d", name, probed, unsplitR)
 				}
-				got, probed, built := j.Hash(l, []int{0}, rt, []int{0})
+				got, probed, built := hash(j, l, []int{0}, rt, []int{0})
 				if !got.Equal(want) {
 					t.Fatalf("%s, hash: got %v want %v", name, got, want)
 				}
@@ -157,11 +205,11 @@ func TestJoinKernelMatchesOracle(t *testing.T) {
 					t.Fatalf("%s, hash: probed %d built %d", name, probed, built)
 				}
 				own, _ := l.IndexOn([]int{0})
-				if got, _ = j.Indexed(rt, []int{0}, own, nil, true); !got.Equal(want) {
+				if got, _ = indexed(j, rt, []int{0}, own, nil, true); !got.Equal(want) {
 					t.Fatalf("%s, IndexOn: got %v want %v", name, got, want)
 				}
 				// No column to key on: every pair is a candidate.
-				if got, _, _ = j.Hash(l, nil, rt, nil); !got.Equal(want) {
+				if got, _, _ = hash(j, l, nil, rt, nil); !got.Equal(want) {
 					t.Fatalf("%s, keyless hash: got %v want %v", name, got, want)
 				}
 			}
@@ -195,8 +243,8 @@ func checkJoinSub(probe, b, sub *Bag, keep func(schema.Tuple) bool) string {
 				Keep:    keep,
 				Project: proj,
 			}
-			got, _ := j.Indexed(probe, pos, own, sub, buildLeft)
-			want, _ := j.Indexed(probe, pos, oracle, nil, buildLeft)
+			got, _ := indexed(j, probe, pos, own, sub, buildLeft)
+			want, _ := indexed(j, probe, pos, oracle, nil, buildLeft)
 			if !got.Equal(want) {
 				return fmt.Sprintf("proj %v, build left %v: reading b ∸ σ(sub) gives %v, the materialized %v gives %v",
 					proj, buildLeft, got, src, want)
@@ -274,7 +322,7 @@ func TestJoinKernelFiltersBeforeAllocating(t *testing.T) {
 		allocs := func(n int) float64 {
 			probe, ix := operands(n)
 			return testing.AllocsPerRun(20, func() {
-				if out, probed := j.Indexed(probe, []int{0}, ix, nil, false); !out.Empty() || (probed != n && j.Left == nil) {
+				if out, probed := indexed(j, probe, []int{0}, ix, nil, false); !out.Empty() || (probed != n && j.Left == nil) {
 					t.Fatalf("%s: out %v probed %d", name, out, probed)
 				}
 			})
@@ -292,7 +340,7 @@ func TestJoinKernelFiltersBeforeAllocating(t *testing.T) {
 			k := k
 			j := &Join{Cross: func(tu schema.Tuple) bool { return tu[0].Compare(schema.Int(int64(k))) < 0 }, Project: proj}
 			got := testing.AllocsPerRun(5, func() {
-				if out, _ := j.Indexed(probe, []int{0}, ix, nil, false); out.Len() != k {
+				if out, _ := indexed(j, probe, []int{0}, ix, nil, false); out.Len() != k {
 					t.Fatalf("%d survivors, want %d", out.Len(), k)
 				}
 			})
@@ -307,7 +355,7 @@ func TestJoinKernelFiltersBeforeAllocating(t *testing.T) {
 	// Every candidate survives (the bypass case): still one tuple and one
 	// key per output row, no extra copy.
 	probe, ix := operands(1000)
-	got := testing.AllocsPerRun(5, func() { (&Join{}).Indexed(probe, []int{0}, ix, nil, true) })
+	got := testing.AllocsPerRun(5, func() { indexed(&Join{}, probe, []int{0}, ix, nil, true) })
 	if perRow := got / 1000; perRow > 2.2 {
 		t.Errorf("all-survive join allocates %.2f per output row, want 2 plus map growth", perRow)
 	}

@@ -477,12 +477,12 @@ func contents(b *Bag) map[string]int {
 func TestPropTwoLevelReadsLikeFlat(t *testing.T) {
 	even := func(tu schema.Tuple) bool { return tu[0].AsInt()%2 == 0 }
 	join := func(j Join, a, b *Bag, buildLeft bool) *Bag {
-		out, _ := j.Indexed(a, []int{0}, NewIndex(b, []int{0}), nil, buildLeft)
+		out, _ := indexed(&j, a, []int{0}, NewIndex(b, []int{0}), nil, buildLeft)
 		return out
 	}
 	// b joined with itself through its index, read as b ∸ σ_Keep(sub)
 	joinSub := func(j Join, b, sub *Bag) *Bag {
-		out, _ := j.Indexed(b, []int{0}, NewIndex(b, []int{0}), sub, false)
+		out, _ := indexed(&j, b, []int{0}, NewIndex(b, []int{0}), sub, false)
 		return out
 	}
 	binary := map[string]func(a, b *Bag) *Bag{
@@ -503,7 +503,7 @@ func TestPropTwoLevelReadsLikeFlat(t *testing.T) {
 		"Join.Indexed, L": func(a, b *Bag) *Bag { return join(Join{Left: even}, a, b, true) },
 		"Join.Indexed, Π": func(a, b *Bag) *Bag { return join(Join{Project: []int{3, 0}}, a, b, false) },
 		"Join.Indexed, ∸": func(a, b *Bag) *Bag { return joinSub(Join{Keep: even}, b, a) },
-		"Join.Hash":       func(a, b *Bag) *Bag { out, _, _ := (&Join{Right: even}).Hash(a, []int{1}, b, []int{0}); return out },
+		"Join.Hash":       func(a, b *Bag) *Bag { out, _, _ := hash(&Join{Right: even}, a, []int{1}, b, []int{0}); return out },
 		"DupElim":         func(a, _ *Bag) *Bag { return DupElim(a) },
 		"Select":          func(a, _ *Bag) *Bag { return Select(a, even) },
 		"Project":         func(a, _ *Bag) *Bag { return Project(a, func(tu schema.Tuple) schema.Tuple { return tu[1:] }) },

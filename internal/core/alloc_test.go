@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -32,12 +33,18 @@ func highSales(from, n int) *bag.Bag {
 }
 
 // propagateBytesPerLogTuple bounds what a Propagate may allocate per log
-// tuple it folds. The Example 1.1 pair's terms are projected joins of
-// the log against the base tables' own indexes: a 200-tuple log costs
-// about 210–300 B a tuple — its projected view row and key, and △MV's
-// map regrowing when churn leaves it too few free slots. A pair that
-// materializes the join's wide rows and then projects them costs 690–790.
-const propagateBytesPerLogTuple = 400
+// tuple it folds into differential tables that already hold 20 000
+// tuples. The Example 1.1 pair's terms are projected joins of the log
+// against the base tables' own indexes, each into a bag the view's
+// State keeps and refills: a 200-tuple log costs about 112 B a tuple,
+// its projected view row and key. A join that grows a new output map
+// from empty at every propagate costs about 210 B, and one that
+// materializes the join's wide rows and then projects them 690–790.
+const propagateBytesPerLogTuple = 160
+
+// propagateBytesPerLogTupleEmpty is the same bound for differential
+// tables that hold nothing yet, which grow their maps as they fill.
+const propagateBytesPerLogTupleEmpty = 400
 
 // TestPropagateAllocatesByLogNotByDifferential: a Propagate of a fixed
 // 200-tuple log allocates a bounded number of bytes per log tuple,
@@ -81,15 +88,123 @@ func TestPropagateAllocatesByLogNotByDifferential(t *testing.T) {
 	}
 	// The case keeps its shards=1 name: the one layout there is.
 	t.Run("shards=1", func(t *testing.T) {
-		for _, backlog := range []int{0, 20000} {
-			perTuple := foldBytes(t, backlog)
-			t.Logf("Propagate of a 200-tuple log into %d-tuple differential tables: %d B per log tuple", backlog, perTuple)
-			if perTuple > propagateBytesPerLogTuple {
+		for _, c := range []struct {
+			backlog int
+			bound   uint64
+		}{
+			{0, propagateBytesPerLogTupleEmpty},
+			{20000, propagateBytesPerLogTuple},
+		} {
+			perTuple := foldBytes(t, c.backlog)
+			t.Logf("Propagate of a 200-tuple log into %d-tuple differential tables: %d B per log tuple", c.backlog, perTuple)
+			if perTuple > c.bound {
 				t.Errorf("Propagate into %d-tuple differential tables allocates %d B per log tuple, want at most %d",
-					backlog, perTuple, propagateBytesPerLogTuple)
+					c.backlog, perTuple, c.bound)
 			}
 		}
 	})
+}
+
+// TestExecuteAllocatesNothingWarm: a warm transaction costs its rows and
+// nothing else. The two transactions insert and delete the same two
+// sales rows — the first a txn.Insert, whose ∇R is nil, the second a
+// txn.Delete, whose △R is — so every table returns to the same size and
+// keeps its buckets. Normalizing, validating, extending every Combined
+// view's logs, the base update, the makesafe region and its accounting
+// then allocate nothing, with one view or sixteen: the manager normalizes
+// into a transaction of its own, hands the caller's bags on uncopied,
+// and reuses its per-transaction scratch.
+func TestExecuteAllocatesNothingWarm(t *testing.T) {
+	perRun := map[int]uint64{}
+	for _, views := range []int{1, 16} {
+		db, def := retailDB(t)
+		m := NewManager(db)
+		for i := 0; i < views; i++ {
+			if _, err := m.DefineView(fmt.Sprintf("hv%d", i), def, Combined); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rows := highSales(0, 2)
+		ins, del := txn.Insert("sales", rows), txn.Delete("sales", rows)
+		churn := func() {
+			if err := m.Execute(ins); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Execute(del); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// A propagate gives sales its own index, and with it a journal the
+		// churn goes through; the warm-up fills that journal's window more
+		// than once.
+		churn()
+		if err := m.Propagate("hv0"); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 300; i++ {
+			churn()
+		}
+		if allocs := testing.AllocsPerRun(100, churn); allocs != 0 {
+			t.Errorf("%d views: a warm 2-row insert and delete allocate %v times, want 0", views, allocs)
+		}
+		const runs = 100
+		perRun[views] = allocBytes(func() {
+			for i := 0; i < runs; i++ {
+				churn()
+			}
+		}) / runs
+		for i := 0; i < views; i++ {
+			if err := m.CheckInvariant(fmt.Sprintf("hv%d", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	t.Logf("a warm 2-row insert and delete: %d B with 1 view, %d B with 16", perRun[1], perRun[16])
+	if perRun[1] != 0 || perRun[16] != 0 {
+		t.Errorf("a warm 2-row insert and delete allocate %d B with 1 view and %d B with 16, want 0 B with either", perRun[1], perRun[16])
+	}
+}
+
+// TestExecuteDeletingTheLiveTable: a transaction whose ∇R is sales' own
+// live bag deletes every sales row, and one whose △R is doubles them.
+// Execute hands a ∇R or △R over uncopied, except where the base update
+// would then write the bag it reads.
+func TestExecuteDeletingTheLiveTable(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		tx   func(sales *bag.Bag) txn.Txn
+		rows func(before int) int
+	}{
+		{"∇R", func(s *bag.Bag) txn.Txn { return txn.Delete("sales", s) }, func(int) int { return 0 }},
+		{"△R", func(s *bag.Bag) txn.Txn { return txn.Insert("sales", s) }, func(n int) int { return 2 * n }},
+	} {
+		db, def := retailDB(t)
+		m := NewManager(db)
+		for _, sc := range []Scenario{Combined, Immediate, DiffTables, BaseLogs} {
+			if _, err := m.DefineView("v"+sc.String(), def, sc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sales, _ := db.Table("sales")
+		before := sales.Len()
+		if err := m.Execute(c.tx(sales.Data())); err != nil {
+			t.Fatal(err)
+		}
+		if n := sales.Len(); n != c.rows(before) {
+			t.Fatalf("%s is sales' own bag: sales holds %d rows, want %d", c.name, n, c.rows(before))
+		}
+		for _, v := range m.Views() {
+			if err := m.CheckInvariant(v.Name); err != nil {
+				t.Fatalf("%s is sales' own bag: %s: %v", c.name, v.Name, err)
+			}
+			if err := m.Refresh(v.Name); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.CheckConsistent(v.Name); err != nil {
+				t.Fatalf("%s is sales' own bag: %s after refresh: %v", c.name, v.Name, err)
+			}
+		}
+	}
 }
 
 // TestLogAppendsRefillKeptBuckets: a log that is filled and emptied in

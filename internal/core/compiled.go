@@ -19,11 +19,12 @@ import (
 // interpreter (algebra.Eval) is not an engine here: it is the reference
 // CheckInvariant and the tests check the compiled pipeline against.
 //
-// A program's State (View.pairSt) is its reusable evaluation scratch
-// (the slot cache); evaluating with a state is what lets a join use —
-// and on first use create — a base table's own index, so it happens
-// only under the manager's single-writer discipline, never on a read
-// path.
+// A program's State (View.pairSt) is its reusable evaluation scratch:
+// the slot cache, and the bags its joins and unions build, which every
+// evaluation clears and refills. Evaluating with a state is what lets a
+// join use — and on first use create — a base table's own index, so it
+// happens only under the manager's single-writer discipline, never on a
+// read path.
 
 // observeCompiled records one compiled evaluation's metrics and span.
 func (m *Manager) observeCompiled(v *View, parent *trace.Span, dur time.Duration, stats algebra.Stats) {
@@ -41,11 +42,14 @@ func (m *Manager) observeCompiled(v *View, parent *trace.Span, dur time.Duration
 // evalDeltaPair evaluates the view's incremental (del, add) pair against
 // the live database through its compiled program, recording
 // compiled_eval_ns / index_probe_tuples and the core.eval.compiled span
-// under parent. The caller owns the returned bags and installs them
-// with applyToMVLocked or mergeDelta.
+// under parent. The pair is borrowed (EvalBorrowed): bags of the view's
+// State, or tables of the database, lent until the view's next
+// evaluation or the next write to those tables. The caller only reads
+// it — installs it with applyToMVLocked or mergeDelta, or reads it
+// fresh — and keeps none of it.
 func (m *Manager) evalDeltaPair(v *View, parent *trace.Span) (del, add *bag.Bag, err error) {
 	start := time.Now()
-	outs, stats, err := v.pair.Eval(v.pairSt, m.db)
+	outs, stats, err := v.pair.EvalBorrowed(v.pairSt, m.db)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -165,6 +165,9 @@ type Manager struct {
 	scratchDel map[string]string // base table -> scratch ∇R table
 	scratchIns map[string]string // base table -> scratch △R table
 
+	// exec is Execute's per-transaction scratch (see execute.go).
+	exec execScratch
+
 	// shared, when non-nil, replaces per-view log upkeep with shared
 	// per-table logs (see WithSharedLogs).
 	shared *sharedState
@@ -195,6 +198,7 @@ func NewManager(db *storage.Database, opts ...ManagerOption) *Manager {
 		views:      make(map[string]*View),
 		scratchDel: make(map[string]string),
 		scratchIns: make(map[string]string),
+		exec:       execScratch{nt: txn.Txn{}},
 		obs:        reg,
 		txnExecNs:  reg.Histogram("txn_exec_ns", ""),
 		tracer:     trace.NewTracer(0),

@@ -21,11 +21,19 @@ import (
 // pair (∇(T,Q), △(T,Q)) before the base tables change and install it —
 // into MV (write-locked while the transaction installs) or into
 // ∇MV/△MV.
+//
+// Execute only reads t's bags, and keeps none of them: the caller may
+// reuse them once it returns. A warm transaction costs its rows and
+// nothing else — it is normalized into the manager's own scratch, with
+// the caller's bags handed on uncopied (txn.Txn.NormalizeInto).
 func (m *Manager) Execute(t txn.Txn) error {
 	if name, bad := t.TouchesInternal(m.db); bad {
 		return fmt.Errorf("core: user transaction writes internal table %q", name)
 	}
-	nt, err := t.Normalize(m.db)
+	x := &m.exec
+	defer x.reset()
+	nt := x.nt
+	err := t.NormalizeInto(m.db, nt)
 	if err != nil {
 		return err
 	}
@@ -65,21 +73,19 @@ func (m *Manager) Execute(t txn.Txn) error {
 	// state, so evaluating them first and mutating the base tables last
 	// realizes the simultaneous (T1+T2) semantics while keeping the base
 	// update O(|change|) instead of O(|table|).
-	var imViews, dtViews []*View // the views with a pre-update pair
-	affected := make([]*View, 0, len(m.order))
 	for _, vn := range m.order {
 		v := m.views[vn]
 		if !m.viewAffected(v, nt) {
 			continue
 		}
-		affected = append(affected, v)
+		x.affected = append(x.affected, v)
 		msp := xsp.StartChild(trace.SpanMakesafe,
 			trace.Str("view", v.Name), trace.Str("scenario", v.Scenario.String()))
 		switch {
 		case v.Scenario == Immediate:
-			imViews = append(imViews, v)
+			x.imViews = append(x.imViews, v)
 		case v.Scenario == DiffTables:
-			dtViews = append(dtViews, v)
+			x.dtViews = append(x.dtViews, v)
 		case m.shared != nil:
 			// Shared-log mode: the batch is appended once per TABLE
 			// below, not once per view.
@@ -98,10 +104,12 @@ func (m *Manager) Execute(t txn.Txn) error {
 		m.appendShared(nt)
 	}
 
+	imViews, dtViews := x.imViews, x.dtViews // the views with a pre-update pair
 	if len(imViews)+len(dtViews) > 0 {
 		// Publish the transaction's ∇R/△R into the shared scratch tables
-		// the pre-update pairs read. Normalize made the bags Execute's
-		// own, so they are handed over, not copied — and emptied when the
+		// the pre-update pairs read. The bags are the caller's, and a
+		// table keeps its bag — a join may index it — so each scratch
+		// table gets a Clone (copy-on-write, O(1)), emptied when the
 		// transaction ends, so a scratch table never pins a change (and is
 		// empty for every base a later transaction leaves alone).
 		scratch := func(publish bool) {
@@ -113,8 +121,8 @@ func (m *Manager) Execute(t txn.Txn) error {
 				sd, _ := m.db.Table(dn)
 				si, _ := m.db.Table(m.scratchIns[base])
 				if publish {
-					sd.Replace(u.Delete)
-					si.Replace(u.Insert)
+					sd.Replace(u.Delete.Clone())
+					si.Replace(u.Insert.Clone())
 				} else {
 					sd.Clear()
 					si.Clear()
@@ -144,7 +152,8 @@ func (m *Manager) Execute(t txn.Txn) error {
 			}
 		}
 		// Base-table updates, in place: R := (R ∸ ∇R) ⊎ △R with the
-		// effective (weakly minimal) deltas. Normalize left no nil bag.
+		// effective (weakly minimal) deltas. NormalizeInto left no nil
+		// bag, and none that is a live table's.
 		for name, u := range nt {
 			tb, err := m.db.Table(name)
 			if err != nil {
@@ -178,7 +187,7 @@ func (m *Manager) Execute(t txn.Txn) error {
 			return apply(hold)
 		})
 		held := int64(time.Since(lockStart))
-		for _, v := range affected {
+		for _, v := range x.affected {
 			if v.Scenario == Immediate && v.met != nil {
 				v.met.downtimeNs.Observe(held)
 			}
@@ -200,11 +209,11 @@ func (m *Manager) Execute(t txn.Txn) error {
 	if a := obs.HeapAllocBytes(); a > alloc0 {
 		allocShare = int64(a - alloc0)
 	}
-	if len(affected) > 1 {
-		share = elapsed / time.Duration(len(affected))
-		allocShare /= int64(len(affected))
+	if n := len(x.affected); n > 1 {
+		share = elapsed / time.Duration(n)
+		allocShare /= int64(n)
 	}
-	for _, v := range affected {
+	for _, v := range x.affected {
 		v.Stats.MakeSafeOps++
 		v.Stats.MakeSafeTime += share
 		if v.met != nil {
@@ -226,6 +235,25 @@ func (m *Manager) Execute(t txn.Txn) error {
 		m.updateSizeGauges(v)
 	}
 	return nil
+}
+
+// execScratch is Execute's per-transaction scratch, the single writer's
+// own: the normalized transaction and the views it affects. A
+// transaction refills what the last one emptied, so a warm one
+// allocates none of it.
+type execScratch struct {
+	nt                         txn.Txn
+	affected, imViews, dtViews []*View
+}
+
+// reset empties the scratch when a transaction ends, so it pins neither
+// the caller's bags nor a dropped view.
+func (x *execScratch) reset() {
+	clear(x.nt)
+	clear(x.affected)
+	clear(x.imViews)
+	clear(x.dtViews)
+	x.affected, x.imViews, x.dtViews = x.affected[:0], x.imViews[:0], x.dtViews[:0]
 }
 
 // appendToLogs is makesafe_BL (= makesafe_C) for a view with its own

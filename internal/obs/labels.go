@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime/metrics"
 	"runtime/pprof"
+	"sync"
 	"time"
 )
 
@@ -43,12 +44,12 @@ func Phases() []string {
 	return []string{PhaseMakesafe, PhasePropagate, PhaseRefresh, PhasePartialRefresh, PhaseRecompute}
 }
 
-// SetPhaseLabels installs the dvm_view/dvm_phase pprof labels on the
-// calling goroutine (empty values are omitted) and returns a func that
-// restores the unlabeled state. Maintenance entry points own their
-// goroutine and never nest regions, so restoring to the background
-// label set is exact.
-func SetPhaseLabels(view, phase string) func() {
+// labelSet builds the (view, phase) pprof label set, empty values
+// omitted, as the context pprof.SetGoroutineLabels reads it from.
+// Building one allocates; installing a built one does not, so a label
+// set that is installed again and again is built once: a PhaseAcct
+// holds its own, and viewless holds the sets without a view.
+func labelSet(view, phase string) context.Context {
 	kv := make([]string, 0, 4)
 	if view != "" {
 		kv = append(kv, LabelView, view)
@@ -56,21 +57,73 @@ func SetPhaseLabels(view, phase string) func() {
 	if phase != "" {
 		kv = append(kv, LabelPhase, phase)
 	}
-	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels(kv...)))
-	return func() { pprof.SetGoroutineLabels(context.Background()) }
+	return pprof.WithLabels(context.Background(), pprof.Labels(kv...))
 }
+
+// viewless maps each phase to its label set with no view: the label of
+// a region that spans several views, as Execute's makesafe region does.
+// It is fixed by Phases, so it does not grow with the views.
+var viewless = func() map[string]context.Context {
+	m := make(map[string]context.Context)
+	for _, p := range Phases() {
+		m[p] = labelSet("", p)
+	}
+	return m
+}()
+
+// labelsFor returns the (view, phase) label set: acct's own when acct
+// is the pair's, a viewless one when view is empty, else a new one.
+func labelsFor(acct *PhaseAcct, view, phase string) context.Context {
+	if acct != nil && acct.labels != nil && acct.view == view && acct.phase == phase {
+		return acct.labels
+	}
+	if view == "" {
+		if ctx, ok := viewless[phase]; ok {
+			return ctx
+		}
+	}
+	return labelSet(view, phase)
+}
+
+// SetPhaseLabels installs the dvm_view/dvm_phase pprof labels on the
+// calling goroutine (empty values are omitted) and returns a func that
+// restores the unlabeled state. Maintenance entry points own their
+// goroutine and never nest regions, so restoring to the background
+// label set is exact. A viewless label set is built once, so labeling
+// a region that spans several views allocates nothing; a region of one
+// view should be a StartRegion on that view's PhaseAcct, which holds
+// the view's set.
+func SetPhaseLabels(view, phase string) func() {
+	pprof.SetGoroutineLabels(labelsFor(nil, view, phase))
+	return clearLabels
+}
+
+// clearLabels restores the goroutine's unlabeled state.
+func clearLabels() { pprof.SetGoroutineLabels(context.Background()) }
 
 // heapAllocsMetric is the runtime/metrics cumulative allocation
 // counter Region deltas for phase_alloc_bytes.
 const heapAllocsMetric = "/gc/heap/allocs:bytes"
 
+// heapSample is the one sample HeapAllocBytes reads into, allocated
+// once. metrics.Read must not be given one sample from two goroutines
+// at once, so the mutex serializes the readers (the runtime serializes
+// metrics reads anyway). A sync.Pool would allocate a sample again
+// whenever the collector had emptied it.
+var heapSample = struct {
+	sync.Mutex
+	s [1]metrics.Sample
+}{s: [1]metrics.Sample{{Name: heapAllocsMetric}}}
+
 // HeapAllocBytes returns the process's cumulative heap allocation in
 // bytes (monotone; from runtime/metrics). Regions delta it around a
 // phase to attribute allocation — exact under the manager's
 // single-writer discipline, an upper bound when concurrent readers
-// allocate.
+// allocate. It allocates nothing.
 func HeapAllocBytes() uint64 {
-	s := []metrics.Sample{{Name: heapAllocsMetric}}
+	heapSample.Lock()
+	defer heapSample.Unlock()
+	s := heapSample.s[:]
 	metrics.Read(s)
 	if s[0].Value.Kind() == metrics.KindUint64 {
 		return s[0].Value.Uint64()
@@ -80,22 +133,30 @@ func HeapAllocBytes() uint64 {
 
 // PhaseAcct accumulates one (view, phase) pair's resource attribution:
 // on-goroutine wall time into phase_cpu_ns and heap allocation deltas
-// into phase_alloc_bytes, both labeled "view/phase". A nil PhaseAcct
-// is inert.
+// into phase_alloc_bytes, both labeled "view/phase". It also holds the
+// pair's pprof label set, so a region on it labels the goroutine
+// without allocating. A nil PhaseAcct is inert.
 type PhaseAcct struct {
 	// CPU is the phase_cpu_ns counter (on-goroutine wall nanoseconds).
 	CPU *Counter
 	// Alloc is the phase_alloc_bytes counter (heap bytes allocated).
 	Alloc *Counter
+
+	view, phase string
+	labels      context.Context
 }
 
 // NewPhaseAcct returns the accounting pair for (view, phase), creating
-// the counters in r under the label "view/phase".
+// the counters in r under the label "view/phase", and builds the pair's
+// pprof label set.
 func NewPhaseAcct(r *Registry, view, phase string) *PhaseAcct {
 	l := view + "/" + phase
 	return &PhaseAcct{
-		CPU:   r.Counter("phase_cpu_ns", l),
-		Alloc: r.Counter("phase_alloc_bytes", l),
+		CPU:    r.Counter("phase_cpu_ns", l),
+		Alloc:  r.Counter("phase_alloc_bytes", l),
+		view:   view,
+		phase:  phase,
+		labels: labelSet(view, phase),
 	}
 }
 
@@ -122,16 +183,18 @@ type Region struct {
 	acct    *PhaseAcct
 	start   time.Time
 	alloc0  uint64
-	restore func()
+	labeled bool
 }
 
 // StartRegion installs the (view, phase) pprof labels and opens
-// accounting into acct (a nil acct labels without accounting). The
-// idiomatic use is
+// accounting into acct (a nil acct labels without accounting). It
+// allocates nothing when acct is the (view, phase) pair's own, or when
+// view is empty. The idiomatic use is
 //
 //	defer obs.StartRegion(acct, view, obs.PhasePropagate).End()
 func StartRegion(acct *PhaseAcct, view, phase string) Region {
-	rg := Region{acct: acct, restore: SetPhaseLabels(view, phase)}
+	pprof.SetGoroutineLabels(labelsFor(acct, view, phase))
+	rg := Region{acct: acct, labeled: true}
 	if acct != nil {
 		rg.start = time.Now()
 		rg.alloc0 = HeapAllocBytes()
@@ -142,8 +205,8 @@ func StartRegion(acct *PhaseAcct, view, phase string) Region {
 // End restores the goroutine's labels and records the region's wall
 // time and allocation delta into its PhaseAcct.
 func (rg Region) End() {
-	if rg.restore != nil {
-		rg.restore()
+	if rg.labeled {
+		clearLabels()
 	}
 	if rg.acct == nil {
 		return

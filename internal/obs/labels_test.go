@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"runtime/pprof"
 	"testing"
 	"time"
 )
@@ -46,6 +47,45 @@ func TestPhaseAcctNilAndNegative(t *testing.T) {
 	acct.Add(7, 9)
 	if v, a := acct.CPU.Load(), acct.Alloc.Load(); v != 7 || a != 9 {
 		t.Fatalf("Add(7,9) -> cpu=%d alloc=%d", v, a)
+	}
+}
+
+// TestRegionAllocatesNothing: a region costs no allocation — not its
+// labels, which are built once per (view, phase) on the PhaseAcct or
+// once per phase without a view, and not its allocation readings, which
+// go into one preallocated sample. A region spans a propagate of a few
+// rows; one that allocated would show in every write's bytes.
+func TestRegionAllocatesNothing(t *testing.T) {
+	acct := NewPhaseAcct(NewRegistry(), "hv", PhasePropagate)
+	cases := map[string]func(){
+		"StartRegion+End on the pair's PhaseAcct": func() { StartRegion(acct, "hv", PhasePropagate).End() },
+		"StartRegion+End without a PhaseAcct":     func() { StartRegion(nil, "", PhasePropagate).End() },
+		"SetPhaseLabels and its restore":          func() { SetPhaseLabels("", PhaseMakesafe)() },
+		"HeapAllocBytes":                          func() { HeapAllocBytes() },
+	}
+	for name, f := range cases {
+		if n := testing.AllocsPerRun(100, f); n != 0 {
+			t.Errorf("%s: %v allocations, want 0", name, n)
+		}
+	}
+	// Each region gets the labels it names: the PhaseAcct's own set only
+	// when the acct is that pair's, and a set built for it otherwise.
+	for _, c := range []struct {
+		acct        *PhaseAcct
+		view, phase string
+	}{
+		{acct, "hv", PhasePropagate},
+		{acct, "other", PhasePropagate},
+		{acct, "hv", PhaseRefresh},
+		{nil, "", PhaseMakesafe},
+		{nil, "hv", PhaseRefresh},
+	} {
+		ctx := labelsFor(c.acct, c.view, c.phase)
+		view, hasView := pprof.Label(ctx, LabelView)
+		phase, _ := pprof.Label(ctx, LabelPhase)
+		if view != c.view || hasView != (c.view != "") || phase != c.phase {
+			t.Errorf("labels for (%q, %q): view %q, phase %q", c.view, c.phase, view, phase)
+		}
 	}
 }
 

@@ -75,25 +75,70 @@ func (t Txn) Merge(o Txn) Txn {
 // establishes the precondition ∇R ⊑ R required by the differential
 // algorithms (Section 4.1). A ∇R that is weakly minimal already — every
 // delete of an existing row — is then ∇R itself: one lookup per tuple
-// finds that out, and the result shares the caller's bag (a Clone,
-// copy-on-write) instead of being rebuilt.
+// finds that out, and the result shares the caller's bag instead of
+// rebuilding it. Normalize is NormalizeInto a new transaction, whose
+// bags it then makes the result's own by Clone (copy-on-write, O(1)):
+// the caller may go on changing its bags.
 func (t Txn) Normalize(db *storage.Database) (Txn, error) {
 	out := Txn{}
+	if err := t.NormalizeInto(db, out); err != nil {
+		return nil, err
+	}
+	for name, u := range out {
+		out[name] = Update{Delete: u.Delete.Clone(), Insert: u.Insert.Clone()}
+	}
+	return out, nil
+}
+
+// none is the bag a normalized transaction holds for a nil ∇R or △R.
+// It is shared by every transaction, so nothing may write it: like every
+// bag of a normalized transaction, it is only read, and a table that
+// keeps one keeps a Clone.
+var none = bag.New()
+
+// NormalizeInto writes Normalize's answer into out, an empty transaction
+// the caller owns and may reuse, without copying a bag: a weakly minimal
+// ∇R and every △R are t's own bags, so the caller must leave them
+// unchanged for as long as it uses out; a nil one is a shared empty bag,
+// and only a ∇R that is not weakly minimal is a new one. The exception
+// is a bag that is the live contents of a table t writes (Delete(R,
+// R's own bag) empties R): the base update would write the bag it reads,
+// so out holds a Clone of it. Every bag in out is only to be read. On an
+// error, out holds part of the answer.
+func (t Txn) NormalizeInto(db *storage.Database, out Txn) error {
 	for name, u := range t {
 		tb, err := db.Table(name)
 		if err != nil {
-			return nil, fmt.Errorf("txn: normalize: %w", err)
+			return fmt.Errorf("txn: normalize: %w", err)
 		}
-		u = u.normalized()
-		del := u.Delete
-		if del.SubBagOf(tb.Data()) {
-			del = del.Clone()
-		} else {
+		del, ins := u.Delete, u.Insert
+		switch {
+		case del == nil:
+			del = none
+		case !del.SubBagOf(tb.Data()):
 			del = bag.Min(del, tb.Data())
+		case t.writesBag(db, del):
+			del = del.Clone()
 		}
-		out[name] = Update{Delete: del, Insert: u.Insert.Clone()}
+		switch {
+		case ins == nil:
+			ins = none
+		case t.writesBag(db, ins):
+			ins = ins.Clone()
+		}
+		out[name] = Update{Delete: del, Insert: ins}
 	}
-	return out, nil
+	return nil
+}
+
+// writesBag reports whether b is the live bag of a table t writes.
+func (t Txn) writesBag(db *storage.Database, b *bag.Bag) bool {
+	for name := range t {
+		if tb, err := db.Table(name); err == nil && tb.Data() == b {
+			return true
+		}
+	}
+	return false
 }
 
 // Apply installs the transaction into db with simultaneous semantics:

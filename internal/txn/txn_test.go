@@ -189,6 +189,48 @@ func TestNormalizeHandsOverAWeaklyMinimalDelete(t *testing.T) {
 	}
 }
 
+// TestNormalizeIntoHandsTheBagsOver: normalizing into a transaction the
+// caller reuses allocates nothing. A weakly minimal ∇R and a △R are the
+// caller's own bags, a nil one is the shared empty bag, and only a bag
+// that is the live contents of a table the transaction writes is a
+// Clone, since the base update would otherwise write what it reads.
+func TestNormalizeIntoHandsTheBagsOver(t *testing.T) {
+	db, _ := setup(t) // R = {1,1,2,3}
+	del, ins := bag.Of(schema.Row(1), schema.Row(2)), bag.Of(schema.Row(7))
+	tx := Txn{"R": {Delete: del, Insert: ins}, "S": {Insert: ins}}
+	out := Txn{}
+	normalize := func() {
+		clear(out)
+		if err := tx.NormalizeInto(db, out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	normalize()
+	if out["R"].Delete != del || out["R"].Insert != ins || out["S"].Insert != ins || out["S"].Delete != none {
+		t.Fatalf("normalized into %+v, want the caller's bags and the shared empty one", out)
+	}
+	if n := testing.AllocsPerRun(20, normalize); n != 0 {
+		t.Errorf("NormalizeInto allocates %v times, want 0", n)
+	}
+
+	r, _ := db.Table("R")
+	s, _ := db.Table("S")
+	live := Txn{"R": {Delete: r.Data()}, "S": {Insert: r.Data()}}
+	clear(out)
+	if err := live.NormalizeInto(db, out); err != nil {
+		t.Fatal(err)
+	}
+	if out["R"].Delete == r.Data() || !out["R"].Delete.Equal(r.Data()) {
+		t.Fatal("a ∇R that is R's live bag is handed over as itself, want a Clone")
+	}
+	if out["S"].Insert == r.Data() {
+		t.Fatal("a △S that is R's live bag, with R written, is handed over as itself, want a Clone")
+	}
+	if out["S"].Delete != none || s.Len() != 0 {
+		t.Fatal("S's nil ∇S is not the shared empty bag")
+	}
+}
+
 func TestTouchesInternal(t *testing.T) {
 	db, _ := setup(t)
 	user := Insert("R", bag.Of(schema.Row(9)))

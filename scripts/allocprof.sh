@@ -15,7 +15,11 @@
 # its result line must still say correct, and two tables are printed:
 #
 #   - bytes allocated during the measured cycles, by cumulative share
-#     (alloc_space of the second profile with the first as -base);
+#     (alloc_space of the second profile with the first as -base),
+#     followed by one line that splits them between perf's own workload
+#     generator, main.(*gen) — the transactions' bags and its bookkeeping
+#     of them, the same code at every commit — and everything outside it,
+#     the engine's share (pprof -focus and -ignore on main.(*gen));
 #   - bytes live at the end of the run (inuse_space, what heap_live_mb
 #     sees), flat.
 #
@@ -115,6 +119,23 @@ echo "$result"
 echo
 echo "== allocated during the measured cycles (alloc_space, cumulative, top 30)"
 go tool pprof -sample_index=alloc_space -base "$p0" -top -cum -nodecount=30 "$p1"
+# genbytes -focus|-ignore: the measured-cycle bytes of the samples with
+# (-focus) or without (-ignore) a main.(*gen) frame, and the total.
+genbytes() {
+	go tool pprof -sample_index=alloc_space -base "$p0" "$1=main\.\(\*gen\)" -unit=B -top \
+		-nodecount=1000000 -nodefraction=0 -edgefraction=0 "$p1" 2>/dev/null |
+		awk '/^Showing nodes accounting for/ { b = $5; t = $8; sub(/B,$/, "", b); sub(/B$/, "", t); print b, t; found = 1 }
+		END { if (!found) print 0, 0 }'
+}
+{ genbytes -focus; genbytes -ignore; } | awk '
+NR == 1 { gen = $1; total = $2 }
+NR == 2 { eng = $1; if ($2 > total) total = $2 }
+END {
+	mb = 1024 * 1024
+	if (total == 0) total = 1
+	printf "measured cycles: %.1f MB under main.(*gen) (%.1f %%), %.1f MB outside it (%.1f %%)\n",
+		gen / mb, 100 * gen / total, eng / mb, 100 * eng / total
+}'
 echo
 echo "== live at the end of the run (inuse_space, flat, top 30)"
 go tool pprof -sample_index=inuse_space -top -nodecount=30 "$p1"
