@@ -52,12 +52,14 @@ pair:
 
 # Where one perf workload's measured cycles allocate, and what is live
 # at the end: runs a patched throw-away copy of perf/ (perf/ itself is
-# untouched) and leaves the two allocs profiles in profiles/. With LIST,
-# both views again line by line for the functions the regexp matches.
-# About half a minute; not part of `make check`.
-#   make allocprof WORKLOAD=multiview_writes [SEED=1] [LIST='bag\.newIndex']
+# untouched) and leaves the two allocs profiles in profiles/. With BASE,
+# the committed tree at that ref too, and a -diff_base table of the
+# measured cycles against it. With LIST, both views again line by line
+# for the functions the regexp matches. About half a minute per tree;
+# not part of `make check`.
+#   make allocprof WORKLOAD=multiview_writes [SEED=1] [BASE=HEAD~1] [LIST='bag\.newIndex']
 allocprof:
-	./scripts/allocprof.sh $(WORKLOAD) $(or $(SEED),1) $(LIST)
+	./scripts/allocprof.sh $(if $(BASE),-base $(BASE)) $(WORKLOAD) $(or $(SEED),1) $(LIST)
 
 fuzz:
 	$(GO) test ./internal/schema -run '^$$' -fuzz '^FuzzValue$$' -fuzztime=30s

@@ -293,19 +293,21 @@ func TestClearRetentionRule(t *testing.T) {
 }
 
 // A stored tuple is one pointer under its bag's arity, so a map slot
-// (16-byte key, 16-byte entry) is 32 bytes, as are an index bucket's
-// entry and a journal entry; a tuple's slice header made each 48. Every
-// operator of every evaluation allocates a Bag, and the shared mark
-// rides in last's top bit so that it stays at six words: the arity and
-// the two-level pointer took the fifth and sixth. Six words cost nothing
-// over five — Go allocates a 40-byte object in its 48-byte size class —
-// where a seventh would cost 16 bytes on every operator's output.
+// (16-byte key, 16-byte entry) is 32 bytes, as are a small bag's slot, an
+// index bucket's entry and a journal entry; a tuple's slice header made
+// each 48. Every operator of every evaluation allocates a Bag, and the
+// shared mark rides in last's top bit. The small bag's slice header took
+// the Bag from six words to nine; New allocates it with two slots, 136
+// bytes in Go's 144-byte size class, where a map bag's Bag, map header
+// and first 288-byte group were three objects and 384 bytes. A tenth
+// word, or a third slot, would move New to the 160-byte class.
 func TestBagSize(t *testing.T) {
 	for _, c := range []struct {
 		name      string
 		got, want uintptr
 	}{
 		{"entry", unsafe.Sizeof(entry{}), 16},
+		{"slot", unsafe.Sizeof(slot{}), 32},
 		{"indexEntry", unsafe.Sizeof(indexEntry{}), 32},
 		{"jentry", unsafe.Sizeof(jentry{}), 32},
 	} {
@@ -313,8 +315,65 @@ func TestBagSize(t *testing.T) {
 			t.Errorf("sizeof(%s) = %d, want %d", c.name, c.got, c.want)
 		}
 	}
-	if got := unsafe.Sizeof(Bag{}); got > 48 {
-		t.Errorf("sizeof(Bag) = %d, want at most 48", got)
+	if got := unsafe.Sizeof(Bag{}); got > 72 {
+		t.Errorf("sizeof(Bag) = %d, want at most 72", got)
+	}
+	if got := unsafe.Sizeof(smallBag{}); got > 144 {
+		t.Errorf("sizeof(smallBag) = %d, want at most 144", got)
+	}
+}
+
+// TestSmallBagLife walks a bag through the rules of its two
+// representations: New plus two Adds is three allocations (the bag with
+// its first slots, and two keys), where a map bag's was five; the
+// smallMax-th distinct tuple stays in the slots and the next one
+// promotes the bag, for good, through removals and Clear; a small bag's
+// Clear keeps its slots; its Clone is a copy, counted in CopiedEntries,
+// that marks neither bag and leaves Prepare nothing to do; and an index
+// asked of a small bag promotes it first.
+func TestSmallBagLife(t *testing.T) {
+	r1, r2 := row(1, "a"), row(2, "b")
+	if got := testing.AllocsPerRun(100, func() { New().Add(r1, 1).Add(r2, 1) }); got != 3 {
+		t.Errorf("New and two Adds allocate %v times, want 3", got)
+	}
+
+	b := New()
+	for i := 0; i < smallMax; i++ {
+		b.Add(row(i), 1)
+	}
+	if b.m != nil || b.Distinct() != smallMax {
+		t.Fatalf("%d distinct tuples: small %v, want a small bag", b.Distinct(), b.m == nil)
+	}
+	c0 := CopiedEntries()
+	c := b.Clone()
+	if n := CopiedEntries() - c0; n != smallMax || c.m != nil || b.isShared() || c.isShared() {
+		t.Fatalf("Clone of a small bag copied %d entries (small %v, marked %v/%v), want %d, small, unmarked",
+			n, c.m == nil, b.isShared(), c.isShared(), smallMax)
+	}
+	if b.Prepare(100) != nil {
+		t.Fatal("Prepare found something owing on a small bag")
+	}
+	c.Add(row(0), 1)
+	b.Add(row(smallMax), 1)
+	if b.m == nil || len(b.m) != smallMax+1 || c.m != nil || c.Len() != smallMax+1 || b.Count(row(0)) != 1 {
+		t.Fatalf("the %d-th distinct tuple: b %v (map %v), its clone %v (map %v)", smallMax+1, b, b.m != nil, c, c.m != nil)
+	}
+	for i := 0; i <= smallMax; i++ {
+		b.Remove(row(i), 1)
+	}
+	b.Clear()
+	if b.m == nil {
+		t.Fatal("a promoted bag went back to slots")
+	}
+
+	c.Clear()
+	if c.m != nil || cap(c.s) != smallMax || !c.Empty() {
+		t.Fatalf("Clear of a small bag: map %v, %d slots kept", c.m != nil, cap(c.s))
+	}
+	c.Add(r1, 1)
+	ix, _ := c.IndexOn([]int{0})
+	if c.m == nil || len(ix.at) != 1 {
+		t.Fatalf("IndexOn of a small bag: map %v, index of %d entries", c.m != nil, len(ix.at))
 	}
 }
 

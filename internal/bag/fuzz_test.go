@@ -18,7 +18,9 @@ import (
 // runHandles), checking both handles against their models after every
 // step; then it checks the first handle's own index against a freshly
 // built one, and the algebraic laws of Section 2.1 that the DEL/ADD
-// differentials depend on.
+// differentials depend on. The program runs three times, its bags
+// starting small, promoted and as maps (starts), so each grows, shrinks
+// and is cloned through both representations.
 func FuzzBagOps(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 0, 2, 1, 3})
@@ -39,89 +41,101 @@ func FuzzBagOps(f *testing.F) {
 	// once more after a write to b that the index catches up with.
 	f.Add([]byte{0, 1, 2, 0, 6, 1, 0, 12, 3, 8, 0, 0, 9, 0, 0, 3, 1, 1, 0, 7, 2, 9, 0, 0,
 		11, 2, 2, 11, 3, 3, 11, 4, 1, 11, 0, 0, 0, 8, 1, 11, 1, 3})
+	// INT 2^53 and INT 2^53+1 in one small bag, and in its Clone, are two
+	// entries: a slot is found by its key, not by comparing values.
+	f.Add([]byte{0, 15, 1, 0, 20, 2, 0, 15, 1, 8, 0, 0, 9, 0, 0, 3, 20, 1, 0, 21, 1})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		hs := runHandles(t, data)
-		b := hs[0]
-		if msg := checkIndexOn(b); msg != "" {
-			t.Fatal(msg)
-		}
-
-		// Algebraic laws over (b, other), with other built from the tail
-		// of the input read in reverse so the two bags differ.
-		other := New()
-		for i := len(data) - 1; i >= 2; i -= 3 {
-			other.Add(schema.Row(int(data[i]%5), int(data[i-1]%5)), 1+int(data[i-2]%2))
-		}
-
-		// (b ⊎ o) ∸ o = b  (monus undoes union-all exactly).
-		if !Monus(UnionAll(b, other), other).Equal(b) {
-			t.Fatal("Monus(UnionAll(b, o), o) != b")
-		}
-		// The in-place (b ∸ d) ⊎ a equals the pure form, keeps a cached
-		// index syncable, and keeps the journal accounting — with d = other
-		// (overlapping b, not a sub-bag of it) and a = a slice of both.
-		if msg := checkApplyDelta(b, other, Min(UnionAll(b, other), DupElim(other))); msg != "" {
-			t.Fatal(msg)
-		}
-		if msg := checkApplyDelta(b, Max(b, other), other); msg != "" {
-			t.Fatal(msg)
-		}
-		// min is a lower bound of both; max an upper bound of b.
-		lo := Min(b, other)
-		if !lo.SubBagOf(b) || !lo.SubBagOf(other) {
-			t.Fatal("Min(b, o) not a subbag of both arguments")
-		}
-		if !b.SubBagOf(Max(b, other)) {
-			t.Fatal("b not a subbag of Max(b, o)")
-		}
-		// except ⊆ b and is disjoint from o's support.
-		ex := Except(b, other)
-		if !ex.SubBagOf(b) {
-			t.Fatal("Except(b, o) not a subbag of b")
-		}
-		ex.Each(func(tu schema.Tuple, n int) {
-			if other.Contains(tu) {
-				t.Fatalf("Except(b, o) kept %s, which o contains", tu)
-			}
-		})
-		// ε collapses every multiplicity to exactly one.
-		DupElim(b).Each(func(tu schema.Tuple, n int) {
-			if n != 1 {
-				t.Fatalf("DupElim multiplicity %d for %s", n, tu)
-			}
-		})
-		// EachOrdered visits the same contents as Each, just ordered.
-		ordered := New()
-		b.EachOrdered(func(tu schema.Tuple, n int) { ordered.Add(tu, n) })
-		if !ordered.Equal(b) {
-			t.Fatal("EachOrdered visited different contents than Each")
+		for _, start := range starts {
+			bagLaws(t, data, start)
 		}
 	})
 }
 
-// runHandles runs data as a program over two bag handles, each with a
-// map[string]int reference model, and returns the handles. Each op
-// consumes 3 bytes — opcode, tuple id, count — and acts on the current
-// handle: 0-2 Add, 3-4 Remove, 5 IndexOn (checked against a fresh
-// build), 6 ApplyDelta or a burst longer than the journal window, 7
-// Clear, 8 Clone into the other handle, 9 switch handles, 10 Prepare
-// with the count byte as pending, then Adopt (what Prepare returns must
-// match the model before it is adopted), 11 join a probe over every key
-// with the handle through its own index, read as b ∸ σ_keep(sub) — sub
-// none, empty or the other handle, keep all or even second columns —
-// against the same join over that bag materialized. After every step both handles
-// must match their models — a Clone is a snapshot, so a write or Clear
-// on either side never shows on the other — and after a Clear the
-// handle's capacity obeys the retention bound.
-func runHandles(t *testing.T, data []byte) [2]*Bag {
+// bagLaws is one run of FuzzBagOps, its bags begun by start.
+func bagLaws(t *testing.T, data []byte, start func() *Bag) {
 	t.Helper()
-	hs := [2]*Bag{New(), New()}
+	hs := runHandles(t, data, start)
+	b := hs[0]
+	if msg := checkIndexOn(b); msg != "" {
+		t.Fatal(msg)
+	}
+
+	// Algebraic laws over (b, other), with other built from the tail
+	// of the input read in reverse so the two bags differ.
+	other := start()
+	for i := len(data) - 1; i >= 2; i -= 3 {
+		other.Add(schema.Row(int(data[i]%5), int(data[i-1]%5)), 1+int(data[i-2]%2))
+	}
+
+	// (b ⊎ o) ∸ o = b  (monus undoes union-all exactly).
+	if !Monus(UnionAll(b, other), other).Equal(b) {
+		t.Fatal("Monus(UnionAll(b, o), o) != b")
+	}
+	// The in-place (b ∸ d) ⊎ a equals the pure form, keeps a cached
+	// index syncable, and keeps the journal accounting — with d = other
+	// (overlapping b, not a sub-bag of it) and a = a slice of both.
+	if msg := checkApplyDelta(b, other, Min(UnionAll(b, other), DupElim(other))); msg != "" {
+		t.Fatal(msg)
+	}
+	if msg := checkApplyDelta(b, Max(b, other), other); msg != "" {
+		t.Fatal(msg)
+	}
+	// min is a lower bound of both; max an upper bound of b.
+	lo := Min(b, other)
+	if !lo.SubBagOf(b) || !lo.SubBagOf(other) {
+		t.Fatal("Min(b, o) not a subbag of both arguments")
+	}
+	if !b.SubBagOf(Max(b, other)) {
+		t.Fatal("b not a subbag of Max(b, o)")
+	}
+	// except ⊆ b and is disjoint from o's support.
+	ex := Except(b, other)
+	if !ex.SubBagOf(b) {
+		t.Fatal("Except(b, o) not a subbag of b")
+	}
+	ex.Each(func(tu schema.Tuple, n int) {
+		if other.Contains(tu) {
+			t.Fatalf("Except(b, o) kept %s, which o contains", tu)
+		}
+	})
+	// ε collapses every multiplicity to exactly one.
+	DupElim(b).Each(func(tu schema.Tuple, n int) {
+		if n != 1 {
+			t.Fatalf("DupElim multiplicity %d for %s", n, tu)
+		}
+	})
+	// EachOrdered visits the same contents as Each, just ordered.
+	ordered := New()
+	b.EachOrdered(func(tu schema.Tuple, n int) { ordered.Add(tu, n) })
+	if !ordered.Equal(b) {
+		t.Fatal("EachOrdered visited different contents than Each")
+	}
+}
+
+// runHandles runs data as a program over two bag handles, begun by
+// start, each with a map[string]int reference model, and returns the
+// handles. Each op consumes 3 bytes — opcode, tuple id, count — and acts
+// on the current handle: 0-2 Add, 3-4 Remove, 5 IndexOn (checked against
+// a fresh build), 6 ApplyDelta or a burst longer than the journal
+// window, 7 Clear, 8 Clone into the other handle, 9 switch handles, 10
+// Prepare with the count byte as pending, then Adopt (what Prepare
+// returns must match the model before it is adopted), 11 join a probe
+// over every key with the handle through its own index, read as
+// b ∸ σ_keep(sub) — sub none, empty or the other handle, keep all or
+// even second columns — against the same join over that bag
+// materialized. After every step both handles must match their models —
+// a Clone is a snapshot, so a write or Clear on either side never shows
+// on the other — and after a Clear the handle's capacity obeys the
+// retention bound.
+func runHandles(t *testing.T, data []byte, start func() *Bag) [2]*Bag {
+	t.Helper()
+	hs := [2]*Bag{start(), start()}
 	models := [2]map[string]int{{}, {}}
 	cur := 0
 	for i := 0; i+2 < len(data); i += 3 {
 		b, model := hs[cur], models[cur]
-		tu := schema.Row(int(data[i+1]%5), int(data[i+1]/5%5))
+		tu := schema.Row(int(data[i+1]%5), fuzzVals[data[i+1]/5%5])
 		n := int(data[i+2] % 4)
 		key := tu.Key()
 		switch data[i] % 12 {
@@ -199,6 +213,11 @@ func runHandles(t *testing.T, data []byte) [2]*Bag {
 	}
 	return hs
 }
+
+// fuzzVals are the second column's values of runHandles' tuples. The
+// last two are one apart past 2^53, where a float64 no longer tells them
+// apart; their keys do.
+var fuzzVals = [5]int64{0, 1, 2, 1 << 53, 1<<53 + 1}
 
 // checkModel compares a bag's accounting and contents with a
 // map[string]int model, returning the first difference or "".

@@ -171,14 +171,14 @@ func TestHashJoinOnlyReads(t *testing.T) {
 	left := New().Add(row("a", 1), 2).Add(row("b", 2), 3).Add(row("c", 1), 1)
 	right := New().Add(row(1, "x"), 4).Add(row(2, "y"), 1)
 	pred := eqJoin(1, 0, 2)
-	got, probed, built := HashJoin(left, []int{1}, right, []int{0}, pred)
+	got, probed, built := hash(&Join{Cross: pred}, left, []int{1}, right, []int{0})
 	if want := ProductSelect(left, right, pred); !got.Equal(want) {
-		t.Fatalf("HashJoin = %v, want %v", got, want)
+		t.Fatalf("Join.Hash = %v, want %v", got, want)
 	}
 	if built != right.Distinct() || probed != 3 {
 		t.Fatalf("built %d probed %d, want the smaller side (%d) built and 3 pairs probed", built, probed, right.Distinct())
 	}
-	if left.dx != nil || right.dx != nil {
-		t.Fatal("HashJoin switched on a journal or registered an index")
+	if left.dx != nil || right.dx != nil || left.m != nil || right.m != nil {
+		t.Fatal("Join.Hash switched on a journal, registered an index or promoted a small operand")
 	}
 }

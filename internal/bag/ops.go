@@ -14,10 +14,10 @@ func UnionAll(a, b *Bag) *Bag {
 // empty. Unfiltered, the answer is a Clone of b prepared for and given
 // the differential (Prepare, Adopt, ApplyDelta): it shares b's contents,
 // and costs what the differential and b's overlay cost, not what b does.
-// That marks b shared, but a bag written as Prepare directs owes the
-// mark no copy of itself at its next write — at most its overlay.
-// Filtered, it is collected under the operands' own keys (none is
-// encoded again), and b is only read.
+// That marks a map b shared, but a bag written as Prepare directs owes
+// the mark no copy of itself at its next write — at most its overlay; a
+// small b is copied and not marked. Filtered, it is collected under the
+// operands' own keys (none is encoded again), and b is only read.
 func Applied(b, del, add *Bag, keep func(schema.Tuple) bool) *Bag {
 	if keep == nil {
 		out := b.Clone()
@@ -29,23 +29,30 @@ func Applied(b, del, add *Bag, keep func(schema.Tuple) bool) *Bag {
 			pending += add.size
 		}
 		if pending > 0 {
-			out.Adopt(out.Prepare(pending)) // a Clone is shared, so Prepare never returns nil for it
+			if p := out.Prepare(pending); p != nil { // nil for a small b, whose Clone is a copy
+				out.Adopt(p)
+			}
 			out.ApplyDelta(del, add)
 		}
 		return out
 	}
-	out := New()
+	bound := b.Distinct()
+	if add != nil {
+		bound += add.Distinct()
+	}
+	out := newFor(bound)
 	b.eachApplied(del, add, keep, func(k string, t schema.Tuple, n int) { out.addKeyed(k, t, n) })
 	return out
 }
 
-// The operators below write their output's map directly, past addKeyed,
+// The operators below write their output through put, past addKeyed,
 // so each sets the output's arity itself: that of the operand its
 // entries come from.
 
-// newLike returns an empty bag for entries taken from a.
-func newLike(a *Bag) *Bag {
-	out := New()
+// newLike returns an empty bag for at most n distinct entries taken from
+// a (newFor).
+func newLike(a *Bag, n int) *Bag {
+	out := newFor(n)
 	out.arity = a.arity
 	return out
 }
@@ -53,11 +60,10 @@ func newLike(a *Bag) *Bag {
 // Monus returns a ∸ b: per-tuple multiplicity max(0, n_a - n_b).
 // This is the paper's "∸" operator, distinct from SQL EXCEPT.
 func Monus(a, b *Bag) *Bag {
-	out := newLike(a)
+	out := newLike(a, a.Distinct())
 	a.each(func(k string, e entry) {
 		if n := e.count - b.get(k).count; n > 0 {
-			out.m[k] = entry{p: e.p, count: n}
-			out.size += n
+			out.put(k, entry{p: e.p, count: n}, n)
 		}
 	})
 	return out
@@ -69,11 +75,10 @@ func Min(a, b *Bag) *Bag {
 	if b.Distinct() < a.Distinct() {
 		a, b = b, a
 	}
-	out := newLike(a)
+	out := newLike(a, a.Distinct())
 	a.each(func(k string, e entry) {
 		if n := min(e.count, b.get(k).count); n > 0 {
-			out.m[k] = entry{p: e.p, count: n}
-			out.size += n
+			out.put(k, entry{p: e.p, count: n}, n)
 		}
 	})
 	return out
@@ -84,13 +89,16 @@ func Min(a, b *Bag) *Bag {
 // kept disjoint can have in common after a change that touched only
 // those tuples.
 func MinWithin(a, b *Bag, within ...*Bag) *Bag {
-	out := newLike(a)
+	bound := 0
+	for _, w := range within {
+		bound += w.Distinct()
+	}
+	out := newLike(a, min(bound, a.Distinct()))
 	for _, w := range within {
 		w.each(func(k string, _ entry) {
 			e := a.get(k)
-			if n := min(e.count, b.get(k).count); n > 0 && out.m[k].count == 0 {
-				out.m[k] = entry{p: e.p, count: n}
-				out.size += n
+			if n := min(e.count, b.get(k).count); n > 0 && out.get(k).count == 0 {
+				out.put(k, entry{p: e.p, count: n}, n)
 			}
 		})
 	}
@@ -100,14 +108,13 @@ func MinWithin(a, b *Bag, within ...*Bag) *Bag {
 // Max returns the maximal union: per-tuple max(n_a, n_b).
 // Defined in the paper as a ⊎ (b ∸ a); computed directly here.
 func Max(a, b *Bag) *Bag {
-	out := a.private() // out.m is written directly, past the copy-on-write check
+	out := a.private() // out is written through put, past the copy-on-write check
 	if b.Distinct() > 0 && b.arity != out.arity {
 		out.setArity(b.arity) // panics unless a is empty: out would mix arities
 	}
 	b.each(func(k string, e entry) {
-		if have := out.m[k].count; e.count > have {
-			out.size += e.count - have
-			out.m[k] = e
+		if have := out.get(k).count; e.count > have {
+			out.put(k, e, e.count-have)
 		}
 	})
 	return out
@@ -118,11 +125,10 @@ func Max(a, b *Bag) *Bag {
 // (Section 2.1). It equals Π1(σ1=2(a × (ε(a) ∸ b))) but is computed
 // directly.
 func Except(a, b *Bag) *Bag {
-	out := newLike(a)
+	out := newLike(a, a.Distinct())
 	a.each(func(k string, e entry) {
 		if b.get(k).count == 0 {
-			out.m[k] = e
-			out.size += e.count
+			out.put(k, e, e.count)
 		}
 	})
 	return out
@@ -130,19 +136,17 @@ func Except(a, b *Bag) *Bag {
 
 // DupElim returns ε(a): every tuple of a with multiplicity 1.
 func DupElim(a *Bag) *Bag {
-	out := newLike(a)
-	a.each(func(k string, e entry) { out.m[k] = entry{p: e.p, count: 1} })
-	out.size = len(out.m)
+	out := newLike(a, a.Distinct())
+	a.each(func(k string, e entry) { out.put(k, entry{p: e.p, count: 1}, 1) })
 	return out
 }
 
 // Select returns σ_p(a) for a predicate over tuples.
 func Select(a *Bag, pred func(schema.Tuple) bool) *Bag {
-	out := newLike(a)
+	out := newLike(a, a.Distinct())
 	a.each(func(k string, e entry) {
 		if pred(a.tupleAt(e.p)) {
-			out.m[k] = e
-			out.size += e.count
+			out.put(k, e, e.count)
 		}
 	})
 	return out
@@ -152,7 +156,7 @@ func Select(a *Bag, pred func(schema.Tuple) bool) *Bag {
 // to the same output, in which case multiplicities add (bag semantics —
 // projection does NOT eliminate duplicates).
 func Project(a *Bag, f func(schema.Tuple) schema.Tuple) *Bag {
-	out := New()
+	out := newFor(a.Distinct())
 	a.each(func(_ string, e entry) { out.Add(f(a.tupleAt(e.p)), e.count) })
 	return out
 }

@@ -176,9 +176,8 @@ func mergeDelta(delT, addT *storage.Table, del, add *bag.Bag, strong bool) {
 		return
 	}
 	if cancel := bag.MinWithin(delT.Data(), addT.Data(), del, add); !cancel.Empty() {
-		none := bag.New()
-		delT.Data().ApplyDelta(cancel, none)
-		addT.Data().ApplyDelta(cancel, none)
+		delT.Data().ApplyDelta(cancel, nil)
+		addT.Data().ApplyDelta(cancel, nil)
 	}
 }
 

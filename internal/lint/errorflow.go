@@ -11,9 +11,9 @@ import (
 // discard is visible in review. For most calls that is the right
 // contract; for Write, Sync, Flush, and Close on a handle that just
 // carried engine state to disk it is not: a snapshot whose Close error
-// is blank-discarded can be silently truncated, and the recovery path
-// (ROADMAP item 3) would restore a corrupt warehouse without any
-// transaction having failed. So error-flow flags blank discards
+// is blank-discarded can be silently truncated, and a recovery path
+// (the WAL that ROADMAP parks) would restore a corrupt warehouse without
+// any transaction having failed. So error-flow flags blank discards
 // (`_ = ...`, `_, _ = ...`) of error-returning Write/Sync/Flush/Close
 // METHOD calls everywhere, including inside deferred cleanup literals.
 //

@@ -14,8 +14,9 @@ import (
 // of the acquiring function — including early error returns, the paths
 // the deferred-maintenance engine takes exactly when something already
 // went wrong. The contract table below is the extension point the
-// durable-storage arc (ROADMAP item 3) will grow: WAL segments and
-// page files get a row each, and the whole analysis comes for free.
+// durable-storage arc (the WAL-backed paged storage ROADMAP parks) will
+// grow: WAL segments and page files get a row each, and the whole
+// analysis comes for free.
 //
 // Discharge rules: a call to the contract's closer (direct, deferred,
 // or inside a deferred literal) closes the resource; letting it escape

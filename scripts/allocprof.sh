@@ -1,8 +1,8 @@
 #!/bin/sh
 # allocprof.sh — the allocation profile behind a perf issue, as one
-# command (also `make allocprof WORKLOAD=...`).
+# command (also `make allocprof WORKLOAD=... [BASE=<ref>]`).
 #
-#   scripts/allocprof.sh <workload> [seed] [regexp]
+#   scripts/allocprof.sh [-base <ref>] <workload> [seed] [regexp]
 #
 # Profiles exactly the cycles the benchmark measures: perf/ is copied
 # into a throw-away sibling directory (perf/ itself is frozen while a PR
@@ -23,7 +23,15 @@
 #   - bytes live at the end of the run (inuse_space, what heap_live_mb
 #     sees), flat.
 #
-# With a third argument the same two views are also printed line by line
+# With -base, the committed tree at <ref> (unpacked with `git archive`
+# into a temporary directory, as pair.sh does; nothing is written to
+# .git) is profiled the same way first, and its split line is printed
+# beside the working tree's, followed by the measured-cycle bytes of the
+# working tree against <ref>'s (pprof -diff_base, cumulative, top 30):
+# a negative row is a saving. A perf change shows with it where its
+# saving lands.
+#
+# With a regexp the same two views are also printed line by line
 # (`pprof -list <regexp>`, e.g. 'bag\.newIndex') for the functions the
 # regexp matches. The function-level tables say which function holds
 # the bytes; only the listing says which make or append in it does — a
@@ -31,7 +39,7 @@
 # third of newIndex's 19 MB and invisible above.
 #
 # The profiles stay in profiles/ (untracked) for `go tool pprof -list`
-# and friends. POSIX sh + awk + go; not part of `make check`.
+# and friends. POSIX sh + awk + git + tar + go; not part of `make check`.
 set -eu
 
 usage() {
@@ -39,6 +47,11 @@ usage() {
 	exit 2
 }
 
+base=""
+if [ $# -ge 2 ] && [ "$1" = -base ]; then
+	base=$2
+	shift 2
+fi
 [ $# -ge 1 ] && [ $# -le 3 ] || usage
 workload=$1 seed=${2:-1} list=${3:-}
 
@@ -46,30 +59,29 @@ root=$(cd "$(dirname "$0")/.." && pwd)
 # A sibling of perf/, so the copy's `replace dvm => ../` still finds the
 # working tree; hidden, so `./...` patterns skip it while it exists.
 copy=$(mktemp -d "$root/.allocprof.XXXXXX")
-trap 'rm -rf "$copy"' EXIT
+tmp=""
+trap 'rm -rf "$copy" ${tmp:+"$tmp"}' EXIT
 trap 'exit 130' INT TERM
 out="$root/profiles"
 mkdir -p "$out"
-p0="$out/$workload.seed$seed.m0.allocs.pprof"
-p1="$out/$workload.seed$seed.m1.allocs.pprof"
+name="$out/$workload.seed$seed"
 
-for f in "$root"/perf/*.go "$root/perf/go.mod"; do
-	cp "$f" "$copy/"
-done
-[ -f "$root/perf/go.sum" ] && cp "$root/perf/go.sum" "$copy/"
-
-awk '
-/runtime\.ReadMemStats\(&m0\)/ { print; print "allocprofDump(0)"; n0++; next }
-/runtime\.ReadMemStats\(&m1\)/ { print; print "allocprofDump(1)"; n1++; next }
-{ print }
-END {
-	if (n0 != 1 || n1 != 1) {
-		printf "allocprof.sh: perf/run.go has %d ReadMemStats(&m0) and %d ReadMemStats(&m1) anchors, want one of each\n", n0, n1 > "/dev/stderr"
-		exit 1
-	}
-}' "$root/perf/run.go" >"$copy/run.go"
-
-cat >"$copy/allocprof_dump.go" <<EOF
+# patchperf <perf-dir> <dir> <p0> <p1> writes into dir a run.go from
+# perf-dir's with a profile dump at each measurement boundary, and the
+# dump itself, writing to p0 and p1.
+patchperf() {
+	awk '
+	/runtime\.ReadMemStats\(&m0\)/ { print; print "allocprofDump(0)"; n0++; next }
+	/runtime\.ReadMemStats\(&m1\)/ { print; print "allocprofDump(1)"; n1++; next }
+	{ print }
+	END {
+		if (n0 != 1 || n1 != 1) {
+			printf "allocprof.sh: perf/run.go has %d ReadMemStats(&m0) and %d ReadMemStats(&m1) anchors, want one of each\n", n0, n1 > "/dev/stderr"
+			exit 1
+		}
+	}' "$1/run.go" >"$2/run.go.patched"
+	mv "$2/run.go.patched" "$2/run.go"
+	cat >"$2/allocprof_dump.go" <<EOF
 package main
 
 import (
@@ -84,7 +96,7 @@ func init() { runtime.MemProfileRate = 16 << 10 }
 // allocprofDump writes the allocs profile at measurement boundary i. Both
 // boundaries follow a runtime.GC(), so the profile is complete up to it.
 func allocprofDump(i int) {
-	f, err := os.Create([]string{"$p0", "$p1"}[i])
+	f, err := os.Create([]string{"$3", "$4"}[i])
 	if err == nil {
 		err = pprof.Lookup("allocs").WriteTo(f, 0)
 		if cerr := f.Close(); err == nil {
@@ -97,45 +109,87 @@ func allocprofDump(i int) {
 	}
 }
 EOF
+}
 
-echo "allocprof.sh: building the patched copy of perf/" >&2
-(cd "$copy" && go build -o "$copy/perf.allocprof" .)
-echo "allocprof.sh: running $workload, seed $seed" >&2
-if ! "$copy/perf.allocprof" -workload "$workload" -seed "$seed" -seconds 20 -trace 0 \
-	-out "$copy/out" >"$copy/log" 2>&1; then
-	cat "$copy/log" >&2
-	echo "allocprof.sh: the run failed" >&2
-	exit 1
-fi
-result=$(tail -n 1 "$copy/log")
-case $result in
-*'"correct":true'*) ;;
-*)
-	echo "allocprof.sh: the run is not correct: $result" >&2
-	exit 1
-	;;
-esac
-echo "$result"
-echo
-echo "== allocated during the measured cycles (alloc_space, cumulative, top 30)"
-go tool pprof -sample_index=alloc_space -base "$p0" -top -cum -nodecount=30 "$p1"
-# genbytes -focus|-ignore: the measured-cycle bytes of the samples with
-# (-focus) or without (-ignore) a main.(*gen) frame, and the total.
+# measure <dir> <label> builds the patched perf in dir, runs the workload
+# once and prints its result line, which must say correct.
+measure() {
+	echo "allocprof.sh: building the patched perf of $2" >&2
+	(cd "$1" && go build -o "$1/perf.allocprof" .)
+	echo "allocprof.sh: running $workload, seed $seed, on $2" >&2
+	if ! "$1/perf.allocprof" -workload "$workload" -seed "$seed" -seconds 20 -trace 0 \
+		-out "$1/out" >"$1/log" 2>&1; then
+		cat "$1/log" >&2
+		echo "allocprof.sh: the run on $2 failed" >&2
+		exit 1
+	fi
+	result=$(tail -n 1 "$1/log")
+	case $result in
+	*'"correct":true'*) ;;
+	*)
+		echo "allocprof.sh: the run on $2 is not correct: $result" >&2
+		exit 1
+		;;
+	esac
+	echo "$2: $result"
+}
+
+# genbytes <p0> <p1> -focus|-ignore: the measured-cycle bytes of the
+# samples with (-focus) or without (-ignore) a main.(*gen) frame, and the
+# total.
 genbytes() {
-	go tool pprof -sample_index=alloc_space -base "$p0" "$1=main\.\(\*gen\)" -unit=B -top \
-		-nodecount=1000000 -nodefraction=0 -edgefraction=0 "$p1" 2>/dev/null |
+	go tool pprof -sample_index=alloc_space -base "$1" "$3=main\.\(\*gen\)" -unit=B -top \
+		-nodecount=1000000 -nodefraction=0 -edgefraction=0 "$2" 2>/dev/null |
 		awk '/^Showing nodes accounting for/ { b = $5; t = $8; sub(/B,$/, "", b); sub(/B$/, "", t); print b, t; found = 1 }
 		END { if (!found) print 0, 0 }'
 }
-{ genbytes -focus; genbytes -ignore; } | awk '
-NR == 1 { gen = $1; total = $2 }
-NR == 2 { eng = $1; if ($2 > total) total = $2 }
-END {
-	mb = 1024 * 1024
-	if (total == 0) total = 1
-	printf "measured cycles: %.1f MB under main.(*gen) (%.1f %%), %.1f MB outside it (%.1f %%)\n",
-		gen / mb, 100 * gen / total, eng / mb, 100 * eng / total
-}'
+
+# gensplit <p0> <p1> <label> prints the measured-cycle bytes under
+# main.(*gen) and outside it.
+gensplit() {
+	{ genbytes "$1" "$2" -focus; genbytes "$1" "$2" -ignore; } | awk -v label="$3" '
+	NR == 1 { gen = $1; total = $2 }
+	NR == 2 { eng = $1; if ($2 > total) total = $2 }
+	END {
+		mb = 1024 * 1024
+		if (total == 0) total = 1
+		printf "measured cycles (%s): %.1f MB under main.(*gen) (%.1f %%), %.1f MB outside it (%.1f %%)\n",
+			label, gen / mb, 100 * gen / total, eng / mb, 100 * eng / total
+	}'
+}
+
+if [ -n "$base" ]; then
+	tmp=$(mktemp -d "${TMPDIR:-/tmp}/dvm-allocprof.XXXXXX")
+	git -C "$root" archive "$base" | tar -x -C "$tmp"
+	patchperf "$tmp/perf" "$tmp/perf" "$name.base.m0.allocs.pprof" "$name.base.m1.allocs.pprof"
+	measure "$tmp/perf" "$base"
+fi
+
+for f in "$root"/perf/*.go "$root/perf/go.mod"; do
+	cp "$f" "$copy/"
+done
+[ -f "$root/perf/go.sum" ] && cp "$root/perf/go.sum" "$copy/"
+p0="$name.m0.allocs.pprof" p1="$name.m1.allocs.pprof"
+patchperf "$root/perf" "$copy" "$p0" "$p1"
+measure "$copy" "working tree"
+
+echo
+echo "== allocated during the measured cycles (alloc_space, cumulative, top 30)"
+go tool pprof -sample_index=alloc_space -base "$p0" -top -cum -nodecount=30 "$p1"
+if [ -n "$base" ]; then
+	gensplit "$name.base.m0.allocs.pprof" "$name.base.m1.allocs.pprof" "$base"
+fi
+gensplit "$p0" "$p1" "working tree"
+if [ -n "$base" ]; then
+	# Each side's measured cycles as one profile, then one against the other.
+	go tool pprof -proto -base "$name.base.m0.allocs.pprof" "$name.base.m1.allocs.pprof" \
+		>"$name.base.cycles.pb.gz" 2>/dev/null
+	go tool pprof -proto -base "$p0" "$p1" >"$name.cycles.pb.gz" 2>/dev/null
+	echo
+	echo "== allocated during the measured cycles, working tree against $base (alloc_space, -diff_base, cumulative, top 30)"
+	go tool pprof -sample_index=alloc_space -diff_base "$name.base.cycles.pb.gz" -top -cum -nodecount=30 \
+		"$name.cycles.pb.gz"
+fi
 echo
 echo "== live at the end of the run (inuse_space, flat, top 30)"
 go tool pprof -sample_index=inuse_space -top -nodecount=30 "$p1"
@@ -150,4 +204,4 @@ if [ -n "$list" ]; then
 	go tool pprof -sample_index=inuse_space -list "$list" "$p1"
 	echo
 fi
-echo "allocprof.sh: profiles left in $p0 and $p1" >&2
+echo "allocprof.sh: profiles left in $out ($workload.seed$seed.*)" >&2
