@@ -36,6 +36,8 @@
 package dvm
 
 import (
+	"slices"
+
 	"dvm/internal/algebra"
 	"dvm/internal/bag"
 	"dvm/internal/core"
@@ -86,8 +88,8 @@ var (
 	Col   = schema.Col
 )
 
-// NewSchema builds a relation schema from columns.
-func NewSchema(cols ...Column) *Schema { return schema.NewSchema(cols...) }
+// NewSchema builds a relation schema from a copy of columns.
+func NewSchema(cols ...Column) *Schema { return schema.NewSchema(slices.Clone(cols)...) }
 
 // Column types.
 const (

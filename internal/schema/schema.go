@@ -24,9 +24,12 @@ type Schema struct {
 
 // NewSchema builds a schema from columns. Duplicate names are allowed at
 // construction (products create them), but positional lookup of a
-// duplicated name reports an error.
+// duplicated name reports an error. The schema keeps cols, so a caller
+// that passes a slice (cols...) must not change it afterwards. The name
+// index grows with the distinct names, not with len(cols): a snapshot
+// header that repeats one name 65,535 times costs one entry.
 func NewSchema(cols ...Column) *Schema {
-	s := &Schema{cols: append([]Column(nil), cols...), pos: make(map[string]int, len(cols))}
+	s := &Schema{cols: cols, pos: make(map[string]int)}
 	for i, c := range cols {
 		if _, dup := s.pos[c.Name]; dup {
 			s.pos[c.Name] = -1 // ambiguous

@@ -47,8 +47,12 @@ import (
 //     immutable once stored (Tuple's doc), so the n values it names exist
 //     and never change.
 //   - p points into the tuple's backing array, and an interior pointer
-//     keeps the whole array alive, exactly as the slice header did.
-//   - unsafe.Slice(p, n) stays inside the one allocation p came from;
+//     keeps the whole array alive, exactly as the slice header did. That
+//     array may be a slab many tuples share (a table a snapshot loaded,
+//     bag.Build): each tuple is a capped sub-slice of it, its p an
+//     interior pointer, and the slab lives while any of them does.
+//   - unsafe.Slice(p, n) stays inside the one allocation p came from —
+//     a slab is one allocation too, and p's n values end inside it;
 //     checkptr (`go test -race`) checks that at run time.
 //
 // What the layout costs its users: == and reflect.DeepEqual on a Value

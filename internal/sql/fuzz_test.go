@@ -109,14 +109,22 @@ func FuzzEngineExec(f *testing.F) {
 	})
 }
 
+// decodeBound is what decoding len bytes of snapshot may allocate: the
+// map bag.Build pre-sizes from a table's row count (capped at a few MiB,
+// whatever the count says) and the readers' buffers, plus a small
+// multiple of the bytes — a row's values and key are about 20 times its
+// encoding when every value is a one-byte NULL.
+func decodeBound(n int) uint64 { return 4<<20 + 32*uint64(n) }
+
 // FuzzSnapshotLoad feeds hostile snapshot bytes to the two loaders:
 // storage.Load (DVM1) and LoadEngine (DVME). Whatever the bytes say,
 // decoding them returns a database or an error — never a panic, never
-// more than 64 MiB allocated (every count in a header is untrusted and
-// bounded before it sizes anything) — and what loads is a fixpoint of
-// the round trip: saved, loaded again and saved again, the bytes do not
-// change. Seeds are Save/SaveTo outputs and truncations of them, plus a
-// DVM2 stream (the retired sharded format), which must not load.
+// more than decodeBound allocated (every count in a header is untrusted:
+// it is bounded before it sizes anything, and what it sizes grows with
+// the bytes that arrive) — and what loads is a fixpoint of the round
+// trip: saved, loaded again and saved again, the bytes do not change.
+// Seeds are Save/SaveTo outputs and truncations of them, plus a DVM2
+// stream (the retired sharded format), which must not load.
 func FuzzSnapshotLoad(f *testing.F) {
 	// DVM1: plain tables, one of them empty, every value type.
 	plain := storage.NewDatabase()
@@ -161,6 +169,34 @@ func FuzzSnapshotLoad(f *testing.F) {
 			f.Add(raw[:n])
 		}
 	}
+	// DVM1: one table whose rows span three of bag.Build's slabs (8, 16
+	// and 1 rows of 128 values) and two arena chunks, with keys past the
+	// 128-byte scratch. Its values are mostly one-byte NULLs and its
+	// columns unnamed, and it is one seed, untruncated: the fuzzer
+	// minimizes every input that finds new code, at a cost that grows
+	// with the input's length.
+	slabs := storage.NewDatabase()
+	cols := make([]schema.Column, 128)
+	for k := range cols {
+		cols[k].Type = schema.TInt
+	}
+	wide, err := slabs.Create("w", schema.NewSchema(cols...), storage.External)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 25; i++ {
+		row := make(schema.Tuple, 128)
+		row[0] = schema.Int(int64(i))
+		wide.Data().Add(row, 1+i%2)
+	}
+	var spans bytes.Buffer
+	if err := slabs.Save(&spans); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := storage.Load(bytes.NewReader(spans.Bytes())); err != nil {
+		f.Fatalf("the slab-spanning seed does not load: %v", err)
+	}
+	f.Add(spans.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		engine := bytes.HasPrefix(data, engineMagic[:])
@@ -175,10 +211,9 @@ func FuzzSnapshotLoad(f *testing.F) {
 			}
 			_, _ = storage.Load(br)
 		})
-		if alloc > 64<<20 {
-			t.Fatalf("decoding %d bytes of snapshot allocated %d bytes", len(data), alloc)
+		if alloc > decodeBound(len(data)) {
+			t.Fatalf("decoding %d bytes of snapshot allocated %d bytes, more than %d", len(data), alloc, decodeBound(len(data)))
 		}
-
 		// load returns the bytes the loaded state saves as; ok is false
 		// when the input does not load.
 		load := func(in []byte) (out []byte, ok bool) {

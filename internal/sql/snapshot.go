@@ -103,11 +103,11 @@ func readEngineHeader(br *bufio.Reader) ([]string, error) {
 		if n > 1<<24 {
 			return nil, fmt.Errorf("sql: load: implausible DDL length %d", n)
 		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(br, b); err != nil {
+		stmt, err := storage.ReadLong(br, int(n))
+		if err != nil {
 			return nil, err
 		}
-		ddl = append(ddl, string(b))
+		ddl = append(ddl, stmt)
 	}
 	return ddl, nil
 }

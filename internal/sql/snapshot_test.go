@@ -151,6 +151,13 @@ func TestLoadEngineErrors(t *testing.T) {
 	if _, err := LoadEngine(bytes.NewReader(bad)); err == nil {
 		t.Error("garbage DDL accepted")
 	}
+	// A DDL length under the 16 MiB cap that the 12-byte stream does not
+	// back costs what arrived, not the length it claims.
+	forged := append([]byte("DVME"), 1, 0, 0, 0, 0, 0, 0, 1)
+	var err error
+	if alloc := allocBytes(func() { _, err = LoadEngine(bytes.NewReader(forged)) }); err == nil || alloc > 4<<20 {
+		t.Errorf("a forged 16 MiB DDL length: %v after %d bytes allocated", err, alloc)
+	}
 }
 
 func TestSaveRejectsNonSQLViews(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 
 	"dvm/internal/bag"
 	"dvm/internal/obs/trace"
@@ -141,13 +142,12 @@ func (db *Database) save(w io.Writer, externalOnly bool) error {
 // Limits on what a snapshot header may claim. The bytes are untrusted:
 // every count that sizes an allocation or a loop is checked against one
 // of these (or, for strings, in readStr) before it is used, so a forged
-// header costs a bounded allocation and an error, whatever it says.
+// header costs a bounded allocation and an error, whatever it says. A
+// table's distinctTuples header sizes nothing here: bag.Build allocates
+// as the rows arrive, and caps the map it pre-sizes from the count.
 const (
 	maxTables  = 1 << 20
 	maxColumns = 1 << 16
-	// maxPresize caps the bag pre-sized from a table's distinctTuples
-	// header at a few MiB of map; a larger table grows from there.
-	maxPresize = 1 << 15
 	// Load shares one copy of a repeated short string (strTable): strings
 	// up to maxInternLen bytes, at most maxInterned of them at a time.
 	maxInternLen = 32
@@ -181,7 +181,8 @@ func (in strTable) str(b []byte) string {
 
 // Load restores a database snapshot written by Save. Malformed or
 // hostile input is an error, never a panic, and allocates no more than a
-// small multiple of the bytes actually read.
+// constant (the capped pre-size of one table's map) plus a small
+// multiple of the bytes actually read.
 func Load(r io.Reader) (*Database, error) {
 	db, err := load(bufio.NewReader(r))
 	if err != nil {
@@ -253,30 +254,22 @@ func load(br *bufio.Reader) (*Database, error) {
 		if err != nil {
 			return nil, err
 		}
-		data := bag.NewSized(int(min(distinct, maxPresize)))
-		for j := uint32(0); j < distinct; j++ {
+		// Rows are decoded in place, into the slabs bag.Build lends; Build
+		// rejects a zero multiplicity and a repeated row.
+		data, err := bag.Build(int(colCount), int(distinct), func(tu schema.Tuple) (int, error) {
 			mult, err := readU32(br)
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
-			if mult == 0 {
-				return nil, fmt.Errorf("zero multiplicity in %q", name)
-			}
-			tu := make(schema.Tuple, colCount)
 			for k := range tu {
-				v, err := readValue(br, strs)
-				if err != nil {
-					return nil, err
+				if tu[k], err = readValue(br, strs); err != nil {
+					return 0, err
 				}
-				tu[k] = v
 			}
-			if err := sch.Validate(tu); err != nil {
-				return nil, err
-			}
-			data.Add(tu, int(mult))
-			if data.Distinct() != int(j)+1 {
-				return nil, fmt.Errorf("duplicate tuple %s in %q", tu, name)
-			}
+			return int(mult), sch.Validate(tu)
+		})
+		if err != nil {
+			return nil, fmt.Errorf("table %q: %w", name, err)
 		}
 		tb.Replace(data)
 	}
@@ -339,7 +332,8 @@ func writeStr(w *bufio.Writer, s string) error {
 }
 
 // readStr reads a length-prefixed string; one that fits r's buffer is
-// copied once, out of the buffer, or shared through in.
+// copied once, out of the buffer, or shared through in. A longer one is
+// read by ReadLong.
 func readStr(r *bufio.Reader, in strTable) (string, error) {
 	n, err := readU32(r)
 	if err != nil {
@@ -357,11 +351,23 @@ func readStr(r *bufio.Reader, in strTable) (string, error) {
 		_, err = r.Discard(int(n))
 		return s, err
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	return ReadLong(r, int(n))
+}
+
+// ReadLong reads the n bytes of an untrusted length-prefixed string. It
+// grows the string as the bytes arrive, in steps of at most 32 KiB, so a
+// forged length costs a small multiple of the bytes the stream holds,
+// not n. A stream that ends early is io.ErrUnexpectedEOF.
+func ReadLong(r io.Reader, n int) (string, error) {
+	var sb strings.Builder
+	sb.Grow(min(n, 32<<10))
+	if _, err := io.CopyN(&sb, r, int64(n)); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return "", err
 	}
-	return string(buf), nil
+	return sb.String(), nil
 }
 
 func writeValue(w *bufio.Writer, v schema.Value) error {

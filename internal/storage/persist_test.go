@@ -162,7 +162,8 @@ func u32(b []byte, v uint32) []byte {
 // TestLoadBoundsHostileHeaders: a count in a snapshot header sizes an
 // allocation or a loop, and the bytes are untrusted — a forged count is
 // an error after a bounded allocation, not a 100 GB make. The forged
-// streams are a few dozen bytes long; none may cost more than 4 MiB.
+// streams are a few dozen bytes long (the wide schema's column list is
+// 320 KiB); none may cost more than 4 MiB.
 func TestLoadBoundsHostileHeaders(t *testing.T) {
 	table := func(colCount uint32) []byte { // one table "t" up to its column list
 		b := u32([]byte("DVM1"), 1)
@@ -171,12 +172,25 @@ func TestLoadBoundsHostileHeaders(t *testing.T) {
 		return u32(b, colCount)
 	}
 	oneIntCol := append(u32(table(1), 1), 'a', byte(schema.TInt))
+	oneStrCol := append(u32(table(1), 1), 's', byte(schema.TString))
+	// 65,535 unnamed INT columns, a forged row count, and a stream that
+	// ends inside the first row: the row's slab is as wide as the schema
+	// the stream spelled out, and no wider.
+	wide := table(0xFFFF)
+	for range 0xFFFF {
+		wide = append(u32(wide, 0), byte(schema.TInt))
+	}
+	wide = append(u32(u32(wide, 0xFFFFFFFF), 1), tagInt, 1, 0, 0, 0, 0, 0, 0, 0)
 	cases := map[string][]byte{
 		"table count":    u32([]byte("DVM1"), 0xFFFFFFFF),
 		"column count":   table(0xFFFFFFFF),
 		"distinct count": u32(oneIntCol, 0xFFFFFFFF),
 		"string length":  u32(u32([]byte("DVM1"), 1), 0xFFFFFFFF),
-		"DVM2 magic":     u32([]byte("DVM2"), 0xFFFFFFFF),
+		// Lengths under the 16 MiB cap, which the stream does not back.
+		"table name length":   u32(u32([]byte("DVM1"), 1), 1<<24),
+		"string value length": u32(append(u32(u32(oneStrCol, 1), 1), tagString), 1<<24),
+		"wide schema":         wide,
+		"DVM2 magic":          u32([]byte("DVM2"), 0xFFFFFFFF),
 	}
 	for name, data := range cases {
 		var m0, m1 runtime.MemStats
@@ -199,12 +213,14 @@ func TestLoadBoundsHostileHeaders(t *testing.T) {
 
 // TestLoadRejectsDuplicateTuples: the distinctTuples header promises
 // distinct tuples; a stream that repeats one would load as a bag whose
-// re-Save differs from the bytes read.
+// re-Save differs from the bytes read. Nor does a tuple of multiplicity
+// zero load: Save never writes one.
 func TestLoadRejectsDuplicateTuples(t *testing.T) {
 	b := u32([]byte("DVM1"), 1)
 	b = append(u32(b, 1), 't')
 	b = append(b, byte(External))
 	b = append(u32(u32(b, 1), 1), 'a', byte(schema.TInt))
+	zero := append(u32(u32(bytes.Clone(b), 1), 0), tagInt, 7, 0, 0, 0, 0, 0, 0, 0)
 	b = u32(b, 2) // two "distinct" tuples, both [7]
 	for i := 0; i < 2; i++ {
 		b = append(u32(b, 1), tagInt, 7, 0, 0, 0, 0, 0, 0, 0)
@@ -212,11 +228,15 @@ func TestLoadRejectsDuplicateTuples(t *testing.T) {
 	if _, err := Load(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), "duplicate tuple") {
 		t.Fatalf("a repeated tuple loaded: %v", err)
 	}
+	if _, err := Load(bytes.NewReader(zero)); err == nil || !strings.Contains(err.Error(), "multiplicity 0") {
+		t.Fatalf("a tuple of multiplicity 0 loaded: %v", err)
+	}
 }
 
 // TestSaveLoadLongStrings: strings are read out of the bufio buffer when
 // they fit it and through a second path when they do not; both sides of
-// the buffer size, and the size itself, round-trip. Neither path puts a
+// the buffer size, and the size itself, round-trip, and so do keys of
+// several arena chunks' length among short ones. Neither path puts a
 // string longer than maxInternLen into the intern table.
 func TestSaveLoadLongStrings(t *testing.T) {
 	in := make(strTable)
@@ -238,28 +258,7 @@ func TestSaveLoadLongStrings(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gt, err := got.Table("docs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !gt.Data().Equal(tb.Data()) {
-		t.Fatal("long strings did not survive the round trip")
-	}
-	var again bytes.Buffer
-	if err := got.Save(&again); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
-		t.Fatal("re-saving the loaded database changed the bytes")
-	}
+	saveLoad(t, db)
 }
 
 // TestLoadInternsShortStrings: a low-cardinality column of short strings
@@ -309,12 +308,13 @@ func TestLoadInternsShortStrings(t *testing.T) {
 	})
 	t.Logf("Load of %d rows: %d mallocs with 3 short notes, %d with 2 long ones, %d with distinct short ones, %d with distinct and repeated ones mixed",
 		rows, short, long, distinct, mixed)
-	// A row is its tuple and its bag key; the note is the third allocation.
+	// A row costs no allocation of its own (its values share a slab, its
+	// key an arena chunk); a long note is one allocation per row.
 	if long < short+rows*9/10 {
 		t.Errorf("long notes cost %d mallocs, short ones %d: want one more per row (%d rows)", long, short, rows)
 	}
 	if short > rows*5/2 {
-		t.Errorf("short repeated notes: %d mallocs for %d rows, want about 2 per row", short, rows)
+		t.Errorf("short repeated notes: %d mallocs for %d rows, want far fewer than 2 per row", short, rows)
 	}
 	// Distinct values fill the table and start it over; that costs no
 	// more than the string itself per row.
@@ -325,4 +325,133 @@ func TestLoadInternsShortStrings(t *testing.T) {
 	if mixed > short+rows/2+rows/10 {
 		t.Errorf("every second note distinct: %d mallocs, want about %d (the distinct ones only)", mixed, short+rows/2)
 	}
+}
+
+// saveLoad saves db, loads the bytes, checks that every table came back
+// equal and that the loaded database re-saves byte for byte, and returns
+// the loaded database.
+func saveLoad(t *testing.T, db *Database) *Database {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := db.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range db.Names() {
+		want, _ := db.Table(name)
+		gt, err := got.Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !gt.Data().Equal(want.Data()) {
+			t.Fatalf("table %q did not survive the round trip", name)
+		}
+	}
+	var again bytes.Buffer
+	if err := got.Save(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
+		t.Fatal("re-saving the loaded database changed the bytes")
+	}
+	return got
+}
+
+// intTable returns a database holding one table of rows distinct rows of
+// cols INT columns.
+func intTable(t *testing.T, rows, cols int) *Database {
+	t.Helper()
+	db := NewDatabase()
+	cs := make([]schema.Column, cols)
+	for k := range cs {
+		cs[k] = schema.Col("c"+strconv.Itoa(k), schema.TInt)
+	}
+	tb, err := db.Create("t", schema.NewSchema(cs...), External)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < rows; i++ {
+		tu := make(schema.Tuple, cols)
+		for k := range tu {
+			tu[k] = schema.Int(int64(i*cols + k))
+		}
+		tb.Data().Add(tu, 1+i%3)
+	}
+	return db
+}
+
+// TestSaveLoadAtChunkBoundaries: a loaded table's rows share slabs that
+// grow from 1 Ki values (256 rows of 4 INTs, then 512 more), and its keys
+// share arena chunks; tables that end one row short of a slab, exactly
+// at one and one row past it, and a table with no columns round-trip to
+// the same bytes. (TestSaveLoadLongStrings has keys longer than a chunk.)
+func TestSaveLoadAtChunkBoundaries(t *testing.T) {
+	for _, rows := range []int{255, 256, 257, 767, 768, 769} {
+		saveLoad(t, intTable(t, rows, 4))
+	}
+	for _, rows := range []int{0, 1} {
+		saveLoad(t, intTable(t, rows, 0))
+	}
+}
+
+// TestLoadRowsAllocateNothing: a loaded row costs no allocation of its
+// own. 10 000 rows of 4 INTs are a few slabs, arena chunks and the map's
+// tables — at most one malloc per hundred rows — where a tuple and a key
+// per row were 20 000.
+func TestLoadRowsAllocateNothing(t *testing.T) {
+	const rows = 10_000
+	var buf bytes.Buffer
+	if err := intTable(t, rows, 4).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	_, err := Load(bytes.NewReader(buf.Bytes()))
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := m1.Mallocs - m0.Mallocs
+	t.Logf("Load of %d rows: %d mallocs", rows, got)
+	if limit := uint64(rows/100 + 64); got > limit {
+		t.Errorf("Load of %d rows: %d mallocs, want at most %d", rows, got, limit)
+	}
+}
+
+// TestLoadThenDropFreesTheTable: no slab or arena chunk outlives the
+// table loaded into it. After a 100 000-row table is loaded and dropped,
+// the live heap is back within 10 % of where it was.
+func TestLoadThenDropFreesTheTable(t *testing.T) {
+	const rows = 100_000
+	var buf bytes.Buffer
+	if err := intTable(t, rows, 4).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	heap := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := heap()
+	db, err := Load(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded := heap()
+	if err := db.Drop("t"); err != nil {
+		t.Fatal(err)
+	}
+	after := heap()
+	t.Logf("live heap: %d B before the load, %d B loaded, %d B after the drop", before, loaded, after)
+	if loaded < before+rows*64 {
+		t.Fatalf("the loaded table holds %d B, less than 64 B a row: the test measures nothing", loaded-before)
+	}
+	if after > before+before/10 {
+		t.Errorf("%d B live after the drop, %d B before the load: the table's chunks outlive it", after, before)
+	}
+	runtime.KeepAlive(db)
 }

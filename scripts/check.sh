@@ -67,7 +67,10 @@ go test ./internal/sql -run '^$' -fuzz '^FuzzParse$' -fuzztime=10s
 go test ./internal/sql -run '^$' -fuzz '^FuzzEngineExec$' -fuzztime=10s
 # Hostile snapshot bytes (DVM1 through storage.Load, DVME through
 # LoadEngine; a retired DVM2 stream must error): an error or a save/load
-# fixpoint, never a panic, never more than 64 MiB allocated by decoding.
-go test ./internal/sql -run '^$' -fuzz '^FuzzSnapshotLoad$' -fuzztime=10s
+# fixpoint, never a panic, never more allocated by decoding than a
+# constant plus a small multiple of the bytes. Under -race, checkptr
+# validates every tuple rebuilt from a pointer into one of bag.Build's
+# shared slabs.
+go test -race ./internal/sql -run '^$' -fuzz '^FuzzSnapshotLoad$' -fuzztime=10s
 
 echo "check.sh: all gates passed"
