@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint lint-json doccheck check fuzz benchdiff profile pair allocprof
+.PHONY: build test lint lint-json doccheck check fuzz profile pair allocprof
 
 build:
 	$(GO) build ./...
@@ -27,18 +27,13 @@ doccheck:
 
 # The expanded tier-1 gate: build + vet + dvmlint + doccheck + race
 # tests + the nested perf/ module's self-check + bounded fuzzing. Same
-# battery as scripts/check.sh. Set BENCHDIFF=1 to also guard against
-# downtime regressions vs the newest BENCH_*.json baseline.
+# battery as scripts/check.sh.
 check:
 	./scripts/check.sh
 
-# Compare a fresh dvmbench run's downtime phases against the newest
-# BENCH_*.json baseline; fails on any >2x regression.
-benchdiff:
-	./scripts/benchdiff.sh
-
-# Capture labeled CPU + heap profiles of the Policy-2 retail day into
-# profiles/ (untracked) and print the dvm_phase attribution summary.
+# Capture labeled CPU + heap profiles of the Policy-2 retail day
+# (BenchmarkRetailDay) into profiles/ (untracked) and print the
+# per-label CPU split (`go tool pprof -tags`).
 profile:
 	./scripts/profile.sh
 

@@ -1,8 +1,8 @@
-// Package dvm_test hosts the testing.B benchmark harness: one benchmark
-// per experiment in DESIGN.md's index (regenerating the EXPERIMENTS.md
-// tables), plus micro-benchmarks of the layers the experiments rest on
-// (bag operations, evaluation, differential compilation, makesafe,
-// refresh variants).
+// Package dvm_test hosts the root tests: the paper's claims as count
+// assertions (claims_test.go), end-to-end checks, and testing.B
+// micro-benchmarks of the layers the claims rest on (bag operations,
+// evaluation, differential compilation, makesafe, refresh variants) plus
+// the Policy-2 retail day `make profile` captures.
 package dvm_test
 
 import (
@@ -11,7 +11,6 @@ import (
 
 	"dvm/internal/algebra"
 	"dvm/internal/bag"
-	"dvm/internal/bench"
 	"dvm/internal/core"
 	"dvm/internal/delta"
 	"dvm/internal/schema"
@@ -19,33 +18,6 @@ import (
 	"dvm/internal/txn"
 	"dvm/internal/workload"
 )
-
-// --- Experiment benchmarks (one per EXPERIMENTS.md table) ---
-
-func benchExperiment(b *testing.B, run func() (*bench.Report, error)) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		rep, err := run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 && testing.Verbose() {
-			b.Log("\n" + rep.String())
-		}
-	}
-}
-
-func BenchmarkE1StateBugJoin(b *testing.B) { benchExperiment(b, bench.E1StateBugJoin) }
-func BenchmarkE2StateBugDiff(b *testing.B) { benchExperiment(b, bench.E2StateBugDiff) }
-func BenchmarkE3Overhead(b *testing.B)     { benchExperiment(b, bench.E3Overhead) }
-func BenchmarkE4Downtime(b *testing.B)     { benchExperiment(b, bench.E4Downtime) }
-func BenchmarkE5PropagationSweep(b *testing.B) {
-	benchExperiment(b, bench.E5PropagationSweep)
-}
-func BenchmarkE6RestrictedClass(b *testing.B) { benchExperiment(b, bench.E6RestrictedClass) }
-func BenchmarkE7Minimality(b *testing.B)      { benchExperiment(b, bench.E7Minimality) }
-func BenchmarkE8IncrVsRecompute(b *testing.B) { benchExperiment(b, bench.E8IncrVsRecompute) }
-func BenchmarkE9Batching(b *testing.B)        { benchExperiment(b, bench.E9Batching) }
 
 // --- Per-scenario makesafe cost (the E3 rows as isolated benches) ---
 
@@ -292,6 +264,14 @@ func BenchmarkMixedWorkloadCombined(b *testing.B) {
 		if err := runner.Tick(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkRetailDay runs the Policy-2 retail day (retailDay): the
+// workload `make profile` captures.
+func BenchmarkRetailDay(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		retailDay(b)
 	}
 }
 

@@ -11,6 +11,7 @@
 //	GET /metrics           Prometheus text exposition of the registry
 //	GET /trace             JSON list of captured trace summaries
 //	GET /trace?id=42       one full span tree (add &format=text to render)
+//	GET /trace?format=chrome  the ring as Chrome trace-event JSON (Perfetto)
 //	GET /debug/pprof/      net/http/pprof profiles; CPU samples carry the
 //	                       dvm_view/dvm_phase labels
 //	GET /healthz           200 ok (liveness probe)

@@ -100,6 +100,24 @@ func TestHealthzAndRoutes(t *testing.T) {
 		t.Errorf("/trace?id&format=text = %d %q", code, body)
 	}
 
+	// The whole ring as Chrome trace-event JSON, through the validating
+	// parser: one lane per captured trace.
+	code, body = get(t, srv.URL+"/trace?format=chrome")
+	if code != http.StatusOK {
+		t.Fatalf("/trace?format=chrome = %d", code)
+	}
+	events, err := trace.ParseChrome(body)
+	if err != nil {
+		t.Fatalf("/trace?format=chrome: %v", err)
+	}
+	lanes := map[int64]bool{}
+	for _, ev := range events {
+		lanes[ev.Tid] = true
+	}
+	if len(lanes) != len(summaries) {
+		t.Errorf("chrome export has %d lanes, ring holds %d traces", len(lanes), len(summaries))
+	}
+
 	if code, _ := get(t, srv.URL+"/trace?id=999999"); code != http.StatusNotFound {
 		t.Errorf("/trace?id=999999 = %d, want 404", code)
 	}

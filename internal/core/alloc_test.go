@@ -230,7 +230,7 @@ func TestLogAppendsRefillKeptBuckets(t *testing.T) {
 	for round := 1; round <= 5; round++ {
 		bytes := allocBytes(func() {
 			for _, nt := range txs {
-				if err := m.appendToLogs(v, nt); err != nil {
+				if _, err := m.appendToLogs(v, nt); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -90,7 +90,9 @@ func (m *Manager) Execute(t txn.Txn) error {
 			// Shared-log mode: the batch is appended once per TABLE
 			// below, not once per view.
 		default:
-			err = m.appendToLogs(v, nt)
+			var n int
+			n, err = m.appendToLogs(v, nt)
+			v.countLogged(n)
 		}
 		msp.End()
 		if err != nil {
@@ -222,10 +224,9 @@ func (m *Manager) Execute(t txn.Txn) error {
 		}
 		switch v.Scenario {
 		case BaseLogs, Combined:
-			n := v.txnVolume(nt)
-			v.Stats.LogTuples += n
-			if v.met != nil {
-				v.met.logAppendTuples.Add(int64(n))
+			if m.shared != nil {
+				// The one shared append is charged to every view reading it.
+				v.countLogged(v.txnVolume(nt))
 			}
 		case DiffTables:
 			dt, _ := m.db.Bag(v.dtDel)
@@ -258,8 +259,10 @@ func (x *execScratch) reset() {
 
 // appendToLogs is makesafe_BL (= makesafe_C) for a view with its own
 // log tables: each touched base's (▼R, ▲R) is extended with the
-// transaction's (∇R, △R) by mergeDelta, in O(|∇R|+|△R|).
-func (m *Manager) appendToLogs(v *View, nt txn.Txn) error {
+// transaction's (∇R, △R) by mergeDelta, in O(|∇R|+|△R|). It returns
+// the tuples it merged: under WithLogFilter, only the relevant ones.
+func (m *Manager) appendToLogs(v *View, nt txn.Txn) (int, error) {
+	n := 0
 	for _, b := range v.bases {
 		u, ok := nt[b]
 		if !ok {
@@ -267,16 +270,26 @@ func (m *Manager) appendToLogs(v *View, nt txn.Txn) error {
 		}
 		delLog, err := m.db.Table(v.logDel[b])
 		if err != nil {
-			return err
+			return n, err
 		}
 		insLog, err := m.db.Table(v.logIns[b])
 		if err != nil {
-			return err
+			return n, err
 		}
 		del, ins := v.relevant(b, u)
 		mergeDelta(delLog, insLog, del, ins, false)
+		n += del.Len() + ins.Len()
 	}
-	return nil
+	return n, nil
+}
+
+// countLogged adds n log tuples to the view's LogTuples and
+// log_append_tuples.
+func (v *View) countLogged(n int) {
+	v.Stats.LogTuples += n
+	if v.met != nil {
+		v.met.logAppendTuples.Add(int64(n))
+	}
 }
 
 // relevant returns the part of one base table's change that reaches the

@@ -7,7 +7,7 @@ import "dvm/internal/obs"
 // in docs/observability.md (a test enforces the docs stay complete).
 type viewMetrics struct {
 	makesafeNs       *obs.Histogram // per-transaction overhead of makesafe_*
-	logAppendTuples  *obs.Counter   // raw tuples appended to logs
+	logAppendTuples  *obs.Counter   // tuples appended to logs
 	logSizeTuples    *obs.Gauge     // current log size (▼R ⊎ ▲R over bases)
 	diffSizeTuples   *obs.Gauge     // current differential size (∇MV ⊎ △MV)
 	propagateNs      *obs.Histogram // propagate_C wall time

@@ -422,8 +422,8 @@ func (m *Manager) PartialRefresh(name string) error {
 }
 
 // RefreshRecompute is the non-incremental baseline: recompute Q from
-// scratch under the MV write lock and discard all auxiliary state. Used
-// by the incremental-vs-recompute experiment.
+// scratch under the MV write lock and discard all auxiliary state. E8
+// (TestE8RefreshCostsTheLogRecomputeTheTables) compares it with Refresh.
 func (m *Manager) RefreshRecompute(name string) error {
 	v, err := m.View(name)
 	if err != nil {

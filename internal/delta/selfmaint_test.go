@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dvm/internal/algebra"
+	"dvm/internal/bag"
 	"dvm/internal/schema"
 )
 
@@ -95,5 +96,71 @@ func TestSelfMaintainableMeansNoBaseAccess(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("random generator produced no self-maintainable queries to check")
+	}
+}
+
+// TestSelfMaintainableViewsDodgeTheStateBug is §1.2's observation
+// ([GJM96]): a self-maintainable view never sees the state bug. Under
+// arbitrary updates to every table, the naive post-state evaluation of
+// the pre-update equations changes such a view exactly as the
+// post-update algorithm does, while the other views disagree.
+func TestSelfMaintainableViewsDodgeTheStateBug(t *testing.T) {
+	const trials = 200
+	r := rand.New(rand.NewSource(121))
+	u := algebra.NewRandomUniverse(2)
+	sm, general, disagree := 0, 0, 0
+	for draws := 0; (sm < trials || general < trials) && draws < 50*trials; draws++ {
+		q := u.RandomQuery(r, 3)
+		selfMaint := SelfMaintainable(q)
+		if selfMaint && sm == trials || !selfMaint && general == trials {
+			continue
+		}
+		pre := u.RandomState(r)
+		post := algebra.MapSource{}
+		log := ChangeSet{}
+		for _, name := range u.Tables {
+			del, ins := u.RandomDelta(r)
+			del = bag.Min(del, pre[name])
+			post[name] = bag.UnionAll(bag.Monus(pre[name], del), ins)
+			log[name] = struct {
+				Deleted  algebra.Expr
+				Inserted algebra.Expr
+			}{algebra.NewLiteral(u.Sch, del), algebra.NewLiteral(u.Sch, ins)}
+		}
+		// Agreement on the net effect applied to the past value, which is
+		// what a maintainer observes.
+		past, err := algebra.Eval(q, pre)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var refreshed [2]*bag.Bag
+		for i, pair := range []func(ChangeSet, algebra.Expr) (algebra.Expr, algebra.Expr, error){NaivePostUpdate, PostUpdate} {
+			d, a, err := pair(log, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dv, _ := algebra.Eval(d, post)
+			av, _ := algebra.Eval(a, post)
+			refreshed[i] = bag.UnionAll(bag.Monus(past, dv), av)
+		}
+		agree := refreshed[0].Equal(refreshed[1])
+		if !selfMaint {
+			general++
+			if !agree {
+				disagree++
+			}
+			continue
+		}
+		sm++
+		if !agree {
+			t.Fatalf("self-maintainable view saw the state bug:\nQ = %s\nnaive %v, post-update %v", q, refreshed[0], refreshed[1])
+		}
+	}
+	t.Logf("E12: %d self-maintainable views all agree; %d of %d other views disagree", sm, disagree, general)
+	if sm < trials || general < trials {
+		t.Fatalf("drew %d self-maintainable and %d other views, want %d of each", sm, general, trials)
+	}
+	if disagree == 0 {
+		t.Fatal("no view outside the self-maintainable class ever disagreed: the class separation is not exercised")
 	}
 }

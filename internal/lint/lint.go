@@ -69,7 +69,6 @@ func DefaultConfig() Config {
 		ObsPkg:     "dvm/internal/obs",
 		OrderedPkgs: []string{
 			"dvm/internal/algebra",
-			"dvm/internal/bench",
 			"dvm/internal/core",
 			"dvm/internal/obs",
 			"dvm/internal/sql",

@@ -11,7 +11,7 @@ import (
 // Profiler label keys. Every maintenance execution region installs
 // these as runtime/pprof goroutine labels, so CPU (and labeled heap)
 // profiles slice by view and Figure-2/3 phase — `go tool pprof
-// -tags` on a dvmbench capture answers "which view/phase is burning
+// -tags` on a `make profile` capture answers "which view/phase is burning
 // the cycles" directly. docs/observability.md ("Profiling &
 // attribution") documents the vocabulary.
 const (

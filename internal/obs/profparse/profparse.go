@@ -3,8 +3,8 @@
 // writes). It decodes just enough — samples, their values, and their
 // string labels — to answer attribution questions about the
 // dvm_view/dvm_phase labels: the labeled-profile smoke test
-// and dvmbench's -cpuprofile summary both read profiles through it,
-// with no dependency on google.golang.org/protobuf.
+// (TestLabeledCPUProfile) reads profiles through it, with no dependency
+// on google.golang.org/protobuf.
 package profparse
 
 import (

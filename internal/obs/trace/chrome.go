@@ -94,8 +94,8 @@ func emitChrome(events []ChromeEvent, s *Span, tid, base int64, cur *float64) []
 // produced by ChromeJSON: the traceEvents array must be well-formed,
 // timestamps must be non-decreasing within each lane, and every "B"
 // must be closed by a matching "E" (properly nested per lane). It
-// returns the parsed events. This is the round-trip check the E2E
-// trace test runs on dvmbench -trace output.
+// returns the parsed events. dvmstatsd's test runs this round trip on
+// what GET /trace?format=chrome serves.
 func ParseChrome(data []byte) ([]ChromeEvent, error) {
 	var f chromeFile
 	if err := json.Unmarshal(data, &f); err != nil {

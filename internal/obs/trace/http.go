@@ -28,6 +28,8 @@ type Summary struct {
 //	GET /trace?n=10       at most 10 summaries
 //	GET /trace?id=42      the full span tree of trace 42 (JSON)
 //	GET /trace?id=42&format=text  the dvmsh \trace rendering
+//	GET /trace?format=chrome      the ring as Chrome trace-event JSON
+//	                              (load in Perfetto; ?n= applies)
 func Handler(t *Tracer) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		q := req.URL.Query()
@@ -62,6 +64,18 @@ func Handler(t *Tracer) http.Handler {
 			n = v
 		}
 		traces := t.Last(n)
+		if q.Get("format") == "chrome" {
+			data, err := ChromeJSON(traces)
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+				return
+			}
+			w.Header().Set("Content-Type", "application/json")
+			if _, err := w.Write(data); err != nil {
+				return // client went away; nothing useful left to send
+			}
+			return
+		}
 		out := make([]Summary, 0, len(traces))
 		for _, tr := range traces {
 			out = append(out, Summary{

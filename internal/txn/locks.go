@@ -210,12 +210,3 @@ func (lm *LockManager) Stats(table string) LockStats {
 	}
 	return LockStats{}
 }
-
-// Reset clears the accumulated statistics (locks remain valid).
-func (lm *LockManager) Reset() {
-	lm.mu.Lock()
-	defer lm.mu.Unlock()
-	for k := range lm.stats {
-		lm.stats[k] = &LockStats{}
-	}
-}

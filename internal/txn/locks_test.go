@@ -26,10 +26,6 @@ func TestLockManagerWriteStats(t *testing.T) {
 	if lm.Stats("mv").WriteHolds != 2 {
 		t.Fatal("failed section not counted")
 	}
-	lm.Reset()
-	if lm.Stats("mv").WriteHolds != 0 {
-		t.Fatal("Reset failed")
-	}
 }
 
 func TestLockManagerReadersBlockOnWriter(t *testing.T) {

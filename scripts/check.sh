@@ -44,14 +44,6 @@ echo "== perf self-check"
 # first in the benchmark pipeline.
 (cd perf && go vet ./... && go test ./...)
 
-# Optional: downtime-regression guard against the newest BENCH_*.json
-# baseline. Off by default because a full dvmbench run takes minutes;
-# opt in with BENCHDIFF=1 make check.
-if [ "${BENCHDIFF:-0}" = "1" ]; then
-    echo "== benchdiff"
-    ./scripts/benchdiff.sh
-fi
-
 echo "== fuzz (bounded)"
 # The packed schema.Value against its plain three-field reference:
 # accessors, Compare, key encoding, on arbitrary bit patterns and bytes.
