@@ -131,7 +131,7 @@ func TestTraceCommand(t *testing.T) {
 		t.Errorf("\\trace output missing the exclusive marker:\n%s", out)
 	}
 	// Count trace headers: exactly 3 were requested.
-	if got := strings.Count(out, "\n#")+boolToInt(strings.HasPrefix(out, "#")); got != 3 {
+	if got := strings.Count(out, "\n#") + boolToInt(strings.HasPrefix(out, "#")); got != 3 {
 		t.Errorf("\\trace 3 rendered %d traces, want 3:\n%s", got, out)
 	}
 

@@ -159,7 +159,7 @@ func (b *Bag) tupleAt(p *schema.Value) schema.Tuple { return schema.TupleAt(p, b
 // get returns k's entry, or a zero one (count 0, no tuple) when b does
 // not hold k: a small bag's slot whose key is k, a two-level bag's
 // overlay before its base, and a tombstone reads as absent. Every lookup
-// of a bag's contents is get. Keys are
+// of a bag's contents is get (getBytes, for a key in a buffer). Keys are
 // compared as strings, never as tuples: INT 2^53 and INT 2^53+1 are two
 // keys.
 func (b *Bag) get(k string) entry {
@@ -176,6 +176,26 @@ func (b *Bag) get(k string) entry {
 		return e
 	}
 	return b.lv.base[k]
+}
+
+// getBytes is get for a key held in a byte buffer, which it makes no
+// string of.
+func (b *Bag) getBytes(k []byte) entry {
+	switch {
+	case b.m == nil:
+		for i := range b.s {
+			if b.s[i].k == string(k) {
+				return b.s[i].e
+			}
+		}
+		return entry{}
+	case b.lv == nil:
+		return b.m[string(k)]
+	}
+	if e, ok := b.m[string(k)]; ok {
+		return e
+	}
+	return b.lv.base[string(k)]
 }
 
 // find returns the slot of a small bag that holds k, or -1.
@@ -341,12 +361,12 @@ type derived struct {
 	owned []*Index
 }
 
-// jentry records one mutation's effective change: the tuple's canonical
-// key, the tuple (as an entry stores it, under the bag's arity; nil for
-// a no-op), and the signed multiplicity delta actually applied (after
-// clamping at zero).
+// jentry records one mutation's effective change: the tuple as the
+// bag's entry stores it (under the bag's arity; nil for a no-op), and
+// the signed multiplicity delta actually applied (after clamping at
+// zero). The stored pointer is the row's identity for an index (its
+// at), so no key is kept.
 type jentry struct {
-	k string
 	p *schema.Value
 	d int
 }
@@ -458,7 +478,7 @@ func (b *Bag) addKeyed(k string, t schema.Tuple, n int) *Bag {
 		b.lv.wrote(0)
 	}
 	if b.dx != nil {
-		b.journal(k, e.p, d)
+		b.journal(e.p, d)
 	}
 	return b
 }
@@ -573,7 +593,7 @@ func (x *derived) restart(shrink bool, keep int) {
 	for _, ix := range x.owned {
 		if shrink {
 			ix.m = make(map[string][]indexEntry)
-			ix.at = make(map[string]int, keep)
+			ix.at = make(map[*schema.Value]int, keep)
 		} else {
 			clear(ix.m)
 			clear(ix.at)
@@ -588,7 +608,7 @@ func (x *derived) restart(shrink bool, keep int) {
 // starts over: the bag first syncs its own indexes (IndexOn), which
 // therefore never fall out of it; a free-standing index (NewIndex) left
 // behind falls back to a rebuild.
-func (b *Bag) journal(k string, p *schema.Value, d int) {
+func (b *Bag) journal(p *schema.Value, d int) {
 	x := b.dx
 	x.ver++
 	if len(x.jour) >= x.jcap {
@@ -604,7 +624,7 @@ func (b *Bag) journal(k string, p *schema.Value, d int) {
 	if len(x.jour) == 0 {
 		x.jbase = x.ver - 1
 	}
-	x.jour = append(x.jour, jentry{k: k, p: p, d: d})
+	x.jour = append(x.jour, jentry{p: p, d: d})
 }
 
 // journalSince returns the effective deltas applied after version v,

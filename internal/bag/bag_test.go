@@ -293,9 +293,10 @@ func TestClearRetentionRule(t *testing.T) {
 }
 
 // A stored tuple is one pointer under its bag's arity, so a map slot
-// (16-byte key, 16-byte entry) is 32 bytes, as are a small bag's slot, an
-// index bucket's entry and a journal entry; a tuple's slice header made
-// each 48. Every operator of every evaluation allocates a Bag, and the
+// (16-byte key, 16-byte entry) is 32 bytes, as is a small bag's slot; a
+// tuple's slice header made each 48. An index bucket's entry and a
+// journal entry keep no key — the stored pointer names the row — so
+// each is the pointer and a count, 16 bytes. Every operator of every evaluation allocates a Bag, and the
 // shared mark rides in last's top bit. The small bag's slice header took
 // the Bag from six words to nine; New allocates it with two slots, 136
 // bytes in Go's 144-byte size class, where a map bag's Bag, map header
@@ -308,8 +309,8 @@ func TestBagSize(t *testing.T) {
 	}{
 		{"entry", unsafe.Sizeof(entry{}), 16},
 		{"slot", unsafe.Sizeof(slot{}), 32},
-		{"indexEntry", unsafe.Sizeof(indexEntry{}), 32},
-		{"jentry", unsafe.Sizeof(jentry{}), 32},
+		{"indexEntry", unsafe.Sizeof(indexEntry{}), 16},
+		{"jentry", unsafe.Sizeof(jentry{}), 16},
 	} {
 		if c.got != c.want {
 			t.Errorf("sizeof(%s) = %d, want %d", c.name, c.got, c.want)

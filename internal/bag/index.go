@@ -7,12 +7,12 @@ import (
 )
 
 // indexEntry is one row stored under an index key: the full tuple, as
-// its bag's entry stores it (under the arity of the index's src), its
-// canonical key (kept so join outputs can compose their keys from the
-// operands' instead of re-encoding), and its multiplicity. 32 bytes.
+// its bag's entry stores it (under the arity of the index's src), and
+// its multiplicity. 16 bytes. The row's canonical key is not kept: the
+// two readers that need it (Join.Indexed's sub lookup and its
+// unprojected output key) encode it from the tuple into their scratch.
 type indexEntry struct {
 	p     *schema.Value
-	key   string
 	count int
 }
 
@@ -35,10 +35,13 @@ type Index struct {
 	// empty slots for good. Only Join.Hash's throw-away index, built on
 	// the smaller and typically key-unique side, is pre-sized (newIndex).
 	m map[string][]indexEntry
-	// at addresses every entry by its full-tuple key: the entry's slot
-	// in its bucket. A change to a hot key's bucket is then a lookup and
-	// a swap, whatever the bucket's size.
-	at    map[string]int
+	// at addresses every entry by its stored tuple pointer: the entry's
+	// slot in its bucket. A change to a hot key's bucket is then a lookup
+	// and a swap, whatever the bucket's size. Within one bag a pointer
+	// names one distinct tuple (an arity-0 bag's one key is nil), and the
+	// journal entries apply reads carry the pointer the bag stores, so
+	// the pointer serves as the row's key at half a string's width.
+	at    map[*schema.Value]int
 	buf   []byte // reusable probe-key buffer
 	steps int    // bucket entries apply has touched; tests bound it by the change count
 }
@@ -75,17 +78,17 @@ func newIndex(b *Bag, positions []int, addressable bool) *Index {
 		m:   make(map[string][]indexEntry, keys),
 	}
 	if addressable { // and so syncable: NewIndex has made b.dx
-		ix.at = make(map[string]int, b.Distinct())
+		ix.at = make(map[*schema.Value]int, b.Distinct())
 		ix.ver = b.dx.ver
 	}
 	var key []byte
-	b.each(func(k string, e entry) {
+	b.each(func(_ string, e entry) {
 		key = b.tupleAt(e.p).AppendKeyAt(key[:0], positions)
 		bucket := ix.m[string(key)]
 		if addressable {
-			ix.at[k] = len(bucket)
+			ix.at[e.p] = len(bucket)
 		}
-		ix.m[string(key)] = append(bucket, indexEntry{p: e.p, key: k, count: e.count})
+		ix.m[string(key)] = append(bucket, indexEntry{p: e.p, count: e.count})
 	})
 	return ix
 }
@@ -159,12 +162,12 @@ func (ix *Index) apply(e jentry) {
 	ix.buf = ix.src.tupleAt(e.p).AppendKeyAt(ix.buf[:0], ix.pos)
 	bucket := ix.m[string(ix.buf)]
 	ix.steps++
-	i, ok := ix.at[e.k]
+	i, ok := ix.at[e.p]
 	switch {
 	case !ok:
 		if e.d > 0 {
-			ix.at[e.k] = len(bucket)
-			ix.m[string(ix.buf)] = append(bucket, indexEntry{p: e.p, key: e.k, count: e.d})
+			ix.at[e.p] = len(bucket)
+			ix.m[string(ix.buf)] = append(bucket, indexEntry{p: e.p, count: e.d})
 		}
 	case bucket[i].count+e.d > 0:
 		bucket[i].count += e.d
@@ -173,10 +176,10 @@ func (ix *Index) apply(e jentry) {
 		if i != last {
 			ix.steps++
 			bucket[i] = bucket[last]
-			ix.at[bucket[i].key] = i
+			ix.at[bucket[i].p] = i
 		}
-		bucket[last] = indexEntry{} // or the backing array keeps the tuple and its key alive
-		delete(ix.at, e.k)
+		bucket[last] = indexEntry{} // or the backing array keeps the tuple alive
+		delete(ix.at, e.p)
 		if last == 0 {
 			delete(ix.m, string(ix.buf))
 		} else {
@@ -206,18 +209,19 @@ type Join struct {
 // Clear leaves of a bag no one has indexed. A caller that evaluates the
 // join again and again clears and passes the same out, which keeps its
 // buckets by Clear's rule instead of growing a new map from empty. A
-// non-nil sub makes the indexed side B ∸ σ_Keep(sub)
-// rather than B: a bucket entry's count drops by its key's count in sub
-// when Keep holds for sub's tuple — one lookup per entry that passed its
-// side's conjuncts, exact for any bags, and nothing materialized. It
-// filters before it allocates: the probe side's conjuncts run before the
-// lookup, the indexed side's on the bucket entry, Cross on a scratch
-// row, and only a survivor is materialized, once, in its final shape.
-// Unprojected, it takes the scratch row over and its key is composed
-// from the halves' keys; projected, its key is encoded into a reused
-// buffer and a tuple is made only if the output does not hold that key
-// yet. probed counts the bucket entries examined — the work done, where
-// a rescan would pay |L|·|R|.
+// non-nil sub makes the indexed side B ∸ σ_Keep(sub) rather than B: a
+// bucket entry's count drops by its tuple's count in sub when Keep
+// holds for sub's tuple — one lookup per entry that passed its side's
+// conjuncts, under the entry's key encoded into the call's buffer,
+// exact for any bags, and nothing materialized. It filters before it
+// allocates: the probe side's conjuncts run before the lookup, the
+// indexed side's on the bucket entry, Cross on a scratch row, and only
+// a survivor is materialized, once, in its final shape. Unprojected, it
+// takes the scratch row over, keyed by the probe tuple's key beside the
+// indexed half's, encoded into the buffer; projected, its key is
+// encoded into the buffer and a tuple is made only if the output does
+// not hold that key yet. probed counts the bucket entries examined — the
+// work done, where a rescan would pay |L|·|R|.
 func (j *Join) Indexed(out, probe *Bag, probePos []int, ix *Index, sub *Bag, buildLeft bool) (probed int) {
 	probePred, buildPred, cross, keep, project := j.Left, j.Right, j.Cross, j.Keep, j.Project
 	if buildLeft {
@@ -245,7 +249,8 @@ func (j *Join) Indexed(out, probe *Bag, probePos []int, ix *Index, sub *Bag, bui
 			}
 			nb := eb.count
 			if sub != nil {
-				if es := sub.get(eb.key); es.count > 0 && (keep == nil || keep(sub.tupleAt(es.p))) {
+				buf = bt.AppendKey(buf[:0])
+				if es := sub.getBytes(buf); es.count > 0 && (keep == nil || keep(sub.tupleAt(es.p))) {
 					if nb -= es.count; nb <= 0 {
 						continue
 					}
@@ -276,13 +281,14 @@ func (j *Join) Indexed(out, probe *Bag, probePos []int, ix *Index, sub *Bag, bui
 				continue
 			}
 			// A concat tuple's canonical key is the concatenation of its
-			// halves' keys (per-value self-delimiting encoding), so the
-			// output key is composed, never re-encoded.
+			// halves' keys (per-value self-delimiting encoding), so only
+			// the indexed half is encoded, beside the probe's key.
 			if buildLeft {
-				out.addKeyed(eb.key+kp, row, n)
+				buf = append(bt.AppendKey(buf[:0]), kp...)
 			} else {
-				out.addKeyed(kp+eb.key, row, n)
+				buf = bt.AppendKey(append(buf[:0], kp...))
 			}
+			out.addKeyed(string(buf), row, n)
 			row = nil // the output owns it now
 		}
 	})

@@ -147,8 +147,8 @@ func TestIndexSyncIndependentOfBucketSize(t *testing.T) {
 }
 
 // TestIndexRemoveReleasesEntry checks the swap-remove zeroes the slot it
-// vacates: the bucket's backing array must not keep a removed tuple (or
-// its key) reachable.
+// vacates: the bucket's backing array must not keep a removed tuple
+// reachable.
 func TestIndexRemoveReleasesEntry(t *testing.T) {
 	b := New().Add(row(1, "a"), 1).Add(row(1, "b"), 1).Add(row(1, "c"), 1)
 	ix, _ := b.IndexOn([]int{0})
@@ -158,7 +158,7 @@ func TestIndexRemoveReleasesEntry(t *testing.T) {
 		if len(bucket) != 2 {
 			t.Fatalf("bucket holds %d entries after one removal, want 2", len(bucket))
 		}
-		if vacated := bucket[:3][2]; vacated.p != nil || vacated.key != "" {
+		if vacated := bucket[:3][2]; vacated != (indexEntry{}) {
 			t.Fatalf("vacated slot still holds %v", vacated)
 		}
 	}
@@ -180,5 +180,91 @@ func TestHashJoinOnlyReads(t *testing.T) {
 	}
 	if left.dx != nil || right.dx != nil || left.m != nil || right.m != nil {
 		t.Fatal("Join.Hash switched on a journal, registered an index or promoted a small operand")
+	}
+}
+
+// TestIndexAddressesByTuplePointer: a bag's own index addresses each
+// entry by the tuple pointer the bag stores, and every journal entry
+// carries that pointer. Three changes, each inside one journal window
+// and synced before the next: a row deleted and added back as a fresh
+// tuple (same key, new pointer), a delete from the front of a bucket
+// (the last entry is swapped into its slot), and an arity-0 bag, whose
+// one row has a nil pointer. After each Sync every entry is at the slot
+// its pointer is addressed at, the addresses are the bag's rows, and a
+// join through the index — plain, and read as b ∸ sub — equals one
+// through an index built fresh.
+func TestIndexAddressesByTuplePointer(t *testing.T) {
+	check := func(what string, b *Bag, pos []int, probe *Bag, probePos []int, sub *Bag) {
+		t.Helper()
+		ix, _ := b.IndexOn(pos)
+		for _, bucket := range ix.m {
+			for i, e := range bucket {
+				if at, ok := ix.at[e.p]; !ok || at != i {
+					t.Fatalf("%s: entry %v at slot %d is addressed at %d (%v)", what, ix.src.tupleAt(e.p), i, at, ok)
+				}
+				if b.get(b.tupleAt(e.p).Key()).p != e.p {
+					t.Fatalf("%s: entry %v holds another pointer than the bag's", what, ix.src.tupleAt(e.p))
+				}
+			}
+		}
+		if len(ix.at) != b.Distinct() {
+			t.Fatalf("%s: %d addresses for %d rows", what, len(ix.at), b.Distinct())
+		}
+		fresh := NewIndex(b, pos)
+		for _, s := range []*Bag{nil, sub} {
+			got, want := New(), New()
+			(&Join{}).Indexed(got, probe, probePos, ix, s, false)
+			(&Join{}).Indexed(want, probe, probePos, fresh, s, false)
+			if !got.Equal(want) {
+				t.Fatalf("%s: join through the synced index = %v, through a fresh one %v", what, got, want)
+			}
+		}
+	}
+
+	b := newMap()
+	for _, v := range []string{"a", "b", "c", "d"} {
+		b.Add(row(1, v), 1)
+	}
+	b.Add(row(2, "x"), 2)
+	probe := New().Add(row(1), 1).Add(row(2), 3)
+	sub := New().Add(row(1, "b"), 1).Add(row(2, "x"), 1)
+	pos := []int{0}
+	ix, _ := b.IndexOn(pos)
+	check("built", b, pos, probe, pos, sub)
+
+	old := row(1, "a")
+	oldPtr := b.get(old.Key()).p
+	fresh := row(1, "a")
+	b.Remove(old, 1)
+	b.Add(fresh, 1)
+	check("deleted and added back", b, pos, probe, pos, sub)
+	if _, ok := ix.at[oldPtr]; ok {
+		t.Fatal("the deleted tuple's pointer is still addressed")
+	}
+	if _, ok := ix.at[fresh.Ptr()]; !ok {
+		t.Fatal("the added-back tuple is not addressed by its own pointer")
+	}
+
+	bucket := ix.m[string(row(1).Key())]
+	front, last := bucket[0], bucket[len(bucket)-1]
+	b.Remove(b.tupleAt(front.p), 1)
+	check("front of the bucket deleted", b, pos, probe, pos, sub)
+	if at := ix.at[last.p]; at != 0 {
+		t.Fatalf("the bucket's last entry was moved to slot %d, want 0", at)
+	}
+
+	z := newMap()
+	z.Add(schema.Tuple{}, 2)
+	zprobe := New().Add(row(7), 1)
+	zix, _ := z.IndexOn(nil)
+	z.Remove(schema.Tuple{}, 2)
+	z.Add(schema.Tuple{}, 1)
+	z.Add(schema.Tuple{}, 1)
+	check("arity 0", z, nil, zprobe, nil, New().Add(schema.Tuple{}, 1))
+	if n, ok := zix.at[nil]; !ok || n != 0 || len(zix.at) != 1 {
+		t.Fatalf("an arity-0 bag's row is addressed at %d (%v) among %d", n, ok, len(zix.at))
+	}
+	if got := z.dx.ver - zix.ver; got != 0 || len(z.dx.jour) == 0 {
+		t.Fatalf("the arity-0 changes were not applied through the journal (%d behind, %d journaled)", got, len(z.dx.jour))
 	}
 }

@@ -352,7 +352,8 @@ func checkApplyDelta(b, del, add *Bag) string {
 // ApplyDelta, Clear, a burst longer than the journal window — IndexOn
 // returns the same index (never a rebuilt one), equal bucket for bucket
 // to an index built fresh over b's current contents, with every entry
-// addressed at its true slot; and asking again applies nothing. It
+// holding the tuple pointer b stores for its row and addressed by that
+// pointer at its true slot; and asking again applies nothing. It
 // returns a description of the first violation, or "". It inspects b
 // without marking it: the fresh index is built over b itself and not
 // registered, never over a Clone, which would mark b shared and change
@@ -369,7 +370,10 @@ func checkIndexOn(b *Bag) string {
 	n := 0
 	for _, bucket := range ix.m {
 		for i, e := range bucket {
-			if at, ok := ix.at[e.key]; !ok || at != i {
+			if b.get(b.tupleAt(e.p).Key()).p != e.p {
+				return "IndexOn entry holds another pointer than the bag stores for its row"
+			}
+			if at, ok := ix.at[e.p]; !ok || at != i {
 				return "IndexOn entry not addressed at its bucket slot"
 			}
 			n++
@@ -394,13 +398,14 @@ func window(b *Bag) int {
 }
 
 // indexContents flattens an index to index key -> tuple key -> count,
-// the order-free form two equivalent indexes share.
+// the order-free form two equivalent indexes share, over two bags as
+// well as one: an entry's tuple key is encoded from the tuple it holds.
 func indexContents(ix *Index) map[string]map[string]int {
 	out := map[string]map[string]int{}
 	for k, bucket := range ix.m {
 		out[k] = map[string]int{}
 		for _, e := range bucket {
-			out[k][e.key] += e.count
+			out[k][ix.src.tupleAt(e.p).Key()] += e.count
 		}
 	}
 	return out

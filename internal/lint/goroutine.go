@@ -225,7 +225,7 @@ func (u *Unit) collectUnlockedTouches(info *types.Info, bindScope, body ast.Node
 
 // spawnFacts summarizes what a spawned body can do with no locks held.
 type spawnFacts struct {
-	reach *types.Func         // a *Locked function reachable lock-free
+	reach *types.Func          // a *Locked function reachable lock-free
 	touch map[string]token.Pos // table keys touched lock-free
 }
 

@@ -116,7 +116,7 @@ func lockFree(db *storage.Database) {
 // SpawnNamedTouch spawns the named helper while holding its table.
 func SpawnNamedTouch(lm *txn.LockManager, db *storage.Database) error {
 	return lm.WithWrite([]string{"mv_a"}, func() error {
-		lockFree(db) // synchronous: inherits the held lock, clean
+		lockFree(db)    // synchronous: inherits the held lock, clean
 		go lockFree(db) // want: spawned: lock does not transfer
 		return nil
 	})

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # check.sh — the expanded tier-1 gate (see ROADMAP.md).
 #
-# Runs the full static + dynamic battery: build, vet, the repo's own
-# dvmlint analyzers, the docs link-and-anchor checker, the
+# Runs the full static + dynamic battery: build, gofmt, vet, the repo's
+# own dvmlint analyzers, the docs link-and-anchor checker, the
 # unit/property suite under the race detector, the nested perf/
 # module's vet + self-check, and a bounded run of each fuzz target.
 # Everything here must pass before a change lands.
@@ -11,6 +11,17 @@ cd "$(dirname "$0")/.."
 
 echo "== go build"
 go build ./...
+
+echo "== gofmt -l"
+# Every Go file in the tree, the nested perf/ module and the lint
+# fixtures under testdata/ included, must be gofmt'd: any file listed
+# fails the gate.
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "$unformatted" | sed 's/^/   /'
+	echo "check.sh: gofmt -l lists the files above; run gofmt -w on them" >&2
+	exit 1
+fi
 
 echo "== go vet"
 go vet ./...
