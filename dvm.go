@@ -191,7 +191,6 @@ func NewManager(db *Database, opts ...core.ManagerOption) *Manager {
 var (
 	WithSharedLogs       = core.WithSharedLogs
 	WithStrongMinimality = core.WithStrongMinimality
-	WithLogFilter        = core.WithLogFilter
 )
 
 // Serialized makes a Manager safe for concurrent writers; readers go

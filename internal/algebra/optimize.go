@@ -298,8 +298,14 @@ func renameThroughProject(p Predicate, proj *Project) (Predicate, bool) {
 // columns. (Asking each side's schema alone is not enough: "a" finds
 // "x.a" in L on its own, yet is R's exact "a" in the product.)
 func splitConjuncts(p Predicate, prod *Product) (left, right, rest []Predicate) {
-	onlyL := prod.sch.Concat(prod.R.Schema())
-	onlyR := prod.L.Schema().Concat(prod.sch)
+	return splitAt(p, prod.sch, prod.L.Schema(), prod.R.Schema())
+}
+
+// splitAt is splitConjuncts for p bound against sch, the concatenation
+// of the sides' schemas l and r.
+func splitAt(p Predicate, sch, l, r *schema.Schema) (left, right, rest []Predicate) {
+	onlyL := sch.Concat(r)
+	onlyR := l.Concat(sch)
 	for _, c := range flattenAnd(p) {
 		_, lerr := c.Bind(onlyL)
 		_, rerr := c.Bind(onlyR)

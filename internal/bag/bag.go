@@ -526,6 +526,21 @@ func (b *Bag) AddMonus(a, c *Bag) *Bag {
 	return b
 }
 
+// Refill sets b := σ_keep(a) in place, in O(|b|+|a|): b is emptied by
+// Clear, so it keeps its buckets by Clear's rule, and refilled with a's
+// own keys and tuples, so nothing is encoded again — a scratch bag
+// refilled with changes of a steady size allocates nothing. a is only
+// read, and may not be b.
+func (b *Bag) Refill(a *Bag, keep func(schema.Tuple) bool) *Bag {
+	b.Clear()
+	a.each(func(k string, e entry) {
+		if t := a.tupleAt(e.p); keep(t) {
+			b.addKeyed(k, t, e.count)
+		}
+	})
+	return b
+}
+
 // Remove removes up to n copies of t.
 func (b *Bag) Remove(t schema.Tuple, n int) *Bag { return b.Add(t, -n) }
 

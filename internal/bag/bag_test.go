@@ -162,6 +162,33 @@ func TestSelect(t *testing.T) {
 	}
 }
 
+// TestRefillIsSelectInPlace: Refill leaves b holding Select's answer
+// from every start, small or a map, of another arity and shared with a
+// Clone, which keeps what it held; refilled again with changes of the
+// same size, it allocates nothing.
+func TestRefillIsSelectInPlace(t *testing.T) {
+	keep := func(tp schema.Tuple) bool { return tp[0].AsInt()%3 != 0 }
+	for _, n := range []int{4, 40} {
+		a := New()
+		for i := 0; i < n; i++ {
+			a.Add(row(i, i%5), 1+i%2)
+		}
+		for _, start := range starts {
+			b := start().Add(row("x"), 2)
+			held := b.Clone()
+			if got, want := b.Refill(a, keep), Select(a, keep); got != b || !b.Equal(want) {
+				t.Fatalf("%d rows: Refill = %v, want %v", n, b, want)
+			}
+			if held.Len() != 2 || held.Count(row("x")) != 2 {
+				t.Fatalf("%d rows: the Clone of the refilled bag changed to %v", n, held)
+			}
+			if allocs := testing.AllocsPerRun(20, func() { b.Refill(a, keep) }); allocs != 0 {
+				t.Errorf("%d rows: a warm Refill allocates %v times, want 0", n, allocs)
+			}
+		}
+	}
+}
+
 func TestProjectPreservesDuplicates(t *testing.T) {
 	a := Of(row(1, "p"), row(1, "q"), row(2, "p"))
 	p := Project(a, func(tp schema.Tuple) schema.Tuple { return schema.NewTuple(tp[0]) })

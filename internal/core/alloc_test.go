@@ -106,14 +106,16 @@ func TestPropagateAllocatesByLogNotByDifferential(t *testing.T) {
 }
 
 // TestExecuteAllocatesNothingWarm: a warm transaction costs its rows and
-// nothing else. The two transactions insert and delete the same two
-// sales rows — the first a txn.Insert, whose ∇R is nil, the second a
-// txn.Delete, whose △R is — so every table returns to the same size and
-// keeps its buckets. Normalizing, validating, extending every Combined
-// view's logs, the base update, the makesafe region and its accounting
-// then allocate nothing, with one view or sixteen: the manager normalizes
-// into a transaction of its own, hands the caller's bags on uncopied,
-// and reuses its per-transaction scratch.
+// nothing else. The churn inserts and deletes the same two sales rows —
+// the first a txn.Insert, whose ∇R is nil, the second a txn.Delete,
+// whose △R is — and then the same for rows the view's filters drop, a
+// zero-quantity sale and a Low customer, so every table returns to the
+// same size and keeps its buckets. Normalizing, validating, filtering
+// and extending every Combined view's logs, the base update, the
+// makesafe region and its accounting then allocate nothing, with one
+// view or sixteen: the manager normalizes into a transaction of its own,
+// hands the caller's bags on uncopied, and refills its per-transaction
+// scratch. The dropped rows never reach a log.
 func TestExecuteAllocatesNothingWarm(t *testing.T) {
 	perRun := map[int]uint64{}
 	for _, views := range []int{1, 16} {
@@ -126,12 +128,14 @@ func TestExecuteAllocatesNothingWarm(t *testing.T) {
 		}
 		rows := highSales(0, 2)
 		ins, del := txn.Insert("sales", rows), txn.Delete("sales", rows)
+		zero, low := bag.Of(saleRow(0, 2000, 0)), bag.Of(schema.Row(11, "cust", "addr", "Low"))
+		dropIns := txn.Txn{"sales": {Insert: zero}, "customer": {Insert: low}}
+		dropDel := txn.Txn{"sales": {Delete: zero}, "customer": {Delete: low}}
 		churn := func() {
-			if err := m.Execute(ins); err != nil {
-				t.Fatal(err)
-			}
-			if err := m.Execute(del); err != nil {
-				t.Fatal(err)
+			for _, tx := range []txn.Txn{ins, del, dropIns, dropDel} {
+				if err := m.Execute(tx); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		// A propagate gives sales its own index, and with it a journal the
@@ -145,7 +149,27 @@ func TestExecuteAllocatesNothingWarm(t *testing.T) {
 			churn()
 		}
 		if allocs := testing.AllocsPerRun(100, churn); allocs != 0 {
-			t.Errorf("%d views: a warm 2-row insert and delete allocate %v times, want 0", views, allocs)
+			t.Errorf("%d views: a warm churn allocates %v times, want 0", views, allocs)
+		}
+		logged := func() (n int) {
+			for _, v := range m.Views() {
+				n += v.Stats.LogTuples
+			}
+			return n
+		}
+		n0 := logged()
+		if err := m.Execute(dropIns); err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range m.Views() {
+			s, _ := db.Bag(v.logIns["sales"])
+			c, _ := db.Bag(v.logIns["customer"])
+			if s.Contains(saleRow(0, 2000, 0)) || c.Contains(schema.Row(11, "cust", "addr", "Low")) || logged() != n0 {
+				t.Fatalf("%d views: rows the filters drop reached %s's logs: ▲sales %v, ▲customer %v", views, v.Name, s, c)
+			}
+		}
+		if err := m.Execute(dropDel); err != nil {
+			t.Fatal(err)
 		}
 		const runs = 100
 		perRun[views] = allocBytes(func() {
@@ -159,9 +183,9 @@ func TestExecuteAllocatesNothingWarm(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("a warm 2-row insert and delete: %d B with 1 view, %d B with 16", perRun[1], perRun[16])
+	t.Logf("a warm churn: %d B with 1 view, %d B with 16", perRun[1], perRun[16])
 	if perRun[1] != 0 || perRun[16] != 0 {
-		t.Errorf("a warm 2-row insert and delete allocate %d B with 1 view and %d B with 16, want 0 B with either", perRun[1], perRun[16])
+		t.Errorf("a warm churn allocates %d B with 1 view and %d B with 16, want 0 B with either", perRun[1], perRun[16])
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"dvm/internal/algebra"
+	"dvm/internal/bag"
 	"dvm/internal/delta"
 	"dvm/internal/obs"
 	"dvm/internal/obs/runtimebridge"
@@ -72,11 +73,11 @@ type View struct {
 	logDel map[string]string
 	logIns map[string]string
 
-	// logFilter restricts what makesafe records per base table
-	// (relevant-update detection, see WithLogFilter). logFilterFn holds
-	// the predicates bound against each table's schema.
-	logFilter   map[string]algebra.Predicate
-	logFilterFn map[string]func(schema.Tuple) bool
+	// filters holds, for a logging scenario, each base table's
+	// relevant-update filter derived from Def (algebra.RelevantFilters),
+	// bound against the table's schema: only the changes it keeps enter
+	// the view's logs. A table without one logs every change.
+	filters map[string]func(schema.Tuple) bool
 
 	// DiffTables / Combined: view differential tables (∇MV, △MV).
 	dtDel string
@@ -198,7 +199,7 @@ func NewManager(db *storage.Database, opts ...ManagerOption) *Manager {
 		views:      make(map[string]*View),
 		scratchDel: make(map[string]string),
 		scratchIns: make(map[string]string),
-		exec:       execScratch{nt: txn.Txn{}},
+		exec:       execScratch{nt: txn.Txn{}, relDel: bag.New(), relIns: bag.New()},
 		obs:        reg,
 		txnExecNs:  reg.Histogram("txn_exec_ns", ""),
 		tracer:     trace.NewTracer(0),
@@ -280,33 +281,12 @@ func WithStrongMinimality() Option {
 	return func(v *View) { v.StrongMinimal = true }
 }
 
-// WithLogFilter records only the RELEVANT changes of one base table in
-// the view's log: tuples satisfying pred. This is the classic
-// relevant-update detection of the snapshot literature the paper cites
-// ([KR87], [SP89]) lifted into the Figure 3 framework.
-//
-// Correctness requires that the filter not change the view:
-// Q ≡ Q[σ_pred(R)/R] must hold (e.g. pred is a conjunct of Q's selection
-// that mentions only R's columns). DefineView enforces a necessary
-// condition by checking the equivalence on the current state; the
-// maintenance invariants then keep verifying it on every state the
-// tests visit. Irrelevant rows never enter the log, so both log volume
-// and refresh work scale with the view's selectivity.
-//
-// Not supported together with shared logs (different views want
-// different filters over one shared stream).
-func WithLogFilter(table string, pred algebra.Predicate) Option {
-	return func(v *View) {
-		if v.logFilter == nil {
-			v.logFilter = map[string]algebra.Predicate{}
-		}
-		v.logFilter[table] = pred
-	}
-}
-
 // DefineView registers a materialized view, creates its MV table and the
 // scenario's auxiliary tables, initializes MV to the current value of the
-// definition, and precompiles the incremental queries.
+// definition, and precompiles the incremental queries. A BaseLogs or
+// Combined view also gets the relevant-update filters its definition
+// implies (bindFilters): its logs take only the changes that can affect
+// it.
 func (m *Manager) DefineView(name string, def algebra.Expr, sc Scenario, opts ...Option) (*View, error) {
 	if _, dup := m.views[name]; dup {
 		return nil, fmt.Errorf("core: view %q already defined", name)
@@ -334,8 +314,10 @@ func (m *Manager) DefineView(name string, def algebra.Expr, sc Scenario, opts ..
 	for _, o := range opts {
 		o(v)
 	}
-	if err := m.validateLogFilters(v); err != nil {
-		return nil, err
+	if sc == BaseLogs || sc == Combined {
+		if err := m.bindFilters(v); err != nil {
+			return nil, err
+		}
 	}
 	var err error
 	if v.def, err = algebra.Compile(def); err != nil {
@@ -452,63 +434,21 @@ func (m *Manager) DropView(name string) error {
 	return nil
 }
 
-// validateLogFilters checks the preconditions of WithLogFilter: the
-// scenario logs, shared logs are off, each filtered table is a base of
-// the view, the predicate binds against the table's schema, and the
-// equivalence Q ≡ Q[σ_p(R)/R] holds on the current state (a necessary
-// condition; the caller warrants it for all states). It also binds the
-// predicates for the append fast path.
-func (m *Manager) validateLogFilters(v *View) error {
-	if len(v.logFilter) == 0 {
-		return nil
-	}
-	if v.Scenario != BaseLogs && v.Scenario != Combined {
-		return fmt.Errorf("core: view %q: log filters need a logging scenario, not %v", v.Name, v.Scenario)
-	}
-	if m.shared != nil {
-		return fmt.Errorf("core: view %q: log filters are not supported with shared logs", v.Name)
-	}
-	v.logFilterFn = map[string]func(schema.Tuple) bool{}
-	repl := map[string]algebra.Expr{}
-	for table, pred := range v.logFilter {
-		found := false
-		for _, b := range v.bases {
-			if b == table {
-				found = true
-			}
-		}
-		if !found {
-			return fmt.Errorf("core: view %q: log filter on %q, which the view does not reference", v.Name, table)
-		}
+// bindFilters derives the view's relevant-update filters from its
+// definition and binds each against its table's schema. The derivation
+// walks the definition once: O(|Def|), never O(rows).
+func (m *Manager) bindFilters(v *View) error {
+	v.filters = map[string]func(schema.Tuple) bool{}
+	for table, f := range algebra.RelevantFilters(v.Def) {
 		tb, err := m.db.Table(table)
 		if err != nil {
 			return err
 		}
-		fn, err := pred.Bind(tb.Schema())
+		keep, err := f.Bind(tb.Schema())
 		if err != nil {
-			return fmt.Errorf("core: view %q: log filter on %q: %w", v.Name, table, err)
+			return fmt.Errorf("core: view %q: filter on %q: %w", v.Name, table, err)
 		}
-		v.logFilterFn[table] = fn
-		sel, err := algebra.NewSelect(pred, algebra.NewBase(table, tb.Schema()))
-		if err != nil {
-			return err
-		}
-		repl[table] = sel
-	}
-	filtered, err := algebra.Substitute(v.Def, repl)
-	if err != nil {
-		return err
-	}
-	want, err := algebra.Eval(v.Def, m.db)
-	if err != nil {
-		return err
-	}
-	got, err := algebra.Eval(filtered, m.db)
-	if err != nil {
-		return err
-	}
-	if !got.Equal(want) {
-		return fmt.Errorf("core: view %q: log filter changes the view on the current state (Q ≢ Q[σ_p(R)/R])", v.Name)
+		v.filters[table] = keep
 	}
 	return nil
 }

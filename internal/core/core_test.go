@@ -529,9 +529,8 @@ func TestViewDefinitionEvaluatesOneShot(t *testing.T) {
 // TestInterpreterStaysOutOfTheEngine pins, in the source, the end state
 // of deleting the interpreted maintenance mode (ROADMAP item 4, "one
 // Figure 3 pipeline"): outside tests, internal/core calls algebra.Eval only to
-// check — the invariant checkers and CheckConsistent (invariant.go) and
-// WithLogFilter's equivalence check at definition time — and never
-// builds an interpreter (algebra.NewEvaluator) at all: every maintenance
+// check — the invariant checkers and CheckConsistent (invariant.go) —
+// and never builds an interpreter (algebra.NewEvaluator) at all: every maintenance
 // evaluation is a view's compiled pair program.
 func TestInterpreterStaysOutOfTheEngine(t *testing.T) {
 	files, err := filepath.Glob("*.go")
@@ -551,7 +550,7 @@ func TestInterpreterStaysOutOfTheEngine(t *testing.T) {
 			if strings.HasPrefix(line, "func ") {
 				fn = line
 			}
-			if strings.Contains(line, "algebra.Eval(") && file != "invariant.go" && !strings.Contains(fn, "validateLogFilters") {
+			if strings.Contains(line, "algebra.Eval(") && file != "invariant.go" {
 				t.Errorf("%s:%d calls algebra.Eval in %q", file, i+1, fn)
 			}
 			if strings.Contains(line, "algebra.NewEvaluator(") {

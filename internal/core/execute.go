@@ -239,28 +239,32 @@ func (m *Manager) Execute(t txn.Txn) error {
 }
 
 // execScratch is Execute's per-transaction scratch, the single writer's
-// own: the normalized transaction and the views it affects. A
+// own: the normalized transaction, the views it affects, and the pair of
+// bags a filtered change is refilled into on its way to a log. A
 // transaction refills what the last one emptied, so a warm one
 // allocates none of it.
 type execScratch struct {
 	nt                         txn.Txn
 	affected, imViews, dtViews []*View
+	relDel, relIns             *bag.Bag
 }
 
 // reset empties the scratch when a transaction ends, so it pins neither
-// the caller's bags nor a dropped view.
+// the caller's bags, nor their rows, nor a dropped view.
 func (x *execScratch) reset() {
 	clear(x.nt)
 	clear(x.affected)
 	clear(x.imViews)
 	clear(x.dtViews)
 	x.affected, x.imViews, x.dtViews = x.affected[:0], x.imViews[:0], x.dtViews[:0]
+	x.relDel.Clear()
+	x.relIns.Clear()
 }
 
 // appendToLogs is makesafe_BL (= makesafe_C) for a view with its own
 // log tables: each touched base's (▼R, ▲R) is extended with the
-// transaction's (∇R, △R) by mergeDelta, in O(|∇R|+|△R|). It returns
-// the tuples it merged: under WithLogFilter, only the relevant ones.
+// relevant part of the transaction's (∇R, △R) by mergeDelta, in
+// O(|∇R|+|△R|). It returns the tuples it merged.
 func (m *Manager) appendToLogs(v *View, nt txn.Txn) (int, error) {
 	n := 0
 	for _, b := range v.bases {
@@ -276,7 +280,7 @@ func (m *Manager) appendToLogs(v *View, nt txn.Txn) (int, error) {
 		if err != nil {
 			return n, err
 		}
-		del, ins := v.relevant(b, u)
+		del, ins := m.exec.relevant(v, b, u)
 		mergeDelta(delLog, insLog, del, ins, false)
 		n += del.Len() + ins.Len()
 	}
@@ -293,13 +297,16 @@ func (v *View) countLogged(n int) {
 }
 
 // relevant returns the part of one base table's change that reaches the
-// view's log: all of it, or σ_p of it under WithLogFilter
-// (relevant-update detection). u is normalized: no nil bag.
-func (v *View) relevant(b string, u txn.Update) (del, ins *bag.Bag) {
-	if fn, ok := v.logFilterFn[b]; ok {
-		return bag.Select(u.Delete, fn), bag.Select(u.Insert, fn)
+// view's log: all of it, or σ_f of it when the view's definition guards
+// the table with f (relevant-update detection, algebra.RelevantFilters),
+// refilled into the scratch pair and lent until the next call. u is
+// normalized: no nil bag.
+func (x *execScratch) relevant(v *View, b string, u txn.Update) (del, ins *bag.Bag) {
+	keep, ok := v.filters[b]
+	if !ok {
+		return u.Delete, u.Insert
 	}
-	return u.Delete, u.Insert
+	return x.relDel.Refill(u.Delete, keep), x.relIns.Refill(u.Insert, keep)
 }
 
 // txnVolume is the tuple volume of the normalized transaction t on the

@@ -6,22 +6,17 @@ import (
 	"dvm/internal/algebra"
 	"dvm/internal/bag"
 	"dvm/internal/schema"
-	"dvm/internal/storage"
 	"dvm/internal/txn"
 )
 
-// filteredRetail registers the Example 1.1 view with relevant-update
-// filters matching its single-table conjuncts: only nonzero-quantity
-// sales and High customers ever enter the logs.
-func filteredRetail(t *testing.T, sc Scenario) *Manager {
+// filteredRetail registers the Example 1.1 view. Its definition guards
+// sales with s.quantity != 0 and customer with c.score = 'High', so only
+// nonzero-quantity sales and High customers ever enter its logs.
+func filteredRetail(t *testing.T, sc Scenario, opts ...ManagerOption) *Manager {
 	t.Helper()
 	db, def := retailDB(t)
-	m := NewManager(db)
-	_, err := m.DefineView("hv", def, sc,
-		WithLogFilter("sales", algebra.Neq(algebra.A("s.quantity"), algebra.C(0))),
-		WithLogFilter("customer", algebra.Eq(algebra.A("c.score"), algebra.C("High"))),
-	)
-	if err != nil {
+	m := NewManager(db, opts...)
+	if _, err := m.DefineView("hv", def, sc); err != nil {
 		t.Fatal(err)
 	}
 	return m
@@ -32,7 +27,7 @@ func TestLogFilterLifecycle(t *testing.T) {
 		m := filteredRetail(t, sc)
 		steps := []txn.Txn{
 			txn.Insert("sales", bag.Of(saleRow(0, 1, 2), saleRow(0, 2, 0))), // one relevant, one irrelevant
-			txn.Insert("sales", bag.Of(saleRow(1, 3, 0))),                   // all irrelevant (Low cust is still logged — filter is per-table)
+			txn.Insert("sales", bag.Of(saleRow(1, 3, 0))),                   // all irrelevant
 			{
 				"customer": {
 					Delete: bag.Of(schema.Row(1, "cust", "addr", "Low")),
@@ -112,7 +107,7 @@ func TestLogFilterSlowPathAgrees(t *testing.T) {
 		t.Fatal(err)
 	}
 	sales, _ := db.Table("sales")
-	pred := v.logFilter["sales"]
+	pred := algebra.RelevantFilters(v.Def)["sales"]
 	logDel, _ := db.Bag(v.logDel["sales"])
 	logIns, _ := db.Bag(v.logIns["sales"])
 	wantDel, wantIns := algebraicMerge(t, sales.Schema(), logDel, logIns,
@@ -129,46 +124,40 @@ func TestLogFilterSlowPathAgrees(t *testing.T) {
 	}
 }
 
-func TestLogFilterValidation(t *testing.T) {
-	db, def := retailDB(t)
-
-	// Filter on a table the view does not reference.
-	m := NewManager(db)
-	sch := schema.NewSchema(schema.Col("x", schema.TInt))
-	if _, err := db.Create("other", sch, storage.External); err != nil {
+// TestLogFilterUnderSharedLogs: the shared stream keeps every change,
+// and the view's private window keeps the relevant ones — what its own
+// logs would hold — so the Figure 3 algorithms see one log state in
+// both layouts.
+func TestLogFilterUnderSharedLogs(t *testing.T) {
+	perView := filteredRetail(t, Combined)
+	shared := filteredRetail(t, Combined, WithSharedLogs())
+	tx := txn.Insert("sales", bag.Of(saleRow(0, 1, 2), saleRow(0, 2, 0), saleRow(1, 3, 0), saleRow(2, 4, 1)))
+	for _, m := range []*Manager{perView, shared} {
+		if err := m.Execute(tx); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.CheckInvariant("hv"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := shared.SharedLogVolume("sales"); n != 4 {
+		t.Fatalf("the shared stream holds %d sales, want all 4", n)
+	}
+	v, _ := shared.View("hv")
+	if err := shared.materializeWindow(v); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.DefineView("v1", def, BaseLogs,
-		WithLogFilter("other", algebra.Gt(algebra.A("x"), algebra.C(0)))); err == nil {
-		t.Fatal("filter on unreferenced table accepted")
+	want, _ := perView.DB().Bag(v.logIns["sales"])
+	got, _ := shared.DB().Bag(v.logIns["sales"])
+	if want.Len() != 2 || !got.Equal(want) {
+		t.Fatalf("the window holds %v, the view's own log %v; want the 2 nonzero-quantity sales in both", got, want)
 	}
-
-	// Predicate that does not bind against the table schema.
-	if _, err := m.DefineView("v2", def, BaseLogs,
-		WithLogFilter("sales", algebra.Gt(algebra.A("nope"), algebra.C(0)))); err == nil {
-		t.Fatal("unbindable filter accepted")
-	}
-
-	// Non-logging scenario.
-	if _, err := m.DefineView("v3", def, Immediate,
-		WithLogFilter("sales", algebra.Neq(algebra.A("s.quantity"), algebra.C(0)))); err == nil {
-		t.Fatal("filter on Immediate view accepted")
-	}
-
-	// Shared logs.
-	db2, def2 := retailDB(t)
-	ms := NewManager(db2, WithSharedLogs())
-	if _, err := ms.DefineView("v4", def2, Combined,
-		WithLogFilter("sales", algebra.Neq(algebra.A("s.quantity"), algebra.C(0)))); err == nil {
-		t.Fatal("filter with shared logs accepted")
-	}
-
-	// A filter that visibly changes the view on the current state:
-	// filtering sales to quantity = 0 removes every view row.
-	db3, def3 := retailDB(t)
-	m3 := NewManager(db3)
-	if _, err := m3.DefineView("v5", def3, BaseLogs,
-		WithLogFilter("sales", algebra.Eq(algebra.A("s.quantity"), algebra.C(0)))); err == nil {
-		t.Fatal("view-changing filter accepted")
+	for _, m := range []*Manager{perView, shared} {
+		if err := m.Refresh("hv"); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.CheckConsistent("hv"); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"dvm/internal/bag"
 	"dvm/internal/sharedlog"
 	"dvm/internal/txn"
 )
@@ -142,8 +143,9 @@ func (m *Manager) appendShared(nt txn.Txn) {
 }
 
 // materializeWindow fills the view's private log tables with the merged
-// shared-log window [cursor, head) for each base, WITHOUT advancing the
-// cursor. After this, every Figure 3 algorithm (and the invariant
+// shared-log window [cursor, head) for each base — its relevant part,
+// through the view's filters, as appendToLogs logs it — WITHOUT
+// advancing the cursor. After this, every Figure 3 algorithm (and the invariant
 // checker) sees exactly the per-view log state it expects.
 func (m *Manager) materializeWindow(v *View) error {
 	cur, ok := m.shared.cursors[v.Name]
@@ -160,6 +162,9 @@ func (m *Manager) materializeWindow(v *View) error {
 		del, ins, err := l.Merge(w[0], w[1])
 		if err != nil {
 			return err
+		}
+		if keep, ok := v.filters[b]; ok {
+			del, ins = bag.Select(del, keep), bag.Select(ins, keep)
 		}
 		dt, err := m.db.Table(v.logDel[b])
 		if err != nil {

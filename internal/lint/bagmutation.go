@@ -12,12 +12,13 @@ import (
 // △(T,Q) are only correct if evaluating one expression never mutates an
 // operand another expression will read. Concretely: a function that
 // receives a *bag.Bag parameter must not call a mutating method on it
-// (Add, AddBag, ApplyDelta, AddMonus, Remove, Clear, Adopt) unless its name carries an explicit
-// in-place marker ("Mutate", "Apply", or "InPlace"), which documents
-// the ownership transfer at every call site. A function literal is held
-// to the same rule and has no name to carry a marker: it is what a
-// borrowed read (core.Manager.Read, the sql engine's read path) runs
-// over a live table, whose read-only contract this is.
+// (Add, AddBag, ApplyDelta, AddMonus, Refill, Remove, Clear, Adopt)
+// unless its name carries an explicit in-place marker ("Mutate",
+// "Apply", or "InPlace"), which documents the ownership transfer at
+// every call site. A function literal is held to the same rule and has
+// no name to carry a marker: it is what a borrowed read
+// (core.Manager.Read, the sql engine's read path) runs over a live
+// table, whose read-only contract this is.
 var analyzerBagMutation = &Analyzer{
 	Name: "bag-mutation",
 	Doc:  "functions taking *bag.Bag must not mutate it unless named *Mutate*/*Apply*/*InPlace*",
@@ -25,7 +26,7 @@ var analyzerBagMutation = &Analyzer{
 }
 
 var bagMutators = map[string]bool{
-	"Add": true, "AddBag": true, "ApplyDelta": true, "AddMonus": true, "Remove": true, "Clear": true, "Adopt": true,
+	"Add": true, "AddBag": true, "ApplyDelta": true, "AddMonus": true, "Refill": true, "Remove": true, "Clear": true, "Adopt": true,
 }
 
 func hasInPlaceMarker(name string) bool {

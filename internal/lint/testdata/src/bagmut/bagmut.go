@@ -73,3 +73,13 @@ func CountOnly(b *bag.Bag) (n int) {
 	})
 	return n
 }
+
+// Narrow refills a bag parameter with a selection without a marker.
+func Narrow(b, a *bag.Bag, keep func(schema.Tuple) bool) {
+	b.Refill(a, keep) // want: mutation of parameter
+}
+
+// RefillInPlace carries the InPlace marker.
+func RefillInPlace(b, a *bag.Bag, keep func(schema.Tuple) bool) {
+	b.Refill(a, keep)
+}

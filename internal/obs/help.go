@@ -10,7 +10,7 @@ import "sort"
 var familyHelp = map[string]string{
 	"txn_exec_ns":         "Latency of one user transaction through Execute, including makesafe bookkeeping (ns).",
 	"makesafe_ns":         "Per-view share of Execute: the Figure-3 makesafe bookkeeping added to each transaction (ns).",
-	"log_append_tuples":   "Tuples appended to the view's base-table logs by makesafe (after any log filter).",
+	"log_append_tuples":   "Tuples appended to the view's base-table logs by makesafe (the relevant ones, inside the filter derived from the view's definition).",
 	"log_size_tuples":     "Current unconsumed log volume for the view - the staleness backlog a refresh must process.",
 	"diff_size_tuples":    "Current size of the view's differential tables (del MV + add MV).",
 	"propagate_ns":        "Duration of propagate_C: folding logs into the differential tables, without the MV lock (ns).",

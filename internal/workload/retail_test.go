@@ -97,6 +97,50 @@ func TestViewDefEvaluates(t *testing.T) {
 	}
 }
 
+// TestViewDefDerivesRelevantFilters: the item-range retail view reads
+// sales only through quantity ≠ 0 ∧ itemNo ∈ [lo, hi), and customer only
+// through score = 'High' — the filters its logs keep out the rest by.
+func TestViewDefDerivesRelevantFilters(t *testing.T) {
+	r := NewRetail(smallConfig())
+	def, err := r.FilteredViewDef(algebra.AndOf(
+		algebra.Cmp{Op: algebra.GE, L: algebra.A("s.itemNo"), R: algebra.C(5)},
+		algebra.Lt(algebra.A("s.itemNo"), algebra.C(10)),
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := algebra.RelevantFilters(def)
+	if len(fs) != 2 {
+		t.Fatalf("filters %v, want sales' and customer's", fs)
+	}
+	for _, c := range []struct {
+		table string
+		sch   *schema.Schema
+		rows  []schema.Tuple
+		want  []bool
+	}{
+		{"sales", r.SalesSchema(), []schema.Tuple{
+			schema.Row(1, 5, 2, 1.0), schema.Row(1, 9, 1, 1.0), // inside the range
+			schema.Row(1, 7, 0, 1.0),                            // quantity 0
+			schema.Row(1, 4, 2, 1.0), schema.Row(1, 10, 2, 1.0), // outside the range
+		}, []bool{true, true, false, false, false}},
+		{"customer", r.CustomerSchema(), []schema.Tuple{
+			schema.Row(1, "n", "a", "High"), schema.Row(2, "n", "a", "Low"),
+		}, []bool{true, false}},
+	} {
+		keep, err := fs[c.table].Bind(c.sch)
+		if err != nil {
+			t.Fatalf("%s's filter %v: %v", c.table, fs[c.table], err)
+		}
+		for i, row := range c.rows {
+			if got := keep(row); got != c.want[i] {
+				t.Errorf("%s's filter %s keeps %v: %v, want %v", c.table, fs[c.table], row, got, c.want[i])
+			}
+		}
+	}
+	t.Logf("sales: %s; customer: %s", fs["sales"], fs["customer"])
+}
+
 func TestBatchesMaintainViews(t *testing.T) {
 	db := storage.NewDatabase()
 	r := NewRetail(smallConfig())

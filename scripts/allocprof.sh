@@ -12,7 +12,7 @@
 # boundaries alloc_kb_per_op, allocs_per_op and heap_live_mb are read
 # at — and runtime.MemProfileRate is raised to one sample per 16 KiB.
 # The workload then runs once (default seed 1, -seconds 20, untraced),
-# its result line must still say correct, and two tables are printed:
+# its result line must still say correct, and these tables are printed:
 #
 #   - bytes allocated during the measured cycles, by cumulative share
 #     (alloc_space of the second profile with the first as -base),
@@ -20,6 +20,11 @@
 #     generator, main.(*gen) — the transactions' bags and its bookkeeping
 #     of them, the same code at every commit — and everything outside it,
 #     the engine's share (pprof -focus and -ignore on main.(*gen));
+#   - the same cycles by alloc_objects, the sampled allocation count:
+#     what allocs_per_op counts, where alloc_space says what
+#     alloc_kb_per_op does. A change can move one and not the other —
+#     many small objects become one slab — and only this table says
+#     where allocs_per_op's allocations are made;
 #   - bytes live at the end of the run (inuse_space, what heap_live_mb
 #     sees), flat.
 #
@@ -27,9 +32,9 @@
 # into a temporary directory, as pair.sh does; nothing is written to
 # .git) is profiled the same way first, and its split line is printed
 # beside the working tree's, followed by the measured-cycle bytes of the
-# working tree against <ref>'s (pprof -diff_base, cumulative, top 30):
-# a negative row is a saving. A perf change shows with it where its
-# saving lands.
+# working tree against <ref>'s (pprof -diff_base, cumulative, top 30),
+# by alloc_space and by alloc_objects: a negative row is a saving. A
+# perf change shows with it where its saving lands.
 #
 # With a regexp the same two views are also printed line by line
 # (`pprof -list <regexp>`, e.g. 'bag\.newIndex') for the functions the
@@ -176,6 +181,9 @@ measure "$copy" "working tree"
 echo
 echo "== allocated during the measured cycles (alloc_space, cumulative, top 30)"
 go tool pprof -sample_index=alloc_space -base "$p0" -top -cum -nodecount=30 "$p1"
+echo
+echo "== allocated during the measured cycles (alloc_objects, cumulative, top 30)"
+go tool pprof -sample_index=alloc_objects -base "$p0" -top -cum -nodecount=30 "$p1"
 if [ -n "$base" ]; then
 	gensplit "$name.base.m0.allocs.pprof" "$name.base.m1.allocs.pprof" "$base"
 fi
@@ -188,6 +196,10 @@ if [ -n "$base" ]; then
 	echo
 	echo "== allocated during the measured cycles, working tree against $base (alloc_space, -diff_base, cumulative, top 30)"
 	go tool pprof -sample_index=alloc_space -diff_base "$name.base.cycles.pb.gz" -top -cum -nodecount=30 \
+		"$name.cycles.pb.gz"
+	echo
+	echo "== allocated during the measured cycles, working tree against $base (alloc_objects, -diff_base, cumulative, top 30)"
+	go tool pprof -sample_index=alloc_objects -diff_base "$name.base.cycles.pb.gz" -top -cum -nodecount=30 \
 		"$name.cycles.pb.gz"
 fi
 echo

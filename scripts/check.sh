@@ -61,6 +61,9 @@ echo "== fuzz (bounded)"
 go test ./internal/schema -run '^$' -fuzz '^FuzzValue$' -fuzztime=10s
 go test ./internal/algebra -run '^$' -fuzz '^FuzzExprParseEval$' -fuzztime=10s
 go test ./internal/algebra -run '^$' -fuzz '^FuzzCompiledEval$' -fuzztime=10s
+# RelevantFilters' contract: Q ≡ Q[σ_f(R)/R] for every derived filter f,
+# on decoded queries and states.
+go test ./internal/algebra -run '^$' -fuzz '^FuzzLogFilter$' -fuzztime=10s
 # Under -race, checkptr validates every tuple a bag rebuilds from its
 # one-pointer entry (schema.TupleAt) on fuzzed programs.
 go test -race ./internal/bag -run '^$' -fuzz '^FuzzBagOps$' -fuzztime=10s
