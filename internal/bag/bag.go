@@ -4,16 +4,21 @@
 // cartesian product ×, plus the derived operations min (minimal
 // intersection), max (maximal union), and SQL EXCEPT.
 //
-// A Bag maps canonical tuple keys to (tuple, multiplicity) entries. All
-// operations are pure: they return fresh bags and never mutate operands,
-// except the explicitly-mutating Add/AddBag/ApplyDelta/AddMonus/Remove/
-// Clear/Adopt used by the storage and maintenance layers, and the join
-// kernel (Join.Indexed, Join.Hash), which writes into the empty bag its
-// caller gives it.
+// A Bag maps each distinct tuple to its multiplicity, keyed by the
+// tuple's 64-bit hash (schema.Tuple.Hash): no key string is stored. A
+// hash is a hit only when the stored tuple compares equal
+// (Tuple.Compare), and a second tuple under a hash another holds goes to
+// a spill keyed by its canonical key string, which stays nil until the
+// first collision. All operations are pure: they return fresh bags and
+// never mutate operands, except the explicitly-mutating Add/AddBag/
+// ApplyDelta/AddMonus/Remove/Clear/Adopt used by the storage and
+// maintenance layers, and the join kernel (Join.Indexed, Join.Hash),
+// which writes into the empty bag its caller gives it. Walks between
+// bags pass each entry's hash along, so no merge encodes a tuple again.
 //
 // A bag of a few distinct tuples — a transaction's ∇R or △R, most
-// deltas — keeps them in a slice of (key, entry) slots, found by a
-// linear scan on the key, and pays no Go map: New allocates the bag
+// deltas — keeps them in a slice of (hash, entry) slots, found by a
+// linear scan on the hash, and pays no Go map: New allocates the bag
 // together with room for two slots. Its (smallMax+1)-th distinct tuple,
 // or an index asked of it, moves it to a map for good.
 //
@@ -24,17 +29,18 @@
 // ahead of the exclusive lock (Prepare, then Adopt under the lock), so
 // readers never wait for a copy. A bag the writer prepared while readers
 // share it is written as two levels: the shared map, frozen as a base,
-// under a private overlay of the keys changed since. A write after a
+// under a private overlay of the tuples changed since. A write after a
 // Clone then copies the overlay, not the bag, until the overlay has
 // cost what a copy of the base would (Prepare's rule), when the two fold
-// back into one flat map.
+// back into one flat map. A spill rides with its map: shared, copied,
+// frozen and folded with it.
 package bag
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 	"sync/atomic"
 
@@ -43,12 +49,25 @@ import (
 
 // entry is one distinct tuple and its multiplicity. The tuple is stored
 // as a pointer to its first value (schema.Tuple.Ptr) under the bag's
-// arity — 16 bytes, so a map slot with its key is 32, where a tuple's
-// slice header would make it 48.
+// arity — 16 bytes, so a map slot with its 8-byte hash is 24, where a
+// tuple's slice header would make it 40.
 type entry struct {
 	p     *schema.Value
 	count int
 }
+
+// tier is one map of a bag's contents: its entries by tuple hash, and
+// the spill x, which holds by canonical key each entry whose hash
+// another entry of m held when it was written. x is nil until the first
+// collision. A tuple lives in m or in x, never both: a lookup reads m
+// under the hash, and x only when m's entry there is another tuple.
+type tier struct {
+	m map[uint64]entry
+	x map[string]entry
+}
+
+// len returns the entries of t, tombstones included.
+func (t tier) len() int { return len(t.m) + len(t.x) }
 
 // Bag is a finite multiset of tuples. The zero value is NOT ready to use;
 // call New. Bags are not safe for concurrent mutation.
@@ -59,14 +78,14 @@ type entry struct {
 // every operator's output has one schema. Removing a tuple of another
 // arity is a no-op, like removing any tuple the bag does not hold.
 type Bag struct {
-	// m is a flat bag's contents. Of a two-level bag (lv != nil) it is the
-	// overlay: the entries changed since lv.base froze, where an entry of
-	// count 0 is a tombstone, a deleted key. A small bag has none (m ==
-	// nil): its entries are s.
-	m map[string]entry
-	// s holds a small bag's entries, at most smallMax, with their keys. A
-	// small bag is always flat, private and unindexed: Clone copies it, so
-	// no mark, no levels and no derived state ever reach it.
+	// tier is a flat bag's contents. Of a two-level bag (lv != nil) it is
+	// the overlay: the entries changed since lv.base froze, where an entry
+	// of count 0 is a tombstone, a deleted tuple. A small bag has none
+	// (m == nil): its entries are s.
+	tier
+	// s holds a small bag's entries, at most smallMax, with their hashes.
+	// A small bag is always flat, private and unindexed: Clone copies it,
+	// so no mark, no levels and no derived state ever reach it.
 	s     []slot
 	size  int // total multiplicity
 	arity int // the length of every tuple the bag holds
@@ -97,12 +116,12 @@ type Bag struct {
 // every bag holding it may go on reading it. Each bag has levels of its
 // own (Clone copies the struct), so distinct and rent are its writer's.
 type levels struct {
-	base     map[string]entry
+	base     tier
 	distinct int // the bag's distinct tuples, both levels together
 	// rent is what the overlay has cost since base froze: the entries
 	// copied with it plus the entries written into it. Prepare folds the
-	// levels into one map once rent would reach len(base), the price of
-	// the copy the overlay stands in for.
+	// levels into one map once rent would reach the base's size, the
+	// price of the copy the overlay stands in for.
 	rent int
 }
 
@@ -111,25 +130,35 @@ const (
 	fillMask = shared - 1 // last's previous-Clear fill
 )
 
-// slot is a small bag's entry with its key. The key is kept, not
-// re-encoded: a transaction's ∇R/△R is merged into every view's log by
-// key (addKeyed), once per view.
+// slot is a small bag's entry with its tuple's hash, kept so that a
+// transaction's ∇R/△R merges into every view's log by hash (addKeyed),
+// once per view, without hashing its tuples again. Two slots may share a
+// hash: the scan compares the tuples.
 type slot struct {
-	k string
+	h uint64
 	e entry
 }
 
 // smallMax is the most distinct entries a bag keeps in slots. Eight
-// keys scan in about the time a map hashes one.
+// hashes scan in about the time a map looks one up.
 const smallMax = 8
 
 // smallBag is a Bag allocated together with its first slots, which New
-// hands out as one object: a 2-row bag then costs that object and its
-// two key strings.
+// hands out as one object: a 2-row bag then costs that object alone.
 type smallBag struct {
 	Bag
 	buf [2]slot
 }
+
+// hashMask narrows every hash a bag keys by. It is all ones; a test
+// narrows it to a few values so that tuples collide.
+var hashMask = ^uint64(0)
+
+// hashOf returns the hash a bag keys t by.
+func hashOf(t schema.Tuple) uint64 { return t.Hash() & hashMask }
+
+// keyHash returns the hash a bag keys a tuple by, from its canonical key.
+func keyHash(k []byte) uint64 { return schema.KeyHash(k) & hashMask }
 
 // sat32 is n as a saturating uint32.
 func sat32(n int) uint32 { return uint32(min(uint64(n), math.MaxUint32)) }
@@ -156,84 +185,92 @@ func (b *Bag) isShared() bool { return b.last.Load()&shared != 0 }
 // index or journal over b) stores.
 func (b *Bag) tupleAt(p *schema.Value) schema.Tuple { return schema.TupleAt(p, b.arity) }
 
-// get returns k's entry, or a zero one (count 0, no tuple) when b does
-// not hold k: a small bag's slot whose key is k, a two-level bag's
-// overlay before its base, and a tombstone reads as absent. Every lookup
-// of a bag's contents is get (getBytes, for a key in a buffer). Keys are
-// compared as strings, never as tuples: INT 2^53 and INT 2^53+1 are two
-// keys.
-func (b *Bag) get(k string) entry {
-	switch {
-	case b.m == nil:
-		if i := b.find(k); i >= 0 {
-			return b.s[i].e
-		}
-		return entry{}
-	case b.lv == nil:
-		return b.m[k]
-	}
-	if e, ok := b.m[k]; ok {
-		return e
-	}
-	return b.lv.base[k]
+// holds reports whether the tuple b stores at p is t: the same pointer,
+// or a tuple equal under Compare — which is exactly key equality, so
+// INT 2^53 and INT 2^53+1 are two tuples.
+func (b *Bag) holds(p *schema.Value, t schema.Tuple) bool {
+	return len(t) == b.arity && (p == t.Ptr() || b.tupleAt(p).Equal(t))
 }
 
-// getBytes is get for a key held in a byte buffer, which it makes no
-// string of.
-func (b *Bag) getBytes(k []byte) entry {
-	switch {
-	case b.m == nil:
-		for i := range b.s {
-			if b.s[i].k == string(k) {
-				return b.s[i].e
-			}
-		}
-		return entry{}
-	case b.lv == nil:
-		return b.m[string(k)]
-	}
-	if e, ok := b.m[string(k)]; ok {
-		return e
-	}
-	return b.lv.base[string(k)]
+// get returns t's entry, h being t's hash, or a zero one (count 0, no
+// tuple) when b does not hold t.
+func (b *Bag) get(h uint64, t schema.Tuple) entry {
+	e, _ := b.lookup(h, t)
+	return e
 }
 
-// find returns the slot of a small bag that holds k, or -1.
-func (b *Bag) find(k string) int {
-	for i := range b.s {
-		if b.s[i].k == k {
-			return i
-		}
-	}
-	return -1
-}
-
-// each calls f once per distinct tuple of b, with its key and entry, in
-// no particular order: a small bag's slots, a two-level bag's base
-// entries the overlay does not shadow, then the overlay's live ones.
-// Every walk over a bag's contents is each. f must not mutate b; each
-// does not retain f, so a caller's closure stays on its stack.
-func (b *Bag) each(f func(k string, e entry)) {
+// lookup is every lookup of a bag's contents. It returns t's entry (h is
+// t's hash), or a zero one when b does not hold t, and where the entry
+// lives: spill is true for an entry of the spill, and for a tuple b
+// lacks whose hash another tuple holds in the map, so that a new entry
+// must go to the spill. A small bag's slots are scanned, a two-level
+// bag's overlay is read before its base, and a tombstone reads as
+// absent. The spill is read only when the map's entry under h is not t.
+func (b *Bag) lookup(h uint64, t schema.Tuple) (e entry, spill bool) {
 	if b.m == nil {
 		for _, sl := range b.s {
-			f(sl.k, sl.e)
+			if sl.h == h && b.holds(sl.e.p, t) {
+				return sl.e, false
+			}
 		}
-		return
+		return entry{}, false
 	}
-	if b.lv == nil {
-		for k, e := range b.m {
-			f(k, e)
+	e, ok := b.m[h]
+	if !ok && b.lv != nil {
+		e = b.lv.base.m[h]
+	}
+	if e.count > 0 && b.holds(e.p, t) {
+		return e, false
+	}
+	taken := e.count > 0
+	if b.x != nil || b.lv != nil && b.lv.base.x != nil {
+		var kb [128]byte
+		k := t.AppendKey(kb[:0])
+		e, ok := b.x[string(k)]
+		if !ok && b.lv != nil {
+			e = b.lv.base.x[string(k)]
 		}
-		return
-	}
-	for k, e := range b.lv.base {
-		if _, ok := b.m[k]; !ok {
-			f(k, e)
-		}
-	}
-	for k, e := range b.m {
 		if e.count > 0 {
-			f(k, e)
+			return e, true
+		}
+	}
+	return entry{}, taken
+}
+
+// each calls f once per distinct tuple of b, with its hash and entry, in
+// no particular order: a small bag's slots, a two-level bag's base
+// entries the overlay does not shadow, then the overlay's live ones. An
+// entry of a spill has its hash computed again. Every walk over a bag's
+// contents is each. f must not mutate b; each does not retain f, so a
+// caller's closure stays on its stack.
+func (b *Bag) each(f func(h uint64, e entry)) {
+	if b.m == nil {
+		for _, sl := range b.s {
+			f(sl.h, sl.e)
+		}
+		return
+	}
+	if b.lv != nil {
+		base := b.lv.base
+		for h, e := range base.m {
+			if _, ok := b.m[h]; !ok {
+				f(h, e)
+			}
+		}
+		for k, e := range base.x {
+			if _, ok := b.x[k]; !ok {
+				f(hashOf(b.tupleAt(e.p)), e)
+			}
+		}
+	}
+	for h, e := range b.m {
+		if e.count > 0 {
+			f(h, e)
+		}
+	}
+	for _, e := range b.x {
+		if e.count > 0 {
+			f(hashOf(b.tupleAt(e.p)), e)
 		}
 	}
 }
@@ -252,25 +289,28 @@ func (b *Bag) setArity(n int) {
 	}
 }
 
-// copyLevel returns a private copy of the map b writes — a flat bag's
+// copyLevel returns a private copy of the tier b writes — a flat bag's
 // contents, a two-level bag's overlay, tombstones included — with room
 // for extra entries beyond them, and counts the entries it copies. A map's
 // capacity rounds up to a power of two, so room beyond the write to come
 // can double the copy.
-func (b *Bag) copyLevel(extra int) map[string]entry {
-	copied.Add(uint64(len(b.m)))
-	m := make(map[string]entry, len(b.m)+extra)
-	for k, e := range b.m {
-		m[k] = e
+func (b *Bag) copyLevel(extra int) tier {
+	copied.Add(uint64(b.tier.len()))
+	c := tier{m: make(map[uint64]entry, len(b.m)+extra)}
+	for h, e := range b.m {
+		c.m[h] = e
 	}
-	return m
+	if b.x != nil {
+		c.x = maps.Clone(b.x)
+	}
+	return c
 }
 
-// flat returns b's contents as one map of its own, sized for them.
-func (b *Bag) flat() map[string]entry {
-	m := make(map[string]entry, b.Distinct())
-	b.each(func(k string, e entry) { m[k] = e })
-	return m
+// flat returns b's contents as one tier of its own, sized for them.
+func (b *Bag) flat() tier {
+	c := Bag{tier: tier{m: make(map[uint64]entry, b.Distinct())}, arity: b.arity}
+	b.each(func(h uint64, e entry) { c.putNew(h, e, 0) })
+	return c.tier
 }
 
 // private returns an eager copy of b: a flat bag whose map (or slots)
@@ -283,59 +323,100 @@ func (b *Bag) private() *Bag {
 		c.size, c.arity = b.size, b.arity
 		return c
 	}
-	return &Bag{m: b.flat(), size: b.size, arity: b.arity}
+	return &Bag{tier: b.flat(), size: b.size, arity: b.arity}
 }
 
 // promote moves a small bag's slots into a map with room for n entries,
 // for good: nothing moves a bag back.
 func (b *Bag) promote(n int) {
-	m := make(map[string]entry, n)
-	for _, sl := range b.s {
-		m[sl.k] = sl.e
+	s := b.s
+	b.tier, b.s, b.peak = tier{m: make(map[uint64]entry, n)}, nil, sat32(n)
+	for _, sl := range s {
+		b.putNew(sl.h, sl.e, 0)
 	}
-	b.m, b.s, b.peak = m, nil, sat32(n)
 }
 
-// put sets k's entry to e and adds n to b's size: the one write of a
-// bag's contents — addKeyed's, and that of the operators that build a
-// bag past addKeyed, the pure operators of ops.go and the join kernel's
-// projected path. An entry of count 0 deletes k, which b must hold; in a
-// two-level bag's overlay it is k's tombstone. put owes no copy-on-write
-// check, no journal and no arity check: addKeyed makes those, and what
-// the operators build is flat, private and unindexed, of an arity they
-// set themselves. A new key in a full small bag promotes it.
-func (b *Bag) put(k string, e entry, n int) {
+// put sets the entry of a tuple, whose hash is h, to e and adds n to b's
+// size: the one write of a bag's contents — addKeyed's, and that of the
+// operators that build a bag past addKeyed, the pure operators of ops.go
+// and the join kernel's projected path. e.p is the pointer b stores for
+// a tuple it holds (a new tuple's own, otherwise), and spill is where
+// the entry lives or goes (lookup). An entry of count 0 deletes the
+// tuple, which b must hold; in a two-level bag's overlay it is the
+// tuple's tombstone. put owes no copy-on-write check, no journal and no
+// arity check: addKeyed makes those, and what the operators build is
+// flat, private and unindexed, of an arity they set themselves. A new
+// tuple in a full small bag promotes it. Only an entry of the spill
+// costs a key string.
+func (b *Bag) put(h uint64, e entry, n int, spill bool) {
 	b.size += n
 	if b.m == nil {
-		i := b.find(k)
+		i := 0
+		for i < len(b.s) && (b.s[i].h != h || b.s[i].e.p != e.p) {
+			i++
+		}
 		switch {
 		case e.count == 0:
 			last := len(b.s) - 1
 			b.s[i] = b.s[last]
-			b.s[last] = slot{} // or the backing array keeps the tuple and its key alive
+			b.s[last] = slot{} // or the backing array keeps the tuple alive
 			b.s = b.s[:last]
 			return
-		case i >= 0:
+		case i < len(b.s):
 			b.s[i].e = e
 			return
 		case len(b.s) < smallMax:
-			b.s = append(b.s, slot{k: k, e: e})
+			b.s = append(b.s, slot{h: h, e: e})
 			return
 		}
 		b.promote(smallMax + 1)
+		_, spill = b.m[h]
 	}
-	if e.count == 0 && b.lv == nil {
-		delete(b.m, k)
-	} else {
-		b.m[k] = e
+	if spill {
+		b.putSpill(b.tupleAt(e.p).Key(), e)
+		return
+	}
+	switch {
+	case e.count > 0:
+		b.m[h] = e
+	case b.lv != nil:
+		b.m[h] = entry{} // a tombstone, which keeps no tuple alive
+	default:
+		delete(b.m, h)
 	}
 }
 
-// own makes m, a map that no other bag holds, the map b writes, and
-// clears the shared mark. It runs only where b may be mutated: never
+// putSpill is put's write of the spill, under the tuple's key k.
+func (b *Bag) putSpill(k string, e entry) {
+	if e.count == 0 && b.lv == nil {
+		if len(b.x) == 1 {
+			b.x = nil // k was its last entry: lookups skip the spill again
+		} else {
+			delete(b.x, k)
+		}
+		return
+	}
+	if b.x == nil {
+		b.x = make(map[string]entry)
+	}
+	if e.count == 0 {
+		e = entry{} // a tombstone, which keeps no tuple alive
+	}
+	b.x[k] = e
+}
+
+// putNew is put for an entry of a tuple that b, a flat bag, does not
+// hold: it goes to the spill if another tuple holds its hash.
+func (b *Bag) putNew(h uint64, e entry, n int) {
+	_, spill := b.m[h]
+	b.put(h, e, n, spill)
+}
+
+// own makes t, a tier no other bag holds, the tier b writes, and clears
+// the shared mark. It runs only where b may be mutated: never
 // concurrently with a Clone of b.
-func (b *Bag) own(m map[string]entry) {
-	b.m, b.peak = m, sat32(len(m))
+func (b *Bag) own(t tier) {
+	b.tier, b.peak = t, sat32(len(t.m))
 	b.last.Store(b.last.Load() &^ shared)
 }
 
@@ -379,7 +460,7 @@ func New() *Bag {
 }
 
 // newMap returns an empty bag that is a map from the start.
-func newMap() *Bag { return &Bag{m: make(map[string]entry)} }
+func newMap() *Bag { return &Bag{tier: tier{m: make(map[uint64]entry)}} }
 
 // newFor returns an empty bag for at most n distinct tuples, in the
 // representation n picks: an operator whose output is bounded by its
@@ -402,7 +483,7 @@ func NewSized(n int) *Bag {
 		b.s = slices.Grow(b.s, n)
 		return b
 	}
-	return &Bag{m: make(map[string]entry, n), peak: sat32(n)}
+	return &Bag{tier: tier{m: make(map[uint64]entry, n)}, peak: sat32(n)}
 }
 
 // Of builds a bag containing each given tuple once.
@@ -432,29 +513,29 @@ func (b *Bag) Add(t schema.Tuple, n int) *Bag {
 	if n == 0 {
 		return b
 	}
-	return b.addKeyed(t.Key(), t, n)
+	return b.addKeyed(hashOf(t), t, n)
 }
 
-// addKeyed is Add for callers that already hold t's canonical key —
-// iterating another bag's map, or composing a join output's key from
-// its operands' keys — so hot paths skip re-encoding the tuple. It
+// addKeyed is Add for callers that already hold t's hash h — iterating
+// another bag, or hashing a join output from its operands' keys — so
+// hot paths skip re-encoding the tuple. It
 // writes only a level of b's own: a map a Clone shares is copied first,
 // a two-level bag's overlay alone, and a two-level write adds to the
 // rent. It never folds the levels — only Prepare does, outside the
 // writer's lock. A small bag is written in its slots (put), and promoted
 // by a new tuple they have no room for.
-func (b *Bag) addKeyed(k string, t schema.Tuple, n int) *Bag {
+func (b *Bag) addKeyed(h uint64, t schema.Tuple, n int) *Bag {
 	if n == 0 {
 		return b
 	}
 	if b.isShared() {
 		if b.lv != nil {
-			b.lv.rent += len(b.m)
+			b.lv.rent += b.tier.len()
 		}
 		b.own(b.copyLevel(0))
 	}
-	e := b.get(k) // e.p is nil when b lacks k, and stays nil for a no-op
-	d := 0        // effective delta after clamping
+	e, spill := b.lookup(h, t) // e.p is nil when b lacks t, and stays nil for a no-op
+	d := 0                     // effective delta after clamping
 	switch {
 	case e.count == 0:
 		if n > 0 {
@@ -462,19 +543,19 @@ func (b *Bag) addKeyed(k string, t schema.Tuple, n int) *Bag {
 				b.setArity(len(t))
 			}
 			e = entry{p: t.Ptr(), count: n}
-			b.put(k, e, n)
+			b.put(h, e, n, spill)
 			d = n
 			b.peak = max(b.peak, sat32(len(b.m)))
 			b.lv.wrote(1)
 		}
 	case e.count+n <= 0:
 		d = -e.count
-		b.put(k, entry{}, d) // a tombstone in an overlay, over the base's entry if it has one
+		b.put(h, entry{p: e.p}, d, spill) // a tombstone in an overlay, over the base's entry if it has one
 		b.lv.wrote(-1)
 	default:
 		d = n
 		e.count += n
-		b.put(k, e, n)
+		b.put(h, e, n, spill)
 		b.lv.wrote(0)
 	}
 	if b.dx != nil {
@@ -494,19 +575,19 @@ func (lv *levels) wrote(dd int) {
 
 // AddBag folds all of o's contents into b in place.
 func (b *Bag) AddBag(o *Bag) *Bag {
-	o.each(func(k string, e entry) { b.addKeyed(k, o.tupleAt(e.p), e.count) })
+	o.each(func(h uint64, e entry) { b.addKeyed(h, o.tupleAt(e.p), e.count) })
 	return b
 }
 
 // ApplyDelta sets b := (b ∸ del) ⊎ add in place, in O(|del|+|add|) —
 // the shape of every Figure 3 table update (MV from ∇MV/△MV, a log or
 // differential table from a change batch). It walks the operands' maps
-// by key, so no tuple key is re-encoded, and journals each change like
+// by hash, so no tuple is encoded again, and journals each change like
 // Add, so indexes cached over b keep syncing. del and add are only
 // read; neither may be b itself, and a nil one is empty.
 func (b *Bag) ApplyDelta(del, add *Bag) *Bag {
 	if del != nil {
-		del.each(func(k string, e entry) { b.addKeyed(k, del.tupleAt(e.p), -e.count) })
+		del.each(func(h uint64, e entry) { b.addKeyed(h, del.tupleAt(e.p), -e.count) })
 	}
 	if add != nil {
 		b.AddBag(add)
@@ -518,9 +599,10 @@ func (b *Bag) ApplyDelta(del, add *Bag) *Bag {
 // a ∸ c: the Del half of the composition lemma's merge (Lemma 3), which
 // reads c before c changes. a and c are only read; neither may be b.
 func (b *Bag) AddMonus(a, c *Bag) *Bag {
-	a.each(func(k string, e entry) {
-		if n := e.count - c.get(k).count; n > 0 {
-			b.addKeyed(k, a.tupleAt(e.p), n)
+	a.each(func(h uint64, e entry) {
+		t := a.tupleAt(e.p)
+		if n := e.count - c.get(h, t).count; n > 0 {
+			b.addKeyed(h, t, n)
 		}
 	})
 	return b
@@ -528,14 +610,14 @@ func (b *Bag) AddMonus(a, c *Bag) *Bag {
 
 // Refill sets b := σ_keep(a) in place, in O(|b|+|a|): b is emptied by
 // Clear, so it keeps its buckets by Clear's rule, and refilled with a's
-// own keys and tuples, so nothing is encoded again — a scratch bag
+// own hashes and tuples, so nothing is encoded again — a scratch bag
 // refilled with changes of a steady size allocates nothing. a is only
 // read, and may not be b.
 func (b *Bag) Refill(a *Bag, keep func(schema.Tuple) bool) *Bag {
 	b.Clear()
-	a.each(func(k string, e entry) {
+	a.each(func(h uint64, e entry) {
 		if t := a.tupleAt(e.p); keep(t) {
-			b.addKeyed(k, t, e.count)
+			b.addKeyed(h, t, e.count)
 		}
 	})
 	return b
@@ -583,10 +665,11 @@ func (b *Bag) Clear() {
 	}
 	shrink := max(int(b.peak), n) > max(4*keep, clearFloor)
 	if shrink || b.isShared() || b.lv != nil {
-		b.m = make(map[string]entry, keep)
+		b.tier = tier{m: make(map[uint64]entry, keep)}
 		b.peak = sat32(keep)
 	} else {
 		clear(b.m)
+		b.x = nil
 	}
 	b.lv = nil
 	b.last.Store(fill)
@@ -659,8 +742,9 @@ func (b *Bag) journalSince(v uint64) ([]jentry, bool) {
 	return x.jour[v-x.jbase:], true
 }
 
-// Count returns the multiplicity of t.
-func (b *Bag) Count(t schema.Tuple) int { return b.get(t.Key()).count }
+// Count returns the multiplicity of t. It hashes t from a stack buffer
+// and allocates nothing.
+func (b *Bag) Count(t schema.Tuple) int { return b.get(hashOf(t), t).count }
 
 // Contains reports whether t occurs at least once.
 func (b *Bag) Contains(t schema.Tuple) bool { return b.Count(t) > 0 }
@@ -676,7 +760,7 @@ func (b *Bag) Distinct() int {
 	case b.lv != nil:
 		return b.lv.distinct
 	}
-	return len(b.m)
+	return b.tier.len()
 }
 
 // Empty reports whether the bag has no tuples.
@@ -706,7 +790,7 @@ func (b *Bag) Clone() *Bag {
 			break
 		}
 	}
-	c := &Bag{m: b.m, size: b.size, arity: b.arity}
+	c := &Bag{tier: b.tier, size: b.size, arity: b.arity}
 	if b.lv != nil {
 		lv := *b.lv
 		c.lv = &lv
@@ -745,27 +829,28 @@ func (b *Bag) Clone() *Bag {
 func (b *Bag) Prepare(pending int) *Bag {
 	isShared := b.isShared()
 	if b.lv == nil {
+		n := b.tier.len()
 		switch {
 		case !isShared:
 			return nil
-		case pending >= len(b.m):
-			return &Bag{m: b.copyLevel(0), size: b.size, arity: b.arity}
+		case pending >= n:
+			return &Bag{tier: b.copyLevel(0), size: b.size, arity: b.arity}
 		}
-		return &Bag{m: make(map[string]entry, pending), size: b.size, arity: b.arity,
-			lv: &levels{base: b.m, distinct: len(b.m)}}
+		return &Bag{tier: tier{m: make(map[uint64]entry, pending)}, size: b.size, arity: b.arity,
+			lv: &levels{base: b.tier, distinct: n}}
 	}
 	owed := b.lv.rent + pending
 	if isShared {
-		owed += len(b.m)
+		owed += b.tier.len()
 	}
 	switch {
-	case owed >= len(b.lv.base):
+	case owed >= b.lv.base.len():
 		copied.Add(uint64(b.lv.distinct))
 		return b.private()
 	case isShared:
 		lv := *b.lv
-		lv.rent += len(b.m)
-		return &Bag{m: b.copyLevel(pending), size: b.size, arity: b.arity, lv: &lv}
+		lv.rent += b.tier.len()
+		return &Bag{tier: b.copyLevel(pending), size: b.size, arity: b.arity, lv: &lv}
 	}
 	return nil
 }
@@ -776,14 +861,14 @@ func (b *Bag) Prepare(pending int) *Bag {
 // — its contents are the same.
 func (b *Bag) Adopt(p *Bag) {
 	b.lv = p.lv
-	b.own(p.m)
-	p.m, p.lv = nil, nil
+	b.own(p.tier)
+	p.tier, p.lv = tier{}, nil
 }
 
 // Each calls f once per distinct tuple with its multiplicity. Iteration
 // order is unspecified. f must not mutate the bag.
 func (b *Bag) Each(f func(t schema.Tuple, n int)) {
-	b.each(func(_ string, e entry) { f(b.tupleAt(e.p), e.count) })
+	b.each(func(_ uint64, e entry) { f(b.tupleAt(e.p), e.count) })
 }
 
 // EachApplied calls f with every tuple of σ_keep((b ∸ del) ⊎ add) and its
@@ -793,58 +878,59 @@ func (b *Bag) Each(f func(t schema.Tuple, n int)) {
 // keep keeps every tuple, and a nil del or add is empty. Nothing is
 // copied or marked; f must not mutate the three bags.
 func (b *Bag) EachApplied(del, add *Bag, keep func(schema.Tuple) bool, f func(t schema.Tuple, n int)) {
-	b.eachApplied(del, add, keep, func(_ string, t schema.Tuple, n int) { f(t, n) })
+	b.eachApplied(del, add, keep, func(_ uint64, t schema.Tuple, n int) { f(t, n) })
 }
 
-// eachApplied is EachApplied handing f each tuple's key as well.
-func (b *Bag) eachApplied(del, add *Bag, keep func(schema.Tuple) bool, f func(k string, t schema.Tuple, n int)) {
-	b.each(func(k string, e entry) {
+// eachApplied is EachApplied handing f each tuple's hash as well.
+func (b *Bag) eachApplied(del, add *Bag, keep func(schema.Tuple) bool, f func(h uint64, t schema.Tuple, n int)) {
+	b.each(func(h uint64, e entry) {
 		t := b.tupleAt(e.p)
 		if keep != nil && !keep(t) {
 			return
 		}
 		n := e.count
 		if del != nil {
-			n -= del.get(k).count
+			n -= del.get(h, t).count
 		}
 		if n > 0 {
-			f(k, t, n)
+			f(h, t, n)
 		}
 	})
 	if add == nil {
 		return
 	}
-	add.each(func(k string, e entry) {
+	add.each(func(h uint64, e entry) {
 		if t := add.tupleAt(e.p); keep == nil || keep(t) {
-			f(k, t, e.count)
+			f(h, t, e.count)
 		}
 	})
 }
 
-// EachOrdered calls f once per distinct tuple in canonical (sorted key)
-// order — deterministic iteration for ordered sinks such as snapshots,
-// rendered output, and floating-point accumulation, at the cost of an
-// O(d log d) sort over the d distinct tuples. f must not mutate the bag.
+// EachOrdered calls f once per distinct tuple in canonical order, the
+// order of Tuple.Compare (a total order whose ties are exactly equal
+// tuples), which Tuples and String use too — deterministic iteration for
+// ordered sinks such as snapshots, rendered output, and floating-point
+// accumulation, at the cost of one slice of the d distinct entries and
+// an O(d log d) sort of it. f must not mutate the bag.
 func (b *Bag) EachOrdered(f func(t schema.Tuple, n int)) {
-	keys := make([]string, 0, b.Distinct())
-	b.each(func(k string, _ entry) { keys = append(keys, k) })
-	sort.Strings(keys)
-	for _, k := range keys {
-		e := b.get(k)
+	es := make([]entry, 0, b.Distinct())
+	b.each(func(_ uint64, e entry) { es = append(es, e) })
+	slices.SortFunc(es, func(x, y entry) int { return b.tupleAt(x.p).Compare(b.tupleAt(y.p)) })
+	for _, e := range es {
 		f(b.tupleAt(e.p), e.count)
 	}
 }
 
 // Tuples returns every tuple with duplicates expanded, in canonical
-// (sorted) order; intended for tests and display.
+// (Tuple.Compare) order; intended for tests and display.
 func (b *Bag) Tuples() []schema.Tuple {
 	out := make([]schema.Tuple, 0, b.size)
-	b.each(func(_ string, e entry) {
+	b.each(func(_ uint64, e entry) {
 		for i := 0; i < e.count; i++ {
 			out = append(out, b.tupleAt(e.p))
 		}
 	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
+	slices.SortFunc(out, schema.Tuple.Compare)
 	return out
 }
 
@@ -855,7 +941,7 @@ func (b *Bag) Equal(o *Bag) bool {
 		return false
 	}
 	eq := true
-	b.each(func(k string, e entry) { eq = eq && o.get(k).count == e.count })
+	b.each(func(h uint64, e entry) { eq = eq && o.get(h, b.tupleAt(e.p)).count == e.count })
 	return eq
 }
 
@@ -866,7 +952,7 @@ func (b *Bag) SubBagOf(o *Bag) bool {
 		return false
 	}
 	sub := true
-	b.each(func(k string, e entry) { sub = sub && o.get(k).count >= e.count })
+	b.each(func(h uint64, e entry) { sub = sub && o.get(h, b.tupleAt(e.p)).count >= e.count })
 	return sub
 }
 

@@ -233,6 +233,34 @@ func TestTuplesSortedAndString(t *testing.T) {
 	}
 }
 
+// TestEachOrderedIsTuplesOrder: EachOrdered visits the distinct tuples
+// in the order Tuples lists them, Tuple.Compare's — NULL, BOOL, numbers
+// by value across INT and FLOAT, then strings, where sorted key strings
+// put INT 10 before INT 2 — in every representation of the bag.
+func TestEachOrderedIsTuplesOrder(t *testing.T) {
+	for _, start := range starts {
+		b := start()
+		for i, v := range []any{10, 2, 2.5, "b", "a", nil, 1 << 53, 1<<53 + 1, -1, true, 3.0} {
+			b.Add(row(v, i%3), 1+i%2)
+		}
+		var got []schema.Tuple
+		b.EachOrdered(func(tu schema.Tuple, n int) {
+			for range n {
+				got = append(got, tu)
+			}
+		})
+		want := b.Tuples()
+		if len(got) != len(want) {
+			t.Fatalf("EachOrdered visited %d tuples, Tuples lists %d", len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Compare(want[i]) != 0 {
+				t.Fatalf("EachOrdered visits %v, Tuples lists %v", got, want)
+			}
+		}
+	}
+}
+
 func TestEachVisitsAll(t *testing.T) {
 	b := bagOf(map[string]int{"x": 2, "y": 5})
 	total := 0
@@ -319,23 +347,26 @@ func TestClearRetentionRule(t *testing.T) {
 	}
 }
 
-// A stored tuple is one pointer under its bag's arity, so a map slot
-// (16-byte key, 16-byte entry) is 32 bytes, as is a small bag's slot; a
-// tuple's slice header made each 48. An index bucket's entry and a
-// journal entry keep no key — the stored pointer names the row — so
-// each is the pointer and a count, 16 bytes. Every operator of every evaluation allocates a Bag, and the
-// shared mark rides in last's top bit. The small bag's slice header took
-// the Bag from six words to nine; New allocates it with two slots, 136
-// bytes in Go's 144-byte size class, where a map bag's Bag, map header
-// and first 288-byte group were three objects and 384 bytes. A tenth
-// word, or a third slot, would move New to the 160-byte class.
+// A stored tuple is one pointer under its bag's arity, and is keyed by
+// its 8-byte hash, so a map slot (hash, 16-byte entry) is 24 bytes, as
+// is a small bag's slot; a key string made each 32, and a tuple's slice
+// header 48 before that. An index bucket's entry and a journal entry
+// keep no key — the stored pointer names the row — so each is the
+// pointer and a count, 16 bytes. Every operator of every evaluation
+// allocates a Bag, and the shared mark rides in last's top bit. The
+// small bag's slice header took the Bag from six words to nine, and the
+// spill's map to ten: 80 bytes, Go's size class for 72 as well. New
+// allocates it with two slots, 128 bytes, the 128-byte class, where a
+// map bag's Bag, map header and first group were three objects and 384
+// bytes. An eleventh word, or a third slot, would move New to the
+// 144-byte class.
 func TestBagSize(t *testing.T) {
 	for _, c := range []struct {
 		name      string
 		got, want uintptr
 	}{
 		{"entry", unsafe.Sizeof(entry{}), 16},
-		{"slot", unsafe.Sizeof(slot{}), 32},
+		{"slot", unsafe.Sizeof(slot{}), 24},
 		{"indexEntry", unsafe.Sizeof(indexEntry{}), 16},
 		{"jentry", unsafe.Sizeof(jentry{}), 16},
 	} {
@@ -343,17 +374,18 @@ func TestBagSize(t *testing.T) {
 			t.Errorf("sizeof(%s) = %d, want %d", c.name, c.got, c.want)
 		}
 	}
-	if got := unsafe.Sizeof(Bag{}); got > 72 {
-		t.Errorf("sizeof(Bag) = %d, want at most 72", got)
+	if got := unsafe.Sizeof(Bag{}); got > 80 {
+		t.Errorf("sizeof(Bag) = %d, want at most 80", got)
 	}
-	if got := unsafe.Sizeof(smallBag{}); got > 144 {
-		t.Errorf("sizeof(smallBag) = %d, want at most 144", got)
+	if got := unsafe.Sizeof(smallBag{}); got > 128 {
+		t.Errorf("sizeof(smallBag) = %d, want at most 128", got)
 	}
 }
 
 // TestSmallBagLife walks a bag through the rules of its two
-// representations: New plus two Adds is three allocations (the bag with
-// its first slots, and two keys), where a map bag's was five; the
+// representations: New plus two Adds is one allocation (the bag with
+// its first slots; a slot keeps a hash, not a key string), where a map
+// bag's was five; the
 // smallMax-th distinct tuple stays in the slots and the next one
 // promotes the bag, for good, through removals and Clear; a small bag's
 // Clear keeps its slots; its Clone is a copy, counted in CopiedEntries,
@@ -361,8 +393,8 @@ func TestBagSize(t *testing.T) {
 // asked of a small bag promotes it first.
 func TestSmallBagLife(t *testing.T) {
 	r1, r2 := row(1, "a"), row(2, "b")
-	if got := testing.AllocsPerRun(100, func() { New().Add(r1, 1).Add(r2, 1) }); got != 3 {
-		t.Errorf("New and two Adds allocate %v times, want 3", got)
+	if got := testing.AllocsPerRun(100, func() { New().Add(r1, 1).Add(r2, 1) }); got != 1 {
+		t.Errorf("New and two Adds allocate %v times, want 1", got)
 	}
 
 	b := New()
@@ -559,7 +591,7 @@ func TestCloneCopiesOnceAtTheFirstWrite(t *testing.T) {
 		src.Adopt(src.Prepare(2))
 		src.Add(row(14), 1)
 		src.Remove(row(0), 1) // a base entry: a tombstone
-	}); n != 0 || src.lv == nil || len(src.lv.base) != 12 || len(src.m) != 2 {
+	}); n != 0 || src.lv == nil || len(src.lv.base.m) != 12 || len(src.m) != 2 {
 		t.Fatalf("Prepare(2) of a 12-entry shared bag and two writes copied %d entries, want 0 and a 2-entry overlay over 12", n)
 	}
 	if src.Prepare(0) != nil {

@@ -39,7 +39,7 @@ func testRows(n, arity int) []schema.Tuple {
 }
 
 // TestBuildIsAddedRows: a built bag is the bag Add builds from the same
-// rows, in the representation NewSized would pick, with every key the
+// rows, in the representation NewSized would pick, with every hash the
 // tuple's own; and it is written, cloned and cleared like that bag
 // afterwards.
 func TestBuildIsAddedRows(t *testing.T) {
@@ -63,10 +63,10 @@ func TestBuildIsAddedRows(t *testing.T) {
 			if (b.m == nil) != (n <= smallMax) {
 				t.Errorf("arity %d, %d rows: built a small bag: %v", arity, n, b.m == nil)
 			}
-			b.each(func(k string, e entry) {
+			b.each(func(h uint64, e entry) {
 				tu := b.tupleAt(e.p)
-				if k != tu.Key() {
-					t.Errorf("arity %d: key %q stored for %v, whose key is %q", arity, k, tu, tu.Key())
+				if h != hashOf(tu) {
+					t.Errorf("arity %d: hash %x stored for %v, whose hash is %x", arity, h, tu, hashOf(tu))
 				}
 			})
 			if arity == 0 || n == 0 {
@@ -142,35 +142,6 @@ func TestBuildRejects(t *testing.T) {
 	for _, n := range []int{0, -1} {
 		if _, err := Build(1, 1, func(tu schema.Tuple) (int, error) { return n, nil }); err == nil {
 			t.Errorf("multiplicity %d built", n)
-		}
-	}
-}
-
-// TestArenaChunks: a chunk is sized for the keys still to come, from
-// arenaMin up to arenaMax; a key that does not fit starts the next one,
-// and a key longer than arenaMax has one of its own. Every key reads back
-// as written.
-func TestArenaChunks(t *testing.T) {
-	var a arena
-	k16 := []byte("0123456789abcdef")
-	if got := a.put(k16[:10], 3); got != "0123456789" || a.sb.Cap() >= arenaMin {
-		t.Fatalf("3 keys of 10 bytes: got %q in a %d-byte chunk", got, a.sb.Cap())
-	}
-	a = arena{}
-	var keys []string
-	for i := 0; i <= arenaMin/16; i++ { // one chunk's worth, and one more
-		keys = append(keys, a.put(k16, 1<<20))
-		if want := 1 + i/(arenaMin/16); a.chunks != want {
-			t.Fatalf("key %d: %d chunks, want %d", i, a.chunks, want)
-		}
-	}
-	long := []byte(strings.Repeat("L", arenaMax+1))
-	if got := a.put(long, 1<<20); got != string(long) || a.chunks != 3 {
-		t.Fatalf("a %d-byte key: %d chunks, read back intact: %v", len(long), a.chunks, got == string(long))
-	}
-	for i, k := range keys {
-		if k != string(k16) {
-			t.Fatalf("key %d reads back as %q", i, k)
 		}
 	}
 }

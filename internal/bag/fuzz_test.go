@@ -22,6 +22,37 @@ import (
 // starting small, promoted and as maps (starts), so each grows, shrinks
 // and is cloned through both representations.
 func FuzzBagOps(f *testing.F) {
+	addBagSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, start := range starts {
+			bagLaws(t, data, start)
+		}
+	})
+}
+
+// FuzzBagOpsColliding is FuzzBagOps under a hash narrowed to two bits
+// (hashMask), so that among any five of runHandles' 25 tuples two share
+// a hash: a small bag's scan meets slots of its hash that hold other
+// tuples, a map bag's fifth distinct tuple goes to the spill at the
+// latest, and every program
+// reaches the spill through the paths that write and read a bag —
+// overlay tombstones over a spilled base entry, Prepare's copies and
+// folds, Adopt, Clear, Build and its duplicate check, and both output
+// paths of Join.Indexed. A lookup that took a hash for its tuple
+// without comparing the two fails here at once.
+func FuzzBagOpsColliding(f *testing.F) {
+	addBagSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		defer func(m uint64) { hashMask = m }(hashMask)
+		hashMask = 3
+		for _, start := range starts {
+			bagLaws(t, data, start)
+		}
+	})
+}
+
+// addBagSeeds adds the seed programs both FuzzBagOps targets start from.
+func addBagSeeds(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 0, 2, 1, 3})
 	f.Add([]byte{1, 0, 0, 1, 0, 1, 9, 3, 3, 3})
@@ -42,14 +73,25 @@ func FuzzBagOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 6, 1, 0, 12, 3, 8, 0, 0, 9, 0, 0, 3, 1, 1, 0, 7, 2, 9, 0, 0,
 		11, 2, 2, 11, 3, 3, 11, 4, 1, 11, 0, 0, 0, 8, 1, 11, 1, 3})
 	// INT 2^53 and INT 2^53+1 in one small bag, and in its Clone, are two
-	// entries: a slot is found by its key, not by comparing values.
+	// entries: a slot is found by its hash and an exact comparison, not
+	// by comparing float64 values.
 	f.Add([]byte{0, 15, 1, 0, 20, 2, 0, 15, 1, 8, 0, 0, 9, 0, 0, 3, 20, 1, 0, 21, 1})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, start := range starts {
-			bagLaws(t, data, start)
-		}
-	})
+	// Ten tuples, so that under FuzzBagOpsColliding's four hashes six at
+	// least are spilled; go two-level under a Clone, delete the first
+	// five (one of them spilled, at least: tombstones in both maps of the
+	// overlay), insert two again, and fold under a second Clone; write
+	// the Clone; Clear.
+	f.Add([]byte{0, 0, 1, 0, 1, 1, 0, 2, 1, 0, 3, 1, 0, 4, 1, 0, 5, 1, 0, 6, 1, 0, 7, 1, 0, 8, 1, 0, 9, 1,
+		8, 0, 0, 10, 0, 1, 3, 0, 1, 3, 1, 1, 3, 2, 1, 3, 3, 1, 3, 4, 1, 0, 0, 2, 0, 1, 2, 8, 0, 0, 10, 0, 2,
+		9, 0, 0, 3, 5, 1, 0, 9, 3, 7, 0, 0})
+	// All 25 tuples, two-level under a Clone; delete five and Clone
+	// again, so that Prepare copies the overlay, spill and tombstones
+	// included, rather than fold; write; join through the index read as
+	// b ∸ σ(the Clone); Clear.
+	f.Add([]byte{0, 0, 1, 0, 1, 1, 0, 2, 1, 0, 3, 1, 0, 4, 1, 0, 5, 1, 0, 6, 1, 0, 7, 1, 0, 8, 1, 0, 9, 1,
+		0, 10, 1, 0, 11, 1, 0, 12, 1, 0, 13, 1, 0, 14, 1, 0, 15, 1, 0, 16, 1, 0, 17, 1, 0, 18, 1, 0, 19, 1,
+		0, 20, 1, 0, 21, 1, 0, 22, 1, 0, 23, 1, 0, 24, 1, 8, 0, 0, 10, 0, 1, 3, 0, 1, 3, 1, 1, 3, 2, 1,
+		3, 3, 1, 3, 4, 1, 8, 0, 0, 10, 0, 0, 0, 2, 1, 11, 3, 2, 11, 4, 3, 7, 0, 0})
 }
 
 // bagLaws is one run of FuzzBagOps, its bags begun by start.
@@ -111,6 +153,40 @@ func bagLaws(t *testing.T, data []byte, start func() *Bag) {
 	if !ordered.Equal(b) {
 		t.Fatal("EachOrdered visited different contents than Each")
 	}
+	if msg := checkBuild(b); msg != "" {
+		t.Fatal(msg)
+	}
+}
+
+// checkBuild builds b's rows again with Build, as a snapshot's load
+// does, and then the same rows with the last one repeated: the first
+// must equal b, the second fail as a duplicate. It returns the first
+// difference, or "".
+func checkBuild(b *Bag) string {
+	var rows []schema.Tuple
+	var counts []int
+	b.EachOrdered(func(tu schema.Tuple, n int) {
+		rows = append(rows, tu)
+		counts = append(counts, n)
+	})
+	build := func(rows []schema.Tuple, counts []int) (*Bag, error) {
+		i := -1
+		return Build(b.arity, len(rows), func(tu schema.Tuple) (int, error) {
+			i++
+			copy(tu, rows[i])
+			return counts[i], nil
+		})
+	}
+	if got, err := build(rows, counts); err != nil || !got.Equal(b) {
+		return fmt.Sprintf("Build of %v's rows gives %v, %v", b, got, err)
+	}
+	if len(rows) == 0 {
+		return ""
+	}
+	if _, err := build(append(rows, rows[len(rows)-1]), append(counts, 1)); err == nil {
+		return fmt.Sprintf("Build of %v's rows and its last one again succeeded", b)
+	}
+	return ""
 }
 
 // runHandles runs data as a program over two bag handles, begun by

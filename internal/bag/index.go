@@ -8,9 +8,9 @@ import (
 
 // indexEntry is one row stored under an index key: the full tuple, as
 // its bag's entry stores it (under the arity of the index's src), and
-// its multiplicity. 16 bytes. The row's canonical key is not kept: the
-// two readers that need it (Join.Indexed's sub lookup and its
-// unprojected output key) encode it from the tuple into their scratch.
+// its multiplicity. 16 bytes. The row's hash is not kept: the two
+// readers that need it (Join.Indexed's sub lookup and its unprojected
+// output) encode the tuple's key into their scratch and hash that.
 type indexEntry struct {
 	p     *schema.Value
 	count int
@@ -82,7 +82,7 @@ func newIndex(b *Bag, positions []int, addressable bool) *Index {
 		ix.ver = b.dx.ver
 	}
 	var key []byte
-	b.each(func(_ string, e entry) {
+	b.each(func(_ uint64, e entry) {
 		key = b.tupleAt(e.p).AppendKeyAt(key[:0], positions)
 		bucket := ix.m[string(key)]
 		if addressable {
@@ -212,16 +212,17 @@ type Join struct {
 // non-nil sub makes the indexed side B ∸ σ_Keep(sub) rather than B: a
 // bucket entry's count drops by its tuple's count in sub when Keep
 // holds for sub's tuple — one lookup per entry that passed its side's
-// conjuncts, under the entry's key encoded into the call's buffer,
-// exact for any bags, and nothing materialized. It filters before it
-// allocates: the probe side's conjuncts run before the lookup, the
-// indexed side's on the bucket entry, Cross on a scratch row, and only
-// a survivor is materialized, once, in its final shape. Unprojected, it
-// takes the scratch row over, keyed by the probe tuple's key beside the
-// indexed half's, encoded into the buffer; projected, its key is
-// encoded into the buffer and a tuple is made only if the output does
-// not hold that key yet. probed counts the bucket entries examined — the
-// work done, where a rescan would pay |L|·|R|.
+// conjuncts, under the entry's hash, exact for any bags, and nothing
+// materialized. It filters before it allocates: the probe side's
+// conjuncts run before the lookup, the indexed side's on the bucket
+// entry, Cross on a scratch row, and only a survivor is materialized,
+// once, in its final shape. Unprojected, it takes the scratch row over,
+// hashed from the probe tuple's key — encoded once, at its first output
+// — beside the indexed half's, encoded into the buffer; projected, the
+// row is projected into a second scratch, which is hashed and looked up,
+// and a tuple is made only if the output does not hold it yet. probed
+// counts the bucket entries examined — the work done, where a rescan
+// would pay |L|·|R|.
 func (j *Join) Indexed(out, probe *Bag, probePos []int, ix *Index, sub *Bag, buildLeft bool) (probed int) {
 	probePred, buildPred, cross, keep, project := j.Left, j.Right, j.Cross, j.Keep, j.Project
 	if buildLeft {
@@ -230,16 +231,19 @@ func (j *Join) Indexed(out, probe *Bag, probePos []int, ix *Index, sub *Bag, bui
 	if project != nil {
 		out.arity = len(project) // the projected path writes through put
 	}
-	// Scratch row and key buffer belong to this call, never to the index:
-	// the writer and readers run joins side by side.
+	// Scratch rows and key buffers belong to this call, never to the
+	// index: the writer and readers run joins side by side.
 	var row schema.Tuple
-	var kb [128]byte
+	var pa [8]schema.Value
+	prow := schema.Tuple(pa[:0]) // the projected scratch row
+	var kb, pkb [128]byte
 	buf := kb[:0]
-	probe.each(func(kp string, ep entry) {
+	probe.each(func(_ uint64, ep entry) {
 		pt := probe.tupleAt(ep.p)
 		if probePred != nil && !probePred(pt) {
 			return
 		}
+		var pk []byte // pt's key, once an unprojected output needs it
 		buf = pt.AppendKeyAt(buf[:0], probePos)
 		for _, eb := range ix.m[string(buf)] {
 			probed++
@@ -249,8 +253,7 @@ func (j *Join) Indexed(out, probe *Bag, probePos []int, ix *Index, sub *Bag, bui
 			}
 			nb := eb.count
 			if sub != nil {
-				buf = bt.AppendKey(buf[:0])
-				if es := sub.getBytes(buf); es.count > 0 && (keep == nil || keep(sub.tupleAt(es.p))) {
+				if es := sub.get(hashOf(bt), bt); es.count > 0 && (keep == nil || keep(sub.tupleAt(es.p))) {
 					if nb -= es.count; nb <= 0 {
 						continue
 					}
@@ -270,25 +273,31 @@ func (j *Join) Indexed(out, probe *Bag, probePos []int, ix *Index, sub *Bag, bui
 			}
 			n := ep.count * nb
 			if project != nil {
-				buf = row.AppendKeyAt(buf[:0], project)
-				k := string(buf)
-				e := out.get(k)
-				if e.p == nil {
-					e.p = row.Project(project).Ptr()
+				prow = prow[:0]
+				for _, p := range project {
+					prow = append(prow, row[p])
+				}
+				h := hashOf(prow)
+				e, spill := out.lookup(h, prow)
+				if e.count == 0 {
+					e.p = prow.Clone().Ptr()
 				}
 				e.count += n
-				out.put(k, e, n)
+				out.put(h, e, n, spill)
 				continue
 			}
 			// A concat tuple's canonical key is the concatenation of its
 			// halves' keys (per-value self-delimiting encoding), so only
 			// the indexed half is encoded, beside the probe's key.
-			if buildLeft {
-				buf = append(bt.AppendKey(buf[:0]), kp...)
-			} else {
-				buf = bt.AppendKey(append(buf[:0], kp...))
+			if pk == nil {
+				pk = pt.AppendKey(pkb[:0])
 			}
-			out.addKeyed(string(buf), row, n)
+			if buildLeft {
+				buf = append(bt.AppendKey(buf[:0]), pk...)
+			} else {
+				buf = bt.AppendKey(append(buf[:0], pk...))
+			}
+			out.addKeyed(keyHash(buf), row, n)
 			row = nil // the output owns it now
 		}
 	})

@@ -17,7 +17,7 @@ func UnionAll(a, b *Bag) *Bag {
 // That marks a map b shared, but a bag written as Prepare directs owes
 // the mark no copy of itself at its next write — at most its overlay; a
 // small b is copied and not marked. Filtered, it is collected under the
-// operands' own keys (none is encoded again), and b is only read.
+// operands' own hashes (no tuple is encoded again), and b is only read.
 func Applied(b, del, add *Bag, keep func(schema.Tuple) bool) *Bag {
 	if keep == nil {
 		out := b.Clone()
@@ -41,13 +41,14 @@ func Applied(b, del, add *Bag, keep func(schema.Tuple) bool) *Bag {
 		bound += add.Distinct()
 	}
 	out := newFor(bound)
-	b.eachApplied(del, add, keep, func(k string, t schema.Tuple, n int) { out.addKeyed(k, t, n) })
+	b.eachApplied(del, add, keep, func(h uint64, t schema.Tuple, n int) { out.addKeyed(h, t, n) })
 	return out
 }
 
 // The operators below write their output through put, past addKeyed,
 // so each sets the output's arity itself: that of the operand its
-// entries come from.
+// entries come from. An entry that is new to the output goes in through
+// putNew, under its operand's hash.
 
 // newLike returns an empty bag for at most n distinct entries taken from
 // a (newFor).
@@ -61,9 +62,9 @@ func newLike(a *Bag, n int) *Bag {
 // This is the paper's "∸" operator, distinct from SQL EXCEPT.
 func Monus(a, b *Bag) *Bag {
 	out := newLike(a, a.Distinct())
-	a.each(func(k string, e entry) {
-		if n := e.count - b.get(k).count; n > 0 {
-			out.put(k, entry{p: e.p, count: n}, n)
+	a.each(func(h uint64, e entry) {
+		if n := e.count - b.get(h, a.tupleAt(e.p)).count; n > 0 {
+			out.putNew(h, entry{p: e.p, count: n}, n)
 		}
 	})
 	return out
@@ -76,9 +77,9 @@ func Min(a, b *Bag) *Bag {
 		a, b = b, a
 	}
 	out := newLike(a, a.Distinct())
-	a.each(func(k string, e entry) {
-		if n := min(e.count, b.get(k).count); n > 0 {
-			out.put(k, entry{p: e.p, count: n}, n)
+	a.each(func(h uint64, e entry) {
+		if n := min(e.count, b.get(h, a.tupleAt(e.p)).count); n > 0 {
+			out.putNew(h, entry{p: e.p, count: n}, n)
 		}
 	})
 	return out
@@ -95,10 +96,11 @@ func MinWithin(a, b *Bag, within ...*Bag) *Bag {
 	}
 	out := newLike(a, min(bound, a.Distinct()))
 	for _, w := range within {
-		w.each(func(k string, _ entry) {
-			e := a.get(k)
-			if n := min(e.count, b.get(k).count); n > 0 && out.get(k).count == 0 {
-				out.put(k, entry{p: e.p, count: n}, n)
+		w.each(func(h uint64, we entry) {
+			t := w.tupleAt(we.p)
+			e := a.get(h, t)
+			if n := min(e.count, b.get(h, t).count); n > 0 && out.get(h, t).count == 0 {
+				out.putNew(h, entry{p: e.p, count: n}, n)
 			}
 		})
 	}
@@ -112,9 +114,13 @@ func Max(a, b *Bag) *Bag {
 	if b.Distinct() > 0 && b.arity != out.arity {
 		out.setArity(b.arity) // panics unless a is empty: out would mix arities
 	}
-	b.each(func(k string, e entry) {
-		if have := out.get(k).count; e.count > have {
-			out.put(k, e, e.count-have)
+	b.each(func(h uint64, e entry) {
+		have, spill := out.lookup(h, b.tupleAt(e.p))
+		if e.count > have.count {
+			if have.count > 0 {
+				e.p = have.p // put finds the entry by the pointer out stores
+			}
+			out.put(h, e, e.count-have.count, spill)
 		}
 	})
 	return out
@@ -126,9 +132,9 @@ func Max(a, b *Bag) *Bag {
 // directly.
 func Except(a, b *Bag) *Bag {
 	out := newLike(a, a.Distinct())
-	a.each(func(k string, e entry) {
-		if b.get(k).count == 0 {
-			out.put(k, e, e.count)
+	a.each(func(h uint64, e entry) {
+		if b.get(h, a.tupleAt(e.p)).count == 0 {
+			out.putNew(h, e, e.count)
 		}
 	})
 	return out
@@ -137,16 +143,16 @@ func Except(a, b *Bag) *Bag {
 // DupElim returns ε(a): every tuple of a with multiplicity 1.
 func DupElim(a *Bag) *Bag {
 	out := newLike(a, a.Distinct())
-	a.each(func(k string, e entry) { out.put(k, entry{p: e.p, count: 1}, 1) })
+	a.each(func(h uint64, e entry) { out.putNew(h, entry{p: e.p, count: 1}, 1) })
 	return out
 }
 
 // Select returns σ_p(a) for a predicate over tuples.
 func Select(a *Bag, pred func(schema.Tuple) bool) *Bag {
 	out := newLike(a, a.Distinct())
-	a.each(func(k string, e entry) {
+	a.each(func(h uint64, e entry) {
 		if pred(a.tupleAt(e.p)) {
-			out.put(k, e, e.count)
+			out.putNew(h, e, e.count)
 		}
 	})
 	return out
@@ -157,31 +163,30 @@ func Select(a *Bag, pred func(schema.Tuple) bool) *Bag {
 // projection does NOT eliminate duplicates).
 func Project(a *Bag, f func(schema.Tuple) schema.Tuple) *Bag {
 	out := newFor(a.Distinct())
-	a.each(func(_ string, e entry) { out.Add(f(a.tupleAt(e.p)), e.count) })
+	a.each(func(_ uint64, e entry) { out.Add(f(a.tupleAt(e.p)), e.count) })
 	return out
 }
 
 // Product returns a × b: tuple concatenation, multiplicities multiply.
 func Product(a, b *Bag) *Bag {
-	out := New()
-	a.each(func(ka string, ea entry) {
-		b.each(func(kb string, eb entry) {
-			// Concat keys compose: key(s ++ t) = key(s) + key(t).
-			out.addKeyed(ka+kb, a.tupleAt(ea.p).Concat(b.tupleAt(eb.p)), ea.count*eb.count)
-		})
-	})
-	return out
+	return ProductSelect(a, b, func(schema.Tuple) bool { return true })
 }
 
 // ProductSelect returns σ_p(a × b) without materializing the full product:
-// the join path used by the evaluator.
+// the join path used by the evaluator. A concatenation's key is its
+// halves' keys appended (a per-value self-delimiting encoding), so each
+// left tuple is encoded once, and each output's hash is taken over its
+// key built beside it.
 func ProductSelect(a, b *Bag, pred func(schema.Tuple) bool) *Bag {
 	out := New()
-	a.each(func(ka string, ea entry) {
-		b.each(func(kb string, eb entry) {
-			t := a.tupleAt(ea.p).Concat(b.tupleAt(eb.p))
-			if pred(t) {
-				out.addKeyed(ka+kb, t, ea.count*eb.count)
+	var kb [128]byte
+	a.each(func(_ uint64, ea entry) {
+		lt := a.tupleAt(ea.p)
+		lk := lt.AppendKey(kb[:0])
+		b.each(func(_ uint64, eb entry) {
+			rt := b.tupleAt(eb.p)
+			if t := lt.Concat(rt); pred(t) {
+				out.addKeyed(keyHash(rt.AppendKey(lk)), t, ea.count*eb.count)
 			}
 		})
 	})

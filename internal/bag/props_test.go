@@ -370,7 +370,7 @@ func checkIndexOn(b *Bag) string {
 	n := 0
 	for _, bucket := range ix.m {
 		for i, e := range bucket {
-			if b.get(b.tupleAt(e.p).Key()).p != e.p {
+			if tu := b.tupleAt(e.p); b.get(hashOf(tu), tu).p != e.p {
 				return "IndexOn entry holds another pointer than the bag stores for its row"
 			}
 			if at, ok := ix.at[e.p]; !ok || at != i {
@@ -505,18 +505,31 @@ func (genLevels) Generate(r *rand.Rand, _ int) reflect.Value {
 // test.
 func contents(b *Bag) map[string]int {
 	out := map[string]int{}
+	key := func(e entry) string { return b.tupleAt(e.p).Key() }
 	for _, sl := range b.s {
-		out[sl.k] = sl.e.count
+		out[key(sl.e)] = sl.e.count
 	}
+	var base tier
 	if b.lv != nil {
-		for k, e := range b.lv.base {
+		base = b.lv.base
+	}
+	for h, e := range base.m {
+		if _, ok := b.m[h]; !ok {
+			out[key(e)] = e.count
+		}
+	}
+	for k, e := range base.x {
+		if _, ok := b.x[k]; !ok {
 			out[k] = e.count
 		}
 	}
-	for k, e := range b.m {
-		if e.count == 0 {
-			delete(out, k)
-		} else {
+	for _, e := range b.m {
+		if e.count > 0 {
+			out[key(e)] = e.count
+		}
+	}
+	for k, e := range b.x {
+		if e.count > 0 {
 			out[k] = e.count
 		}
 	}

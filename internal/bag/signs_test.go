@@ -18,11 +18,11 @@ import (
 // (there should never be any).
 func negatives(t *testing.T, b *Bag) {
 	t.Helper()
-	for k, e := range b.m {
+	b.each(func(_ uint64, e entry) {
 		if e.count <= 0 {
-			t.Fatalf("bag holds non-positive multiplicity %d for key %q", e.count, k)
+			t.Fatalf("bag holds non-positive multiplicity %d for %v", e.count, b.tupleAt(e.p))
 		}
-	}
+	})
 }
 
 func TestAddClampsAtZero(t *testing.T) {

@@ -36,8 +36,9 @@ func highSales(from, n int) *bag.Bag {
 // tuple it folds into differential tables that already hold 20 000
 // tuples. The Example 1.1 pair's terms are projected joins of the log
 // against the base tables' own indexes, each into a bag the view's
-// State keeps and refills: a 200-tuple log costs about 112 B a tuple,
-// its projected view row and key. A join that grows a new output map
+// State keeps and refills: a 200-tuple log costs about 80 B a tuple,
+// its projected view row (and 32 B more when the row's key string was
+// the output's map key). A join that grows a new output map
 // from empty at every propagate costs about 210 B, and one that
 // materializes the join's wide rows and then projects them 690–790.
 const propagateBytesPerLogTuple = 160

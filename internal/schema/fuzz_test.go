@@ -3,6 +3,7 @@ package schema
 import (
 	"encoding/binary"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -50,8 +51,10 @@ func refsFromBytes(data []byte) []refValue {
 // FuzzValue holds the packed Value to the reference layout on tuples of
 // arbitrary values: every accessor, rendering and key encoding agree
 // with refValue; Compare agrees with it, is antisymmetric, and reports
-// equal exactly when the keys are equal; and a key restricted to some
-// positions is the key of the projection.
+// equal exactly when the keys are equal, and Equal agrees with Compare;
+// equal keys hash equal, also
+// for a twin of the tuple built another way (twin); and a key
+// restricted to some positions is the key of the projection.
 func FuzzValue(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 6, 0, 6, 1, 0, 6, 3, 'a', 0, 'b'})                                // NULL, "", "\x00", "a\x00b"
@@ -80,5 +83,58 @@ func FuzzValue(f *testing.F) {
 		if got, want := tu.Clone().Concat(tu).Key(), tu.Key()+tu.Key(); got != want {
 			t.Fatalf("Concat key of %v = %q, want the halves' keys joined, %q", tu, got, want)
 		}
+
+		// A bag keys a tuple by Hash and takes a hit only on Compare == 0:
+		// the tuples Compare reports equal must hash equal.
+		tw := make(Tuple, len(tu))
+		for i, v := range tu {
+			tw[i] = twin(v)
+		}
+		if tw.Compare(tu) != 0 || !tw.Equal(tu) || tw.Key() != tu.Key() || tw.Hash() != tu.Hash() {
+			t.Fatalf("%v and its twin %v: Compare %d, keys %q and %q, hashes %x and %x",
+				tu, tw, tw.Compare(tu), tu.Key(), tw.Key(), tu.Hash(), tw.Hash())
+		}
+		for i := range tu {
+			for j := range tu {
+				for _, b := range []Tuple{tu[j : j+1], tw[j : j+1]} {
+					a := tu[i : i+1]
+					if a.Equal(b) != (a.Compare(b) == 0) {
+						t.Fatalf("%v and %v: Equal %v, Compare %d", a, b, a.Equal(b), a.Compare(b))
+					}
+					if a.Key() == b.Key() && a.Hash() != b.Hash() {
+						t.Fatalf("%v and %v share the key %q but hash %x and %x", a, b, a.Key(), a.Hash(), b.Hash())
+					}
+				}
+			}
+		}
 	})
+}
+
+// twin returns a value Compare reports equal to v, built another way
+// where there is one: an INT k as FLOAT k when a float64 holds k
+// exactly, an integral FLOAT as its INT, -0.0 as +0.0 and back, a NaN
+// with another payload, a string in other bytes.
+func twin(v Value) Value {
+	switch v.Type() {
+	case TInt:
+		if f := float64(v.AsInt()); f < math.MaxInt64 && int64(f) == v.AsInt() {
+			return Float(f)
+		}
+	case TFloat:
+		switch f := v.AsFloat(); {
+		case math.IsNaN(f):
+			other := math.Float64frombits(0xfff0000000000001) // negative, signaling, payload 1
+			if math.Float64bits(f) == math.Float64bits(other) {
+				other = math.NaN()
+			}
+			return Float(other)
+		case f == 0:
+			return Float(-f)
+		case f == math.Trunc(f) && f >= math.MinInt64 && f < math.MaxInt64:
+			return Int(int64(f))
+		}
+	case TString:
+		return Str(strings.Clone(v.AsString()))
+	}
+	return v
 }

@@ -1,6 +1,9 @@
 package schema
 
-import "strings"
+import (
+	"hash/maphash"
+	"strings"
+)
 
 // Tuple is one row: a fixed-width sequence of values. Tuples are treated
 // as immutable once placed in a bag; callers that mutate must Clone first.
@@ -77,8 +80,9 @@ func (t Tuple) Compare(o Tuple) int {
 	return 0
 }
 
-// Key returns a canonical string encoding of the tuple, used as the bag
-// map key. Equal tuples produce equal keys and vice versa. The encoding
+// Key returns a canonical string encoding of the tuple: what Hash hashes,
+// and a bag's spill key for a tuple whose hash another holds. Equal
+// tuples produce equal keys and vice versa. The encoding
 // is built in a stack scratch, so a key of up to 128 bytes costs one
 // allocation — the string — where appending from nil pays a doubling
 // series of them; a longer key spills to the heap as it would have.
@@ -86,6 +90,24 @@ func (t Tuple) Key() string {
 	var kb [128]byte
 	return string(t.AppendKey(kb[:0]))
 }
+
+// keySeed is the process's one seed for tuple hashes: every bag keys its
+// entries by Hash, and bags of one process are merged by those hashes.
+var keySeed = maphash.MakeSeed()
+
+// Hash returns a 64-bit hash of the tuple's canonical key (AppendKey)
+// under one seed per process, so tuples with equal keys — the tuples
+// Compare reports equal — hash equal. The key is encoded into a stack
+// scratch: a key of up to 128 bytes costs no allocation.
+func (t Tuple) Hash() uint64 {
+	var kb [128]byte
+	return KeyHash(t.AppendKey(kb[:0]))
+}
+
+// KeyHash returns the hash of a canonical key encoding: t.Hash() is
+// KeyHash(t.AppendKey(nil)), and a concatenation's hash is KeyHash of
+// its halves' keys appended.
+func KeyHash(k []byte) uint64 { return maphash.Bytes(keySeed, k) }
 
 // AppendKey appends the tuple's canonical key encoding (the same bytes
 // Key returns) to dst and returns the extended slice. It lets hot paths

@@ -311,7 +311,9 @@ func cmpIntFloat(i int64, f float64) int {
 }
 
 // Equal reports whether two values are equal under Compare semantics.
-func (v Value) Equal(o Value) bool { return v.Compare(o) == 0 }
+// Two values of the same words are: the same tag and payload, or the
+// same string bytes — what a bag's hash hit on an INT column finds.
+func (v Value) Equal(o Value) bool { return v.p == o.p && v.i == o.i || v.Compare(o) == 0 }
 
 // String renders the value as a SQL literal.
 func (v Value) String() string {

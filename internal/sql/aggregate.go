@@ -232,7 +232,8 @@ func (e *Engine) execAggregate(s *SimpleSelect, st *SelectStmt) (*Result, error)
 		// Ordered iteration makes float SUM/AVG accumulation deterministic:
 		// under Each, the addition order (and so the rounding) of a group's
 		// float sums would vary run to run with map iteration order. It
-		// costs a sort of the rows' keys, so exact accumulators go without.
+		// costs a sort of the rows, in Tuple.Compare order, so exact
+		// accumulators go without.
 		each := rows.Each
 		if ordered {
 			each = rows.EachOrdered

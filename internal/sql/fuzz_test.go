@@ -170,8 +170,7 @@ func FuzzSnapshotLoad(f *testing.F) {
 		}
 	}
 	// DVM1: one table whose rows span three of bag.Build's slabs (8, 16
-	// and 1 rows of 128 values) and two arena chunks, with keys past the
-	// 128-byte scratch. Its values are mostly one-byte NULLs and its
+	// and 1 rows of 128 values), with keys past the 128-byte scratch. Its values are mostly one-byte NULLs and its
 	// columns unnamed, and it is one seed, untruncated: the fuzzer
 	// minimizes every input that finds new code, at a cost that grows
 	// with the input's length.

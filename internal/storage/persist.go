@@ -117,7 +117,8 @@ func (db *Database) save(w io.Writer, externalOnly bool) error {
 			return err
 		}
 		// Ordered iteration keeps snapshot bytes deterministic: the same
-		// database always serializes identically (diffable, hashable).
+		// database always serializes identically (diffable, hashable),
+		// its rows in Tuple.Compare order (Bag.EachOrdered).
 		var werr error
 		t.data.EachOrdered(func(tu schema.Tuple, n int) {
 			if werr != nil {

@@ -236,7 +236,7 @@ func TestLoadRejectsDuplicateTuples(t *testing.T) {
 // TestSaveLoadLongStrings: strings are read out of the bufio buffer when
 // they fit it and through a second path when they do not; both sides of
 // the buffer size, and the size itself, round-trip, and so do keys of
-// several arena chunks' length among short ones. Neither path puts a
+// up to 128 KiB among short ones. Neither path puts a
 // string longer than maxInternLen into the intern table.
 func TestSaveLoadLongStrings(t *testing.T) {
 	in := make(strTable)
@@ -308,8 +308,8 @@ func TestLoadInternsShortStrings(t *testing.T) {
 	})
 	t.Logf("Load of %d rows: %d mallocs with 3 short notes, %d with 2 long ones, %d with distinct short ones, %d with distinct and repeated ones mixed",
 		rows, short, long, distinct, mixed)
-	// A row costs no allocation of its own (its values share a slab, its
-	// key an arena chunk); a long note is one allocation per row.
+	// A row costs no allocation of its own (its values share a slab, and
+	// it is keyed by its hash); a long note is one allocation per row.
 	if long < short+rows*9/10 {
 		t.Errorf("long notes cost %d mallocs, short ones %d: want one more per row (%d rows)", long, short, rows)
 	}
@@ -384,10 +384,10 @@ func intTable(t *testing.T, rows, cols int) *Database {
 }
 
 // TestSaveLoadAtChunkBoundaries: a loaded table's rows share slabs that
-// grow from 1 Ki values (256 rows of 4 INTs, then 512 more), and its keys
-// share arena chunks; tables that end one row short of a slab, exactly
-// at one and one row past it, and a table with no columns round-trip to
-// the same bytes. (TestSaveLoadLongStrings has keys longer than a chunk.)
+// grow from 1 Ki values (256 rows of 4 INTs, then 512 more); tables that
+// end one row short of a slab, exactly at one and one row past it, and a
+// table with no columns round-trip to the same bytes.
+// (TestSaveLoadLongStrings has keys of up to 128 KiB.)
 func TestSaveLoadAtChunkBoundaries(t *testing.T) {
 	for _, rows := range []int{255, 256, 257, 767, 768, 769} {
 		saveLoad(t, intTable(t, rows, 4))
@@ -398,9 +398,10 @@ func TestSaveLoadAtChunkBoundaries(t *testing.T) {
 }
 
 // TestLoadRowsAllocateNothing: a loaded row costs no allocation of its
-// own. 10 000 rows of 4 INTs are a few slabs, arena chunks and the map's
-// tables — at most one malloc per hundred rows — where a tuple and a key
-// per row were 20 000.
+// own. 10 000 rows of 4 INTs are a few slabs and the map's tables —
+// about 60 mallocs (go1.24, linux/amd64), where a tuple and a key per
+// row were 20 000, and the arena chunks that held the keys once rows
+// were keyed by strings about 68.
 func TestLoadRowsAllocateNothing(t *testing.T) {
 	const rows = 10_000
 	var buf bytes.Buffer
@@ -416,13 +417,13 @@ func TestLoadRowsAllocateNothing(t *testing.T) {
 	}
 	got := m1.Mallocs - m0.Mallocs
 	t.Logf("Load of %d rows: %d mallocs", rows, got)
-	if limit := uint64(rows/100 + 64); got > limit {
+	if limit := uint64(rows/200 + 24); got > limit {
 		t.Errorf("Load of %d rows: %d mallocs, want at most %d", rows, got, limit)
 	}
 }
 
-// TestLoadThenDropFreesTheTable: no slab or arena chunk outlives the
-// table loaded into it. After a 100 000-row table is loaded and dropped,
+// TestLoadThenDropFreesTheTable: no slab outlives the table loaded into
+// it. After a 100 000-row table is loaded and dropped,
 // the live heap is back within 10 % of where it was.
 func TestLoadThenDropFreesTheTable(t *testing.T) {
 	const rows = 100_000
@@ -451,7 +452,8 @@ func TestLoadThenDropFreesTheTable(t *testing.T) {
 		t.Fatalf("the loaded table holds %d B, less than 64 B a row: the test measures nothing", loaded-before)
 	}
 	if after > before+before/10 {
-		t.Errorf("%d B live after the drop, %d B before the load: the table's chunks outlive it", after, before)
+		t.Errorf("%d B live after the drop, %d B before the load: the table's slabs outlive it", after, before)
 	}
 	runtime.KeepAlive(db)
+	runtime.KeepAlive(&buf) // live in all three readings, or its death counts against the table
 }

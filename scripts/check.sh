@@ -67,6 +67,9 @@ go test ./internal/algebra -run '^$' -fuzz '^FuzzLogFilter$' -fuzztime=10s
 # Under -race, checkptr validates every tuple a bag rebuilds from its
 # one-pointer entry (schema.TupleAt) on fuzzed programs.
 go test -race ./internal/bag -run '^$' -fuzz '^FuzzBagOps$' -fuzztime=10s
+# The same programs under a hash narrowed to two bits: every bag path
+# meets tuples that share a hash, and the spill that holds them.
+go test -race ./internal/bag -run '^$' -fuzz '^FuzzBagOpsColliding$' -fuzztime=10s
 go test ./internal/sql -run '^$' -fuzz '^FuzzParse$' -fuzztime=10s
 # The one fuzzer that maintains a SQL-defined COMBINED view (PROPAGATE /
 # REFRESH + CHECK INVARIANT) — the path whose plan comes from sql.compile.
