@@ -72,7 +72,7 @@ func TestPropagateAllocatesByLogNotByDifferential(t *testing.T) {
 			must(m.Execute(txn.Insert("sales", highSales(0, backlog))))
 			must(m.Propagate("hv"))
 		}
-		if got := m.diffVolume(m.views["hv"]); got != backlog {
+		if got := m.views["hv"].diffVolume(); got != backlog {
 			t.Fatalf("differential tables hold %d tuples, want %d", got, backlog)
 		}
 		const logged = 200
@@ -163,8 +163,7 @@ func TestExecuteAllocatesNothingWarm(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, v := range m.Views() {
-			s, _ := db.Bag(v.logIns["sales"])
-			c, _ := db.Bag(v.logIns["customer"])
+			s, c := v.logs["sales"].add.Data(), v.logs["customer"].add.Data()
 			if s.Contains(saleRow(0, 2000, 0)) || c.Contains(schema.Row(11, "cust", "addr", "Low")) || logged() != n0 {
 				t.Fatalf("%d views: rows the filters drop reached %s's logs: ▲sales %v, ▲customer %v", views, v.Name, s, c)
 			}
@@ -187,6 +186,72 @@ func TestExecuteAllocatesNothingWarm(t *testing.T) {
 	t.Logf("a warm churn: %d B with 1 view, %d B with 16", perRun[1], perRun[16])
 	if perRun[1] != 0 || perRun[16] != 0 {
 		t.Errorf("a warm churn allocates %d B with 1 view and %d B with 16, want 0 B with either", perRun[1], perRun[16])
+	}
+}
+
+// TestExecuteWarmWithoutLogs pins what TestExecuteAllocatesNothingWarm's
+// churn costs a view without logs, which evaluates its pre-update pair
+// at every transaction that touches its tables: an Immediate view
+// installs the pair into MV under MV's write lock, a DiffTables view
+// into ∇MV/△MV. What a warm churn allocates is the pair's own — the
+// Clones txSource binds ∇R and △R to, and the evaluation's intermediate
+// tuples — and the counts below are what it measured when txSource
+// replaced the per-table scratch tables, the same as those tables cost;
+// they may fall, not rise. The race detector weighs some of the objects
+// differently, so under -race only their number is held.
+func TestExecuteWarmWithoutLogs(t *testing.T) {
+	for _, c := range []struct {
+		sc     Scenario
+		allocs float64
+		bytes  uint64
+	}{
+		{Immediate, 50, 3432},
+		{DiffTables, 38, 3208},
+	} {
+		db, def := retailDB(t)
+		m := NewManager(db)
+		if _, err := m.DefineView("hv", def, c.sc); err != nil {
+			t.Fatal(err)
+		}
+		rows := highSales(0, 2)
+		zero, low := bag.Of(saleRow(0, 2000, 0)), bag.Of(schema.Row(11, "cust", "addr", "Low"))
+		txs := []txn.Txn{
+			txn.Insert("sales", rows), txn.Delete("sales", rows),
+			{"sales": {Insert: zero}, "customer": {Insert: low}},
+			{"sales": {Delete: zero}, "customer": {Delete: low}},
+		}
+		churn := func() {
+			for _, tx := range txs {
+				if err := m.Execute(tx); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for i := 0; i < 300; i++ {
+			churn()
+		}
+		allocs := testing.AllocsPerRun(100, churn)
+		// The least of three measurements: what else the process
+		// allocates meanwhile (the runtime's own work) only adds.
+		const runs = 100
+		bytes := ^uint64(0)
+		for range 3 {
+			bytes = min(bytes, allocBytes(func() {
+				for i := 0; i < runs; i++ {
+					churn()
+				}
+			})/runs)
+		}
+		t.Logf("%v: a warm churn allocates %v times, %d B", c.sc, allocs, bytes)
+		if allocs > c.allocs {
+			t.Errorf("%v: a warm churn allocates %v times, want at most %v", c.sc, allocs, c.allocs)
+		}
+		if bytes > c.bytes && !raceDetector {
+			t.Errorf("%v: a warm churn allocates %d B, want at most %d B", c.sc, bytes, c.bytes)
+		}
+		if err := m.CheckInvariant("hv"); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -255,17 +320,13 @@ func TestLogAppendsRefillKeptBuckets(t *testing.T) {
 	for round := 1; round <= 5; round++ {
 		bytes := allocBytes(func() {
 			for _, nt := range txs {
-				if _, err := m.appendToLogs(v, nt); err != nil {
-					t.Fatal(err)
-				}
+				m.appendToLogs(v, nt)
 			}
 		})
-		if got := m.logVolume(v); got != 600 {
+		if got := v.logVolume(); got != 600 {
 			t.Fatalf("round %d: log holds %d tuples, want 600", round, got)
 		}
-		if err := m.clearLogs(v); err != nil {
-			t.Fatal(err)
-		}
+		m.clearLogs(v, 600)
 		t.Logf("round %d: 600 log tuples appended with %d B", round, bytes)
 		switch {
 		case round == 1:

@@ -30,26 +30,25 @@ import (
 func (m *Manager) observeCompiled(v *View, parent *trace.Span, dur time.Duration, stats algebra.Stats) {
 	v.Stats.IndexProbeTuples += stats.IndexProbeTuples
 	v.Stats.IndexBuildTuples += stats.IndexBuildTuples
-	if v.met != nil {
-		v.met.compiledEvalNs.Observe(int64(dur))
-		v.met.indexProbeTuples.Add(stats.IndexProbeTuples)
-	}
+	v.met.compiledEvalNs.Observe(int64(dur))
+	v.met.indexProbeTuples.Add(stats.IndexProbeTuples)
 	sp := parent.StartChild(trace.SpanEvalCompiled,
 		trace.Str("view", v.Name), trace.Int("index_probe_tuples", stats.IndexProbeTuples))
 	sp.EndExplicit(dur)
 }
 
-// evalDeltaPair evaluates the view's incremental (del, add) pair against
-// the live database through its compiled program, recording
+// evalDeltaPair evaluates the view's incremental (del, add) pair in src
+// — the live database, or for a pre-update pair txSource over it —
+// through its compiled program, recording
 // compiled_eval_ns / index_probe_tuples and the core.eval.compiled span
 // under parent. The pair is borrowed (EvalBorrowed): bags of the view's
-// State, or tables of the database, lent until the view's next
-// evaluation or the next write to those tables. The caller only reads
-// it — installs it with applyToMVLocked or mergeDelta, or reads it
-// fresh — and keeps none of it.
-func (m *Manager) evalDeltaPair(v *View, parent *trace.Span) (del, add *bag.Bag, err error) {
+// State, or bags of src, lent until the view's next evaluation or the
+// next write to those bags. The caller only reads it — installs it with
+// applyToMVLocked or mergeDiff, or reads it fresh — and keeps none of
+// it.
+func (m *Manager) evalDeltaPair(v *View, src algebra.Source, parent *trace.Span) (del, add *bag.Bag, err error) {
 	start := time.Now()
-	outs, stats, err := v.pair.EvalBorrowed(v.pairSt, m.db)
+	outs, stats, err := v.pair.EvalBorrowed(v.pairSt, src)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,11 +1,17 @@
 // Package core implements the paper's contribution: deferred view
 // maintenance as invariant maintenance (Section 3) with the algorithms of
-// Figure 3. It manages materialized views under four scenarios:
+// Figure 3. Figure 1's four scenarios are a 2×2 grid: a view keeps logs
+// or not, and keeps differential tables or not. The first choice sets the
+// invariant's left side, the second its right side:
 //
-//	Immediate  — INV_IM:  Q ≡ MV
-//	BaseLogs   — INV_BL:  PAST(L,Q) ≡ MV
-//	DiffTables — INV_DT:  Q ≡ (MV ∸ ∇MV) ⊎ △MV
-//	Combined   — INV_C:   PAST(L,Q) ≡ (MV ∸ ∇MV) ⊎ △MV
+//	                 no differential tables   differential tables
+//	no logs          INV_IM:  Q ≡ MV           INV_DT:  Q ≡ (MV ∸ ∇MV) ⊎ △MV
+//	logs             INV_BL:  PAST(L,Q) ≡ MV   INV_C:   PAST(L,Q) ≡ (MV ∸ ∇MV) ⊎ △MV
+//
+// With empty logs PAST(L,Q) is Q, and with empty differential tables the
+// right side is MV, so each Figure 3 algorithm is one path over the two
+// bits. DefineView reads the Scenario once and resolves the view's tables;
+// nothing after it asks which scenario a view is in.
 //
 // User transactions are routed through Execute, which augments them with
 // the makesafe_* bookkeeping for every registered view and applies the
@@ -20,7 +26,6 @@ import (
 	"time"
 
 	"dvm/internal/algebra"
-	"dvm/internal/bag"
 	"dvm/internal/delta"
 	"dvm/internal/obs"
 	"dvm/internal/obs/runtimebridge"
@@ -66,30 +71,37 @@ type View struct {
 	// to incremental queries, keeping ∇MV/△MV disjoint.
 	StrongMinimal bool
 
-	mvName string   // the MV table
-	bases  []string // base tables referenced by Def
+	bases []string // base tables referenced by Def
 
-	// BaseLogs / Combined: per-base log tables (▼R, ▲R).
-	logDel map[string]string
-	logIns map[string]string
+	// The view's own tables, resolved once by DefineView. logs maps each
+	// base table R to its log pair (▼R, ▲R), and is nil when the view
+	// keeps no logs; diff is its differential pair (∇MV, △MV), nil when
+	// it keeps none. These are Figure 1's two bits.
+	mv   *storage.Table
+	logs map[string]tablePair
+	diff *tablePair
 
-	// filters holds, for a logging scenario, each base table's
+	// inv names the view's invariant (IM, BL, DT or C) in spans and
+	// errors.
+	inv string
+
+	// filters holds, for a view with logs, each base table's
 	// relevant-update filter derived from Def (algebra.RelevantFilters),
 	// bound against the table's schema: only the changes it keeps enter
 	// the view's logs. A table without one logs every change.
 	filters map[string]func(schema.Tuple) bool
 
-	// DiffTables / Combined: view differential tables (∇MV, △MV).
-	dtDel string
-	dtAdd string
+	// params maps, for a view without logs, the names its pre-update
+	// pair reads ∇R and △R under, __tx_del_R and __tx_ins_R, to R (see
+	// txSource).
+	params map[string]txParam
 
 	// The view's ONE incremental pair (see IncrementalQueries), built
 	// and optimized at definition time: the pre-update (∇(T,Q), △(T,Q))
-	// over the shared per-base scratch tables (∇R/△R of the current
-	// transaction) for Immediate/DiffTables, the post-update
-	// (▼(L,Q), ▲(L,Q)) over this view's log tables for BaseLogs/Combined.
-	// What differs between scenarios is when it is evaluated and where it
-	// is installed: MV (applyToMVLocked) or ∇MV/△MV (mergeDelta).
+	// over the current transaction's ∇R/△R for a view without logs, the
+	// post-update (▼(L,Q), ▲(L,Q)) over its log tables for a view with
+	// them. It is installed into ∇MV/△MV (mergeDiff) when the view has
+	// them, into MV (applyToMVLocked) otherwise.
 	del, add algebra.Expr
 
 	// def is Def compiled. The definition itself is only ever evaluated
@@ -106,29 +118,33 @@ type View struct {
 	Stats ViewStats
 }
 
+// tablePair is a (deleted, added) pair of tables: a base table's log
+// (▼R, ▲R) or a view's differential tables (∇MV, △MV).
+type tablePair struct{ del, add *storage.Table }
+
+// volume is the pair's tuple volume.
+func (p tablePair) volume() int { return p.del.Len() + p.add.Len() }
+
 // MVTable returns the name of the view's materialized table.
-func (v *View) MVTable() string { return v.mvName }
+func (v *View) MVTable() string { return v.mv.Name() }
 
 // IncrementalQueries exposes the view's incremental pair (EXPLAIN): for
-// Immediate/DiffTables views the pre-update pair (∇(T,Q), △(T,Q)) over
-// the transaction scratch tables; for BaseLogs/Combined views the
-// post-update pair (▼(L,Q), ▲(L,Q)) over the view's log tables.
+// a view without logs the pre-update pair (∇(T,Q), △(T,Q)) over the
+// transaction's ∇R/△R, named __tx_del_R/__tx_ins_R; for a view with
+// logs the post-update pair (▼(L,Q), ▲(L,Q)) over its log tables.
 func (v *View) IncrementalQueries() (del, add algebra.Expr) { return v.del, v.add }
 
-// InvariantString renders the scenario's Figure 1 invariant with the
-// view's own table names.
+// InvariantString renders the view's Figure 1 invariant with its own
+// table names.
 func (v *View) InvariantString() string {
-	switch v.Scenario {
-	case Immediate:
-		return fmt.Sprintf("Q ≡ %s", v.mvName)
-	case BaseLogs:
-		return fmt.Sprintf("PAST(L,Q) ≡ %s", v.mvName)
-	case DiffTables:
-		return fmt.Sprintf("Q ≡ (%s ∸ %s) ⊎ %s", v.mvName, v.dtDel, v.dtAdd)
-	case Combined:
-		return fmt.Sprintf("PAST(L,Q) ≡ (%s ∸ %s) ⊎ %s", v.mvName, v.dtDel, v.dtAdd)
+	left, right := "Q", v.mv.Name()
+	if v.logs != nil {
+		left = "PAST(L,Q)"
 	}
-	return "?"
+	if v.diff != nil {
+		right = fmt.Sprintf("(%s ∸ %s) ⊎ %s", right, v.diff.del.Name(), v.diff.add.Name())
+	}
+	return left + " ≡ " + right
 }
 
 // BaseTables returns the base tables the view definition references.
@@ -147,7 +163,6 @@ type ViewStats struct {
 	RecomputeTime time.Duration
 	Recomputes    int
 	LogTuples     int // tuples appended to logs by makesafe
-	DiffTuples    int // tuples folded into differential tables
 	// Work the view's compiled programs did in hash joins (algebra.Stats,
 	// summed): candidate pairs probed, and tuples put into indexes.
 	IndexProbeTuples int64
@@ -162,9 +177,6 @@ type Manager struct {
 	locks *txn.LockManager
 	views map[string]*View
 	order []string // registration order for deterministic iteration
-
-	scratchDel map[string]string // base table -> scratch ∇R table
-	scratchIns map[string]string // base table -> scratch △R table
 
 	// exec is Execute's per-transaction scratch (see execute.go).
 	exec execScratch
@@ -194,15 +206,13 @@ type Manager struct {
 func NewManager(db *storage.Database, opts ...ManagerOption) *Manager {
 	reg := obs.NewRegistry()
 	m := &Manager{
-		db:         db,
-		locks:      txn.NewLockManager(),
-		views:      make(map[string]*View),
-		scratchDel: make(map[string]string),
-		scratchIns: make(map[string]string),
-		exec:       execScratch{nt: txn.Txn{}, relDel: bag.New(), relIns: bag.New()},
-		obs:        reg,
-		txnExecNs:  reg.Histogram("txn_exec_ns", ""),
-		tracer:     trace.NewTracer(0),
+		db:        db,
+		locks:     txn.NewLockManager(),
+		views:     make(map[string]*View),
+		exec:      newExecScratch(db),
+		obs:       reg,
+		txnExecNs: reg.Histogram("txn_exec_ns", ""),
+		tracer:    trace.NewTracer(0),
 	}
 	m.locks.SetRegistry(reg)
 	db.SetMetrics(reg)
@@ -281,17 +291,23 @@ func WithStrongMinimality() Option {
 	return func(v *View) { v.StrongMinimal = true }
 }
 
-// DefineView registers a materialized view, creates its MV table and the
-// scenario's auxiliary tables, initializes MV to the current value of the
-// definition, and precompiles the incremental queries. A BaseLogs or
-// Combined view also gets the relevant-update filters its definition
-// implies (bindFilters): its logs take only the changes that can affect
-// it.
-func (m *Manager) DefineView(name string, def algebra.Expr, sc Scenario, opts ...Option) (*View, error) {
+// DefineView registers a materialized view under a scenario: it
+// creates the MV table and the tables the scenario keeps — a log pair
+// per base table for BaseLogs and Combined, the differential pair for
+// DiffTables and Combined — initializes MV to the current value of the
+// definition, and precompiles the incremental pair. A view with logs
+// also gets the relevant-update filters its definition implies
+// (bindFilters): its logs take only the changes that can affect it. A
+// define that fails leaves nothing behind.
+func (m *Manager) DefineView(name string, def algebra.Expr, sc Scenario, opts ...Option) (_ *View, err error) {
 	if _, dup := m.views[name]; dup {
 		return nil, fmt.Errorf("core: view %q already defined", name)
 	}
+	if sc > Combined {
+		return nil, fmt.Errorf("core: view %q: unknown scenario %v", name, sc)
+	}
 	bases := algebra.BaseNames(def)
+	schemas := make(map[string]*schema.Schema, len(bases))
 	for _, b := range bases {
 		tb, err := m.db.Table(b)
 		if err != nil {
@@ -300,35 +316,42 @@ func (m *Manager) DefineView(name string, def algebra.Expr, sc Scenario, opts ..
 		if tb.Kind() != storage.External {
 			return nil, fmt.Errorf("core: view %q references internal table %q", name, b)
 		}
+		schemas[b] = tb.Schema()
 	}
 
-	v := &View{
-		Name:     name,
-		Def:      def,
-		Scenario: sc,
-		mvName:   "__mv_" + name,
-		bases:    bases,
-		logDel:   map[string]string{},
-		logIns:   map[string]string{},
-	}
+	v := &View{Name: name, Def: def, Scenario: sc, bases: bases, inv: sc.String()}
 	for _, o := range opts {
 		o(v)
 	}
-	if sc == BaseLogs || sc == Combined {
-		if err := m.bindFilters(v); err != nil {
-			return nil, err
-		}
-	}
-	var err error
 	if v.def, err = algebra.Compile(def); err != nil {
 		return nil, err
 	}
 
-	if _, err := m.db.Create(v.mvName, def.Schema(), storage.Internal); err != nil {
-		return nil, err
+	defer func() {
+		if err != nil {
+			m.dropTables(v)
+		}
+	}()
+	create := func(table string, sch *schema.Schema) (tb *storage.Table) {
+		if err == nil {
+			tb, err = m.db.Create(table, sch, storage.Internal)
+		}
+		return tb
 	}
-	cleanup := func(err error) (*View, error) {
-		_ = m.db.Drop(v.mvName)
+	v.mv = create("__mv_"+name, def.Schema())
+	if sc == BaseLogs || sc == Combined {
+		v.logs = make(map[string]tablePair, len(bases))
+		for _, b := range bases {
+			v.logs[b] = tablePair{
+				create(fmt.Sprintf("__log_del_%s__%s", b, name), schemas[b]),
+				create(fmt.Sprintf("__log_ins_%s__%s", b, name), schemas[b]),
+			}
+		}
+	}
+	if sc == DiffTables || sc == Combined {
+		v.diff = &tablePair{create("__dmv_del_"+name, def.Schema()), create("__dmv_add_"+name, def.Schema())}
+	}
+	if err != nil {
 		return nil, err
 	}
 
@@ -336,94 +359,39 @@ func (m *Manager) DefineView(name string, def algebra.Expr, sc Scenario, opts ..
 	// reads the base tables — no index, no journal is left on them.
 	init, _, err := v.def.Eval(nil, m.db)
 	if err != nil {
-		return cleanup(err)
+		return nil, err
 	}
-	mv, _ := m.db.Table(v.mvName)
-	mv.Replace(init[0])
+	v.mv.Replace(init[0])
 
-	// Shared scratch tables holding the current transaction's ∇R/△R.
-	for _, b := range bases {
-		if _, ok := m.scratchDel[b]; ok {
-			continue
-		}
-		tb, _ := m.db.Table(b)
-		dn, in := "__tx_del_"+b, "__tx_ins_"+b
-		if _, err := m.db.Create(dn, tb.Schema(), storage.Internal); err != nil {
-			return cleanup(err)
-		}
-		if _, err := m.db.Create(in, tb.Schema(), storage.Internal); err != nil {
-			return cleanup(err)
-		}
-		m.scratchDel[b] = dn
-		m.scratchIns[b] = in
-	}
-
-	switch sc {
-	case BaseLogs, Combined:
-		for _, b := range bases {
-			tb, _ := m.db.Table(b)
-			dn := fmt.Sprintf("__log_del_%s__%s", b, name)
-			in := fmt.Sprintf("__log_ins_%s__%s", b, name)
-			if _, err := m.db.Create(dn, tb.Schema(), storage.Internal); err != nil {
-				return cleanup(err)
-			}
-			if _, err := m.db.Create(in, tb.Schema(), storage.Internal); err != nil {
-				return cleanup(err)
-			}
-			v.logDel[b] = dn
-			v.logIns[b] = in
-		}
-		if m.shared != nil {
-			if err := m.registerSharedView(v); err != nil {
-				return cleanup(err)
-			}
+	if v.logs != nil {
+		if err = m.bindFilters(v, schemas); err != nil {
+			return nil, err
 		}
 	}
-	switch sc {
-	case DiffTables, Combined:
-		v.dtDel = "__dmv_del_" + name
-		v.dtAdd = "__dmv_add_" + name
-		if _, err := m.db.Create(v.dtDel, def.Schema(), storage.Internal); err != nil {
-			return cleanup(err)
-		}
-		if _, err := m.db.Create(v.dtAdd, def.Schema(), storage.Internal); err != nil {
-			return cleanup(err)
-		}
-	}
-
 	// Instruments exist before compilation so delta_compile_ns can be
 	// observed (families from a failed define linger at zero; harmless).
 	v.met = newViewMetrics(m.obs, name)
-	if err := m.compile(v); err != nil {
-		return cleanup(err)
+	if err = m.compile(v, schemas); err != nil {
+		return nil, err
 	}
 
+	// Nothing below fails: a define that failed never held a shared-log
+	// cursor, which would have kept the shared logs from truncating.
+	if v.logs != nil && m.shared != nil {
+		m.registerSharedView(v)
+	}
 	m.views[name] = v
 	m.order = append(m.order, name)
 	return v, nil
 }
 
 // DropView unregisters a view and drops its MV and auxiliary tables.
-// Shared scratch tables stay (other views may use them).
 func (m *Manager) DropView(name string) error {
 	v, err := m.View(name)
 	if err != nil {
 		return err
 	}
-	_ = m.db.Drop(v.mvName)
-	for _, b := range v.bases {
-		if n, ok := v.logDel[b]; ok {
-			_ = m.db.Drop(n)
-		}
-		if n, ok := v.logIns[b]; ok {
-			_ = m.db.Drop(n)
-		}
-	}
-	if v.dtDel != "" {
-		_ = m.db.Drop(v.dtDel)
-		_ = m.db.Drop(v.dtAdd)
-	}
-	m.unregisterSharedView(v)
+	m.dropTables(v)
 	delete(m.views, name)
 	for i, n := range m.order {
 		if n == name {
@@ -434,17 +402,32 @@ func (m *Manager) DropView(name string) error {
 	return nil
 }
 
+// dropTables drops every table the view holds and takes it out of the
+// shared logs: DropView, and a DefineView that failed part way (whose
+// view holds only the tables it created).
+func (m *Manager) dropTables(v *View) {
+	tables := []*storage.Table{v.mv}
+	for _, b := range v.bases {
+		tables = append(tables, v.logs[b].del, v.logs[b].add)
+	}
+	if v.diff != nil {
+		tables = append(tables, v.diff.del, v.diff.add)
+	}
+	for _, tb := range tables {
+		if tb != nil {
+			_ = m.db.Drop(tb.Name())
+		}
+	}
+	m.unregisterSharedView(v)
+}
+
 // bindFilters derives the view's relevant-update filters from its
 // definition and binds each against its table's schema. The derivation
 // walks the definition once: O(|Def|), never O(rows).
-func (m *Manager) bindFilters(v *View) error {
+func (m *Manager) bindFilters(v *View, schemas map[string]*schema.Schema) error {
 	v.filters = map[string]func(schema.Tuple) bool{}
 	for table, f := range algebra.RelevantFilters(v.Def) {
-		tb, err := m.db.Table(table)
-		if err != nil {
-			return err
-		}
-		keep, err := f.Bind(tb.Schema())
+		keep, err := f.Bind(schemas[table])
 		if err != nil {
 			return fmt.Errorf("core: view %q: filter on %q: %w", v.Name, table, err)
 		}
@@ -453,53 +436,54 @@ func (m *Manager) bindFilters(v *View) error {
 	return nil
 }
 
-// txnChangeSet builds the transaction-relative change set: each base
-// table's ∇R/△R come from the shared scratch tables.
-func (m *Manager) txnChangeSet(v *View) delta.ChangeSet {
+// changeSet is the ∇R/△R each base table R's changes are read from: the
+// view's log tables (▼R, ▲R) when it has logs, and otherwise the
+// current transaction's, under the names __tx_del_R and __tx_ins_R,
+// which it records in v.params for txSource to bind. Those names are
+// parameters, not tables.
+func (m *Manager) changeSet(v *View, schemas map[string]*schema.Schema) (delta.ChangeSet, error) {
 	cs := delta.ChangeSet{}
+	if v.logs == nil {
+		v.params = make(map[string]txParam, 2*len(v.bases))
+	}
 	for _, b := range v.bases {
-		tb, _ := m.db.Table(b)
+		var del, ins algebra.Expr
+		if p, ok := v.logs[b]; ok {
+			del, ins = algebra.NewBase(p.del.Name(), p.del.Schema()), algebra.NewBase(p.add.Name(), p.add.Schema())
+		} else {
+			dn, in := "__tx_del_"+b, "__tx_ins_"+b
+			if _, ok := schemas[dn]; ok {
+				return nil, fmt.Errorf("core: view %q reads table %q, the name of %s's transaction delta", v.Name, dn, b)
+			}
+			if _, ok := schemas[in]; ok {
+				return nil, fmt.Errorf("core: view %q reads table %q, the name of %s's transaction delta", v.Name, in, b)
+			}
+			v.params[dn], v.params[in] = txParam{b, false}, txParam{b, true}
+			del, ins = algebra.NewBase(dn, schemas[b]), algebra.NewBase(in, schemas[b])
+		}
 		cs[b] = struct {
 			Deleted  algebra.Expr
 			Inserted algebra.Expr
-		}{
-			Deleted:  algebra.NewBase(m.scratchDel[b], tb.Schema()),
-			Inserted: algebra.NewBase(m.scratchIns[b], tb.Schema()),
-		}
+		}{del, ins}
 	}
-	return cs
+	return cs, nil
 }
 
-// logChangeSet builds the log-relative change set over the view's own
-// log tables.
-func (m *Manager) logChangeSet(v *View) delta.ChangeSet {
-	cs := delta.ChangeSet{}
-	for _, b := range v.bases {
-		tb, _ := m.db.Table(b)
-		cs[b] = struct {
-			Deleted  algebra.Expr
-			Inserted algebra.Expr
-		}{
-			Deleted:  algebra.NewBase(v.logDel[b], tb.Schema()),
-			Inserted: algebra.NewBase(v.logIns[b], tb.Schema()),
-		}
+// compile builds the view's incremental pair and compiles it into the
+// view's one pair program: the pre-update pair of a view without logs,
+// the post-update pair of one with them. Every Figure 3 transaction that
+// installs the pair is evalDeltaPair followed by applyToMVLocked or
+// mergeDiff; the time spent compiling is recorded in delta_compile_ns.
+func (m *Manager) compile(v *View, schemas map[string]*schema.Schema) error {
+	cs, err := m.changeSet(v, schemas)
+	if err != nil {
+		return err
 	}
-	return cs
-}
-
-// compile builds the view's incremental pair for its scenario and
-// compiles it into the view's one pair program. Every Figure 3
-// transaction that installs the pair is evalDeltaPair followed by
-// applyToMVLocked or mergeDelta; the time spent compiling is recorded
-// in delta_compile_ns.
-func (m *Manager) compile(v *View) error {
 	var d, a algebra.Expr
-	var err error
-	switch v.Scenario {
-	case Immediate, DiffTables:
-		d, a, err = delta.PreUpdate(m.txnChangeSet(v), v.Def)
-	default:
-		d, a, err = delta.PostUpdate(m.logChangeSet(v), v.Def)
+	if v.logs != nil {
+		d, a, err = delta.PostUpdate(cs, v.Def)
+	} else {
+		d, a, err = delta.PreUpdate(cs, v.Def)
 	}
 	if err != nil {
 		return err

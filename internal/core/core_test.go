@@ -1,10 +1,16 @@
 package core
 
 import (
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -156,7 +162,7 @@ func TestDefineViewBasics(t *testing.T) {
 }
 
 func TestDefineViewErrors(t *testing.T) {
-	db, _ := retailDB(t)
+	db, def := retailDB(t)
 	m := NewManager(db)
 	ghost := algebra.NewBase("ghost", schema.NewSchema(schema.Col("x", schema.TInt)))
 	if _, err := m.DefineView("bad", ghost, BaseLogs); err == nil {
@@ -169,6 +175,92 @@ func TestDefineViewErrors(t *testing.T) {
 	evil := algebra.NewBase("__secret", schema.NewSchema(schema.Col("x", schema.TInt)))
 	if _, err := m.DefineView("bad", evil, BaseLogs); err == nil {
 		t.Fatal("view over internal table accepted")
+	}
+	// A view reading a table named like the transaction delta of another
+	// table it reads: its pre-update pair could not tell the two apart.
+	sales, _ := db.Table("sales")
+	if _, err := db.Create("__tx_del_sales", sales.Schema(), storage.External); err != nil {
+		t.Fatal(err)
+	}
+	both, err := algebra.NewUnionAll(algebra.NewBase("sales", sales.Schema()), algebra.NewBase("__tx_del_sales", sales.Schema()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := db.Names()
+	if _, err := m.DefineView("bad", both, Immediate); err == nil {
+		t.Fatal("view over sales and __tx_del_sales accepted")
+	}
+	// An unknown scenario is refused before any table is created.
+	if _, err := m.DefineView("hv", def, Scenario(7)); err == nil {
+		t.Fatal("view under Scenario(7) accepted")
+	}
+	if got := db.Names(); !slices.Equal(got, names) {
+		t.Fatalf("refused defines changed the tables from %v to %v", names, got)
+	}
+	if len(m.Views()) != 0 {
+		t.Fatalf("refused defines registered %d views", len(m.Views()))
+	}
+}
+
+// TestFailedDefineViewLeavesNothingBehind: a define that fails after it
+// created some of its tables — a user table squats on the name of its
+// △MV — drops them again, under either log layout. Once the squatter is
+// gone the name can be defined, and under shared logs the failed view
+// held no cursor: the shared log truncates once the other view has
+// consumed it.
+func TestFailedDefineViewLeavesNothingBehind(t *testing.T) {
+	for _, opts := range [][]ManagerOption{nil, {WithSharedLogs()}} {
+		db, def := retailDB(t)
+		m := NewManager(db, opts...)
+		layout := fmt.Sprintf("shared logs %v", m.SharedLogsEnabled())
+		if _, err := m.DefineView("other", def, Combined); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Create("__dmv_add_hv", def.Schema(), storage.External); err != nil {
+			t.Fatal(err)
+		}
+		names := db.Names()
+		if _, err := m.DefineView("hv", def, Combined); err == nil {
+			t.Fatalf("%s: a view whose △MV name is taken was defined", layout)
+		}
+		if got := db.Names(); !slices.Equal(got, names) {
+			t.Fatalf("%s: the failed define left tables behind: %v, before it %v", layout, got, names)
+		}
+		if m.shared != nil {
+			if _, ok := m.shared.cursors["hv"]; ok || m.shared.refs["sales"] != 1 {
+				t.Fatalf("%s: the failed define holds a cursor (%v) or a reference (%d views log sales)",
+					layout, m.shared.cursors["hv"], m.shared.refs["sales"])
+			}
+		}
+		if err := m.Execute(txn.Insert("sales", highSales(0, 5))); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Refresh("other"); err != nil {
+			t.Fatal(err)
+		}
+		if n := m.SharedLogVolume("sales"); n != 0 {
+			t.Fatalf("%s: the shared log keeps %d tuples every live view has consumed", layout, n)
+		}
+		if err := db.Drop("__dmv_add_hv"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.DefineView("hv", def, Combined); err != nil {
+			t.Fatalf("%s: the name stays taken after the squatter is gone: %v", layout, err)
+		}
+		if err := m.Execute(txn.Insert("sales", highSales(5, 5))); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"other", "hv"} {
+			if err := m.CheckInvariant(name); err != nil {
+				t.Fatalf("%s: %v", layout, err)
+			}
+			if err := m.Refresh(name); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.CheckConsistent(name); err != nil {
+				t.Fatalf("%s: %v", layout, err)
+			}
+		}
 	}
 }
 
@@ -556,6 +648,54 @@ func TestInterpreterStaysOutOfTheEngine(t *testing.T) {
 			if strings.Contains(line, "algebra.NewEvaluator(") {
 				t.Errorf("%s:%d builds an interpreter in %q", file, i+1, fn)
 			}
+		}
+	}
+}
+
+// TestScenarioIsReadOnlyByDefineView: Figure 1's scenario is two bits a
+// view holds — whether it keeps logs, whether it keeps differential
+// tables — and DefineView is what turns the one into the other. Outside
+// Scenario's declaration, its String method and DefineView, no non-test
+// file of the package names a scenario or reads View.Scenario.
+func TestScenarioIsReadOnlyByDefineView(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scenarios := map[string]bool{"Immediate": true, "BaseLogs": true, "DiffTables": true, "Combined": true}
+	fset := token.NewFileSet()
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Name.Name == "DefineView" || d.Name.Name == "String" && d.Recv != nil && types.ExprString(d.Recv.List[0].Type) == "Scenario" {
+					continue
+				}
+			case *ast.GenDecl:
+				if d.Tok == token.CONST && len(d.Specs) > 0 && types.ExprString(d.Specs[0].(*ast.ValueSpec).Type) == "Scenario" {
+					continue
+				}
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.Ident:
+					if scenarios[n.Name] {
+						t.Errorf("%s names the scenario %s", fset.Position(n.Pos()), n.Name)
+					}
+				case *ast.SelectorExpr:
+					if n.Sel.Name == "Scenario" {
+						t.Errorf("%s reads %s", fset.Position(n.Pos()), types.ExprString(n))
+					}
+				}
+				return true
+			})
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"dvm/internal/obs"
 	"dvm/internal/obs/trace"
 	"dvm/internal/schema"
+	"dvm/internal/storage"
 	"dvm/internal/txn"
 )
 
@@ -16,11 +17,11 @@ import (
 // bookkeeping, and the whole bundle is applied with simultaneous (T1+T2)
 // semantics so that no auxiliary update sees another's effect.
 //
-// BaseLogs/Combined views only extend their logs with the transaction's
-// own ∇R/△R. Immediate and DiffTables views evaluate their pre-update
-// pair (∇(T,Q), △(T,Q)) before the base tables change and install it —
-// into MV (write-locked while the transaction installs) or into
-// ∇MV/△MV.
+// A view with logs only extends them with the transaction's own ∇R/△R.
+// A view without logs evaluates its pre-update pair (∇(T,Q), △(T,Q))
+// before the base tables change and installs it into ∇MV/△MV, or, when
+// it has no differential tables either, into MV (write-locked while the
+// transaction installs).
 //
 // Execute only reads t's bags, and keeps none of them: the caller may
 // reuse them once it returns. A warm transaction costs its rows and
@@ -38,7 +39,7 @@ func (m *Manager) Execute(t txn.Txn) error {
 		return err
 	}
 	// Validate every inserted tuple before any bookkeeping mutates state,
-	// so a rejected transaction leaves logs and scratch tables untouched.
+	// so a rejected transaction leaves every table untouched.
 	for name, u := range nt {
 		tb, err := m.db.Table(name)
 		if err != nil {
@@ -66,139 +67,94 @@ func (m *Manager) Execute(t txn.Txn) error {
 	xsp := m.startEntrySpan(trace.SpanExecute, trace.Int("tables", int64(len(nt))))
 	defer xsp.End()
 
-	// Every view's makesafe bookkeeping. A log is extended here, from the
-	// transaction's own deltas; a pre-update pair is evaluated in the
-	// apply step below, BEFORE the user's base-table updates are applied
-	// in place: every auxiliary right-hand side reads the pre-update
-	// state, so evaluating them first and mutating the base tables last
+	// Every view's makesafe bookkeeping, in two phases. First every view
+	// without logs evaluates its pre-update pair, against the pre-update
+	// state: nothing is written until every pair is. Then the installs,
+	// none of which can fail: each pair into ∇MV/△MV or into MV, the
+	// base tables in place, and each log extended from the transaction's
+	// own deltas. Every right-hand side reads the pre-update state, which
 	// realizes the simultaneous (T1+T2) semantics while keeping the base
-	// update O(|change|) instead of O(|table|).
+	// update O(|change|) instead of O(|table|). No view's pair reads
+	// another view's targets (auxiliary tables are internal, and views
+	// may only reference external tables), so nothing is staged.
 	for _, vn := range m.order {
 		v := m.views[vn]
 		if !m.viewAffected(v, nt) {
 			continue
 		}
 		x.affected = append(x.affected, v)
-		msp := xsp.StartChild(trace.SpanMakesafe,
-			trace.Str("view", v.Name), trace.Str("scenario", v.Scenario.String()))
-		switch {
-		case v.Scenario == Immediate:
-			x.imViews = append(x.imViews, v)
-		case v.Scenario == DiffTables:
-			x.dtViews = append(x.dtViews, v)
-		case m.shared != nil:
-			// Shared-log mode: the batch is appended once per TABLE
-			// below, not once per view.
-		default:
-			var n int
-			n, err = m.appendToLogs(v, nt)
-			v.countLogged(n)
-		}
-		msp.End()
-		if err != nil {
-			return err
+		if v.logs == nil && v.diff == nil {
+			x.mvViews = append(x.mvViews, v)
+		} else if v.logs == nil {
+			x.diffViews = append(x.diffViews, v)
 		}
 	}
-
-	if m.shared != nil {
-		// One append per logged table, O(|change|), independent of the
-		// number of views — the Section 7 property.
-		m.appendShared(nt)
+	x.src.bind(x.diffViews)
+	x.src.bind(x.mvViews)
+	if err := m.evalPairs(x.diffViews, xsp); err != nil {
+		return err
 	}
 
-	imViews, dtViews := x.imViews, x.dtViews // the views with a pre-update pair
-	if len(imViews)+len(dtViews) > 0 {
-		// Publish the transaction's ∇R/△R into the shared scratch tables
-		// the pre-update pairs read. The bags are the caller's, and a
-		// table keeps its bag — a join may index it — so each scratch
-		// table gets a Clone (copy-on-write, O(1)), emptied when the
-		// transaction ends, so a scratch table never pins a change (and is
-		// empty for every base a later transaction leaves alone).
-		scratch := func(publish bool) {
-			for base, u := range nt {
-				dn, ok := m.scratchDel[base]
-				if !ok {
-					continue // no view reads this table
-				}
-				sd, _ := m.db.Table(dn)
-				si, _ := m.db.Table(m.scratchIns[base])
-				if publish {
-					sd.Replace(u.Delete.Clone())
-					si.Replace(u.Insert.Clone())
-				} else {
-					sd.Clear()
-					si.Clear()
-				}
-			}
-		}
-		scratch(true)
-		defer scratch(false)
-	}
-
-	apply := func(parent *trace.Span) error {
-		asp := parent.StartChild(trace.SpanApply, trace.Int("assigns", int64(len(dtViews))))
+	apply := func(parent *trace.Span) {
+		asp := parent.StartChild(trace.SpanApply, trace.Int("assigns", int64(len(x.diffViews))))
 		defer asp.End()
-		// makesafe_DT: ∇(T,Q)/△(T,Q) merged into ∇MV/△MV. It runs here,
-		// before the base-table updates below, so the pair reads the
-		// pre-update state. Per-view evaluate-then-install preserves the
-		// simultaneous semantics without cross-view staging: no view's
-		// pair reads another view's targets (auxiliary tables are
-		// internal, and views may only reference external tables).
-		for _, dv := range dtViews {
-			del, add, err := m.evalDeltaPair(dv, asp)
-			if err != nil {
-				return err
-			}
-			if err := m.mergeDiff(dv, del, add); err != nil {
-				return err
-			}
+		for i, v := range x.diffViews {
+			m.mergeDiff(v, x.pairs[i][0], x.pairs[i][1])
 		}
 		// Base-table updates, in place: R := (R ∸ ∇R) ⊎ △R with the
 		// effective (weakly minimal) deltas. NormalizeInto left no nil
 		// bag, and none that is a live table's.
 		for name, u := range nt {
-			tb, err := m.db.Table(name)
-			if err != nil {
-				return err
-			}
+			tb, _ := m.db.Table(name) // validated above
 			tb.Data().ApplyDelta(u.Delete, u.Insert)
 		}
-		return nil
 	}
-	if len(imViews) > 0 {
-		// Immediate views hold their MV write locks while the transaction
-		// installs: readers of those MVs block for exactly this long, every
-		// transaction — the overhead immediate maintenance imposes.
-		var w mvWrite
-		if w, err = m.unshareMVs(func(v *View) int { return v.txnVolume(nt) }, imViews...); err != nil {
-			return err
-		}
+	if len(x.mvViews) == 0 {
+		apply(xsp)
+	} else {
+		// A view that installs into MV holds MV's write lock while the
+		// transaction installs: readers of those MVs block for exactly
+		// this long, every transaction — the overhead immediate
+		// maintenance imposes.
+		w := m.unshareMVs(func(v *View) int { return v.txnVolume(nt) }, x.mvViews...)
 		lockStart := time.Now()
 		err = m.locks.WithWriteSpan(w.tables, xsp, func(hold *trace.Span) error {
 			w.adoptLocked()
-			// makesafe_IM: the same pre-update pair, applied to MV itself.
-			for _, iv := range imViews {
-				del, add, err := m.evalDeltaPair(iv, hold)
-				if err != nil {
-					return err
-				}
-				if err := m.applyToMVLocked(iv, del, add); err != nil {
-					return err
-				}
+			if err := m.evalPairs(x.mvViews, xsp); err != nil {
+				return err
 			}
-			return apply(hold)
+			for i, v := range x.mvViews {
+				p := x.pairs[len(x.diffViews)+i]
+				m.applyToMVLocked(v, p[0], p[1])
+			}
+			apply(hold)
+			return nil
 		})
 		held := int64(time.Since(lockStart))
-		for _, v := range x.affected {
-			if v.Scenario == Immediate && v.met != nil {
-				v.met.downtimeNs.Observe(held)
-			}
+		for _, v := range x.mvViews {
+			v.met.downtimeNs.Observe(held)
 		}
-	} else {
-		err = apply(xsp)
+		if err != nil {
+			return err
+		}
 	}
-	if err != nil {
-		return err
+
+	// The logs: each view's extended by the relevant part of the
+	// transaction's own ∇R/△R, or under shared logs the batch appended
+	// once per TABLE, in O(|change|), independent of the number of
+	// views — the Section 7 property.
+	for _, v := range x.affected {
+		if v.logs == nil {
+			continue
+		}
+		msp := xsp.StartChild(trace.SpanMakesafe, trace.Str("view", v.Name), trace.Str("scenario", v.inv))
+		if m.shared == nil {
+			v.countLogged(m.appendToLogs(v, nt))
+		}
+		msp.End()
+	}
+	if m.shared != nil {
+		m.appendShared(nt)
 	}
 
 	// Attribute the transaction's maintenance cost evenly across the
@@ -218,35 +174,111 @@ func (m *Manager) Execute(t txn.Txn) error {
 	for _, v := range x.affected {
 		v.Stats.MakeSafeOps++
 		v.Stats.MakeSafeTime += share
-		if v.met != nil {
-			v.met.makesafeNs.Observe(int64(share))
-			v.met.phaseAcct(obs.PhaseMakesafe).Add(int64(share), allocShare)
-		}
-		switch v.Scenario {
-		case BaseLogs, Combined:
-			if m.shared != nil {
-				// The one shared append is charged to every view reading it.
-				v.countLogged(v.txnVolume(nt))
-			}
-		case DiffTables:
-			dt, _ := m.db.Bag(v.dtDel)
-			at, _ := m.db.Bag(v.dtAdd)
-			v.Stats.DiffTuples = dt.Len() + at.Len()
+		v.met.makesafeNs.Observe(int64(share))
+		v.met.phaseAcct(obs.PhaseMakesafe).Add(int64(share), allocShare)
+		if v.logs != nil && m.shared != nil {
+			// The one shared append is charged to every view reading it.
+			v.countLogged(v.txnVolume(nt))
 		}
 		m.updateSizeGauges(v)
 	}
 	return nil
 }
 
+// evalPairs evaluates, in order, the pre-update pair of every view in
+// views over txSource, each under its own core.makesafe span, and
+// appends each pair to the scratch's pairs: lent until that view's next
+// evaluation.
+func (m *Manager) evalPairs(views []*View, parent *trace.Span) error {
+	x := &m.exec
+	for _, v := range views {
+		msp := parent.StartChild(trace.SpanMakesafe, trace.Str("view", v.Name), trace.Str("scenario", v.inv))
+		x.src.v = v
+		del, add, err := m.evalDeltaPair(v, &x.src, msp)
+		msp.End()
+		if err != nil {
+			return err
+		}
+		x.pairs = append(x.pairs, [2]*bag.Bag{del, add})
+	}
+	return nil
+}
+
+// txParam is what a pre-update pair's parameter stands for: base
+// table R's ∇R, or with ins its △R.
+type txParam struct {
+	base string
+	ins  bool
+}
+
+// txSource is the state a pre-update pair is evaluated in: the
+// database, with the evaluated view's parameters __tx_del_R and
+// __tx_ins_R bound to the transaction's ∇R and △R, and an untouched
+// base's to ∅.
+type txSource struct {
+	db    *storage.Database
+	nt    txn.Txn
+	v     *View
+	bound map[txParam]*bag.Bag
+	empty *bag.Bag
+}
+
+// bind binds every parameter of views' pairs not bound yet: to a Clone
+// of the transaction's ∇R or △R — copy-on-write, O(1) — that every view
+// reading it shares, so a join that indexes it indexes a bag of its
+// own, never the caller's; or, for an untouched base, to ∅. It runs
+// before any pair is evaluated, and before any MV lock is requested: a
+// small bag's Clone is a copy.
+func (s *txSource) bind(views []*View) {
+	for _, v := range views {
+		for _, p := range v.params {
+			if _, ok := s.bound[p]; ok {
+				continue
+			}
+			b := s.empty
+			if u, touched := s.nt[p.base]; touched {
+				b = u.Delete
+				if p.ins {
+					b = u.Insert
+				}
+				b = b.Clone()
+			}
+			s.bound[p] = b
+		}
+	}
+}
+
+// Bag implements algebra.Source.
+func (s *txSource) Bag(name string) (*bag.Bag, error) {
+	p, ok := s.v.params[name]
+	if !ok {
+		return s.db.Bag(name)
+	}
+	return s.bound[p], nil
+}
+
 // execScratch is Execute's per-transaction scratch, the single writer's
-// own: the normalized transaction, the views it affects, and the pair of
-// bags a filtered change is refilled into on its way to a log. A
-// transaction refills what the last one emptied, so a warm one
-// allocates none of it.
+// own: the normalized transaction, the views it
+// affects, the evaluated pre-update pairs, the source they are evaluated
+// over, and the pair of bags a filtered change is refilled into on its
+// way to a log. A transaction refills what the last one emptied, so a
+// warm one allocates none of it.
 type execScratch struct {
-	nt                         txn.Txn
-	affected, imViews, dtViews []*View
-	relDel, relIns             *bag.Bag
+	nt                           txn.Txn
+	affected, mvViews, diffViews []*View
+	pairs                        [][2]*bag.Bag
+	src                          txSource
+	relDel, relIns               *bag.Bag
+}
+
+func newExecScratch(db *storage.Database) execScratch {
+	nt := txn.Txn{}
+	return execScratch{
+		nt:     nt,
+		src:    txSource{db: db, nt: nt, bound: map[txParam]*bag.Bag{}, empty: bag.New()},
+		relDel: bag.New(),
+		relIns: bag.New(),
+	}
 }
 
 // reset empties the scratch when a transaction ends, so it pins neither
@@ -254,9 +286,13 @@ type execScratch struct {
 func (x *execScratch) reset() {
 	clear(x.nt)
 	clear(x.affected)
-	clear(x.imViews)
-	clear(x.dtViews)
-	x.affected, x.imViews, x.dtViews = x.affected[:0], x.imViews[:0], x.dtViews[:0]
+	clear(x.mvViews)
+	clear(x.diffViews)
+	clear(x.pairs)
+	x.affected, x.mvViews, x.diffViews = x.affected[:0], x.mvViews[:0], x.diffViews[:0]
+	x.pairs = x.pairs[:0]
+	clear(x.src.bound)
+	x.src.v = nil
 	x.relDel.Clear()
 	x.relIns.Clear()
 }
@@ -265,35 +301,25 @@ func (x *execScratch) reset() {
 // log tables: each touched base's (▼R, ▲R) is extended with the
 // relevant part of the transaction's (∇R, △R) by mergeDelta, in
 // O(|∇R|+|△R|). It returns the tuples it merged.
-func (m *Manager) appendToLogs(v *View, nt txn.Txn) (int, error) {
+func (m *Manager) appendToLogs(v *View, nt txn.Txn) int {
 	n := 0
 	for _, b := range v.bases {
 		u, ok := nt[b]
 		if !ok {
 			continue
 		}
-		delLog, err := m.db.Table(v.logDel[b])
-		if err != nil {
-			return n, err
-		}
-		insLog, err := m.db.Table(v.logIns[b])
-		if err != nil {
-			return n, err
-		}
 		del, ins := m.exec.relevant(v, b, u)
-		mergeDelta(delLog, insLog, del, ins, false)
+		mergeDelta(v.logs[b].del, v.logs[b].add, del, ins, false)
 		n += del.Len() + ins.Len()
 	}
-	return n, nil
+	return n
 }
 
 // countLogged adds n log tuples to the view's LogTuples and
 // log_append_tuples.
 func (v *View) countLogged(n int) {
 	v.Stats.LogTuples += n
-	if v.met != nil {
-		v.met.logAppendTuples.Add(int64(n))
-	}
+	v.met.logAppendTuples.Add(int64(n))
 }
 
 // relevant returns the part of one base table's change that reaches the

@@ -54,8 +54,7 @@ func TestFastLogAppendMatchesAlgebraic(t *testing.T) {
 			}
 			want := map[string][2]*bag.Bag{}
 			for _, b := range v.BaseTables() {
-				logDel, _ := db.Bag(v.logDel[b])
-				logIns, _ := db.Bag(v.logIns[b])
+				logDel, logIns := v.logs[b].del.Data(), v.logs[b].add.Data()
 				del, ins := relevantPart(t, v, b, u.Sch, nt[b])
 				wd, wi := algebraicMerge(t, u.Sch, logDel, logIns, del, ins, false)
 				want[b] = [2]*bag.Bag{wd, wi}
@@ -64,11 +63,10 @@ func TestFastLogAppendMatchesAlgebraic(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, b := range v.BaseTables() {
-				for i, name := range []string{v.logDel[b], v.logIns[b]} {
-					got, _ := db.Bag(name)
-					if !got.Equal(want[b][i]) {
+				for i, tb := range []*storage.Table{v.logs[b].del, v.logs[b].add} {
+					if got := tb.Data(); !got.Equal(want[b][i]) {
 						t.Fatalf("trial %d step %d: log %s diverged:\nin place:  %v\nalgebraic: %v\ndef=%s",
-							trial, step, name, got, want[b][i], def)
+							trial, step, tb.Name(), got, want[b][i], def)
 					}
 				}
 			}
@@ -103,13 +101,10 @@ func TestExecuteValidatesBeforeBookkeeping(t *testing.T) {
 		t.Fatal("ill-typed insert accepted")
 	}
 	for _, b := range v.BaseTables() {
-		lb, _ := db.Bag(v.logIns[b])
-		if !lb.Empty() {
-			t.Fatalf("log %s mutated by rejected transaction", v.logIns[b])
-		}
-		lb, _ = db.Bag(v.logDel[b])
-		if !lb.Empty() {
-			t.Fatalf("log %s mutated by rejected transaction", v.logDel[b])
+		for _, tb := range []*storage.Table{v.logs[b].del, v.logs[b].add} {
+			if !tb.Data().Empty() {
+				t.Fatalf("log %s mutated by rejected transaction", tb.Name())
+			}
 		}
 	}
 	if err := m.CheckInvariant("hv"); err != nil {
@@ -138,7 +133,7 @@ func TestFastLogAppendIndependentOfLogSize(t *testing.T) {
 			}
 		}
 		v, _ := m.View("hv")
-		before, _ := db.Bag(v.logIns["sales"])
+		before := v.logs["sales"].add.Data()
 		sizeBefore := before.Len()
 
 		txs := make([]txn.Txn, 50)
@@ -152,7 +147,7 @@ func TestFastLogAppendIndependentOfLogSize(t *testing.T) {
 				}
 			}
 		})
-		after, _ := db.Bag(v.logIns["sales"])
+		after := v.logs["sales"].add.Data()
 		if after.Len() != sizeBefore+len(txs) {
 			t.Fatalf("log grew from %d to %d, want +%d", sizeBefore, after.Len(), len(txs))
 		}

@@ -77,32 +77,27 @@ func (m *Manager) readFresh(name string, pred algebra.Predicate, read func(mv, d
 		}
 	}
 
-	// The pending differential (del, add) that MV is behind by.
+	// The pending differential (del, add) that MV is behind by: the
+	// log's pair, folded into ∇MV/△MV when the view keeps them (as
+	// Propagate folds it), and evaluated, not installed, when it does not.
 	var del, add *bag.Bag
-	switch v.Scenario {
-	case BaseLogs:
-		if err = m.materializeIfShared(v); err == nil {
-			del, add, err = m.evalDeltaPair(v, nil)
+	if v.logs != nil {
+		if v.diff != nil {
+			err = m.propagate(v, nil, nil)
+			m.updateSizeGauges(v)
+		} else {
+			del, add, _, err = m.evalLog(v, nil, nil)
 		}
-	case Combined:
-		if err = m.propagateBody(v, nil, nil); err != nil {
-			return err
-		}
-		m.updateSizeGauges(v)
-		fallthrough
-	case DiffTables:
-		del, add, err = m.diffBags(v)
-	}
-	if err != nil {
-		return err
-	}
-
-	return m.locks.WithRead([]string{v.mvName}, func() error {
-		mv, err := m.db.Bag(v.mvName)
 		if err != nil {
 			return err
 		}
-		read(mv, del, add, keep)
+	}
+	if v.diff != nil {
+		del, add = v.diff.del.Data(), v.diff.add.Data()
+	}
+
+	return m.locks.WithRead([]string{v.mv.Name()}, func() error {
+		read(v.mv.Data(), del, add, keep)
 		return nil
 	})
 }

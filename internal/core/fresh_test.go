@@ -235,7 +235,7 @@ func checkFreshReads(t *testing.T, sc Scenario, pred algebra.Predicate, everySte
 			if l := v.met.logSizeTuples.Load(); l != 0 {
 				t.Fatalf("round %d: log_size_tuples = %d after a fresh read, want 0", round, l)
 			}
-			if d, want := v.met.diffSizeTuples.Load(), int64(m.diffVolume(v)); d != want {
+			if d, want := v.met.diffSizeTuples.Load(), int64(v.diffVolume()); d != want {
 				t.Fatalf("round %d: diff_size_tuples = %d, tables hold %d", round, d, want)
 			}
 		}
@@ -245,9 +245,8 @@ func checkFreshReads(t *testing.T, sc Scenario, pred algebra.Predicate, everySte
 		// differential tables to keep a fold in, so it alone re-evaluates
 		// ▼(L,Q)/▲(L,Q) per read — the scenario's price, not a leak.)
 		var window *bag.Bag
-		if m.shared != nil && len(v.logDel) > 0 {
-			window, err = db.Bag(v.logDel["sales"])
-			must(err)
+		if m.shared != nil && v.logs != nil {
+			window = v.logs["sales"].del.Data()
 		}
 		probes := v.met.indexProbeTuples.Load()
 		again, err := m.QueryFresh("hv", pred)
@@ -259,7 +258,7 @@ func checkFreshReads(t *testing.T, sc Scenario, pred algebra.Predicate, everySte
 			t.Fatalf("round %d: second fresh read probed %d index tuples, want 0", round, d)
 		}
 		if window != nil {
-			if now, _ := db.Bag(v.logDel["sales"]); now != window {
+			if now := v.logs["sales"].del.Data(); now != window {
 				t.Fatalf("round %d: second fresh read re-materialized the shared-log window", round)
 			}
 		}

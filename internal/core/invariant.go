@@ -8,12 +8,12 @@ import (
 	"dvm/internal/delta"
 )
 
-// PastExpr builds PAST(L, Q) for a BaseLogs/Combined view: the view
-// definition with every base table R replaced by (R ∸ ▲R) ⊎ ▼R
-// (Section 2.5). Evaluating it in the current state yields Q's value in
-// the state recorded by the log's start.
+// PastExpr builds PAST(L, Q) for a view with logs: the view definition
+// with every base table R replaced by (R ∸ ▲R) ⊎ ▼R (Section 2.5).
+// Evaluating it in the current state yields Q's value in the state
+// recorded by the log's start.
 func (m *Manager) PastExpr(v *View) (algebra.Expr, error) {
-	if v.Scenario != BaseLogs && v.Scenario != Combined {
+	if v.logs == nil {
 		return nil, fmt.Errorf("core: view %q has no log", v.Name)
 	}
 	// In shared-log mode the private log tables the expression reads are
@@ -24,108 +24,44 @@ func (m *Manager) PastExpr(v *View) (algebra.Expr, error) {
 			return nil, err
 		}
 	}
-	return delta.LogSubst(m.logChangeSet(v)).Apply(v.Def)
+	cs, err := m.changeSet(v, nil)
+	if err != nil {
+		return nil, err
+	}
+	return delta.LogSubst(cs).Apply(v.Def)
 }
 
-// CheckInvariant verifies the scenario's database invariant (Figure 1)
-// plus the minimality invariants of Section 5.2 for one view, returning
-// a descriptive error on the first violation. Intended for tests and
+// CheckInvariant verifies the view's database invariant (Figure 1) plus
+// the minimality invariants of Section 5.2, returning a descriptive
+// error on the first violation. The invariant is one formula over the
+// view's two bits: its left side is PAST(L,Q) when the view keeps logs
+// and Q when it does not, its right side (MV ∸ ∇MV) ⊎ △MV when it keeps
+// differential tables and MV when it does not. Intended for tests and
 // debugging; it evaluates the view definition from scratch.
 func (m *Manager) CheckInvariant(name string) error {
 	v, err := m.View(name)
 	if err != nil {
 		return err
 	}
-	// In shared-log mode the view's private log tables are only
-	// materialized on demand; refresh the window (without consuming it)
-	// so PAST(L,Q) and the minimality checks see the true log state.
-	if m.shared != nil && (v.Scenario == BaseLogs || v.Scenario == Combined) {
-		if err := m.materializeWindow(v); err != nil {
+	left := v.Def
+	if v.logs != nil {
+		if left, err = m.PastExpr(v); err != nil {
 			return err
 		}
 	}
-	mv, err := m.db.Bag(v.mvName)
+	lhs, err := algebra.Eval(left, m.db)
 	if err != nil {
 		return err
 	}
-
-	switch v.Scenario {
-	case Immediate:
-		// INV_IM: Q ≡ MV.
-		q, err := algebra.Eval(v.Def, m.db)
-		if err != nil {
-			return err
-		}
-		if !q.Equal(mv) {
-			return fmt.Errorf("core: INV_IM violated for %q: Q=%v MV=%v", name, q, mv)
-		}
-
-	case BaseLogs:
-		// INV_BL: PAST(L,Q) ≡ MV.
-		past, err := m.PastExpr(v)
-		if err != nil {
-			return err
-		}
-		p, err := algebra.Eval(past, m.db)
-		if err != nil {
-			return err
-		}
-		if !p.Equal(mv) {
-			return fmt.Errorf("core: INV_BL violated for %q: PAST(L,Q)=%v MV=%v", name, p, mv)
-		}
-
-	case DiffTables:
-		// INV_DT: Q ≡ (MV ∸ ∇MV) ⊎ △MV.
-		q, err := algebra.Eval(v.Def, m.db)
-		if err != nil {
-			return err
-		}
-		if got, err := m.diffApplied(v, mv); err != nil {
-			return err
-		} else if !q.Equal(got) {
-			return fmt.Errorf("core: INV_DT violated for %q: Q=%v (MV∸∇MV)⊎△MV=%v", name, q, got)
-		}
-
-	case Combined:
-		// INV_C: PAST(L,Q) ≡ (MV ∸ ∇MV) ⊎ △MV.
-		past, err := m.PastExpr(v)
-		if err != nil {
-			return err
-		}
-		p, err := algebra.Eval(past, m.db)
-		if err != nil {
-			return err
-		}
-		if got, err := m.diffApplied(v, mv); err != nil {
-			return err
-		} else if !p.Equal(got) {
-			return fmt.Errorf("core: INV_C violated for %q: PAST(L,Q)=%v (MV∸∇MV)⊎△MV=%v", name, p, got)
-		}
+	mv := v.mv.Data()
+	rhs := mv
+	if v.diff != nil {
+		rhs = bag.UnionAll(bag.Monus(mv, v.diff.del.Data()), v.diff.add.Data())
 	}
-
+	if !lhs.Equal(rhs) {
+		return fmt.Errorf("core: INV_%s violated for %q: %s, but the left side is %v and the right side %v", v.inv, name, v.InvariantString(), lhs, rhs)
+	}
 	return m.checkMinimality(v, mv)
-}
-
-// diffApplied evaluates (MV ∸ ∇MV) ⊎ △MV.
-func (m *Manager) diffApplied(v *View, mv *bag.Bag) (*bag.Bag, error) {
-	dd, da, err := m.diffBags(v)
-	if err != nil {
-		return nil, err
-	}
-	return bag.UnionAll(bag.Monus(mv, dd), da), nil
-}
-
-// diffBags returns the view's current ∇MV/△MV contents.
-func (m *Manager) diffBags(v *View) (*bag.Bag, *bag.Bag, error) {
-	dd, err := m.db.Bag(v.dtDel)
-	if err != nil {
-		return nil, nil, err
-	}
-	da, err := m.db.Bag(v.dtAdd)
-	if err != nil {
-		return nil, nil, err
-	}
-	return dd, da, nil
 }
 
 // checkMinimality verifies the Section 5.2 minimality invariants:
@@ -133,27 +69,20 @@ func (m *Manager) diffBags(v *View) (*bag.Bag, *bag.Bag, error) {
 // With StrongMinimal set, additionally ∇MV min △MV ≡ ∅.
 func (m *Manager) checkMinimality(v *View, mv *bag.Bag) error {
 	for _, b := range v.bases {
-		insName, ok := v.logIns[b]
+		p, ok := v.logs[b]
 		if !ok {
 			continue
-		}
-		ins, err := m.db.Bag(insName)
-		if err != nil {
-			return err
 		}
 		base, err := m.db.Bag(b)
 		if err != nil {
 			return err
 		}
-		if !ins.SubBagOf(base) {
+		if !p.add.Data().SubBagOf(base) {
 			return fmt.Errorf("core: minimality violated for %q: ▲%s ⋢ %s", v.Name, b, b)
 		}
 	}
-	if v.dtDel != "" {
-		dd, da, err := m.diffBags(v)
-		if err != nil {
-			return err
-		}
+	if v.diff != nil {
+		dd, da := v.diff.del.Data(), v.diff.add.Data()
 		if !dd.SubBagOf(mv) {
 			return fmt.Errorf("core: minimality violated for %q: ∇MV ⋢ MV", v.Name)
 		}
@@ -174,10 +103,7 @@ func (m *Manager) CheckConsistent(name string) error {
 	if err != nil {
 		return err
 	}
-	mv, err := m.db.Bag(v.mvName)
-	if err != nil {
-		return err
-	}
+	mv := v.mv.Data()
 	if !q.Equal(mv) {
 		return fmt.Errorf("core: view %q inconsistent after refresh: Q=%v MV=%v", name, q, mv)
 	}

@@ -76,7 +76,7 @@ func TestLogFilterDropsIrrelevantRows(t *testing.T) {
 	if err := m.Execute(txn.Insert("sales", bag.UnionAll(rel, irr))); err != nil {
 		t.Fatal(err)
 	}
-	logIns, _ := m.DB().Bag(v.logIns["sales"])
+	logIns := v.logs["sales"].add.Data()
 	if logIns.Len() != 3 {
 		t.Fatalf("log has %d rows, want only the 3 relevant ones: %v", logIns.Len(), logIns)
 	}
@@ -108,8 +108,7 @@ func TestLogFilterSlowPathAgrees(t *testing.T) {
 	}
 	sales, _ := db.Table("sales")
 	pred := algebra.RelevantFilters(v.Def)["sales"]
-	logDel, _ := db.Bag(v.logDel["sales"])
-	logIns, _ := db.Bag(v.logIns["sales"])
+	logDel, logIns := v.logs["sales"].del.Data(), v.logs["sales"].add.Data()
 	wantDel, wantIns := algebraicMerge(t, sales.Schema(), logDel, logIns,
 		algebraicSelect(t, sales.Schema(), pred, nt["sales"].Delete),
 		algebraicSelect(t, sales.Schema(), pred, nt["sales"].Insert), false)
@@ -147,8 +146,8 @@ func TestLogFilterUnderSharedLogs(t *testing.T) {
 	if err := shared.materializeWindow(v); err != nil {
 		t.Fatal(err)
 	}
-	want, _ := perView.DB().Bag(v.logIns["sales"])
-	got, _ := shared.DB().Bag(v.logIns["sales"])
+	own, _ := perView.View("hv")
+	want, got := own.logs["sales"].add.Data(), v.logs["sales"].add.Data()
 	if want.Len() != 2 || !got.Equal(want) {
 		t.Fatalf("the window holds %v, the view's own log %v; want the 2 nonzero-quantity sales in both", got, want)
 	}

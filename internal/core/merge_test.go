@@ -160,22 +160,14 @@ func TestMergeDeltaIsCompositionLemma(t *testing.T) {
 // expectMerged computes, by the algebraic reference, what a table pair
 // must hold once (del, add) has been merged into it, and returns the
 // check to run after the engine has done so in place.
-func expectMerged(t testing.TB, m *Manager, what, delName, addName string, del, add *bag.Bag, strong bool) func() {
+func expectMerged(t testing.TB, what string, p tablePair, del, add *bag.Bag, strong bool) func() {
 	t.Helper()
-	delT, err := m.db.Table(delName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addT, err := m.db.Table(addName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantDel, wantAdd := algebraicMerge(t, delT.Schema(), delT.Data(), addT.Data(), del, add, strong)
+	wantDel, wantAdd := algebraicMerge(t, p.del.Schema(), p.del.Data(), p.add.Data(), del, add, strong)
 	return func() {
 		t.Helper()
-		if !delT.Data().Equal(wantDel) || !addT.Data().Equal(wantAdd) {
+		if !p.del.Data().Equal(wantDel) || !p.add.Data().Equal(wantAdd) {
 			t.Fatalf("%s: (%s, %s) = (%v, %v), the composition lemma gives (%v, %v)",
-				what, delName, addName, delT.Data(), addT.Data(), wantDel, wantAdd)
+				what, p.del.Name(), p.add.Name(), p.del.Data(), p.add.Data(), wantDel, wantAdd)
 		}
 	}
 }
@@ -198,22 +190,15 @@ func expectMakesafe(t testing.TB, m *Manager, v *View, tx txn.Txn) func() {
 			if u, ok := nt[b]; ok {
 				tb, _ := m.db.Table(b)
 				del, ins := relevantPart(t, v, b, tb.Schema(), u)
-				checks = append(checks, expectMerged(t, m, "makesafe", v.logDel[b], v.logIns[b], del, ins, false))
+				checks = append(checks, expectMerged(t, "makesafe", v.logs[b], del, ins, false))
 			}
 		}
 	case DiffTables:
-		// The pair reads ∇R/△R from the scratch tables, which only hold
-		// them inside Execute: evaluate against a copy that has them.
-		snap := m.db.Snapshot()
-		for _, b := range v.bases {
-			if u, ok := nt[b]; ok {
-				sd, _ := snap.Table(m.scratchDel[b])
-				si, _ := snap.Table(m.scratchIns[b])
-				sd.Replace(u.Delete)
-				si.Replace(u.Insert)
-			}
-		}
-		checks = append(checks, expectFold(t, m, v, snap, "makesafe_DT"))
+		// The pair reads ∇R/△R through txSource, which binds them only
+		// inside Execute: evaluate over one that binds this transaction's.
+		src := &txSource{db: m.db.Snapshot(), nt: nt, v: v, bound: map[txParam]*bag.Bag{}, empty: bag.New()}
+		src.bind([]*View{v})
+		checks = append(checks, expectFold(t, m, v, src, "makesafe_DT"))
 	}
 	return func() {
 		t.Helper()
@@ -238,5 +223,5 @@ func expectFold(t testing.TB, m *Manager, v *View, src algebra.Source, what stri
 	if err != nil {
 		t.Fatal(err)
 	}
-	return expectMerged(t, m, what, v.dtDel, v.dtAdd, del, add, v.StrongMinimal)
+	return expectMerged(t, what, *v.diff, del, add, v.StrongMinimal)
 }

@@ -63,30 +63,21 @@ func newViewMetrics(r *obs.Registry, view string) *viewMetrics {
 // In shared-log mode these hold the last materialized window — a merged
 // copy of (part of) the pending shared window, which is what
 // updateSizeGauges reports there instead, so nothing is counted twice.
-func (m *Manager) logVolume(v *View) int {
+func (v *View) logVolume() int {
 	n := 0
-	for _, b := range v.bases {
-		if t, err := m.db.Bag(v.logDel[b]); err == nil {
-			n += t.Len()
-		}
-		if t, err := m.db.Bag(v.logIns[b]); err == nil {
-			n += t.Len()
-		}
+	for _, p := range v.logs {
+		n += p.volume()
 	}
 	return n
 }
 
 // diffVolume returns the tuple volume of the view's differential tables
-// (∇MV ⊎ △MV).
-func (m *Manager) diffVolume(v *View) int {
-	n := 0
-	if t, err := m.db.Bag(v.dtDel); err == nil {
-		n += t.Len()
+// (∇MV ⊎ △MV), 0 when it keeps none.
+func (v *View) diffVolume() int {
+	if v.diff == nil {
+		return 0
 	}
-	if t, err := m.db.Bag(v.dtAdd); err == nil {
-		n += t.Len()
-	}
-	return n
+	return v.diff.volume()
 }
 
 // logDebt returns the tuple volume of the view's pending log: its
@@ -95,20 +86,17 @@ func (m *Manager) logDebt(v *View) int {
 	if m.shared != nil {
 		return m.pendingShared(v)
 	}
-	return m.logVolume(v)
+	return v.logVolume()
 }
 
 // updateSizeGauges refreshes the view's log/differential size gauges
 // from the live tables. Called after every operation that grows or
 // empties them, so \stats always reflects current staleness debt.
 func (m *Manager) updateSizeGauges(v *View) {
-	if v.met == nil {
-		return
-	}
-	if len(v.logDel) > 0 {
+	if v.logs != nil {
 		v.met.logSizeTuples.Set(int64(m.logDebt(v)))
 	}
-	if v.dtDel != "" {
-		v.met.diffSizeTuples.Set(int64(m.diffVolume(v)))
+	if v.diff != nil {
+		v.met.diffSizeTuples.Set(int64(v.diffVolume()))
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"dvm/internal/algebra"
 	"dvm/internal/bag"
+	"dvm/internal/storage"
 	"dvm/internal/txn"
 )
 
@@ -58,15 +59,17 @@ func TestCallerOwnedBagsSurviveMaintenance(t *testing.T) {
 			hold("QueryFresh(pred)", q, err)
 			// Every auxiliary table, read the way a caller can: through
 			// a compiled program whose root is the bare table.
-			aux := []string{v.dtDel, v.dtAdd}
-			for _, b := range v.bases {
-				aux = append(aux, v.logDel[b], v.logIns[b])
+			var aux []*storage.Table
+			if v.diff != nil {
+				aux = append(aux, v.diff.del, v.diff.add)
 			}
-			for _, name := range aux {
-				tb, err := db.Table(name)
-				if err != nil {
-					continue // the scenario has no such table
+			for _, b := range v.bases {
+				if p, ok := v.logs[b]; ok {
+					aux = append(aux, p.del, p.add)
 				}
+			}
+			for _, tb := range aux {
+				name := tb.Name()
 				prog, err := algebra.Compile(algebra.NewBase(name, tb.Schema()))
 				must(err)
 				outs, _, err := prog.Eval(nil, db)

@@ -38,11 +38,11 @@ func (m *Manager) NewRunner(view string, p Policy) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.PropagateEvery > 0 && v.Scenario != Combined {
-		return nil, fmt.Errorf("core: policy propagates but view %q is %v, not Combined", view, v.Scenario)
+	if p.PropagateEvery > 0 && (v.logs == nil || v.diff == nil) {
+		return nil, fmt.Errorf("core: policy propagates but view %q is %s, not Combined", view, v.inv)
 	}
-	if p.Partial && v.Scenario != Combined && v.Scenario != DiffTables {
-		return nil, fmt.Errorf("core: partial refresh needs differential tables (view %q is %v)", view, v.Scenario)
+	if p.Partial && v.diff == nil {
+		return nil, fmt.Errorf("core: partial refresh needs differential tables (view %q is %s)", view, v.inv)
 	}
 	if p.RefreshEvery > 0 && p.PropagateEvery > p.RefreshEvery {
 		return nil, fmt.Errorf("core: policy has k=%d > m=%d (paper requires m > k)", p.PropagateEvery, p.RefreshEvery)

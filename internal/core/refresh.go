@@ -11,15 +11,14 @@ import (
 )
 
 // Refresh brings the view table up to date ({INV_*} refresh_* {Q ≡ MV},
-// Figure 3):
-//
-//	IM — no-op (INV_IM already implies Q ≡ MV);
-//	BL — MV := (MV ∸ ▼(L,Q)) ⊎ ▲(L,Q); L := ∅, holding the MV write
-//	     lock for the whole incremental computation (that is the BL
-//	     scenario's downtime);
-//	DT — apply the differential tables (refresh_DT);
-//	C  — propagate_C followed by partial_refresh_C, holding the MV lock
-//	     across both (Policy 1's downtime covers the final propagate).
+// Figure 3), in one path over the view's two bits. Under MV's write
+// lock it folds the log, if the view keeps one, into ∇MV/△MV if it
+// keeps them (propagate_C) and otherwise into MV (refresh_BL, which
+// evaluates the log's pair under the lock: that is BL's downtime); then
+// it applies ∇MV/△MV, if it keeps them (refresh_DT, and refresh_C as
+// propagate_C followed by partial_refresh_C: Policy 1's downtime covers
+// the final propagate). A view with neither is already fresh (INV_IM
+// implies Q ≡ MV): its refresh takes no lock.
 func (m *Manager) Refresh(name string) error {
 	v, err := m.View(name)
 	if err != nil {
@@ -27,7 +26,7 @@ func (m *Manager) Refresh(name string) error {
 	}
 	start := time.Now()
 	rsp := m.startEntrySpan(trace.SpanRefresh,
-		trace.Str("view", v.Name), trace.Str("scenario", v.Scenario.String()))
+		trace.Str("view", v.Name), trace.Str("scenario", v.inv))
 	sp := obs.StartSpan(v.met.refreshNs)
 	rg := obs.StartRegion(v.met.phaseAcct(obs.PhaseRefresh), v.Name, obs.PhaseRefresh)
 	defer func() {
@@ -38,35 +37,48 @@ func (m *Manager) Refresh(name string) error {
 		rsp.End()
 		m.updateSizeGauges(v)
 	}()
-
-	switch v.Scenario {
-	case Immediate:
+	if v.logs == nil && v.diff == nil {
 		return nil
-	case BaseLogs:
-		w, err := m.unshareMVs(m.logDebt, v)
-		if err != nil {
-			return err
-		}
-		return m.locks.WithWriteSpan(w.tables, rsp, func(hold *trace.Span) error {
-			w.adoptLocked()
-			asp, dsp := m.startDowntimeSpan(v, hold)
-			defer func() { asp.EndExplicit(dsp.End()) }()
-			if err := m.materializeIfShared(v); err != nil {
-				return err
-			}
-			asp.SetAttrs(trace.Int("log_tuples", int64(m.logVolume(v))))
-			if err := m.refreshFromLogLocked(v, asp); err != nil {
-				return err
-			}
-			m.consumeWindowIfShared(v)
-			return nil
-		})
-	case DiffTables:
-		return m.refreshFromDiff(v, rsp, nil)
-	case Combined:
-		return m.refreshFromDiff(v, rsp, m.propagateBody)
 	}
-	return fmt.Errorf("core: refresh: unknown scenario %v", v.Scenario)
+	return m.refresh(v, rsp, true)
+}
+
+// refresh is every refresh_* and partial_refresh_C: under MV's write
+// lock, the log folded first when fold is set and the view keeps one,
+// then MV := (MV ∸ ∇MV) ⊎ △MV when it keeps differential tables, and
+// ∇MV := ∅; △MV := ∅ once the lock is released. The differential
+// tables are the single writer's own state — no reader of MV sees them
+// — so emptying them is not downtime, and readers wait only for the
+// log fold and the O(|∇MV|+|△MV|) in-place apply.
+func (m *Manager) refresh(v *View, parent *trace.Span, fold bool) error {
+	fold = fold && v.logs != nil
+	pending := v.diffVolume()
+	if fold {
+		pending += m.logDebt(v)
+	}
+	w := m.unshareMVs(func(*View) int { return pending }, v)
+	err := m.locks.WithWriteSpan(w.tables, parent, func(hold *trace.Span) error {
+		w.adoptLocked()
+		asp, dsp := m.startDowntimeSpan(v, hold)
+		defer func() { asp.EndExplicit(dsp.End()) }()
+		if fold {
+			if err := m.foldLogLocked(v, asp); err != nil {
+				return err
+			}
+		}
+		if v.diff != nil {
+			asp.SetAttrs(trace.Int("diff_tuples", int64(v.diffVolume())))
+			m.applyDiffTablesLocked(v)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	if v.diff != nil {
+		m.clearDiffTables(v)
+	}
+	return nil
 }
 
 // startDowntimeSpan opens the MV-exclusive core.refresh.apply span
@@ -91,13 +103,8 @@ func (m *Manager) startDowntimeSpan(v *View, hold *trace.Span) (*trace.Span, obs
 // to the differential, never to the view. del and add are only read.
 // The Locked suffix is a contract dvmlint enforces: the caller must
 // hold the MV write lock.
-func (m *Manager) applyToMVLocked(v *View, del, add *bag.Bag) error {
-	mv, err := m.db.Table(v.mvName)
-	if err != nil {
-		return err
-	}
-	mv.Data().ApplyDelta(del, add)
-	return nil
+func (m *Manager) applyToMVLocked(v *View, del, add *bag.Bag) {
+	v.mv.Data().ApplyDelta(del, add)
 }
 
 // mvWrite is one write's MV lock set, with the MVs it changes that a
@@ -123,23 +130,20 @@ type mvWrite struct {
 // adoptLocked only swaps the result in, in O(1) per view, so the hold
 // stays O(|∇MV|+|△MV|). However many readers took a Query, the writer
 // pays once. The write locks w.tables, the views' MVs.
-func (m *Manager) unshareMVs(pending func(*View) int, views ...*View) (mvWrite, error) {
+func (m *Manager) unshareMVs(pending func(*View) int, views ...*View) mvWrite {
 	w := mvWrite{tables: make([]string, len(views))}
 	for i, v := range views {
-		w.tables[i] = v.mvName
+		w.tables[i] = v.mv.Name()
 		n := pending(v)
 		if n == 0 {
 			continue
 		}
-		mv, err := m.db.Bag(v.mvName)
-		if err != nil {
-			return w, err
-		}
+		mv := v.mv.Data()
 		if p := mv.Prepare(n); p != nil {
 			w.mvs, w.own = append(w.mvs, mv), append(w.own, p)
 		}
 	}
-	return w, nil
+	return w
 }
 
 // adoptLocked installs what unshareMVs prepared. The Locked suffix is a
@@ -183,88 +187,64 @@ func mergeDelta(delT, addT *storage.Table, del, add *bag.Bag, strong bool) {
 
 // mergeDiff is mergeDelta into the view's differential tables:
 // makesafe_DT's and propagate_C's install step.
-func (m *Manager) mergeDiff(v *View, del, add *bag.Bag) error {
-	dd, err := m.db.Table(v.dtDel)
+func (m *Manager) mergeDiff(v *View, del, add *bag.Bag) {
+	mergeDelta(v.diff.del, v.diff.add, del, add, v.StrongMinimal)
+}
+
+// evalLog loads the view's pending log — under shared logs, its window
+// of the shared log — records its volume as sp's log_tuples, and
+// evaluates the post-update pair (▼(L,Q), ▲(L,Q)) over it, returning
+// the pair and the log's volume n. Every term of the pair carries a log
+// factor, so an empty log's pair is (∅, ∅): it is not evaluated, and
+// comes back nil. parent anchors the evaluation's span.
+func (m *Manager) evalLog(v *View, sp, parent *trace.Span) (del, add *bag.Bag, n int, err error) {
+	if m.shared != nil {
+		if err := m.materializeWindow(v); err != nil {
+			return nil, nil, 0, err
+		}
+	}
+	n = v.logVolume()
+	sp.SetAttrs(trace.Int("log_tuples", int64(n)))
+	if n == 0 {
+		return nil, nil, 0, nil
+	}
+	del, add, err = m.evalDeltaPair(v, m.db, parent)
+	return del, add, n, err
+}
+
+// foldLogLocked is the log step of refresh_BL and refresh_C: the log's
+// pair installed into ∇MV/△MV when the view keeps them (propagate_C),
+// into MV when it does not, and the log emptied. The Locked suffix is a
+// contract dvmlint enforces: the caller must hold the MV write lock.
+func (m *Manager) foldLogLocked(v *View, sp *trace.Span) error {
+	if v.diff != nil {
+		return m.propagate(v, sp, sp)
+	}
+	del, add, n, err := m.evalLog(v, sp, sp)
 	if err != nil {
 		return err
 	}
-	da, err := m.db.Table(v.dtAdd)
-	if err != nil {
-		return err
+	v.met.refreshTuples.Add(int64(n))
+	if n > 0 {
+		m.applyToMVLocked(v, del, add)
 	}
-	mergeDelta(dd, da, del, add, v.StrongMinimal)
+	m.clearLogs(v, n)
 	return nil
 }
 
-// refreshFromLogLocked implements refresh_BL: evaluate the post-update
-// pair (▼(L,Q), ▲(L,Q)), apply it to MV in place, and empty the log.
-// The Locked suffix is a contract dvmlint enforces: the caller must
-// hold the MV write lock.
-func (m *Manager) refreshFromLogLocked(v *View, parent *trace.Span) error {
-	if v.met != nil {
-		v.met.refreshTuples.Add(int64(m.logVolume(v)))
-	}
-	del, add, err := m.evalDeltaPair(v, parent)
-	if err != nil {
-		return err
-	}
-	if err := m.applyToMVLocked(v, del, add); err != nil {
-		return err
-	}
-	return m.clearLogs(v)
-}
-
-// clearLogs empties the view's log tables — the L := ∅
-// half of refresh_BL and propagate_C, run after the update has
-// installed: clearing carries no right-hand side to stage.
-func (m *Manager) clearLogs(v *View) error {
-	for _, b := range v.bases {
-		dl, err := m.db.Table(v.logDel[b])
-		if err != nil {
-			return err
+// clearLogs is L := ∅, run once the log's pair has been installed: the
+// view's log tables emptied (when they hold the n > 0 tuples just
+// folded) and, under shared logs, its cursors moved past the window.
+func (m *Manager) clearLogs(v *View, n int) {
+	if n > 0 {
+		for _, b := range v.bases {
+			v.logs[b].del.Clear()
+			v.logs[b].add.Clear()
 		}
-		il, err := m.db.Table(v.logIns[b])
-		if err != nil {
-			return err
-		}
-		dl.Clear()
-		il.Clear()
 	}
-	return nil
-}
-
-// refreshFromDiff is refresh_DT / partial_refresh_C, and with first =
-// propagateBody refresh_C (Policy 1: the downtime covers the final
-// propagate): MV := (MV ∸ ∇MV) ⊎ △MV under the MV write lock, then
-// ∇MV := ∅; △MV := ∅ once the lock is released. The differential
-// tables are the single writer's own state — no reader of MV sees
-// them — so emptying them is not downtime, and readers wait only for
-// the O(|∇MV|+|△MV|) in-place apply.
-func (m *Manager) refreshFromDiff(v *View, parent *trace.Span, first func(v *View, sp, parent *trace.Span) error) error {
-	pending := m.diffVolume
-	if first != nil { // refresh_C folds the log in under the lock first
-		pending = func(v *View) int { return m.diffVolume(v) + m.logDebt(v) }
+	if m.shared != nil {
+		m.advanceCursors(v)
 	}
-	w, err := m.unshareMVs(pending, v)
-	if err != nil {
-		return err
-	}
-	err = m.locks.WithWriteSpan(w.tables, parent, func(hold *trace.Span) error {
-		w.adoptLocked()
-		asp, dsp := m.startDowntimeSpan(v, hold)
-		defer func() { asp.EndExplicit(dsp.End()) }()
-		if first != nil {
-			if err := first(v, asp, hold); err != nil {
-				return err
-			}
-		}
-		asp.SetAttrs(trace.Int("diff_tuples", int64(m.diffVolume(v))))
-		return m.applyDiffTablesLocked(v)
-	})
-	if err != nil {
-		return err
-	}
-	return m.clearDiffTables(v)
 }
 
 // applyDiffTablesLocked installs MV := (MV ∸ ∇MV) ⊎ △MV, in place, so
@@ -272,32 +252,16 @@ func (m *Manager) refreshFromDiff(v *View, parent *trace.Span, first func(v *Vie
 // differential tables afterwards (clearDiffTables). The Locked suffix
 // is a contract dvmlint enforces: the caller must hold the MV write
 // lock.
-func (m *Manager) applyDiffTablesLocked(v *View) error {
-	if v.met != nil {
-		v.met.refreshTuples.Add(int64(m.diffVolume(v)))
-	}
-	dd, err := m.db.Table(v.dtDel)
-	if err != nil {
-		return err
-	}
-	da, err := m.db.Table(v.dtAdd)
-	if err != nil {
-		return err
-	}
-	return m.applyToMVLocked(v, dd.Data(), da.Data())
+func (m *Manager) applyDiffTablesLocked(v *View) {
+	v.met.refreshTuples.Add(int64(v.diffVolume()))
+	m.applyToMVLocked(v, v.diff.del.Data(), v.diff.add.Data())
 }
 
 // clearDiffTables is ∇MV := ∅; △MV := ∅: the second half of
 // refresh_DT / partial_refresh_C, and of a recompute.
-func (m *Manager) clearDiffTables(v *View) error {
-	for _, name := range []string{v.dtDel, v.dtAdd} {
-		tb, err := m.db.Table(name)
-		if err != nil {
-			return err
-		}
-		tb.Clear()
-	}
-	return nil
+func (m *Manager) clearDiffTables(v *View) {
+	v.diff.del.Clear()
+	v.diff.add.Clear()
 }
 
 // Propagate implements propagate_C: fold the log's post-update
@@ -312,8 +276,8 @@ func (m *Manager) Propagate(name string) error {
 	if err != nil {
 		return err
 	}
-	if v.Scenario != Combined {
-		return fmt.Errorf("core: propagate is only defined for the Combined scenario (view %q is %v)", name, v.Scenario)
+	if v.logs == nil || v.diff == nil {
+		return fmt.Errorf("core: propagate is only defined for the Combined scenario (view %q is %s)", name, v.inv)
 	}
 	start := time.Now()
 	psp := m.startEntrySpan(trace.SpanPropagate, trace.Str("view", v.Name))
@@ -327,72 +291,26 @@ func (m *Manager) Propagate(name string) error {
 		psp.End()
 		m.updateSizeGauges(v)
 	}()
-	return m.propagateBody(v, psp, psp)
+	return m.propagate(v, psp, psp)
 }
 
-// propagateBody is propagate_C without its instrumentation, shared by
-// Propagate, refresh_C and QueryFresh: load the shared-log window (if
-// any), fold the log into the differential tables, and consume the
-// window. It never touches MV and needs no MV lock. sp receives the
-// log_tuples attribute; parent anchors the fold's child spans.
-func (m *Manager) propagateBody(v *View, sp, parent *trace.Span) error {
-	if err := m.materializeIfShared(v); err != nil {
-		return err
-	}
-	sp.SetAttrs(trace.Int("log_tuples", int64(m.logVolume(v))))
-	if err := m.foldLog(v, parent); err != nil {
-		return err
-	}
-	m.consumeWindowIfShared(v)
-	return nil
-}
-
-// materializeIfShared loads the view's shared-log window into its
-// private log tables; no-op in per-view-log mode.
-func (m *Manager) materializeIfShared(v *View) error {
-	if m.shared == nil {
-		return nil
-	}
-	return m.materializeWindow(v)
-}
-
-// consumeWindowIfShared advances the view's shared-log cursors after a
-// successful propagate/refresh and truncates consumed entries.
-func (m *Manager) consumeWindowIfShared(v *View) {
-	if m.shared == nil {
-		return
-	}
-	m.advanceCursors(v)
-}
-
-// foldLog evaluates the log's post-update pair (▼(L,Q), ▲(L,Q)), merges
-// it into the differential tables and empties the log (the body of
-// propagate_C; the same pair refresh_BL applies to MV).
-// It touches only logs and differential tables — never MV — so it
-// needs no MV lock, only the manager's single-writer discipline.
-// (It was once named propagateLocked; dvmlint's lock-discipline check
-// flagged the unlocked call from Propagate, and the fix was renaming:
-// the lock was never required.) parent anchors the compiled evaluation's
+// propagate is propagate_C without its instrumentation, shared by
+// Propagate, refresh_C and QueryFresh: the log's pair merged into the
+// differential tables, and the log emptied. It never touches MV and
+// needs no MV lock, only the manager's single-writer discipline. sp
+// receives the log_tuples attribute; parent anchors the evaluation's
 // span.
-func (m *Manager) foldLog(v *View, parent *trace.Span) error {
-	vol := m.logVolume(v)
-	if vol == 0 {
-		// Every ▼(L,Q)/▲(L,Q) term carries a log factor, so an empty log
-		// folds to the identity: a refresh right after a propagate, or a
-		// second fresh read, pays nothing here.
-		return nil
-	}
-	if v.met != nil {
-		v.met.propagateTuples.Add(int64(vol))
-	}
-	del, add, err := m.evalDeltaPair(v, parent)
+func (m *Manager) propagate(v *View, sp, parent *trace.Span) error {
+	del, add, n, err := m.evalLog(v, sp, parent)
 	if err != nil {
 		return err
 	}
-	if err := m.mergeDiff(v, del, add); err != nil {
-		return err
+	if n > 0 {
+		v.met.propagateTuples.Add(int64(n))
+		m.mergeDiff(v, del, add)
 	}
-	return m.clearLogs(v)
+	m.clearLogs(v, n)
+	return nil
 }
 
 // PartialRefresh implements partial_refresh_C: apply the precomputed
@@ -403,8 +321,8 @@ func (m *Manager) PartialRefresh(name string) error {
 	if err != nil {
 		return err
 	}
-	if v.Scenario != Combined && v.Scenario != DiffTables {
-		return fmt.Errorf("core: partial refresh needs differential tables (view %q is %v)", name, v.Scenario)
+	if v.diff == nil {
+		return fmt.Errorf("core: partial refresh needs differential tables (view %q is %s)", name, v.inv)
 	}
 	start := time.Now()
 	prsp := m.startEntrySpan(trace.SpanPartialRefresh, trace.Str("view", v.Name))
@@ -418,7 +336,7 @@ func (m *Manager) PartialRefresh(name string) error {
 		prsp.End()
 		m.updateSizeGauges(v)
 	}()
-	return m.refreshFromDiff(v, prsp, nil)
+	return m.refresh(v, prsp, false)
 }
 
 // RefreshRecompute is the non-incremental baseline: recompute Q from
@@ -441,7 +359,7 @@ func (m *Manager) RefreshRecompute(name string) error {
 		rcsp.End()
 		m.updateSizeGauges(v)
 	}()
-	return m.locks.WithWriteSpan([]string{v.mvName}, rcsp, func(hold *trace.Span) error {
+	return m.locks.WithWriteSpan([]string{v.mv.Name()}, rcsp, func(hold *trace.Span) error {
 		asp, dsp := m.startDowntimeSpan(v, hold)
 		defer func() { asp.EndExplicit(dsp.End()) }()
 		evalStart := time.Now()
@@ -450,20 +368,14 @@ func (m *Manager) RefreshRecompute(name string) error {
 			return err
 		}
 		m.observeCompiled(v, asp, time.Since(evalStart), stats)
-		mv, _ := m.db.Table(v.mvName)
-		mv.Replace(outs[0])
-		// A recompute reflects the current state, so any pending shared
-		// window is consumed too.
-		if m.shared != nil && (v.Scenario == BaseLogs || v.Scenario == Combined) {
-			m.advanceCursors(v)
+		v.mv.Replace(outs[0])
+		// A recompute reflects the current state: the log, and any
+		// pending shared window, are consumed too.
+		if v.logs != nil {
+			m.clearLogs(v, v.logVolume())
 		}
-		if len(v.logDel) > 0 {
-			if err := m.clearLogs(v); err != nil {
-				return err
-			}
-		}
-		if v.dtDel != "" {
-			return m.clearDiffTables(v)
+		if v.diff != nil {
+			m.clearDiffTables(v)
 		}
 		return nil
 	})
@@ -489,12 +401,8 @@ func (m *Manager) Read(name string, f func(mv *bag.Bag) error) error {
 	// single-writer state).
 	qsp := m.tracer.StartTrace(trace.SpanQuery, trace.Str("view", v.Name))
 	defer qsp.End()
-	return m.locks.WithReadSpan([]string{v.mvName}, qsp, func(*trace.Span) error {
-		b, err := m.db.Bag(v.mvName)
-		if err != nil {
-			return err
-		}
-		return f(b)
+	return m.locks.WithReadSpan([]string{v.mv.Name()}, qsp, func(*trace.Span) error {
+		return f(v.mv.Data())
 	})
 }
 

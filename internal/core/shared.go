@@ -74,19 +74,16 @@ func (m *Manager) pendingShared(v *View) int {
 	return n
 }
 
-// registerSharedView hooks a newly defined BL/C view into the shared
-// logs: each base gets a log (created at first use) and the view's
-// cursor starts at the current head (the view is consistent as of now).
-func (m *Manager) registerSharedView(v *View) error {
+// registerSharedView hooks a newly defined view with logs into the
+// shared logs: each base gets a log (created at first use) and the
+// view's cursor starts at the current head (the view is consistent as
+// of now).
+func (m *Manager) registerSharedView(v *View) {
 	cur := map[string]int64{}
 	for _, b := range v.bases {
 		l, ok := m.shared.logs[b]
 		if !ok {
-			tb, err := m.db.Table(b)
-			if err != nil {
-				return err
-			}
-			l = sharedlog.New(b, tb.Schema())
+			l = sharedlog.New(b, v.logs[b].del.Schema())
 			m.shared.logs[b] = l
 		}
 		m.shared.refs[b]++
@@ -94,7 +91,6 @@ func (m *Manager) registerSharedView(v *View) error {
 	}
 	m.shared.cursors[v.Name] = cur
 	m.shared.loaded[v.Name] = map[string][2]int64{}
-	return nil
 }
 
 // unregisterSharedView removes a dropped view's cursors and reference
@@ -166,16 +162,8 @@ func (m *Manager) materializeWindow(v *View) error {
 		if keep, ok := v.filters[b]; ok {
 			del, ins = bag.Select(del, keep), bag.Select(ins, keep)
 		}
-		dt, err := m.db.Table(v.logDel[b])
-		if err != nil {
-			return err
-		}
-		it, err := m.db.Table(v.logIns[b])
-		if err != nil {
-			return err
-		}
-		dt.Replace(del)
-		it.Replace(ins)
+		v.logs[b].del.Replace(del)
+		v.logs[b].add.Replace(ins)
 		loaded[b] = w
 	}
 	return nil

@@ -352,7 +352,7 @@ func TestFreshReadsCopyOnlyTheDifferential(t *testing.T) {
 		// A Combined view's log is folded by now: the differential is what
 		// the reads applied and what the refresh will.
 		v := m.views["hv"]
-		diff := uint64(m.diffVolume(v) + m.logVolume(v))
+		diff := uint64(v.diffVolume() + v.logVolume())
 		reads := bag.CopiedEntries() - c0
 		if err := m.Refresh("hv"); err != nil {
 			t.Fatal(err)

@@ -207,10 +207,7 @@ func TestLemma4LogRelation(t *testing.T) {
 					trial, step, p, qAtStart, def)
 			}
 			for _, b := range v.BaseTables() {
-				ins, err := db.Bag(v.logIns[b])
-				if err != nil {
-					t.Fatal(err)
-				}
+				ins := v.logs[b].add.Data()
 				base, err := db.Bag(b)
 				if err != nil {
 					t.Fatal(err)

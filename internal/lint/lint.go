@@ -77,12 +77,12 @@ func DefaultConfig() Config {
 		Blessed: []string{
 			// makesafe_* (Execute bundles every view's bookkeeping).
 			"Execute", "appendToLogs", "appendShared",
-			// refresh_* family (clearDiffTables is refresh_DT's and
-			// partial_refresh_C's ∇MV := ∅; △MV := ∅, run once the MV lock
-			// is released).
-			"refreshFromLogLocked", "applyDiffTablesLocked", "clearDiffTables", "RefreshRecompute",
+			// refresh_* family: the log step under the MV lock, the
+			// differential applied, and ∇MV := ∅; △MV := ∅ once the MV
+			// lock is released (clearDiffTables).
+			"foldLogLocked", "applyDiffTablesLocked", "clearDiffTables", "RefreshRecompute",
 			// propagate_* family (incl. shared-log window upkeep).
-			"foldLog", "materializeWindow",
+			"propagate", "materializeWindow",
 			// View initialization.
 			"DefineView",
 			// The one in-place MV update, MV := (MV ∸ del) ⊎ add via
@@ -92,7 +92,7 @@ func DefaultConfig() Config {
 			// Its counterpart for auxiliary tables: the composition-lemma
 			// merge of a (del, add) pair into (▼R, ▲R) or (∇MV, △MV), in
 			// place — every log extension and differential fold;
-			// clearLogs resets consumed logs. Nothing maintained
+			// clearLogs empties consumed logs. Nothing maintained
 			// is ever rebuilt: only DefineView and RefreshRecompute
 			// install a whole table.
 			"mergeDelta", "clearLogs",

@@ -3,6 +3,9 @@ package lint
 import (
 	"flag"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"strings"
@@ -215,6 +218,42 @@ func TestModuleIsLintClean(t *testing.T) {
 	findings := RunAnalyzers(pkgs, All(), DefaultConfig())
 	for _, f := range findings {
 		t.Errorf("%s", f)
+	}
+}
+
+// TestBlessedNamesAreCoreFunctions: invariant-touch and state-bug key
+// on DefaultConfig().Blessed by name, so a name left behind by a rename
+// would bless nothing — or, worse, whatever next takes that name. Every
+// entry must be a function (or method) declared in a non-test file of
+// the core package.
+func TestBlessedNamesAreCoreFunctions(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "core", "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok {
+				declared[fd.Name.Name] = true
+			}
+		}
+	}
+	if len(declared) == 0 {
+		t.Fatal("no function declarations found in internal/core")
+	}
+	for _, name := range DefaultConfig().Blessed {
+		if !declared[name] {
+			t.Errorf("Blessed names %q, which no non-test file of internal/core declares", name)
+		}
 	}
 }
 

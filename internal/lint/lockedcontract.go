@@ -2,7 +2,7 @@ package lint
 
 // analyzerLockedContract enforces the *Locked rename contract of the
 // core package interprocedurally: a core function whose name ends in
-// "Locked" (refreshFromLogLocked, applyDiffTablesLocked, …) documents
+// "Locked" (foldLogLocked, applyDiffTablesLocked, …) documents
 // "the caller already holds the table locks". Using the lock-state
 // fixpoint of lockstate.go, every static call site of such a function
 // must sit in a provably locked context — inside a closure passed to

@@ -201,6 +201,26 @@ func TestEngineDropViewThenTable(t *testing.T) {
 	}
 }
 
+// TestEngineFailedViewLeavesNoTables: a user table squats on the name
+// of a view's △MV, so the CREATE fails after the view's other tables
+// exist. None of them survives, and once the squatter is dropped the
+// view can be defined: its internal tables, which SQL cannot drop, do
+// not hold the name forever.
+func TestEngineFailedViewLeavesNoTables(t *testing.T) {
+	e := NewEngine()
+	mustExec(t, e, "CREATE TABLE t (x INT); CREATE TABLE __dmv_add_v (x INT)")
+	before := strings.Join(e.DB().Names(), ",")
+	const create = "CREATE MATERIALIZED VIEW v REFRESH DEFERRED COMBINED AS SELECT x FROM t"
+	if _, err := e.Exec(create); err == nil {
+		t.Fatal("a view whose △MV name is taken was created")
+	}
+	if after := strings.Join(e.DB().Names(), ","); after != before {
+		t.Fatalf("the failed view left tables behind: %s, before it %s", after, before)
+	}
+	mustExec(t, e, "DROP TABLE __dmv_add_v")
+	mustExec(t, e, create+"; INSERT INTO t VALUES (1); PROPAGATE v; REFRESH v; CHECK INVARIANT v")
+}
+
 func TestEngineShow(t *testing.T) {
 	e := newRetailEngine(t, "DEFERRED")
 	r, err := e.Exec("SHOW TABLES")
