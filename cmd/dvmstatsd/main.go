@@ -16,10 +16,10 @@
 //	                       dvm_view/dvm_phase labels
 //	GET /healthz           200 ok (liveness probe)
 //
-// The runtime/metrics bridge (go_* families) polls every -bridge
-// interval; it is stopped — along with any other background poller —
-// by the graceful SIGINT/SIGTERM shutdown (in-flight requests get up
-// to 5s to finish).
+// /stats and /metrics read the Go runtime's go_* families from
+// runtime/metrics at scrape time (obs.Scrape), so nothing polls in the
+// background. SIGINT/SIGTERM shuts the server down gracefully
+// (in-flight requests get up to 5s to finish).
 //
 // With -demo it additionally runs a small retail-style workload in a
 // loop (one writer goroutine; the HTTP side only reads atomics), so the
@@ -29,10 +29,9 @@
 //	curl 'localhost:7171/metrics'
 //	curl 'localhost:7171/trace?n=3'
 //
-// Two non-serving modes support tooling: -bridge-families prints the
-// runtime bridge's family list (scripts/check.sh echoes the gauge
-// count), and -once FILE writes one validated /metrics exposition
-// snapshot to FILE and exits (CI uploads it as a failure artifact).
+// One non-serving mode supports tooling: -once FILE writes one
+// validated /metrics exposition snapshot to FILE and exits (CI uploads
+// it as a failure artifact).
 package main
 
 import (
@@ -48,7 +47,6 @@ import (
 	"time"
 
 	"dvm/internal/obs"
-	"dvm/internal/obs/runtimebridge"
 	"dvm/internal/obs/trace"
 	"dvm/internal/sql"
 )
@@ -63,17 +61,8 @@ func main() {
 	load := flag.String("load", "", "restore an engine snapshot before serving")
 	demo := flag.Bool("demo", false, "run a looping retail-style workload so metrics keep moving")
 	traceSpec := flag.String("trace", "all", "trace sampling: off|all|rate=N|threshold=DUR (served on /trace)")
-	bridge := flag.Duration("bridge", time.Second, "runtime/metrics bridge poll interval (0 disables the bridge)")
-	bridgeFams := flag.Bool("bridge-families", false, "print the runtime bridge's metric families (name kind) and exit")
 	once := flag.String("once", "", "write one /metrics exposition snapshot to this file and exit")
 	flag.Parse()
-
-	if *bridgeFams {
-		for _, fi := range runtimebridge.Families() {
-			fmt.Printf("%s %s\n", fi.Name, fi.Kind)
-		}
-		return
-	}
 
 	engine := sql.NewEngine(sql.WithTraceSpec(*traceSpec))
 	if err := engine.Err(); err != nil {
@@ -101,15 +90,8 @@ func main() {
 			fatal(fmt.Errorf("script: %w", err))
 		}
 	}
-	if *bridge > 0 {
-		engine.Manager().StartRuntimeBridge(*bridge)
-	}
-
 	if *once != "" {
 		if err := writeMetricsSnapshot(engine, *once); err != nil {
-			fatal(err)
-		}
-		if err := engine.Close(); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("dvmstatsd: wrote metrics snapshot to %s\n", *once)
@@ -131,11 +113,6 @@ func main() {
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	if err := serveUntilSignal(srv, ln, sigc, shutdownTimeout); err != nil {
-		fatal(err)
-	}
-	// The HTTP side is drained; now stop the background pollers so the
-	// process exits without leaking the bridge goroutine.
-	if err := engine.Close(); err != nil {
 		fatal(err)
 	}
 	fmt.Println("dvmstatsd: shut down cleanly")
@@ -163,15 +140,16 @@ func newMux(engine *sql.Engine) *http.ServeMux {
 	return mux
 }
 
-// writeMetricsSnapshot renders the engine's registry in exposition
-// format, runs the strict validator over it, and writes it to path —
-// the -once mode CI uses to attach a /metrics artifact to failures.
+// writeMetricsSnapshot scrapes the engine's registry (obs.Scrape, so
+// the go_* families are in it), renders it in exposition format, runs
+// the strict validator over it, and writes it to path — the -once mode
+// CI uses to attach a /metrics artifact to failures.
 func writeMetricsSnapshot(engine *sql.Engine, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	snap := engine.Manager().Obs().Snapshot()
+	snap := obs.Scrape(engine.Manager().Obs())
 	werr := obs.WriteProm(f, snap)
 	if cerr := f.Close(); werr == nil {
 		werr = cerr

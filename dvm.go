@@ -222,13 +222,6 @@ type EngineOption = sql.EngineOption
 // docs/observability.md, Tracing).
 var WithTraceSpec = sql.WithTraceSpec
 
-// WithRuntimeBridge starts the engine's runtime/metrics bridge: Go
-// runtime health (goroutines, heap, GC pauses, scheduler latency)
-// polled into the obs registry on a ticker, exposed alongside the
-// maintenance families on dvmstatsd's /metrics. Stop with
-// Engine.Close.
-var WithRuntimeBridge = sql.WithRuntimeBridge
-
 // NewEngine creates a SQL engine over a fresh database.
 func NewEngine(opts ...EngineOption) *Engine { return sql.NewEngine(opts...) }
 

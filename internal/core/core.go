@@ -28,7 +28,6 @@ import (
 	"dvm/internal/algebra"
 	"dvm/internal/delta"
 	"dvm/internal/obs"
-	"dvm/internal/obs/runtimebridge"
 	"dvm/internal/obs/trace"
 	"dvm/internal/schema"
 	"dvm/internal/storage"
@@ -196,10 +195,6 @@ type Manager struct {
 	// manager's single-writer discipline.
 	tracer *trace.Tracer
 	cur    *trace.Span
-
-	// bridge, when started, polls runtime/metrics into obs (see
-	// internal/obs/runtimebridge); Close stops it.
-	bridge *runtimebridge.Bridge
 }
 
 // NewManager wraps a database.
@@ -232,37 +227,9 @@ func (m *Manager) Locks() *txn.LockManager { return m.locks }
 // Obs exposes the manager's metrics registry: counters, gauges, and
 // histograms for every maintenance operation, documented in
 // docs/observability.md. Snapshot it for reporting, or serve it over
-// HTTP with obs.Handler.
+// HTTP with obs.Handler, which scrapes it with the Go runtime's go_*
+// families (obs.Scrape).
 func (m *Manager) Obs() *obs.Registry { return m.obs }
-
-// StartRuntimeBridge starts (once) the runtime/metrics bridge: a
-// background poller folding Go runtime health — goroutines, live heap,
-// GC cycles/pauses, scheduler latency — into this manager's registry
-// every interval (interval <= 0 defaults to one second). The first
-// poll runs synchronously, so the go_* families carry real readings on
-// return. Stop it with Close.
-func (m *Manager) StartRuntimeBridge(interval time.Duration) {
-	if m.bridge == nil {
-		m.bridge = runtimebridge.New(m.obs)
-	}
-	m.bridge.Start(interval)
-}
-
-// WithRuntimeBridge starts the runtime/metrics bridge at construction;
-// the caller owns stopping it via Close.
-func WithRuntimeBridge(interval time.Duration) ManagerOption {
-	return func(m *Manager) { m.StartRuntimeBridge(interval) }
-}
-
-// Close stops the manager's background pollers (today: the runtime
-// bridge). Idempotent and safe on a manager that never started one;
-// the manager remains usable for maintenance afterwards.
-func (m *Manager) Close() error {
-	if m.bridge == nil {
-		return nil
-	}
-	return m.bridge.Close()
-}
 
 // View returns a registered view.
 func (m *Manager) View(name string) (*View, error) {

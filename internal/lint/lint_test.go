@@ -139,10 +139,7 @@ var fixtureCases = []struct {
 	{
 		dir:    "resource",
 		checks: "resource-lifecycle",
-		cfg: func(c Config) Config {
-			c.ObsPkg = fixturePrefix + "resource"
-			return c
-		},
+		cfg:    func(c Config) Config { return c },
 	},
 	{
 		dir:    "errflow",

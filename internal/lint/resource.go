@@ -57,25 +57,20 @@ type resourceContract struct {
 	kind      string
 }
 
-// resourceContracts is the pairing table. cfg-relative rows let
-// fixtures rebind the module-internal constructors.
-func resourceContracts(cfg Config) []resourceContract {
-	return []resourceContract{
-		{pkg: "os", fn: "Create", closer: "Close", errPaired: true, kind: "file"},
-		{pkg: "os", fn: "Open", closer: "Close", errPaired: true, kind: "file"},
-		{pkg: "os", fn: "OpenFile", closer: "Close", errPaired: true, kind: "file"},
-		{pkg: "time", fn: "NewTicker", closer: "Stop", kind: "ticker"},
-		{pkg: "time", fn: "NewTimer", closer: "Stop", kind: "timer"},
-		{pkg: "compress/gzip", fn: "NewReader", closer: "Close", errPaired: true, kind: "gzip reader"},
-		{pkg: "compress/gzip", fn: "NewWriter", closer: "Close", kind: "gzip writer"},
-		{pkg: cfg.ObsPkg + "/runtimebridge", fn: "New", closer: "Close", kind: "runtime-metrics poller"},
-	}
+// resourceContracts is the pairing table.
+var resourceContracts = []resourceContract{
+	{pkg: "os", fn: "Create", closer: "Close", errPaired: true, kind: "file"},
+	{pkg: "os", fn: "Open", closer: "Close", errPaired: true, kind: "file"},
+	{pkg: "os", fn: "OpenFile", closer: "Close", errPaired: true, kind: "file"},
+	{pkg: "time", fn: "NewTicker", closer: "Stop", kind: "ticker"},
+	{pkg: "time", fn: "NewTimer", closer: "Stop", kind: "timer"},
+	{pkg: "compress/gzip", fn: "NewReader", closer: "Close", errPaired: true, kind: "gzip reader"},
+	{pkg: "compress/gzip", fn: "NewWriter", closer: "Close", kind: "gzip writer"},
 }
 
 func runResourceLifecycle(p *Pass) {
-	contracts := resourceContracts(p.Cfg)
 	eachScope(p, func(body *ast.BlockStmt, cfg *funcCFG) {
-		checkResourceScope(p, contracts, cfg)
+		checkResourceScope(p, resourceContracts, cfg)
 	})
 }
 

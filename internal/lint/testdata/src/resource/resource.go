@@ -1,8 +1,8 @@
 // Package resource is a dvmlint fixture for the resource-lifecycle
 // analyzer: contract-paired acquisitions (files, tickers, gzip
-// streams, the runtimebridge poller) must be closed on every path out
-// of the acquiring function, with escapes transferring the obligation
-// and error-paired constructors owing nothing on their failure branch.
+// streams) must be closed on every path out of the acquiring function,
+// with escapes transferring the obligation and error-paired
+// constructors owing nothing on their failure branch.
 package resource
 
 import (
@@ -10,8 +10,6 @@ import (
 	"io"
 	"os"
 	"time"
-
-	rb "dvm/internal/lint/testdata/src/resource/runtimebridge"
 )
 
 // LeakOnErrorPath leaks f when stamp fails: the early error return
@@ -152,20 +150,6 @@ func GzipWriterLeak(w io.Writer, data []byte) error {
 		return err // want resource-lifecycle
 	}
 	return zw.Close()
-}
-
-// PollerLeak leaks the cfg-relative contract resource (the
-// runtimebridge poller) on the file-open failure path; the file
-// itself is error-paired and owes nothing there.
-func PollerLeak(path string) error {
-	p := rb.New()
-	f, err := os.Create(path)
-	if err != nil {
-		return err // want resource-lifecycle: p leaks
-	}
-	_ = f.Close()
-	p.Close()
-	return nil
 }
 
 func stamp(f *os.File) error {

@@ -32,7 +32,7 @@ var familyHelp = map[string]string{
 	"phase_alloc_bytes":   "Heap bytes allocated during the (view, phase) maintenance region.",
 	"go_goroutines":       "Current number of live goroutines (runtime/metrics).",
 	"go_heap_live_bytes":  "Bytes of live heap objects after the last GC mark phase (runtime/metrics).",
-	"go_gc_cycles":        "Completed GC cycles since the bridge started polling (runtime/metrics).",
+	"go_gc_cycles":        "Completed GC cycles since process start (runtime/metrics).",
 	"go_gc_pause_ns":      "Distribution of GC stop-the-world pause latencies (runtime/metrics, ns).",
 	"go_sched_latency_ns": "Distribution of goroutine scheduling latencies: time runnable before running (runtime/metrics, ns).",
 }

@@ -70,8 +70,8 @@ func (h *Histogram) Observe(v int64) {
 	}
 }
 
-// ObserveN records n observations of the same value in one shot (the
-// runtime bridge folds runtime/metrics bucket-count deltas in with
+// ObserveN records n observations of the same value in one shot
+// (Scrape rebuilds each runtime/metrics histogram's buckets with
 // this). Negative values clamp to zero like Observe; n == 0 is a no-op.
 func (h *Histogram) ObserveN(v int64, n uint64) {
 	if n == 0 {
@@ -91,25 +91,6 @@ func (h *Histogram) ObserveN(v int64, n uint64) {
 	}
 }
 
-// Merge folds another histogram's observations into h (used when
-// aggregating per-label histograms into one family view).
-func (h *Histogram) Merge(o *Histogram) {
-	for i := range o.buckets {
-		if n := o.buckets[i].Load(); n > 0 {
-			h.buckets[i].Add(n)
-		}
-	}
-	h.count.Add(o.count.Load())
-	h.sum.Add(o.sum.Load())
-	om := o.max.Load()
-	for {
-		cur := h.max.Load()
-		if om <= cur || h.max.CompareAndSwap(cur, om) {
-			return
-		}
-	}
-}
-
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
@@ -118,15 +99,6 @@ func (h *Histogram) Sum() int64 { return h.sum.Load() }
 
 // Max returns the largest observed value (0 when empty).
 func (h *Histogram) Max() int64 { return h.max.Load() }
-
-// Mean returns the mean observed value (0 when empty).
-func (h *Histogram) Mean() int64 {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return h.sum.Load() / n
-}
 
 // Quantile returns an upper-bound estimate of the q-quantile (0 ≤ q ≤ 1)
 // from the bucket boundaries: the exclusive upper bound of the bucket

@@ -1,11 +1,78 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http/httptest"
+	"runtime"
+	"strings"
 	"testing"
 )
+
+// TestScrapeReadsTheRuntime checks the scrape seam: Scrape adds the
+// five go_* families with their documented kinds to the registry's own
+// metrics, in (Name, Label) order, and its exposition validates; the
+// GC counter grows across runtime.GC and the pause histogram's count
+// never falls between scrapes; the registry's Snapshot has no go_*
+// family.
+func TestScrapeReadsTheRuntime(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("txn_total", "").Add(1)
+	first := Scrape(r)
+	for name, kind := range map[string]string{
+		"go_goroutines":       "gauge",
+		"go_heap_live_bytes":  "gauge",
+		"go_gc_cycles":        "counter",
+		"go_gc_pause_ns":      "histogram",
+		"go_sched_latency_ns": "histogram",
+	} {
+		if m, ok := first.Get(name, ""); !ok || m.Kind != kind {
+			t.Errorf("Scrape: %s = %+v (present %v), want kind %s", name, m, ok, kind)
+		}
+	}
+	if m, _ := first.Get("go_goroutines", ""); m.Value < 1 {
+		t.Errorf("go_goroutines = %d, want >= 1", m.Value)
+	}
+	if m, _ := first.Get("go_heap_live_bytes", ""); m.Value <= 0 {
+		t.Errorf("go_heap_live_bytes = %d, want > 0", m.Value)
+	}
+	if m, ok := first.Get("txn_total", ""); !ok || m.Value != 1 {
+		t.Errorf("Scrape lost the registry's txn_total: %+v, %v", m, ok)
+	}
+	for i := 1; i < len(first.Metrics); i++ {
+		a, b := first.Metrics[i-1], first.Metrics[i]
+		if a.Name > b.Name || a.Name == b.Name && a.Label >= b.Label {
+			t.Errorf("Scrape out of (Name, Label) order at %d: %s{%s} before %s{%s}", i, a.Name, a.Label, b.Name, b.Label)
+		}
+	}
+	var prom bytes.Buffer
+	if err := WriteProm(&prom, first); err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidateExposition(prom.Bytes()); err != nil {
+		t.Errorf("Scrape's exposition invalid: %v\n%s", err, prom.Bytes())
+	}
+
+	prev := first
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+		cur := Scrape(r)
+		if c, p := cur.Family("go_gc_cycles")[0].Value, prev.Family("go_gc_cycles")[0].Value; c <= p {
+			t.Errorf("go_gc_cycles %d -> %d across runtime.GC, want growth", p, c)
+		}
+		if c, p := cur.Family("go_gc_pause_ns")[0].Count, prev.Family("go_gc_pause_ns")[0].Count; c < p {
+			t.Errorf("go_gc_pause_ns count fell between scrapes: %d -> %d", p, c)
+		}
+		prev = cur
+	}
+
+	for _, m := range r.Snapshot().Metrics {
+		if strings.HasPrefix(m.Name, "go_") {
+			t.Errorf("Registry.Snapshot has runtime family %s; only Scrape adds them", m.Name)
+		}
+	}
+}
 
 func TestHandlerFilterParam(t *testing.T) {
 	r := NewRegistry()

@@ -1,8 +1,9 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -137,20 +138,26 @@ func (r *Registry) Snapshot() Snapshot {
 		out = append(out, Metric{Name: k.name, Label: k.label, Kind: KindGauge.String(), Value: g.Load()})
 	}
 	for k, h := range r.histIndex {
-		out = append(out, Metric{
-			Name: k.name, Label: k.label, Kind: KindHistogram.String(),
-			Count: h.Count(), Sum: h.Sum(), Max: h.Max(),
-			P50: h.Quantile(0.50), P90: h.Quantile(0.90), P99: h.Quantile(0.99),
-			Buckets: h.Buckets(),
-		})
+		out = append(out, histMetric(k.name, k.label, h))
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		return out[i].Label < out[j].Label
-	})
+	slices.SortFunc(out, compareMetrics)
 	return Snapshot{Metrics: out}
+}
+
+// histMetric is one histogram's state as a snapshot Metric.
+func histMetric(name, label string, h *Histogram) Metric {
+	return Metric{
+		Name: name, Label: label, Kind: KindHistogram.String(),
+		Count: h.Count(), Sum: h.Sum(), Max: h.Max(),
+		P50: h.Quantile(0.50), P90: h.Quantile(0.90), P99: h.Quantile(0.99),
+		Buckets: h.Buckets(),
+	}
+}
+
+// compareMetrics orders metrics by (Name, Label), the order every
+// Snapshot keeps.
+func compareMetrics(a, b Metric) int {
+	return cmp.Or(strings.Compare(a.Name, b.Name), strings.Compare(a.Label, b.Label))
 }
 
 // Get returns the metric for (name, label), if present.

@@ -38,15 +38,6 @@ func (s Snapshot) String() string {
 			rows = append(rows, []string{name, m.Kind, "", fmtValue(m.Name, m.Value), "", "", "", ""})
 		}
 	}
-
-	widths := make([]int, len(rows[0]))
-	for _, row := range rows {
-		for i, c := range row {
-			if len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
 	return renderAligned(rows)
 }
 

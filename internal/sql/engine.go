@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"dvm/internal/algebra"
 	"dvm/internal/bag"
@@ -41,15 +40,6 @@ func WithTraceSpec(spec string) EngineOption {
 	return func(e *Engine) { e.optErr = trace.Configure(e.mgr.Tracer(), spec) }
 }
 
-// WithRuntimeBridge starts the engine manager's runtime/metrics
-// bridge: Go runtime health (goroutines, heap, GC, scheduler latency)
-// polled into the obs registry every interval, alongside the
-// maintenance families (see core.Manager.StartRuntimeBridge). Stop it
-// with Close.
-func WithRuntimeBridge(interval time.Duration) EngineOption {
-	return func(e *Engine) { e.mgr.StartRuntimeBridge(interval) }
-}
-
 // NewEngine creates an engine over a fresh database.
 func NewEngine(opts ...EngineOption) *Engine {
 	db := storage.NewDatabase()
@@ -78,11 +68,6 @@ func (e *Engine) DB() *storage.Database { return e.db }
 
 // Manager exposes the maintenance manager.
 func (e *Engine) Manager() *core.Manager { return e.mgr }
-
-// Close stops the engine's background pollers (the runtime bridge,
-// when started) by closing the manager. Idempotent; the engine stays
-// usable for statements afterwards.
-func (e *Engine) Close() error { return e.mgr.Close() }
 
 // Result is the outcome of one statement.
 type Result struct {

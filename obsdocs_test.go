@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -47,14 +48,8 @@ func documentedFamilies(t *testing.T) map[string]bool {
 // both directions. Adding a metric without documenting it, or
 // documenting one that no longer exists, fails here.
 func TestObservabilityDocsMatchRegistry(t *testing.T) {
-	// The runtime bridge (long interval — its synchronous first poll is
-	// all we need) adds the go_* families.
-	eng := dvm.NewEngine(dvm.WithRuntimeBridge(time.Hour))
-	defer func() {
-		if err := eng.Close(); err != nil {
-			t.Error(err)
-		}
-	}()
+	// obs.Scrape adds the go_* families, read from the runtime.
+	eng := dvm.NewEngine()
 	script := `
 CREATE TABLE sales (custId INT, itemNo INT, quantity INT, salesPrice FLOAT);
 CREATE MATERIALIZED VIEW hv REFRESH DEFERRED COMBINED AS
@@ -83,10 +78,10 @@ SELECT * FROM hv;
 	}
 
 	emitted := map[string]bool{}
-	for _, fam := range eng.Manager().Obs().Snapshot().Families() {
+	for _, fam := range obs.Scrape(eng.Manager().Obs()).Families() {
 		emitted[fam] = true
 	}
-	for _, fam := range restored.Manager().Obs().Snapshot().Families() {
+	for _, fam := range obs.Scrape(restored.Manager().Obs()).Families() {
 		emitted[fam] = true
 	}
 
@@ -105,11 +100,54 @@ SELECT * FROM hv;
 	// The Prometheus exposition of the same registry must pass the
 	// strict format validator — this is the golden check for /metrics.
 	var prom bytes.Buffer
-	if err := obs.WriteProm(&prom, eng.Manager().Obs().Snapshot()); err != nil {
+	if err := obs.WriteProm(&prom, obs.Scrape(eng.Manager().Obs())); err != nil {
 		t.Fatal(err)
 	}
 	if err := obs.ValidateExposition(prom.Bytes()); err != nil {
 		t.Errorf("exposition of the workload registry invalid: %v\n%s", err, prom.Bytes())
+	}
+}
+
+// TestEngineStartsNoGoroutine checks that the engine owns no
+// background work: building an engine, running a script, saving and
+// restoring it and scraping both registries (the go_* families are read
+// from the runtime) leave the goroutine count at its baseline, with no
+// Close anywhere.
+func TestEngineStartsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	eng := dvm.NewEngine()
+	script := `
+CREATE TABLE sales (custId INT, itemNo INT, quantity INT);
+CREATE MATERIALIZED VIEW hv REFRESH DEFERRED COMBINED AS
+SELECT s.custId, s.itemNo FROM sales s WHERE s.quantity != 0;
+INSERT INTO sales VALUES (1, 10, 2);
+PROPAGATE hv;
+REFRESH hv;
+`
+	if _, err := eng.ExecScript(script); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := eng.SaveTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := dvm.LoadEngine(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []*dvm.Engine{eng, restored} {
+		if len(obs.Scrape(e.Manager().Obs()).Family("go_goroutines")) != 1 {
+			t.Fatal("Scrape has no go_goroutines")
+		}
+	}
+	// A goroutine another test left behind may still be exiting; one
+	// the engine started never would.
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines after the engine's work, %d before", n, before)
 	}
 }
 

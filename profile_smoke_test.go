@@ -1,13 +1,18 @@
 package dvm_test
 
 import (
-	"bytes"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
 	"runtime/pprof"
+	"strconv"
+	"strings"
 	"testing"
 
 	"dvm/internal/core"
 	"dvm/internal/obs"
-	"dvm/internal/obs/profparse"
 	"dvm/internal/obs/trace"
 	"dvm/internal/storage"
 	"dvm/internal/workload"
@@ -133,17 +138,23 @@ func TestTracedRetailRunProducesValidChrome(t *testing.T) {
 
 // TestLabeledCPUProfile is the end-to-end check of the pprof-label
 // plumbing: a CPU profile captured while the Policy-2 retail day runs
-// (the workload `make profile` captures) must contain samples labeled
-// dvm_phase=propagate, and every dvm-labeled sample must carry a known
-// phase and the view name. CPU profiles are statistical, so when the
-// run is too quick to be sampled at all the test skips rather than
-// flakes; with samples present, the labels must be there.
+// (the workload `make profile` captures) and read back by `go tool
+// pprof -raw` must contain samples labeled dvm_phase=propagate, and
+// every dvm-labeled sample must carry a known phase and the view name.
+// CPU profiles are statistical, so when the run is too quick to be
+// sampled at all the test skips rather than flakes; with samples
+// present, the labels must be there. A missing go command fails it.
 func TestLabeledCPUProfile(t *testing.T) {
 	if testing.Short() {
 		t.Skip("profiling run is not short")
 	}
-	var buf bytes.Buffer
-	if err := pprof.StartCPUProfile(&buf); err != nil {
+	path := filepath.Join(t.TempDir(), "cpu.pprof")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		_ = f.Close()
 		t.Fatal(err)
 	}
 	// Three retail days ≈ several hundred milliseconds of
@@ -155,18 +166,41 @@ func TestLabeledCPUProfile(t *testing.T) {
 			retailDay(t)
 		}
 	}()
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	p, err := profparse.Parse(buf.Bytes())
+	// go test puts GOROOT/bin first on PATH, so this is the toolchain
+	// that built the test.
+	goCmd, err := exec.LookPath("go")
+	if err != nil {
+		t.Fatalf("reading the profile needs go tool pprof: %v", err)
+	}
+	out, err := exec.Command(goCmd, "tool", "pprof", "-raw", "-symbolize=none", path).Output()
+	if err != nil {
+		t.Fatalf("go tool pprof -raw: %v", err)
+	}
+	samples, err := parseRawSamples(string(out))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Samples) == 0 {
+	if len(samples) == 0 {
 		t.Skip("profiler captured no samples (machine too fast or clock too coarse)")
 	}
-	st := p.Attribution(1, obs.LabelPhase, obs.LabelPhase)
-	if st.ByValue[obs.PhasePropagate] == 0 {
+	// CPU time (the second value, ns) per dvm_phase value; "" holds the
+	// unlabeled samples.
+	byPhase := map[string]int64{}
+	var total, labeled int64
+	for _, s := range samples {
+		byPhase[s.labels[obs.LabelPhase]] += s.cpu
+		total += s.cpu
+		if s.labels[obs.LabelPhase] != "" {
+			labeled += s.cpu
+		}
+	}
+	if byPhase[obs.PhasePropagate] == 0 {
 		t.Errorf("no CPU samples labeled %s=%s; phase breakdown: %v",
-			obs.LabelPhase, obs.PhasePropagate, st.ByValue)
+			obs.LabelPhase, obs.PhasePropagate, byPhase)
 	}
 	// Any sample carrying dvm_phase must carry a valid phase value, and
 	// propagate samples must also identify the view they maintain.
@@ -174,16 +208,64 @@ func TestLabeledCPUProfile(t *testing.T) {
 	for _, ph := range obs.Phases() {
 		valid[ph] = true
 	}
-	for ph := range st.ByValue {
+	for ph := range byPhase {
 		if ph != "" && !valid[ph] {
 			t.Errorf("sample labeled with unknown phase %q", ph)
 		}
 	}
-	for _, s := range p.Samples {
-		if s.Labels[obs.LabelPhase] == obs.PhasePropagate && s.Labels[obs.LabelView] != "hv" {
-			t.Errorf("propagate-labeled sample missing %s=hv: %v", obs.LabelView, s.Labels)
+	for _, s := range samples {
+		if s.labels[obs.LabelPhase] == obs.PhasePropagate && s.labels[obs.LabelView] != "hv" {
+			t.Errorf("propagate-labeled sample missing %s=hv: %v", obs.LabelView, s.labels)
 		}
 	}
 	t.Logf("profile: %d samples, %.1f%% of CPU labeled, breakdown %v",
-		len(p.Samples), 100*float64(st.Labeled)/float64(max(st.Total, 1)), st.ByValue)
+		len(samples), 100*float64(labeled)/float64(max(total, 1)), byPhase)
+}
+
+// rawSample is one CPU sample as `go tool pprof -raw` prints it: its
+// CPU time and its string labels.
+type rawSample struct {
+	cpu    int64
+	labels map[string]string
+}
+
+// rawLabelRe matches one "key:[value]" group of a sample's label line.
+var rawLabelRe = regexp.MustCompile(`(\S+):\[([^\]]*)\]`)
+
+// parseRawSamples reads the Samples section of `go tool pprof -raw`
+// output for a CPU profile: a column-header line, then per sample a
+// line "count nanoseconds: location ids" and, when it has labels, an
+// indented line of "key:[value]" groups. The section ends at
+// "Locations".
+func parseRawSamples(out string) ([]rawSample, error) {
+	_, section, ok := strings.Cut(out, "\nSamples:\n")
+	if !ok {
+		return nil, fmt.Errorf("pprof -raw output has no Samples section:\n%s", out)
+	}
+	section, _, ok = strings.Cut(section, "\nLocations\n")
+	if !ok {
+		return nil, fmt.Errorf("pprof -raw output has no Locations section:\n%s", out)
+	}
+	var samples []rawSample
+	for _, line := range strings.Split(section, "\n")[1:] {
+		head, _, _ := strings.Cut(line, ":")
+		if vals := strings.Fields(head); len(vals) == 2 {
+			if _, err := strconv.ParseInt(vals[0], 10, 64); err == nil {
+				cpu, err := strconv.ParseInt(vals[1], 10, 64)
+				if err != nil {
+					return nil, fmt.Errorf("pprof -raw sample line %q: %v", line, err)
+				}
+				samples = append(samples, rawSample{cpu: cpu, labels: map[string]string{}})
+				continue
+			}
+		}
+		groups := rawLabelRe.FindAllStringSubmatch(line, -1)
+		if len(groups) == 0 || len(samples) == 0 {
+			return nil, fmt.Errorf("pprof -raw: unexpected line %q", line)
+		}
+		for _, g := range groups {
+			samples[len(samples)-1].labels[g[1]] = g[2]
+		}
+	}
+	return samples, nil
 }

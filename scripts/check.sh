@@ -37,13 +37,6 @@ echo "   dvmlint wall clock: $(( $(date +%s) - dvmlint_start ))s"
 echo "== doccheck (README.md docs/*.md)"
 go run ./cmd/doccheck
 
-echo "== runtime bridge families"
-# The bridge's family list is part of the documented metrics contract;
-# echo the gauge count so a drifting bridge is visible in gate logs.
-bridge_fams=$(go run ./cmd/dvmstatsd -bridge-families)
-echo "$bridge_fams" | sed 's/^/   /'
-echo "   runtime-bridge gauges: $(echo "$bridge_fams" | grep -c ' gauge$')"
-
 echo "== go test -race"
 go test -race ./...
 
