@@ -6,7 +6,11 @@
 //
 // A Bag maps each distinct tuple to its multiplicity, keyed by the
 // tuple's 64-bit hash (schema.Tuple.Hash): no key string is stored. A
-// hash is a hit only when the stored tuple compares equal
+// tuple held exactly once — nearly every row of a keyed table, most of
+// a projected view's — is stored as its pointer alone, in a unit map;
+// only a tuple of another multiplicity pays for a count, in a second,
+// counted map, and a tuple moves between the two only when its count
+// crosses 1. A hash is a hit only when the stored tuple compares equal
 // (Tuple.Compare), and a second tuple under a hash another holds goes to
 // a spill keyed by its canonical key string, which stays nil until the
 // first collision. All operations are pure: they return fresh bags and
@@ -32,8 +36,8 @@
 // under a private overlay of the tuples changed since. A write after a
 // Clone then copies the overlay, not the bag, until the overlay has
 // cost what a copy of the base would (Prepare's rule), when the two fold
-// back into one flat map. A spill rides with its map: shared, copied,
-// frozen and folded with it.
+// back into one flat map. The counted map and the spill ride with the
+// unit map: shared, copied, frozen and folded with it.
 package bag
 
 import (
@@ -49,25 +53,85 @@ import (
 
 // entry is one distinct tuple and its multiplicity. The tuple is stored
 // as a pointer to its first value (schema.Tuple.Ptr) under the bag's
-// arity — 16 bytes, so a map slot with its 8-byte hash is 24, where a
-// tuple's slice header would make it 40.
+// arity — 16 bytes, so a counted map's slot with its 8-byte hash is 24,
+// where a tuple's slice header would make it 40. A unit map stores the
+// pointer alone, and every reader is handed the entry it stands for.
 type entry struct {
 	p     *schema.Value
 	count int
 }
 
-// tier is one map of a bag's contents: its entries by tuple hash, and
-// the spill x, which holds by canonical key each entry whose hash
-// another entry of m held when it was written. x is nil until the first
-// collision. A tuple lives in m or in x, never both: a lookup reads m
-// under the hash, and x only when m's entry there is another tuple.
+// tier is one level of a bag's contents, its entries by tuple hash in
+// two maps that never hold the same hash: u holds each tuple of
+// multiplicity exactly 1 as its pointer — a 16-byte slot — and c.m
+// every other entry. c.x is the spill, which holds by canonical key each
+// entry whose hash another entry of the maps held when it was written,
+// whatever its count. A tuple lives in the maps or in the spill, never
+// both: a lookup reads u under the hash, c.m only when u lacks the hash
+// and c.m is not empty, and the spill only when the maps' entry there is
+// another tuple. c stays nil until a promoted small bag's first counted
+// tuple or collision, and c.m and c.x stay nil until their first entry.
 type tier struct {
+	u map[uint64]*schema.Value
+	c *side
+}
+
+// side is the rarer half of a tier, behind one pointer so that a Bag
+// stays within 80 bytes: the counted map and the spill. A side is
+// written through one tier only — a Clone copies it into its own —
+// except a frozen base's, which no tier writes.
+type side struct {
 	m map[uint64]entry
 	x map[string]entry
 }
 
+// tomb is a tombstone: the unit map's value, in a two-level bag's
+// overlay, for a tuple the overlay deleted over the base. It is no
+// tuple's pointer — an arity-0 tuple's is nil — and it keeps no tuple
+// alive.
+var tomb = new(schema.Value)
+
+// cm returns t's counted map, nil when it has none.
+func (t tier) cm() map[uint64]entry {
+	if t.c == nil {
+		return nil
+	}
+	return t.c.m
+}
+
+// spill returns t's spill, nil when it has none.
+func (t tier) spill() map[string]entry {
+	if t.c == nil {
+		return nil
+	}
+	return t.c.x
+}
+
 // len returns the entries of t, tombstones included.
-func (t tier) len() int { return len(t.m) + len(t.x) }
+func (t tier) len() int { return len(t.u) + len(t.cm()) + len(t.spill()) }
+
+// at returns the entry t's maps keep under hash h — a tombstone reads as
+// entry{} — and whether they keep one.
+func (t tier) at(h uint64) (entry, bool) {
+	if p, ok := t.u[h]; ok {
+		if p == tomb {
+			return entry{}, true
+		}
+		return entry{p: p, count: 1}, true
+	}
+	if m := t.cm(); len(m) > 0 {
+		e, ok := m[h]
+		return e, ok
+	}
+	return entry{}, false
+}
+
+// has reports whether t's maps keep an entry under h, a tombstone
+// included: in a two-level bag, whether the overlay shadows the base's.
+func (t tier) has(h uint64) bool {
+	_, ok := t.at(h)
+	return ok
+}
 
 // Bag is a finite multiset of tuples. The zero value is NOT ready to use;
 // call New. Bags are not safe for concurrent mutation.
@@ -79,9 +143,9 @@ func (t tier) len() int { return len(t.m) + len(t.x) }
 // arity is a no-op, like removing any tuple the bag does not hold.
 type Bag struct {
 	// tier is a flat bag's contents. Of a two-level bag (lv != nil) it is
-	// the overlay: the entries changed since lv.base froze, where an entry
-	// of count 0 is a tombstone, a deleted tuple. A small bag has none
-	// (m == nil): its entries are s.
+	// the overlay: the entries changed since lv.base froze, where tomb in
+	// u (or a spill entry of count 0) is a deleted tuple. A small bag has
+	// none (u == nil): its entries are s.
 	tier
 	// s holds a small bag's entries, at most smallMax, with their hashes.
 	// A small bag is always flat, private and unindexed: Clone copies it,
@@ -89,16 +153,16 @@ type Bag struct {
 	s     []slot
 	size  int // total multiplicity
 	arity int // the length of every tuple the bag holds
-	// peak is the most distinct tuples m has held since it was allocated
-	// (a map's buckets only grow, so this is its capacity); last's low 31
-	// bits are the distinct count at the previous Clear, and Clear's
-	// retention rule reads both. last's top bit is the shared mark: m may
-	// be another bag's map too (Clone), so the first mutation copies it.
-	// Clone sets the mark on its source under a read lock, concurrently
-	// with other readers, so last is atomic. Both counts saturate, and
-	// together they fit one word. addKeyed keeps peak, but the pure
-	// operators write past it (put) and leave peak behind; Clear takes
-	// max(peak, len(m)).
+	// peak is the most entries the tier has held since its maps were
+	// allocated (a map's buckets only grow, so it bounds the capacity of
+	// each); last's low 31 bits are the distinct count at the previous
+	// Clear, and Clear's retention rule reads both. last's top bit is the
+	// shared mark: the maps may be another bag's too (Clone), so the first
+	// mutation copies them. Clone sets the mark on its source under a read
+	// lock, concurrently with other readers, so last is atomic. Both counts
+	// saturate, and together they fit one word. addKeyed keeps peak, but
+	// the pure operators write past it (put) and leave peak behind; Clear
+	// takes max(peak, the distinct count).
 	peak uint32
 	last atomic.Uint32
 	// dx holds what is derived from the contents — the version counter,
@@ -111,10 +175,11 @@ type Bag struct {
 	lv *levels
 }
 
-// levels is the frozen half of a two-level bag. base was a map readers
-// shared when the bag went two-level, and no bag writes it again, so
-// every bag holding it may go on reading it. Each bag has levels of its
-// own (Clone copies the struct), so distinct and rent are its writer's.
+// levels is the frozen half of a two-level bag. base was a tier readers
+// shared when the bag went two-level — a flat one, so it holds no
+// tombstone — and no bag writes it again, so every bag holding it may go
+// on reading it. Each bag has levels of its own (Clone copies the
+// struct), so distinct and rent are its writer's.
 type levels struct {
 	base     tier
 	distinct int // the bag's distinct tuples, both levels together
@@ -148,6 +213,59 @@ const smallMax = 8
 type smallBag struct {
 	Bag
 	buf [2]slot
+}
+
+// mapBag is a map bag allocated together with its tier's side: a bag
+// made as a map, by New's kin or a Clone or Prepare, pays no allocation
+// of its own for its first counted tuple or collision beyond the map
+// that takes it. (A promoted small bag allocates its side then.)
+type mapBag struct {
+	Bag
+	sd side
+}
+
+// newMapBag returns a map bag of size and arity 0 whose tier is u and a
+// side holding c, the side allocated with the bag.
+func newMapBag(u map[uint64]*schema.Value, c side) *Bag {
+	mb := &mapBag{sd: c}
+	mb.tier = tier{u: u, c: &mb.sd}
+	return &mb.Bag
+}
+
+// sized returns a unit map and a side with room for units and counts
+// entries; a counted map for none stays nil.
+func sized(units, counts int) (map[uint64]*schema.Value, side) {
+	var c side
+	if counts > 0 {
+		c.m = make(map[uint64]entry, counts)
+	}
+	return make(map[uint64]*schema.Value, units), c
+}
+
+// split divides room for n entries between a unit map and a counted map
+// as b's own entries divide between them (a small bag's by their
+// counts): how a map sized for a bag's contents, its Clear or its
+// overlay is sized in both halves.
+func (b *Bag) split(n int) (units, counts int) {
+	var d, c int
+	switch {
+	case b.u == nil:
+		d = len(b.s)
+		for _, sl := range b.s {
+			if sl.e.count != 1 {
+				c++
+			}
+		}
+	case b.lv != nil:
+		d, c = b.lv.base.len()+b.tier.len(), len(b.lv.base.cm())+len(b.cm())
+	default:
+		d, c = b.tier.len(), len(b.cm())
+	}
+	if c == 0 {
+		return n, 0
+	}
+	counts = int(int64(n) * int64(c) / int64(d))
+	return n - counts, counts
 }
 
 // hashMask narrows every hash a bag keys by. It is all ones; a test
@@ -202,12 +320,12 @@ func (b *Bag) get(h uint64, t schema.Tuple) entry {
 // lookup is every lookup of a bag's contents. It returns t's entry (h is
 // t's hash), or a zero one when b does not hold t, and where the entry
 // lives: spill is true for an entry of the spill, and for a tuple b
-// lacks whose hash another tuple holds in the map, so that a new entry
+// lacks whose hash another tuple holds in the maps, so that a new entry
 // must go to the spill. A small bag's slots are scanned, a two-level
 // bag's overlay is read before its base, and a tombstone reads as
-// absent. The spill is read only when the map's entry under h is not t.
+// absent. The spill is read only when the maps' entry under h is not t.
 func (b *Bag) lookup(h uint64, t schema.Tuple) (e entry, spill bool) {
-	if b.m == nil {
+	if b.u == nil {
 		for _, sl := range b.s {
 			if sl.h == h && b.holds(sl.e.p, t) {
 				return sl.e, false
@@ -215,20 +333,24 @@ func (b *Bag) lookup(h uint64, t schema.Tuple) (e entry, spill bool) {
 		}
 		return entry{}, false
 	}
-	e, ok := b.m[h]
+	e, ok := b.at(h)
 	if !ok && b.lv != nil {
-		e = b.lv.base.m[h]
+		e, _ = b.lv.base.at(h)
 	}
 	if e.count > 0 && b.holds(e.p, t) {
 		return e, false
 	}
 	taken := e.count > 0
-	if b.x != nil || b.lv != nil && b.lv.base.x != nil {
+	var bx map[string]entry
+	if b.lv != nil {
+		bx = b.lv.base.spill()
+	}
+	if x := b.spill(); x != nil || bx != nil {
 		var kb [128]byte
 		k := t.AppendKey(kb[:0])
-		e, ok := b.x[string(k)]
-		if !ok && b.lv != nil {
-			e = b.lv.base.x[string(k)]
+		e, ok := x[string(k)]
+		if !ok {
+			e = bx[string(k)]
 		}
 		if e.count > 0 {
 			return e, true
@@ -239,36 +361,46 @@ func (b *Bag) lookup(h uint64, t schema.Tuple) (e entry, spill bool) {
 
 // each calls f once per distinct tuple of b, with its hash and entry, in
 // no particular order: a small bag's slots, a two-level bag's base
-// entries the overlay does not shadow, then the overlay's live ones. An
-// entry of a spill has its hash computed again. Every walk over a bag's
-// contents is each. f must not mutate b; each does not retain f, so a
-// caller's closure stays on its stack.
+// entries the overlay does not shadow, then the overlay's live ones —
+// each level's unit map, counted map and spill in turn. An entry of a
+// spill has its hash computed again. Every walk over a bag's contents is
+// each. f must not mutate b; each does not retain f, so a caller's
+// closure stays on its stack.
 func (b *Bag) each(f func(h uint64, e entry)) {
-	if b.m == nil {
+	if b.u == nil {
 		for _, sl := range b.s {
 			f(sl.h, sl.e)
 		}
 		return
 	}
+	x := b.spill()
 	if b.lv != nil {
 		base := b.lv.base
-		for h, e := range base.m {
-			if _, ok := b.m[h]; !ok {
+		for h, p := range base.u {
+			if !b.has(h) {
+				f(h, entry{p: p, count: 1})
+			}
+		}
+		for h, e := range base.cm() {
+			if !b.has(h) {
 				f(h, e)
 			}
 		}
-		for k, e := range base.x {
-			if _, ok := b.x[k]; !ok {
+		for k, e := range base.spill() {
+			if _, ok := x[k]; !ok {
 				f(hashOf(b.tupleAt(e.p)), e)
 			}
 		}
 	}
-	for h, e := range b.m {
-		if e.count > 0 {
-			f(h, e)
+	for h, p := range b.u {
+		if p != tomb {
+			f(h, entry{p: p, count: 1})
 		}
 	}
-	for _, e := range b.x {
+	for h, e := range b.cm() {
+		f(h, e)
+	}
+	for _, e := range x {
 		if e.count > 0 {
 			f(hashOf(b.tupleAt(e.p)), e)
 		}
@@ -290,50 +422,63 @@ func (b *Bag) setArity(n int) {
 }
 
 // copyLevel returns a private copy of the tier b writes — a flat bag's
-// contents, a two-level bag's overlay, tombstones included — with room
-// for extra entries beyond them, and counts the entries it copies. A map's
-// capacity rounds up to a power of two, so room beyond the write to come
-// can double the copy.
-func (b *Bag) copyLevel(extra int) tier {
+// contents, a two-level bag's overlay, tombstones included — as a unit
+// map with room for extra entries beyond its own and a side, and counts
+// the entries it copies. Each map is copied into one made for its
+// entries, never cloned: a clone keeps whatever capacity the map once
+// grew to, and a map's capacity rounds up to a power of two, so room
+// beyond the write to come can double the copy.
+func (b *Bag) copyLevel(extra int) (map[uint64]*schema.Value, side) {
 	copied.Add(uint64(b.tier.len()))
-	c := tier{m: make(map[uint64]entry, len(b.m)+extra)}
-	for h, e := range b.m {
+	u, c := sized(len(b.u)+extra, len(b.cm()))
+	for h, p := range b.u {
+		u[h] = p
+	}
+	for h, e := range b.cm() {
 		c.m[h] = e
 	}
-	if b.x != nil {
-		c.x = maps.Clone(b.x)
-	}
-	return c
+	c.x = maps.Clone(b.spill())
+	return u, c
 }
 
-// flat returns b's contents as one tier of its own, sized for them.
-func (b *Bag) flat() tier {
-	c := Bag{tier: tier{m: make(map[uint64]entry, b.Distinct())}, arity: b.arity}
-	b.each(func(h uint64, e entry) { c.putNew(h, e, 0) })
-	return c.tier
-}
-
-// private returns an eager copy of b: a flat bag whose map (or slots)
-// is its own from the start, for a caller that writes it at once, where
-// a Clone would only defer the copy to the first write.
+// private returns an eager copy of b: a flat bag whose maps (or slots)
+// are its own from the start, each sized for its share of b's contents,
+// for a caller that writes it at once, where a Clone would only defer
+// the copy to the first write.
 func (b *Bag) private() *Bag {
-	if b.m == nil {
+	if b.u == nil {
 		c := New()
 		c.s = append(c.s, b.s...)
 		c.size, c.arity = b.size, b.arity
 		return c
 	}
-	return &Bag{tier: b.flat(), size: b.size, arity: b.arity}
+	c := newMapBag(sized(b.split(b.Distinct())))
+	c.arity = b.arity
+	b.each(func(h uint64, e entry) { c.putNew(h, e, e.count) })
+	return c
 }
 
 // promote moves a small bag's slots into a map with room for n entries,
 // for good: nothing moves a bag back.
 func (b *Bag) promote(n int) {
-	s := b.s
-	b.tier, b.s, b.peak = tier{m: make(map[uint64]entry, n)}, nil, sat32(n)
-	for _, sl := range s {
-		b.putNew(sl.h, sl.e, 0)
+	s, size := b.s, b.size
+	units, counts := b.split(n)
+	b.u, b.s, b.peak = make(map[uint64]*schema.Value, units), nil, sat32(n)
+	if counts > 0 {
+		b.sided().m = make(map[uint64]entry, counts)
 	}
+	for _, sl := range s {
+		b.putNew(sl.h, sl.e, sl.e.count)
+	}
+	b.size = size
+}
+
+// sided returns b's side, allocated at a promoted bag's first need.
+func (b *Bag) sided() *side {
+	if b.c == nil {
+		b.c = &side{}
+	}
+	return b.c
 }
 
 // put sets the entry of a tuple, whose hash is h, to e and adds n to b's
@@ -341,16 +486,16 @@ func (b *Bag) promote(n int) {
 // operators that build a bag past addKeyed, the pure operators of ops.go
 // and the join kernel's projected path. e.p is the pointer b stores for
 // a tuple it holds (a new tuple's own, otherwise), and spill is where
-// the entry lives or goes (lookup). An entry of count 0 deletes the
-// tuple, which b must hold; in a two-level bag's overlay it is the
-// tuple's tombstone. put owes no copy-on-write check, no journal and no
-// arity check: addKeyed makes those, and what the operators build is
-// flat, private and unindexed, of an arity they set themselves. A new
-// tuple in a full small bag promotes it. Only an entry of the spill
-// costs a key string.
+// the entry lives or goes (lookup). b held the tuple e.count−n times
+// before. An entry of count 0 deletes the tuple, which b must hold; in a
+// two-level bag's overlay it leaves the tuple's tombstone. put owes no
+// copy-on-write check, no journal and no arity check: addKeyed makes
+// those, and what the operators build is flat, private and unindexed, of
+// an arity they set themselves. A new tuple in a full small bag promotes
+// it. Only an entry of the spill costs a key string.
 func (b *Bag) put(h uint64, e entry, n int, spill bool) {
 	b.size += n
-	if b.m == nil {
+	if b.u == nil {
 		i := 0
 		for i < len(b.s) && (b.s[i].h != h || b.s[i].e.p != e.p) {
 			i++
@@ -370,53 +515,78 @@ func (b *Bag) put(h uint64, e entry, n int, spill bool) {
 			return
 		}
 		b.promote(smallMax + 1)
-		_, spill = b.m[h]
+		spill = b.has(h)
 	}
 	if spill {
 		b.putSpill(b.tupleAt(e.p).Key(), e)
 		return
 	}
+	b.set(h, e, e.count-n)
+}
+
+// set is put's write of the maps, for a tuple b held was times before. A
+// count of 1 goes to the unit map and any other count to the counted
+// map, so an entry moves between the two only when its count crosses 1.
+// A count of 0 deletes the entry, or in an overlay leaves a tombstone in
+// the unit map. An overlay's unit map may hold a tombstone where the
+// tuple had count 0, and nothing where the base holds the tuple: a count
+// rising past 1 there deletes the tombstone, or finds nothing to delete.
+func (b *Bag) set(h uint64, e entry, was int) {
 	switch {
-	case e.count > 0:
-		b.m[h] = e
+	case e.count == 1:
+		b.u[h] = e.p
+	case e.count > 1:
+		if b.c == nil || b.c.m == nil {
+			b.sided().m = make(map[uint64]entry)
+		}
+		b.c.m[h] = e
+		if was == 1 || was == 0 && b.lv != nil {
+			delete(b.u, h)
+		}
+		return
 	case b.lv != nil:
-		b.m[h] = entry{} // a tombstone, which keeps no tuple alive
-	default:
-		delete(b.m, h)
+		b.u[h] = tomb
+	case was == 1:
+		delete(b.u, h)
+	}
+	if was > 1 {
+		delete(b.cm(), h)
 	}
 }
 
 // putSpill is put's write of the spill, under the tuple's key k.
 func (b *Bag) putSpill(k string, e entry) {
+	x := b.spill()
 	if e.count == 0 && b.lv == nil {
-		if len(b.x) == 1 {
-			b.x = nil // k was its last entry: lookups skip the spill again
+		if len(x) == 1 {
+			b.c.x = nil // k was its last entry: lookups skip the spill again
 		} else {
-			delete(b.x, k)
+			delete(x, k)
 		}
 		return
 	}
-	if b.x == nil {
-		b.x = make(map[string]entry)
+	if x == nil {
+		x = make(map[string]entry)
+		b.sided().x = x
 	}
 	if e.count == 0 {
 		e = entry{} // a tombstone, which keeps no tuple alive
 	}
-	b.x[k] = e
+	x[k] = e
 }
 
 // putNew is put for an entry of a tuple that b, a flat bag, does not
-// hold: it goes to the spill if another tuple holds its hash.
+// hold, whose count n is: it goes to the spill if another tuple holds its
+// hash.
 func (b *Bag) putNew(h uint64, e entry, n int) {
-	_, spill := b.m[h]
-	b.put(h, e, n, spill)
+	b.put(h, e, n, b.has(h))
 }
 
-// own makes t, a tier no other bag holds, the tier b writes, and clears
-// the shared mark. It runs only where b may be mutated: never
-// concurrently with a Clone of b.
-func (b *Bag) own(t tier) {
-	b.tier, b.peak = t, sat32(len(t.m))
+// own clears b's shared mark once the tier b writes is one no other bag
+// holds, and starts peak from the tier's size. It runs only where b may
+// be mutated: never concurrently with a Clone of b.
+func (b *Bag) own() {
+	b.peak = sat32(b.tier.len())
 	b.last.Store(b.last.Load() &^ shared)
 }
 
@@ -460,7 +630,7 @@ func New() *Bag {
 }
 
 // newMap returns an empty bag that is a map from the start.
-func newMap() *Bag { return &Bag{tier: tier{m: make(map[uint64]entry)}} }
+func newMap() *Bag { return newMapBag(sized(0, 0)) }
 
 // newFor returns an empty bag for at most n distinct tuples, in the
 // representation n picks: an operator whose output is bounded by its
@@ -475,15 +645,18 @@ func newFor(n int) *Bag {
 // NewSized returns an empty bag with room for n distinct tuples, for a
 // caller that knows how many are coming (a snapshot's table header): the
 // fill then never regrows the map, which from empty costs about as much
-// again as the map it ends with. Room for smallMax or fewer is a small
-// bag's.
+// again as the map it ends with. The room is the unit map's: a tuple of
+// another multiplicity goes to a counted map that grows from empty.
+// Room for smallMax or fewer is a small bag's.
 func NewSized(n int) *Bag {
 	if n <= smallMax {
 		b := New()
 		b.s = slices.Grow(b.s, n)
 		return b
 	}
-	return &Bag{tier: tier{m: make(map[uint64]entry, n)}, peak: sat32(n)}
+	b := newMapBag(sized(n, 0))
+	b.peak = sat32(n)
+	return b
 }
 
 // Of builds a bag containing each given tuple once.
@@ -532,7 +705,12 @@ func (b *Bag) addKeyed(h uint64, t schema.Tuple, n int) *Bag {
 		if b.lv != nil {
 			b.lv.rent += b.tier.len()
 		}
-		b.own(b.copyLevel(0))
+		u, c := b.copyLevel(0)
+		b.u = u
+		if b.c != nil { // b's own: a Clone copies the side, not its pointer
+			*b.c = c
+		}
+		b.own()
 	}
 	e, spill := b.lookup(h, t) // e.p is nil when b lacks t, and stays nil for a no-op
 	d := 0                     // effective delta after clamping
@@ -545,7 +723,7 @@ func (b *Bag) addKeyed(h uint64, t schema.Tuple, n int) *Bag {
 			e = entry{p: t.Ptr(), count: n}
 			b.put(h, e, n, spill)
 			d = n
-			b.peak = max(b.peak, sat32(len(b.m)))
+			b.peak = max(b.peak, sat32(b.tier.len()))
 			b.lv.wrote(1)
 		}
 	case e.count+n <= 0:
@@ -633,11 +811,13 @@ const clearFloor = 8
 // Clear empties the bag in place: whoever holds the bag sees it emptied,
 // and the bag's own indexes (IndexOn) stay registered, empty. A bag that
 // is filled and cleared in rounds — a log, a differential table — keeps
-// its map's buckets, so the next round refills into storage the bag
-// already owns. Retention is bounded by a rule, not a setting: the
-// buckets are kept only while the map's capacity is within 4x of BOTH
-// the fill being cleared and the one cleared before it; otherwise the
-// map is reallocated, pre-sized to the smaller of the two. So a one-off
+// its maps' buckets, the counted map's with the unit map's, so the next
+// round refills into storage the bag already owns. Retention is bounded
+// by a rule, not a setting: the buckets are kept only while the maps'
+// capacity (peak) is within 4x of BOTH the fill being cleared and the
+// one cleared before it; otherwise the maps are reallocated, pre-sized
+// to the smaller of the two, split between them as the contents being
+// cleared were (split). So a one-off
 // bulk load is released at its own Clear (and a bag never cleared
 // before starts over with a fresh map), no bag pins more than 4x its
 // smaller recent fill, and Clear costs O(the content it removes), never
@@ -645,7 +825,7 @@ const clearFloor = 8
 // fill: it is judged by the last one alone and leaves the record as it
 // is, so a log that sits out a round keeps what it had.) A map the bag
 // shares with a Clone is never cleared — the clones keep their contents
-// — so a shared bag starts over with a fresh map, sized by the same
+// — so a shared bag starts over with fresh maps, sized by the same
 // rule, and so does a two-level bag, which Clear leaves flat. A small
 // bag stays small: its slots are at most smallMax.
 func (b *Bag) Clear() {
@@ -656,7 +836,7 @@ func (b *Bag) Clear() {
 		keep = min(n, keep)
 		fill = sat31(n)
 	}
-	if b.m == nil {
+	if b.u == nil {
 		clear(b.s)
 		b.s = b.s[:0]
 		b.last.Store(fill)
@@ -665,11 +845,18 @@ func (b *Bag) Clear() {
 	}
 	shrink := max(int(b.peak), n) > max(4*keep, clearFloor)
 	if shrink || b.isShared() || b.lv != nil {
-		b.tier = tier{m: make(map[uint64]entry, keep)}
+		u, c := sized(b.split(keep))
+		b.u = u
+		if b.c != nil {
+			*b.c = c
+		}
 		b.peak = sat32(keep)
 	} else {
-		clear(b.m)
-		b.x = nil
+		clear(b.u)
+		if b.c != nil {
+			clear(b.c.m)
+			b.c.x = nil
+		}
 	}
 	b.lv = nil
 	b.last.Store(fill)
@@ -755,7 +942,7 @@ func (b *Bag) Len() int { return b.size }
 // Distinct returns the number of distinct tuples.
 func (b *Bag) Distinct() int {
 	switch {
-	case b.m == nil:
+	case b.u == nil:
 		return len(b.s)
 	case b.lv != nil:
 		return b.lv.distinct
@@ -768,10 +955,11 @@ func (b *Bag) Empty() bool { return b.size == 0 }
 
 // Clone returns a copy of b that costs one or two small allocations,
 // however large b is: a copy-on-write handle. The two bags share b's
-// map — of a two-level bag, both levels — both marked shared, until one
-// of them is mutated; that one copies the map first (the overlay alone,
-// of a two-level bag), and Clear on a shared bag starts a fresh map
-// instead of emptying the shared one. So either bag may be mutated or
+// maps — of a two-level bag, both levels — both marked shared, until one
+// of them is mutated; that one copies the maps first (the overlay alone,
+// of a two-level bag), and Clear on a shared bag starts fresh maps
+// instead of emptying the shared ones. The clone's side is its own, a
+// copy of b's that shares b's maps. So either bag may be mutated or
 // cleared without the other noticing, as with a deep copy (tuples are
 // immutable and always shared). Clone only reads b — it sets b's mark
 // atomically — so readers may Clone a table concurrently under a read
@@ -780,7 +968,7 @@ func (b *Bag) Empty() bool { return b.size == 0 }
 // New or one slice beside it — and neither bag is marked; CopiedEntries
 // counts the slots.
 func (b *Bag) Clone() *Bag {
-	if b.m == nil {
+	if b.u == nil {
 		copied.Add(uint64(len(b.s)))
 		return b.private()
 	}
@@ -790,7 +978,12 @@ func (b *Bag) Clone() *Bag {
 			break
 		}
 	}
-	c := &Bag{tier: b.tier, size: b.size, arity: b.arity}
+	var sd side
+	if b.c != nil {
+		sd = *b.c
+	}
+	c := newMapBag(b.u, sd)
+	c.size, c.arity = b.size, b.arity
 	if b.lv != nil {
 		lv := *b.lv
 		c.lv = &lv
@@ -814,8 +1007,9 @@ func (b *Bag) Clone() *Bag {
 //     small bag.
 //   - A flat, shared bag is copied whole when the write changes at least
 //     as many entries as it holds; otherwise it goes two-level, in O(1):
-//     its map is frozen as the base, under an empty overlay.
-//   - A two-level bag is folded into one flat map, sized for its
+//     its maps are frozen as the base, under an empty overlay sized for
+//     pending entries.
+//   - A two-level bag is folded into one flat tier, sized for its
 //     contents, once its rent, plus its overlay if that must be copied,
 //     plus pending reaches the base's size; otherwise a shared overlay
 //     is copied, and a private one owes nothing.
@@ -834,10 +1028,13 @@ func (b *Bag) Prepare(pending int) *Bag {
 		case !isShared:
 			return nil
 		case pending >= n:
-			return &Bag{tier: b.copyLevel(0), size: b.size, arity: b.arity}
+			p := newMapBag(b.copyLevel(0))
+			p.size, p.arity = b.size, b.arity
+			return p
 		}
-		return &Bag{tier: tier{m: make(map[uint64]entry, pending)}, size: b.size, arity: b.arity,
-			lv: &levels{base: b.tier, distinct: n}}
+		p := newMapBag(sized(b.split(pending)))
+		p.size, p.arity, p.lv = b.size, b.arity, &levels{base: b.tier, distinct: n}
+		return p
 	}
 	owed := b.lv.rent + pending
 	if isShared {
@@ -850,7 +1047,9 @@ func (b *Bag) Prepare(pending int) *Bag {
 	case isShared:
 		lv := *b.lv
 		lv.rent += b.tier.len()
-		return &Bag{tier: b.copyLevel(pending), size: b.size, arity: b.arity, lv: &lv}
+		p := newMapBag(b.copyLevel(pending))
+		p.size, p.arity, p.lv = b.size, b.arity, &lv
+		return p
 	}
 	return nil
 }
@@ -860,8 +1059,8 @@ func (b *Bag) Prepare(pending int) *Bag {
 // spent: it must not be used again. b keeps its indexes and its journal
 // — its contents are the same.
 func (b *Bag) Adopt(p *Bag) {
-	b.lv = p.lv
-	b.own(p.tier)
+	b.tier, b.lv = p.tier, p.lv // p's side becomes b's: p is spent
+	b.own()
 	p.tier, p.lv = tier{}, nil
 }
 

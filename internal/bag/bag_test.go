@@ -271,6 +271,12 @@ func TestEachVisitsAll(t *testing.T) {
 	}
 }
 
+// buckets identifies the maps b's tier writes: a Clear that kept their
+// buckets leaves it unchanged.
+func buckets(b *Bag) [2]uintptr {
+	return [2]uintptr{reflect.ValueOf(b.u).Pointer(), reflect.ValueOf(b.cm()).Pointer()}
+}
+
 // TestClearRetentionRule walks a bag through the fills the rule in
 // Clear's doc comment distinguishes and checks, by the identity of the
 // map, whether the buckets were kept or given back; after every Clear
@@ -310,13 +316,13 @@ func TestClearRetentionRule(t *testing.T) {
 		if msg := checkIndexOn(b); msg != "" {
 			t.Fatalf("%s: before Clear: %s", st.name, msg)
 		}
-		before := reflect.ValueOf(b.m).Pointer()
+		before := buckets(b)
 		n := b.Distinct()
 		b.Clear()
 		if !b.Empty() || b.Distinct() != 0 {
 			t.Fatalf("%s: Clear left %d tuples", st.name, b.Len())
 		}
-		if kept := reflect.ValueOf(b.m).Pointer() == before; kept != st.kept {
+		if kept := buckets(b) == before; kept != st.kept {
 			t.Fatalf("%s (%d tuples): buckets kept = %v, want %v", st.name, n, kept, st.kept)
 		}
 		if n > 0 {
@@ -401,39 +407,39 @@ func TestSmallBagLife(t *testing.T) {
 	for i := 0; i < smallMax; i++ {
 		b.Add(row(i), 1)
 	}
-	if b.m != nil || b.Distinct() != smallMax {
-		t.Fatalf("%d distinct tuples: small %v, want a small bag", b.Distinct(), b.m == nil)
+	if b.u != nil || b.Distinct() != smallMax {
+		t.Fatalf("%d distinct tuples: small %v, want a small bag", b.Distinct(), b.u == nil)
 	}
 	c0 := CopiedEntries()
 	c := b.Clone()
-	if n := CopiedEntries() - c0; n != smallMax || c.m != nil || b.isShared() || c.isShared() {
+	if n := CopiedEntries() - c0; n != smallMax || c.u != nil || b.isShared() || c.isShared() {
 		t.Fatalf("Clone of a small bag copied %d entries (small %v, marked %v/%v), want %d, small, unmarked",
-			n, c.m == nil, b.isShared(), c.isShared(), smallMax)
+			n, c.u == nil, b.isShared(), c.isShared(), smallMax)
 	}
 	if b.Prepare(100) != nil {
 		t.Fatal("Prepare found something owing on a small bag")
 	}
 	c.Add(row(0), 1)
 	b.Add(row(smallMax), 1)
-	if b.m == nil || len(b.m) != smallMax+1 || c.m != nil || c.Len() != smallMax+1 || b.Count(row(0)) != 1 {
-		t.Fatalf("the %d-th distinct tuple: b %v (map %v), its clone %v (map %v)", smallMax+1, b, b.m != nil, c, c.m != nil)
+	if b.u == nil || b.tier.len() != smallMax+1 || c.u != nil || c.Len() != smallMax+1 || b.Count(row(0)) != 1 {
+		t.Fatalf("the %d-th distinct tuple: b %v (map %v), its clone %v (map %v)", smallMax+1, b, b.u != nil, c, c.u != nil)
 	}
 	for i := 0; i <= smallMax; i++ {
 		b.Remove(row(i), 1)
 	}
 	b.Clear()
-	if b.m == nil {
+	if b.u == nil {
 		t.Fatal("a promoted bag went back to slots")
 	}
 
 	c.Clear()
-	if c.m != nil || cap(c.s) != smallMax || !c.Empty() {
-		t.Fatalf("Clear of a small bag: map %v, %d slots kept", c.m != nil, cap(c.s))
+	if c.u != nil || cap(c.s) != smallMax || !c.Empty() {
+		t.Fatalf("Clear of a small bag: map %v, %d slots kept", c.u != nil, cap(c.s))
 	}
 	c.Add(r1, 1)
 	ix, _ := c.IndexOn([]int{0})
-	if c.m == nil || len(ix.at) != 1 {
-		t.Fatalf("IndexOn of a small bag: map %v, index of %d entries", c.m != nil, len(ix.at))
+	if c.u == nil || len(ix.at) != 1 {
+		t.Fatalf("IndexOn of a small bag: map %v, index of %d entries", c.u != nil, len(ix.at))
 	}
 }
 
@@ -591,7 +597,7 @@ func TestCloneCopiesOnceAtTheFirstWrite(t *testing.T) {
 		src.Adopt(src.Prepare(2))
 		src.Add(row(14), 1)
 		src.Remove(row(0), 1) // a base entry: a tombstone
-	}); n != 0 || src.lv == nil || len(src.lv.base.m) != 12 || len(src.m) != 2 {
+	}); n != 0 || src.lv == nil || src.lv.base.len() != 12 || src.tier.len() != 2 {
 		t.Fatalf("Prepare(2) of a 12-entry shared bag and two writes copied %d entries, want 0 and a 2-entry overlay over 12", n)
 	}
 	if src.Prepare(0) != nil {
@@ -607,7 +613,7 @@ func TestCloneCopiesOnceAtTheFirstWrite(t *testing.T) {
 	// base: Prepare folds the levels into one map of the 13 live entries.
 	clone(src)
 	var p *Bag
-	if n := entries(func() { p = src.Prepare(4) }); n != 13 || p.lv != nil || len(p.m) != 13 || !p.Equal(src) {
+	if n := entries(func() { p = src.Prepare(4) }); n != 13 || p.lv != nil || p.tier.len() != 13 || !p.Equal(src) {
 		t.Fatalf("Prepare(4) at the rent's limit copied %d entries into %v, want a fold of the 13 live ones", n, p)
 	}
 	src.Adopt(p)

@@ -60,8 +60,8 @@ func TestBuildIsAddedRows(t *testing.T) {
 			if !b.Equal(ref) || b.Len() != ref.Len() {
 				t.Fatalf("arity %d, %d rows: built %v, want %v", arity, n, b, ref)
 			}
-			if (b.m == nil) != (n <= smallMax) {
-				t.Errorf("arity %d, %d rows: built a small bag: %v", arity, n, b.m == nil)
+			if (b.u == nil) != (n <= smallMax) {
+				t.Errorf("arity %d, %d rows: built a small bag: %v", arity, n, b.u == nil)
 			}
 			b.each(func(h uint64, e entry) {
 				tu := b.tupleAt(e.p)

@@ -52,7 +52,7 @@ type Index struct {
 // map bag keeps: a small b is promoted first. The positions slice is
 // retained; callers must not mutate it.
 func NewIndex(b *Bag, positions []int) *Index {
-	if b.m == nil {
+	if b.u == nil {
 		b.promote(len(b.s))
 	}
 	if b.dx == nil {

@@ -178,7 +178,7 @@ func TestHashJoinOnlyReads(t *testing.T) {
 	if built != right.Distinct() || probed != 3 {
 		t.Fatalf("built %d probed %d, want the smaller side (%d) built and 3 pairs probed", built, probed, right.Distinct())
 	}
-	if left.dx != nil || right.dx != nil || left.m != nil || right.m != nil {
+	if left.dx != nil || right.dx != nil || left.u != nil || right.u != nil {
 		t.Fatal("Join.Hash switched on a journal, registered an index or promoted a small operand")
 	}
 }

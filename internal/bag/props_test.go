@@ -221,7 +221,7 @@ func TestPropCloneIsASnapshot(t *testing.T) {
 			data = append(data, op, byte(i*7), byte(i))
 		}
 		for _, start := range starts {
-			runHandles(t, data, start)
+			runHandles(t, data, start, 2)
 		}
 		return true
 	}
@@ -258,7 +258,7 @@ func TestPropAppliedIsMonusUnion(t *testing.T) {
 				return false
 			}
 			got := Applied(x.B, d.B, a.B, k)
-			if !got.Equal(want) || x.B.m != nil && x.B.isShared() != (k == nil) {
+			if !got.Equal(want) || x.B.u != nil && x.B.isShared() != (k == nil) {
 				return false
 			}
 			if k != nil {
@@ -501,39 +501,54 @@ func (genLevels) Generate(r *rand.Rand, _ int) reflect.Value {
 }
 
 // contents reads a bag's entries straight off its slots or levels — the
-// overlay over the base, a count of 0 deleting — past every reader under
-// test.
+// overlay over the base, a count of 0 deleting — through tier walks, past
+// every reader under test.
 func contents(b *Bag) map[string]int {
 	out := map[string]int{}
 	key := func(e entry) string { return b.tupleAt(e.p).Key() }
 	for _, sl := range b.s {
 		out[key(sl.e)] = sl.e.count
 	}
-	var base tier
 	if b.lv != nil {
-		base = b.lv.base
+		hashes, keys := map[uint64]bool{}, map[string]bool{} // what the overlay shadows
+		b.tier.walk(func(h uint64, k string, _ entry) {
+			if k == "" {
+				hashes[h] = true
+			} else {
+				keys[k] = true
+			}
+		})
+		b.lv.base.walk(func(h uint64, k string, e entry) {
+			if k == "" && !hashes[h] || k != "" && !keys[k] {
+				out[key(e)] = e.count
+			}
+		})
 	}
-	for h, e := range base.m {
-		if _, ok := b.m[h]; !ok {
-			out[key(e)] = e.count
-		}
-	}
-	for k, e := range base.x {
-		if _, ok := b.x[k]; !ok {
-			out[k] = e.count
-		}
-	}
-	for _, e := range b.m {
+	b.tier.walk(func(_ uint64, _ string, e entry) {
 		if e.count > 0 {
 			out[key(e)] = e.count
 		}
-	}
-	for k, e := range b.x {
-		if e.count > 0 {
-			out[k] = e.count
-		}
-	}
+	})
 	return out
+}
+
+// walk calls f once per entry t keeps, tombstones (count 0) included:
+// an entry of the maps with its hash and k == "", one of the spill with
+// its key k.
+func (t tier) walk(f func(h uint64, k string, e entry)) {
+	for h, p := range t.u {
+		e := entry{p: p, count: 1}
+		if p == tomb {
+			e = entry{}
+		}
+		f(h, "", e)
+	}
+	for h, e := range t.cm() {
+		f(h, "", e)
+	}
+	for k, e := range t.spill() {
+		f(0, k, e)
+	}
 }
 
 // TestPropTwoLevelReadsLikeFlat runs every reader of the package on
@@ -600,7 +615,7 @@ func TestPropTwoLevelReadsLikeFlat(t *testing.T) {
 	forms := func(g genLevels) []*Bag { return append([]*Bag{g.L}, twins(g.F)...) }
 	kind := func(b *Bag) string {
 		switch {
-		case b.m == nil:
+		case b.u == nil:
 			return "small"
 		case b.lv != nil:
 			return "two-level"

@@ -12,7 +12,8 @@
 # boundaries alloc_kb_per_op, allocs_per_op and heap_live_mb are read
 # at — and runtime.MemProfileRate is raised to one sample per 16 KiB.
 # The workload then runs once (default seed 1, -seconds 20, untraced),
-# its result line must still say correct, and these tables are printed:
+# its result line must still say correct, and after a header line that
+# names the Go version and GOMAXPROCS, these tables are printed:
 #
 #   - bytes allocated during the measured cycles, by cumulative share
 #     (alloc_space of the second profile with the first as -base),
@@ -162,6 +163,10 @@ gensplit() {
 			label, gen / mb, 100 * gen / total, eng / mb, 100 * eng / total
 	}'
 }
+
+# Every byte figure depends on the runtime's map layout (go1.24's swiss
+# tables, go1.22's bucket maps), so the header says which one ran.
+echo "allocprof.sh: $workload, seed $seed${base:+, against $base}; $(go version | awk '{ print $3, $4 }'), GOMAXPROCS=${GOMAXPROCS:-$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)}"
 
 if [ -n "$base" ]; then
 	tmp=$(mktemp -d "${TMPDIR:-/tmp}/dvm-allocprof.XXXXXX")

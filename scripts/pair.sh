@@ -10,7 +10,8 @@
 # workload: the same seed on both sides, seeds N, N+1, ... (default 101 —
 # not the seeds 1..5 a change is developed against), alternating which
 # side runs first. Each run's last line of output is the benchmark's JSON
-# result. Per workload and metric it prints both medians with [q1, q3],
+# result. Its header line names the Go version and GOMAXPROCS the runs
+# had. Per workload and metric it prints both medians with [q1, q3],
 # the pairs the change won / lost / tied (lower is better for every
 # metric the benchmark has), and a verdict:
 #
@@ -84,7 +85,13 @@ for w in "$@"; do
 done
 
 # quantile() is perf/rec.go's: linear interpolation between order statistics.
-awk -v n="$n" -v workloads="$*" -v want="$metrics" -v res="$tmp/res" -v bench="$root/BENCHMARK.json" -v ref="$ref" -v trace="$trace" -v seed0="$seed0" '
+# Every byte figure depends on the runtime's map layout (go1.24's swiss
+# tables, go1.22's bucket maps) and every time on the processors the
+# runtime schedules on, so the header says which ones ran.
+goversion=$(go version | awk '{ print $3, $4 }')
+procs=${GOMAXPROCS:-$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)}
+awk -v n="$n" -v workloads="$*" -v want="$metrics" -v res="$tmp/res" -v bench="$root/BENCHMARK.json" -v ref="$ref" -v trace="$trace" -v seed0="$seed0" \
+	-v goversion="$goversion" -v procs="$procs" '
 function quantile(a, cnt, q,    pos, i) {
 	pos = q * (cnt - 1); i = int(pos)
 	if (i + 1 >= cnt) return a[cnt]
@@ -120,7 +127,7 @@ BEGIN {
 		if (line ~ /"bound":/) { sub(/.*"bound": */, "", line); bound[name] = line + 0 }
 	}
 	nw = split(workloads, ws, " ")
-	printf "parent %s vs working tree, %d pairs per workload, seeds %d..%d, -trace %d\n\n", ref, n, seed0, seed0 + n - 1, trace
+	printf "parent %s vs working tree, %d pairs per workload, seeds %d..%d, -trace %d; %s, GOMAXPROCS=%s\n\n", ref, n, seed0, seed0 + n - 1, trace, goversion, procs
 	printf "%-17s %-38s %-32s %-32s %-9s %s\n", "workload", "metric", "parent median [q1, q3]", "change median [q1, q3]", "w/l/t", "verdict"
 	for (wi = 1; wi <= nw; wi++) {
 		w = ws[wi]
