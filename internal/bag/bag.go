@@ -38,6 +38,15 @@
 // cost what a copy of the base would (Prepare's rule), when the two fold
 // back into one flat map. The counted map and the spill ride with the
 // unit map: shared, copied, frozen and folded with it.
+//
+// A snapshot's table arrives all at once and is built in bulk (Build):
+// its rows are decoded side by side into shared slabs of values and
+// keyed by hash, with no allocation per row. Such a bag carries Build's
+// mark until its first write, and a join of two marked bags (Join.Hash)
+// carves its output tuples from slabs too: the view a restore replays
+// holds its rows as the restored tables hold theirs. Every other bag's
+// tuples are one allocation each, since a live bag's rows churn and a
+// slab is freed only with the last of its rows.
 package bag
 
 import (
@@ -191,8 +200,9 @@ type levels struct {
 }
 
 const (
-	shared   = 1 << 31    // last's mark: m may be another bag's map too
-	fillMask = shared - 1 // last's previous-Clear fill
+	shared   = 1 << 31   // last's mark: m may be another bag's map too
+	built    = 1 << 30   // last's mark: Build made the bag, and nothing has written it since
+	fillMask = built - 1 // last's previous-Clear fill
 )
 
 // slot is a small bag's entry with its tuple's hash, kept so that a
@@ -281,8 +291,8 @@ func keyHash(k []byte) uint64 { return schema.KeyHash(k) & hashMask }
 // sat32 is n as a saturating uint32.
 func sat32(n int) uint32 { return uint32(min(uint64(n), math.MaxUint32)) }
 
-// sat31 is n as a saturating 31-bit count: last's fill.
-func sat31(n int) uint32 { return uint32(min(uint64(n), fillMask)) }
+// satFill is n as a saturating count of last's fill bits.
+func satFill(n int) uint32 { return uint32(min(uint64(n), fillMask)) }
 
 // copied counts the entries copy-on-write has copied (CopiedEntries).
 var copied atomic.Uint64
@@ -298,6 +308,10 @@ func CopiedEntries() uint64 { return copied.Load() }
 
 // isShared reports whether b's map may also be another bag's.
 func (b *Bag) isShared() bool { return b.last.Load()&shared != 0 }
+
+// isBuilt reports whether Build made b and nothing has written it since:
+// its tuples are all in Build's slabs.
+func (b *Bag) isBuilt() bool { return b.last.Load()&built != 0 }
 
 // tupleAt returns the tuple at p, which an entry of b's map (or of an
 // index or journal over b) stores.
@@ -582,12 +596,12 @@ func (b *Bag) putNew(h uint64, e entry, n int) {
 	b.put(h, e, n, b.has(h))
 }
 
-// own clears b's shared mark once the tier b writes is one no other bag
-// holds, and starts peak from the tier's size. It runs only where b may
-// be mutated: never concurrently with a Clone of b.
+// own clears b's marks once the tier b writes is one no other bag holds
+// and b is about to be written, and starts peak from the tier's size. It
+// runs only where b may be mutated: never concurrently with a Clone of b.
 func (b *Bag) own() {
 	b.peak = sat32(b.tier.len())
-	b.last.Store(b.last.Load() &^ shared)
+	b.last.Store(b.last.Load() &^ (shared | built))
 }
 
 // derived is the journal-and-index state of a bag that has been indexed.
@@ -696,19 +710,22 @@ func (b *Bag) Add(t schema.Tuple, n int) *Bag {
 // a two-level bag's overlay alone, and a two-level write adds to the
 // rent. It never folds the levels — only Prepare does, outside the
 // writer's lock. A small bag is written in its slots (put), and promoted
-// by a new tuple they have no room for.
+// by a new tuple they have no room for. Its first call clears Build's
+// mark, as Clear and Adopt do.
 func (b *Bag) addKeyed(h uint64, t schema.Tuple, n int) *Bag {
 	if n == 0 {
 		return b
 	}
-	if b.isShared() {
-		if b.lv != nil {
-			b.lv.rent += b.tier.len()
-		}
-		u, c := b.copyLevel(0)
-		b.u = u
-		if b.c != nil { // b's own: a Clone copies the side, not its pointer
-			*b.c = c
+	if l := b.last.Load(); l&(shared|built) != 0 {
+		if l&shared != 0 {
+			if b.lv != nil {
+				b.lv.rent += b.tier.len()
+			}
+			u, c := b.copyLevel(0)
+			b.u = u
+			if b.c != nil { // b's own: a Clone copies the side, not its pointer
+				*b.c = c
+			}
 		}
 		b.own()
 	}
@@ -834,7 +851,7 @@ func (b *Bag) Clear() {
 	keep := int(fill) // the fill both rounds justify
 	if n > 0 {
 		keep = min(n, keep)
-		fill = sat31(n)
+		fill = satFill(n)
 	}
 	if b.u == nil {
 		clear(b.s)

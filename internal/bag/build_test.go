@@ -94,6 +94,28 @@ func TestBuildIsAddedRows(t *testing.T) {
 	}
 }
 
+// rebuilt returns the bag Build makes from b's tuples and counts: equal
+// to b, and carrying Build's mark when b is not empty.
+func rebuilt(t testing.TB, b *Bag) *Bag {
+	t.Helper()
+	var es []entry
+	b.each(func(_ uint64, e entry) { es = append(es, e) })
+	i := 0
+	c, err := Build(b.arity, len(es), func(tu schema.Tuple) (int, error) {
+		e := es[i]
+		i++
+		copy(tu, b.tupleAt(e.p))
+		return e.count, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !c.Equal(b) || c.isBuilt() != (len(es) > 0) {
+		t.Fatalf("rebuilt %v as %v (marked %v)", b, c, c.isBuilt())
+	}
+	return c
+}
+
 // addr is the address of t's first value.
 func addr(t schema.Tuple) uintptr { return reflect.ValueOf(&t[0]).Pointer() }
 

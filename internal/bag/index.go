@@ -2,6 +2,7 @@ package bag
 
 import (
 	"slices"
+	"strings"
 
 	"dvm/internal/schema"
 )
@@ -64,18 +65,16 @@ func NewIndex(b *Bag, positions []int) *Index {
 
 // newIndex reads b and changes nothing about it. Without the entry
 // addresses the index can be probed but not synced — it is Join.Hash's,
-// gone when the join returns, so its bucket map is pre-sized for the
-// case Hash picks its build side for (one row per key) and never
-// regrows; an addressable index is kept, and grows to its key count.
+// gone when the join returns (probeIndex); an addressable index is kept,
+// and grows to its key count.
 func newIndex(b *Bag, positions []int, addressable bool) *Index {
-	keys := 0
-	if !addressable && len(positions) > 0 { // no column to key on: one bucket
-		keys = b.Distinct()
+	if !addressable && len(positions) > 0 {
+		return probeIndex(b, positions)
 	}
 	ix := &Index{
 		src: b,
 		pos: positions,
-		m:   make(map[string][]indexEntry, keys),
+		m:   make(map[string][]indexEntry),
 	}
 	if addressable { // and so syncable: NewIndex has made b.dx
 		ix.at = make(map[*schema.Value]int, b.Distinct())
@@ -91,6 +90,60 @@ func newIndex(b *Bag, positions []int, addressable bool) *Index {
 		ix.m[string(key)] = append(bucket, indexEntry{p: e.p, count: e.count})
 	})
 	return ix
+}
+
+// probeIndex is Join.Hash's throw-away index over b, keyed on the given
+// columns, built for the case Hash picks its build side for: one row per
+// key. Its bucket map is pre-sized for that and never regrows, each
+// key's first entry is a capped sub-slice of one array of b's distinct
+// count, and every key string is carved from an arena whose chunks are
+// sized for the rows left at the current key's length, up to 4 KiB. A
+// second entry for a key appends to its bucket. So a key-unique build
+// side costs the map, the array and a chunk per 4 KiB of keys, not a
+// key and a bucket per row.
+func probeIndex(b *Bag, positions []int) *Index {
+	left := b.Distinct()
+	ix := &Index{src: b, pos: positions, m: make(map[string][]indexEntry, left)}
+	first := make([]indexEntry, left)
+	var keys arena
+	var kb [128]byte
+	key := kb[:0]
+	b.each(func(_ uint64, e entry) {
+		key = b.tupleAt(e.p).AppendKeyAt(key[:0], positions)
+		k := keys.str(key, min(left*len(key), arenaChunk))
+		left--
+		ie := indexEntry{p: e.p, count: e.count}
+		if bucket, ok := ix.m[k]; ok {
+			ix.m[k] = append(bucket, ie)
+			return
+		}
+		first[0] = ie
+		ix.m[k] = first[:1:1]
+		first = first[1:]
+	})
+	return ix
+}
+
+// arenaChunk is the most bytes an arena chunk is made with, unless one
+// key is longer.
+const arenaChunk = 4 << 10
+
+// arena hands out strings appended to a chunk: a strings.Builder grown
+// once and never past its size, whose String shares its buffer, so the
+// bytes under a string handed out are never written again. A chunk is
+// freed with the last string it holds.
+type arena struct{ chunk strings.Builder }
+
+// str returns a string of k's bytes. When the chunk has no room left
+// for them, a new one of room bytes (len(k) at least) takes them.
+func (a *arena) str(k []byte, room int) string {
+	if a.chunk.Cap()-a.chunk.Len() < len(k) {
+		a.chunk = strings.Builder{}
+		a.chunk.Grow(max(room, len(k)))
+	}
+	n := a.chunk.Len()
+	a.chunk.Write(k)
+	return a.chunk.String()[n:]
 }
 
 // IndexOn returns the bag's own index on the given column positions,
@@ -224,6 +277,12 @@ type Join struct {
 // counts the bucket entries examined — the work done, where a rescan
 // would pay |L|·|R|.
 func (j *Join) Indexed(out, probe *Bag, probePos []int, ix *Index, sub *Bag, buildLeft bool) (probed int) {
+	return j.indexed(out, probe, probePos, ix, sub, buildLeft, nil)
+}
+
+// indexed is Indexed, making each output tuple with cv.tuple: carved
+// from slabs when cv is not nil.
+func (j *Join) indexed(out, probe *Bag, probePos []int, ix *Index, sub *Bag, buildLeft bool, cv *carver) (probed int) {
 	probePred, buildPred, cross, keep, project := j.Left, j.Right, j.Cross, j.Keep, j.Project
 	if buildLeft {
 		probePred, buildPred = buildPred, probePred
@@ -260,7 +319,7 @@ func (j *Join) Indexed(out, probe *Bag, probePos []int, ix *Index, sub *Bag, bui
 				}
 			}
 			if row == nil {
-				row = make(schema.Tuple, len(pt)+len(bt))
+				row = cv.tuple(len(pt) + len(bt))
 			}
 			lt, rt := pt, bt
 			if buildLeft {
@@ -280,7 +339,9 @@ func (j *Join) Indexed(out, probe *Bag, probePos []int, ix *Index, sub *Bag, bui
 				h := hashOf(prow)
 				e, spill := out.lookup(h, prow)
 				if e.count == 0 {
-					e.p = prow.Clone().Ptr()
+					t := cv.tuple(len(prow))
+					copy(t, prow)
+					e.p = t.Ptr()
 				}
 				e.count += n
 				out.put(h, e, n, spill)
@@ -309,12 +370,25 @@ func (j *Join) Indexed(out, probe *Bag, probePos []int, ix *Index, sub *Bag, bui
 // candidate when there is no column to key on. It only reads its
 // operands (no journal switched on, no index registered), so it suits a
 // one-off evaluation and a caller holding only read locks. built is the
-// number of tuples indexed.
+// number of tuples indexed. When both operands carry Build's mark — a
+// join over freshly restored tables, such as LoadEngine's view replay —
+// its output tuples are carved side by side from slabs of 1 to 4 Ki
+// values, none larger than the operands' pairs need, as Build's rows
+// are, instead of one allocation each; any
+// other join's tuples are made one by one. The mark decides only how
+// the output is allocated, never what it holds.
 func (j *Join) Hash(out, l *Bag, lpos []int, r *Bag, rpos []int) (probed, built int) {
-	if l.Distinct() <= r.Distinct() {
-		return j.Indexed(out, r, rpos, newIndex(l, lpos, false), nil, true), l.Distinct()
+	var cv *carver
+	if l.isBuilt() && r.isBuilt() {
+		// The output holds at most one tuple per pair of operand tuples;
+		// the bound matters only below a slab's rows.
+		pairs := min(l.Distinct(), joinSlabMax) * min(r.Distinct(), joinSlabMax)
+		cv = &carver{limit: joinSlabMax, left: pairs}
 	}
-	return j.Indexed(out, l, lpos, newIndex(r, rpos, false), nil, false), r.Distinct()
+	if l.Distinct() <= r.Distinct() {
+		return j.indexed(out, r, rpos, newIndex(l, lpos, false), nil, true, cv), l.Distinct()
+	}
+	return j.indexed(out, l, lpos, newIndex(r, rpos, false), nil, false, cv), r.Distinct()
 }
 
 // JoinIndexed is Join.Indexed into a new bag, for a predicate that has

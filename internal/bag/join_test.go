@@ -116,8 +116,10 @@ func joinOperand(r *rand.Rand, n int) *Bag {
 // TestJoinKernelMatchesOracle holds the kernel to the nested-loop join:
 // for random operands, every way of handing a conjunction's one-sided
 // conjuncts to Left/Right or leaving them in Cross, with and without a
-// projection (one that merges distinct join rows included), the indexed
-// join in both orientations and the throw-away hash join all equal
+// projection (one that merges distinct join rows included, and one to
+// no column), the indexed join in both orientations and the throw-away
+// hash join — over the operands and over equal bags Build made, whose
+// output it carves from slabs — all equal
 // Project(ProductSelect(l, r, pred)), and none examines more bucket
 // entries than JoinIndexed does with the predicate unsplit.
 func TestJoinKernelMatchesOracle(t *testing.T) {
@@ -139,7 +141,7 @@ func TestJoinKernelMatchesOracle(t *testing.T) {
 		}
 	}
 	pred := allOf(full)
-	projections := [][]int{nil, {0, 1, 3}, {1}, {3, 3, 0}}
+	projections := [][]int{nil, {0, 1, 3}, {1}, {3, 3, 0}, {}}
 
 	r := rand.New(rand.NewSource(18))
 	for trial := 0; trial < 60; trial++ {
@@ -150,6 +152,7 @@ func TestJoinKernelMatchesOracle(t *testing.T) {
 			rt = New()
 		}
 		joined := ProductSelect(l, rt, pred)
+		bl, br := rebuilt(t, l), rebuilt(t, rt) // Hash carves its output over these
 		ixL, ixR := NewIndex(l, []int{0}), NewIndex(rt, []int{0})
 		_, unsplitL := JoinIndexed(rt, []int{0}, ixL, true, pred)
 		_, unsplitR := JoinIndexed(l, []int{0}, ixR, false, pred)
@@ -203,6 +206,12 @@ func TestJoinKernelMatchesOracle(t *testing.T) {
 				}
 				if probed > max(unsplitL, unsplitR) || built != min(l.Distinct(), rt.Distinct()) {
 					t.Fatalf("%s, hash: probed %d built %d", name, probed, built)
+				}
+				if got, _, _ = hash(j, bl, []int{0}, br, []int{0}); !got.Equal(want) {
+					t.Fatalf("%s, hash over Build's bags: got %v want %v", name, got, want)
+				}
+				if got, _, _ = hash(j, bl, nil, br, nil); !got.Equal(want) {
+					t.Fatalf("%s, keyless hash over Build's bags: got %v want %v", name, got, want)
 				}
 				own, _ := l.IndexOn([]int{0})
 				if got, _ = indexed(j, rt, []int{0}, own, nil, true); !got.Equal(want) {

@@ -3,7 +3,9 @@ package sql
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"io"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -196,6 +198,34 @@ func FuzzSnapshotLoad(f *testing.F) {
 		f.Fatalf("the slab-spanning seed does not load: %v", err)
 	}
 	f.Add(spans.Bytes())
+	// DVM1: more distinct one- and two-byte strings than the loader
+	// interns at a time, so its intern table starts over and its chunk
+	// takes every one; and the same table under a forged row count, whose
+	// stream ends after the rows it has.
+	names := storage.NewDatabase()
+	words, err := names.Create("s", schema.NewSchema(schema.Col("", schema.TString)), storage.External)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 300; i++ {
+		words.Data().Add(schema.Row(strconv.FormatInt(int64(i), 36)), 1)
+	}
+	var strs bytes.Buffer
+	if err := names.Save(&strs); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(strs.Bytes())
+	// magic, table count, name "s", kind, column count, one unnamed column: the row count follows.
+	const rowCount = 4 + 4 + 4 + 1 + 1 + 4 + 4 + 1
+	forged := bytes.Clone(strs.Bytes())
+	if n := binary.LittleEndian.Uint32(forged[rowCount:]); n != 300 {
+		f.Fatalf("the row count at byte %d reads %d, want 300", rowCount, n)
+	}
+	binary.LittleEndian.PutUint32(forged[rowCount:], 0xFFFFFFFF)
+	if _, err := storage.Load(bytes.NewReader(forged)); err == nil {
+		f.Fatal("the forged row count loaded")
+	}
+	f.Add(forged)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		engine := bytes.HasPrefix(data, engineMagic[:])

@@ -156,27 +156,44 @@ const (
 )
 
 // strTable interns the short string values of one Load, so a
-// low-cardinality column ("High" / "Low") costs one allocation per
-// distinct value, not one per row. It is bounded by starting over when
-// it holds maxInterned strings: a column of distinct short strings that
-// fills it costs the repeated values beside it one more allocation each
-// per round, and cannot crowd them out. A nil strTable interns nothing.
-type strTable map[string]string
+// low-cardinality column ("High" / "Low") costs one string per distinct
+// value, not one per row. It is bounded by starting over when it holds
+// maxInterned strings: a column of distinct short strings that fills it
+// costs the repeated values beside it one more string each per round,
+// and cannot crowd them out. A string it takes is appended to a chunk of
+// at most strChunk bytes — a strings.Builder grown once and never past
+// its size, whose String shares the buffer — so a column of distinct
+// short strings ('cust-%d') costs a chunk per few hundred rows, not an
+// allocation per row, and a chunk is freed with the last string it
+// holds. A nil strTable interns nothing.
+type strTable struct {
+	m     map[string]string
+	chunk strings.Builder
+}
+
+// strChunk is the size of a strTable chunk, in bytes.
+const strChunk = 4 << 10
 
 // str returns string(b), shared with an equal string it returned before
 // when b is short enough to be worth looking up.
-func (in strTable) str(b []byte) string {
+func (in *strTable) str(b []byte) string {
 	if in == nil || len(b) > maxInternLen {
 		return string(b)
 	}
-	if s, ok := in[string(b)]; ok {
+	if s, ok := in.m[string(b)]; ok {
 		return s
 	}
-	if len(in) >= maxInterned {
-		clear(in)
+	if len(in.m) >= maxInterned {
+		clear(in.m)
 	}
-	s := string(b)
-	in[s] = s
+	if in.chunk.Cap()-in.chunk.Len() < len(b) {
+		in.chunk = strings.Builder{}
+		in.chunk.Grow(strChunk)
+	}
+	n := in.chunk.Len()
+	in.chunk.Write(b)
+	s := in.chunk.String()[n:]
+	in.m[s] = s
 	return s
 }
 
@@ -204,7 +221,7 @@ func load(br *bufio.Reader) (*Database, error) {
 		return nil, fmt.Errorf("bad magic %q", magic[:])
 	}
 	db := NewDatabase()
-	strs := make(strTable)
+	strs := &strTable{m: make(map[string]string)}
 	tableCount, err := readU32(br)
 	if err != nil {
 		return nil, err
@@ -335,7 +352,7 @@ func writeStr(w *bufio.Writer, s string) error {
 // readStr reads a length-prefixed string; one that fits r's buffer is
 // copied once, out of the buffer, or shared through in. A longer one is
 // read by ReadLong.
-func readStr(r *bufio.Reader, in strTable) (string, error) {
+func readStr(r *bufio.Reader, in *strTable) (string, error) {
 	n, err := readU32(r)
 	if err != nil {
 		return "", err
@@ -402,7 +419,7 @@ func writeValue(w *bufio.Writer, v schema.Value) error {
 	return fmt.Errorf("storage: save: unknown value type %v", v.Type())
 }
 
-func readValue(r *bufio.Reader, in strTable) (schema.Value, error) {
+func readValue(r *bufio.Reader, in *strTable) (schema.Value, error) {
 	tag, err := r.ReadByte()
 	if err != nil {
 		return schema.Value{}, err

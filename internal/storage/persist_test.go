@@ -239,13 +239,13 @@ func TestLoadRejectsDuplicateTuples(t *testing.T) {
 // up to 128 KiB among short ones. Neither path puts a
 // string longer than maxInternLen into the intern table.
 func TestSaveLoadLongStrings(t *testing.T) {
-	in := make(strTable)
+	in := &strTable{m: make(map[string]string)}
 	long := []byte(strings.Repeat("x", maxInternLen+1))
-	if got := in.str(long); got != string(long) || len(in) != 0 {
-		t.Fatalf("a %d-byte string went through the intern table (%d entries)", len(long), len(in))
+	if got := in.str(long); got != string(long) || len(in.m) != 0 {
+		t.Fatalf("a %d-byte string went through the intern table (%d entries)", len(long), len(in.m))
 	}
-	if got := in.str(long[:maxInternLen]); got != string(long[:maxInternLen]) || len(in) != 1 {
-		t.Fatalf("a %d-byte string was not interned (%d entries)", maxInternLen, len(in))
+	if got := in.str(long[:maxInternLen]); got != string(long[:maxInternLen]) || len(in.m) != 1 {
+		t.Fatalf("a %d-byte string was not interned (%d entries)", maxInternLen, len(in.m))
 	}
 
 	db := NewDatabase()
@@ -263,8 +263,9 @@ func TestSaveLoadLongStrings(t *testing.T) {
 
 // TestLoadInternsShortStrings: a low-cardinality column of short strings
 // is loaded as one string per distinct value, a column of long ones as
-// one per row, and so is a column of more distinct short strings than
-// the table holds. Counted in allocations, not timed.
+// one per row, and a column of more distinct short strings than the
+// table holds as a 4 KiB chunk per few hundred rows. Counted in
+// allocations, not timed.
 func TestLoadInternsShortStrings(t *testing.T) {
 	const rows = 4000
 	loadMallocs := func(note func(i int) string) uint64 {
@@ -316,14 +317,14 @@ func TestLoadInternsShortStrings(t *testing.T) {
 	if short > rows*5/2 {
 		t.Errorf("short repeated notes: %d mallocs for %d rows, want far fewer than 2 per row", short, rows)
 	}
-	// Distinct values fill the table and start it over; that costs no
-	// more than the string itself per row.
-	if distinct > long+rows/10 {
-		t.Errorf("distinct short notes cost %d mallocs, more than one string per row (%d)", distinct, long)
+	// Distinct values fill the table and start it over; their bytes
+	// share chunks, so that costs far less than a string per row ...
+	if distinct > short+rows/20 {
+		t.Errorf("distinct short notes cost %d mallocs, repeated ones %d: want a chunk per few hundred rows, not a string per row (%d rows)", distinct, short, rows)
 	}
-	// ... and does not keep the repeated values beside them out of it.
-	if mixed > short+rows/2+rows/10 {
-		t.Errorf("every second note distinct: %d mallocs, want about %d (the distinct ones only)", mixed, short+rows/2)
+	// ... and so do they among repeated values.
+	if mixed > short+rows/20 {
+		t.Errorf("every second note distinct: %d mallocs, repeated ones %d: want a chunk per few hundred rows (%d rows)", mixed, short, rows)
 	}
 }
 
@@ -401,24 +402,46 @@ func TestSaveLoadAtChunkBoundaries(t *testing.T) {
 // own. 10 000 rows of 4 INTs are a few slabs and the map's tables —
 // about 60 mallocs (go1.24, linux/amd64), where a tuple and a key per
 // row were 20 000, and the arena chunks that held the keys once rows
-// were keyed by strings about 68.
+// were keyed by strings about 68. Nor does a distinct short string: 10
+// 000 rows of an INT and a 'cust-%d' share 4 KiB chunks, a chunk per
+// few hundred rows, where a string per row was 10 000 more mallocs.
 func TestLoadRowsAllocateNothing(t *testing.T) {
 	const rows = 10_000
-	var buf bytes.Buffer
-	if err := intTable(t, rows, 4).Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	_, err := Load(bytes.NewReader(buf.Bytes()))
-	runtime.ReadMemStats(&m1)
+	custs := NewDatabase()
+	tb, err := custs.Create("t", schema.NewSchema(schema.Col("id", schema.TInt), schema.Col("name", schema.TString)), External)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := m1.Mallocs - m0.Mallocs
-	t.Logf("Load of %d rows: %d mallocs", rows, got)
-	if limit := uint64(rows/200 + 24); got > limit {
-		t.Errorf("Load of %d rows: %d mallocs, want at most %d", rows, got, limit)
+	strBytes := 0
+	for i := 0; i < rows; i++ {
+		name := "cust-" + strconv.Itoa(i)
+		strBytes += len(name)
+		tb.Data().Add(schema.Row(i, name), 1+i%3)
+	}
+	for _, c := range []struct {
+		name   string
+		db     *Database
+		chunks int // what the strings cost: the strTable chunks they fill
+	}{
+		{"4 INTs", intTable(t, rows, 4), 0},
+		{"an INT and a distinct short string", custs, strBytes/strChunk + 1 + 8}, // + the intern map's growth
+	} {
+		var buf bytes.Buffer
+		if err := c.db.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		_, err := Load(bytes.NewReader(buf.Bytes()))
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := m1.Mallocs - m0.Mallocs
+		t.Logf("Load of %d rows of %s: %d mallocs", rows, c.name, got)
+		if limit := uint64(rows/200 + 24 + c.chunks); got > limit {
+			t.Errorf("Load of %d rows of %s: %d mallocs, want at most %d", rows, c.name, got, limit)
+		}
 	}
 }
 

@@ -16,16 +16,17 @@
 # names the Go version and GOMAXPROCS, these tables are printed:
 #
 #   - bytes allocated during the measured cycles, by cumulative share
-#     (alloc_space of the second profile with the first as -base),
-#     followed by one line that splits them between perf's own workload
-#     generator, main.(*gen) — the transactions' bags and its bookkeeping
-#     of them, the same code at every commit — and everything outside it,
-#     the engine's share (pprof -focus and -ignore on main.(*gen));
+#     (alloc_space of the second profile with the first as -base);
 #   - the same cycles by alloc_objects, the sampled allocation count:
 #     what allocs_per_op counts, where alloc_space says what
 #     alloc_kb_per_op does. A change can move one and not the other —
 #     many small objects become one slab — and only this table says
 #     where allocs_per_op's allocations are made;
+#   - one line that splits the cycles' bytes, and their objects, between
+#     perf's own workload generator, main.(*gen) — the transactions' bags
+#     and its bookkeeping of them, the same code at every commit — and
+#     everything outside it, the engine's share (pprof -focus and
+#     -ignore on main.(*gen));
 #   - bytes live at the end of the run (inuse_space, what heap_live_mb
 #     sees), flat.
 #
@@ -140,27 +141,37 @@ measure() {
 	echo "$2: $result"
 }
 
-# genbytes <p0> <p1> -focus|-ignore: the measured-cycle bytes of the
-# samples with (-focus) or without (-ignore) a main.(*gen) frame, and the
-# total.
-genbytes() {
-	go tool pprof -sample_index=alloc_space -base "$1" "$3=main\.\(\*gen\)" -unit=B -top \
+# gentotal <p0> <p1> -focus|-ignore <sample-index>: the measured-cycle
+# total of alloc_space (bytes) or alloc_objects (sampled objects) over
+# the samples with (-focus) or without (-ignore) a main.(*gen) frame,
+# and over all samples. -unit=B prints either unscaled.
+gentotal() {
+	go tool pprof -sample_index="$4" -base "$1" "$3=main\.\(\*gen\)" -unit=B -top \
 		-nodecount=1000000 -nodefraction=0 -edgefraction=0 "$2" 2>/dev/null |
 		awk '/^Showing nodes accounting for/ { b = $5; t = $8; sub(/B,$/, "", b); sub(/B$/, "", t); print b, t; found = 1 }
 		END { if (!found) print 0, 0 }'
 }
 
-# gensplit <p0> <p1> <label> prints the measured-cycle bytes under
-# main.(*gen) and outside it.
+# gensplit <p0> <p1> <label> prints the measured-cycle bytes and objects
+# under main.(*gen) and outside it.
 gensplit() {
-	{ genbytes "$1" "$2" -focus; genbytes "$1" "$2" -ignore; } | awk -v label="$3" '
+	{
+		gentotal "$1" "$2" -focus alloc_space
+		gentotal "$1" "$2" -ignore alloc_space
+		gentotal "$1" "$2" -focus alloc_objects
+		gentotal "$1" "$2" -ignore alloc_objects
+	} | awk -v label="$3" '
 	NR == 1 { gen = $1; total = $2 }
 	NR == 2 { eng = $1; if ($2 > total) total = $2 }
+	NR == 3 { ogen = $1; ototal = $2 }
+	NR == 4 { oeng = $1; if ($2 > ototal) ototal = $2 }
 	END {
 		mb = 1024 * 1024
 		if (total == 0) total = 1
-		printf "measured cycles (%s): %.1f MB under main.(*gen) (%.1f %%), %.1f MB outside it (%.1f %%)\n",
-			label, gen / mb, 100 * gen / total, eng / mb, 100 * eng / total
+		if (ototal == 0) ototal = 1
+		printf "measured cycles (%s): %.1f MB under main.(*gen) (%.1f %%), %.1f MB outside it (%.1f %%); %d objects under main.(*gen) (%.1f %%), %d outside it (%.1f %%)\n",
+			label, gen / mb, 100 * gen / total, eng / mb, 100 * eng / total,
+			ogen, 100 * ogen / ototal, oeng, 100 * oeng / ototal
 	}'
 }
 
