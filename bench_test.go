@@ -225,29 +225,6 @@ func BenchmarkDifferentiateJoinView(b *testing.B) {
 	}
 }
 
-func BenchmarkOptimizeJoinView(b *testing.B) {
-	def, db := joinFixture(b, 100)
-	cs := delta.ChangeSet{}
-	for _, name := range algebra.BaseNames(def) {
-		tb, _ := db.Table(name)
-		cs[name] = struct {
-			Deleted  algebra.Expr
-			Inserted algebra.Expr
-		}{
-			Deleted:  algebra.NewBase(name+"_del", tb.Schema()),
-			Inserted: algebra.NewBase(name+"_ins", tb.Schema()),
-		}
-	}
-	d, a, err := delta.PostUpdate(cs, def)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		algebra.OptimizePair(d, a)
-	}
-}
-
 // --- End-to-end transaction throughput with a mixed workload ---
 
 func BenchmarkMixedWorkloadCombined(b *testing.B) {

@@ -444,10 +444,12 @@ func (c *compiler) emit(e Expr, slot int) (cnode, error) {
 // the expression its slot computes — for a base table under selects,
 // the table itself, with the selects' predicates run on its tuples —
 // and, for a side R ∸ σ_keep(X) (readable), the subtrahend X. own
-// says the side is a table whose own index the join may probe: a base
-// read whole, or the R of R ∸ X. A table read under selects alone is a
-// delta in Figure 2's terms (the stable tables stand under ∸), so it is
-// filtered on the fly and indexed, if at all, for the one join.
+// says the side is a table whose own index the join may probe: a table
+// read whole that is not a change table (NewDelta), or the R of R ∸ X.
+// A change table, or a table read under selects (filtered on the fly),
+// is indexed, if at all, for the one join: a change table's bag is
+// rewritten or emptied at every transaction or refresh, and an index on
+// it would be synced at every write for one probe.
 type joinSide struct {
 	expr  Expr
 	preds []Predicate // bind against expr's schema
@@ -468,7 +470,8 @@ func sideOf(e Expr, readSub bool) joinSide {
 	if b, q := peelSelects(e); len(q) > 0 {
 		return joinSide{expr: b, preds: q}
 	}
-	return joinSide{expr: e, own: isBase(e)}
+	b, ok := under(e).(*Base)
+	return joinSide{expr: e, own: ok && !b.delta}
 }
 
 // emitJoin lowers σ_p(L × R), under Π_project when project is not nil,

@@ -640,8 +640,10 @@ func TestEvalHandsOverOnlyWhatItOwns(t *testing.T) {
 // qualified, "a" is the right side's column in the product although the
 // left schema on its own would resolve it to "l.a" — so "a = l.b" is a
 // cross-side equality (and the hash key), "a = a" reads the right side
-// alone, and neither may be evaluated on the left tuple. Raw, optimized,
-// compiled (fused under the Π and not) and interpreted must all equal
+// alone, and neither may be evaluated on the left tuple. The join as
+// written and with its one-side conjuncts moved into selects on their
+// sides (which the compiler peels off a base-table side again),
+// compiled (fused under the Π and not) and interpreted, must all equal
 // the nested loop over positions.
 func TestJoinSplitsPredicateByProductSchema(t *testing.T) {
 	uni := NewRandomUniverse(2)
@@ -673,6 +675,14 @@ func TestJoinSplitsPredicateByProductSchema(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		on := func(side Expr, conjuncts []Predicate) Expr {
+			if len(conjuncts) == 0 {
+				return side
+			}
+			return must(NewSelect(AndOf(conjuncts...), side))
+		}
+		split := must(NewSelect(AndOf(rest...), NewProduct(on(l, left), on(rt, right))))
+		splitProj := must(NewProject([]string{"b", "l.a", "a"}, nil, split))
 		for i := 0; i < 20; i++ {
 			st := uni.RandomState(r)
 			joined := bag.ProductSelect(st["R0"], st["R1"], c.want)
@@ -680,7 +690,7 @@ func TestJoinSplitsPredicateByProductSchema(t *testing.T) {
 			for _, e := range []struct {
 				e    Expr
 				want *bag.Bag
-			}{{sel, joined}, {Optimize(sel), joined}, {proj, projected}, {Optimize(proj), projected}} {
+			}{{sel, joined}, {split, joined}, {proj, projected}, {splitProj, projected}} {
 				if got, err := Eval(e.e, st); err != nil || !got.Equal(e.want) {
 					t.Fatalf("interpreted %s = %s (%v), want %s", e.e, got, err, e.want)
 				}

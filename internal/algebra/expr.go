@@ -61,10 +61,20 @@ func (l *Literal) String() string {
 type Base struct {
 	Name string
 	sch  *schema.Schema
+	// delta marks one of Figure 2's change tables (a transaction's
+	// ∇R/△R or a log's ▼R/▲R): it is small and short-lived, so a join
+	// reads it as it is and never gives it an index of its own.
+	delta bool
 }
 
 // NewBase builds a base-table reference.
 func NewBase(name string, sch *schema.Schema) *Base { return &Base{Name: name, sch: sch} }
+
+// NewDelta builds a reference to a change table, one that holds a
+// table's deletions or insertions rather than its contents.
+func NewDelta(name string, sch *schema.Schema) *Base {
+	return &Base{Name: name, sch: sch, delta: true}
+}
 
 // Schema implements Expr.
 func (b *Base) Schema() *schema.Schema { return b.sch }

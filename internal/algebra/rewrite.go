@@ -44,6 +44,17 @@ import "dvm/internal/schema"
 // compiler fuses it into the join: the kernel emits the projected
 // tuples.
 
+// Optimize returns e as Compile rewrites it before lowering it: joins
+// distributed and selections and projections pushed down as above. The
+// result has e's schema and value, and shares what e shares.
+func Optimize(e Expr) Expr {
+	out, err := distributeJoins(e, make(map[Expr]Expr))
+	if err != nil {
+		return e
+	}
+	return out
+}
+
 // maxDistLeaves bounds the ∸/⊎ spine size a side may have to be
 // distributed: a join over k×l terms emits k·l hash joins, so the
 // rewrite is kept to the small adjustment shapes differentiation
@@ -279,16 +290,7 @@ const maxPushLeaves = 8
 // a product — the case where pushing a parent σ through the spine
 // turns late-filtered cartesian products into fusable hash joins.
 func pushable(e Expr) bool {
-	switch e.(type) {
-	case *Monus, *UnionAll:
-	default:
-		return false
-	}
-	leaves := spineLeaves(e, nil)
-	if len(leaves) > maxPushLeaves {
-		return false
-	}
-	for _, l := range leaves {
+	for _, l := range leaves(e, maxPushLeaves) {
 		if _, ok := l.(*Product); ok {
 			return true
 		}
@@ -337,16 +339,7 @@ func pushSelect(pred Predicate, e Expr, memo map[Expr]Expr) (Expr, error) {
 // table — the case where per-term joins can key a persistent index off
 // the live table bag instead of a freshly materialized adjustment.
 func distributable(e Expr) bool {
-	switch e.(type) {
-	case *Monus, *UnionAll:
-	default:
-		return false
-	}
-	leaves := spineLeaves(e, nil)
-	if len(leaves) > maxDistLeaves {
-		return false
-	}
-	for _, l := range leaves {
+	for _, l := range leaves(e, maxDistLeaves) {
 		if baseLeaf(l) {
 			return true
 		}
@@ -363,12 +356,33 @@ func readable(e Expr) bool {
 }
 
 // baseLeaf reports whether e is a base table, possibly renamed, possibly
-// under a chain of selects (the shape the select push-down in Optimize
-// produces). The compiled join reads such a side off the live table bag,
-// running the selects' predicates on its tuples.
+// under a chain of selects. The compiled join reads such a side off the
+// live table bag, running the selects' predicates on its tuples.
 func baseLeaf(e Expr) bool {
 	b, _ := peelAll(e)
 	return isBase(b)
+}
+
+// leaves returns the maximal non-∸/⊎ subtrees of e, in order, when e is
+// a ∸/⊎ spine of at most max of them that all have e's column names
+// position by position, and nil otherwise. A ∸ or ⊎ takes its left
+// operand's names, so a predicate bound against e binds other columns,
+// or none, on a leaf whose names differ: neither σ nor a join may be
+// pushed down to such a leaf.
+func leaves(e Expr, max int) []Expr {
+	if _, _, _, ok := spine(e); !ok {
+		return nil
+	}
+	out := spineLeaves(e, nil)
+	if len(out) > max {
+		return nil
+	}
+	for _, l := range out {
+		if !sameColumnNames(l.Schema(), e.Schema()) {
+			return nil
+		}
+	}
+	return out
 }
 
 // spineLeaves collects the maximal non-∸/⊎ subtrees of e in order.
@@ -377,4 +391,63 @@ func spineLeaves(e Expr, out []Expr) []Expr {
 		return spineLeaves(r, spineLeaves(l, out))
 	}
 	return append(out, e)
+}
+
+// splitConjuncts partitions the top-level conjuncts of p — a predicate
+// bound against prod's schema — by the side their attributes resolve to
+// there: left-only, right-only, and the rest (cross-side, constant, or an
+// OR over both). The test is a bind against the product schema with one
+// side's columns listed twice: every name resolving to that side is then
+// ambiguous, so the conjunct still binds exactly when it reads only the
+// other side — and then binds against that side's own schema to the same
+// columns. (Asking each side's schema alone is not enough: "a" finds
+// "x.a" in L on its own, yet is R's exact "a" in the product.)
+func splitConjuncts(p Predicate, prod *Product) (left, right, rest []Predicate) {
+	return splitAt(p, prod.sch, prod.L.Schema(), prod.R.Schema())
+}
+
+// splitAt is splitConjuncts for p bound against sch, the concatenation
+// of the sides' schemas l and r.
+func splitAt(p Predicate, sch, l, r *schema.Schema) (left, right, rest []Predicate) {
+	onlyL := sch.Concat(r)
+	onlyR := l.Concat(sch)
+	for _, c := range flattenAnd(p) {
+		_, lerr := c.Bind(onlyL)
+		_, rerr := c.Bind(onlyR)
+		switch {
+		case lerr == nil && rerr != nil:
+			left = append(left, c)
+		case rerr == nil && lerr != nil:
+			right = append(right, c)
+		default:
+			rest = append(rest, c)
+		}
+	}
+	return left, right, rest
+}
+
+// flattenAnd returns the top-level conjuncts of p.
+func flattenAnd(p Predicate) []Predicate {
+	if a, ok := p.(And); ok {
+		var out []Predicate
+		for _, sub := range a.Preds {
+			out = append(out, flattenAnd(sub)...)
+		}
+		return out
+	}
+	return []Predicate{p}
+}
+
+// sameColumnNames reports whether two schemas agree on column names
+// position by position.
+func sameColumnNames(a, b *schema.Schema) bool {
+	if a.Len() != b.Len() {
+		return false
+	}
+	for i := 0; i < a.Len(); i++ {
+		if a.Column(i).Name != b.Column(i).Name {
+			return false
+		}
+	}
+	return true
 }

@@ -96,7 +96,7 @@ type View struct {
 	params map[string]txParam
 
 	// The view's ONE incremental pair (see IncrementalQueries), built
-	// and optimized at definition time: the pre-update (∇(T,Q), △(T,Q))
+	// at definition time: the pre-update (∇(T,Q), △(T,Q))
 	// over the current transaction's ∇R/△R for a view without logs, the
 	// post-update (▼(L,Q), ▲(L,Q)) over its log tables for a view with
 	// them. It is installed into ∇MV/△MV (mergeDiff) when the view has
@@ -127,7 +127,8 @@ func (p tablePair) volume() int { return p.del.Len() + p.add.Len() }
 // MVTable returns the name of the view's materialized table.
 func (v *View) MVTable() string { return v.mv.Name() }
 
-// IncrementalQueries exposes the view's incremental pair (EXPLAIN): for
+// IncrementalQueries exposes the view's incremental pair (EXPLAIN) as
+// the differentiation built it, before algebra.Compile rewrites it: for
 // a view without logs the pre-update pair (∇(T,Q), △(T,Q)) over the
 // transaction's ∇R/△R, named __tx_del_R/__tx_ins_R; for a view with
 // logs the post-update pair (▼(L,Q), ▲(L,Q)) over its log tables.
@@ -407,7 +408,8 @@ func (m *Manager) bindFilters(v *View, schemas map[string]*schema.Schema) error 
 // view's log tables (▼R, ▲R) when it has logs, and otherwise the
 // current transaction's, under the names __tx_del_R and __tx_ins_R,
 // which it records in v.params for txSource to bind. Those names are
-// parameters, not tables.
+// parameters, not tables. Either pair is built with algebra.NewDelta, so
+// no join gives a change table an index of its own.
 func (m *Manager) changeSet(v *View, schemas map[string]*schema.Schema) (delta.ChangeSet, error) {
 	cs := delta.ChangeSet{}
 	if v.logs == nil {
@@ -416,7 +418,7 @@ func (m *Manager) changeSet(v *View, schemas map[string]*schema.Schema) (delta.C
 	for _, b := range v.bases {
 		var del, ins algebra.Expr
 		if p, ok := v.logs[b]; ok {
-			del, ins = algebra.NewBase(p.del.Name(), p.del.Schema()), algebra.NewBase(p.add.Name(), p.add.Schema())
+			del, ins = algebra.NewDelta(p.del.Name(), p.del.Schema()), algebra.NewDelta(p.add.Name(), p.add.Schema())
 		} else {
 			dn, in := "__tx_del_"+b, "__tx_ins_"+b
 			if _, ok := schemas[dn]; ok {
@@ -426,7 +428,7 @@ func (m *Manager) changeSet(v *View, schemas map[string]*schema.Schema) (delta.C
 				return nil, fmt.Errorf("core: view %q reads table %q, the name of %s's transaction delta", v.Name, in, b)
 			}
 			v.params[dn], v.params[in] = txParam{b, false}, txParam{b, true}
-			del, ins = algebra.NewBase(dn, schemas[b]), algebra.NewBase(in, schemas[b])
+			del, ins = algebra.NewDelta(dn, schemas[b]), algebra.NewDelta(in, schemas[b])
 		}
 		cs[b] = struct {
 			Deleted  algebra.Expr
@@ -446,21 +448,19 @@ func (m *Manager) compile(v *View, schemas map[string]*schema.Schema) error {
 	if err != nil {
 		return err
 	}
-	var d, a algebra.Expr
 	if v.logs != nil {
-		d, a, err = delta.PostUpdate(cs, v.Def)
+		v.del, v.add, err = delta.PostUpdate(cs, v.Def)
 	} else {
-		d, a, err = delta.PreUpdate(cs, v.Def)
+		v.del, v.add, err = delta.PreUpdate(cs, v.Def)
 	}
 	if err != nil {
 		return err
 	}
 	if v.StrongMinimal {
-		if d, a, err = delta.StrengthenMinimality(d, a); err != nil {
+		if v.del, v.add, err = delta.StrengthenMinimality(v.del, v.add); err != nil {
 			return err
 		}
 	}
-	v.del, v.add = algebra.OptimizePair(d, a)
 	start := time.Now()
 	if v.pair, err = algebra.Compile(v.del, v.add); err != nil {
 		return err
