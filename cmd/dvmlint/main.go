@@ -1,10 +1,8 @@
 // Command dvmlint runs the repo-specific static-analysis suite over
-// the module: intraprocedural checks (lock-discipline, bag-mutation,
-// nondeterministic-iteration, dropped-error, invariant-touch,
-// span-discipline, doc-comment) plus the interprocedural ones built on
-// the whole-module call graph (lock-order, locked-contract, state-bug)
-// — see docs/static-analysis.md. It prints one "file:line:col: [check]
-// message" per finding, or a JSON array with -json.
+// the module; `dvmlint -list` prints the checks, and
+// docs/static-analysis.md describes them. It prints one
+// "file:line:col: [check] message" per finding, or a JSON array with
+// -json.
 //
 // Usage:
 //

@@ -36,32 +36,33 @@ type atomicFacts struct {
 
 // ensureAtomic computes atomicFacts once per Unit.
 func (u *Unit) ensureAtomic() {
-	u.atomicOnce.Do(func() {
-		facts := &atomicFacts{site: map[*types.Var]token.Position{}}
-		for _, pkg := range u.Pkgs {
-			for _, file := range pkg.Files {
-				ast.Inspect(file, func(n ast.Node) bool {
-					call, ok := n.(*ast.CallExpr)
-					if !ok || len(call.Args) == 0 {
-						return true
-					}
-					if !isSyncAtomicCall(pkg.Info, call) {
-						return true
-					}
-					v := addrOfField(pkg.Info, call.Args[0])
-					if v == nil {
-						return true
-					}
-					pos := pkg.Fset.Position(call.Pos())
-					if prev, ok := facts.site[v]; !ok || before(pos, prev) {
-						facts.site[v] = pos
-					}
+	if u.atomic != nil {
+		return
+	}
+	facts := &atomicFacts{site: map[*types.Var]token.Position{}}
+	for _, pkg := range u.Pkgs {
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || len(call.Args) == 0 {
 					return true
-				})
-			}
+				}
+				if !isSyncAtomicCall(pkg.Info, call) {
+					return true
+				}
+				v := addrOfField(pkg.Info, call.Args[0])
+				if v == nil {
+					return true
+				}
+				pos := pkg.Fset.Position(call.Pos())
+				if prev, ok := facts.site[v]; !ok || before(pos, prev) {
+					facts.site[v] = pos
+				}
+				return true
+			})
 		}
-		u.atomic = facts
-	})
+	}
+	u.atomic = facts
 }
 
 func before(a, b token.Position) bool {

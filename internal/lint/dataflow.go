@@ -190,25 +190,31 @@ func localObj(info *types.Info, e ast.Expr) types.Object {
 }
 
 // eachScope invokes fn once per analyzable function scope in the
-// package: every declared body and every function literal body, each
-// with its memoized CFG. A literal is its own scope — facts do not
-// flow between a function and the closures it creates; a closure
-// capturing a tracked value shows up as an escape in the outer scope
-// instead.
+// package: every declared body and every function literal body (a
+// package-level variable's too), each with its memoized CFG. A literal
+// is its own scope — facts do not flow between a function and the
+// closures it creates; a closure capturing a tracked value shows up as
+// an escape in the outer scope instead.
 func eachScope(p *Pass, fn func(body *ast.BlockStmt, cfg *funcCFG)) {
+	lits := func(n ast.Node) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.FuncLit); ok {
+				fn(lit.Body, p.Unit.litCFGOf(lit))
+			}
+			return true
+		})
+	}
 	for _, file := range p.Pkg.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
+			if !ok {
+				lits(decl)
 				continue
 			}
-			fn(fd.Body, p.Unit.cfgOf(fd))
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.FuncLit); ok {
-					fn(lit.Body, p.Unit.litCFGOf(lit))
-				}
-				return true
-			})
+			if fd.Body != nil {
+				fn(fd.Body, p.Unit.cfgOf(fd))
+				lits(fd.Body)
+			}
 		}
 	}
 }

@@ -5,17 +5,21 @@ import (
 	"go/types"
 )
 
-// analyzerErrorFlow closes dropped-error's two blind spots on the
-// persistence path. dropped-error flags a call whose error vanishes in
-// an expression statement, but deliberately allows `_ = f()` — the
-// discard is visible in review. For most calls that is the right
-// contract; for Write, Sync, Flush, and Close on a handle that just
-// carried engine state to disk it is not: a snapshot whose Close error
-// is blank-discarded can be silently truncated, and a recovery path
-// (the WAL that ROADMAP parks) would restore a corrupt warehouse without
-// any transaction having failed. So error-flow flags blank discards
-// (`_ = ...`, `_, _ = ...`) of error-returning Write/Sync/Flush/Close
-// METHOD calls everywhere, including inside deferred cleanup literals.
+// analyzerErrorFlow is the one check for handled errors. Every
+// maintenance transaction in this engine reports failure through an
+// error; a lost one can leave an invariant (INV_BL/INV_DT/INV_C)
+// silently violated, which the whole deferred-maintenance scheme
+// assumes never happens. Two shapes lose one:
+//
+//   - a call whose error result vanishes in an expression, defer or go
+//     statement, anywhere;
+//   - a blank discard (`_ = ...`, `_, _ = ...`) of an error-returning
+//     Write, Sync, Flush or Close METHOD call, including inside
+//     deferred cleanup literals. Other blank discards are allowed: they
+//     are visible in review. These four are not, because a snapshot
+//     whose Close error is blank-discarded can be silently truncated,
+//     and a recovery path (the WAL that ROADMAP parks) would restore a
+//     corrupt warehouse without any transaction having failed.
 //
 // One discard shape stays legal, and the dataflow layer is what makes
 // it recognizable: cleanup on a path where an error is already in
@@ -29,12 +33,12 @@ import (
 // the Close error has nowhere useful to go — the save error is the one
 // that matters — so a blank discard on a branch where some error
 // variable is known non-nil (branch-sensitive facts from the CFG's
-// refined edges) is exempt. Receivers whose errors are unobservable by
-// construction (strings.Builder, bytes.Buffer) are exempt the same way
-// dropped-error exempts them.
+// refined edges) is exempt. Both shapes exempt the fmt print family
+// and strings.Builder/bytes.Buffer methods, whose errors are
+// unobservable by construction (errorExempt).
 var analyzerErrorFlow = &Analyzer{
 	Name: "error-flow",
-	Doc:  "Write/Sync/Flush/Close errors on persistence paths must propagate; blank discards are cleanup-only",
+	Doc:  "no error result is silently dropped; Write/Sync/Flush/Close errors are blank-discarded only as cleanup on a failing path",
 	Run:  runErrorFlow,
 }
 
@@ -112,11 +116,21 @@ func (ef *errorFlow) refine(cond ast.Expr, truth bool, facts flowFacts) {
 	facts[obj] = v & mask
 }
 
-// checkDiscard flags a blank discard of a persistence-method error,
-// unless an error is already in flight on every path into it or the
-// receiver's errors are unobservable.
+// checkDiscard flags a statement that drops an error result, and a
+// blank discard of a persistence-method error unless an error is
+// already in flight on every path into it.
 func (ef *errorFlow) checkDiscard(n ast.Node, facts flowFacts) {
 	info := ef.p.Pkg.Info
+	switch n := n.(type) {
+	case *ast.ExprStmt:
+		if call, ok := n.X.(*ast.CallExpr); ok {
+			ef.checkDropped(call)
+		}
+	case *ast.DeferStmt:
+		ef.checkDropped(n.Call)
+	case *ast.GoStmt:
+		ef.checkDropped(n.Call)
+	}
 	as, ok := n.(*ast.AssignStmt)
 	if !ok || len(as.Rhs) != 1 {
 		return
@@ -160,4 +174,44 @@ func (ef *errorFlow) checkDiscard(n ast.Node, facts flowFacts) {
 	ef.p.Reportf(as.Pos(),
 		"error from %s.%s is blank-discarded on a persistence path; propagate it, fold it into the return value, or record it (only cleanup on an already-failing path may discard)",
 		recv, f.Name())
+}
+
+// checkDropped flags a call whose error result a statement drops.
+func (ef *errorFlow) checkDropped(call *ast.CallExpr) {
+	t := ef.p.TypeOf(call)
+	if t == nil || !resultHasError(t) {
+		return
+	}
+	f := CalleeOf(ef.p.Pkg.Info, call)
+	if f != nil && errorExempt(f) {
+		return
+	}
+	name := "call"
+	if f != nil {
+		name = f.Name()
+	}
+	ef.p.Reportf(call.Pos(), "result of %s includes an error that is silently dropped; handle it or discard explicitly with _ =", name)
+}
+
+var errType = types.Universe.Lookup("error").Type()
+
+func resultHasError(t types.Type) bool {
+	if tup, ok := t.(*types.Tuple); ok {
+		for i := 0; i < tup.Len(); i++ {
+			if types.Identical(tup.At(i).Type(), errType) {
+				return true
+			}
+		}
+		return false
+	}
+	return types.Identical(t, errType)
+}
+
+// errorExempt reports whether f's error is conventionally ignorable:
+// the fmt print family and in-memory builders that document err==nil.
+func errorExempt(f *types.Func) bool {
+	if f.Pkg() != nil && f.Pkg().Path() == "fmt" {
+		return true
+	}
+	return isMethodOn(f, "strings", "Builder") || isMethodOn(f, "bytes", "Buffer")
 }

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
@@ -18,14 +17,13 @@ import (
 //     function, or the function literal a borrowed read — core's
 //     Manager.Read or Serialized.Read — runs over the live MV, whose
 //     bag parameter is such a reference from the start) must not
-//     outlive it: assigning it to a variable
-//     declared outside the region, storing it into a field or an outer
-//     container, sending it on a channel, returning it, or capturing it
-//     in a spawned goroutine all let lock-free code read state the lock
-//     was guarding (Clone it under the lock instead — the Query
-//     pattern: a clone is a copy-on-write handle that shares the map
-//     until either side is written, so it keeps the value it read at a
-//     pointer's cost);
+//     outlive it: assigning it to a variable declared outside the
+//     region, storing it into a field or an outer container, sending
+//     it on a channel, or returning it all let lock-free code read
+//     state the lock was guarding (Clone it under the lock instead —
+//     the Query pattern: a clone is a copy-on-write handle that shares
+//     the map until either side is written, so it keeps the value it
+//     read at a pointer's cost);
 //   - an exported core/storage function must not return a direct
 //     reference to an internal bag, map, or slice field: the caller
 //     holds an alias into lock-guarded state with no lock protocol
@@ -252,57 +250,11 @@ func (p *Pass) checkRegion(body ast.Node, regionDesc string, lent map[types.Obje
 							src, regionDesc)
 					}
 				}
-			case *ast.GoStmt:
-				if lit, ok := ast.Unparen(m.Call.Fun).(*ast.FuncLit); ok {
-					p.flagTaintedCapture(lit, tainted, regionDesc, m.Pos())
-				}
-				for _, arg := range m.Call.Args {
-					if src, ok := taintOf(arg); ok {
-						p.Reportf(m.Pos(),
-							"%s (aliasing live table state) is passed to a spawned goroutine from %s; the goroutine runs without the lock — Clone() under the lock instead",
-							src, regionDesc)
-					}
-				}
-				return false
-			case *ast.CallExpr:
-				// A closure handed to a worker/pool spawn helper runs in a
-				// goroutine too (callgraph.go spawn parameters).
-				if f := CalleeOf(info, m); f != nil {
-					for _, arg := range p.Unit.spawningArgs(f, m) {
-						if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
-							p.flagTaintedCapture(lit, tainted, regionDesc, arg.Pos())
-						}
-					}
-				}
 			}
 			return true
 		})
 	}
 	walk(body, 0)
-}
-
-// flagTaintedCapture reports tainted objects captured by a spawned
-// function literal.
-func (p *Pass) flagTaintedCapture(lit *ast.FuncLit, tainted map[types.Object]string, regionDesc string, pos token.Pos) {
-	info := p.Pkg.Info
-	seen := map[types.Object]bool{}
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		obj := info.Uses[id]
-		if obj == nil || seen[obj] {
-			return true
-		}
-		if src, ok := tainted[obj]; ok {
-			seen[obj] = true
-			p.Reportf(pos,
-				"%s (aliasing live table state) is captured by a goroutine spawned from %s; the goroutine runs without the lock — Clone() under the lock instead",
-				src, regionDesc)
-		}
-		return true
-	})
 }
 
 // checkAccessorLeak flags exported core/storage functions that return a

@@ -20,7 +20,7 @@ func TestWriteJSONGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	analyzers, err := Select("dropped-error")
+	analyzers, err := Select("error-flow")
 	if err != nil {
 		t.Fatal(err)
 	}

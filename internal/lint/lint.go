@@ -7,7 +7,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Finding is one diagnostic: a position, the analyzer that produced
@@ -36,8 +35,8 @@ type Config struct {
 	BagPkg     string
 	TxnPkg     string
 	StoragePkg string
-	// TracePkg is the structured-tracing package; span-discipline
-	// tracks its *Span values and skips the package itself.
+	// TracePkg is the structured-tracing package; resource-lifecycle's
+	// span row tracks its *Span values and skips the package itself.
 	TracePkg string
 	// ObsPkg is the metrics/labels package; pprof-label accepts its
 	// StartRegion/SetPhaseLabels calls as installing goroutine labels.
@@ -117,43 +116,26 @@ type Analyzer struct {
 // Unit is the whole-program view one RunAnalyzers invocation shares
 // across its per-package passes: every loaded package, plus lazily
 // computed interprocedural facts (the call graph of callgraph.go, the
-// lock-state fixpoint of lockstate.go, and the state-bug write
-// summaries). Interprocedural analyzers compute over the Unit once and
-// report, from each per-package pass, only the findings positioned in
-// that pass's package.
+// lock-state fixpoint of lockstate.go, the state-bug write summaries
+// and the atomic-field facts). Interprocedural analyzers compute over
+// the Unit once and report, from each per-package pass, only the
+// findings positioned in that pass's package.
 type Unit struct {
 	Pkgs []*Package
 	Cfg  Config
 
-	declOnce  sync.Once
 	decls     map[*types.Func]*declInfo
 	declList  []*declInfo // decls in deterministic (position) order
 	addrTaken map[*types.Func]bool
 
-	edgeOnce sync.Once
-	edges    []callEdge
-
-	spawnParamOnce sync.Once
-	spawnParams    map[*types.Func]map[int]bool
-
-	lockOnce sync.Once
-	lock     *lockResult
-
-	writeMu   sync.Mutex
+	lock      *lockResult
 	writeSums map[*types.Func]map[string]token.Pos
-
-	spawnMu   sync.Mutex
-	reachMemo map[*types.Func]*types.Func
-	touchMemo map[*types.Func]map[string]token.Pos
-
-	atomicOnce sync.Once
-	atomic     *atomicFacts
+	atomic    *atomicFacts
 
 	// Function-local dataflow memos (ssa.go): CFGs and def-use chains
 	// are shared by closure-purity, resource-lifecycle, error-flow, and
 	// nilness, so the first analyzer to touch a function builds its
 	// graph and the rest reuse it.
-	cfgMu      sync.Mutex
 	cfgMemo    map[*ast.FuncDecl]*funcCFG
 	litCfgMemo map[*ast.FuncLit]*funcCFG
 	duMemo     map[*ast.FuncDecl]*defUse
@@ -239,15 +221,13 @@ func All() []*Analyzer {
 		analyzerLockDiscipline,
 		analyzerLockOrder,
 		analyzerLockedContract,
-		analyzerGoroutineContext,
+		analyzerSingleWriter,
 		analyzerSharedStateEscape,
 		analyzerAtomicDiscipline,
 		analyzerStateBug,
 		analyzerBagMutation,
 		analyzerMapIteration,
-		analyzerDroppedError,
 		analyzerInvariantTouch,
-		analyzerSpanDiscipline,
 		analyzerPprofLabel,
 		analyzerDocComment,
 		analyzerClosurePurity,
@@ -349,14 +329,8 @@ func collectSuppressions(pkg *Package, known map[string]bool, findings *[]Findin
 // A //dvmlint:ignore suppression that matches no finding is itself
 // reported as stale, provided every check it names was part of this
 // run (a partial -checks run cannot judge the others' suppressions).
-//
-// Analyzers run concurrently, one goroutine per analyzer, each with a
-// private findings slice: the shared interprocedural facts on Unit are
-// computed behind sync.Once (decls, call graph, lock fixpoint, atomic
-// facts) or a mutex (write/touch summaries), so the first analyzer to
-// need a fact computes it and the rest block briefly and share it.
-// Suppression matching and the final sort happen sequentially after
-// the barrier, which keeps the output byte-identical to a serial run.
+// Analyzers run one after another; the first to need an
+// interprocedural fact on Unit computes it and the rest reuse it.
 func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer, cfg Config) []Finding {
 	known := map[string]bool{}
 	for _, a := range All() {
@@ -374,23 +348,15 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer, cfg Config) []Finding 
 			sups[file] = append(sups[file], list...)
 		}
 	}
-	raw := make([][]Finding, len(analyzers))
-	var wg sync.WaitGroup
-	for i, a := range analyzers {
-		wg.Add(1)
-		go func(i int, a *Analyzer) {
-			defer wg.Done()
-			for _, pkg := range pkgs {
-				a.Run(&Pass{Pkg: pkg, Unit: unit, Cfg: cfg, check: a.Name, findings: &raw[i]})
-			}
-		}(i, a)
+	var raw []Finding
+	for _, a := range analyzers {
+		for _, pkg := range pkgs {
+			a.Run(&Pass{Pkg: pkg, Unit: unit, Cfg: cfg, check: a.Name, findings: &raw})
+		}
 	}
-	wg.Wait()
-	for _, rs := range raw {
-		for _, f := range rs {
-			if !suppressed(f, sups) {
-				findings = append(findings, f)
-			}
+	for _, f := range raw {
+		if !suppressed(f, sups) {
+			findings = append(findings, f)
 		}
 	}
 	for _, file := range sups {

@@ -8,6 +8,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -47,7 +48,7 @@ var fixtureCases = []struct {
 	},
 	{
 		dir:    "goctx",
-		checks: "goroutine-context",
+		checks: "single-writer",
 		cfg: func(c Config) Config {
 			c.CorePkg = fixturePrefix + "goctx"
 			return c
@@ -55,7 +56,7 @@ var fixtureCases = []struct {
 	},
 	{
 		dir:    "escape",
-		checks: "shared-state-escape",
+		checks: "shared-state-escape,single-writer",
 		cfg: func(c Config) Config {
 			c.CorePkg = fixturePrefix + "escape"
 			return c
@@ -93,7 +94,7 @@ var fixtureCases = []struct {
 	},
 	{
 		dir:    "droperr",
-		checks: "dropped-error",
+		checks: "error-flow",
 		cfg:    func(c Config) Config { return c },
 	},
 	{
@@ -107,7 +108,7 @@ var fixtureCases = []struct {
 	},
 	{
 		dir:    "spanend",
-		checks: "span-discipline",
+		checks: "resource-lifecycle",
 		cfg:    func(c Config) Config { return c },
 	},
 	{
@@ -200,6 +201,72 @@ func TestFixtures(t *testing.T) {
 	}
 }
 
+// TestAnalyzerFixtureMatrix runs every analyzer over every fixture,
+// under the fixture's config, and pins which analyzers fire on which
+// line: the evidence of what each analyzer catches that no other one
+// does, and of every overlap. A seeded bug that stops being reported,
+// or a new cross-hit, shows up as a diff of testdata/matrix.golden.
+func TestAnalyzerFixtureMatrix(t *testing.T) {
+	loader, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type row struct {
+		at     string
+		line   int
+		checks []string
+	}
+	var rows []row
+	for _, tc := range fixtureCases {
+		pkg, err := loader.Load(fixturePrefix + tc.dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byLine := map[string]*row{}
+		for _, f := range RunAnalyzers([]*Package{pkg}, All(), tc.cfg(DefaultConfig())) {
+			at := tc.dir + "/" + filepath.Base(f.Pos.Filename)
+			key := fmt.Sprintf("%s:%d", at, f.Pos.Line)
+			r := byLine[key]
+			if r == nil {
+				r = &row{at: at, line: f.Pos.Line}
+				byLine[key] = r
+			}
+			if !slices.Contains(r.checks, f.Check) {
+				r.checks = append(r.checks, f.Check)
+			}
+		}
+		for _, r := range byLine {
+			slices.Sort(r.checks)
+			rows = append(rows, *r)
+		}
+	}
+	slices.SortFunc(rows, func(a, b row) int {
+		if a.at != b.at {
+			return strings.Compare(a.at, b.at)
+		}
+		return a.line - b.line
+	})
+	var sb strings.Builder
+	for _, r := range rows {
+		fmt.Fprintf(&sb, "%s:%d: %s\n", r.at, r.line, strings.Join(r.checks, ", "))
+	}
+	got := sb.String()
+	goldenPath := filepath.Join("testdata", "matrix.golden")
+	if *update {
+		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("missing golden file (run go test -run TestAnalyzerFixtureMatrix -update): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("analyzer × fixture matrix changed:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
 // TestModuleIsLintClean runs the full analyzer suite over the whole
 // module — the same gate `go run ./cmd/dvmlint ./...` applies — so a
 // regression in lint discipline fails `go test ./...` too.
@@ -260,7 +327,7 @@ func TestSelect(t *testing.T) {
 	if err != nil || len(all) != len(All()) {
 		t.Fatalf("Select(\"\") = %d analyzers, err %v; want all %d", len(all), err, len(All()))
 	}
-	two, err := Select("dropped-error, lock-discipline")
+	two, err := Select("error-flow, lock-discipline")
 	if err != nil || len(two) != 2 {
 		t.Fatalf("Select two = %v (len %d); want 2", err, len(two))
 	}

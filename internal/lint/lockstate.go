@@ -6,7 +6,6 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -65,52 +64,52 @@ type lockResult struct {
 	edges    []orderEdge
 	self     []lockFinding // re-acquisition of a held lock
 	contract []lockFinding // *Locked called where no lock is provable
-	spawn    []lockFinding // goroutine-context violations at spawn sites
 }
 
 // lockAnalysis runs the fixpoint once per Unit and caches the result.
 func (u *Unit) lockAnalysis() *lockResult {
-	u.lockOnce.Do(func() {
-		u.ensureDecls()
-		w := &lockWalker{
-			u:         u,
-			cfg:       u.Cfg,
-			entryMay:  map[*types.Func]map[string]lockTok{},
-			allLocked: map[*types.Func]bool{},
-		}
-		// Iterate until the entry may-sets and the all-locked facts are
-		// stable. Both grow monotonically (may-sets by union, all-locked
-		// from false upward once every recorded site is locked), so the
-		// loop terminates; the bound is a safety net.
-		for iter := 0; iter < 2*len(u.declList)+2; iter++ {
-			w.changed = false
-			w.hasSite = map[*types.Func]bool{}
-			w.unlockedSite = map[*types.Func]bool{}
-			for _, di := range u.declList {
-				w.walkDecl(di)
-			}
-			for _, di := range u.declList {
-				now := w.hasSite[di.fn] && !w.unlockedSite[di.fn]
-				if now != w.allLocked[di.fn] {
-					w.allLocked[di.fn] = now
-					w.changed = true
-				}
-			}
-			if !w.changed {
-				break
-			}
-		}
-		// Final reporting pass over the stable state.
-		w.final = true
-		w.res = &lockResult{}
-		w.seen = map[string]bool{}
+	if u.lock != nil {
+		return u.lock
+	}
+	u.ensureDecls()
+	w := &lockWalker{
+		u:         u,
+		cfg:       u.Cfg,
+		entryMay:  map[*types.Func]map[string]lockTok{},
+		allLocked: map[*types.Func]bool{},
+	}
+	// Iterate until the entry may-sets and the all-locked facts are
+	// stable. Both grow monotonically (may-sets by union, all-locked
+	// from false upward once every recorded site is locked), so the
+	// loop terminates; the bound is a safety net.
+	for iter := 0; iter < 2*len(u.declList)+2; iter++ {
+		w.changed = false
 		w.hasSite = map[*types.Func]bool{}
 		w.unlockedSite = map[*types.Func]bool{}
 		for _, di := range u.declList {
 			w.walkDecl(di)
 		}
-		u.lock = w.res
-	})
+		for _, di := range u.declList {
+			now := w.hasSite[di.fn] && !w.unlockedSite[di.fn]
+			if now != w.allLocked[di.fn] {
+				w.allLocked[di.fn] = now
+				w.changed = true
+			}
+		}
+		if !w.changed {
+			break
+		}
+	}
+	// Final reporting pass over the stable state.
+	w.final = true
+	w.res = &lockResult{}
+	w.seen = map[string]bool{}
+	w.hasSite = map[*types.Func]bool{}
+	w.unlockedSite = map[*types.Func]bool{}
+	for _, di := range u.declList {
+		w.walkDecl(di)
+	}
+	u.lock = w.res
 	return u.lock
 }
 
@@ -132,7 +131,6 @@ type lockWalker struct {
 
 	// per-declaration state
 	curPkg   *Package
-	curDecl  *declInfo
 	litBound map[*ast.FuncLit]bool // literals walked from a lock-acquire site
 }
 
@@ -142,13 +140,19 @@ func (w *lockWalker) isCoreLocked(fn *types.Func) bool {
 	return isLockedContractFn(fn, w.cfg.CorePkg)
 }
 
+// isLockedContractFn reports whether fn carries the core package's
+// *Locked caller-holds-locks contract (shared with shared-state-escape).
+func isLockedContractFn(fn *types.Func, corePkg string) bool {
+	return strings.HasSuffix(fn.Name(), "Locked") &&
+		fn.Pkg() != nil && fn.Pkg().Path() == corePkg
+}
+
 // walkDecl analyzes one function declaration under its entry facts.
 // Inside a *Locked function the contract itself grants the locks (the
 // caller-side check enforces that the grant is justified); otherwise
 // the body is locked only if every known call site was.
 func (w *lockWalker) walkDecl(di *declInfo) {
 	w.curPkg = di.pkg
-	w.curDecl = di
 	w.litBound = map[*ast.FuncLit]bool{}
 	w.markBoundLits(di)
 	held := map[string]lockTok{}
@@ -236,28 +240,16 @@ func (w *lockWalker) walk(n ast.Node, held map[string]lockTok, locked bool) {
 			w.walk(m.Body, map[string]lockTok{}, false)
 			return false
 		case *ast.GoStmt:
-			// Arguments evaluate at the go statement (enclosing
-			// context); the body runs later with no provable locks. The
-			// spawn-aware transfer function: drop every held fact, and
-			// (in the final pass) flag spawned work that depended on
-			// them — goroutine-context findings.
+			// Arguments evaluate here; the spawned call runs later with
+			// no provable locks, like an escaping literal (single-writer
+			// reports the statement itself).
 			for _, arg := range m.Call.Args {
 				w.walk(arg, held, locked)
 			}
 			if lit, ok := ast.Unparen(m.Call.Fun).(*ast.FuncLit); ok {
-				w.spawnCheckLit(m.Pos(), lit, held, "goroutine spawned here")
 				w.walk(lit.Body, map[string]lockTok{}, false)
-				return false
-			}
-			if f := CalleeOf(w.curPkg.Info, m.Call); f != nil {
+			} else if f := CalleeOf(w.curPkg.Info, m.Call); f != nil {
 				w.recordSite(f, map[string]lockTok{}, false)
-				w.spawnCheckFunc(m.Pos(), f, held, "goroutine spawned here")
-				return false
-			}
-			if id, ok := ast.Unparen(m.Call.Fun).(*ast.Ident); ok {
-				if lit := w.litFor(id); lit != nil {
-					w.spawnCheckLit(m.Pos(), lit, held, "goroutine spawned here")
-				}
 			}
 			return false
 		case *ast.DeferStmt:
@@ -304,28 +296,6 @@ func (w *lockWalker) call(call *ast.CallExpr, held map[string]lockTok, locked bo
 				w.report(&w.res.contract, call.Pos(),
 					"%s requires the caller to hold the table locks (Locked contract) but no lock is provably held at this call",
 					f.Name())
-			}
-		}
-		// A function value handed to a spawning parameter (callgraph.go)
-		// runs in a goroutine the callee launches: same transfer
-		// function as a go statement — no lock facts cross over.
-		for _, arg := range w.u.spawningArgs(f, call) {
-			desc := fmt.Sprintf("function value handed to %s (which launches it in a goroutine)", f.Name())
-			switch a := ast.Unparen(arg).(type) {
-			case *ast.FuncLit:
-				w.spawnCheckLit(arg.Pos(), a, held, desc)
-			case *ast.Ident:
-				if tf, ok := info.Uses[a].(*types.Func); ok {
-					w.recordSite(tf, map[string]lockTok{}, false)
-					w.spawnCheckFunc(arg.Pos(), tf, held, desc)
-				} else if lit := w.litFor(a); lit != nil {
-					w.spawnCheckLit(arg.Pos(), lit, held, desc)
-				}
-			case *ast.SelectorExpr:
-				if tf, ok := info.Uses[a.Sel].(*types.Func); ok {
-					w.recordSite(tf, map[string]lockTok{}, false)
-					w.spawnCheckFunc(arg.Pos(), tf, held, desc)
-				}
 			}
 		}
 		return true
@@ -399,53 +369,6 @@ func (w *lockWalker) acquire(call *ast.CallExpr, held map[string]lockTok, locked
 		if tf, ok := w.curPkg.Info.Uses[fn.Sel].(*types.Func); ok {
 			w.recordSite(tf, extended, true)
 		}
-	}
-}
-
-// spawnCheckLit reports (final pass only) the goroutine-context
-// violations of a function literal that is spawned — directly with go,
-// or via a spawning parameter — while held locks are in force. Table
-// bindings resolve against the whole enclosing declaration so captured
-// table variables keep their identity inside the literal.
-func (w *lockWalker) spawnCheckLit(pos token.Pos, lit *ast.FuncLit, held map[string]lockTok, desc string) {
-	if !w.final || w.curDecl == nil {
-		return
-	}
-	w.reportSpawn(pos, w.u.factsForLit(w.curPkg.Info, w.curDecl.decl.Body, lit), held, desc)
-}
-
-// spawnCheckFunc is spawnCheckLit for a named function or method value.
-func (w *lockWalker) spawnCheckFunc(pos token.Pos, fn *types.Func, held map[string]lockTok, desc string) {
-	if !w.final {
-		return
-	}
-	if w.u.declOf(fn) == nil && !w.isCoreLocked(fn) {
-		return
-	}
-	w.reportSpawn(pos, w.u.factsForFunc(fn), held, desc)
-}
-
-// reportSpawn renders spawn facts into goroutine-context findings: a
-// reachable *Locked helper is always a violation (the goroutine holds
-// nothing), and a lock-free touch of a table whose lock the spawning
-// context holds is the "inherited lock fact" race.
-func (w *lockWalker) reportSpawn(pos token.Pos, facts spawnFacts, held map[string]lockTok, desc string) {
-	if facts.reach != nil {
-		w.report(&w.res.spawn, pos,
-			"%s calls %s, which requires locks its caller holds (Locked contract); lock facts do not transfer into a spawned goroutine — re-acquire inside it",
-			desc, facts.reach.Name())
-	}
-	var keys []string
-	for k := range facts.touch {
-		if _, ok := held[k]; ok {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		w.report(&w.res.spawn, pos,
-			"%s touches table %s while the spawning context holds its %s lock; spawned goroutines do not inherit locks — re-acquire inside the goroutine",
-			desc, k, modeName(held[k].write))
 	}
 }
 

@@ -65,9 +65,9 @@ func runClosurePurity(p *Pass) {
 			roots = append(roots, di)
 		}
 	}
-	// BFS over static call/defer edges within the algebra package.
-	// Dynamic edges are excluded on purpose: a compiled closure calling
-	// a bound predicate value would otherwise pull in every
+	// BFS over static calls (deferred ones included) within the algebra
+	// package. Dynamic calls are excluded on purpose: a compiled closure
+	// calling a bound predicate value would otherwise pull in every
 	// signature-compatible function in the module.
 	reached := map[*types.Func]*declInfo{}
 	queue := append([]*declInfo(nil), roots...)
@@ -78,17 +78,18 @@ func runClosurePurity(p *Pass) {
 			continue
 		}
 		reached[di.fn] = di
-		for _, e := range u.edgesFrom(di.fn) {
-			if e.kind != edgeCall && e.kind != edgeDefer {
-				continue
+		ast.Inspect(di.decl.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
 			}
-			if e.callee.pkg.Path != p.Cfg.AlgebraPkg {
-				continue
+			if f := CalleeOf(di.pkg.Info, call); f != nil {
+				if callee := u.declOf(f); callee != nil && callee.pkg.Path == p.Cfg.AlgebraPkg && reached[f] == nil {
+					queue = append(queue, callee)
+				}
 			}
-			if reached[e.callee.fn] == nil {
-				queue = append(queue, e.callee)
-			}
-		}
+			return true
+		})
 	}
 	var order []*declInfo
 	for _, di := range reached {

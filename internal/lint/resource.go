@@ -4,37 +4,46 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
+	"strings"
 )
 
-// analyzerResourceLifecycle generalizes span-discipline into a
-// contract-driven Open/Close pairing check running on the dataflow
-// layer (ssa.go/dataflow.go): every resource acquired through a
-// constructor in the contract table must be released on every path out
-// of the acquiring function — including early error returns, the paths
-// the deferred-maintenance engine takes exactly when something already
-// went wrong. The contract table below is the extension point the
-// durable-storage arc (the WAL-backed paged storage ROADMAP parks) will
-// grow: WAL segments and page files get a row each, and the whole
-// analysis comes for free.
+// analyzerResourceLifecycle is a contract-driven Open/Close pairing
+// check running on the dataflow layer (ssa.go/dataflow.go): every
+// resource acquired through a constructor in the contract table must
+// be released on every path out of the acquiring function — including
+// early error returns, the paths the deferred-maintenance engine takes
+// exactly when something already went wrong. The contract table below
+// is the extension point the durable-storage arc (the WAL-backed paged
+// storage ROADMAP parks) will grow: WAL segments and page files get a
+// row each, and the whole analysis comes for free.
 //
-// Discharge rules: a call to the contract's closer (direct, deferred,
-// or inside a deferred literal) closes the resource; letting it escape
-// — returned, aliased into another variable, stored in a composite or
-// field, sent on a channel, or captured by a non-deferred closure —
-// transfers the obligation to the new owner. Passing the resource as a
-// plain call argument does NOT discharge it: io.Copy, bufio.NewWriter,
-// and pprof.StartCPUProfile all borrow the handle, and the caller
-// still owns the close (this is exactly the shape of the leak class
-// this analyzer exists for). For error-paired constructors (os.Create
-// and friends) the obligation only holds on paths where the paired
-// error is nil — the branch-sensitive edges of the CFG carve those
-// paths out. Reports are must-miss: a resource is flagged only when no
-// path into the return has closed it, so merge-point ambiguity never
-// produces noise.
+// One row is the tracing contract of internal/obs/trace: every
+// *trace.Span a Start*/start* call returns, at each result index it
+// appears, must be ended (End or EndExplicit), or the trace tree it
+// belongs to never finishes and the whole transaction silently
+// vanishes from the ring buffer. The trace package itself is exempt
+// from that row: it implements spans, it is not their client.
+//
+// Discharge rules: a call to one of the contract's closers (direct,
+// deferred, or inside a deferred literal) closes the resource; letting
+// it escape — returned, aliased into another variable, stored in a
+// composite or field, sent on a channel, or captured by a non-deferred
+// closure — transfers the obligation to the new owner. Passing the
+// resource as a plain call argument does NOT discharge it: io.Copy,
+// bufio.NewWriter, and pprof.StartCPUProfile all borrow the handle,
+// and the caller still owns the close (this is exactly the shape of
+// the leak class this analyzer exists for). A constructor that also
+// returns an error owes nothing on paths where that error is non-nil —
+// the branch-sensitive edges of the CFG carve those paths out. A
+// constructor result discarded by an expression statement or assigned
+// to _ is a leak on the spot: nothing can close it. Return reports are
+// must-miss: a resource is flagged only when no path into the return
+// has closed it, so merge-point ambiguity never produces noise.
 var analyzerResourceLifecycle = &Analyzer{
 	Name: "resource-lifecycle",
-	Doc:  "contract-paired resources (files, tickers, pollers) must be closed on every path",
+	Doc:  "contract-paired resources (files, tickers, gzip streams, trace spans) must be closed on every path",
 	Run:  runResourceLifecycle,
 }
 
@@ -45,42 +54,46 @@ const (
 	rEscaped                  // ownership transferred out of this scope
 )
 
-// resourceContract is one Open/Close pairing: the constructor package
-// path and name, the method that releases the resource, whether the
-// constructor pairs the resource with an error result (obligation
-// begins only when that error is nil), and a human label for reports.
+// resourceContract is one Open/Close pairing: the resource is each
+// *pkg.typ result of a constructor, and any of closers releases it.
+// Constructors are the names in ctors declared in pkg, or, with
+// anyPkg, every function whose name starts with one of ctors.
 type resourceContract struct {
-	pkg       string
-	fn        string
-	closer    string
-	errPaired bool
-	kind      string
+	pkg, typ string
+	ctors    []string
+	anyPkg   bool
+	closers  []string
+	kind     string
 }
 
-// resourceContracts is the pairing table.
+// resourceContracts is the pairing table, less the span row.
 var resourceContracts = []resourceContract{
-	{pkg: "os", fn: "Create", closer: "Close", errPaired: true, kind: "file"},
-	{pkg: "os", fn: "Open", closer: "Close", errPaired: true, kind: "file"},
-	{pkg: "os", fn: "OpenFile", closer: "Close", errPaired: true, kind: "file"},
-	{pkg: "time", fn: "NewTicker", closer: "Stop", kind: "ticker"},
-	{pkg: "time", fn: "NewTimer", closer: "Stop", kind: "timer"},
-	{pkg: "compress/gzip", fn: "NewReader", closer: "Close", errPaired: true, kind: "gzip reader"},
-	{pkg: "compress/gzip", fn: "NewWriter", closer: "Close", kind: "gzip writer"},
+	{pkg: "os", typ: "File", ctors: []string{"Create", "Open", "OpenFile"}, closers: []string{"Close"}, kind: "file"},
+	{pkg: "time", typ: "Ticker", ctors: []string{"NewTicker"}, closers: []string{"Stop"}, kind: "ticker"},
+	{pkg: "time", typ: "Timer", ctors: []string{"NewTimer"}, closers: []string{"Stop"}, kind: "timer"},
+	{pkg: "compress/gzip", typ: "Reader", ctors: []string{"NewReader"}, closers: []string{"Close"}, kind: "gzip reader"},
+	{pkg: "compress/gzip", typ: "Writer", ctors: []string{"NewWriter"}, closers: []string{"Close"}, kind: "gzip writer"},
 }
 
 func runResourceLifecycle(p *Pass) {
+	contracts := resourceContracts
+	if p.Pkg.Path != p.Cfg.TracePkg {
+		contracts = append(contracts[:len(contracts):len(contracts)], resourceContract{
+			pkg: p.Cfg.TracePkg, typ: "Span", ctors: []string{"Start", "start"}, anyPkg: true,
+			closers: []string{"End", "EndExplicit"}, kind: "span",
+		})
+	}
 	eachScope(p, func(body *ast.BlockStmt, cfg *funcCFG) {
-		checkResourceScope(p, resourceContracts, cfg)
+		checkResourceScope(p, contracts, cfg)
 	})
 }
 
 // resOpen is one tracked acquisition in the current scope.
 type resOpen struct {
-	obj    types.Object
-	name   string
-	closer string
-	kind   string
-	pos    token.Pos
+	obj  types.Object
+	name string
+	c    *resourceContract
+	pos  token.Pos
 }
 
 // resourceFlow is the flowClient for one scope.
@@ -107,6 +120,15 @@ func checkResourceScope(p *Pass, contracts []resourceContract, cfg *funcCFG) {
 	// structure it was stored in.
 	for _, b := range cfg.blocks {
 		for _, n := range b.nodes {
+			if es, ok := n.(*ast.ExprStmt); ok {
+				if call, ok := ast.Unparen(es.X).(*ast.CallExpr); ok {
+					if c, idx, _ := matchContract(p, contracts, call); len(idx) > 0 {
+						p.Reportf(call.Pos(), "%s returned by %s is discarded; nothing can call %s on it",
+							c.kind, calleeName(p.Pkg.Info, call), c.closers[0])
+					}
+				}
+				continue
+			}
 			as, ok := n.(*ast.AssignStmt)
 			if !ok || len(as.Rhs) != 1 {
 				continue
@@ -115,20 +137,27 @@ func checkResourceScope(p *Pass, contracts []resourceContract, cfg *funcCFG) {
 			if !ok {
 				continue
 			}
-			c := matchContract(p, contracts, call)
-			if c == nil || len(as.Lhs) == 0 {
-				continue
-			}
-			resObj := localObj(p.Pkg.Info, as.Lhs[0])
-			if resObj == nil {
-				continue
-			}
-			ro := &resOpen{obj: resObj, name: identName(as.Lhs[0]), closer: c.closer, kind: c.kind, pos: call.Pos()}
-			rf.binds[n] = append(rf.binds[n], ro)
-			rf.opens[resObj] = ro
-			if c.errPaired && len(as.Lhs) > 1 {
-				if errObj := localObj(p.Pkg.Info, as.Lhs[1]); errObj != nil {
-					rf.guards[errObj] = append(rf.guards[errObj], resObj)
+			c, idx, errIdx := matchContract(p, contracts, call)
+			for _, i := range idx {
+				if i >= len(as.Lhs) {
+					continue
+				}
+				if id, ok := as.Lhs[i].(*ast.Ident); ok && id.Name == "_" {
+					p.Reportf(id.Pos(), "%s returned by %s is assigned to _; nothing can call %s on it",
+						c.kind, calleeName(p.Pkg.Info, call), c.closers[0])
+					continue
+				}
+				resObj := localObj(p.Pkg.Info, as.Lhs[i])
+				if resObj == nil {
+					continue
+				}
+				ro := &resOpen{obj: resObj, name: identName(as.Lhs[i]), c: c, pos: call.Pos()}
+				rf.binds[n] = append(rf.binds[n], ro)
+				rf.opens[resObj] = ro
+				if errIdx >= 0 && errIdx < len(as.Lhs) {
+					if errObj := localObj(p.Pkg.Info, as.Lhs[errIdx]); errObj != nil {
+						rf.guards[errObj] = append(rf.guards[errObj], resObj)
+					}
 				}
 			}
 		}
@@ -157,7 +186,7 @@ func checkResourceScope(p *Pass, contracts []resourceContract, cfg *funcCFG) {
 		for _, ro := range leaked {
 			p.Reportf(ret.Pos(),
 				"return leaves %s %s (opened at line %d) unclosed on this path; call %s.%s before returning or defer it",
-				ro.kind, ro.name, p.Pkg.Fset.Position(ro.pos).Line, ro.name, ro.closer)
+				ro.c.kind, ro.name, p.Pkg.Fset.Position(ro.pos).Line, ro.name, ro.c.closers[0])
 		}
 	})
 }
@@ -190,7 +219,7 @@ func (rf *resourceFlow) transfer(n ast.Node, facts flowFacts) {
 					return true
 				}
 				obj := localObj(info, sel.X)
-				if ro := rf.opens[obj]; ro != nil && sel.Sel.Name == ro.closer {
+				if ro := rf.opens[obj]; ro != nil && slices.Contains(ro.c.closers, sel.Sel.Name) {
 					if v, tracked := facts[obj]; tracked {
 						facts[obj] = v | rClosed
 					}
@@ -238,41 +267,65 @@ func (rf *resourceFlow) markDirect(exprs []ast.Expr, facts flowFacts) {
 	}
 }
 
-// refine kills the obligation along edges where a constructor's paired
-// error is known non-nil: os.Create and friends return an invalid
-// handle exactly when they return an error, so there is nothing to
-// close on that branch.
+// refine kills the obligation along edges where the resource is known
+// nil (a sampled-out span: `if sp == nil { return }`), or where a
+// constructor's paired error is known non-nil: os.Create and friends
+// return an invalid handle exactly when they return an error. Either
+// way there is nothing to close on that branch.
 func (rf *resourceFlow) refine(cond ast.Expr, truth bool, facts flowFacts) {
 	obj, isNil, ok := nilCompare(rf.p.Pkg.Info, cond)
 	if !ok {
 		return
 	}
-	resources := rf.guards[obj]
-	if len(resources) == 0 {
+	if truth == isNil { // obj is nil on this edge
+		delete(facts, obj)
 		return
 	}
-	errNonNil := (truth && !isNil) || (!truth && isNil)
-	if !errNonNil {
-		return
-	}
-	for _, res := range resources {
+	for _, res := range rf.guards[obj] {
 		delete(facts, res)
 	}
 }
 
-// matchContract resolves call's callee against the contract table.
-func matchContract(p *Pass, contracts []resourceContract, call *ast.CallExpr) *resourceContract {
+// matchContract resolves call's callee against the contract table. It
+// returns the matching row, the result indices that carry its
+// resource, and the index of a trailing error result (-1 for none).
+func matchContract(p *Pass, contracts []resourceContract, call *ast.CallExpr) (*resourceContract, []int, int) {
 	f := CalleeOf(p.Pkg.Info, call)
 	if f == nil || f.Pkg() == nil {
-		return nil
+		return nil, nil, -1
 	}
+	res := f.Type().(*types.Signature).Results()
 	for i := range contracts {
 		c := &contracts[i]
-		if f.Name() == c.fn && f.Pkg().Path() == c.pkg {
-			return c
+		if !c.constructs(f) {
+			continue
+		}
+		var idx []int
+		for j := 0; j < res.Len(); j++ {
+			if isPtrToNamed(res.At(j).Type(), c.pkg, c.typ) {
+				idx = append(idx, j)
+			}
+		}
+		if len(idx) == 0 {
+			continue
+		}
+		errIdx := res.Len() - 1
+		if !types.Identical(res.At(errIdx).Type(), errType) {
+			errIdx = -1
+		}
+		return c, idx, errIdx
+	}
+	return nil, nil, -1
+}
+
+// constructs reports whether f is one of c's constructors.
+func (c *resourceContract) constructs(f *types.Func) bool {
+	for _, name := range c.ctors {
+		if c.anyPkg && strings.HasPrefix(f.Name(), name) || !c.anyPkg && f.Name() == name && f.Pkg().Path() == c.pkg {
+			return true
 		}
 	}
-	return nil
+	return false
 }
 
 func identName(e ast.Expr) string {

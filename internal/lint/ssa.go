@@ -471,12 +471,8 @@ func defUseOf(info *types.Info, body ast.Node) *defUse {
 	return du
 }
 
-// cfgOf returns the memoized CFG of a declared function. Analyzers
-// running concurrently share the memo behind the mutex, mirroring the
-// Unit's other interprocedural fact caches.
+// cfgOf returns the memoized CFG of a declared function.
 func (u *Unit) cfgOf(fd *ast.FuncDecl) *funcCFG {
-	u.cfgMu.Lock()
-	defer u.cfgMu.Unlock()
 	if u.cfgMemo == nil {
 		u.cfgMemo = map[*ast.FuncDecl]*funcCFG{}
 	}
@@ -495,8 +491,6 @@ func (u *Unit) cfgOf(fd *ast.FuncDecl) *funcCFG {
 // discipline (resource-lifecycle, error-flow, and nilness all walk the
 // same literal bodies).
 func (u *Unit) litCFGOf(lit *ast.FuncLit) *funcCFG {
-	u.cfgMu.Lock()
-	defer u.cfgMu.Unlock()
 	if u.litCfgMemo == nil {
 		u.litCfgMemo = map[*ast.FuncLit]*funcCFG{}
 	}
@@ -510,8 +504,6 @@ func (u *Unit) litCFGOf(lit *ast.FuncLit) *funcCFG {
 
 // duOf returns the memoized def-use chains of a declared function.
 func (u *Unit) duOf(info *types.Info, fd *ast.FuncDecl) *defUse {
-	u.cfgMu.Lock()
-	defer u.cfgMu.Unlock()
 	if u.duMemo == nil {
 		u.duMemo = map[*ast.FuncDecl]*defUse{}
 	}

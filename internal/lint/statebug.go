@@ -155,15 +155,9 @@ func (p *Pass) checkStateBug(fd *ast.FuncDecl) {
 // sees the partial summary of the in-progress caller, which converges
 // because keys only accumulate.
 func (u *Unit) writeSummary(fn *types.Func) map[string]token.Pos {
-	u.writeMu.Lock()
-	defer u.writeMu.Unlock()
 	if u.writeSums == nil {
 		u.writeSums = map[*types.Func]map[string]token.Pos{}
 	}
-	return u.writeSummaryLocked(fn)
-}
-
-func (u *Unit) writeSummaryLocked(fn *types.Func) map[string]token.Pos {
 	if sum, ok := u.writeSums[fn]; ok {
 		return sum
 	}
@@ -202,7 +196,7 @@ func (u *Unit) writeSummaryLocked(fn *types.Func) map[string]token.Pos {
 			}
 		default:
 			if u.decls[f] != nil {
-				for key, pos := range u.writeSummaryLocked(f) {
+				for key, pos := range u.writeSummary(f) {
 					if _, ok := sum[key]; !ok {
 						sum[key] = pos
 					}

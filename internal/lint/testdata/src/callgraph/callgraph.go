@@ -1,8 +1,8 @@
 // Package callgraph is a dvmlint fixture for the call-graph substrate
-// (callgraph.go): edge kinds (call/defer/go/dynamic/go-dynamic),
-// method values and bound-method expressions, and spawn-parameter
-// derivation through variadic function-value arguments. It is driven
-// by callgraph_test.go, not by an analyzer golden.
+// (callgraph.go): static calls (plain, deferred, spawned) and dynamic
+// ones through method values, bound-method expressions and
+// function-value parameters. It is driven by callgraph_test.go, not by
+// an analyzer golden.
 package callgraph
 
 // T carries the method used as a method value and a method expression.
@@ -15,13 +15,13 @@ func helper() {}
 
 func target() {}
 
-// StaticCall produces a plain call edge.
+// StaticCall makes a plain static call.
 func StaticCall() { helper() }
 
-// DeferredCall produces a defer edge.
+// DeferredCall defers a static call.
 func DeferredCall() { defer helper() }
 
-// GoCall produces a go edge.
+// GoCall spawns a static call.
 func GoCall() { go helper() }
 
 // MethodValue calls through a bound-method value: a dynamic edge to
@@ -39,24 +39,23 @@ func MethodExpression(t *T) {
 	f(t)
 }
 
-// GoValue spawns a function value: a go-dynamic edge, and parameter 0
-// becomes a spawning parameter.
+// GoValue spawns a function value: a dynamic call to every
+// address-taken func().
 func GoValue(fn func()) { go fn() }
 
 // SpawnAll ranges over a variadic function-value parameter and spawns
-// each element: parameter 0 is spawning through the range derivation.
+// each element: a dynamic call, like GoValue's.
 func SpawnAll(fns ...func()) {
 	for _, fn := range fns {
 		go fn()
 	}
 }
 
-// Indirect passes its parameter onward to a spawning parameter: the
-// propagation fixpoint marks it spawning too.
+// Indirect passes its parameter onward: a static call to SpawnAll.
 func Indirect(fn func()) { SpawnAll(fn) }
 
-// UseSpawnAll keeps the helpers address-taken and gives SpawnAll a
-// call site with a folded variadic tail.
+// UseSpawnAll keeps the helpers address-taken and makes static calls
+// to the spawning helpers.
 func UseSpawnAll() {
 	SpawnAll(helper, target)
 	Indirect(helper)

@@ -1,5 +1,5 @@
-// Package droperr is a dvmlint fixture for the dropped-error analyzer
-// and the suppression syntax.
+// Package droperr is a dvmlint fixture for error-flow's dropped errors
+// (expression and defer statements) and the suppression syntax.
 package droperr
 
 import (
@@ -18,9 +18,9 @@ func Deferred(f *os.File) {
 	defer f.Close() // want: dropped error
 }
 
-// Explicit discards are visible in review and allowed.
+// Explicit discards are visible in review and allowed (not of Close).
 func Explicit(f *os.File) {
-	_ = f.Close()
+	_ = f.Chmod(0o600)
 }
 
 // Handled checks the error.
@@ -39,14 +39,14 @@ func Printing() string {
 
 // Suppressed carries a reasoned suppression: no finding.
 func Suppressed(f *os.File) {
-	//dvmlint:ignore dropped-error close error on a read-only handle is unobservable
+	//dvmlint:ignore error-flow close error on a read-only handle is unobservable
 	f.Close()
 }
 
 // BadSuppression has no reason: the suppression itself is reported AND
 // does not suppress.
 func BadSuppression(f *os.File) {
-	//dvmlint:ignore dropped-error
+	//dvmlint:ignore error-flow
 	f.Close() // want: dropped error (suppression invalid)
 }
 
@@ -59,6 +59,6 @@ func UnknownCheck(f *os.File) error {
 // Stale carries a suppression that matches no finding: the suppression
 // itself is reported as stale.
 func Stale(f *os.File) {
-	//dvmlint:ignore dropped-error the discard below is already explicit
-	_ = f.Close() // want: stale suppression
+	//dvmlint:ignore error-flow the discard below is already explicit
+	_ = f.Chmod(0o600) // want: stale suppression
 }

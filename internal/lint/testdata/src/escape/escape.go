@@ -61,7 +61,7 @@ func LeakViaChannel(lm *txn.LockManager, db *storage.Database, ch chan *bag.Bag)
 }
 
 // LeakViaGoroutine captures the live reference in a goroutine that
-// runs after (or concurrently with) the region.
+// runs after the region (single-writer: no go outside package main).
 func LeakViaGoroutine(lm *txn.LockManager, db *storage.Database) {
 	_ = lm.WithRead([]string{"mv_a"}, func() error {
 		b, _ := db.Bag("mv_a")

@@ -1,9 +1,9 @@
-// Package goctx is a dvmlint fixture for the goroutine-context
-// analyzer. The test configures this package as the core package, so
-// its *Locked functions carry the caller-holds-locks contract. Lock
-// facts never transfer into a spawned goroutine: spawning a *Locked
-// helper, or touching a table the spawner holds locked, is flagged at
-// the spawn site.
+// Package goctx is a dvmlint fixture for the single-writer analyzer.
+// Its cases are the bugs a goroutine brings into a lock-holding engine:
+// spawning a *Locked helper, or touching a table the spawner holds
+// locked, runs with none of the spawner's locks. The engine starts no
+// goroutine, so every go statement outside package main is flagged,
+// the re-acquiring spawns (lines 65 and 80) and the pool's go included.
 package goctx
 
 import (

@@ -1,8 +1,8 @@
 // Package resource is a dvmlint fixture for the resource-lifecycle
-// analyzer: contract-paired acquisitions (files, tickers, gzip
-// streams) must be closed on every path out of the acquiring function,
-// with escapes transferring the obligation and error-paired
-// constructors owing nothing on their failure branch.
+// analyzer: contract-paired acquisitions (files, tickers, gzip streams)
+// must be closed on every path out of the acquiring function, escapes
+// transfer the obligation, error-paired constructors owe nothing on
+// their failure branch, and a discarded acquisition is a leak.
 package resource
 
 import (
@@ -150,6 +150,13 @@ func GzipWriterLeak(w io.Writer, data []byte) error {
 		return err // want resource-lifecycle
 	}
 	return zw.Close()
+}
+
+// TickerDiscarded starts a ticker and keeps nothing: no path can ever
+// stop it.
+func TickerDiscarded(d time.Duration) {
+	time.NewTicker(d)     // want resource-lifecycle
+	_ = time.NewTicker(d) // want resource-lifecycle
 }
 
 func stamp(f *os.File) error {

@@ -1,6 +1,6 @@
-// Package spanend is a dvmlint fixture for the span-discipline
-// analyzer: every *trace.Span produced by a Start* call must be ended
-// on all paths or escape to a new owner.
+// Package spanend is a dvmlint fixture for resource-lifecycle's span
+// row: every *trace.Span produced by a Start* call must be ended on all
+// paths or escape to a new owner; a call argument only borrows it.
 package spanend
 
 import "dvm/internal/obs/trace"
@@ -62,7 +62,7 @@ func Returned(t *trace.Tracer) *trace.Span {
 	return t.StartTrace("root")
 }
 
-// Escapes passes the span to another function, which now owns it.
+// Escapes passes the span to another function, which only borrows it.
 func Escapes(t *trace.Tracer) {
 	sp := t.StartTrace("root")
 	finish(sp)
@@ -96,3 +96,13 @@ var errFail = errorString("fail")
 type errorString string
 
 func (e errorString) Error() string { return string(e) }
+
+// SampledOut returns early when the sampler skipped the trace: a nil
+// span owes no End, so this is clean.
+func SampledOut(t *trace.Tracer) {
+	sp := t.StartTrace("root")
+	if sp == nil {
+		return
+	}
+	defer sp.End()
+}

@@ -126,12 +126,13 @@ func writePromFamily(w io.Writer, ms []Metric) error {
 			}
 			continue
 		}
-		// Histogram: cumulative buckets over the non-empty log2 buckets
-		// (le = the bucket's exclusive upper bound), closed by +Inf.
+		// Histogram: cumulative buckets over the non-empty log2 buckets,
+		// closed by +Inf. Prometheus reads le as ≤, so a bucket of the
+		// integers [Lo, Hi) is exposed at its largest member.
 		var cum uint64
 		for _, b := range m.Buckets {
 			cum += b.N
-			bls := append(append([]labelPair{}, ls...), labelPair{"le", strconv.FormatInt(b.Hi, 10)})
+			bls := append(append([]labelPair{}, ls...), labelPair{"le", strconv.FormatInt(promLe(b), 10)})
 			if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, renderLabels(bls), cum); err != nil {
 				return err
 			}
@@ -148,6 +149,15 @@ func writePromFamily(w io.Writer, ms []Metric) error {
 		}
 	}
 	return nil
+}
+
+// promLe is the largest value bucket b holds. The top bucket's Hi is
+// math.MaxInt64 itself, a member, not a bound past it.
+func promLe(b Bucket) int64 {
+	if b.Hi == math.MaxInt64 {
+		return b.Hi
+	}
+	return b.Hi - 1
 }
 
 // --- strict exposition validator -----------------------------------

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"bytes"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -37,7 +39,7 @@ func TestWritePromRendersAndValidates(t *testing.T) {
 		`dvm_phase_cpu_ns{view="hv",phase="propagate"} 1000`,
 		"dvm_snapshot_save_bytes 7",
 		`dvm_diff_size_tuples{view="hv"} 5`,
-		`dvm_lock_write_hold_ns_bucket{table="mv_hv",le="128"} 1`,
+		`dvm_lock_write_hold_ns_bucket{table="mv_hv",le="127"} 1`,
 		`dvm_sql_stmt_ns_count{kind="select"} 1`,
 		`dvm_view_downtime_ns_bucket{view="hv",le="+Inf"} 3`,
 		`dvm_view_downtime_ns_sum{view="hv"} 70903`,
@@ -49,6 +51,55 @@ func TestWritePromRendersAndValidates(t *testing.T) {
 	}
 	if err := ValidateExposition(buf.Bytes()); err != nil {
 		t.Fatalf("ValidateExposition: %v\n%s", err, out)
+	}
+}
+
+// TestWritePromBucketsCountAtMostLe checks every cumulative _bucket
+// line against the raw observations: Prometheus reads le as ≤, so the
+// line must count exactly the values ≤ le, at a bucket's edges (0, 1,
+// 1023/1024/1025) too.
+func TestWritePromBucketsCountAtMostLe(t *testing.T) {
+	obsv := []int64{0, 1, 2, 3, 4, 1000, 1023, 1024, 1025, 70000}
+	r := NewRegistry()
+	h := r.Histogram("view_downtime_ns", "hv")
+	for _, v := range obsv {
+		h.Observe(v)
+	}
+	var buf bytes.Buffer
+	if err := WriteProm(&buf, r.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	const prefix = `dvm_view_downtime_ns_bucket{view="hv",le="`
+	lines := 0
+	for _, line := range strings.Split(buf.String(), "\n") {
+		rest, ok := strings.CutPrefix(line, prefix)
+		if !ok {
+			continue
+		}
+		lines++
+		le, got, ok := strings.Cut(rest, `"} `)
+		if !ok {
+			t.Fatalf("malformed bucket line %q", line)
+		}
+		bound := int64(math.MaxInt64)
+		if le != "+Inf" {
+			var err error
+			if bound, err = strconv.ParseInt(le, 10, 64); err != nil {
+				t.Fatalf("le in %q: %v", line, err)
+			}
+		}
+		want := 0
+		for _, v := range obsv {
+			if v <= bound {
+				want++
+			}
+		}
+		if got != strconv.Itoa(want) {
+			t.Errorf("%s: count %s, but %d observations are ≤ %s", line, got, want, le)
+		}
+	}
+	if lines < 2 {
+		t.Fatalf("only %d _bucket lines in\n%s", lines, buf.String())
 	}
 }
 
