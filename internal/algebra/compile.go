@@ -20,9 +20,11 @@ import (
 //     p split here, once, by the side its conjuncts read: the probe
 //     side's run on the probe tuple before the index lookup, the indexed
 //     side's on the bucket entry, the rest on a scratch row, and only a
-//     pair that passes all three is materialized. The next candidate
-//     overwrites the scratch row, so a bound predicate must never retain
-//     its argument (closure-purity holds compiled closures to that);
+//     pair that passes all three is materialized — as the tuple a bag the
+//     State holds (Hold) stores, when one holds the row. The next
+//     candidate overwrites the scratch row, so a bound predicate must
+//     never retain its argument (closure-purity holds compiled closures
+//     to that);
 //   - fuses Π(σ_p(L × R)), where the Π is the join's only parent, into
 //     the same call — the kernel emits the projected tuples: no wide
 //     tuple, no composed key, no intermediate join bag — and Π(σ(E))
@@ -101,6 +103,9 @@ type State struct {
 	bags []*bag.Bag
 	// roots is the slice EvalBorrowed returns.
 	roots []*bag.Bag
+	// held is what Hold set for the evaluation in flight: the bags every
+	// join looks a new output row up in before it makes a tuple for it.
+	held []*bag.Bag
 	// oneShot marks the throwaway state of Eval(nil, …): the evaluation
 	// must leave the source's bags exactly as it found them.
 	oneShot bool
@@ -116,6 +121,15 @@ func (p *Program) NewState() *State {
 		roots: make([]*bag.Bag, len(p.roots)),
 	}
 }
+
+// Hold sets the bags the next evaluation with st reads as holders: each
+// join looks every row new to its output up in them, in order, and
+// stores the first holder's tuple instead of making one
+// (bag.Join.Indexed's held). They are only read, never kept past that
+// evaluation, and change no answer: a view's maintenance holds its MV
+// and △MV, so the rows a deletion reaches, and the insertions the view
+// already has, cost no tuple.
+func (st *State) Hold(bags ...*bag.Bag) { st.held = append(st.held[:0], bags...) }
 
 // out returns the empty bag the node at slot builds its value into: the
 // State's own, which the evaluation has cleared, or in a one-shot
@@ -205,14 +219,22 @@ func (p *Program) EvalBorrowed(st *State, src Source) ([]*bag.Bag, Stats, error)
 	for i, slot := range p.roots {
 		b, err := p.get(st, slot)
 		if err != nil {
-			st.src = nil
+			st.end()
 			return nil, Stats{}, err
 		}
 		out[i] = b
 	}
 	stats := Stats{IndexProbeTuples: st.probed, IndexBuildTuples: st.built}
-	st.src = nil
+	st.end()
 	return out, stats, nil
+}
+
+// end drops what st referred to for the evaluation just ended: its
+// source and its holders.
+func (st *State) end() {
+	st.src = nil
+	clear(st.held)
+	st.held = st.held[:0]
 }
 
 // get returns the slot's value, computing and caching it on first use
@@ -555,13 +577,13 @@ func (c *compiler) emitJoin(slot int, s *Select, prod *Product, project []int) (
 				}
 				ops[subAt] = bag.Monus(ops[subAt], sub)
 			}
-			probed, built = join.Hash(out, ops[0], lpos, ops[1], rpos)
+			probed, built = join.Hash(out, ops[0], lpos, ops[1], rpos, st.held)
 		case subAt == 0 || subAt < 0 && lOwn && (!rOwn || l.Distinct() >= r.Distinct()):
 			ix, built = l.IndexOn(lpos)
-			probed = join.Indexed(out, r, rpos, ix, sub, true)
+			probed = join.Indexed(out, r, rpos, ix, sub, true, st.held)
 		default:
 			ix, built = r.IndexOn(rpos)
-			probed = join.Indexed(out, l, lpos, ix, sub, false)
+			probed = join.Indexed(out, l, lpos, ix, sub, false, st.held)
 		}
 		st.probed += int64(probed)
 		st.built += int64(built)

@@ -344,7 +344,11 @@ var spineSeed = []byte{12, 0, 2, 0, 3, 0, 1, 0, 2, 0, 3, 2, 1, 0, 0, 3, 0, 0, 1,
 // not change answers, and neither must the bags the State keeps for its
 // nodes, lent by EvalBorrowed and cleared and refilled on the second
 // pass. The first pass ends with an Eval on the State, which hands the
-// root over: the second pass must leave it as it was.
+// root over: the second pass must leave it as it was. Each pass also
+// evaluates with the State holding the interpreter's answer and a bag of
+// the root's arity drawn from the input (State.Hold), which must change
+// nothing either: the joins then store those bags' tuples for the rows
+// they hold.
 func FuzzCompiledEval(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 0, 1, 3, 7, 2})
@@ -387,6 +391,17 @@ func FuzzCompiledEval(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Compile(%s): %v", e, err)
 		}
+		// drawn is a bag of the root's arity, its values read off the
+		// input backwards, so that the decoder's stream stays as it was.
+		drawn := bag.New()
+		w := e.Schema().Len()
+		for i := 0; i+w < len(data) && i < 60; i += w + 1 {
+			tu := make(schema.Tuple, w)
+			for c := range tu {
+				tu[c] = schema.Int(int64(data[len(data)-1-i-c] % 4))
+			}
+			drawn.Add(tu, 1+int(data[len(data)-1-i-w]%3))
+		}
 		ps := prog.NewState()
 		var handed, handedWant *bag.Bag
 		for pass := 0; pass < 2; pass++ {
@@ -401,15 +416,20 @@ func FuzzCompiledEval(f *testing.F) {
 				name string
 				eval func(*State, Source) ([]*bag.Bag, Stats, error)
 				st   *State
+				held []*bag.Bag
 			}{
-				{"borrowed, reused State", prog.EvalBorrowed, ps},
-				{"one-shot", prog.Eval, nil},
-				{"handed over, reused State", prog.Eval, ps},
+				{"borrowed, reused State", prog.EvalBorrowed, ps, nil},
+				{"borrowed, reused State holding", prog.EvalBorrowed, ps, []*bag.Bag{want, drawn}},
+				{"one-shot", prog.Eval, nil, nil},
+				{"handed over, reused State", prog.Eval, ps, nil},
 			}
 			if pass > 0 {
-				runs = runs[:2] // the hand-over is the first pass's last
+				runs = runs[:3] // the hand-over is the first pass's last
 			}
 			for i, run := range runs {
+				if run.held != nil {
+					run.st.Hold(run.held...)
+				}
 				got, _, err := run.eval(run.st, st)
 				if err != nil {
 					t.Fatalf("compiled Eval(%s) pass %d, %s: %v", e, pass, run.name, err)
@@ -418,7 +438,7 @@ func FuzzCompiledEval(f *testing.F) {
 					t.Fatalf("compiled ≠ interpreted for %s (pass %d, %s):\n  compiled:    %s\n  interpreted: %s",
 						e, pass, run.name, got[0], want)
 				}
-				if i == 2 {
+				if i == 3 {
 					handed, handedWant = got[0], want
 				}
 			}

@@ -340,9 +340,9 @@ func TestFlatReadsAllocateNoMore(t *testing.T) {
 	}{
 		{"Monus", func() { keptMap = Monus(b, a) }, 12},
 		{"Select", func() { keptMap = Select(a, odd) }, 12},
-		{"Join.Indexed", func() { out := newMap(); j.Indexed(out, a, []int{0}, ix, nil, false); keptMap = out }, 1524},
-		{"Join.Indexed into New", func() { out := New(); j.Indexed(out, a, []int{0}, ix, nil, false); keptMap = out }, 1525},
-		{"Join.Indexed, ∸ sub", func() { out := newMap(); j.Indexed(out, a, []int{0}, ix, sub, false); keptMap = out }, 1524},
+		{"Join.Indexed", func() { out := newMap(); j.Indexed(out, a, []int{0}, ix, nil, false, nil); keptMap = out }, 1524},
+		{"Join.Indexed into New", func() { out := New(); j.Indexed(out, a, []int{0}, ix, nil, false, nil); keptMap = out }, 1525},
+		{"Join.Indexed, ∸ sub", func() { out := newMap(); j.Indexed(out, a, []int{0}, ix, sub, false, nil); keptMap = out }, 1524},
 		{"Applied, filtered", func() { keptMap = Applied(a, del, add, odd) }, 14},
 	} {
 		if got := testing.AllocsPerRun(20, c.f); got != c.want {

@@ -13,7 +13,8 @@ import (
 // look-ups of the bag's own index, Clones, the writer's Prepare and
 // Adopt, so two-level bags, overlay copies, tombstones and folds are
 // fuzzed too, and joins that read a bag's own index through the other
-// handle as a subtrahend) executed against two Bag
+// handle as a subtrahend and hold bags drawn from it) executed against
+// two Bag
 // handles and a plain map[string]int reference model for each (see
 // runHandles), checking both handles against their models after every
 // step; then it checks the first handle's own index against a freshly
@@ -39,7 +40,7 @@ func FuzzBagOps(f *testing.F) {
 // reaches the spill through the paths that write and read a bag —
 // overlay tombstones over a spilled base entry, Prepare's copies and
 // folds, Adopt, Clear, Build and its duplicate check, and both output
-// paths of Join.Indexed. A lookup that took a hash for its tuple
+// paths of Join.Indexed, with their lookups in the holders. A lookup that took a hash for its tuple
 // without comparing the two fails here at once.
 func FuzzBagOpsColliding(f *testing.F) {
 	addBagSeeds(f)
@@ -248,7 +249,8 @@ func checkBuild(b *Bag) string {
 // over every key with the handle through its own index, read as
 // b ∸ σ_keep(sub) — sub none, empty or the other handle, keep all or
 // even second columns — against the same join over that bag
-// materialized. After every step both handles must match their models —
+// materialized, and again with holders drawn from the other handle
+// (joinHolders). After every step both handles must match their models —
 // a Clone is a snapshot, so a write or Clear on either side never shows
 // on the other — and after a Clear the handle's capacity obeys the
 // retention bound.
@@ -323,11 +325,12 @@ func runHandles(t *testing.T, data []byte, start func() *Bag, width int) [2]*Bag
 			case 2:
 				sub = hs[1-cur]
 			}
+			c := schema.Row(int(data[i+1] % 5))[0]
 			probe := New()
 			for k := 0; k < 5; k++ {
-				probe.Add(schema.Row(k, int(data[i+1]%5)), 1)
+				probe.Add(schema.Row(k, c), 1)
 			}
-			if msg := checkJoinSub(probe, b, sub, keep); msg != "" {
+			if msg := checkJoinSub(probe, b, sub, keep, joinHolders(hs[1-cur], c)); msg != "" {
 				t.Fatalf("step %d: %s", i/3, msg)
 			}
 		}

@@ -269,20 +269,42 @@ type Join struct {
 // materialized. It filters before it allocates: the probe side's
 // conjuncts run before the lookup, the indexed side's on the bucket
 // entry, Cross on a scratch row, and only a survivor is materialized,
-// once, in its final shape. Unprojected, it takes the scratch row over,
-// hashed from the probe tuple's key — encoded once, at its first output
-// — beside the indexed half's, encoded into the buffer; projected, the
-// row is projected into a second scratch, which is hashed and looked up,
-// and a tuple is made only if the output does not hold it yet. probed
-// counts the bucket entries examined — the work done, where a rescan
-// would pay |L|·|R|.
-func (j *Join) Indexed(out, probe *Bag, probePos []int, ix *Index, sub *Bag, buildLeft bool) (probed int) {
-	return j.indexed(out, probe, probePos, ix, sub, buildLeft, nil)
+// once, in its final shape. Unprojected, the scratch row is hashed from
+// the probe tuple's key — encoded once, at its first output — beside the
+// indexed half's, encoded into the buffer; projected, the row is
+// projected into a second scratch, which is hashed and looked up in the
+// output. A row new to the output is then looked up in held, in order:
+// the output stores the first holder's tuple (its pointer) when one
+// holds the row, and a tuple is made only when none does — unprojected,
+// the output takes the scratch row over, and keeps it scratch on a hit.
+// held is read only, and any bags may be held: a hit is key equality, as
+// a bag's own lookup is, and tuples are immutable, so the output is the
+// same bag whatever held holds; only whose tuple it stores changes. A
+// view's maintenance holds its MV (and △MV), where Figure 1 puts every
+// row a deletion reaches. probed counts the bucket entries examined —
+// the work done, where a rescan would pay |L|·|R|.
+func (j *Join) Indexed(out, probe *Bag, probePos []int, ix *Index, sub *Bag, buildLeft bool, held []*Bag) (probed int) {
+	return j.indexed(out, probe, probePos, ix, sub, buildLeft, held, nil)
 }
 
-// indexed is Indexed, making each output tuple with cv.tuple: carved
-// from slabs when cv is not nil.
-func (j *Join) indexed(out, probe *Bag, probePos []int, ix *Index, sub *Bag, buildLeft bool, cv *carver) (probed int) {
+// heldBy returns the pointer under which the first bag of held that
+// holds t (h being its hash) stores it, and whether one does. An arity-0
+// tuple's pointer is nil: only ok tells a hit.
+func heldBy(held []*Bag, h uint64, t schema.Tuple) (p *schema.Value, ok bool) {
+	for _, b := range held {
+		if b.size == 0 || b.arity != len(t) {
+			continue
+		}
+		if e := b.get(h, t); e.count > 0 {
+			return e.p, true
+		}
+	}
+	return nil, false
+}
+
+// indexed is Indexed, making each output tuple no holder holds with
+// cv.tuple: carved from slabs when cv is not nil.
+func (j *Join) indexed(out, probe *Bag, probePos []int, ix *Index, sub *Bag, buildLeft bool, held []*Bag, cv *carver) (probed int) {
 	probePred, buildPred, cross, keep, project := j.Left, j.Right, j.Cross, j.Keep, j.Project
 	if buildLeft {
 		probePred, buildPred = buildPred, probePred
@@ -339,9 +361,12 @@ func (j *Join) indexed(out, probe *Bag, probePos []int, ix *Index, sub *Bag, bui
 				h := hashOf(prow)
 				e, spill := out.lookup(h, prow)
 				if e.count == 0 {
-					t := cv.tuple(len(prow))
-					copy(t, prow)
-					e.p = t.Ptr()
+					var ok bool
+					if e.p, ok = heldBy(held, h, prow); !ok {
+						t := cv.tuple(len(prow))
+						copy(t, prow)
+						e.p = t.Ptr()
+					}
 				}
 				e.count += n
 				out.put(h, e, n, spill)
@@ -358,26 +383,31 @@ func (j *Join) indexed(out, probe *Bag, probePos []int, ix *Index, sub *Bag, bui
 			} else {
 				buf = bt.AppendKey(append(buf[:0], pk...))
 			}
-			out.addKeyed(keyHash(buf), row, n)
+			h := keyHash(buf)
+			if p, ok := heldBy(held, h, row); ok {
+				out.addKeyed(h, schema.TupleAt(p, len(row)), n)
+				continue // the row stays scratch
+			}
+			out.addKeyed(h, row, n)
 			row = nil // the output owns it now
 		}
 	})
 	return probed
 }
 
-// Hash joins l and r, equal on lpos = rpos, into out (as Indexed does),
-// with a throw-away index on the smaller side — every tuple of it is a
-// candidate when there is no column to key on. It only reads its
-// operands (no journal switched on, no index registered), so it suits a
-// one-off evaluation and a caller holding only read locks. built is the
-// number of tuples indexed. When both operands carry Build's mark — a
-// join over freshly restored tables, such as LoadEngine's view replay —
-// its output tuples are carved side by side from slabs of 1 to 4 Ki
-// values, none larger than the operands' pairs need, as Build's rows
-// are, instead of one allocation each; any
-// other join's tuples are made one by one. The mark decides only how
-// the output is allocated, never what it holds.
-func (j *Join) Hash(out, l *Bag, lpos []int, r *Bag, rpos []int) (probed, built int) {
+// Hash joins l and r, equal on lpos = rpos, into out (as Indexed does,
+// held included), with a throw-away index on the smaller side — every
+// tuple of it is a candidate when there is no column to key on. It only
+// reads its operands (no journal switched on, no index registered), so
+// it suits a one-off evaluation and a caller holding only read locks.
+// built is the number of tuples indexed. When both operands carry
+// Build's mark — a join over freshly restored tables, such as
+// LoadEngine's view replay — the output tuples no holder holds are
+// carved side by side from slabs of 1 to 4 Ki values, none larger than
+// the operands' pairs need, as Build's rows are, instead of one
+// allocation each; any other join's tuples are made one by one. The
+// mark decides only how the output is allocated, never what it holds.
+func (j *Join) Hash(out, l *Bag, lpos []int, r *Bag, rpos []int, held []*Bag) (probed, built int) {
 	var cv *carver
 	if l.isBuilt() && r.isBuilt() {
 		// The output holds at most one tuple per pair of operand tuples;
@@ -386,14 +416,14 @@ func (j *Join) Hash(out, l *Bag, lpos []int, r *Bag, rpos []int) (probed, built 
 		cv = &carver{limit: joinSlabMax, left: pairs}
 	}
 	if l.Distinct() <= r.Distinct() {
-		return j.indexed(out, r, rpos, newIndex(l, lpos, false), nil, true, cv), l.Distinct()
+		return j.indexed(out, r, rpos, newIndex(l, lpos, false), nil, true, held, cv), l.Distinct()
 	}
-	return j.indexed(out, l, lpos, newIndex(r, rpos, false), nil, false, cv), r.Distinct()
+	return j.indexed(out, l, lpos, newIndex(r, rpos, false), nil, false, held, cv), r.Distinct()
 }
 
 // JoinIndexed is Join.Indexed into a new bag, for a predicate that has
 // not been split: pred sees every candidate's concatenated row.
 func JoinIndexed(probe *Bag, probePos []int, ix *Index, buildLeft bool, pred func(schema.Tuple) bool) (*Bag, int) {
 	out := New()
-	return out, (&Join{Cross: pred}).Indexed(out, probe, probePos, ix, nil, buildLeft)
+	return out, (&Join{Cross: pred}).Indexed(out, probe, probePos, ix, nil, buildLeft, nil)
 }

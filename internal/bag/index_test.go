@@ -213,8 +213,8 @@ func TestIndexAddressesByTuplePointer(t *testing.T) {
 		fresh := NewIndex(b, pos)
 		for _, s := range []*Bag{nil, sub} {
 			got, want := New(), New()
-			(&Join{}).Indexed(got, probe, probePos, ix, s, false)
-			(&Join{}).Indexed(want, probe, probePos, fresh, s, false)
+			(&Join{}).Indexed(got, probe, probePos, ix, s, false, nil)
+			(&Join{}).Indexed(want, probe, probePos, fresh, s, false, nil)
 			if !got.Equal(want) {
 				t.Fatalf("%s: join through the synced index = %v, through a fresh one %v", what, got, want)
 			}

@@ -10,15 +10,15 @@ import (
 )
 
 // indexed is Join.Indexed into a new bag.
-func indexed(j *Join, probe *Bag, probePos []int, ix *Index, sub *Bag, buildLeft bool) (*Bag, int) {
+func indexed(j *Join, probe *Bag, probePos []int, ix *Index, sub *Bag, buildLeft bool, held ...*Bag) (*Bag, int) {
 	out := New()
-	return out, j.Indexed(out, probe, probePos, ix, sub, buildLeft)
+	return out, j.Indexed(out, probe, probePos, ix, sub, buildLeft, held)
 }
 
 // hash is Join.Hash into a new bag.
-func hash(j *Join, l *Bag, lpos []int, r *Bag, rpos []int) (out *Bag, probed, built int) {
+func hash(j *Join, l *Bag, lpos []int, r *Bag, rpos []int, held ...*Bag) (out *Bag, probed, built int) {
 	out = New()
-	probed, built = j.Hash(out, l, lpos, r, rpos)
+	probed, built = j.Hash(out, l, lpos, r, rpos, held)
 	return out, probed, built
 }
 
@@ -39,7 +39,7 @@ func TestIndexedRefillsItsOutput(t *testing.T) {
 		out := New()
 		for round := 0; round < 3; round++ {
 			out.Clear()
-			j.Indexed(out, probe, []int{0}, ix, nil, false)
+			j.Indexed(out, probe, []int{0}, ix, nil, false, nil)
 		}
 		want, _ := indexed(j, probe, []int{0}, ix, nil, false)
 		if !out.Equal(want) {
@@ -47,7 +47,7 @@ func TestIndexedRefillsItsOutput(t *testing.T) {
 		}
 		refill, _ := allocated(func() {
 			out.Clear()
-			j.Indexed(out, probe, []int{0}, ix, nil, false)
+			j.Indexed(out, probe, []int{0}, ix, nil, false, nil)
 		})
 		fresh, _ := allocated(func() { keptMap, _ = indexed(j, probe, []int{0}, ix, nil, false) })
 		t.Logf("project %v: %d output rows, refilled with %d B, into a new bag with %d B", j.Project, out.Distinct(), refill, fresh)
@@ -230,9 +230,12 @@ func TestJoinKernelMatchesOracle(t *testing.T) {
 // b ∸ σ_keep(sub) to the same kernel over that bag materialized —
 // Monus(b, Select(sub, keep)), or b itself when sub is nil — for the
 // join of probe with b on column 0, through b's own index, each way
-// round, with and without a projection and with a filter on each side.
-// It returns the first difference, or "".
-func checkJoinSub(probe, b, sub *Bag, keep func(schema.Tuple) bool) string {
+// round, with and without a projection (one of no columns among them)
+// and with a filter on each side. The same joins with held as holders,
+// through b's index and through Hash, must give the same bags, and hold
+// every output tuple a holder holds as that holder's (checkHeld). It
+// returns the first difference, or "".
+func checkJoinSub(probe, b, sub *Bag, keep func(schema.Tuple) bool, held []*Bag) string {
 	src := b
 	if sub != nil {
 		sel := sub
@@ -244,7 +247,7 @@ func checkJoinSub(probe, b, sub *Bag, keep func(schema.Tuple) bool) string {
 	pos := []int{0}
 	own, _ := b.IndexOn(pos)
 	oracle := newIndex(src, pos, false)
-	for _, proj := range [][]int{nil, {0, 1, 3}, {3, 0}} {
+	for _, proj := range [][]int{nil, {0, 1, 3}, {3, 0}, {}} {
 		for _, buildLeft := range []bool{false, true} {
 			j := &Join{
 				Left:    func(tu schema.Tuple) bool { return !tu[1].IsNull() },
@@ -258,9 +261,65 @@ func checkJoinSub(probe, b, sub *Bag, keep func(schema.Tuple) bool) string {
 				return fmt.Sprintf("proj %v, build left %v: reading b ∸ σ(sub) gives %v, the materialized %v gives %v",
 					proj, buildLeft, got, src, want)
 			}
+			l, r := probe, src
+			if buildLeft {
+				l, r = r, l
+			}
+			hashed, _, _ := hash(&Join{Left: j.Left, Right: j.Right, Project: proj}, l, pos, r, pos, held...)
+			got, _ = indexed(j, probe, pos, own, sub, buildLeft, held...)
+			for path, got := range map[string]*Bag{"Indexed": got, "Hash": hashed} {
+				if !got.Equal(want) {
+					return fmt.Sprintf("proj %v, build left %v: %s with holders gives %v, without %v", proj, buildLeft, path, got, want)
+				}
+				if msg := checkHeld(got, held); msg != "" {
+					return fmt.Sprintf("proj %v, build left %v: %s: %s", proj, buildLeft, path, msg)
+				}
+			}
 		}
 	}
 	return ""
+}
+
+// checkHeld reports the first tuple of out that a bag of held holds
+// under another pointer than the first such bag's, or "".
+func checkHeld(out *Bag, held []*Bag) string {
+	msg := ""
+	out.each(func(h uint64, e entry) {
+		t := out.tupleAt(e.p)
+		for i, b := range held {
+			if b.Empty() || b.arity != out.arity {
+				continue
+			}
+			if eh := b.get(h, t); eh.count > 0 {
+				if eh.p != e.p && msg == "" {
+					msg = fmt.Sprintf("output tuple %v is not holder %d's", t, i)
+				}
+				return
+			}
+		}
+	})
+	return msg
+}
+
+// joinHolders returns holders drawn from other for checkJoinSub's joins
+// of probe rows (k, c): other itself, and other's tuples (a, w) as rows
+// of every shape those joins emit, each way round — (a, c, a, w),
+// (a, w, a, c), (a, c, w), (a, w, c), (w, a), (c, a) — and as the one
+// tuple of no columns, each with the count other gives it; then an
+// empty bag.
+func joinHolders(other *Bag, c schema.Value) []*Bag {
+	var shaped [4]*Bag
+	for i := range shaped {
+		shaped[i] = New()
+	}
+	other.Each(func(tu schema.Tuple, n int) {
+		a, w := tu[0], tu[1]
+		shaped[0].Add(schema.Tuple{a, c, a, w}, n).Add(schema.Tuple{a, w, a, c}, n)
+		shaped[1].Add(schema.Tuple{a, c, w}, n).Add(schema.Tuple{a, w, c}, n)
+		shaped[2].Add(schema.Tuple{w, a}, n).Add(schema.Tuple{c, a}, n)
+		shaped[3].Add(schema.Tuple{}, n)
+	})
+	return append([]*Bag{other}, append(shaped[:], New())...)
 }
 
 // TestPropJoinReadsThroughSubtrahend: the kernel reading its indexed
@@ -292,8 +351,12 @@ func TestPropJoinReadsThroughSubtrahend(t *testing.T) {
 				}
 			})
 		}
+		// Holders of every output row, unprojected, each way round, of
+		// b's rows and of the tuple of no columns, under pointers of
+		// their own.
+		held := []*Bag{Product(probe, b), Product(b, probe), b, Of(schema.Tuple{})}
 		for _, keep := range keeps {
-			if msg := checkJoinSub(probe, b, sub, keep); msg != "" {
+			if msg := checkJoinSub(probe, b, sub, keep, held); msg != "" {
 				t.Logf("seed %d: %s", seed, msg)
 				return false
 			}

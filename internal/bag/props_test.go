@@ -555,22 +555,30 @@ func (t tier) walk(f func(h uint64, k string, e entry)) {
 // operands in every representation — two-level, and the small, promoted
 // and map twins of the flat bag of the same contents — in every
 // position and pairing, and compares the answers with the flat bags':
-// the pure operators (and AddMonus, which reads two), Join.Indexed and
-// Join.Hash, NewIndex and IndexOn, Each, EachApplied, EachOrdered,
-// Tuples, Equal, SubBagOf, Count, Distinct and Len. A bag is read only
-// through get and each; a reader that went past them would see a
-// shadowed base entry or a tombstone here, or miss a small bag's slots.
+// the pure operators (and AddMonus, which reads two), Join.Indexed —
+// holding its operands, and half of the rows it emits under pointers of
+// their own — and Join.Hash, NewIndex and IndexOn, Each, EachApplied,
+// EachOrdered, Tuples, Equal, SubBagOf, Count, Distinct and Len. A bag
+// is read only through get and each; a reader that went past them would
+// see a shadowed base entry or a tombstone here, or miss a small bag's
+// slots.
 func TestPropTwoLevelReadsLikeFlat(t *testing.T) {
 	even := func(tu schema.Tuple) bool { return tu[0].AsInt()%2 == 0 }
-	join := func(j Join, a, b *Bag, buildLeft bool) *Bag {
-		out, _ := indexed(&j, a, []int{0}, NewIndex(b, []int{0}), nil, buildLeft)
+	// held is what a join of a with b holds: b, a, and the even-keyed
+	// rows of both products, whatever the join emits of them.
+	held := func(a, b *Bag) []*Bag {
+		return []*Bag{b, a, Select(Product(a, b), even), Select(Product(b, a), even)}
+	}
+	heldJoin := func(j Join, probe, b, sub *Bag, held []*Bag, buildLeft bool) *Bag {
+		out, _ := indexed(&j, probe, []int{0}, NewIndex(b, []int{0}), sub, buildLeft, held...)
+		if msg := checkHeld(out, held); msg != "" {
+			t.Error(msg)
+		}
 		return out
 	}
+	join := func(j Join, a, b *Bag, buildLeft bool) *Bag { return heldJoin(j, a, b, nil, held(a, b), buildLeft) }
 	// b joined with itself through its index, read as b ∸ σ_Keep(sub)
-	joinSub := func(j Join, b, sub *Bag) *Bag {
-		out, _ := indexed(&j, b, []int{0}, NewIndex(b, []int{0}), sub, false)
-		return out
-	}
+	joinSub := func(j Join, b, sub *Bag) *Bag { return heldJoin(j, b, b, sub, held(sub, b), false) }
 	binary := map[string]func(a, b *Bag) *Bag{
 		"UnionAll":  UnionAll,
 		"Monus":     Monus,

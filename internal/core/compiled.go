@@ -46,8 +46,20 @@ func (m *Manager) observeCompiled(v *View, parent *trace.Span, dur time.Duration
 // next write to those bags. The caller only reads it — installs it with
 // applyToMVLocked or mergeDiff, or reads it fresh — and keeps none of
 // it.
+//
+// Its joins hold MV, and △MV when the view keeps it (algebra.State's
+// Hold): a row of the pair that the view already holds is stored as the
+// view's own tuple, not made again. By Figure 1 every DEL row is one:
+// ∇MV ⊑ MV, and ▼(L,Q) ⊑ PAST(L,Q) = (MV ∸ ∇MV) ⊎ △MV (an Immediate
+// view's pre-update DEL ⊑ Q = MV). So a deletion costs no tuple, an
+// insertion only one the view lacks, and ∇MV and △MV share MV's tuples.
 func (m *Manager) evalDeltaPair(v *View, src algebra.Source, parent *trace.Span) (del, add *bag.Bag, err error) {
 	start := time.Now()
+	if v.diff != nil {
+		v.pairSt.Hold(v.mv.Data(), v.diff.add.Data())
+	} else {
+		v.pairSt.Hold(v.mv.Data())
+	}
 	outs, stats, err := v.pair.EvalBorrowed(v.pairSt, src)
 	if err != nil {
 		return nil, nil, err
