@@ -2,6 +2,7 @@ package bag
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"dvm/internal/schema"
@@ -209,20 +210,35 @@ func TestOwnedIndexLiveBytesPerRow(t *testing.T) {
 // smaller side, typically unique in the join key — 5 000 customers. Its
 // bucket map is pre-sized for that and is allocated once, each key's
 // first entry is a slot of one array, and the keys share arena chunks
-// of at most 4 KiB: the build costs what one make of that size costs,
-// plus the Index, the array and a chunk per 4 KiB of keys — not a key
-// string and a bucket per row. At 4 rows per key each bucket grows
-// twice past its first entry, and a repeated key still costs no string.
+// of at most 4 KiB: not a key string and a bucket per row. The build's
+// objects are bounded term by term:
+//
+//   - the map: what one make of that size costs, and no more. For a hint
+//     h > 8, go1.24 makes a directory of 2^⌈log₂⌈(8h/7)/1024⌉⌉ tables of
+//     (8h/7)/tables slots each, rounded up to a power of two, and a
+//     table grows (splitting at 1024 slots) only when a hash puts more
+//     keys in it than 7/8 of its slots. At 5 000 keys that is 8 tables
+//     of 1 024 slots, 896 usable, 625 keys expected in each (σ ≈ 23): a
+//     split needs 11σ. The bound still allows one (splitObjects: two
+//     new tables of two objects each and a doubled directory);
+//   - four objects: the Index, the first-entry array, the bucket-header
+//     array and the arena's Builder (its copy check points at itself);
+//   - the arena's chunks (arenaChunks), whose count depends on the
+//     order the keys come in, because the keys are 2 to 5 bytes long;
+//   - at 4 rows per key, two growths of each bucket past its first entry.
+//
+// The map's growth from empty costs 30 objects more than the make, so a
+// build that drops the pre-size fails.
 func TestThrowAwayIndexDoesNotRegrow(t *testing.T) {
-	const rows = 5_000
+	const rows, splitObjects = 5_000, 5
 	b := keyedRows(rows, rows)
 	keys := make([]string, 0, rows)
 	b.Each(func(tu schema.Tuple, _ int) { keys = append(keys, string(tu.AppendKeyAt(nil, []int{0}))) })
-	_, presized := allocated(func() { keptMap = make(map[string][]indexEntry, rows) })
+	_, presized := allocated(func() { keptMap = make(map[string]int, rows) })
 	_, grown := allocated(func() {
-		m := make(map[string][]indexEntry)
+		m := make(map[string]int)
 		for _, k := range keys {
-			m[k] = nil
+			m[k] = 0
 		}
 		keptMap = m
 	})
@@ -231,17 +247,16 @@ func TestThrowAwayIndexDoesNotRegrow(t *testing.T) {
 	}
 	for _, perKey := range []int{1, 4} {
 		side := keyedRows(rows, rows/perKey)
-		keyBytes := 0
-		side.Each(func(tu schema.Tuple, _ int) { keyBytes += len(tu.AppendKeyAt(nil, []int{0})) })
+		var lens []int
+		side.Each(func(tu schema.Tuple, _ int) { lens = append(lens, len(tu.AppendKeyAt(nil, []int{0}))) })
 		var ix *Index
 		_, got := allocated(func() { ix = newIndex(side, []int{0}, false) })
-		t.Logf("throw-away index over %d rows, %d per key: %d objects; a pre-sized map is %d, a grown one %d", rows, perKey, got, presized, grown)
+		chunks := arenaChunks(lens)
+		t.Logf("throw-away index over %d rows, %d per key: %d objects; a pre-sized map is %d, a grown one %d; at most %d arena chunks", rows, perKey, got, presized, grown, chunks)
 		if len(ix.m) != rows/perKey {
 			t.Fatalf("%d keys indexed, want %d", len(ix.m), rows/perKey)
 		}
-		// + each bucket's growths past its first entry, the Index, the
-		// first-entry array, the chunks and slack.
-		if limit := presized + uint64(2*(perKey-1)*rows/perKey+keyBytes/arenaChunk+4); got > limit {
+		if limit := presized + splitObjects + 4 + uint64(chunks+2*(perKey-1)*rows/perKey); got > limit {
 			t.Errorf("%d rows per key: the build allocated %d objects, want at most %d: the bucket map regrew, or a key or a first entry cost an object", perKey, got, limit)
 		}
 	}
@@ -250,6 +265,26 @@ func TestThrowAwayIndexDoesNotRegrow(t *testing.T) {
 	if product > 64 {
 		t.Errorf("a one-bucket index over %d rows allocated %d objects", rows, product)
 	}
+}
+
+// arenaChunks bounds the chunks probeIndex's arena makes for keys of the
+// given lengths (one per row), in any order. A chunk is made for the
+// rows left at the current key's length, up to arenaChunk bytes, and
+// takes keys until the next one does not fit, so it holds ⌊size/L⌋ keys
+// at least, L the longest key. While the rows left fill a full chunk,
+// each but the last takes more than arenaChunk − L bytes. After, a chunk
+// made with n rows left is n·l bytes at least (l the shortest key) and
+// leaves at most n − ⌊n·l/L⌋ rows for the next.
+func arenaChunks(lens []int) int {
+	short, long, total := slices.Min(lens), slices.Max(lens), 0
+	for _, n := range lens {
+		total += n
+	}
+	chunks := total/(arenaChunk-long+1) + 1
+	for n := arenaChunk / short; n > 0; n -= max(1, n*short/long) {
+		chunks++
+	}
+	return chunks
 }
 
 // TestBuiltJoinCarvesItsOutput pins the rule Join.Hash carves its output

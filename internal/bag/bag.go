@@ -894,10 +894,13 @@ func (x *derived) restart(shrink bool, keep int) {
 	x.jour = x.jour[:0]
 	for _, ix := range x.owned {
 		if shrink {
-			ix.m = make(map[string][]indexEntry)
+			ix.m = make(map[string]int)
+			ix.buckets, ix.free = nil, nil
 			ix.at = make(map[*schema.Value]int, keep)
 		} else {
 			clear(ix.m)
+			clear(ix.buckets) // or the arrays past len keep the tuples alive
+			ix.buckets, ix.free = ix.buckets[:0], ix.free[:0]
 			clear(ix.at)
 		}
 		ix.ver = x.ver

@@ -29,13 +29,18 @@ type Index struct {
 	src *Bag
 	ver uint64
 	pos []int
-	// m holds one bucket per distinct join key, and is sized by that: an
-	// index that stays (owned or free-standing) starts empty and grows to
-	// its key count — a table's rows outnumber its join keys by whatever
-	// the join's fan-out is, and a map sized for the rows keeps that many
-	// empty slots for good. Only Join.Hash's throw-away index, built on
-	// the smaller and typically key-unique side, is pre-sized (newIndex).
-	m map[string][]indexEntry
+	// m maps each distinct join key to its bucket's slot in buckets, and
+	// is sized by the keys: an index that stays (owned or free-standing)
+	// starts empty and grows to its key count — a table's rows outnumber
+	// its join keys by whatever the join's fan-out is, and a map sized
+	// for the rows keeps that many empty slots for good. Only Join.Hash's
+	// throw-away index, built on the smaller and typically key-unique
+	// side, is pre-sized (newIndex). A bucket that grows or shrinks is
+	// written in buckets, so only a key that comes or goes writes m; the
+	// slot of a bucket emptied waits in free for the next new key.
+	m       map[string]int
+	buckets [][]indexEntry
+	free    []int
 	// at addresses every entry by its stored tuple pointer: the entry's
 	// slot in its bucket. A change to a hot key's bucket is then a lookup
 	// and a swap, whatever the bucket's size. Within one bag a pointer
@@ -74,7 +79,7 @@ func newIndex(b *Bag, positions []int, addressable bool) *Index {
 	ix := &Index{
 		src: b,
 		pos: positions,
-		m:   make(map[string][]indexEntry),
+		m:   make(map[string]int),
 	}
 	if addressable { // and so syncable: NewIndex has made b.dx
 		ix.at = make(map[*schema.Value]int, b.Distinct())
@@ -83,13 +88,37 @@ func newIndex(b *Bag, positions []int, addressable bool) *Index {
 	var key []byte
 	b.each(func(_ uint64, e entry) {
 		key = b.tupleAt(e.p).AppendKeyAt(key[:0], positions)
-		bucket := ix.m[string(key)]
+		k := ix.slot(key)
 		if addressable {
-			ix.at[e.p] = len(bucket)
+			ix.at[e.p] = len(ix.buckets[k])
 		}
-		ix.m[string(key)] = append(bucket, indexEntry{p: e.p, count: e.count})
+		ix.buckets[k] = append(ix.buckets[k], indexEntry{p: e.p, count: e.count})
 	})
 	return ix
+}
+
+// bucket returns the entries under join key k: none when k has none.
+func (ix *Index) bucket(k []byte) []indexEntry {
+	if i, ok := ix.m[string(k)]; ok {
+		return ix.buckets[i]
+	}
+	return nil
+}
+
+// slot returns the slot of join key k's bucket. A new key takes an
+// emptied bucket's slot, or one more at the end.
+func (ix *Index) slot(k []byte) int {
+	if i, ok := ix.m[string(k)]; ok {
+		return i
+	}
+	i := len(ix.buckets)
+	if n := len(ix.free); n > 0 {
+		i, ix.free = ix.free[n-1], ix.free[:n-1]
+	} else {
+		ix.buckets = append(ix.buckets, nil)
+	}
+	ix.m[string(k)] = i
+	return i
 }
 
 // probeIndex is Join.Hash's throw-away index over b, keyed on the given
@@ -103,7 +132,7 @@ func newIndex(b *Bag, positions []int, addressable bool) *Index {
 // key and a bucket per row.
 func probeIndex(b *Bag, positions []int) *Index {
 	left := b.Distinct()
-	ix := &Index{src: b, pos: positions, m: make(map[string][]indexEntry, left)}
+	ix := &Index{src: b, pos: positions, m: make(map[string]int, left), buckets: make([][]indexEntry, 0, left)}
 	first := make([]indexEntry, left)
 	var keys arena
 	var kb [128]byte
@@ -113,12 +142,13 @@ func probeIndex(b *Bag, positions []int) *Index {
 		k := keys.str(key, min(left*len(key), arenaChunk))
 		left--
 		ie := indexEntry{p: e.p, count: e.count}
-		if bucket, ok := ix.m[k]; ok {
-			ix.m[k] = append(bucket, ie)
+		if i, ok := ix.m[k]; ok {
+			ix.buckets[i] = append(ix.buckets[i], ie)
 			return
 		}
 		first[0] = ie
-		ix.m[k] = first[:1:1]
+		ix.m[k] = len(ix.buckets)
+		ix.buckets = append(ix.buckets, first[:1:1])
 		first = first[1:]
 	})
 	return ix
@@ -210,35 +240,40 @@ func (ix *Index) applyAll(ents []jentry) {
 
 // apply folds one effective mutation into the index, in O(1): the entry
 // is found through at, and a removed entry's slot is refilled from the
-// bucket's end.
+// bucket's end. Only a key new to the index or gone from it writes m.
 func (ix *Index) apply(e jentry) {
 	ix.buf = ix.src.tupleAt(e.p).AppendKeyAt(ix.buf[:0], ix.pos)
-	bucket := ix.m[string(ix.buf)]
 	ix.steps++
 	i, ok := ix.at[e.p]
-	switch {
-	case !ok:
+	if !ok {
 		if e.d > 0 {
-			ix.at[e.p] = len(bucket)
-			ix.m[string(ix.buf)] = append(bucket, indexEntry{p: e.p, count: e.d})
+			k := ix.slot(ix.buf)
+			ix.at[e.p] = len(ix.buckets[k])
+			ix.buckets[k] = append(ix.buckets[k], indexEntry{p: e.p, count: e.d})
 		}
-	case bucket[i].count+e.d > 0:
-		bucket[i].count += e.d
-	default:
-		last := len(bucket) - 1
-		if i != last {
-			ix.steps++
-			bucket[i] = bucket[last]
-			ix.at[bucket[i].p] = i
-		}
-		bucket[last] = indexEntry{} // or the backing array keeps the tuple alive
-		delete(ix.at, e.p)
-		if last == 0 {
-			delete(ix.m, string(ix.buf))
-		} else {
-			ix.m[string(ix.buf)] = bucket[:last]
-		}
+		return
 	}
+	k := ix.m[string(ix.buf)]
+	bucket := ix.buckets[k]
+	if bucket[i].count+e.d > 0 {
+		bucket[i].count += e.d
+		return
+	}
+	last := len(bucket) - 1
+	if i != last {
+		ix.steps++
+		bucket[i] = bucket[last]
+		ix.at[bucket[i].p] = i
+	}
+	bucket[last] = indexEntry{} // or the backing array keeps the tuple alive
+	delete(ix.at, e.p)
+	if last > 0 {
+		ix.buckets[k] = bucket[:last]
+		return
+	}
+	ix.buckets[k] = nil
+	ix.free = append(ix.free, k)
+	delete(ix.m, string(ix.buf))
 }
 
 // Join is one σ_p(L × R), optionally under a Π, in compiled form: p's
@@ -326,7 +361,7 @@ func (j *Join) indexed(out, probe *Bag, probePos []int, ix *Index, sub *Bag, bui
 		}
 		var pk []byte // pt's key, once an unprojected output needs it
 		buf = pt.AppendKeyAt(buf[:0], probePos)
-		for _, eb := range ix.m[string(buf)] {
+		for _, eb := range ix.bucket(buf) {
 			probed++
 			bt := ix.src.tupleAt(eb.p)
 			if buildPred != nil && !buildPred(bt) {

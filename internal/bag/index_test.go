@@ -154,7 +154,8 @@ func TestIndexRemoveReleasesEntry(t *testing.T) {
 	ix, _ := b.IndexOn([]int{0})
 	b.Remove(row(1, "a"), 1)
 	b.IndexOn([]int{0})
-	for _, bucket := range ix.m {
+	for _, k := range ix.m {
+		bucket := ix.buckets[k]
 		if len(bucket) != 2 {
 			t.Fatalf("bucket holds %d entries after one removal, want 2", len(bucket))
 		}
@@ -197,8 +198,8 @@ func TestIndexAddressesByTuplePointer(t *testing.T) {
 	check := func(what string, b *Bag, pos []int, probe *Bag, probePos []int, sub *Bag) {
 		t.Helper()
 		ix, _ := b.IndexOn(pos)
-		for _, bucket := range ix.m {
-			for i, e := range bucket {
+		for _, k := range ix.m {
+			for i, e := range ix.buckets[k] {
 				if at, ok := ix.at[e.p]; !ok || at != i {
 					t.Fatalf("%s: entry %v at slot %d is addressed at %d (%v)", what, ix.src.tupleAt(e.p), i, at, ok)
 				}
@@ -245,7 +246,7 @@ func TestIndexAddressesByTuplePointer(t *testing.T) {
 		t.Fatal("the added-back tuple is not addressed by its own pointer")
 	}
 
-	bucket := ix.m[string(row(1).Key())]
+	bucket := ix.bucket([]byte(row(1).Key()))
 	front, last := bucket[0], bucket[len(bucket)-1]
 	b.Remove(b.tupleAt(front.p), 1)
 	check("front of the bucket deleted", b, pos, probe, pos, sub)

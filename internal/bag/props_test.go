@@ -368,8 +368,8 @@ func checkIndexOn(b *Bag) string {
 		return "IndexOn differs from a fresh NewIndex over the same contents"
 	}
 	n := 0
-	for _, bucket := range ix.m {
-		for i, e := range bucket {
+	for _, k := range ix.m {
+		for i, e := range ix.buckets[k] {
 			if tu := b.tupleAt(e.p); b.get(hashOf(tu), tu).p != e.p {
 				return "IndexOn entry holds another pointer than the bag stores for its row"
 			}
@@ -402,9 +402,9 @@ func window(b *Bag) int {
 // well as one: an entry's tuple key is encoded from the tuple it holds.
 func indexContents(ix *Index) map[string]map[string]int {
 	out := map[string]map[string]int{}
-	for k, bucket := range ix.m {
+	for k, i := range ix.m {
 		out[k] = map[string]int{}
-		for _, e := range bucket {
+		for _, e := range ix.buckets[i] {
 			out[k][ix.src.tupleAt(e.p).Key()] += e.count
 		}
 	}

@@ -2,6 +2,8 @@ package sql
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"dvm/internal/algebra"
 	"dvm/internal/bag"
@@ -53,7 +55,8 @@ func containsAggregates(st *SelectStmt) bool {
 // and the rows are folded where they are into one accumulator per
 // group of the GROUP BY columns (every non-aggregate item must be one of
 // them) — over a view, no copy of MV, no pre-aggregate relation: what is
-// allocated grows with the groups, not with the rows.
+// allocated grows with the groups, not with the rows, and by the chunk
+// of groups, not by the group.
 func (e *Engine) execAggregate(s *SimpleSelect, st *SelectStmt) (*Result, error) {
 	if len(st.Ops) > 0 {
 		return nil, fmt.Errorf("sql: aggregates cannot be combined with UNION/EXCEPT/MONUS")
@@ -83,10 +86,6 @@ func (e *Engine) execAggregate(s *SimpleSelect, st *SelectStmt) (*Result, error)
 	type keySpec struct {
 		pos int
 	}
-	groupSet := map[string]bool{}
-	for _, g := range s.GroupBy {
-		groupSet[g] = true
-	}
 	var keys []keySpec
 	var aggs []aggSpec
 	// ordered: some accumulator rounds, so the order rows are added in
@@ -100,7 +99,7 @@ func (e *Engine) execAggregate(s *SimpleSelect, st *SelectStmt) (*Result, error)
 			if len(s.GroupBy) == 0 {
 				return nil, fmt.Errorf("sql: bare column %q with aggregates needs GROUP BY", x.Name)
 			}
-			if !groupSet[x.Name] {
+			if !slices.Contains(s.GroupBy, x.Name) {
 				return nil, fmt.Errorf("sql: column %q is not in GROUP BY", x.Name)
 			}
 			pos, err := inSchema.Lookup(x.Name)
@@ -186,9 +185,35 @@ func (e *Engine) execAggregate(s *SimpleSelect, st *SelectStmt) (*Result, error)
 		count int64        // COUNT(*) incl. duplicates
 		st    []aggState   // per agg
 	}
-	out := bag.New()
-	emit := func(a *acc) {
-		tu := make(schema.Tuple, len(s.Items))
+	// The fold allocates by the chunk, not by the group: accumulators
+	// and their states are carved from chunks of at most accChunk
+	// groups, appended in first-seen order, and group keys from an
+	// arena. A group holds one distinct row at least, so the rows'
+	// distinct count, less the groups seen, bounds the groups still to
+	// come, and caps each chunk.
+	var (
+		chunks    [][]acc // filled in order; only the last has room
+		states    []aggState
+		groupKeys arena
+		left      int // distinct rows not in a group seen yet
+		groups    int
+	)
+	carve := func(rep schema.Tuple) *acc {
+		last := len(chunks) - 1
+		if last < 0 || len(chunks[last]) == cap(chunks[last]) {
+			c := min(max(left, 1), accChunk)
+			chunks = append(chunks, make([]acc, 0, c))
+			states = make([]aggState, c*len(aggs))
+			last++
+		}
+		chunks[last] = append(chunks[last], acc{rep: rep, st: states[:len(aggs):len(aggs)]})
+		states = states[len(aggs):]
+		left--
+		groups++
+		return &chunks[last][len(chunks[last])-1]
+	}
+	// fill writes a group's output row into tu.
+	fill := func(tu schema.Tuple, a *acc) {
 		for i := range s.Items {
 			if kind[i] >= 0 {
 				tu[i] = a.rep[keys[kind[i]].pos]
@@ -223,11 +248,11 @@ func (e *Engine) execAggregate(s *SimpleSelect, st *SelectStmt) (*Result, error)
 				tu[i] = st.max
 			}
 		}
-		out.Add(tu, 1)
 	}
+	var out *bag.Bag
 	err = e.readUnderViewLocks(expr, func(rows *bag.Bag, _ bool) error {
-		groups := map[string]*acc{}
-		var order []*acc
+		index := map[string]*acc{}
+		left = rows.Distinct()
 		var key []byte // the group key of the row at hand, re-encoded in place
 		// Ordered iteration makes float SUM/AVG accumulation deterministic:
 		// under Each, the addition order (and so the rounding) of a group's
@@ -240,11 +265,11 @@ func (e *Engine) execAggregate(s *SimpleSelect, st *SelectStmt) (*Result, error)
 		}
 		each(func(t schema.Tuple, n int) {
 			key = t.AppendKeyAt(key[:0], groupPos)
-			a, ok := groups[string(key)]
+			a, ok := index[string(key)]
 			if !ok {
-				a = &acc{rep: t, st: make([]aggState, len(aggs))}
-				groups[string(key)] = a
-				order = append(order, a)
+				k := groupKeys.str(key, min(left*len(key), arenaChunk))
+				a = carve(t)
+				index[k] = a
 			}
 			a.count += int64(n)
 			for i, sp := range aggs {
@@ -275,13 +300,24 @@ func (e *Engine) execAggregate(s *SimpleSelect, st *SelectStmt) (*Result, error)
 				}
 			}
 		})
-		for _, a := range order {
-			emit(a)
-		}
 		// No groups and no GROUP BY: SQL returns one row of empty
 		// aggregates (no item is a group key, so rep is never read).
-		if len(order) == 0 && len(s.GroupBy) == 0 {
-			emit(&acc{st: make([]aggState, len(aggs))})
+		if groups == 0 && len(s.GroupBy) == 0 {
+			carve(nil)
+		}
+		// One output row per group, carved from one slab. Two groups may
+		// emit equal rows (a GROUP BY column left out of the list): the
+		// bag then counts the row twice.
+		w := len(s.Items)
+		slab := make([]schema.Value, groups*w)
+		out = bag.NewSized(groups)
+		for _, chunk := range chunks {
+			for i := range chunk {
+				tu := schema.Tuple(slab[:w:w])
+				slab = slab[w:]
+				fill(tu, &chunk[i])
+				out.Add(tu, 1)
+			}
 		}
 		return nil
 	})
@@ -289,6 +325,31 @@ func (e *Engine) execAggregate(s *SimpleSelect, st *SelectStmt) (*Result, error)
 		return nil, err
 	}
 	return &Result{Rows: out, Schema: schema.NewSchema(outCols...)}, nil
+}
+
+// accChunk is the most groups an aggregate's accumulator chunk holds.
+const accChunk = 32
+
+// arenaChunk is the most bytes an arena chunk is made with, unless one
+// string is longer.
+const arenaChunk = 4 << 10
+
+// arena hands out strings appended to a chunk: a strings.Builder grown
+// once and never past its size, whose String shares its buffer, so the
+// bytes under a string handed out are never written again. A chunk is
+// freed with the last string it holds.
+type arena struct{ chunk strings.Builder }
+
+// str returns a string of k's bytes. When the chunk has no room left
+// for them, a new one of room bytes (len(k) at least) takes them.
+func (a *arena) str(k []byte, room int) string {
+	if a.chunk.Cap()-a.chunk.Len() < len(k) {
+		a.chunk = strings.Builder{}
+		a.chunk.Grow(max(room, len(k)))
+	}
+	n := a.chunk.Len()
+	a.chunk.Write(k)
+	return a.chunk.String()[n:]
 }
 
 func aggName(x *AggExpr) string {

@@ -1,9 +1,14 @@
 package sql
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
+	"dvm/internal/bag"
 	"dvm/internal/schema"
 )
 
@@ -180,5 +185,225 @@ func TestAggregateSQLPrinting(t *testing.T) {
 	}
 	if _, err := Parse(printed); err != nil {
 		t.Fatalf("printed aggregate SQL does not re-parse: %v", err)
+	}
+}
+
+// aggItem is one select item of a differential query: a GROUP BY
+// column when fn is empty, COUNT(*) when col is.
+type aggItem struct{ fn, col string }
+
+func (it aggItem) String() string {
+	switch {
+	case it.fn == "":
+		return it.col
+	case it.col == "":
+		return it.fn + "(*)"
+	}
+	return it.fn + "(" + it.col + ")"
+}
+
+// naiveAggregate folds rows (columns g, h, x, q) the way SQL defines
+// it, one tuple copy at a time, and renders each output row as the test
+// compares it.
+func naiveAggregate(rows *bag.Bag, items []aggItem, groupBy []string, keep func(schema.Tuple) bool) []string {
+	pos := map[string]int{"g": 0, "h": 1, "x": 2, "q": 3}
+	type group struct {
+		rep   schema.Tuple
+		count int64
+		n     []int64
+		fsum  []float64
+		isum  []int64
+		lo    []schema.Value
+		hi    []schema.Value
+	}
+	groups := map[string]*group{}
+	var order []string
+	rows.Each(func(t schema.Tuple, n int) {
+		if keep != nil && !keep(t) {
+			return
+		}
+		for ; n > 0; n-- {
+			var key strings.Builder
+			for _, c := range groupBy {
+				key.WriteString(schema.Tuple{t[pos[c]]}.Key())
+			}
+			g, ok := groups[key.String()]
+			if !ok {
+				k := len(items)
+				g = &group{rep: t, n: make([]int64, k), fsum: make([]float64, k), isum: make([]int64, k),
+					lo: make([]schema.Value, k), hi: make([]schema.Value, k)}
+				groups[key.String()] = g
+				order = append(order, key.String())
+			}
+			g.count++
+			for i, it := range items {
+				if it.fn == "" || it.col == "" {
+					continue
+				}
+				v := t[pos[it.col]]
+				if v.IsNull() {
+					continue
+				}
+				if g.n[i]++; g.n[i] == 1 {
+					g.lo[i], g.hi[i] = v, v
+				}
+				if v.Numeric() {
+					g.fsum[i] += v.AsFloat()
+					if v.Type() == schema.TInt {
+						g.isum[i] += v.AsInt()
+					}
+				}
+				if v.Compare(g.lo[i]) < 0 {
+					g.lo[i] = v
+				}
+				if v.Compare(g.hi[i]) > 0 {
+					g.hi[i] = v
+				}
+			}
+		}
+	})
+	if len(order) == 0 && len(groupBy) == 0 {
+		k := len(items)
+		groups[""] = &group{n: make([]int64, k), fsum: make([]float64, k), isum: make([]int64, k),
+			lo: make([]schema.Value, k), hi: make([]schema.Value, k)}
+		order = append(order, "")
+	}
+	var out []string
+	for _, k := range order {
+		g := groups[k]
+		row := make(schema.Tuple, len(items))
+		for i, it := range items {
+			switch {
+			case it.fn == "":
+				row[i] = g.rep[pos[it.col]]
+			case it.fn == "COUNT" && it.col == "":
+				row[i] = schema.Int(g.count)
+			case it.fn == "COUNT":
+				row[i] = schema.Int(g.n[i])
+			case g.n[i] == 0:
+				row[i] = schema.Null()
+			case it.fn == "SUM" && it.col == "q":
+				row[i] = schema.Int(g.isum[i])
+			case it.fn == "SUM":
+				row[i] = schema.Float(g.fsum[i])
+			case it.fn == "AVG":
+				row[i] = schema.Float(g.fsum[i] / float64(g.n[i]))
+			case it.fn == "MIN":
+				row[i] = g.lo[i]
+			case it.fn == "MAX":
+				row[i] = g.hi[i]
+			}
+		}
+		out = append(out, row.String())
+	}
+	slices.Sort(out)
+	return out
+}
+
+// randomRowsEngine returns an engine whose table r (g INT, h STRING,
+// x FLOAT, q INT) holds n random rows, some twice and some with NULLs,
+// inserted as SQL text in the order perm gives. Every x is a multiple of
+// 1/4, so a float sum is exact in any order.
+func randomRowsEngine(t *testing.T, seed int64, n int) *Engine {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	lit := func(null bool, s string) string {
+		if null {
+			return "NULL"
+		}
+		return s
+	}
+	var rows []string
+	for i := 0; i < n; i++ {
+		row := fmt.Sprintf("(%s, %s, %s, %s)",
+			lit(rng.Intn(12) == 0, strconv.Itoa(rng.Intn(7))),
+			lit(rng.Intn(5) == 0, "'"+string(rune('a'+rng.Intn(3)))+"'"),
+			lit(rng.Intn(6) == 0, strconv.FormatFloat(float64(rng.Intn(400)-200)/4, 'f', 2, 64)),
+			lit(rng.Intn(6) == 0, strconv.Itoa(rng.Intn(101)-50)))
+		rows = append(rows, row)
+		if rng.Intn(4) == 0 {
+			rows = append(rows, row)
+		}
+	}
+	e := NewEngine()
+	mustExec(t, e, "CREATE TABLE r (g INT, h STRING, x FLOAT, q INT)")
+	for len(rows) > 0 {
+		k := min(len(rows), 40)
+		mustExec(t, e, "INSERT INTO r VALUES "+strings.Join(rows[:k], ", "))
+		rows = rows[k:]
+	}
+	return e
+}
+
+// TestAggregateMatchesNaiveFold: every aggregate, over random rows with
+// NULLs and duplicates, grouped by the select list's columns, by a
+// column left out of it (two groups then emit equal rows, and the
+// result counts the row twice), by nothing, and over empty input,
+// answers what a naive fold of the same rows answers.
+func TestAggregateMatchesNaiveFold(t *testing.T) {
+	all := []aggItem{{"COUNT", ""}, {"COUNT", "x"}, {"COUNT", "q"}, {"COUNT", "h"},
+		{"SUM", "x"}, {"SUM", "q"}, {"AVG", "x"}, {"AVG", "q"},
+		{"MIN", "x"}, {"MAX", "x"}, {"MIN", "q"}, {"MAX", "q"}, {"MIN", "h"}, {"MAX", "h"}}
+	none := func(schema.Tuple) bool { return false }
+	cases := []struct {
+		items   []aggItem
+		groupBy []string
+		where   string
+		keep    func(schema.Tuple) bool
+	}{
+		{items: append([]aggItem{{"", "g"}}, all...), groupBy: []string{"g"}},
+		{items: append([]aggItem{{"", "h"}, {"", "g"}}, all...), groupBy: []string{"g", "h"}},
+		{items: []aggItem{{"", "h"}, {"COUNT", ""}, {"MIN", "q"}}, groupBy: []string{"g", "h"}},
+		{items: []aggItem{{"", "h"}}, groupBy: []string{"g", "h"}},
+		{items: []aggItem{{"MAX", "x"}}, groupBy: []string{"g"}},
+		{items: append([]aggItem{{"", "q"}}, all...), groupBy: []string{"q"}},                  // about 100 groups: several chunks
+		{items: []aggItem{{"", "g"}, {"SUM", "x"}, {"MAX", "h"}}, groupBy: []string{"q", "g"}}, // about 400 groups
+		{items: all},
+		{items: all, where: "q > 1000", keep: none},
+		{items: append([]aggItem{{"", "g"}}, all...), groupBy: []string{"g"}, where: "q > 1000", keep: none},
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		e := randomRowsEngine(t, seed, 300)
+		tb, err := e.DB().Table("r")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cases {
+			names := make([]string, len(c.items))
+			for i, it := range c.items {
+				names[i] = it.String()
+			}
+			q := "SELECT " + strings.Join(names, ", ") + " FROM r"
+			if c.where != "" {
+				q += " WHERE " + c.where
+			}
+			if len(c.groupBy) > 0 {
+				q += " GROUP BY " + strings.Join(c.groupBy, ", ")
+			}
+			res, err := e.Exec(q)
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			var got []string
+			for _, tu := range res.Rows.Tuples() {
+				got = append(got, tu.String())
+			}
+			slices.Sort(got)
+			want := naiveAggregate(tb.Data(), c.items, c.groupBy, c.keep)
+			if !slices.Equal(got, want) {
+				t.Errorf("seed %d, %s:\n got %v\nwant %v", seed, q, got, want)
+			}
+		}
+	}
+	// Two groups that emit one row: the row, twice.
+	e := NewEngine()
+	mustExec(t, e, `CREATE TABLE r (g INT, h STRING, x FLOAT, q INT);
+		INSERT INTO r VALUES (1, 'a', 1.0, 1), (2, 'a', 2.0, 2), (2, 'b', 3.0, 3)`)
+	res, err := e.Exec("SELECT h FROM r GROUP BY g, h")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rows.Count(schema.Row("a")) != 2 || res.Rows.Len() != 3 {
+		t.Fatalf("SELECT h FROM r GROUP BY g, h = %v, want ('a') twice and ('b')", res.Rows)
 	}
 }

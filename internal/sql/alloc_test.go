@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"strings"
 	"testing"
 
 	"dvm/internal/bag"
@@ -55,8 +56,9 @@ func mustExec(t *testing.T, e *Engine, script string) {
 
 // TestAggregateAllocatesByGroupsNotRows: a GROUP BY over a view folds
 // the live MV — the same 50 groups over ten times the rows allocate
-// about the same (an accumulator, a key and an output row per group);
-// a copy of MV, a projected tuple or a key string per row would be 10x.
+// about the same (the group map, accumulator chunks of 32 groups, key
+// arena chunks and one slab of output rows); a copy of MV, a projected
+// tuple or a key string per row would be 10x.
 func TestAggregateAllocatesByGroupsNotRows(t *testing.T) {
 	st, err := Parse("SELECT custId, COUNT(*) AS n, SUM(quantity) AS q, MIN(itemNo), MAX(itemNo) FROM v GROUP BY custId")
 	if err != nil {
@@ -79,6 +81,96 @@ func TestAggregateAllocatesByGroupsNotRows(t *testing.T) {
 	t.Logf("GROUP BY into 50 groups: %d B over 2000 rows, %d B over 20000", small, large)
 	if large*2 > small*3 {
 		t.Fatalf("GROUP BY into 50 groups allocates %d B over 2000 rows and %d B over 20000 (want < 1.5x): it grows with the rows", small, large)
+	}
+}
+
+// TestAggregateAllocatesByChunks: the same rows folded into 500 groups
+// cost no more objects than folded into 50, beyond the group map's
+// growth (measured here on a map of the same shape), two chunks (the
+// accumulators' and their states') per 32 groups, the key arena's one
+// chunk and a few objects of the runtime's own (a map's growth varies
+// with its hash seed): an accumulator, its states, its key and its
+// output row do not cost an object each, which would be 1 800 more.
+func TestAggregateAllocatesByChunks(t *testing.T) {
+	const rows = 5000
+	st, err := Parse("SELECT custId, COUNT(*) AS n, SUM(quantity) AS q, MIN(itemNo), MAX(itemNo) FROM v GROUP BY custId")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fold := func(groups int) uint64 {
+		e := salesEngine(t, groups, rows)
+		var res *Result
+		n := mallocs(func() {
+			if res, err = e.ExecStmt(st); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if res.Rows.Len() != groups {
+			t.Fatalf("%d groups, want %d", res.Rows.Len(), groups)
+		}
+		return n
+	}
+	grow := func(groups int) uint64 {
+		keys := make([]string, groups)
+		for i := range keys {
+			keys[i] = fmt.Sprint(i)
+		}
+		return mallocs(func() {
+			m := map[string]*int{}
+			for _, k := range keys {
+				m[k] = nil
+			}
+		})
+	}
+	few, many := fold(50), fold(500)
+	limit := few + grow(500) - grow(50) + 2*(500/accChunk+1) + 1 + 8
+	t.Logf("%d rows into 50 groups: %d objects; into 500: %d (limit %d)", rows, few, many, limit)
+	if many > limit {
+		t.Errorf("%d rows into 500 groups cost %d objects, into 50 %d: want at most %d, not objects per group", rows, many, few, limit)
+	}
+}
+
+// TestLexAllocatesTheTokenSlice: a statement of lower-case keywords,
+// identifiers, numbers and symbols lexes in one allocation, its token
+// slice: a keyword is recognized without upper-casing a copy, and a
+// token's text is a slice of the input or the keyword table's string.
+func TestLexAllocatesTheTokenSlice(t *testing.T) {
+	const stmt = "select c.custId, count(*) as n from hv c where c.qty >= 3 and c.price <> 2.5 " +
+		"group by c.custId order by n desc limit 10;"
+	if got := testing.AllocsPerRun(100, func() {
+		if _, err := lex(stmt); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 1 {
+		t.Errorf("lex allocated %v times, want 1: the token slice", got)
+	}
+}
+
+// TestInsertParsesByTheRow: an INSERT of k rows parses in k objects (a
+// row each, made at the width of the row before it) plus the row list's
+// doublings and a constant, not in an object per value.
+func TestInsertParsesByTheRow(t *testing.T) {
+	parse := func(k int) uint64 {
+		var sb strings.Builder
+		sb.WriteString("INSERT INTO sales VALUES ")
+		for i := 0; i < k; i++ {
+			if i > 0 {
+				sb.WriteString(", ")
+			}
+			fmt.Fprintf(&sb, "(%d, %d, %d, %d.25)", i%50, i, 1+i%7, i)
+		}
+		in := sb.String()
+		return mallocs(func() {
+			if _, err := Parse(in); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	few, many := parse(100), parse(1000)
+	t.Logf("an INSERT of 100 rows parses in %d objects, of 1000 rows in %d", few, many)
+	// 100 → 1000 rows doubles the row list about four times.
+	if limit := few + 900 + 8; many > limit {
+		t.Errorf("an INSERT of 1000 rows parses in %d objects, of 100 rows in %d: want at most %d, a row each", many, few, limit)
 	}
 }
 

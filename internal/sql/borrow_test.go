@@ -116,6 +116,38 @@ func TestSelectResultIsOwned(t *testing.T) {
 	}
 }
 
+// TestAggregateResultIsOwned: an aggregate's rows are carved from its
+// own slab and its group keys from its own arena, which nothing reuses:
+// a second aggregate and a REFRESH that changes the view leave the
+// first one's Result.Rows as they were.
+func TestAggregateResultIsOwned(t *testing.T) {
+	e := newRetailEngine(t, "DEFERRED COMBINED")
+	mustExec(t, e, "REFRESH hv")
+	const q = "SELECT custId, COUNT(*) AS n, SUM(quantity) AS q, MIN(itemNo) FROM hv GROUP BY custId"
+	r, err := e.Exec(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, text := r.Rows.Clone(), r.Rows.String()
+	if _, err := e.Exec("SELECT itemNo, COUNT(*), MAX(quantity) FROM hv GROUP BY itemNo"); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, e, `
+		INSERT INTO sales VALUES (3, 77, 5, 2.00), (1, 78, 9, 1.00);
+		DELETE FROM sales WHERE itemNo = 10;
+		REFRESH hv`)
+	if !r.Rows.Equal(before) || r.Rows.String() != text {
+		t.Fatalf("an aggregate's rows changed under a later query and REFRESH:\n%v\nwas\n%s", r.Rows, text)
+	}
+	after, err := e.Exec(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Rows.Equal(before) {
+		t.Fatal("fixture: the REFRESH changed no group")
+	}
+}
+
 // saveToByCopy is SaveTo as it was before it streamed the live tables:
 // the same header, then Save of a database that holds a copy (a Clone)
 // of the external tables and nothing else. Kept as the reference for the

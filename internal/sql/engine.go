@@ -3,6 +3,7 @@ package sql
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"dvm/internal/algebra"
@@ -332,13 +333,12 @@ func (e *Engine) readUnderViewLocks(expr algebra.Expr, f func(rows *bag.Bag, own
 		}
 		return f(outs[0], prog.Owned(0))
 	}
+	// queryResolver admits external tables and views' MV tables only,
+	// so a base that is not external is an MV.
 	var mvs []string
-	views := e.mgr.Views()
 	for _, n := range algebra.BaseNames(expr) {
-		for _, v := range views {
-			if v.MVTable() == n {
-				mvs = append(mvs, n)
-			}
+		if tb, err := e.db.Table(n); err == nil && tb.Kind() != storage.External {
+			mvs = append(mvs, n)
 		}
 	}
 	if len(mvs) == 0 {
@@ -412,7 +412,7 @@ func (e *Engine) execInsert(s *InsertStmt) (*Result, error) {
 		return nil, err
 	}
 	n := len(s.Rows)
-	return &Result{Message: fmt.Sprintf("%d rows inserted", n), Count: n}, nil
+	return &Result{Message: countMessage(n, " rows inserted"), Count: n}, nil
 }
 
 func (e *Engine) execDelete(s *DeleteStmt) (*Result, error) {
@@ -445,7 +445,14 @@ func (e *Engine) execDelete(s *DeleteStmt) (*Result, error) {
 	if err := e.mgr.Execute(txn.Delete(s.Table, matching)); err != nil {
 		return nil, err
 	}
-	return &Result{Message: fmt.Sprintf("%d rows deleted", n), Count: n}, nil
+	return &Result{Message: countMessage(n, " rows deleted"), Count: n}, nil
+}
+
+// countMessage is DML's result message, n followed by what, in one
+// allocation.
+func countMessage(n int, what string) string {
+	var buf [48]byte
+	return string(append(strconv.AppendInt(buf[:0], int64(n), 10), what...))
 }
 
 func (e *Engine) execMaint(s *MaintStmt) (*Result, error) {

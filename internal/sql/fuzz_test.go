@@ -41,6 +41,9 @@ func FuzzParse(f *testing.F) {
 		"SELECT * FROM t WHERE x = 9999999999999999999999999",
 		"SELECT \x00 FROM t",
 		"CREATE MATERIALIZED VIEW ü REFRESH DEFERRED AS SELECT * FROM t",
+		"select g, h, count(*), Sum(x), aVg(x), min(q), max(h) from t where q <> 2 group by g, h",
+		"insert into t values (1, 'a', null, true), (2, 'b', 2.5, false)",
+		"Create Materialized View v Refresh Deferred Combined As select * from t",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -77,6 +80,10 @@ func FuzzEngineExec(f *testing.F) {
 		"DROP VIEW hv",
 		"INSERT INTO sales VALUES ('wrong', 'types', 1, 2)",
 		"SELECT SUM(quantity) FROM sales s GROUP BY itemNo",
+		"insert into sales values (1, 2, 3, 4.0), (1, 3, 0, 2.5), (2, 2, 5, 1.25); " +
+			"select custId, count(*), sum(quantity), avg(salesPrice), min(itemNo), max(salesPrice) from sales group by custId",
+		"propagate hv; refresh hv; select itemNo, count(*) from hv group by custId, itemNo; delete from sales where quantity >= 1",
+
 		"INSERT INTO sales VALUES (1, 2, 3, 4.0), (2, 2, 0, 1.5); PROPAGATE hv; DELETE FROM sales WHERE itemNo = 1; " +
 			"DELETE FROM customer WHERE custId = 1; PROPAGATE hv; SELECT itemNo FROM hv WHERE custId = 1; REFRESH hv",
 	}

@@ -25,8 +25,7 @@ const (
 
 type token struct {
 	kind tokenKind
-	text string // keywords upper-cased; identifiers as written
-	pos  int
+	text string // a keyword's is the keywords table's string; an identifier's as written
 }
 
 func (t token) String() string {
@@ -36,25 +35,58 @@ func (t token) String() string {
 	return fmt.Sprintf("%q", t.text)
 }
 
-var keywords = map[string]bool{
-	"CREATE": true, "TABLE": true, "MATERIALIZED": true, "VIEW": true,
-	"AS": true, "SELECT": true, "DISTINCT": true, "FROM": true,
-	"WHERE": true, "AND": true, "OR": true, "NOT": true, "UNION": true,
-	"ALL": true, "EXCEPT": true, "MONUS": true, "INSERT": true,
-	"INTO": true, "VALUES": true, "DELETE": true, "REFRESH": true,
-	"PROPAGATE": true, "PARTIAL": true, "IMMEDIATE": true, "DEFERRED": true,
-	"LOGGED": true, "DIFFERENTIAL": true, "COMBINED": true, "NULL": true,
-	"TRUE": true, "FALSE": true, "INT": true, "FLOAT": true, "STRING": true,
-	"BOOL": true, "DROP": true, "SHOW": true, "TABLES": true, "VIEWS": true,
-	"MIN": true, "MAX": true, "GROUP": true, "BY": true, "ORDER": true, "ASC": true, "DESC": true, "LIMIT": true, "EXPLAIN": true, "RECOMPUTE": true, "INVARIANT": true, "CHECK": true,
+// keywords maps each keyword, upper-case, to itself: a keyword token's
+// text is this table's string, so lexing one allocates nothing.
+var keywords = func() map[string]string {
+	m := make(map[string]string)
+	for _, kw := range []string{
+		"CREATE", "TABLE", "MATERIALIZED", "VIEW", "AS", "SELECT", "DISTINCT", "FROM",
+		"WHERE", "AND", "OR", "NOT", "UNION", "ALL", "EXCEPT", "MONUS", "INSERT",
+		"INTO", "VALUES", "DELETE", "REFRESH", "PROPAGATE", "PARTIAL", "IMMEDIATE", "DEFERRED",
+		"LOGGED", "DIFFERENTIAL", "COMBINED", "NULL", "TRUE", "FALSE", "INT", "FLOAT", "STRING",
+		"BOOL", "DROP", "SHOW", "TABLES", "VIEWS", "MIN", "MAX", "GROUP", "BY", "ORDER", "ASC",
+		"DESC", "LIMIT", "EXPLAIN", "RECOMPUTE", "INVARIANT", "CHECK",
+	} {
+		m[kw] = kw
+	}
+	return m
+}()
+
+// maxKeyword is the length of the longest keyword (DIFFERENTIAL): a
+// longer word is an identifier without a lookup.
+const maxKeyword = 12
+
+// keyword returns the keyword word spells in any case of its ASCII
+// letters, and whether it is one. The word is upper-cased into a stack
+// buffer, byte by byte: only a-z change, so a word with a non-ASCII
+// byte stays one no keyword equals.
+func keyword(word string) (string, bool) {
+	if len(word) > maxKeyword {
+		return "", false
+	}
+	var buf [maxKeyword]byte
+	up := buf[:len(word)]
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		up[i] = c
+	}
+	kw, ok := keywords[string(up)]
+	return kw, ok
 }
 
 // lex tokenizes the input. It returns a descriptive error with a byte
-// position on malformed input.
+// position on malformed input. The token slice is its one allocation
+// (beside a string literal's text): it is sized for a token per two
+// input bytes, which a statement separated by ", " or spaces does not
+// outgrow, every other token's text is a slice of the input or a
+// keyword's own string, and a keyword is recognized without a copy.
 func lex(input string) ([]token, error) {
-	var toks []token
-	i := 0
 	n := len(input)
+	toks := make([]token, 0, n/2+2)
+	i := 0
 	for i < n {
 		c := input[i]
 		switch {
@@ -70,11 +102,10 @@ func lex(input string) ([]token, error) {
 				i++
 			}
 			word := input[start:i]
-			up := strings.ToUpper(word)
-			if keywords[up] {
-				toks = append(toks, token{kind: tokKeyword, text: up, pos: start})
+			if kw, ok := keyword(word); ok {
+				toks = append(toks, token{kind: tokKeyword, text: kw})
 			} else {
-				toks = append(toks, token{kind: tokIdent, text: word, pos: start})
+				toks = append(toks, token{kind: tokIdent, text: word})
 			}
 		case unicode.IsDigit(rune(c)):
 			start := i
@@ -85,7 +116,7 @@ func lex(input string) ([]token, error) {
 				}
 				i++
 			}
-			toks = append(toks, token{kind: tokNumber, text: input[start:i], pos: start})
+			toks = append(toks, token{kind: tokNumber, text: input[start:i]})
 		case c == '\'':
 			i++
 			var sb strings.Builder
@@ -107,24 +138,23 @@ func lex(input string) ([]token, error) {
 			if !closed {
 				return nil, fmt.Errorf("sql: unterminated string literal at byte %d", i)
 			}
-			toks = append(toks, token{kind: tokString, text: sb.String(), pos: i})
+			toks = append(toks, token{kind: tokString, text: sb.String()})
 		case strings.ContainsRune("(),*.=<>!+-/;", rune(c)):
-			start := i
 			// two-char operators
 			if i+1 < n {
 				two := input[i : i+2]
 				if two == "<=" || two == ">=" || two == "!=" || two == "<>" {
-					toks = append(toks, token{kind: tokSymbol, text: two, pos: start})
+					toks = append(toks, token{kind: tokSymbol, text: two})
 					i += 2
 					continue
 				}
 			}
-			toks = append(toks, token{kind: tokSymbol, text: string(c), pos: start})
+			toks = append(toks, token{kind: tokSymbol, text: input[i : i+1]})
 			i++
 		default:
 			return nil, fmt.Errorf("sql: unexpected character %q at byte %d", c, i)
 		}
 	}
-	toks = append(toks, token{kind: tokEOF, pos: n})
+	toks = append(toks, token{kind: tokEOF})
 	return toks, nil
 }

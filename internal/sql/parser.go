@@ -465,11 +465,12 @@ func (p *parser) insert() (Stmt, error) {
 		return nil, err
 	}
 	var rows [][]Lit
+	width := 0 // the previous row's, which the next is made at
 	for {
 		if err := p.expectSymbol("("); err != nil {
 			return nil, err
 		}
-		var row []Lit
+		row := make([]Lit, 0, width)
 		for {
 			l, err := p.literal()
 			if err != nil {
@@ -484,6 +485,7 @@ func (p *parser) insert() (Stmt, error) {
 			return nil, err
 		}
 		rows = append(rows, row)
+		width = len(row)
 		if !p.acceptSymbol(",") {
 			break
 		}
@@ -719,11 +721,13 @@ func (p *parser) primary() (Expr, error) {
 		}
 		return nil, fmt.Errorf("sql: unexpected %s", t)
 	case t.kind == tokIdent:
-		upper := strings.ToUpper(t.text)
-		if (upper == "COUNT" || upper == "SUM" || upper == "AVG") &&
-			p.toks[p.i+1].kind == tokSymbol && p.toks[p.i+1].text == "(" {
-			p.i++
-			return p.aggregateCall(upper)
+		if p.toks[p.i+1].kind == tokSymbol && p.toks[p.i+1].text == "(" {
+			for _, fn := range [...]string{"COUNT", "SUM", "AVG"} {
+				if strings.EqualFold(t.text, fn) {
+					p.i++
+					return p.aggregateCall(fn)
+				}
+			}
 		}
 		name, err := p.ident()
 		if err != nil {

@@ -34,6 +34,45 @@ func TestLexBasics(t *testing.T) {
 	}
 }
 
+// TestLexKeywordsInAnyCase: every keyword, in lower and in mixed case,
+// lexes as that keyword with upper-case text; a word that only resembles
+// one stays an identifier, as written.
+func TestLexKeywordsInAnyCase(t *testing.T) {
+	longest := 0
+	for kw := range keywords {
+		longest = max(longest, len(kw))
+		mixed := []byte(strings.ToLower(kw))
+		for i := 0; i < len(mixed); i += 2 {
+			mixed[i] -= 'a' - 'A'
+		}
+		for _, word := range []string{kw, strings.ToLower(kw), string(mixed)} {
+			toks, err := lex(word)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if toks[0].kind != tokKeyword || toks[0].text != kw || len(toks) != 2 {
+				t.Errorf("lex(%q) = %v, want the keyword %s", word, toks, kw)
+			}
+		}
+	}
+	if longest != maxKeyword {
+		t.Fatalf("the longest keyword is %d bytes, maxKeyword says %d", longest, maxKeyword)
+	}
+	for _, word := range []string{
+		"differentials", "DIFFERENTIALLY", "invariantsxyz", // longer than any keyword
+		"s\xe9lect", "\xc0\xc9\xd6", "vi\xeaw", // Latin-1 letter bytes
+		"selec", "Materialize", "grou", "b", // prefixes of keywords
+	} {
+		toks, err := lex(word)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if toks[0].kind != tokIdent || toks[0].text != word || len(toks) != 2 {
+			t.Errorf("lex(%q) = %v, want the identifier as written", word, toks)
+		}
+	}
+}
+
 func TestLexErrors(t *testing.T) {
 	if _, err := lex("'unterminated"); err == nil {
 		t.Fatal("unterminated string accepted")
