@@ -3,7 +3,7 @@ package dvm_test
 // The paper's qualitative claims (EXPERIMENTS.md E1–E14) as assertions
 // on counts the engine already keeps: compiled pair evaluations (the
 // compiled_eval_ns counts), the tuples a view's joins probed and built
-// (ViewStats), log and differential sizes, lock holds, and shared-log
+// (index_probe_tuples, index_build_tuples), log and differential sizes, lock holds, and shared-log
 // volume. Each claim runs on a fixed seed, asserts the claim's relation
 // rather than a figure, and logs the counts. E1 and E2 run the paper's
 // worked examples through every scenario; their equations, E6 and E12
@@ -81,10 +81,11 @@ func family(m *core.Manager, name string) int64 {
 	return n
 }
 
-// gauge reads one view's gauge.
-func gauge(m *core.Manager, name, view string) int64 {
+// stat reads one view's metric: a counter's or gauge's value, a
+// histogram's observation count.
+func stat(m *core.Manager, name, view string) int64 {
 	x, _ := m.Obs().Snapshot().Get(name, view)
-	return x.Value
+	return x.Value + x.Count
 }
 
 // cost is what one call made the engine do: compiled pair evaluations
@@ -96,15 +97,14 @@ func (c cost) work() int64 { return c.probed + c.built }
 // costOf runs f and returns the cost it caused.
 func costOf(t *testing.T, m *core.Manager, view string, f func() error) cost {
 	t.Helper()
-	v, err := m.View(view)
-	if err != nil {
+	if _, err := m.View(view); err != nil {
 		t.Fatal(err)
 	}
-	c0 := cost{family(m, "compiled_eval_ns"), v.Stats.IndexProbeTuples, v.Stats.IndexBuildTuples}
+	c0 := cost{family(m, "compiled_eval_ns"), stat(m, "index_probe_tuples", view), stat(m, "index_build_tuples", view)}
 	if err := f(); err != nil {
 		t.Fatal(err)
 	}
-	return cost{family(m, "compiled_eval_ns") - c0.evals, v.Stats.IndexProbeTuples - c0.probed, v.Stats.IndexBuildTuples - c0.built}
+	return cost{family(m, "compiled_eval_ns") - c0.evals, stat(m, "index_probe_tuples", view) - c0.probed, stat(m, "index_build_tuples", view) - c0.built}
 }
 
 // execute runs n transactions drawn from next.
@@ -302,7 +302,7 @@ func TestE5PropagationIntervalTradesDowntimeForPropagates(t *testing.T) {
 				t.Fatal(err)
 			}
 			if tick == m {
-				pending = gauge(mgr, "log_size_tuples", "v0")
+				pending = stat(mgr, "log_size_tuples", "v0")
 			}
 			if err := r.Tick(); err != nil {
 				t.Fatal(err)
@@ -311,10 +311,10 @@ func TestE5PropagationIntervalTradesDowntimeForPropagates(t *testing.T) {
 		if err := mgr.CheckConsistent("v0"); err != nil {
 			t.Fatal(err)
 		}
-		v, _ := mgr.View("v0")
-		t.Logf("E5 k=%d: %d propagates, %d log tuples pending at the refresh", k, v.Stats.Propagates, pending)
-		if v.Stats.Propagates != (m-1)/k {
-			t.Errorf("k=%d: %d propagates, want ⌊%d/k⌋ = %d", k, v.Stats.Propagates, m-1, (m-1)/k)
+		propagates := stat(mgr, "propagate_ns", "v0")
+		t.Logf("E5 k=%d: %d propagates, %d log tuples pending at the refresh", k, propagates, pending)
+		if propagates != int64((m-1)/k) {
+			t.Errorf("k=%d: %d propagates, want ⌊%d/k⌋ = %d", k, propagates, m-1, (m-1)/k)
 		}
 		if pending <= last {
 			t.Errorf("k=%d: %d log tuples pending at the refresh, not more than the %d of the shorter interval", k, pending, last)
@@ -362,7 +362,7 @@ func TestE7StrongMinimalityCancelsChurn(t *testing.T) {
 				}
 			}
 		}
-		size[strong] = gauge(m, "diff_size_tuples", "v")
+		size[strong] = stat(m, "diff_size_tuples", "v")
 		if err := m.PartialRefresh("v"); err != nil {
 			t.Fatal(err)
 		}
@@ -558,7 +558,7 @@ func TestE13RelevantUpdateFiltersShrinkTheLog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	appended, pending := family(m, "log_append_tuples"), gauge(m, "log_size_tuples", "v")
+	appended, pending := family(m, "log_append_tuples"), stat(m, "log_size_tuples", "v")
 	c := costOf(t, m, "v", func() error { return m.Refresh("v") })
 	if err := m.CheckConsistent("v"); err != nil {
 		t.Fatal(err)
@@ -597,7 +597,7 @@ func TestE14FreshReadsAnswerAsOfNowWithoutDowntime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	readHolds, refreshes := holds()-h0, v.Stats.Refreshes
+	readHolds, refreshes := holds()-h0, stat(m, "refresh_ns", "v0")
 	if err := m.Refresh("v0"); err != nil {
 		t.Fatal(err)
 	}

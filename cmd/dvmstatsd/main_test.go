@@ -143,7 +143,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`dvm_propagate_ns_count{view="big"} `,
 		"# TYPE dvm_go_goroutines gauge",
 		`dvm_go_gc_pause_ns_bucket{le="+Inf"} `,
-		`dvm_phase_cpu_ns{view="big",phase="propagate"} `,
+		`dvm_phase_alloc_bytes{view="big",phase="propagate"} `,
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %q", want)

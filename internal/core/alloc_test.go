@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"dvm/internal/bag"
+	"dvm/internal/obs"
+	"dvm/internal/obs/trace"
 	"dvm/internal/schema"
 	"dvm/internal/txn"
 )
@@ -217,9 +219,9 @@ func TestExecuteAllocatesNothingWarm(t *testing.T) {
 		if allocs := testing.AllocsPerRun(100, churn); allocs != 0 {
 			t.Errorf("%d views: a warm churn allocates %v times, want 0", views, allocs)
 		}
-		logged := func() (n int) {
+		logged := func() (n int64) {
 			for _, v := range m.Views() {
-				n += v.Stats.LogTuples
+				n += stat(m, "log_append_tuples", v.Name)
 			}
 			return n
 		}
@@ -251,6 +253,31 @@ func TestExecuteAllocatesNothingWarm(t *testing.T) {
 	t.Logf("a warm churn: %d B with 1 view, %d B with 16", perRun[1], perRun[16])
 	if perRun[1] != 0 || perRun[16] != 0 {
 		t.Errorf("a warm churn allocates %d B with 1 view and %d B with 16, want 0 B with either", perRun[1], perRun[16])
+	}
+}
+
+// TestStepAllocatesNothing: the instrumentation seam costs a step no
+// allocation when tracing is off — not a view's step in any phase, nor a
+// transaction's, nor an MV-exclusive section — so it does not inflate
+// the bytes phase_alloc_bytes measures.
+func TestStepAllocatesNothing(t *testing.T) {
+	db, def := retailDB(t)
+	m := NewManager(db)
+	v, err := m.DefineView("hv", def, Combined)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string]func(){
+		"a transaction's step": func() { m.begin(nil, obs.PhaseMakesafe).end() },
+		"an exclusive section": func() { exclusive(nil, v).end() },
+	}
+	for _, p := range obs.Phases()[1:] {
+		cases[p+" step"] = func() { m.begin(v, p, trace.Str("scenario", v.inv)).end() }
+	}
+	for name, f := range cases {
+		if n := testing.AllocsPerRun(100, f); n != 0 {
+			t.Errorf("%s: %v allocations, want 0", name, n)
+		}
 	}
 }
 

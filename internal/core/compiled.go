@@ -28,13 +28,25 @@ import (
 
 // observeCompiled records one compiled evaluation's metrics and span.
 func (m *Manager) observeCompiled(v *View, parent *trace.Span, dur time.Duration, stats algebra.Stats) {
-	v.Stats.IndexProbeTuples += stats.IndexProbeTuples
-	v.Stats.IndexBuildTuples += stats.IndexBuildTuples
 	v.met.compiledEvalNs.Observe(int64(dur))
 	v.met.indexProbeTuples.Add(stats.IndexProbeTuples)
+	v.met.indexBuildTuples.Add(stats.IndexBuildTuples)
 	sp := parent.StartChild(trace.SpanEvalCompiled,
 		trace.Str("view", v.Name), trace.Int("index_probe_tuples", stats.IndexProbeTuples))
 	sp.EndExplicit(dur)
+}
+
+// evalDef evaluates the view's definition one-shot over the live
+// database — RefreshRecompute's evaluation — recording it like
+// evalDeltaPair does, and returns the answer, which the caller owns.
+func (m *Manager) evalDef(v *View, parent *trace.Span) (*bag.Bag, error) {
+	start := time.Now()
+	outs, stats, err := v.def.Eval(nil, m.db)
+	if err != nil {
+		return nil, err
+	}
+	m.observeCompiled(v, parent, time.Since(start), stats)
+	return outs[0], nil
 }
 
 // evalDeltaPair evaluates the view's incremental (del, add) pair in src

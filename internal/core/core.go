@@ -113,8 +113,6 @@ type View struct {
 
 	// met caches this view's obs instruments (see metrics.go).
 	met *viewMetrics
-
-	Stats ViewStats
 }
 
 // tablePair is a (deleted, added) pair of tables: a base table's log
@@ -150,25 +148,6 @@ func (v *View) InvariantString() string {
 // BaseTables returns the base tables the view definition references.
 func (v *View) BaseTables() []string { return append([]string(nil), v.bases...) }
 
-// ViewStats accumulates per-view maintenance costs.
-type ViewStats struct {
-	MakeSafeTime  time.Duration // time spent in makesafe bookkeeping
-	MakeSafeOps   int
-	RefreshTime   time.Duration // wall time of refresh transactions
-	Refreshes     int
-	PropagateTime time.Duration
-	Propagates    int
-	PartialTime   time.Duration
-	PartialCount  int
-	RecomputeTime time.Duration
-	Recomputes    int
-	LogTuples     int // tuples appended to logs by makesafe
-	// Work the view's compiled programs did in hash joins (algebra.Stats,
-	// summed): candidate pairs probed, and tuples put into indexes.
-	IndexProbeTuples int64
-	IndexBuildTuples int64
-}
-
 // Manager owns a database plus the registered views and performs all
 // maintenance. It is not safe for concurrent writers; concurrent readers
 // (Query) are safe against refreshes through per-view locks.
@@ -203,14 +182,13 @@ func NewManager(db *storage.Database, opts ...ManagerOption) *Manager {
 	reg := obs.NewRegistry()
 	m := &Manager{
 		db:        db,
-		locks:     txn.NewLockManager(),
+		locks:     txn.NewLockManager(reg),
 		views:     make(map[string]*View),
 		exec:      newExecScratch(db),
 		obs:       reg,
-		txnExecNs: reg.Histogram("txn_exec_ns", ""),
+		txnExecNs: reg.Histogram(entrySteps[obs.PhaseMakesafe].family, ""),
 		tracer:    trace.NewTracer(0),
 	}
-	m.locks.SetRegistry(reg)
 	db.SetMetrics(reg)
 	db.SetTracer(m.tracer)
 	for _, o := range opts {

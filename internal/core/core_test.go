@@ -458,8 +458,7 @@ func TestUnaffectedViewSkipsBookkeeping(t *testing.T) {
 	if err := m.Execute(txn.Insert("other", bag.Of(schema.Row(1)))); err != nil {
 		t.Fatal(err)
 	}
-	v, _ := m.View("hv")
-	if v.Stats.MakeSafeOps != 0 {
+	if stat(m, "makesafe_ns", "hv") != 0 {
 		t.Fatal("unaffected view was charged bookkeeping")
 	}
 	// Logs stayed empty.
@@ -565,8 +564,7 @@ func TestRefreshRecompute(t *testing.T) {
 	if err := m.CheckInvariant("hv"); err != nil {
 		t.Fatal(err)
 	}
-	v, _ := m.View("hv")
-	if v.Stats.Recomputes != 1 {
+	if stat(m, "recompute_ns", "hv") != 1 {
 		t.Fatal("recompute not counted")
 	}
 }
@@ -750,12 +748,21 @@ func TestViewStatsAccumulate(t *testing.T) {
 	if err := m.Refresh("hv"); err != nil {
 		t.Fatal(err)
 	}
-	v, _ := m.View("hv")
-	s := v.Stats
-	if s.MakeSafeOps != 1 || s.Propagates != 1 || s.PartialCount != 1 || s.Refreshes != 1 {
-		t.Fatalf("stats = %+v", s)
+	s := map[string]int64{}
+	for _, f := range []string{"makesafe_ns", "propagate_ns", "partial_refresh_ns", "refresh_ns"} {
+		s[f] = stat(m, f, "hv")
 	}
-	if s.LogTuples != 1 {
-		t.Fatalf("LogTuples = %d, want 1", s.LogTuples)
+	if s["makesafe_ns"] != 1 || s["propagate_ns"] != 1 || s["partial_refresh_ns"] != 1 || s["refresh_ns"] != 1 {
+		t.Fatalf("stats = %v", s)
 	}
+	if n := stat(m, "log_append_tuples", "hv"); n != 1 {
+		t.Fatalf("LogTuples = %d, want 1", n)
+	}
+}
+
+// stat reads one view's metric from m's registry: a counter's or
+// gauge's value, a histogram's observation count.
+func stat(m *Manager, name, view string) int64 {
+	x, _ := m.Obs().Snapshot().Get(name, view)
+	return x.Value + x.Count
 }

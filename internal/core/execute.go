@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"dvm/internal/bag"
 	"dvm/internal/obs"
@@ -56,16 +55,13 @@ func (m *Manager) Execute(t txn.Txn) error {
 		}
 	}
 
-	start := time.Now()
-	// The whole Execute body is one makesafe-phase profiling region. It
-	// spans several views, so the pprof label carries no dvm_view; the
-	// cost is distributed across the affected views' phase accounting
-	// below, mirroring the makesafe_ns share.
-	restoreLabels := obs.SetPhaseLabels("", obs.PhaseMakesafe)
-	defer restoreLabels()
-	alloc0 := obs.HeapAllocBytes()
-	xsp := m.startEntrySpan(trace.SpanExecute, trace.Int("tables", int64(len(nt))))
-	defer xsp.End()
+	// The rest is one makesafe step. It spans several views, so its
+	// pprof label carries no dvm_view, and its end shares its one
+	// duration evenly across the affected views' makesafe_ns; it ends
+	// before the deferred reset empties x.affected.
+	s := m.begin(nil, obs.PhaseMakesafe, trace.Int("tables", int64(len(nt))))
+	defer s.end()
+	xsp := s.sp
 
 	// Every view's makesafe bookkeeping, in two phases. First every view
 	// without logs evaluates its pre-update pair, against the pre-update
@@ -117,9 +113,10 @@ func (m *Manager) Execute(t txn.Txn) error {
 		// this long, every transaction — the overhead immediate
 		// maintenance imposes.
 		w := m.unshareMVs(func(v *View) int { return v.txnVolume(nt) }, x.mvViews...)
-		lockStart := time.Now()
 		err = m.locks.WithWriteSpan(w.tables, xsp, func(hold *trace.Span) error {
 			w.adoptLocked()
+			ex := exclusive(hold, x.mvViews...)
+			defer ex.end()
 			if err := m.evalPairs(x.mvViews, xsp); err != nil {
 				return err
 			}
@@ -130,10 +127,6 @@ func (m *Manager) Execute(t txn.Txn) error {
 			apply(hold)
 			return nil
 		})
-		held := int64(time.Since(lockStart))
-		for _, v := range x.mvViews {
-			v.met.downtimeNs.Observe(held)
-		}
 		if err != nil {
 			return err
 		}
@@ -149,38 +142,18 @@ func (m *Manager) Execute(t txn.Txn) error {
 		}
 		msp := xsp.StartChild(trace.SpanMakesafe, trace.Str("view", v.Name), trace.Str("scenario", v.inv))
 		if m.shared == nil {
-			v.countLogged(m.appendToLogs(v, nt))
+			v.met.logAppendTuples.Add(int64(m.appendToLogs(v, nt)))
 		}
 		msp.End()
 	}
 	if m.shared != nil {
 		m.appendShared(nt)
-	}
-
-	// Attribute the transaction's maintenance cost evenly across the
-	// affected views; exact per-view separation is not observable since
-	// the bundle applies as one transaction.
-	elapsed := time.Since(start)
-	m.txnExecNs.Observe(int64(elapsed))
-	share := elapsed
-	var allocShare int64
-	if a := obs.HeapAllocBytes(); a > alloc0 {
-		allocShare = int64(a - alloc0)
-	}
-	if n := len(x.affected); n > 1 {
-		share = elapsed / time.Duration(n)
-		allocShare /= int64(n)
-	}
-	for _, v := range x.affected {
-		v.Stats.MakeSafeOps++
-		v.Stats.MakeSafeTime += share
-		v.met.makesafeNs.Observe(int64(share))
-		v.met.phaseAcct(obs.PhaseMakesafe).Add(int64(share), allocShare)
-		if v.logs != nil && m.shared != nil {
-			// The one shared append is charged to every view reading it.
-			v.countLogged(v.txnVolume(nt))
+		// The one shared append is charged to every view reading it.
+		for _, v := range x.affected {
+			if v.logs != nil {
+				v.met.logAppendTuples.Add(int64(v.txnVolume(nt)))
+			}
 		}
-		m.updateSizeGauges(v)
 	}
 	return nil
 }
@@ -313,13 +286,6 @@ func (m *Manager) appendToLogs(v *View, nt txn.Txn) int {
 		n += del.Len() + ins.Len()
 	}
 	return n
-}
-
-// countLogged adds n log tuples to the view's LogTuples and
-// log_append_tuples.
-func (v *View) countLogged(n int) {
-	v.Stats.LogTuples += n
-	v.met.logAppendTuples.Add(int64(n))
 }
 
 // relevant returns the part of one base table's change that reaches the

@@ -10,52 +10,46 @@ type viewMetrics struct {
 	logAppendTuples  *obs.Counter   // tuples appended to logs
 	logSizeTuples    *obs.Gauge     // current log size (▼R ⊎ ▲R over bases)
 	diffSizeTuples   *obs.Gauge     // current differential size (∇MV ⊎ △MV)
-	propagateNs      *obs.Histogram // propagate_C wall time
 	propagateTuples  *obs.Counter   // log tuples folded by propagate_C
-	refreshNs        *obs.Histogram // refresh_* wall time
 	refreshTuples    *obs.Counter   // tuples consumed by refresh_*
-	partialNs        *obs.Histogram // partial_refresh_C wall time
-	recomputeNs      *obs.Histogram // full recompute wall time
 	downtimeNs       *obs.Histogram // exclusive MV-lock hold (view downtime)
 	deltaCompileNs   *obs.Histogram // one-time delta-program compile cost
 	compiledEvalNs   *obs.Histogram // per-evaluation compiled-program wall time
 	indexProbeTuples *obs.Counter   // candidate pairs probed by indexed joins
-	// phase maps each Figure-3 phase name to its resource-attribution
-	// pair (phase_cpu_ns / phase_alloc_bytes, label "view/phase"),
+	indexBuildTuples *obs.Counter   // tuples put into join indexes
+	// steps maps each phase of the view's own steps (all but makesafe,
+	// whose step is a transaction's) to its latency family
+	// (propagate_ns, refresh_ns, ...) and its phase_alloc_bytes pair,
 	// created eagerly so the families exist before any maintenance runs.
-	phase map[string]*obs.PhaseAcct
+	steps map[string]viewStep
 }
 
-// phaseAcct returns the view's accounting pair for one phase; nil-safe
-// so entry points can attribute unconditionally.
-func (vm *viewMetrics) phaseAcct(phase string) *obs.PhaseAcct {
-	if vm == nil {
-		return nil
-	}
-	return vm.phase[phase]
+// viewStep is one phase's instruments for one view's steps.
+type viewStep struct {
+	ns   *obs.Histogram
+	acct *obs.PhaseAcct
 }
 
 func newViewMetrics(r *obs.Registry, view string) *viewMetrics {
-	phase := make(map[string]*obs.PhaseAcct, 5)
+	steps := make(map[string]viewStep, 4)
 	for _, p := range obs.Phases() {
-		phase[p] = obs.NewPhaseAcct(r, view, p)
+		if p != obs.PhaseMakesafe {
+			steps[p] = viewStep{r.Histogram(entrySteps[p].family, view), obs.NewPhaseAcct(r, view, p)}
+		}
 	}
 	return &viewMetrics{
-		phase:            phase,
+		steps:            steps,
 		makesafeNs:       r.Histogram("makesafe_ns", view),
 		logAppendTuples:  r.Counter("log_append_tuples", view),
 		logSizeTuples:    r.Gauge("log_size_tuples", view),
 		diffSizeTuples:   r.Gauge("diff_size_tuples", view),
-		propagateNs:      r.Histogram("propagate_ns", view),
 		propagateTuples:  r.Counter("propagate_tuples", view),
-		refreshNs:        r.Histogram("refresh_ns", view),
 		refreshTuples:    r.Counter("refresh_tuples", view),
-		partialNs:        r.Histogram("partial_refresh_ns", view),
-		recomputeNs:      r.Histogram("recompute_ns", view),
 		downtimeNs:       r.Histogram("view_downtime_ns", view),
 		deltaCompileNs:   r.Histogram("delta_compile_ns", view),
 		compiledEvalNs:   r.Histogram("compiled_eval_ns", view),
 		indexProbeTuples: r.Counter("index_probe_tuples", view),
+		indexBuildTuples: r.Counter("index_build_tuples", view),
 	}
 }
 

@@ -63,12 +63,11 @@ func TestPolicy1Schedule(t *testing.T) {
 			}
 		}
 	}
-	v, _ := m.View("hv")
-	if v.Stats.Propagates != 4 {
-		t.Fatalf("Propagates = %d, want 4 (refresh ticks subsume their propagate)", v.Stats.Propagates)
+	if n := stat(m, "propagate_ns", "hv"); n != 4 {
+		t.Fatalf("Propagates = %d, want 4 (refresh ticks subsume their propagate)", n)
 	}
-	if v.Stats.Refreshes != 2 {
-		t.Fatalf("Refreshes = %d, want 2", v.Stats.Refreshes)
+	if n := stat(m, "refresh_ns", "hv"); n != 2 {
+		t.Fatalf("Refreshes = %d, want 2", n)
 	}
 	if r.TickCount() != 12 {
 		t.Fatalf("TickCount = %d", r.TickCount())
@@ -102,12 +101,11 @@ func TestPolicy2PartialRefresh(t *testing.T) {
 			}
 		}
 	}
-	v, _ := m.View("hv")
-	if v.Stats.PartialCount != 2 {
-		t.Fatalf("PartialCount = %d, want 2", v.Stats.PartialCount)
+	if n := stat(m, "partial_refresh_ns", "hv"); n != 2 {
+		t.Fatalf("PartialCount = %d, want 2", n)
 	}
-	if v.Stats.Refreshes != 0 {
-		t.Fatalf("full refreshes = %d, want 0 under Policy 2", v.Stats.Refreshes)
+	if n := stat(m, "refresh_ns", "hv"); n != 0 {
+		t.Fatalf("full refreshes = %d, want 0 under Policy 2", n)
 	}
 	// With propagate at tick 4 and partial refresh also at tick 4, the
 	// view IS consistent there; but at most k ticks stale in general.
@@ -136,12 +134,11 @@ func TestOnDemandPolicy(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	v, _ := m.View("hv")
-	if v.Stats.Refreshes != 0 {
+	if stat(m, "refresh_ns", "hv") != 0 {
 		t.Fatal("on-demand policy refreshed periodically")
 	}
-	if v.Stats.Propagates != 8 {
-		t.Fatalf("Propagates = %d, want 8", v.Stats.Propagates)
+	if n := stat(m, "propagate_ns", "hv"); n != 8 {
+		t.Fatalf("Propagates = %d, want 8", n)
 	}
 	// The demand arrives: refresh before querying.
 	if err := r.RefreshNow(); err != nil {

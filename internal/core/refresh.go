@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"dvm/internal/bag"
 	"dvm/internal/obs"
@@ -24,23 +23,12 @@ func (m *Manager) Refresh(name string) error {
 	if err != nil {
 		return err
 	}
-	start := time.Now()
-	rsp := m.startEntrySpan(trace.SpanRefresh,
-		trace.Str("view", v.Name), trace.Str("scenario", v.inv))
-	sp := obs.StartSpan(v.met.refreshNs)
-	rg := obs.StartRegion(v.met.phaseAcct(obs.PhaseRefresh), v.Name, obs.PhaseRefresh)
-	defer func() {
-		rg.End()
-		v.Stats.Refreshes++
-		v.Stats.RefreshTime += time.Since(start)
-		sp.End()
-		rsp.End()
-		m.updateSizeGauges(v)
-	}()
+	s := m.begin(v, obs.PhaseRefresh, trace.Str("scenario", v.inv))
+	defer s.end()
 	if v.logs == nil && v.diff == nil {
 		return nil
 	}
-	return m.refresh(v, rsp, true)
+	return m.refresh(v, s.sp, true)
 }
 
 // refresh is every refresh_* and partial_refresh_C: under MV's write
@@ -59,8 +47,9 @@ func (m *Manager) refresh(v *View, parent *trace.Span, fold bool) error {
 	w := m.unshareMVs(func(*View) int { return pending }, v)
 	err := m.locks.WithWriteSpan(w.tables, parent, func(hold *trace.Span) error {
 		w.adoptLocked()
-		asp, dsp := m.startDowntimeSpan(v, hold)
-		defer func() { asp.EndExplicit(dsp.End()) }()
+		x := exclusive(hold, v)
+		defer x.end()
+		asp := x.span()
 		if fold {
 			if err := m.foldLogLocked(v, asp); err != nil {
 				return err
@@ -79,21 +68,6 @@ func (m *Manager) refresh(v *View, parent *trace.Span, fold bool) error {
 		m.clearDiffTables(v)
 	}
 	return nil
-}
-
-// startDowntimeSpan opens the MV-exclusive core.refresh.apply span
-// under the lock-hold span together with the view_downtime_ns obs
-// span. The caller must finish both with
-//
-//	defer func() { asp.EndExplicit(dsp.End()) }()
-//
-// so the trace span and the histogram record the IDENTICAL duration —
-// that equality is what lets the E2E trace test reconcile a trace's
-// exclusive spans against the downtime histogram exactly.
-func (m *Manager) startDowntimeSpan(v *View, hold *trace.Span) (*trace.Span, obs.Span) {
-	asp := hold.StartChild(trace.SpanRefreshApply, trace.Str("view", v.Name))
-	asp.SetExclusive()
-	return asp, obs.StartSpan(v.met.downtimeNs)
 }
 
 // applyToMVLocked installs MV := (MV ∸ del) ⊎ add in place, in
@@ -279,19 +253,9 @@ func (m *Manager) Propagate(name string) error {
 	if v.logs == nil || v.diff == nil {
 		return fmt.Errorf("core: propagate is only defined for the Combined scenario (view %q is %s)", name, v.inv)
 	}
-	start := time.Now()
-	psp := m.startEntrySpan(trace.SpanPropagate, trace.Str("view", v.Name))
-	sp := obs.StartSpan(v.met.propagateNs)
-	rg := obs.StartRegion(v.met.phaseAcct(obs.PhasePropagate), v.Name, obs.PhasePropagate)
-	defer func() {
-		rg.End()
-		v.Stats.Propagates++
-		v.Stats.PropagateTime += time.Since(start)
-		sp.End()
-		psp.End()
-		m.updateSizeGauges(v)
-	}()
-	return m.propagate(v, psp, psp)
+	s := m.begin(v, obs.PhasePropagate)
+	defer s.end()
+	return m.propagate(v, s.sp, s.sp)
 }
 
 // propagate is propagate_C without its instrumentation, shared by
@@ -324,19 +288,9 @@ func (m *Manager) PartialRefresh(name string) error {
 	if v.diff == nil {
 		return fmt.Errorf("core: partial refresh needs differential tables (view %q is %s)", name, v.inv)
 	}
-	start := time.Now()
-	prsp := m.startEntrySpan(trace.SpanPartialRefresh, trace.Str("view", v.Name))
-	sp := obs.StartSpan(v.met.partialNs)
-	rg := obs.StartRegion(v.met.phaseAcct(obs.PhasePartialRefresh), v.Name, obs.PhasePartialRefresh)
-	defer func() {
-		rg.End()
-		v.Stats.PartialCount++
-		v.Stats.PartialTime += time.Since(start)
-		sp.End()
-		prsp.End()
-		m.updateSizeGauges(v)
-	}()
-	return m.refresh(v, prsp, false)
+	s := m.begin(v, obs.PhasePartialRefresh)
+	defer s.end()
+	return m.refresh(v, s.sp, false)
 }
 
 // RefreshRecompute is the non-incremental baseline: recompute Q from
@@ -347,28 +301,16 @@ func (m *Manager) RefreshRecompute(name string) error {
 	if err != nil {
 		return err
 	}
-	start := time.Now()
-	rcsp := m.startEntrySpan(trace.SpanRecompute, trace.Str("view", v.Name))
-	sp := obs.StartSpan(v.met.recomputeNs)
-	rg := obs.StartRegion(v.met.phaseAcct(obs.PhaseRecompute), v.Name, obs.PhaseRecompute)
-	defer func() {
-		rg.End()
-		v.Stats.Recomputes++
-		v.Stats.RecomputeTime += time.Since(start)
-		sp.End()
-		rcsp.End()
-		m.updateSizeGauges(v)
-	}()
-	return m.locks.WithWriteSpan([]string{v.mv.Name()}, rcsp, func(hold *trace.Span) error {
-		asp, dsp := m.startDowntimeSpan(v, hold)
-		defer func() { asp.EndExplicit(dsp.End()) }()
-		evalStart := time.Now()
-		outs, stats, err := v.def.Eval(nil, m.db)
+	s := m.begin(v, obs.PhaseRecompute)
+	defer s.end()
+	return m.locks.WithWriteSpan([]string{v.mv.Name()}, s.sp, func(hold *trace.Span) error {
+		x := exclusive(hold, v)
+		defer x.end()
+		mv, err := m.evalDef(v, x.span())
 		if err != nil {
 			return err
 		}
-		m.observeCompiled(v, asp, time.Since(evalStart), stats)
-		v.mv.Replace(outs[0])
+		v.mv.Replace(mv)
 		// A recompute reflects the current state: the log, and any
 		// pending shared window, are consumed too.
 		if v.logs != nil {
@@ -397,8 +339,8 @@ func (m *Manager) Read(name string, f func(mv *bag.Bag) error) error {
 	}
 	// Readers run concurrently with the writer, so Read starts its own
 	// root trace directly rather than parenting under the writer-owned
-	// statement span (startEntrySpan reads m.cur, which is
-	// single-writer state).
+	// statement span (begin reads m.cur, which is single-writer
+	// state).
 	qsp := m.tracer.StartTrace(trace.SpanQuery, trace.Str("view", v.Name))
 	defer qsp.End()
 	return m.locks.WithReadSpan([]string{v.mv.Name()}, qsp, func(*trace.Span) error {

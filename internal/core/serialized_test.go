@@ -90,9 +90,8 @@ func TestSerializedConcurrentStress(t *testing.T) {
 	if err := s.CheckConsistent("hv"); err != nil {
 		t.Fatal(err)
 	}
-	v, _ := s.Manager().View("hv")
-	if v.Stats.MakeSafeOps != writers*perWorker {
-		t.Fatalf("lost transactions: %d ops, want %d", v.Stats.MakeSafeOps, writers*perWorker)
+	if n := stat(s.Manager(), "makesafe_ns", "hv"); n != writers*perWorker {
+		t.Fatalf("lost transactions: %d ops, want %d", n, writers*perWorker)
 	}
 }
 

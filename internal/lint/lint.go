@@ -38,9 +38,6 @@ type Config struct {
 	// TracePkg is the structured-tracing package; resource-lifecycle's
 	// span row tracks its *Span values and skips the package itself.
 	TracePkg string
-	// ObsPkg is the metrics/labels package; pprof-label accepts its
-	// StartRegion/SetPhaseLabels calls as installing goroutine labels.
-	ObsPkg string
 	// OrderedPkgs are packages whose output ordering matters (they
 	// build reports, snapshots, deltas, or SQL results); map iteration
 	// feeding ordered sinks is flagged there.
@@ -65,7 +62,6 @@ func DefaultConfig() Config {
 		TxnPkg:     "dvm/internal/txn",
 		StoragePkg: "dvm/internal/storage",
 		TracePkg:   "dvm/internal/obs/trace",
-		ObsPkg:     "dvm/internal/obs",
 		OrderedPkgs: []string{
 			"dvm/internal/algebra",
 			"dvm/internal/core",
@@ -228,7 +224,6 @@ func All() []*Analyzer {
 		analyzerBagMutation,
 		analyzerMapIteration,
 		analyzerInvariantTouch,
-		analyzerPprofLabel,
 		analyzerDocComment,
 		analyzerClosurePurity,
 		analyzerResourceLifecycle,

@@ -112,14 +112,6 @@ var fixtureCases = []struct {
 		cfg:    func(c Config) Config { return c },
 	},
 	{
-		dir:    "pproflabel",
-		checks: "pprof-label",
-		cfg: func(c Config) Config {
-			c.CorePkg = fixturePrefix + "pproflabel"
-			return c
-		},
-	},
-	{
 		dir:    "docmiss",
 		checks: "doc-comment",
 		cfg: func(c Config) Config {

@@ -68,8 +68,8 @@ func Escapes(t *trace.Tracer) {
 	finish(sp)
 }
 
-// MultiValue mirrors the core package's startDowntimeSpan shape: a
-// lower-case start helper returning a span among other results. The
+// MultiValue calls a lower-case start helper returning a span among
+// other results, a shape the span row tracks at the span's index. The
 // bound span is never ended.
 func MultiValue(t *trace.Tracer) int {
 	sp, n := startPair(t) // want: never ended

@@ -28,7 +28,7 @@ var familyHelp = map[string]string{
 	"delta_compile_ns":    "One-time cost of compiling the view's maintenance expressions into delta programs (ns).",
 	"compiled_eval_ns":    "Wall time of one compiled delta-program evaluation (ns).",
 	"index_probe_tuples":  "Candidate pairs examined by indexed hash joins in compiled evaluations.",
-	"phase_cpu_ns":        "On-goroutine wall time attributed to the (view, phase) maintenance region (ns).",
+	"index_build_tuples":  "Tuples put into join indexes by compiled evaluations: a first build, or a journal sync.",
 	"phase_alloc_bytes":   "Heap bytes allocated during the (view, phase) maintenance region.",
 	"go_goroutines":       "Current number of live goroutines (runtime/metrics).",
 	"go_heap_live_bytes":  "Bytes of live heap objects after the last GC mark phase (runtime/metrics).",

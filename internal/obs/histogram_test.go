@@ -116,20 +116,3 @@ func TestConcurrentObserve(t *testing.T) {
 		t.Errorf("counter = %d, want %d", c.Load(), goroutines*perG)
 	}
 }
-
-func TestSpan(t *testing.T) {
-	h := &Histogram{}
-	sp := StartSpan(h)
-	time.Sleep(time.Millisecond)
-	d := sp.End()
-	if d < time.Millisecond {
-		t.Errorf("span measured %v, want >= 1ms", d)
-	}
-	if h.Count() != 1 || h.Max() < int64(time.Millisecond) {
-		t.Errorf("histogram after span: count=%d max=%d", h.Count(), h.Max())
-	}
-	// Nil-histogram spans are inert.
-	if StartSpan(nil).End() != 0 {
-		t.Error("nil span should measure 0")
-	}
-}

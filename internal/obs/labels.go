@@ -22,7 +22,7 @@ const (
 )
 
 // Maintenance phase names used as the LabelPhase value and as the
-// phase half of the "view/phase" label on the phase_* families.
+// phase half of phase_alloc_bytes' "view/phase" label.
 const (
 	// PhaseMakesafe is the per-transaction bookkeeping of Execute.
 	PhaseMakesafe = "makesafe"
@@ -36,10 +36,10 @@ const (
 	PhaseRecompute = "recompute"
 )
 
-// Phases returns every maintenance phase name, in Figure-3 order.
-// Per-(view,phase) accounting families are created eagerly for each of
-// these at view definition, so the families exist (at zero) before any
-// maintenance runs.
+// Phases returns every maintenance phase name, in Figure-3 order. A
+// view's accounting pairs are created eagerly at view definition for
+// each phase but makesafe (a transaction's region spans several
+// views), so the family exists (at zero) before any maintenance runs.
 func Phases() []string {
 	return []string{PhaseMakesafe, PhasePropagate, PhaseRefresh, PhasePartialRefresh, PhaseRecompute}
 }
@@ -85,19 +85,6 @@ func labelsFor(acct *PhaseAcct, view, phase string) context.Context {
 	return labelSet(view, phase)
 }
 
-// SetPhaseLabels installs the dvm_view/dvm_phase pprof labels on the
-// calling goroutine (empty values are omitted) and returns a func that
-// restores the unlabeled state. Maintenance entry points own their
-// goroutine and never nest regions, so restoring to the background
-// label set is exact. A viewless label set is built once, so labeling
-// a region that spans several views allocates nothing; a region of one
-// view should be a StartRegion on that view's PhaseAcct, which holds
-// the view's set.
-func SetPhaseLabels(view, phase string) func() {
-	pprof.SetGoroutineLabels(labelsFor(nil, view, phase))
-	return clearLabels
-}
-
 // clearLabels restores the goroutine's unlabeled state.
 func clearLabels() { pprof.SetGoroutineLabels(context.Background()) }
 
@@ -131,14 +118,12 @@ func HeapAllocBytes() uint64 {
 	return 0
 }
 
-// PhaseAcct accumulates one (view, phase) pair's resource attribution:
-// on-goroutine wall time into phase_cpu_ns and heap allocation deltas
-// into phase_alloc_bytes, both labeled "view/phase". It also holds the
-// pair's pprof label set, so a region on it labels the goroutine
-// without allocating. A nil PhaseAcct is inert.
+// PhaseAcct is one (view, phase) pair's allocation attribution: heap
+// allocation deltas of its regions go into phase_alloc_bytes, labeled
+// "view/phase". It also holds the pair's pprof label set, so a region
+// on it labels the goroutine without allocating. A nil PhaseAcct is
+// inert.
 type PhaseAcct struct {
-	// CPU is the phase_cpu_ns counter (on-goroutine wall nanoseconds).
-	CPU *Counter
 	// Alloc is the phase_alloc_bytes counter (heap bytes allocated).
 	Alloc *Counter
 
@@ -147,73 +132,52 @@ type PhaseAcct struct {
 }
 
 // NewPhaseAcct returns the accounting pair for (view, phase), creating
-// the counters in r under the label "view/phase", and builds the pair's
+// its counter in r under the label "view/phase", and builds the pair's
 // pprof label set.
 func NewPhaseAcct(r *Registry, view, phase string) *PhaseAcct {
-	l := view + "/" + phase
 	return &PhaseAcct{
-		CPU:    r.Counter("phase_cpu_ns", l),
-		Alloc:  r.Counter("phase_alloc_bytes", l),
+		Alloc:  r.Counter("phase_alloc_bytes", view+"/"+phase),
 		view:   view,
 		phase:  phase,
 		labels: labelSet(view, phase),
 	}
 }
 
-// Add folds an externally measured cost into the pair (Execute uses
-// this to distribute one region's cost across the affected views).
-// Non-positive increments are dropped.
-func (a *PhaseAcct) Add(cpuNs, allocBytes int64) {
-	if a == nil {
-		return
-	}
-	if cpuNs > 0 {
-		a.CPU.Add(cpuNs)
-	}
-	if allocBytes > 0 {
-		a.Alloc.Add(allocBytes)
-	}
-}
-
 // Region is one open attribution region: pprof labels installed on the
-// goroutine plus baseline wall-clock and allocation readings. End
-// restores the labels and folds the deltas into the PhaseAcct. The
-// zero Region is inert.
+// goroutine plus the baseline wall-clock reading and, with a PhaseAcct,
+// the allocation reading. End restores the labels, folds the
+// allocation delta into the PhaseAcct and returns the region's one
+// duration.
 type Region struct {
-	acct    *PhaseAcct
-	start   time.Time
-	alloc0  uint64
-	labeled bool
+	acct   *PhaseAcct
+	start  time.Time
+	alloc0 uint64
 }
 
-// StartRegion installs the (view, phase) pprof labels and opens
-// accounting into acct (a nil acct labels without accounting). It
-// allocates nothing when acct is the (view, phase) pair's own, or when
-// view is empty. The idiomatic use is
-//
-//	defer obs.StartRegion(acct, view, obs.PhasePropagate).End()
+// StartRegion installs the (view, phase) pprof labels and opens the
+// region's readings (a nil acct labels and times without accounting
+// allocation). It allocates nothing when acct is the (view, phase)
+// pair's own, or when view is empty.
 func StartRegion(acct *PhaseAcct, view, phase string) Region {
 	pprof.SetGoroutineLabels(labelsFor(acct, view, phase))
-	rg := Region{acct: acct, labeled: true}
+	rg := Region{acct: acct, start: time.Now()}
 	if acct != nil {
-		rg.start = time.Now()
 		rg.alloc0 = HeapAllocBytes()
 	}
 	return rg
 }
 
-// End restores the goroutine's labels and records the region's wall
-// time and allocation delta into its PhaseAcct.
-func (rg Region) End() {
-	if rg.labeled {
-		clearLabels()
+// End restores the goroutine's labels, records the allocation delta
+// into the region's PhaseAcct and returns the wall time since
+// StartRegion: the one clock reading the region's caller writes into
+// every place that wants its duration.
+func (rg Region) End() time.Duration {
+	d := time.Since(rg.start)
+	clearLabels()
+	if rg.acct != nil {
+		if a := HeapAllocBytes(); a > rg.alloc0 {
+			rg.acct.Alloc.Add(int64(a - rg.alloc0))
+		}
 	}
-	if rg.acct == nil {
-		return
-	}
-	var alloc int64
-	if a := HeapAllocBytes(); a > rg.alloc0 {
-		alloc = int64(a - rg.alloc0)
-	}
-	rg.acct.Add(int64(time.Since(rg.start)), alloc)
+	return d
 }

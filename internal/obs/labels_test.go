@@ -14,17 +14,11 @@ func TestRegionAccounting(t *testing.T) {
 	time.Sleep(time.Millisecond)
 	sink := make([]byte, 1<<16)
 	_ = sink
-	rg.End()
+	if d := rg.End(); d < time.Millisecond {
+		t.Fatalf("region measured %v, want >= 1ms", d)
+	}
 
-	snap := r.Snapshot()
-	cpu, ok := snap.Get("phase_cpu_ns", "hv/propagate")
-	if !ok {
-		t.Fatal("phase_cpu_ns{hv/propagate} not registered")
-	}
-	if cpu.Value < int64(time.Millisecond) {
-		t.Fatalf("phase_cpu_ns = %d, want >= 1ms", cpu.Value)
-	}
-	alloc, ok := snap.Get("phase_alloc_bytes", "hv/propagate")
+	alloc, ok := r.Snapshot().Get("phase_alloc_bytes", "hv/propagate")
 	if !ok {
 		t.Fatal("phase_alloc_bytes{hv/propagate} not registered")
 	}
@@ -34,20 +28,7 @@ func TestRegionAccounting(t *testing.T) {
 }
 
 func TestPhaseAcctNilAndNegative(t *testing.T) {
-	var nilAcct *PhaseAcct
-	nilAcct.Add(100, 100) // must not panic
-	StartRegion(nil, "hv", PhasePropagate).End()
-
-	r := NewRegistry()
-	acct := NewPhaseAcct(r, "hv", PhaseMakesafe)
-	acct.Add(-5, -5)
-	if v := acct.CPU.Load(); v != 0 {
-		t.Fatalf("negative cpu recorded: %d", v)
-	}
-	acct.Add(7, 9)
-	if v, a := acct.CPU.Load(), acct.Alloc.Load(); v != 7 || a != 9 {
-		t.Fatalf("Add(7,9) -> cpu=%d alloc=%d", v, a)
-	}
+	StartRegion(nil, "hv", PhasePropagate).End() // must not panic
 }
 
 // TestRegionAllocatesNothing: a region costs no allocation — not its
@@ -60,7 +41,7 @@ func TestRegionAllocatesNothing(t *testing.T) {
 	cases := map[string]func(){
 		"StartRegion+End on the pair's PhaseAcct": func() { StartRegion(acct, "hv", PhasePropagate).End() },
 		"StartRegion+End without a PhaseAcct":     func() { StartRegion(nil, "", PhasePropagate).End() },
-		"SetPhaseLabels and its restore":          func() { SetPhaseLabels("", PhaseMakesafe)() },
+		"StartRegion+End of a viewless makesafe":  func() { StartRegion(nil, "", PhaseMakesafe).End() },
 		"HeapAllocBytes":                          func() { HeapAllocBytes() },
 	}
 	for name, f := range cases {

@@ -1,15 +1,15 @@
 // Package obs is the engine's observability layer: dependency-light
 // metrics (atomic counters, gauges, and lock-free histograms with fixed
-// log-scale buckets) plus a span API for timing the maintenance phases
-// of Figure 3 (makesafe, propagate, refresh, partial refresh).
+// log-scale buckets) plus the attribution regions (labels.go) the
+// maintenance phases of Figure 3 run in.
 //
 // The paper's central trade-off — minimize view downtime while bounding
 // per-transaction overhead (Policies 1 and 2, Example 5.4) — is only a
 // trade-off if both quantities are measurable at runtime. Every
-// maintenance entry point in internal/core records its duration and
-// tuple volume here; internal/txn records lock wait and hold time (the
-// reader-observed "view downtime" of Section 1.1); internal/storage
-// records snapshot bytes; internal/sql records statement latency.
+// maintenance entry point in internal/core, and every SQL statement,
+// records its duration and tuple volume here; internal/txn records
+// lock wait and hold time (the reader-observed "view downtime" of
+// Section 1.1); internal/storage records snapshot bytes.
 //
 // A Registry is the unit of collection: one per core.Manager. It is
 // safe for concurrent use — all hot-path mutation is a single atomic
@@ -20,10 +20,7 @@
 // the documentation and the registry agree 1:1.
 package obs
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "sync/atomic"
 
 // Counter is a monotonically increasing atomic counter (e.g. tuples
 // appended to a view's log).
@@ -51,34 +48,3 @@ func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
 // Load returns the current value.
 func (g *Gauge) Load() int64 { return g.v.Load() }
-
-// Span times one phase (a propagate, a refresh, one exclusive-lock
-// section) and records the elapsed nanoseconds into a histogram when
-// ended. The zero Span is inert: End on it records nothing, so metrics
-// can be compiled out by leaving the histogram nil.
-type Span struct {
-	h     *Histogram
-	start time.Time
-}
-
-// StartSpan opens a span recording into h (h may be nil for a no-op
-// span). The idiomatic use is:
-//
-//	defer obs.StartSpan(h).End()
-func StartSpan(h *Histogram) Span {
-	if h == nil {
-		return Span{}
-	}
-	return Span{h: h, start: time.Now()}
-}
-
-// End closes the span, records the elapsed time into the histogram, and
-// returns it.
-func (s Span) End() time.Duration {
-	if s.h == nil {
-		return 0
-	}
-	d := time.Since(s.start)
-	s.h.Observe(int64(d))
-	return d
-}

@@ -39,7 +39,7 @@ func promLabels(family, label string) []labelPair {
 		return []labelPair{{"table", label}}
 	case "sql_stmt_ns":
 		return []labelPair{{"kind", label}}
-	case "phase_cpu_ns", "phase_alloc_bytes":
+	case "phase_alloc_bytes":
 		if i := strings.LastIndexByte(label, '/'); i >= 0 {
 			return []labelPair{{"view", label[:i]}, {"phase", label[i+1:]}}
 		}

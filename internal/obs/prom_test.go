@@ -14,7 +14,7 @@ import (
 func promSnapshot() Snapshot {
 	r := NewRegistry()
 	r.Counter("log_append_tuples", "hv").Add(42)
-	r.Counter("phase_cpu_ns", "hv/propagate").Add(1000)
+	r.Counter("phase_alloc_bytes", "hv/propagate").Add(1000)
 	r.Counter("snapshot_save_bytes", "").Add(7)
 	r.Gauge("diff_size_tuples", "hv").Set(5)
 	r.Histogram("lock_write_hold_ns", "mv_hv").Observe(100)
@@ -36,7 +36,7 @@ func TestWritePromRendersAndValidates(t *testing.T) {
 		"# HELP dvm_log_append_tuples ",
 		"# TYPE dvm_log_append_tuples counter",
 		`dvm_log_append_tuples{view="hv"} 42`,
-		`dvm_phase_cpu_ns{view="hv",phase="propagate"} 1000`,
+		`dvm_phase_alloc_bytes{view="hv",phase="propagate"} 1000`,
 		"dvm_snapshot_save_bytes 7",
 		`dvm_diff_size_tuples{view="hv"} 5`,
 		`dvm_lock_write_hold_ns_bucket{table="mv_hv",le="127"} 1`,

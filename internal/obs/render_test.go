@@ -15,9 +15,9 @@ func populate(r *Registry) {
 	r.Histogram("view_downtime_ns", "av").Observe(900)
 	r.Counter("snapshot_save_bytes", "").Add(10)
 	// Two-part "view/phase" labels, registered out of order.
-	r.Counter("phase_cpu_ns", "hv/refresh").Add(100)
-	r.Counter("phase_cpu_ns", "hv/makesafe").Add(200)
-	r.Counter("phase_cpu_ns", "av/propagate").Add(300)
+	r.Counter("phase_alloc_bytes", "hv/refresh").Add(100)
+	r.Counter("phase_alloc_bytes", "hv/makesafe").Add(200)
+	r.Counter("phase_alloc_bytes", "av/propagate").Add(300)
 	r.Histogram("compiled_eval_ns", "hv").Observe(5)
 	r.Histogram("compiled_eval_ns", "av").Observe(4)
 }
@@ -39,9 +39,9 @@ func TestRenderStableOrdering(t *testing.T) {
 		"log_append_tuples{alpha}",
 		"log_append_tuples{zeta}",
 		"log_size_tuples{hv}",
-		"phase_cpu_ns{av/propagate}",
-		"phase_cpu_ns{hv/makesafe}",
-		"phase_cpu_ns{hv/refresh}",
+		"phase_alloc_bytes{av/propagate}",
+		"phase_alloc_bytes{hv/makesafe}",
+		"phase_alloc_bytes{hv/refresh}",
 		"snapshot_save_bytes",
 		"view_downtime_ns{av}",
 		"view_downtime_ns{hv}",

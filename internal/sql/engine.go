@@ -9,7 +9,6 @@ import (
 	"dvm/internal/algebra"
 	"dvm/internal/bag"
 	"dvm/internal/core"
-	"dvm/internal/obs"
 	"dvm/internal/obs/trace"
 	"dvm/internal/schema"
 	"dvm/internal/storage"
@@ -167,12 +166,12 @@ func stmtKind(st Stmt) string {
 	return "other"
 }
 
-// ExecStmt executes a parsed statement, recording its latency as
-// sql_stmt_ns{kind} and opening a root sql.stmt trace span that the
-// maintenance work the statement triggers parents under.
+// ExecStmt executes a parsed statement as one statement step: its
+// latency is sql_stmt_ns{kind} and the duration of a root sql.stmt
+// trace span, which the maintenance work the statement triggers
+// parents under.
 func (e *Engine) ExecStmt(st Stmt) (*Result, error) {
-	defer obs.StartSpan(e.mgr.Obs().Histogram("sql_stmt_ns", stmtKind(st))).End()
-	defer e.mgr.TraceStatement(stmtKind(st))()
+	defer e.mgr.BeginStatement(stmtKind(st)).End()
 	return e.execStmt(st)
 }
 

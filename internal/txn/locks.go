@@ -10,9 +10,10 @@ import (
 	"dvm/internal/obs/trace"
 )
 
-// LockStats accumulates exclusive-lock hold times for a table — the
-// paper's "view downtime" (Section 1.1): while a view table is
-// write-locked, readers are blocked.
+// LockStats summarizes a table's lock histograms — exclusive holds,
+// the paper's "view downtime" (Section 1.1): while a view table is
+// write-locked, readers are blocked — read from lock_write_hold_ns and
+// lock_read_wait_ns, so it is the registry's figure under another name.
 type LockStats struct {
 	WriteHolds    int           // number of exclusive sections
 	WriteHoldTime time.Duration // total exclusive hold time
@@ -23,69 +24,41 @@ type LockStats struct {
 }
 
 // LockManager provides per-table reader/writer locks with deterministic
-// (sorted) acquisition order, and records write-hold durations so the
-// benchmark harness can report downtime. With SetRegistry it
-// additionally feeds per-table lock_write_hold_ns / lock_read_wait_ns
-// histograms in an obs.Registry.
+// (sorted) acquisition order, and records every exclusive hold into
+// lock_write_hold_ns{table} and every shared acquisition's blocked time
+// into lock_read_wait_ns{table} of its registry — the reader-observed
+// view downtime of Section 1.1.
 type LockManager struct {
 	mu    sync.Mutex
-	locks map[string]*sync.RWMutex
-	stats map[string]*LockStats
-	hists map[string]*lockHists
-	clock func() time.Time
+	locks map[string]*tableLock
 	reg   *obs.Registry
 }
 
-// lockHists caches one table's obs histograms so the hot path never
-// takes the registry lock.
-type lockHists struct {
-	writeHold *obs.Histogram
-	readWait  *obs.Histogram
+// tableLock is one table's lock with its histograms, cached so the hot
+// path never takes the registry lock.
+type tableLock struct {
+	sync.RWMutex
+	writeHold, readWait *obs.Histogram
 }
 
-// NewLockManager returns an empty lock manager.
-func NewLockManager() *LockManager {
-	return &LockManager{
-		locks: make(map[string]*sync.RWMutex),
-		stats: make(map[string]*LockStats),
-		hists: make(map[string]*lockHists),
-		clock: time.Now,
-	}
+// NewLockManager returns an empty lock manager recording into r. A
+// table's histograms are created at its first lock.
+func NewLockManager(r *obs.Registry) *LockManager {
+	return &LockManager{locks: make(map[string]*tableLock), reg: r}
 }
 
-// SetRegistry attaches an obs registry: from now on every exclusive
-// hold records into lock_write_hold_ns{table} and every shared
-// acquisition records its blocked time into lock_read_wait_ns{table} —
-// the reader-observed view downtime of Section 1.1. Call before
-// concurrent use.
-func (lm *LockManager) SetRegistry(r *obs.Registry) {
-	lm.mu.Lock()
-	defer lm.mu.Unlock()
-	lm.reg = r
-	for table := range lm.locks {
-		lm.hists[table] = &lockHists{
-			writeHold: r.Histogram("lock_write_hold_ns", table),
-			readWait:  r.Histogram("lock_read_wait_ns", table),
-		}
-	}
-}
-
-func (lm *LockManager) lockFor(table string) (*sync.RWMutex, *LockStats, *lockHists) {
+func (lm *LockManager) lockFor(table string) *tableLock {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
 	l, ok := lm.locks[table]
 	if !ok {
-		l = &sync.RWMutex{}
-		lm.locks[table] = l
-		lm.stats[table] = &LockStats{}
-		if lm.reg != nil {
-			lm.hists[table] = &lockHists{
-				writeHold: lm.reg.Histogram("lock_write_hold_ns", table),
-				readWait:  lm.reg.Histogram("lock_read_wait_ns", table),
-			}
+		l = &tableLock{
+			writeHold: lm.reg.Histogram("lock_write_hold_ns", table),
+			readWait:  lm.reg.Histogram("lock_read_wait_ns", table),
 		}
+		lm.locks[table] = l
 	}
-	return l, lm.stats[table], lm.hists[table]
+	return l
 }
 
 func sortedUnique(tables []string) []string {
@@ -114,41 +87,24 @@ func (lm *LockManager) WithWrite(tables []string, f func() error) error {
 // so the critical section can parent its own work under it.
 func (lm *LockManager) WithWriteSpan(tables []string, parent *trace.Span, f func(*trace.Span) error) error {
 	ts := sortedUnique(tables)
-	type held struct {
-		l *sync.RWMutex
-		s *LockStats
-		h *lockHists
-	}
 	attrs := []trace.Attr{trace.Str("mode", "write"), trace.Str("tables", strings.Join(ts, ","))}
 	wait := parent.StartChild(trace.SpanLockWait, attrs...)
-	hs := make([]held, len(ts))
+	ls := make([]*tableLock, len(ts))
 	for i, t := range ts {
-		l, s, h := lm.lockFor(t)
-		l.Lock()
-		hs[i] = held{l: l, s: s, h: h}
+		ls[i] = lm.lockFor(t)
+		ls[i].Lock()
 	}
 	wait.End()
 	hold := parent.StartChild(trace.SpanLockHold, attrs...)
-	start := lm.clock()
+	start := time.Now()
 	err := f(hold)
-	elapsed := lm.clock().Sub(start)
+	elapsed := time.Since(start)
 	hold.EndExplicit(elapsed)
-	lm.mu.Lock()
-	for _, h := range hs {
-		h.s.WriteHolds++
-		h.s.WriteHoldTime += elapsed
-		if elapsed > h.s.MaxWriteHold {
-			h.s.MaxWriteHold = elapsed
-		}
+	for _, l := range ls {
+		l.writeHold.Observe(int64(elapsed))
 	}
-	lm.mu.Unlock()
-	for _, h := range hs {
-		if h.h != nil {
-			h.h.writeHold.Observe(int64(elapsed))
-		}
-	}
-	for i := len(hs) - 1; i >= 0; i-- {
-		hs[i].l.Unlock()
+	for i := len(ls) - 1; i >= 0; i-- {
+		ls[i].Unlock()
 	}
 	return err
 }
@@ -166,47 +122,45 @@ func (lm *LockManager) WithRead(tables []string, f func() error) error {
 // acquisition.
 func (lm *LockManager) WithReadSpan(tables []string, parent *trace.Span, f func(*trace.Span) error) error {
 	ts := sortedUnique(tables)
-	locks := make([]*sync.RWMutex, len(ts))
-	stats := make([]*LockStats, len(ts))
-	hists := make([]*lockHists, len(ts))
+	ls := make([]*tableLock, len(ts))
 	for i, t := range ts {
-		locks[i], stats[i], hists[i] = lm.lockFor(t)
+		ls[i] = lm.lockFor(t)
 	}
 	attrs := []trace.Attr{trace.Str("mode", "read"), trace.Str("tables", strings.Join(ts, ","))}
 	wait := parent.StartChild(trace.SpanLockWait, attrs...)
 	var totalWait time.Duration
-	for i, l := range locks {
-		start := lm.clock()
+	for _, l := range ls {
+		start := time.Now()
 		l.RLock()
-		waited := lm.clock().Sub(start)
+		waited := time.Since(start)
 		totalWait += waited
-		lm.mu.Lock()
-		stats[i].ReadWaits++
-		stats[i].ReadWaitTime += waited
-		if waited > stats[i].MaxReadWait {
-			stats[i].MaxReadWait = waited
-		}
-		lm.mu.Unlock()
-		if hists[i] != nil {
-			hists[i].readWait.Observe(int64(waited))
-		}
+		l.readWait.Observe(int64(waited))
 	}
 	wait.EndExplicit(totalWait)
 	hold := parent.StartChild(trace.SpanLockHold, attrs...)
 	err := f(hold)
 	hold.End()
-	for i := len(locks) - 1; i >= 0; i-- {
-		locks[i].RUnlock()
+	for i := len(ls) - 1; i >= 0; i-- {
+		ls[i].RUnlock()
 	}
 	return err
 }
 
-// Stats returns a copy of the accumulated stats for a table.
+// Stats returns the table's lock histograms' counts, sums and maxima;
+// zero for a table never locked.
 func (lm *LockManager) Stats(table string) LockStats {
 	lm.mu.Lock()
-	defer lm.mu.Unlock()
-	if s, ok := lm.stats[table]; ok {
-		return *s
+	l, ok := lm.locks[table]
+	lm.mu.Unlock()
+	if !ok {
+		return LockStats{}
 	}
-	return LockStats{}
+	return LockStats{
+		WriteHolds:    int(l.writeHold.Count()),
+		WriteHoldTime: time.Duration(l.writeHold.Sum()),
+		MaxWriteHold:  time.Duration(l.writeHold.Max()),
+		ReadWaits:     int(l.readWait.Count()),
+		ReadWaitTime:  time.Duration(l.readWait.Sum()),
+		MaxReadWait:   time.Duration(l.readWait.Max()),
+	}
 }

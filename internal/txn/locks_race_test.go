@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dvm/internal/obs"
 )
 
 // TestLockManagerOppositeOrderStress drives goroutines that acquire
@@ -15,7 +17,7 @@ import (
 // overlapping sets are mutually exclusive, and readers observe them
 // only through the read locks.
 func TestLockManagerOppositeOrderStress(t *testing.T) {
-	lm := NewLockManager()
+	lm := NewLockManager(obs.NewRegistry())
 	const iters = 400
 
 	// Shared state touched only under locks covering table "b", which

@@ -5,10 +5,12 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dvm/internal/obs"
 )
 
 func TestLockManagerWriteStats(t *testing.T) {
-	lm := NewLockManager()
+	lm := NewLockManager(obs.NewRegistry())
 	err := lm.WithWrite([]string{"mv"}, func() error {
 		time.Sleep(2 * time.Millisecond)
 		return nil
@@ -29,7 +31,7 @@ func TestLockManagerWriteStats(t *testing.T) {
 }
 
 func TestLockManagerReadersBlockOnWriter(t *testing.T) {
-	lm := NewLockManager()
+	lm := NewLockManager(obs.NewRegistry())
 	writerIn := make(chan struct{})
 	release := make(chan struct{})
 	var wg sync.WaitGroup
@@ -67,7 +69,7 @@ func TestLockManagerReadersBlockOnWriter(t *testing.T) {
 }
 
 func TestLockManagerConcurrentReaders(t *testing.T) {
-	lm := NewLockManager()
+	lm := NewLockManager(obs.NewRegistry())
 	inside := make(chan struct{}, 2)
 	proceed := make(chan struct{})
 	var wg sync.WaitGroup
@@ -94,7 +96,7 @@ func TestLockManagerConcurrentReaders(t *testing.T) {
 }
 
 func TestLockManagerMultiTableOrdering(t *testing.T) {
-	lm := NewLockManager()
+	lm := NewLockManager(obs.NewRegistry())
 	var wg sync.WaitGroup
 	// Two writers locking the same pair in opposite order must not
 	// deadlock thanks to sorted acquisition.
@@ -129,8 +131,12 @@ func TestSortedUnique(t *testing.T) {
 }
 
 func TestStatsUnknownTable(t *testing.T) {
-	lm := NewLockManager()
+	r := obs.NewRegistry()
+	lm := NewLockManager(r)
 	if s := lm.Stats("never"); s != (LockStats{}) {
 		t.Fatalf("unknown table stats = %+v", s)
+	}
+	if ms := r.Snapshot().Metrics; len(ms) != 0 {
+		t.Fatalf("Stats of a never-locked table registered %v", ms)
 	}
 }

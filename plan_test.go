@@ -101,8 +101,11 @@ func TestSQLViewPlansLikeAPIView(t *testing.T) {
 		Customers: 300, HighFraction: 0.25, InitialSales: 2400, Items: 60, ZipfS: 1.2, Seed: 17,
 	})
 	sqlm := eng.Manager()
-	apiView, _ := api.View("hv")
-	sqlView, _ := sqlm.View("hv")
+	// joinWork is a manager's hv join work so far: index tuples probed
+	// and built.
+	joinWork := func(m *core.Manager) [2]int64 {
+		return [2]int64{stat(m, "index_probe_tuples", "hv"), stat(m, "index_build_tuples", "hv")}
+	}
 
 	changes := 0 // tuples the transactions since the last propagate deleted or inserted
 	execBoth := func(tx txn.Txn) {
@@ -148,15 +151,16 @@ func TestSQLViewPlansLikeAPIView(t *testing.T) {
 			flipped = false
 		}
 
-		a0, s0 := apiView.Stats, sqlView.Stats
+		a0, s0 := joinWork(api), joinWork(sqlm)
 		if err := api.Propagate("hv"); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := eng.Exec("PROPAGATE hv"); err != nil {
 			t.Fatal(err)
 		}
-		aProbe, aBuild := apiView.Stats.IndexProbeTuples-a0.IndexProbeTuples, apiView.Stats.IndexBuildTuples-a0.IndexBuildTuples
-		sProbe, sBuild := sqlView.Stats.IndexProbeTuples-s0.IndexProbeTuples, sqlView.Stats.IndexBuildTuples-s0.IndexBuildTuples
+		a1, s1 := joinWork(api), joinWork(sqlm)
+		aProbe, aBuild := a1[0]-a0[0], a1[1]-a0[1]
+		sProbe, sBuild := s1[0]-s0[0], s1[1]-s0[1]
 		if aProbe == 0 {
 			t.Fatalf("tick %d: the API view's propagate probed no index", tick)
 		}
@@ -331,7 +335,7 @@ func TestSiblingViewsShareTableIndex(t *testing.T) {
 	// a view looks up its share of the transactions' sales, not all of
 	// them.
 	for _, v := range m.Views() {
-		if probed := v.Stats.IndexProbeTuples; probed*8 > sold {
+		if probed := stat(m, "index_probe_tuples", v.Name); probed*8 > sold {
 			t.Fatalf("view %s probed %d index entries for the transactions' %d sales rows, want at most an eighth", v.Name, probed, sold)
 		}
 	}

@@ -77,13 +77,14 @@ func retailDay(tb testing.TB) *core.Manager {
 // TestRetailDayRuns checks the profiled day does the maintenance it
 // names: the runner propagated and partially refreshed the view.
 func TestRetailDayRuns(t *testing.T) {
-	v, err := retailDay(t).View("hv")
-	if err != nil {
+	m := retailDay(t)
+	if _, err := m.View("hv"); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("retail day: %d propagates, %d partial refreshes", v.Stats.Propagates, v.Stats.PartialCount)
-	if v.Stats.Propagates == 0 || v.Stats.PartialCount == 0 {
-		t.Errorf("the day propagated %d times and partially refreshed %d times, want both > 0", v.Stats.Propagates, v.Stats.PartialCount)
+	propagates, partials := stat(m, "propagate_ns", "hv"), stat(m, "partial_refresh_ns", "hv")
+	t.Logf("retail day: %d propagates, %d partial refreshes", propagates, partials)
+	if propagates == 0 || partials == 0 {
+		t.Errorf("the day propagated %d times and partially refreshed %d times, want both > 0", propagates, partials)
 	}
 }
 
@@ -136,8 +137,8 @@ func TestTracedRetailRunProducesValidChrome(t *testing.T) {
 	}
 }
 
-// TestLabeledCPUProfile is the end-to-end check of the pprof-label
-// plumbing: a CPU profile captured while the Policy-2 retail day runs
+// TestLabeledCPUProfile is the end-to-end check of the pprof labels
+// every maintenance step installs: a CPU profile captured while the Policy-2 retail day runs
 // (the workload `make profile` captures) and read back by `go tool
 // pprof -raw` must contain samples labeled dvm_phase=propagate, and
 // every dvm-labeled sample must carry a known phase and the view name.

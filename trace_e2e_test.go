@@ -3,6 +3,8 @@ package dvm_test
 import (
 	"testing"
 
+	"dvm"
+	"dvm/internal/core"
 	"dvm/internal/obs/trace"
 )
 
@@ -14,9 +16,9 @@ import (
 //     makesafe/propagate/refresh spans parented the way
 //     docs/observability.md's taxonomy says;
 //  2. per-trace exclusive time that reconciles *exactly* with the
-//     view_downtime_ns histogram — both read the same clock sample
-//     (internal/core/refresh.go, startDowntimeSpan), so the sums are
-//     equal, not merely close;
+//     view_downtime_ns histogram — both take the same clock reading
+//     (internal/core/step.go, exclusive), so the sums are equal, not
+//     merely close;
 //  3. a Chrome trace-event export that round-trips through the
 //     in-repo parser.
 func TestTracePolicy1RetailDay(t *testing.T) {
@@ -118,6 +120,131 @@ func TestTracePolicy1RetailDay(t *testing.T) {
 	}
 	if len(lanes) != wantTraces {
 		t.Fatalf("Chrome export has %d tid lanes, want %d (one per transaction)", len(lanes), wantTraces)
+	}
+}
+
+// TestTraceImmediateViewDowntime is TestTracePolicy1RetailDay's
+// reconciliation for an Immediate view, whose downtime is the MV write
+// lock every transaction takes to install the view's pair: each traced
+// transaction holds one exclusive core.refresh.apply span under its
+// lock-hold span, and the spans sum to view_downtime_ns{iv}, exactly.
+func TestTraceImmediateViewDowntime(t *testing.T) {
+	const hoursPerDay, salesPerHour = 24, 40
+	mgr, w := setupRetailDay(t)
+	def, err := w.ViewDef()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mgr.DefineView("iv", def, core.Immediate); err != nil {
+		t.Fatal(err)
+	}
+	mgr.Tracer().SampleAll()
+	for hour := 0; hour < hoursPerDay; hour++ {
+		if err := mgr.Execute(w.SalesBatch(salesPerHour)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	traces := mgr.Tracer().Last(hoursPerDay + 1)
+	if len(traces) != hoursPerDay {
+		t.Fatalf("captured %d traces, want %d (one per Execute)", len(traces), hoursPerDay)
+	}
+	var exclusive int64
+	for _, tr := range traces {
+		hold := childNamed(tr.Root, trace.SpanLockHold)
+		if hold == nil {
+			t.Fatalf("execute trace #%d has no %s child", tr.ID, trace.SpanLockHold)
+		}
+		apply := childNamed(hold, trace.SpanRefreshApply)
+		if apply == nil || !apply.Exclusive {
+			t.Fatalf("execute trace #%d holds no exclusive %s under its lock hold", tr.ID, trace.SpanRefreshApply)
+		}
+		exclusive += tr.ExclusiveNs
+	}
+	m, ok := mgr.Obs().Snapshot().Get("view_downtime_ns", "iv")
+	if !ok || m.Count != hoursPerDay {
+		t.Fatalf("view_downtime_ns{iv} recorded %d sections, want %d", m.Count, hoursPerDay)
+	}
+	if exclusive != m.Sum {
+		t.Fatalf("sum of exclusive spans %dns != view_downtime_ns{iv} sum %dns — trace and histogram disagree about downtime", exclusive, m.Sum)
+	}
+}
+
+// entryFamilies maps each entry-point span to the latency family its
+// step records.
+var entryFamilies = map[string]string{
+	trace.SpanSQLStmt:        "sql_stmt_ns",
+	trace.SpanExecute:        "txn_exec_ns",
+	trace.SpanPropagate:      "propagate_ns",
+	trace.SpanRefresh:        "refresh_ns",
+	trace.SpanPartialRefresh: "partial_refresh_ns",
+	trace.SpanRecompute:      "recompute_ns",
+}
+
+// TestOneReadingPerStep: a step reads the clock once and writes that
+// reading into both its latency histogram and its entry span, so for
+// every entry point the spans' durations sum to the histogram's sum,
+// exactly — over a traced Policy-1 day through the Go API (with one
+// partial refresh and one recompute), where the entry spans are roots,
+// and over a SQL script, where the sql.stmt spans are.
+func TestOneReadingPerStep(t *testing.T) {
+	reconcile := func(name string, mgr *core.Manager, roots ...string) {
+		t.Helper()
+		durs := map[string]int64{}
+		for _, tr := range mgr.Tracer().Last(mgr.Tracer().Len()) {
+			durs[tr.Root.Name] += int64(tr.Root.Dur)
+		}
+		snap := mgr.Obs().Snapshot()
+		for _, root := range roots {
+			var sum int64
+			for _, m := range snap.Family(entryFamilies[root]) {
+				sum += m.Sum
+			}
+			t.Logf("%s: Σ %s %dns, Σ %s %dns", name, root, durs[root], entryFamilies[root], sum)
+			if durs[root] == 0 || durs[root] != sum {
+				t.Errorf("%s: %s root spans last %dns in all, %s sums %dns — want equal and non-zero",
+					name, root, durs[root], entryFamilies[root], sum)
+			}
+		}
+	}
+
+	mgr, w := setupRetailDay(t)
+	mgr.Tracer().SampleAll()
+	for hour := 0; hour < 24; hour++ {
+		if err := mgr.Execute(w.SalesBatch(40)); err != nil {
+			t.Fatal(err)
+		}
+		if err := mgr.Propagate("hv"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, f := range []func(string) error{mgr.Refresh, mgr.PartialRefresh, mgr.RefreshRecompute} {
+		if err := f("hv"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reconcile("Policy-1 day", mgr, trace.SpanExecute, trace.SpanPropagate,
+		trace.SpanRefresh, trace.SpanPartialRefresh, trace.SpanRecompute)
+
+	eng := dvm.NewEngine(dvm.WithTraceSpec("all"))
+	if err := eng.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.ExecScript(`
+CREATE TABLE sales (custId INT, itemNo INT, quantity INT, salesPrice FLOAT);
+CREATE MATERIALIZED VIEW hv REFRESH DEFERRED COMBINED AS
+SELECT s.custId, s.itemNo FROM sales s WHERE s.quantity != 0;
+INSERT INTO sales VALUES (1, 10, 2, 9.99);
+PROPAGATE hv;
+INSERT INTO sales VALUES (3, 12, 1, 7.50);
+REFRESH hv;
+SELECT * FROM hv;
+`); err != nil {
+		t.Fatal(err)
+	}
+	reconcile("SQL script", eng.Manager(), trace.SpanSQLStmt)
+	if n := len(eng.Manager().Obs().Snapshot().Family("sql_stmt_ns")); n < 5 {
+		t.Errorf("sql_stmt_ns has %d kinds, want create_table, create_view, insert, maint and select", n)
 	}
 }
 
