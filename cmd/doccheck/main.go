@@ -3,11 +3,13 @@
 // the working tree:
 //
 //   - file:line anchors written as `path/to/file.go:NN`, optionally
-//     followed by a symbol in parentheses, e.g.
-//     `internal/core/refresh.go:23` (`Refresh`). The file must exist,
-//     line NN must exist in it, and when a symbol is given its name
-//     must appear within ±2 lines of NN — so anchors fail loudly when
-//     the code they point at moves.
+//     with a symbol in either of two forms: after the anchor in
+//     parentheses, `internal/core/refresh.go:23` (`Refresh`), or beside
+//     it inside one pair of parentheses, (`internal/core/refresh.go:23`,
+//     `Manager.Refresh`), where a dotted symbol names its last part. The
+//     file must exist, line NN must exist in it, and when a symbol is
+//     given its name must appear within ±2 lines of NN — so anchors fail
+//     loudly when the code they point at moves.
 //   - relative markdown links [text](path) (fragments and external
 //     URLs are skipped). The target must exist relative to the
 //     referring document.
@@ -26,13 +28,16 @@ import (
 	"strings"
 )
 
-// anchorRe matches `path.go:NN` optionally followed by (`Symbol`).
-// The path must contain a slash (so prose like `file.go:NN`
-// placeholders with bare names do not trip the checker) and the
-// extension is restricted to source/doc files we anchor into.
+// anchorRe matches `path.go:NN` optionally followed by (`Symbol`) or
+// by , `Type.Symbol` — the comma form, a symbol only when an opening
+// parenthesis comes right before the anchor (group 1), so a prose list
+// of anchors is not read as one. The path must contain a slash (so prose
+// like `file.go:NN` placeholders with bare names do not trip the
+// checker) and the extension is restricted to source/doc files we
+// anchor into.
 var anchorRe = regexp.MustCompile(
-	"`([A-Za-z0-9_.-]+(?:/[A-Za-z0-9_.-]+)+\\.(?:go|md|sh|sql)):([0-9]+)`" +
-		"(?:\\s*\\(`([A-Za-z_][A-Za-z0-9_]*)`\\))?")
+	"(\\(?)`([A-Za-z0-9_.-]+(?:/[A-Za-z0-9_.-]+)+\\.(?:go|md|sh|sql)):([0-9]+)`" +
+		"(?:\\s*\\(`([A-Za-z_][A-Za-z0-9_]*)`\\)|,\\s*`([A-Za-z_][A-Za-z0-9_.]*)`)?")
 
 // linkRe matches markdown inline links [text](target).
 var linkRe = regexp.MustCompile(`\[[^\]\n]*\]\(([^)\s]+)\)`)
@@ -86,7 +91,10 @@ func checkDoc(doc string) (broken, checked int, err error) {
 		lineNo := i + 1
 		for _, m := range anchorRe.FindAllStringSubmatch(line, -1) {
 			checked++
-			path, numStr, symbol := m[1], m[2], m[3]
+			path, numStr, symbol := m[2], m[3], m[4]
+			if m[1] == "(" && m[5] != "" {
+				symbol = m[5][strings.LastIndexByte(m[5], '.')+1:]
+			}
 			n, _ := strconv.Atoi(numStr)
 			lines, err := fileLines(path)
 			if err != nil {

@@ -84,3 +84,21 @@ func TestFragmentsAndBareNamesSkipped(t *testing.T) {
 		t.Fatalf("checked=%d; fragment links and slashless anchors should be skipped", checked)
 	}
 }
+
+// TestCommaFormAnchors: a symbol written beside its anchor inside one
+// pair of parentheses is checked as one written after it, a dotted
+// Type.Method by its last part.
+func TestCommaFormAnchors(t *testing.T) {
+	writeTree(t, map[string]string{
+		"pkg/some.go": someGo,
+		"doc.md": "Fine (`pkg/some.go:6`, `Frob`) and (`pkg/some.go:5`, `p.Frob`).\n" +
+			"Stale (`pkg/some.go:1`, `Frob`) and (`pkg/some.go:2`, `p.Frob`).\n",
+	})
+	broken, checked, err := checkDoc("doc.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if broken != 2 || checked != 4 { // Frob is on lines 5-6, > ±2 from 1 and 2
+		t.Fatalf("broken=%d checked=%d; want 2 and 4", broken, checked)
+	}
+}

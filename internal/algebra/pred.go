@@ -46,6 +46,26 @@ func (op CmpOp) String() string {
 	return "?"
 }
 
+// holds reports whether a three-way comparison result c (negative, zero
+// or positive, as schema.Value.Compare returns) satisfies op.
+func (op CmpOp) holds(c int) bool {
+	switch op {
+	case EQ:
+		return c == 0
+	case NE:
+		return c != 0
+	case LT:
+		return c < 0
+	case LE:
+		return c <= 0
+	case GT:
+		return c > 0
+	case GE:
+		return c >= 0
+	}
+	return false
+}
+
 // Cmp compares two scalars. NULL compares using the total order of
 // schema.Value (NULL sorts first), keeping predicate logic two-valued as
 // the paper assumes.
@@ -66,35 +86,50 @@ func Lt(l, r Scalar) Cmp { return Cmp{Op: LT, L: l, R: r} }
 // Gt builds L > R.
 func Gt(l, r Scalar) Cmp { return Cmp{Op: GT, L: l, R: r} }
 
-// Bind implements Predicate.
+// operand is one side of a bound comparison: a column position (an
+// Attr), a value (a Const), or any other scalar's bound evaluator.
+type operand struct {
+	pos  int // the column's, or -1
+	val  schema.Value
+	eval func(schema.Tuple) schema.Value
+}
+
+func bindOperand(s Scalar, sch *schema.Schema) (operand, error) {
+	switch x := s.(type) {
+	case Attr:
+		pos, err := sch.Lookup(x.Name)
+		return operand{pos: pos}, err
+	case Const:
+		return operand{pos: -1, val: x.Value}, nil
+	}
+	f, _, err := s.bind(sch)
+	return operand{pos: -1, eval: f}, err
+}
+
+func (o operand) at(t schema.Tuple) schema.Value {
+	if o.pos >= 0 {
+		return t[o.pos]
+	}
+	if o.eval != nil {
+		return o.eval(t)
+	}
+	return o.val
+}
+
+// Bind implements Predicate. It resolves both operands here and returns
+// one evaluator, the predicate kernel every σ, join side conjunct and
+// SQL WHERE runs through: no closure per attribute or constant.
 func (c Cmp) Bind(sch *schema.Schema) (func(schema.Tuple) bool, error) {
-	lf, _, err := c.L.bind(sch)
+	l, err := bindOperand(c.L, sch)
 	if err != nil {
 		return nil, err
 	}
-	rf, _, err := c.R.bind(sch)
+	r, err := bindOperand(c.R, sch)
 	if err != nil {
 		return nil, err
 	}
 	op := c.Op
-	return func(t schema.Tuple) bool {
-		r := lf(t).Compare(rf(t))
-		switch op {
-		case EQ:
-			return r == 0
-		case NE:
-			return r != 0
-		case LT:
-			return r < 0
-		case LE:
-			return r <= 0
-		case GT:
-			return r > 0
-		case GE:
-			return r >= 0
-		}
-		return false
-	}, nil
+	return func(t schema.Tuple) bool { return op.holds(l.at(t).Compare(r.at(t))) }, nil
 }
 
 func (c Cmp) String() string {

@@ -1,6 +1,8 @@
 package algebra
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"dvm/internal/schema"
@@ -36,6 +38,91 @@ func TestCmpOps(t *testing.T) {
 	for _, c := range cases {
 		if got := bindPred(t, c.p, sc)(tu); got != c.want {
 			t.Errorf("%s on %v = %t, want %t", c.p, tu, got, c.want)
+		}
+	}
+}
+
+// TestCmpBindMatchesScalarCompare holds the fused comparison (Cmp.Bind
+// resolves an Attr to its position and a Const to its value, and runs
+// one closure) to the unfused reference: each side bound on its own
+// (BindScalar), compared with schema.Value.Compare, the operator applied
+// by this test's own table. FuzzCompiledEval and FuzzExprParseEval cannot
+// catch a wrong fused compare: both of their evaluators bind through
+// Cmp.Bind. Every operator meets every pair of operand kinds — a bare
+// and a qualified Attr, a Const, and arithmetic — over NULL, INT against
+// an equal FLOAT, ±0.0, NaN, ±Inf, strings and bools; a name that is
+// unknown or ambiguous, on either side or inside arithmetic, fails with
+// the error binding that scalar alone gives.
+func TestCmpBindMatchesScalarCompare(t *testing.T) {
+	holds := map[CmpOp]func(int) bool{
+		EQ: func(c int) bool { return c == 0 },
+		NE: func(c int) bool { return c != 0 },
+		LT: func(c int) bool { return c < 0 },
+		LE: func(c int) bool { return c <= 0 },
+		GT: func(c int) bool { return c > 0 },
+		GE: func(c int) bool { return c >= 0 },
+	}
+	vals := []schema.Value{
+		schema.Null(), schema.Int(1), schema.Float(1), schema.Int(-3),
+		schema.Float(0), schema.Float(math.Copysign(0, -1)), schema.Float(math.NaN()),
+		schema.Float(math.Inf(1)), schema.Float(math.Inf(-1)),
+		schema.Str(""), schema.Str("a"), schema.Str("b"), schema.Bool(false), schema.Bool(true),
+	}
+	cols := make([]schema.Column, 0, len(vals)+2)
+	for k, v := range vals {
+		typ := v.Type()
+		if typ == schema.TNull {
+			typ = schema.TInt
+		}
+		cols = append(cols, schema.Col(fmt.Sprintf("t.c%d", k), typ))
+	}
+	cols = append(cols, schema.Col("t.dup", schema.TInt), schema.Col("u.dup", schema.TInt))
+	sc := schema.NewSchema(cols...)
+	tu := append(schema.Tuple{}, vals...)
+	tu = append(tu, schema.Int(0), schema.Int(0))
+
+	var operands []Scalar
+	for k, v := range vals {
+		operands = append(operands, A(fmt.Sprintf("c%d", k)), A(fmt.Sprintf("t.c%d", k)), Const{Value: v})
+		if typ := v.Type(); typ == schema.TNull || v.Numeric() {
+			operands = append(operands, Arith{Op: OpMul, L: A(fmt.Sprintf("t.c%d", k)), R: C(1)})
+		}
+	}
+	eval := func(s Scalar) schema.Value {
+		f, _, err := BindScalar(s, sc)
+		if err != nil {
+			t.Fatalf("BindScalar(%s): %v", s, err)
+		}
+		return f(tu)
+	}
+	checked := 0
+	for op, want := range holds {
+		for _, l := range operands {
+			for _, r := range operands {
+				c := Cmp{Op: op, L: l, R: r}
+				if got, w := bindPred(t, c, sc)(tu), want(eval(l).Compare(eval(r))); got != w {
+					t.Errorf("%s on %v, %v = %t, want %t", c, eval(l), eval(r), got, w)
+				}
+				checked++
+			}
+		}
+	}
+	t.Logf("%d comparisons checked", checked)
+
+	for _, bad := range []Scalar{
+		A("zz"), A("t.zz"), A("dup"),
+		Arith{Op: OpAdd, L: A("dup"), R: C(1)},
+		Arith{Op: OpAdd, L: C(1), R: A("zz")},
+		Arith{Op: OpAdd, L: A("c10"), R: C(1)},
+	} {
+		_, _, want := BindScalar(bad, sc)
+		if want == nil {
+			t.Fatalf("%s binds alone", bad)
+		}
+		for _, c := range []Cmp{Eq(bad, C(1)), Lt(A("c1"), bad)} {
+			if _, err := c.Bind(sc); err == nil || err.Error() != want.Error() {
+				t.Errorf("%s binds with error %v, want %v", c, err, want)
+			}
 		}
 	}
 }

@@ -81,10 +81,14 @@ type TableRef struct {
 	Alias string
 }
 
-// InsertStmt is INSERT INTO table VALUES (...), (...).
+// InsertStmt is INSERT INTO table VALUES (...), (...). Each row is
+// parsed as the tuple the table stores: executing the statement adds it
+// to the table as it is, uncopied, as Bag.Add keeps the tuple it is
+// given, so once a statement has executed its rows are the table's
+// tuples and must not be mutated.
 type InsertStmt struct {
 	Table string
-	Rows  [][]Lit
+	Rows  []schema.Tuple
 }
 
 // DeleteStmt is DELETE FROM table [WHERE pred].

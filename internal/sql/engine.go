@@ -347,8 +347,9 @@ func (e *Engine) readUnderViewLocks(expr algebra.Expr, f func(rows *bag.Bag, own
 }
 
 // evalUnderViewLocks is readUnderViewLocks for a caller that keeps the
-// rows (a plain SELECT's Result, DELETE's delete bag): a borrowed answer
-// is cloned before the locks are released.
+// rows, a plain SELECT's Result: a borrowed answer is cloned before the
+// locks are released. DELETE does not come here: it reads one external
+// table, which no view lock guards, through its bound WHERE (execDelete).
 func (e *Engine) evalUnderViewLocks(expr algebra.Expr) (*bag.Bag, error) {
 	var rows *bag.Bag
 	err := e.readUnderViewLocks(expr, func(b *bag.Bag, owned bool) error {
@@ -398,14 +399,10 @@ func (e *Engine) execInsert(s *InsertStmt) (*Result, error) {
 			return nil, fmt.Errorf("sql: row %d has %d values, table %s has %d columns",
 				i+1, len(r), s.Table, tb.Schema().Len())
 		}
-		tu := make(schema.Tuple, len(r))
-		for j, l := range r {
-			tu[j] = l.Value
-		}
-		if err := tb.Schema().Validate(tu); err != nil {
+		if err := tb.Schema().Validate(r); err != nil {
 			return nil, fmt.Errorf("sql: row %d: %w", i+1, err)
 		}
-		rows.Add(tu, 1)
+		rows.Add(r, 1)
 	}
 	if err := e.mgr.Execute(txn.Insert(s.Table, rows)); err != nil {
 		return nil, err
@@ -422,7 +419,11 @@ func (e *Engine) execDelete(s *DeleteStmt) (*Result, error) {
 	if tb.Kind() != storage.External {
 		return nil, fmt.Errorf("sql: cannot delete from internal table %q", s.Table)
 	}
-	// Compute the delete bag: all copies of every matching tuple.
+	// Compute the delete bag: all copies of every matching tuple. The
+	// WHERE is bound against the table's schema and filters the live
+	// table (bag.Select): no plan is compiled, and the table is only read
+	// — no index registered, no journal switched on. Execute is its one
+	// writer, so the matching set is computed before Execute changes it.
 	var matching *bag.Bag
 	if s.Where == nil {
 		matching = tb.Data().Clone()
@@ -431,14 +432,11 @@ func (e *Engine) execDelete(s *DeleteStmt) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		sel, err := algebra.NewSelect(pred, algebra.NewBase(s.Table, tb.Schema()))
+		f, err := pred.Bind(tb.Schema())
 		if err != nil {
 			return nil, err
 		}
-		matching, err = e.evalUnderViewLocks(sel)
-		if err != nil {
-			return nil, err
-		}
+		matching = bag.Select(tb.Data(), f)
 	}
 	n := matching.Len()
 	if err := e.mgr.Execute(txn.Delete(s.Table, matching)); err != nil {

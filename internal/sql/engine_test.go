@@ -310,9 +310,10 @@ func TestEngineInsertNullValidation(t *testing.T) {
 }
 
 // TestReadsOnlyReadTables checks SELECT (joins, a view's MV, aggregates)
-// and DELETE's matching set evaluate one-shot: they may run under read
-// locks, so they must not register an index on, or switch on the
-// journal of, any table — only maintenance does.
+// evaluates one-shot and DELETE's matching set is a bound WHERE over the
+// live table: a read may run under read locks, so it must not register
+// an index on, or switch on the journal of, any table — only
+// maintenance does.
 func TestReadsOnlyReadTables(t *testing.T) {
 	e := newRetailEngine(t, "DEFERRED COMBINED")
 	indexed := func() int {
@@ -350,5 +351,76 @@ func TestReadsOnlyReadTables(t *testing.T) {
 	}
 	if indexed() == 0 {
 		t.Fatal("REFRESH joined the log against customer without the table's index")
+	}
+}
+
+// TestInsertRowsAreTheStoredTuples: a parsed VALUES row is made at its
+// width and the row list at its length (counted from the lexed tokens,
+// which a ',' or '(' inside a string does not fool), and executing the
+// statement stores each row as it is. So one parsed statement executed
+// twice counts each row twice, keeps the view's invariant, and still
+// prints as it was parsed.
+func TestInsertRowsAreTheStoredTuples(t *testing.T) {
+	e := NewEngine()
+	mustExec(t, e, `
+		CREATE TABLE one (a INT);
+		CREATE TABLE five (a INT, b STRING, c FLOAT, d BOOL, e INT);
+		CREATE MATERIALIZED VIEW fv REFRESH DEFERRED COMBINED AS
+			SELECT f.a, f.b FROM five f WHERE f.d = TRUE`)
+	for _, in := range []string{
+		"INSERT INTO one VALUES (1)",
+		"INSERT INTO one VALUES (2), (-3), (NULL)",
+		"INSERT INTO five VALUES (1, 'x', 2.5, TRUE, NULL)",
+		"INSERT INTO five VALUES (2, 'y, z', -0.5, FALSE, 3), (3, '(', 0.25, TRUE, -4), (4, ')', 1.0, TRUE, 5)",
+	} {
+		ins := mustParse(t, in).(*InsertStmt)
+		exactRows(t, ins)
+		for k := 0; k < 2; k++ {
+			if _, err := e.ExecStmt(ins); err != nil {
+				t.Fatalf("%s: %v", in, err)
+			}
+		}
+		b, err := e.DB().Bag(ins.Table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range ins.Rows {
+			if n := b.Count(r); n != 2 {
+				t.Errorf("%s: row %d counted %d times after two executions, want 2", in, i+1, n)
+			}
+		}
+		if got := SQL(ins); got != in {
+			t.Errorf("executed statement prints as %q, was parsed from %q", got, in)
+		}
+	}
+	// In a script the list ends at the statement's ';'.
+	stmts, err := ParseScript("INSERT INTO one VALUES (5), (6); INSERT INTO five VALUES (7, '(', 1.5, TRUE, 8)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range stmts {
+		exactRows(t, st.(*InsertStmt))
+	}
+	mustExec(t, e, "CHECK INVARIANT fv; PROPAGATE fv; REFRESH fv; CHECK INVARIANT fv")
+	r, err := e.Exec("SELECT * FROM fv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Rows.Len() != 6 { // rows 1, 3 and 4 of five, twice each
+		t.Errorf("fv holds %d rows, want 6", r.Rows.Len())
+	}
+}
+
+// exactRows fails t unless ins's row list and every row in it are made
+// at their length.
+func exactRows(t *testing.T, ins *InsertStmt) {
+	t.Helper()
+	if cap(ins.Rows) != len(ins.Rows) {
+		t.Errorf("%s: row list len %d cap %d", SQL(ins), len(ins.Rows), cap(ins.Rows))
+	}
+	for i, r := range ins.Rows {
+		if cap(r) != len(r) {
+			t.Errorf("%s: row %d len %d cap %d", SQL(ins), i+1, len(r), cap(r))
+		}
 	}
 }

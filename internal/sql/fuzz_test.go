@@ -86,6 +86,10 @@ func FuzzEngineExec(f *testing.F) {
 
 		"INSERT INTO sales VALUES (1, 2, 3, 4.0), (2, 2, 0, 1.5); PROPAGATE hv; DELETE FROM sales WHERE itemNo = 1; " +
 			"DELETE FROM customer WHERE custId = 1; PROPAGATE hv; SELECT itemNo FROM hv WHERE custId = 1; REFRESH hv",
+		// DELETE binds its WHERE against the table: OR, NOT, arithmetic, NULL.
+		"INSERT INTO sales VALUES (1, 2, 3, NULL), (2, 2, 0, 1.5); DELETE FROM sales WHERE itemNo = 2 OR NOT custId < 2; REFRESH hv",
+		"INSERT INTO sales VALUES (1, 4, 2, 3.0); DELETE FROM sales WHERE quantity * 3 - 1 > salesPrice + 1.5; PROPAGATE hv",
+		"INSERT INTO sales VALUES (1, 5, NULL, NULL); DELETE FROM sales WHERE salesPrice = NULL AND NOT (quantity != NULL OR FALSE)",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -28,6 +28,8 @@ type token struct {
 	text string // a keyword's is the keywords table's string; an identifier's as written
 }
 
+func (t token) isSymbol(s string) bool { return t.kind == tokSymbol && t.text == s }
+
 func (t token) String() string {
 	if t.kind == tokEOF {
 		return "end of input"

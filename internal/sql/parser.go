@@ -73,7 +73,7 @@ func (p *parser) expectKeyword(kw string) error {
 }
 
 func (p *parser) acceptSymbol(s string) bool {
-	if t := p.peek(); t.kind == tokSymbol && t.text == s {
+	if p.peek().isSymbol(s) {
 		p.i++
 		return true
 	}
@@ -464,19 +464,18 @@ func (p *parser) insert() (Stmt, error) {
 	if err := p.expectKeyword("VALUES"); err != nil {
 		return nil, err
 	}
-	var rows [][]Lit
-	width := 0 // the previous row's, which the next is made at
+	rows := make([]schema.Tuple, 0, p.valuesRows())
 	for {
 		if err := p.expectSymbol("("); err != nil {
 			return nil, err
 		}
-		row := make([]Lit, 0, width)
+		row := make(schema.Tuple, 0, p.rowWidth())
 		for {
 			l, err := p.literal()
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, l)
+			row = append(row, l.Value)
 			if !p.acceptSymbol(",") {
 				break
 			}
@@ -485,12 +484,43 @@ func (p *parser) insert() (Stmt, error) {
 			return nil, err
 		}
 		rows = append(rows, row)
-		width = len(row)
 		if !p.acceptSymbol(",") {
 			break
 		}
 	}
 	return &InsertStmt{Table: name, Rows: rows}, nil
+}
+
+// valuesRows counts the rows of the VALUES list ahead, the "(" before
+// the statement ends (no literal holds one), so the row list is made at
+// its length. It only reads the lexed tokens; a malformed list is the
+// parse's to report.
+func (p *parser) valuesRows() int {
+	n := 0
+	for _, t := range p.toks[p.i:] {
+		if t.kind == tokEOF || t.isSymbol(";") {
+			break
+		}
+		if t.isSymbol("(") {
+			n++
+		}
+	}
+	return n
+}
+
+// rowWidth counts the values of the VALUES row whose "(" the parser has
+// just taken: one more than the commas before the row's ")".
+func (p *parser) rowWidth() int {
+	n := 1
+	for _, t := range p.toks[p.i:] {
+		if t.isSymbol(")") {
+			break
+		}
+		if t.isSymbol(",") {
+			n++
+		}
+	}
+	return n
 }
 
 func (p *parser) delete() (Stmt, error) {
@@ -519,7 +549,7 @@ func (p *parser) literal() (Lit, error) {
 	case t.kind == tokNumber:
 		p.i++
 		return numberLit(t.text)
-	case t.kind == tokSymbol && t.text == "-":
+	case t.isSymbol("-"):
 		p.i++
 		t2 := p.peek()
 		if t2.kind != tokNumber {
@@ -610,7 +640,7 @@ func (p *parser) notExpr() (Expr, error) {
 func (p *parser) comparison() (Expr, error) {
 	// Parenthesized boolean sub-expression: lookahead required since '('
 	// also begins a scalar group. Try boolean first by checkpointing.
-	if p.peek().kind == tokSymbol && p.peek().text == "(" {
+	if p.peek().isSymbol("(") {
 		save := p.i
 		p.i++
 		if e, err := p.boolExpr(); err == nil {
@@ -715,13 +745,13 @@ func (p *parser) primary() (Expr, error) {
 	case t.kind == tokKeyword && (t.text == "MIN" || t.text == "MAX"):
 		// MIN(...)/MAX(...) aggregate; the bare keywords also serve as
 		// compound operators, so only treat them as calls before '('.
-		if p.toks[p.i+1].kind == tokSymbol && p.toks[p.i+1].text == "(" {
+		if p.toks[p.i+1].isSymbol("(") {
 			p.i++
 			return p.aggregateCall(t.text)
 		}
 		return nil, fmt.Errorf("sql: unexpected %s", t)
 	case t.kind == tokIdent:
-		if p.toks[p.i+1].kind == tokSymbol && p.toks[p.i+1].text == "(" {
+		if p.toks[p.i+1].isSymbol("(") {
 			for _, fn := range [...]string{"COUNT", "SUM", "AVG"} {
 				if strings.EqualFold(t.text, fn) {
 					p.i++
@@ -734,7 +764,7 @@ func (p *parser) primary() (Expr, error) {
 			return nil, err
 		}
 		return &ColRef{Name: name}, nil
-	case t.kind == tokSymbol && t.text == "(":
+	case t.isSymbol("("):
 		p.i++
 		e, err := p.scalarExpr()
 		if err != nil {

@@ -175,10 +175,10 @@ func TestParseInsert(t *testing.T) {
 	if ins.Table != "t" || len(ins.Rows) != 2 || len(ins.Rows[0]) != 5 {
 		t.Fatalf("insert = %+v", ins)
 	}
-	if ins.Rows[1][0].Value.AsInt() != -2 || ins.Rows[1][2].Value.AsFloat() != -0.5 {
+	if ins.Rows[1][0].AsInt() != -2 || ins.Rows[1][2].AsFloat() != -0.5 {
 		t.Fatal("negative literals wrong")
 	}
-	if !ins.Rows[0][4].Value.IsNull() {
+	if !ins.Rows[0][4].IsNull() {
 		t.Fatal("NULL literal wrong")
 	}
 	for _, bad := range []string{

@@ -47,8 +47,8 @@ func SQL(st Stmt) string {
 		var rows []string
 		for _, r := range s.Rows {
 			var vals []string
-			for _, l := range r {
-				vals = append(vals, litSQL(l))
+			for _, v := range r {
+				vals = append(vals, litSQL(v))
 			}
 			rows = append(rows, "("+strings.Join(vals, ", ")+")")
 		}
@@ -161,7 +161,7 @@ func exprSQL(e Expr) string {
 	case *ColRef:
 		return x.Name
 	case Lit:
-		return litSQL(x)
+		return litSQL(x.Value)
 	case *BinExpr:
 		return "(" + exprSQL(x.L) + " " + x.Op + " " + exprSQL(x.R) + ")"
 	case *NotExpr:
@@ -175,8 +175,7 @@ func exprSQL(e Expr) string {
 	return fmt.Sprintf("/*?%T*/", e)
 }
 
-func litSQL(l Lit) string {
-	v := l.Value
+func litSQL(v schema.Value) string {
 	switch v.Type() {
 	case schema.TNull:
 		return "NULL"

@@ -5,8 +5,11 @@
 #   scripts/allocprof.sh [-base <ref>] <workload> [seed] [regexp]
 #
 # Profiles exactly the cycles the benchmark measures: perf/ is copied
-# into a throw-away sibling directory (perf/ itself is frozen while a PR
-# claims a gain, and must not be edited), the copy's run.go gets one
+# into a throw-away directory under $TMPDIR, pointed at the working tree
+# by `go mod edit -replace` (perf/ itself is frozen while a PR claims a
+# gain, and must not be edited; nothing is written inside the tree but
+# profiles/, so a run cut short leaves no stray sources behind for
+# gofmt or `./...` to find), the copy's run.go gets one
 # pprof.Lookup("allocs").WriteTo call at each of the two
 # runtime.ReadMemStats boundaries of the measured loop — the same
 # boundaries alloc_kb_per_op, allocs_per_op and heap_live_mb are read
@@ -63,12 +66,11 @@ fi
 workload=$1 seed=${2:-1} list=${3:-}
 
 root=$(cd "$(dirname "$0")/.." && pwd)
-# A sibling of perf/, so the copy's `replace dvm => ../` still finds the
-# working tree; hidden, so `./...` patterns skip it while it exists.
-copy=$(mktemp -d "$root/.allocprof.XXXXXX")
+copy=$(mktemp -d "${TMPDIR:-/tmp}/dvm-allocprof.XXXXXX")
 tmp=""
 trap 'rm -rf "$copy" ${tmp:+"$tmp"}' EXIT
 trap 'exit 130' INT TERM
+trap 'exit 141' PIPE
 out="$root/profiles"
 mkdir -p "$out"
 name="$out/$workload.seed$seed"
@@ -190,6 +192,7 @@ for f in "$root"/perf/*.go "$root/perf/go.mod"; do
 	cp "$f" "$copy/"
 done
 [ -f "$root/perf/go.sum" ] && cp "$root/perf/go.sum" "$copy/"
+(cd "$copy" && go mod edit -replace dvm="$root")
 p0="$name.m0.allocs.pprof" p1="$name.m1.allocs.pprof"
 patchperf "$root/perf" "$copy" "$p0" "$p1"
 measure "$copy" "working tree"
