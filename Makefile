@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint lint-json doccheck check fuzz profile pair allocprof
+.PHONY: build test lint lint-json doccheck check fuzz profile pair allocprof mutants
 
 build:
 	$(GO) build ./...
@@ -55,6 +55,13 @@ pair:
 #   make allocprof WORKLOAD=multiview_writes [SEED=1] [BASE=HEAD~1] [LIST='bag\.newIndex']
 allocprof:
 	./scripts/allocprof.sh $(if $(BASE),-base $(BASE)) $(WORKLOAD) $(or $(SEED),1) $(LIST)
+
+# The kept mutants: each testdata/mutants/*.patch seeds a bug into a
+# throw-away copy of the tree, and the check named in its header must
+# fail there. Fails if a mutant survives or a patch no longer applies.
+# About a minute; not part of `make check`.
+mutants:
+	./scripts/mutants.sh
 
 fuzz:
 	$(GO) test ./internal/schema -run '^$$' -fuzz '^FuzzValue$$' -fuzztime=30s

@@ -11,12 +11,13 @@
 //     given its name must appear within ±2 lines of NN — so anchors fail
 //     loudly when the code they point at moves.
 //   - relative markdown links [text](path) (fragments and external
-//     URLs are skipped). The target must exist relative to the
-//     referring document.
+//     URLs are skipped, and so is a bracket inside an inline code
+//     span). The target must exist relative to the referring document.
 //
-// Usage: doccheck [files...]; with no arguments it checks README.md
-// and docs/*.md from the repository root. Exit status 1 if any
-// reference is broken. Run by scripts/check.sh and make check.
+// Usage: doccheck [files...]; with no arguments it checks README.md,
+// docs/*.md, DESIGN.md and EXPERIMENTS.md from the repository root.
+// Exit status 1 if any reference is broken. Run by scripts/check.sh and
+// make check.
 package main
 
 import (
@@ -55,7 +56,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "doccheck:", err)
 			os.Exit(2)
 		}
-		docs = append(docs, globbed...)
+		docs = append(append(docs, globbed...), "DESIGN.md", "EXPERIMENTS.md")
 	}
 	broken := 0
 	checked := 0
@@ -87,6 +88,7 @@ func checkDoc(doc string) (broken, checked int, err error) {
 		fmt.Fprintf(os.Stderr, "%s:%d: %s\n", doc, line, fmt.Sprintf(format, args...))
 		broken++
 	}
+	prose := strings.Split(withoutCodeSpans(string(data)), "\n")
 	for i, line := range strings.Split(string(data), "\n") {
 		lineNo := i + 1
 		for _, m := range anchorRe.FindAllStringSubmatch(line, -1) {
@@ -110,7 +112,7 @@ func checkDoc(doc string) (broken, checked int, err error) {
 					path, n, symbol, symbolSlack)
 			}
 		}
-		for _, m := range linkRe.FindAllStringSubmatch(line, -1) {
+		for _, m := range linkRe.FindAllStringSubmatch(prose[i], -1) {
 			target := m[1]
 			if strings.Contains(target, "://") || strings.HasPrefix(target, "#") ||
 				strings.HasPrefix(target, "mailto:") {
@@ -128,6 +130,24 @@ func checkDoc(doc string) (broken, checked int, err error) {
 		}
 	}
 	return broken, checked, nil
+}
+
+// codeSpanRe matches an inline code span, one or two backticks through
+// as many again, across a line end too.
+var codeSpanRe = regexp.MustCompile("``[^`]*``|`[^`]*`")
+
+// withoutCodeSpans returns text with its code spans blanked to spaces,
+// newlines kept, so that a bracket in code is not read as a link and
+// line numbers still match.
+func withoutCodeSpans(text string) string {
+	return codeSpanRe.ReplaceAllStringFunc(text, func(span string) string {
+		return strings.Map(func(r rune) rune {
+			if r == '\n' {
+				return r
+			}
+			return ' '
+		}, span)
+	})
 }
 
 // fileCache avoids re-reading a file for every anchor into it.

@@ -102,3 +102,21 @@ func TestCommaFormAnchors(t *testing.T) {
 		t.Fatalf("broken=%d checked=%d; want 2 and 4", broken, checked)
 	}
 }
+
+// TestCodeSpansAreNotLinks: a bracket and parenthesis inside an inline
+// code span, on one line or across two, is code, not a link; a link
+// outside a span is still checked.
+func TestCodeSpansAreNotLinks(t *testing.T) {
+	writeTree(t, map[string]string{
+		"doc.md": "Code `σ[a=1]((R(a,b) × T(c))` and ``x[y](z)``, and `σ[a=c]((R(a,b) ×\n" +
+			"T(c))` across lines.\n" +
+			"A lone ` backtick, then a dead [link](nope.md).\n",
+	})
+	broken, checked, err := checkDoc("doc.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if broken != 1 || checked != 1 {
+		t.Fatalf("broken=%d checked=%d; want 1 and 1 (only the dead link)", broken, checked)
+	}
+}

@@ -113,18 +113,18 @@ func (m *Manager) Execute(t txn.Txn) error {
 		// this long, every transaction — the overhead immediate
 		// maintenance imposes.
 		w := m.unshareMVs(func(v *View) int { return v.txnVolume(nt) }, x.mvViews...)
-		err = m.locks.WithWriteSpan(w.tables, xsp, func(hold *trace.Span) error {
-			w.adoptLocked()
-			ex := exclusive(hold, x.mvViews...)
+		err = m.locks.WithWriteSpan(w.tables, xsp, func(h txn.Held) error {
+			w.adoptLocked(h)
+			ex := exclusive(h, x.mvViews...)
 			defer ex.end()
 			if err := m.evalPairs(x.mvViews, xsp); err != nil {
 				return err
 			}
 			for i, v := range x.mvViews {
 				p := x.pairs[len(x.diffViews)+i]
-				m.applyToMVLocked(v, p[0], p[1])
+				m.applyToMVLocked(h, v, p[0], p[1])
 			}
-			apply(hold)
+			apply(h.Span())
 			return nil
 		})
 		if err != nil {

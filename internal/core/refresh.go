@@ -7,6 +7,7 @@ import (
 	"dvm/internal/obs"
 	"dvm/internal/obs/trace"
 	"dvm/internal/storage"
+	"dvm/internal/txn"
 )
 
 // Refresh brings the view table up to date ({INV_*} refresh_* {Q ≡ MV},
@@ -45,19 +46,19 @@ func (m *Manager) refresh(v *View, parent *trace.Span, fold bool) error {
 		pending += m.logDebt(v)
 	}
 	w := m.unshareMVs(func(*View) int { return pending }, v)
-	err := m.locks.WithWriteSpan(w.tables, parent, func(hold *trace.Span) error {
-		w.adoptLocked()
-		x := exclusive(hold, v)
+	err := m.locks.WithWriteSpan(w.tables, parent, func(h txn.Held) error {
+		w.adoptLocked(h)
+		x := exclusive(h, v)
 		defer x.end()
 		asp := x.span()
 		if fold {
-			if err := m.foldLogLocked(v, asp); err != nil {
+			if err := m.foldLogLocked(h, v, asp); err != nil {
 				return err
 			}
 		}
 		if v.diff != nil {
 			asp.SetAttrs(trace.Int("diff_tuples", int64(v.diffVolume())))
-			m.applyDiffTablesLocked(v)
+			m.applyDiffTablesLocked(h, v)
 		}
 		return nil
 	})
@@ -75,9 +76,8 @@ func (m *Manager) refresh(v *View, parent *trace.Span, fold bool) error {
 // table (makesafe_IM, refresh_BL, refresh_DT, partial_refresh_C), so
 // the exclusive lock is held for work proportional
 // to the differential, never to the view. del and add are only read.
-// The Locked suffix is a contract dvmlint enforces: the caller must
-// hold the MV write lock.
-func (m *Manager) applyToMVLocked(v *View, del, add *bag.Bag) {
+// The txn.Held is the caller's MV write lock.
+func (m *Manager) applyToMVLocked(_ txn.Held, v *View, del, add *bag.Bag) {
 	v.mv.Data().ApplyDelta(del, add)
 }
 
@@ -120,9 +120,9 @@ func (m *Manager) unshareMVs(pending func(*View) int, views ...*View) mvWrite {
 	return w
 }
 
-// adoptLocked installs what unshareMVs prepared. The Locked suffix is a
-// contract dvmlint enforces: the caller must hold the MV write locks.
-func (w mvWrite) adoptLocked() {
+// adoptLocked installs what unshareMVs prepared, under the MV write
+// locks the txn.Held proves.
+func (w mvWrite) adoptLocked(txn.Held) {
 	for i, mv := range w.mvs {
 		mv.Adopt(w.own[i])
 	}
@@ -188,9 +188,9 @@ func (m *Manager) evalLog(v *View, sp, parent *trace.Span) (del, add *bag.Bag, n
 
 // foldLogLocked is the log step of refresh_BL and refresh_C: the log's
 // pair installed into ∇MV/△MV when the view keeps them (propagate_C),
-// into MV when it does not, and the log emptied. The Locked suffix is a
-// contract dvmlint enforces: the caller must hold the MV write lock.
-func (m *Manager) foldLogLocked(v *View, sp *trace.Span) error {
+// into MV when it does not, and the log emptied, under the MV write lock
+// h proves.
+func (m *Manager) foldLogLocked(h txn.Held, v *View, sp *trace.Span) error {
 	if v.diff != nil {
 		return m.propagate(v, sp, sp)
 	}
@@ -200,7 +200,7 @@ func (m *Manager) foldLogLocked(v *View, sp *trace.Span) error {
 	}
 	v.met.refreshTuples.Add(int64(n))
 	if n > 0 {
-		m.applyToMVLocked(v, del, add)
+		m.applyToMVLocked(h, v, del, add)
 	}
 	m.clearLogs(v, n)
 	return nil
@@ -223,12 +223,11 @@ func (m *Manager) clearLogs(v *View, n int) {
 
 // applyDiffTablesLocked installs MV := (MV ∸ ∇MV) ⊎ △MV, in place, so
 // the work under the lock is O(|∇MV|+|△MV|); the caller empties the
-// differential tables afterwards (clearDiffTables). The Locked suffix
-// is a contract dvmlint enforces: the caller must hold the MV write
+// differential tables afterwards (clearDiffTables). h is the MV write
 // lock.
-func (m *Manager) applyDiffTablesLocked(v *View) {
+func (m *Manager) applyDiffTablesLocked(h txn.Held, v *View) {
 	v.met.refreshTuples.Add(int64(v.diffVolume()))
-	m.applyToMVLocked(v, v.diff.del.Data(), v.diff.add.Data())
+	m.applyToMVLocked(h, v, v.diff.del.Data(), v.diff.add.Data())
 }
 
 // clearDiffTables is ∇MV := ∅; △MV := ∅: the second half of
@@ -303,8 +302,8 @@ func (m *Manager) RefreshRecompute(name string) error {
 	}
 	s := m.begin(v, obs.PhaseRecompute)
 	defer s.end()
-	return m.locks.WithWriteSpan([]string{v.mv.Name()}, s.sp, func(hold *trace.Span) error {
-		x := exclusive(hold, v)
+	return m.locks.WithWriteSpan([]string{v.mv.Name()}, s.sp, func(h txn.Held) error {
+		x := exclusive(h, v)
 		defer x.end()
 		mv, err := m.evalDef(v, x.span())
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 
 	"dvm/internal/obs"
 	"dvm/internal/obs/trace"
+	"dvm/internal/txn"
 )
 
 // The instrumentation seam. Every Figure-3 entry point is one step,
@@ -103,15 +104,14 @@ type section struct {
 }
 
 // exclusive opens the MV-exclusive section of views: called under the
-// write locks on their MVs, once adoptLocked has run, with hold the
-// lock-hold span. Readers of the MVs wait it out — it is the views'
-// downtime. Each view gets an exclusive core.refresh.apply span under
-// hold, and end writes one reading into every view's view_downtime_ns
-// and every span, so a trace's exclusive time is the histogram's,
-// exactly.
-func exclusive(hold *trace.Span, views ...*View) section {
+// write locks on their MVs that h proves, once adoptLocked has run.
+// Readers of the MVs wait it out — it is the views' downtime. Each view
+// gets an exclusive core.refresh.apply span under h's lock-hold span,
+// and end writes one reading into every view's view_downtime_ns and
+// every span, so a trace's exclusive time is the histogram's, exactly.
+func exclusive(h txn.Held, views ...*View) section {
 	x := section{views: views}
-	if hold != nil {
+	if hold := h.Span(); hold != nil {
 		x.sps = make([]*trace.Span, len(views))
 		for i, v := range views {
 			x.sps[i] = hold.StartChild(trace.SpanRefreshApply, trace.Str("view", v.Name))

@@ -18,9 +18,9 @@ import (
 //     value) resolves to every module function whose address is taken
 //     somewhere and whose signature is identical to the call's.
 //
-// Over-approximating dynamic targets keeps the lock-state fixpoint
-// sound for may-hold facts; the precision loss only widens the set of
-// locks a function might run under.
+// Over-approximating dynamic targets keeps lock-order's reachability
+// walk sound; the precision loss only widens the set of functions it
+// walks under a lock.
 
 // declInfo is one declared function or method of the module.
 type declInfo struct {

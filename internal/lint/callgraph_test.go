@@ -64,7 +64,7 @@ func resolvedCalls(t *testing.T, u *Unit, caller string) map[string]bool {
 // or spawned) names its callee, which closure-purity follows, and a
 // call through a function value or interface resolves conservatively —
 // through method values AND bound-method expressions — to every
-// candidate, whose call sites the lock-state fixpoint records.
+// candidate, which lock-order's walk follows.
 func TestCallGraphEdgeKinds(t *testing.T) {
 	u := callgraphUnit(t)
 	cases := []struct {

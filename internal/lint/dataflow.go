@@ -6,9 +6,8 @@ import (
 )
 
 // dataflow.go is the forward-analysis half of the SSA-lite layer: a
-// reusable worklist fixpoint over the funcCFG of ssa.go, in the same
-// iterate-to-stable-then-report style as the lock-state engine
-// (lockstate.go), but function-local and branch-sensitive.
+// reusable worklist fixpoint over the funcCFG of ssa.go: iterate to
+// stable, then report, function-local and branch-sensitive.
 //
 // Facts are per-object bitsets. A client defines what the bits mean
 // (resource-lifecycle: open/closed/escaped; nilness: nil/non-nil;
@@ -61,9 +60,9 @@ type flowClient interface {
 
 // runForward runs the client to fixpoint over cfg, then makes one
 // deterministic final pass in block order calling check(node, facts)
-// with the facts holding immediately BEFORE each node executes (the
-// lockstate.go shape: iterate silently, report once stable, so a loop
-// body is judged against its stable facts, not its first-visit facts).
+// with the facts holding immediately BEFORE each node executes
+// (iterate silently, report once stable, so a loop body is judged
+// against its stable facts, not its first-visit facts).
 // check may be nil to run the fixpoint for its side effects alone.
 func runForward(cfg *funcCFG, client flowClient, check func(n ast.Node, facts flowFacts)) {
 	if cfg == nil {

@@ -13,8 +13,8 @@ import (
 // Two escape shapes are flagged:
 //
 //   - a reference obtained INSIDE a locked region (the closure argument
-//     of a txn.LockManager acquisition, the body of a core *Locked
-//     function, or the function literal a borrowed read — core's
+//     of a txn.LockManager acquisition, the body of a function that
+//     takes a txn.Held, or the function literal a borrowed read — core's
 //     Manager.Read or Serialized.Read — runs over the live MV, whose
 //     bag parameter is such a reference from the start) must not
 //     outlive it: assigning it to a variable declared outside the
@@ -52,11 +52,11 @@ func runSharedStateEscape(p *Pass) {
 
 // checkEscapeRegions finds the locked regions of fd and runs the
 // escape analysis over each: every lock-acquire closure argument, plus
-// the whole body when fd itself carries the *Locked contract.
+// the whole body when fd takes a txn.Held.
 func (p *Pass) checkEscapeRegions(fd *ast.FuncDecl) {
 	info := p.Pkg.Info
-	if fn, ok := info.Defs[fd.Name].(*types.Func); ok && isLockedContractFn(fn, p.Cfg.CorePkg) {
-		p.checkRegion(fd.Body, fd.Name.Name+" (Locked contract: caller holds the lock)", nil)
+	if fn, ok := info.Defs[fd.Name].(*types.Func); ok && takesHeld(fn, p.Cfg.TxnPkg) {
+		p.checkRegion(fd.Body, fd.Name.Name+" (it takes a txn.Held: its caller holds the lock)", nil)
 	}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)

@@ -112,8 +112,8 @@ type Analyzer struct {
 // Unit is the whole-program view one RunAnalyzers invocation shares
 // across its per-package passes: every loaded package, plus lazily
 // computed interprocedural facts (the call graph of callgraph.go, the
-// lock-state fixpoint of lockstate.go, the state-bug write summaries
-// and the atomic-field facts). Interprocedural analyzers compute over
+// acquisitions lock-order reaches under a lock, the state-bug write
+// summaries and the atomic-field facts). Interprocedural analyzers compute over
 // the Unit once and report, from each per-package pass, only the
 // findings positioned in that pass's package.
 type Unit struct {
@@ -124,7 +124,7 @@ type Unit struct {
 	declList  []*declInfo // decls in deterministic (position) order
 	addrTaken map[*types.Func]bool
 
-	lock      *lockResult
+	locks     map[*Package][]lockFinding
 	writeSums map[*types.Func]map[string]token.Pos
 	atomic    *atomicFacts
 
@@ -214,9 +214,7 @@ func isPtrToNamed(t types.Type, pkgPath, typeName string) bool {
 // All returns the analyzer registry in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		analyzerLockDiscipline,
 		analyzerLockOrder,
-		analyzerLockedContract,
 		analyzerSingleWriter,
 		analyzerSharedStateEscape,
 		analyzerAtomicDiscipline,

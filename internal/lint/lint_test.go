@@ -26,25 +26,9 @@ var fixtureCases = []struct {
 	cfg    func(Config) Config
 }{
 	{
-		dir:    "lockorder",
-		checks: "lock-discipline",
-		cfg: func(c Config) Config {
-			c.CorePkg = fixturePrefix + "lockorder"
-			return c
-		},
-	},
-	{
 		dir:    "lockcycle",
 		checks: "lock-order",
 		cfg:    func(c Config) Config { return c },
-	},
-	{
-		dir:    "lockedctx",
-		checks: "locked-contract",
-		cfg: func(c Config) Config {
-			c.CorePkg = fixturePrefix + "lockedctx"
-			return c
-		},
 	},
 	{
 		dir:    "goctx",
@@ -319,7 +303,7 @@ func TestSelect(t *testing.T) {
 	if err != nil || len(all) != len(All()) {
 		t.Fatalf("Select(\"\") = %d analyzers, err %v; want all %d", len(all), err, len(All()))
 	}
-	two, err := Select("error-flow, lock-discipline")
+	two, err := Select("error-flow, lock-order")
 	if err != nil || len(two) != 2 {
 		t.Fatalf("Select two = %v (len %d); want 2", err, len(two))
 	}

@@ -9,9 +9,9 @@ import (
 // layer: a simplified control-flow graph per function body plus
 // def-use chains over the locals it declares. "SSA-lite" because
 // values are not renamed — facts stay keyed by *types.Var, the same
-// currency the interprocedural layer (callgraph.go, lockstate.go)
-// already trades in — but the graph carries the two properties real
-// SSA would buy here:
+// currency the interprocedural layer (callgraph.go) already trades
+// in — but the graph carries the two properties real SSA would buy
+// here:
 //
 //   - branch-sensitive edges: every conditional edge records the
 //     condition expression and which way it went, so a forward

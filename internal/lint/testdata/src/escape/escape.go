@@ -1,7 +1,7 @@
 // Package escape is a dvmlint fixture for the shared-state-escape
-// analyzer. The test configures this package as the core package, so
-// its *Locked functions are locked regions and its exported accessors
-// fall under the internal-field-leak rule. A reference obtained under
+// analyzer. Its functions that take a txn.Held are locked regions, and
+// the test configures this package as the core package, so its exported
+// accessors fall under the internal-field-leak rule. A reference obtained under
 // a lock (Database.Bag, Table.Data) aliases live table storage: it
 // must be Clone()d before it crosses the region boundary.
 package escape
@@ -72,24 +72,24 @@ func LeakViaGoroutine(lm *txn.LockManager, db *storage.Database) {
 	})
 }
 
-// grabLocked runs under its caller's locks (*Locked contract); its
+// grabLocked runs under its caller's lock (it takes a txn.Held); its
 // whole body is the locked region, so returning the live bag hands the
 // alias to whoever runs after the caller unlocks.
-func grabLocked(db *storage.Database) *bag.Bag {
+func grabLocked(_ txn.Held, db *storage.Database) *bag.Bag {
 	tb, _ := db.Table("mv_a")
 	return tb.Data() // want: returned out of the Locked region
 }
 
 // snapshotLocked is grabLocked done right: Clone before returning.
-func snapshotLocked(db *storage.Database) *bag.Bag {
+func snapshotLocked(_ txn.Held, db *storage.Database) *bag.Bag {
 	tb, _ := db.Table("mv_a")
 	return tb.Data().Clone()
 }
 
 // Use keeps the helpers referenced.
-func Use(db *storage.Database) {
-	_ = grabLocked(db)
-	_ = snapshotLocked(db)
+func Use(h txn.Held, db *storage.Database) {
+	_ = grabLocked(h, db)
+	_ = snapshotLocked(h, db)
 }
 
 // store models a core struct whose internals are lock-guarded.

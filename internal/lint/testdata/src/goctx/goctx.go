@@ -1,7 +1,7 @@
 // Package goctx is a dvmlint fixture for the single-writer analyzer.
 // Its cases are the bugs a goroutine brings into a lock-holding engine:
-// spawning a *Locked helper, or touching a table the spawner holds
-// locked, runs with none of the spawner's locks. The engine starts no
+// spawning a helper that needs its caller's lock, or touching a table
+// the spawner holds, runs with none of its locks. The engine starts no
 // goroutine, so every go statement outside package main is flagged,
 // the re-acquiring spawns (lines 65 and 80) and the pool's go included.
 package goctx
@@ -12,7 +12,7 @@ import (
 	"dvm/internal/txn"
 )
 
-// applyLocked declares (by suffix) that its caller holds table locks.
+// applyLocked stands for a helper that needs its caller's table locks.
 func applyLocked() {}
 
 // SpawnLockedDirect launches the contract helper directly: the

@@ -1,6 +1,6 @@
-// Package lockcycle is a dvmlint fixture for the lock-order analyzer:
-// a seeded two-lock deadlock cycle split across helper functions, a
-// non-reentrant self-reacquisition, and a clean sorted-order nesting.
+// Package lockcycle is a dvmlint fixture for lock-order, which flags any
+// nested acquisition — a two-lock cycle across helpers, a re-acquisition,
+// a sorted nesting, a txn.Held helper's — and a forged txn.Held.
 package lockcycle
 
 import "dvm/internal/txn"
@@ -41,9 +41,32 @@ func Reacquire(lm *txn.LockManager) error {
 }
 
 // NestedSorted nests acquisitions in sorted order with no opposing
-// path: clean.
+// path: no deadlock yet, but a nesting all the same.
 func NestedSorted(lm *txn.LockManager) error {
 	return lm.WithWrite([]string{"t1"}, func() error {
-		return lm.WithWrite([]string{"t2"}, func() error { return nil })
+		return lm.WithWrite([]string{"t2"}, func() error { return nil }) // want: nested
 	})
 }
+
+// installHeld runs under its caller's write lock (it takes a txn.Held)
+// and acquires another.
+func installHeld(_ txn.Held, lm *txn.LockManager) error {
+	return lm.WithRead([]string{"delta"}, func() error { return nil }) // want: nested
+}
+
+// Forge makes the proof without the lock, by a literal and by a var.
+func Forge(lm *txn.LockManager) error {
+	var zero txn.Held // want: forged txn.Held
+	_ = installHeld(zero, lm)
+	return installHeld(txn.Held{}, lm) // want: forged txn.Held
+}
+
+// Locked hands the Held its section received to a helper: clean.
+func Locked(lm *txn.LockManager) error {
+	return lm.WithWriteSpan([]string{"epsilon"}, nil, func(h txn.Held) error {
+		return apply(h)
+	})
+}
+
+// apply takes a txn.Held and acquires nothing: clean.
+func apply(txn.Held) error { return nil }

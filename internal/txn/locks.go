@@ -74,18 +74,29 @@ func sortedUnique(tables []string) []string {
 	return out[:j]
 }
 
+// Held is the proof that its holder runs inside a WithWriteSpan
+// section: only the LockManager makes one, and a function that must run
+// under a write lock takes one as a parameter, so calling it outside a
+// section does not compile. (dvmlint's lock-order flags a Held made
+// outside this package.)
+type Held struct{ span *trace.Span }
+
+// Span is the section's txn.lock.hold span (nil untraced), the parent
+// of the critical section's own work.
+func (h Held) Span() *trace.Span { return h.span }
+
 // WithWrite runs f holding exclusive locks on the given tables, in
 // sorted order to avoid deadlock, recording hold time against each.
 func (lm *LockManager) WithWrite(tables []string, f func() error) error {
-	return lm.WithWriteSpan(tables, nil, func(*trace.Span) error { return f() })
+	return lm.WithWriteSpan(tables, nil, func(Held) error { return f() })
 }
 
 // WithWriteSpan is WithWrite with tracing: under a non-nil parent span
 // it emits a txn.lock.wait child covering acquisition and a
 // txn.lock.hold child covering f (its duration is the same clock
-// reading recorded into lock_write_hold_ns). f receives the hold span
-// so the critical section can parent its own work under it.
-func (lm *LockManager) WithWriteSpan(tables []string, parent *trace.Span, f func(*trace.Span) error) error {
+// reading recorded into lock_write_hold_ns). f receives the section's
+// Held, which carries the hold span.
+func (lm *LockManager) WithWriteSpan(tables []string, parent *trace.Span, f func(Held) error) error {
 	ts := sortedUnique(tables)
 	attrs := []trace.Attr{trace.Str("mode", "write"), trace.Str("tables", strings.Join(ts, ","))}
 	wait := parent.StartChild(trace.SpanLockWait, attrs...)
@@ -97,7 +108,7 @@ func (lm *LockManager) WithWriteSpan(tables []string, parent *trace.Span, f func
 	wait.End()
 	hold := parent.StartChild(trace.SpanLockHold, attrs...)
 	start := time.Now()
-	err := f(hold)
+	err := f(Held{hold})
 	elapsed := time.Since(start)
 	hold.EndExplicit(elapsed)
 	for _, l := range ls {

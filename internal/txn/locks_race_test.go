@@ -10,9 +10,9 @@ import (
 
 // TestLockManagerOppositeOrderStress drives goroutines that acquire
 // overlapping table sets declared in OPPOSITE orders. Because the
-// manager sorts before acquiring (the deadlock-freedom invariant
-// dvmlint's lock-discipline check protects at literal call sites),
-// the schedule must complete — a deadlock trips the watchdog — and
+// manager sorts before acquiring (sortedUnique: the deadlock-freedom
+// invariant, whatever order a call site lists its tables in), the
+// schedule must complete — a deadlock trips the watchdog — and
 // the shared counter below must be race-free under -race: writers on
 // overlapping sets are mutually exclusive, and readers observe them
 // only through the read locks.

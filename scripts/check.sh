@@ -27,15 +27,15 @@ echo "== go vet"
 go vet ./...
 
 echo "== dvmlint"
-# Timed: loading and type-checking the module is most of it, and the
-# interprocedural passes (lock-order, locked-contract, state-bug) run a
-# whole-module fixpoint; TestDvmlintWallClock bounds this, and the wall
-# clock here makes creep visible in CI logs.
+# Timed: loading and type-checking the module is most of it; the
+# interprocedural passes (lock-order's reachability walk, state-bug's
+# write summaries) cover the whole module. TestDvmlintWallClock bounds
+# this, and the wall clock here makes creep visible in CI logs.
 dvmlint_start=$(date +%s)
 go run ./cmd/dvmlint ./...
 echo "   dvmlint wall clock: $(( $(date +%s) - dvmlint_start ))s"
 
-echo "== doccheck (README.md docs/*.md)"
+echo "== doccheck (README.md docs/*.md DESIGN.md EXPERIMENTS.md)"
 go run ./cmd/doccheck
 
 echo "== go test -race"
