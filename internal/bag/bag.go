@@ -225,6 +225,13 @@ type smallBag struct {
 	buf [2]slot
 }
 
+// roomyBag is a Bag allocated together with room for all smallMax
+// slots: NewSized's bag for 3 to smallMax tuples, one object.
+type roomyBag struct {
+	Bag
+	buf [smallMax]slot
+}
+
 // mapBag is a map bag allocated together with its tier's side: a bag
 // made as a map, by New's kin or a Clone or Prepare, pays no allocation
 // of its own for its first counted tuple or collision beyond the map
@@ -661,12 +668,15 @@ func newFor(n int) *Bag {
 // fill then never regrows the map, which from empty costs about as much
 // again as the map it ends with. The room is the unit map's: a tuple of
 // another multiplicity goes to a counted map that grows from empty.
-// Room for smallMax or fewer is a small bag's.
+// Room for smallMax or fewer is a small bag's, made in one allocation.
 func NewSized(n int) *Bag {
-	if n <= smallMax {
-		b := New()
-		b.s = slices.Grow(b.s, n)
-		return b
+	switch {
+	case n <= len(smallBag{}.buf):
+		return New()
+	case n <= smallMax:
+		rb := &roomyBag{}
+		rb.s = rb.buf[:0]
+		return &rb.Bag
 	}
 	b := newMapBag(sized(n, 0))
 	b.peak = sat32(n)

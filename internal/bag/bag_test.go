@@ -162,6 +162,37 @@ func TestSelect(t *testing.T) {
 	}
 }
 
+// TestSelectStartsSmall: σ of a map bag is a small bag, made in one
+// allocation, while at most smallMax tuples match, and a map past that;
+// either way it holds what a filtering Add of every match would.
+func TestSelectStartsSmall(t *testing.T) {
+	a := New()
+	for i := 0; i < 100; i++ {
+		a.Add(row(i, i%7), 1+i%3)
+	}
+	for _, k := range []int{0, 1, 2, 3, smallMax, smallMax + 1, 40} {
+		keep := func(tu schema.Tuple) bool { return tu[0].AsInt() < int64(k) }
+		want := New()
+		a.Each(func(tu schema.Tuple, n int) {
+			if keep(tu) {
+				want.Add(tu, n)
+			}
+		})
+		got := Select(a, keep)
+		if !got.Equal(want) || got.arity != a.arity {
+			t.Fatalf("σ of %d matches = %v, want %v", k, got, want)
+		}
+		if small := got.u == nil; small != (k <= smallMax) {
+			t.Errorf("σ of %d matches is small: %t", k, small)
+		}
+		if k <= smallMax {
+			if allocs := testing.AllocsPerRun(20, func() { Select(a, keep) }); allocs != 1 {
+				t.Errorf("σ of %d matches allocates %v times, want 1", k, allocs)
+			}
+		}
+	}
+}
+
 // TestRefillIsSelectInPlace: Refill leaves b holding Select's answer
 // from every start, small or a map, of another arity and shared with a
 // Clone, which keeps what it held; refilled again with changes of the

@@ -147,14 +147,40 @@ func DupElim(a *Bag) *Bag {
 	return out
 }
 
-// Select returns σ_p(a) for a predicate over tuples.
+// Select returns σ_p(a) for a predicate over tuples. Its output starts
+// small whatever a's size: the first smallMax matches are held on the
+// stack, and a bag of their number takes them at the end, one object
+// (NewSized) — a DELETE's few rows out of a large table cost no map.
+// The next match moves the output to a map.
 func Select(a *Bag, pred func(schema.Tuple) bool) *Bag {
-	out := newLike(a, a.Distinct())
+	var (
+		first [smallMax]slot
+		n     int
+		out   *Bag
+	)
 	a.each(func(h uint64, e entry) {
-		if pred(a.tupleAt(e.p)) {
+		switch {
+		case !pred(a.tupleAt(e.p)):
+		case out != nil:
+			out.putNew(h, e, e.count)
+		case n < smallMax:
+			first[n] = slot{h: h, e: e}
+			n++
+		default:
+			out = newLike(a, smallMax+1)
+			for _, sl := range first {
+				out.putNew(sl.h, sl.e, sl.e.count)
+			}
 			out.putNew(h, e, e.count)
 		}
 	})
+	if out == nil {
+		out = NewSized(n)
+		out.arity = a.arity
+		for _, sl := range first[:n] {
+			out.putNew(sl.h, sl.e, sl.e.count)
+		}
+	}
 	return out
 }
 

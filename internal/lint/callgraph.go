@@ -94,8 +94,9 @@ func (u *Unit) declOf(fn *types.Func) *declInfo {
 // dynamicTargets conservatively resolves a call whose callee is not a
 // single statically known function: interface method calls resolve to
 // all implementing module methods, function-value calls to all
-// address-taken module functions of identical signature. Results are
-// in deterministic (position) order.
+// address-taken module functions of identical signature, and builtin
+// calls and conversions to nothing. Results are in deterministic
+// (position) order.
 func (u *Unit) dynamicTargets(pkg *Package, call *ast.CallExpr) []*declInfo {
 	u.ensureDecls()
 	info := pkg.Info
@@ -118,8 +119,11 @@ func (u *Unit) dynamicTargets(pkg *Package, call *ast.CallExpr) []*declInfo {
 			return out
 		}
 	}
+	// A builtin's call (len, cap) and a conversion call no function
+	// value, though go/types records a signature for the builtin, and a
+	// conversion to a function type has one.
 	tv, ok := info.Types[call.Fun]
-	if !ok || tv.Type == nil {
+	if !ok || tv.Type == nil || tv.IsBuiltin() || tv.IsType() {
 		return nil
 	}
 	sig, ok := tv.Type.Underlying().(*types.Signature)

@@ -107,6 +107,33 @@ func TestMethodExpressionResolution(t *testing.T) {
 	}
 }
 
+// TestBuiltinsAndConversionsAreNotCalls: a call of a builtin (len,
+// cap) or a conversion (int64(x), Counter(Length)) calls no function
+// value, though go/types records a function signature for the builtin
+// and a conversion to a function type has one: neither resolves to the
+// address-taken functions of that signature. The call through c, a
+// Counter value, and FuncValue's call through f still do.
+func TestBuiltinsAndConversionsAreNotCalls(t *testing.T) {
+	u := callgraphUnit(t)
+	for caller, want := range map[string]int{"Builtins": 1, "FuncValue": 1} {
+		got := resolvedCalls(t, u, caller)
+		if !got["dynamic->Length"] || len(got) != want {
+			t.Errorf("the calls of %s resolve to %v, want only dynamic->Length", caller, keys(got))
+		}
+	}
+	di := u.declOf(fnNamed(t, u, "Builtins"))
+	dynamic := 0
+	ast.Inspect(di.decl.Body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && len(u.dynamicTargets(di.pkg, call)) > 0 {
+			dynamic++
+		}
+		return true
+	})
+	if dynamic != 1 {
+		t.Errorf("%d calls in Builtins resolve dynamically, want 1: c(s)", dynamic)
+	}
+}
+
 func keys(m map[string]bool) []string {
 	var out []string
 	for k := range m {

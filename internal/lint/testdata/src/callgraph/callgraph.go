@@ -61,3 +61,25 @@ func UseSpawnAll() {
 	Indirect(helper)
 	GoValue(target)
 }
+
+// Counter is a function type that a conversion names.
+type Counter func(string) int
+
+// Length has the signature of len on a string and of Counter, and is
+// address-taken (Builtins and FuncValue use it as a value).
+func Length(s string) int { return 0 }
+
+// Builtins calls the builtin len and converts Length to Counter:
+// neither call goes through a function value, so neither resolves to
+// Length.
+func Builtins(s string) int {
+	c := Counter(Length)
+	return len(s) + cap([]int{}) + int(int64(len(s))) + c(s)
+}
+
+// FuncValue calls Length through a function value: a dynamic call,
+// which resolves to Length.
+func FuncValue(s string) int {
+	f := Length
+	return f(s)
+}

@@ -1,6 +1,9 @@
 package sql
 
-import "dvm/internal/schema"
+import (
+	"dvm/internal/algebra"
+	"dvm/internal/schema"
+)
 
 // Stmt is any parsed statement.
 type Stmt interface{ stmt() }
@@ -57,20 +60,21 @@ type CompoundOp struct {
 }
 
 // SimpleSelect is SELECT [DISTINCT] items FROM tables [WHERE pred]
-// [GROUP BY cols].
+// [GROUP BY cols]. The WHERE is parsed as the algebra predicate σ runs.
 type SimpleSelect struct {
 	Distinct bool
 	Star     bool
 	Items    []SelectItem
 	From     []TableRef
-	Where    Expr     // nil when absent
-	GroupBy  []string // nil when absent
+	Where    algebra.Predicate // nil when absent
+	GroupBy  []string          // nil when absent
 }
 
-// SelectItem is one projection item: a scalar expression with an
-// optional output alias.
+// SelectItem is one projection item, a scalar expression or an
+// aggregate call, with an optional output alias.
 type SelectItem struct {
-	Expr  Expr
+	Expr  algebra.Scalar // nil for an aggregate
+	Agg   *AggExpr
 	Alias string
 }
 
@@ -79,6 +83,14 @@ type SelectItem struct {
 type TableRef struct {
 	Name  string
 	Alias string
+}
+
+// alias is the name the entry's columns are qualified by.
+func (r TableRef) alias() string {
+	if r.Alias != "" {
+		return r.Alias
+	}
+	return r.Name
 }
 
 // InsertStmt is INSERT INTO table VALUES (...), (...). Each row is
@@ -94,7 +106,7 @@ type InsertStmt struct {
 // DeleteStmt is DELETE FROM table [WHERE pred].
 type DeleteStmt struct {
 	Table string
-	Where Expr
+	Where algebra.Predicate // nil when absent
 }
 
 // MaintStmt covers REFRESH/PROPAGATE/PARTIAL REFRESH/RECOMPUTE/CHECK
@@ -116,26 +128,3 @@ func (*InsertStmt) stmt()  {}
 func (*DeleteStmt) stmt()  {}
 func (*MaintStmt) stmt()   {}
 func (*ShowStmt) stmt()    {}
-
-// Expr is a scalar or boolean SQL expression.
-type Expr interface{ expr() }
-
-// ColRef references a column, optionally qualified ("c.custId").
-type ColRef struct{ Name string }
-
-// Lit is a literal value.
-type Lit struct{ Value schema.Value }
-
-// BinExpr is a binary operation: comparison, AND/OR, or arithmetic.
-type BinExpr struct {
-	Op   string // = != < <= > >= AND OR + - * /
-	L, R Expr
-}
-
-// NotExpr negates a boolean expression.
-type NotExpr struct{ E Expr }
-
-func (*ColRef) expr()  {}
-func (Lit) expr()      {}
-func (*BinExpr) expr() {}
-func (*NotExpr) expr() {}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"dvm/internal/algebra"
 	"dvm/internal/schema"
 )
 
@@ -140,16 +141,16 @@ func TestParseSelect(t *testing.T) {
 	if !h.Distinct || h.Star || len(h.Items) != 2 || h.Items[0].Alias != "col" {
 		t.Fatalf("head = %+v", h)
 	}
-	or, ok := h.Where.(*BinExpr)
-	if !ok || or.Op != "OR" {
-		t.Fatalf("where = %#v (precedence wrong)", h.Where)
+	or, ok := h.Where.(algebra.Or)
+	if !ok || len(or.Preds) != 2 {
+		t.Fatalf("where = %s (precedence wrong)", h.Where)
 	}
-	and := or.L.(*BinExpr)
-	if and.Op != "AND" {
-		t.Fatalf("AND below OR expected, got %#v", or.L)
+	and, ok := or.Preds[0].(algebra.And)
+	if !ok {
+		t.Fatalf("AND below OR expected, got %s", or.Preds[0])
 	}
-	if _, ok := and.R.(*NotExpr); !ok {
-		t.Fatalf("NOT expected, got %#v", and.R)
+	if _, ok := and.Preds[1].(algebra.Not); !ok {
+		t.Fatalf("NOT expected, got %s", and.Preds[1])
 	}
 }
 
@@ -197,12 +198,12 @@ func TestParseDelete(t *testing.T) {
 	if d.Table != "t" || d.Where == nil {
 		t.Fatalf("delete = %+v", d)
 	}
-	cmp := d.Where.(*BinExpr)
-	add := cmp.R.(*BinExpr)
-	if add.Op != "+" {
-		t.Fatalf("rhs = %#v", cmp.R)
+	cmp := d.Where.(algebra.Cmp)
+	add := cmp.R.(algebra.Arith)
+	if add.Op != algebra.OpAdd {
+		t.Fatalf("rhs = %s", cmp.R)
 	}
-	if mul := add.R.(*BinExpr); mul.Op != "*" {
+	if mul := add.R.(algebra.Arith); mul.Op != algebra.OpMul {
 		t.Fatal("arithmetic precedence wrong")
 	}
 	st = mustParse(t, "DELETE FROM t")
@@ -274,12 +275,12 @@ func TestParseTrailingInput(t *testing.T) {
 
 func TestParseParenthesizedBool(t *testing.T) {
 	st := mustParse(t, "SELECT * FROM t WHERE (x = 1 OR y = 2) AND z = 3")
-	w := st.(*SelectStmt).Head.Where.(*BinExpr)
-	if w.Op != "AND" {
-		t.Fatalf("top = %+v", w)
+	w, ok := st.(*SelectStmt).Head.Where.(algebra.And)
+	if !ok {
+		t.Fatalf("top = %s", st.(*SelectStmt).Head.Where)
 	}
-	if inner := w.L.(*BinExpr); inner.Op != "OR" {
-		t.Fatalf("grouping lost: %+v", w.L)
+	if _, ok := w.Preds[0].(algebra.Or); !ok {
+		t.Fatalf("grouping lost: %s", w.Preds[0])
 	}
 	// Parenthesized scalar must still work.
 	st = mustParse(t, "SELECT * FROM t WHERE (x + 1) * 2 = 4")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"runtime"
+	"runtime/metrics"
 	"strconv"
 	"strings"
 	"testing"
@@ -454,22 +455,16 @@ func TestLoadThenDropFreesTheTable(t *testing.T) {
 	if err := intTable(t, rows, 4).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	heap := func() uint64 {
-		var m runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&m)
-		return m.HeapAlloc
-	}
-	before := heap()
+	before := liveHeap()
 	db, err := Load(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded := heap()
+	loaded := liveHeap()
 	if err := db.Drop("t"); err != nil {
 		t.Fatal(err)
 	}
-	after := heap()
+	after := liveHeap()
 	t.Logf("live heap: %d B before the load, %d B loaded, %d B after the drop", before, loaded, after)
 	if loaded < before+rows*64 {
 		t.Fatalf("the loaded table holds %d B, less than 64 B a row: the test measures nothing", loaded-before)
@@ -479,4 +474,16 @@ func TestLoadThenDropFreesTheTable(t *testing.T) {
 	}
 	runtime.KeepAlive(db)
 	runtime.KeepAlive(&buf) // live in all three readings, or its death counts against the table
+}
+
+// liveHeap returns the bytes a full collection finds reachable: the
+// marked heap (/gc/heap/live:bytes), not MemStats.HeapAlloc, which also
+// counts dead objects not yet swept. runtime.GC stops waiting for the
+// sweep when another cycle starts, so after it HeapAlloc can still hold
+// a dropped table's unswept spans.
+func liveHeap() uint64 {
+	runtime.GC()
+	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
 }
