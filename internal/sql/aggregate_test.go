@@ -42,6 +42,28 @@ func one(t *testing.T, e *Engine, q string) schema.Tuple {
 	return ts[0]
 }
 
+// TestAggregateOfAnExpression: an aggregate's argument is any scalar,
+// not only a column; its output column is named after "expr", and the
+// statement prints back to text that parses to the same statement.
+func TestAggregateOfAnExpression(t *testing.T) {
+	e := aggEngine(t)
+	const q = "SELECT cust, SUM(qty + 1), MAX(amount * 2) FROM orders o WHERE cust = 'ann' GROUP BY cust"
+	r, err := e.Exec(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Schema.String(); got != "(cust STRING, sum_expr INT, max_expr FLOAT)" {
+		t.Errorf("columns %s", got)
+	}
+	if tu := one(t, e, q); tu[1].AsInt() != 5 || tu[2].AsFloat() != 60 {
+		t.Errorf("ann's row %v, want SUM(qty + 1) 5 and MAX(amount * 2) 60", tu)
+	}
+	printed := SQL(mustParse(t, q))
+	if again := SQL(mustParse(t, printed)); again != printed || !strings.Contains(printed, "SUM((qty + 1))") {
+		t.Errorf("%q prints as %q, which prints as %q", q, printed, again)
+	}
+}
+
 func TestAggregatesWholeTable(t *testing.T) {
 	e := aggEngine(t)
 	tu := one(t, e, "SELECT COUNT(*), SUM(amount), AVG(amount), MIN(amount), MAX(amount) FROM orders o")
