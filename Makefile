@@ -21,7 +21,7 @@ lint-json:
 	if [ $$status -eq 2 ]; then cat dvmlint.json; exit 2; fi; \
 	echo "dvmlint.json written ($$status findings-exit)"
 
-# Resolve every file:line anchor and relative link in the docs.
+# Resolve every symbol anchor and relative link in the docs.
 doccheck:
 	$(GO) run ./cmd/doccheck
 

@@ -2,14 +2,17 @@
 // markdown files for two kinds of reference and resolves each against
 // the working tree:
 //
-//   - file:line anchors written as `path/to/file.go:NN`, optionally
-//     with a symbol in either of two forms: after the anchor in
-//     parentheses, `internal/core/refresh.go:23` (`Refresh`), or beside
-//     it inside one pair of parentheses, (`internal/core/refresh.go:23`,
-//     `Manager.Refresh`), where a dotted symbol names its last part. The
-//     file must exist, line NN must exist in it, and when a symbol is
-//     given its name must appear within ±2 lines of NN — so anchors fail
-//     loudly when the code they point at moves.
+//   - symbol anchors, a Go file and a declaration in it, written in
+//     either of two forms: the symbol after the path in parentheses,
+//     `internal/core/refresh.go` (`Refresh`), or beside it inside one
+//     pair of parentheses, (`internal/core/refresh.go`, `Manager.Refresh`).
+//     The file must parse, and the symbol must name one of its
+//     declarations: a top-level func, type, var or const, or a method,
+//     by its name or as Type.Method; Type.Field names a struct field,
+//     and pkg.Name a top-level declaration. An anchor names no line,
+//     so it moves with the code and fails loudly only when the
+//     declaration is renamed or deleted. A path with a line number,
+//     `path.go:NN`, is the old line form and is reported.
 //   - relative markdown links [text](path) (fragments and external
 //     URLs are skipped, and so is a bracket inside an inline code
 //     span). The target must exist relative to the referring document.
@@ -22,30 +25,29 @@ package main
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
-	"strconv"
 	"strings"
 )
 
-// anchorRe matches `path.go:NN` optionally followed by (`Symbol`) or
-// by , `Type.Symbol` — the comma form, a symbol only when an opening
-// parenthesis comes right before the anchor (group 1), so a prose list
-// of anchors is not read as one. The path must contain a slash (so prose
-// like `file.go:NN` placeholders with bare names do not trip the
-// checker) and the extension is restricted to source/doc files we
-// anchor into.
+// anchorRe matches `path.go` followed by (`Symbol`), or, when an
+// opening parenthesis comes right before the path (group 1), by
+// , `Symbol` — so a prose list of files is not read as one anchor. The
+// symbol may sit on the next line. The path must contain a slash, so a
+// bare file name in prose is not an anchor.
 var anchorRe = regexp.MustCompile(
-	"(\\(?)`([A-Za-z0-9_.-]+(?:/[A-Za-z0-9_.-]+)+\\.(?:go|md|sh|sql)):([0-9]+)`" +
-		"(?:\\s*\\(`([A-Za-z_][A-Za-z0-9_]*)`\\)|,\\s*`([A-Za-z_][A-Za-z0-9_.]*)`)?")
+	"(\\(?)`([A-Za-z0-9_.-]+(?:/[A-Za-z0-9_.-]+)+\\.go)`" +
+		"(?:\\s*\\(`([A-Za-z_][A-Za-z0-9_.]*)`\\)|,\\s*`([A-Za-z_][A-Za-z0-9_.]*)`)")
+
+// lineAnchorRe matches the retired line form, `path.go:NN`.
+var lineAnchorRe = regexp.MustCompile("`[A-Za-z0-9_.-]+(?:/[A-Za-z0-9_.-]+)+\\.[a-z]+:[0-9]+`")
 
 // linkRe matches markdown inline links [text](target).
 var linkRe = regexp.MustCompile(`\[[^\]\n]*\]\(([^)\s]+)\)`)
-
-// symbolSlack is how far (in lines) a named symbol may drift from its
-// anchored line before the anchor is considered stale.
-const symbolSlack = 2
 
 func main() {
 	docs := os.Args[1:]
@@ -88,30 +90,39 @@ func checkDoc(doc string) (broken, checked int, err error) {
 		fmt.Fprintf(os.Stderr, "%s:%d: %s\n", doc, line, fmt.Sprintf(format, args...))
 		broken++
 	}
-	prose := strings.Split(withoutCodeSpans(string(data)), "\n")
-	for i, line := range strings.Split(string(data), "\n") {
-		lineNo := i + 1
-		for _, m := range anchorRe.FindAllStringSubmatch(line, -1) {
-			checked++
-			path, numStr, symbol := m[2], m[3], m[4]
-			if m[1] == "(" && m[5] != "" {
-				symbol = m[5][strings.LastIndexByte(m[5], '.')+1:]
+	text := string(data)
+	lineOf := func(off int) int { return strings.Count(text[:off], "\n") + 1 }
+	for _, at := range anchorRe.FindAllStringSubmatchIndex(text, -1) {
+		sub := func(i int) string {
+			if at[2*i] < 0 {
+				return ""
 			}
-			n, _ := strconv.Atoi(numStr)
-			lines, err := fileLines(path)
-			if err != nil {
-				fail(lineNo, "anchor `%s:%d` — %v", path, n, err)
-				continue
-			}
-			if n < 1 || n > len(lines) {
-				fail(lineNo, "anchor `%s:%d` — file has only %d lines", path, n, len(lines))
-				continue
-			}
-			if symbol != "" && !symbolNear(lines, n, symbol) {
-				fail(lineNo, "anchor `%s:%d` (`%s`) — symbol not found within ±%d lines (code moved?)",
-					path, n, symbol, symbolSlack)
-			}
+			return text[at[2*i]:at[2*i+1]]
 		}
+		path, symbol := sub(2), sub(3)
+		if symbol == "" {
+			if sub(1) != "(" {
+				continue // a prose list of files, not an anchor
+			}
+			symbol = sub(4)
+		}
+		checked++
+		names, err := declarations(path)
+		if err != nil {
+			fail(lineOf(at[0]), "anchor `%s` — %v", path, err)
+			continue
+		}
+		if !names[symbol] {
+			fail(lineOf(at[0]), "anchor `%s` (`%s`) — no such declaration (renamed or deleted?)", path, symbol)
+		}
+	}
+	for _, at := range lineAnchorRe.FindAllStringIndex(text, -1) {
+		checked++
+		fail(lineOf(at[0]), "anchor %s names a line; name a symbol instead: `path.go` (`Symbol`)", text[at[0]:at[1]])
+	}
+	prose := strings.Split(withoutCodeSpans(text), "\n")
+	for i := range prose {
+		lineNo := i + 1
 		for _, m := range linkRe.FindAllStringSubmatch(prose[i], -1) {
 			target := m[1]
 			if strings.Contains(target, "://") || strings.HasPrefix(target, "#") ||
@@ -150,32 +161,75 @@ func withoutCodeSpans(text string) string {
 	})
 }
 
-// fileCache avoids re-reading a file for every anchor into it.
-var fileCache = map[string][]string{}
+// declCache avoids re-parsing a file for every anchor into it.
+var declCache = map[string]map[string]bool{}
 
-func fileLines(path string) ([]string, error) {
-	if lines, ok := fileCache[path]; ok {
-		return lines, nil
+// declarations returns the names an anchor into path may use: each
+// top-level func, type, var and const, by name and as pkg.Name; each
+// method, by name and as Type.Method; and each field of a struct type,
+// as Type.Field.
+func declarations(path string) (map[string]bool, error) {
+	if names, ok := declCache[path]; ok {
+		return names, nil
 	}
-	data, err := os.ReadFile(path)
+	f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
 	if err != nil {
 		return nil, err
 	}
-	lines := strings.Split(string(data), "\n")
-	fileCache[path] = lines
-	return lines, nil
-}
-
-// symbolNear reports whether symbol occurs as a word on any line
-// within symbolSlack of the 1-based line n.
-func symbolNear(lines []string, n int, symbol string) bool {
-	lo := max(n-1-symbolSlack, 0)
-	hi := min(n-1+symbolSlack, len(lines)-1)
-	re := regexp.MustCompile(`\b` + regexp.QuoteMeta(symbol) + `\b`)
-	for i := lo; i <= hi; i++ {
-		if re.MatchString(lines[i]) {
-			return true
+	names := map[string]bool{}
+	top := func(name string) {
+		names[name] = true
+		names[f.Name.Name+"."+name] = true
+	}
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				top(d.Name.Name)
+				continue
+			}
+			names[d.Name.Name] = true
+			if recv := receiverName(d.Recv.List[0].Type); recv != "" {
+				names[recv+"."+d.Name.Name] = true
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch spec := spec.(type) {
+				case *ast.TypeSpec:
+					top(spec.Name.Name)
+					if st, ok := spec.Type.(*ast.StructType); ok {
+						for _, field := range st.Fields.List {
+							for _, n := range field.Names {
+								names[spec.Name.Name+"."+n.Name] = true
+							}
+						}
+					}
+				case *ast.ValueSpec:
+					for _, n := range spec.Names {
+						top(n.Name)
+					}
+				}
+			}
 		}
 	}
-	return false
+	declCache[path] = names
+	return names, nil
+}
+
+// receiverName is the type a method's receiver names: T of T, *T, T[P].
+func receiverName(e ast.Expr) string {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.Ident:
+			return x.Name
+		default:
+			return ""
+		}
+	}
 }

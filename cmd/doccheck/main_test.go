@@ -22,32 +22,33 @@ func writeTree(t *testing.T, files map[string]string) {
 		}
 	}
 	t.Chdir(dir)
-	fileCache = map[string][]string{}
+	declCache = map[string]map[string]bool{}
 }
 
-const someGo = "package p\n\nvar x = 1\n\n// Frob frobs.\nfunc Frob() {}\n"
+const someGo = "package p\n\nvar x = 1\n\n// Frob frobs.\nfunc Frob() {}\n\ntype T struct{ f int }\n\nfunc (t *T) Run() {}\n"
 
 func TestAnchorsResolve(t *testing.T) {
 	writeTree(t, map[string]string{
 		"pkg/some.go": someGo,
-		"doc.md": "See `pkg/some.go:6` (`Frob`) and plain `pkg/some.go:1`.\n" +
+		"doc.md": "See `pkg/some.go` (`Frob`) and `pkg/some.go` (`T.Run`), and a\n" +
+			"symbol on the next line, `pkg/some.go`\n(`x`), and plain `pkg/some.go`.\n" +
 			"Also a [link](pkg/some.go) and an [external](https://example.com/x:9).\n",
 	})
 	broken, checked, err := checkDoc("doc.md")
 	if err != nil || broken != 0 {
 		t.Fatalf("broken=%d err=%v; want clean", broken, err)
 	}
-	if checked != 3 { // two anchors + one relative link; external skipped
-		t.Fatalf("checked=%d; want 3", checked)
+	if checked != 4 { // three anchors + one relative link; plain path and external skipped
+		t.Fatalf("checked=%d; want 4", checked)
 	}
 }
 
 func TestBrokenReferences(t *testing.T) {
 	writeTree(t, map[string]string{
 		"pkg/some.go": someGo,
-		"doc.md": "Missing file `pkg/gone.go:3`.\n" +
-			"Line out of range `pkg/some.go:99`.\n" +
-			"Symbol drifted `pkg/some.go:1` (`Frob`).\n" + // Frob is on lines 5-6, > ±2 from 1
+		"doc.md": "Missing file `pkg/gone.go` (`Frob`).\n" +
+			"Renamed symbol `pkg/some.go` (`Frobnicate`).\n" +
+			"Method on the wrong type `pkg/some.go` (`x.Run`).\n" +
 			"Dead [link](nope.md).\n",
 	})
 	broken, checked, err := checkDoc("doc.md")
@@ -59,22 +60,23 @@ func TestBrokenReferences(t *testing.T) {
 	}
 }
 
-func TestSymbolSlack(t *testing.T) {
+// TestLineAnchorsAreReported: the retired `path.go:NN` form is a
+// broken reference, with or without a symbol, so a line number cannot
+// creep back into the docs.
+func TestLineAnchorsAreReported(t *testing.T) {
 	writeTree(t, map[string]string{
 		"pkg/some.go": someGo,
-		// Frob's doc comment is on line 5; ±2 slack makes an anchor at
-		// line 4 (the blank separator) valid.
-		"doc.md": "`pkg/some.go:4` (`Frob`)\n",
+		"doc.md":      "`pkg/some.go:6` (`Frob`) and `pkg/some.go:1`.\n",
 	})
 	broken, _, err := checkDoc("doc.md")
-	if err != nil || broken != 0 {
-		t.Fatalf("broken=%d err=%v; anchor within slack should pass", broken, err)
+	if err != nil || broken != 2 {
+		t.Fatalf("broken=%d err=%v; want both line anchors reported", broken, err)
 	}
 }
 
 func TestFragmentsAndBareNamesSkipped(t *testing.T) {
 	writeTree(t, map[string]string{
-		"doc.md": "A [section link](#enforcement) and prose `file.go:12` with no path.\n",
+		"doc.md": "A [section link](#enforcement) and prose `file.go` (`F`) with no path.\n",
 	})
 	broken, checked, err := checkDoc("doc.md")
 	if err != nil || broken != 0 {
@@ -86,20 +88,22 @@ func TestFragmentsAndBareNamesSkipped(t *testing.T) {
 }
 
 // TestCommaFormAnchors: a symbol written beside its anchor inside one
-// pair of parentheses is checked as one written after it, a dotted
-// Type.Method by its last part.
+// pair of parentheses is checked as one written after it: a method as
+// Type.Method, a field as Type.Field, a top-level name as pkg.Name. A
+// prose list of files, with no parenthesis before it, is not an anchor.
 func TestCommaFormAnchors(t *testing.T) {
 	writeTree(t, map[string]string{
 		"pkg/some.go": someGo,
-		"doc.md": "Fine (`pkg/some.go:6`, `Frob`) and (`pkg/some.go:5`, `p.Frob`).\n" +
-			"Stale (`pkg/some.go:1`, `Frob`) and (`pkg/some.go:2`, `p.Frob`).\n",
+		"doc.md": "Fine (`pkg/some.go`, `Frob`), (`pkg/some.go`, `p.Frob`), (`pkg/some.go`, `T.f`).\n" +
+			"Stale (`pkg/some.go`, `Frab`) and (`pkg/some.go`, `T.g`).\n" +
+			"A list: `pkg/some.go`, `pkg/other.go`.\n",
 	})
 	broken, checked, err := checkDoc("doc.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if broken != 2 || checked != 4 { // Frob is on lines 5-6, > ±2 from 1 and 2
-		t.Fatalf("broken=%d checked=%d; want 2 and 4", broken, checked)
+	if broken != 2 || checked != 5 {
+		t.Fatalf("broken=%d checked=%d; want 2 and 5", broken, checked)
 	}
 }
 

@@ -152,7 +152,7 @@ func TestExitCodeBadFlags(t *testing.T) {
 }
 
 // TestListChecks: -list prints one "name  doc" line per registered
-// analyzer — the dataflow-layer quartet included — runs nothing, and
+// analyzer — the dataflow-layer pair included — runs nothing, and
 // exits 0.
 func TestListChecks(t *testing.T) {
 	var out, errb bytes.Buffer
@@ -163,7 +163,7 @@ func TestListChecks(t *testing.T) {
 	if lines != len(lint.All()) {
 		t.Fatalf("-list printed %d lines; want one per analyzer (%d)", lines, len(lint.All()))
 	}
-	for _, name := range []string{"closure-purity", "resource-lifecycle", "error-flow", "nilness", "single-writer"} {
+	for _, name := range []string{"resource-lifecycle", "error-flow", "single-writer"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output misses %q", name)
 		}
@@ -171,16 +171,16 @@ func TestListChecks(t *testing.T) {
 }
 
 // TestCheckSelection: -check narrows the run to the named analyzers —
-// a module with only a dropped error is clean under -check=nilness and
-// dirty under -check=error-flow.
+// a module with only a dropped error is clean under
+// -check=single-writer and dirty under -check=error-flow.
 func TestCheckSelection(t *testing.T) {
 	dir := writeModule(t, map[string]string{
 		"leaky.go": "package tmpmod\n\nimport \"os\"\n\nfunc F() {\n\tos.Remove(\"x\")\n}\n",
 	})
 	chdir(t, dir)
 	var out, errb bytes.Buffer
-	if code := run([]string{"-check=nilness"}, &out, &errb); code != 0 {
-		t.Fatalf("-check=nilness exit = %d (stdout %q); want 0: the finding belongs to another analyzer", code, out.String())
+	if code := run([]string{"-check=single-writer"}, &out, &errb); code != 0 {
+		t.Fatalf("-check=single-writer exit = %d (stdout %q); want 0: the finding belongs to another analyzer", code, out.String())
 	}
 	out.Reset()
 	errb.Reset()

@@ -212,11 +212,19 @@ func (m *Manager) Obs() *obs.Registry { return m.obs }
 
 // View returns a registered view.
 func (m *Manager) View(name string) (*View, error) {
-	v, ok := m.views[name]
+	v, ok := m.LookupView(name)
 	if !ok {
 		return nil, fmt.Errorf("core: no view %q", name)
 	}
 	return v, nil
+}
+
+// LookupView returns the named view and whether one is registered: View
+// without the error a miss builds, for a caller to whom a miss is an
+// answer (a SQL FROM item that names a table).
+func (m *Manager) LookupView(name string) (*View, bool) {
+	v, ok := m.views[name]
+	return v, ok
 }
 
 // Views returns all registered views in registration order.

@@ -61,10 +61,10 @@ func resolvedCalls(t *testing.T, u *Unit, caller string) map[string]bool {
 
 // TestCallGraphEdgeKinds pins the two kinds of call edge the
 // interprocedural analyzers tell apart: a static call (plain, deferred
-// or spawned) names its callee, which closure-purity follows, and a
-// call through a function value or interface resolves conservatively —
-// through method values AND bound-method expressions — to every
-// candidate, which lock-order's walk follows.
+// or spawned) names its callee, and a call through a function value
+// or interface resolves conservatively — through method values AND
+// bound-method expressions — to every candidate, which lock-order's
+// walk follows.
 func TestCallGraphEdgeKinds(t *testing.T) {
 	u := callgraphUnit(t)
 	cases := []struct {

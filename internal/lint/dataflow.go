@@ -10,10 +10,9 @@ import (
 // stable, then report, function-local and branch-sensitive.
 //
 // Facts are per-object bitsets. A client defines what the bits mean
-// (resource-lifecycle: open/closed/escaped; nilness: nil/non-nil;
-// error-flow: pending/propagated), a transfer function that applies a
-// statement's effect, and a refine function that narrows facts along a
-// conditional edge. The framework joins with set union — at a merge
+// (resource-lifecycle: open/closed/escaped; error-flow: nil/non-nil
+// per error), a transfer function that applies a statement's effect,
+// and a refine function that narrows facts along a conditional edge. The framework joins with set union — at a merge
 // point an object may be in any state it could be in on either path —
 // which makes transfer+refine monotone and the fixpoint finite.
 

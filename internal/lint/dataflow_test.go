@@ -8,7 +8,7 @@ import (
 
 // ptrFlow is a miniature flowClient used only by these tests: it
 // tracks whether each pointer-typed local may be nil (tNil) or may be
-// non-nil (tNonNil), independent of the real nilness analyzer, so the
+// non-nil (tNonNil), independent of the production clients, so the
 // framework — joins, refinement, back-edge propagation — is tested
 // without depending on any production client's policy.
 const (

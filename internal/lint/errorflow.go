@@ -42,8 +42,8 @@ var analyzerErrorFlow = &Analyzer{
 	Run:  runErrorFlow,
 }
 
-// Nil-state lattice bits, shared with nilness: which values an object
-// may hold at a program point.
+// Nil-state lattice bits: which values an error may hold at a program
+// point.
 const (
 	nIsNil  fact = 1 << iota // may be nil
 	nNonNil                  // may be non-nil

@@ -8,8 +8,7 @@ import (
 // analyzerSharedStateEscape tracks references that alias the engine's
 // shared mutable internals — the live *bag.Bag behind a table
 // ((*storage.Table).Data, (*storage.Database).Bag) and bag/map/slice
-// fields of the core and storage structs — with def-use alias facts
-// instead of the lexical heuristics the bag-mutation analyzer uses.
+// fields of the core and storage structs — with def-use alias facts.
 // Two escape shapes are flagged:
 //
 //   - a reference obtained INSIDE a locked region (the closure argument
@@ -371,4 +370,20 @@ func typeClass(info *types.Info, e ast.Expr) string {
 		return "slice"
 	}
 	return "bag"
+}
+
+// bagParams returns the named *bag.Bag parameters of a function type.
+func (p *Pass) bagParams(typ *ast.FuncType) []types.Object {
+	if typ.Params == nil {
+		return nil
+	}
+	var out []types.Object
+	for _, field := range typ.Params.List {
+		for _, id := range field.Names {
+			if obj := p.Pkg.Info.Defs[id]; obj != nil && isPtrToNamed(obj.Type(), p.Cfg.BagPkg, "Bag") {
+				out = append(out, obj)
+			}
+		}
+	}
+	return out
 }

@@ -21,6 +21,13 @@ var analyzerInvariantTouch = &Analyzer{
 	Run:  runInvariantTouch,
 }
 
+// bagMutators are the Bag methods that write a bag's contents; one
+// called on a bag reached through Table.Data() writes the table.
+var bagMutators = map[string]bool{
+	"Add": true, "AddBag": true, "ApplyDelta": true, "AddMonus": true, "Refill": true, "Remove": true, "Clear": true, "Adopt": true,
+}
+
+// tableMutators are the Table methods that write the table.
 var tableMutators = map[string]bool{
 	"Replace": true, "Clear": true, "Insert": true, "Delete": true,
 }

@@ -49,9 +49,6 @@ type Config struct {
 	// DocPkgs are packages whose exported identifiers must all carry
 	// doc comments (the documentation-gated API surface).
 	DocPkgs []string
-	// AlgebraPkg is the delta-program compiler package; closure-purity
-	// checks every closure reachable from its Compile entry points.
-	AlgebraPkg string
 }
 
 // DefaultConfig returns the production configuration for this module.
@@ -98,7 +95,6 @@ func DefaultConfig() Config {
 			"dvm/internal/obs/trace",
 			"dvm/internal/txn",
 		},
-		AlgebraPkg: "dvm/internal/algebra",
 	}
 }
 
@@ -112,10 +108,10 @@ type Analyzer struct {
 // Unit is the whole-program view one RunAnalyzers invocation shares
 // across its per-package passes: every loaded package, plus lazily
 // computed interprocedural facts (the call graph of callgraph.go, the
-// acquisitions lock-order reaches under a lock, the state-bug write
-// summaries and the atomic-field facts). Interprocedural analyzers compute over
-// the Unit once and report, from each per-package pass, only the
-// findings positioned in that pass's package.
+// acquisitions lock-order reaches under a lock, and the atomic-field
+// facts). Interprocedural analyzers compute over the Unit once and
+// report, from each per-package pass, only the findings positioned in
+// that pass's package.
 type Unit struct {
 	Pkgs []*Package
 	Cfg  Config
@@ -124,14 +120,13 @@ type Unit struct {
 	declList  []*declInfo // decls in deterministic (position) order
 	addrTaken map[*types.Func]bool
 
-	locks     map[*Package][]lockFinding
-	writeSums map[*types.Func]map[string]token.Pos
-	atomic    *atomicFacts
+	locks  map[*Package][]lockFinding
+	atomic *atomicFacts
 
-	// Function-local dataflow memos (ssa.go): CFGs and def-use chains
-	// are shared by closure-purity, resource-lifecycle, error-flow, and
-	// nilness, so the first analyzer to touch a function builds its
-	// graph and the rest reuse it.
+	// Function-local dataflow memos (ssa.go): CFGs are shared by
+	// resource-lifecycle and error-flow, so the first of them to touch a
+	// function builds its graph and the other reuses it. No analyzer
+	// reads the def-use chains; only ssa_test.go does.
 	cfgMemo    map[*ast.FuncDecl]*funcCFG
 	litCfgMemo map[*ast.FuncLit]*funcCFG
 	duMemo     map[*ast.FuncDecl]*defUse
@@ -218,15 +213,11 @@ func All() []*Analyzer {
 		analyzerSingleWriter,
 		analyzerSharedStateEscape,
 		analyzerAtomicDiscipline,
-		analyzerStateBug,
-		analyzerBagMutation,
 		analyzerMapIteration,
 		analyzerInvariantTouch,
 		analyzerDocComment,
-		analyzerClosurePurity,
 		analyzerResourceLifecycle,
 		analyzerErrorFlow,
-		analyzerNilness,
 	}
 }
 

@@ -52,23 +52,6 @@ var fixtureCases = []struct {
 		cfg:    func(c Config) Config { return c },
 	},
 	{
-		dir:    "statebug",
-		checks: "state-bug",
-		cfg: func(c Config) Config {
-			c.CorePkg = fixturePrefix + "statebug"
-			c.Blessed = []string{
-				"RefreshThenRead", "ReadThenRefresh", "HelperThenRead",
-				"DataAfterAdd", "DataAfterDelta", "SymbolicThenRead", "DifferentTables",
-			}
-			return c
-		},
-	},
-	{
-		dir:    "bagmut",
-		checks: "bag-mutation",
-		cfg:    func(c Config) Config { return c },
-	},
-	{
 		dir:    "maporder",
 		checks: "nondeterministic-iteration",
 		cfg: func(c Config) Config {
@@ -104,16 +87,6 @@ var fixtureCases = []struct {
 		},
 	},
 	{
-		dir:    "purity",
-		checks: "closure-purity",
-		cfg: func(c Config) Config {
-			c.AlgebraPkg = fixturePrefix + "purity"
-			c.BagPkg = fixturePrefix + "purity"
-			c.StoragePkg = fixturePrefix + "purity"
-			return c
-		},
-	},
-	{
 		dir:    "resource",
 		checks: "resource-lifecycle",
 		cfg:    func(c Config) Config { return c },
@@ -121,11 +94,6 @@ var fixtureCases = []struct {
 	{
 		dir:    "errflow",
 		checks: "error-flow",
-		cfg:    func(c Config) Config { return c },
-	},
-	{
-		dir:    "nilness",
-		checks: "nilness",
 		cfg:    func(c Config) Config { return c },
 	},
 }
@@ -261,8 +229,8 @@ func TestModuleIsLintClean(t *testing.T) {
 	}
 }
 
-// TestBlessedNamesAreCoreFunctions: invariant-touch and state-bug key
-// on DefaultConfig().Blessed by name, so a name left behind by a rename
+// TestBlessedNamesAreCoreFunctions: invariant-touch keys on
+// DefaultConfig().Blessed by name, so a name left behind by a rename
 // would bless nothing — or, worse, whatever next takes that name. Every
 // entry must be a function (or method) declared in a non-test file of
 // the core package.

@@ -334,3 +334,18 @@ func identName(e ast.Expr) string {
 	}
 	return "resource"
 }
+
+// calleeName returns the bare name of a call's callee (function or
+// method), or "".
+func calleeName(info *types.Info, call *ast.CallExpr) string {
+	if f := CalleeOf(info, call); f != nil {
+		return f.Name()
+	}
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+		return sel.Sel.Name
+	}
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
+		return id.Name
+	}
+	return ""
+}

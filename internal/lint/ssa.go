@@ -16,8 +16,8 @@ import (
 //   - branch-sensitive edges: every conditional edge records the
 //     condition expression and which way it went, so a forward
 //     analysis (dataflow.go) can refine facts per branch — the `if
-//     err != nil { return err }` shape that file/WAL resource and
-//     nilness reasoning lives on;
+//     err != nil { return err }` shape that resource and error
+//     reasoning lives on;
 //   - deterministic statement order inside blocks, so defers, opens,
 //     closes, and derefs are seen in execution order.
 //
@@ -488,8 +488,8 @@ func (u *Unit) cfgOf(fd *ast.FuncDecl) *funcCFG {
 }
 
 // litCFGOf is cfgOf for function literals, sharing the same memo
-// discipline (resource-lifecycle, error-flow, and nilness all walk the
-// same literal bodies).
+// discipline (resource-lifecycle and error-flow both walk the same
+// literal bodies).
 func (u *Unit) litCFGOf(lit *ast.FuncLit) *funcCFG {
 	if u.litCfgMemo == nil {
 		u.litCfgMemo = map[*ast.FuncLit]*funcCFG{}

@@ -304,11 +304,11 @@ func (e *Engine) baseSource(name string) (algebra.Expr, error) {
 	return algebra.NewBase(name, tb.Schema()), nil
 }
 
-// querySource resolves a FROM name of a query: an external table, or a
-// view, which reads its MV table — the possibly-stale materialization,
-// which is the point of deferred maintenance.
+// querySource resolves a FROM name of a query: a view, which reads its
+// MV table — the possibly-stale materialization, which is the point of
+// deferred maintenance — or else an external table.
 func (e *Engine) querySource(name string) (algebra.Expr, error) {
-	if v, err := e.mgr.View(name); err == nil {
+	if v, ok := e.mgr.LookupView(name); ok {
 		tb, err := e.db.Table(v.MVTable())
 		if err != nil {
 			return nil, err

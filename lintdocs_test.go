@@ -2,6 +2,7 @@ package dvm_test
 
 import (
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -65,6 +66,39 @@ func TestLintDocsMatchRegistry(t *testing.T) {
 	for name := range sectioned {
 		if !registered[name] {
 			t.Errorf("docs/static-analysis.md has a section for %q but no such analyzer is registered", name)
+		}
+	}
+}
+
+// mutantCheckRe extracts the analyzers a kept mutant's check line runs:
+// "# check: go run ./cmd/dvmlint -checks a,b ./...".
+var mutantCheckRe = regexp.MustCompile(`(?m)^# check: go run \./cmd/dvmlint -checks ([a-z0-9,-]+) `)
+
+// TestEveryAnalyzerHasAMutant: an analyzer stays in the registry only
+// while a kept mutant (testdata/mutants, run by scripts/mutants.sh)
+// seeds a bug that it alone catches, so every registered analyzer must
+// be the check of at least one mutant. An analyzer that no mutant
+// names has shown no bug that the build, vet and the tests miss.
+func TestEveryAnalyzerHasAMutant(t *testing.T) {
+	patches, err := filepath.Glob(filepath.Join("testdata", "mutants", "*.patch"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := map[string]bool{}
+	for _, p := range patches {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range mutantCheckRe.FindAllStringSubmatch(string(data), -1) {
+			for _, name := range strings.Split(m[1], ",") {
+				named[name] = true
+			}
+		}
+	}
+	for _, a := range lint.All() {
+		if !named[a.Name] {
+			t.Errorf("analyzer %q is the check of no mutant in testdata/mutants", a.Name)
 		}
 	}
 }

@@ -28,8 +28,8 @@ go vet ./...
 
 echo "== dvmlint"
 # Timed: loading and type-checking the module is most of it; the
-# interprocedural passes (lock-order's reachability walk, state-bug's
-# write summaries) cover the whole module. TestDvmlintWallClock bounds
+# interprocedural passes (lock-order's reachability walk over the call
+# graph) cover the whole module. TestDvmlintWallClock bounds
 # this, and the wall clock here makes creep visible in CI logs.
 dvmlint_start=$(date +%s)
 go run ./cmd/dvmlint ./...
