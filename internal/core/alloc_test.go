@@ -2,7 +2,10 @@ package core
 
 import (
 	"fmt"
+	"path/filepath"
 	"runtime"
+	"sort"
+	"strings"
 	"testing"
 
 	"dvm/internal/bag"
@@ -218,6 +221,7 @@ func TestExecuteAllocatesNothingWarm(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(100, churn); allocs != 0 {
 			t.Errorf("%d views: a warm churn allocates %v times, want 0", views, allocs)
+			logAllocSites(t, 100, churn)
 		}
 		logged := func() (n int64) {
 			for _, v := range m.Views() {
@@ -244,6 +248,9 @@ func TestExecuteAllocatesNothingWarm(t *testing.T) {
 				churn()
 			}
 		}) / runs
+		if perRun[views] != 0 {
+			logAllocSites(t, runs, churn)
+		}
 		for i := 0; i < views; i++ {
 			if err := m.CheckInvariant(fmt.Sprintf("hv%d", i)); err != nil {
 				t.Fatal(err)
@@ -254,6 +261,71 @@ func TestExecuteAllocatesNothingWarm(t *testing.T) {
 	if perRun[1] != 0 || perRun[16] != 0 {
 		t.Errorf("a warm churn allocates %d B with 1 view and %d B with 16, want 0 B with either", perRun[1], perRun[16])
 	}
+}
+
+// logAllocSites re-runs f runs times with every allocation sampled
+// (runtime.MemProfileRate = 1, and only while f runs) and logs the stacks
+// that allocated in them, most objects first, so a zero-allocation bound
+// that fails — once, under load, perhaps — names what allocated.
+func logAllocSites(t *testing.T, runs int, f func()) {
+	t.Helper()
+	before := allocsByStack()
+	rate := runtime.MemProfileRate
+	runtime.MemProfileRate = 1
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.MemProfileRate = rate
+	type site struct {
+		stack   string
+		objects int64
+	}
+	var sites []site
+	for stack, n := range allocsByStack() {
+		if d := n - before[stack]; d > 0 {
+			sites = append(sites, site{stack, d})
+		}
+	}
+	sort.Slice(sites, func(i, j int) bool { return sites[i].objects > sites[j].objects })
+	if len(sites) == 0 {
+		t.Logf("re-run %d times with every allocation sampled, f allocated nothing", runs)
+	}
+	for _, s := range sites[:min(len(sites), 8)] {
+		t.Logf("re-run %d times, f allocated %d objects at %s", runs, s.objects, s.stack)
+	}
+}
+
+// allocsByStack returns the objects allocated so far at each stack of
+// the memory profile, keyed by the stack's first non-runtime frames. Two
+// collections first publish every allocation made before the call.
+func allocsByStack() map[string]int64 {
+	runtime.GC()
+	runtime.GC()
+	var recs []runtime.MemProfileRecord
+	n, ok := runtime.MemProfile(nil, true)
+	for !ok {
+		recs = make([]runtime.MemProfileRecord, n+64)
+		n, ok = runtime.MemProfile(recs, true)
+	}
+	out := map[string]int64{}
+	for _, r := range recs[:n] {
+		var names []string
+		frames := runtime.CallersFrames(r.Stack())
+		for len(names) < 6 {
+			fr, more := frames.Next()
+			if !strings.HasPrefix(fr.Function, "runtime.") {
+				names = append(names, fmt.Sprintf("%s (%s:%d)", fr.Function, filepath.Base(fr.File), fr.Line))
+			}
+			if !more {
+				break
+			}
+		}
+		if len(names) == 0 {
+			names = append(names, "the runtime")
+		}
+		out[strings.Join(names, " < ")] += r.AllocObjects
+	}
+	return out
 }
 
 // TestStepAllocatesNothing: the instrumentation seam costs a step no

@@ -125,11 +125,9 @@ type Unit struct {
 
 	// Function-local dataflow memos (ssa.go): CFGs are shared by
 	// resource-lifecycle and error-flow, so the first of them to touch a
-	// function builds its graph and the other reuses it. No analyzer
-	// reads the def-use chains; only ssa_test.go does.
+	// function builds its graph and the other reuses it.
 	cfgMemo    map[*ast.FuncDecl]*funcCFG
 	litCfgMemo map[*ast.FuncLit]*funcCFG
-	duMemo     map[*ast.FuncDecl]*defUse
 }
 
 // Pass is one analyzer's view of one package.

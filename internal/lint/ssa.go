@@ -1,14 +1,10 @@
 package lint
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/ast"
 
 // ssa.go is the function-local half of dvmlint's SSA-lite dataflow
-// layer: a simplified control-flow graph per function body plus
-// def-use chains over the locals it declares. "SSA-lite" because
-// values are not renamed — facts stay keyed by *types.Var, the same
+// layer: a simplified control-flow graph per function body.
+// "SSA-lite" because values are not renamed — facts stay keyed by *types.Var, the same
 // currency the interprocedural layer (callgraph.go) already trades
 // in — but the graph carries the two properties real SSA would buy
 // here:
@@ -392,85 +388,6 @@ func callTerminates(e ast.Expr) bool {
 	return false
 }
 
-// defUse summarizes the def-use chains of one function body: which
-// locals are (re)defined where, where they are read, and which escape
-// local reasoning — address taken, or captured by a nested function
-// literal (the closure may run at any time, so flow-sensitive facts
-// about the variable are unsound).
-type defUse struct {
-	defs    map[types.Object][]ast.Node
-	uses    map[types.Object][]*ast.Ident
-	escaped map[types.Object]bool
-}
-
-// defUseOf computes def-use chains over body. Nested literals are
-// walked for uses (a capture is a use) but a captured object is marked
-// escaped rather than tracked through the literal.
-func defUseOf(info *types.Info, body ast.Node) *defUse {
-	du := &defUse{
-		defs:    map[types.Object][]ast.Node{},
-		uses:    map[types.Object][]*ast.Ident{},
-		escaped: map[types.Object]bool{},
-	}
-	obj := func(id *ast.Ident) types.Object {
-		if o := info.Defs[id]; o != nil {
-			return o
-		}
-		return info.Uses[id]
-	}
-	var walk func(n ast.Node, inLit bool)
-	walk = func(n ast.Node, inLit bool) {
-		ast.Inspect(n, func(m ast.Node) bool {
-			switch m := m.(type) {
-			case *ast.FuncLit:
-				if ast.Node(m) == n {
-					return true
-				}
-				walk(m.Body, true)
-				return false
-			case *ast.UnaryExpr:
-				if m.Op.String() == "&" {
-					if id, ok := ast.Unparen(m.X).(*ast.Ident); ok {
-						if o := obj(id); o != nil {
-							du.escaped[o] = true
-						}
-					}
-				}
-			case *ast.AssignStmt:
-				for _, lhs := range m.Lhs {
-					if id, ok := ast.Unparen(lhs).(*ast.Ident); ok && id.Name != "_" {
-						if o := obj(id); o != nil {
-							du.defs[o] = append(du.defs[o], m)
-							if inLit {
-								du.escaped[o] = true
-							}
-						}
-					}
-				}
-			case *ast.ValueSpec:
-				for _, id := range m.Names {
-					if id.Name == "_" {
-						continue
-					}
-					if o := obj(id); o != nil {
-						du.defs[o] = append(du.defs[o], m)
-					}
-				}
-			case *ast.Ident:
-				if o := info.Uses[m]; o != nil {
-					du.uses[o] = append(du.uses[o], m)
-					if inLit {
-						du.escaped[o] = true
-					}
-				}
-			}
-			return true
-		})
-	}
-	walk(body, false)
-	return du
-}
-
 // cfgOf returns the memoized CFG of a declared function.
 func (u *Unit) cfgOf(fd *ast.FuncDecl) *funcCFG {
 	if u.cfgMemo == nil {
@@ -500,17 +417,4 @@ func (u *Unit) litCFGOf(lit *ast.FuncLit) *funcCFG {
 	c := buildCFG(lit.Body)
 	u.litCfgMemo[lit] = c
 	return c
-}
-
-// duOf returns the memoized def-use chains of a declared function.
-func (u *Unit) duOf(info *types.Info, fd *ast.FuncDecl) *defUse {
-	if u.duMemo == nil {
-		u.duMemo = map[*ast.FuncDecl]*defUse{}
-	}
-	if d, ok := u.duMemo[fd]; ok {
-		return d
-	}
-	d := defUseOf(info, fd.Body)
-	u.duMemo[fd] = d
-	return d
 }

@@ -206,70 +206,14 @@ func TestCFGLoopBackEdge(t *testing.T) {
 	t.Error("no back edge found in the loop CFG")
 }
 
-// TestDefUseEscapes pins what disqualifies a local from flow-sensitive
-// tracking: closure capture and address-taking escape; plain locals
-// and parameters do not.
-func TestDefUseEscapes(t *testing.T) {
-	pkg := dataflowPkg(t)
-	cases := []struct {
-		fn         string
-		escaped    []string
-		notEscaped []string
-	}{
-		{"Capture", []string{"y"}, []string{"inc"}},
-		{"AddrTaken", []string{"z"}, []string{"p"}},
-		{"Plain", nil, []string{"a", "b", "c"}},
-		{"BranchJoin", nil, []string{"x", "b"}},
-		{"Variadic", nil, []string{"xs", "t", "x"}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.fn, func(t *testing.T) {
-			fd := declNamed(t, pkg, tc.fn)
-			du := defUseOf(pkg.Info, fd.Body)
-			for _, name := range tc.escaped {
-				if !du.escaped[objNamed(t, pkg, fd, name)] {
-					t.Errorf("%s should be escaped", name)
-				}
-			}
-			for _, name := range tc.notEscaped {
-				if du.escaped[objNamed(t, pkg, fd, name)] {
-					t.Errorf("%s should not be escaped", name)
-				}
-			}
-		})
-	}
-}
-
-// TestDefUseChains: defs and uses land on the right objects — p in
-// Loop is defined twice (declaration, loop-body rebind) and read by
-// the return.
-func TestDefUseChains(t *testing.T) {
-	pkg := dataflowPkg(t)
-	fd := declNamed(t, pkg, "Loop")
-	du := defUseOf(pkg.Info, fd.Body)
-	p := objNamed(t, pkg, fd, "p")
-	if got := len(du.defs[p]); got != 2 {
-		t.Errorf("p has %d defs; want 2 (var decl + loop rebind)", got)
-	}
-	// The loop-body rebind is a plain `=` assignment, so its Lhs ident
-	// resolves through info.Uses and counts as a use alongside the read
-	// in the return.
-	if got := len(du.uses[p]); got != 2 {
-		t.Errorf("p has %d uses; want 2 (rebind lhs + return)", got)
-	}
-}
-
 // TestCFGMemoization: the Unit-level accessors hand every analyzer the
-// same graph and chains, never a rebuild.
+// same graph, never a rebuild.
 func TestCFGMemoization(t *testing.T) {
 	pkg := dataflowPkg(t)
 	u := &Unit{Pkgs: []*Package{pkg}, Cfg: DefaultConfig()}
 	fd := declNamed(t, pkg, "Capture")
 	if u.cfgOf(fd) != u.cfgOf(fd) {
 		t.Error("cfgOf rebuilt the graph")
-	}
-	if u.duOf(pkg.Info, fd) != u.duOf(pkg.Info, fd) {
-		t.Error("duOf rebuilt the chains")
 	}
 	var lit *ast.FuncLit
 	ast.Inspect(fd.Body, func(n ast.Node) bool {

@@ -19,26 +19,15 @@ func Col(name string, t Type) Column { return Column{Name: name, Type: t} }
 // the algebra compiler qualifies names (e.g. "s.custId") when joining.
 type Schema struct {
 	cols []Column
-	pos  map[string]int
 }
 
-// NewSchema builds a schema from columns. Duplicate names are allowed at
-// construction (products create them), but positional lookup of a
-// duplicated name reports an error. The schema keeps cols, so a caller
-// that passes a slice (cols...) must not change it afterwards. The name
-// index grows with the distinct names, not with len(cols): a snapshot
-// header that repeats one name 65,535 times costs one entry.
-func NewSchema(cols ...Column) *Schema {
-	s := &Schema{cols: cols, pos: make(map[string]int)}
-	for i, c := range cols {
-		if _, dup := s.pos[c.Name]; dup {
-			s.pos[c.Name] = -1 // ambiguous
-		} else {
-			s.pos[c.Name] = i
-		}
-	}
-	return s
-}
+// NewSchema builds a schema from columns: one object, whatever their
+// number. Duplicate names are allowed at construction (products create
+// them), but looking up a duplicated name reports an error. The schema
+// keeps cols, so a caller that passes a slice (cols...) must not change
+// it afterwards. There is no name index: names are resolved by Lookup,
+// which runs when a plan or predicate is bound, never per tuple.
+func NewSchema(cols ...Column) *Schema { return &Schema{cols: cols} }
 
 // Len returns the number of columns.
 func (s *Schema) Len() int { return len(s.cols) }
@@ -49,30 +38,33 @@ func (s *Schema) Columns() []Column { return append([]Column(nil), s.cols...) }
 // Column returns the i'th column.
 func (s *Schema) Column(i int) Column { return s.cols[i] }
 
-// Lookup resolves an attribute name to its position.
+// Lookup resolves an attribute name to its position by scanning the
+// columns: an exact match first (two of them make the name ambiguous),
+// then an unqualified name against qualified columns ("custId" finding
+// "c.custId"), when only one column matches.
 func (s *Schema) Lookup(name string) (int, error) {
-	p, ok := s.pos[name]
-	if !ok {
-		// Allow unqualified lookup of a qualified column ("custId" finding
-		// "c.custId") when unambiguous.
-		found := -1
-		for i, c := range s.cols {
-			if suffixMatch(c.Name, name) {
-				if found >= 0 {
-					return 0, fmt.Errorf("schema: ambiguous attribute %q", name)
-				}
-				found = i
+	if p, err := s.scan(name, func(c string) bool { return c == name }); p >= 0 || err != nil {
+		return p, err
+	}
+	if p, err := s.scan(name, func(c string) bool { return suffixMatch(c, name) }); p >= 0 || err != nil {
+		return p, err
+	}
+	return 0, fmt.Errorf("schema: no attribute %q in %s", name, s)
+}
+
+// scan returns the one column position whose name matches, -1 for none,
+// or an error when two match.
+func (s *Schema) scan(name string, match func(string) bool) (int, error) {
+	found := -1
+	for i, c := range s.cols {
+		if match(c.Name) {
+			if found >= 0 {
+				return 0, fmt.Errorf("schema: ambiguous attribute %q", name)
 			}
+			found = i
 		}
-		if found >= 0 {
-			return found, nil
-		}
-		return 0, fmt.Errorf("schema: no attribute %q in %s", name, s)
 	}
-	if p < 0 {
-		return 0, fmt.Errorf("schema: ambiguous attribute %q", name)
-	}
-	return p, nil
+	return found, nil
 }
 
 // suffixMatch reports whether qualified equals name after stripping a
@@ -122,18 +114,38 @@ func (s *Schema) Rename(names []string) (*Schema, error) {
 	return NewSchema(cols...), nil
 }
 
-// Qualify returns a schema with every unqualified column name prefixed by
-// "alias.".
+// Qualify returns a schema with every column name prefixed by "alias."
+// in place of any qualifier it had. The new names are slices of one
+// string, so the schema costs three objects: its columns, their names
+// and itself.
 func (s *Schema) Qualify(alias string) *Schema {
+	n := 0
+	for _, c := range s.cols {
+		n += len(alias) + 1 + len(unqualified(c.Name))
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for _, c := range s.cols {
+		b.WriteString(alias)
+		b.WriteByte('.')
+		b.WriteString(unqualified(c.Name))
+	}
+	names := b.String()
 	cols := make([]Column, len(s.cols))
 	for i, c := range s.cols {
-		name := c.Name
-		if i := strings.IndexByte(name, '.'); i >= 0 {
-			name = name[i+1:]
-		}
-		cols[i] = Column{Name: alias + "." + name, Type: c.Type}
+		w := len(alias) + 1 + len(unqualified(c.Name))
+		cols[i] = Column{Name: names[:w], Type: c.Type}
+		names = names[w:]
 	}
 	return NewSchema(cols...)
+}
+
+// unqualified returns name without its "table." qualifier, if any.
+func unqualified(name string) string {
+	if i := strings.IndexByte(name, '.'); i >= 0 {
+		return name[i+1:]
+	}
+	return name
 }
 
 // Compatible reports whether two schemas are union-compatible: same arity

@@ -228,3 +228,53 @@ func TestTupleKeyIsOneAllocation(t *testing.T) {
 		t.Fatalf("Key of a 1 KiB string column = %q, want %q", got, want)
 	}
 }
+
+// TestSchemaAllocatesItsColumnsOnly: a schema is its column list and
+// nothing else, so NewSchema over a slice makes 1 object (the Schema),
+// and Qualify makes 3 — the columns, one string that holds every new
+// name, and the Schema — whatever the number of columns. Lookup scans
+// the columns and allocates nothing when the name resolves.
+func TestSchemaAllocatesItsColumnsOnly(t *testing.T) {
+	cols := []Column{Col("custId", TInt), Col("t.name", TString), Col("score", TString), Col("itemNo", TInt)}
+	var s *Schema
+	if n := testing.AllocsPerRun(100, func() { s = NewSchema(cols...) }); n != 1 {
+		t.Errorf("NewSchema of %d columns makes %v objects, want 1", len(cols), n)
+	}
+	var q *Schema
+	if n := testing.AllocsPerRun(100, func() { q = s.Qualify("hv") }); n != 3 {
+		t.Errorf("Qualify of %d columns makes %v objects, want 3", len(cols), n)
+	}
+	want := []string{"hv.custId", "hv.name", "hv.score", "hv.itemNo"}
+	for i, w := range want {
+		if got := q.Column(i); got.Name != w || got.Type != cols[i].Type {
+			t.Errorf("Qualify column %d = %v, want %s %s", i, got, w, cols[i].Type)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if p, err := q.Lookup("score"); p != 2 || err != nil {
+			t.Fatalf("Lookup(score) = %d, %v", p, err)
+		}
+	}); n != 0 {
+		t.Errorf("a resolving Lookup makes %v objects, want 0", n)
+	}
+}
+
+// TestSchemaExactNameBeatsSuffix: an exact match wins over a qualified
+// column whose bare name matches, and only two exact matches, or two
+// suffix matches with no exact one, are ambiguous.
+func TestSchemaExactNameBeatsSuffix(t *testing.T) {
+	s := NewSchema(Col("a.x", TInt), Col("x", TInt), Col("b.x", TInt))
+	if p, err := s.Lookup("x"); err != nil || p != 1 {
+		t.Fatalf("Lookup(x) = %d, %v; want the exact column 1", p, err)
+	}
+	if p, err := s.Lookup("b.x"); err != nil || p != 2 {
+		t.Fatalf("Lookup(b.x) = %d, %v", p, err)
+	}
+	dup := NewSchema(Col("a.x", TInt), Col("x", TInt), Col("x", TInt))
+	if _, err := dup.Lookup("x"); err == nil || !strings.Contains(err.Error(), "ambiguous") {
+		t.Fatalf("two exact matches: got %v, want ambiguous", err)
+	}
+	if _, err := dup.Lookup("y"); err == nil || !strings.Contains(err.Error(), "no attribute") {
+		t.Fatalf("Lookup(y) = %v, want no attribute", err)
+	}
+}

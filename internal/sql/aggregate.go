@@ -48,13 +48,10 @@ func containsAggregates(st *SelectStmt) bool {
 	return false
 }
 
-// execAggregate evaluates an aggregating SELECT: the FROM/WHERE part is
-// compiled to the algebra and evaluated borrowed (readUnderViewLocks),
-// and the rows are folded where they are into one accumulator per
-// group of the GROUP BY columns (every non-aggregate item must be one of
-// them) — over a view, no copy of MV, no pre-aggregate relation: what is
-// allocated grows with the groups, not with the rows, and by the chunk
-// of groups, not by the group.
+// execAggregate evaluates an aggregating SELECT: the rows of its FROM and
+// WHERE — of one FROM item, read where they lie (readOne); of several,
+// compiled to the algebra and evaluated borrowed (readUnderViewLocks) —
+// are folded by aggregate.
 func (e *Engine) execAggregate(s *SimpleSelect, st *SelectStmt) (*Result, error) {
 	if len(st.Ops) > 0 {
 		return nil, fmt.Errorf("sql: aggregates cannot be combined with UNION/EXCEPT/MONUS")
@@ -65,14 +62,26 @@ func (e *Engine) execAggregate(s *SimpleSelect, st *SelectStmt) (*Result, error)
 	if s.Star {
 		return nil, fmt.Errorf("sql: SELECT * cannot be aggregated")
 	}
-
-	// Source rows: FROM + WHERE, all columns.
+	if len(s.From) == 1 {
+		ot, err := e.bindOne(s.From[0].Name, s.From[0].alias(), s.Where)
+		if err != nil {
+			return nil, err
+		}
+		return aggregate(s, ot.sch, func(f func(*bag.Bag, bool) error) error { return e.readOne(ot, f) })
+	}
 	expr, err := compileFrom(s.From, s.Where, e.querySource)
 	if err != nil {
 		return nil, err
 	}
-	inSchema := expr.Schema()
+	return aggregate(s, expr.Schema(), func(f func(*bag.Bag, bool) error) error { return e.readUnderViewLocks(expr, f) })
+}
 
+// aggregate folds the rows that read lends, of schema inSchema, where they
+// are into one accumulator per group of the GROUP BY columns (every
+// non-aggregate item must be one of them) — over a view, no copy of MV,
+// no pre-aggregate relation: what is allocated grows with the groups, not
+// with the rows, and by the chunk of groups, not by the group.
+func aggregate(s *SimpleSelect, inSchema *schema.Schema, read func(f func(rows *bag.Bag, owned bool) error) error) (*Result, error) {
 	// Classify items: group keys (column refs, must be in GROUP BY) and
 	// aggregates.
 	type aggSpec struct {
@@ -245,7 +254,7 @@ func (e *Engine) execAggregate(s *SimpleSelect, st *SelectStmt) (*Result, error)
 		}
 	}
 	var out *bag.Bag
-	err = e.readUnderViewLocks(expr, func(rows *bag.Bag, _ bool) error {
+	err := read(func(rows *bag.Bag, _ bool) error {
 		index := map[string]*acc{}
 		left = rows.Distinct()
 		var key []byte // the group key of the row at hand, re-encoded in place

@@ -455,30 +455,30 @@ const pointView = `
 		WHERE c.custId = s.custId AND s.quantity != 0 AND c.score = 'High'`
 
 // TestPointSelectAllocatesByTheStatement: a point SELECT on a view
-// binds the WHERE it parsed as the predicate σ runs, and σ's output
-// starts as a small bag. Reading one customer's 2 rows out of a
+// reads MV in place (selectOne): its WHERE, parsed as the predicate σ
+// runs, is bound against MV's schema qualified by the FROM item's alias
+// and filters MV under MV's read lock, with no plan compiled, and σ's
+// output starts as a small bag. Reading one customer's 2 rows out of a
 // 4,000-row view costs, parse to result, at most
 //
-//	 1  the token slice (lex)
-//	 6  the statement: the SelectStmt, the SimpleSelect, its FROM slice,
-//	    and the boxed Cmp, Attr and Const of its WHERE
-//	14  the FROM item: the view's base (NewBase, 1) qualified by its
-//	    alias (algebra.Qualified, 13)
-//	 2  σ (algebra.NewSelect): the Select and the comparison's closure
-//	13  the plan (algebra.Compile)
-//	 1  the tables it reads (algebra.BaseNames)
-//	 1  the MV tables among them (readUnderViewLocks)
-//	 2  MV's read lock (WithReadSpan): the sorted table list and the
-//	    span attributes
-//	 3  the one-shot evaluation (EvalBorrowed)
-//	 1  σ's output (bag.Select): a small bag
-//	 1  the Result
+//	1  the token slice (lex)
+//	6  the statement: the SelectStmt, the SimpleSelect, its FROM slice,
+//	   and the boxed Cmp, Attr and Const of its WHERE
+//	3  the FROM item: MV's schema qualified by its alias
+//	   (Schema.Qualify: the columns, one string of their names, the
+//	   Schema)
+//	1  the WHERE bound (Cmp.Bind: one closure)
+//	1  σ's output (bag.Select): a small bag
+//	1  the Result
 //
-// = 45 objects, each term as MemStats.Mallocs counts it alone (a
-// MemProfileRate=1 profile records one fewer in each of Qualified and
-// Compile: 43). At the parent of this change the same statement made
-// 50: the 5 gone are the WHERE's conversion from a parsed AST (3) and
-// the map σ's output began as (2 of its 3).
+// = 13 objects, each term as MemStats.Mallocs counts it alone. MV's read
+// lock (WithReadSpan) makes none: a one-table section neither copies nor
+// sorts its table list, and an untraced one builds no span attributes.
+// At the parent of this change the same statement made 45: the plan
+// (algebra.Compile 13, BaseNames 1, the MV list 1 and the one-shot
+// evaluation 3), σ's node (1), the lock's table list and attributes (2),
+// and 11 of the FROM item's 14 (NewBase, the renaming Π over it, and
+// Qualify's name per column and name index).
 func TestPointSelectAllocatesByTheStatement(t *testing.T) {
 	e := NewEngine()
 	mustExec(t, e, pointView)
@@ -496,7 +496,7 @@ func TestPointSelectAllocatesByTheStatement(t *testing.T) {
 	}
 	mustExec(t, e, "REFRESH hv")
 	const point = "SELECT * FROM hv WHERE custId = 7"
-	const bound = 1 + 6 + 14 + 2 + 13 + 1 + 1 + 2 + 3 + 1 + 1
+	const bound = 1 + 6 + 3 + 1 + 1 + 1
 	mustExec(t, e, point) // warm: the first read of hv may grow what later ones reuse
 	best := ^uint64(0)
 	for k := 0; k < 5; k++ { // the least of five: a stray runtime allocation is not the statement's
@@ -519,27 +519,25 @@ func TestPointSelectAllocatesByTheStatement(t *testing.T) {
 }
 
 // TestBaseSelectAllocatesByTheStatement: a point SELECT on an external
-// table resolves its FROM item without first missing a view, so a table
-// costs nothing a view's name would not. Reading one customer's 2 rows
-// out of the 4,000-row sales table costs, parse to result, at most
+// table resolves its FROM item without first missing a view and reads the
+// table in place, under no lock, so a table costs what a view's MV costs
+// under its lock. Reading one
+// customer's 2 rows out of the 4,000-row sales table costs, parse to
+// result, at most
 //
-//	 1  the token slice (lex)
-//	 6  the statement: the SelectStmt, the SimpleSelect, its FROM slice,
-//	    and the boxed Cmp, Attr and Const of its WHERE
-//	14  the FROM item: the table's base (NewBase, 1) qualified by its
-//	    alias (algebra.Qualified, 13)
-//	 2  σ (algebra.NewSelect): the Select and the comparison's closure
-//	13  the plan (algebra.Compile)
-//	 1  the tables it reads (algebra.BaseNames)
-//	 3  the one-shot evaluation (EvalBorrowed)
-//	 1  σ's output (bag.Select): a small bag
-//	 1  the Result
+//	1  the token slice (lex)
+//	6  the statement: the SelectStmt, the SimpleSelect, its FROM slice,
+//	   and the boxed Cmp, Attr and Const of its WHERE
+//	3  the FROM item: the table's schema qualified by its alias
+//	   (Schema.Qualify)
+//	1  the WHERE bound (Cmp.Bind: one closure)
+//	1  σ's output (bag.Select): a small bag
+//	1  the Result
 //
-// = 42 objects: TestPointSelectAllocatesByTheStatement's terms less the
-// view's read lock and MV list, which a table needs neither of (41
-// measured). Before querySource looked the view up without an error, the
-// same statement made 44: the view's miss built an error nobody read
-// (the error, its message and the boxed name).
+// = 13 objects, TestPointSelectAllocatesByTheStatement's terms. At the
+// parent of this change the same statement made 42: the plan (Compile
+// 13, BaseNames 1, evaluation 3), σ's node (1) and 11 of the FROM item's
+// 14.
 func TestBaseSelectAllocatesByTheStatement(t *testing.T) {
 	e := NewEngine()
 	mustExec(t, e, pointView)
@@ -552,7 +550,7 @@ func TestBaseSelectAllocatesByTheStatement(t *testing.T) {
 		t.Fatal(err)
 	}
 	const point = "SELECT * FROM sales WHERE custId = 7"
-	const bound = 1 + 6 + 14 + 2 + 13 + 1 + 3 + 1 + 1
+	const bound = 1 + 6 + 3 + 1 + 1 + 1
 	mustExec(t, e, point) // warm, as the view's point SELECT is
 	best := ^uint64(0)
 	for k := 0; k < 5; k++ {

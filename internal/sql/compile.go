@@ -77,23 +77,11 @@ func compileSimple(s *SimpleSelect, resolve Resolver) (algebra.Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Projection. Items must be column references (the bag algebra's Π_A
-	// projects attributes; computed columns are outside the paper's
-	// grammar and therefore outside this dialect).
 	out := src
 	if !s.Star {
-		cols := make([]string, len(s.Items))
-		outs := make([]string, len(s.Items))
-		for i, item := range s.Items {
-			a, ok := item.Expr.(algebra.Attr)
-			if !ok {
-				return nil, fmt.Errorf("sql: SELECT item %d is not a column reference (Π_A projects attributes only)", i+1)
-			}
-			cols[i] = a.Name
-			outs[i] = item.Alias
-			if outs[i] == "" {
-				outs[i] = stripQualifier(a.Name)
-			}
+		cols, outs, err := selectList(s.Items)
+		if err != nil {
+			return nil, err
 		}
 		p, err := algebra.NewProject(cols, outs, src)
 		if err != nil {
@@ -106,6 +94,25 @@ func compileSimple(s *SimpleSelect, resolve Resolver) (algebra.Expr, error) {
 		out = algebra.NewDupElim(out)
 	}
 	return out, nil
+}
+
+// selectList returns a column list's source names and its output names,
+// each an item's alias or else its bare column name. Items must be column
+// references (the bag algebra's Π_A projects attributes; computed columns
+// are outside the paper's grammar and therefore outside this dialect).
+func selectList(items []SelectItem) (cols, outs []string, err error) {
+	cols, outs = make([]string, len(items)), make([]string, len(items))
+	for i, item := range items {
+		a, ok := item.Expr.(algebra.Attr)
+		if !ok {
+			return nil, nil, fmt.Errorf("sql: SELECT item %d is not a column reference (Π_A projects attributes only)", i+1)
+		}
+		cols[i], outs[i] = a.Name, item.Alias
+		if outs[i] == "" {
+			outs[i] = stripQualifier(a.Name)
+		}
+	}
+	return cols, outs, nil
 }
 
 func stripQualifier(name string) string {

@@ -237,22 +237,17 @@ func (e *Engine) execStmt(st Stmt) (*Result, error) {
 
 	case *SelectStmt:
 		var res *Result
-		if containsAggregates(s) || len(s.Head.GroupBy) > 0 {
-			r, err := e.execAggregate(s.Head, s)
-			if err != nil {
-				return nil, err
-			}
-			res = r
-		} else {
-			expr, err := CompileSelect(s, e.querySource)
-			if err != nil {
-				return nil, err
-			}
-			rows, err := e.evalUnderViewLocks(expr)
-			if err != nil {
-				return nil, err
-			}
-			res = &Result{Rows: rows, Schema: expr.Schema()}
+		var err error
+		switch {
+		case containsAggregates(s) || len(s.Head.GroupBy) > 0:
+			res, err = e.execAggregate(s.Head, s)
+		case len(s.Ops) == 0 && len(s.Head.From) == 1:
+			res, err = e.selectOne(s.Head)
+		default:
+			res, err = e.selectCompiled(s)
+		}
+		if err != nil {
+			return nil, err
 		}
 		return applyOrderLimit(res, s)
 
@@ -325,17 +320,141 @@ func (e *Engine) querySource(name string) (algebra.Expr, error) {
 	return algebra.NewBase(name, tb.Schema()), nil
 }
 
-// readUnderViewLocks is the SQL layer's one read path: it evaluates a
-// statement's query through the compiled engine and runs f over the
-// answer. When the query reads any view's MV table, evaluation and f run
-// under those tables' shared locks, so reads block behind refreshes (and
-// the blocked time lands in lock_read_wait_ns — the user-observed view
-// downtime).
+// oneTable is a one-table statement's FROM item resolved to the table it
+// reads, with its WHERE bound to that table's tuples.
+type oneTable struct {
+	tb   *storage.Table
+	sch  *schema.Schema          // tb's schema; in a query, qualified by the item's alias
+	pred func(schema.Tuple) bool // the bound WHERE; nil without one
+	view bool                    // tb is a view's MV, read under its read lock
+}
+
+// bindOne resolves the table of a statement with one FROM item and binds
+// its WHERE, compiling no plan. In a query (alias != "") the name may be a
+// view, which reads its MV table — the possibly-stale materialization,
+// which is the point of deferred maintenance — or else an external table,
+// and the schema is qualified by alias, as CompileSelect qualifies it; a
+// DELETE (alias "") names an external table under its own column names.
+func (e *Engine) bindOne(name, alias string, where algebra.Predicate) (oneTable, error) {
+	var ot oneTable
+	if v, ok := e.mgr.LookupView(name); ok && alias != "" {
+		name, ot.view = v.MVTable(), true
+	}
+	tb, err := e.db.Table(name)
+	if err != nil {
+		return ot, err
+	}
+	if !ot.view && tb.Kind() != storage.External {
+		if alias == "" {
+			return ot, fmt.Errorf("sql: cannot delete from internal table %q", name)
+		}
+		return ot, fmt.Errorf("sql: cannot reference internal table %q", name)
+	}
+	ot.tb, ot.sch = tb, tb.Schema()
+	if alias != "" {
+		ot.sch = ot.sch.Qualify(alias)
+	}
+	if where != nil {
+		if ot.pred, err = where.Bind(ot.sch); err != nil && alias != "" {
+			err = fmt.Errorf("algebra: select: %w", err)
+		}
+	}
+	return ot, err
+}
+
+// readOne runs f over a one-table statement's rows where they lie: the
+// table itself, lent (owned false) read-only until f returns, or without
+// a WHERE, or σ of it (bag.Select), which f owns. A view's MV is read, and
+// f run, under that table's read lock, so the read blocks behind a
+// refresh and its wait lands in lock_read_wait_ns; an external table,
+// which no lock guards, is read as readUnderViewLocks reads it.
+func (e *Engine) readOne(ot oneTable, f func(rows *bag.Bag, owned bool) error) error {
+	read := func(*trace.Span) error {
+		if ot.pred == nil {
+			return f(ot.tb.Data(), false)
+		}
+		return f(bag.Select(ot.tb.Data(), ot.pred), true)
+	}
+	if !ot.view {
+		return read(nil)
+	}
+	return e.mgr.Locks().WithReadSpan([]string{ot.tb.Name()}, e.mgr.CurrentSpan(), read)
+}
+
+// selectOne runs a SELECT of one FROM item and no compound operator
+// without a plan: its bound WHERE filters the table (readOne), a column
+// list is Π of the rows and DISTINCT ε of them (bag.Project,
+// bag.DupElim), and what is still the live table is cloned (copy on
+// write) before the read ends. Its rows and schema are those of
+// CompileSelect's expression.
+func (e *Engine) selectOne(s *SimpleSelect) (*Result, error) {
+	ot, err := e.bindOne(s.From[0].Name, s.From[0].alias(), s.Where)
+	if err != nil {
+		return nil, err
+	}
+	sch, pos := ot.sch, []int(nil)
+	if !s.Star {
+		if sch, pos, err = projectOne(s.Items, ot.sch); err != nil {
+			return nil, err
+		}
+	}
+	var rows *bag.Bag
+	err = e.readOne(ot, func(b *bag.Bag, owned bool) error {
+		if pos != nil {
+			b, owned = bag.Project(b, func(t schema.Tuple) schema.Tuple { return t.Project(pos) }), true
+		}
+		if s.Distinct {
+			b, owned = bag.DupElim(b), true
+		}
+		if !owned {
+			b = b.Clone()
+		}
+		rows = b
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Rows: rows, Schema: sch}, nil
+}
+
+// projectOne resolves a column list against in: the output schema, and
+// the positions the list reads, nil when it names every column in order
+// (the rows are then the source's, as a pure renaming's are).
+func projectOne(items []SelectItem, in *schema.Schema) (*schema.Schema, []int, error) {
+	cols, outs, err := selectList(items)
+	if err != nil {
+		return nil, nil, err
+	}
+	pos := make([]int, len(cols))
+	outCols := make([]schema.Column, len(cols))
+	identity := len(cols) == in.Len()
+	for i, c := range cols {
+		p, err := in.Lookup(c)
+		if err != nil {
+			return nil, nil, fmt.Errorf("algebra: project: %w", err)
+		}
+		pos[i], outCols[i] = p, schema.Col(outs[i], in.Column(p).Type)
+		identity = identity && p == i
+	}
+	if identity {
+		pos = nil
+	}
+	return schema.NewSchema(outCols...), pos, nil
+}
+
+// readUnderViewLocks is the read path of a query with more than one FROM
+// item or a compound operator (a one-table statement reads through
+// readOne): it evaluates the query through the compiled engine and runs
+// f over the answer. When the query reads any view's MV table,
+// evaluation and f run under those tables' shared locks, so reads block
+// behind refreshes (and the blocked time lands in lock_read_wait_ns —
+// the user-observed view downtime).
 //
 // The evaluation is borrowed (algebra.Program.EvalBorrowed): unless
-// owned, rows is a live table — SELECT * FROM v is MV itself — lent to f
-// read-only and only until f returns; what must outlive f is cloned or
-// folded into something smaller inside it. It is also one-shot (a nil
+// owned, rows may be a live table, lent to f read-only and only until f
+// returns; what must outlive f is cloned or folded into something
+// smaller inside it. It is also one-shot (a nil
 // State): it only reads the tables — no index is registered on, no
 // journal switched on for, a live table — so it is safe under the read
 // locks.
@@ -351,7 +470,7 @@ func (e *Engine) readUnderViewLocks(expr algebra.Expr, f func(rows *bag.Bag, own
 		}
 		return f(outs[0], prog.Owned(0))
 	}
-	// queryResolver admits external tables and views' MV tables only,
+	// querySource admits external tables and views' MV tables only,
 	// so a base that is not external is an MV.
 	var mvs []string
 	for _, n := range algebra.BaseNames(expr) {
@@ -365,20 +484,26 @@ func (e *Engine) readUnderViewLocks(expr algebra.Expr, f func(rows *bag.Bag, own
 	return e.mgr.Locks().WithReadSpan(mvs, e.mgr.CurrentSpan(), read)
 }
 
-// evalUnderViewLocks is readUnderViewLocks for a caller that keeps the
-// rows, a plain SELECT's Result: a borrowed answer is cloned before the
-// locks are released. DELETE does not come here: it reads one external
-// table, which no view lock guards, through its bound WHERE (execDelete).
-func (e *Engine) evalUnderViewLocks(expr algebra.Expr) (*bag.Bag, error) {
+// selectCompiled runs a SELECT of several FROM items or with a compound
+// operator through its compiled plan (readUnderViewLocks), and keeps the
+// rows: a borrowed answer is cloned before the locks are released.
+func (e *Engine) selectCompiled(s *SelectStmt) (*Result, error) {
+	expr, err := CompileSelect(s, e.querySource)
+	if err != nil {
+		return nil, err
+	}
 	var rows *bag.Bag
-	err := e.readUnderViewLocks(expr, func(b *bag.Bag, owned bool) error {
+	err = e.readUnderViewLocks(expr, func(b *bag.Bag, owned bool) error {
 		if !owned {
 			b = b.Clone()
 		}
 		rows = b
 		return nil
 	})
-	return rows, err
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Rows: rows, Schema: expr.Schema()}, nil
 }
 
 func (e *Engine) execInsert(s *InsertStmt) (*Result, error) {
@@ -408,27 +533,25 @@ func (e *Engine) execInsert(s *InsertStmt) (*Result, error) {
 }
 
 func (e *Engine) execDelete(s *DeleteStmt) (*Result, error) {
-	tb, err := e.db.Table(s.Table)
+	ot, err := e.bindOne(s.Table, "", s.Where)
 	if err != nil {
 		return nil, err
 	}
-	if tb.Kind() != storage.External {
-		return nil, fmt.Errorf("sql: cannot delete from internal table %q", s.Table)
-	}
 	// Compute the delete bag: all copies of every matching tuple. The
-	// WHERE is bound against the table's schema and filters the live
-	// table (bag.Select): no plan is compiled, and the table is only read
-	// — no index registered, no journal switched on. Execute is its one
-	// writer, so the matching set is computed before Execute changes it.
+	// bound WHERE filters the live table (readOne): no plan is compiled,
+	// and the table is only read — no index registered, no journal
+	// switched on. Execute is its one writer, so the matching set is
+	// computed before Execute changes it.
 	var matching *bag.Bag
-	if s.Where == nil {
-		matching = tb.Data().Clone()
-	} else {
-		f, err := s.Where.Bind(tb.Schema())
-		if err != nil {
-			return nil, err
+	err = e.readOne(ot, func(rows *bag.Bag, owned bool) error {
+		if !owned {
+			rows = rows.Clone()
 		}
-		matching = bag.Select(tb.Data(), f)
+		matching = rows
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	n := matching.Len()
 	if err := e.mgr.Execute(txn.Delete(s.Table, matching)); err != nil {

@@ -74,6 +74,30 @@ func sortedUnique(tables []string) []string {
 	return out[:j]
 }
 
+// lockSet returns tables in acquisition order — sorted, without
+// duplicates — and their locks. A one-table section copies and sorts
+// nothing, and its lock goes in one.
+func (lm *LockManager) lockSet(tables []string, one *[1]*tableLock) ([]string, []*tableLock) {
+	ts, ls := tables, one[:0]
+	if len(tables) > 1 {
+		ts = sortedUnique(tables)
+		ls = make([]*tableLock, 0, len(ts))
+	}
+	for _, t := range ts {
+		ls = append(ls, lm.lockFor(t))
+	}
+	return ts, ls
+}
+
+// spanAttrs is a lock section's span attributes, built only when it is
+// traced (parent != nil).
+func spanAttrs(parent *trace.Span, mode string, ts []string) []trace.Attr {
+	if parent == nil {
+		return nil
+	}
+	return []trace.Attr{trace.Str("mode", mode), trace.Str("tables", strings.Join(ts, ","))}
+}
+
 // Held is the proof that its holder runs inside a WithWriteSpan
 // section: only the LockManager makes one, and a function that must run
 // under a write lock takes one as a parameter, so calling it outside a
@@ -97,13 +121,12 @@ func (lm *LockManager) WithWrite(tables []string, f func() error) error {
 // reading recorded into lock_write_hold_ns). f receives the section's
 // Held, which carries the hold span.
 func (lm *LockManager) WithWriteSpan(tables []string, parent *trace.Span, f func(Held) error) error {
-	ts := sortedUnique(tables)
-	attrs := []trace.Attr{trace.Str("mode", "write"), trace.Str("tables", strings.Join(ts, ","))}
+	var one [1]*tableLock
+	ts, ls := lm.lockSet(tables, &one)
+	attrs := spanAttrs(parent, "write", ts)
 	wait := parent.StartChild(trace.SpanLockWait, attrs...)
-	ls := make([]*tableLock, len(ts))
-	for i, t := range ts {
-		ls[i] = lm.lockFor(t)
-		ls[i].Lock()
+	for _, l := range ls {
+		l.Lock()
 	}
 	wait.End()
 	hold := parent.StartChild(trace.SpanLockHold, attrs...)
@@ -132,12 +155,9 @@ func (lm *LockManager) WithRead(tables []string, f func() error) error {
 // span's duration is the reader-observed view downtime of this
 // acquisition.
 func (lm *LockManager) WithReadSpan(tables []string, parent *trace.Span, f func(*trace.Span) error) error {
-	ts := sortedUnique(tables)
-	ls := make([]*tableLock, len(ts))
-	for i, t := range ts {
-		ls[i] = lm.lockFor(t)
-	}
-	attrs := []trace.Attr{trace.Str("mode", "read"), trace.Str("tables", strings.Join(ts, ","))}
+	var one [1]*tableLock
+	ts, ls := lm.lockSet(tables, &one)
+	attrs := spanAttrs(parent, "read", ts)
 	wait := parent.StartChild(trace.SpanLockWait, attrs...)
 	var totalWait time.Duration
 	for _, l := range ls {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dvm/internal/obs"
+	"dvm/internal/obs/trace"
 )
 
 func TestLockManagerWriteStats(t *testing.T) {
@@ -138,5 +139,26 @@ func TestStatsUnknownTable(t *testing.T) {
 	}
 	if ms := r.Snapshot().Metrics; len(ms) != 0 {
 		t.Fatalf("Stats of a never-locked table registered %v", ms)
+	}
+}
+
+// TestOneTableSectionAllocatesNothing: an untraced one-table section —
+// a SQL read of one view — copies and sorts no table list and builds no
+// span attributes, so once the table's lock exists it allocates nothing,
+// shared or exclusive.
+func TestOneTableSectionAllocatesNothing(t *testing.T) {
+	lm := NewLockManager(obs.NewRegistry())
+	tables := []string{"mv"}
+	read := func(*trace.Span) error { return nil }
+	write := func(Held) error { return nil }
+	_ = lm.WithReadSpan(tables, nil, read) // the first lock makes the table's lock and histograms
+	if n := testing.AllocsPerRun(100, func() { _ = lm.WithReadSpan(tables, nil, read) }); n != 0 {
+		t.Errorf("a one-table read section makes %v objects, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = lm.WithWriteSpan(tables, nil, write) }); n != 0 {
+		t.Errorf("a one-table write section makes %v objects, want 0", n)
+	}
+	if s := lm.Stats("mv"); s.ReadWaits != 102 || s.WriteHolds != 101 {
+		t.Errorf("stats = %+v, want 102 read acquisitions and 101 exclusive holds", s)
 	}
 }
