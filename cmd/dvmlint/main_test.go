@@ -163,7 +163,7 @@ func TestListChecks(t *testing.T) {
 	if lines != len(lint.All()) {
 		t.Fatalf("-list printed %d lines; want one per analyzer (%d)", lines, len(lint.All()))
 	}
-	for _, name := range []string{"resource-lifecycle", "error-flow", "single-writer"} {
+	for _, name := range []string{"error-flow", "single-writer", "doc-comment"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output misses %q", name)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"testing"
@@ -186,7 +187,9 @@ func TestDeletingPropagateMakesNoTuple(t *testing.T) {
 // makesafe region and its accounting then allocate nothing, with one
 // view or sixteen: the manager normalizes into a transaction of its own,
 // hands the caller's bags on uncopied, and refills its per-transaction
-// scratch. The dropped rows never reach a log.
+// scratch. The dropped rows never reach a log. Both windows run with the
+// collector off (gcOff): a GC cycle that starts in one wakes a runtime
+// goroutine that allocates, and MemStats would count it as the churn's.
 func TestExecuteAllocatesNothingWarm(t *testing.T) {
 	perRun := map[int]uint64{}
 	for _, views := range []int{1, 16} {
@@ -219,7 +222,10 @@ func TestExecuteAllocatesNothingWarm(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			churn()
 		}
-		if allocs := testing.AllocsPerRun(100, churn); allocs != 0 {
+		gcOn := gcOff()
+		allocs := testing.AllocsPerRun(100, churn)
+		gcOn()
+		if allocs != 0 {
 			t.Errorf("%d views: a warm churn allocates %v times, want 0", views, allocs)
 			logAllocSites(t, 100, churn)
 		}
@@ -243,11 +249,13 @@ func TestExecuteAllocatesNothingWarm(t *testing.T) {
 			t.Fatal(err)
 		}
 		const runs = 100
+		gcOn = gcOff()
 		perRun[views] = allocBytes(func() {
 			for i := 0; i < runs; i++ {
 				churn()
 			}
 		}) / runs
+		gcOn()
 		if perRun[views] != 0 {
 			logAllocSites(t, runs, churn)
 		}
@@ -261,6 +269,28 @@ func TestExecuteAllocatesNothingWarm(t *testing.T) {
 	if perRun[1] != 0 || perRun[16] != 0 {
 		t.Errorf("a warm churn allocates %d B with 1 view and %d B with 16, want 0 B with either", perRun[1], perRun[16])
 	}
+}
+
+// gcOff turns the collector off for a window that must read 0 from
+// MemStats, and returns what turns it back on. MemStats counts every
+// goroutine's allocations, and the runtime's own goroutine that cleans
+// the unique package's maps (unique.registerCleanup, woken at the start
+// of each GC cycle) allocates two objects a cycle: a cycle that starts
+// inside the window reads as the measured code's. SetGCPercent(-1) waits for a
+// cycle under way to finish marking, and the loop then waits, a bounded
+// number of yields, until a cleanup that cycle woke has run.
+func gcOff() (on func()) {
+	percent := debug.SetGCPercent(-1)
+	var a, b runtime.MemStats
+	for i := 0; i < 100; i++ {
+		runtime.ReadMemStats(&a)
+		runtime.Gosched()
+		runtime.ReadMemStats(&b)
+		if a.Mallocs == b.Mallocs {
+			break
+		}
+	}
+	return func() { debug.SetGCPercent(percent) }
 }
 
 // logAllocSites re-runs f runs times with every allocation sampled
@@ -501,7 +531,7 @@ func TestDeltasAreNeverIndexed(t *testing.T) {
 		}
 		src := &txSource{db: db, nt: nt, v: v, bound: map[txParam]*bag.Bag{}, empty: bag.New()}
 		src.bind([]*View{v})
-		if _, _, err := m.evalDeltaPair(v, src, nil); err != nil {
+		if _, _, err := m.evalDeltaPair(sitePair, v, src, nil); err != nil {
 			t.Fatal(err)
 		}
 		for p, b := range src.bound {

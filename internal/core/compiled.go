@@ -26,6 +26,28 @@ import (
 // happens only under the manager's single-writer discipline, never on a
 // read path.
 
+// site is a failpoint: a boundary of the evaluate phase, where an
+// evaluation may fail before anything is installed. A failure there must
+// leave every table as it was (Theorem 5 assumes atomic transactions);
+// tests fail each site in turn through Manager.fail.
+type site uint8
+
+const (
+	sitePair   site = iota // a view's pre-update pair (evalPairs)
+	siteFold               // a refresh's log fold (foldLogLocked)
+	siteLog                // a log's post-update pair (evalLog)
+	siteDef                // RefreshRecompute's evaluation of Def (evalDef)
+	siteDefine             // a view's materialization (DefineView)
+)
+
+// failAt is the failpoint at s: nil unless a test set m.fail.
+func (m *Manager) failAt(s site) error {
+	if m.fail == nil {
+		return nil
+	}
+	return m.fail(s)
+}
+
 // observeCompiled records one compiled evaluation's metrics and span.
 func (m *Manager) observeCompiled(v *View, parent *trace.Span, dur time.Duration, stats algebra.Stats) {
 	v.met.compiledEvalNs.Observe(int64(dur))
@@ -40,6 +62,9 @@ func (m *Manager) observeCompiled(v *View, parent *trace.Span, dur time.Duration
 // database — RefreshRecompute's evaluation — recording it like
 // evalDeltaPair does, and returns the answer, which the caller owns.
 func (m *Manager) evalDef(v *View, parent *trace.Span) (*bag.Bag, error) {
+	if err := m.failAt(siteDef); err != nil {
+		return nil, err
+	}
 	start := time.Now()
 	outs, stats, err := v.def.Eval(nil, m.db)
 	if err != nil {
@@ -53,9 +78,9 @@ func (m *Manager) evalDef(v *View, parent *trace.Span) (*bag.Bag, error) {
 // — the live database, or for a pre-update pair txSource over it —
 // through its compiled program, recording
 // compiled_eval_ns / index_probe_tuples and the core.eval.compiled span
-// under parent. The pair is borrowed (EvalBorrowed): bags of the view's
-// State, or bags of src, lent until the view's next evaluation or the
-// next write to those bags. The caller only reads it — installs it with
+// under parent; at is the failpoint it asks first. The pair is borrowed
+// (EvalBorrowed): bags of the view's State, or bags of src, lent until
+// the view's next evaluation or the next write to those bags. The caller only reads it — installs it with
 // applyToMVLocked or mergeDiff, or reads it fresh — and keeps none of
 // it.
 //
@@ -65,7 +90,10 @@ func (m *Manager) evalDef(v *View, parent *trace.Span) (*bag.Bag, error) {
 // ∇MV ⊑ MV, and ▼(L,Q) ⊑ PAST(L,Q) = (MV ∸ ∇MV) ⊎ △MV (an Immediate
 // view's pre-update DEL ⊑ Q = MV). So a deletion costs no tuple, an
 // insertion only one the view lacks, and ∇MV and △MV share MV's tuples.
-func (m *Manager) evalDeltaPair(v *View, src algebra.Source, parent *trace.Span) (del, add *bag.Bag, err error) {
+func (m *Manager) evalDeltaPair(at site, v *View, src algebra.Source, parent *trace.Span) (del, add *bag.Bag, err error) {
+	if err := m.failAt(at); err != nil {
+		return nil, nil, err
+	}
 	start := time.Now()
 	if v.diff != nil {
 		v.pairSt.Hold(v.mv.Data(), v.diff.add.Data())

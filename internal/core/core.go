@@ -175,6 +175,11 @@ type Manager struct {
 	// manager's single-writer discipline.
 	tracer *trace.Tracer
 	cur    *trace.Span
+
+	// fail, when set, is asked at every failpoint of the evaluate phase
+	// (see site) and fails the evaluation with the error it returns.
+	// Only tests set it: nil, a failpoint costs one compare.
+	fail func(site) error
 }
 
 // NewManager wraps a database.
@@ -311,6 +316,9 @@ func (m *Manager) DefineView(name string, def algebra.Expr, sc Scenario, opts ..
 
 	// Materialize the initial contents, one-shot: defining a view only
 	// reads the base tables — no index, no journal is left on them.
+	if err = m.failAt(siteDefine); err != nil {
+		return nil, err
+	}
 	init, _, err := v.def.Eval(nil, m.db)
 	if err != nil {
 		return nil, err

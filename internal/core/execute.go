@@ -167,7 +167,7 @@ func (m *Manager) evalPairs(views []*View, parent *trace.Span) error {
 	for _, v := range views {
 		msp := parent.StartChild(trace.SpanMakesafe, trace.Str("view", v.Name), trace.Str("scenario", v.inv))
 		x.src.v = v
-		del, add, err := m.evalDeltaPair(v, &x.src, msp)
+		del, add, err := m.evalDeltaPair(sitePair, v, &x.src, msp)
 		msp.End()
 		if err != nil {
 			return err

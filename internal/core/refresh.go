@@ -182,7 +182,7 @@ func (m *Manager) evalLog(v *View, sp, parent *trace.Span) (del, add *bag.Bag, n
 	if n == 0 {
 		return nil, nil, 0, nil
 	}
-	del, add, err = m.evalDeltaPair(v, m.db, parent)
+	del, add, err = m.evalDeltaPair(siteLog, v, m.db, parent)
 	return del, add, n, err
 }
 
@@ -191,6 +191,9 @@ func (m *Manager) evalLog(v *View, sp, parent *trace.Span) (del, add *bag.Bag, n
 // into MV when it does not, and the log emptied, under the MV write lock
 // h proves.
 func (m *Manager) foldLogLocked(h txn.Held, v *View, sp *trace.Span) error {
+	if err := m.failAt(siteFold); err != nil {
+		return err
+	}
 	if v.diff != nil {
 		return m.propagate(v, sp, sp)
 	}

@@ -10,11 +10,12 @@ import (
 // stable, then report, function-local and branch-sensitive.
 //
 // Facts are per-object bitsets. A client defines what the bits mean
-// (resource-lifecycle: open/closed/escaped; error-flow: nil/non-nil
-// per error), a transfer function that applies a statement's effect,
-// and a refine function that narrows facts along a conditional edge. The framework joins with set union — at a merge
-// point an object may be in any state it could be in on either path —
-// which makes transfer+refine monotone and the fixpoint finite.
+// (error-flow: nil/non-nil per error), a transfer function that
+// applies a statement's effect, and a refine function that narrows
+// facts along a conditional edge. The framework joins with set union —
+// at a merge point an object may be in any state it could be in on
+// either path — which makes transfer+refine monotone and the fixpoint
+// finite.
 
 // fact is a bitset of possible abstract states for one tracked object.
 // Bit meanings are private to each client; the framework only unions
@@ -213,29 +214,6 @@ func eachScope(p *Pass, fn func(body *ast.BlockStmt, cfg *funcCFG)) {
 				fn(fd.Body, p.Unit.cfgOf(fd))
 				lits(fd.Body)
 			}
-		}
-	}
-}
-
-// baseIdent unwraps selector, index, star, and paren chains down to
-// the root identifier of an lvalue-ish expression: p in p.f, m in
-// m[k], x in (*x).f. Returns nil when the base is not a plain ident
-// (a call result, a composite literal, ...).
-func baseIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			return x
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		default:
-			return nil
 		}
 	}
 }

@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // analyzerSharedStateEscape tracks references that alias the engine's
@@ -79,6 +80,35 @@ func (p *Pass) checkEscapeRegions(fd *ast.FuncDecl) {
 		}
 		return true
 	})
+}
+
+// isLockAcquire reports whether f is one of LockManager's acquisitions.
+func isLockAcquire(f *types.Func, txnPkg string) bool {
+	if f == nil {
+		return false
+	}
+	if !strings.HasPrefix(f.Name(), "WithWrite") && !strings.HasPrefix(f.Name(), "WithRead") {
+		return false
+	}
+	return isMethodOn(f, txnPkg, "LockManager")
+}
+
+// isHeld reports whether t is txn.Held.
+func isHeld(t types.Type, txnPkg string) bool {
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Name() == "Held" && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == txnPkg
+}
+
+// takesHeld reports whether fn has a txn.Held parameter: its caller
+// holds an MV write lock.
+func takesHeld(fn *types.Func, txnPkg string) bool {
+	params := fn.Type().(*types.Signature).Params()
+	for i := 0; i < params.Len(); i++ {
+		if isHeld(params.At(i).Type(), txnPkg) {
+			return true
+		}
+	}
+	return false
 }
 
 // isInternalRefCall reports whether call returns a reference aliasing

@@ -28,24 +28,17 @@ func (f Finding) String() string {
 // defaults describe this module; tests point the roles at fixture
 // packages instead.
 type Config struct {
-	// CorePkg is the maintenance core: the only package allowed to
-	// mutate MV/∇MV/△MV/log tables, and only from Blessed functions.
+	// CorePkg is the maintenance core: its Read lends the live MV, and
+	// its accessors must not leak live tables.
 	CorePkg string
 	// BagPkg, TxnPkg, StoragePkg locate the types the analyzers key on.
 	BagPkg     string
 	TxnPkg     string
 	StoragePkg string
-	// TracePkg is the structured-tracing package; resource-lifecycle's
-	// span row tracks its *Span values and skips the package itself.
-	TracePkg string
 	// OrderedPkgs are packages whose output ordering matters (they
 	// build reports, snapshots, deltas, or SQL results); map iteration
 	// feeding ordered sinks is flagged there.
 	OrderedPkgs []string
-	// Blessed are the CorePkg functions implementing the paper's
-	// refresh_*/propagate_*/makesafe_* transactions (Figure 3) plus
-	// view definition; only they may touch maintained tables.
-	Blessed []string
 	// DocPkgs are packages whose exported identifiers must all carry
 	// doc comments (the documentation-gated API surface).
 	DocPkgs []string
@@ -58,36 +51,12 @@ func DefaultConfig() Config {
 		BagPkg:     "dvm/internal/bag",
 		TxnPkg:     "dvm/internal/txn",
 		StoragePkg: "dvm/internal/storage",
-		TracePkg:   "dvm/internal/obs/trace",
 		OrderedPkgs: []string{
 			"dvm/internal/algebra",
 			"dvm/internal/core",
 			"dvm/internal/obs",
 			"dvm/internal/sql",
 			"dvm/internal/storage",
-		},
-		Blessed: []string{
-			// makesafe_* (Execute bundles every view's bookkeeping).
-			"Execute", "appendToLogs", "appendShared",
-			// refresh_* family: the log step under the MV lock, the
-			// differential applied, and ∇MV := ∅; △MV := ∅ once the MV
-			// lock is released (clearDiffTables).
-			"foldLogLocked", "applyDiffTablesLocked", "clearDiffTables", "RefreshRecompute",
-			// propagate_* family (incl. shared-log window upkeep).
-			"propagate", "materializeWindow",
-			// View initialization.
-			"DefineView",
-			// The one in-place MV update, MV := (MV ∸ del) ⊎ add via
-			// Bag.ApplyDelta, shared by makesafe_IM, refresh_BL,
-			// refresh_DT and partial_refresh_C.
-			"applyToMVLocked",
-			// Its counterpart for auxiliary tables: the composition-lemma
-			// merge of a (del, add) pair into (▼R, ▲R) or (∇MV, △MV), in
-			// place — every log extension and differential fold;
-			// clearLogs empties consumed logs. Nothing maintained
-			// is ever rebuilt: only DefineView and RefreshRecompute
-			// install a whole table.
-			"mergeDelta", "clearLogs",
 		},
 		DocPkgs: []string{
 			"dvm/internal/core",
@@ -107,25 +76,18 @@ type Analyzer struct {
 
 // Unit is the whole-program view one RunAnalyzers invocation shares
 // across its per-package passes: every loaded package, plus lazily
-// computed interprocedural facts (the call graph of callgraph.go, the
-// acquisitions lock-order reaches under a lock, and the atomic-field
-// facts). Interprocedural analyzers compute over the Unit once and
-// report, from each per-package pass, only the findings positioned in
-// that pass's package.
+// computed facts (the atomic-field facts, and each function's CFG).
+// An analyzer that computes over the Unit does so once and reports,
+// from each per-package pass, only the findings positioned in that
+// pass's package.
 type Unit struct {
 	Pkgs []*Package
 	Cfg  Config
 
-	decls     map[*types.Func]*declInfo
-	declList  []*declInfo // decls in deterministic (position) order
-	addrTaken map[*types.Func]bool
-
-	locks  map[*Package][]lockFinding
 	atomic *atomicFacts
 
-	// Function-local dataflow memos (ssa.go): CFGs are shared by
-	// resource-lifecycle and error-flow, so the first of them to touch a
-	// function builds its graph and the other reuses it.
+	// Function-local dataflow memos (ssa.go): each function's CFG is
+	// built once, by the first pass to touch it.
 	cfgMemo    map[*ast.FuncDecl]*funcCFG
 	litCfgMemo map[*ast.FuncLit]*funcCFG
 }
@@ -207,14 +169,11 @@ func isPtrToNamed(t types.Type, pkgPath, typeName string) bool {
 // All returns the analyzer registry in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		analyzerLockOrder,
 		analyzerSingleWriter,
 		analyzerSharedStateEscape,
 		analyzerAtomicDiscipline,
 		analyzerMapIteration,
-		analyzerInvariantTouch,
 		analyzerDocComment,
-		analyzerResourceLifecycle,
 		analyzerErrorFlow,
 	}
 }

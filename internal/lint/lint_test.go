@@ -3,9 +3,6 @@ package lint
 import (
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/parser"
-	"go/token"
 	"os"
 	"path/filepath"
 	"slices"
@@ -25,11 +22,6 @@ var fixtureCases = []struct {
 	checks string
 	cfg    func(Config) Config
 }{
-	{
-		dir:    "lockcycle",
-		checks: "lock-order",
-		cfg:    func(c Config) Config { return c },
-	},
 	{
 		dir:    "goctx",
 		checks: "single-writer",
@@ -65,31 +57,12 @@ var fixtureCases = []struct {
 		cfg:    func(c Config) Config { return c },
 	},
 	{
-		dir:    "invtouch",
-		checks: "invariant-touch",
-		cfg: func(c Config) Config {
-			c.CorePkg = fixturePrefix + "invtouch"
-			c.Blessed = []string{"Execute", "RefreshView"}
-			return c
-		},
-	},
-	{
-		dir:    "spanend",
-		checks: "resource-lifecycle",
-		cfg:    func(c Config) Config { return c },
-	},
-	{
 		dir:    "docmiss",
 		checks: "doc-comment",
 		cfg: func(c Config) Config {
 			c.DocPkgs = []string{fixturePrefix + "docmiss"}
 			return c
 		},
-	},
-	{
-		dir:    "resource",
-		checks: "resource-lifecycle",
-		cfg:    func(c Config) Config { return c },
 	},
 	{
 		dir:    "errflow",
@@ -229,49 +202,13 @@ func TestModuleIsLintClean(t *testing.T) {
 	}
 }
 
-// TestBlessedNamesAreCoreFunctions: invariant-touch keys on
-// DefaultConfig().Blessed by name, so a name left behind by a rename
-// would bless nothing — or, worse, whatever next takes that name. Every
-// entry must be a function (or method) declared in a non-test file of
-// the core package.
-func TestBlessedNamesAreCoreFunctions(t *testing.T) {
-	files, err := filepath.Glob(filepath.Join("..", "core", "*.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	declared := map[string]bool{}
-	fset := token.NewFileSet()
-	for _, file := range files {
-		if strings.HasSuffix(file, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, file, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok {
-				declared[fd.Name.Name] = true
-			}
-		}
-	}
-	if len(declared) == 0 {
-		t.Fatal("no function declarations found in internal/core")
-	}
-	for _, name := range DefaultConfig().Blessed {
-		if !declared[name] {
-			t.Errorf("Blessed names %q, which no non-test file of internal/core declares", name)
-		}
-	}
-}
-
 // TestSelect covers the check-selection surface the CLI exposes.
 func TestSelect(t *testing.T) {
 	all, err := Select("")
 	if err != nil || len(all) != len(All()) {
 		t.Fatalf("Select(\"\") = %d analyzers, err %v; want all %d", len(all), err, len(All()))
 	}
-	two, err := Select("error-flow, lock-order")
+	two, err := Select("error-flow, single-writer")
 	if err != nil || len(two) != 2 {
 		t.Fatalf("Select two = %v (len %d); want 2", err, len(two))
 	}

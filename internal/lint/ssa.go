@@ -4,24 +4,22 @@ import "go/ast"
 
 // ssa.go is the function-local half of dvmlint's SSA-lite dataflow
 // layer: a simplified control-flow graph per function body.
-// "SSA-lite" because values are not renamed — facts stay keyed by *types.Var, the same
-// currency the interprocedural layer (callgraph.go) already trades
-// in — but the graph carries the two properties real SSA would buy
-// here:
+// "SSA-lite" because values are not renamed — facts stay keyed by
+// *types.Var — but the graph carries the two properties real SSA would
+// buy here:
 //
 //   - branch-sensitive edges: every conditional edge records the
 //     condition expression and which way it went, so a forward
 //     analysis (dataflow.go) can refine facts per branch — the `if
-//     err != nil { return err }` shape that resource and error
-//     reasoning lives on;
-//   - deterministic statement order inside blocks, so defers, opens,
-//     closes, and derefs are seen in execution order.
+//     err != nil { return err }` shape that error reasoning lives on;
+//   - deterministic statement order inside blocks, so defers and
+//     discards are seen in execution order.
 //
 // The graph is deliberately simplified: one node per simple statement
 // (conditions appear both as an in-block node, for their side effects,
 // and as the edge guard), loops close with a single back edge, and
 // terminating calls (panic, os.Exit, log.Fatal*) end their block with
-// no successors — the process dies, so obligations die with it.
+// no successors — the process dies, and no path goes on from it.
 // Function literals are NOT inlined: a literal's body is its own CFG
 // (built by the analyzer that cares), and the enclosing graph keeps
 // the statement containing the literal as an ordinary node.
@@ -45,7 +43,7 @@ type cfgBlock struct {
 // funcCFG is the simplified control-flow graph of one function body.
 // Every path that returns normally ends in a *ast.ReturnStmt node —
 // bodies that can fall off the end get a synthesized return (pos at
-// the closing brace) — so exit-obligation checks only ever look at
+// the closing brace) — so a check of the exits only ever looks at
 // return nodes.
 type funcCFG struct {
 	entry  *cfgBlock
@@ -404,9 +402,7 @@ func (u *Unit) cfgOf(fd *ast.FuncDecl) *funcCFG {
 	return c
 }
 
-// litCFGOf is cfgOf for function literals, sharing the same memo
-// discipline (resource-lifecycle and error-flow both walk the same
-// literal bodies).
+// litCFGOf is cfgOf for function literals.
 func (u *Unit) litCFGOf(lit *ast.FuncLit) *funcCFG {
 	if u.litCfgMemo == nil {
 		u.litCfgMemo = map[*ast.FuncLit]*funcCFG{}

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// dataflowPkg loads the dataflow fixture (mirroring callgraphUnit).
+// dataflowPkg loads the dataflow fixture.
 func dataflowPkg(t *testing.T) *Package {
 	t.Helper()
 	loader, err := NewLoader(".")

@@ -293,8 +293,8 @@ func (t *Tracer) Mode() Mode {
 
 // StartTrace begins a new trace and returns its root span, or nil
 // when the sampling policy skips this transaction. The returned span
-// must be finished with End (enforced by the span row of dvmlint's
-// resource-lifecycle analyzer).
+// must be finished with End, on every path: a trace whose span never
+// ended finishes with that span's Dur at 0.
 func (t *Tracer) StartTrace(name string, attrs ...Attr) *Span {
 	return t.StartTraceAt(name, time.Now(), attrs...)
 }

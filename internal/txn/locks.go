@@ -101,8 +101,8 @@ func spanAttrs(parent *trace.Span, mode string, ts []string) []trace.Attr {
 // Held is the proof that its holder runs inside a WithWriteSpan
 // section: only the LockManager makes one, and a function that must run
 // under a write lock takes one as a parameter, so calling it outside a
-// section does not compile. (dvmlint's lock-order flags a Held made
-// outside this package.)
+// section does not compile. Go cannot stop another package from
+// writing Held{}; none may.
 type Held struct{ span *trace.Span }
 
 // Span is the section's txn.lock.hold span (nil untraced), the parent

@@ -72,17 +72,24 @@ func TestLintDocsMatchRegistry(t *testing.T) {
 
 // mutantCheckRe extracts the analyzers a kept mutant's check line runs:
 // "# check: go run ./cmd/dvmlint -checks a,b ./...".
-var mutantCheckRe = regexp.MustCompile(`(?m)^# check: go run \./cmd/dvmlint -checks ([a-z0-9,-]+) `)
+var mutantCheckRe = regexp.MustCompile(`(?m)^# check: .*dvmlint.* -checks[ =]([a-z0-9,-]+)`)
 
 // TestEveryAnalyzerHasAMutant: an analyzer stays in the registry only
 // while a kept mutant (testdata/mutants, run by scripts/mutants.sh)
 // seeds a bug that it alone catches, so every registered analyzer must
 // be the check of at least one mutant. An analyzer that no mutant
-// names has shown no bug that the build, vet and the tests miss.
+// names has shown no bug that the build, vet and the tests miss. And
+// every analyzer a check names must be registered: dvmlint exits 2 on
+// an unknown -checks name, so a mutant whose check still names a
+// deleted analyzer would read as killed without being checked.
 func TestEveryAnalyzerHasAMutant(t *testing.T) {
 	patches, err := filepath.Glob(filepath.Join("testdata", "mutants", "*.patch"))
 	if err != nil {
 		t.Fatal(err)
+	}
+	registered := map[string]bool{}
+	for _, a := range lint.All() {
+		registered[a.Name] = true
 	}
 	named := map[string]bool{}
 	for _, p := range patches {
@@ -93,6 +100,9 @@ func TestEveryAnalyzerHasAMutant(t *testing.T) {
 		for _, m := range mutantCheckRe.FindAllStringSubmatch(string(data), -1) {
 			for _, name := range strings.Split(m[1], ",") {
 				named[name] = true
+				if !registered[name] {
+					t.Errorf("%s: its check names analyzer %q, which is not registered", p, name)
+				}
 			}
 		}
 	}

@@ -27,10 +27,9 @@ echo "== go vet"
 go vet ./...
 
 echo "== dvmlint"
-# Timed: loading and type-checking the module is most of it; the
-# interprocedural passes (lock-order's reachability walk over the call
-# graph) cover the whole module. TestDvmlintWallClock bounds
-# this, and the wall clock here makes creep visible in CI logs.
+# Timed: loading and type-checking the module is most of it.
+# TestDvmlintWallClock bounds this, and the wall clock here makes
+# creep visible in CI logs.
 dvmlint_start=$(date +%s)
 go run ./cmd/dvmlint ./...
 echo "   dvmlint wall clock: $(( $(date +%s) - dvmlint_start ))s"
