@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint lint-json doccheck check fuzz profile pair allocprof mutants
+.PHONY: build test lint lint-json doccheck check fuzz profile pair allocprof mutants flakes
 
 build:
 	$(GO) build ./...
@@ -62,6 +62,13 @@ allocprof:
 # About a minute; not part of `make check`.
 mutants:
 	./scripts/mutants.sh
+
+# The measuring tests under load: every test matching
+# 'Alloc|Heap|Profile|Frees' runs 50 times while one `go test ./...`
+# loads the machine; prints failures per test and fails if any run
+# failed. A few minutes; not part of `make check`.
+flakes:
+	./scripts/flakes.sh
 
 fuzz:
 	$(GO) test ./internal/schema -run '^$$' -fuzz '^FuzzValue$$' -fuzztime=30s

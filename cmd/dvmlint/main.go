@@ -8,8 +8,8 @@
 //
 //	dvmlint [-checks check1,check2] [-list] [-json] [./...]
 //
-// -check is accepted as an alias of -checks, and -list prints the
-// analyzer catalogue (name and one-line doc) without running anything.
+// -list prints the analyzer catalogue (name and one-line doc) without
+// running anything.
 //
 // Exit codes: 0 = clean, 1 = findings survived suppression, 2 = the
 // package set failed to load or type-check (or the flags were invalid),
@@ -42,7 +42,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dvmlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	checks := fs.String("checks", "", "comma-separated checks to run (default: all)")
-	fs.StringVar(checks, "check", "", "alias of -checks")
 	list := fs.Bool("list", false, "list available checks and exit")
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array (stable field names, position-sorted)")
 	if err := fs.Parse(args); err != nil {

@@ -56,12 +56,19 @@ func TestExitCodeClean(t *testing.T) {
 	}
 }
 
+// racyModule lays out a module whose one finding is
+// atomic-discipline's: a field added to atomically and read plainly.
+func racyModule(t *testing.T) string {
+	return writeModule(t, map[string]string{
+		"racy.go": "package tmpmod\n\nimport \"sync/atomic\"\n\ntype C struct{ n int64 }\n\n" +
+			"func (c *C) Inc() { atomic.AddInt64(&c.n, 1) }\n\nfunc (c *C) Peek() int64 { return c.n }\n",
+	})
+}
+
 // TestExitCodeFindings: surviving findings exit 1, and -json renders
 // them as a parseable array.
 func TestExitCodeFindings(t *testing.T) {
-	dir := writeModule(t, map[string]string{
-		"leaky.go": "package tmpmod\n\nimport \"os\"\n\nfunc F() {\n\tos.Remove(\"x\")\n}\n",
-	})
+	dir := racyModule(t)
 	chdir(t, dir)
 	var out, errb bytes.Buffer
 	if code := run(nil, &out, &errb); code != 1 {
@@ -78,10 +85,10 @@ func TestExitCodeFindings(t *testing.T) {
 		t.Fatalf("-json output does not parse: %v\n%s", err, out.String())
 	}
 	if len(findings) == 0 {
-		t.Fatal("-json output is empty; want the error-flow finding")
+		t.Fatal("-json output is empty; want the atomic-discipline finding")
 	}
-	if findings[0]["check"] != "error-flow" {
-		t.Fatalf("finding check = %v; want error-flow", findings[0]["check"])
+	if findings[0]["check"] != "atomic-discipline" {
+		t.Fatalf("finding check = %v; want atomic-discipline", findings[0]["check"])
 	}
 }
 
@@ -136,15 +143,15 @@ func TestExitCodeLoadFailure(t *testing.T) {
 	}
 }
 
-// TestExitCodeBadFlags: unknown checks and unparseable flags exit 2,
-// through both spellings of the selection flag.
+// TestExitCodeBadFlags: unknown checks, alone or beside a known one,
+// and unparseable flags exit 2.
 func TestExitCodeBadFlags(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-checks", "no-such-check"}, &out, &errb); code != 2 {
 		t.Fatalf("unknown check exit = %d; want 2", code)
 	}
-	if code := run([]string{"-check=no-such-check"}, &out, &errb); code != 2 {
-		t.Fatalf("unknown -check exit = %d; want 2", code)
+	if code := run([]string{"-checks=single-writer,no-such-check"}, &out, &errb); code != 2 {
+		t.Fatalf("known and unknown check exit = %d; want 2", code)
 	}
 	if code := run([]string{"-no-such-flag"}, &out, &errb); code != 2 {
 		t.Fatalf("bad flag exit = %d; want 2", code)
@@ -152,8 +159,7 @@ func TestExitCodeBadFlags(t *testing.T) {
 }
 
 // TestListChecks: -list prints one "name  doc" line per registered
-// analyzer — the dataflow-layer pair included — runs nothing, and
-// exits 0.
+// analyzer, runs nothing, and exits 0.
 func TestListChecks(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-list"}, &out, &errb); code != 0 {
@@ -163,32 +169,30 @@ func TestListChecks(t *testing.T) {
 	if lines != len(lint.All()) {
 		t.Fatalf("-list printed %d lines; want one per analyzer (%d)", lines, len(lint.All()))
 	}
-	for _, name := range []string{"error-flow", "single-writer", "doc-comment"} {
+	for _, name := range []string{"atomic-discipline", "single-writer", "doc-comment"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output misses %q", name)
 		}
 	}
 }
 
-// TestCheckSelection: -check narrows the run to the named analyzers —
-// a module with only a dropped error is clean under
-// -check=single-writer and dirty under -check=error-flow.
+// TestCheckSelection: -checks narrows the run to the named analyzers —
+// a module with only a mixed atomic access is clean under
+// -checks=single-writer and dirty under -checks=atomic-discipline.
 func TestCheckSelection(t *testing.T) {
-	dir := writeModule(t, map[string]string{
-		"leaky.go": "package tmpmod\n\nimport \"os\"\n\nfunc F() {\n\tos.Remove(\"x\")\n}\n",
-	})
+	dir := racyModule(t)
 	chdir(t, dir)
 	var out, errb bytes.Buffer
-	if code := run([]string{"-check=single-writer"}, &out, &errb); code != 0 {
-		t.Fatalf("-check=single-writer exit = %d (stdout %q); want 0: the finding belongs to another analyzer", code, out.String())
+	if code := run([]string{"-checks=single-writer"}, &out, &errb); code != 0 {
+		t.Fatalf("-checks=single-writer exit = %d (stdout %q); want 0: the finding belongs to another analyzer", code, out.String())
 	}
 	out.Reset()
 	errb.Reset()
-	if code := run([]string{"-check=error-flow"}, &out, &errb); code != 1 {
-		t.Fatalf("-check=error-flow exit = %d; want 1", code)
+	if code := run([]string{"-checks=atomic-discipline"}, &out, &errb); code != 1 {
+		t.Fatalf("-checks=atomic-discipline exit = %d; want 1", code)
 	}
-	if !strings.Contains(out.String(), "[error-flow]") {
-		t.Fatalf("selected run output = %q; want the error-flow finding", out.String())
+	if !strings.Contains(out.String(), "[atomic-discipline]") {
+		t.Fatalf("selected run output = %q; want the atomic-discipline finding", out.String())
 	}
 }
 

@@ -70,12 +70,7 @@ func main() {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
-			if err := engine.SaveTo(f); err != nil {
-				_ = f.Close() // the snapshot is already broken; the write error is what matters
-				fmt.Fprintln(os.Stderr, "save:", err)
-				os.Exit(1)
-			}
-			if err := f.Close(); err != nil {
+			if err := saveTo(engine, f); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
@@ -112,6 +107,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "error:", err)
 	}
 	saveAndExit(0)
+}
+
+// saveTo writes engine's snapshot to w and closes it, returning the
+// first error of the two: a file that fails only at Close has still
+// lost the snapshot. A write error comes back prefixed "save: ".
+func saveTo(engine *sql.Engine, w io.WriteCloser) error {
+	if err := engine.SaveTo(w); err != nil {
+		_ = w.Close() // the snapshot is already broken; the write error is what matters
+		return fmt.Errorf("save: %w", err)
+	}
+	return w.Close()
 }
 
 // runLines drives the statement loop: lines accumulate until a ';',

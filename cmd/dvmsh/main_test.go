@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -28,6 +29,49 @@ REFRESH big;
 		t.Fatal(err)
 	}
 	return engine
+}
+
+// failingFile is a snapshot file whose Write fails with writeErr and
+// whose Close fails with closeErr, where they are set.
+type failingFile struct {
+	writeErr, closeErr error
+	closed             bool
+}
+
+func (f *failingFile) Write(p []byte) (int, error) {
+	if f.writeErr != nil {
+		return 0, f.writeErr
+	}
+	return len(p), nil
+}
+
+func (f *failingFile) Close() error {
+	f.closed = true
+	return f.closeErr
+}
+
+// TestSaveReportsCloseError: -save reports a snapshot lost at Close as
+// well as one lost at Write, and closes the file either way.
+func TestSaveReportsCloseError(t *testing.T) {
+	engine := testEngine(t)
+	injected := errors.New("injected")
+	for _, tc := range []struct {
+		name string
+		f    *failingFile
+	}{
+		{"close", &failingFile{closeErr: injected}},
+		{"write", &failingFile{writeErr: injected}},
+	} {
+		if err := saveTo(engine, tc.f); !errors.Is(err, injected) {
+			t.Errorf("%s fails: saveTo returned %v, want the injected error", tc.name, err)
+		}
+		if !tc.f.closed {
+			t.Errorf("%s fails: the file was not closed", tc.name)
+		}
+	}
+	if err := saveTo(engine, &failingFile{}); err != nil {
+		t.Errorf("saveTo on a working file: %v", err)
+	}
 }
 
 func TestStatsPrefixFilter(t *testing.T) {

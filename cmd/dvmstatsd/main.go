@@ -35,6 +35,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -141,27 +142,20 @@ func newMux(engine *sql.Engine) *http.ServeMux {
 }
 
 // writeMetricsSnapshot scrapes the engine's registry (obs.Scrape, so
-// the go_* families are in it), renders it in exposition format, runs
-// the strict validator over it, and writes it to path — the -once mode
-// CI uses to attach a /metrics artifact to failures.
+// the go_* families are in it), renders it in exposition format, writes
+// it to path, and runs the strict validator over what it rendered — the
+// -once mode CI uses to attach a /metrics artifact to failures. The
+// file is written first, so an invalid exposition is still there to
+// triage.
 func writeMetricsSnapshot(engine *sql.Engine, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := obs.WriteProm(&buf, obs.Scrape(engine.Manager().Obs())); err != nil {
 		return err
 	}
-	snap := obs.Scrape(engine.Manager().Obs())
-	werr := obs.WriteProm(f, snap)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return werr
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
+	if err := os.WriteFile(path, buf.Bytes(), 0o666); err != nil {
 		return err
 	}
-	if err := obs.ValidateExposition(data); err != nil {
+	if err := obs.ValidateExposition(buf.Bytes()); err != nil {
 		return fmt.Errorf("snapshot failed exposition validation: %w", err)
 	}
 	return nil

@@ -19,8 +19,12 @@ import (
 // Delta-proportional, without a stopwatch: the tests below measure
 // bytes (runtime.MemStats.TotalAlloc), which repeat where times do not.
 
-// allocBytes returns the bytes f allocates.
+// allocBytes returns the bytes f allocates, read with the collector off
+// (gcOff): a GC cycle that starts while f runs wakes a runtime goroutine
+// that allocates, and MemStats would count it as f's.
 func allocBytes(f func()) uint64 {
+	gcOn := gcOff()
+	defer gcOn()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	f()
@@ -114,8 +118,11 @@ func TestPropagateAllocatesByLogNotByDifferential(t *testing.T) {
 	})
 }
 
-// allocCount returns the heap objects f allocates.
+// allocCount returns the heap objects f allocates, read with the
+// collector off, as allocBytes reads its bytes.
 func allocCount(f func()) uint64 {
+	gcOn := gcOff()
+	defer gcOn()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	f()
@@ -188,8 +195,9 @@ func TestDeletingPropagateMakesNoTuple(t *testing.T) {
 // view or sixteen: the manager normalizes into a transaction of its own,
 // hands the caller's bags on uncopied, and refills its per-transaction
 // scratch. The dropped rows never reach a log. Both windows run with the
-// collector off (gcOff): a GC cycle that starts in one wakes a runtime
-// goroutine that allocates, and MemStats would count it as the churn's.
+// collector off (gcOff, which allocBytes calls itself): a GC cycle that
+// starts in one wakes a runtime goroutine that allocates, and MemStats
+// would count it as the churn's.
 func TestExecuteAllocatesNothingWarm(t *testing.T) {
 	perRun := map[int]uint64{}
 	for _, views := range []int{1, 16} {
@@ -249,13 +257,11 @@ func TestExecuteAllocatesNothingWarm(t *testing.T) {
 			t.Fatal(err)
 		}
 		const runs = 100
-		gcOn = gcOff()
 		perRun[views] = allocBytes(func() {
 			for i := 0; i < runs; i++ {
 				churn()
 			}
 		}) / runs
-		gcOn()
 		if perRun[views] != 0 {
 			logAllocSites(t, runs, churn)
 		}
@@ -271,8 +277,8 @@ func TestExecuteAllocatesNothingWarm(t *testing.T) {
 	}
 }
 
-// gcOff turns the collector off for a window that must read 0 from
-// MemStats, and returns what turns it back on. MemStats counts every
+// gcOff turns the collector off for a window whose allocations MemStats
+// reads, and returns what turns it back on. MemStats counts every
 // goroutine's allocations, and the runtime's own goroutine that cleans
 // the unique package's maps (unique.registerCleanup, woken at the start
 // of each GC cycle) allocates two objects a cycle: a cycle that starts

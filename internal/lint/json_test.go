@@ -16,17 +16,17 @@ func TestWriteJSONGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := loader.Load(fixturePrefix + "droperr")
+	pkg, err := loader.Load(fixturePrefix + "atomicfield")
 	if err != nil {
 		t.Fatal(err)
 	}
-	analyzers, err := Select("error-flow")
+	analyzers, err := Select("atomic-discipline")
 	if err != nil {
 		t.Fatal(err)
 	}
 	findings := RunAnalyzers([]*Package{pkg}, analyzers, DefaultConfig())
 	if len(findings) == 0 {
-		t.Fatal("droperr fixture produced no findings")
+		t.Fatal("atomicfield fixture produced no findings")
 	}
 	for i := range findings {
 		findings[i].Pos.Filename = filepath.Base(findings[i].Pos.Filename)

@@ -76,7 +76,7 @@ type Analyzer struct {
 
 // Unit is the whole-program view one RunAnalyzers invocation shares
 // across its per-package passes: every loaded package, plus lazily
-// computed facts (the atomic-field facts, and each function's CFG).
+// computed facts (the atomic-field facts).
 // An analyzer that computes over the Unit does so once and reports,
 // from each per-package pass, only the findings positioned in that
 // pass's package.
@@ -85,11 +85,6 @@ type Unit struct {
 	Cfg  Config
 
 	atomic *atomicFacts
-
-	// Function-local dataflow memos (ssa.go): each function's CFG is
-	// built once, by the first pass to touch it.
-	cfgMemo    map[*ast.FuncDecl]*funcCFG
-	litCfgMemo map[*ast.FuncLit]*funcCFG
 }
 
 // Pass is one analyzer's view of one package.
@@ -174,7 +169,6 @@ func All() []*Analyzer {
 		analyzerAtomicDiscipline,
 		analyzerMapIteration,
 		analyzerDocComment,
-		analyzerErrorFlow,
 	}
 }
 

@@ -52,22 +52,12 @@ var fixtureCases = []struct {
 		},
 	},
 	{
-		dir:    "droperr",
-		checks: "error-flow",
-		cfg:    func(c Config) Config { return c },
-	},
-	{
 		dir:    "docmiss",
 		checks: "doc-comment",
 		cfg: func(c Config) Config {
 			c.DocPkgs = []string{fixturePrefix + "docmiss"}
 			return c
 		},
-	},
-	{
-		dir:    "errflow",
-		checks: "error-flow",
-		cfg:    func(c Config) Config { return c },
 	},
 }
 
@@ -208,7 +198,7 @@ func TestSelect(t *testing.T) {
 	if err != nil || len(all) != len(All()) {
 		t.Fatalf("Select(\"\") = %d analyzers, err %v; want all %d", len(all), err, len(All()))
 	}
-	two, err := Select("error-flow, single-writer")
+	two, err := Select("doc-comment, single-writer")
 	if err != nil || len(two) != 2 {
 		t.Fatalf("Select two = %v (len %d); want 2", err, len(two))
 	}

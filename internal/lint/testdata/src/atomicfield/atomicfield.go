@@ -53,3 +53,31 @@ func (c *counters) Cold() int64 {
 	c.coldStart++
 	return c.coldStart
 }
+
+// The last four methods exercise the //dvmlint:ignore syntax.
+
+// Suppressed carries a reasoned suppression: no finding.
+func (c *counters) Suppressed() int64 {
+	//dvmlint:ignore atomic-discipline a debug dump tolerates a torn read
+	return c.hits
+}
+
+// BadSuppression has no reason: the suppression itself is reported AND
+// does not suppress.
+func (c *counters) BadSuppression() int64 {
+	//dvmlint:ignore atomic-discipline
+	return c.hits // want: plain read of atomic field (suppression invalid)
+}
+
+// UnknownCheck names a check that does not exist: a warning.
+func (c *counters) UnknownCheck() int64 {
+	//dvmlint:ignore no-such-check because I said so
+	return atomic.LoadInt64(&c.hits)
+}
+
+// Stale carries a suppression that matches no finding: the suppression
+// itself is reported as stale.
+func (c *counters) Stale() int64 {
+	//dvmlint:ignore atomic-discipline the read below is already atomic
+	return atomic.LoadInt64(&c.hits) // want: stale suppression
+}
