@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint lint-json doccheck check fuzz profile pair allocprof mutants flakes
+.PHONY: build test lint doccheck check fuzz profile pair allocprof mutants flakes
 
 build:
 	$(GO) build ./...
@@ -10,22 +10,12 @@ test:
 
 lint:
 	$(GO) vet ./...
-	$(GO) run ./cmd/dvmlint ./...
-
-# Machine-readable findings for CI artifacts and editor integrations.
-# Exit 1 (findings) still writes the array, so only a broken build
-# (exit 2) fails the target; dvmlint.json is untracked output.
-lint-json:
-	$(GO) run ./cmd/dvmlint -json ./... > dvmlint.json; \
-	status=$$?; \
-	if [ $$status -eq 2 ]; then cat dvmlint.json; exit 2; fi; \
-	echo "dvmlint.json written ($$status findings-exit)"
 
 # Resolve every symbol anchor and relative link in the docs.
 doccheck:
 	$(GO) run ./cmd/doccheck
 
-# The expanded tier-1 gate: build + vet + dvmlint + doccheck + race
+# The expanded tier-1 gate: build + vet + doccheck + race
 # tests + the nested perf/ module's self-check + bounded fuzzing. Same
 # battery as scripts/check.sh.
 check:

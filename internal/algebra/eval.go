@@ -198,7 +198,8 @@ func (ctx *evalCtx) evalJoin(s *Select, p *Product) (*bag.Bag, error) {
 		n int
 	}
 	ht := make(map[string][]bucket, build.Distinct())
-	//dvmlint:ignore nondeterministic-iteration hash buckets are consumed commutatively (integer counts folded into a bag), and sorting the build side would slow every join
+	// Map order is harmless: the buckets are consumed commutatively
+	// (integer counts folded into a bag).
 	build.Each(func(t schema.Tuple, n int) {
 		k := t.Project(buildPos).Key()
 		ht[k] = append(ht[k], bucket{t: t, n: n})

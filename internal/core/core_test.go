@@ -161,6 +161,36 @@ func TestDefineViewBasics(t *testing.T) {
 	}
 }
 
+// TestBaseTablesIsACopy: the caller owns what BaseTables returns.
+// Sorting it and appending to it leave the view's own base list, and
+// the view's maintenance over it, as they were.
+func TestBaseTablesIsACopy(t *testing.T) {
+	db, def := retailDB(t)
+	m := NewManager(db)
+	v, err := m.DefineView("hv", def, Combined)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bases := v.BaseTables()
+	slices.SortFunc(bases, func(a, b string) int { return strings.Compare(b, a) })
+	_ = append(bases[:1], "ghost") // writes the returned slice's second element
+	if got := v.BaseTables(); !slices.Equal(got, []string{"customer", "sales"}) {
+		t.Fatalf("BaseTables = %v after the caller rewrote its copy, want [customer sales]", got)
+	}
+	if err := m.Execute(txn.Insert("sales", bag.Of(saleRow(0, 99, 5)))); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Refresh("hv"); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.CheckConsistent("hv"); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.CheckInvariant("hv"); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDefineViewErrors(t *testing.T) {
 	db, def := retailDB(t)
 	m := NewManager(db)

@@ -142,6 +142,23 @@ func TestValidateExpositionRejects(t *testing.T) {
 	}
 }
 
+// TestValidateExpositionNamesTheFirstFamily: of two malformed
+// families, the validator names the one first by name, on every call,
+// whatever order the input gives them in.
+func TestValidateExpositionNamesTheFirstFamily(t *testing.T) {
+	in := ""
+	for _, fam := range []string{"b_ns", "a_ns"} {
+		in += "# HELP " + fam + " h\n# TYPE " + fam + " histogram\n" +
+			fam + "_bucket{le=\"1\"} 2\n" + fam + "_sum 3\n" + fam + "_count 2\n"
+	}
+	for i := 0; i < 64; i++ {
+		err := ValidateExposition([]byte(in))
+		if err == nil || !strings.Contains(err.Error(), "family a_ns ") {
+			t.Fatalf("call %d: ValidateExposition = %v, want the missing +Inf of a_ns", i, err)
+		}
+	}
+}
+
 func TestValidateExpositionAcceptsEscapes(t *testing.T) {
 	in := "# HELP dvm_x a help with \\\\ and \\n escapes\n# TYPE dvm_x gauge\n" +
 		"dvm_x{view=\"a\\\"b\\\\c\\nd\"} 3\n"

@@ -153,6 +153,41 @@ func TestSampleThreshold(t *testing.T) {
 	}
 }
 
+// TestSampleThresholdWhileTracing: the threshold may change while
+// traces finish, and every finishing trace reads it. Under -race, a
+// plain read of the threshold beside SampleThreshold's store is
+// reported.
+func TestSampleThresholdWhileTracing(t *testing.T) {
+	tr := NewTracer(16)
+	tr.SampleThreshold(time.Millisecond)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+				tr.SampleThreshold(time.Duration(1+i%2) * time.Millisecond)
+			}
+		}
+	}()
+	for i := 0; i < 1000; i++ {
+		sp := tr.StartTrace("core.execute")
+		c := sp.StartChild("apply")
+		c.SetExclusive()
+		c.EndExplicit(time.Duration(i%3) * time.Millisecond)
+		sp.End()
+	}
+	close(done)
+	wg.Wait()
+	if tr.Mode() != ModeThreshold {
+		t.Fatalf("mode = %v, want threshold", tr.Mode())
+	}
+}
+
 func TestConfigure(t *testing.T) {
 	tr := NewTracer(4)
 	cases := []struct {

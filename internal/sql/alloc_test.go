@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"runtime/debug"
 	"runtime/metrics"
 	"strings"
 	"testing"
@@ -18,8 +19,12 @@ import (
 // The copies stay gone, without a stopwatch: the tests below measure
 // bytes (runtime.MemStats.TotalAlloc), which repeat where times do not.
 
-// allocBytes returns the bytes f allocates.
+// allocBytes returns the bytes f allocates, read with the collector off
+// (gcOff): a GC cycle that starts while f runs wakes a runtime goroutine
+// that allocates, and MemStats would count it as f's.
 func allocBytes(f func()) uint64 {
+	gcOn := gcOff()
+	defer gcOn()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	f()
@@ -342,13 +347,36 @@ func snapshotOf(t *testing.T, e *Engine) []byte {
 	return buf.Bytes()
 }
 
-// mallocs returns the objects f allocates.
+// mallocs returns the objects f allocates, read with the collector off
+// as allocBytes reads its bytes.
 func mallocs(f func()) uint64 {
+	gcOn := gcOff()
+	defer gcOn()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	f()
 	runtime.ReadMemStats(&m1)
 	return m1.Mallocs - m0.Mallocs
+}
+
+// gcOff turns the collector off for a measuring window and returns what
+// turns it back on, as internal/core's gcOff does: the runtime's
+// goroutine that cleans the unique package's maps allocates two objects
+// at the start of each GC cycle, and MemStats would count them as the
+// window's. It then yields, a bounded number of times, until a cleanup
+// the last cycle woke has run.
+func gcOff() (on func()) {
+	percent := debug.SetGCPercent(-1)
+	var a, b runtime.MemStats
+	for i := 0; i < 100; i++ {
+		runtime.ReadMemStats(&a)
+		runtime.Gosched()
+		runtime.ReadMemStats(&b)
+		if a.Mallocs == b.Mallocs {
+			break
+		}
+	}
+	return func() { debug.SetGCPercent(percent) }
 }
 
 // TestLoadReplayAllocatesBySlabs: LoadEngine rebuilds a view by

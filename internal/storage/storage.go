@@ -54,8 +54,6 @@ func (t *Table) Kind() Kind { return t.kind }
 // they own the surrounding transaction. The bag is the table's contents
 // until the next Replace — Clear empties this very bag — so hold it
 // only inside the transaction that read it; copy what must outlive it.
-//
-//dvmlint:ignore shared-state-escape documented ownership contract: the lock protocol lives at the call sites (core wraps every access in a LockManager acquisition), and the analyzer cannot see callers' locks
 func (t *Table) Data() *bag.Bag { return t.data }
 
 // Len returns the table's cardinality with duplicates.
@@ -155,7 +153,8 @@ func (db *Database) Bag(name string) (*bag.Bag, error) {
 	if err != nil {
 		return nil, err
 	}
-	//dvmlint:ignore shared-state-escape algebra.Source hands out the live bag by design; evaluation runs under the caller's transaction locks and algebra.Eval clones its result before it escapes
+	// The live bag: evaluation runs under the caller's transaction
+	// locks, and algebra.Eval clones its result before it escapes.
 	return t.data, nil
 }
 

@@ -2,7 +2,11 @@ package dvm_test
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
+	"path/filepath"
 	"regexp"
 	"runtime"
 	"strings"
@@ -149,6 +153,80 @@ REFRESH hv;
 	if n := runtime.NumGoroutine(); n > before {
 		t.Fatalf("%d goroutines after the engine's work, %d before", n, before)
 	}
+}
+
+// TestNoGoStatementOutsideMain: the engine is the paper's one writer
+// (Section 5), and TestEngineStartsNoGoroutine sees only the paths a
+// script runs. A go statement in any non-test file outside package
+// main (perf/ is its own module) would run its call holding none of
+// its caller's locks, and return before that call is done. A command
+// may still start one, for a server or a signal handler.
+func TestNoGoStatementOutsideMain(t *testing.T) {
+	fset := token.NewFileSet()
+	goFiles(t, fset, parser.SkipObjectResolution, func(path string, f *ast.File) {
+		if strings.HasSuffix(path, "_test.go") || strings.HasPrefix(path, "perf/") || f.Name.Name == "main" {
+			return
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok {
+				t.Errorf("%s: go statement outside package main: the engine starts no goroutine", fset.Position(g.Pos()))
+			}
+			return true
+		})
+	})
+}
+
+// TestExportedNamesAreDocumented: every exported function, method on
+// an exported type, type, const and var of the packages the docs
+// describe carries a doc comment. A block's doc covers its specs, and
+// a const or var may carry a trailing comment instead.
+func TestExportedNamesAreDocumented(t *testing.T) {
+	gated := map[string]bool{"internal/core": true, "internal/obs": true, "internal/obs/trace": true, "internal/txn": true}
+	fset := token.NewFileSet()
+	goFiles(t, fset, parser.ParseComments|parser.SkipObjectResolution, func(path string, f *ast.File) {
+		if !gated[filepath.ToSlash(filepath.Dir(path))] || strings.HasSuffix(path, "_test.go") {
+			return
+		}
+		undocumented := func(n *ast.Ident) {
+			t.Errorf("%s: exported %s has no doc comment", fset.Position(n.Pos()), n.Name)
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Name.IsExported() && d.Doc == nil && (d.Recv == nil || recvType(d).IsExported()) {
+					undocumented(d.Name)
+				}
+			case *ast.GenDecl:
+				if d.Doc != nil {
+					continue
+				}
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						if s.Name.IsExported() && s.Doc == nil {
+							undocumented(s.Name)
+						}
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							if n.IsExported() && s.Doc == nil && s.Comment == nil {
+								undocumented(n)
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// recvType returns the name of a method's receiver type; the packages
+// checked declare no generic type.
+func recvType(d *ast.FuncDecl) *ast.Ident {
+	x := d.Recv.List[0].Type
+	if star, ok := x.(*ast.StarExpr); ok {
+		x = star.X
+	}
+	return x.(*ast.Ident)
 }
 
 // TestPromHelpMatchesDocs pins the HELP text map (internal/obs/help.go)

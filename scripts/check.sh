@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # check.sh — the expanded tier-1 gate (see ROADMAP.md).
 #
-# Runs the full static + dynamic battery: build, gofmt, vet, the repo's
-# own dvmlint analyzers, the docs link-and-anchor checker, the
-# unit/property suite under the race detector, the nested perf/
-# module's vet + self-check, and a bounded run of each fuzz target.
+# Runs the full static + dynamic battery: build, gofmt, vet, the docs
+# link-and-anchor checker, the unit/property suite under the race
+# detector, the nested perf/ module's vet + self-check, and a bounded
+# run of each fuzz target.
 # Everything here must pass before a change lands.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -13,9 +13,8 @@ echo "== go build"
 go build ./...
 
 echo "== gofmt -l"
-# Every Go file in the tree, the nested perf/ module and the lint
-# fixtures under testdata/ included, must be gofmt'd: any file listed
-# fails the gate.
+# Every Go file in the tree, the nested perf/ module included, must be
+# gofmt'd: any file listed fails the gate.
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
 	echo "$unformatted" | sed 's/^/   /'
@@ -25,14 +24,6 @@ fi
 
 echo "== go vet"
 go vet ./...
-
-echo "== dvmlint"
-# Timed: loading and type-checking the module is most of it.
-# TestDvmlintWallClock bounds this, and the wall clock here makes
-# creep visible in CI logs.
-dvmlint_start=$(date +%s)
-go run ./cmd/dvmlint ./...
-echo "   dvmlint wall clock: $(( $(date +%s) - dvmlint_start ))s"
 
 echo "== doccheck (README.md docs/*.md DESIGN.md EXPERIMENTS.md)"
 go run ./cmd/doccheck

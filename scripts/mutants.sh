@@ -3,7 +3,10 @@
 # bug that a named check must catch. Every patch is applied, one at a
 # time, to a throw-away copy of the working tree (under $TMPDIR), and
 # the command on its "# check: " header line is run there; the mutant
-# is killed when that command fails. The script fails if a mutant
+# is killed when that command fails. Each distinct check first runs
+# once on the unmutated copy, where it must pass: a check that fails for
+# another reason (a compile error, a wrong package path) would read as a
+# kill. The script fails if a check fails unmutated, if a mutant
 # survives, or if a patch no longer applies (the code it mutates has
 # moved: regenerate the patch with git diff). Not part of check.sh.
 #
@@ -19,6 +22,19 @@ git -C "$tmp" init -q # git apply then patches the copy, whatever encloses it
 
 start=$(date +%s)
 status=0
+for patch in testdata/mutants/*.patch; do
+	sed -n 's/^# check: //p' "$patch" | head -n 1
+done | sort -u >"$tmp/.checks"
+while IFS= read -r check; do
+	if ! (cd "$tmp" && bash -c "$check") </dev/null >"$tmp/.log" 2>&1; then
+		echo "mutants: '$check' fails on the unmutated tree:" >&2
+		tail -n 20 "$tmp/.log" | sed 's/^/   /' >&2
+		status=1
+	fi
+done <"$tmp/.checks"
+if [ $status -ne 0 ]; then
+	exit $status
+fi
 for patch in testdata/mutants/*.patch; do
 	name=$(basename "$patch" .patch)
 	check=$(sed -n 's/^# check: //p' "$patch" | head -n 1)
