@@ -197,17 +197,31 @@ func (ctx *evalCtx) evalJoin(s *Select, p *Product) (*bag.Bag, error) {
 		t schema.Tuple
 		n int
 	}
-	ht := make(map[string][]bucket, build.Distinct())
 	// Map order is harmless: the buckets are consumed commutatively
-	// (integer counts folded into a bag).
+	// (integer counts folded into a bag). Each row's join key is encoded
+	// into one reused buffer: a lookup by string(key) copies nothing, and
+	// only a new build key is copied, to be the map's key.
+	groups := make(map[string]int, build.Distinct()) // join key -> its index in ht
+	var ht [][]bucket
+	var key []byte
 	build.Each(func(t schema.Tuple, n int) {
-		k := t.Project(buildPos).Key()
-		ht[k] = append(ht[k], bucket{t: t, n: n})
+		key = t.AppendKeyAt(key[:0], buildPos)
+		g, ok := groups[string(key)]
+		if !ok {
+			g = len(ht)
+			groups[string(key)] = g
+			ht = append(ht, nil)
+		}
+		ht[g] = append(ht[g], bucket{t: t, n: n})
 	})
 	out := bag.New()
 	probe.Each(func(t schema.Tuple, n int) {
-		k := t.Project(probePos).Key()
-		for _, b := range ht[k] {
+		key = t.AppendKeyAt(key[:0], probePos)
+		g, ok := groups[string(key)]
+		if !ok {
+			return
+		}
+		for _, b := range ht[g] {
 			var joined schema.Tuple
 			if swapped {
 				joined = b.t.Concat(t) // build side is L

@@ -48,6 +48,16 @@ func refsFromBytes(data []byte) []refValue {
 	return refs
 }
 
+// words encodes ks for refsFromBytes: each behind the tag (1 INT, 2 FLOAT
+// bits) that reads it as a full 8-byte word.
+func words(tag byte, ks ...int64) []byte {
+	var data []byte
+	for _, k := range ks {
+		data = binary.LittleEndian.AppendUint64(append(data, tag), uint64(k))
+	}
+	return data
+}
+
 // FuzzValue holds the packed Value to the reference layout on tuples of
 // arbitrary values: every accessor, rendering and key encoding agree
 // with refValue; Compare agrees with it, is antisymmetric, and reports
@@ -61,6 +71,13 @@ func FuzzValue(f *testing.F) {
 	f.Add([]byte{1, 1, 0, 0, 0, 0, 0, 32, 0, 2, 0, 0, 0, 0, 0, 0, 64, 67})            // INT 2^53+1, FLOAT 2^53
 	f.Add([]byte{2, 0, 0, 0, 0, 0, 0, 0, 128, 2, 1, 0, 0, 0, 0, 0, 248, 127, 3, 4})   // -0.0, a NaN, INT 3 vs FLOAT 2
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 128, 2, 0, 0, 0, 0, 0, 0, 224, 195, 5, 131}) // MinInt64 as INT and as FLOAT, BOOLs
+	// Where the key's zigzag varint grows a byte, and where the INT path
+	// stops: FLOAT 2^63 is keyed by its bits, FLOAT -2^63 as INT MinInt64.
+	f.Add(words(1, 63, -63, 64, -64, -65, 65))
+	f.Add(words(1, 8191, -8191, 8192, -8192, -8193, 8193))
+	f.Add(append(words(1, math.MinInt64, math.MaxInt64),
+		words(2, int64(math.Float64bits(0x1p63)), int64(math.Float64bits(-0x1p63)),
+			int64(math.Float64bits(math.Nextafter(0x1p63, 0))))...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		refs := refsFromBytes(data)

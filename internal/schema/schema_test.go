@@ -196,13 +196,25 @@ func TestRowPanicsOnUnsupported(t *testing.T) {
 	Row(struct{}{})
 }
 
+// TestTupleKeySelfDelimiting: a tuple's key is its values' keys back to
+// back, so each value's key must end where it says: tuples that differ
+// only in where one string ends and the next begins, or whose string
+// spells another tuple's key, must not collide.
 func TestTupleKeySelfDelimiting(t *testing.T) {
-	// ["a","b"] vs ["ab"] must not collide; nor ["a|","b"] vs ["a","|b"].
+	x := func(n int) string { return strings.Repeat("x", n) }
+	ab := Row("a", "b").Key()
 	pairs := [][2]Tuple{
 		{Row("a", "b"), Row("ab")},
 		{Row("a|", "b"), Row("a", "|b")},
+		{Row("ab", "c"), Row("a", "bc")},
+		{Row(x(127), "xx"), Row(x(128), "x")}, // the length's varint grows a byte
+		{Row("", "a"), Row("a", "")},
 		{Row(1, 2), Row(12)},
 		{Row(""), Row()},
+		{Row("a", "b"), Row(ab)},
+		{Row("a", "b"), Row(ab[1:])}, // the key less its first tag
+		{Row(1, 2), Row(Row(1, 2).Key())},
+		{Row("a", 1.5), Row("a" + Row(1.5).Key())},
 	}
 	for _, p := range pairs {
 		if p[0].Key() == p[1].Key() {
@@ -224,7 +236,8 @@ func TestTupleKeyIsOneAllocation(t *testing.T) {
 		t.Fatalf("Key of a %d-byte key: %v allocations, want 1", len(sink), allocs)
 	}
 	long := Row(1, strings.Repeat("x", 1024), 2)
-	if got, want := long.Key(), "i1|s1024:"+strings.Repeat("x", 1024)+"|i2|"; got != want {
+	// INT 1 and 2 as zigzag varints; 1024 as the uvarint 0x80 0x08.
+	if got, want := long.Key(), "i\x02s\x80\x08"+strings.Repeat("x", 1024)+"i\x04"; got != want {
 		t.Fatalf("Key of a 1 KiB string column = %q, want %q", got, want)
 	}
 }

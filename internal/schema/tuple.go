@@ -1,9 +1,6 @@
 package schema
 
-import (
-	"hash/maphash"
-	"strings"
-)
+import "strings"
 
 // Tuple is one row: a fixed-width sequence of values. Tuples are treated
 // as immutable once placed in a bag; callers that mutate must Clone first.
@@ -78,57 +75,6 @@ func (t Tuple) Compare(o Tuple) int {
 		return 1
 	}
 	return 0
-}
-
-// Key returns a canonical string encoding of the tuple: what Hash hashes,
-// and a bag's spill key for a tuple whose hash another holds. Equal
-// tuples produce equal keys and vice versa. The encoding
-// is built in a stack scratch, so a key of up to 128 bytes costs one
-// allocation — the string — where appending from nil pays a doubling
-// series of them; a longer key spills to the heap as it would have.
-func (t Tuple) Key() string {
-	var kb [128]byte
-	return string(t.AppendKey(kb[:0]))
-}
-
-// keySeed is the process's one seed for tuple hashes: every bag keys its
-// entries by Hash, and bags of one process are merged by those hashes.
-var keySeed = maphash.MakeSeed()
-
-// Hash returns a 64-bit hash of the tuple's canonical key (AppendKey)
-// under one seed per process, so tuples with equal keys — the tuples
-// Compare reports equal — hash equal. The key is encoded into a stack
-// scratch: a key of up to 128 bytes costs no allocation.
-func (t Tuple) Hash() uint64 {
-	var kb [128]byte
-	return KeyHash(t.AppendKey(kb[:0]))
-}
-
-// KeyHash returns the hash of a canonical key encoding: t.Hash() is
-// KeyHash(t.AppendKey(nil)), and a concatenation's hash is KeyHash of
-// its halves' keys appended.
-func KeyHash(k []byte) uint64 { return maphash.Bytes(keySeed, k) }
-
-// AppendKey appends the tuple's canonical key encoding (the same bytes
-// Key returns) to dst and returns the extended slice. It lets hot paths
-// reuse one buffer across rows instead of allocating a string per call.
-func (t Tuple) AppendKey(dst []byte) []byte {
-	for _, v := range t {
-		dst = v.appendKey(dst)
-		dst = append(dst, '|')
-	}
-	return dst
-}
-
-// AppendKeyAt appends the canonical key of the tuple restricted to the
-// given positions — byte-for-byte what t.Project(positions).Key() would
-// produce, without materialising the projected tuple.
-func (t Tuple) AppendKeyAt(dst []byte, positions []int) []byte {
-	for _, p := range positions {
-		dst = t[p].appendKey(dst)
-		dst = append(dst, '|')
-	}
-	return dst
 }
 
 // Concat returns the concatenation t ++ o as a fresh tuple.

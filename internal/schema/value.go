@@ -334,41 +334,3 @@ func (v Value) String() string {
 	}
 	return "?"
 }
-
-// appendKey appends a canonical, self-delimiting encoding of the value to
-// dst. Two values encode identically iff Compare reports them equal
-// (INT 1 and FLOAT 1.0 share an encoding on purpose).
-func (v Value) appendKey(dst []byte) []byte {
-	switch v.Type() {
-	case TNull:
-		return append(dst, 'n')
-	case TBool:
-		if v.i != 0 {
-			return append(dst, 'b', '1')
-		}
-		return append(dst, 'b', '0')
-	case TInt:
-		dst = append(dst, 'i')
-		return strconv.AppendInt(dst, v.i, 10)
-	case TFloat:
-		f := v.float()
-		if f == 0 {
-			f = 0 // canonicalize -0.0 so it keys like +0.0 (Compare treats them equal)
-		}
-		if f == math.Trunc(f) && f >= math.MinInt64 && f < math.MaxInt64 {
-			// Encode integer-valued floats through int64 so that INT k and
-			// FLOAT k collide, matching Compare — and so that integer keys
-			// (the common case) pay AppendInt, not shortest-float ryu.
-			dst = append(dst, 'i')
-			return strconv.AppendInt(dst, int64(f), 10)
-		}
-		dst = append(dst, 'f')
-		return strconv.AppendFloat(dst, f, 'g', -1, 64)
-	case TString:
-		dst = append(dst, 's')
-		dst = strconv.AppendInt(dst, v.i, 10)
-		dst = append(dst, ':')
-		return append(dst, v.str()...)
-	}
-	panic("schema: unreachable appendKey")
-}

@@ -310,26 +310,44 @@ func (r refValue) compare(o refValue) int {
 	return exact(r).Cmp(exact(o))
 }
 
+// appendKey writes the key layout out longhand: a tag byte; an INT, or
+// a FLOAT that math/big holds exactly as an int64, as a zigzag varint;
+// any other FLOAT as its 8 bits, least significant byte first, with
+// every NaN written as math.NaN(); a STRING as a varint length and its
+// bytes.
 func (r refValue) appendKey(dst []byte) []byte {
+	varint := func(dst []byte, u uint64) []byte {
+		for ; u >= 0x80; u >>= 7 {
+			dst = append(dst, byte(u)|0x80)
+		}
+		return append(dst, byte(u))
+	}
+	zigzag := func(k int64) uint64 { return uint64(k)<<1 ^ uint64(k>>63) }
 	switch r.typ {
 	case TNull:
 		return append(dst, 'n')
 	case TBool:
-		return append(dst, 'b', byte('0'+r.i))
+		return append(dst, 'b', byte(r.i))
 	case TInt:
-		return strconv.AppendInt(append(dst, 'i'), r.i, 10)
+		return varint(append(dst, 'i'), zigzag(r.i))
 	case TFloat:
 		f := r.float()
-		if f == 0 {
-			f = 0 // -0.0 keys like +0.0
+		if !math.IsNaN(f) {
+			if k, acc := big.NewFloat(f).Int64(); acc == big.Exact {
+				return varint(append(dst, 'i'), zigzag(k))
+			}
 		}
-		if f == math.Trunc(f) && f >= math.MinInt64 && f < math.MaxInt64 {
-			return strconv.AppendInt(append(dst, 'i'), int64(f), 10)
+		bits := r.i
+		if math.IsNaN(f) {
+			bits = int64(math.Float64bits(math.NaN()))
 		}
-		return strconv.AppendFloat(append(dst, 'f'), f, 'g', -1, 64)
+		dst = append(dst, 'f')
+		for i := 0; i < 8; i++ {
+			dst = append(dst, byte(bits>>(8*i)))
+		}
+		return dst
 	}
-	dst = strconv.AppendInt(append(dst, 's'), int64(len(r.s)), 10)
-	return append(append(dst, ':'), r.s...)
+	return append(varint(append(dst, 's'), uint64(len(r.s))), r.s...)
 }
 
 func (r refValue) String() string {
