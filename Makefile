@@ -54,9 +54,9 @@ mutants:
 	./scripts/mutants.sh
 
 # The measuring tests under load: every test matching
-# 'Alloc|Heap|Profile|Frees' runs 50 times while one `go test ./...`
-# loads the machine; prints failures per test and fails if any run
-# failed. A few minutes; not part of `make check`.
+# 'Alloc|Heap|Profile|Frees|LiveBytes' runs 50 times while one
+# `go test ./...` loads the machine; prints failures per test and fails
+# if any run failed. A few minutes; not part of `make check`.
 flakes:
 	./scripts/flakes.sh
 

@@ -162,13 +162,12 @@ func TestLookupsAllocateNothing(t *testing.T) {
 
 // TestOwnedIndexIsKeySized: a table of 100 000 rows under 1 000 join
 // keys. The throw-away index over the same bag is the yardstick: the
-// same buckets, a bucket map pre-sized for a key per row, no entry
-// addresses. The bag's own index must cost that, less the row-sized map,
-// plus its address map — its bucket map holds 1 000 keys and is sized
-// for them — so it allocates less than the throw-away one although it
-// carries the addresses. (With both bucket maps sized by rows it is the
-// costlier by the whole address map.) What is left is per row: the
-// addresses and the bucket entries.
+// same buckets, a bucket map pre-sized for a key per row. The bag's own
+// index must cost that, less the row-sized map — its bucket map holds
+// 1 000 keys and is sized for them — so it allocates less than the
+// throw-away one although it carries a position table per bucket. (With
+// both bucket maps sized by rows it is the costlier by those tables.)
+// What is left is per row: the bucket entries and their table slots.
 func TestOwnedIndexIsKeySized(t *testing.T) {
 	const rows, keys = 100_000, 1_000
 	b := keyedRows(rows, keys)
@@ -176,15 +175,14 @@ func TestOwnedIndexIsKeySized(t *testing.T) {
 	var ix *Index
 	owned, _ := allocated(func() { ix, _ = b.IndexOn([]int{0}) })
 	rowSized, _ := allocated(func() { keptMap = make(map[string][]indexEntry, rows) })
-	addresses, _ := allocated(func() { keptMap = make(map[*schema.Value]int, rows) })
-	t.Logf("%d rows, %d keys: owned index %d B (%d B/row), throw-away %d B; a row-sized bucket map is %d B, the address map %d B",
-		rows, keys, owned, owned/rows, throwAway, rowSized, addresses)
-	if len(ix.m) != keys || len(ix.at) != rows {
-		t.Fatalf("index holds %d keys and %d addresses, want %d and %d", len(ix.m), len(ix.at), keys, rows)
+	t.Logf("%d rows, %d keys: owned index %d B (%d B/row), throw-away %d B; a row-sized bucket map is %d B",
+		rows, keys, owned, owned/rows, throwAway, rowSized)
+	if len(ix.m) != keys {
+		t.Fatalf("index holds %d keys, want %d", len(ix.m), keys)
 	}
-	// owned = throw-away − the row-sized map + the address map + a
-	// 1 000-key map; a tenth of the row-sized one is room enough for that.
-	if limit := throwAway - rowSized + addresses + rowSized/10; owned > limit {
+	// owned = throw-away − the row-sized map + a 1 000-key map and the
+	// tables; a tenth of the row-sized one is room enough for that.
+	if limit := throwAway - rowSized + rowSized/10; owned > limit {
 		t.Errorf("the owned index allocated %d B, want at most %d B: its bucket map is sized by rows, not keys", owned, limit)
 	}
 }
@@ -192,18 +190,48 @@ func TestOwnedIndexIsKeySized(t *testing.T) {
 // TestOwnedIndexLiveBytesPerRow: what a table's own index keeps live,
 // per row — a 30 000-row sales table under 1 400 customers, the shape of
 // Example 5.4's custId index. A row costs its bucket entry (a tuple
-// pointer and a count, 16 B, in a bucket grown by append) and its
-// address (a 16-B map slot keyed by the same pointer); the bucket map is
-// per key. 65 B/row measured (go1.24, linux/amd64); an entry and an
-// address that each carried the row's key string kept 115 B/row.
+// pointer and a count, 16 B, in a bucket grown by append) and two to
+// four 4-B slots of its bucket's position table; the bucket map and the
+// bucket headers are per key. Built, and churned: ten rounds that each
+// delete a tenth of the rows and add them back as new tuples, through
+// the journal, as a day of Example 5.4 churns sales. 40 B/row built and
+// churned (go1.24, linux/amd64); an address map from every row's
+// pointer to its position kept 65 B/row built and 66 churned, and an
+// entry and an address that each carried the row's key string 115.
 func TestOwnedIndexLiveBytesPerRow(t *testing.T) {
-	const rows, keys = 30_000, 1_400
-	b := keyedRows(rows, keys)
-	got := live(func() any { ix, _ := b.IndexOn([]int{0}); return ix })
-	t.Logf("%d rows, %d keys: the owned index keeps %d B live, %d B/row", rows, keys, got, got/rows)
-	if perRow := got / rows; perRow > 72 {
-		t.Errorf("the owned index keeps %d B/row live, want at most 72", perRow)
+	const rows, keys, bound = 30_000, 1_400, 44
+	for _, rounds := range []int{0, 10} {
+		b := keyedRows(rows, keys)
+		b.IndexOn([]int{0})
+		for r := 0; r < rounds; r++ {
+			for i := r; i < rows; i += 10 {
+				b.Remove(schema.Row(i%keys, i), 1)
+			}
+			for i := r; i < rows; i += 10 {
+				b.Add(schema.Row(i%keys, i), 1)
+			}
+			b.IndexOn([]int{0})
+		}
+		got := indexBytes(b)
+		t.Logf("%d rows, %d keys, %d churn rounds: the owned index keeps %d B live, %d B/row", rows, keys, rounds, got, got/rows)
+		if perRow := got / rows; perRow > bound {
+			t.Errorf("after %d churn rounds the owned index keeps %d B/row live, want at most %d", rounds, perRow, bound)
+		}
 	}
+}
+
+// indexBytes returns the heap bytes b's own indexes alone keep
+// reachable: the heap with them, less the heap once b has dropped them.
+// The bag's rows and its journal are not counted.
+func indexBytes(b *Bag) uint64 {
+	var with, without runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&with)
+	b.dx.owned = nil
+	runtime.GC()
+	runtime.ReadMemStats(&without)
+	runtime.KeepAlive(b)
+	return with.HeapAlloc - without.HeapAlloc
 }
 
 // TestThrowAwayIndexDoesNotRegrow: Join.Hash builds its index on the

@@ -438,7 +438,7 @@ func (b *Bag) setArity(n int) {
 	}
 	b.arity = n
 	if b.dx != nil && slices.ContainsFunc(b.dx.jour, func(e jentry) bool { return e.d != 0 }) {
-		b.dx.restart(false, 0)
+		b.dx.restart(false)
 	}
 }
 
@@ -889,16 +889,15 @@ func (b *Bag) Clear() {
 	b.last.Store(fill)
 	b.size = 0
 	if b.dx != nil {
-		b.dx.restart(shrink, keep)
+		b.dx.restart(shrink)
 	}
 }
 
 // restart drops the journal window of a bag that is now empty, so
 // free-standing indexes behind it rebuild (cheap — the bag is empty),
 // and empties the bag's own indexes in place, or, when shrink says so,
-// into fresh maps with room for keep entries: a clear is not
-// representable as journal entries.
-func (x *derived) restart(shrink bool, keep int) {
+// into a fresh map: a clear is not representable as journal entries.
+func (x *derived) restart(shrink bool) {
 	x.ver++
 	clear(x.jour)
 	x.jour = x.jour[:0]
@@ -906,12 +905,10 @@ func (x *derived) restart(shrink bool, keep int) {
 		if shrink {
 			ix.m = make(map[string]int)
 			ix.buckets, ix.free = nil, nil
-			ix.at = make(map[*schema.Value]int, keep)
 		} else {
 			clear(ix.m)
 			clear(ix.buckets) // or the arrays past len keep the tuples alive
 			ix.buckets, ix.free = ix.buckets[:0], ix.free[:0]
-			clear(ix.at)
 		}
 		ix.ver = x.ver
 	}

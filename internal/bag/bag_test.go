@@ -366,7 +366,7 @@ func TestClearRetentionRule(t *testing.T) {
 			t.Fatalf("%s: Clear dropped the bag's index: %v", st.name, got)
 		}
 		ix, applied := b.IndexOn([]int{0})
-		if len(ix.m) != 0 || len(ix.at) != 0 || applied != 0 {
+		if len(ix.m) != 0 || len(ix.buckets) != 0 || applied != 0 {
 			t.Fatalf("%s: the bag's index holds %d buckets after Clear (%d entries applied)", st.name, len(ix.m), applied)
 		}
 	}
@@ -469,8 +469,8 @@ func TestSmallBagLife(t *testing.T) {
 	}
 	c.Add(r1, 1)
 	ix, _ := c.IndexOn([]int{0})
-	if c.u == nil || len(ix.at) != 1 {
-		t.Fatalf("IndexOn of a small bag: map %v, index of %d entries", c.u != nil, len(ix.at))
+	if c.u == nil || len(ix.buckets) != 1 || len(ix.buckets[0].rows) != 1 {
+		t.Fatalf("IndexOn of a small bag: map %v, index of %d buckets", c.u != nil, len(ix.buckets))
 	}
 }
 

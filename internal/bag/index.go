@@ -1,6 +1,7 @@
 package bag
 
 import (
+	"math/bits"
 	"slices"
 	"strings"
 
@@ -39,17 +40,149 @@ type Index struct {
 	// written in buckets, so only a key that comes or goes writes m; the
 	// slot of a bucket emptied waits in free for the next new key.
 	m       map[string]int
-	buckets [][]indexEntry
+	buckets []bucket
 	free    []int
-	// at addresses every entry by its stored tuple pointer: the entry's
-	// slot in its bucket. A change to a hot key's bucket is then a lookup
-	// and a swap, whatever the bucket's size. Within one bag a pointer
-	// names one distinct tuple (an arity-0 bag's one key is nil), and the
-	// journal entries apply reads carry the pointer the bag stores, so
-	// the pointer serves as the row's key at half a string's width.
-	at    map[*schema.Value]int
-	buf   []byte // reusable probe-key buffer
-	steps int    // bucket entries apply has touched; tests bound it by the change count
+	buf     []byte // reusable probe-key buffer
+	steps   int    // bucket entries and table slots apply has touched; tests bound it by the change count
+}
+
+// scanMax is the most rows a bucket finds a row among by scanning them.
+const scanMax = 8
+
+// bucket is the rows under one join key, dense and in arrival order but
+// for removals (the last row takes a removed row's place), so a join
+// walks a plain slice. A bucket of more than scanMax rows also keeps a
+// position table, which finds a row by its tuple pointer whatever the
+// bucket's size: open-addressed slots, each a row's position + 1 (0 is
+// empty), probed linearly from the pointer's hash and never more than
+// half full. Within one bag a pointer names one distinct tuple (an
+// arity-0 bag's one row is nil), and the journal entries apply reads
+// carry the pointer the bag stores, so the pointer is the row's key at
+// no cost: nothing is stored per row but its entry and, in a large
+// bucket, two to four 4-byte slots. A removal shifts the rest of its
+// cluster back, so churn leaves no tombstones, and the table goes when
+// the bucket is back under half of scanMax rows.
+type bucket struct {
+	rows []indexEntry
+	tab  []int32
+}
+
+// tabLen is the table length for n rows: a power of two, at least 2n.
+func tabLen(n int) int { return 1 << bits.Len(uint(2*n-1)) }
+
+// home is the first slot p's row is probed at in a table of n slots.
+func home(p *schema.Value, n int) int {
+	return int(schema.PtrHash(p) >> (64 - bits.TrailingZeros(uint(n))))
+}
+
+// find returns the position of the row whose tuple is at p, or -1; the
+// table slot that holds it, or, for a row not found, the empty slot its
+// probe stopped at (-1 without a table); and the rows or slots it read.
+func (bk *bucket) find(p *schema.Value) (i, s, read int) {
+	if bk.tab == nil {
+		for i, e := range bk.rows {
+			if e.p == p {
+				return i, -1, i + 1
+			}
+		}
+		return -1, -1, len(bk.rows)
+	}
+	mask := len(bk.tab) - 1
+	for s = home(p, len(bk.tab)); ; s = (s + 1) & mask {
+		read++
+		switch v := int(bk.tab[s]); {
+		case v == 0:
+			return -1, s, read
+		case bk.rows[v-1].p == p:
+			return v - 1, s, read
+		}
+	}
+}
+
+// add appends a row find did not find, s being the slot find returned,
+// and returns the table slots it touched beyond find's: every row's when
+// the table is made or outgrown.
+func (bk *bucket) add(e indexEntry, s int) (touched int) {
+	bk.rows = append(bk.rows, e)
+	n := len(bk.rows)
+	switch {
+	case bk.tab == nil && n <= scanMax:
+	case 2*n > len(bk.tab):
+		touched = bk.index(tabLen(n))
+	default:
+		bk.tab[s] = int32(n)
+	}
+	return touched
+}
+
+// remove swap-removes the row at position i, held in table slot s, and
+// returns the table slots it touched.
+func (bk *bucket) remove(i, s int) (touched int) {
+	last := len(bk.rows) - 1
+	if bk.tab != nil {
+		touched = bk.unslot(s)
+		if i != last {
+			_, m, read := bk.find(bk.rows[last].p)
+			bk.tab[m] = int32(i + 1)
+			touched += read
+		}
+	}
+	bk.rows[i] = bk.rows[last]
+	bk.rows[last] = indexEntry{} // or the backing array keeps the tuple alive
+	bk.rows = bk.rows[:last]
+	switch {
+	case bk.tab == nil:
+	case last < scanMax/2:
+		bk.tab = nil
+	case 8*last < len(bk.tab):
+		touched += bk.index(tabLen(last))
+	}
+	return touched
+}
+
+// index makes a table of n slots over the rows, and returns the slots
+// it touched.
+func (bk *bucket) index(n int) (touched int) {
+	bk.tab = make([]int32, n)
+	for i, e := range bk.rows {
+		touched += bk.put(e.p, i+1)
+	}
+	return touched
+}
+
+// put stores v, the position + 1 of the row whose tuple is at p, in the
+// first empty slot from p's home, and returns the slots it read.
+func (bk *bucket) put(p *schema.Value, v int) (read int) {
+	mask := len(bk.tab) - 1
+	s := home(p, len(bk.tab))
+	for read = 1; bk.tab[s] != 0; read++ {
+		s = (s + 1) & mask
+	}
+	bk.tab[s] = int32(v)
+	return read
+}
+
+// unslot empties table slot s and shifts each later slot of its
+// cluster back into the hole when its home lies at or before the hole,
+// so a probe never stops short of its row: no tombstone is left. It
+// returns the slots it read.
+func (bk *bucket) unslot(s int) (read int) {
+	mask := len(bk.tab) - 1
+	for j := (s + 1) & mask; ; j = (j + 1) & mask {
+		read++
+		v := bk.tab[j]
+		if v == 0 {
+			break
+		}
+		// The row at j may fill the hole unless its home lies
+		// cyclically in (s, j].
+		if h := home(bk.rows[v-1].p, len(bk.tab)); (j-h)&mask >= (j-s)&mask {
+			bk.tab[s] = v
+			s = j
+		}
+	}
+	bk.tab[s] = 0
+	return read
 }
 
 // NewIndex builds a free-standing hash index over b keyed on the given
@@ -68,10 +201,11 @@ func NewIndex(b *Bag, positions []int) *Index {
 	return newIndex(b, positions, true)
 }
 
-// newIndex reads b and changes nothing about it. Without the entry
-// addresses the index can be probed but not synced — it is Join.Hash's,
+// newIndex reads b and changes nothing about it. Without the position
+// tables the index can be probed but not synced — it is Join.Hash's,
 // gone when the join returns (probeIndex); an addressable index is kept,
-// and grows to its key count.
+// grows to its key count, and makes each large bucket's table once,
+// when all its rows are in.
 func newIndex(b *Bag, positions []int, addressable bool) *Index {
 	if !addressable && len(positions) > 0 {
 		return probeIndex(b, positions)
@@ -81,28 +215,30 @@ func newIndex(b *Bag, positions []int, addressable bool) *Index {
 		pos: positions,
 		m:   make(map[string]int),
 	}
-	if addressable { // and so syncable: NewIndex has made b.dx
-		ix.at = make(map[*schema.Value]int, b.Distinct())
-		ix.ver = b.dx.ver
-	}
 	var key []byte
 	b.each(func(_ uint64, e entry) {
 		key = b.tupleAt(e.p).AppendKeyAt(key[:0], positions)
 		k := ix.slot(key)
-		if addressable {
-			ix.at[e.p] = len(ix.buckets[k])
-		}
-		ix.buckets[k] = append(ix.buckets[k], indexEntry{p: e.p, count: e.count})
+		ix.buckets[k].rows = append(ix.buckets[k].rows, indexEntry{p: e.p, count: e.count})
 	})
+	if addressable { // and so syncable: NewIndex has made b.dx
+		for k := range ix.buckets {
+			if bk := &ix.buckets[k]; len(bk.rows) > scanMax {
+				bk.index(tabLen(len(bk.rows)))
+			}
+		}
+		ix.ver = b.dx.ver
+	}
 	return ix
 }
 
 // bucket returns the entries under join key k: none when k has none.
 func (ix *Index) bucket(k []byte) []indexEntry {
-	if i, ok := ix.m[string(k)]; ok {
-		return ix.buckets[i]
+	i, ok := ix.m[string(k)]
+	if !ok {
+		return nil
 	}
-	return nil
+	return ix.buckets[i].rows
 }
 
 // slot returns the slot of join key k's bucket. A new key takes an
@@ -115,7 +251,7 @@ func (ix *Index) slot(k []byte) int {
 	if n := len(ix.free); n > 0 {
 		i, ix.free = ix.free[n-1], ix.free[:n-1]
 	} else {
-		ix.buckets = append(ix.buckets, nil)
+		ix.buckets = append(ix.buckets, bucket{})
 	}
 	ix.m[string(k)] = i
 	return i
@@ -132,7 +268,7 @@ func (ix *Index) slot(k []byte) int {
 // key and a bucket per row.
 func probeIndex(b *Bag, positions []int) *Index {
 	left := b.Distinct()
-	ix := &Index{src: b, pos: positions, m: make(map[string]int, left), buckets: make([][]indexEntry, 0, left)}
+	ix := &Index{src: b, pos: positions, m: make(map[string]int, left), buckets: make([]bucket, 0, left)}
 	first := make([]indexEntry, left)
 	var keys arena
 	var kb [128]byte
@@ -143,12 +279,12 @@ func probeIndex(b *Bag, positions []int) *Index {
 		left--
 		ie := indexEntry{p: e.p, count: e.count}
 		if i, ok := ix.m[k]; ok {
-			ix.buckets[i] = append(ix.buckets[i], ie)
+			ix.buckets[i].rows = append(ix.buckets[i].rows, ie)
 			return
 		}
 		first[0] = ie
 		ix.m[k] = len(ix.buckets)
-		ix.buckets = append(ix.buckets, first[:1:1])
+		ix.buckets = append(ix.buckets, bucket{rows: first[:1:1]})
 		first = first[1:]
 	})
 	return ix
@@ -238,42 +374,38 @@ func (ix *Index) applyAll(ents []jentry) {
 	}
 }
 
-// apply folds one effective mutation into the index, in O(1): the entry
-// is found through at, and a removed entry's slot is refilled from the
-// bucket's end. Only a key new to the index or gone from it writes m.
+// apply folds one effective mutation into the index, in O(1): the
+// key's bucket finds the entry by its tuple pointer, and a removed
+// entry's place is refilled from the bucket's end. Only a key new to
+// the index or gone from it writes m.
 func (ix *Index) apply(e jentry) {
 	ix.buf = ix.src.tupleAt(e.p).AppendKeyAt(ix.buf[:0], ix.pos)
-	ix.steps++
-	i, ok := ix.at[e.p]
+	k, ok := ix.m[string(ix.buf)]
 	if !ok {
-		if e.d > 0 {
-			k := ix.slot(ix.buf)
-			ix.at[e.p] = len(ix.buckets[k])
-			ix.buckets[k] = append(ix.buckets[k], indexEntry{p: e.p, count: e.d})
+		if e.d <= 0 {
+			return
 		}
+		k = ix.slot(ix.buf)
+	}
+	bk := &ix.buckets[k]
+	i, s, read := bk.find(e.p)
+	ix.steps += read
+	switch {
+	case i < 0 && e.d <= 0:
 		return
-	}
-	k := ix.m[string(ix.buf)]
-	bucket := ix.buckets[k]
-	if bucket[i].count+e.d > 0 {
-		bucket[i].count += e.d
+	case i < 0:
+		ix.steps += bk.add(indexEntry{p: e.p, count: e.d}, s)
+	case bk.rows[i].count+e.d > 0:
+		bk.rows[i].count += e.d // in place: the bucket's slices stay as they are
 		return
+	default:
+		ix.steps += bk.remove(i, s)
+		if len(bk.rows) == 0 {
+			*bk = bucket{}
+			ix.free = append(ix.free, k)
+			delete(ix.m, string(ix.buf))
+		}
 	}
-	last := len(bucket) - 1
-	if i != last {
-		ix.steps++
-		bucket[i] = bucket[last]
-		ix.at[bucket[i].p] = i
-	}
-	bucket[last] = indexEntry{} // or the backing array keeps the tuple alive
-	delete(ix.at, e.p)
-	if last > 0 {
-		ix.buckets[k] = bucket[:last]
-		return
-	}
-	ix.buckets[k] = nil
-	ix.free = append(ix.free, k)
-	delete(ix.m, string(ix.buf))
 }
 
 // Join is one σ_p(L × R), optionally under a Π, in compiled form: p's

@@ -104,10 +104,12 @@ func TestJoinIndexedEmptySides(t *testing.T) {
 
 // TestIndexSyncIndependentOfBucketSize pins the cost of catching an
 // index up to a change count, not a bucket size: the same 1000 changes
-// to one key's bucket touch the same number of bucket entries whether
-// that bucket holds 20 or 20000 of them (a linear scan for the changed
-// entry would touch ~10000 per change in the large one). Counted in
-// bucket entries touched, so the test does not depend on a clock.
+// to one key's bucket touch about as many position-table slots whether
+// that bucket holds 20 or 20000 entries (a linear scan for the changed
+// entry would touch ~10000 per change in the large one), and a small
+// constant number per change. Both tables are between a quarter and
+// half full, where a linear probe reads a slot or two. Counted in slots
+// touched, so the test does not depend on a clock.
 func TestIndexSyncIndependentOfBucketSize(t *testing.T) {
 	const changes = 1000
 	stepsFor := func(bucket int) int {
@@ -136,13 +138,16 @@ func TestIndexSyncIndependentOfBucketSize(t *testing.T) {
 		return ix.steps
 	}
 	small, large := stepsFor(20), stepsFor(20000)
-	// The first removal saves its swap step when map order happened to
-	// build that entry into the bucket's last slot: 1 in 20 vs 1 in 20000.
-	if d := small - large; d < -1 || d > 1 {
-		t.Fatalf("1000 changes touched %d bucket entries in a 20-entry bucket but %d in a 20000-entry one", small, large)
+	t.Logf("1000 changes touched %d slots in a 20-entry bucket, %d in a 20000-entry one", small, large)
+	// A removal probes for its row, reads the rest of the cluster and
+	// probes for the moved row; an insertion probes once, stopping on
+	// the empty slot it then fills: 2.8 to 3.1 slots a change
+	// measured, in either bucket size (go1.24, linux/amd64).
+	if 2*large > 3*small || 2*small > 3*large {
+		t.Fatalf("1000 changes touched %d slots in a 20-entry bucket but %d in a 20000-entry one", small, large)
 	}
-	if large > 2*changes {
-		t.Fatalf("1000 changes touched %d bucket entries, want at most 2 per change", large)
+	if large > 6*changes {
+		t.Fatalf("1000 changes touched %d slots, want at most 6 per change", large)
 	}
 }
 
@@ -155,7 +160,7 @@ func TestIndexRemoveReleasesEntry(t *testing.T) {
 	b.Remove(row(1, "a"), 1)
 	b.IndexOn([]int{0})
 	for _, k := range ix.m {
-		bucket := ix.buckets[k]
+		bucket := ix.buckets[k].rows
 		if len(bucket) != 2 {
 			t.Fatalf("bucket holds %d entries after one removal, want 2", len(bucket))
 		}
@@ -184,32 +189,35 @@ func TestHashJoinOnlyReads(t *testing.T) {
 	}
 }
 
-// TestIndexAddressesByTuplePointer: a bag's own index addresses each
-// entry by the tuple pointer the bag stores, and every journal entry
-// carries that pointer. Three changes, each inside one journal window
-// and synced before the next: a row deleted and added back as a fresh
-// tuple (same key, new pointer), a delete from the front of a bucket
-// (the last entry is swapped into its slot), and an arity-0 bag, whose
-// one row has a nil pointer. After each Sync every entry is at the slot
-// its pointer is addressed at, the addresses are the bag's rows, and a
-// join through the index — plain, and read as b ∸ sub — equals one
-// through an index built fresh.
+// TestIndexAddressesByTuplePointer: a bag's own index finds each entry
+// by the tuple pointer the bag stores, and every journal entry carries
+// that pointer. Three changes, each inside one journal window and synced
+// before the next: a row deleted and added back as a fresh tuple (same
+// key, new pointer), a delete from the front of a bucket (the last entry
+// is swapped into its place), and an arity-0 bag, whose one row has a
+// nil pointer. After each Sync every entry is found by its pointer at
+// its position, the entries are the bag's rows, and a join through the
+// index — plain, and read as b ∸ sub — equals one through an index built
+// fresh.
 func TestIndexAddressesByTuplePointer(t *testing.T) {
 	check := func(what string, b *Bag, pos []int, probe *Bag, probePos []int, sub *Bag) {
 		t.Helper()
 		ix, _ := b.IndexOn(pos)
+		n := 0
 		for _, k := range ix.m {
-			for i, e := range ix.buckets[k] {
-				if at, ok := ix.at[e.p]; !ok || at != i {
-					t.Fatalf("%s: entry %v at slot %d is addressed at %d (%v)", what, ix.src.tupleAt(e.p), i, at, ok)
+			bk := &ix.buckets[k]
+			for i, e := range bk.rows {
+				if at, _, _ := bk.find(e.p); at != i {
+					t.Fatalf("%s: entry %v at position %d is found at %d", what, ix.src.tupleAt(e.p), i, at)
 				}
 				if tu := b.tupleAt(e.p); b.get(hashOf(tu), tu).p != e.p {
 					t.Fatalf("%s: entry %v holds another pointer than the bag's", what, ix.src.tupleAt(e.p))
 				}
+				n++
 			}
 		}
-		if len(ix.at) != b.Distinct() {
-			t.Fatalf("%s: %d addresses for %d rows", what, len(ix.at), b.Distinct())
+		if n != b.Distinct() {
+			t.Fatalf("%s: %d entries for %d rows", what, n, b.Distinct())
 		}
 		fresh := NewIndex(b, pos)
 		for _, s := range []*Bag{nil, sub} {
@@ -220,6 +228,12 @@ func TestIndexAddressesByTuplePointer(t *testing.T) {
 				t.Fatalf("%s: join through the synced index = %v, through a fresh one %v", what, got, want)
 			}
 		}
+	}
+	// find looks p up in the bucket under key k.
+	find := func(ix *Index, k schema.Tuple, p *schema.Value) int {
+		bk := &ix.buckets[ix.m[k.Key()]]
+		at, _, _ := bk.find(p)
+		return at
 	}
 
 	b := newMap()
@@ -239,19 +253,19 @@ func TestIndexAddressesByTuplePointer(t *testing.T) {
 	b.Remove(old, 1)
 	b.Add(fresh, 1)
 	check("deleted and added back", b, pos, probe, pos, sub)
-	if _, ok := ix.at[oldPtr]; ok {
-		t.Fatal("the deleted tuple's pointer is still addressed")
+	if find(ix, row(1), oldPtr) >= 0 {
+		t.Fatal("the deleted tuple's pointer is still found")
 	}
-	if _, ok := ix.at[fresh.Ptr()]; !ok {
-		t.Fatal("the added-back tuple is not addressed by its own pointer")
+	if find(ix, row(1), fresh.Ptr()) < 0 {
+		t.Fatal("the added-back tuple is not found by its own pointer")
 	}
 
 	bucket := ix.bucket([]byte(row(1).Key()))
 	front, last := bucket[0], bucket[len(bucket)-1]
 	b.Remove(b.tupleAt(front.p), 1)
 	check("front of the bucket deleted", b, pos, probe, pos, sub)
-	if at := ix.at[last.p]; at != 0 {
-		t.Fatalf("the bucket's last entry was moved to slot %d, want 0", at)
+	if at := find(ix, row(1), last.p); at != 0 {
+		t.Fatalf("the bucket's last entry was moved to position %d, want 0", at)
 	}
 
 	z := newMap()
@@ -262,8 +276,8 @@ func TestIndexAddressesByTuplePointer(t *testing.T) {
 	z.Add(schema.Tuple{}, 1)
 	z.Add(schema.Tuple{}, 1)
 	check("arity 0", z, nil, zprobe, nil, New().Add(schema.Tuple{}, 1))
-	if n, ok := zix.at[nil]; !ok || n != 0 || len(zix.at) != 1 {
-		t.Fatalf("an arity-0 bag's row is addressed at %d (%v) among %d", n, ok, len(zix.at))
+	if at := find(zix, schema.Tuple{}, nil); at != 0 || len(zix.buckets[0].rows) != 1 {
+		t.Fatalf("an arity-0 bag's row is found at %d among %d", at, len(zix.buckets[0].rows))
 	}
 	if got := z.dx.ver - zix.ver; got != 0 || len(z.dx.jour) == 0 {
 		t.Fatalf("the arity-0 changes were not applied through the journal (%d behind, %d journaled)", got, len(z.dx.jour))

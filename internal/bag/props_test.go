@@ -352,12 +352,13 @@ func checkApplyDelta(b, del, add *Bag) string {
 // ApplyDelta, Clear, a burst longer than the journal window — IndexOn
 // returns the same index (never a rebuilt one), equal bucket for bucket
 // to an index built fresh over b's current contents, with every entry
-// holding the tuple pointer b stores for its row and addressed by that
-// pointer at its true slot; and asking again applies nothing. It
-// returns a description of the first violation, or "". It inspects b
-// without marking it: the fresh index is built over b itself and not
-// registered, never over a Clone, which would mark b shared and change
-// what its next Clear does.
+// holding the tuple pointer b stores for its row and found by that
+// pointer, through its bucket's lookup, at its true position; a bucket
+// past the scan limit has a sound position table (tableFault); and
+// asking again applies nothing. It returns a description of the first
+// violation, or "". It inspects b without marking it: the fresh index
+// is built over b itself and not registered, never over a Clone, which
+// would mark b shared and change what its next Clear does.
 func checkIndexOn(b *Bag) string {
 	pos := []int{0}
 	ix, _ := b.IndexOn(pos)
@@ -369,21 +370,59 @@ func checkIndexOn(b *Bag) string {
 	}
 	n := 0
 	for _, k := range ix.m {
-		for i, e := range ix.buckets[k] {
+		bk := &ix.buckets[k]
+		if msg := tableFault(bk); msg != "" {
+			return msg
+		}
+		for i, e := range bk.rows {
 			if tu := b.tupleAt(e.p); b.get(hashOf(tu), tu).p != e.p {
 				return "IndexOn entry holds another pointer than the bag stores for its row"
 			}
-			if at, ok := ix.at[e.p]; !ok || at != i {
-				return "IndexOn entry not addressed at its bucket slot"
+			if at, _, _ := bk.find(e.p); at != i {
+				return fmt.Sprintf("IndexOn entry at position %d of %d is found at %d", i, len(bk.rows), at)
 			}
 			n++
 		}
 	}
-	if n != len(ix.at) || n != b.Distinct() {
-		return "IndexOn addresses entries the buckets do not hold"
+	if n != b.Distinct() {
+		return "IndexOn holds other entries than the bag's rows"
 	}
 	if again, applied := b.IndexOn([]int{0}); again != ix || applied != 0 {
 		return "a second IndexOn did not return the same, already synced index"
+	}
+	return ""
+}
+
+// tableFault describes what is wrong with a bucket's position table, or
+// returns "": a bucket of more than scanMax rows has one, one of fewer
+// than scanMax/2 has none, and a table is at most half full, holds each
+// position once, and every probe for a row reaches the slot holding it.
+func tableFault(bk *bucket) string {
+	n := len(bk.rows)
+	switch {
+	case bk.tab == nil && n > scanMax:
+		return fmt.Sprintf("a bucket of %d rows has no position table", n)
+	case bk.tab == nil:
+		return ""
+	case n < scanMax/2:
+		return fmt.Sprintf("a bucket of %d rows kept its position table", n)
+	case 2*n > len(bk.tab):
+		return fmt.Sprintf("a position table of %d slots holds %d rows", len(bk.tab), n)
+	}
+	seen := make([]bool, n)
+	for _, v := range bk.tab {
+		if v == 0 {
+			continue
+		}
+		if v < 0 || int(v) > n || seen[v-1] {
+			return fmt.Sprintf("a position table holds %d twice or past its %d rows", v, n)
+		}
+		seen[v-1] = true
+	}
+	for i, e := range bk.rows {
+		if at, s, _ := bk.find(e.p); at != i || s < 0 || int(bk.tab[s]) != i+1 {
+			return fmt.Sprintf("the row at position %d of %d is not reached through the position table (found at %d)", i, n, at)
+		}
 	}
 	return ""
 }
@@ -404,7 +443,7 @@ func indexContents(ix *Index) map[string]map[string]int {
 	out := map[string]map[string]int{}
 	for k, i := range ix.m {
 		out[k] = map[string]int{}
-		for _, e := range ix.buckets[i] {
+		for _, e := range ix.buckets[i].rows {
 			out[k][ix.src.tupleAt(e.p).Key()] += e.count
 		}
 	}
@@ -467,6 +506,136 @@ func TestPropIndexOnFollowsEveryMutation(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPropIndexAcrossTheScanLimit drives one hot key's bucket of the
+// bag's own index from empty to a few thousand rows and back to empty —
+// across the scan limit both ways and through every table size, up and
+// down — by interleaved Add, Remove and ApplyDelta (fresh tuples, some
+// with a removed row's values, so a new pointer; removals from anywhere
+// in the bucket), then a burst longer than the journal window, and at
+// last a Clear and a refill; two cold keys keep a few rows beside it.
+// FuzzBagOps never gets a key past a handful of rows. After each sync,
+// checkIndexOn holds and a join through the index, plain and read as
+// b ∸ σ(sub), equals one through an index built fresh. The slots the
+// whole drive touched are bounded per journal entry.
+func TestPropIndexAcrossTheScanLimit(t *testing.T) {
+	const peak = 2000
+	pos := []int{0}
+	probe := New().Add(row(0), 2).Add(row(1), 1).Add(row(2), 1)
+	even := func(t schema.Tuple) bool { return t[1].AsInt()%2 == 0 }
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		b, cold := New(), 0
+		refillCold := func() {
+			for i := 0; i < 3; i++ {
+				b.Add(row(1, i), 1).Add(row(2, i), 2)
+			}
+			cold = 6
+		}
+		refillCold()
+		hot := func() int { return b.Distinct() - cold }
+		next, ids := 0, []int(nil)   // the next fresh id; ids added, some removed since
+		pick := func() (int, bool) { // an id b holds a hot row of
+			for len(ids) > 0 {
+				i := rng.Intn(len(ids))
+				if id := ids[i]; b.Count(row(0, id)) > 0 {
+					return id, true
+				}
+				ids[i] = ids[len(ids)-1]
+				ids = ids[:len(ids)-1]
+			}
+			return 0, false
+		}
+		fresh := func() int { // a new id, or again one that may have been removed
+			id := next
+			if len(ids) > 0 && rng.Intn(4) == 0 {
+				id = ids[rng.Intn(len(ids))]
+			} else {
+				next++
+			}
+			ids = append(ids, id)
+			return id
+		}
+		step := func(pAdd float64) {
+			switch r := rng.Float64(); {
+			case r < 0.1:
+				del, add := New().Add(row(0, -1), 1), New()
+				k := rng.Intn(4)
+				for i := 0; i < k; i++ {
+					if id, ok := pick(); ok {
+						del.Add(row(0, id), 1+rng.Intn(2))
+					}
+				}
+				for i := 0; i < k; i++ { // after the picks: a fresh id is not in b yet
+					add.Add(row(0, fresh()), 1)
+				}
+				b.ApplyDelta(del, add)
+			case r < 0.1+pAdd:
+				b.Add(row(0, fresh()), 1+rng.Intn(2))
+			default:
+				if id, ok := pick(); ok {
+					n := 1
+					if rng.Intn(2) == 0 {
+						n = b.Count(row(0, id))
+					}
+					b.Remove(row(0, id), n)
+				}
+			}
+		}
+		check := func(what string) {
+			t.Helper()
+			if msg := checkIndexOn(b); msg != "" {
+				t.Fatalf("seed %d, %s, %d hot rows: %s", seed, what, hot(), msg)
+			}
+			ix, _ := b.IndexOn(pos)
+			built := newIndex(b, pos, true)
+			sub := New().Add(row(0, -2), 1)
+			for k := 0; k < 8; k++ {
+				if id, ok := pick(); ok {
+					sub.Add(row(0, id), 1+rng.Intn(3))
+				}
+			}
+			for _, s := range []*Bag{nil, sub} {
+				got, want := New(), New()
+				(&Join{Keep: even}).Indexed(got, probe, pos, ix, s, false, nil)
+				(&Join{Keep: even}).Indexed(want, probe, pos, built, s, false, nil)
+				if !got.Equal(want) {
+					t.Fatalf("seed %d, %s, %d hot rows, sub %v: the join through the bag's index = %v, through a fresh one %v", seed, what, hot(), s != nil, got, want)
+				}
+			}
+		}
+		// Near the scan limit every change is synced and checked on its
+		// own; past it, one in 199.
+		drive := func(what string, pAdd float64, done func() bool) {
+			for op := 0; !done(); op++ {
+				step(pAdd)
+				if hot() < 4*scanMax || op%199 == 0 {
+					check(what)
+				}
+			}
+			check(what)
+		}
+		check("empty")
+		drive("growing", 0.65, func() bool { return hot() >= peak })
+		for i := 0; i < 2*window(b)+3; i++ {
+			step(0.5)
+		}
+		check("after a burst past the journal window")
+		drive("shrinking", 0.25, func() bool { return hot() == 0 })
+		drive("growing again", 0.65, func() bool { return hot() >= 10*scanMax })
+		b.Clear()
+		cold = 0
+		check("cleared")
+		refillCold()
+		drive("refilled", 0.65, func() bool { return hot() >= 4*scanMax })
+
+		ix, _ := b.IndexOn(pos)
+		t.Logf("seed %d: %d table slots and scanned rows touched over %d journal entries", seed, ix.steps, b.dx.ver)
+		if ix.steps > 8*int(b.dx.ver) {
+			t.Fatalf("seed %d: %d table slots and scanned rows touched over %d journal entries, want at most 8 each", seed, ix.steps, b.dx.ver)
+		}
 	}
 }
 

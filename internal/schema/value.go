@@ -55,6 +55,11 @@ import (
 //     a slab is one allocation too, and p's n values end inside it;
 //     checkptr (`go test -race`) checks that at run time.
 //
+// PtrHash reads such a p as a number, to hash a stored tuple by its
+// address. Go's heap does not move what it allocates, and a pointer a
+// bag stores has escaped to the heap, so the number is the same for as
+// long as the tuple lives; it is never turned back into a pointer.
+//
 // What the layout costs its users: == and reflect.DeepEqual on a Value
 // would compare p, that is, string identity and not string contents.
 // The first does not compile (Value is declared not comparable), the
@@ -152,6 +157,17 @@ func (t Tuple) Ptr() *Value {
 // tuple of at least n values (see the layout note above). The result's
 // capacity is n, so an append to it copies.
 func TupleAt(p *Value, n int) Tuple { return unsafe.Slice(p, n) }
+
+// PtrHash hashes the address p holds (see the layout note above) through
+// MurmurHash3's 64-bit finalizer, so every bit of the hash depends on
+// every bit of the address. (The address times 2⁶⁴/φ alone let heap
+// addresses crowd a linear-probing table: half as many probes again.)
+func PtrHash(p *Value) uint64 {
+	x := uint64(uintptr(unsafe.Pointer(p)))
+	x = (x ^ x>>33) * 0xff51afd7ed558ccd
+	x = (x ^ x>>33) * 0xc4ceb9fe1a85ec53
+	return x ^ x>>33
+}
 
 // Str is a short alias for String_.
 func Str(v string) Value { return String_(v) }

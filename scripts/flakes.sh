@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # flakes.sh — the measuring tests under load. Every test whose name
-# matches 'Alloc|Heap|Profile|Frees' (allocation and heap bounds, the
-# labeled CPU profile, freeing a dropped table) runs 50 times in the
+# matches 'Alloc|Heap|Profile|Frees|LiveBytes' (allocation and heap
+# bounds, live bytes per row, the labeled CPU profile, freeing a dropped
+# table) runs 50 times in the
 # packages that declare one, while a plain `go test ./...` loads the
 # machine: one at a time, restarted until the measuring run ends. A
 # measuring test that fails only under load is a flake, and a flaky gate
@@ -13,7 +14,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-run='Alloc|Heap|Profile|Frees'
+run='Alloc|Heap|Profile|Frees|LiveBytes'
 # perf/ is a module of its own: the root `go test` does not reach it.
 pkgs=$(git grep -lE "^func Test\w*($run)" -- '*_test.go' ':!perf' |
 	xargs -n1 dirname | sort -u | sed 's|^|./|')
