@@ -47,10 +47,12 @@ var keptMap any // keeps a measured make from being optimized away
 
 // TestBagUnitSlotIsAPointer: a 100 000-row fill of a pre-sized bag, every
 // row once, costs no more than the same fill of a map from a tuple's
-// hash to a tuple pointer — the 16-byte slot of the unit map — plus the
-// Bag itself. Both fills hash the same tuples, and neither stores a key,
-// so what is compared is the map. (An entry with a count beside the
-// pointer makes the map's slot 24 bytes, half as large again.)
+// hash to a tuple pointer, a 16-byte slot, plus the Bag itself. Both
+// fills hash the same tuples, and neither stores a key, so what is
+// compared is the table: a pointer, a 4-byte hash and two 4-byte slots
+// an entry, 2,007,120 B (go1.24, linux/amd64) against the map's
+// 2,364,592. (An entry with a count beside the pointer makes the map's
+// slot 24 bytes, half as large again.)
 func TestBagUnitSlotIsAPointer(t *testing.T) {
 	const rows = 100_000
 	tuples := make([]schema.Tuple, rows)
@@ -75,7 +77,7 @@ func TestBagUnitSlotIsAPointer(t *testing.T) {
 	// 1% covers the Bag and the runtime's own allocations meanwhile (a few
 	// KiB); an 8-byte-larger slot would cost megabytes.
 	if limit := ref + ref/100; got > limit {
-		t.Errorf("a %d-row bag fill allocated %d B, want at most %d B: its unit map's slot is larger than a pointer", rows, got, limit)
+		t.Errorf("a %d-row bag fill allocated %d B, want at most %d B: its entry is larger than a pointer and a hash", rows, got, limit)
 	}
 }
 
@@ -99,12 +101,12 @@ func bagLiveBytesPerRow(rows, n int) uint64 {
 }
 
 // TestBagLiveBytesPerRow: what a table of 100 000 rows, each held once,
-// keeps live per row beyond the rows themselves: one unit-map slot — the
-// tuple's hash and a pointer to its first value, 16 B — and nothing
-// else: no count, no key string. 23 B/row measured (go1.24, linux/amd64;
-// go1.22's bucket maps cost 144 B per 8 slots, 23.6 B/row at this size);
-// with a count in every slot the same table kept 34, and keyed by its
-// key string (a 32-byte slot and a 16-byte key of its own) 68.
+// keeps live per row beyond the rows themselves: its pointer, its 4-byte
+// hash and two 4-byte slots of the position table, 20 B, in room grown
+// by Add — and nothing else: no count, no key string. 20 B/row measured
+// (go1.24, linux/amd64); the unit map this table replaced kept 23, with a
+// count in every slot the same table kept 34, and keyed by its key
+// string (a 32-byte slot and a 16-byte key of its own) 68.
 func TestBagLiveBytesPerRow(t *testing.T) {
 	const rows = 100_000
 	perRow := bagLiveBytesPerRow(rows, 1)
@@ -114,16 +116,52 @@ func TestBagLiveBytesPerRow(t *testing.T) {
 	}
 }
 
-// TestCountedBagLiveBytesPerRow: the worst case for the unit map, 100 000
-// rows each held twice, all in the counted map, whose slot is the hash,
-// the pointer and the count, 24 B: no worse than a bag with a count in
-// every slot was. 34 B/row measured (go1.24, linux/amd64).
+// TestCountedBagLiveBytesPerRow: 100 000 rows each held twice, so every
+// entry has a count, two 4-byte words beside its hash: no worse than a
+// bag with a count in every slot was. 28 B/row measured (go1.24,
+// linux/amd64); the counted map this table replaced kept 34.
 func TestCountedBagLiveBytesPerRow(t *testing.T) {
 	const rows = 100_000
 	perRow := bagLiveBytesPerRow(rows, 2)
 	t.Logf("a %d-row bag of multiplicity 2 keeps %d B/row live beyond its rows", rows, perRow)
 	if perRow > 34 {
 		t.Errorf("a bag of multiplicity 2 keeps %d B/row live beyond its rows, want at most 34", perRow)
+	}
+}
+
+// TestChurnedBagLiveBytesPerRow: the table of TestBagLiveBytesPerRow
+// after 100 000 rounds that each remove one live row and add a new one,
+// as a day of Example 5.4 churns sales, keeps no more per row than the
+// built bound. A removal moves the last entry into the hole and shifts
+// its cluster back, so churn neither grows the table nor leaves a
+// tombstone in it. 20 B/row measured (go1.24, linux/amd64); the bag of
+// swiss maps this table replaced kept 46 B/row churned so (23 built),
+// since a map reclaims its tombstones only by a rehash that doubles it.
+func TestChurnedBagLiveBytesPerRow(t *testing.T) {
+	const rows = 100_000
+	tuples := make([]schema.Tuple, 2*rows)
+	for i := range tuples {
+		tuples[i] = schema.Row(i, i%7)
+	}
+	got := live(func() any {
+		b := New()
+		for _, tu := range tuples[:rows] {
+			b.Add(tu, 1)
+		}
+		for i := 0; i < rows; i++ {
+			b.Remove(tuples[i*7%rows], 1) // each row once, in an order other than its arrival
+			b.Add(tuples[rows+i], 1)
+		}
+		if b.Distinct() != rows {
+			t.Fatalf("after the churn: %d distinct tuples, want %d", b.Distinct(), rows)
+		}
+		return b
+	})
+	runtime.KeepAlive(tuples)
+	perRow := got / rows
+	t.Logf("a %d-row bag churned %d times keeps %d B/row live beyond its rows", rows, rows, perRow)
+	if perRow > 26 {
+		t.Errorf("a churned bag keeps %d B/row live beyond its rows, want at most 26, as built", perRow)
 	}
 }
 
@@ -366,22 +404,22 @@ func TestBuiltJoinCarvesItsOutput(t *testing.T) {
 }
 
 // TestFlatReadsAllocateNoMore pins the allocations of four readers on
-// flat bags — Monus, Select, Join.Indexed and a filtered Applied — at
-// the counts they had when each walked its operand's map itself. Every
-// reader now walks through each and looks up through get, which keep a
-// two-level bag's overlay over its base and find a small bag's slots;
+// flat bags — Monus, Select, Join.Indexed and a filtered Applied. Every
+// reader walks through each and looks up through get, which keep a
+// two-level bag's overlay over its base and scan a small bag's hashes;
 // the closures they take stay on the caller's stack, so a flat read
-// allocates only its output, as before. The outputs are maps from the
-// start: Monus, Select and Applied pick theirs by their operands'
-// distinct counts (newFor). The join writes into the bag it is given:
-// into a map, as into a State's refilled bag, it costs its output's map
-// and one tuple per output row (3024 when each row cost its key string
-// too, as the bag's map key); into New, as
-// the first fill of a State's output (and a one-shot join) does, its
-// output begins small and outgrows its slots, which costs one
-// allocation more. Read as b ∸ sub, it looks each bucket entry up in sub
-// under the entry's hash, and allocates nothing for it. (The counts are
-// those of go1.24's maps for these sizes.)
+// allocates only its output. Monus and Applied write into New, which
+// outgrows its room — to 8 in one object, then doubling, two arrays a
+// step (10 objects for about 100 rows, where a map grown from empty took
+// 12 and 14); Select's output is a table of room for 16 from its ninth
+// match (9, where a map took 12). The join writes into the bag it is
+// given: into a table, as into a State's refilled bag (1520), or into
+// New, as the first fill of a State's output (and a one-shot join) does
+// (1519), it costs its output's growth and one tuple per output row,
+// where a map output cost 1524 and 1525 (3024 when each row cost its key
+// string too, as the bag's map key). Read as b ∸ sub, it looks each
+// bucket entry up in sub under the entry's hash, and allocates nothing
+// for it.
 func TestFlatReadsAllocateNoMore(t *testing.T) {
 	a := keyedRows(200, 20)
 	b := keyedRows(300, 20) // shares a's 200 tuples
@@ -401,12 +439,12 @@ func TestFlatReadsAllocateNoMore(t *testing.T) {
 		f    func()
 		want float64
 	}{
-		{"Monus", func() { keptMap = Monus(b, a) }, 12},
-		{"Select", func() { keptMap = Select(a, odd) }, 12},
-		{"Join.Indexed", func() { out := newMap(); j.Indexed(out, a, []int{0}, ix, nil, false, nil); keptMap = out }, 1524},
-		{"Join.Indexed into New", func() { out := New(); j.Indexed(out, a, []int{0}, ix, nil, false, nil); keptMap = out }, 1525},
-		{"Join.Indexed, ∸ sub", func() { out := newMap(); j.Indexed(out, a, []int{0}, ix, sub, false, nil); keptMap = out }, 1524},
-		{"Applied, filtered", func() { keptMap = Applied(a, del, add, odd) }, 14},
+		{"Monus", func() { keptMap = Monus(b, a) }, 10},
+		{"Select", func() { keptMap = Select(a, odd) }, 9},
+		{"Join.Indexed", func() { out := newTabled(); j.Indexed(out, a, []int{0}, ix, nil, false, nil); keptMap = out }, 1520},
+		{"Join.Indexed into New", func() { out := New(); j.Indexed(out, a, []int{0}, ix, nil, false, nil); keptMap = out }, 1519},
+		{"Join.Indexed, ∸ sub", func() { out := newTabled(); j.Indexed(out, a, []int{0}, ix, sub, false, nil); keptMap = out }, 1520},
+		{"Applied, filtered", func() { keptMap = Applied(a, del, add, odd) }, 10},
 	} {
 		if got := testing.AllocsPerRun(20, c.f); got != c.want {
 			t.Errorf("%s allocates %v times, want %v", c.name, got, c.want)

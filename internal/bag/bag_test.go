@@ -162,8 +162,8 @@ func TestSelect(t *testing.T) {
 	}
 }
 
-// TestSelectStartsSmall: σ of a map bag is a small bag, made in one
-// allocation, while at most smallMax tuples match, and a map past that;
+// TestSelectStartsSmall: σ of a large bag is a small bag, made in one
+// allocation, while at most smallMax tuples match, and a table past that;
 // either way it holds what a filtering Add of every match would.
 func TestSelectStartsSmall(t *testing.T) {
 	a := New()
@@ -182,7 +182,7 @@ func TestSelectStartsSmall(t *testing.T) {
 		if !got.Equal(want) || got.arity != a.arity {
 			t.Fatalf("σ of %d matches = %v, want %v", k, got, want)
 		}
-		if small := got.u == nil; small != (k <= smallMax) {
+		if small := got.small(); small != (k <= smallMax) {
 			t.Errorf("σ of %d matches is small: %t", k, small)
 		}
 		if k <= smallMax {
@@ -302,15 +302,15 @@ func TestEachVisitsAll(t *testing.T) {
 	}
 }
 
-// buckets identifies the maps b's tier writes: a Clear that kept their
-// buckets leaves it unchanged.
+// buckets identifies the arrays b's table writes: a Clear that kept
+// them leaves it unchanged.
 func buckets(b *Bag) [2]uintptr {
-	return [2]uintptr{reflect.ValueOf(b.u).Pointer(), reflect.ValueOf(b.cm()).Pointer()}
+	return [2]uintptr{reflect.ValueOf(b.p).Pointer(), reflect.ValueOf(b.aux).Pointer()}
 }
 
 // TestClearRetentionRule walks a bag through the fills the rule in
 // Clear's doc comment distinguishes and checks, by the identity of the
-// map, whether the buckets were kept or given back; after every Clear
+// arrays, whether they were kept or given back; after every Clear
 // the bag's own index is still registered, empty, and in step.
 func TestClearRetentionRule(t *testing.T) {
 	b := New()
@@ -359,8 +359,8 @@ func TestClearRetentionRule(t *testing.T) {
 		if n > 0 {
 			lastFill = n
 		}
-		if int(b.peak) > max(4*lastFill, clearFloor) {
-			t.Fatalf("%s: last held %d tuples but keeps capacity for %d", st.name, lastFill, b.peak)
+		if cap(b.p) > max(4*lastFill, clearFloor) {
+			t.Fatalf("%s: last held %d tuples but keeps room for %d", st.name, lastFill, cap(b.p))
 		}
 		if got := b.Indexes(); len(got) != 1 {
 			t.Fatalf("%s: Clear dropped the bag's index: %v", st.name, got)
@@ -385,25 +385,23 @@ func TestClearRetentionRule(t *testing.T) {
 }
 
 // A stored tuple is one pointer under its bag's arity, and is keyed by
-// its 8-byte hash, so a map slot (hash, 16-byte entry) is 24 bytes, as
-// is a small bag's slot; a key string made each 32, and a tuple's slice
-// header 48 before that. An index bucket's entry and a journal entry
-// keep no key — the stored pointer names the row — so each is the
-// pointer and a count, 16 bytes. Every operator of every evaluation
-// allocates a Bag, and the shared mark rides in last's top bit. The
-// small bag's slice header took the Bag from six words to nine, and the
-// spill's map to ten: 80 bytes, Go's size class for 72 as well. New
-// allocates it with two slots, 128 bytes, the 128-byte class, where a
-// map bag's Bag, map header and first group were three objects and 384
-// bytes. An eleventh word, or a third slot, would move New to the
-// 144-byte class.
+// its 32-bit hash, kept beside it in the table's second array. An index
+// bucket's entry and a journal entry keep no key — the stored pointer
+// names the row — so each is the pointer and a count, 16 bytes, as is
+// the entry a lookup or a walk hands out. Every operator of every
+// evaluation allocates a Bag: its table's two slice headers, the size,
+// the arity and last (with the shared mark in its top bit) in one word,
+// and the derived and levels pointers — 80 bytes, Go's size class for
+// 72 as well. New allocates it with room for two entries and their
+// counts, 120 bytes, the 128-byte class, where a map bag's Bag, map
+// header and first group were three objects and 384 bytes. An eleventh
+// word, or a third entry, would move New to the 144-byte class.
 func TestBagSize(t *testing.T) {
 	for _, c := range []struct {
 		name      string
 		got, want uintptr
 	}{
 		{"entry", unsafe.Sizeof(entry{}), 16},
-		{"slot", unsafe.Sizeof(slot{}), 24},
 		{"indexEntry", unsafe.Sizeof(indexEntry{}), 16},
 		{"jentry", unsafe.Sizeof(jentry{}), 16},
 	} {
@@ -419,58 +417,53 @@ func TestBagSize(t *testing.T) {
 	}
 }
 
-// TestSmallBagLife walks a bag through the rules of its two
-// representations: New plus two Adds is one allocation (the bag with
-// its first slots; a slot keeps a hash, not a key string), where a map
-// bag's was five; the
-// smallMax-th distinct tuple stays in the slots and the next one
-// promotes the bag, for good, through removals and Clear; a small bag's
-// Clear keeps its slots; its Clone is a copy, counted in CopiedEntries,
-// that marks neither bag and leaves Prepare nothing to do; and an index
-// asked of a small bag promotes it first.
+// TestSmallBagLife walks a bag through the rules of its small room: New
+// plus two Adds is one allocation (the bag with room for two entries; an
+// entry keeps a hash, not a key string), where a map bag's was five; the
+// smallMax-th distinct tuple stays in the small room, scanned, and the
+// next one moves the bag to a table with a position table; a small
+// bag's Clear keeps its room; its Clone is a copy, counted in
+// CopiedEntries, that marks neither bag and leaves Prepare nothing to
+// do; and an index asked of a small bag leaves it small.
 func TestSmallBagLife(t *testing.T) {
 	r1, r2 := row(1, "a"), row(2, "b")
 	if got := testing.AllocsPerRun(100, func() { New().Add(r1, 1).Add(r2, 1) }); got != 1 {
 		t.Errorf("New and two Adds allocate %v times, want 1", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { New().Add(r1, 2).Add(r2, 3) }); got != 1 {
+		t.Errorf("New and two Adds of counts 2 and 3 allocate %v times, want 1", got)
 	}
 
 	b := New()
 	for i := 0; i < smallMax; i++ {
 		b.Add(row(i), 1)
 	}
-	if b.u != nil || b.Distinct() != smallMax {
-		t.Fatalf("%d distinct tuples: small %v, want a small bag", b.Distinct(), b.u == nil)
+	if !b.small() || b.Distinct() != smallMax || len(b.slots()) != 0 {
+		t.Fatalf("%d distinct tuples: small %v, want a small bag", b.Distinct(), b.small())
 	}
 	c0 := CopiedEntries()
 	c := b.Clone()
-	if n := CopiedEntries() - c0; n != smallMax || c.u != nil || b.isShared() || c.isShared() {
+	if n := CopiedEntries() - c0; n != smallMax || !c.small() || b.isShared() || c.isShared() {
 		t.Fatalf("Clone of a small bag copied %d entries (small %v, marked %v/%v), want %d, small, unmarked",
-			n, c.u == nil, b.isShared(), c.isShared(), smallMax)
+			n, c.small(), b.isShared(), c.isShared(), smallMax)
 	}
 	if b.Prepare(100) != nil {
 		t.Fatal("Prepare found something owing on a small bag")
 	}
 	c.Add(row(0), 1)
 	b.Add(row(smallMax), 1)
-	if b.u == nil || b.tier.len() != smallMax+1 || c.u != nil || c.Len() != smallMax+1 || b.Count(row(0)) != 1 {
-		t.Fatalf("the %d-th distinct tuple: b %v (map %v), its clone %v (map %v)", smallMax+1, b, b.u != nil, c, c.u != nil)
-	}
-	for i := 0; i <= smallMax; i++ {
-		b.Remove(row(i), 1)
-	}
-	b.Clear()
-	if b.u == nil {
-		t.Fatal("a promoted bag went back to slots")
+	if b.small() || len(b.slots()) == 0 || len(b.p) != smallMax+1 || !c.small() || c.Len() != smallMax+1 || b.Count(row(0)) != 1 {
+		t.Fatalf("the %d-th distinct tuple: b %v (small %v), its clone %v (small %v)", smallMax+1, b, b.small(), c, c.small())
 	}
 
 	c.Clear()
-	if c.u != nil || cap(c.s) != smallMax || !c.Empty() {
-		t.Fatalf("Clear of a small bag: map %v, %d slots kept", c.u != nil, cap(c.s))
+	if !c.small() || cap(c.p) != smallMax || !c.Empty() {
+		t.Fatalf("Clear of a small bag: small %v, room for %d kept", c.small(), cap(c.p))
 	}
 	c.Add(r1, 1)
 	ix, _ := c.IndexOn([]int{0})
-	if c.u == nil || len(ix.buckets) != 1 || len(ix.buckets[0].rows) != 1 {
-		t.Fatalf("IndexOn of a small bag: map %v, index of %d buckets", c.u != nil, len(ix.buckets))
+	if !c.small() || len(ix.buckets) != 1 || len(ix.buckets[0].rows) != 1 {
+		t.Fatalf("IndexOn of a small bag: small %v, index of %d buckets", c.small(), len(ix.buckets))
 	}
 }
 
@@ -505,7 +498,7 @@ func TestBagArity(t *testing.T) {
 		{"Join.Indexed, projected", mustJoin(a, b, []int{3, 0, 1}), 3},
 		{"Clone", a.Clone(), 2},
 	} {
-		if c.out.arity != c.want {
+		if int(c.out.arity) != c.want {
 			t.Errorf("%s: arity %d, want %d", c.name, c.out.arity, c.want)
 			continue // its tuples cannot be read back, nor a tuple of its arity added
 		}
@@ -628,7 +621,7 @@ func TestCloneCopiesOnceAtTheFirstWrite(t *testing.T) {
 		src.Adopt(src.Prepare(2))
 		src.Add(row(14), 1)
 		src.Remove(row(0), 1) // a base entry: a tombstone
-	}); n != 0 || src.lv == nil || src.lv.base.len() != 12 || src.tier.len() != 2 {
+	}); n != 0 || src.lv == nil || len(src.lv.base.p) != 12 || len(src.p) != 2 {
 		t.Fatalf("Prepare(2) of a 12-entry shared bag and two writes copied %d entries, want 0 and a 2-entry overlay over 12", n)
 	}
 	if src.Prepare(0) != nil {
@@ -644,7 +637,7 @@ func TestCloneCopiesOnceAtTheFirstWrite(t *testing.T) {
 	// base: Prepare folds the levels into one map of the 13 live entries.
 	clone(src)
 	var p *Bag
-	if n := entries(func() { p = src.Prepare(4) }); n != 13 || p.lv != nil || p.tier.len() != 13 || !p.Equal(src) {
+	if n := entries(func() { p = src.Prepare(4) }); n != 13 || p.lv != nil || len(p.p) != 13 || !p.Equal(src) {
 		t.Fatalf("Prepare(4) at the rent's limit copied %d entries into %v, want a fold of the 13 live ones", n, p)
 	}
 	src.Adopt(p)

@@ -70,10 +70,11 @@ func (c *carver) tuple(arity int) schema.Tuple {
 // keyed by its hash. A slab is freed with the last live row it holds: a
 // deleted row pins its values until then, so a loaded bag holds at most
 // the bytes it was decoded into. Every row is decoded before the first
-// is keyed, so each of the two maps is made once, for the rows it takes:
-// neither grows row by row, and a row count no row backs sizes neither.
-// Until then only the rows of another multiplicity than 1 are listed,
-// by position: a keyed table's rows cost nothing beside their slabs.
+// is keyed, so the table is made once, for the rows that arrived: it
+// does not grow row by row, and a row count no row backs does not size
+// it. Until then only the rows of another multiplicity than 1 are
+// listed, by position: a keyed table's rows cost nothing beside their
+// slabs, and its table no counts.
 //
 // The bag carries Build's mark until its first write (Add and its kin,
 // Clear, Adopt); a Clone does not carry it. Join.Hash carves its output
@@ -108,14 +109,8 @@ func Build(arity, rows int, fill func(t schema.Tuple) (int, error)) (*Bag, error
 			wide = append(wide, wideRow{i, n})
 		}
 	}
-	var b *Bag
-	if rows <= smallMax {
-		b = NewSized(rows)
-	} else {
-		b = newMapBag(sized(rows-len(wide), len(wide)))
-		b.peak = sat32(rows)
-	}
-	b.arity = arity
+	b := newSized(rows, len(wide) > 0)
+	b.arity = int32(arity)
 	var slab []schema.Value
 	for i, left := 0, slabs; i < rows; i++ {
 		if len(slab) < arity {
@@ -128,11 +123,12 @@ func Build(arity, rows int, fill func(t schema.Tuple) (int, error)) (*Bag, error
 			n, wide = wide[0].n, wide[1:]
 		}
 		h := hashOf(t)
-		e, spill := b.lookup(h, t)
-		if e.count > 0 {
+		j, s := b.find(&b.table, h, t)
+		if j >= 0 {
 			return nil, fmt.Errorf("duplicate tuple %s", t)
 		}
-		b.put(h, entry{p: t.Ptr(), count: n}, n, spill)
+		b.add(h, t.Ptr(), n, s)
+		b.size += n
 	}
 	b.last.Store(built)
 	return b, nil

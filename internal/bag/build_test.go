@@ -60,10 +60,10 @@ func TestBuildIsAddedRows(t *testing.T) {
 			if !b.Equal(ref) || b.Len() != ref.Len() {
 				t.Fatalf("arity %d, %d rows: built %v, want %v", arity, n, b, ref)
 			}
-			if (b.u == nil) != (n <= smallMax) {
-				t.Errorf("arity %d, %d rows: built a small bag: %v", arity, n, b.u == nil)
+			if b.small() != (n <= smallMax) {
+				t.Errorf("arity %d, %d rows: built a small bag: %v", arity, n, b.small())
 			}
-			b.each(func(h uint64, e entry) {
+			b.each(func(h uint32, e entry) {
 				tu := b.tupleAt(e.p)
 				if h != hashOf(tu) {
 					t.Errorf("arity %d: hash %x stored for %v, whose hash is %x", arity, h, tu, hashOf(tu))
@@ -99,9 +99,9 @@ func TestBuildIsAddedRows(t *testing.T) {
 func rebuilt(t testing.TB, b *Bag) *Bag {
 	t.Helper()
 	var es []entry
-	b.each(func(_ uint64, e entry) { es = append(es, e) })
+	b.each(func(_ uint32, e entry) { es = append(es, e) })
 	i := 0
-	c, err := Build(b.arity, len(es), func(tu schema.Tuple) (int, error) {
+	c, err := Build(int(b.arity), len(es), func(tu schema.Tuple) (int, error) {
 		e := es[i]
 		i++
 		copy(tu, b.tupleAt(e.p))

@@ -20,8 +20,9 @@ import (
 // step; then it checks the first handle's own index against a freshly
 // built one, and the algebraic laws of Section 2.1 that the DEL/ADD
 // differentials depend on. The program runs three times, its bags
-// starting small, promoted and as maps (starts), so each grows, shrinks
-// and is cloned through both representations; and each time once more
+// starting small, grown past their small room and with a position
+// table (starts), so each grows, shrinks and is cloned with and without
+// one; and each time once more
 // over arity-0 bags, whose one tuple is stored as a nil pointer.
 func FuzzBagOps(f *testing.F) {
 	addBagSeeds(f)
@@ -34,18 +35,19 @@ func FuzzBagOps(f *testing.F) {
 
 // FuzzBagOpsColliding is FuzzBagOps under a hash narrowed to two bits
 // (hashMask), so that among any five of runHandles' 25 tuples two share
-// a hash: a small bag's scan meets slots of its hash that hold other
-// tuples, a map bag's fifth distinct tuple goes to the spill at the
-// latest, and every program
-// reaches the spill through the paths that write and read a bag —
-// overlay tombstones over a spilled base entry, Prepare's copies and
-// folds, Adopt, Clear, Build and its duplicate check, and both output
-// paths of Join.Indexed, with their lookups in the holders. A lookup that took a hash for its tuple
-// without comparing the two fails here at once.
+// a hash: a small table's scan meets entries of its hash that hold other
+// tuples, a position table's probes all start from one home and walk one
+// cluster, and every program reaches colliding entries through the
+// paths that write and read a bag — overlay tombstones over a base
+// entry of a shared hash, removals that shift the cluster back,
+// Prepare's copies and folds, Adopt, Clear, Build and its duplicate
+// check, and both output paths of Join.Indexed, with their lookups in
+// the holders. A lookup that took a hash for its tuple without comparing
+// the two fails here at once.
 func FuzzBagOpsColliding(f *testing.F) {
 	addBagSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		defer func(m uint64) { hashMask = m }(hashMask)
+		defer func(m uint32) { hashMask = m }(hashMask)
 		hashMask = 3
 		for _, start := range starts {
 			bagLaws(t, data, start)
@@ -79,27 +81,26 @@ func addBagSeeds(f *testing.F) {
 	// by comparing float64 values.
 	f.Add([]byte{0, 15, 1, 0, 20, 2, 0, 15, 1, 8, 0, 0, 9, 0, 0, 3, 20, 1, 0, 21, 1})
 	// Ten tuples, so that under FuzzBagOpsColliding's four hashes six at
-	// least are spilled; go two-level under a Clone, delete the first
-	// five (one of them spilled, at least: tombstones in both maps of the
-	// overlay), insert two again, and fold under a second Clone; write
-	// the Clone; Clear.
+	// least share a hash with another; go two-level under a Clone, delete
+	// the first five (tombstones of shared hashes in the overlay), insert
+	// two again, and fold under a second Clone; write the Clone; Clear.
 	f.Add([]byte{0, 0, 1, 0, 1, 1, 0, 2, 1, 0, 3, 1, 0, 4, 1, 0, 5, 1, 0, 6, 1, 0, 7, 1, 0, 8, 1, 0, 9, 1,
 		8, 0, 0, 10, 0, 1, 3, 0, 1, 3, 1, 1, 3, 2, 1, 3, 3, 1, 3, 4, 1, 0, 0, 2, 0, 1, 2, 8, 0, 0, 10, 0, 2,
 		9, 0, 0, 3, 5, 1, 0, 9, 3, 7, 0, 0})
 	// All 25 tuples, two-level under a Clone; delete five and Clone
-	// again, so that Prepare copies the overlay, spill and tombstones
-	// included, rather than fold; write; join through the index read as
-	// b ∸ σ(the Clone); Clear.
+	// again, so that Prepare copies the overlay, tombstones included,
+	// rather than fold; write; join through the index read as b ∸ σ(the
+	// Clone); Clear.
 	f.Add([]byte{0, 0, 1, 0, 1, 1, 0, 2, 1, 0, 3, 1, 0, 4, 1, 0, 5, 1, 0, 6, 1, 0, 7, 1, 0, 8, 1, 0, 9, 1,
 		0, 10, 1, 0, 11, 1, 0, 12, 1, 0, 13, 1, 0, 14, 1, 0, 15, 1, 0, 16, 1, 0, 17, 1, 0, 18, 1, 0, 19, 1,
 		0, 20, 1, 0, 21, 1, 0, 22, 1, 0, 23, 1, 0, 24, 1, 8, 0, 0, 10, 0, 1, 3, 0, 1, 3, 1, 1, 3, 2, 1,
 		3, 3, 1, 3, 4, 1, 8, 0, 0, 10, 0, 0, 0, 2, 1, 11, 3, 2, 11, 4, 3, 7, 0, 0})
-	// One tuple through 1 → 2 → 1 → 0 → 2 — across the line between the
-	// unit map and the counted map, both ways — in each place a bag keeps
-	// it. In a flat bag, promoted by nine others first:
+	// One tuple through 1 → 2 → 1 → 0 → 2 — across the first count other
+	// than 1, both ways — in each place a bag keeps it. In a flat bag
+	// with a position table, grown by nine others first:
 	f.Add(append(fill(1, 10), crossing(0)...))
-	// in a map a Clone shares, cloned before every step, so that each
-	// step copies the maps; then through the last Clone's copy;
+	// in a table a Clone shares, cloned before every step, so that each
+	// step copies the table; then through the last Clone's copy;
 	f.Add(append(append(fill(1, 10), interleave(crossing(0), 8, 0, 0)...), 9, 0, 0, 3, 0, 1, 3, 0, 1, 0, 0, 2))
 	// in a two-level bag's overlay, over a unit (10) and a counted (11)
 	// base entry: each tombstoned, re-inserted at 1, tombstoned,
@@ -109,14 +110,14 @@ func addBagSeeds(f *testing.F) {
 		0, 10, 1, 3, 10, 1, 3, 10, 1, 0, 10, 1, 3, 10, 1, 0, 10, 2,
 		3, 11, 1, 3, 11, 1, 0, 11, 2, 3, 11, 2, 0, 11, 1, 0, 11, 1,
 		3, 10, 2, 8, 0, 0, 0, 10, 1, 0, 10, 1, 10, 0, 15, 7, 0, 0))
-	// and in the spill: under FuzzBagOpsColliding's four hashes, 20
-	// tuples take them all, and most of the five that cross go to the
-	// spill — of a flat bag, then of an overlay.
-	spill := fill(5, 25)
+	// and among colliding entries: under FuzzBagOpsColliding's four
+	// hashes, 20 tuples take them all, and the five that cross share
+	// their hashes — in a flat bag, then in an overlay.
+	colliding := fill(5, 25)
 	for k := byte(0); k < 5; k++ {
-		spill = append(spill, crossing(k)...)
+		colliding = append(colliding, crossing(k)...)
 	}
-	f.Add(append(append(append(spill, 8, 0, 0, 10, 0, 2), crossing(0)...), crossing(1)...))
+	f.Add(append(append(append(colliding, 8, 0, 0, 10, 0, 2), crossing(0)...), crossing(1)...))
 }
 
 // fill is a program adding the tuples from..to-1 once each.
@@ -218,7 +219,7 @@ func checkBuild(b *Bag) string {
 	})
 	build := func(rows []schema.Tuple, counts []int) (*Bag, error) {
 		i := -1
-		return Build(b.arity, len(rows), func(tu schema.Tuple) (int, error) {
+		return Build(int(b.arity), len(rows), func(tu schema.Tuple) (int, error) {
 			i++
 			copy(tu, rows[i])
 			return counts[i], nil
@@ -295,8 +296,8 @@ func runHandles(t *testing.T, data []byte, start func() *Bag, width int) [2]*Bag
 		case 7:
 			b.Clear()
 			clear(model)
-			if fill := int(b.last.Load() & fillMask); int(b.peak) > max(4*fill, clearFloor) {
-				t.Fatalf("step %d: Clear keeps capacity for %d tuples after a fill of %d", i/3, b.peak, fill)
+			if fill := int(b.last.Load() & fillMask); cap(b.p) > max(4*fill, clearFloor) {
+				t.Fatalf("step %d: Clear keeps room for %d tuples after a fill of %d", i/3, cap(b.p), fill)
 			}
 		case 8:
 			hs[1-cur] = b.Clone()
@@ -365,7 +366,10 @@ func checkModel(b *Bag, model map[string]int) string {
 	case b.Distinct() != len(model):
 		return fmt.Sprintf("Distinct = %d, model says %d", b.Distinct(), len(model))
 	}
-	msg := ""
+	msg := bagTableFault(b, &b.table)
+	if b.lv != nil && msg == "" {
+		msg = bagTableFault(b, &b.lv.base)
+	}
 	b.Each(func(tu schema.Tuple, n int) {
 		if model[tu.Key()] != n && msg == "" {
 			msg = fmt.Sprintf("Count(%s) = %d, model says %d", tu, n, model[tu.Key()])

@@ -187,13 +187,9 @@ func (bk *bucket) unslot(s int) (read int) {
 
 // NewIndex builds a free-standing hash index over b keyed on the given
 // column positions, and switches on b's mutation journal so the index
-// can later be brought up to date incrementally (Sync), which only a
-// map bag keeps: a small b is promoted first. The positions slice is
-// retained; callers must not mutate it.
+// can later be brought up to date incrementally (Sync). The positions
+// slice is retained; callers must not mutate it.
 func NewIndex(b *Bag, positions []int) *Index {
-	if b.u == nil {
-		b.promote(len(b.s))
-	}
 	if b.dx == nil {
 		b.dx = &derived{}
 	}
@@ -216,7 +212,7 @@ func newIndex(b *Bag, positions []int, addressable bool) *Index {
 		m:   make(map[string]int),
 	}
 	var key []byte
-	b.each(func(_ uint64, e entry) {
+	b.each(func(_ uint32, e entry) {
 		key = b.tupleAt(e.p).AppendKeyAt(key[:0], positions)
 		k := ix.slot(key)
 		ix.buckets[k].rows = append(ix.buckets[k].rows, indexEntry{p: e.p, count: e.count})
@@ -273,7 +269,7 @@ func probeIndex(b *Bag, positions []int) *Index {
 	var keys arena
 	var kb [128]byte
 	key := kb[:0]
-	b.each(func(_ uint64, e entry) {
+	b.each(func(_ uint32, e entry) {
 		key = b.tupleAt(e.p).AppendKeyAt(key[:0], positions)
 		k := keys.str(key, min(left*len(key), arenaChunk))
 		left--
@@ -457,9 +453,9 @@ func (j *Join) Indexed(out, probe *Bag, probePos []int, ix *Index, sub *Bag, bui
 // heldBy returns the pointer under which the first bag of held that
 // holds t (h being its hash) stores it, and whether one does. An arity-0
 // tuple's pointer is nil: only ok tells a hit.
-func heldBy(held []*Bag, h uint64, t schema.Tuple) (p *schema.Value, ok bool) {
+func heldBy(held []*Bag, h uint32, t schema.Tuple) (p *schema.Value, ok bool) {
 	for _, b := range held {
-		if b.size == 0 || b.arity != len(t) {
+		if b.size == 0 || int(b.arity) != len(t) {
 			continue
 		}
 		if e := b.get(h, t); e.count > 0 {
@@ -477,7 +473,7 @@ func (j *Join) indexed(out, probe *Bag, probePos []int, ix *Index, sub *Bag, bui
 		probePred, buildPred = buildPred, probePred
 	}
 	if project != nil {
-		out.arity = len(project) // the projected path writes through put
+		out.arity = int32(len(project)) // the projected path writes past addKeyed
 	}
 	// Scratch rows and key buffers belong to this call, never to the
 	// index: the writer and readers run joins side by side.
@@ -486,7 +482,7 @@ func (j *Join) indexed(out, probe *Bag, probePos []int, ix *Index, sub *Bag, bui
 	prow := schema.Tuple(pa[:0]) // the projected scratch row
 	var kb, pkb [128]byte
 	buf := kb[:0]
-	probe.each(func(_ uint64, ep entry) {
+	probe.each(func(_ uint32, ep entry) {
 		pt := probe.tupleAt(ep.p)
 		if probePred != nil && !probePred(pt) {
 			return
@@ -526,17 +522,18 @@ func (j *Join) indexed(out, probe *Bag, probePos []int, ix *Index, sub *Bag, bui
 					prow = append(prow, row[p])
 				}
 				h := hashOf(prow)
-				e, spill := out.lookup(h, prow)
-				if e.count == 0 {
-					var ok bool
-					if e.p, ok = heldBy(held, h, prow); !ok {
+				out.size += n
+				if i, s := out.find(&out.table, h, prow); i >= 0 {
+					out.setCount(i, out.count(i)+n)
+				} else {
+					p, ok := heldBy(held, h, prow)
+					if !ok {
 						t := cv.tuple(len(prow))
 						copy(t, prow)
-						e.p = t.Ptr()
+						p = t.Ptr()
 					}
+					out.add(h, p, n, s)
 				}
-				e.count += n
-				out.put(h, e, n, spill)
 				continue
 			}
 			// A concat tuple's canonical key is the concatenation of its

@@ -184,8 +184,8 @@ func TestHashJoinOnlyReads(t *testing.T) {
 	if built != right.Distinct() || probed != 3 {
 		t.Fatalf("built %d probed %d, want the smaller side (%d) built and 3 pairs probed", built, probed, right.Distinct())
 	}
-	if left.dx != nil || right.dx != nil || left.u != nil || right.u != nil {
-		t.Fatal("Join.Hash switched on a journal, registered an index or promoted a small operand")
+	if left.dx != nil || right.dx != nil || !left.small() || !right.small() {
+		t.Fatal("Join.Hash switched on a journal, registered an index or gave a small operand a position table")
 	}
 }
 
@@ -236,7 +236,7 @@ func TestIndexAddressesByTuplePointer(t *testing.T) {
 		return at
 	}
 
-	b := newMap()
+	b := newTabled()
 	for _, v := range []string{"a", "b", "c", "d"} {
 		b.Add(row(1, v), 1)
 	}
@@ -268,7 +268,7 @@ func TestIndexAddressesByTuplePointer(t *testing.T) {
 		t.Fatalf("the bucket's last entry was moved to position %d, want 0", at)
 	}
 
-	z := newMap()
+	z := newTabled()
 	z.Add(schema.Tuple{}, 2)
 	zprobe := New().Add(row(7), 1)
 	zix, _ := z.IndexOn(nil)

@@ -284,7 +284,7 @@ func checkJoinSub(probe, b, sub *Bag, keep func(schema.Tuple) bool, held []*Bag)
 // under another pointer than the first such bag's, or "".
 func checkHeld(out *Bag, held []*Bag) string {
 	msg := ""
-	out.each(func(h uint64, e entry) {
+	out.each(func(h uint32, e entry) {
 		t := out.tupleAt(e.p)
 		for i, b := range held {
 			if b.Empty() || b.arity != out.arity {

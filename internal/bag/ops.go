@@ -4,7 +4,7 @@ import "dvm/internal/schema"
 
 // UnionAll returns a ⊎ b: multiplicities add.
 func UnionAll(a, b *Bag) *Bag {
-	out := a.private()
+	out := a.private(b.Distinct())
 	out.AddBag(b)
 	return out
 }
@@ -14,7 +14,7 @@ func UnionAll(a, b *Bag) *Bag {
 // empty. Unfiltered, the answer is a Clone of b prepared for and given
 // the differential (Prepare, Adopt, ApplyDelta): it shares b's contents,
 // and costs what the differential and b's overlay cost, not what b does.
-// That marks a map b shared, but a bag written as Prepare directs owes
+// That marks a large b shared, but a bag written as Prepare directs owes
 // the mark no copy of itself at its next write — at most its overlay; a
 // small b is copied and not marked. Filtered, it is collected under the
 // operands' own hashes (no tuple is encoded again), and b is only read.
@@ -36,24 +36,19 @@ func Applied(b, del, add *Bag, keep func(schema.Tuple) bool) *Bag {
 		}
 		return out
 	}
-	bound := b.Distinct()
-	if add != nil {
-		bound += add.Distinct()
-	}
-	out := newFor(bound)
-	b.eachApplied(del, add, keep, func(h uint64, t schema.Tuple, n int) { out.addKeyed(h, t, n) })
+	out := New()
+	b.eachApplied(del, add, keep, func(h uint32, t schema.Tuple, n int) { out.addKeyed(h, t, n) })
 	return out
 }
 
-// The operators below write their output through put, past addKeyed,
-// so each sets the output's arity itself: that of the operand its
-// entries come from. An entry that is new to the output goes in through
-// putNew, under its operand's hash.
+// The operators below write their output past addKeyed, so each sets
+// the output's arity itself: that of the operand its entries come from.
+// An entry that is new to the output goes in through putNew, under its
+// operand's hash.
 
-// newLike returns an empty bag for at most n distinct entries taken from
-// a (newFor).
-func newLike(a *Bag, n int) *Bag {
-	out := newFor(n)
+// newLike returns an empty bag for entries taken from a.
+func newLike(a *Bag) *Bag {
+	out := New()
 	out.arity = a.arity
 	return out
 }
@@ -61,10 +56,10 @@ func newLike(a *Bag, n int) *Bag {
 // Monus returns a ∸ b: per-tuple multiplicity max(0, n_a - n_b).
 // This is the paper's "∸" operator, distinct from SQL EXCEPT.
 func Monus(a, b *Bag) *Bag {
-	out := newLike(a, a.Distinct())
-	a.each(func(h uint64, e entry) {
+	out := newLike(a)
+	a.each(func(h uint32, e entry) {
 		if n := e.count - b.get(h, a.tupleAt(e.p)).count; n > 0 {
-			out.putNew(h, entry{p: e.p, count: n}, n)
+			out.putNew(h, entry{p: e.p, count: n})
 		}
 	})
 	return out
@@ -76,10 +71,10 @@ func Min(a, b *Bag) *Bag {
 	if b.Distinct() < a.Distinct() {
 		a, b = b, a
 	}
-	out := newLike(a, a.Distinct())
-	a.each(func(h uint64, e entry) {
+	out := newLike(a)
+	a.each(func(h uint32, e entry) {
 		if n := min(e.count, b.get(h, a.tupleAt(e.p)).count); n > 0 {
-			out.putNew(h, entry{p: e.p, count: n}, n)
+			out.putNew(h, entry{p: e.p, count: n})
 		}
 	})
 	return out
@@ -90,17 +85,13 @@ func Min(a, b *Bag) *Bag {
 // kept disjoint can have in common after a change that touched only
 // those tuples.
 func MinWithin(a, b *Bag, within ...*Bag) *Bag {
-	bound := 0
+	out := newLike(a)
 	for _, w := range within {
-		bound += w.Distinct()
-	}
-	out := newLike(a, min(bound, a.Distinct()))
-	for _, w := range within {
-		w.each(func(h uint64, we entry) {
+		w.each(func(h uint32, we entry) {
 			t := w.tupleAt(we.p)
 			e := a.get(h, t)
 			if n := min(e.count, b.get(h, t).count); n > 0 && out.get(h, t).count == 0 {
-				out.putNew(h, entry{p: e.p, count: n}, n)
+				out.putNew(h, entry{p: e.p, count: n})
 			}
 		})
 	}
@@ -110,17 +101,19 @@ func MinWithin(a, b *Bag, within ...*Bag) *Bag {
 // Max returns the maximal union: per-tuple max(n_a, n_b).
 // Defined in the paper as a ⊎ (b ∸ a); computed directly here.
 func Max(a, b *Bag) *Bag {
-	out := a.private() // out is written through put, past the copy-on-write check
+	out := a.private(b.Distinct()) // out is written past the copy-on-write check
 	if b.Distinct() > 0 && b.arity != out.arity {
-		out.setArity(b.arity) // panics unless a is empty: out would mix arities
+		out.setArity(int(b.arity)) // panics unless a is empty: out would mix arities
 	}
-	b.each(func(h uint64, e entry) {
-		have, spill := out.lookup(h, b.tupleAt(e.p))
-		if e.count > have.count {
-			if have.count > 0 {
-				e.p = have.p // put finds the entry by the pointer out stores
-			}
-			out.put(h, e, e.count-have.count, spill)
+	b.each(func(h uint32, e entry) {
+		i, s := out.find(&out.table, h, b.tupleAt(e.p))
+		switch {
+		case i < 0:
+			out.size += e.count
+			out.add(h, e.p, e.count, s)
+		case e.count > out.count(i):
+			out.size += e.count - out.count(i)
+			out.setCount(i, e.count)
 		}
 	})
 	return out
@@ -131,10 +124,10 @@ func Max(a, b *Bag) *Bag {
 // (Section 2.1). It equals Π1(σ1=2(a × (ε(a) ∸ b))) but is computed
 // directly.
 func Except(a, b *Bag) *Bag {
-	out := newLike(a, a.Distinct())
-	a.each(func(h uint64, e entry) {
+	out := newLike(a)
+	a.each(func(h uint32, e entry) {
 		if b.get(h, a.tupleAt(e.p)).count == 0 {
-			out.putNew(h, e, e.count)
+			out.putNew(h, e)
 		}
 	})
 	return out
@@ -142,43 +135,49 @@ func Except(a, b *Bag) *Bag {
 
 // DupElim returns ε(a): every tuple of a with multiplicity 1.
 func DupElim(a *Bag) *Bag {
-	out := newLike(a, a.Distinct())
-	a.each(func(h uint64, e entry) { out.putNew(h, entry{p: e.p, count: 1}, 1) })
+	out := newLike(a)
+	a.each(func(h uint32, e entry) { out.putNew(h, entry{p: e.p, count: 1}) })
 	return out
 }
 
 // Select returns σ_p(a) for a predicate over tuples. Its output starts
 // small whatever a's size: the first smallMax matches are held on the
 // stack, and a bag of their number takes them at the end, one object
-// (NewSized) — a DELETE's few rows out of a large table cost no map.
-// The next match moves the output to a map.
+// (NewSized) — a DELETE's few rows out of a large table cost no
+// position table. The next match moves the output to a table with room
+// for twice smallMax, which grows from there.
 func Select(a *Bag, pred func(schema.Tuple) bool) *Bag {
+	type match struct {
+		h uint32
+		e entry
+	}
 	var (
-		first [smallMax]slot
+		first [smallMax]match
 		n     int
 		out   *Bag
 	)
-	a.each(func(h uint64, e entry) {
+	a.each(func(h uint32, e entry) {
 		switch {
 		case !pred(a.tupleAt(e.p)):
 		case out != nil:
-			out.putNew(h, e, e.count)
+			out.putNew(h, e)
 		case n < smallMax:
-			first[n] = slot{h: h, e: e}
+			first[n] = match{h: h, e: e}
 			n++
 		default:
-			out = newLike(a, smallMax+1)
-			for _, sl := range first {
-				out.putNew(sl.h, sl.e, sl.e.count)
+			out = NewSized(2 * smallMax)
+			out.arity = a.arity
+			for _, m := range first {
+				out.putNew(m.h, m.e)
 			}
-			out.putNew(h, e, e.count)
+			out.putNew(h, e)
 		}
 	})
 	if out == nil {
 		out = NewSized(n)
 		out.arity = a.arity
-		for _, sl := range first[:n] {
-			out.putNew(sl.h, sl.e, sl.e.count)
+		for _, m := range first[:n] {
+			out.putNew(m.h, m.e)
 		}
 	}
 	return out
@@ -188,8 +187,8 @@ func Select(a *Bag, pred func(schema.Tuple) bool) *Bag {
 // to the same output, in which case multiplicities add (bag semantics —
 // projection does NOT eliminate duplicates).
 func Project(a *Bag, f func(schema.Tuple) schema.Tuple) *Bag {
-	out := newFor(a.Distinct())
-	a.each(func(_ uint64, e entry) { out.Add(f(a.tupleAt(e.p)), e.count) })
+	out := New()
+	a.each(func(_ uint32, e entry) { out.Add(f(a.tupleAt(e.p)), e.count) })
 	return out
 }
 
@@ -206,10 +205,10 @@ func Product(a, b *Bag) *Bag {
 func ProductSelect(a, b *Bag, pred func(schema.Tuple) bool) *Bag {
 	out := New()
 	var kb [128]byte
-	a.each(func(_ uint64, ea entry) {
+	a.each(func(_ uint32, ea entry) {
 		lt := a.tupleAt(ea.p)
 		lk := lt.AppendKey(kb[:0])
-		b.each(func(_ uint64, eb entry) {
+		b.each(func(_ uint32, eb entry) {
 			rt := b.tupleAt(eb.p)
 			if t := lt.Concat(rt); pred(t) {
 				out.addKeyed(keyHash(rt.AppendKey(lk)), t, ea.count*eb.count)

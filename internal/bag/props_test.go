@@ -13,13 +13,17 @@ import (
 )
 
 // starts are the three ways a bag's life begins, and so the three states
-// its contents can be read in: small (New), promoted — a small bag that
-// outgrew its slots, emptied again — and a map from the start (newMap).
-// The properties and FuzzBagOps run each bag in every one of them.
-var starts = []func() *Bag{New, promoted, newMap}
+// its contents can be read in: small (New), outgrown — a small bag that
+// outgrew its room into a position table, emptied again — and a table
+// from the start (newTabled). The properties and FuzzBagOps run each bag
+// in every one of them.
+var starts = []func() *Bag{New, outgrown, newTabled}
 
-// promoted returns an empty bag that has been promoted to a map.
-func promoted() *Bag {
+// newTabled returns an empty bag with a position table from the start.
+func newTabled() *Bag { return NewSized(smallMax + 1) }
+
+// outgrown returns an empty bag that has outgrown its small room.
+func outgrown() *Bag {
 	b := New()
 	for i := 0; i <= smallMax; i++ {
 		b.Add(schema.Row(-1-i), 1)
@@ -30,11 +34,11 @@ func promoted() *Bag {
 	return b
 }
 
-// twins returns b's contents in each representation that holds them: a
-// promoted bag, a map from the start and, when they fit its slots, a
+// twins returns b's contents in each representation that holds them: an
+// outgrown bag, a table from the start and, when they fit its room, a
 // small bag.
 func twins(b *Bag) []*Bag {
-	out := []*Bag{promoted().AddBag(b), newMap().AddBag(b)}
+	out := []*Bag{outgrown().AddBag(b), newTabled().AddBag(b)}
 	if b.Distinct() <= smallMax {
 		out = append(out, New().AddBag(b))
 	}
@@ -258,7 +262,7 @@ func TestPropAppliedIsMonusUnion(t *testing.T) {
 				return false
 			}
 			got := Applied(x.B, d.B, a.B, k)
-			if !got.Equal(want) || x.B.u != nil && x.B.isShared() != (k == nil) {
+			if !got.Equal(want) || !x.B.small() && x.B.isShared() != (k == nil) {
 				return false
 			}
 			if k != nil {
@@ -425,6 +429,101 @@ func tableFault(bk *bucket) string {
 		}
 	}
 	return ""
+}
+
+// bagTableFault describes what is wrong with t, one of b's tables, or
+// returns "": it has a position table exactly when its room is past
+// smallMax, of two slots per entry of room, holding each position once
+// and nothing else; every entry's hash is its tuple's; every entry is
+// found by find, through the slot that holds it; and its counts, if it
+// has any, are two words for each entry of room.
+func bagTableFault(b *Bag, t *table) string {
+	c, sl, n := cap(t.p), t.slots(), len(t.p)
+	switch cs := t.counts(); {
+	case len(sl) != slotsFor(c):
+		return fmt.Sprintf("a table of room %d has %d slots", c, len(sl))
+	case len(cs) != 0 && len(cs) != 2*c:
+		return fmt.Sprintf("a table of room %d has %d count words", c, len(cs))
+	}
+	seen, filled := make([]bool, n), 0
+	for _, v := range sl {
+		if v == 0 {
+			continue
+		}
+		if int(v) > n || seen[v-1] {
+			return fmt.Sprintf("a position table holds %d twice or past its %d entries", v, n)
+		}
+		seen[v-1] = true
+		filled++
+	}
+	if len(sl) > 0 && filled != n {
+		return fmt.Sprintf("a position table holds %d positions for %d entries", filled, n)
+	}
+	for i, p := range t.p {
+		tu := b.tupleAt(p)
+		if t.aux[i] != hashOf(tu) {
+			return fmt.Sprintf("the entry at %d of %d stores hash %x for %v, whose hash is %x", i, n, t.aux[i], tu, hashOf(tu))
+		}
+		if at, s := b.find(t, t.aux[i], tu); at != i || len(sl) > 0 && int(sl[s]) != i+1 {
+			return fmt.Sprintf("the entry at %d of %d is found at %d", i, n, at)
+		}
+	}
+	return ""
+}
+
+// TestPropEachIsArrivalOrder: a flat bag's Each visits its tuples in the
+// order they first arrived, from every start and through every room a
+// bag grows into — small, a position table, larger ones; a change of
+// count moves nothing; a removal moves only the last entry, into the
+// removed one's place; and every table stays sound (bagTableFault).
+func TestPropEachIsArrivalOrder(t *testing.T) {
+	inOrder := func(b *Bag, want []schema.Tuple) string {
+		var got []schema.Tuple
+		b.Each(func(tu schema.Tuple, _ int) { got = append(got, tu) })
+		if len(got) != len(want) {
+			return fmt.Sprintf("Each visited %d tuples, want %d", len(got), len(want))
+		}
+		for i := range got {
+			if !got[i].Equal(want[i]) {
+				return fmt.Sprintf("Each visited %v at %d, want %v", got[i], i, want[i])
+			}
+		}
+		return bagTableFault(b, &b.table)
+	}
+	prop := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		for _, start := range starts {
+			b, order := start(), []schema.Tuple(nil)
+			for i, n := 0, 1+r.Intn(60); i < n; i++ {
+				tu := schema.Row(i, r.Intn(3))
+				b.Add(tu, 1+r.Intn(2))
+				order = append(order, tu)
+			}
+			for k := 0; k < 5; k++ {
+				tu := order[r.Intn(len(order))]
+				b.Add(tu, 2).Add(tu, -1-r.Intn(2)) // never to 0
+			}
+			if msg := inOrder(b, order); msg != "" {
+				t.Logf("seed %d, inserts: %s", seed, msg)
+				return false
+			}
+			for len(order) > 0 && r.Intn(8) != 0 {
+				i := r.Intn(len(order))
+				b.Remove(order[i], b.Count(order[i]))
+				last := len(order) - 1
+				order[i] = order[last]
+				order = order[:last]
+				if msg := inOrder(b, order); msg != "" {
+					t.Logf("seed %d, a removal: %s", seed, msg)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, qcfg); err != nil {
+		t.Error(err)
+	}
 }
 
 // window is b's journal window: the smallest one while nothing has
@@ -651,7 +750,7 @@ type genLevels struct{ L, F *Bag }
 // Generate implements quick.Generator.
 func (genLevels) Generate(r *rand.Rand, _ int) reflect.Value {
 	tuple := func() schema.Tuple { return schema.Row(r.Intn(4), r.Intn(3)) }
-	base := newMap()
+	base := newTabled()
 	for n := 1 + r.Intn(10); n > 0; n-- { // not empty: Prepare(0) then goes two-level
 		base.Add(tuple(), 1+r.Intn(3))
 	}
@@ -669,60 +768,30 @@ func (genLevels) Generate(r *rand.Rand, _ int) reflect.Value {
 	return reflect.ValueOf(genLevels{L: l, F: f})
 }
 
-// contents reads a bag's entries straight off its slots or levels — the
-// overlay over the base, a count of 0 deleting — through tier walks, past
-// every reader under test.
+// contents reads a bag's entries straight off its tables — the overlay
+// over the base, a count of 0 deleting — past every reader under test.
 func contents(b *Bag) map[string]int {
 	out := map[string]int{}
-	key := func(e entry) string { return b.tupleAt(e.p).Key() }
-	for _, sl := range b.s {
-		out[key(sl.e)] = sl.e.count
+	read := func(t *table) {
+		for i, p := range t.p {
+			out[b.tupleAt(p).Key()] = t.count(i)
+		}
 	}
 	if b.lv != nil {
-		hashes, keys := map[uint64]bool{}, map[string]bool{} // what the overlay shadows
-		b.tier.walk(func(h uint64, k string, _ entry) {
-			if k == "" {
-				hashes[h] = true
-			} else {
-				keys[k] = true
-			}
-		})
-		b.lv.base.walk(func(h uint64, k string, e entry) {
-			if k == "" && !hashes[h] || k != "" && !keys[k] {
-				out[key(e)] = e.count
-			}
-		})
+		read(&b.lv.base)
 	}
-	b.tier.walk(func(_ uint64, _ string, e entry) {
-		if e.count > 0 {
-			out[key(e)] = e.count
+	read(&b.table)
+	for k, n := range out {
+		if n == 0 {
+			delete(out, k)
 		}
-	})
+	}
 	return out
 }
 
-// walk calls f once per entry t keeps, tombstones (count 0) included:
-// an entry of the maps with its hash and k == "", one of the spill with
-// its key k.
-func (t tier) walk(f func(h uint64, k string, e entry)) {
-	for h, p := range t.u {
-		e := entry{p: p, count: 1}
-		if p == tomb {
-			e = entry{}
-		}
-		f(h, "", e)
-	}
-	for h, e := range t.cm() {
-		f(h, "", e)
-	}
-	for k, e := range t.spill() {
-		f(0, k, e)
-	}
-}
-
 // TestPropTwoLevelReadsLikeFlat runs every reader of the package on
-// operands in every representation — two-level, and the small, promoted
-// and map twins of the flat bag of the same contents — in every
+// operands in every representation — two-level, and the small, outgrown
+// and tabled twins of the flat bag of the same contents — in every
 // position and pairing, and compares the answers with the flat bags':
 // the pure operators (and AddMonus, which reads two), Join.Indexed —
 // holding its operands, and half of the rows it emits under pointers of
@@ -786,18 +855,17 @@ func TestPropTwoLevelReadsLikeFlat(t *testing.T) {
 		b.EachOrdered(func(tu schema.Tuple, n int) { fmt.Fprintf(&sb, "%v×%d ", tu, n) })
 		return fmt.Sprint(b.Tuples(), sb.String())
 	}
-	// forms builds g's contents anew in every representation: a reader
-	// that promotes a small twin (an index asked of it) leaves the next
-	// reader a small one still.
+	// forms builds g's contents anew in every representation, so that no
+	// reader sees what an earlier one left (an index asked of a twin).
 	forms := func(g genLevels) []*Bag { return append([]*Bag{g.L}, twins(g.F)...) }
 	kind := func(b *Bag) string {
 		switch {
-		case b.u == nil:
+		case b.small():
 			return "small"
 		case b.lv != nil:
 			return "two-level"
 		}
-		return "map"
+		return "table"
 	}
 	prop := func(x, y genLevels) bool {
 		if x.L.lv == nil || y.L.lv == nil {

@@ -18,7 +18,7 @@ import (
 // (there should never be any).
 func negatives(t *testing.T, b *Bag) {
 	t.Helper()
-	b.each(func(_ uint64, e entry) {
+	b.each(func(_ uint32, e entry) {
 		if e.count <= 0 {
 			t.Fatalf("bag holds non-positive multiplicity %d for %v", e.count, b.tupleAt(e.p))
 		}

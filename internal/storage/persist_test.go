@@ -478,12 +478,21 @@ func TestLoadThenDropFreesTheTable(t *testing.T) {
 
 // liveHeap returns the bytes a full collection finds reachable: the
 // marked heap (/gc/heap/live:bytes), not MemStats.HeapAlloc, which also
-// counts dead objects not yet swept. runtime.GC stops waiting for the
-// sweep when another cycle starts, so after it HeapAlloc can still hold
-// a dropped table's unswept spans.
+// counts dead objects not yet swept. It reads only after a cycle that
+// began once an earlier one had completed its sweep: runtime.GC stops
+// waiting for its sweep when another cycle starts, so it collects
+// until a cycle ends with the sweep done (/gc/cycles/total has not
+// moved past it) and then once more, from that clean heap.
 func liveHeap() uint64 {
+	s := []metrics.Sample{{Name: "/gc/cycles/total:gc-cycles"}, {Name: "/gc/heap/live:bytes"}}
+	for swept := false; !swept; {
+		metrics.Read(s[:1])
+		n := s[0].Value.Uint64()
+		runtime.GC()
+		metrics.Read(s[:1])
+		swept = s[0].Value.Uint64() == n+1 // no cycle began during this one's sweep
+	}
 	runtime.GC()
-	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
 	metrics.Read(s)
-	return s[0].Value.Uint64()
+	return s[1].Value.Uint64()
 }
