@@ -183,22 +183,11 @@ const (
 )
 
 // NewManager wraps a database in a maintenance manager.
-func NewManager(db *Database, opts ...core.ManagerOption) *Manager {
-	return core.NewManager(db, opts...)
-}
+func NewManager(db *Database) *Manager { return core.NewManager(db) }
 
-// Manager and view options.
-var (
-	WithSharedLogs       = core.WithSharedLogs
-	WithStrongMinimality = core.WithStrongMinimality
-)
-
-// Serialized makes a Manager safe for concurrent writers; readers go
-// through the per-view locks.
-type Serialized = core.Serialized
-
-// NewSerialized wraps a manager for concurrent use.
-func NewSerialized(m *Manager) *Serialized { return core.NewSerialized(m) }
+// WithStrongMinimality is the view option that turns on the
+// strong-minimality post-pass (Section 4.1).
+var WithStrongMinimality = core.WithStrongMinimality
 
 // SelfMaintainable reports whether a view definition can be maintained
 // without reading its base tables (select-project-union class, §1.2 /

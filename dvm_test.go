@@ -61,7 +61,7 @@ func TestPublicAPIAlgebra(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr := dvm.NewManager(db, dvm.WithSharedLogs())
+	mgr := dvm.NewManager(db)
 	if _, err := mgr.DefineView("pos", sel, dvm.Combined, dvm.WithStrongMinimality()); err != nil {
 		t.Fatal(err)
 	}

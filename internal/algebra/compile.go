@@ -146,9 +146,6 @@ func (st *State) out(slot int) *bag.Bag {
 	return b
 }
 
-// Roots returns the number of compiled root expressions.
-func (p *Program) Roots() int { return len(p.roots) }
-
 // Eval evaluates every root against src, in registration order,
 // returning bags the caller owns (they never alias storage, literals, or
 // internal caches): EvalBorrowed, plus a Clone of every root that

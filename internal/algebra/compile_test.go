@@ -192,9 +192,6 @@ func TestCompiledSharedRoots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prog.Roots() != 2 {
-		t.Fatalf("Roots() = %d, want 2", prog.Roots())
-	}
 	st := uni.RandomState(r)
 	got, _, err := prog.Eval(nil, st)
 	if err != nil {

@@ -381,42 +381,6 @@ func BaseNames(e Expr) []string {
 	return names
 }
 
-// HasSelfJoin reports whether any base table is referenced more than once
-// in e (self-join in the broad sense used by Remark 1).
-func HasSelfJoin(e Expr) bool {
-	counts := map[string]int{}
-	var walk func(Expr)
-	walk = func(x Expr) {
-		switch n := x.(type) {
-		case *Literal:
-		case *Base:
-			counts[n.Name]++
-		case *Select:
-			walk(n.Child)
-		case *Project:
-			walk(n.Child)
-		case *DupElim:
-			walk(n.Child)
-		case *UnionAll:
-			walk(n.L)
-			walk(n.R)
-		case *Monus:
-			walk(n.L)
-			walk(n.R)
-		case *Product:
-			walk(n.L)
-			walk(n.R)
-		}
-	}
-	walk(e)
-	for _, c := range counts {
-		if c > 1 {
-			return true
-		}
-	}
-	return false
-}
-
 // Substitute returns e with every Base node named in repl replaced by the
 // corresponding expression. Replacement expressions must be
 // union-compatible with the tables they replace. This is the paper's

@@ -149,8 +149,13 @@ func (v *View) InvariantString() string {
 func (v *View) BaseTables() []string { return append([]string(nil), v.bases...) }
 
 // Manager owns a database plus the registered views and performs all
-// maintenance. It is not safe for concurrent writers; concurrent readers
-// (Query) are safe against refreshes through per-view locks.
+// maintenance. It has one writer: Execute, DefineView, DropView, every
+// maintenance operation, QueryFresh/ReadFresh (which fold a Combined
+// view's log) and CheckInvariant/CheckConsistent must be called from
+// one goroutine at a time, and a caller with several writers serializes
+// them itself. Query and Read are the readers: they may run on any
+// goroutine, concurrently with each other and with the writer, and
+// wait only while a refresh holds the view's MV write lock.
 type Manager struct {
 	db    *storage.Database
 	locks *txn.LockManager
@@ -159,10 +164,6 @@ type Manager struct {
 
 	// exec is Execute's per-transaction scratch (see execute.go).
 	exec execScratch
-
-	// shared, when non-nil, replaces per-view log upkeep with shared
-	// per-table logs (see WithSharedLogs).
-	shared *sharedState
 
 	// obs is the manager's metrics registry; every maintenance entry
 	// point records into it (see metrics.go and docs/observability.md).
@@ -183,7 +184,7 @@ type Manager struct {
 }
 
 // NewManager wraps a database.
-func NewManager(db *storage.Database, opts ...ManagerOption) *Manager {
+func NewManager(db *storage.Database) *Manager {
 	reg := obs.NewRegistry()
 	m := &Manager{
 		db:        db,
@@ -196,9 +197,6 @@ func NewManager(db *storage.Database, opts ...ManagerOption) *Manager {
 	}
 	db.SetMetrics(reg)
 	db.SetTracer(m.tracer)
-	for _, o := range opts {
-		o(m)
-	}
 	return m
 }
 
@@ -337,11 +335,6 @@ func (m *Manager) DefineView(name string, def algebra.Expr, sc Scenario, opts ..
 		return nil, err
 	}
 
-	// Nothing below fails: a define that failed never held a shared-log
-	// cursor, which would have kept the shared logs from truncating.
-	if v.logs != nil && m.shared != nil {
-		m.registerSharedView(v)
-	}
 	m.views[name] = v
 	m.order = append(m.order, name)
 	return v, nil
@@ -364,9 +357,9 @@ func (m *Manager) DropView(name string) error {
 	return nil
 }
 
-// dropTables drops every table the view holds and takes it out of the
-// shared logs: DropView, and a DefineView that failed part way (whose
-// view holds only the tables it created).
+// dropTables drops every table the view holds: DropView, and a
+// DefineView that failed part way (whose view holds only the tables it
+// created).
 func (m *Manager) dropTables(v *View) {
 	tables := []*storage.Table{v.mv}
 	for _, b := range v.bases {
@@ -380,7 +373,6 @@ func (m *Manager) dropTables(v *View) {
 			_ = m.db.Drop(tb.Name())
 		}
 	}
-	m.unregisterSharedView(v)
 }
 
 // bindFilters derives the view's relevant-update filters from its

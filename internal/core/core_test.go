@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -234,62 +233,48 @@ func TestDefineViewErrors(t *testing.T) {
 
 // TestFailedDefineViewLeavesNothingBehind: a define that fails after it
 // created some of its tables — a user table squats on the name of its
-// △MV — drops them again, under either log layout. Once the squatter is
-// gone the name can be defined, and under shared logs the failed view
-// held no cursor: the shared log truncates once the other view has
-// consumed it.
+// △MV — drops them again. Once the squatter is gone the name can be
+// defined, and both views maintain.
 func TestFailedDefineViewLeavesNothingBehind(t *testing.T) {
-	for _, opts := range [][]ManagerOption{nil, {WithSharedLogs()}} {
-		db, def := retailDB(t)
-		m := NewManager(db, opts...)
-		layout := fmt.Sprintf("shared logs %v", m.SharedLogsEnabled())
-		if _, err := m.DefineView("other", def, Combined); err != nil {
+	db, def := retailDB(t)
+	m := NewManager(db)
+	if _, err := m.DefineView("other", def, Combined); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Create("__dmv_add_hv", def.Schema(), storage.External); err != nil {
+		t.Fatal(err)
+	}
+	names := db.Names()
+	if _, err := m.DefineView("hv", def, Combined); err == nil {
+		t.Fatal("a view whose △MV name is taken was defined")
+	}
+	if got := db.Names(); !slices.Equal(got, names) {
+		t.Fatalf("the failed define left tables behind: %v, before it %v", got, names)
+	}
+	if err := m.Execute(txn.Insert("sales", highSales(0, 5))); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Refresh("other"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Drop("__dmv_add_hv"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.DefineView("hv", def, Combined); err != nil {
+		t.Fatalf("the name stays taken after the squatter is gone: %v", err)
+	}
+	if err := m.Execute(txn.Insert("sales", highSales(5, 5))); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"other", "hv"} {
+		if err := m.CheckInvariant(name); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := db.Create("__dmv_add_hv", def.Schema(), storage.External); err != nil {
+		if err := m.Refresh(name); err != nil {
 			t.Fatal(err)
 		}
-		names := db.Names()
-		if _, err := m.DefineView("hv", def, Combined); err == nil {
-			t.Fatalf("%s: a view whose △MV name is taken was defined", layout)
-		}
-		if got := db.Names(); !slices.Equal(got, names) {
-			t.Fatalf("%s: the failed define left tables behind: %v, before it %v", layout, got, names)
-		}
-		if m.shared != nil {
-			if _, ok := m.shared.cursors["hv"]; ok || m.shared.refs["sales"] != 1 {
-				t.Fatalf("%s: the failed define holds a cursor (%v) or a reference (%d views log sales)",
-					layout, m.shared.cursors["hv"], m.shared.refs["sales"])
-			}
-		}
-		if err := m.Execute(txn.Insert("sales", highSales(0, 5))); err != nil {
+		if err := m.CheckConsistent(name); err != nil {
 			t.Fatal(err)
-		}
-		if err := m.Refresh("other"); err != nil {
-			t.Fatal(err)
-		}
-		if n := m.SharedLogVolume("sales"); n != 0 {
-			t.Fatalf("%s: the shared log keeps %d tuples every live view has consumed", layout, n)
-		}
-		if err := db.Drop("__dmv_add_hv"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.DefineView("hv", def, Combined); err != nil {
-			t.Fatalf("%s: the name stays taken after the squatter is gone: %v", layout, err)
-		}
-		if err := m.Execute(txn.Insert("sales", highSales(5, 5))); err != nil {
-			t.Fatal(err)
-		}
-		for _, name := range []string{"other", "hv"} {
-			if err := m.CheckInvariant(name); err != nil {
-				t.Fatalf("%s: %v", layout, err)
-			}
-			if err := m.Refresh(name); err != nil {
-				t.Fatal(err)
-			}
-			if err := m.CheckConsistent(name); err != nil {
-				t.Fatalf("%s: %v", layout, err)
-			}
 		}
 	}
 }

@@ -133,27 +133,14 @@ func (m *Manager) Execute(t txn.Txn) error {
 	}
 
 	// The logs: each view's extended by the relevant part of the
-	// transaction's own ∇R/△R, or under shared logs the batch appended
-	// once per TABLE, in O(|change|), independent of the number of
-	// views — the Section 7 property.
+	// transaction's own ∇R/△R.
 	for _, v := range x.affected {
 		if v.logs == nil {
 			continue
 		}
 		msp := xsp.StartChild(trace.SpanMakesafe, trace.Str("view", v.Name), trace.Str("scenario", v.inv))
-		if m.shared == nil {
-			v.met.logAppendTuples.Add(int64(m.appendToLogs(v, nt)))
-		}
+		v.met.logAppendTuples.Add(int64(m.appendToLogs(v, nt)))
 		msp.End()
-	}
-	if m.shared != nil {
-		m.appendShared(nt)
-		// The one shared append is charged to every view reading it.
-		for _, v := range x.affected {
-			if v.logs != nil {
-				v.met.logAppendTuples.Add(int64(v.txnVolume(nt)))
-			}
-		}
 	}
 	return nil
 }

@@ -39,34 +39,32 @@ var siteNames = [...]string{sitePair: "evalPairs", siteFold: "foldLogLocked", si
 
 // TestFailedEvaluationChangesNothing is Theorem 5's premise, that a
 // maintenance transaction is atomic, at every failpoint of the evaluate
-// phase. In each scenario, with per-view and with shared logs, it runs a
-// short transaction stream and then each step that reaches a failpoint
-// with the k-th hit of that failpoint failing, for every k the step
-// reaches. The step must return the injected error within a deadline (a
-// step that blocks has deadlocked on a lock its error path takes again),
-// leave every base, MV, log and differential table, the registered views
-// and the shared-log cursors as a twin manager holds them before the
-// step, keep CheckInvariant true, and end every span of the trace it
-// finished. Cleared of the failpoint, the same step then succeeds, and
-// after a Refresh each view equals its definition.
+// phase. In each scenario it runs a short transaction stream and then
+// each step that reaches a failpoint with the k-th hit of that
+// failpoint failing, for every k the step reaches. The step must return
+// the injected error within a deadline (a step that blocks has
+// deadlocked on a lock its error path takes again), leave every base,
+// MV, log and differential table and the registered views as a twin
+// manager holds them before the step, keep CheckInvariant true, and end
+// every span of the trace it finished. Cleared of the failpoint, the
+// same step then succeeds, and after a Refresh each view equals its
+// definition.
 func TestFailedEvaluationChangesNothing(t *testing.T) {
 	failed, runs := map[site]bool{}, 0
-	for _, shared := range []bool{false, true} {
-		for _, sc := range []Scenario{Immediate, BaseLogs, DiffTables, Combined} {
-			for _, st := range failSteps {
-				label := fmt.Sprintf("%s, shared logs %v, %s", sc, shared, st.name)
-				hits := map[site]int{}
-				m := failSetup(t, sc, shared)
-				m.fail = func(s site) error { hits[s]++; return nil }
-				if err := within(t, label, func() error { return st.run(m) }); err != nil {
-					continue // not a step of this scenario
-				}
-				for s := sitePair; s <= siteDefine; s++ {
-					for k := 1; k <= hits[s]; k++ {
-						failed[s] = true
-						runs++
-						checkFailedStep(t, fmt.Sprintf("%s, hit %d of %s failed", label, k, siteNames[s]), sc, shared, st.traced, st.run, s, k)
-					}
+	for _, sc := range []Scenario{Immediate, BaseLogs, DiffTables, Combined} {
+		for _, st := range failSteps {
+			label := fmt.Sprintf("%s, %s", sc, st.name)
+			hits := map[site]int{}
+			m := failSetup(t, sc)
+			m.fail = func(s site) error { hits[s]++; return nil }
+			if err := within(t, label, func() error { return st.run(m) }); err != nil {
+				continue // not a step of this scenario
+			}
+			for s := sitePair; s <= siteDefine; s++ {
+				for k := 1; k <= hits[s]; k++ {
+					failed[s] = true
+					runs++
+					checkFailedStep(t, fmt.Sprintf("%s, hit %d of %s failed", label, k, siteNames[s]), sc, st.traced, st.run, s, k)
 				}
 			}
 		}
@@ -81,10 +79,10 @@ func TestFailedEvaluationChangesNothing(t *testing.T) {
 
 // checkFailedStep fails the k-th hit of failpoint s in one run of step,
 // and checks what the run left.
-func checkFailedStep(t *testing.T, label string, sc Scenario, shared, traced bool, step func(*Manager) error, s site, k int) {
+func checkFailedStep(t *testing.T, label string, sc Scenario, traced bool, step func(*Manager) error, s site, k int) {
 	t.Helper()
-	want, wantMeta := failState(t, failSetup(t, sc, shared))
-	m := failSetup(t, sc, shared)
+	want, wantMeta := failState(t, failSetup(t, sc))
+	m := failSetup(t, sc)
 	injected := fmt.Errorf("failpoint %s, hit %d", siteNames[s], k)
 	n := 0
 	m.fail = func(at site) error {
@@ -101,7 +99,7 @@ func checkFailedStep(t *testing.T, label string, sc Scenario, shared, traced boo
 	}
 	got, gotMeta := failState(t, m)
 	if gotMeta != wantMeta {
-		t.Errorf("%s: views and cursors are %s, were %s", label, gotMeta, wantMeta)
+		t.Errorf("%s: views are %s, were %s", label, gotMeta, wantMeta)
 	}
 	for name, b := range want {
 		if g, ok := got[name]; !ok || !g.Equal(b) {
@@ -153,14 +151,10 @@ func checkFailedStep(t *testing.T, label string, sc Scenario, shared, traced boo
 // hv (the join) and sv (sales with a quantity), every trace sampled, and
 // a short transaction stream run; a Combined view's logs are propagated
 // half way, so its logs and differential tables both hold changes.
-func failSetup(t *testing.T, sc Scenario, shared bool) *Manager {
+func failSetup(t *testing.T, sc Scenario) *Manager {
 	t.Helper()
 	db, def := retailDB(t)
-	var opts []ManagerOption
-	if shared {
-		opts = append(opts, WithSharedLogs())
-	}
-	m := NewManager(db, opts...)
+	m := NewManager(db)
 	m.Tracer().SampleAll()
 	sales, err := db.Table("sales")
 	if err != nil {
@@ -195,23 +189,10 @@ func failSetup(t *testing.T, sc Scenario, shared bool) *Manager {
 }
 
 // failState is what a failed step must leave as it was: a copy of every
-// table — with each view's window of the shared logs read into its log
-// tables first — and the registered views with, under shared logs,
-// their cursors.
+// table and the registered views.
 func failState(t *testing.T, m *Manager) (map[string]*bag.Bag, string) {
 	t.Helper()
 	meta := fmt.Sprint(m.order)
-	if m.shared != nil {
-		meta += fmt.Sprint(m.shared.cursors)
-		for _, v := range m.Views() {
-			if v.logs == nil {
-				continue
-			}
-			if err := m.materializeWindow(v); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
 	tables := map[string]*bag.Bag{}
 	for _, name := range m.DB().Names() {
 		b, err := m.DB().Bag(name)

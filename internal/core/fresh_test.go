@@ -105,32 +105,9 @@ func TestQueryFreshWithPredicate(t *testing.T) {
 	}
 }
 
-func TestQueryFreshSharedLogs(t *testing.T) {
-	db, def := retailDB(t)
-	m := NewManager(db, WithSharedLogs())
-	if _, err := m.DefineView("hv", def, BaseLogs); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Execute(txn.Insert("sales", bag.Of(saleRow(0, 88, 2)))); err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := m.QueryFresh("hv", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := algebra.Eval(def, db)
-	if !fresh.Equal(want) {
-		t.Fatalf("shared-log fresh query wrong: %v vs %v", fresh, want)
-	}
-	// The window was not consumed.
-	if m.SharedLogVolume("sales") != 1 {
-		t.Fatal("QueryFresh consumed the shared-log window")
-	}
-}
-
 // TestQueryFreshDifferential drives one random retail stream through
-// every combination of scenario × log layout × predicate and checks the
-// fresh-read contract at each stop: QueryFresh(v, p) is σ_p of a
+// every combination of scenario × a sibling view × predicate and checks
+// the fresh-read contract at each stop: QueryFresh(v, p) is σ_p of a
 // from-scratch recompute and ReadFresh enumerates the same bag, the
 // stale MV a plain Query sees is
 // byte-identical before and after, the Figure 1 invariant still holds,
@@ -140,21 +117,19 @@ func TestQueryFreshSharedLogs(t *testing.T) {
 // interp=true runs the same stream and seed checked against the
 // interpreter at every step, not only at the stops: the Figure 1
 // invariant after every transaction and propagate, and MV ≡ Eval(Def)
-// after every refresh. The subtest names keep their shards=1 component:
-// the one layout there is.
+// after every refresh. shared=true defines a Combined sibling view over
+// the same base tables first, so every makesafe appends to two views'
+// logs and their joins probe the same base-table indexes. The subtest
+// names keep their shards=1 component: the one layout there is.
 func TestQueryFreshDifferential(t *testing.T) {
 	slice := algebra.Eq(algebra.A("custId"), algebra.C(2))
 	for _, sc := range []Scenario{Immediate, BaseLogs, DiffTables, Combined} {
 		for _, interp := range []bool{false, true} {
-			for _, shared := range []bool{false, true} {
+			for _, sibling := range []bool{false, true} {
 				for _, pred := range []algebra.Predicate{nil, slice} {
-					name := fmt.Sprintf("%v/interp=%v/shards=1/shared=%v/slice=%v", sc, interp, shared, pred != nil)
+					name := fmt.Sprintf("%v/interp=%v/shards=1/shared=%v/slice=%v", sc, interp, sibling, pred != nil)
 					t.Run(name, func(t *testing.T) {
-						var opts []ManagerOption
-						if shared {
-							opts = append(opts, WithSharedLogs())
-						}
-						checkFreshReads(t, sc, pred, interp, opts...)
+						checkFreshReads(t, sc, pred, interp, sibling)
 					})
 				}
 			}
@@ -164,10 +139,15 @@ func TestQueryFreshDifferential(t *testing.T) {
 
 // checkFreshReads runs TestQueryFreshDifferential's stream; everyStep
 // additionally checks the invariant after every step and MV ≡ Eval(Def)
-// after every refresh.
-func checkFreshReads(t *testing.T, sc Scenario, pred algebra.Predicate, everyStep bool, opts ...ManagerOption) {
+// after every refresh, and sibling defines the sibling view.
+func checkFreshReads(t *testing.T, sc Scenario, pred algebra.Predicate, everyStep, sibling bool) {
 	db, def := retailDB(t)
-	m := NewManager(db, opts...)
+	m := NewManager(db)
+	if sibling {
+		if _, err := m.DefineView("sib", def, Combined); err != nil {
+			t.Fatal(err)
+		}
+	}
 	v, err := m.DefineView("hv", def, sc)
 	if err != nil {
 		t.Fatal(err)
@@ -244,10 +224,6 @@ func checkFreshReads(t *testing.T, sc Scenario, pred algebra.Predicate, everySte
 		// re-materialized or re-joined. (A BaseLogs view has no
 		// differential tables to keep a fold in, so it alone re-evaluates
 		// ▼(L,Q)/▲(L,Q) per read — the scenario's price, not a leak.)
-		var window *bag.Bag
-		if m.shared != nil && v.logs != nil {
-			window = v.logs["sales"].del.Data()
-		}
 		probes := v.met.indexProbeTuples.Load()
 		again, err := m.QueryFresh("hv", pred)
 		must(err)
@@ -257,13 +233,11 @@ func checkFreshReads(t *testing.T, sc Scenario, pred algebra.Predicate, everySte
 		if d := v.met.indexProbeTuples.Load() - probes; d != 0 && sc != BaseLogs {
 			t.Fatalf("round %d: second fresh read probed %d index tuples, want 0", round, d)
 		}
-		if window != nil {
-			if now := v.logs["sales"].del.Data(); now != window {
-				t.Fatalf("round %d: second fresh read re-materialized the shared-log window", round)
-			}
-		}
 	}
-	must(m.Refresh("hv"))
-	must(m.CheckConsistent("hv"))
-	must(m.CheckInvariant("hv"))
+	for _, name := range m.order {
+		must(m.CheckInvariant(name))
+		must(m.Refresh(name))
+		must(m.CheckConsistent(name))
+		must(m.CheckInvariant(name))
+	}
 }

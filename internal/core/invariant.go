@@ -16,14 +16,6 @@ func (m *Manager) PastExpr(v *View) (algebra.Expr, error) {
 	if v.logs == nil {
 		return nil, fmt.Errorf("core: view %q has no log", v.Name)
 	}
-	// In shared-log mode the private log tables the expression reads are
-	// materialized on demand; refresh them (without consuming) so the
-	// expression evaluates against the true log window.
-	if m.shared != nil {
-		if err := m.materializeWindow(v); err != nil {
-			return nil, err
-		}
-	}
 	cs, err := m.changeSet(v, nil)
 	if err != nil {
 		return nil, err

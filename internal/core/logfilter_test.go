@@ -12,10 +12,10 @@ import (
 // filteredRetail registers the Example 1.1 view. Its definition guards
 // sales with s.quantity != 0 and customer with c.score = 'High', so only
 // nonzero-quantity sales and High customers ever enter its logs.
-func filteredRetail(t *testing.T, sc Scenario, opts ...ManagerOption) *Manager {
+func filteredRetail(t *testing.T, sc Scenario) *Manager {
 	t.Helper()
 	db, def := retailDB(t)
-	m := NewManager(db, opts...)
+	m := NewManager(db)
 	if _, err := m.DefineView("hv", def, sc); err != nil {
 		t.Fatal(err)
 	}
@@ -120,43 +120,5 @@ func TestLogFilterSlowPathAgrees(t *testing.T) {
 	}
 	if !logDel.Equal(wantDel) || !logIns.Equal(wantIns) {
 		t.Fatalf("filtered logs diverge from the algebraic form:\n▼ %v want %v\n▲ %v want %v", logDel, wantDel, logIns, wantIns)
-	}
-}
-
-// TestLogFilterUnderSharedLogs: the shared stream keeps every change,
-// and the view's private window keeps the relevant ones — what its own
-// logs would hold — so the Figure 3 algorithms see one log state in
-// both layouts.
-func TestLogFilterUnderSharedLogs(t *testing.T) {
-	perView := filteredRetail(t, Combined)
-	shared := filteredRetail(t, Combined, WithSharedLogs())
-	tx := txn.Insert("sales", bag.Of(saleRow(0, 1, 2), saleRow(0, 2, 0), saleRow(1, 3, 0), saleRow(2, 4, 1)))
-	for _, m := range []*Manager{perView, shared} {
-		if err := m.Execute(tx); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.CheckInvariant("hv"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := shared.SharedLogVolume("sales"); n != 4 {
-		t.Fatalf("the shared stream holds %d sales, want all 4", n)
-	}
-	v, _ := shared.View("hv")
-	if err := shared.materializeWindow(v); err != nil {
-		t.Fatal(err)
-	}
-	own, _ := perView.View("hv")
-	want, got := own.logs["sales"].add.Data(), v.logs["sales"].add.Data()
-	if want.Len() != 2 || !got.Equal(want) {
-		t.Fatalf("the window holds %v, the view's own log %v; want the 2 nonzero-quantity sales in both", got, want)
-	}
-	for _, m := range []*Manager{perView, shared} {
-		if err := m.Refresh("hv"); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.CheckConsistent("hv"); err != nil {
-			t.Fatal(err)
-		}
 	}
 }

@@ -53,10 +53,8 @@ func newViewMetrics(r *obs.Registry, view string) *viewMetrics {
 	}
 }
 
-// logVolume returns the tuple volume of the view's private log tables.
-// In shared-log mode these hold the last materialized window — a merged
-// copy of (part of) the pending shared window, which is what
-// updateSizeGauges reports there instead, so nothing is counted twice.
+// logVolume returns the tuple volume of the view's log tables: its
+// pending log.
 func (v *View) logVolume() int {
 	n := 0
 	for _, p := range v.logs {
@@ -74,21 +72,12 @@ func (v *View) diffVolume() int {
 	return v.diff.volume()
 }
 
-// logDebt returns the tuple volume of the view's pending log: its
-// private log tables, or in shared-log mode its unconsumed window.
-func (m *Manager) logDebt(v *View) int {
-	if m.shared != nil {
-		return m.pendingShared(v)
-	}
-	return v.logVolume()
-}
-
 // updateSizeGauges refreshes the view's log/differential size gauges
 // from the live tables. Called after every operation that grows or
 // empties them, so \stats always reflects current staleness debt.
 func (m *Manager) updateSizeGauges(v *View) {
 	if v.logs != nil {
-		v.met.logSizeTuples.Set(int64(m.logDebt(v)))
+		v.met.logSizeTuples.Set(int64(v.logVolume()))
 	}
 	if v.diff != nil {
 		v.met.diffSizeTuples.Set(int64(v.diffVolume()))

@@ -79,6 +79,3 @@ func (r *Runner) RefreshNow() error {
 	}
 	return r.m.Refresh(r.view)
 }
-
-// Tick returns the current tick count.
-func (r *Runner) TickCount() int { return r.tick }

@@ -43,7 +43,7 @@ func (m *Manager) refresh(v *View, parent *trace.Span, fold bool) error {
 	fold = fold && v.logs != nil
 	pending := v.diffVolume()
 	if fold {
-		pending += m.logDebt(v)
+		pending += v.logVolume()
 	}
 	w := m.unshareMVs(func(*View) int { return pending }, v)
 	err := m.locks.WithWriteSpan(w.tables, parent, func(h txn.Held) error {
@@ -165,18 +165,12 @@ func (m *Manager) mergeDiff(v *View, del, add *bag.Bag) {
 	mergeDelta(v.diff.del, v.diff.add, del, add, v.StrongMinimal)
 }
 
-// evalLog loads the view's pending log — under shared logs, its window
-// of the shared log — records its volume as sp's log_tuples, and
-// evaluates the post-update pair (▼(L,Q), ▲(L,Q)) over it, returning
-// the pair and the log's volume n. Every term of the pair carries a log
-// factor, so an empty log's pair is (∅, ∅): it is not evaluated, and
-// comes back nil. parent anchors the evaluation's span.
+// evalLog records the volume of the view's pending log as sp's
+// log_tuples and evaluates the post-update pair (▼(L,Q), ▲(L,Q)) over
+// it, returning the pair and the log's volume n. Every term of the pair
+// carries a log factor, so an empty log's pair is (∅, ∅): it is not
+// evaluated, and comes back nil. parent anchors the evaluation's span.
 func (m *Manager) evalLog(v *View, sp, parent *trace.Span) (del, add *bag.Bag, n int, err error) {
-	if m.shared != nil {
-		if err := m.materializeWindow(v); err != nil {
-			return nil, nil, 0, err
-		}
-	}
 	n = v.logVolume()
 	sp.SetAttrs(trace.Int("log_tuples", int64(n)))
 	if n == 0 {
@@ -210,17 +204,14 @@ func (m *Manager) foldLogLocked(h txn.Held, v *View, sp *trace.Span) error {
 }
 
 // clearLogs is L := ∅, run once the log's pair has been installed: the
-// view's log tables emptied (when they hold the n > 0 tuples just
-// folded) and, under shared logs, its cursors moved past the window.
+// view's log tables emptied when they hold the n > 0 tuples just folded.
 func (m *Manager) clearLogs(v *View, n int) {
-	if n > 0 {
-		for _, b := range v.bases {
-			v.logs[b].del.Clear()
-			v.logs[b].add.Clear()
-		}
+	if n == 0 {
+		return
 	}
-	if m.shared != nil {
-		m.advanceCursors(v)
+	for _, b := range v.bases {
+		v.logs[b].del.Clear()
+		v.logs[b].add.Clear()
 	}
 }
 
@@ -313,8 +304,8 @@ func (m *Manager) RefreshRecompute(name string) error {
 			return err
 		}
 		v.mv.Replace(mv)
-		// A recompute reflects the current state: the log, and any
-		// pending shared window, are consumed too.
+		// A recompute reflects the current state: the log is consumed
+		// too.
 		if v.logs != nil {
 			m.clearLogs(v, v.logVolume())
 		}

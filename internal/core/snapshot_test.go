@@ -33,10 +33,20 @@ func TestQueryResultsAreSnapshots(t *testing.T) {
 	if err := txn.Insert("sales", highSales(0, 200)).Apply(db); err != nil {
 		t.Fatal(err)
 	}
-	s := NewSerialized(NewManager(db))
+	m := NewManager(db)
+	// The writer's steps and the readers' fresh reads, which fold a
+	// Combined view's log as Propagate does, take turns under wmu: the
+	// Manager has one writer at a time. Query, Read and the final checks
+	// take no turn.
+	var wmu sync.Mutex
+	turn := func(f func() error) error {
+		wmu.Lock()
+		defer wmu.Unlock()
+		return f()
+	}
 	views := []string{"im", "bl", "dt", "c"}
 	for i, sc := range []Scenario{Immediate, BaseLogs, DiffTables, Combined} {
-		if _, err := s.Manager().DefineView(views[i], def, sc); err != nil {
+		if _, err := m.DefineView(views[i], def, sc); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -67,25 +77,23 @@ func TestQueryResultsAreSnapshots(t *testing.T) {
 				}
 			}
 			v := views[i/6%len(views)]
-			var err error
-			switch i % 6 {
-			case 0, 1, 2:
-				err = s.Execute(randomRetailTxn(rng))
-			case 3:
-				err = s.Propagate("c")
-			case 4:
-				if v == "c" || v == "dt" {
-					err = s.PartialRefresh(v)
-				} else {
-					err = s.Refresh(v)
+			err := turn(func() error {
+				switch i % 6 {
+				case 0, 1, 2:
+					return m.Execute(randomRetailTxn(rng))
+				case 3:
+					return m.Propagate("c")
+				case 4:
+					if v == "c" || v == "dt" {
+						return m.PartialRefresh(v)
+					}
+					return m.Refresh(v)
 				}
-			case 5:
 				if i%4 == 1 {
-					err = s.RefreshRecompute(v)
-				} else {
-					err = s.Refresh(v)
+					return m.RefreshRecompute(v)
 				}
-			}
+				return m.Refresh(v)
+			})
 			if err != nil {
 				errs <- fmt.Errorf("writer step %d on %s: %w", i, v, err)
 				return
@@ -114,14 +122,14 @@ func TestQueryResultsAreSnapshots(t *testing.T) {
 				var b *bag.Bag
 				var err error
 				if i%5 == 2 {
-					b, err = s.QueryFresh(v, nil)
+					err = turn(func() (err error) { b, err = m.QueryFresh(v, nil); return err })
 				} else {
-					b, err = s.Query(v)
+					b, err = m.Query(v)
 				}
 				if err == nil && i%7 == 3 {
 					// A reader's write reaching MV's map would leave MV's
 					// size out of step with its contents.
-					err = s.Read(v, func(mv *bag.Bag) error {
+					err = m.Read(v, func(mv *bag.Bag) error {
 						n := 0
 						mv.Each(func(_ schema.Tuple, c int) { n += c })
 						if n != mv.Len() {
@@ -132,7 +140,7 @@ func TestQueryResultsAreSnapshots(t *testing.T) {
 				}
 				if err == nil && i%11 == 5 {
 					n := 0
-					err = s.ReadFresh(v, nil, func(_ schema.Tuple, c int) { n += c })
+					err = turn(func() error { return m.ReadFresh(v, nil, func(_ schema.Tuple, c int) { n += c }) })
 				}
 				if err != nil {
 					errs <- fmt.Errorf("reader %d on %s: %w", r, v, err)
@@ -166,10 +174,10 @@ func TestQueryResultsAreSnapshots(t *testing.T) {
 	}
 
 	for _, v := range views {
-		if err := s.CheckInvariant(v); err != nil {
+		if err := m.CheckInvariant(v); err != nil {
 			t.Fatalf("%s after the run: %v", v, err)
 		}
-		if err := s.Read(v, func(mv *bag.Bag) error {
+		if err := m.Read(v, func(mv *bag.Bag) error {
 			if mv.Contains(bogus) {
 				return fmt.Errorf("a reader's Add reached MV")
 			}
@@ -177,10 +185,10 @@ func TestQueryResultsAreSnapshots(t *testing.T) {
 		}); err != nil {
 			t.Fatalf("%s: %v", v, err)
 		}
-		if err := s.Refresh(v); err != nil {
+		if err := m.Refresh(v); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.CheckConsistent(v); err != nil {
+		if err := m.CheckConsistent(v); err != nil {
 			t.Fatalf("%s after a final refresh: %v", v, err)
 		}
 	}

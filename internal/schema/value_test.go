@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"testing"
@@ -229,11 +230,13 @@ func TestValueSize(t *testing.T) {
 	const rows = 1000
 	keep := make([]Tuple, rows)
 	var m0, m1 runtime.MemStats
+	on := gcOff()
 	runtime.ReadMemStats(&m0)
 	for i := range keep {
 		keep[i] = Row(1, 2, 3, 4.5)
 	}
 	runtime.ReadMemStats(&m1)
+	on()
 	if got := (m1.TotalAlloc - m0.TotalAlloc) / rows; got != 64 {
 		t.Errorf("a 4-column Row allocates %d bytes, want 64", got)
 	}
@@ -247,6 +250,26 @@ func TestValueSize(t *testing.T) {
 	if got := Float(2.5).String(); got != "2.5" {
 		t.Errorf("Float(2.5).String() = %q", got)
 	}
+}
+
+// gcOff turns the collector off for a window whose allocations MemStats
+// reads, and returns what turns it back on: MemStats counts every
+// goroutine's allocations, and a GC cycle under way allocates for the
+// runtime's own goroutines. SetGCPercent(-1) waits for a cycle under way
+// to finish marking, and the loop then yields, a bounded number of
+// times, until no other goroutine allocates between two reads.
+func gcOff() (on func()) {
+	percent := debug.SetGCPercent(-1)
+	var a, b runtime.MemStats
+	for i := 0; i < 100; i++ {
+		runtime.ReadMemStats(&a)
+		runtime.Gosched()
+		runtime.ReadMemStats(&b)
+		if a.Mallocs == b.Mallocs {
+			break
+		}
+	}
+	return func() { debug.SetGCPercent(percent) }
 }
 
 // refValue is the plain three-field layout — a type tag, a payload word,

@@ -12,6 +12,11 @@
 // (▼R, ▲R) pair the Figure 3 algorithms expect, using the same
 // composition as makesafe_BL (Lemma 3), so all downstream algebra is
 // unchanged. Entries below the minimum cursor are truncated.
+//
+// The engine does not use it: core keeps per-view logs, which beat a
+// shared log on time and bytes (DESIGN.md §5 item 45). Its one importer
+// is the perf benchmark's sharedlog.* probes; the package goes when
+// they do.
 package sharedlog
 
 import (
