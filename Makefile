@@ -65,6 +65,7 @@ fuzz:
 	$(GO) test ./internal/algebra -run '^$$' -fuzz '^FuzzExprParseEval$$' -fuzztime=30s
 	$(GO) test ./internal/algebra -run '^$$' -fuzz '^FuzzCompiledEval$$' -fuzztime=30s
 	$(GO) test ./internal/algebra -run '^$$' -fuzz '^FuzzLogFilter$$' -fuzztime=30s
+	$(GO) test ./internal/algebra -run '^$$' -fuzz '^FuzzKernel$$' -fuzztime=30s
 	$(GO) test ./internal/bag -run '^$$' -fuzz '^FuzzBagOps$$' -fuzztime=30s
 	$(GO) test ./internal/sql -run '^$$' -fuzz '^FuzzParse$$' -fuzztime=30s
 	$(GO) test ./internal/sql -run '^$$' -fuzz '^FuzzEngineExec$$' -fuzztime=30s

@@ -297,16 +297,33 @@ func load(br *bufio.Reader) (*Database, error) {
 // The integer writers encode into the bufio.Writer's own spare capacity
 // (AvailableBuffer), and the readers decode out of the bufio.Reader's
 // buffer (Peek, then Discard): a local array handed to Write or
-// io.ReadFull escapes, which is one heap allocation per integer.
+// io.ReadFull escapes, which is one heap allocation per integer. A
+// writer first flushes a buffer with less room spare than the integer
+// takes (room), since an append past AvailableBuffer's capacity
+// allocates too.
 
 func writeU32(w *bufio.Writer, v uint32) error {
+	if err := room(w, 4); err != nil {
+		return err
+	}
 	_, err := w.Write(binary.LittleEndian.AppendUint32(w.AvailableBuffer(), v))
 	return err
 }
 
 func writeU64(w *bufio.Writer, v uint64) error {
+	if err := room(w, 8); err != nil {
+		return err
+	}
 	_, err := w.Write(binary.LittleEndian.AppendUint64(w.AvailableBuffer(), v))
 	return err
+}
+
+// room flushes w unless n bytes of its buffer are spare.
+func room(w *bufio.Writer, n int) error {
+	if w.Available() >= n {
+		return nil
+	}
+	return w.Flush()
 }
 
 // peek returns the next n bytes (n no larger than r's buffer) without

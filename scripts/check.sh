@@ -48,6 +48,9 @@ go test ./internal/algebra -run '^$' -fuzz '^FuzzCompiledEval$' -fuzztime=10s
 # RelevantFilters' contract: Q ≡ Q[σ_f(R)/R] for every derived filter f,
 # on decoded queries and states.
 go test ./internal/algebra -run '^$' -fuzz '^FuzzLogFilter$' -fuzztime=10s
+# A column against a constant runs as the constant type's kernel: it
+# must answer as Value.Compare does, on arbitrary values, either side.
+go test ./internal/algebra -run '^$' -fuzz '^FuzzKernel$' -fuzztime=10s
 # Under -race, checkptr validates every tuple a bag rebuilds from its
 # one-pointer entry (schema.TupleAt) on fuzzed programs.
 go test -race ./internal/bag -run '^$' -fuzz '^FuzzBagOps$' -fuzztime=10s
