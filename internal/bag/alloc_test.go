@@ -209,7 +209,7 @@ func TestLookupsAllocateNothing(t *testing.T) {
 func TestOwnedIndexIsKeySized(t *testing.T) {
 	const rows, keys = 100_000, 1_000
 	b := keyedRows(rows, keys)
-	throwAway, _ := allocated(func() { keptMap = newIndex(b, []int{0}, false) })
+	throwAway, _ := allocated(func() { keptMap, _ = probeIndex(b, []int{0}, nil) })
 	var ix *Index
 	owned, _ := allocated(func() { ix, _ = b.IndexOn([]int{0}) })
 	rowSized, _ := allocated(func() { keptMap = make(map[string][]indexEntry, rows) })
@@ -316,7 +316,7 @@ func TestThrowAwayIndexDoesNotRegrow(t *testing.T) {
 		var lens []int
 		side.Each(func(tu schema.Tuple, _ int) { lens = append(lens, len(tu.AppendKeyAt(nil, []int{0}))) })
 		var ix *Index
-		_, got := allocated(func() { ix = newIndex(side, []int{0}, false) })
+		_, got := allocated(func() { ix, _ = probeIndex(side, []int{0}, nil) })
 		chunks := arenaChunks(lens)
 		t.Logf("throw-away index over %d rows, %d per key: %d objects; a pre-sized map is %d, a grown one %d; at most %d arena chunks", rows, perKey, got, presized, grown, chunks)
 		if len(ix.m) != rows/perKey {
@@ -327,7 +327,7 @@ func TestThrowAwayIndexDoesNotRegrow(t *testing.T) {
 		}
 	}
 	// No column to key on is one bucket, whatever the side's size.
-	_, product := allocated(func() { keptMap = newIndex(b, nil, false) })
+	_, product := allocated(func() { keptMap, _ = probeIndex(b, nil, nil) })
 	if product > 64 {
 		t.Errorf("a one-bucket index over %d rows allocated %d objects", rows, product)
 	}

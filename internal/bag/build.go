@@ -10,8 +10,9 @@ import (
 // Slab sizes, in values, so a wide row and a narrow one cost the same
 // bytes per slab. Slabs grow geometrically from slabMin to their
 // carver's limit: Build's to slabMax, the join's only to joinSlabMax
-// (64 KiB), since a join knows only a bound on the rows to come, not
-// their count, and its last slab's unused tail stays that small.
+// (64 KiB). A join carves for the pairs it counted (Join.Hash), which
+// are its rows unless a Π merges some or a holder holds them, so its
+// last slab's unused tail is empty or stays that small.
 const (
 	slabMin     = 1 << 10 // values
 	slabMax     = 1 << 16 // values: 1 MiB
@@ -24,8 +25,9 @@ const (
 // the last live tuple it holds. The zero carver is not ready: limit is
 // the most values a slab holds, and left bounds the tuples still to be
 // carved — no slab has room for more, so a forged row count costs slabs
-// in proportion to the rows that actually arrive, an honest table's
-// last slab has no unused tail, and a small join's slab is small.
+// in proportion to the rows that actually arrive, and the last slab of
+// an honest table, or of a join that carves every pair it counted, has
+// no unused tail.
 type carver struct {
 	free  []schema.Value // the newest slab's values not yet handed out
 	made  int            // slabs made so far
@@ -77,10 +79,11 @@ func (c *carver) tuple(arity int) schema.Tuple {
 // slabs, and its table no counts.
 //
 // The bag carries Build's mark until its first write (Add and its kin,
-// Clear, Adopt); a Clone does not carry it. Join.Hash carves its output
-// tuples from slabs when both operands carry it — a one-shot join over
-// freshly restored tables, such as LoadEngine's view replay — so the
-// rows derived from a load are held as the load's own rows are.
+// Clear, Adopt); a Clone does not carry it. When both operands carry it
+// — a one-shot join over freshly restored tables, such as LoadEngine's
+// view replay — Join.Hash counts its output before it makes it, then
+// makes its table once and carves its tuples from slabs, so the rows
+// derived from a load are held as the load's own rows are.
 func Build(arity, rows int, fill func(t schema.Tuple) (int, error)) (*Bag, error) {
 	if rows < 1 {
 		return New(), nil

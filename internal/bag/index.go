@@ -36,7 +36,7 @@ type Index struct {
 	// its join keys by whatever the join's fan-out is, and a map sized
 	// for the rows keeps that many empty slots for good. Only Join.Hash's
 	// throw-away index, built on the smaller and typically key-unique
-	// side, is pre-sized (newIndex). A bucket that grows or shrinks is
+	// side, is pre-sized (probeIndex). A bucket that grows or shrinks is
 	// written in buckets, so only a key that comes or goes writes m; the
 	// slot of a bucket emptied waits in free for the next new key.
 	m       map[string]int
@@ -194,18 +194,14 @@ func NewIndex(b *Bag, positions []int) *Index {
 		b.dx = &derived{}
 	}
 	b.dx.jcap = max(b.dx.jcap, b.Distinct()/4, 256)
-	return newIndex(b, positions, true)
+	return newIndex(b, positions)
 }
 
-// newIndex reads b and changes nothing about it. Without the position
-// tables the index can be probed but not synced — it is Join.Hash's,
-// gone when the join returns (probeIndex); an addressable index is kept,
-// grows to its key count, and makes each large bucket's table once,
-// when all its rows are in.
-func newIndex(b *Bag, positions []int, addressable bool) *Index {
-	if !addressable && len(positions) > 0 {
-		return probeIndex(b, positions)
-	}
+// newIndex reads b, whose journal NewIndex has switched on, and changes
+// nothing about it. The index grows to its key count and makes each
+// large bucket's table once, when all its rows are in, so it can be
+// synced (Join.Hash's throw-away index, which cannot, is probeIndex's).
+func newIndex(b *Bag, positions []int) *Index {
 	ix := &Index{
 		src: b,
 		pos: positions,
@@ -217,14 +213,12 @@ func newIndex(b *Bag, positions []int, addressable bool) *Index {
 		k := ix.slot(key)
 		ix.buckets[k].rows = append(ix.buckets[k].rows, indexEntry{p: e.p, count: e.count})
 	})
-	if addressable { // and so syncable: NewIndex has made b.dx
-		for k := range ix.buckets {
-			if bk := &ix.buckets[k]; len(bk.rows) > scanMax {
-				bk.index(tabLen(len(bk.rows)))
-			}
+	for k := range ix.buckets {
+		if bk := &ix.buckets[k]; len(bk.rows) > scanMax {
+			bk.index(tabLen(len(bk.rows)))
 		}
-		ix.ver = b.dx.ver
 	}
+	ix.ver = b.dx.ver
 	return ix
 }
 
@@ -253,24 +247,52 @@ func (ix *Index) slot(k []byte) int {
 	return i
 }
 
-// probeIndex is Join.Hash's throw-away index over b, keyed on the given
-// columns, built for the case Hash picks its build side for: one row per
-// key. Its bucket map is pre-sized for that and never regrows, each
-// key's first entry is a capped sub-slice of one array of b's distinct
+// probeIndex is Join.Hash's throw-away index, keyed on the given
+// columns, over the rows of b that keep — the build side's own
+// conjuncts, nil for none — holds of: a row keep rejects matches no
+// probe row, and the join runs keep on each bucket row anyway, so the
+// filter saves work and cannot change the answer. It returns the index
+// and its rows, counted before anything is sized. With no column to key
+// on, one bucket holds every row, made at their count. Otherwise the
+// index is built for the case Hash picks its build side for: one row
+// per key. Its bucket map is pre-sized for that and never regrows, each
+// key's first entry is a capped sub-slice of one array of the rows'
 // count, and every key string is carved from an arena whose chunks are
 // sized for the rows left at the current key's length, up to 4 KiB. A
 // second entry for a key appends to its bucket. So a key-unique build
 // side costs the map, the array and a chunk per 4 KiB of keys, not a
 // key and a bucket per row.
-func probeIndex(b *Bag, positions []int) *Index {
-	left := b.Distinct()
-	ix := &Index{src: b, pos: positions, m: make(map[string]int, left), buckets: make([]bucket, 0, left)}
-	first := make([]indexEntry, left)
+func probeIndex(b *Bag, positions []int, keep func(schema.Tuple) bool) (ix *Index, rows int) {
+	rows = b.Distinct()
+	if keep != nil {
+		rows = 0
+		b.each(func(_ uint32, e entry) {
+			if keep(b.tupleAt(e.p)) {
+				rows++
+			}
+		})
+	}
+	first := make([]indexEntry, 0, rows)
+	if len(positions) == 0 {
+		b.each(func(_ uint32, e entry) {
+			if keep == nil || keep(b.tupleAt(e.p)) {
+				first = append(first, indexEntry{p: e.p, count: e.count})
+			}
+		})
+		return &Index{src: b, pos: positions, m: map[string]int{"": 0}, buckets: []bucket{{rows: first}}}, rows
+	}
+	ix = &Index{src: b, pos: positions, m: make(map[string]int, rows), buckets: make([]bucket, 0, rows)}
+	first = first[:rows]
+	left := rows
 	var keys arena
 	var kb [128]byte
 	key := kb[:0]
 	b.each(func(_ uint32, e entry) {
-		key = b.tupleAt(e.p).AppendKeyAt(key[:0], positions)
+		t := b.tupleAt(e.p)
+		if keep != nil && !keep(t) {
+			return
+		}
+		key = t.AppendKeyAt(key[:0], positions)
 		k := keys.str(key, min(left*len(key), arenaChunk))
 		left--
 		ie := indexEntry{p: e.p, count: e.count}
@@ -283,7 +305,7 @@ func probeIndex(b *Bag, positions []int) *Index {
 		ix.buckets = append(ix.buckets, bucket{rows: first[:1:1]})
 		first = first[1:]
 	})
-	return ix
+	return ix, rows
 }
 
 // arenaChunk is the most bytes an arena chunk is made with, unless one
@@ -447,7 +469,8 @@ type Join struct {
 // row a deletion reaches. probed counts the bucket entries examined —
 // the work done, where a rescan would pay |L|·|R|.
 func (j *Join) Indexed(out, probe *Bag, probePos []int, ix *Index, sub *Bag, buildLeft bool, held []*Bag) (probed int) {
-	return j.indexed(out, probe, probePos, ix, sub, buildLeft, held, nil)
+	probed, _ = j.indexed(out, probe, probePos, ix, sub, buildLeft, held, nil)
+	return probed
 }
 
 // heldBy returns the pointer under which the first bag of held that
@@ -466,13 +489,16 @@ func heldBy(held []*Bag, h uint32, t schema.Tuple) (p *schema.Value, ok bool) {
 }
 
 // indexed is Indexed, making each output tuple no holder holds with
-// cv.tuple: carved from slabs when cv is not nil.
-func (j *Join) indexed(out, probe *Bag, probePos []int, ix *Index, sub *Bag, buildLeft bool, held []*Bag, cv *carver) (probed int) {
+// cv.tuple: carved from slabs when cv is not nil. It also returns the
+// pairs that passed every filter: the output's rows before a Π merges
+// any. A nil out only counts them — the same walk and filters, with
+// nothing written.
+func (j *Join) indexed(out, probe *Bag, probePos []int, ix *Index, sub *Bag, buildLeft bool, held []*Bag, cv *carver) (probed, pairs int) {
 	probePred, buildPred, cross, keep, project := j.Left, j.Right, j.Cross, j.Keep, j.Project
 	if buildLeft {
 		probePred, buildPred = buildPred, probePred
 	}
-	if project != nil {
+	if project != nil && out != nil {
 		out.arity = int32(len(project)) // the projected path writes past addKeyed
 	}
 	// Scratch rows and key buffers belong to this call, never to the
@@ -513,6 +539,9 @@ func (j *Join) indexed(out, probe *Bag, probePos []int, ix *Index, sub *Bag, bui
 			copy(row, lt)
 			copy(row[len(lt):], rt)
 			if cross != nil && !cross(row) {
+				continue
+			}
+			if pairs++; out == nil {
 				continue
 			}
 			n := ep.count * nb
@@ -556,33 +585,71 @@ func (j *Join) indexed(out, probe *Bag, probePos []int, ix *Index, sub *Bag, bui
 			row = nil // the output owns it now
 		}
 	})
-	return probed
+	return probed, pairs
 }
 
 // Hash joins l and r, equal on lpos = rpos, into out (as Indexed does,
-// held included), with a throw-away index on the smaller side — every
-// tuple of it is a candidate when there is no column to key on. It only
-// reads its operands (no journal switched on, no index registered), so
-// it suits a one-off evaluation and a caller holding only read locks.
-// built is the number of tuples indexed. When both operands carry
-// Build's mark — a join over freshly restored tables, such as
-// LoadEngine's view replay — the output tuples no holder holds are
-// carved side by side from slabs of 1 to 4 Ki values, none larger than
-// the operands' pairs need, as Build's rows are, instead of one
-// allocation each; any other join's tuples are made one by one. The
-// mark decides only how the output is allocated, never what it holds.
+// held included), with a throw-away index on the smaller side's rows
+// that pass its own conjuncts — every such row is a candidate when there
+// is no column to key on. It only reads its operands (no journal
+// switched on, no index registered), so it suits a one-off evaluation
+// and a caller holding only read locks. built is the number of rows
+// indexed, probed the bucket entries the join examined.
+//
+// When both operands carry Build's mark — a join over freshly restored
+// tables, such as LoadEngine's view replay — the output is made once, at
+// its size (reserve): the walk first counts the pairs that pass every
+// filter, out gets its table for them, and the output tuples no holder
+// holds are carved side by side from slabs of 1 to 4 Ki values, sized by
+// that count, as Build's rows are, instead of one allocation each. Any
+// other join grows its output as it fills and makes its tuples one by
+// one: there a second walk costs more than the growth it saves (a
+// one-shot join of a sparse view scans its large side twice). The mark
+// decides only how the output is allocated, never what it holds.
 func (j *Join) Hash(out, l *Bag, lpos []int, r *Bag, rpos []int, held []*Bag) (probed, built int) {
+	probe, probePos, build, buildPos, keep, buildLeft := r, rpos, l, lpos, j.Left, true
+	if l.Distinct() > r.Distinct() {
+		probe, probePos, build, buildPos, keep, buildLeft = l, lpos, r, rpos, j.Right, false
+	}
+	ix, built := probeIndex(build, buildPos, keep)
 	var cv *carver
 	if l.isBuilt() && r.isBuilt() {
-		// The output holds at most one tuple per pair of operand tuples;
-		// the bound matters only below a slab's rows.
-		pairs := min(l.Distinct(), joinSlabMax) * min(r.Distinct(), joinSlabMax)
+		_, pairs := j.indexed(nil, probe, probePos, ix, nil, buildLeft, nil, nil)
+		j.reserve(out, pairs, l, r)
 		cv = &carver{limit: joinSlabMax, left: pairs}
 	}
-	if l.Distinct() <= r.Distinct() {
-		return j.indexed(out, r, rpos, newIndex(l, lpos, false), nil, true, held, cv), l.Distinct()
+	probed, _ = j.indexed(out, probe, probePos, ix, nil, buildLeft, held, cv)
+	return probed, built
+}
+
+// reserve gives out, empty, a table with room for the rows of a join of
+// l and r whose filters pass pairs pairs: a row per pair, but no more
+// than the larger operand's distinct count, since a Π can merge many
+// pairs into one row, and a cross product's pairs grow as |L|·|R|; past
+// that room the table grows as any join's does. It has room for counts
+// only where a count other than 1 can arise: an operand's count, or a Π
+// that drops a column, under which two pairs can be one row. A table
+// that has the room already keeps it.
+func (j *Join) reserve(out *Bag, pairs int, l, r *Bag) {
+	n := min(pairs, max(l.Distinct(), r.Distinct()))
+	if n <= cap(out.p) {
+		return
 	}
-	return j.indexed(out, l, lpos, newIndex(r, rpos, false), nil, false, held, cv), r.Distinct()
+	out.table = makeTable(n, l.counted() || r.counted() || drops(j.Project, int(l.arity+r.arity)))
+}
+
+// drops reports whether project, the positions a Π keeps of rows of
+// width columns (nil for no Π), leaves a column out.
+func drops(project []int, width int) bool {
+	if project == nil {
+		return false
+	}
+	for c := range width {
+		if !slices.Contains(project, c) {
+			return true
+		}
+	}
+	return false
 }
 
 // JoinIndexed is Join.Indexed into a new bag, for a predicate that has

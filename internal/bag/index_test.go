@@ -189,6 +189,51 @@ func TestHashJoinOnlyReads(t *testing.T) {
 	}
 }
 
+// TestThrowAwayIndexHoldsOnlyWhatCanMatch: Join.Hash indexes only the
+// rows of its build side that pass that side's own conjuncts, since a
+// row they reject matches no probe row. 1 000 customers, every fifth
+// scoring High, joined on custId with 5 000 sales, each way round: the
+// index holds the 200 High customers, Hash reports 200 built, and the
+// join equals the same kernel's over an index of all 1 000 (the kernel
+// runs the conjunct on every bucket row anyway).
+func TestThrowAwayIndexHoldsOnlyWhatCanMatch(t *testing.T) {
+	cust, sales := New(), New()
+	for i := 0; i < 1000; i++ {
+		score := "Low"
+		if i%5 == 0 {
+			score = "High"
+		}
+		cust.Add(row(i, score), 1)
+	}
+	for i := 0; i < 5000; i++ {
+		sales.Add(row(i%1000, i), 1)
+	}
+	high := func(tu schema.Tuple) bool { return tu[1].Equal(schema.Str("High")) }
+	early := func(tu schema.Tuple) bool { return tu[1].Compare(schema.Int(4000)) < 0 }
+	ix, n := probeIndex(cust, []int{0}, high)
+	held := 0
+	for _, bk := range ix.buckets {
+		held += len(bk.rows)
+	}
+	if n != 200 || held != 200 || len(ix.m) != 200 {
+		t.Fatalf("the index of the High customers reports %d rows and holds %d under %d keys, want 200", n, held, len(ix.m))
+	}
+	full := NewIndex(cust, []int{0})
+	for _, buildLeft := range []bool{true, false} {
+		// The customer side is the smaller: Hash builds on it either way.
+		j, l, r := &Join{Left: high, Right: early, Project: []int{0, 1, 3}}, cust, sales
+		if !buildLeft {
+			j, l, r = &Join{Left: early, Right: high, Project: []int{0, 1, 3}}, sales, cust
+		}
+		got, _, built := hash(j, l, []int{0}, r, []int{0})
+		want, _ := indexed(j, sales, []int{0}, full, nil, buildLeft)
+		if built != 200 || !got.Equal(want) || want.Len() != 800 {
+			t.Fatalf("customers on the left %v: Hash built %d and joined %d rows, want 200 built and the %d of the unfiltered index",
+				buildLeft, built, got.Len(), want.Len())
+		}
+	}
+}
+
 // TestIndexAddressesByTuplePointer: a bag's own index finds each entry
 // by the tuple pointer the bag stores, and every journal entry carries
 // that pointer. Three changes, each inside one journal window and synced

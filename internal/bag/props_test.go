@@ -369,7 +369,7 @@ func checkIndexOn(b *Bag) string {
 	if len(b.dx.owned) != 1 {
 		return "IndexOn registered a second index on the same columns"
 	}
-	if !reflect.DeepEqual(indexContents(ix), indexContents(newIndex(b, pos, true))) {
+	if !reflect.DeepEqual(indexContents(ix), indexContents(newIndex(b, pos))) {
 		return "IndexOn differs from a fresh NewIndex over the same contents"
 	}
 	n := 0
@@ -689,7 +689,7 @@ func TestPropIndexAcrossTheScanLimit(t *testing.T) {
 				t.Fatalf("seed %d, %s, %d hot rows: %s", seed, what, hot(), msg)
 			}
 			ix, _ := b.IndexOn(pos)
-			built := newIndex(b, pos, true)
+			built := newIndex(b, pos)
 			sub := New().Add(row(0, -2), 1)
 			for k := 0; k < 8; k++ {
 				if id, ok := pick(); ok {

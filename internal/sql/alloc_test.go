@@ -384,10 +384,11 @@ func gcOff() (on func()) {
 // made and nothing has written; the join carves the view's rows from
 // slabs as Build carves the tables'. A view's replay (LoadEngine with the
 // view, less LoadEngine of the same tables without it) is the DDL's
-// parse and compile and the view's tables, about 850 objects whatever
+// parse and compile and the view's tables, about 540 objects whatever
 // its size, plus its rows: a 20 000-row view costs that of a 2 000-row
-// one plus no more than a hundredth of an object per row (about 0.008
-// measured, go1.24, linux/amd64: its slabs and its map). The same
+// one plus no more than a hundredth of an object per row (about 0.001
+// measured, go1.24, linux/amd64: its slabs; its table is made once, at
+// its size, TestLoadReplayAllocatesTheViewTableOnce). The same
 // CREATE on the live engine the snapshot was taken from, whose tables
 // were written, keeps one allocation per row at least.
 func TestLoadReplayAllocatesBySlabs(t *testing.T) {
@@ -424,6 +425,126 @@ func TestLoadReplayAllocatesBySlabs(t *testing.T) {
 	}
 	if live < rows {
 		t.Errorf("CREATE of a %d-row view on a written engine cost %d objects, want one per row at least: a live view's rows are carved", rows, live)
+	}
+}
+
+// keptBag keeps a measured bag from being optimized away.
+var keptBag *bag.Bag
+
+// restoredView returns what LoadEngine of e with the view of ddl
+// allocates beyond LoadEngine of e's tables alone, in bytes, and the
+// restored view's rows.
+func restoredView(t *testing.T, e *Engine, ddl string) (replay uint64, rows *bag.Bag) {
+	t.Helper()
+	bare := snapshotOf(t, e)
+	mustExec(t, e, ddl)
+	withView := snapshotOf(t, e)
+	var got *Engine
+	load := func(snap []byte) uint64 {
+		return allocBytes(func() {
+			var err error
+			if got, err = LoadEngine(bytes.NewReader(snap)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	replay = load(withView)
+	r, err := got.Exec("SELECT * FROM hv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, got, "CHECK INVARIANT hv")
+	return replay - load(bare), r.Rows
+}
+
+// TestLoadReplayAllocatesTheViewTableOnce: LoadEngine replays a view's
+// join over Build's tables by counting the pairs that pass its filters
+// first, then making the view's table once, with room for that count,
+// where a join's output otherwise doubles from 8 entries to the first
+// power of two above its rows. Over 2 000 customers, two replays of a
+// projected join whose sales-side conjunct (quantity > 4) rejects 4 rows
+// in 7: of 7 000 sales rows (3 000 view rows) and of 42 000 (18 000).
+// Between the two, the replay's bytes grow by the view's rows — carved
+// from slabs, 64 B a row — and by its table: what NewSized makes for
+// the rows, and counts beside them (the Π drops a column, so a count
+// can differ from 1), 28 B a row. A quarter more is allowed. Doubling
+// (the rule before, about 1.15 MB here) or a count that lets every
+// probe row through (about 0.98 MB) exceeds it.
+func TestLoadReplayAllocatesTheViewTableOnce(t *testing.T) {
+	const custs = 2_000
+	const view = `CREATE MATERIALIZED VIEW hv REFRESH DEFERRED COMBINED AS
+		SELECT c.custId, c.name, s.itemNo, s.quantity FROM customer c, sales s
+		WHERE c.custId = s.custId AND s.quantity > 4`
+	replay := func(sales int) (uint64, int) {
+		b, rows := restoredView(t, joinEngine(t, custs, sales), view)
+		if want := sales / 7 * 3; rows.Len() != want {
+			t.Fatalf("the restored view of %d sales holds %d rows, want %d", sales, rows.Len(), want)
+		}
+		return b, rows.Len()
+	}
+	table := func(n int) uint64 {
+		return allocBytes(func() { keptBag = bag.NewSized(n) }) + 8*uint64(n)
+	}
+	smallB, small := replay(7_000)
+	largeB, large := replay(42_000)
+	slabs := 4 * 16 * uint64(large-small)
+	tables := table(large) - table(small)
+	t.Logf("replaying a view of %d rows allocates %d B, of %d rows %d B: %d B more, of which %d B are its rows' slabs and %d B its table, made once",
+		small, smallB, large, largeB, largeB-smallB, slabs, tables)
+	if limit := slabs + tables*5/4; largeB-smallB > limit {
+		t.Errorf("%d more view rows cost the replay %d B, want at most %d B: the view's table is not made once, for its rows",
+			large-small, largeB-smallB, limit)
+	}
+}
+
+// TestLoadReplayAllocatesNoMoreThanTheLargerTable: a replayed join whose
+// Π merges its pairs into a few rows reserves room for no more rows
+// than its larger operand holds, not one per pair. 1 000 customers over
+// 10 regions, joined on region with 2 000 sales and then 4 000, and
+// projected to the customer's score: 200 000 pairs and 400 000, 3 rows
+// each time. Between the two replays only the room grows, from 2 000
+// rows to 4 000 (NewSized's tables and their counts, 56 kB more); a
+// table for every pair would grow by 5.6 MB. Twice the room is allowed.
+// Each restored view answers what the live engine's does.
+func TestLoadReplayAllocatesNoMoreThanTheLargerTable(t *testing.T) {
+	const custs, regions = 1_000, 10
+	replay := func(sales int) uint64 {
+		e := NewEngine()
+		mustExec(t, e, `
+			CREATE TABLE customer (custId INT, region INT, score STRING);
+			CREATE TABLE sales (itemNo INT, region INT, quantity INT)`)
+		c, s := bag.New(), bag.New()
+		for i := 0; i < custs; i++ {
+			c.Add(schema.Row(i, i%regions, []string{"High", "Mid", "Low"}[i%3]), 1)
+		}
+		for i := 0; i < sales; i++ {
+			s.Add(schema.Row(i, i%regions, 1+i%7), 1)
+		}
+		if err := e.Manager().Execute(txn.Insert("customer", c)); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Manager().Execute(txn.Insert("sales", s)); err != nil {
+			t.Fatal(err)
+		}
+		b, rows := restoredView(t, e, `CREATE MATERIALIZED VIEW hv REFRESH DEFERRED COMBINED AS
+			SELECT c.score FROM customer c, sales s WHERE c.region = s.region`)
+		live, err := e.Exec("SELECT * FROM hv")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rows.Equal(live.Rows) || rows.Distinct() != 3 || rows.Len() != custs*sales/regions {
+			t.Fatalf("of %d sales, the restored view holds %v, the live one %v", sales, rows, live.Rows)
+		}
+		return b
+	}
+	table := func(n int) uint64 {
+		return allocBytes(func() { keptBag = bag.NewSized(n) }) + 8*uint64(n)
+	}
+	fewer, more := replay(2_000), replay(4_000)
+	room := table(4_000) - table(2_000)
+	t.Logf("replaying the view of 200 000 pairs allocates %d B, of 400 000 %d B; room for 2 000 rows more is %d B", fewer, more, room)
+	if more > fewer+2*room {
+		t.Errorf("200 000 pairs more cost the replay %d B, want at most %d B: it reserved more rows than the larger table holds", more-fewer, 2*room)
 	}
 }
 
